@@ -218,16 +218,22 @@ impl Worker<'_> {
 
     fn process(&self, job: &Job, count: &mut u64) {
         let lp = &self.plan.levels()[job.level];
-        let mut raw: Vec<VertexId> = Vec::new();
+        // No intermediates are stored here, so the level's whole bound set
+        // may clamp the inputs — the same kernel work the engine does.
+        let (lo, hi) = lp.window(&job.matched);
+        let (mut raw, mut tmp) = (Vec::new(), Vec::new());
         {
-            let lists: Vec<&[VertexId]> =
-                lp.intersect.iter().map(|&p| self.list_of(job, p)).collect();
-            set_ops::intersect_many_into(&lists, &mut raw);
+            let mut lists: Vec<&[VertexId]> = lp
+                .intersect
+                .iter()
+                .map(|&p| set_ops::clamp(self.list_of(job, p), lo, hi))
+                .collect();
+            set_ops::intersect_many_into(&mut lists, &mut tmp, &mut raw);
         }
         for &p in &lp.subtract {
-            let mut tmp = Vec::new();
-            set_ops::subtract_into(&raw, self.list_of(job, p), &mut tmp);
-            raw = tmp;
+            tmp.clear();
+            set_ops::subtract_into(&raw, set_ops::clamp(self.list_of(job, p), lo, hi), &mut tmp);
+            std::mem::swap(&mut raw, &mut tmp);
         }
         let terminal = job.level + 1 == self.plan.levels().len();
         let labels = self.pg.labels();

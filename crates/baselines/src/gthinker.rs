@@ -394,24 +394,27 @@ impl PartWorker<'_> {
         count: &mut u64,
     ) {
         let lp = &self.plan.levels()[level];
-        let mut raw: Vec<VertexId> = Vec::new();
+        // No intermediates are stored here, so the level's whole bound set
+        // may clamp the inputs — the same kernel work the engine does.
+        let (lo, hi) = lp.window(matched);
+        let (mut raw, mut tmp) = (Vec::new(), Vec::new());
         {
             let mut lists: Vec<&[VertexId]> = Vec::with_capacity(lp.intersect.len());
             for &p in &lp.intersect {
                 match self.list_of(matched[p], cache, missing, touched) {
-                    Some(l) => lists.push(l),
+                    Some(l) => lists.push(set_ops::clamp(l, lo, hi)),
                     None => return, // prune: data not yet local
                 }
             }
-            set_ops::intersect_many_into(&lists, &mut raw);
+            set_ops::intersect_many_into(&mut lists, &mut tmp, &mut raw);
         }
         for &p in &lp.subtract {
             let Some(l) = self.list_of(matched[p], cache, missing, touched) else {
                 return;
             };
-            let mut tmp = Vec::new();
-            set_ops::subtract_into(&raw, l, &mut tmp);
-            raw = tmp;
+            tmp.clear();
+            set_ops::subtract_into(&raw, set_ops::clamp(l, lo, hi), &mut tmp);
+            std::mem::swap(&mut raw, &mut tmp);
         }
         let terminal = level + 1 == self.plan.levels().len();
         let labels = self.pg.labels();

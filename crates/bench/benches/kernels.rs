@@ -40,6 +40,61 @@ fn bench_set_ops(c: &mut Criterion) {
             out
         })
     });
+
+    // The strided inputs above repeat with period 15, which a branch
+    // predictor learns. Adjacency lists do not: every pair among the 64
+    // longest lists of a skewed graph is what extension really merges
+    // (the benchmark's `graph.set_ops.hub_pair_ns_per_elem` input). The
+    // bounded cases clamp both lists to the window above the pair's
+    // lower-id hub and below the other, as a clique level's bounds do.
+    let graph = gen::rmat(12, 16, (0.57, 0.19, 0.19), 12);
+    let mut by_degree: Vec<u32> = graph.vertices().collect();
+    by_degree.sort_by_key(|&v| (std::cmp::Reverse(graph.degree(v)), v));
+    by_degree.truncate(64);
+    let pairs: Vec<(u32, u32)> = by_degree
+        .iter()
+        .enumerate()
+        .flat_map(|(i, &u)| by_degree[i + 1..].iter().map(move |&v| (u.min(v), u.max(v))))
+        .collect();
+    let n = |v| graph.neighbors(v);
+    let bn = |v, lo, hi| set_ops::clamp(graph.neighbors(v), lo, hi);
+    g.bench_function("hub_pairs_count", |bench| {
+        bench.iter(|| {
+            pairs.iter().map(|&(u, v)| set_ops::intersect_count(n(u), n(v))).sum::<usize>()
+        })
+    });
+    g.bench_function("hub_pairs_into", |bench| {
+        let mut out = Vec::new();
+        bench.iter(|| {
+            for &(u, v) in &pairs {
+                out.clear();
+                set_ops::intersect_into(n(u), n(v), &mut out);
+                black_box(&out);
+            }
+        })
+    });
+    g.bench_function("hub_pairs_bounded_count", |bench| {
+        bench.iter(|| {
+            pairs
+                .iter()
+                .map(|&(u, v)| {
+                    let (lo, hi) = (Some(u), Some(v));
+                    set_ops::intersect_count(bn(u, lo, hi), bn(v, lo, hi))
+                })
+                .sum::<usize>()
+        })
+    });
+    g.bench_function("hub_pairs_bounded_into", |bench| {
+        let mut out = Vec::new();
+        bench.iter(|| {
+            for &(u, v) in &pairs {
+                let (lo, hi) = (Some(u), Some(v));
+                out.clear();
+                set_ops::intersect_into(bn(u, lo, hi), bn(v, lo, hi), &mut out);
+                black_box(&out);
+            }
+        })
+    });
     g.finish();
 }
 

@@ -1123,7 +1123,7 @@ mod tests {
         let (tx, rx) = unbounded::<WireReply>();
         let mut sent = 0;
         for (i, seg) in
-            neighbors.chunks(per).chain(std::iter::repeat(&[][..]).take(1)).take(total as usize).enumerate()
+            neighbors.chunks(per).chain(std::iter::repeat_n(&[][..], 1)).take(total as usize).enumerate()
         {
             let push = ReplicaPush {
                 seq: i as u64,

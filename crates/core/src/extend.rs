@@ -3,17 +3,20 @@
 //!
 //! Split out of the per-part coordinator (`runtime.rs`): this module owns
 //! everything that executes *inside* a phase — the [`Worker`] claim loop
-//! over the phase's [`TaskPool`], single-embedding extension, and the
-//! set-algebra helpers for candidate generation. Phases are dispatched to
+//! over the phase's [`TaskPool`], single-embedding extension, and where an
+//! embedding's edge lists and stored intermediate live; the set algebra
+//! itself is the plan's ([`LevelPlan::raw_candidates`],
+//! [`LevelPlan::count_candidates`]). Phases are dispatched to
 //! the engine's persistent worker pool through the part's
 //! [`Gate`](crate::scheduler::Gate); no threads are spawned here.
 
 use crate::chunk::{Chunk, Emb, ListRef, PushOutcome, Resume, StagedChild};
 use crate::runtime::{PartCtx, PartRun};
 use crate::scheduler::{Task, TaskPool};
-use gpm_graph::{set_ops, VertexId};
+use gpm_graph::VertexId;
 use gpm_obs::{Metric, SpanKind};
-use gpm_pattern::plan::{CandidateSource, LevelPlan, PairMode};
+use gpm_pattern::interp;
+use gpm_pattern::plan::{LevelPlan, PairMode};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -226,33 +229,40 @@ impl Worker<'_, '_, '_> {
         let lp = self.lp;
         let mut matched = [0 as VertexId; gpm_pattern::MAX_PATTERN_VERTICES];
         matched_chain(self.read, self.cur, emb, &mut matched);
-        raw_candidates(ctx, self.read, self.cur, emb, lp, &matched, scratch);
 
-        if self.terminal {
-            debug_assert_eq!(from, 0, "terminal levels never pause");
-            if let Some(visit) = ctx.visitor {
-                let mut tuple = [0 as VertexId; gpm_pattern::MAX_PATTERN_VERTICES];
-                tuple[..=self.cur].copy_from_slice(&matched[..=self.cur]);
-                for &cand in &scratch.raw {
-                    if passes_filters(ctx, lp, &matched, cand) {
-                        *local_count += 1;
-                        tuple[self.cur + 1] = cand;
-                        visit(&tuple[..self.cur + 2]);
-                    }
-                }
-            } else {
-                *local_count += count_final(ctx, lp, &matched, &scratch.raw);
-            }
+        // Where this embedding's data lives (vertical reuse, §5.1): lists by
+        // parent-pointer chasing, the intermediate in this chunk's arena.
+        let list_at = |pos: usize| list_for(ctx, self.read, self.cur, emb, pos);
+        let stored = || {
+            let chunk = &self.read[self.cur];
+            let span = chunk.embs[emb as usize].inter;
+            chunk.inter(span.expect("plan guarantees a stored intermediate"))
+        };
+
+        // Counting without a visitor never needs the candidates themselves.
+        if ctx.visitor.is_none() && (self.terminal || self.pair.is_some()) {
+            debug_assert_eq!(from, 0, "counted levels never pause");
+            let passes = |c| passes_filters(ctx, lp, &matched, c);
+            let Scratch { raw, tmp, .. } = scratch;
+            let k = lp.count_candidates(&matched, list_at, stored, passes, tmp, raw);
+            *local_count += self.pair.map_or(k, |mode| interp::pair_contribution(k, mode));
             return None;
         }
 
-        if let Some(mode) = self.pair {
-            debug_assert_eq!(from, 0, "pair-counted levels never pause");
-            let k = count_final(ctx, lp, &matched, &scratch.raw);
-            *local_count += match mode {
-                PairMode::Unordered => k * k.saturating_sub(1) / 2,
-                PairMode::Ordered => k * k.saturating_sub(1),
-            };
+        lp.raw_candidates(&matched, list_at, stored, &mut scratch.tmp, &mut scratch.raw);
+
+        if self.terminal {
+            debug_assert_eq!(from, 0, "terminal levels never pause");
+            let visit = ctx.visitor.expect("terminal levels without a visitor are counted");
+            let mut tuple = [0 as VertexId; gpm_pattern::MAX_PATTERN_VERTICES];
+            tuple[..=self.cur].copy_from_slice(&matched[..=self.cur]);
+            for &cand in &scratch.raw {
+                if passes_filters(ctx, lp, &matched, cand) {
+                    *local_count += 1;
+                    tuple[self.cur + 1] = cand;
+                    visit(&tuple[..self.cur + 2]);
+                }
+            }
             return None;
         }
 
@@ -327,49 +337,6 @@ fn resolve_ref<'a>(ctx: &'a PartCtx<'_>, chunk: &'a Chunk, e: &'a Emb) -> &'a [V
     }
 }
 
-/// Computes the raw candidate set for extending `emb` at level `cur` into
-/// `scratch.raw`, honoring the plan's candidate source (vertical
-/// computation reuse, §5.1).
-fn raw_candidates(
-    ctx: &PartCtx<'_>,
-    read: &[Chunk],
-    cur: usize,
-    emb: u32,
-    lp: &LevelPlan,
-    _matched: &[VertexId],
-    scratch: &mut Scratch,
-) {
-    scratch.raw.clear();
-    let e = &read[cur].embs[emb as usize];
-    match lp.source {
-        CandidateSource::Scratch => {
-            let mut lists: [&[VertexId]; gpm_pattern::MAX_PATTERN_VERTICES] =
-                [&[]; gpm_pattern::MAX_PATTERN_VERTICES];
-            for (k, &pos) in lp.intersect.iter().enumerate() {
-                lists[k] = list_for(ctx, read, cur, emb, pos);
-            }
-            set_ops::intersect_many_into(&lists[..lp.intersect.len()], &mut scratch.raw);
-        }
-        CandidateSource::ParentIntermediate => {
-            let span = e.inter.expect("plan guarantees a stored intermediate");
-            scratch.raw.extend_from_slice(read[cur].inter(span));
-        }
-        CandidateSource::ParentIntermediateAndNew => {
-            let span = e.inter.expect("plan guarantees a stored intermediate");
-            let own = resolve_ref(ctx, &read[cur], e);
-            set_ops::intersect_into(read[cur].inter(span), own, &mut scratch.raw);
-        }
-    }
-    if !lp.subtract.is_empty() {
-        for &pos in &lp.subtract {
-            let list = list_for(ctx, read, cur, emb, pos);
-            scratch.tmp.clear();
-            set_ops::subtract_into(&scratch.raw, list, &mut scratch.tmp);
-            std::mem::swap(&mut scratch.raw, &mut scratch.tmp);
-        }
-    }
-}
-
 /// Order/injectivity/label filters for one candidate.
 #[inline]
 fn passes_filters(ctx: &PartCtx<'_>, lp: &LevelPlan, matched: &[VertexId], cand: VertexId) -> bool {
@@ -394,28 +361,4 @@ fn passes_filters(ctx: &PartCtx<'_>, lp: &LevelPlan, matched: &[VertexId], cand:
         }
     }
     true
-}
-
-/// Final-level counting shortcut: order statistics instead of iteration
-/// where the filters allow it.
-fn count_final(ctx: &PartCtx<'_>, lp: &LevelPlan, matched: &[VertexId], raw: &[VertexId]) -> u64 {
-    if lp.label.is_some() {
-        return raw.iter().filter(|&&c| passes_filters(ctx, lp, matched, c)).count() as u64;
-    }
-    let lo: Option<VertexId> = lp.lower.iter().map(|&p| matched[p]).max();
-    let hi: Option<VertexId> = lp.upper.iter().map(|&p| matched[p]).min();
-    let begin = lo.map_or(0, |b| raw.partition_point(|&c| c <= b));
-    let end = hi.map_or(raw.len(), |b| raw.partition_point(|&c| c < b));
-    if begin >= end {
-        return 0;
-    }
-    let mut count = (end - begin) as u64;
-    for &p in &lp.distinct {
-        let m = matched[p];
-        let in_range = lo.is_none_or(|b| m > b) && hi.is_none_or(|b| m < b);
-        if in_range && set_ops::contains(raw, m) {
-            count -= 1;
-        }
-    }
-    count
 }

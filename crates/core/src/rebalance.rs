@@ -267,7 +267,7 @@ fn repair_after(
 ) -> u64 {
     let n = parts.len();
     let mut restored = 0u64;
-    for s in 0..n {
+    for (s, part) in parts.iter().enumerate() {
         // A host that dies mid-repair shrinks the target and fails the
         // in-flight transfer; both re-resolve on the next loop turn, and
         // every turn either restores a copy, marks the slice lost, or
@@ -292,7 +292,7 @@ fn repair_after(
                 .find(|&h| !service.is_part_dead(h) && !holders.contains(&h));
             let Some(host) = host else { break };
             match service.replicate_slice(
-                &parts[s],
+                part,
                 host,
                 cfg.chunk_entries,
                 &shared.progress,

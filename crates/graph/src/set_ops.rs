@@ -7,7 +7,46 @@
 
 use crate::VertexId;
 
-/// Merge-based intersection of two sorted slices, appended to `out`.
+/// The elements of sorted `list` strictly between `lo` and `hi` (either
+/// bound may be absent), as a sub-slice.
+///
+/// This is how order restrictions reach the kernels: a caller clamps every
+/// input to the window its candidates must fall in and intersects the
+/// clamped slices, so elements outside the window are never compared and
+/// the gallop/merge choice below sees the lengths that are really scanned.
+///
+/// # Example
+///
+/// ```
+/// use gpm_graph::set_ops::clamp;
+/// assert_eq!(clamp(&[1, 3, 5, 7, 9], Some(3), Some(9)), &[5, 7]);
+/// assert_eq!(clamp(&[1, 3, 5], None, Some(4)), &[1, 3]);
+/// assert_eq!(clamp(&[1, 3, 5], Some(8), Some(2)), &[] as &[u32]);
+/// ```
+#[inline]
+pub fn clamp(list: &[VertexId], lo: Option<VertexId>, hi: Option<VertexId>) -> &[VertexId] {
+    let list = match hi {
+        Some(h) => &list[..list.partition_point(|&v| v < h)],
+        None => list,
+    };
+    match lo {
+        Some(l) => &list[list.partition_point(|&v| v <= l)..],
+        None => list,
+    }
+}
+
+/// One input is at least this many times longer than the other: probe the
+/// long one by galloping instead of merging.
+const GALLOP_RATIO: usize = 16;
+
+/// `(short, long, gallop?)` for a pair of inputs.
+#[inline]
+fn by_length<'a>(a: &'a [VertexId], b: &'a [VertexId]) -> (&'a [VertexId], &'a [VertexId], bool) {
+    let (short, long) = if a.len() <= b.len() { (a, b) } else { (b, a) };
+    (short, long, long.len() / short.len().max(1) >= GALLOP_RATIO)
+}
+
+/// Intersection of two sorted slices, appended to `out`.
 ///
 /// Switches to galloping (exponential) search when one input is much
 /// shorter, which is the common case when intersecting a hot vertex's long
@@ -21,39 +60,57 @@ use crate::VertexId;
 /// assert_eq!(out, vec![3, 7]);
 /// ```
 pub fn intersect_into(a: &[VertexId], b: &[VertexId], out: &mut Vec<VertexId>) {
-    let (short, long) = if a.len() <= b.len() { (a, b) } else { (b, a) };
+    let (short, long, gallop) = by_length(a, b);
     if short.is_empty() {
         return;
     }
-    if long.len() / short.len().max(1) >= 16 {
-        gallop_intersect_into(short, long, out);
+    if gallop {
+        gallop_intersect(short, long, |x| out.push(x));
     } else {
-        merge_intersect_into(a, b, out);
+        merge_intersect_into(short, long, out);
     }
 }
 
+/// Branch-free merge: both cursors and the output length advance by
+/// comparison results, and the store is unconditional, so the loop has no
+/// data-dependent branch for adjacency lists to mispredict.
 fn merge_intersect_into(a: &[VertexId], b: &[VertexId], out: &mut Vec<VertexId>) {
-    let (mut i, mut j) = (0, 0);
+    let base = out.len();
+    // At most min(|a|, |b|) matches; the slot past the last match is the
+    // one the unconditional store scribbles on.
+    out.resize(base + a.len().min(b.len()) + 1, 0);
+    let dst = &mut out[base..];
+    let (mut i, mut j, mut k) = (0, 0, 0);
     while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                out.push(a[i]);
-                i += 1;
-                j += 1;
-            }
-        }
+        let (x, y) = (a[i], b[j]);
+        dst[k] = x;
+        i += usize::from(x <= y);
+        j += usize::from(y <= x);
+        k += usize::from(x == y);
     }
+    out.truncate(base + k);
 }
 
-fn gallop_intersect_into(short: &[VertexId], long: &[VertexId], out: &mut Vec<VertexId>) {
+fn merge_intersect_count(a: &[VertexId], b: &[VertexId]) -> usize {
+    let (mut i, mut j, mut count) = (0, 0, 0);
+    while i < a.len() && j < b.len() {
+        let (x, y) = (a[i], b[j]);
+        i += usize::from(x <= y);
+        j += usize::from(y <= x);
+        count += usize::from(x == y);
+    }
+    count
+}
+
+/// Calls `hit` for every element of `short` found in `long`.
+#[inline]
+fn gallop_intersect(short: &[VertexId], long: &[VertexId], mut hit: impl FnMut(VertexId)) {
     let mut base = 0usize;
     for &x in short {
         let rest = &long[base..];
         let pos = gallop(rest, x);
         if pos < rest.len() && rest[pos] == x {
-            out.push(x);
+            hit(x);
         }
         base += pos;
         if base >= long.len() {
@@ -85,70 +142,79 @@ pub fn gallop(s: &[VertexId], x: VertexId) -> usize {
 /// assert_eq!(gpm_graph::set_ops::intersect_count(&[1, 2, 3], &[2, 3, 4]), 2);
 /// ```
 pub fn intersect_count(a: &[VertexId], b: &[VertexId]) -> usize {
-    let (short, long) = if a.len() <= b.len() { (a, b) } else { (b, a) };
+    let (short, long, gallop) = by_length(a, b);
     if short.is_empty() {
         return 0;
     }
-    if long.len() / short.len().max(1) >= 16 {
-        let mut base = 0usize;
+    if gallop {
         let mut count = 0usize;
-        for &x in short {
-            let rest = &long[base..];
-            let pos = gallop(rest, x);
-            if pos < rest.len() && rest[pos] == x {
-                count += 1;
-            }
-            base += pos;
-            if base >= long.len() {
-                break;
-            }
-        }
+        gallop_intersect(short, long, |_| count += 1);
         count
     } else {
-        let (mut i, mut j, mut count) = (0, 0, 0);
-        while i < a.len() && j < b.len() {
-            match a[i].cmp(&b[j]) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    count += 1;
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        count
+        merge_intersect_count(short, long)
     }
 }
 
-/// Intersection of `k >= 1` sorted slices, appended to `out`.
+/// Intersection of `k >= 1` sorted slices, replacing the contents of
+/// `out`. `tmp` is working space whose contents are clobbered; neither
+/// buffer is allocated per call once grown.
 ///
-/// Lists are intersected smallest-first to keep intermediates small.
+/// `lists` is reordered: the slices are intersected smallest-first to keep
+/// intermediates small.
 ///
 /// # Panics
 ///
 /// Panics if `lists` is empty (an empty intersection is ill-defined: it
 /// would be "all vertices").
-pub fn intersect_many_into(lists: &[&[VertexId]], out: &mut Vec<VertexId>) {
-    assert!(!lists.is_empty(), "intersect_many_into requires at least one list");
-    if lists.len() == 1 {
-        out.extend_from_slice(lists[0]);
-        return;
-    }
-    let mut order: Vec<usize> = (0..lists.len()).collect();
-    order.sort_unstable_by_key(|&i| lists[i].len());
-    let mut cur: Vec<VertexId> = Vec::new();
-    intersect_into(lists[order[0]], lists[order[1]], &mut cur);
-    let mut next: Vec<VertexId> = Vec::new();
-    for &i in &order[2..] {
-        if cur.is_empty() {
-            break;
+pub fn intersect_many_into(
+    lists: &mut [&[VertexId]],
+    tmp: &mut Vec<VertexId>,
+    out: &mut Vec<VertexId>,
+) {
+    out.clear();
+    match lists {
+        [] => panic!("intersect_many_into requires at least one list"),
+        [only] => out.extend_from_slice(only),
+        [a, b] => intersect_into(a, b, out),
+        _ => {
+            lists.sort_unstable_by_key(|l| l.len());
+            intersect_into(lists[0], lists[1], out);
+            for list in &lists[2..] {
+                if out.is_empty() {
+                    break;
+                }
+                tmp.clear();
+                intersect_into(out, list, tmp);
+                std::mem::swap(out, tmp);
+            }
         }
-        next.clear();
-        intersect_into(&cur, lists[i], &mut next);
-        std::mem::swap(&mut cur, &mut next);
     }
-    out.append(&mut cur);
+}
+
+/// Size of the intersection of `k >= 1` sorted slices. Only the
+/// intersection of all but the longest list is materialised (in `out`,
+/// with `tmp` as working space; both are clobbered), so one or two lists
+/// write nothing at all.
+///
+/// # Panics
+///
+/// Panics if `lists` is empty, like [`intersect_many_into`].
+pub fn intersect_many_count(
+    lists: &mut [&[VertexId]],
+    tmp: &mut Vec<VertexId>,
+    out: &mut Vec<VertexId>,
+) -> usize {
+    match lists {
+        [] => panic!("intersect_many_count requires at least one list"),
+        [only] => only.len(),
+        [a, b] => intersect_count(a, b),
+        _ => {
+            lists.sort_unstable_by_key(|l| l.len());
+            let (longest, rest) = lists.split_last_mut().expect("three or more lists");
+            intersect_many_into(rest, tmp, out);
+            intersect_count(out, longest)
+        }
+    }
 }
 
 /// Elements of sorted `a` not present in sorted `b`, appended to `out`.
@@ -215,17 +281,36 @@ mod tests {
 
     #[test]
     fn galloping_path_matches_merge_path() {
-        // Force the galloping branch with a 1:1000 size ratio.
+        // Force the galloping branch with a 1:250 size ratio.
         let long: Vec<VertexId> = (0..1000).map(|i| i * 3).collect();
-        let short = vec![0, 2997, 1500, 7];
-        let mut short_sorted = short.clone();
-        short_sorted.sort_unstable();
+        let short = vec![0, 7, 1500, 2997];
         let mut fast = Vec::new();
-        intersect_into(&short_sorted, &long, &mut fast);
+        intersect_into(&short, &long, &mut fast);
         let mut slow = Vec::new();
-        merge_intersect_into(&short_sorted, &long, &mut slow);
+        merge_intersect_into(&short, &long, &mut slow);
         assert_eq!(fast, slow);
         assert_eq!(fast, vec![0, 1500, 2997]);
+        assert_eq!(intersect_count(&short, &long), 3);
+        assert_eq!(merge_intersect_count(&short, &long), 3);
+    }
+
+    #[test]
+    fn merge_appends_after_existing_output() {
+        let mut out = vec![99];
+        intersect_into(&[1, 2, 3, 4], &[2, 4, 6], &mut out);
+        assert_eq!(out, vec![99, 2, 4]);
+    }
+
+    #[test]
+    fn clamp_is_exclusive_on_both_sides() {
+        let s = &[2, 4, 6, 8];
+        assert_eq!(clamp(s, None, None), s);
+        assert_eq!(clamp(s, Some(2), Some(8)), &[4, 6]);
+        assert_eq!(clamp(s, Some(1), Some(9)), s);
+        assert_eq!(clamp(s, Some(8), None), &[] as &[VertexId]);
+        assert_eq!(clamp(s, None, Some(2)), &[] as &[VertexId]);
+        assert_eq!(clamp(s, Some(6), Some(4)), &[] as &[VertexId]);
+        assert_eq!(clamp(&[], Some(1), Some(2)), &[] as &[VertexId]);
     }
 
     #[test]
@@ -253,22 +338,30 @@ mod tests {
         let a: &[VertexId] = &[1, 2, 3, 4, 5, 6];
         let b: &[VertexId] = &[2, 4, 6, 8];
         let c: &[VertexId] = &[4, 5, 6];
-        let mut out = Vec::new();
-        intersect_many_into(&[a, b, c], &mut out);
+        let d: &[VertexId] = &[0, 4, 6, 7, 9];
+        let (mut tmp, mut out) = (vec![42], vec![42]);
+        intersect_many_into(&mut [a, b, c], &mut tmp, &mut out);
         assert_eq!(out, vec![4, 6]);
+        intersect_many_into(&mut [a, b, c, d], &mut tmp, &mut out);
+        assert_eq!(out, vec![4, 6]);
+        intersect_many_into(&mut [a, b], &mut tmp, &mut out);
+        assert_eq!(out, vec![2, 4, 6]);
+        assert_eq!(intersect_many_count(&mut [a, b, c, d], &mut tmp, &mut out), 2);
+        assert_eq!(intersect_many_count(&mut [a, b], &mut tmp, &mut out), 3);
+        assert_eq!(intersect_many_count(&mut [c], &mut tmp, &mut out), 3);
     }
 
     #[test]
     fn single_list_intersection_is_copy() {
-        let mut out = Vec::new();
-        intersect_many_into(&[&[3, 1 + 1, 7][..]], &mut out);
-        assert_eq!(out, vec![3, 2, 7]); // copied verbatim
+        let mut out = vec![1];
+        intersect_many_into(&mut [&[3, 1 + 1, 7][..]], &mut Vec::new(), &mut out);
+        assert_eq!(out, vec![3, 2, 7]); // copied verbatim, replacing `out`
     }
 
     #[test]
     #[should_panic(expected = "at least one list")]
     fn empty_list_set_panics() {
-        intersect_many_into(&[], &mut Vec::new());
+        intersect_many_into(&mut [], &mut Vec::new(), &mut Vec::new());
     }
 
     #[test]

@@ -11,6 +11,11 @@ fn arb_sorted_set(max: u32) -> impl Strategy<Value = Vec<VertexId>> {
     prop::collection::btree_set(0..max, 0..64).prop_map(|s| s.into_iter().collect())
 }
 
+/// An optional bound, sometimes beyond every value in the lists.
+fn arb_bound(max: u32) -> impl Strategy<Value = Option<VertexId>> {
+    (any::<bool>(), 0..max).prop_map(|(some, v)| some.then_some(v))
+}
+
 proptest! {
     #[test]
     fn builder_output_is_canonical(edges in arb_edges(64, 200)) {
@@ -61,9 +66,47 @@ proptest! {
         set_ops::intersect_into(&a, &b, &mut expect);
         let mut expect2 = Vec::new();
         set_ops::intersect_into(&expect, &c, &mut expect2);
+        // Stale contents of either buffer must not leak into the result.
+        let (mut tmp, mut out) = (vec![7], vec![9]);
+        set_ops::intersect_many_into(&mut [&a, &b, &c], &mut tmp, &mut out);
+        prop_assert_eq!(&out, &expect2);
+        prop_assert_eq!(
+            set_ops::intersect_many_count(&mut [&a, &b, &c], &mut tmp, &mut out),
+            expect2.len()
+        );
+    }
+
+    /// Pushing a `(lo, hi)` window into the intersection — clamp both
+    /// inputs, then intersect — equals intersecting the full lists and
+    /// filtering the result, on both kernel paths: which one runs depends
+    /// on the *clamped* lengths, and a dense `b` against a scattered `a`
+    /// (thinned to a couple of values by `a_stride` 40) puts them on
+    /// either side of the 16:1 gallop threshold as the window moves.
+    #[test]
+    fn bounded_intersection_equals_filtered_unbounded(
+        a in arb_sorted_set(4096),
+        dense_len in 0u32..4096,
+        a_stride in prop_oneof![Just(1usize), Just(40)],
+        lo in arb_bound(5000),
+        hi in arb_bound(5000),
+    ) {
+        let a: Vec<VertexId> = a.into_iter().step_by(a_stride).collect();
+        let b: Vec<VertexId> = (0..dense_len).collect();
+        let mut full = Vec::new();
+        set_ops::intersect_into(&a, &b, &mut full);
+        let expect: Vec<VertexId> = full
+            .into_iter()
+            .filter(|&x| lo.is_none_or(|l| x > l) && hi.is_none_or(|h| x < h))
+            .collect();
+
+        let (ca, cb) = (set_ops::clamp(&a, lo, hi), set_ops::clamp(&b, lo, hi));
+        prop_assert!(ca.iter().chain(cb).all(|&x| lo.is_none_or(|l| x > l) && hi.is_none_or(|h| x < h)));
         let mut out = Vec::new();
-        set_ops::intersect_many_into(&[&a, &b, &c], &mut out);
-        prop_assert_eq!(out, expect2);
+        set_ops::intersect_into(ca, cb, &mut out);
+        prop_assert_eq!(&out, &expect);
+        prop_assert_eq!(set_ops::intersect_count(ca, cb), expect.len());
+        // Argument order is irrelevant to either kernel.
+        prop_assert_eq!(set_ops::intersect_count(cb, ca), expect.len());
     }
 
     #[test]

@@ -5,8 +5,29 @@
 //! used as the ground-truth implementation for engine tests, as the core
 //! of the single-machine baselines, and by the oracle cross-checks.
 
-use crate::plan::{CandidateSource, LevelPlan, MatchingPlan, PairMode};
-use gpm_graph::{set_ops, Graph, VertexId};
+use crate::plan::{LevelPlan, MatchingPlan, PairMode};
+use gpm_graph::{Graph, VertexId};
+
+/// Working buffers of one walk, grown once and reused for every
+/// embedding. `cands[i]` holds level `i`'s raw candidate set; while the
+/// walk is below that level it is also the stored intermediate the next
+/// level reads, so reuse costs no copy.
+struct Buffers {
+    cands: Vec<Vec<VertexId>>,
+    tmp: Vec<VertexId>,
+}
+
+impl Buffers {
+    fn new(plan: &MatchingPlan) -> Self {
+        Buffers { cands: vec![Vec::new(); plan.levels().len()], tmp: Vec::new() }
+    }
+
+    /// `(parent's stored intermediate, this level's buffer, scratch)`.
+    fn at(&mut self, level_idx: usize) -> (&[VertexId], &mut Vec<VertexId>, &mut Vec<VertexId>) {
+        let (above, below) = self.cands.split_at_mut(level_idx);
+        (above.last().map_or(&[], |v| v), &mut below[0], &mut self.tmp)
+    }
+}
 
 /// Counts the embeddings a plan produces on `g`.
 ///
@@ -32,23 +53,10 @@ pub fn count_embeddings(g: &Graph, plan: &MatchingPlan) -> u64 {
 /// Enumerates embeddings, invoking `visit` with the matched vertices in
 /// matching-order positions (`matched[i]` = graph vertex at position `i`).
 pub fn enumerate_embeddings<F: FnMut(&[VertexId])>(g: &Graph, plan: &MatchingPlan, mut visit: F) {
-    let mut matched: Vec<VertexId> = Vec::with_capacity(plan.depth());
-    // Intermediate (raw candidate) sets stored per level for reuse.
-    let mut inter: Vec<Vec<VertexId>> = vec![Vec::new(); plan.depth()];
-    for v in g.vertices() {
-        if let Some(required) = plan.root_label() {
-            if g.label(v) != Some(required) {
-                continue;
-            }
-        }
-        if plan.depth() == 1 {
-            visit(&[v]);
-            continue;
-        }
-        matched.push(v);
-        descend(g, plan, 0, &mut matched, &mut inter, &mut visit);
-        matched.pop();
-    }
+    enumerate_embeddings_until(g, plan, |m| {
+        visit(m);
+        true
+    });
 }
 
 /// Enumerates embeddings with early termination: `visit` returns `false`
@@ -60,7 +68,7 @@ pub fn enumerate_embeddings_until<F: FnMut(&[VertexId]) -> bool>(
     mut visit: F,
 ) {
     let mut matched: Vec<VertexId> = Vec::with_capacity(plan.depth());
-    let mut inter: Vec<Vec<VertexId>> = vec![Vec::new(); plan.depth()];
+    let mut bufs = Buffers::new(plan);
     for v in g.vertices() {
         if let Some(required) = plan.root_label() {
             if g.label(v) != Some(required) {
@@ -74,7 +82,7 @@ pub fn enumerate_embeddings_until<F: FnMut(&[VertexId]) -> bool>(
             continue;
         }
         matched.push(v);
-        let keep = descend_until(g, plan, 0, &mut matched, &mut inter, &mut visit);
+        let keep = descend_until(g, plan, 0, &mut matched, &mut bufs, &mut visit);
         matched.pop();
         if !keep {
             return;
@@ -87,17 +95,16 @@ fn descend_until<F: FnMut(&[VertexId]) -> bool>(
     plan: &MatchingPlan,
     level_idx: usize,
     matched: &mut Vec<VertexId>,
-    inter: &mut Vec<Vec<VertexId>>,
+    bufs: &mut Buffers,
     visit: &mut F,
 ) -> bool {
     let lp = &plan.levels()[level_idx];
-    let mut cands = Vec::new();
-    raw_candidates(g, lp, matched, inter, &mut cands);
+    let (parent, cands, tmp) = bufs.at(level_idx);
+    lp.raw_candidates(matched, |p| g.neighbors(matched[p]), || parent, tmp, cands);
     let last = level_idx + 1 == plan.levels().len();
-    if lp.store_intermediate {
-        inter[lp.position] = cands.clone();
-    }
-    for &cand in &cands {
+    // Indexed: deeper levels borrow `bufs` but leave this level's set alone.
+    for k in 0..bufs.cands[level_idx].len() {
+        let cand = bufs.cands[level_idx][k];
         if !passes_filters(g, lp, matched, cand) {
             continue;
         }
@@ -105,7 +112,7 @@ fn descend_until<F: FnMut(&[VertexId]) -> bool>(
         let keep = if last {
             visit(matched)
         } else {
-            descend_until(g, plan, level_idx + 1, matched, inter, visit)
+            descend_until(g, plan, level_idx + 1, matched, bufs, visit)
         };
         matched.pop();
         if !keep {
@@ -113,43 +120,6 @@ fn descend_until<F: FnMut(&[VertexId]) -> bool>(
         }
     }
     true
-}
-
-/// Computes the raw (unfiltered) candidate set for the given level, given
-/// the matched prefix and the per-level intermediate storage.
-pub fn raw_candidates(
-    g: &Graph,
-    lp: &LevelPlan,
-    matched: &[VertexId],
-    inter: &[Vec<VertexId>],
-    out: &mut Vec<VertexId>,
-) {
-    out.clear();
-    match lp.source {
-        CandidateSource::Scratch => {
-            let lists: Vec<&[VertexId]> =
-                lp.intersect.iter().map(|&p| g.neighbors(matched[p])).collect();
-            set_ops::intersect_many_into(&lists, out);
-        }
-        CandidateSource::ParentIntermediate => {
-            out.extend_from_slice(&inter[lp.position - 1]);
-        }
-        CandidateSource::ParentIntermediateAndNew => {
-            set_ops::intersect_into(
-                &inter[lp.position - 1],
-                g.neighbors(matched[lp.position - 1]),
-                out,
-            );
-        }
-    }
-    if !lp.subtract.is_empty() {
-        let mut tmp = Vec::new();
-        for &p in &lp.subtract {
-            tmp.clear();
-            set_ops::subtract_into(out, g.neighbors(matched[p]), &mut tmp);
-            std::mem::swap(out, &mut tmp);
-        }
-    }
 }
 
 /// Whether candidate `cand` passes the level's filters (bounds,
@@ -184,58 +154,15 @@ pub fn passes_filters(g: &Graph, lp: &LevelPlan, matched: &[VertexId], cand: Ver
     true
 }
 
-fn descend<F: FnMut(&[VertexId])>(
-    g: &Graph,
-    plan: &MatchingPlan,
-    level_idx: usize,
-    matched: &mut Vec<VertexId>,
-    inter: &mut Vec<Vec<VertexId>>,
-    visit: &mut F,
-) {
-    let lp = &plan.levels()[level_idx];
-    let mut cands = Vec::new();
-    raw_candidates(g, lp, matched, inter, &mut cands);
-    let last = level_idx + 1 == plan.levels().len();
-    if lp.store_intermediate {
-        inter[lp.position] = cands.clone();
-    }
-    for &cand in &cands {
-        if !passes_filters(g, lp, matched, cand) {
-            continue;
-        }
-        matched.push(cand);
-        if last {
-            visit(matched);
-        } else {
-            descend(g, plan, level_idx + 1, matched, inter, visit);
-        }
-        matched.pop();
-    }
-}
-
 /// Counts embeddings using the final-level counting shortcut: instead of
-/// iterating the last level's candidates, count how many pass the filters
-/// using order statistics where possible. Produces identical results to
-/// [`count_embeddings`]; used by counting-only applications.
+/// iterating the last level's candidates, count the bounded intersection
+/// without materialising it where the filters allow. Produces identical
+/// results to [`count_embeddings`]; used by counting-only applications.
 pub fn count_embeddings_fast(g: &Graph, plan: &MatchingPlan) -> u64 {
-    if plan.depth() == 1 {
-        return count_embeddings(g, plan);
-    }
+    let mut matched = Vec::with_capacity(plan.depth());
+    let mut bufs = Buffers::new(plan);
     let pair = plan.pair_count_mode();
-    let mut count = 0u64;
-    let mut matched: Vec<VertexId> = Vec::with_capacity(plan.depth());
-    let mut inter: Vec<Vec<VertexId>> = vec![Vec::new(); plan.depth()];
-    for v in g.vertices() {
-        if let Some(required) = plan.root_label() {
-            if g.label(v) != Some(required) {
-                continue;
-            }
-        }
-        matched.push(v);
-        descend_fast(g, plan, 0, &mut matched, &mut inter, pair, &mut count);
-        matched.pop();
-    }
-    count
+    g.vertices().map(|v| count_rooted(g, plan, pair, v, &mut matched, &mut bufs)).sum()
 }
 
 /// Pairs contributed by a qualifying candidate set of size `k` under the
@@ -247,41 +174,23 @@ pub fn pair_contribution(k: u64, mode: PairMode) -> u64 {
     }
 }
 
-/// Counts the candidates of a final level that pass its filters, using
-/// partition points for the ordering bounds.
-pub fn count_final_level(
-    g: &Graph,
-    lp: &LevelPlan,
-    matched: &[VertexId],
-    cands: &[VertexId],
-) -> u64 {
-    if lp.label.is_some() || !lp.edge_labels.is_empty() {
-        // Label checks need per-candidate inspection.
-        return cands.iter().filter(|&&c| passes_filters(g, lp, matched, c)).count() as u64;
-    }
-    let lo: Option<VertexId> = lp.lower.iter().map(|&p| matched[p]).max();
-    let hi: Option<VertexId> = lp.upper.iter().map(|&p| matched[p]).min();
-    let begin = lo.map_or(0, |b| cands.partition_point(|&c| c <= b));
-    let end = hi.map_or(cands.len(), |b| cands.partition_point(|&c| c < b));
-    if begin >= end {
-        return 0;
-    }
-    let mut count = (end - begin) as u64;
-    for &p in &lp.distinct {
-        let m = matched[p];
-        let in_range = lo.is_none_or(|b| m > b) && hi.is_none_or(|b| m < b);
-        if in_range && set_ops::contains(cands, m) {
-            count -= 1;
-        }
-    }
-    count
-}
-
 /// Counts the embeddings rooted at `v` only (level-0 vertex fixed),
 /// using the fast final-level shortcut. Summing over all vertices equals
 /// [`count_embeddings_fast`]; single-machine baselines parallelize over
 /// roots with this.
 pub fn count_from_root(g: &Graph, plan: &MatchingPlan, v: VertexId) -> u64 {
+    let mut matched = Vec::with_capacity(plan.depth());
+    count_rooted(g, plan, plan.pair_count_mode(), v, &mut matched, &mut Buffers::new(plan))
+}
+
+fn count_rooted(
+    g: &Graph,
+    plan: &MatchingPlan,
+    pair: Option<PairMode>,
+    v: VertexId,
+    matched: &mut Vec<VertexId>,
+    bufs: &mut Buffers,
+) -> u64 {
     if let Some(required) = plan.root_label() {
         if g.label(v) != Some(required) {
             return 0;
@@ -291,9 +200,9 @@ pub fn count_from_root(g: &Graph, plan: &MatchingPlan, v: VertexId) -> u64 {
         return 1;
     }
     let mut count = 0u64;
-    let mut matched = vec![v];
-    let mut inter: Vec<Vec<VertexId>> = vec![Vec::new(); plan.depth()];
-    descend_fast(g, plan, 0, &mut matched, &mut inter, plan.pair_count_mode(), &mut count);
+    matched.push(v);
+    descend_fast(g, plan, 0, matched, bufs, pair, &mut count);
+    matched.pop();
     count
 }
 
@@ -302,35 +211,32 @@ fn descend_fast(
     plan: &MatchingPlan,
     level_idx: usize,
     matched: &mut Vec<VertexId>,
-    inter: &mut Vec<Vec<VertexId>>,
+    bufs: &mut Buffers,
     pair: Option<PairMode>,
     count: &mut u64,
 ) {
     let lp = &plan.levels()[level_idx];
-    let mut cands = Vec::new();
-    raw_candidates(g, lp, matched, inter, &mut cands);
-    let last = level_idx + 1 == plan.levels().len();
-    if last {
-        *count += count_final_level(g, lp, matched, &cands);
+    let (parent, cands, tmp) = bufs.at(level_idx);
+    let list_at = |p: usize| g.neighbors(matched[p]);
+    // The last level is counted, not iterated; under the IEP shortcut so
+    // is the one before it, and the last two loops collapse into pair
+    // arithmetic.
+    let levels_left = plan.levels().len() - level_idx;
+    let pair_here = pair.filter(|_| levels_left == 2);
+    if levels_left == 1 || pair_here.is_some() {
+        let passes = |c| passes_filters(g, lp, matched, c);
+        let k = lp.count_candidates(matched, list_at, || parent, passes, tmp, cands);
+        *count += pair_here.map_or(k, |mode| pair_contribution(k, mode));
         return;
     }
-    // IEP shortcut: collapse the last two loops into pair arithmetic.
-    if let Some(mode) = pair {
-        if level_idx + 2 == plan.levels().len() {
-            let k = count_final_level(g, lp, matched, &cands);
-            *count += pair_contribution(k, mode);
-            return;
-        }
-    }
-    if lp.store_intermediate {
-        inter[lp.position] = cands.clone();
-    }
-    for &cand in &cands {
+    lp.raw_candidates(matched, list_at, || parent, tmp, cands);
+    for k in 0..bufs.cands[level_idx].len() {
+        let cand = bufs.cands[level_idx][k];
         if !passes_filters(g, lp, matched, cand) {
             continue;
         }
         matched.push(cand);
-        descend_fast(g, plan, level_idx + 1, matched, inter, pair, count);
+        descend_fast(g, plan, level_idx + 1, matched, bufs, pair, count);
         matched.pop();
     }
 }
@@ -383,6 +289,36 @@ mod tests {
         ] {
             check_all(&g, &p, false);
             check_all(&g, &p, true);
+        }
+    }
+
+    #[test]
+    fn every_small_pattern_matches_oracle_under_both_compilers() {
+        // Every connected pattern of up to 5 vertices x {automine, graphpi}
+        // x {non-induced, induced} x {unlabeled, labeled}: whatever bounds
+        // the compiler pushed into the candidate computation, and whether
+        // the last levels are iterated, counted or pair-counted, the plan
+        // counts what the brute-force oracle counts. The hubs of the
+        // skewed graph make the bounds cut real ranges.
+        let plain = gen::barabasi_albert(28, 4, 17);
+        let labeled = gen::with_random_labels(&plain, 2, 5);
+        for k in 1..=5 {
+            for p in crate::genpat::connected_patterns(k) {
+                let labels = (0..k as gpm_graph::Label).map(|i| i % 2).collect();
+                let with_labels = p.clone().with_labels(labels).unwrap();
+                for (g, p) in [(&plain, p), (&labeled, with_labels)] {
+                    for induced in [false, true] {
+                        let expect = oracle::count_subgraphs(g, &p, induced);
+                        for base in [PlanOptions::automine(), PlanOptions::graphpi()] {
+                            let plan = MatchingPlan::compile(&p, &PlanOptions { induced, ..base })
+                                .unwrap();
+                            let what = format!("{p}, induced={induced}\n{}", plan.describe());
+                            assert_eq!(count_embeddings(g, &plan), expect, "iterated: {what}");
+                            assert_eq!(count_embeddings_fast(g, &plan), expect, "counted: {what}");
+                        }
+                    }
+                }
+            }
         }
     }
 

@@ -15,7 +15,7 @@
 use crate::order::{self, OrderChoice};
 use crate::restrictions::{self, Restriction};
 use crate::{iso, Pattern};
-use gpm_graph::Label;
+use gpm_graph::{set_ops, Label, VertexId};
 
 /// How a level's raw candidate set is obtained.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -51,6 +51,15 @@ pub struct LevelPlan {
     /// Positions whose matched vertex the candidate must be below
     /// (symmetry-breaking `<` bounds).
     pub upper: Vec<usize>,
+    /// The subset of `lower` an executor may apply to the level's *raw*
+    /// candidate set, by clamping the inputs of the intersection. All of
+    /// `lower` when the level stores no intermediate; when it does, the
+    /// stored set feeds later levels, so only the bounds every transitive
+    /// consumer of it also carries.
+    pub raw_lower: Vec<usize>,
+    /// The subset of `upper` that may be applied to the raw candidate set
+    /// (see `raw_lower`).
+    pub raw_upper: Vec<usize>,
     /// Required label of the candidate, for labeled patterns.
     pub label: Option<Label>,
     /// Required **edge** labels: `(position, label)` pairs meaning the
@@ -71,6 +80,120 @@ pub struct LevelPlan {
     /// (if `false`, its edge list never needs to be fetched — the paper's
     /// "not all vertices are active" case).
     pub new_vertex_active: bool,
+}
+
+/// An exclusive `(lo, hi)` window on candidate vertices; either side may
+/// be open.
+pub type Window = (Option<VertexId>, Option<VertexId>);
+
+/// Executing one level. The plan knows *what* a level computes; the
+/// executor passes in *where the data lives*: `list_at(p)` is the edge
+/// list of the vertex matched at position `p`, and `stored()` the
+/// intermediate stored by the previous level (called only for the reuse
+/// sources). Every input is clamped to the level's window before it is
+/// intersected, so what the order bounds exclude is never scanned.
+impl LevelPlan {
+    /// The window all of this level's order bounds put on a candidate,
+    /// given the matched prefix. Legal on the raw set only where no
+    /// intermediate is stored from it: terminal and count-only levels, and
+    /// executors that never reuse intermediates.
+    pub fn window(&self, matched: &[VertexId]) -> Window {
+        window_of(&self.lower, &self.upper, matched)
+    }
+
+    /// The window the raw candidate set may be clamped to even when it is
+    /// stored for later levels (`raw_lower`/`raw_upper`).
+    pub fn raw_window(&self, matched: &[VertexId]) -> Window {
+        window_of(&self.raw_lower, &self.raw_upper, matched)
+    }
+
+    /// The level's intersection inputs per its candidate source, each
+    /// clamped to `(lo, hi)`, written to the front of `lists`; returns how
+    /// many.
+    fn clamped_inputs<'a>(
+        &self,
+        (lo, hi): Window,
+        list_at: &impl Fn(usize) -> &'a [VertexId],
+        stored: impl FnOnce() -> &'a [VertexId],
+        lists: &mut [&'a [VertexId]; crate::MAX_PATTERN_VERTICES],
+    ) -> usize {
+        match self.source {
+            CandidateSource::Scratch => {
+                for (k, &p) in self.intersect.iter().enumerate() {
+                    lists[k] = set_ops::clamp(list_at(p), lo, hi);
+                }
+                self.intersect.len()
+            }
+            CandidateSource::ParentIntermediate => {
+                lists[0] = set_ops::clamp(stored(), lo, hi);
+                1
+            }
+            CandidateSource::ParentIntermediateAndNew => {
+                lists[0] = set_ops::clamp(stored(), lo, hi);
+                lists[1] = set_ops::clamp(list_at(self.position - 1), lo, hi);
+                2
+            }
+        }
+    }
+
+    /// Computes the level's raw candidate set into `out`: the candidate
+    /// source minus the subtracted lists, restricted to
+    /// [`raw_window`](Self::raw_window) — so `out` may be stored as the
+    /// next level's intermediate. Candidates still have to pass the
+    /// per-candidate filters. `tmp` is scratch.
+    pub fn raw_candidates<'a>(
+        &self,
+        matched: &[VertexId],
+        list_at: impl Fn(usize) -> &'a [VertexId],
+        stored: impl FnOnce() -> &'a [VertexId],
+        tmp: &mut Vec<VertexId>,
+        out: &mut Vec<VertexId>,
+    ) {
+        let (lo, hi) = self.raw_window(matched);
+        let mut lists: [&[VertexId]; crate::MAX_PATTERN_VERTICES] = Default::default();
+        let n = self.clamped_inputs((lo, hi), &list_at, stored, &mut lists);
+        set_ops::intersect_many_into(&mut lists[..n], tmp, out);
+        for &p in &self.subtract {
+            tmp.clear();
+            set_ops::subtract_into(out, set_ops::clamp(list_at(p), lo, hi), tmp);
+            std::mem::swap(out, tmp);
+        }
+    }
+
+    /// Counts the candidates that pass all of the level's filters, for a
+    /// level nothing is stored from (terminal, or pair-counted). All of its
+    /// order bounds then clamp the inputs, and what is left is the size of
+    /// an intersection — never materialised — minus the `distinct` vertices
+    /// that fall in it. Labels and subtraction need the candidates
+    /// themselves: those levels are materialised and put through `passes`,
+    /// the executor's per-candidate filter. `tmp` and `out` are scratch.
+    pub fn count_candidates<'a>(
+        &self,
+        matched: &[VertexId],
+        list_at: impl Fn(usize) -> &'a [VertexId],
+        stored: impl FnOnce() -> &'a [VertexId],
+        passes: impl Fn(VertexId) -> bool,
+        tmp: &mut Vec<VertexId>,
+        out: &mut Vec<VertexId>,
+    ) -> u64 {
+        if self.label.is_some() || !self.edge_labels.is_empty() || !self.subtract.is_empty() {
+            self.raw_candidates(matched, list_at, stored, tmp, out);
+            return out.iter().filter(|&&c| passes(c)).count() as u64;
+        }
+        let mut lists: [&[VertexId]; crate::MAX_PATTERN_VERTICES] = Default::default();
+        let n = self.clamped_inputs(self.window(matched), &list_at, stored, &mut lists);
+        let lists = &mut lists[..n];
+        let collisions = self
+            .distinct
+            .iter()
+            .filter(|&&p| lists.iter().all(|l| set_ops::contains(l, matched[p])))
+            .count();
+        (set_ops::intersect_many_count(lists, tmp, out) - collisions) as u64
+    }
+}
+
+fn window_of(lower: &[usize], upper: &[usize], matched: &[VertexId]) -> Window {
+    (lower.iter().map(|&p| matched[p]).max(), upper.iter().map(|&p| matched[p]).min())
 }
 
 /// Options controlling plan compilation.
@@ -206,6 +329,8 @@ impl MatchingPlan {
                 distinct,
                 lower,
                 upper,
+                raw_lower: Vec::new(),
+                raw_upper: Vec::new(),
                 label: pattern.label(v),
                 edge_labels,
                 source: CandidateSource::Scratch,
@@ -239,6 +364,22 @@ impl MatchingPlan {
                         prev.store_intermediate = true;
                     }
                 }
+            }
+        }
+
+        // Bounds that may be pushed into the raw candidate computation,
+        // last level first: a stored intermediate is the next level's
+        // input (and, through it, the input of every level chained after
+        // it), so it may only lose candidates all of those reject too.
+        for i in (0..levels.len()).rev() {
+            let (head, tail) = levels.split_at_mut(i + 1);
+            let lp = &mut head[i];
+            lp.raw_lower = lp.lower.clone();
+            lp.raw_upper = lp.upper.clone();
+            if lp.store_intermediate {
+                let consumer = &tail[0];
+                lp.raw_lower.retain(|p| consumer.raw_lower.contains(p));
+                lp.raw_upper.retain(|p| consumer.raw_upper.contains(p));
             }
         }
 
@@ -391,14 +532,27 @@ impl MatchingPlan {
                     format!("C{i} ∩ N(v{})", lp.position - 1)
                 }
             };
+            // Bounds pushed into the candidate computation render on the
+            // source; the rest stay per-candidate filters.
+            let pushed: Vec<String> = lp
+                .raw_lower
+                .iter()
+                .map(|p| format!("> v{p}"))
+                .chain(lp.raw_upper.iter().map(|p| format!("< v{p}")))
+                .collect();
+            let source = if pushed.is_empty() {
+                source
+            } else {
+                format!("{source} clamped to {}", pushed.join(", "))
+            };
             let mut clauses: Vec<String> = Vec::new();
             for &p in &lp.subtract {
                 clauses.push(format!("∉ N(v{p})"));
             }
-            for &p in &lp.lower {
+            for &p in lp.lower.iter().filter(|p| !lp.raw_lower.contains(p)) {
                 clauses.push(format!("> v{p}"));
             }
-            for &p in &lp.upper {
+            for &p in lp.upper.iter().filter(|p| !lp.raw_upper.contains(p)) {
                 clauses.push(format!("< v{p}"));
             }
             for &p in &lp.distinct {
@@ -549,6 +703,64 @@ mod tests {
             assert!(l.store_intermediate);
         }
         assert!(!levels.last().unwrap().store_intermediate);
+    }
+
+    #[test]
+    fn clique_trims_every_stored_intermediate_by_its_full_bound_set() {
+        for k in 3..=6 {
+            for opts in [PlanOptions::automine(), PlanOptions::graphpi()] {
+                let plan = MatchingPlan::compile(&Pattern::clique(k), &opts).unwrap();
+                for l in plan.levels() {
+                    // Total order v0 < v1 < ...: every earlier position bounds
+                    // the level from below, and every consumer repeats it.
+                    assert_eq!(l.lower, (0..l.position).collect::<Vec<_>>());
+                    assert_eq!((&l.raw_lower, &l.raw_upper), (&l.lower, &l.upper), "{k}-clique");
+                }
+                assert!(plan.describe().contains("C1 ∩ N(v1) clamped to > v0, > v1"));
+            }
+        }
+    }
+
+    #[test]
+    fn bound_missing_from_a_consumer_stays_out_of_the_stored_intermediate() {
+        // Both patterns bound v1 from below by v0 and store C1 = N(v0) for
+        // v2, which carries no such bound: trimming C1 would lose v2's
+        // candidates below v0.
+        for p in [Pattern::house(), Pattern::diamond()] {
+            for opts in [PlanOptions::automine(), PlanOptions::graphpi()] {
+                let plan = MatchingPlan::compile(&p, &opts).unwrap();
+                let l1 = &plan.levels()[0];
+                assert!(l1.store_intermediate && l1.lower == [0], "{p}");
+                assert!(!plan.levels()[1].lower.contains(&0), "{p}");
+                assert!(l1.raw_lower.is_empty() && l1.raw_upper.is_empty(), "{p}");
+                // The bound is still enforced, per candidate.
+                assert!(plan.describe().contains("for v1 in N(v0):  if > v0"), "{p}");
+            }
+        }
+    }
+
+    #[test]
+    fn raw_bounds_are_a_subset_of_own_bounds_and_full_without_a_store() {
+        for k in 2..=5 {
+            for p in crate::genpat::connected_patterns(k) {
+                for opts in [PlanOptions::automine(), PlanOptions::graphpi()] {
+                    let plan = MatchingPlan::compile(&p, &opts).unwrap();
+                    for l in plan.levels() {
+                        assert!(l.raw_lower.iter().all(|b| l.lower.contains(b)), "{p}");
+                        assert!(l.raw_upper.iter().all(|b| l.upper.contains(b)), "{p}");
+                        if !l.store_intermediate {
+                            assert_eq!((&l.raw_lower, &l.raw_upper), (&l.lower, &l.upper), "{p}");
+                        }
+                    }
+                    // A pair-counted level stores nothing when it is counted,
+                    // and every bound it has is legal either way.
+                    if plan.pair_count_mode().is_some() {
+                        let l1 = &plan.levels()[plan.levels().len() - 2];
+                        assert_eq!((&l1.raw_lower, &l1.raw_upper), (&l1.lower, &l1.upper), "{p}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -18,12 +18,24 @@ fn engine_with(g: &gpm_graph::Graph, machines: usize, cfg: EngineConfig) -> Engi
 #[test]
 fn tiny_chunks_still_complete_deep_patterns() {
     // chunk capacity 3 on a 5-level pattern: maximal pause/resume stress.
+    // Every clique level clamps its raw candidate set (and the stored
+    // intermediate) by its bounds, so each `PushOutcome::Partial` here
+    // records an offset into a clamped set and must resume into the same
+    // one, whichever compiler ordered the plan.
     let g = gen::erdos_renyi(80, 500, 5);
     let p = Pattern::clique(5);
     let expect = oracle::count_subgraphs(&g, &p, false);
     let engine = engine_with(&g, 3, EngineConfig { chunk_capacity: 3, ..EngineConfig::default() });
-    let plan = MatchingPlan::compile(&p, &PlanOptions::automine()).unwrap();
-    assert_eq!(engine.count(&plan).count, expect);
+    for opts in [PlanOptions::automine(), PlanOptions::graphpi()] {
+        let plan = MatchingPlan::compile(&p, &opts).unwrap();
+        assert!(plan.levels().iter().all(|l| !l.raw_lower.is_empty() || !l.raw_upper.is_empty()));
+        assert_eq!(engine.count(&plan).count, expect);
+        let visited = std::sync::atomic::AtomicU64::new(0);
+        let run = engine.enumerate(&plan, |_| {
+            visited.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        });
+        assert_eq!((run.count, visited.into_inner()), (expect, expect));
+    }
     engine.shutdown();
 }
 
