@@ -8,7 +8,8 @@ use gpm_obs::{Metric, ObsConfig, Recorder, SpanKind};
 use gpm_pattern::interp;
 use gpm_pattern::plan::{MatchingPlan, PlanOptions};
 use gpm_pattern::Pattern;
-use khuzdul::{Engine, EngineConfig};
+use khuzdul::cache::SharedCache;
+use khuzdul::{CachePolicy, Engine, EngineConfig};
 use std::hint::black_box;
 
 fn bench_set_ops(c: &mut Criterion) {
@@ -119,6 +120,45 @@ fn bench_partitioning(c: &mut Criterion) {
     c.bench_function("partition_50k_into_8", |bench| {
         bench.iter(|| PartitionedGraph::new(black_box(&graph), 8, 1))
     });
+}
+
+/// What one resolved list costs to find: the part's vertex→rank index
+/// (owned and not-owned vertices of one hash part) and the static cache's
+/// lookup, empty (the lock-free answer every low-skew graph gets) and
+/// populated (hit and miss through the read lock).
+fn bench_part_lookup(c: &mut Criterion) {
+    let mut g = c.benchmark_group("part_lookup");
+    let graph = gen::erdos_renyi(50_000, 200_000, 12);
+    let pg = PartitionedGraph::new(&graph, 2, 1);
+    let part = pg.part(0);
+    // Probe in a scattered order, as embeddings' vertices arrive.
+    let scattered = |p: usize| -> Vec<u32> {
+        let mut vs: Vec<u32> = pg.part(p).owned().to_vec();
+        vs.sort_by_key(|&v| gpm_graph::partition::vertex_hash(v));
+        vs.truncate(4096);
+        vs
+    };
+    let (owned, foreign) = (scattered(0), scattered(1));
+    g.bench_function("edge_list_hit_x4096", |bench| {
+        bench.iter(|| {
+            owned.iter().map(|&v| part.edge_list(v).map_or(0, <[u32]>::len)).sum::<usize>()
+        })
+    });
+    g.bench_function("edge_list_miss_x4096", |bench| {
+        bench.iter(|| foreign.iter().filter(|&&v| part.edge_list(v).is_some()).count())
+    });
+    let empty = SharedCache::new(CachePolicy::Static, 1 << 20, 1);
+    g.bench_function("cache_lookup_empty_x4096", |bench| {
+        bench.iter(|| foreign.iter().filter(|&&v| empty.lookup(v).is_some()).count())
+    });
+    let populated = SharedCache::new(CachePolicy::Static, 1 << 20, 1);
+    for &v in &foreign[..2048] {
+        populated.maybe_insert(v, graph.neighbors(v));
+    }
+    g.bench_function("cache_lookup_populated_x4096", |bench| {
+        bench.iter(|| foreign.iter().filter(|&&v| populated.lookup(v).is_some()).count())
+    });
+    g.finish();
 }
 
 fn bench_plan_compilation(c: &mut Criterion) {
@@ -246,6 +286,7 @@ criterion_group!(
     bench_set_ops,
     bench_plan_interp,
     bench_partitioning,
+    bench_part_lookup,
     bench_plan_compilation,
     bench_obs_overhead
 );

@@ -26,7 +26,7 @@ use crate::transport::{
 };
 use crate::{NetworkModel, PartId};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use gpm_graph::partition::{GraphPart, PartitionedGraph};
+use gpm_graph::partition::{vertex_hash, GraphPart, PartitionedGraph};
 use gpm_graph::VertexId;
 use gpm_obs::{FlightKind, Metric, Recorder, SpanKind};
 use parking_lot::{Condvar, Mutex};
@@ -737,7 +737,7 @@ impl EdgeListClient {
                     query: self.query,
                     from: self.part,
                     owner: target,
-                    vertices: wire.clone(),
+                    vertices: Arc::clone(&wire),
                 },
                 reply_tx.clone(),
             ) {
@@ -796,8 +796,9 @@ pub struct PendingFetch {
     /// The part currently serving the request: `owner` while alive, else
     /// a replica holder. Updated when a mid-flight failover re-routes.
     target: PartId,
-    /// Deduplicated vertices as sent on the wire.
-    wire: Vec<VertexId>,
+    /// Deduplicated vertices as sent on the wire, shared with every
+    /// submission (first attempt, retries, failovers) of this fetch.
+    wire: Arc<[VertexId]>,
     /// For requests with duplicates: original index → wire index.
     expand: Option<Vec<u32>>,
     reply_tx: Sender<WireReply>,
@@ -948,7 +949,7 @@ impl PendingFetch {
                 query: self.client.query,
                 from: self.client.part,
                 owner: self.owner,
-                vertices: self.wire.clone(),
+                vertices: Arc::clone(&self.wire),
             },
             self.reply_tx.clone(),
         ) {
@@ -991,7 +992,7 @@ impl PendingFetch {
                     query: self.client.query,
                     from: self.client.part,
                     owner: self.owner,
-                    vertices: self.wire.clone(),
+                    vertices: Arc::clone(&self.wire),
                 },
                 self.reply_tx.clone(),
             ) {
@@ -1011,22 +1012,50 @@ impl PendingFetch {
 /// Deduplicates `vertices` preserving first-occurrence order. Returns
 /// the wire list and, when duplicates existed, the original-index →
 /// wire-index map needed to expand the reply.
-fn coalesce(vertices: &[VertexId]) -> (Vec<VertexId>, Option<Vec<u32>>) {
-    use std::collections::HashMap;
-    let mut first: HashMap<VertexId, u32> = HashMap::with_capacity(vertices.len());
-    let mut wire = Vec::with_capacity(vertices.len());
-    let mut map = Vec::with_capacity(vertices.len());
-    for &v in vertices {
-        let idx = *first.entry(v).or_insert_with(|| {
-            wire.push(v);
-            (wire.len() - 1) as u32
-        });
-        map.push(idx);
+///
+/// One pass over an open-addressed table keyed by [`vertex_hash`]. A
+/// request without duplicates (what horizontal sharing leaves, barring
+/// its dropped collisions) builds neither a second list nor a map: the
+/// wire list is the input.
+fn coalesce(vertices: &[VertexId]) -> (Arc<[VertexId]>, Option<Vec<u32>>) {
+    // At most half full, so linear probing always reaches a free slot.
+    let mask = (vertices.len() * 2).next_power_of_two() - 1;
+    // Original index of a vertex's first occurrence, plus one; 0 = free.
+    let mut first = vec![0u32; mask + 1];
+    let mut dedup: Option<(Vec<VertexId>, Vec<u32>)> = None;
+    for (i, &v) in vertices.iter().enumerate() {
+        let mut slot = vertex_hash(v) as usize & mask;
+        let seen = loop {
+            match first[slot] {
+                0 => {
+                    first[slot] = i as u32 + 1;
+                    break None;
+                }
+                j if vertices[j as usize - 1] == v => break Some(j as usize - 1),
+                _ => slot = (slot + 1) & mask,
+            }
+        };
+        match (seen, &mut dedup) {
+            (None, None) => {}
+            (None, Some((wire, map))) => {
+                map.push(wire.len() as u32);
+                wire.push(v);
+            }
+            // First duplicate: everything before it is its own wire entry.
+            (Some(j), None) => {
+                let mut wire = Vec::with_capacity(vertices.len());
+                wire.extend_from_slice(&vertices[..i]);
+                let mut map = Vec::with_capacity(vertices.len());
+                map.extend(0..i as u32);
+                map.push(j as u32);
+                dedup = Some((wire, map));
+            }
+            (Some(j), Some((_, map))) => map.push(map[j]),
+        }
     }
-    if wire.len() == vertices.len() {
-        (wire, None)
-    } else {
-        (wire, Some(map))
+    match dedup {
+        None => (Arc::from(vertices), None),
+        Some((wire, map)) => (Arc::from(wire), Some(map)),
     }
 }
 
@@ -1791,13 +1820,58 @@ mod tests {
     #[test]
     fn coalesce_maps_duplicates() {
         let (wire, map) = coalesce(&[5, 7, 5, 9, 7]);
-        assert_eq!(wire, vec![5, 7, 9]);
+        assert_eq!(&wire[..], &[5, 7, 9]);
         assert_eq!(map, Some(vec![0, 1, 0, 2, 1]));
         let (wire, map) = coalesce(&[1, 2, 3]);
-        assert_eq!(wire, vec![1, 2, 3]);
+        assert_eq!(&wire[..], &[1, 2, 3]);
         assert_eq!(map, None);
         let (wire, map) = coalesce(&[]);
         assert!(wire.is_empty());
         assert_eq!(map, None);
+    }
+
+    /// The `HashMap` formulation `coalesce` replaced, kept as its oracle.
+    fn coalesce_oracle(vertices: &[VertexId]) -> (Vec<VertexId>, Option<Vec<u32>>) {
+        let mut first = std::collections::HashMap::new();
+        let mut wire = Vec::new();
+        let mut map = Vec::new();
+        for &v in vertices {
+            let idx = *first.entry(v).or_insert_with(|| {
+                wire.push(v);
+                (wire.len() - 1) as u32
+            });
+            map.push(idx);
+        }
+        let deduped = wire.len() < vertices.len();
+        (wire, deduped.then_some(map))
+    }
+
+    #[test]
+    fn coalesce_keeps_wire_order_and_expand_map() {
+        // A deterministic scramble with as many distinct values as
+        // `modulus` allows: none, some, and all-but-one duplicated; ids
+        // that collide in the probe table's low bits included.
+        let scrambled = |n: u32, modulus: u32| -> Vec<VertexId> {
+            (0..n).map(|i| i.wrapping_mul(2_654_435_761) % modulus).collect()
+        };
+        let mut inputs: Vec<Vec<VertexId>> = vec![
+            vec![],
+            vec![3],
+            vec![3, 3],
+            (0..500).collect(),
+            (0..64).map(|i| i << 10).collect(),
+            vec![9; 300],
+        ];
+        for n in [2, 17, 256, 1000] {
+            inputs.push(scrambled(n, u32::MAX)); // no duplicates
+            inputs.push(scrambled(n, n / 2 + 1)); // some
+            inputs.push(scrambled(n, 1)); // all
+        }
+        for input in &inputs {
+            let (wire, map) = coalesce(input);
+            let (want_wire, want_map) = coalesce_oracle(input);
+            assert_eq!(&wire[..], &want_wire[..], "wire order for {input:?}");
+            assert_eq!(map, want_map, "expand map for {input:?}");
+        }
     }
 }

@@ -73,14 +73,11 @@ impl PartMetrics {
         self.comm_wait_nanos.fetch_add(d.as_nanos() as u64, Ordering::Relaxed);
     }
 
-    /// Records a software-cache hit (no fetch needed).
-    pub fn record_cache_hit(&self) {
-        self.cache_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a software-cache miss.
-    pub fn record_cache_miss(&self) {
-        self.cache_misses.fetch_add(1, Ordering::Relaxed);
+    /// Records the software-cache outcomes of one resolve phase: `hits`
+    /// lists needed no fetch, `misses` went on to the fabric.
+    pub fn record_cache_lookups(&self, hits: u64, misses: u64) {
+        self.cache_hits.fetch_add(hits, Ordering::Relaxed);
+        self.cache_misses.fetch_add(misses, Ordering::Relaxed);
     }
 
     /// Records a request entering this part's in-flight window.
@@ -293,14 +290,11 @@ impl QueryMetrics {
         };
     }
 
-    /// Records a software-cache hit attributed to this query.
-    pub fn record_cache_hit(&self) {
-        self.cache_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a software-cache miss attributed to this query.
-    pub fn record_cache_miss(&self) {
-        self.cache_misses.fetch_add(1, Ordering::Relaxed);
+    /// Records the software-cache outcomes of one of this query's
+    /// resolve phases.
+    pub fn record_cache_lookups(&self, hits: u64, misses: u64) {
+        self.cache_hits.fetch_add(hits, Ordering::Relaxed);
+        self.cache_misses.fetch_add(misses, Ordering::Relaxed);
     }
 
     /// Records `n` vertices coalesced out of this query's requests.
@@ -742,9 +736,8 @@ mod tests {
     fn cache_hit_rate() {
         let m = ClusterMetrics::new(2, 1);
         assert_eq!(m.cache_hit_rate(), None);
-        m.part(0).record_cache_hit();
-        m.part(0).record_cache_hit();
-        m.part(1).record_cache_miss();
+        m.part(0).record_cache_lookups(2, 0);
+        m.part(1).record_cache_lookups(0, 1);
         assert!((m.cache_hit_rate().unwrap() - 2.0 / 3.0).abs() < 1e-9);
     }
 
@@ -783,8 +776,8 @@ mod tests {
         let m = ClusterMetrics::new(4, 2);
         m.part(0).record_fetch(TrafficClass::CrossMachine, 100, 900);
         m.part(1).record_fetch(TrafficClass::CrossSocket, 50, 450);
-        m.part(0).record_cache_hit();
-        m.part(1).record_cache_miss();
+        m.part(0).record_cache_lookups(1, 0);
+        m.part(1).record_cache_lookups(0, 1);
         m.part(1).record_coalesced(3);
         m.part(2).record_retry();
         m.part(2).record_served(64);
@@ -842,8 +835,7 @@ mod tests {
         let q = m.query(7);
         q.record_fetch(TrafficClass::CrossMachine, 100, 900);
         q.record_fetch(TrafficClass::CrossSocket, 10, 90);
-        q.record_cache_hit();
-        q.record_cache_miss();
+        q.record_cache_lookups(1, 1);
         q.record_coalesced(5);
         q.record_retry();
         q.record_rerouted(256);

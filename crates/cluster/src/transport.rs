@@ -114,8 +114,10 @@ pub struct WireRequest {
     /// part's fetch to a replica holder, which then serves from its
     /// hosted copy of `owner`'s slice.
     pub owner: PartId,
-    /// The vertices whose edge lists are requested.
-    pub vertices: Vec<VertexId>,
+    /// The vertices whose edge lists are requested — shared with the
+    /// issuing fetch's completion handle, so a retry or failover
+    /// resubmits the same list rather than a copy of it.
+    pub vertices: Arc<[VertexId]>,
 }
 
 /// One reply on the wire, carrying the request's sequence number.
@@ -666,25 +668,28 @@ fn serve(
     let Some(part) = slices.iter().find(|s| s.part_id() == owner) else {
         return Err(FetchError::NotOwner { target, missing: vertices.to_vec() });
     };
-    let mut offsets = Vec::with_capacity(vertices.len() + 1);
-    offsets.push(0u32);
-    let mut data = Vec::new();
+    // Size the reply before building it: one allocation of the final
+    // length instead of doubling through it list by list.
+    let mut entries = 0usize;
     let mut missing = Vec::new();
     for &v in vertices {
         match part.edge_list(v) {
-            Some(list) => data.extend_from_slice(list),
+            Some(list) => entries += list.len(),
             None => missing.push(v),
         }
-        offsets.push(
-            checked_offset(data.len())
-                .map_err(|entries| FetchError::TooLarge { target, entries })?,
-        );
     }
-    if missing.is_empty() {
-        Ok(FetchedLists { offsets, data })
-    } else {
-        Err(FetchError::NotOwner { target, missing })
+    if !missing.is_empty() {
+        return Err(FetchError::NotOwner { target, missing });
     }
+    checked_offset(entries).map_err(|entries| FetchError::TooLarge { target, entries })?;
+    let mut offsets = Vec::with_capacity(vertices.len() + 1);
+    offsets.push(0u32);
+    let mut data = Vec::with_capacity(entries);
+    for &v in vertices {
+        data.extend_from_slice(part.edge_list(v).expect("ownership checked above"));
+        offsets.push(data.len() as u32);
+    }
+    Ok(FetchedLists { offsets, data })
 }
 
 /// What to do with a fraction of submitted messages.
@@ -1047,7 +1052,7 @@ mod tests {
     }
 
     fn wire(seq: u64, owner: PartId, v: VertexId) -> WireRequest {
-        WireRequest { seq, req_id: 0, query: 0, from: 0, owner, vertices: vec![v] }
+        WireRequest { seq, req_id: 0, query: 0, from: 0, owner, vertices: Arc::from([v]) }
     }
 
     #[test]

@@ -3,7 +3,9 @@
 //! The engine's default is the paper's **static cache** (§5.3): edge lists
 //! fetched from remote machines are inserted if the vertex degree passes a
 //! threshold and the cache is not yet full; nothing is ever evicted, so
-//! lookups need only a read lock and no bookkeeping. The replacement
+//! lookups need only a read lock and no bookkeeping — and while the cache
+//! holds nothing (a low-skew graph never passes the threshold) a lookup is
+//! one relaxed load and no lock at all. The replacement
 //! policies FIFO/LIFO/LRU/MRU are implemented behind the same interface
 //! for the paper's Figure 16 comparison — note how every one of them needs
 //! a *write* lock per lookup or insert-with-eviction, the overhead the
@@ -13,9 +15,12 @@
 //! any extendable embedding still references it — eviction can never
 //! dangle a task's data.
 
+use gpm_graph::partition::vertex_hash;
 use gpm_graph::{Degree, VertexId};
 use parking_lot::RwLock;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Cache replacement policy.
@@ -73,12 +78,62 @@ pub struct SharedCache {
     policy: CachePolicy,
     capacity_bytes: usize,
     degree_threshold: Degree,
+    /// `inner.map.len()`, written under the write lock and read without
+    /// any: zero lets a lookup answer "miss" without taking the lock.
+    entries: AtomicUsize,
     inner: RwLock<Inner>,
+}
+
+/// A vertex with its [`vertex_hash`]: the map hashes with the value the
+/// resolve loop already computed for the owner and the share table,
+/// instead of running its own hash function over the id.
+#[derive(Debug, Clone, Copy)]
+struct Key {
+    v: VertexId,
+    hash: u64,
+}
+
+impl Key {
+    fn of(v: VertexId) -> Key {
+        Key { v, hash: vertex_hash(v) }
+    }
+}
+
+impl PartialEq for Key {
+    fn eq(&self, other: &Key) -> bool {
+        self.v == other.v
+    }
+}
+
+impl Eq for Key {}
+
+impl Hash for Key {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
+    }
+}
+
+/// Hands a [`Key`]'s precomputed hash to the map unchanged.
+#[derive(Debug, Default)]
+struct PassThrough(u64);
+
+impl Hasher for PassThrough {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("Key hashes with write_u64 only");
+    }
+
+    fn write_u64(&mut self, hash: u64) {
+        self.0 = hash;
+    }
 }
 
 #[derive(Debug, Default)]
 struct Inner {
-    map: HashMap<VertexId, Arc<[VertexId]>>,
+    map: HashMap<Key, Arc<[VertexId]>, BuildHasherDefault<PassThrough>>,
     /// Insertion/recency order queue for the replacement policies (front =
     /// next victim candidate end depends on policy). Unused by `Static`.
     order: Vec<VertexId>,
@@ -93,6 +148,7 @@ impl SharedCache {
             policy,
             capacity_bytes,
             degree_threshold,
+            entries: AtomicUsize::new(0),
             inner: RwLock::new(Inner::default()),
         }
     }
@@ -120,15 +176,28 @@ impl SharedCache {
     ///
     /// For LRU/MRU this updates recency (and therefore takes the write
     /// lock — the measured cost of those policies); `Static`, FIFO and
-    /// LIFO lookups take only the read lock.
+    /// LIFO lookups take only the read lock, and no lock while the cache
+    /// is empty.
     pub fn lookup(&self, v: VertexId) -> Option<Arc<[VertexId]>> {
-        if !self.is_enabled() {
+        self.lookup_hashed(v, vertex_hash(v))
+    }
+
+    /// [`SharedCache::lookup`] for a caller that already holds
+    /// `hash == vertex_hash(v)`.
+    #[inline]
+    pub(crate) fn lookup_hashed(&self, v: VertexId, hash: u64) -> Option<Arc<[VertexId]>> {
+        debug_assert_eq!(hash, vertex_hash(v));
+        // An empty map has nothing to return and no recency to update. A
+        // lookup racing the first insert may miss it, exactly as if it
+        // had taken the lock first.
+        if !self.is_enabled() || self.entries.load(Ordering::Relaxed) == 0 {
             return None;
         }
+        let key = Key { v, hash };
         match self.policy {
             CachePolicy::Lru | CachePolicy::Mru => {
                 let mut inner = self.inner.write();
-                let hit = inner.map.get(&v).cloned();
+                let hit = inner.map.get(&key).cloned();
                 if hit.is_some() {
                     if let Some(pos) = inner.order.iter().position(|&u| u == v) {
                         inner.order.remove(pos);
@@ -137,7 +206,7 @@ impl SharedCache {
                 }
                 hit
             }
-            _ => self.inner.read().map.get(&v).cloned(),
+            _ => self.inner.read().map.get(&key).cloned(),
         }
     }
 
@@ -156,9 +225,10 @@ impl SharedCache {
                 if (list.len() as Degree) < self.degree_threshold {
                     return false;
                 }
+                let key = Key::of(v);
                 let mut inner = self.inner.write();
                 // "First accessed first cached": once full, stay full.
-                if inner.full || inner.map.contains_key(&v) {
+                if inner.full || inner.map.contains_key(&key) {
                     return false;
                 }
                 if inner.bytes + bytes > self.capacity_bytes {
@@ -166,12 +236,14 @@ impl SharedCache {
                     return false;
                 }
                 inner.bytes += bytes;
-                inner.map.insert(v, list.into());
+                inner.map.insert(key, list.into());
+                self.entries.store(inner.map.len(), Ordering::Relaxed);
                 true
             }
             CachePolicy::Fifo | CachePolicy::Lifo | CachePolicy::Lru | CachePolicy::Mru => {
+                let key = Key::of(v);
                 let mut inner = self.inner.write();
-                if inner.map.contains_key(&v) {
+                if inner.map.contains_key(&key) {
                     return false;
                 }
                 // Evict until there is room — the general-purpose
@@ -190,17 +262,18 @@ impl SharedCache {
                         },
                         _ => unreachable!(),
                     };
-                    if let Some(old) = inner.map.remove(&victim) {
+                    if let Some(old) = inner.map.remove(&Key::of(victim)) {
                         inner.bytes -= std::mem::size_of_val(&old[..]);
                     }
                 }
-                if inner.bytes + bytes > self.capacity_bytes {
-                    return false;
+                let fits = inner.bytes + bytes <= self.capacity_bytes;
+                if fits {
+                    inner.bytes += bytes;
+                    inner.map.insert(key, list.into());
+                    inner.order.push(v);
                 }
-                inner.bytes += bytes;
-                inner.map.insert(v, list.into());
-                inner.order.push(v);
-                true
+                self.entries.store(inner.map.len(), Ordering::Relaxed);
+                fits
             }
             CachePolicy::Disabled => false,
         }
@@ -208,7 +281,7 @@ impl SharedCache {
 
     /// Number of cached lists.
     pub fn len(&self) -> usize {
-        self.inner.read().map.len()
+        self.entries.load(Ordering::Relaxed)
     }
 
     /// Whether the cache currently holds nothing.
@@ -233,6 +306,7 @@ impl SharedCache {
         inner.order.clear();
         inner.bytes = 0;
         inner.full = false;
+        self.entries.store(0, Ordering::Relaxed);
     }
 }
 
@@ -351,6 +425,35 @@ mod tests {
         assert_eq!(c.bytes(), 0);
         // Full flag reset: can insert again.
         assert!(c.maybe_insert(3, &list(10, 0)));
+    }
+
+    #[test]
+    fn empty_cache_answers_without_the_lock() {
+        for policy in [CachePolicy::Static, CachePolicy::Lru] {
+            let c = SharedCache::new(policy, 4096, 1);
+            let held = c.inner.write();
+            // Would deadlock here if the lookup took either lock.
+            assert!(c.lookup(1).is_none());
+            drop(held);
+            assert!(c.maybe_insert(1, &list(4, 0)));
+            assert!(c.lookup(1).is_some());
+            c.clear();
+            let held = c.inner.write();
+            assert!(c.lookup(1).is_none());
+            drop(held);
+        }
+    }
+
+    #[test]
+    fn entry_count_tracks_inserts_and_evictions() {
+        let c = SharedCache::new(CachePolicy::Fifo, 100, 1);
+        assert_eq!(c.len(), 0);
+        c.maybe_insert(1, &list(10, 0));
+        c.maybe_insert(2, &list(10, 0));
+        assert_eq!(c.len(), 2);
+        c.maybe_insert(3, &list(20, 0)); // 80 B: evicts both
+        assert_eq!(c.len(), 1);
+        assert!(c.lookup(3).is_some());
     }
 
     #[test]

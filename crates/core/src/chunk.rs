@@ -10,8 +10,11 @@
 use gpm_graph::VertexId;
 use std::sync::Arc;
 
-/// Where an embedding's (new vertex's) active edge list lives.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// Where an embedding's (new vertex's) active edge list lives. Plain
+/// data: every variant is an index or a span into storage the chunk (or
+/// the part) owns, so embeddings are `Copy` and a level is released
+/// without per-embedding drop glue.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) enum ListRef {
     /// The vertex is not active: no list is ever needed (anti-monotone
     /// inactive case, §3.1).
@@ -22,9 +25,9 @@ pub(crate) enum ListRef {
     Pending,
     /// Owned by the local part; read directly from the graph partition.
     Local,
-    /// Served from the software cache; the `Arc` keeps evicted entries
-    /// alive while referenced.
-    Cached(Arc<[VertexId]>),
+    /// Served from the software cache: index into [`Chunk::pins`], whose
+    /// `Arc` keeps an evicted entry alive until the chunk is released.
+    Cached(u32),
     /// Fetched from a remote part into this chunk's fetch arena.
     Fetched {
         /// Offset into [`Chunk::fetch_data`].
@@ -38,7 +41,7 @@ pub(crate) enum ListRef {
 }
 
 /// One extendable embedding inside a chunk.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct Emb {
     /// Index of the parent embedding in the previous level's chunk
     /// (`u32::MAX` for roots).
@@ -65,45 +68,59 @@ pub(crate) struct Resume {
 
 /// Horizontal-sharing hash table: open addressing, **no collision
 /// chains** — on a slot conflict the insertion is simply dropped (§5.2).
+///
+/// Slots are tagged with the fill epoch that wrote them, so preparing the
+/// table for the next fill is a counter bump rather than a pass over all
+/// `2 × capacity` slots — a chunk of sixteen roots pays for sixteen
+/// slots, not for the table.
 #[derive(Debug, Default)]
 pub(crate) struct ShareTable {
-    slots: Vec<(VertexId, u32)>, // (vertex, emb index), epoch-tagged by clearing
+    slots: Vec<ShareSlot>,
     mask: usize,
+    /// Current fill; a slot whose `epoch` differs is empty. Never 0 once
+    /// reset, so zeroed slots are empty in every fill.
+    epoch: u32,
 }
 
-const EMPTY_SLOT: (VertexId, u32) = (VertexId::MAX, u32::MAX);
+#[derive(Debug, Clone, Copy, Default)]
+struct ShareSlot {
+    vertex: VertexId,
+    emb: u32,
+    epoch: u32,
+}
 
 impl ShareTable {
-    /// Prepares the table for a chunk of `capacity` embeddings.
+    /// Prepares the table for a chunk of `capacity` embeddings: every
+    /// registration of earlier fills is forgotten.
     pub fn reset(&mut self, capacity: usize) {
         let want = (capacity * 2).next_power_of_two().max(16);
         if self.slots.len() != want {
-            self.slots = vec![EMPTY_SLOT; want];
+            self.slots = vec![ShareSlot::default(); want];
             self.mask = want - 1;
-        } else {
-            self.slots.fill(EMPTY_SLOT);
+            self.epoch = 0;
+        } else if self.epoch == u32::MAX {
+            // Wrap-around: the next epoch value was used 2^32 fills ago
+            // and a slot may still carry it.
+            self.slots.fill(ShareSlot::default());
+            self.epoch = 0;
         }
+        self.epoch += 1;
     }
 
+    /// Returns the embedding already registered for `v` in this fill, or
+    /// registers `emb` and returns `None`. A slot occupied by a
+    /// *different* vertex drops the registration (no chain), returning
+    /// `None`. `hash` must be `vertex_hash(v)`.
     #[inline]
-    fn slot(&self, v: VertexId) -> usize {
-        (gpm_graph::partition::vertex_hash(v) as usize) & self.mask
-    }
-
-    /// Returns the embedding already registered for `v`, or registers
-    /// `emb` and returns `None`. A slot occupied by a *different* vertex
-    /// drops the registration (no chain), returning `None`.
-    pub fn lookup_or_claim(&mut self, v: VertexId, emb: u32) -> Option<u32> {
-        if self.slots.is_empty() {
-            return None;
-        }
-        let s = self.slot(v);
-        let (sv, se) = self.slots[s];
-        if (sv, se) == EMPTY_SLOT {
-            self.slots[s] = (v, emb);
+    pub fn lookup_or_claim(&mut self, v: VertexId, hash: u64, emb: u32) -> Option<u32> {
+        debug_assert_eq!(hash, gpm_graph::partition::vertex_hash(v));
+        let epoch = self.epoch;
+        let slot = self.slots.get_mut(hash as usize & self.mask)?;
+        if slot.epoch != epoch {
+            *slot = ShareSlot { vertex: v, emb, epoch };
             None
-        } else if sv == v {
-            Some(se)
+        } else if slot.vertex == v {
+            Some(slot.emb)
         } else {
             None // collision: drop, accept redundant fetch
         }
@@ -118,6 +135,9 @@ pub(crate) struct Chunk {
     pub embs: Vec<Emb>,
     /// Arena of remotely fetched edge lists.
     pub fetch_data: Vec<VertexId>,
+    /// Cache entries this level's [`ListRef::Cached`] embeddings read,
+    /// pinned until the level is released.
+    pub pins: Vec<Arc<[VertexId]>>,
     /// Arena of stored intermediate results.
     pub inter_data: Vec<VertexId>,
     /// `embs[..cursor]` have been offered to an extend phase.
@@ -165,6 +185,7 @@ impl Chunk {
     pub fn clear(&mut self) {
         self.embs.clear();
         self.fetch_data.clear();
+        self.pins.clear();
         self.inter_data.clear();
         self.cursor = 0;
         self.resumes.clear();
@@ -173,11 +194,12 @@ impl Chunk {
         // `share` is reset lazily at the next resolve.
     }
 
-    /// Appends a fetched list to the arena, returning its `ListRef`.
-    pub fn push_fetched(&mut self, list: &[VertexId]) -> ListRef {
-        let start = self.fetch_data.len() as u32;
-        self.fetch_data.extend_from_slice(list);
-        ListRef::Fetched { start, len: list.len() as u32 }
+    /// Appends a reply batch (its lists back to back) to the arena in one
+    /// copy, returning the arena offset the batch starts at.
+    pub fn push_fetched(&mut self, batch: &[VertexId]) -> u32 {
+        let base = self.fetch_data.len() as u32;
+        self.fetch_data.extend_from_slice(batch);
+        base
     }
 
     /// Stores an intermediate result, returning its span.
@@ -185,6 +207,19 @@ impl Chunk {
         let start = self.inter_data.len() as u32;
         self.inter_data.extend_from_slice(data);
         (start, data.len() as u32)
+    }
+
+    /// Pins a cache entry for this level's lifetime, returning its
+    /// `ListRef`.
+    pub fn push_pinned(&mut self, list: Arc<[VertexId]>) -> ListRef {
+        self.pins.push(list);
+        ListRef::Cached((self.pins.len() - 1) as u32)
+    }
+
+    /// Resolves a `Cached` index.
+    #[inline]
+    pub fn pinned(&self, i: u32) -> &[VertexId] {
+        &self.pins[i as usize]
     }
 
     /// Resolves a `Fetched` span.
@@ -301,11 +336,10 @@ mod tests {
     #[test]
     fn fetch_arena_roundtrip() {
         let mut c = Chunk::new(4);
-        let r = c.push_fetched(&[10, 20, 30]);
-        match r {
-            ListRef::Fetched { start, len } => assert_eq!(c.fetched(start, len), &[10, 20, 30]),
-            other => panic!("unexpected {other:?}"),
-        }
+        assert_eq!(c.push_fetched(&[10, 20, 30]), 0);
+        let base = c.push_fetched(&[40, 50]);
+        assert_eq!(c.fetched(base, 2), &[40, 50]);
+        assert_eq!(c.fetched(1, 2), &[20, 30]);
     }
 
     #[test]
@@ -324,13 +358,24 @@ mod tests {
         assert_eq!(c.resolved_upto, 0);
     }
 
+    fn claim(t: &mut ShareTable, v: VertexId, emb: u32) -> Option<u32> {
+        t.lookup_or_claim(v, gpm_graph::partition::vertex_hash(v), emb)
+    }
+
     #[test]
     fn share_table_claim_and_hit() {
         let mut t = ShareTable::default();
         t.reset(8);
-        assert_eq!(t.lookup_or_claim(42, 0), None); // claimed
-        assert_eq!(t.lookup_or_claim(42, 1), Some(0)); // shared
-        assert_eq!(t.lookup_or_claim(42, 2), Some(0));
+        assert_eq!(claim(&mut t, 42, 0), None); // claimed
+        assert_eq!(claim(&mut t, 42, 1), Some(0)); // shared
+        assert_eq!(claim(&mut t, 42, 2), Some(0));
+    }
+
+    #[test]
+    fn share_table_before_first_reset_shares_nothing() {
+        let mut t = ShareTable::default();
+        assert_eq!(claim(&mut t, 42, 0), None);
+        assert_eq!(claim(&mut t, 42, 1), None);
     }
 
     #[test]
@@ -341,10 +386,10 @@ mod tests {
         let mut dropped = 0;
         let mut claimed = 0;
         for v in 0..64u32 {
-            match t.lookup_or_claim(v, v) {
+            match claim(&mut t, v, v) {
                 None => {
                     // Either claimed or dropped; re-query distinguishes.
-                    if t.lookup_or_claim(v, 999) == Some(v) {
+                    if claim(&mut t, v, 999) == Some(v) {
                         claimed += 1;
                     } else {
                         dropped += 1;
@@ -358,12 +403,68 @@ mod tests {
     }
 
     #[test]
-    fn share_table_reset_clears_epoch() {
+    fn share_table_reset_forgets_every_entry() {
         let mut t = ShareTable::default();
         t.reset(8);
-        t.lookup_or_claim(7, 3);
+        for v in 0..16u32 {
+            claim(&mut t, v, v);
+        }
         t.reset(8);
-        assert_eq!(t.lookup_or_claim(7, 5), None, "stale entry survived reset");
-        assert_eq!(t.lookup_or_claim(7, 6), Some(5));
+        for v in 0..16u32 {
+            assert_ne!(claim(&mut t, v, 100 + v), Some(v), "stale entry for {v} survived reset");
+        }
+        assert_eq!(claim(&mut t, 7, 5), Some(107));
+    }
+
+    #[test]
+    fn share_table_epoch_wraps_without_resurrecting_entries() {
+        let mut t = ShareTable::default();
+        t.reset(8);
+        claim(&mut t, 7, 3); // written in epoch 1
+                             // 2^32 - 2 fills later the counter is about to wrap back onto the
+                             // epoch that entry carries.
+        t.epoch = u32::MAX - 1;
+        t.reset(8);
+        assert_eq!(t.epoch, u32::MAX);
+        claim(&mut t, 9, 4); // written in the last epoch before the wrap
+        t.reset(8);
+        assert_eq!(t.epoch, 1, "epoch 0 marks never-written slots and is skipped");
+        assert_eq!(claim(&mut t, 7, 5), None, "entry of the first epoch 1 resurrected");
+        assert_eq!(claim(&mut t, 9, 6), None, "entry of epoch u32::MAX survived the wrap");
+        assert_eq!(claim(&mut t, 7, 8), Some(5));
+    }
+
+    #[test]
+    fn share_table_resize_starts_a_clean_table() {
+        let mut t = ShareTable::default();
+        t.reset(8);
+        claim(&mut t, 7, 3);
+        t.reset(64);
+        assert_eq!(claim(&mut t, 7, 5), None);
+    }
+
+    #[test]
+    fn embeddings_are_small_plain_data() {
+        fn assert_copy<T: Copy>() {}
+        assert_copy::<Emb>();
+        assert!(std::mem::size_of::<Emb>() <= 32, "Emb is {} B", std::mem::size_of::<Emb>());
+    }
+
+    #[test]
+    fn pinned_list_outlives_its_cache_entry() {
+        use crate::cache::{CachePolicy, SharedCache};
+        let cache = SharedCache::new(CachePolicy::Fifo, 100, 1);
+        cache.maybe_insert(1, &[7; 10]);
+        let mut c = Chunk::new(4);
+        let list = c.push_pinned(cache.lookup(1).unwrap());
+        cache.maybe_insert(2, &[0; 10]);
+        cache.maybe_insert(3, &[0; 10]); // evicts 1
+        assert!(cache.lookup(1).is_none());
+        match list {
+            ListRef::Cached(i) => assert_eq!(c.pinned(i), &[7; 10]),
+            other => panic!("unexpected {other:?}"),
+        }
+        c.clear();
+        assert!(c.pins.is_empty(), "release drops the level's pins as a whole");
     }
 }

@@ -228,11 +228,16 @@ impl Worker<'_, '_, '_> {
         let ctx = self.ctx;
         let lp = self.lp;
         let mut matched = [0 as VertexId; gpm_pattern::MAX_PATTERN_VERTICES];
-        matched_chain(self.read, self.cur, emb, &mut matched);
+        let mut chain = [0u32; gpm_pattern::MAX_PATTERN_VERTICES];
+        ancestor_chain(self.read, self.cur, emb, &mut matched, &mut chain);
 
-        // Where this embedding's data lives (vertical reuse, §5.1): lists by
-        // parent-pointer chasing, the intermediate in this chunk's arena.
-        let list_at = |pos: usize| list_for(ctx, self.read, self.cur, emb, pos);
+        // Where this embedding's data lives (vertical reuse, §5.1): each
+        // ancestor's list where resolve put it, reached through the chain
+        // walked once above; the intermediate in this chunk's arena.
+        let list_at = |pos: usize| {
+            let chunk = &self.read[pos];
+            resolve_ref(ctx, chunk, &chunk.embs[chain[pos] as usize])
+        };
         let stored = || {
             let chunk = &self.read[self.cur];
             let span = chunk.embs[emb as usize].inter;
@@ -293,42 +298,37 @@ struct Scratch {
     staged: Vec<StagedChild>,
 }
 
-/// Reconstructs the matched vertices along the parent chain.
-fn matched_chain(read: &[Chunk], level: usize, emb: u32, out: &mut [VertexId]) {
+/// Walks `emb`'s parent chain once — vertical data reuse by index
+/// chasing (§5.1) — recording each level's matched vertex and the index of
+/// the ancestor embedding that holds its edge list.
+fn ancestor_chain(
+    read: &[Chunk],
+    level: usize,
+    emb: u32,
+    matched: &mut [VertexId],
+    chain: &mut [u32],
+) {
     let (mut l, mut e) = (level, emb);
     loop {
-        out[l] = read[l].embs[e as usize].vertex;
+        let ancestor = &read[l].embs[e as usize];
+        matched[l] = ancestor.vertex;
+        chain[l] = e;
         if l == 0 {
             break;
         }
-        e = read[l].embs[e as usize].parent;
+        e = ancestor.parent;
         l -= 1;
     }
 }
 
-/// The edge list of the vertex at `pos` along `emb`'s chain — vertical
-/// data reuse by parent-pointer chasing (§5.1).
-fn list_for<'a>(
-    ctx: &'a PartCtx<'_>,
-    read: &'a [Chunk],
-    mut level: usize,
-    mut emb: u32,
-    pos: usize,
-) -> &'a [VertexId] {
-    while level > pos {
-        emb = read[level].embs[emb as usize].parent;
-        level -= 1;
-    }
-    resolve_ref(ctx, &read[level], &read[level].embs[emb as usize])
-}
-
-fn resolve_ref<'a>(ctx: &'a PartCtx<'_>, chunk: &'a Chunk, e: &'a Emb) -> &'a [VertexId] {
-    match &e.list {
+/// The edge list `e` (an embedding of `chunk`) was resolved to.
+fn resolve_ref<'a>(ctx: &'a PartCtx<'_>, chunk: &'a Chunk, e: &Emb) -> &'a [VertexId] {
+    match e.list {
         ListRef::Local => ctx.part.edge_list(e.vertex).expect("local vertex owned by this part"),
-        ListRef::Cached(list) => list,
-        ListRef::Fetched { start, len } => chunk.fetched(*start, *len),
+        ListRef::Cached(pin) => chunk.pinned(pin),
+        ListRef::Fetched { start, len } => chunk.fetched(start, len),
         ListRef::Peer(j) => {
-            let peer = &chunk.embs[*j as usize];
+            let peer = &chunk.embs[j as usize];
             debug_assert!(!matches!(peer.list, ListRef::Peer(_)), "peer chains are length 1");
             resolve_ref(ctx, chunk, peer)
         }

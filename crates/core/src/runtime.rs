@@ -18,9 +18,9 @@ use crate::chunk::{Chunk, Emb, ListRef, NO_PARENT};
 use crate::engine::EngineConfig;
 use crate::scheduler::{ClaimSource, ControlPlane, Gate, QueryArbiter};
 use crate::stats::PartStats;
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
+use crossbeam::channel::{unbounded, Receiver, Sender};
 use gpm_cluster::{EdgeListClient, FetchError, PendingFetch};
-use gpm_graph::partition::GraphPart;
+use gpm_graph::partition::{vertex_hash, GraphPart};
 use gpm_graph::{Label, VertexId};
 use gpm_obs::{FlightKind, ObsHandle, Recorder, SpanKind};
 use gpm_pattern::plan::MatchingPlan;
@@ -88,14 +88,20 @@ impl PartCtx<'_> {
     }
 }
 
-/// A fetch job handed to the part's communication thread. The reply is
-/// the *completion handle* of an issued request, not the data itself —
-/// the engine thread collects replies in submission order while the comm
-/// thread keeps submitting within the fabric's request window.
+/// A fetch job handed to the part's communication thread.
 struct CommJob {
     target: usize,
     vertices: Vec<VertexId>,
-    reply: Sender<Result<PendingFetch, FetchError>>,
+}
+
+/// The comm thread's answer to a [`CommJob`]: the *completion handle* of
+/// the issued request, not the data itself — the engine thread collects
+/// replies in submission order (one thread, one FIFO each way) while the
+/// comm thread keeps submitting within the fabric's request window. The
+/// job's vertex buffer rides back for the next resolve to refill.
+struct CommReply {
+    vertices: Vec<VertexId>,
+    issued: Result<PendingFetch, FetchError>,
 }
 
 /// Runs the whole plan on one part, returning its statistics, or the
@@ -107,18 +113,21 @@ pub(crate) fn run_part(ctx: PartCtx<'_>) -> Result<PartStats, FetchError> {
     // replies. `fetch_async` blocks *here* when the window is full —
     // backpressure throttles submission without stalling integration.
     let (comm_tx, comm_rx) = unbounded::<CommJob>();
+    let (reply_tx, reply_rx) = unbounded::<CommReply>();
     let comm_client = ctx.client.clone();
     let comm_handle = std::thread::Builder::new()
         .name(format!("khuzdul-comm-{}", ctx.my_part))
         .spawn(move || {
-            while let Ok(job) = comm_rx.recv() {
-                let pending = comm_client.fetch_async(job.target, &job.vertices);
-                let _ = job.reply.send(pending);
+            while let Ok(CommJob { target, vertices }) = comm_rx.recv() {
+                let issued = comm_client.fetch_async(target, &vertices);
+                if reply_tx.send(CommReply { vertices, issued }).is_err() {
+                    break;
+                }
             }
         })
         .expect("spawn comm thread");
 
-    let mut run = PartRun::new(ctx, comm_tx);
+    let mut run = PartRun::new(ctx, comm_tx, reply_rx);
     let stats = run.run();
     drop(run); // closes the comm queue
     let _ = comm_handle.join();
@@ -146,13 +155,27 @@ pub(crate) struct PartRun<'e> {
     /// parts keep a stealable tail), a whole chunk otherwise.
     seed_batch: usize,
     comm_tx: Sender<CommJob>,
+    comm_rx: Receiver<CommReply>,
+    /// Resolve-phase working storage, kept across phases so a resolve
+    /// allocates nothing once the buffers have grown to a chunk's worth.
+    scratch: ResolveScratch,
     // Kept as its own field (not inside `ctx`) so span recording can
     // borrow it mutably while `self.levels` chunks are also borrowed.
     pub(crate) obs: ObsHandle,
 }
 
+/// Per-owner fetch buckets of one resolve phase, as parallel columns:
+/// `embs[t][k]` is the embedding waiting for the list of `vertices[t][k]`.
+/// The vertex column is what goes to the comm thread (and comes back).
+struct ResolveScratch {
+    embs: Vec<Vec<u32>>,
+    vertices: Vec<Vec<VertexId>>,
+    /// Targets with a non-empty bucket, in submission order.
+    order: Vec<usize>,
+}
+
 impl<'e> PartRun<'e> {
-    fn new(ctx: PartCtx<'e>, comm_tx: Sender<CommJob>) -> Self {
+    fn new(ctx: PartCtx<'e>, comm_tx: Sender<CommJob>, comm_rx: Receiver<CommReply>) -> Self {
         let depth = ctx.plan.depth();
         let levels =
             (0..depth.saturating_sub(1)).map(|_| Chunk::new(ctx.cfg.chunk_capacity)).collect();
@@ -163,7 +186,6 @@ impl<'e> PartRun<'e> {
             ctx.cfg.chunk_capacity.max(1)
         };
         PartRun {
-            ctx,
             levels,
             count: 0,
             compute: Duration::ZERO,
@@ -176,6 +198,13 @@ impl<'e> PartRun<'e> {
             outstanding_roots: 0,
             seed_batch,
             comm_tx,
+            comm_rx,
+            scratch: ResolveScratch {
+                embs: vec![Vec::new(); ctx.part_count],
+                vertices: vec![Vec::new(); ctx.part_count],
+                order: Vec::new(),
+            },
+            ctx,
             obs,
         }
     }
@@ -475,67 +504,73 @@ impl<'e> PartRun<'e> {
     /// Propagates the first [`FetchError`] of the round (after draining
     /// every outstanding completion, so the fabric unwinds cleanly).
     fn resolve(&mut self, cur: usize) -> Result<(), FetchError> {
+        if self.levels[cur].resolved_upto >= self.levels[cur].embs.len() {
+            return Ok(());
+        }
         let t0 = Instant::now();
         let rts = self.obs.start();
         let part_count = self.ctx.part_count;
         let my_part = self.ctx.my_part;
-        let metrics = Arc::clone(self.ctx.client.metrics().part(my_part));
-        let qmetrics = Arc::clone(self.ctx.client.query_metrics());
         let cache_enabled = self.ctx.cache.is_enabled();
+        let sharing = self.ctx.cfg.horizontal_sharing;
+        let ResolveScratch { embs: bucket_embs, vertices: bucket_vertices, order } =
+            &mut self.scratch;
+        bucket_embs.iter_mut().for_each(Vec::clear);
+        bucket_vertices.iter_mut().for_each(Vec::clear);
 
         let chunk = &mut self.levels[cur];
-        if chunk.resolved_upto >= chunk.embs.len() {
-            return Ok(());
-        }
-        if chunk.resolved_upto == 0 && self.ctx.cfg.horizontal_sharing {
+        if chunk.resolved_upto == 0 && sharing {
             chunk.share.reset(chunk.capacity);
         }
-        let mut buckets: Vec<Vec<(u32, VertexId)>> = vec![Vec::new(); part_count];
-        {
-            let Chunk { embs, share, .. } = chunk;
-            // Index loop: `share` and `embs` are disjoint borrows of the
-            // same chunk, so an iterator over `embs` would lock out the
-            // share-table lookups.
-            #[allow(clippy::needless_range_loop)]
-            for i in chunk.resolved_upto..embs.len() {
-                if embs[i].list != ListRef::Pending {
-                    continue;
-                }
-                let v = embs[i].vertex;
-                let owner = self.ctx.owner.owner(v);
-                if owner == my_part {
-                    embs[i].list = ListRef::Local;
-                    continue;
-                }
-                if cache_enabled {
-                    if let Some(list) = self.ctx.cache.lookup(v) {
-                        metrics.record_cache_hit();
-                        qmetrics.record_cache_hit();
-                        self.obs.instant(SpanKind::CacheLookup, 1);
-                        embs[i].list = ListRef::Cached(list);
-                        continue;
-                    }
-                    metrics.record_cache_miss();
-                    qmetrics.record_cache_miss();
-                    self.obs.instant(SpanKind::CacheLookup, 0);
-                }
-                if self.ctx.cfg.horizontal_sharing {
-                    if let Some(peer) = share.lookup_or_claim(v, i as u32) {
-                        embs[i].list = ListRef::Peer(peer);
-                        continue;
-                    }
-                }
-                buckets[owner].push((i as u32, v));
+        // Every pending list gets its home here, once; extension reads it
+        // from there without looking anything up again. One hash per
+        // embedding serves the owner map, the cache and the share table,
+        // and the cache outcomes are tallied locally.
+        let (mut hits, mut misses) = (0u64, 0u64);
+        for i in chunk.resolved_upto..chunk.embs.len() {
+            if chunk.embs[i].list != ListRef::Pending {
+                continue;
             }
+            let v = chunk.embs[i].vertex;
+            let hash = vertex_hash(v);
+            let owner = self.ctx.owner.owner_hashed(v, hash);
+            if owner == my_part {
+                chunk.embs[i].list = ListRef::Local;
+                continue;
+            }
+            if cache_enabled {
+                if let Some(list) = self.ctx.cache.lookup_hashed(v, hash) {
+                    hits += 1;
+                    self.obs.instant(SpanKind::CacheLookup, 1);
+                    chunk.embs[i].list = chunk.push_pinned(list);
+                    continue;
+                }
+                misses += 1;
+                self.obs.instant(SpanKind::CacheLookup, 0);
+            }
+            if sharing {
+                if let Some(peer) = chunk.share.lookup_or_claim(v, hash, i as u32) {
+                    chunk.embs[i].list = ListRef::Peer(peer);
+                    continue;
+                }
+            }
+            bucket_embs[owner].push(i as u32);
+            bucket_vertices[owner].push(v);
         }
         chunk.resolved_upto = chunk.embs.len();
+        if hits + misses > 0 {
+            self.ctx.client.metrics().part(my_part).record_cache_lookups(hits, misses);
+            self.ctx.client.query_metrics().record_cache_lookups(hits, misses);
+        }
 
         // Circulant owner order: (K+1) % N, (K+2) % N, … (§4.3). The
         // ablation switch reverts to natural order.
-        let mut order: Vec<usize> = (1..part_count)
-            .map(|r| (my_part + r) % part_count)
-            .filter(|&t| !buckets[t].is_empty())
-            .collect();
+        order.clear();
+        order.extend(
+            (1..part_count)
+                .map(|r| (my_part + r) % part_count)
+                .filter(|&t| !bucket_embs[t].is_empty()),
+        );
         if !self.ctx.cfg.circulant {
             order.sort_unstable();
         }
@@ -543,26 +578,21 @@ impl<'e> PartRun<'e> {
         // into an async fabric request (bounded by the in-flight window)
         // and hands back completion handles in submission order, so
         // batch i+1's transfer is in flight while we integrate batch i.
-        type CommReply = Result<PendingFetch, FetchError>;
-        let mut pending: Vec<(usize, Receiver<CommReply>)> = Vec::with_capacity(order.len());
-        for &t in &order {
-            let vertices: Vec<VertexId> = buckets[t].iter().map(|&(_, v)| v).collect();
-            let (tx, rx) = bounded(1);
-            self.comm_tx
-                .send(CommJob { target: t, vertices, reply: tx })
-                .map_err(|_| FetchError::Shutdown)?;
-            pending.push((t, rx));
+        for &t in order.iter() {
+            let vertices = std::mem::take(&mut bucket_vertices[t]);
+            self.comm_tx.send(CommJob { target: t, vertices }).map_err(|_| FetchError::Shutdown)?;
         }
-        let remote: u64 = buckets.iter().map(|b| b.len() as u64).sum();
+        let remote: u64 = bucket_embs.iter().map(|b| b.len() as u64).sum();
         let mut network_wait = Duration::ZERO;
         let mut failure: Option<FetchError> = None;
-        for (t, rx) in pending {
+        for &t in order.iter() {
             let bts = self.obs.start();
             let tw = Instant::now();
+            let CommReply { vertices, issued } =
+                self.comm_rx.recv().map_err(|_| FetchError::Shutdown)?;
             // Pull the causal request id off the issued fetch before
             // consuming it, so the span covering this blocked wait links
             // to the issue/serve spans of the request it waited on.
-            let issued = rx.recv().map_err(|_| FetchError::Shutdown).and_then(|issued| issued);
             let (req_id, outcome) = match issued {
                 Ok(p) => (p.request_id(), p.wait()),
                 Err(e) => (0, Err(e)),
@@ -578,18 +608,25 @@ impl<'e> PartRun<'e> {
                     continue;
                 }
             };
+            // The reply is the lists back to back in request order: one
+            // copy moves the whole batch into the arena.
+            let (offsets, data) = lists.into_parts();
+            debug_assert_eq!(offsets.len(), vertices.len() + 1, "one list per requested vertex");
             let chunk = &mut self.levels[cur];
-            for (k, &(emb_i, v)) in buckets[t].iter().enumerate() {
-                let list = lists.list(k);
-                let lr = chunk.push_fetched(list);
-                chunk.embs[emb_i as usize].list = lr;
+            let base = chunk.push_fetched(&data);
+            for ((&emb_i, &v), span) in bucket_embs[t].iter().zip(&vertices).zip(offsets.windows(2))
+            {
+                let (lo, hi) = (span[0], span[1]);
+                chunk.embs[emb_i as usize].list =
+                    ListRef::Fetched { start: base + lo, len: hi - lo };
                 if cache_enabled {
-                    self.ctx.cache.maybe_insert(v, list);
+                    self.ctx.cache.maybe_insert(v, &data[lo as usize..hi as usize]);
                 }
             }
             if cache_enabled {
-                self.obs.instant(SpanKind::CacheInsert, buckets[t].len() as u64);
+                self.obs.instant(SpanKind::CacheInsert, vertices.len() as u64);
             }
+            bucket_vertices[t] = vertices;
         }
         self.network += network_wait;
         self.scheduler += t0.elapsed().saturating_sub(network_wait);

@@ -65,8 +65,17 @@ impl OwnerMap {
     /// The part owning vertex `v`.
     #[inline]
     pub fn owner(&self, v: VertexId) -> usize {
+        self.owner_hashed(v, vertex_hash(v))
+    }
+
+    /// [`OwnerMap::owner`] for a caller that already holds
+    /// `hash == vertex_hash(v)` — the resolve loop computes the hash once
+    /// per embedding and feeds it to every table keyed by it.
+    #[inline]
+    pub fn owner_hashed(&self, v: VertexId, hash: u64) -> usize {
+        debug_assert_eq!(hash, vertex_hash(v));
         match self.strategy {
-            Partitioner::Hash => (vertex_hash(v) % self.parts as u64) as usize,
+            Partitioner::Hash => (hash % self.parts as u64) as usize,
             Partitioner::Range => {
                 let span = self.vertices.div_ceil(self.parts).max(1);
                 ((v as usize) / span).min(self.parts - 1)
@@ -82,9 +91,31 @@ pub struct GraphPart {
     owned: Vec<VertexId>,
     offsets: Vec<u64>,
     neighbors: Vec<VertexId>,
+    /// `rank_of[v]` = position of `v` in `owned`, or [`NOT_OWNED`]; dense
+    /// over `0..=owned.last()`, so ids past the table are not owned.
+    rank_of: Vec<u32>,
 }
 
+/// `rank_of` entry of a vertex another part owns.
+const NOT_OWNED: u32 = u32::MAX;
+
 impl GraphPart {
+    /// Builds the part and its vertex→rank index from CSR columns the
+    /// caller has already checked (`owned` strictly sorted).
+    fn indexed(
+        part_id: usize,
+        owned: Vec<VertexId>,
+        offsets: Vec<u64>,
+        neighbors: Vec<VertexId>,
+    ) -> GraphPart {
+        assert!(owned.len() < NOT_OWNED as usize, "too many owned vertices for a u32 rank");
+        let mut rank_of = vec![NOT_OWNED; owned.last().map_or(0, |&v| v as usize + 1)];
+        for (rank, &v) in owned.iter().enumerate() {
+            rank_of[v as usize] = rank as u32;
+        }
+        GraphPart { part_id, owned, offsets, neighbors, rank_of }
+    }
+
     /// Rebuilds a part from raw CSR columns — the receive side of a
     /// slice transfer (replica re-replication streams exactly these
     /// three arrays). The columns must describe a well-formed CSR:
@@ -110,7 +141,7 @@ impl GraphPart {
             "neighbor column length mismatch"
         );
         assert!(owned.windows(2).all(|w| w[0] < w[1]), "owned column must be strictly sorted");
-        GraphPart { part_id, owned, offsets, neighbors }
+        GraphPart::indexed(part_id, owned, offsets, neighbors)
     }
 
     /// Identifier of this part within its [`PartitionedGraph`].
@@ -139,11 +170,14 @@ impl GraphPart {
         self.owned.len()
     }
 
-    /// Edge list of `v` if this part owns it, `None` otherwise.
+    /// Edge list of `v` if this part owns it, `None` otherwise. One
+    /// load from the vertex→rank index, no search.
     #[inline]
     pub fn edge_list(&self, v: VertexId) -> Option<&[VertexId]> {
-        let rank = self.owned.binary_search(&v).ok()?;
-        Some(self.edge_list_by_rank(rank))
+        match self.rank_of.get(v as usize) {
+            Some(&rank) if rank != NOT_OWNED => Some(self.edge_list_by_rank(rank as usize)),
+            _ => None,
+        }
     }
 
     /// Edge list of the `rank`-th owned vertex.
@@ -163,11 +197,13 @@ impl GraphPart {
         self.neighbors.len()
     }
 
-    /// In-memory size of this part's CSR arrays in bytes.
+    /// In-memory size of this part's CSR arrays and vertex→rank index in
+    /// bytes.
     pub fn size_bytes(&self) -> usize {
         self.owned.len() * std::mem::size_of::<VertexId>()
             + self.offsets.len() * std::mem::size_of::<u64>()
             + self.neighbors.len() * std::mem::size_of::<VertexId>()
+            + self.rank_of.len() * std::mem::size_of::<u32>()
     }
 }
 
@@ -247,7 +283,7 @@ impl PartitionedGraph {
                     neighbors.extend_from_slice(g.neighbors(v));
                     offsets.push(neighbors.len() as u64);
                 }
-                Arc::new(GraphPart { part_id, owned, offsets, neighbors })
+                Arc::new(GraphPart::indexed(part_id, owned, offsets, neighbors))
             })
             .collect();
         PartitionedGraph {

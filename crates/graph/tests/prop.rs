@@ -1,6 +1,7 @@
 //! Property-based tests for the graph substrate.
 
-use gpm_graph::{orient, partition::PartitionedGraph, set_ops, GraphBuilder, VertexId};
+use gpm_graph::partition::{GraphPart, PartitionedGraph, Partitioner};
+use gpm_graph::{orient, set_ops, GraphBuilder, VertexId};
 use proptest::prelude::*;
 
 fn arb_edges(max_v: u32, max_e: usize) -> impl Strategy<Value = Vec<(VertexId, VertexId)>> {
@@ -125,6 +126,33 @@ proptest! {
         }
         let total: usize = (0..pg.part_count()).map(|p| pg.part(p).owned_count()).sum();
         prop_assert_eq!(total, g.vertex_count());
+    }
+
+    #[test]
+    fn edge_list_index_agrees_with_a_search_over_owned(
+        edges in arb_edges(48, 150),
+        parts in 1usize..6,
+        range in any::<bool>(),
+    ) {
+        let g = edges.into_iter().collect::<GraphBuilder>().build();
+        let strategy = if range { Partitioner::Range } else { Partitioner::Hash };
+        let pg = PartitionedGraph::with_partitioner(&g, parts, 1, strategy);
+        for p in 0..parts {
+            let built = pg.part(p);
+            let rebuilt = GraphPart::from_csr(
+                p,
+                built.owned().to_vec(),
+                built.offsets().to_vec(),
+                built.neighbors().to_vec(),
+            );
+            // Owned here, owned elsewhere, and past the id range.
+            for v in 0..g.vertex_count() as VertexId + 2 {
+                let oracle =
+                    built.owned().binary_search(&v).ok().map(|r| built.edge_list_by_rank(r));
+                prop_assert_eq!(built.edge_list(v), oracle);
+                prop_assert_eq!(rebuilt.edge_list(v), oracle);
+            }
+        }
     }
 
     #[test]

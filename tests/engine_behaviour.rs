@@ -188,3 +188,72 @@ fn run_stats_are_internally_consistent() {
         assert!((0.0..=1.0).contains(&f));
     }
 }
+
+/// `(count, network_bytes, fetch requests, coalesced, cache hits, cache
+/// misses)` of one run.
+type Routing = (u64, u64, u64, u64, u64, u64);
+
+/// Recorded from the commit before the resolve path was rewritten
+/// (single-hash loop, batched counters, pin list, epoch-tagged share
+/// table). Rows: graph × pattern × horizontal sharing {on, off}.
+const GOLDEN_ROUTING: [Routing; 12] = [
+    (92, 214980, 12, 101, 0, 8979),           // er triangle on
+    (92, 214980, 12, 3896, 0, 8979),          // er triangle off
+    (493, 544556, 24, 1559, 719, 56277),      // er 4-cycle on
+    (493, 544556, 24, 43028, 719, 56277),     // er 4-cycle off
+    (0, 218176, 24, 101, 4, 9040),            // er 4-clique on
+    (0, 218176, 24, 3897, 4, 9040),           // er 4-clique off
+    (9519, 63760, 12, 0, 0, 2127),            // rmat triangle on
+    (9519, 63760, 12, 1332, 0, 2127),         // rmat triangle off
+    (271380, 91892, 30, 0, 28600, 16301),     // rmat 4-cycle on
+    (271380, 91892, 30, 14532, 28600, 16301), // rmat 4-cycle off
+    (22236, 73824, 24, 0, 6320, 2984),        // rmat 4-clique on
+    (22236, 73824, 24, 1924, 6320, 2984),     // rmat 4-clique off
+];
+
+#[test]
+fn resolve_routing_decisions_match_recorded_constants() {
+    // One coordinator thread per part and no stealing: the order in which
+    // embeddings reach resolve, and so every cache admission, share-table
+    // claim, bucket and wire request, is a function of the input alone.
+    // A resolve change that moves one list to a different home moves one
+    // of these numbers.
+    let graphs = [gen::erdos_renyi(3000, 12000, 12), gen::rmat(9, 8, (0.57, 0.19, 0.19), 12)];
+    let patterns = [Pattern::triangle(), Pattern::cycle(4), Pattern::clique(4)];
+    let mut got: Vec<Routing> = Vec::new();
+    for g in &graphs {
+        for p in &patterns {
+            let plan = MatchingPlan::compile(p, &PlanOptions::automine()).unwrap();
+            for horizontal_sharing in [true, false] {
+                let engine = engine_with(
+                    g,
+                    4,
+                    EngineConfig {
+                        horizontal_sharing,
+                        compute_threads: 1,
+                        // Small and permissive enough that the R-MAT hubs
+                        // are admitted, hit, and then fill the cache.
+                        cache: CacheConfig {
+                            capacity_per_machine: 16 << 10,
+                            degree_threshold: 16,
+                            policy: CachePolicy::Static,
+                        },
+                        ..EngineConfig::default()
+                    },
+                );
+                let r = engine.count(&plan);
+                engine.shutdown();
+                let t = r.traffic;
+                got.push((
+                    r.count,
+                    t.network_bytes,
+                    t.requests,
+                    t.coalesced,
+                    t.cache_hits,
+                    t.cache_misses,
+                ));
+            }
+        }
+    }
+    assert_eq!(got, GOLDEN_ROUTING, "a routing decision changed");
+}
