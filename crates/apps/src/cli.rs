@@ -1414,7 +1414,10 @@ fn execute(graph: &Graph, opts: &Options) -> Result<Executed, String> {
                         stall: opts.stall_ms.map(Duration::from_millis),
                         ..IncidentConfig::default()
                     },
-                    rebalance: RebalanceConfig { enabled: opts.rebalance, ..RebalanceConfig::default() },
+                    rebalance: RebalanceConfig {
+                        enabled: opts.rebalance,
+                        ..RebalanceConfig::default()
+                    },
                     ..EngineConfig::default()
                 },
             );
@@ -1565,8 +1568,7 @@ mod tests {
         // Self-healing is on by default; it only engages with replicas.
         let d = parse_args(&argv("--gen ba:100,3 --pattern triangle")).unwrap();
         assert!(d.rebalance);
-        let o =
-            parse_args(&argv("--gen ba:100,3 --pattern triangle --rebalance off")).unwrap();
+        let o = parse_args(&argv("--gen ba:100,3 --pattern triangle --rebalance off")).unwrap();
         assert!(!o.rebalance);
         assert!(parse_args(&argv("--gen ba:100,3 --pattern triangle --rebalance maybe")).is_err());
     }

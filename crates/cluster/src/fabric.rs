@@ -1686,8 +1686,7 @@ mod tests {
             assert_eq!(lists.list(0), g.neighbors(v));
         }
         let m = service.metrics();
-        let (s2, s3) =
-            (m.part(2).rerouted_served_requests(), m.part(3).rerouted_served_requests());
+        let (s2, s3) = (m.part(2).rerouted_served_requests(), m.part(3).rerouted_served_requests());
         assert!(s2 > 0 && s3 > 0, "one holder starved: part2={s2} part3={s3}");
         let (b2, b3) = (m.part(2).rerouted_served_bytes(), m.part(3).rerouted_served_bytes());
         let max_share = b2.max(b3) as f64 / (b2 + b3) as f64;

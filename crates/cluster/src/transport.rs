@@ -1127,8 +1127,11 @@ mod tests {
         let total = neighbors.chunks(per).count().max(1) as u64;
         let (tx, rx) = unbounded::<WireReply>();
         let mut sent = 0;
-        for (i, seg) in
-            neighbors.chunks(per).chain(std::iter::repeat_n(&[][..], 1)).take(total as usize).enumerate()
+        for (i, seg) in neighbors
+            .chunks(per)
+            .chain(std::iter::repeat_n(&[][..], 1))
+            .take(total as usize)
+            .enumerate()
         {
             let push = ReplicaPush {
                 seq: i as u64,

@@ -191,7 +191,8 @@ impl Rebalancer {
                             }
                             shared.repairing.store(true, Ordering::SeqCst);
                             for d in fresh {
-                                let restored = repair_after(&service, &parts, replication, &cfg, &shared);
+                                let restored =
+                                    repair_after(&service, &parts, replication, &cfg, &shared);
                                 service.recorder().flight().record(
                                     FlightKind::RebalanceDone,
                                     0,
@@ -228,7 +229,8 @@ impl Rebalancer {
         let deadline = Instant::now() + WAIT_CAP;
         let mut handled = self.shared.handled.lock();
         while !dead.iter().all(|d| handled.contains(d)) {
-            let Some(left) = deadline.checked_duration_since(Instant::now()).filter(|d| !d.is_zero())
+            let Some(left) =
+                deadline.checked_duration_since(Instant::now()).filter(|d| !d.is_zero())
             else {
                 break;
             };
@@ -425,8 +427,7 @@ mod tests {
 
     #[test]
     fn stuck_transfer_fires_one_rebalance_stuck_bundle() {
-        let dir = std::env::temp_dir()
-            .join(format!("khuzdul-rb-stuck-{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!("khuzdul-rb-stuck-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let g = gen::erdos_renyi(48, 120, 22);
         let pg = PartitionedGraph::with_replication(&g, 3, 1, 2);
@@ -441,13 +442,7 @@ mod tests {
             chunk_delay: Duration::from_millis(120),
             ..RebalanceConfig::default()
         };
-        let rb = Rebalancer::start(
-            service.clone(),
-            parts.clone(),
-            2,
-            cfg,
-            Arc::clone(&incidents),
-        );
+        let rb = Rebalancer::start(service.clone(), parts.clone(), 2, cfg, Arc::clone(&incidents));
         let client = service.client(1);
         let v = parts[0].owned()[0];
         client.fetch(0, &[v]).expect("failover masks the crash");
@@ -473,10 +468,7 @@ mod tests {
         let pg = PartitionedGraph::with_replication(&g, 3, 1, 2);
         let service = crashy_service(
             &pg,
-            vec![
-                CrashAt { part: 0, after_requests: 0 },
-                CrashAt { part: 2, after_requests: 0 },
-            ],
+            vec![CrashAt { part: 0, after_requests: 0 }, CrashAt { part: 2, after_requests: 0 }],
         );
         let parts: Vec<_> = (0..3).map(|p| pg.part_arc(p)).collect();
         let client = service.client(1);

@@ -1272,12 +1272,8 @@ mod tests {
         let out = place_recovery_roots((0..9).collect(), &[7, 7, 7], &[]);
         assert_eq!(out.iter().map(|v| v.len()).collect::<Vec<_>>(), vec![3, 3, 3]);
         // No lost roots / no survivors: everything empty.
-        assert!(place_recovery_roots(Vec::new(), &[1, 2], &[])
-            .iter()
-            .all(|v| v.is_empty()));
-        assert!(place_recovery_roots(vec![1, 2], &[1, 2], &[0, 1])
-            .iter()
-            .all(|v| v.is_empty()));
+        assert!(place_recovery_roots(Vec::new(), &[1, 2], &[]).iter().all(|v| v.is_empty()));
+        assert!(place_recovery_roots(vec![1, 2], &[1, 2], &[0, 1]).iter().all(|v| v.is_empty()));
     }
 
     #[test]

@@ -318,9 +318,12 @@ fn render_metrics(svc: &MiningService) -> String {
                    (holder label: the split per serving replica)",
             kind: PromKind::Counter,
             samples: std::iter::once((Vec::new(), rerouted_requests as f64))
-                .chain(rebalance.per_holder_rerouted.iter().map(|h| {
-                    (vec![("holder", h.part.to_string())], h.requests as f64)
-                }))
+                .chain(
+                    rebalance
+                        .per_holder_rerouted
+                        .iter()
+                        .map(|h| (vec![("holder", h.part.to_string())], h.requests as f64)),
+                )
                 .collect(),
         },
         PromMetric {
@@ -329,9 +332,12 @@ fn render_metrics(svc: &MiningService) -> String {
                    (holder label: the split per serving replica)",
             kind: PromKind::Counter,
             samples: std::iter::once((Vec::new(), rerouted_bytes as f64))
-                .chain(rebalance.per_holder_rerouted.iter().map(|h| {
-                    (vec![("holder", h.part.to_string())], h.bytes as f64)
-                }))
+                .chain(
+                    rebalance
+                        .per_holder_rerouted
+                        .iter()
+                        .map(|h| (vec![("holder", h.part.to_string())], h.bytes as f64)),
+                )
                 .collect(),
         },
         PromMetric::scalar(

@@ -1005,8 +1005,8 @@ mod tests {
         assert!(validate_report(&healthy).unwrap().is_empty());
         // Effective replication below the configured factor warns: a
         // slice is still short a copy.
-        let degraded =
-            healthy.replace(r#""min_effective_replication": 2"#, r#""min_effective_replication": 1"#);
+        let degraded = healthy
+            .replace(r#""min_effective_replication": 2"#, r#""min_effective_replication": 1"#);
         let warnings = validate_report(&degraded).unwrap();
         assert_eq!(warnings.len(), 1, "got: {warnings:?}");
         assert!(warnings[0].contains("below the configured factor"), "got: {warnings:?}");

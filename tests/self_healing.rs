@@ -39,8 +39,7 @@ fn crashy(mode: ControlMode, rebalance: bool, crashes: Vec<CrashAt>) -> EngineCo
                 timeout: Duration::from_millis(50),
                 backoff: Duration::from_millis(1),
             },
-            fault: (!crashes.is_empty())
-                .then(|| FaultPlan { crashes, ..FaultPlan::default() }),
+            fault: (!crashes.is_empty()).then(|| FaultPlan { crashes, ..FaultPlan::default() }),
             ..FabricConfig::default()
         },
         ..EngineConfig::default()
@@ -176,11 +175,7 @@ fn rerouted_fetches_spread_across_live_holders() {
             // the round-robin spread is measured over a real sample.
             chunk_capacity: 16,
             cache: CacheConfig { policy: CachePolicy::Disabled, ..CacheConfig::default() },
-            ..crashy(
-                ControlMode::Shared,
-                true,
-                vec![CrashAt { part: 2, after_requests: 0 }],
-            )
+            ..crashy(ControlMode::Shared, true, vec![CrashAt { part: 2, after_requests: 0 }])
         },
     );
     let run = engine.try_count(&plan(&p)).expect("two replicas must mask the crash");
@@ -194,10 +189,7 @@ fn rerouted_fetches_spread_across_live_holders() {
         .map(|h| (h.part, h.rerouted_served_bytes))
         .collect();
     let total: u64 = served.iter().map(|(_, b)| b).sum();
-    assert!(
-        served.len() >= 2,
-        "rerouted traffic must spread across holders, got {served:?}"
-    );
+    assert!(served.len() >= 2, "rerouted traffic must spread across holders, got {served:?}");
     let (hot, max) = served.iter().copied().max_by_key(|&(_, b)| b).unwrap();
     assert!(
         (max as f64) <= 0.70 * (total as f64),
