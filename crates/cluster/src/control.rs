@@ -1,8 +1,10 @@
-//! The control-plane message layer: a run-scoped responder serving the
-//! cross-part work-coordination protocol (root claims, steals, donations,
-//! batch retirements, starvation signals, quiescence votes, and
-//! recovery-log queries) as typed messages instead of shared-memory
-//! atomics.
+//! How control operations reach the root ledger ([`crate::ledger`]).
+//!
+//! Most of this module is the message layer: a run-scoped responder
+//! serving the cross-part work-coordination protocol (root claims,
+//! steals, donations, batch retirements, starvation signals, quiescence
+//! votes, and recovery-log queries) as typed messages. [`Carrier`], at
+//! the bottom, is the seam over it and its shared-memory alternative.
 //!
 //! Where the data plane ([`crate::transport`]/[`crate::fabric`]) moves
 //! edge lists, this layer moves *scheduling state*. The shapes mirror the
@@ -18,24 +20,24 @@
 //! sound because each client part issues control operations strictly
 //! sequentially.
 //!
-//! The ledger state itself (cursors, spill, claim/donate logs, the
-//! outstanding-batch count) lives *only inside the responder thread* — no
-//! shared memory between client parts, which is exactly the property that
-//! lets this carrier stretch over a real multi-process transport later.
+//! Under this carrier the [`Ledger`] lives *only inside the responder
+//! thread* — no shared memory between client parts, which is exactly the
+//! property that lets it stretch over a real multi-process transport
+//! later.
 
 use crate::fabric::{FetchError, RetryPolicy};
+use crate::ledger::{Ledger, LedgerSummary};
 use crate::metrics::{ClusterMetrics, PartMetrics, QueryMetrics};
-use crate::transport::{
-    CtrlClaimSource, CtrlOp, CtrlPayload, CtrlReply, CtrlRequest, Fault, FaultPlan,
-};
+use crate::transport::{CtrlOp, CtrlPayload, CtrlReply, CtrlRequest, Fault, FaultPlan};
 use crate::PartId;
 use crossbeam::channel::{unbounded, RecvTimeoutError, Sender};
 use gpm_graph::VertexId;
 use gpm_obs::{Metric, Recorder, SpanKind};
-use std::collections::HashMap;
+use parking_lot::{Condvar, Mutex};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
+use std::time::Duration;
 
 /// Configuration of one control-ledger responder.
 #[derive(Debug, Clone)]
@@ -83,161 +85,16 @@ enum ServiceMsg {
 #[derive(Debug)]
 pub struct ControlLedgerService {
     tx: Sender<ServiceMsg>,
-    handle: parking_lot::Mutex<Option<JoinHandle<()>>>,
+    handle: Mutex<Option<JoinHandle<()>>>,
     seq: Arc<AtomicU64>,
     cfg: ControlLedgerConfig,
     metrics: ClusterMetrics,
     obs: Arc<Recorder>,
 }
 
-/// All responder-side state. Mirrors `RootLedger` field for field, minus
-/// the atomics — single-threaded ownership replaces them.
-struct LedgerState {
-    /// Per-part owned root lists (empty in recovery mode: every cursor
-    /// starts exhausted and only the spill feeds claims).
-    roots: Vec<Vec<VertexId>>,
-    /// Next unclaimed index into each part's `roots`.
-    cursor: Vec<usize>,
-    /// Donated level-0 root ranges, claimable by any part.
-    spill: Vec<VertexId>,
-    /// Per-part multiset of every root the part has claimed.
-    claim_log: Vec<Vec<VertexId>>,
-    /// Per-part multiset of every root the part donated to the spill.
-    donate_log: Vec<Vec<VertexId>>,
-    /// Claimed-but-not-retired batches (the message-plane analogue of
-    /// the shared ledger's `WorkCounter`).
-    outstanding: u64,
-    /// Which parts are currently flagged starving.
-    starving: Vec<bool>,
-    /// One-deep reply cache per sender part: `(req_id, reply)` of the
-    /// last operation applied for that part, replayed on duplicate
-    /// `req_id` so retries are exactly-once.
-    last_reply: Vec<Option<(u64, CtrlReply)>>,
-    stealing: bool,
-    batch: usize,
-    numa: Option<usize>,
-}
-
-impl LedgerState {
-    fn remaining(&self, part: usize) -> usize {
-        self.roots[part].len().saturating_sub(self.cursor[part])
-    }
-
-    fn claim_range(&mut self, part: usize, n: usize) -> Option<Vec<VertexId>> {
-        if n == 0 || self.cursor[part] >= self.roots[part].len() {
-            return None;
-        }
-        let start = self.cursor[part];
-        let end = (start + n).min(self.roots[part].len());
-        self.cursor[part] = end;
-        Some(self.roots[part][start..end].to_vec())
-    }
-
-    fn same_machine(&self, me: usize, p: usize) -> bool {
-        match self.numa {
-            Some(spm) => p / spm == me / spm,
-            None => false,
-        }
-    }
-
-    /// Mirrors `RootLedger::claim`: own range, then spill tail, then the
-    /// most-loaded victim (same-machine first under NUMA ordering).
-    fn claim(&mut self, me: usize, own_batch: usize) -> CtrlPayload {
-        if let Some(roots) = self.claim_range(me, own_batch) {
-            return self.book_claim(me, CtrlClaimSource::Own, roots);
-        }
-        if !self.stealing {
-            return CtrlPayload::NoWork;
-        }
-        if !self.spill.is_empty() {
-            let take = self.batch.min(self.spill.len());
-            let roots = self.spill.split_off(self.spill.len() - take);
-            return self.book_claim(me, CtrlClaimSource::Spill, roots);
-        }
-        let victim = (0..self.roots.len())
-            .filter(|&p| p != me && self.remaining(p) > 0)
-            .max_by_key(|&p| (self.same_machine(me, p), self.remaining(p)));
-        match victim {
-            Some(v) => match self.claim_range(v, self.batch) {
-                Some(roots) => self.book_claim(me, CtrlClaimSource::Stolen(v), roots),
-                None => CtrlPayload::NoWork,
-            },
-            None => CtrlPayload::NoWork,
-        }
-    }
-
-    fn book_claim(
-        &mut self,
-        me: usize,
-        source: CtrlClaimSource,
-        roots: Vec<VertexId>,
-    ) -> CtrlPayload {
-        self.outstanding += 1;
-        self.claim_log[me].extend_from_slice(&roots);
-        CtrlPayload::Claimed { source, roots }
-    }
-
-    fn finished(&self) -> bool {
-        self.outstanding == 0
-            && (0..self.roots.len()).all(|p| self.remaining(p) == 0)
-            && self.spill.is_empty()
-    }
-
-    /// Mirrors `RootLedger::lost_roots`: claim log minus donate log per
-    /// dead part, plus its unclaimed cursor tail, plus the whole spill.
-    fn close_dead(&mut self, dead: &[PartId]) -> Vec<VertexId> {
-        let mut lost = Vec::new();
-        for &d in dead {
-            let mut donated: HashMap<VertexId, usize> = HashMap::new();
-            for &r in &self.donate_log[d] {
-                *donated.entry(r).or_insert(0) += 1;
-            }
-            for &r in &self.claim_log[d] {
-                match donated.get_mut(&r) {
-                    Some(n) if *n > 0 => *n -= 1,
-                    _ => lost.push(r),
-                }
-            }
-            if let Some(mut tail) = self.claim_range(d, self.remaining(d)) {
-                lost.append(&mut tail);
-            }
-        }
-        lost.append(&mut self.spill);
-        lost
-    }
-
-    fn apply(&mut self, req: &CtrlRequest) -> CtrlPayload {
-        match &req.op {
-            CtrlOp::Claim { own_batch } => self.claim(req.from, *own_batch),
-            CtrlOp::BatchDone => {
-                self.outstanding = self.outstanding.saturating_sub(1);
-                CtrlPayload::Ack
-            }
-            CtrlOp::Donate { roots } => {
-                if !roots.is_empty() {
-                    self.donate_log[req.from].extend_from_slice(roots);
-                    self.spill.extend_from_slice(roots);
-                }
-                CtrlPayload::Ack
-            }
-            CtrlOp::Starving { on } => {
-                self.starving[req.from] = *on;
-                CtrlPayload::Ack
-            }
-            CtrlOp::Poll => CtrlPayload::Status {
-                finished: self.finished(),
-                starving: self.starving.iter().filter(|&&s| s).count(),
-            },
-            CtrlOp::CloseDead { dead } => CtrlPayload::Lost { roots: self.close_dead(dead) },
-        }
-    }
-}
-
 impl ControlLedgerService {
-    /// Starts the responder thread over `roots` (one owned root list per
-    /// part) with `spill` pre-seeded (empty for a normal run; the lost
-    /// multiset for a recovery pass, whose per-part lists are then
-    /// empty so only the spill feeds claims).
+    /// Starts the responder thread over a [`Ledger`] of `roots` (one
+    /// root list per part) with `spill` pre-seeded.
     ///
     /// # Panics
     ///
@@ -252,26 +109,17 @@ impl ControlLedgerService {
         if let Some(plan) = &cfg.fault {
             plan.validate();
         }
-        let n = roots.len();
-        let mut state = LedgerState {
-            roots,
-            cursor: vec![0; n],
-            spill,
-            claim_log: vec![Vec::new(); n],
-            donate_log: vec![Vec::new(); n],
-            outstanding: 0,
-            starving: vec![false; n],
-            last_reply: vec![None; n],
-            stealing: cfg.stealing,
-            batch: cfg.batch.max(1),
-            numa: cfg.numa.map(|spm| spm.max(1)),
-        };
+        // One-deep reply cache per sender part: `(req_id, reply)` of the
+        // last operation applied for that part, replayed on a duplicate
+        // `req_id` so retries are exactly-once.
+        let mut last_reply: Vec<Option<(u64, CtrlReply)>> = vec![None; roots.len()];
+        let mut ledger = Ledger::new(roots, spill, cfg.stealing, cfg.batch, cfg.numa);
         let (tx, rx) = unbounded::<ServiceMsg>();
         let handle = std::thread::Builder::new()
             .name(format!("khuzdul-ctrl-{}", cfg.query))
             .spawn(move || {
                 while let Ok(ServiceMsg::Op { req, reply_to }) = rx.recv() {
-                    if let Some((id, cached)) = &state.last_reply[req.from] {
+                    if let Some((id, cached)) = &last_reply[req.from] {
                         if *id == req.req_id {
                             // A retry of an already-applied operation:
                             // replay the cached reply, apply nothing.
@@ -279,16 +127,16 @@ impl ControlLedgerService {
                             continue;
                         }
                     }
-                    let payload = state.apply(&req);
+                    let payload = ledger.apply(req.from, &req.op);
                     let reply = CtrlReply { req_id: req.req_id, payload };
-                    state.last_reply[req.from] = Some((req.req_id, reply.clone()));
+                    last_reply[req.from] = Some((req.req_id, reply.clone()));
                     let _ = reply_to.send(reply);
                 }
             })
             .expect("spawn control responder thread");
         ControlLedgerService {
             tx,
-            handle: parking_lot::Mutex::new(Some(handle)),
+            handle: Mutex::new(Some(handle)),
             seq: Arc::new(AtomicU64::new(0)),
             cfg,
             metrics: metrics.clone(),
@@ -445,10 +293,101 @@ impl ControlClient {
     }
 }
 
+/// How a [`CtrlOp`] reaches the run's [`Ledger`] and its [`CtrlPayload`]
+/// comes back. That is the carrier's whole job; what the operations
+/// *mean* lives in the ledger, and the typed calls, reply decoding and
+/// failure policy live once in the caller above this seam.
+#[derive(Debug)]
+pub enum Carrier {
+    /// Lock and apply: the ledger sits behind a mutex in shared memory,
+    /// and idle parts park on the condvar until a retirement or a
+    /// donation may have changed the verdict.
+    Shared {
+        /// The run's ledger.
+        ledger: Mutex<Ledger>,
+        /// Signalled after every `BatchDone` and `Donate`.
+        idle: Condvar,
+    },
+    /// Send and wait: per-part clients in front of the responder thread
+    /// that owns the ledger, with retry/backoff, exactly-once dedup and
+    /// fault injection on the way.
+    Msg {
+        /// One client per part, indexed by part.
+        clients: Vec<ControlClient>,
+        /// Owns the responder thread; joined when the carrier drops.
+        service: ControlLedgerService,
+    },
+}
+
+impl Carrier {
+    /// Shared-memory delivery to `ledger`.
+    pub fn shared(ledger: Ledger) -> Carrier {
+        Carrier::Shared { ledger: Mutex::new(ledger), idle: Condvar::new() }
+    }
+
+    /// Message delivery from `parts` clients to `service`'s responder.
+    pub fn msg(service: ControlLedgerService, parts: usize) -> Carrier {
+        Carrier::Msg { clients: (0..parts).map(|p| service.client(p)).collect(), service }
+    }
+
+    /// Carrier name as reported in incident bundles.
+    pub fn name(&self) -> &'static str {
+        match self {
+            Carrier::Shared { .. } => "shared",
+            Carrier::Msg { .. } => "msg",
+        }
+    }
+
+    /// Delivers `op` from part `from` and returns the ledger's reply.
+    ///
+    /// # Errors
+    ///
+    /// Shared memory cannot lose an operation; the message carrier fails
+    /// as [`ControlClient::call`] does.
+    pub fn call(&self, from: PartId, op: CtrlOp) -> Result<CtrlPayload, FetchError> {
+        match self {
+            Carrier::Shared { ledger, idle } => {
+                let payload = ledger.lock().apply(from, &op);
+                if matches!(op, CtrlOp::BatchDone | CtrlOp::Donate { .. }) {
+                    idle.notify_all();
+                }
+                Ok(payload)
+            }
+            Carrier::Msg { clients, .. } => clients[from].call(op),
+        }
+    }
+
+    /// Parks the caller for at most a millisecond, or until another part
+    /// retires a batch or donates work where the carrier can tell. Timed,
+    /// so callers re-check stop flags and termination regardless.
+    pub fn wait_for_work(&self) {
+        let slice = Duration::from_millis(1);
+        match self {
+            Carrier::Shared { ledger, idle } => {
+                let _ = idle.wait_for(&mut ledger.lock(), slice);
+            }
+            // No condvar spans the wire; the park also keeps the poll
+            // loop from hammering the responder.
+            Carrier::Msg { .. } => std::thread::sleep(slice),
+        }
+    }
+
+    /// The ledger's state, where the carrier can read it without a round
+    /// trip: incident capture runs exactly when the wire is suspect
+    /// (poison, stall), so the message carrier reports `None` rather than
+    /// risking a retry storm mid-bundle.
+    pub fn summary(&self) -> Option<LedgerSummary> {
+        match self {
+            Carrier::Shared { ledger, .. } => Some(ledger.lock().summary()),
+            Carrier::Msg { .. } => None,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
+    use crate::transport::ClaimSource;
 
     fn service(
         roots: Vec<Vec<VertexId>>,
@@ -477,52 +416,11 @@ mod tests {
         )
     }
 
-    fn claimed(p: CtrlPayload) -> (CtrlClaimSource, Vec<VertexId>) {
+    fn claimed(p: CtrlPayload) -> (ClaimSource, Vec<VertexId>) {
         match p {
             CtrlPayload::Claimed { source, roots } => (source, roots),
             other => panic!("expected a claim, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn claims_walk_own_then_spill_then_steal() {
-        let svc = service(vec![vec![1, 2, 3], vec![10, 20]], true, 2, None);
-        let c0 = svc.client(0);
-        let c1 = svc.client(1);
-        // Part 1 drains its own range, then donates one root back.
-        let (src, roots) = claimed(c1.call(CtrlOp::Claim { own_batch: 8 }).unwrap());
-        assert_eq!((src, roots), (CtrlClaimSource::Own, vec![10, 20]));
-        c1.call(CtrlOp::Donate { roots: vec![20] }).unwrap();
-        // Part 0's own range first.
-        let (src, roots) = claimed(c0.call(CtrlOp::Claim { own_batch: 8 }).unwrap());
-        assert_eq!((src, roots), (CtrlClaimSource::Own, vec![1, 2, 3]));
-        // Then the spill...
-        let (src, roots) = claimed(c0.call(CtrlOp::Claim { own_batch: 8 }).unwrap());
-        assert_eq!((src, roots), (CtrlClaimSource::Spill, vec![20]));
-        // ...then nothing (part 1's cursor is exhausted, nothing to steal).
-        assert_eq!(c0.call(CtrlOp::Claim { own_batch: 8 }).unwrap(), CtrlPayload::NoWork);
-        // Part 1 steals nothing either; quiescence needs retirements.
-        assert_eq!(
-            c1.call(CtrlOp::Poll).unwrap(),
-            CtrlPayload::Status { finished: false, starving: 0 }
-        );
-        for _ in 0..2 {
-            c0.call(CtrlOp::BatchDone).unwrap();
-            c1.call(CtrlOp::BatchDone).unwrap();
-        }
-        assert_eq!(
-            c0.call(CtrlOp::Poll).unwrap(),
-            CtrlPayload::Status { finished: true, starving: 0 }
-        );
-    }
-
-    #[test]
-    fn steals_come_from_the_most_loaded_victim() {
-        let svc = service(vec![vec![], vec![1], vec![2, 3, 4]], true, 2, None);
-        let c0 = svc.client(0);
-        let (src, roots) = claimed(c0.call(CtrlOp::Claim { own_batch: 8 }).unwrap());
-        assert_eq!(src, CtrlClaimSource::Stolen(2));
-        assert_eq!(roots, vec![2, 3]);
     }
 
     #[test]
@@ -582,46 +480,6 @@ mod tests {
             c0.call(CtrlOp::Claim { own_batch: 1 }),
             Err(FetchError::Timeout { target: 0, attempts: 3 })
         );
-    }
-
-    #[test]
-    fn close_dead_reconstructs_the_lost_multiset() {
-        let svc = service(vec![vec![1, 2, 3, 4], vec![10, 20]], true, 2, None);
-        let c0 = svc.client(0);
-        let c1 = svc.client(1);
-        // Part 1 claims its range, donates one root back, and "dies".
-        claimed(c1.call(CtrlOp::Claim { own_batch: 8 }).unwrap());
-        c1.call(CtrlOp::Donate { roots: vec![20] }).unwrap();
-        // Part 0 claims two of its own roots; the rest stay unclaimed.
-        claimed(c0.call(CtrlOp::Claim { own_batch: 2 }).unwrap());
-        // Lost with part 1 dead: its claims {10, 20} minus donation
-        // {20} = {10}; its cursor tail is empty; the spill {20} joins.
-        let CtrlPayload::Lost { mut roots } = c0.call(CtrlOp::CloseDead { dead: vec![1] }).unwrap()
-        else {
-            panic!("expected a lost-roots reply")
-        };
-        roots.sort_unstable();
-        assert_eq!(roots, vec![10, 20]);
-    }
-
-    #[test]
-    fn recovery_mode_serves_only_the_spill() {
-        let cfg =
-            ControlLedgerConfig { stealing: true, batch: 2, ..ControlLedgerConfig::default() };
-        let svc = ControlLedgerService::start(
-            vec![Vec::new(), Vec::new()],
-            vec![5, 6, 7],
-            cfg,
-            &ClusterMetrics::new(2, 1),
-            Recorder::disabled(),
-        );
-        let c0 = svc.client(0);
-        let (src, roots) = claimed(c0.call(CtrlOp::Claim { own_batch: 8 }).unwrap());
-        assert_eq!(src, CtrlClaimSource::Spill);
-        assert_eq!(roots, vec![6, 7]);
-        let (_, rest) = claimed(c0.call(CtrlOp::Claim { own_batch: 8 }).unwrap());
-        assert_eq!(rest, vec![5]);
-        assert_eq!(c0.call(CtrlOp::Claim { own_batch: 8 }).unwrap(), CtrlPayload::NoWork);
     }
 
     #[test]

@@ -19,6 +19,9 @@
 //!   [`EdgeListClient::fetch_async`] with bounded per-part in-flight
 //!   windows (backpressure), same-request coalescing, timeout/retry with
 //!   backoff, and typed [`FetchError`]s instead of panics;
+//! * [`ledger`] — the cross-part root ledger (claims, steals, donations,
+//!   quiescence, lost-root reconstruction) as one plain state machine, and
+//!   [`control`] — the two carriers that deliver operations to it;
 //! * [`metrics`] — per-part traffic and wait-time counters, split into
 //!   cross-machine and cross-socket classes (for §5.4 and Figure 19),
 //!   plus fabric counters (in-flight depth, coalesced vertices, retries);
@@ -34,18 +37,20 @@
 
 pub mod control;
 pub mod fabric;
+pub mod ledger;
 pub mod metrics;
 pub mod post;
 pub mod transport;
 pub mod work;
 
-pub use control::{ControlClient, ControlLedgerConfig, ControlLedgerService};
+pub use control::{Carrier, ControlClient, ControlLedgerConfig, ControlLedgerService};
 pub use fabric::{
     EdgeListClient, EdgeListService, FabricConfig, FetchError, PendingFetch, RetryPolicy,
 };
+pub use ledger::{Ledger, LedgerSummary};
 pub use metrics::{ClusterMetrics, CounterSnapshot, PartMetrics, QueryMetrics, TrafficClass};
 pub use transport::{
-    ChannelTransport, CrashAt, CtrlClaimSource, CtrlOp, CtrlPayload, CtrlReply, CtrlRequest,
+    ChannelTransport, ClaimSource, CrashAt, CtrlOp, CtrlPayload, CtrlReply, CtrlRequest,
     FaultInjectingTransport, FaultPlan, FetchedLists, Transport, WireReply, WireRequest,
 };
 

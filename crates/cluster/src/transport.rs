@@ -169,12 +169,12 @@ impl ReplicaPush {
     }
 }
 
-/// A control-plane operation on the wire — the message vocabulary of the
-/// message-based work-coordination protocol (`MsgLedger`). Where data
-/// fetches move edge lists between parts, these move *scheduling state*:
-/// root claims, batch retirements, donations, starvation signals,
-/// quiescence votes, and recovery-log queries, all answered by the run's
-/// control responder (see `crate::control`).
+/// A control-plane operation — the vocabulary of the work-coordination
+/// protocol, applied by [`crate::ledger::Ledger`] whichever carrier
+/// (see `crate::control`) delivers it. Where data fetches move edge lists
+/// between parts, these move *scheduling state*: root claims, batch
+/// retirements, donations, starvation signals, quiescence votes, and
+/// recovery-log queries.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CtrlOp {
     /// Claim the next root batch for the sender: its own unclaimed range
@@ -257,10 +257,9 @@ impl CtrlRequest {
     }
 }
 
-/// Where a control-plane claim was served from (the wire-level mirror of
-/// the core scheduler's claim source).
+/// Where a claimed root batch came from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CtrlClaimSource {
+pub enum ClaimSource {
     /// The claimant's own unclaimed root range.
     Own,
     /// The shared spill of donated level-0 ranges.
@@ -275,7 +274,7 @@ pub enum CtrlPayload {
     /// A claim succeeded; the roots are now the claimant's to execute.
     Claimed {
         /// Where the batch came from.
-        source: CtrlClaimSource,
+        source: ClaimSource,
         /// The claimed root vertices.
         roots: Vec<VertexId>,
     },

@@ -1,33 +1,30 @@
-//! The message-based carrier of the [`ControlPlane`] trait.
+//! The cross-part work-coordination protocol as the runtime sees it.
 //!
-//! [`MsgLedger`] keeps **no shared coordination state**: every claim,
-//! steal, donation, retirement, starvation signal, quiescence vote, and
-//! recovery-log query is a typed [`gpm_cluster::CtrlOp`] sent through a
-//! per-part [`gpm_cluster::ControlClient`] to the run's single
-//! [`gpm_cluster::ControlLedgerService`] responder thread, with the data
-//! fabric's retry/backoff discipline and deterministic fault injection.
-//! The shared-memory carrier ([`crate::scheduler::SharedLedger`]) and
-//! this one are interchangeable per run and produce bit-identical counts;
+//! One state machine ([`gpm_cluster::Ledger`]) holds the root cursors,
+//! the spill, the claim/donate logs and the quiescence count; one
+//! [`Carrier`] gets each [`CtrlOp`] to it and brings the [`CtrlPayload`]
+//! back — by locking shared memory, or by a control message through the
+//! cluster's channel layer with retry/backoff and deterministic fault
+//! injection. [`ControlPlane`] is everything above that seam, written
+//! once: the typed operations a part coordinator calls, the decoding of
+//! replies, and what happens when an operation is lost. The carriers are
+//! interchangeable per run and produce bit-identical counts;
 //! `EngineConfig::control` picks between them.
 
 use crate::incident::{ledger_json, CaptureSections, IncidentManager, Trigger, TriggerKind};
-use crate::scheduler::{ClaimSource, ControlPlane, LedgerStateSummary};
 use gpm_cluster::{
-    ClusterMetrics, ControlClient, ControlLedgerConfig, ControlLedgerService, CtrlClaimSource,
-    CtrlOp, CtrlPayload, FaultPlan, FetchError, RetryPolicy,
+    Carrier, ClaimSource, ClusterMetrics, ControlLedgerConfig, ControlLedgerService, CtrlOp,
+    CtrlPayload, FaultPlan, FetchError, Ledger, LedgerSummary, RetryPolicy,
 };
-use gpm_graph::partition::GraphPart;
 use gpm_graph::VertexId;
 use gpm_obs::Recorder;
 use parking_lot::Mutex;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Which carrier runs the cross-part work-coordination protocol.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ControlMode {
-    /// Shared-memory atomics inside the process (the original
-    /// `RootLedger`; the default).
+    /// The ledger behind a lock in shared memory (the default).
     #[default]
     Shared,
     /// Typed control messages over the cluster's channel layer, with
@@ -49,119 +46,175 @@ pub struct ControlConfig {
     pub fault: Option<FaultPlan>,
 }
 
-/// The message-based [`ControlPlane`]: per-part clients in front of one
-/// run-scoped responder thread owning all coordination state.
+/// What [`ControlPlane::state_summary`] reports into an incident bundle.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub(crate) struct ControlPlaneSummary {
+    /// Carrier name (`"shared"` or `"msg"`).
+    pub carrier: &'static str,
+    /// The ledger's state; all-default when the carrier cannot read it
+    /// without a round trip.
+    pub ledger: LedgerSummary,
+    /// The poison of a carrier that lost a fire-and-forget operation;
+    /// bundles report the plane `available` while there is none.
+    pub poisoned: Option<String>,
+}
+
+/// One run's control plane: root claims, steals, donations, batch
+/// retirements, starvation signals, quiescence votes and crash recovery.
 ///
-/// The fire-and-forget trait operations (`batch_done`, `donate`,
-/// `set_starving`) cannot surface wire errors through their signatures;
-/// losing one would corrupt the protocol (a never-retired batch wedges
-/// quiescence), so a failure **poisons** the ledger and the next fallible
-/// call (`claim`, `finished`, `lost_roots`) reports it — the run fails
-/// typed instead of hanging or miscounting.
-pub(crate) struct MsgLedger {
-    /// Owns the responder thread; dropped (and joined) with the ledger.
-    _service: ControlLedgerService,
-    clients: Vec<ControlClient>,
+/// [`claim`], [`finished`] and [`lost_roots`] are fallible: a message
+/// carrier can exhaust its retries, and the part coordinator must surface
+/// that as a run failure instead of spinning forever or silently
+/// quiescing (either could strand claimed-but-unprocessed roots). The
+/// fire-and-forget operations (`batch_done`, `donate`, `set_starving`)
+/// cannot surface wire errors through their signatures; losing one would
+/// corrupt the protocol (a never-retired batch wedges quiescence), so a
+/// failure **poisons** the control plane and the next fallible call
+/// reports it — the run fails typed instead of hanging or miscounting.
+///
+/// [`claim`]: ControlPlane::claim
+/// [`finished`]: ControlPlane::finished
+/// [`lost_roots`]: ControlPlane::lost_roots
+pub(crate) struct ControlPlane {
+    carrier: Carrier,
     stealing: bool,
     poisoned: Mutex<Option<FetchError>>,
-    /// Query this ledger coordinates, stamped into poison incidents.
+    /// Query this run coordinates, stamped into poison incidents.
     query: u64,
     /// Incident sink; the first poison captures a `control_poison`
     /// bundle here before the run fails typed.
     incidents: Option<Arc<IncidentManager>>,
 }
 
-impl MsgLedger {
-    /// A message ledger over each part's owned roots (the normal pass).
-    #[allow(clippy::too_many_arguments)]
+impl ControlPlane {
+    /// A control plane over one root list per part — each part's owned
+    /// vertices for a normal pass, its placed share of the lost roots for
+    /// a recovery pass — delivered by the carrier `mode` names. `cfg`
+    /// carries the ledger's knobs for both carriers and the wire's knobs
+    /// for the message one.
     pub(crate) fn start(
-        parts: &[Arc<GraphPart>],
-        stealing: bool,
-        batch: usize,
-        numa: Option<usize>,
-        control: &ControlConfig,
-        query: u64,
-        metrics: &ClusterMetrics,
-        obs: Arc<Recorder>,
-        incidents: Option<Arc<IncidentManager>>,
-    ) -> MsgLedger {
-        let roots = parts.iter().map(|p| p.owned().to_vec()).collect();
-        MsgLedger::boot(
-            roots,
-            Vec::new(),
-            stealing,
-            batch,
-            numa,
-            control,
-            query,
-            metrics,
-            obs,
-            incidents,
-        )
-    }
-
-    /// A message ledger for a *placed* recovery pass: each part's share
-    /// of the lost roots (from the load-weighted placement) becomes its
-    /// own root range on the responder, and the spill starts empty —
-    /// recovery work lands where the placement decided, and parts that
-    /// drain their share early steal the rest through the ordinary
-    /// victim path. No cluster-side protocol change: the responder
-    /// already coordinates arbitrary per-part root ranges.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn placed_recovery(
-        assignments: Vec<Vec<VertexId>>,
-        batch: usize,
-        control: &ControlConfig,
-        query: u64,
-        metrics: &ClusterMetrics,
-        obs: Arc<Recorder>,
-        incidents: Option<Arc<IncidentManager>>,
-    ) -> MsgLedger {
-        MsgLedger::boot(
-            assignments,
-            Vec::new(),
-            true,
-            batch,
-            None,
-            control,
-            query,
-            metrics,
-            obs,
-            incidents,
-        )
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn boot(
         roots: Vec<Vec<VertexId>>,
-        spill: Vec<VertexId>,
-        stealing: bool,
-        batch: usize,
-        numa: Option<usize>,
-        control: &ControlConfig,
-        query: u64,
+        cfg: ControlLedgerConfig,
+        mode: ControlMode,
         metrics: &ClusterMetrics,
         obs: Arc<Recorder>,
         incidents: Option<Arc<IncidentManager>>,
-    ) -> MsgLedger {
-        let n = roots.len();
-        let cfg = ControlLedgerConfig {
-            stealing,
-            batch: batch.max(1),
-            numa,
-            retry: control.retry,
-            fault: control.fault.clone(),
-            query,
+    ) -> ControlPlane {
+        let (stealing, query, parts) = (cfg.stealing, cfg.query, roots.len());
+        let carrier = match mode {
+            ControlMode::Shared => {
+                Carrier::shared(Ledger::new(roots, Vec::new(), stealing, cfg.batch, cfg.numa))
+            }
+            ControlMode::Msg => Carrier::msg(
+                ControlLedgerService::start(roots, Vec::new(), cfg, metrics, obs),
+                parts,
+            ),
         };
-        let service = ControlLedgerService::start(roots, spill, cfg, metrics, obs);
-        let clients = (0..n).map(|p| service.client(p)).collect();
-        MsgLedger {
-            _service: service,
-            clients,
-            stealing,
-            poisoned: Mutex::new(None),
-            query,
-            incidents,
+        ControlPlane { carrier, stealing, poisoned: Mutex::new(None), query, incidents }
+    }
+
+    /// Whether cross-part stealing is enabled for this run.
+    pub(crate) fn stealing(&self) -> bool {
+        self.stealing
+    }
+
+    /// Claims the next root batch for `me`: own range first (up to
+    /// `own_batch` roots), then — with stealing on — the donation spill,
+    /// then the unclaimed tail of a victim part. `Ok(None)` means
+    /// nothing was claimable right now; pair every `Ok(Some(..))` with a
+    /// later [`ControlPlane::batch_done`].
+    pub(crate) fn claim(
+        &self,
+        me: usize,
+        own_batch: usize,
+    ) -> Result<Option<(ClaimSource, Vec<VertexId>)>, FetchError> {
+        match self.ask(me, CtrlOp::Claim { own_batch })? {
+            CtrlPayload::Claimed { source, roots } => Ok(Some((source, roots))),
+            CtrlPayload::NoWork => Ok(None),
+            other => Err(unexpected("claim", &other)),
+        }
+    }
+
+    /// Retires one of `me`'s claimed batches (fully processed).
+    pub(crate) fn batch_done(&self, me: usize) {
+        self.tell(me, CtrlOp::BatchDone);
+    }
+
+    /// Adds never-started level-0 roots from `donor` to the shared
+    /// spill, claimable by any part.
+    pub(crate) fn donate(&self, donor: usize, roots: Vec<VertexId>) {
+        if !roots.is_empty() {
+            self.tell(donor, CtrlOp::Donate { roots });
+        }
+    }
+
+    /// Marks `me` as idle-and-polling (or no longer so); loaded parts
+    /// consult the count to decide whether donating is worthwhile.
+    pub(crate) fn set_starving(&self, me: usize, on: bool) {
+        self.tell(me, CtrlOp::Starving { on });
+    }
+
+    /// Number of parts currently starving, as observed by `me`.
+    pub(crate) fn starving(&self, me: usize) -> usize {
+        match self.carrier.call(me, CtrlOp::Poll) {
+            Ok(CtrlPayload::Status { starving, .. }) => starving,
+            Ok(_) => 0,
+            Err(e) => {
+                self.poison(e);
+                0
+            }
+        }
+    }
+
+    /// Global termination check for a part that found nothing to claim.
+    pub(crate) fn finished(&self, me: usize) -> Result<bool, FetchError> {
+        match self.ask(me, CtrlOp::Poll)? {
+            CtrlPayload::Status { finished, .. } => Ok(finished),
+            other => Err(unexpected("poll", &other)),
+        }
+    }
+
+    /// Parks the caller briefly until another part may have retired a
+    /// batch or donated work; timed, so callers re-check stop flags
+    /// regardless.
+    pub(crate) fn wait_for_work(&self) {
+        self.carrier.wait_for_work();
+    }
+
+    /// Reconstructs the exact multiset of roots whose results died with
+    /// the `dead` parts (claim log minus donate log, plus unclaimed
+    /// cursor tails, plus the orphaned spill). Called by the engine's
+    /// recovery pass once no part is claiming anymore.
+    pub(crate) fn lost_roots(&self, dead: &[usize]) -> Result<Vec<VertexId>, FetchError> {
+        match self.ask(0, CtrlOp::CloseDead { dead: dead.to_vec() })? {
+            CtrlPayload::Lost { roots } => Ok(roots),
+            other => Err(unexpected("close-dead", &other)),
+        }
+    }
+
+    /// A coarse point-in-time state snapshot for incident bundles. Safe
+    /// to call from a watchdog thread while parts are mid-claim, and
+    /// wire-free: see [`Carrier::summary`].
+    pub(crate) fn state_summary(&self) -> ControlPlaneSummary {
+        ControlPlaneSummary {
+            carrier: self.carrier.name(),
+            ledger: self.carrier.summary().unwrap_or_default(),
+            poisoned: self.poisoned.lock().as_ref().map(|e| format!("{e:?}")),
+        }
+    }
+
+    /// A fallible operation: refused once poisoned.
+    fn ask(&self, from: usize, op: CtrlOp) -> Result<CtrlPayload, FetchError> {
+        match self.poisoned.lock().clone() {
+            Some(e) => Err(e),
+            None => self.carrier.call(from, op),
+        }
+    }
+
+    /// A fire-and-forget operation: a lost one poisons.
+    fn tell(&self, from: usize, op: CtrlOp) {
+        if let Err(e) = self.carrier.call(from, op) {
+            self.poison(e);
         }
     }
 
@@ -188,196 +241,74 @@ impl MsgLedger {
                 CaptureSections {
                     progress: Vec::new(),
                     counters: None,
-                    ledger: Some(ledger_json(&ControlPlane::state_summary(self))),
+                    ledger: Some(ledger_json(&self.state_summary())),
                 },
             );
         }
     }
-
-    fn check_poison(&self) -> Result<(), FetchError> {
-        match self.poisoned.lock().clone() {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
-    }
 }
 
-impl ControlPlane for MsgLedger {
-    fn stealing(&self) -> bool {
-        self.stealing
-    }
-
-    fn claim(
-        &self,
-        me: usize,
-        own_batch: usize,
-    ) -> Result<Option<(ClaimSource, Vec<VertexId>)>, FetchError> {
-        self.check_poison()?;
-        match self.clients[me].call(CtrlOp::Claim { own_batch })? {
-            CtrlPayload::Claimed { source, roots } => {
-                let source = match source {
-                    CtrlClaimSource::Own => ClaimSource::Own,
-                    CtrlClaimSource::Spill => ClaimSource::Spill,
-                    CtrlClaimSource::Stolen(v) => ClaimSource::Stolen(v),
-                };
-                Ok(Some((source, roots)))
-            }
-            CtrlPayload::NoWork => Ok(None),
-            other => {
-                debug_assert!(false, "claim answered with {other:?}");
-                Err(FetchError::Shutdown)
-            }
-        }
-    }
-
-    fn batch_done(&self, me: usize) {
-        if let Err(e) = self.clients[me].call(CtrlOp::BatchDone) {
-            self.poison(e);
-        }
-    }
-
-    fn donate(&self, donor: usize, roots: Vec<VertexId>) {
-        if roots.is_empty() {
-            return;
-        }
-        if let Err(e) = self.clients[donor].call(CtrlOp::Donate { roots }) {
-            self.poison(e);
-        }
-    }
-
-    fn set_starving(&self, me: usize, on: bool) {
-        if let Err(e) = self.clients[me].call(CtrlOp::Starving { on }) {
-            self.poison(e);
-        }
-    }
-
-    fn starving(&self, me: usize) -> usize {
-        match self.clients[me].call(CtrlOp::Poll) {
-            Ok(CtrlPayload::Status { starving, .. }) => starving,
-            Ok(_) => 0,
-            Err(e) => {
-                self.poison(e);
-                0
-            }
-        }
-    }
-
-    fn finished(&self, me: usize) -> Result<bool, FetchError> {
-        self.check_poison()?;
-        match self.clients[me].call(CtrlOp::Poll)? {
-            CtrlPayload::Status { finished, .. } => Ok(finished),
-            other => {
-                debug_assert!(false, "poll answered with {other:?}");
-                Err(FetchError::Shutdown)
-            }
-        }
-    }
-
-    fn wait_for_work(&self, _me: usize) {
-        // No condvar spans the wire; a short timed park matches the
-        // shared ledger's 1 ms idle slice and keeps the poll loop from
-        // hammering the responder.
-        std::thread::sleep(Duration::from_millis(1));
-    }
-
-    fn lost_roots(&self, dead: &[usize]) -> Result<Vec<VertexId>, FetchError> {
-        self.check_poison()?;
-        match self.clients[0].call(CtrlOp::CloseDead { dead: dead.to_vec() })? {
-            CtrlPayload::Lost { roots } => Ok(roots),
-            other => {
-                debug_assert!(false, "close-dead answered with {other:?}");
-                Err(FetchError::Shutdown)
-            }
-        }
-    }
-
-    /// Deliberately wire-free: incident capture runs exactly when the
-    /// wire is suspect (poison, stall), so this reports only what the
-    /// client side knows — carrier, availability, and the poison cause —
-    /// rather than risking a retry storm mid-bundle.
-    fn state_summary(&self) -> LedgerStateSummary {
-        let poisoned = self.poisoned.lock().as_ref().map(|e| format!("{e:?}"));
-        LedgerStateSummary {
-            carrier: "msg",
-            available: poisoned.is_none(),
-            quiescent: false,
-            starving: 0,
-            spill_len: 0,
-            per_part_remaining: Vec::new(),
-            poisoned,
-        }
-    }
+fn unexpected(op: &str, payload: &CtrlPayload) -> FetchError {
+    debug_assert!(false, "{op} answered with {payload:?}");
+    FetchError::Shutdown
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gpm_graph::gen;
-    use gpm_graph::partition::PartitionedGraph;
+    use std::time::Duration;
 
-    fn msg_ledger(stealing: bool) -> MsgLedger {
-        let g = gen::complete(12);
-        let pg = PartitionedGraph::new(&g, 2, 1);
-        let parts: Vec<_> = (0..2).map(|p| pg.part_arc(p)).collect();
-        MsgLedger::start(
-            &parts,
-            stealing,
-            4,
-            None,
-            &ControlConfig::default(),
-            0,
-            &ClusterMetrics::new(2, 1),
-            Recorder::disabled(),
-            None,
-        )
+    fn plane(
+        roots: Vec<Vec<VertexId>>,
+        mode: ControlMode,
+        cfg: ControlLedgerConfig,
+        incidents: Option<Arc<IncidentManager>>,
+    ) -> ControlPlane {
+        let metrics = ClusterMetrics::new(roots.len(), 1);
+        ControlPlane::start(roots, cfg, mode, &metrics, Recorder::disabled(), incidents)
     }
 
+    /// The ledger's behaviour is specified by the table in
+    /// `gpm_cluster::ledger`; this checks the typed layer above it —
+    /// every operation's reply decodes the same over both carriers.
     #[test]
-    fn msg_ledger_claims_and_quiesces_like_the_shared_one() {
-        let ledger = msg_ledger(true);
-        let mut claimed = 0usize;
-        let mut batches = 0usize;
-        while let Some((_, roots)) = ledger.claim(0, 4).unwrap() {
-            claimed += roots.len();
-            batches += 1;
+    fn typed_operations_decode_replies_over_both_carriers() {
+        for mode in [ControlMode::Shared, ControlMode::Msg] {
+            let cfg =
+                ControlLedgerConfig { stealing: true, batch: 4, ..ControlLedgerConfig::default() };
+            let cp = plane(vec![vec![7, 8], vec![9]], mode, cfg, None);
+            assert!(cp.stealing());
+            assert_eq!(cp.claim(0, 4).unwrap(), Some((ClaimSource::Own, vec![7, 8])));
+            assert_eq!(cp.claim(0, 4).unwrap(), Some((ClaimSource::Stolen(1), vec![9])));
+            assert_eq!(cp.claim(1, 4).unwrap(), None);
+            cp.set_starving(1, true);
+            assert_eq!(cp.starving(0), 1);
+            cp.donate(0, vec![8]);
+            cp.donate(0, Vec::new());
+            assert_eq!(cp.claim(1, 4).unwrap(), Some((ClaimSource::Spill, vec![8])));
+            cp.set_starving(1, false);
+            assert_eq!(cp.starving(0), 0);
+            assert!(!cp.finished(0).unwrap(), "outstanding batches block quiescence");
+            for me in [0, 0, 1] {
+                cp.batch_done(me);
+            }
+            assert!(cp.finished(1).unwrap());
+            let mut lost = cp.lost_roots(&[0]).unwrap();
+            lost.sort_unstable();
+            assert_eq!(lost, vec![7, 9], "part 0's claims minus its donation");
+            let summary = cp.state_summary();
+            assert!(summary.poisoned.is_none());
+            match mode {
+                ControlMode::Shared => {
+                    assert_eq!(summary.carrier, "shared");
+                    assert_eq!(summary.ledger.per_part_remaining, vec![0, 0]);
+                    assert!(summary.ledger.quiescent);
+                }
+                ControlMode::Msg => {
+                    assert_eq!((summary.carrier, summary.ledger), ("msg", LedgerSummary::default()))
+                }
+            }
         }
-        assert_eq!(claimed, 12, "part 0 drains everything via own range + steals");
-        assert!(!ledger.finished(0).unwrap(), "outstanding batches block quiescence");
-        for _ in 0..batches {
-            ledger.batch_done(0);
-        }
-        assert!(ledger.finished(0).unwrap());
-        assert_eq!(ledger.lost_roots(&[1]).unwrap(), Vec::<VertexId>::new());
-    }
-
-    #[test]
-    fn msg_ledger_without_stealing_serves_only_own_roots() {
-        let ledger = msg_ledger(false);
-        let (source, roots) = ledger.claim(0, 64).unwrap().expect("own range");
-        assert_eq!(source, ClaimSource::Own);
-        assert!(!roots.is_empty());
-        assert!(ledger.claim(0, 64).unwrap().is_none(), "no stealing, no spill");
-    }
-
-    #[test]
-    fn msg_placed_recovery_serves_each_parts_share() {
-        let ledger = MsgLedger::placed_recovery(
-            vec![vec![7, 8], vec![9]],
-            4,
-            &ControlConfig::default(),
-            0,
-            &ClusterMetrics::new(2, 1),
-            Recorder::disabled(),
-            None,
-        );
-        assert!(ledger.stealing(), "placed recovery forces stealing on");
-        let (src, roots) = ledger.claim(0, 4).unwrap().expect("own share");
-        assert_eq!(src, ClaimSource::Own);
-        assert_eq!(roots, vec![7, 8]);
-        let (src, roots) = ledger.claim(0, 4).unwrap().expect("steal part 1's share");
-        assert_eq!(src, ClaimSource::Stolen(1));
-        assert_eq!(roots, vec![9]);
-        assert!(ledger.claim(1, 4).unwrap().is_none());
     }
 
     #[test]
@@ -388,27 +319,22 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let cfg = IncidentConfig { dir: Some(dir.clone()), ..IncidentConfig::default() };
         let incidents = IncidentManager::new(&cfg, FlightRecorder::new(64), "t".to_string());
-        let g = gen::complete(8);
-        let pg = PartitionedGraph::new(&g, 2, 1);
-        let parts: Vec<_> = (0..2).map(|p| pg.part_arc(p)).collect();
-        let control = ControlConfig {
-            mode: ControlMode::Msg,
+        let cfg = ControlLedgerConfig {
+            stealing: true,
+            batch: 4,
             retry: RetryPolicy {
                 max_attempts: 2,
                 timeout: Duration::from_millis(5),
                 backoff: Duration::from_millis(1),
             },
             fault: Some(FaultPlan::drops(1.0)),
+            query: 3,
+            ..ControlLedgerConfig::default()
         };
-        let ledger = MsgLedger::start(
-            &parts,
-            true,
-            4,
-            None,
-            &control,
-            3,
-            &ClusterMetrics::new(2, 1),
-            Recorder::disabled(),
+        let ledger = plane(
+            vec![vec![0, 2, 4, 6], vec![1, 3, 5, 7]],
+            ControlMode::Msg,
+            cfg,
             Some(Arc::clone(&incidents)),
         );
         // Fire-and-forget ops fail on the all-drops wire and poison the
@@ -428,15 +354,5 @@ mod tests {
         );
         assert!(ledger.claim(0, 4).is_err(), "poison surfaces on the next fallible call");
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn starving_counts_round_trip() {
-        let ledger = msg_ledger(true);
-        assert_eq!(ledger.starving(0), 0);
-        ledger.set_starving(1, true);
-        assert_eq!(ledger.starving(0), 1);
-        ledger.set_starving(1, false);
-        assert_eq!(ledger.starving(0), 0);
     }
 }

@@ -1,18 +1,18 @@
 //! The [`Engine`]: cluster setup and run orchestration.
 
 use crate::cache::{CacheConfig, SharedCache};
-use crate::control::{ControlConfig, ControlMode, MsgLedger};
+use crate::control::{ControlConfig, ControlPlane};
 use crate::incident::{
     config_fingerprint, counters_json, ledger_json, progress_json, CaptureSections, IncidentConfig,
     IncidentManager, StallWatchdog, Trigger, TriggerKind,
 };
 use crate::rebalance::{RebalanceConfig, Rebalancer};
 use crate::runtime::{run_part, PartCtx, Visitor};
-use crate::scheduler::{
-    place_recovery_roots, ControlPlane, QueryArbiter, SharedLedger, StealConfig, WorkerPool,
-};
+use crate::scheduler::{place_recovery_roots, QueryArbiter, StealConfig, WorkerPool};
 use crate::stats::{ControlSummary, FailureSummary, PartStats, RunStats, TrafficSummary};
-use gpm_cluster::{ClusterMetrics, EdgeListService, FabricConfig, FetchError, NetworkModel};
+use gpm_cluster::{
+    ClusterMetrics, ControlLedgerConfig, EdgeListService, FabricConfig, FetchError, NetworkModel,
+};
 use gpm_graph::partition::PartitionedGraph;
 use gpm_graph::VertexId;
 use gpm_obs::{
@@ -642,7 +642,9 @@ impl Engine {
         // its seed batches from (and steals through, when enabled) and
         // one queue-depth gauge per part for the sampler.
         let stealing = self.cfg.steal.enabled && !self.cfg.sequential_parts && parts > 1;
-        let ledger = self.make_ledger(stealing, qid);
+        let owned = (0..parts).map(|p| self.pg.part(p).owned().to_vec()).collect();
+        let numa = self.cfg.steal.numa.then(|| self.pg.sockets_per_machine().max(1));
+        let ledger = self.make_ledger(owned, stealing, numa, qid);
         let gauges: Vec<Arc<AtomicUsize>> =
             (0..parts).map(|_| Arc::new(AtomicUsize::new(0))).collect();
         // Live progress tracker: the root multiset size is known up front
@@ -684,7 +686,7 @@ impl Engine {
             progress.clone(),
         );
         let t0 = Instant::now();
-        let make_ctx = |part: usize, ledger: &Arc<dyn ControlPlane>| PartCtx {
+        let make_ctx = |part: usize, ledger: &Arc<ControlPlane>| PartCtx {
             part: self.pg.part_arc(part),
             labels: self.pg.labels(),
             client: self.service.client_for_query(part, qid),
@@ -728,7 +730,7 @@ impl Engine {
         // bounded by `parts` (and exits earlier once the dead outnumber
         // the replicas).
         let mut all_dead: Vec<usize> = Vec::new();
-        let mut ledgers: Vec<Arc<dyn ControlPlane>> = vec![Arc::clone(&ledger)];
+        let mut ledgers: Vec<Arc<ControlPlane>> = vec![Arc::clone(&ledger)];
         let mut reexecuted_roots = 0u64;
         loop {
             let new_dead: Vec<usize> =
@@ -887,7 +889,7 @@ impl Engine {
         part: Option<u64>,
         value: u64,
         detail: String,
-        ledger: &Arc<dyn ControlPlane>,
+        ledger: &Arc<ControlPlane>,
     ) {
         let sections = if self.incidents.enabled() {
             CaptureSections {
@@ -901,45 +903,48 @@ impl Engine {
         self.incidents.capture(Trigger { kind, query_id: qid, part, value, detail }, sections);
     }
 
-    /// Builds the run-scoped control plane in the configured carrier:
-    /// the shared-memory ledger or the message-based one over the
-    /// cluster's channel layer. Both enforce the same claim protocol, so
-    /// counts are bit-identical either way.
-    fn make_ledger(&self, stealing: bool, qid: u64) -> Arc<dyn ControlPlane> {
-        let parts: Vec<_> = (0..self.pg.part_count()).map(|p| self.pg.part_arc(p)).collect();
-        let batch = self.cfg.steal.batch.max(1);
-        let numa = self.cfg.steal.numa.then(|| self.pg.sockets_per_machine().max(1));
-        match self.cfg.control.mode {
-            ControlMode::Shared => Arc::new(SharedLedger::new(parts, stealing, batch, numa)),
-            ControlMode::Msg => Arc::new(MsgLedger::start(
-                &parts,
-                stealing,
-                batch,
-                numa,
-                &self.cfg.control,
-                qid,
-                self.service.metrics(),
-                Arc::clone(&self.recorder),
-                Some(Arc::clone(&self.incidents)),
-            )),
-        }
+    /// Builds a run-scoped control plane over one root list per part, in
+    /// the configured carrier. Both carriers deliver to the same ledger
+    /// state machine, so counts are bit-identical either way.
+    fn make_ledger(
+        &self,
+        roots: Vec<Vec<VertexId>>,
+        stealing: bool,
+        numa: Option<usize>,
+        qid: u64,
+    ) -> Arc<ControlPlane> {
+        let cfg = ControlLedgerConfig {
+            stealing,
+            batch: self.cfg.steal.batch.max(1),
+            numa,
+            retry: self.cfg.control.retry,
+            fault: self.cfg.control.fault.clone(),
+            query: qid,
+        };
+        Arc::new(ControlPlane::start(
+            roots,
+            cfg,
+            self.cfg.control.mode,
+            self.service.metrics(),
+            Arc::clone(&self.recorder),
+            Some(Arc::clone(&self.incidents)),
+        ))
     }
 
-    /// A control plane for a recovery pass, in the same carrier as the
-    /// main pass. Lost roots are **placed**, not spilled: each survivor
-    /// gets a share inversely weighted by its current load (queue depth
-    /// plus rerouted-fetch service in KiB), so recovery work lands on
-    /// the parts that are not already busy serving the dead part's
-    /// traffic. Placed roots are still stealable, so a bad estimate
-    /// costs a steal, never a stall.
+    /// A control plane for a recovery pass: the same ledger over
+    /// different root lists. Lost roots are **placed**, not spilled: each
+    /// survivor gets a share inversely weighted by its current load
+    /// (queue depth plus rerouted-fetch service in KiB) as its own range,
+    /// so recovery work lands on the parts that are not already busy
+    /// serving the dead part's traffic. Stealing is forced on, so a bad
+    /// estimate costs a steal, never a stall.
     fn make_recovery_ledger(
         &self,
         lost: Vec<VertexId>,
         qid: u64,
         gauges: &[Arc<AtomicUsize>],
         dead: &[usize],
-    ) -> Arc<dyn ControlPlane> {
-        let batch = self.cfg.steal.batch.max(1);
+    ) -> Arc<ControlPlane> {
         let metrics = self.service.metrics();
         let loads: Vec<u64> = (0..self.pg.part_count())
             .map(|p| {
@@ -947,23 +952,7 @@ impl Engine {
                     + metrics.part(p).rerouted_served_bytes() / 1024
             })
             .collect();
-        let assignments = place_recovery_roots(lost, &loads, dead);
-        match self.cfg.control.mode {
-            ControlMode::Shared => Arc::new(SharedLedger::placed_recovery(
-                (0..self.pg.part_count()).map(|p| self.pg.part_arc(p)).collect(),
-                assignments,
-                batch,
-            )),
-            ControlMode::Msg => Arc::new(MsgLedger::placed_recovery(
-                assignments,
-                batch,
-                &self.cfg.control,
-                qid,
-                self.service.metrics(),
-                Arc::clone(&self.recorder),
-                Some(Arc::clone(&self.incidents)),
-            )),
-        }
+        self.make_ledger(place_recovery_roots(lost, &loads, dead), true, None, qid)
     }
 
     /// Runs `run_part` for each part in `run`, sequentially or
@@ -1131,6 +1120,7 @@ impl Drop for GaugeSampler {
 mod tests {
     use super::*;
     use crate::cache::CachePolicy;
+    use crate::control::ControlMode;
     use gpm_graph::gen;
     use gpm_pattern::oracle;
     use gpm_pattern::plan::PlanOptions;
@@ -1707,14 +1697,19 @@ mod tests {
         engine.shutdown();
     }
 
-    /// Live threads of this process, per /proc (Linux-only, like CI).
-    fn thread_count() -> usize {
-        let status = std::fs::read_to_string("/proc/self/status").expect("read /proc/self/status");
-        status
-            .lines()
-            .find_map(|l| l.strip_prefix("Threads:"))
-            .and_then(|v| v.trim().parse().ok())
-            .expect("Threads: line present")
+    /// Drops `engine` and asserts none of its threads outlived it. Every
+    /// thread an engine starts — fabric responders, the pooled
+    /// `khuzdul-compute-*` workers, samplers, control responders — holds
+    /// a clone of that engine's recorder for as long as it runs, so a
+    /// sole remaining owner means they have all been joined. Unlike a
+    /// process-wide census (thread names are cut to 15 bytes by the OS,
+    /// so sibling tests' engines are indistinguishable there), this sees
+    /// only the engine under test.
+    fn assert_drop_joins_every_thread(engine: Engine) {
+        let recorder = Arc::clone(engine.recorder());
+        assert!(Arc::strong_count(&recorder) > 1, "running threads share the recorder");
+        drop(engine);
+        assert_eq!(Arc::strong_count(&recorder), 1, "a dropped engine left owners of its recorder");
     }
 
     #[test]
@@ -1722,45 +1717,38 @@ mod tests {
         use gpm_cluster::{FaultPlan, RetryPolicy};
         let g = gen::erdos_renyi(100, 400, 3);
         let p = Pattern::triangle();
-        // Warm-up engine so any lazy process-wide state is in place.
-        {
-            let engine = engine_for(&g, 2, 1);
-            engine.count(&plan(&p));
-        }
-        let baseline = thread_count();
-        for i in 0..5 {
-            // Odd iterations error the query first (retries exhausted)
-            // and never call `shutdown()` — the old leak scenario.
-            if i % 2 == 1 {
-                let pg = PartitionedGraph::new(&g, 2, 1);
-                let engine = Engine::new(
-                    pg,
-                    EngineConfig {
-                        fabric: FabricConfig {
-                            retry: RetryPolicy {
-                                max_attempts: 2,
-                                timeout: Duration::from_millis(5),
-                                backoff: Duration::from_micros(100),
-                            },
-                            fault: Some(FaultPlan::drops(1.0)),
-                            ..FabricConfig::default()
-                        },
-                        ..EngineConfig::default()
+        // A query that errors (retries exhausted) on an engine that never
+        // calls `shutdown()` — the old leak scenario.
+        let engine = Engine::new(
+            PartitionedGraph::new(&g, 2, 1),
+            EngineConfig {
+                fabric: FabricConfig {
+                    retry: RetryPolicy {
+                        max_attempts: 2,
+                        timeout: Duration::from_millis(5),
+                        backoff: Duration::from_micros(100),
                     },
-                );
-                assert!(engine.try_count(&plan(&p)).is_err());
-                drop(engine);
-            } else {
-                let engine = engine_for(&g, 2, 1);
-                engine.count(&plan(&p));
-                drop(engine);
-            }
-        }
-        let after = thread_count();
-        assert!(
-            after <= baseline,
-            "dropped engines leaked threads: {baseline} before, {after} after"
+                    fault: Some(FaultPlan::drops(1.0)),
+                    ..FabricConfig::default()
+                },
+                ..EngineConfig::default()
+            },
         );
+        assert!(engine.try_count(&plan(&p)).is_err());
+        assert_drop_joins_every_thread(engine);
+        // A clean run with the worker pool spawned and the message
+        // carrier's responder in play.
+        let engine = Engine::new(
+            PartitionedGraph::new(&g, 2, 1),
+            EngineConfig {
+                compute_threads: 2,
+                control: ControlConfig { mode: ControlMode::Msg, ..ControlConfig::default() },
+                ..EngineConfig::default()
+            },
+        );
+        engine.count(&plan(&p));
+        assert_eq!(engine.compute_thread_names().len(), 4);
+        assert_drop_joins_every_thread(engine);
     }
 
     #[test]

@@ -25,7 +25,7 @@
 //! branch. Bundles are schema-checked by [`validate_bundle`] — the same
 //! check `gpm incident show` and the chaos CI job run.
 
-use crate::scheduler::{ControlPlane, LedgerStateSummary};
+use crate::control::{ControlPlane, ControlPlaneSummary};
 use gpm_obs::{FlightKind, FlightRecorder, IncidentSummary, QueryProgress};
 use parking_lot::Mutex;
 use serde::Value;
@@ -409,18 +409,18 @@ pub(crate) fn counters_json(snap: &gpm_cluster::CounterSnapshot) -> Value {
     )
 }
 
-/// JSON form of a [`LedgerStateSummary`] for the bundle's `ledger`
+/// JSON form of a [`ControlPlaneSummary`] for the bundle's `ledger`
 /// section.
-pub(crate) fn ledger_json(s: &LedgerStateSummary) -> Value {
+pub(crate) fn ledger_json(s: &ControlPlaneSummary) -> Value {
     Value::Map(vec![
         ("carrier".into(), Value::Str(s.carrier.to_string())),
-        ("available".into(), Value::Bool(s.available)),
-        ("quiescent".into(), Value::Bool(s.quiescent)),
-        ("starving".into(), Value::UInt(s.starving)),
-        ("spill_len".into(), Value::UInt(s.spill_len)),
+        ("available".into(), Value::Bool(s.poisoned.is_none())),
+        ("quiescent".into(), Value::Bool(s.ledger.quiescent)),
+        ("starving".into(), Value::UInt(s.ledger.starving)),
+        ("spill_len".into(), Value::UInt(s.ledger.spill_len)),
         (
             "per_part_remaining".into(),
-            Value::Seq(s.per_part_remaining.iter().map(|&r| Value::UInt(r)).collect()),
+            Value::Seq(s.ledger.per_part_remaining.iter().map(|&r| Value::UInt(r)).collect()),
         ),
         (
             "poisoned".into(),
@@ -576,7 +576,7 @@ impl StallWatchdog {
         manager: &Arc<IncidentManager>,
         heartbeat: Arc<AtomicU64>,
         query_id: u64,
-        ledger: Arc<dyn ControlPlane>,
+        ledger: Arc<ControlPlane>,
         progress: Option<Arc<QueryProgress>>,
     ) -> Option<StallWatchdog> {
         let window = manager.stall_window()?;
@@ -657,6 +657,18 @@ mod tests {
         IncidentManager::new(&cfg, FlightRecorder::new(64), config_fingerprint("test"))
     }
 
+    /// A control plane over no parts: something for a watchdog to dump.
+    fn idle_ledger() -> Arc<ControlPlane> {
+        Arc::new(ControlPlane::start(
+            Vec::new(),
+            gpm_cluster::ControlLedgerConfig::default(),
+            crate::control::ControlMode::Shared,
+            &gpm_cluster::ClusterMetrics::new(0, 1),
+            gpm_obs::Recorder::disabled(),
+            None,
+        ))
+    }
+
     fn trigger(kind: TriggerKind) -> Trigger {
         Trigger { kind, query_id: 7, part: Some(2), value: 42, detail: "test trigger".to_string() }
     }
@@ -684,13 +696,14 @@ mod tests {
                 CaptureSections {
                     progress: vec![progress_json(&QueryProgress::new(7, 100, 2))],
                     counters: Some(Value::Map(vec![("x".into(), Value::UInt(1))])),
-                    ledger: Some(ledger_json(&LedgerStateSummary {
+                    ledger: Some(ledger_json(&ControlPlaneSummary {
                         carrier: "shared",
-                        available: true,
-                        quiescent: false,
-                        starving: 1,
-                        spill_len: 3,
-                        per_part_remaining: vec![10, 0],
+                        ledger: gpm_cluster::LedgerSummary {
+                            quiescent: false,
+                            starving: 1,
+                            spill_len: 3,
+                            per_part_remaining: vec![10, 0],
+                        },
                         poisoned: None,
                     })),
                 },
@@ -747,7 +760,6 @@ mod tests {
 
     #[test]
     fn stall_watchdog_fires_once_on_a_dead_heartbeat() {
-        use crate::scheduler::SharedLedger;
         let dir = temp_dir("stall");
         let cfg = IncidentConfig {
             dir: Some(dir.clone()),
@@ -756,7 +768,7 @@ mod tests {
         };
         let m = IncidentManager::new(&cfg, FlightRecorder::new(64), config_fingerprint("t"));
         let heartbeat = Arc::new(AtomicU64::new(0));
-        let ledger: Arc<dyn ControlPlane> = Arc::new(SharedLedger::new(Vec::new(), false, 1, None));
+        let ledger = idle_ledger();
         let progress = Some(Arc::new(QueryProgress::new(9, 50, 1)));
         let wd =
             StallWatchdog::start(&m, Arc::clone(&heartbeat), 9, ledger, progress).expect("starts");
@@ -782,17 +794,14 @@ mod tests {
     #[test]
     fn stall_watchdog_declines_without_window_or_dir() {
         let heartbeat = Arc::new(AtomicU64::new(0));
-        let mk_ledger = || -> Arc<dyn ControlPlane> {
-            Arc::new(crate::scheduler::SharedLedger::new(Vec::new(), false, 1, None))
-        };
         // No window.
         let m = manager(Some(temp_dir("nowindow")), 8);
-        assert!(StallWatchdog::start(&m, Arc::clone(&heartbeat), 1, mk_ledger(), None).is_none());
+        assert!(StallWatchdog::start(&m, Arc::clone(&heartbeat), 1, idle_ledger(), None).is_none());
         // Window but no dir.
         let cfg =
             IncidentConfig { stall: Some(Duration::from_millis(10)), ..IncidentConfig::default() };
         let m = IncidentManager::new(&cfg, FlightRecorder::disabled(), String::new());
-        assert!(StallWatchdog::start(&m, heartbeat, 1, mk_ledger(), None).is_none());
+        assert!(StallWatchdog::start(&m, heartbeat, 1, idle_ledger(), None).is_none());
     }
 
     #[test]

@@ -11,15 +11,17 @@
 //! dedicated communication thread (§4.3).
 //!
 //! The compute half of the phase lives in [`crate::extend`]; the worker
-//! pool, task model, and stealing ledger live in [`crate::scheduler`].
+//! pool and task model live in [`crate::scheduler`], the stealing ledger's
+//! typed operations in [`crate::control`].
 
 use crate::cache::SharedCache;
 use crate::chunk::{Chunk, Emb, ListRef, NO_PARENT};
+use crate::control::ControlPlane;
 use crate::engine::EngineConfig;
-use crate::scheduler::{ClaimSource, ControlPlane, Gate, QueryArbiter};
+use crate::scheduler::{Gate, QueryArbiter};
 use crate::stats::PartStats;
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use gpm_cluster::{EdgeListClient, FetchError, PendingFetch};
+use gpm_cluster::{ClaimSource, EdgeListClient, FetchError, PendingFetch};
 use gpm_graph::partition::{vertex_hash, GraphPart};
 use gpm_graph::{Label, VertexId};
 use gpm_obs::{FlightKind, ObsHandle, Recorder, SpanKind};
@@ -51,8 +53,8 @@ pub(crate) struct PartCtx<'e> {
     /// its spans in a thread-local [`ObsHandle`] made from this.
     pub obs: Arc<Recorder>,
     /// Run-scoped control plane all parts claim their seed batches from
-    /// (shared-memory ledger or message-based, per `EngineConfig`).
-    pub ledger: Arc<dyn ControlPlane>,
+    /// (over the carrier `EngineConfig::control` picks).
+    pub ledger: Arc<ControlPlane>,
     /// This part's gate into the engine's persistent worker pool; `None`
     /// for single-threaded configs, which extend inline.
     pub gate: Option<Arc<Gate>>,
@@ -379,7 +381,7 @@ impl<'e> PartRun<'e> {
                         self.ctx.ledger.set_starving(self.ctx.my_part, true);
                     }
                     let its = self.obs.start();
-                    self.ctx.ledger.wait_for_work(self.ctx.my_part);
+                    self.ctx.ledger.wait_for_work();
                     self.obs.span(SpanKind::Idle, its, 0);
                 }
                 Err(e) => {

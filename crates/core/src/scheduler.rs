@@ -1,6 +1,6 @@
 //! The layered scheduler underneath per-part execution.
 //!
-//! Three pieces, bottom-up:
+//! Two pieces, bottom-up:
 //!
 //! 1. [`WorkerPool`] — one persistent pool of compute threads per engine
 //!    (`parts × compute_threads`), created lazily on the first run and
@@ -13,18 +13,12 @@
 //!    queue, workers split `mini_batch`-sized heads off them, keep the
 //!    remainder in their own LIFO deque, and steal from sibling deques
 //!    when both their deque and the injector run dry.
-//! 3. [`RootLedger`] — the cross-part stealing coordinator. Root ranges
-//!    are claimed from a shared per-part cursor in bounded batches, so an
-//!    idle part can steal the unclaimed tail of a loaded part (and any
-//!    level-0 ranges the loaded part donates to the spill). Only *root
-//!    vertex ids* move between parts — their edge lists still flow through
-//!    the fabric on demand, preserving the paper's "fetch data, never ship
-//!    computation" rule. Termination uses a [`WorkCounter`] quiescence
-//!    check instead of a per-part "my cursor is exhausted" test.
+//!
+//! Above them, cross-part stealing and termination run through the root
+//! ledger in [`crate::control`]; what lives here is its configuration
+//! ([`StealConfig`]), the placement of recovery roots, and the
+//! cross-query [`QueryArbiter`].
 
-use gpm_cluster::work::WorkCounter;
-use gpm_cluster::FetchError;
-use gpm_graph::partition::GraphPart;
 use gpm_graph::VertexId;
 use gpm_obs::{Recorder, SpanKind};
 use parking_lot::{Condvar, Mutex};
@@ -400,437 +394,8 @@ fn push_split(out: &mut Vec<Task>, task: Task, pieces: u32) {
 }
 
 // ---------------------------------------------------------------------------
-// Cross-part root ledger
+// Recovery placement
 // ---------------------------------------------------------------------------
-
-/// Where a claimed root batch came from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum ClaimSource {
-    /// This part's own unclaimed root range.
-    Own,
-    /// The shared spill of donated level-0 ranges.
-    Spill,
-    /// Stolen from the given part's unclaimed root range.
-    Stolen(usize),
-}
-
-/// The cross-part work-coordination protocol, abstracted over its
-/// carrier: root claims, steals, donations, batch retirements,
-/// starvation signals, quiescence votes, and crash recovery.
-///
-/// Two implementations exist. [`SharedLedger`] keeps the protocol on
-/// shared-memory atomics (the default, and the only option before the
-/// control plane was lifted out); [`crate::control::MsgLedger`] routes
-/// every operation as a typed control message through the cluster
-/// transport layer, with its own retry/backoff and fault injection. The
-/// engine and runtime only ever see this trait, so the two carriers are
-/// interchangeable per run — and must produce bit-identical counts.
-///
-/// [`claim`], [`finished`], and [`lost_roots`] are fallible: a
-/// message-based carrier can exhaust its retries, and the part
-/// coordinator must surface that as a run failure instead of spinning
-/// forever or silently quiescing (either could strand claimed-but-
-/// unprocessed roots). Fire-and-forget operations (`batch_done`,
-/// `donate`, `set_starving`) stay infallible at the trait boundary; a
-/// carrier that loses one poisons itself and reports the failure from
-/// the next fallible call.
-///
-/// [`claim`]: ControlPlane::claim
-/// [`finished`]: ControlPlane::finished
-/// [`lost_roots`]: ControlPlane::lost_roots
-pub(crate) trait ControlPlane: Send + Sync {
-    /// Whether cross-part stealing is enabled for this run.
-    fn stealing(&self) -> bool;
-
-    /// Claims the next root batch for `me`: own range first (up to
-    /// `own_batch` roots), then — with stealing on — the donation spill,
-    /// then the unclaimed tail of a victim part. `Ok(None)` means
-    /// nothing was claimable right now; pair every `Ok(Some(..))` with a
-    /// later [`ControlPlane::batch_done`].
-    fn claim(
-        &self,
-        me: usize,
-        own_batch: usize,
-    ) -> Result<Option<(ClaimSource, Vec<VertexId>)>, FetchError>;
-
-    /// Retires one of `me`'s claimed batches (fully processed).
-    fn batch_done(&self, me: usize);
-
-    /// Adds never-started level-0 roots from `donor` to the shared
-    /// spill, claimable by any part.
-    fn donate(&self, donor: usize, roots: Vec<VertexId>);
-
-    /// Marks `me` as idle-and-polling (or no longer so); loaded parts
-    /// consult the count to decide whether donating is worthwhile.
-    fn set_starving(&self, me: usize, on: bool);
-
-    /// Number of parts currently starving, as observed by `me`.
-    fn starving(&self, me: usize) -> usize;
-
-    /// Global termination check for a part that found nothing to claim.
-    fn finished(&self, me: usize) -> Result<bool, FetchError>;
-
-    /// Parks `me` briefly until another part may have retired a batch or
-    /// donated work; timed, so callers re-check stop flags regardless.
-    fn wait_for_work(&self, me: usize);
-
-    /// Reconstructs the exact multiset of roots whose results died with
-    /// the `dead` parts (claim log minus donate log, plus unclaimed
-    /// cursor tails, plus the orphaned spill). Called by the engine's
-    /// recovery pass once no part is claiming anymore.
-    fn lost_roots(&self, dead: &[usize]) -> Result<Vec<VertexId>, FetchError>;
-
-    /// A coarse point-in-time state snapshot for incident bundles:
-    /// per-part cursor remainders, spill depth, starvation, and
-    /// quiescence. Must be safe to call from a watchdog thread while
-    /// parts are mid-claim — a torn-but-plausible summary beats blocking
-    /// the protocol. The default is a degraded "nothing observable"
-    /// summary for carriers whose state lives behind a responder thread.
-    fn state_summary(&self) -> LedgerStateSummary {
-        LedgerStateSummary::default()
-    }
-}
-
-/// What [`ControlPlane::state_summary`] reports into an incident bundle.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub(crate) struct LedgerStateSummary {
-    /// Carrier name (`"shared"` or `"msg"`; empty for the default).
-    pub carrier: &'static str,
-    /// Whether the fields below were actually observed (`false` means a
-    /// degraded summary: the carrier cannot inspect its state cheaply).
-    pub available: bool,
-    /// Whether the work counter was quiescent (no outstanding batches).
-    pub quiescent: bool,
-    /// Parts currently idle-and-polling.
-    pub starving: u64,
-    /// Donated roots sitting unclaimed in the spill.
-    pub spill_len: u64,
-    /// Unclaimed roots left on each part's cursor, indexed by part.
-    pub per_part_remaining: Vec<u64>,
-    /// The poison of a message carrier that lost a fire-and-forget
-    /// operation, if any.
-    pub poisoned: Option<String>,
-}
-
-struct PartCursor {
-    part: Arc<GraphPart>,
-    /// Next unclaimed index into `part.owned()`. May overshoot the length
-    /// after racing claims; overshoot is saturated on read.
-    next: AtomicUsize,
-}
-
-/// Run-scoped coordinator for cross-part root stealing and termination.
-///
-/// Every part claims its root work from here in bounded batches instead of
-/// walking a private cursor. Each claimed batch registers one unit on the
-/// [`WorkCounter`]; the claimant retires it once its chunk stack has fully
-/// drained. A part with nothing left to claim is *finished* only when the
-/// counter is quiescent, every cursor is exhausted, and the spill is empty
-/// — otherwise it parks briefly and retries, because a loaded part may
-/// still donate work.
-///
-/// Early-exit race: a claimant moves a cursor (or empties the spill)
-/// *before* registering its counter unit, so a concurrent [`finished`]
-/// observer can see "all drained" while that batch is still being seeded.
-/// This is benign for correctness — claimed work is never dropped, and the
-/// engine still joins every part — the observer merely stops helping a
-/// little early. The converse (reporting unfinished forever) cannot
-/// happen: counter units strictly outlive their batch's processing.
-///
-/// [`finished`]: RootLedger::finished
-pub(crate) struct RootLedger {
-    parts: Vec<PartCursor>,
-    /// Per-part *placed* roots: recovery work assigned to a specific
-    /// part by the load-weighted placement pass. Served after the
-    /// part's own cursor (which a placed-recovery ledger starts
-    /// exhausted) and stealable through the same victim path as cursor
-    /// tails, so a placement that turns out lopsided still self-heals.
-    placed: Vec<Mutex<Vec<VertexId>>>,
-    /// Donated level-0 root ranges, claimable by any part.
-    spill: Mutex<Vec<VertexId>>,
-    /// Per-part multiset of every root the part has claimed (own, spill,
-    /// or stolen). Together with `donate_log` this reconstructs exactly
-    /// which roots a fail-stop part took to its grave: its claims, minus
-    /// what it donated back, were executed (if at all) only by the dead
-    /// part, whose partial results the engine discards wholesale.
-    claim_log: Vec<Mutex<Vec<VertexId>>>,
-    /// Per-part multiset of every root the part donated to the spill.
-    donate_log: Vec<Mutex<Vec<VertexId>>>,
-    wc: WorkCounter,
-    /// Number of parts currently idle and polling for work; loaded parts
-    /// consult this to decide whether donating is worthwhile.
-    starving: AtomicUsize,
-    idle_lock: Mutex<()>,
-    idle_cv: Condvar,
-    stealing: bool,
-    batch: usize,
-    /// `Some(sockets_per_machine)` enables NUMA-aware victim ordering:
-    /// thieves prefer same-machine victims before crossing the network.
-    numa: Option<usize>,
-}
-
-/// The shared-memory implementation of [`ControlPlane`]: the original
-/// atomics-and-condvar [`RootLedger`], now one carrier behind the trait.
-pub(crate) type SharedLedger = RootLedger;
-
-impl RootLedger {
-    pub(crate) fn new(
-        parts: Vec<Arc<GraphPart>>,
-        stealing: bool,
-        batch: usize,
-        numa: Option<usize>,
-    ) -> RootLedger {
-        let n = parts.len();
-        RootLedger {
-            parts: parts
-                .into_iter()
-                .map(|part| PartCursor { part, next: AtomicUsize::new(0) })
-                .collect(),
-            placed: (0..n).map(|_| Mutex::new(Vec::new())).collect(),
-            spill: Mutex::new(Vec::new()),
-            claim_log: (0..n).map(|_| Mutex::new(Vec::new())).collect(),
-            donate_log: (0..n).map(|_| Mutex::new(Vec::new())).collect(),
-            wc: WorkCounter::new(),
-            starving: AtomicUsize::new(0),
-            idle_lock: Mutex::new(()),
-            idle_cv: Condvar::new(),
-            stealing,
-            batch: batch.max(1),
-            numa: numa.map(|spm| spm.max(1)),
-        }
-    }
-
-    pub(crate) fn stealing(&self) -> bool {
-        self.stealing
-    }
-
-    /// Whether `p` sits on the same simulated machine as `me` under the
-    /// configured NUMA ordering; always `false` with NUMA ordering off,
-    /// which collapses victim selection back to flat most-loaded.
-    fn same_machine(&self, me: usize, p: usize) -> bool {
-        match self.numa {
-            Some(spm) => p / spm == me / spm,
-            None => false,
-        }
-    }
-
-    /// Claims the next batch of roots for `me`: own cursor first (up to
-    /// `own_batch` roots), then — with stealing enabled — the donation
-    /// spill, then the unclaimed tail of the most-loaded other part.
-    /// Registers one work unit per returned batch; pair every `Some` with
-    /// a later [`RootLedger::batch_done`].
-    pub(crate) fn claim(
-        &self,
-        me: usize,
-        own_batch: usize,
-    ) -> Option<(ClaimSource, Vec<VertexId>)> {
-        if let Some(roots) = self.claim_range(me, own_batch) {
-            self.wc.add(1);
-            self.claim_log[me].lock().extend_from_slice(&roots);
-            return Some((ClaimSource::Own, roots));
-        }
-        if !self.stealing {
-            return None;
-        }
-        {
-            let mut spill = self.spill.lock();
-            if !spill.is_empty() {
-                let take = self.batch.min(spill.len());
-                let at = spill.len() - take;
-                let roots = spill.split_off(at);
-                self.wc.add(1);
-                self.claim_log[me].lock().extend_from_slice(&roots);
-                return Some((ClaimSource::Spill, roots));
-            }
-        }
-        loop {
-            // Victim order: with NUMA ordering on, the most-loaded part
-            // of the thief's own machine beats any cross-machine part —
-            // stolen roots resolve their edge lists over the fabric, so
-            // keeping the victim local keeps that traffic off the
-            // simulated network (§5.4). Ties fall back to most-loaded.
-            let victim = (0..self.parts.len())
-                .filter(|&p| p != me && self.remaining(p) > 0)
-                .max_by_key(|&p| (self.same_machine(me, p), self.remaining(p)))?;
-            if let Some(roots) = self.claim_range(victim, self.batch) {
-                self.wc.add(1);
-                self.claim_log[me].lock().extend_from_slice(&roots);
-                return Some((ClaimSource::Stolen(victim), roots));
-            }
-            // Lost the race on that victim's last range; look again.
-        }
-    }
-
-    /// Retires one claimed batch (its embeddings are fully processed) and
-    /// wakes idle parts so they re-check for termination.
-    pub(crate) fn batch_done(&self) {
-        self.wc.done();
-        self.idle_cv.notify_all();
-    }
-
-    /// Adds never-started level-0 roots from `donor` to the shared spill.
-    /// The donor's own batch unit still covers them until a claimant
-    /// re-registers them, and [`RootLedger::finished`] checks the spill
-    /// directly, so no donated root can be dropped.
-    pub(crate) fn donate(&self, donor: usize, mut roots: Vec<VertexId>) {
-        if roots.is_empty() {
-            return;
-        }
-        self.donate_log[donor].lock().extend_from_slice(&roots);
-        self.spill.lock().append(&mut roots);
-        self.idle_cv.notify_all();
-    }
-
-    pub(crate) fn set_starving(&self, on: bool) {
-        if on {
-            self.starving.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.starving.fetch_sub(1, Ordering::Relaxed);
-        }
-    }
-
-    pub(crate) fn starving(&self) -> usize {
-        self.starving.load(Ordering::Relaxed)
-    }
-
-    /// Global termination check for a part that found nothing to claim.
-    ///
-    /// Order matters: the work counter is read *first* (its `Acquire` load
-    /// pairs with the `Release` in `done()`), then the cursors, then the
-    /// spill. Seeing the counter at zero first means every retired batch's
-    /// effects are visible; any work added afterwards would re-populate a
-    /// cursor or the spill, which are checked later and would flip the
-    /// verdict back to "not finished".
-    pub(crate) fn finished(&self) -> bool {
-        if !self.wc.is_quiescent() {
-            return false;
-        }
-        if (0..self.parts.len()).any(|p| self.remaining(p) > 0) {
-            return false;
-        }
-        self.spill.lock().is_empty()
-    }
-
-    /// Parks briefly until another part retires a batch or donates work.
-    /// The wait is timed so callers re-check stop flags and termination
-    /// even if a notification slips by.
-    pub(crate) fn wait_for_work(&self) {
-        let mut guard = self.idle_lock.lock();
-        let _ = self.idle_cv.wait_for(&mut guard, Duration::from_millis(1));
-    }
-
-    /// Unclaimed roots left on `part`: its cursor tail plus whatever
-    /// sits on its placed queue.
-    pub(crate) fn remaining(&self, part: usize) -> usize {
-        let pc = &self.parts[part];
-        // Relaxed everywhere on the cursor: it only partitions an
-        // immutable, Arc-shared slice — no claimant-written payload hangs
-        // off it, so there is nothing for stronger orderings to publish.
-        pc.part.owned().len().saturating_sub(pc.next.load(Ordering::Relaxed))
-            + self.placed[part].lock().len()
-    }
-
-    fn claim_range(&self, part: usize, n: usize) -> Option<Vec<VertexId>> {
-        if n == 0 {
-            return None;
-        }
-        let pc = &self.parts[part];
-        let owned = pc.part.owned();
-        if pc.next.load(Ordering::Relaxed) < owned.len() {
-            let start = pc.next.fetch_add(n, Ordering::Relaxed);
-            if start < owned.len() {
-                let end = (start + n).min(owned.len());
-                return Some(owned[start..end].to_vec());
-            }
-        }
-        // Cursor exhausted: serve the part's placed queue (recovery
-        // work assigned by the load-weighted placement pass). The lock
-        // makes a placed root land in exactly one claim.
-        let mut placed = self.placed[part].lock();
-        if placed.is_empty() {
-            return None;
-        }
-        let take = n.min(placed.len());
-        Some(placed.drain(..take).collect())
-    }
-
-    // -- fail-stop recovery ------------------------------------------------
-
-    /// Drains and returns the unclaimed tail of `part`'s cursor. The
-    /// drain uses the same atomic cursor as [`claim`], so every root
-    /// lands in exactly one of: a claimant's batch (and its
-    /// `claim_log`) or this return value — never both, never neither.
-    ///
-    /// [`claim`]: RootLedger::claim
-    pub(crate) fn close_part(&self, part: usize) -> Vec<VertexId> {
-        let mut out = Vec::new();
-        loop {
-            let n = self.remaining(part);
-            if n == 0 {
-                return out;
-            }
-            if let Some(mut roots) = self.claim_range(part, n) {
-                out.append(&mut roots);
-            }
-        }
-    }
-
-    /// Reconstructs the exact multiset of roots whose results died with
-    /// the `dead` parts, assuming no part is still claiming:
-    ///
-    /// * every root a dead part claimed (its partial results are
-    ///   discarded wholesale), **minus** what it donated back — a
-    ///   donated root's fate belongs to whoever claimed it next;
-    /// * the unclaimed tail of each dead part's cursor;
-    /// * whatever is left in the spill — donated by anyone, claimed by
-    ///   no one (survivors may stop claiming once a failure aborts the
-    ///   run).
-    ///
-    /// Re-executing exactly this set on the survivors reproduces the
-    /// fault-free counts bit for bit.
-    pub(crate) fn lost_roots(&self, dead: &[usize]) -> Vec<VertexId> {
-        let mut lost = Vec::new();
-        for &d in dead {
-            let mut donated: std::collections::HashMap<VertexId, usize> =
-                std::collections::HashMap::new();
-            for &r in self.donate_log[d].lock().iter() {
-                *donated.entry(r).or_insert(0) += 1;
-            }
-            for &r in self.claim_log[d].lock().iter() {
-                match donated.get_mut(&r) {
-                    Some(n) if *n > 0 => *n -= 1,
-                    _ => lost.push(r),
-                }
-            }
-            lost.append(&mut self.close_part(d));
-        }
-        lost.append(&mut self.spill.lock());
-        lost
-    }
-
-    /// A ledger for a *placed* recovery pass: every cursor starts
-    /// exhausted and each part's share of the lost roots (from
-    /// [`place_recovery_roots`]) sits on its own placed queue, so
-    /// recovery work lands where the placement decided instead of
-    /// wherever polls the spill first. Stealing is forced on: a part
-    /// that drains its share early steals the loaded parts' placed
-    /// tails through the ordinary victim path, so a placement that
-    /// mispredicts load still balances out.
-    pub(crate) fn placed_recovery(
-        parts: Vec<Arc<GraphPart>>,
-        assignments: Vec<Vec<VertexId>>,
-        batch: usize,
-    ) -> Self {
-        let ledger = RootLedger::new(parts, true, batch, None);
-        for pc in &ledger.parts {
-            pc.next.store(pc.part.owned().len(), Ordering::Relaxed);
-        }
-        for (p, roots) in assignments.into_iter().enumerate() {
-            *ledger.placed[p].lock() = roots;
-        }
-        ledger
-    }
-}
 
 /// Splits `lost` roots across the surviving parts in inverse proportion
 /// to their current load — the recovery-aware placement pass. `loads`
@@ -877,64 +442,6 @@ pub(crate) fn place_recovery_roots(
     out
 }
 
-/// The trait carrier of the shared-memory ledger: every operation
-/// forwards to the inherent method (which tests and the recovery
-/// constructors keep calling directly); the fallible signatures are
-/// trivially `Ok` because shared memory cannot lose a message.
-impl ControlPlane for RootLedger {
-    fn stealing(&self) -> bool {
-        RootLedger::stealing(self)
-    }
-
-    fn claim(
-        &self,
-        me: usize,
-        own_batch: usize,
-    ) -> Result<Option<(ClaimSource, Vec<VertexId>)>, FetchError> {
-        Ok(RootLedger::claim(self, me, own_batch))
-    }
-
-    fn batch_done(&self, _me: usize) {
-        RootLedger::batch_done(self)
-    }
-
-    fn donate(&self, donor: usize, roots: Vec<VertexId>) {
-        RootLedger::donate(self, donor, roots)
-    }
-
-    fn set_starving(&self, _me: usize, on: bool) {
-        RootLedger::set_starving(self, on)
-    }
-
-    fn starving(&self, _me: usize) -> usize {
-        RootLedger::starving(self)
-    }
-
-    fn finished(&self, _me: usize) -> Result<bool, FetchError> {
-        Ok(RootLedger::finished(self))
-    }
-
-    fn wait_for_work(&self, _me: usize) {
-        RootLedger::wait_for_work(self)
-    }
-
-    fn lost_roots(&self, dead: &[usize]) -> Result<Vec<VertexId>, FetchError> {
-        Ok(RootLedger::lost_roots(self, dead))
-    }
-
-    fn state_summary(&self) -> LedgerStateSummary {
-        LedgerStateSummary {
-            carrier: "shared",
-            available: true,
-            quiescent: self.wc.is_quiescent(),
-            starving: RootLedger::starving(self) as u64,
-            spill_len: self.spill.lock().len() as u64,
-            per_part_remaining: (0..self.parts.len()).map(|p| self.remaining(p) as u64).collect(),
-            poisoned: None,
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Cross-query fairness arbiter
 // ---------------------------------------------------------------------------
@@ -942,7 +449,7 @@ impl ControlPlane for RootLedger {
 /// Pacing coordinator for concurrent queries sharing one worker pool.
 ///
 /// Each active query registers itself and bumps its counter for every
-/// root it claims from its own [`RootLedger`]. Before claiming, a part
+/// root it claims from its own control plane. Before claiming, a part
 /// coordinator calls [`QueryArbiter::pace`]: a query that has raced more
 /// than `budget` roots ahead of the *least served* active query parks
 /// briefly, yielding the part's compute threads to the straggler. The
@@ -1004,8 +511,6 @@ impl QueryArbiter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gpm_graph::gen;
-    use gpm_graph::partition::PartitionedGraph;
 
     fn depth() -> Arc<AtomicUsize> {
         Arc::new(AtomicUsize::new(0))
@@ -1062,190 +567,6 @@ mod tests {
             rest,
             vec![Task::Fresh { start: 7, end: 9 }, Task::Fresh { start: 20, end: 24 }]
         );
-    }
-
-    fn ledger(stealing: bool) -> RootLedger {
-        let g = gen::erdos_renyi(64, 128, 9);
-        let pg = PartitionedGraph::new(&g, 4, 1);
-        let parts = (0..pg.part_count()).map(|p| pg.part_arc(p)).collect();
-        RootLedger::new(parts, stealing, 8, None)
-    }
-
-    #[test]
-    fn own_claims_walk_the_cursor_and_quiesce() {
-        let ledger = ledger(false);
-        let total = ledger.remaining(0);
-        let mut seen = 0;
-        while let Some((src, roots)) = ledger.claim(0, 10) {
-            assert_eq!(src, ClaimSource::Own);
-            seen += roots.len();
-            ledger.batch_done();
-        }
-        assert_eq!(seen, total);
-        assert_eq!(ledger.remaining(0), 0);
-        // Stealing disabled: other parts' roots are out of reach.
-        assert!(ledger.claim(0, 10).is_none());
-        assert!(ledger.remaining(1) > 0);
-    }
-
-    #[test]
-    fn steals_target_the_most_loaded_part() {
-        let ledger = ledger(true);
-        // Drain part 0's own roots in one oversized claim.
-        let (src, _) = ledger.claim(0, usize::MAX).expect("own roots first");
-        assert_eq!(src, ClaimSource::Own);
-        ledger.batch_done();
-        let before: Vec<usize> = (0..4).map(|p| ledger.remaining(p)).collect();
-        let loaded = (1..4).max_by_key(|&p| before[p]).unwrap();
-        let (src, roots) = ledger.claim(0, 10).expect("steal succeeds");
-        assert_eq!(src, ClaimSource::Stolen(loaded));
-        assert!(!roots.is_empty() && roots.len() <= 8);
-        ledger.batch_done();
-    }
-
-    #[test]
-    fn numa_victim_ordering_prefers_same_machine_parts() {
-        // 2 machines x 2 sockets: parts {0, 1} share machine 0, parts
-        // {2, 3} share machine 1 (part = machine * spm + socket).
-        let g = gen::erdos_renyi(64, 128, 9);
-        let pg = PartitionedGraph::new(&g, 2, 2);
-        let mk = |numa: Option<usize>| {
-            let parts = (0..pg.part_count()).map(|p| pg.part_arc(p)).collect();
-            RootLedger::new(parts, true, 4, numa)
-        };
-        let shape = |ledger: &RootLedger| {
-            // Drain part 0's own roots and most of its machine-mate's,
-            // leaving part 1 lighter than both cross-machine parts.
-            while ledger.claim_range(0, 16).is_some() {}
-            let keep = 2;
-            let n1 = ledger.remaining(1);
-            assert!(ledger.claim_range(1, n1 - keep).is_some());
-            assert!(ledger.remaining(1) < ledger.remaining(2));
-            assert!(ledger.remaining(1) < ledger.remaining(3));
-        };
-        // Flat ordering steals from the most-loaded part anywhere.
-        let flat = mk(None);
-        shape(&flat);
-        let loaded = (1..4).max_by_key(|&p| flat.remaining(p)).unwrap();
-        let (src, _) = flat.claim(0, 0).expect("flat steal");
-        assert_eq!(src, ClaimSource::Stolen(loaded));
-        flat.batch_done();
-        // NUMA ordering prefers the lighter same-machine part first.
-        let numa = mk(Some(2));
-        shape(&numa);
-        let (src, _) = numa.claim(0, 0).expect("numa steal");
-        assert_eq!(src, ClaimSource::Stolen(1));
-        numa.batch_done();
-        // Once the local machine is drained, it crosses to the most
-        // loaded remote part like before.
-        while numa.remaining(1) > 0 {
-            numa.claim_range(1, 16);
-        }
-        let remote = (2..4).max_by_key(|&p| numa.remaining(p)).unwrap();
-        let (src, _) = numa.claim(0, 0).expect("cross-machine steal");
-        assert_eq!(src, ClaimSource::Stolen(remote));
-        numa.batch_done();
-    }
-
-    #[test]
-    fn donated_roots_block_termination_until_claimed() {
-        let ledger = ledger(true);
-        for p in 0..4 {
-            while ledger.claim(p, usize::MAX).is_some() {
-                ledger.batch_done();
-            }
-        }
-        assert!(ledger.finished());
-        ledger.donate(0, vec![1, 2, 3]);
-        assert!(!ledger.finished());
-        let (src, roots) = ledger.claim(2, 1).expect("spill is claimable by anyone");
-        assert_eq!(src, ClaimSource::Spill);
-        assert_eq!(roots.len(), 3);
-        assert!(!ledger.finished(), "outstanding batch blocks termination");
-        ledger.batch_done();
-        assert!(ledger.finished());
-    }
-
-    #[test]
-    fn close_part_drains_the_unclaimed_tail() {
-        let ledger = ledger(false);
-        let total = ledger.remaining(1);
-        let (_, claimed) = ledger.claim(1, 3).expect("own roots");
-        ledger.batch_done();
-        let tail = ledger.close_part(1);
-        assert_eq!(tail.len(), total - claimed.len());
-        assert_eq!(ledger.remaining(1), 0);
-        assert!(ledger.close_part(1).is_empty(), "close is idempotent");
-        // No root is in both the claim and the tail.
-        assert!(claimed.iter().all(|r| !tail.contains(r)));
-    }
-
-    #[test]
-    fn lost_roots_reconstruct_the_dead_parts_exact_work() {
-        let ledger = ledger(true);
-        let total1 = ledger.remaining(1);
-        // Part 1 claims two batches, donates part of the first back, and
-        // then "dies". Part 0 claims the donation (it survives, so those
-        // roots are its problem, not the recovery pass's).
-        let (_, first) = ledger.claim(1, 4).expect("first batch");
-        let (_, _second) = ledger.claim(1, 4).expect("second batch");
-        ledger.donate(1, first[..2].to_vec());
-        let (src, adopted) = ledger.claim(0, 0).expect("spill claim");
-        assert_eq!(src, ClaimSource::Spill);
-        assert_eq!(adopted.len(), 2);
-        let mut lost = ledger.lost_roots(&[1]);
-        // Lost = claimed (8) − donated (2) + unclaimed tail; the two
-        // donated-and-adopted roots are excluded.
-        assert_eq!(lost.len(), 8 - 2 + (total1 - 8));
-        assert!(adopted.iter().all(|r| !lost.contains(r)));
-        // Together, part 0's adoption and the lost set cover part 1's
-        // owned roots exactly once each.
-        lost.extend(adopted);
-        lost.sort_unstable();
-        let g = gen::erdos_renyi(64, 128, 9);
-        let pg = PartitionedGraph::new(&g, 4, 1);
-        let mut owned1 = pg.part(1).owned().to_vec();
-        owned1.sort_unstable();
-        assert_eq!(lost, owned1);
-    }
-
-    #[test]
-    fn unclaimed_donations_are_lost_roots_even_from_survivors() {
-        let ledger = ledger(true);
-        let (_, mine) = ledger.claim(0, 4).expect("own roots");
-        ledger.donate(0, mine[..3].to_vec());
-        // Nobody claims the donation before the run aborts: the roots
-        // must surface as lost even though part 0 survived.
-        let lost = ledger.lost_roots(&[2]);
-        for &r in &mine[..3] {
-            assert!(lost.contains(&r), "unclaimed donation {r} dropped");
-        }
-    }
-
-    #[test]
-    fn placed_recovery_serves_shares_locally_and_steals_the_rest() {
-        let g = gen::erdos_renyi(64, 128, 9);
-        let pg = PartitionedGraph::new(&g, 4, 1);
-        let parts: Vec<_> = (0..4).map(|p| pg.part_arc(p)).collect();
-        let assignments = vec![vec![10, 11, 12], Vec::new(), vec![20], Vec::new()];
-        let ledger = RootLedger::placed_recovery(parts, assignments, 8);
-        assert!(ledger.stealing(), "placed recovery forces stealing on");
-        assert_eq!(ledger.remaining(0), 3);
-        assert_eq!(ledger.remaining(1), 0);
-        // A part's placed share claims as its own work.
-        let (src, roots) = ledger.claim(0, 8).expect("placed share");
-        assert_eq!(src, ClaimSource::Own);
-        assert_eq!(roots, vec![10, 11, 12]);
-        // An empty-handed part steals a loaded part's placed tail.
-        let (src, roots) = ledger.claim(1, 8).expect("steal placed work");
-        assert_eq!(src, ClaimSource::Stolen(2));
-        assert_eq!(roots, vec![20]);
-        assert!(!ledger.finished(), "outstanding batches");
-        ledger.batch_done();
-        ledger.batch_done();
-        assert!(ledger.finished());
-        // lost_roots over a placed ledger still reconstructs exactly.
-        assert!(ledger.claim(3, 8).is_none());
     }
 
     #[test]
