@@ -17,8 +17,10 @@
 //! across retries, and the responder keeps a one-deep reply cache per
 //! sender: a retry of an operation whose reply was lost in the network is
 //! answered from the cache instead of being applied twice. One-deep is
-//! sound because each client part issues control operations strictly
-//! sequentially.
+//! sound because each client issues control operations strictly
+//! sequentially — [`ControlClient::call`] holds the client's one reply
+//! channel for the length of a call and takes only the reply carrying
+//! the call's own `req_id` off it.
 //!
 //! Under this carrier the [`Ledger`] lives *only inside the responder
 //! thread* — no shared memory between client parts, which is exactly the
@@ -30,14 +32,14 @@ use crate::ledger::{Ledger, LedgerSummary};
 use crate::metrics::{ClusterMetrics, PartMetrics, QueryMetrics};
 use crate::transport::{CtrlOp, CtrlPayload, CtrlReply, CtrlRequest, Fault, FaultPlan};
 use crate::PartId;
-use crossbeam::channel::{unbounded, RecvTimeoutError, Sender};
+use crossbeam::channel::{unbounded, Receiver, Sender};
 use gpm_graph::VertexId;
 use gpm_obs::{Metric, Recorder, SpanKind};
 use parking_lot::{Condvar, Mutex};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Configuration of one control-ledger responder.
 #[derive(Debug, Clone)]
@@ -109,28 +111,25 @@ impl ControlLedgerService {
         if let Some(plan) = &cfg.fault {
             plan.validate();
         }
-        // One-deep reply cache per sender part: `(req_id, reply)` of the
-        // last operation applied for that part, replayed on a duplicate
-        // `req_id` so retries are exactly-once.
-        let mut last_reply: Vec<Option<(u64, CtrlReply)>> = vec![None; roots.len()];
+        // One-deep reply cache per sender part: the reply to the last
+        // operation applied for that part, replayed on a duplicate
+        // `req_id` so retries are exactly-once. Claimed roots are a
+        // shared buffer, so keeping the copy costs no second vector.
+        let mut last_reply: Vec<Option<CtrlReply>> = vec![None; roots.len()];
         let mut ledger = Ledger::new(roots, spill, cfg.stealing, cfg.batch, cfg.numa);
         let (tx, rx) = unbounded::<ServiceMsg>();
         let handle = std::thread::Builder::new()
             .name(format!("khuzdul-ctrl-{}", cfg.query))
             .spawn(move || {
                 while let Ok(ServiceMsg::Op { req, reply_to }) = rx.recv() {
-                    if let Some((id, cached)) = &last_reply[req.from] {
-                        if *id == req.req_id {
-                            // A retry of an already-applied operation:
-                            // replay the cached reply, apply nothing.
-                            let _ = reply_to.send(cached.clone());
-                            continue;
-                        }
+                    let cached = &mut last_reply[req.from];
+                    // A retry of an already-applied operation replays
+                    // the cached reply and applies nothing.
+                    if cached.as_ref().map(|c| c.req_id) != Some(req.req_id) {
+                        let payload = ledger.apply(req.from, &req.op);
+                        *cached = Some(CtrlReply { req_id: req.req_id, payload });
                     }
-                    let payload = ledger.apply(req.from, &req.op);
-                    let reply = CtrlReply { req_id: req.req_id, payload };
-                    last_reply[req.from] = Some((req.req_id, reply.clone()));
-                    let _ = reply_to.send(reply);
+                    let _ = reply_to.send(cached.clone().expect("a reply was just cached"));
                 }
             })
             .expect("spawn control responder thread");
@@ -146,8 +145,11 @@ impl ControlLedgerService {
 
     /// A client through which `part` issues control operations.
     pub fn client(&self, part: PartId) -> ControlClient {
+        let (reply_tx, inbox) = unbounded::<CtrlReply>();
         ControlClient {
             tx: self.tx.clone(),
+            reply_tx,
+            inbox: Mutex::new(inbox),
             part,
             query: self.cfg.query,
             seq: Arc::clone(&self.seq),
@@ -173,9 +175,16 @@ impl Drop for ControlLedgerService {
 /// over the non-blocking channel, with the data fabric's timeout/retry
 /// discipline (fresh `seq` per attempt, exponential backoff capped at
 /// sixteen doublings, [`FetchError::Timeout`] on exhaustion).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct ControlClient {
     tx: Sender<ServiceMsg>,
+    /// The sending half of this client's one reply channel, handed to the
+    /// responder with every request.
+    reply_tx: Sender<CtrlReply>,
+    /// The receiving half, held for the length of a call: one call at a
+    /// time per client is what makes the responder's one-deep replay
+    /// cache sound.
+    inbox: Mutex<Receiver<CtrlReply>>,
     part: PartId,
     query: u64,
     seq: Arc<AtomicU64>,
@@ -200,22 +209,30 @@ impl ControlClient {
     /// [`FetchError::Timeout`] after `retry.max_attempts` lost attempts,
     /// [`FetchError::Shutdown`] if the responder is gone.
     pub fn call(&self, op: CtrlOp) -> Result<CtrlPayload, FetchError> {
+        let inbox = self.inbox.lock();
         let req_id = self.seq.fetch_add(1, Ordering::Relaxed) + 1;
         let t0 = self.obs.now_ns();
         let code = op.code();
-        let is_claim = matches!(op, CtrlOp::Claim { .. });
-        let (reply_tx, reply_rx) = unbounded::<CtrlReply>();
+        let is_claim = matches!(op, CtrlOp::Claim { .. } | CtrlOp::RetireClaim { .. });
+        let op = Arc::new(op);
         let mut attempts = 0u32;
         loop {
             attempts += 1;
             let seq = self.seq.fetch_add(1, Ordering::Relaxed) + 1;
-            let req =
-                CtrlRequest { seq, req_id, query: self.query, from: self.part, op: op.clone() };
+            let req = CtrlRequest {
+                seq,
+                req_id,
+                query: self.query,
+                from: self.part,
+                op: Arc::clone(&op),
+            };
             self.part_metrics.record_ctrl_sent();
             self.query_metrics.record_ctrl_sent();
             let fate = self.fault.as_ref().map_or(Fault::None, |p| p.decide(self.part, seq));
-            match fate {
-                Fault::None => self.send(req, reply_tx.clone())?,
+            // Where the responder's reply goes; `None` when the request
+            // never reaches the responder at all.
+            let reply_to = match fate {
+                Fault::None => Some(self.reply_tx.clone()),
                 Fault::Drop => {
                     // The responder still applies the operation — the
                     // reply is lost in the network. The retry below is
@@ -223,48 +240,49 @@ impl ControlClient {
                     self.part_metrics.record_ctrl_dropped();
                     self.query_metrics.record_ctrl_dropped();
                     self.fault_instant(1, req_id);
-                    let (black_hole, _) = unbounded::<CtrlReply>();
-                    self.send(req, black_hole)?;
+                    Some(unbounded::<CtrlReply>().0)
                 }
                 Fault::Error => {
-                    // A transient wire error: the responder never sees
-                    // the request; the client observes an injected
-                    // failure immediately and retries.
+                    // A transient wire error, observed immediately.
                     self.fault_instant(2, req_id);
-                    let _ = reply_tx.send(CtrlReply { req_id, payload: CtrlPayload::Injected });
+                    None
                 }
                 Fault::Delay => {
+                    // The reply lands `delay` late — possibly after this
+                    // attempt, or this whole call, has given up on it.
                     self.fault_instant(3, req_id);
                     let (tx, rx) = unbounded::<CtrlReply>();
                     let delay = self.fault.as_ref().expect("delay fate implies a plan").delay;
-                    let forward = reply_tx.clone();
+                    let forward = self.reply_tx.clone();
                     std::thread::spawn(move || {
                         if let Ok(reply) = rx.recv() {
                             std::thread::sleep(delay);
                             let _ = forward.send(reply);
                         }
                     });
-                    self.send(req, tx)?;
+                    Some(tx)
                 }
-            }
-            match reply_rx.recv_timeout(self.retry.timeout) {
-                Ok(reply) if reply.payload != CtrlPayload::Injected => {
-                    self.obs.record_span_for(
-                        self.query,
-                        SpanKind::CtrlMsg,
-                        self.part as u32,
-                        t0,
-                        code,
-                        req_id,
-                    );
-                    if is_claim {
-                        self.obs.observe(Metric::CtrlRttNs, self.obs.now_ns().saturating_sub(t0));
-                    }
-                    return Ok(reply.payload);
+            };
+            let reply = match reply_to {
+                Some(reply_to) => {
+                    self.send(req, reply_to)?;
+                    self.await_reply(&inbox, req_id)
                 }
-                Ok(_injected) => {}
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => return Err(FetchError::Shutdown),
+                None => None,
+            };
+            if let Some(payload) = reply {
+                self.obs.record_span_for(
+                    self.query,
+                    SpanKind::CtrlMsg,
+                    self.part as u32,
+                    t0,
+                    code,
+                    req_id,
+                );
+                if is_claim {
+                    self.obs.observe(Metric::CtrlRttNs, self.obs.now_ns().saturating_sub(t0));
+                }
+                return Ok(payload);
             }
             if attempts >= self.retry.max_attempts.max(1) {
                 return Err(FetchError::Timeout { target: self.part, attempts });
@@ -281,6 +299,21 @@ impl ControlClient {
                 attempts as u64,
                 req_id,
             );
+        }
+    }
+
+    /// Waits out one attempt's timeout for the reply to `req_id`. Any
+    /// other reply on the channel answers an earlier call that already
+    /// returned (a delayed original overtaken by its retry) and is
+    /// discarded; `None` means the attempt was lost.
+    fn await_reply(&self, inbox: &Receiver<CtrlReply>, req_id: u64) -> Option<CtrlPayload> {
+        let deadline = Instant::now() + self.retry.timeout;
+        loop {
+            match inbox.recv_timeout(deadline.saturating_duration_since(Instant::now())) {
+                Ok(reply) if reply.req_id == req_id => return Some(reply.payload),
+                Ok(_stale) => {}
+                Err(_) => return None,
+            }
         }
     }
 
@@ -305,7 +338,7 @@ pub enum Carrier {
     Shared {
         /// The run's ledger.
         ledger: Mutex<Ledger>,
-        /// Signalled after every `BatchDone` and `Donate`.
+        /// Signalled after every retirement and donation.
         idle: Condvar,
     },
     /// Send and wait: per-part clients in front of the responder thread
@@ -348,7 +381,10 @@ impl Carrier {
         match self {
             Carrier::Shared { ledger, idle } => {
                 let payload = ledger.lock().apply(from, &op);
-                if matches!(op, CtrlOp::BatchDone | CtrlOp::Donate { .. }) {
+                if matches!(
+                    op,
+                    CtrlOp::BatchDone | CtrlOp::RetireClaim { .. } | CtrlOp::Donate { .. }
+                ) {
                     idle.notify_all();
                 }
                 Ok(payload)
@@ -418,7 +454,7 @@ mod tests {
 
     fn claimed(p: CtrlPayload) -> (ClaimSource, Vec<VertexId>) {
         match p {
-            CtrlPayload::Claimed { source, roots } => (source, roots),
+            CtrlPayload::Claimed { source, roots, .. } => (source, roots.to_vec()),
             other => panic!("expected a claim, got {other:?}"),
         }
     }
@@ -438,13 +474,64 @@ mod tests {
         let (_, first) = claimed(c0.call(CtrlOp::Claim { own_batch: 2 }).unwrap());
         let (_, second) = claimed(c0.call(CtrlOp::Claim { own_batch: 2 }).unwrap());
         assert_eq!((first, second), (vec![1, 2], vec![3, 4]));
-        assert_eq!(c0.call(CtrlOp::Claim { own_batch: 2 }).unwrap(), CtrlPayload::NoWork);
-        c0.call(CtrlOp::BatchDone).unwrap();
-        c0.call(CtrlOp::BatchDone).unwrap();
         assert_eq!(
-            c0.call(CtrlOp::Poll).unwrap(),
-            CtrlPayload::Status { finished: true, starving: 0 }
+            c0.call(CtrlOp::RetireClaim { own_batch: 2 }).unwrap(),
+            CtrlPayload::NoWork { finished: false, starving: 0 }
         );
+        assert_eq!(
+            c0.call(CtrlOp::RetireClaim { own_batch: 2 }).unwrap(),
+            CtrlPayload::NoWork { finished: true, starving: 0 },
+            "two batches, two retirements: a replayed one must not count twice"
+        );
+    }
+
+    /// A reply that a delay fault lands after its call already returned
+    /// (through a retry) must not answer the next call.
+    #[test]
+    fn a_late_reply_to_an_earlier_call_is_skipped() {
+        // Call 1 takes req_id 1 and attempt seqs 2, 3; call 2 takes
+        // req_id 4 and seq 5. Pick the seed that delays exactly seq 2.
+        let plan = (0..)
+            .map(|seed| FaultPlan {
+                delay_fraction: 0.5,
+                delay: Duration::from_millis(20),
+                seed,
+                ..FaultPlan::default()
+            })
+            .find(|p| {
+                (p.decide(0, 2), p.decide(0, 3), p.decide(0, 5))
+                    == (Fault::Delay, Fault::None, Fault::None)
+            })
+            .expect("half of all seeds delay any one seq");
+        let cfg = ControlLedgerConfig {
+            retry: RetryPolicy {
+                max_attempts: 3,
+                timeout: Duration::from_millis(5),
+                backoff: Duration::from_micros(100),
+            },
+            fault: Some(plan),
+            ..ControlLedgerConfig::default()
+        };
+        let svc = ControlLedgerService::start(
+            vec![vec![1, 2, 3, 4]],
+            Vec::new(),
+            cfg,
+            &ClusterMetrics::new(1, 1),
+            Recorder::disabled(),
+        );
+        let c0 = svc.client(0);
+        let (_, first) = claimed(c0.call(CtrlOp::Claim { own_batch: 2 }).unwrap());
+        assert_eq!(first, vec![1, 2], "the retry answers call 1 from the replay cache");
+        // The delayed original is still on its way; wait until it sits
+        // in the channel, ahead of anything call 2 will be sent.
+        let landed = Instant::now() + Duration::from_secs(10);
+        while c0.inbox.lock().is_empty() {
+            assert!(Instant::now() < landed, "the delayed reply never arrived");
+            std::thread::yield_now();
+        }
+        let (_, second) = claimed(c0.call(CtrlOp::Claim { own_batch: 2 }).unwrap());
+        assert_eq!(second, vec![3, 4], "call 2 must skip call 1's late reply");
+        assert!(c0.inbox.lock().is_empty());
     }
 
     #[test]

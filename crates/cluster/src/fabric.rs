@@ -8,7 +8,9 @@
 //!
 //! * **Backpressure** — each client part holds a bounded in-flight
 //!   window ([`FabricConfig::window`]); `fetch_async` blocks once the
-//!   window is full and unblocks as completions retire. Window size 1
+//!   window is full and unblocks as completions retire, and
+//!   [`EdgeListClient::try_fetch_async`] reports a full window instead,
+//!   for callers that hold fetches of their own. Window size 1
 //!   reproduces the old blocking RPC's fully serialized transfers.
 //! * **Coalescing** — duplicate vertices within one request are sent
 //!   once and the reply is expanded back to request order, so callers
@@ -29,7 +31,7 @@ use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use gpm_graph::partition::{vertex_hash, GraphPart, PartitionedGraph};
 use gpm_graph::VertexId;
 use gpm_obs::{FlightKind, Metric, Recorder, SpanKind};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -308,6 +310,20 @@ impl Window {
         while *inflight >= self.limit {
             self.retired.wait(&mut inflight);
         }
+        self.occupy(inflight, metrics)
+    }
+
+    /// Occupies a slot if one is free right now.
+    fn try_acquire(self: &Arc<Self>, metrics: &Arc<PartMetrics>) -> Option<WindowPermit> {
+        let inflight = self.inflight.lock();
+        (*inflight < self.limit).then(|| self.occupy(inflight, metrics))
+    }
+
+    fn occupy(
+        self: &Arc<Self>,
+        mut inflight: MutexGuard<'_, usize>,
+        metrics: &Arc<PartMetrics>,
+    ) -> WindowPermit {
         *inflight += 1;
         drop(inflight);
         metrics.record_inflight_start();
@@ -698,8 +714,44 @@ impl EdgeListClient {
         target: PartId,
         vertices: &[VertexId],
     ) -> Result<PendingFetch, FetchError> {
+        let permit = self.window.acquire(self.metrics.part(self.part));
+        self.submit(target, vertices, permit)
+    }
+
+    /// [`fetch_async`] that never blocks: `Ok(None)`, with nothing
+    /// submitted or recorded, when this part's in-flight window is full.
+    ///
+    /// The window is shared by every client of the part, so a caller
+    /// holding un-waited fetches must not block on it — the slots it
+    /// waits for may be its own. Such a caller submits through here and,
+    /// on `None`, waits its oldest fetch before trying again.
+    ///
+    /// [`fetch_async`]: EdgeListClient::fetch_async
+    ///
+    /// # Errors
+    ///
+    /// As [`fetch_async`].
+    pub fn try_fetch_async(
+        &self,
+        target: PartId,
+        vertices: &[VertexId],
+    ) -> Result<Option<PendingFetch>, FetchError> {
+        match self.window.try_acquire(self.metrics.part(self.part)) {
+            Some(permit) => self.submit(target, vertices, permit).map(Some),
+            None => Ok(None),
+        }
+    }
+
+    /// Coalesces and submits one request under an already-held window
+    /// slot.
+    fn submit(
+        &self,
+        target: PartId,
+        vertices: &[VertexId],
+        permit: WindowPermit,
+    ) -> Result<PendingFetch, FetchError> {
         assert!(target < self.part_count(), "target part out of range");
-        let my = Arc::clone(self.metrics.part(self.part));
+        let my = self.metrics.part(self.part);
         let (wire, expand) = coalesce(vertices);
         if let Some(saved) = vertices.len().checked_sub(wire.len()) {
             if saved > 0 {
@@ -707,7 +759,6 @@ impl EdgeListClient {
                 self.query_metrics.record_coalesced(saved as u64);
             }
         }
-        let permit = self.window.acquire(&my);
         self.obs.observe(Metric::WindowOccupancy, my.inflight());
         let submitted_ns = self.obs.now_ns();
         let (reply_tx, reply_rx) = unbounded();
@@ -1328,7 +1379,11 @@ mod tests {
         let p0 = client.fetch_async(0, &owned[..1]).unwrap();
         let p1 = client.fetch_async(0, &owned[1..2]).unwrap();
         assert_eq!(service.metrics().part(1).inflight(), 2);
-        // A third issue must block until a slot retires.
+        // A non-blocking third issue reports the full window and leaves
+        // no trace: nothing submitted, nothing counted.
+        assert!(client.try_fetch_async(0, &owned[2..3]).unwrap().is_none());
+        assert_eq!(service.metrics().part(1).inflight(), 2);
+        // A blocking third issue must wait until a slot retires.
         let (issued_tx, issued_rx) = unbounded::<()>();
         let c2 = client.clone();
         let vs = owned[2..3].to_vec();
@@ -1347,6 +1402,9 @@ mod tests {
         t.join().unwrap();
         assert_eq!(service.metrics().part(1).inflight(), 0);
         assert_eq!(service.metrics().part(1).peak_inflight(), 2);
+        assert_eq!(service.metrics().part(0).served_requests(), 3);
+        let p3 = client.try_fetch_async(0, &owned[..1]).unwrap().expect("the window has room");
+        assert_eq!(p3.wait().unwrap().len(), 1);
         service.shutdown();
     }
 

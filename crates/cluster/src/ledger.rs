@@ -21,12 +21,14 @@ use crate::transport::{ClaimSource, CtrlOp, CtrlPayload};
 use crate::PartId;
 use gpm_graph::VertexId;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Run-scoped coordinator state for root claims, stealing, donation,
 /// quiescence and lost-root reconstruction.
 ///
 /// Each claimed batch is one outstanding unit until its claimant retires
-/// it ([`CtrlOp::BatchDone`]) once its chunk stack has fully drained. The
+/// it once its chunk stack has fully drained — on the next claim
+/// ([`CtrlOp::RetireClaim`]), or alone ([`CtrlOp::BatchDone`]). The
 /// run is *finished* only when nothing is outstanding, every cursor is
 /// exhausted and the spill is empty — until then a part with nothing to
 /// claim parks and retries, because a loaded part may still donate.
@@ -107,8 +109,14 @@ impl Ledger {
         match op {
             CtrlOp::Claim { own_batch } => self.claim(from, *own_batch),
             CtrlOp::BatchDone => {
-                self.outstanding = self.outstanding.saturating_sub(1);
+                self.retire();
                 CtrlPayload::Ack
+            }
+            // Retire first: the verdict a `NoWork` carries must already
+            // count the sender's last batch as done.
+            CtrlOp::RetireClaim { own_batch } => {
+                self.retire();
+                self.claim(from, *own_batch)
             }
             // The donor's own batch unit still covers the roots until a
             // claimant re-registers them, and `finished` checks the spill
@@ -147,26 +155,34 @@ impl Ledger {
         self.roots[part].len() - self.cursor[part]
     }
 
-    fn take_range(&mut self, part: usize, n: usize) -> Option<Vec<VertexId>> {
+    fn retire(&mut self) {
+        self.outstanding = self.outstanding.saturating_sub(1);
+    }
+
+    fn take_range(&mut self, part: usize, n: usize) -> Option<&[VertexId]> {
         let start = self.cursor[part];
         let end = start.saturating_add(n).min(self.roots[part].len());
         if start == end {
             return None;
         }
         self.cursor[part] = end;
-        Some(self.roots[part][start..end].to_vec())
+        Some(&self.roots[part][start..end])
+    }
+
+    fn no_work(&self) -> CtrlPayload {
+        CtrlPayload::NoWork { finished: self.finished(), starving: self.starving_count() }
     }
 
     /// Own range first (up to `own_batch` roots), then — with stealing on
     /// — the tail of the spill, then the unclaimed range of a victim.
     fn claim(&mut self, me: usize, own_batch: usize) -> CtrlPayload {
         let (source, roots) = if let Some(roots) = self.take_range(me, own_batch) {
-            (ClaimSource::Own, roots)
+            (ClaimSource::Own, Arc::<[VertexId]>::from(roots))
         } else if !self.stealing {
-            return CtrlPayload::NoWork;
+            return self.no_work();
         } else if !self.spill.is_empty() {
             let at = self.spill.len() - self.batch.min(self.spill.len());
-            (ClaimSource::Spill, self.spill.split_off(at))
+            (ClaimSource::Spill, self.spill.drain(at..).collect())
         } else {
             // Victim order: with NUMA ordering on, the most-loaded part
             // of the thief's own machine beats any cross-machine part —
@@ -177,13 +193,13 @@ impl Ledger {
             let victim = (0..self.roots.len())
                 .filter(|&p| p != me && self.remaining(p) > 0)
                 .max_by_key(|&p| (same_machine(p), self.remaining(p)));
-            let Some(v) = victim else { return CtrlPayload::NoWork };
+            let Some(v) = victim else { return self.no_work() };
             let roots = self.take_range(v, self.batch).expect("a victim has unclaimed roots");
-            (ClaimSource::Stolen(v), roots)
+            (ClaimSource::Stolen(v), roots.into())
         };
         self.outstanding += 1;
         self.claim_log[me].extend_from_slice(&roots);
-        CtrlPayload::Claimed { source, roots }
+        CtrlPayload::Claimed { source, roots, starving: self.starving_count() }
     }
 
     fn finished(&self) -> bool {
@@ -219,7 +235,7 @@ impl Ledger {
                     _ => lost.push(r),
                 }
             }
-            lost.extend(self.take_range(d, usize::MAX).unwrap_or_default());
+            lost.extend_from_slice(self.take_range(d, usize::MAX).unwrap_or_default());
         }
         lost.append(&mut self.spill);
         lost
@@ -235,7 +251,7 @@ mod tests {
     use std::time::Duration;
     use ClaimSource::{Own, Spill, Stolen};
     use CtrlOp::{BatchDone, Poll};
-    use CtrlPayload::{Ack, NoWork};
+    use CtrlPayload::Ack;
 
     /// One scripted behaviour: a ledger shape, then `(from, op, reply)`
     /// steps. The table below is the ledger's specification; it runs
@@ -262,8 +278,17 @@ mod tests {
     fn close(dead: &[PartId]) -> CtrlOp {
         CtrlOp::CloseDead { dead: dead.to_vec() }
     }
+    fn retire_claim(own_batch: usize) -> CtrlOp {
+        CtrlOp::RetireClaim { own_batch }
+    }
     fn got(source: ClaimSource, roots: &[VertexId]) -> CtrlPayload {
-        CtrlPayload::Claimed { source, roots: roots.to_vec() }
+        got_among(source, roots, 0)
+    }
+    fn got_among(source: ClaimSource, roots: &[VertexId], starving: usize) -> CtrlPayload {
+        CtrlPayload::Claimed { source, roots: roots.into(), starving }
+    }
+    fn no_work(finished: bool, starving: usize) -> CtrlPayload {
+        CtrlPayload::NoWork { finished, starving }
     }
     fn status(finished: bool, starving: usize) -> CtrlPayload {
         CtrlPayload::Status { finished, starving }
@@ -284,8 +309,8 @@ mod tests {
                 script: vec![
                     (0, claim(2), got(Own, &[1, 2])),
                     (0, claim(2), got(Own, &[3])),
-                    (0, claim(2), NoWork),
-                    (0, claim(0), NoWork),
+                    (0, claim(2), no_work(false, 0)),
+                    (0, claim(0), no_work(false, 0)),
                     (0, Poll, status(false, 0)),
                     (1, claim(usize::MAX), got(Own, &[10, 20])),
                     (0, BatchDone, Ack),
@@ -308,8 +333,8 @@ mod tests {
                     (0, claim(8), got(Own, &[1, 2, 3])),
                     (0, claim(8), got(Spill, &[10])),
                     (0, claim(8), got(Stolen(1), &[20, 30])),
-                    (0, claim(8), NoWork),
-                    (1, claim(8), NoWork),
+                    (0, claim(8), no_work(false, 0)),
+                    (1, claim(8), no_work(false, 0)),
                     (0, BatchDone, Ack),
                     (0, BatchDone, Ack),
                     (0, BatchDone, Ack),
@@ -331,7 +356,7 @@ mod tests {
                 script: vec![
                     (0, claim(8), got(Spill, &[6, 7])),
                     (1, claim(8), got(Spill, &[5])),
-                    (0, claim(8), NoWork),
+                    (0, claim(8), no_work(false, 0)),
                 ],
             },
             Row {
@@ -345,7 +370,7 @@ mod tests {
                     (0, claim(8), got(Stolen(2), &[2, 3])),
                     (0, claim(8), got(Stolen(2), &[4, 5])),
                     (0, claim(8), got(Stolen(1), &[1])),
-                    (0, claim(8), NoWork),
+                    (0, claim(8), no_work(false, 0)),
                 ],
             },
             // 2 machines x 2 sockets: parts {0, 1} share machine 0, parts
@@ -370,7 +395,7 @@ mod tests {
                     (0, claim(0), got(Stolen(1), &[1, 2])),
                     (0, claim(0), got(Stolen(3), &[6, 7, 8, 9])),
                     (0, claim(0), got(Stolen(2), &[3, 4, 5])),
-                    (0, claim(0), NoWork),
+                    (0, claim(0), no_work(false, 0)),
                 ],
             },
             Row {
@@ -415,7 +440,7 @@ mod tests {
                     (0, donate(&[1]), Ack),
                     (0, close(&[1]), lost(&[30, 40, 50, 1])),
                     // The dead part's cursor is closed, the spill empty.
-                    (0, claim(0), NoWork),
+                    (0, claim(0), no_work(false, 0)),
                     (0, claim(8), got(Own, &[2, 3, 4])),
                 ],
             },
@@ -429,7 +454,7 @@ mod tests {
                 script: vec![
                     (0, claim(8), got(Own, &[10, 11, 12])),
                     (1, claim(8), got(Stolen(2), &[20])),
-                    (3, claim(8), NoWork),
+                    (3, claim(8), no_work(false, 0)),
                     (3, Poll, status(false, 0)),
                     (0, BatchDone, Ack),
                     (1, BatchDone, Ack),
@@ -456,6 +481,45 @@ mod tests {
                     (0, Poll, status(true, 1)),
                     (2, starving(false), Ack),
                     (2, Poll, status(true, 0)),
+                ],
+            },
+            Row {
+                name: "a retirement rides on the next claim and is applied first, work or no work",
+                roots: vec![vec![1, 2], vec![9]],
+                spill: vec![],
+                stealing: true,
+                batch: 2,
+                numa: None,
+                script: vec![
+                    (0, claim(1), got(Own, &[1])),
+                    (1, claim(1), got(Own, &[9])),
+                    (1, retire_claim(1), got(Stolen(0), &[2])),
+                    (1, Poll, status(false, 0)),
+                    // Delivered on a `NoWork`: part 1's batch is all
+                    // that is left outstanding.
+                    (0, retire_claim(1), no_work(false, 0)),
+                    (0, Poll, status(false, 0)),
+                    // The last retirement and the verdict in one reply;
+                    // claim-then-retire would answer `finished: false`.
+                    (1, retire_claim(1), no_work(true, 0)),
+                    (0, Poll, status(true, 0)),
+                ],
+            },
+            Row {
+                name: "claim replies carry the starvation count a part would poll for",
+                roots: vec![vec![1, 2], vec![], vec![]],
+                spill: vec![],
+                stealing: true,
+                batch: 1,
+                numa: None,
+                script: vec![
+                    (1, starving(true), Ack),
+                    (0, claim(1), got_among(Own, &[1], 1)),
+                    (2, claim(1), got_among(Stolen(0), &[2], 1)),
+                    (2, starving(true), Ack),
+                    (0, retire_claim(1), no_work(false, 2)),
+                    (1, claim(1), no_work(false, 2)),
+                    (2, retire_claim(0), no_work(true, 2)),
                 ],
             },
         ]

@@ -184,8 +184,16 @@ pub enum CtrlOp {
         /// Upper bound on roots taken from the sender's own range.
         own_batch: usize,
     },
-    /// Retire one of the sender's previously claimed batches.
+    /// Retire one of the sender's previously claimed batches, on its own:
+    /// the exit paths (stop, deadline, error) that claim nothing further.
     BatchDone,
+    /// Retire the sender's finished batch, then claim the next one as
+    /// [`CtrlOp::Claim`] does — the steady-state hand-off, one message
+    /// per batch. The retirement counts even when the claim finds nothing.
+    RetireClaim {
+        /// Upper bound on roots taken from the sender's own range.
+        own_batch: usize,
+    },
     /// Donate never-started level-0 roots to the shared spill.
     Donate {
         /// The donated root vertices.
@@ -209,7 +217,8 @@ pub enum CtrlOp {
 impl CtrlOp {
     /// Stable numeric code of the operation, recorded as the `arg` of
     /// control-message trace spans (1 = claim, 2 = batch-done,
-    /// 3 = donate, 4 = starving, 5 = poll, 6 = close-dead).
+    /// 3 = donate, 4 = starving, 5 = poll, 6 = close-dead,
+    /// 7 = retire-claim).
     pub fn code(&self) -> u64 {
         match self {
             CtrlOp::Claim { .. } => 1,
@@ -218,6 +227,7 @@ impl CtrlOp {
             CtrlOp::Starving { .. } => 4,
             CtrlOp::Poll => 5,
             CtrlOp::CloseDead { .. } => 6,
+            CtrlOp::RetireClaim { .. } => 7,
         }
     }
 }
@@ -240,15 +250,15 @@ pub struct CtrlRequest {
     pub query: u64,
     /// The part that issued this operation.
     pub from: PartId,
-    /// The operation itself.
-    pub op: CtrlOp,
+    /// The operation itself, shared by every attempt of one call.
+    pub op: Arc<CtrlOp>,
 }
 
 impl CtrlRequest {
     /// Accounted wire size of the request in bytes (header plus 4 bytes
     /// per carried vertex id), for the control-traffic counters.
     pub fn wire_bytes(&self) -> u64 {
-        let payload = match &self.op {
+        let payload = match &*self.op {
             CtrlOp::Donate { roots } => 4 * roots.len() as u64,
             CtrlOp::CloseDead { dead } => 4 * dead.len() as u64,
             _ => 0,
@@ -275,11 +285,20 @@ pub enum CtrlPayload {
     Claimed {
         /// Where the batch came from.
         source: ClaimSource,
-        /// The claimed root vertices.
-        roots: Vec<VertexId>,
+        /// The claimed root vertices (shared with the responder's replay
+        /// cache, so a reply costs no second copy).
+        roots: Arc<[VertexId]>,
+        /// Number of parts currently flagged starving.
+        starving: usize,
     },
-    /// A claim found nothing claimable right now.
-    NoWork,
+    /// A claim found nothing claimable right now. Carries what the
+    /// claimant would otherwise poll for before it parks.
+    NoWork {
+        /// Whether the run has globally quiesced.
+        finished: bool,
+        /// Number of parts currently flagged starving.
+        starving: usize,
+    },
     /// A fire-and-forget operation was applied.
     Ack,
     /// Answer to [`CtrlOp::Poll`].
@@ -295,9 +314,6 @@ pub enum CtrlPayload {
         /// The multiset of roots to re-execute on the survivors.
         roots: Vec<VertexId>,
     },
-    /// A transient injected fault (the control fault plan's analogue of
-    /// [`FetchError::Injected`]); the client retries with backoff.
-    Injected,
 }
 
 /// One control reply, matched to its request by `req_id`.

@@ -1,7 +1,8 @@
 //! Carrier equivalence and root conservation for the cross-part ledger:
 //! whatever interleaving of operations 2–5 parts issue, the shared and
-//! the message carrier answer identically, and every root ends up in
-//! exactly one place.
+//! the message carrier answer identically, every root ends up in exactly
+//! one place, and every retirement — alone or riding on a claim, retried
+//! or not — counts once.
 
 use gpm_cluster::{
     Carrier, ClusterMetrics, ControlLedgerConfig, ControlLedgerService, CtrlOp, CtrlPayload,
@@ -17,6 +18,8 @@ use std::time::Duration;
 #[derive(Debug, Clone)]
 enum Step {
     Claim(usize),
+    /// Retire one batch and claim the next in one operation.
+    RetireClaim(usize),
     /// Donate this many of the roots the part holds.
     Donate(usize),
     BatchDone,
@@ -30,7 +33,7 @@ fn step() -> impl Strategy<Value = Step> {
     prop_oneof![
         (0usize..6).prop_map(Step::Claim),
         (0usize..6).prop_map(Step::Claim),
-        (0usize..6).prop_map(Step::Claim),
+        (0usize..6).prop_map(Step::RetireClaim),
         (0usize..4).prop_map(Step::Donate),
         Just(Step::BatchDone),
         any::<bool>().prop_map(Step::Starving),
@@ -79,8 +82,10 @@ proptest! {
         };
 
         // The model: what each live part holds (claims minus donations),
-        // who is dead, and what recovery was told to re-execute.
+        // how many claimed batches await retirement, who is dead, and
+        // what recovery was told to re-execute.
         let mut held: Vec<Vec<VertexId>> = vec![Vec::new(); parts];
+        let mut outstanding = 0u64;
         let mut dead = vec![false; parts];
         let mut lost: Vec<VertexId> = Vec::new();
         for (sel, step) in steps {
@@ -89,9 +94,16 @@ proptest! {
                 continue;
             }
             match step {
-                Step::Claim(own_batch) => {
-                    if let CtrlPayload::Claimed { roots, .. } = both(p, CtrlOp::Claim { own_batch })? {
-                        held[p].extend(roots);
+                Step::Claim(own_batch) | Step::RetireClaim(own_batch) => {
+                    let op = if matches!(step, Step::Claim(_)) {
+                        CtrlOp::Claim { own_batch }
+                    } else {
+                        outstanding = outstanding.saturating_sub(1);
+                        CtrlOp::RetireClaim { own_batch }
+                    };
+                    if let CtrlPayload::Claimed { roots, .. } = both(p, op)? {
+                        held[p].extend(roots.iter());
+                        outstanding += 1;
                     }
                 }
                 Step::Donate(n) => {
@@ -99,7 +111,10 @@ proptest! {
                     let roots = held[p].split_off(at);
                     both(p, CtrlOp::Donate { roots })?;
                 }
-                Step::BatchDone => drop(both(p, CtrlOp::BatchDone)?),
+                Step::BatchDone => {
+                    outstanding = outstanding.saturating_sub(1);
+                    both(p, CtrlOp::BatchDone)?;
+                }
                 Step::Starving(on) => drop(both(p, CtrlOp::Starving { on })?),
                 Step::Poll => drop(both(p, CtrlOp::Poll)?),
                 Step::Die => {
@@ -124,13 +139,22 @@ proptest! {
             while let CtrlPayload::Claimed { roots, .. } =
                 both(p, CtrlOp::Claim { own_batch: usize::MAX })?
             {
-                held[p].extend(roots);
+                held[p].extend(roots.iter());
+                outstanding += 1;
             }
         }
         match both(live[0], CtrlOp::CloseDead { dead: Vec::new() })? {
             CtrlPayload::Lost { roots } => lost.extend(roots),
             other => prop_assert!(false, "close-dead answered with {other:?}"),
         }
+        // Nothing is claimable any more, so the verdict hangs on the
+        // retirements alone: a compound op applied twice under a dropped
+        // reply would have retired a batch too many.
+        let verdict = CtrlPayload::Status { finished: outstanding == 0, starving: 0 };
+        for p in 0..parts {
+            both(p, CtrlOp::Starving { on: false })?;
+        }
+        prop_assert_eq!(both(live[0], CtrlOp::Poll)?, verdict);
         let mut landed: Vec<VertexId> = held.concat();
         landed.extend(lost);
         landed.sort_unstable();

@@ -19,6 +19,7 @@ use gpm_cluster::{
 use gpm_graph::VertexId;
 use gpm_obs::Recorder;
 use parking_lot::Mutex;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Which carrier runs the cross-part work-coordination protocol.
@@ -62,28 +63,47 @@ pub(crate) struct ControlPlaneSummary {
 /// One run's control plane: root claims, steals, donations, batch
 /// retirements, starvation signals, quiescence votes and crash recovery.
 ///
-/// [`claim`], [`finished`] and [`lost_roots`] are fallible: a message
-/// carrier can exhaust its retries, and the part coordinator must surface
-/// that as a run failure instead of spinning forever or silently
-/// quiescing (either could strand claimed-but-unprocessed roots). The
-/// fire-and-forget operations (`batch_done`, `donate`, `set_starving`)
-/// cannot surface wire errors through their signatures; losing one would
+/// The steady state is one message per batch: [`claim`] retires the
+/// caller's finished batch and claims the next in one operation, and its
+/// reply carries the quiescence verdict and the starvation count, which
+/// [`finished`] and [`starving`] then read without asking again.
+///
+/// [`claim`] and [`lost_roots`] are fallible: a message carrier can
+/// exhaust its retries, and the part coordinator must surface that as a
+/// run failure instead of spinning forever or silently quiescing (either
+/// could strand claimed-but-unprocessed roots). The fire-and-forget
+/// operations (`batch_done`, `donate`, `set_starving`, `refresh`) cannot
+/// surface wire errors through their signatures; losing one would
 /// corrupt the protocol (a never-retired batch wedges quiescence), so a
 /// failure **poisons** the control plane and the next fallible call
 /// reports it — the run fails typed instead of hanging or miscounting.
 ///
 /// [`claim`]: ControlPlane::claim
 /// [`finished`]: ControlPlane::finished
+/// [`starving`]: ControlPlane::starving
 /// [`lost_roots`]: ControlPlane::lost_roots
 pub(crate) struct ControlPlane {
     carrier: Carrier,
     stealing: bool,
+    /// What the ledger last told each part, indexed by part. Written and
+    /// read only by that part's coordinator.
+    heard: Vec<Heard>,
     poisoned: Mutex<Option<FetchError>>,
     /// Query this run coordinates, stamped into poison incidents.
     query: u64,
     /// Incident sink; the first poison captures a `control_poison`
     /// bundle here before the run fails typed.
     incidents: Option<Arc<IncidentManager>>,
+}
+
+/// A claimed root batch and where it came from.
+pub(crate) type Batch = (ClaimSource, Arc<[VertexId]>);
+
+/// The status fields of the last claim or poll reply a part received.
+#[derive(Default)]
+struct Heard {
+    finished: AtomicBool,
+    starving: AtomicUsize,
 }
 
 impl ControlPlane {
@@ -110,7 +130,8 @@ impl ControlPlane {
                 parts,
             ),
         };
-        ControlPlane { carrier, stealing, poisoned: Mutex::new(None), query, incidents }
+        let heard = (0..parts).map(|_| Heard::default()).collect();
+        ControlPlane { carrier, stealing, heard, poisoned: Mutex::new(None), query, incidents }
     }
 
     /// Whether cross-part stealing is enabled for this run.
@@ -120,22 +141,34 @@ impl ControlPlane {
 
     /// Claims the next root batch for `me`: own range first (up to
     /// `own_batch` roots), then — with stealing on — the donation spill,
-    /// then the unclaimed tail of a victim part. `Ok(None)` means
-    /// nothing was claimable right now; pair every `Ok(Some(..))` with a
-    /// later [`ControlPlane::batch_done`].
+    /// then the unclaimed tail of a victim part. With `retire`, the same
+    /// message first retires the batch `me` has just finished.
+    /// `Ok(None)` means nothing was claimable right now. Every
+    /// `Ok(Some(..))` is retired by a later `claim(.., true)` or, on the
+    /// way out, by [`ControlPlane::batch_done`].
     pub(crate) fn claim(
         &self,
         me: usize,
         own_batch: usize,
-    ) -> Result<Option<(ClaimSource, Vec<VertexId>)>, FetchError> {
-        match self.ask(me, CtrlOp::Claim { own_batch })? {
-            CtrlPayload::Claimed { source, roots } => Ok(Some((source, roots))),
-            CtrlPayload::NoWork => Ok(None),
+        retire: bool,
+    ) -> Result<Option<Batch>, FetchError> {
+        let op =
+            if retire { CtrlOp::RetireClaim { own_batch } } else { CtrlOp::Claim { own_batch } };
+        match self.ask(me, op)? {
+            CtrlPayload::Claimed { source, roots, starving } => {
+                self.hear(me, false, starving);
+                Ok(Some((source, roots)))
+            }
+            CtrlPayload::NoWork { finished, starving } => {
+                self.hear(me, finished, starving);
+                Ok(None)
+            }
             other => Err(unexpected("claim", &other)),
         }
     }
 
-    /// Retires one of `me`'s claimed batches (fully processed).
+    /// Retires one of `me`'s claimed batches without claiming another:
+    /// the stop, deadline and error exits.
     pub(crate) fn batch_done(&self, me: usize) {
         self.tell(me, CtrlOp::BatchDone);
     }
@@ -154,24 +187,33 @@ impl ControlPlane {
         self.tell(me, CtrlOp::Starving { on });
     }
 
-    /// Number of parts currently starving, as observed by `me`.
-    pub(crate) fn starving(&self, me: usize) -> usize {
+    /// Asks the ledger for its current status on `me`'s behalf — for a
+    /// part deep in a batch, whose last claim reply has gone stale.
+    pub(crate) fn refresh(&self, me: usize) {
         match self.carrier.call(me, CtrlOp::Poll) {
-            Ok(CtrlPayload::Status { starving, .. }) => starving,
-            Ok(_) => 0,
+            Ok(CtrlPayload::Status { finished, starving }) => self.hear(me, finished, starving),
+            Ok(other) => self.poison(unexpected("poll", &other)),
             Err(e) => {
+                self.hear(me, false, 0);
                 self.poison(e);
-                0
             }
         }
     }
 
-    /// Global termination check for a part that found nothing to claim.
-    pub(crate) fn finished(&self, me: usize) -> Result<bool, FetchError> {
-        match self.ask(me, CtrlOp::Poll)? {
-            CtrlPayload::Status { finished, .. } => Ok(finished),
-            other => Err(unexpected("poll", &other)),
-        }
+    /// Number of parts starving, as of `me`'s last claim or refresh.
+    pub(crate) fn starving(&self, me: usize) -> usize {
+        self.heard[me].starving.load(Ordering::Relaxed)
+    }
+
+    /// Whether the run had globally quiesced, as of `me`'s last claim or
+    /// refresh. Only a claim that found nothing can have said so.
+    pub(crate) fn finished(&self, me: usize) -> bool {
+        self.heard[me].finished.load(Ordering::Relaxed)
+    }
+
+    fn hear(&self, me: usize, finished: bool, starving: usize) {
+        self.heard[me].finished.store(finished, Ordering::Relaxed);
+        self.heard[me].starving.store(starving, Ordering::Relaxed);
     }
 
     /// Parks the caller briefly until another part may have retired a
@@ -273,26 +315,30 @@ mod tests {
     /// every operation's reply decodes the same over both carriers.
     #[test]
     fn typed_operations_decode_replies_over_both_carriers() {
+        let batch = |source, roots: &[VertexId]| Some((source, Arc::from(roots)));
         for mode in [ControlMode::Shared, ControlMode::Msg] {
             let cfg =
                 ControlLedgerConfig { stealing: true, batch: 4, ..ControlLedgerConfig::default() };
             let cp = plane(vec![vec![7, 8], vec![9]], mode, cfg, None);
             assert!(cp.stealing());
-            assert_eq!(cp.claim(0, 4).unwrap(), Some((ClaimSource::Own, vec![7, 8])));
-            assert_eq!(cp.claim(0, 4).unwrap(), Some((ClaimSource::Stolen(1), vec![9])));
-            assert_eq!(cp.claim(1, 4).unwrap(), None);
+            assert_eq!(cp.claim(0, 4, false).unwrap(), batch(ClaimSource::Own, &[7, 8]));
+            assert_eq!(cp.claim(0, 4, false).unwrap(), batch(ClaimSource::Stolen(1), &[9]));
+            assert_eq!(cp.claim(1, 4, false).unwrap(), None);
+            assert!(!cp.finished(1), "outstanding batches block quiescence");
             cp.set_starving(1, true);
+            assert_eq!(cp.starving(0), 0, "nobody was starving when part 0 last heard");
+            cp.refresh(0);
             assert_eq!(cp.starving(0), 1);
             cp.donate(0, vec![8]);
             cp.donate(0, Vec::new());
-            assert_eq!(cp.claim(1, 4).unwrap(), Some((ClaimSource::Spill, vec![8])));
+            assert_eq!(cp.claim(1, 4, false).unwrap(), batch(ClaimSource::Spill, &[8]));
+            assert_eq!(cp.starving(1), 1, "claim replies carry the count");
             cp.set_starving(1, false);
-            assert_eq!(cp.starving(0), 0);
-            assert!(!cp.finished(0).unwrap(), "outstanding batches block quiescence");
-            for me in [0, 0, 1] {
-                cp.batch_done(me);
-            }
-            assert!(cp.finished(1).unwrap());
+            cp.batch_done(0);
+            assert_eq!(cp.claim(0, 4, true).unwrap(), None);
+            assert!(!cp.finished(0) && cp.starving(0) == 0);
+            assert_eq!(cp.claim(1, 4, true).unwrap(), None);
+            assert!(cp.finished(1), "the last retirement and the verdict in one reply");
             let mut lost = cp.lost_roots(&[0]).unwrap();
             lost.sort_unstable();
             assert_eq!(lost, vec![7, 9], "part 0's claims minus its donation");
@@ -309,6 +355,39 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The per-batch message budget: a claimed batch costs one message,
+    /// an idle slice costs one, and reading the status costs none.
+    #[test]
+    fn a_batch_costs_one_message_and_so_does_an_idle_slice() {
+        let metrics = ClusterMetrics::new(2, 1);
+        let cfg =
+            ControlLedgerConfig { stealing: true, batch: 4, ..ControlLedgerConfig::default() };
+        let cp = ControlPlane::start(
+            vec![(0..40).collect(), Vec::new()],
+            cfg,
+            ControlMode::Msg,
+            &metrics,
+            Recorder::disabled(),
+            None,
+        );
+        let sent = |p: usize| metrics.part(p).ctrl_sent();
+        let mut batches = 0;
+        while cp.claim(0, 4, batches > 0).unwrap().is_some() {
+            batches += 1;
+            if batches == 10 {
+                // Every root is claimed, the last batch still running:
+                // part 1 comes up empty. One slice, one message.
+                assert_eq!(cp.claim(1, 4, false).unwrap(), None);
+                assert!(!cp.finished(1) && cp.starving(1) == 0);
+                assert_eq!(sent(1), 1);
+            }
+        }
+        assert_eq!(batches, 10);
+        assert!(cp.finished(0), "the claim that came up empty retired the last batch");
+        assert_eq!(sent(0), batches + 1, "N claim/retire cycles cost N + 1 sends");
+        assert_eq!(sent(1), 1);
     }
 
     #[test]
@@ -352,7 +431,7 @@ mod tests {
             json.contains("\"available\": false") || json.contains("\"available\":false"),
             "poisoned ledger reports unavailable"
         );
-        assert!(ledger.claim(0, 4).is_err(), "poison surfaces on the next fallible call");
+        assert!(ledger.claim(0, 4, false).is_err(), "poison surfaces on the next fallible call");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

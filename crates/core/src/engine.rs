@@ -140,7 +140,8 @@ pub struct EngineConfig {
     /// footprint to the count used here).
     pub chunk_capacity: usize,
     /// Compute threads per part (the paper reserves one core in four for
-    /// communication; each part here additionally runs one comm thread).
+    /// communication; here each part's coordinator submits and collects
+    /// its own fetches between extension phases).
     pub compute_threads: usize,
     /// Work-claim granularity for the dynamic distribution of extensions
     /// (the paper's 64-embedding mini-batches, §6).
@@ -1699,9 +1700,10 @@ mod tests {
 
     /// Drops `engine` and asserts none of its threads outlived it. Every
     /// thread an engine starts — fabric responders, the pooled
-    /// `khuzdul-compute-*` workers, samplers, control responders — holds
-    /// a clone of that engine's recorder for as long as it runs, so a
-    /// sole remaining owner means they have all been joined. Unlike a
+    /// `khuzdul-compute-*` workers, part coordinators, samplers, control
+    /// responders; nothing else, a coordinator submits its own fetches —
+    /// holds a clone of that engine's recorder for as long as it runs, so
+    /// a sole remaining owner means they have all been joined. Unlike a
     /// process-wide census (thread names are cut to 15 bytes by the OS,
     /// so sibling tests' engines are indistinguishable there), this sees
     /// only the engine under test.
@@ -1964,6 +1966,11 @@ mod tests {
         engine.shutdown();
     }
 
+    /// Also at `window = 1`, where every fetch of every query on a part
+    /// competes for that part's one slot: a coordinator that blocked on
+    /// the window while holding an un-waited fetch would wait for itself.
+    /// The queries run on detached threads under a deadline, so that
+    /// shows up as a failure, not a hung suite.
     #[test]
     fn concurrent_queries_on_one_engine_match_solo_counts() {
         let g = gen::barabasi_albert(250, 5, 33);
@@ -1971,21 +1978,32 @@ mod tests {
             [Pattern::triangle(), Pattern::clique(4), Pattern::path(4), Pattern::cycle(4)];
         let expect: Vec<u64> =
             patterns.iter().map(|p| oracle::count_subgraphs(&g, p, false)).collect();
-        let engine = engine_for(&g, 4, 1);
-        let counts = std::sync::Mutex::new(vec![0u64; patterns.len()]);
-        std::thread::scope(|s| {
+        for window in [FabricConfig::default().window, 1] {
+            let engine = Arc::new(Engine::new(
+                PartitionedGraph::new(&g, 4, 1),
+                EngineConfig {
+                    fabric: FabricConfig { window, ..FabricConfig::default() },
+                    ..EngineConfig::default()
+                },
+            ));
+            let (tx, rx) = std::sync::mpsc::channel();
             for (i, p) in patterns.iter().enumerate() {
-                let engine = &engine;
-                let counts = &counts;
-                s.spawn(move || {
+                let (engine, tx, p) = (Arc::clone(&engine), tx.clone(), plan(p));
+                std::thread::spawn(move || {
                     let q = QueryCtx { root_budget: 64, ..engine.default_query() };
-                    let run = engine.try_count_query(&plan(p), &q).expect("query run");
-                    counts.lock().unwrap()[i] = run.count;
+                    let run = engine.try_count_query(&p, &q).expect("query run");
+                    let _ = tx.send((i, run.count));
                 });
             }
-        });
-        assert_eq!(*counts.lock().unwrap(), expect);
-        engine.shutdown();
+            let mut counts = vec![0u64; patterns.len()];
+            for _ in &patterns {
+                let (i, count) = rx
+                    .recv_timeout(Duration::from_secs(120))
+                    .unwrap_or_else(|_| panic!("window {window}: a query never finished"));
+                counts[i] = count;
+            }
+            assert_eq!(counts, expect, "window {window}");
+        }
     }
 
     #[test]

@@ -18,8 +18,9 @@
 //!   across chunks, bounding memory to `depth × chunk` while keeping
 //!   enough concurrent tasks for batched communication.
 //! * **Circulant scheduling** (§4.3): a chunk's missing edge lists are
-//!   bucketed by owner machine and fetched in circulant order, pipelined
-//!   with extension by a dedicated communication thread.
+//!   bucketed by owner machine and fetched in circulant order; the part
+//!   coordinator submits the requests asynchronously and integrates the
+//!   replies in submission order while the later ones are in flight.
 //! * **Low-cost data sharing** (§5): vertical data reuse via parent
 //!   pointers, vertical *computation* reuse via stored intermediate
 //!   intersection results, horizontal sharing via a collision-dropping

@@ -7,8 +7,14 @@
 //! unprocessed embeddings is always processed next (DFS over chunks), and
 //! each chunk's embeddings are extended breadth-first until the next
 //! level's chunk fills (§4.2). Before extension, a chunk's unresolved
-//! edge lists are fetched in circulant owner order, pipelined through a
-//! dedicated communication thread (§4.3).
+//! edge lists are fetched in circulant owner order (§4.3): the
+//! coordinator submits the round's requests itself — the fabric's
+//! `fetch_async` does not wait for the transfer — and integrates the
+//! replies in submission order while the later ones are in flight.
+//!
+//! The coordinator talks to the root ledger once per batch: the claim of
+//! the next batch carries the retirement of the finished one, and its
+//! reply carries the status an idle or donating part needs.
 //!
 //! The compute half of the phase lives in [`crate::extend`]; the worker
 //! pool and task model live in [`crate::scheduler`], the stealing ledger's
@@ -20,12 +26,12 @@ use crate::control::ControlPlane;
 use crate::engine::EngineConfig;
 use crate::scheduler::{Gate, QueryArbiter};
 use crate::stats::PartStats;
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use gpm_cluster::{ClaimSource, EdgeListClient, FetchError, PendingFetch};
 use gpm_graph::partition::{vertex_hash, GraphPart};
 use gpm_graph::{Label, VertexId};
 use gpm_obs::{FlightKind, ObsHandle, Recorder, SpanKind};
 use gpm_pattern::plan::MatchingPlan;
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -90,50 +96,10 @@ impl PartCtx<'_> {
     }
 }
 
-/// A fetch job handed to the part's communication thread.
-struct CommJob {
-    target: usize,
-    vertices: Vec<VertexId>,
-}
-
-/// The comm thread's answer to a [`CommJob`]: the *completion handle* of
-/// the issued request, not the data itself — the engine thread collects
-/// replies in submission order (one thread, one FIFO each way) while the
-/// comm thread keeps submitting within the fabric's request window. The
-/// job's vertex buffer rides back for the next resolve to refill.
-struct CommReply {
-    vertices: Vec<VertexId>,
-    issued: Result<PendingFetch, FetchError>,
-}
-
 /// Runs the whole plan on one part, returning its statistics, or the
 /// first fetch failure encountered.
 pub(crate) fn run_part(ctx: PartCtx<'_>) -> Result<PartStats, FetchError> {
-    // Dedicated communication (submission) thread (§6): requests are
-    // issued asynchronously through the fabric, so up to `window`
-    // transfers are in flight while the engine thread integrates earlier
-    // replies. `fetch_async` blocks *here* when the window is full —
-    // backpressure throttles submission without stalling integration.
-    let (comm_tx, comm_rx) = unbounded::<CommJob>();
-    let (reply_tx, reply_rx) = unbounded::<CommReply>();
-    let comm_client = ctx.client.clone();
-    let comm_handle = std::thread::Builder::new()
-        .name(format!("khuzdul-comm-{}", ctx.my_part))
-        .spawn(move || {
-            while let Ok(CommJob { target, vertices }) = comm_rx.recv() {
-                let issued = comm_client.fetch_async(target, &vertices);
-                if reply_tx.send(CommReply { vertices, issued }).is_err() {
-                    break;
-                }
-            }
-        })
-        .expect("spawn comm thread");
-
-    let mut run = PartRun::new(ctx, comm_tx, reply_rx);
-    let stats = run.run();
-    drop(run); // closes the comm queue
-    let _ = comm_handle.join();
-    stats
+    PartRun::new(ctx).run()
 }
 
 pub(crate) struct PartRun<'e> {
@@ -148,16 +114,15 @@ pub(crate) struct PartRun<'e> {
     roots_stolen: u64,
     /// Roots this part handed to the spill for starving parts.
     roots_donated: u64,
-    /// Ledger batches seeded but not yet retired (0 or 1 in practice).
-    outstanding: usize,
-    /// Roots inside those outstanding batches, for progress accounting:
-    /// retired as "completed" when the batches are.
+    /// Whether a seeded ledger batch is still to be retired: on the next
+    /// claim, or alone if the run ends first.
+    batch_open: bool,
+    /// Roots inside that batch, for progress accounting: recorded as
+    /// "completed" when it is retired.
     outstanding_roots: usize,
     /// Roots claimed per seeding round: bounded when stealing (so loaded
     /// parts keep a stealable tail), a whole chunk otherwise.
     seed_batch: usize,
-    comm_tx: Sender<CommJob>,
-    comm_rx: Receiver<CommReply>,
     /// Resolve-phase working storage, kept across phases so a resolve
     /// allocates nothing once the buffers have grown to a chunk's worth.
     scratch: ResolveScratch,
@@ -168,16 +133,19 @@ pub(crate) struct PartRun<'e> {
 
 /// Per-owner fetch buckets of one resolve phase, as parallel columns:
 /// `embs[t][k]` is the embedding waiting for the list of `vertices[t][k]`.
-/// The vertex column is what goes to the comm thread (and comes back).
+/// The vertex column is what goes on the wire.
 struct ResolveScratch {
     embs: Vec<Vec<u32>>,
     vertices: Vec<Vec<VertexId>>,
     /// Targets with a non-empty bucket, in submission order.
     order: Vec<usize>,
+    /// Submitted, not yet waited fetches with their targets, oldest
+    /// first. Empty between phases.
+    inflight: VecDeque<(usize, PendingFetch)>,
 }
 
 impl<'e> PartRun<'e> {
-    fn new(ctx: PartCtx<'e>, comm_tx: Sender<CommJob>, comm_rx: Receiver<CommReply>) -> Self {
+    fn new(ctx: PartCtx<'e>) -> Self {
         let depth = ctx.plan.depth();
         let levels =
             (0..depth.saturating_sub(1)).map(|_| Chunk::new(ctx.cfg.chunk_capacity)).collect();
@@ -196,15 +164,14 @@ impl<'e> PartRun<'e> {
             peak_embeddings: 0,
             roots_stolen: 0,
             roots_donated: 0,
-            outstanding: 0,
+            batch_open: false,
             outstanding_roots: 0,
             seed_batch,
-            comm_tx,
-            comm_rx,
             scratch: ResolveScratch {
                 embs: vec![Vec::new(); ctx.part_count],
                 vertices: vec![Vec::new(); ctx.part_count],
                 order: Vec::new(),
+                inflight: VecDeque::new(),
             },
             ctx,
             obs,
@@ -254,9 +221,13 @@ impl<'e> PartRun<'e> {
     /// The DFS-over-chunks / BFS-within-chunk driver (§4.2, Figure 7).
     fn hybrid_loop(&mut self) -> Result<(), FetchError> {
         let result = self.hybrid_loop_inner();
-        // Retire any batch still on the books (stop or fetch error), so
-        // peers waiting on quiescence are never wedged by this part.
-        self.retire_batches();
+        // Retire a batch still on the books (stop, deadline or error:
+        // no next claim will carry it), so peers waiting on quiescence
+        // are never wedged by this part.
+        if self.batch_open {
+            self.ctx.ledger.batch_done(self.ctx.my_part);
+            self.close_batch();
+        }
         self.ctx.queue_depth.store(0, Ordering::Relaxed);
         result
     }
@@ -307,8 +278,8 @@ impl<'e> PartRun<'e> {
                     self.extend(cur);
                 }
                 None => {
-                    // The whole stack drained: every seeded batch is done.
-                    self.retire_batches();
+                    // The whole stack drained: the seeded batch is done,
+                    // and the next claim says so.
                     if !self.seed_roots()? {
                         return Ok(());
                     }
@@ -317,25 +288,23 @@ impl<'e> PartRun<'e> {
         }
     }
 
-    fn retire_batches(&mut self) {
-        for _ in 0..self.outstanding {
-            self.ctx.ledger.batch_done(self.ctx.my_part);
+    /// Books the seeded batch as retired on this side, once the ledger
+    /// has been told.
+    fn close_batch(&mut self) {
+        if !std::mem::take(&mut self.batch_open) {
+            return;
         }
-        if self.outstanding > 0 {
-            self.ctx.heartbeat.fetch_add(1, Ordering::Relaxed);
+        self.ctx.heartbeat.fetch_add(1, Ordering::Relaxed);
+        if let Some(p) = &self.ctx.progress {
+            p.record_completed(self.ctx.my_part, self.outstanding_roots as u64);
         }
-        self.outstanding = 0;
-        if self.outstanding_roots > 0 {
-            if let Some(p) = &self.ctx.progress {
-                p.record_completed(self.ctx.my_part, self.outstanding_roots as u64);
-            }
-            self.outstanding_roots = 0;
-        }
+        self.outstanding_roots = 0;
     }
 
-    /// Claims the next root batch from the ledger and seeds the root
-    /// chunk. With stealing enabled this may block (in 1 ms slices) until
-    /// work appears somewhere; returns `Ok(false)` once the whole run has
+    /// Claims the next root batch from the ledger — retiring the finished
+    /// one in the same message — and seeds the root chunk. With stealing
+    /// enabled this may block (in 1 ms slices, one claim each) until work
+    /// appears somewhere; returns `Ok(false)` once the whole run has
     /// quiesced or this part was stopped, and `Err` if a message-based
     /// control plane lost an operation past its retry budget (the part
     /// must abort rather than spin or silently quiesce).
@@ -350,23 +319,19 @@ impl<'e> PartRun<'e> {
             // Fairness pacing: yield the pool to less-served resident
             // queries before claiming more roots for this one.
             self.ctx.arbiter.pace(self.ctx.client.query_id(), self.ctx.root_budget);
-            match self.ctx.ledger.claim(self.ctx.my_part, self.seed_batch) {
+            let claimed = self.ctx.ledger.claim(self.ctx.my_part, self.seed_batch, self.batch_open);
+            if claimed.is_ok() {
+                self.close_batch();
+            }
+            match claimed {
                 Ok(Some((source, roots))) => {
                     self.ctx.arbiter.note_claimed(self.ctx.client.query_id(), roots.len() as u64);
                     self.seed_batch_into_chunk(source, &roots);
                     break true;
                 }
                 Ok(None) => {
-                    if !self.ctx.ledger.stealing() {
+                    if !self.ctx.ledger.stealing() || self.ctx.ledger.finished(self.ctx.my_part) {
                         break false;
-                    }
-                    match self.ctx.ledger.finished(self.ctx.my_part) {
-                        Ok(true) => break false,
-                        Ok(false) => {}
-                        Err(e) => {
-                            failure = Some(e);
-                            break false;
-                        }
                     }
                     // A failed run can never quiesce: the dead part's
                     // outstanding batches are never retired. Once a
@@ -438,8 +403,8 @@ impl<'e> PartRun<'e> {
         }
         let seeded = chunk.embs.len();
         chunk.resolved_upto = if any_pending { 0 } else { seeded };
-        self.outstanding += 1;
-        self.outstanding_roots += roots.len();
+        self.batch_open = true;
+        self.outstanding_roots = roots.len();
         if !matches!(source, ClaimSource::Own) {
             self.roots_stolen += roots.len() as u64;
         }
@@ -459,16 +424,23 @@ impl<'e> PartRun<'e> {
     /// release pass frees them with the chunk), and the claimant restarts
     /// them from scratch on its own side of the fabric.
     fn maybe_donate(&mut self) {
-        if !self.ctx.ledger.stealing() || self.ctx.ledger.starving(self.ctx.my_part) == 0 {
+        if !self.ctx.ledger.stealing() {
             return;
         }
         let threads = self.ctx.cfg.compute_threads.max(1);
         let keep = (self.ctx.cfg.mini_batch.max(1) * threads) as u32;
-        let chunk = &mut self.levels[0];
-        let mut volume: u32 = chunk.leftovers.iter().map(|&(s, e)| e - s).sum();
+        let mut volume: u32 = self.levels[0].leftovers.iter().map(|&(s, e)| e - s).sum();
+        // The local test first: most rounds leave nothing to give away,
+        // and finding that out must not cost a message.
         if volume <= keep {
             return;
         }
+        // The last claim's count is as old as this batch; ask again.
+        self.ctx.ledger.refresh(self.ctx.my_part);
+        if self.ctx.ledger.starving(self.ctx.my_part) == 0 {
+            return;
+        }
+        let chunk = &mut self.levels[0];
         let mut donated: Vec<VertexId> = Vec::new();
         while let Some(&(start, end)) = chunk.leftovers.last() {
             let len = end - start;
@@ -515,7 +487,7 @@ impl<'e> PartRun<'e> {
         let my_part = self.ctx.my_part;
         let cache_enabled = self.ctx.cache.is_enabled();
         let sharing = self.ctx.cfg.horizontal_sharing;
-        let ResolveScratch { embs: bucket_embs, vertices: bucket_vertices, order } =
+        let ResolveScratch { embs: bucket_embs, vertices: bucket_vertices, order, .. } =
             &mut self.scratch;
         bucket_embs.iter_mut().for_each(Vec::clear);
         bucket_vertices.iter_mut().for_each(Vec::clear);
@@ -576,66 +548,175 @@ impl<'e> PartRun<'e> {
         if !self.ctx.cfg.circulant {
             order.sort_unstable();
         }
-        // Enqueue every batch up front. The comm thread turns each job
-        // into an async fabric request (bounded by the in-flight window)
-        // and hands back completion handles in submission order, so
-        // batch i+1's transfer is in flight while we integrate batch i.
-        for &t in order.iter() {
-            let vertices = std::mem::take(&mut bucket_vertices[t]);
-            self.comm_tx.send(CommJob { target: t, vertices }).map_err(|_| FetchError::Shutdown)?;
-        }
         let remote: u64 = bucket_embs.iter().map(|b| b.len() as u64).sum();
-        let mut network_wait = Duration::ZERO;
+        // Submit every batch, oldest reply integrated whenever the
+        // part's window is full, so batch i+1's transfer is in flight
+        // while batch i is integrated. The window is shared with this
+        // part's other queries; the one rule that keeps them from
+        // wedging each other is never to block on it while holding an
+        // un-waited fetch — wait the oldest instead.
+        let network_before = self.network;
+        // Keep going after a failure so every window slot retires, then
+        // report the first.
         let mut failure: Option<FetchError> = None;
-        for &t in order.iter() {
-            let bts = self.obs.start();
-            let tw = Instant::now();
-            let CommReply { vertices, issued } =
-                self.comm_rx.recv().map_err(|_| FetchError::Shutdown)?;
-            // Pull the causal request id off the issued fetch before
-            // consuming it, so the span covering this blocked wait links
-            // to the issue/serve spans of the request it waited on.
-            let (req_id, outcome) = match issued {
-                Ok(p) => (p.request_id(), p.wait()),
-                Err(e) => (0, Err(e)),
-            };
-            network_wait += tw.elapsed();
-            self.obs.span_linked(SpanKind::BucketRound, bts, t as u64, req_id);
-            let lists = match outcome {
-                Ok(lists) => lists,
-                // Keep draining the remaining completions so every
-                // window slot retires, then report the first failure.
-                Err(e) => {
-                    failure.get_or_insert(e);
-                    continue;
+        let mut note = |outcome: Result<(), FetchError>| {
+            if let Err(e) = outcome {
+                failure.get_or_insert(e);
+            }
+        };
+        for k in 0..self.scratch.order.len() {
+            let t = self.scratch.order[k];
+            let issued = loop {
+                match self.ctx.client.try_fetch_async(t, &self.scratch.vertices[t]) {
+                    Ok(Some(pending)) => break Ok(pending),
+                    Err(e) => break Err(e),
+                    Ok(None) => {}
+                }
+                match self.scratch.inflight.pop_front() {
+                    Some((t, oldest)) => note(self.collect(cur, t, oldest)),
+                    // Holding nothing, so blocking is safe: the slots
+                    // belong to other queries, which follow the rule.
+                    None => {
+                        let tw = Instant::now();
+                        let issued = self.ctx.client.fetch_async(t, &self.scratch.vertices[t]);
+                        self.network += tw.elapsed();
+                        break issued;
+                    }
                 }
             };
-            // The reply is the lists back to back in request order: one
-            // copy moves the whole batch into the arena.
-            let (offsets, data) = lists.into_parts();
-            debug_assert_eq!(offsets.len(), vertices.len() + 1, "one list per requested vertex");
-            let chunk = &mut self.levels[cur];
-            let base = chunk.push_fetched(&data);
-            for ((&emb_i, &v), span) in bucket_embs[t].iter().zip(&vertices).zip(offsets.windows(2))
-            {
-                let (lo, hi) = (span[0], span[1]);
-                chunk.embs[emb_i as usize].list =
-                    ListRef::Fetched { start: base + lo, len: hi - lo };
-                if cache_enabled {
-                    self.ctx.cache.maybe_insert(v, &data[lo as usize..hi as usize]);
-                }
-            }
-            if cache_enabled {
-                self.obs.instant(SpanKind::CacheInsert, vertices.len() as u64);
-            }
-            bucket_vertices[t] = vertices;
+            note(issued.map(|pending| self.scratch.inflight.push_back((t, pending))));
         }
-        self.network += network_wait;
-        self.scheduler += t0.elapsed().saturating_sub(network_wait);
+        while let Some((t, oldest)) = self.scratch.inflight.pop_front() {
+            note(self.collect(cur, t, oldest));
+        }
+        self.scheduler += t0.elapsed().saturating_sub(self.network - network_before);
         self.obs.span(SpanKind::Resolve, rts, remote);
         match failure {
             Some(e) => Err(e),
             None => Ok(()),
         }
+    }
+
+    /// Waits for one submitted fetch of the current resolve phase and
+    /// moves its lists into `cur`'s chunk, for the embeddings bucketed
+    /// under target `t`.
+    fn collect(&mut self, cur: usize, t: usize, pending: PendingFetch) -> Result<(), FetchError> {
+        let bts = self.obs.start();
+        let tw = Instant::now();
+        // The causal request id links the span covering this blocked
+        // wait to the issue/serve spans of the request it waited on.
+        let req_id = pending.request_id();
+        let outcome = pending.wait();
+        self.network += tw.elapsed();
+        self.obs.span_linked(SpanKind::BucketRound, bts, t as u64, req_id);
+        // The reply is the lists back to back in request order: one
+        // copy moves the whole batch into the arena.
+        let (offsets, data) = outcome?.into_parts();
+        let (embs, vertices) = (&self.scratch.embs[t], &self.scratch.vertices[t]);
+        debug_assert_eq!(offsets.len(), vertices.len() + 1, "one list per requested vertex");
+        let cache_enabled = self.ctx.cache.is_enabled();
+        let chunk = &mut self.levels[cur];
+        let base = chunk.push_fetched(&data);
+        for ((&emb_i, &v), span) in embs.iter().zip(vertices).zip(offsets.windows(2)) {
+            let (lo, hi) = (span[0], span[1]);
+            chunk.embs[emb_i as usize].list = ListRef::Fetched { start: base + lo, len: hi - lo };
+            if cache_enabled {
+                self.ctx.cache.maybe_insert(v, &data[lo as usize..hi as usize]);
+            }
+        }
+        if cache_enabled {
+            self.obs.instant(SpanKind::CacheInsert, vertices.len() as u64);
+        }
+        Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::control::ControlMode;
+    use crate::scheduler::StealConfig;
+    use gpm_cluster::{ControlLedgerConfig, EdgeListService};
+    use gpm_graph::gen;
+    use gpm_graph::partition::PartitionedGraph;
+    use gpm_pattern::plan::PlanOptions;
+    use gpm_pattern::Pattern;
+
+    /// What one part coordinator says to the ledger, message by message:
+    /// one per claimed batch (the retirement rides along), none to find
+    /// out it has nothing to give, one to ask who is starving when it
+    /// does, one to give.
+    #[test]
+    fn a_coordinator_spends_one_control_message_per_batch() {
+        let g = gen::erdos_renyi(200, 800, 3);
+        let pg = PartitionedGraph::new(&g, 2, 1);
+        let service = EdgeListService::start(&pg, None);
+        let plan = MatchingPlan::compile(&Pattern::triangle(), &PlanOptions::automine()).unwrap();
+        let cfg = EngineConfig {
+            compute_threads: 1,
+            mini_batch: 8,
+            steal: StealConfig { enabled: true, batch: 16, numa: false },
+            ..EngineConfig::default()
+        };
+        let ledger = Arc::new(ControlPlane::start(
+            (0..2).map(|p| pg.part(p).owned().to_vec()).collect(),
+            ControlLedgerConfig { stealing: true, batch: 16, ..ControlLedgerConfig::default() },
+            ControlMode::Msg,
+            service.metrics(),
+            Recorder::disabled(),
+            None,
+        ));
+        let stop = AtomicBool::new(false);
+        let mut run = PartRun::new(PartCtx {
+            part: pg.part_arc(0),
+            labels: pg.labels(),
+            client: service.client(0),
+            cache: Arc::new(SharedCache::for_part(&cfg.cache, 1)),
+            plan: &plan,
+            cfg: &cfg,
+            my_part: 0,
+            part_count: 2,
+            owner: pg.owner_map(),
+            visitor: None,
+            stop: Some(&stop),
+            obs: Recorder::disabled(),
+            ledger: Arc::clone(&ledger),
+            gate: None,
+            queue_depth: Arc::default(),
+            arbiter: Arc::default(),
+            root_budget: u64::MAX,
+            deadline: None,
+            deadline_fired: Arc::default(),
+            progress: None,
+            heartbeat: Arc::default(),
+        });
+        let sent = || service.metrics().part(0).ctrl_sent();
+
+        assert!(run.seed_roots().unwrap());
+        assert_eq!((sent(), run.levels[0].embs.len()), (1, 16));
+        // Leftovers within what this part keeps for itself (`mini_batch`
+        // per compute thread): nothing to give, so nothing is asked.
+        run.levels[0].leftovers = vec![(0, 8)];
+        run.maybe_donate();
+        assert_eq!(sent(), 1);
+        // More than that: worth one question. Nobody is starving.
+        run.levels[0].leftovers = vec![(0, 8), (8, 16)];
+        run.maybe_donate();
+        assert_eq!((sent(), run.roots_donated), (2, 0));
+        // Somebody is: the question, then the donation.
+        ledger.set_starving(1, true);
+        run.maybe_donate();
+        assert_eq!((sent(), run.roots_donated), (4, 8));
+        assert_eq!(run.levels[0].leftovers, vec![(0, 8)]);
+        // The stack drains; the next claim is the retirement too.
+        run.levels[0].clear();
+        assert!(run.seed_roots().unwrap());
+        assert_eq!(sent(), 5);
+        // Stopped mid-batch: no next claim will carry the retirement, so
+        // it goes alone and peers never wedge.
+        stop.store(true, Ordering::Relaxed);
+        run.hybrid_loop().unwrap();
+        assert_eq!((sent(), run.batch_open), (6, false));
+        service.shutdown();
     }
 }
