@@ -115,6 +115,31 @@ fn bench_plan_interp(c: &mut Criterion) {
     g.finish();
 }
 
+/// The depth-first tail through the engine against the same walk on the
+/// whole graph. `path:4` parks one fetched level and walks two below it;
+/// `star:4` parks only its roots and fetches nothing. What the engine
+/// costs over the interpreter here is chunking and resolve, not the walk:
+/// both run [`interp::Walk`].
+fn bench_extend_tail(c: &mut Criterion) {
+    let graph = gen::erdos_renyi(3_000, 12_000, 12);
+    let cfg = EngineConfig { compute_threads: 1, ..EngineConfig::default() };
+    let engine = Engine::new(PartitionedGraph::new(&graph, 2, 1), cfg);
+    let mut g = c.benchmark_group("extend_tail");
+    for (name, p) in [("path4", Pattern::path(4)), ("star4", Pattern::star(4))] {
+        let plan = MatchingPlan::compile(&p, &PlanOptions::automine()).unwrap();
+        let expect = interp::count_embeddings_fast(&graph, &plan);
+        assert_eq!(engine.count(&plan).count, expect, "{name}");
+        g.bench_with_input(BenchmarkId::new("engine_2_parts", name), &plan, |bench, plan| {
+            bench.iter(|| engine.count(black_box(plan)).count)
+        });
+        g.bench_with_input(BenchmarkId::new("interp", name), &plan, |bench, plan| {
+            bench.iter(|| interp::count_embeddings_fast(black_box(&graph), plan))
+        });
+    }
+    g.finish();
+    engine.shutdown();
+}
+
 fn bench_partitioning(c: &mut Criterion) {
     let graph = gen::barabasi_albert(50_000, 8, 3);
     c.bench_function("partition_50k_into_8", |bench| {
@@ -285,6 +310,7 @@ criterion_group!(
     benches,
     bench_set_ops,
     bench_plan_interp,
+    bench_extend_tail,
     bench_partitioning,
     bench_part_lookup,
     bench_plan_compilation,

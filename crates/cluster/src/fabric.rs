@@ -13,8 +13,9 @@
 //!   for callers that hold fetches of their own. Window size 1
 //!   reproduces the old blocking RPC's fully serialized transfers.
 //! * **Coalescing** — duplicate vertices within one request are sent
-//!   once and the reply is expanded back to request order, so callers
-//!   never observe the dedup (reply order is invariant).
+//!   once and the reply is read back in request order — duplicates as
+//!   spans of the one served list, nothing copied — so callers never
+//!   observe the dedup (reply order is invariant).
 //! * **Timeout/retry** — each attempt has a deadline; lost or
 //!   transiently errored replies are retried with exponential backoff
 //!   and a fresh sequence number (stale replies are discarded by tag).
@@ -23,8 +24,8 @@
 
 use crate::metrics::{ClusterMetrics, PartMetrics, QueryMetrics, TrafficClass};
 use crate::transport::{
-    checked_offset, ChannelTransport, FaultInjectingTransport, FaultPlan, FetchedLists,
-    ReplicaPush, Transport, WireReply, WireRequest, HEADER_BYTES,
+    ChannelTransport, FaultInjectingTransport, FaultPlan, FetchedLists, ReplicaPush, Transport,
+    WireReply, WireRequest, HEADER_BYTES,
 };
 use crate::{NetworkModel, PartId};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
@@ -182,7 +183,7 @@ pub enum FetchError {
     },
     /// A response grew past the `u32` offset range of the wire format.
     TooLarge {
-        /// The part serving (or client expanding) the oversized reply.
+        /// The part serving the oversized reply.
         target: PartId,
         /// The edge-list entry count that overflowed.
         entries: usize,
@@ -701,7 +702,7 @@ impl EdgeListClient {
     /// Blocks only while this part's in-flight window is full
     /// (backpressure); once a slot is free the request is submitted and
     /// a completion handle returned. Duplicate vertices are coalesced on
-    /// the wire; [`PendingFetch::wait`] expands the reply back to
+    /// the wire; the reply [`PendingFetch::wait`] returns reads in
     /// request order, so `lists.list(i)` always matches `vertices[i]`.
     ///
     /// # Errors
@@ -947,10 +948,10 @@ impl PendingFetch {
                 my.record_wait(remaining);
             }
         }
-        match &self.expand {
-            None => Ok(lists),
-            Some(map) => expand_reply(&lists, map, self.target),
-        }
+        Ok(match self.expand.take() {
+            None => lists,
+            Some(map) => lists.requested_as(map),
+        })
     }
 
     /// One more attempt: backoff, fresh sequence number, resubmit.
@@ -1062,7 +1063,7 @@ impl PendingFetch {
 
 /// Deduplicates `vertices` preserving first-occurrence order. Returns
 /// the wire list and, when duplicates existed, the original-index →
-/// wire-index map needed to expand the reply.
+/// wire-index map the reply is read through ([`FetchedLists::span`]).
 ///
 /// One pass over an open-addressed table keyed by [`vertex_hash`]. A
 /// request without duplicates (what horizontal sharing leaves, barring
@@ -1108,25 +1109,6 @@ fn coalesce(vertices: &[VertexId]) -> (Arc<[VertexId]>, Option<Vec<u32>>) {
         None => (Arc::from(vertices), None),
         Some((wire, map)) => (Arc::from(wire), Some(map)),
     }
-}
-
-/// Expands a deduplicated reply back to original request order.
-fn expand_reply(
-    lists: &FetchedLists,
-    map: &[u32],
-    target: PartId,
-) -> Result<FetchedLists, FetchError> {
-    let mut offsets = Vec::with_capacity(map.len() + 1);
-    offsets.push(0u32);
-    let mut data = Vec::new();
-    for &w in map {
-        data.extend_from_slice(lists.list(w as usize));
-        offsets.push(
-            checked_offset(data.len())
-                .map_err(|entries| FetchError::TooLarge { target, entries })?,
-        );
-    }
-    Ok(FetchedLists::from_parts(offsets, data))
 }
 
 /// Sleeps for short durations more precisely than `thread::sleep` alone:
@@ -1289,6 +1271,69 @@ mod tests {
         }
         assert_eq!(service.metrics().total_coalesced(), 3);
         service.shutdown();
+    }
+
+    /// What `wait` returned for a coalesced request before replies were
+    /// read through spans — every requested list copied out in request
+    /// order, as `(offsets, data)` — kept as the oracle for the spans.
+    fn expand_reply(served: &FetchedLists, map: &[u32]) -> (Vec<u32>, Vec<VertexId>) {
+        let mut offsets = vec![0u32];
+        let mut data = Vec::new();
+        for &w in map {
+            data.extend_from_slice(served.list(w as usize));
+            offsets.push(data.len() as u32);
+        }
+        (offsets, data)
+    }
+
+    #[test]
+    fn coalesced_replies_alias_one_payload_whatever_served_them() {
+        let g = gen::erdos_renyi(200, 800, 7);
+        let pg = PartitionedGraph::with_replication(&g, 3, 1, 2);
+        let owned: Vec<VertexId> = pg.part(0).owned().iter().copied().take(12).collect();
+        let faults = [
+            None,
+            // Replies lost or refused: `resubmit` sends the same wire list.
+            Some(FaultPlan::drops(0.3)),
+            Some(FaultPlan { error_fraction: 0.3, ..FaultPlan::default() }),
+            // The owner dies under the loop: `failover` re-routes to the
+            // replica holder, first at submission and then mid-flight.
+            Some(FaultPlan::crash_at(0, 2)),
+        ];
+        for fault in faults {
+            let fabric = FabricConfig { retry: faulty_retry(), fault, ..FabricConfig::default() };
+            let service = EdgeListService::start_with(&pg, None, fabric.clone());
+            let client = service.client(1);
+            for round in 0..owned.len() - 2 {
+                let (a, b, c) = (owned[round], owned[round + 1], owned[round + 2]);
+                let request = [a, b, a, c, b, a];
+                let (wire, map) = coalesce(&request);
+                let map = map.expect("the request has duplicates");
+                let served = client.fetch(0, &wire).unwrap();
+                let (want_offsets, want_data) = expand_reply(&served, &map);
+                let lists = client.fetch(0, &request).unwrap();
+                assert_eq!(lists.len(), request.len());
+                for (i, w) in want_offsets.windows(2).enumerate() {
+                    assert_eq!(lists.list(i), &want_data[w[0] as usize..w[1] as usize], "{i}");
+                    assert_eq!(lists.list(i), g.neighbors(request[i]));
+                }
+                // Duplicates are one span, not one copy each, and what
+                // crossed the wire is all there is.
+                assert_eq!(lists.span(0), lists.span(2));
+                assert_eq!(lists.span(0), lists.span(5));
+                assert_eq!(lists.span(1), lists.span(4));
+                assert_ne!(lists.span(0), lists.span(1));
+                assert_eq!(lists.response_bytes(), served.response_bytes());
+                assert_eq!(lists.into_payload(), served.into_payload());
+            }
+            let m = service.metrics();
+            match &fabric.fault {
+                None => assert_eq!(m.total_retries() + m.total_rerouted_requests(), 0),
+                Some(plan) if plan.crashes.is_empty() => assert!(m.total_retries() > 0),
+                Some(_) => assert!(m.total_rerouted_requests() > 0),
+            }
+            service.shutdown();
+        }
     }
 
     #[test]

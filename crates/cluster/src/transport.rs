@@ -31,23 +31,39 @@ pub(crate) const HEADER_BYTES: u64 = 16;
 
 /// A batch of edge lists returned by a fetch.
 ///
-/// Lists are stored back to back; `list(i)` is the edge list of the `i`-th
-/// requested vertex, in request order.
+/// `list(i)` is the edge list of the `i`-th requested vertex, in request
+/// order. What is stored is the reply as it crossed the wire — the served
+/// lists back to back, written once by the responder — and every
+/// requested list is a span of that payload: vertices that were requested
+/// more than once and coalesced on the wire alias one span.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FetchedLists {
     offsets: Vec<u32>,
     data: Vec<VertexId>,
+    /// For a coalesced request: requested index → served index.
+    map: Option<Vec<u32>>,
 }
 
 impl FetchedLists {
     /// Number of lists in the batch.
     pub fn len(&self) -> usize {
-        self.offsets.len().saturating_sub(1)
+        self.map.as_ref().map_or(self.offsets.len().saturating_sub(1), Vec::len)
     }
 
     /// Whether the batch is empty.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// Where the `i`-th requested vertex's edge list sits in the payload,
+    /// as `(start, len)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= len()`.
+    pub fn span(&self, i: usize) -> (u32, u32) {
+        let served = self.map.as_ref().map_or(i, |map| map[i] as usize);
+        (self.offsets[served], self.offsets[served + 1] - self.offsets[served])
     }
 
     /// The `i`-th requested vertex's edge list.
@@ -56,26 +72,35 @@ impl FetchedLists {
     ///
     /// Panics if `i >= len()`.
     pub fn list(&self, i: usize) -> &[VertexId] {
-        &self.data[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+        let (start, len) = self.span(i);
+        &self.data[start as usize..(start + len) as usize]
     }
 
-    /// Consumes the batch into raw `(offsets, data)` arrays.
-    pub fn into_parts(self) -> (Vec<u32>, Vec<VertexId>) {
-        (self.offsets, self.data)
+    /// Consumes the batch into the payload its [`span`]s index, so a
+    /// caller can keep the lists without copying them.
+    ///
+    /// [`span`]: FetchedLists::span
+    pub fn into_payload(self) -> Vec<VertexId> {
+        self.data
     }
 
-    /// Accounted size of the response in bytes.
+    /// Accounted size of the response on the wire, in bytes.
     pub fn response_bytes(&self) -> u64 {
         HEADER_BYTES + 4 * (self.offsets.len() as u64 + self.data.len() as u64)
     }
 
-    /// Builds a batch from raw arrays (the inverse of [`into_parts`]).
-    ///
-    /// [`into_parts`]: FetchedLists::into_parts
+    /// Builds a batch from the served arrays.
     pub(crate) fn from_parts(offsets: Vec<u32>, data: Vec<VertexId>) -> Self {
         debug_assert!(!offsets.is_empty() && offsets[0] == 0);
         debug_assert_eq!(*offsets.last().unwrap() as usize, data.len());
-        FetchedLists { offsets, data }
+        FetchedLists { offsets, data, map: None }
+    }
+
+    /// The reply to a coalesced request, seen in request order: `map[i]`
+    /// is the served list the `i`-th requested vertex reads.
+    pub(crate) fn requested_as(self, map: Vec<u32>) -> Self {
+        debug_assert!(map.iter().all(|&w| (w as usize) + 1 < self.offsets.len()));
+        FetchedLists { map: Some(map), ..self }
     }
 }
 
@@ -704,7 +729,7 @@ fn serve(
         data.extend_from_slice(part.edge_list(v).expect("ownership checked above"));
         offsets.push(data.len() as u32);
     }
-    Ok(FetchedLists { offsets, data })
+    Ok(FetchedLists::from_parts(offsets, data))
 }
 
 /// What to do with a fraction of submitted messages.

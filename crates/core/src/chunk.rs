@@ -28,9 +28,11 @@ pub(crate) enum ListRef {
     /// Served from the software cache: index into [`Chunk::pins`], whose
     /// `Arc` keeps an evicted entry alive until the chunk is released.
     Cached(u32),
-    /// Fetched from a remote part into this chunk's fetch arena.
+    /// Fetched from a remote part: a span of a reply this chunk adopted.
     Fetched {
-        /// Offset into [`Chunk::fetch_data`].
+        /// Index into [`Chunk::segments`].
+        seg: u16,
+        /// Offset into that segment.
         start: u32,
         /// List length.
         len: u32,
@@ -69,24 +71,25 @@ pub(crate) struct Resume {
 /// Horizontal-sharing hash table: open addressing, **no collision
 /// chains** — on a slot conflict the insertion is simply dropped (§5.2).
 ///
-/// Slots are tagged with the fill epoch that wrote them, so preparing the
-/// table for the next fill is a counter bump rather than a pass over all
-/// `2 × capacity` slots — a chunk of sixteen roots pays for sixteen
-/// slots, not for the table.
+/// The table remembers which slots the current fill wrote, so preparing
+/// it for the next fill wipes those and nothing else — a chunk of sixteen
+/// roots pays for sixteen slots, not for the table — and a slot is the
+/// eight bytes it has to be: a pooled table ends up wholly resident, so
+/// its size is what a warm part holds per chunk.
 #[derive(Debug, Default)]
 pub(crate) struct ShareTable {
     slots: Vec<ShareSlot>,
     mask: usize,
-    /// Current fill; a slot whose `epoch` differs is empty. Never 0 once
-    /// reset, so zeroed slots are empty in every fill.
-    epoch: u32,
+    /// Indices of the slots written since the last reset.
+    written: Vec<u32>,
 }
 
 #[derive(Debug, Clone, Copy, Default)]
 struct ShareSlot {
     vertex: VertexId,
-    emb: u32,
-    epoch: u32,
+    /// Index of the registered embedding plus one; 0 marks a free slot,
+    /// so a zeroed table is an empty one.
+    emb1: u32,
 }
 
 impl ShareTable {
@@ -97,14 +100,11 @@ impl ShareTable {
         if self.slots.len() != want {
             self.slots = vec![ShareSlot::default(); want];
             self.mask = want - 1;
-            self.epoch = 0;
-        } else if self.epoch == u32::MAX {
-            // Wrap-around: the next epoch value was used 2^32 fills ago
-            // and a slot may still carry it.
-            self.slots.fill(ShareSlot::default());
-            self.epoch = 0;
+            self.written.clear();
         }
-        self.epoch += 1;
+        for i in self.written.drain(..) {
+            self.slots[i as usize].emb1 = 0;
+        }
     }
 
     /// Returns the embedding already registered for `v` in this fill, or
@@ -114,13 +114,14 @@ impl ShareTable {
     #[inline]
     pub fn lookup_or_claim(&mut self, v: VertexId, hash: u64, emb: u32) -> Option<u32> {
         debug_assert_eq!(hash, gpm_graph::partition::vertex_hash(v));
-        let epoch = self.epoch;
-        let slot = self.slots.get_mut(hash as usize & self.mask)?;
-        if slot.epoch != epoch {
-            *slot = ShareSlot { vertex: v, emb, epoch };
+        let index = hash as usize & self.mask;
+        let slot = self.slots.get_mut(index)?;
+        if slot.emb1 == 0 {
+            *slot = ShareSlot { vertex: v, emb1: emb + 1 };
+            self.written.push(index as u32);
             None
         } else if slot.vertex == v {
-            Some(slot.emb)
+            Some(slot.emb1 - 1)
         } else {
             None // collision: drop, accept redundant fetch
         }
@@ -133,8 +134,11 @@ impl ShareTable {
 pub(crate) struct Chunk {
     /// Embeddings of this level.
     pub embs: Vec<Emb>,
-    /// Arena of remotely fetched edge lists.
-    pub fetch_data: Vec<VertexId>,
+    /// Remotely fetched edge lists: the reply payloads of this fill's
+    /// fetches, each kept as the fabric delivered it. A fetched list is
+    /// written once, by the responder, and read from there: adopting a
+    /// reply moves its payload in.
+    pub segments: Vec<Vec<VertexId>>,
     /// Cache entries this level's [`ListRef::Cached`] embeddings read,
     /// pinned until the level is released.
     pub pins: Vec<Arc<[VertexId]>>,
@@ -160,6 +164,7 @@ pub(crate) struct Chunk {
 
 impl Chunk {
     /// An empty chunk bounded to `capacity` embeddings.
+    #[cfg(test)]
     pub fn new(capacity: usize) -> Self {
         Chunk { capacity, ..Chunk::default() }
     }
@@ -184,7 +189,7 @@ impl Chunk {
     /// Figure 6, done chunk-wise).
     pub fn clear(&mut self) {
         self.embs.clear();
-        self.fetch_data.clear();
+        self.segments.clear();
         self.pins.clear();
         self.inter_data.clear();
         self.cursor = 0;
@@ -194,12 +199,12 @@ impl Chunk {
         // `share` is reset lazily at the next resolve.
     }
 
-    /// Appends a reply batch (its lists back to back) to the arena in one
-    /// copy, returning the arena offset the batch starts at.
-    pub fn push_fetched(&mut self, batch: &[VertexId]) -> u32 {
-        let base = self.fetch_data.len() as u32;
-        self.fetch_data.extend_from_slice(batch);
-        base
+    /// The index the next reply pushed onto [`Chunk::segments`] gets —
+    /// asked for first, because the [`ListRef`]s into a reply are written
+    /// while the reply still says where its lists are.
+    pub fn next_segment(&self) -> u16 {
+        // A fill is resolved once, with at most one reply per remote part.
+        u16::try_from(self.segments.len()).expect("more replies in one fill than parts")
     }
 
     /// Stores an intermediate result, returning its span.
@@ -224,8 +229,8 @@ impl Chunk {
 
     /// Resolves a `Fetched` span.
     #[inline]
-    pub fn fetched(&self, start: u32, len: u32) -> &[VertexId] {
-        &self.fetch_data[start as usize..(start + len) as usize]
+    pub fn fetched(&self, seg: u16, start: u32, len: u32) -> &[VertexId] {
+        &self.segments[seg as usize][start as usize..(start + len) as usize]
     }
 
     /// Resolves an intermediate span.
@@ -334,26 +339,33 @@ mod tests {
     }
 
     #[test]
-    fn fetch_arena_roundtrip() {
+    fn adopted_segments_are_read_in_place_and_released_whole() {
         let mut c = Chunk::new(4);
-        assert_eq!(c.push_fetched(&[10, 20, 30]), 0);
-        let base = c.push_fetched(&[40, 50]);
-        assert_eq!(c.fetched(base, 2), &[40, 50]);
-        assert_eq!(c.fetched(1, 2), &[20, 30]);
+        let payload = vec![10, 20, 30];
+        let at = payload.as_ptr();
+        c.segments.push(payload);
+        assert_eq!(c.next_segment(), 1);
+        c.segments.push(vec![40, 50]);
+        assert_eq!(c.fetched(1, 0, 2), &[40, 50]);
+        assert_eq!(c.fetched(0, 1, 2), &[20, 30]);
+        assert_eq!(c.fetched(0, 0, 3).as_ptr(), at, "adopting moves the reply, it does not copy");
+        c.clear();
+        assert!(c.segments.is_empty(), "release drops every adopted reply as a whole");
+        assert_eq!(c.next_segment(), 0, "the next fill numbers its segments from 0");
     }
 
     #[test]
     fn clear_releases_everything() {
         let mut c = Chunk::new(4);
         c.try_push_children(0, &staged(&[1]), true, Some(&[2]));
-        c.push_fetched(&[3]);
+        c.segments.push(vec![3]);
         c.cursor = 1;
         c.resumes.push(Resume { emb: 0, cand_offset: 2 });
         c.resolved_upto = 1;
         c.clear();
         assert!(c.is_empty());
         assert!(!c.has_work());
-        assert_eq!(c.fetch_data.len(), 0);
+        assert!(c.segments.is_empty());
         assert_eq!(c.inter_data.len(), 0);
         assert_eq!(c.resolved_upto, 0);
     }
@@ -410,28 +422,12 @@ mod tests {
             claim(&mut t, v, v);
         }
         t.reset(8);
+        assert!(t.slots.iter().all(|s| s.emb1 == 0), "a reset leaves no slot written");
         for v in 0..16u32 {
             assert_ne!(claim(&mut t, v, 100 + v), Some(v), "stale entry for {v} survived reset");
         }
         assert_eq!(claim(&mut t, 7, 5), Some(107));
-    }
-
-    #[test]
-    fn share_table_epoch_wraps_without_resurrecting_entries() {
-        let mut t = ShareTable::default();
-        t.reset(8);
-        claim(&mut t, 7, 3); // written in epoch 1
-                             // 2^32 - 2 fills later the counter is about to wrap back onto the
-                             // epoch that entry carries.
-        t.epoch = u32::MAX - 1;
-        t.reset(8);
-        assert_eq!(t.epoch, u32::MAX);
-        claim(&mut t, 9, 4); // written in the last epoch before the wrap
-        t.reset(8);
-        assert_eq!(t.epoch, 1, "epoch 0 marks never-written slots and is skipped");
-        assert_eq!(claim(&mut t, 7, 5), None, "entry of the first epoch 1 resurrected");
-        assert_eq!(claim(&mut t, 9, 6), None, "entry of epoch u32::MAX survived the wrap");
-        assert_eq!(claim(&mut t, 7, 8), Some(5));
+        assert!(std::mem::size_of::<ShareSlot>() <= 8);
     }
 
     #[test]

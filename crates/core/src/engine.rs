@@ -7,7 +7,7 @@ use crate::incident::{
     IncidentManager, StallWatchdog, Trigger, TriggerKind,
 };
 use crate::rebalance::{RebalanceConfig, Rebalancer};
-use crate::runtime::{run_part, PartCtx, Visitor};
+use crate::runtime::{run_part, PartCtx, StatePool, Visitor};
 use crate::scheduler::{place_recovery_roots, QueryArbiter, StealConfig, WorkerPool};
 use crate::stats::{ControlSummary, FailureSummary, PartStats, RunStats, TrafficSummary};
 use gpm_cluster::{
@@ -223,6 +223,9 @@ pub struct Engine {
     pg: PartitionedGraph,
     service: EdgeListService,
     caches: Vec<Arc<SharedCache>>,
+    /// Idle run state, per part: chunk stacks and scratch that finished
+    /// runs left behind for the next one.
+    run_pools: Vec<StatePool>,
     recorder: Arc<Recorder>,
     /// Flight ring + incident bundle capture (see [`IncidentConfig`]).
     incidents: Arc<IncidentManager>,
@@ -300,10 +303,12 @@ impl Engine {
                     Arc::clone(&incidents),
                 )
             });
+        let parts = pg.part_count();
         Engine {
             pg,
             service,
             caches,
+            run_pools: (0..parts).map(|_| StatePool::default()).collect(),
             recorder,
             incidents,
             rebalancer,
@@ -482,7 +487,8 @@ impl Engine {
     }
 
     /// Drops all cached edge lists (for between-run isolation in
-    /// benchmarks) and returns `true` if the caches were cleared.
+    /// benchmarks), and the working state finished runs left pooled, and
+    /// returns `true` if the caches were cleared.
     ///
     /// **Invariant**: clearing is only sound while no query is in flight.
     /// A run's resolve phase inserts into the caches concurrently, so a
@@ -499,6 +505,7 @@ impl Engine {
         for c in &self.caches {
             c.clear();
         }
+        self.run_pools.iter().for_each(StatePool::release);
         true
     }
 
@@ -709,6 +716,7 @@ impl Engine {
             deadline_fired: Arc::clone(&deadline_fired),
             progress: progress.clone(),
             heartbeat: Arc::clone(&heartbeat),
+            pool: &self.run_pools[part],
         };
         // Per-part result slots: a part that aborts (fail-stop
         // self-check or a fetch error) leaves its slot empty.
@@ -1382,6 +1390,10 @@ mod tests {
         let engine = Engine::new(
             pg,
             EngineConfig {
+                // Small chunks, so the run makes a couple of hundred wire
+                // requests: at a dozen, "5 % of them were dropped" is a
+                // coin flip.
+                chunk_capacity: 8,
                 fabric: FabricConfig {
                     window: 4,
                     retry: RetryPolicy {
@@ -1555,34 +1567,46 @@ mod tests {
         let p = Pattern::triangle();
         let expect = oracle::count_subgraphs(&g, &p, false);
         for steal in [false, true] {
-            let pg = PartitionedGraph::with_replication(&g, 4, 1, 3);
-            let engine = Engine::new(
-                pg,
-                EngineConfig {
-                    chunk_capacity: 64,
-                    steal: StealConfig { enabled: steal, batch: 8, ..StealConfig::default() },
-                    obs: ObsConfig::enabled(),
-                    fabric: FabricConfig {
-                        retry: crash_retry(),
-                        fault: Some(FaultPlan {
-                            crashes: vec![
-                                // The first part dies on the very first
-                                // fetch, so its whole root set re-executes
-                                // and the recovery pass runs long...
-                                CrashAt { part: 1, after_requests: 0 },
-                                // ...and the second fuse burns through the
-                                // main pass and often into that recovery;
-                                // the loop must absorb the death in either
-                                // phase without losing a root.
-                                CrashAt { part: 2, after_requests: 8 },
-                            ],
-                            ..FaultPlan::default()
-                        }),
-                        ..FabricConfig::default()
+            let engine_with = |fault: Option<FaultPlan>| {
+                Engine::new(
+                    PartitionedGraph::with_replication(&g, 4, 1, 3),
+                    EngineConfig {
+                        chunk_capacity: 64,
+                        steal: StealConfig { enabled: steal, batch: 8, ..StealConfig::default() },
+                        obs: ObsConfig::enabled(),
+                        fabric: FabricConfig {
+                            retry: crash_retry(),
+                            fault,
+                            ..FabricConfig::default()
+                        },
+                        ..EngineConfig::default()
                     },
-                    ..EngineConfig::default()
-                },
-            );
+                )
+            };
+            // The second fuse is sized from what part 2 serves when
+            // nothing fails, not written down: how many requests a run
+            // makes is the engine's business and has changed before. Half
+            // of that count burns for certain (the failed run asks part 2
+            // for more, not less: it also holds part 1's replica), and
+            // not at once.
+            let fault_free = engine_with(None);
+            assert_eq!(fault_free.count(&plan(&p)).count, expect, "steal={steal}");
+            let served = fault_free.metrics().part(2).served_requests();
+            fault_free.shutdown();
+            assert!(served >= 4, "steal={steal}: part 2 served only {served} requests");
+            let engine = engine_with(Some(FaultPlan {
+                crashes: vec![
+                    // The first part dies on the very first fetch, so its
+                    // whole root set re-executes and the recovery pass
+                    // runs long...
+                    CrashAt { part: 1, after_requests: 0 },
+                    // ...and the second fuse burns through the main pass
+                    // and often into that recovery; the loop must absorb
+                    // the death in either phase without losing a root.
+                    CrashAt { part: 2, after_requests: served / 2 },
+                ],
+                ..FaultPlan::default()
+            }));
             let run = engine.try_count(&plan(&p)).expect("replication 3 must mask two crashes");
             assert_eq!(run.count, expect, "steal={steal}");
             assert_eq!(run.failures.parts_failed, 2, "steal={steal}");
@@ -2009,23 +2033,111 @@ mod tests {
     #[test]
     fn memory_bound_follows_chunk_capacity() {
         // The §4.2 guarantee: live embeddings never exceed
-        // chunk_capacity x (depth - 1), independent of the graph.
+        // chunk_capacity x (chunks in the stack), independent of the
+        // graph — and the stack is as deep as the plan's last fetched
+        // level, not as the pattern.
         let g = gen::barabasi_albert(400, 6, 17);
         for cap in [8usize, 64, 1024] {
             let pg = PartitionedGraph::new(&g, 2, 1);
             let engine =
                 Engine::new(pg, EngineConfig { chunk_capacity: cap, ..EngineConfig::default() });
-            let run = engine.count(&plan(&Pattern::clique(4)));
-            for part in &run.per_part {
-                assert!(
-                    part.peak_embeddings <= cap * 3,
-                    "cap {cap}: peak {} exceeds bound {}",
-                    part.peak_embeddings,
-                    cap * 3
-                );
+            for (p, chunks) in
+                [(Pattern::clique(4), 3), (Pattern::path(4), 2), (Pattern::star(4), 1)]
+            {
+                let plan = plan(&p);
+                assert_eq!(plan.last_fetched_level() + 1, chunks, "{p}");
+                let run = engine.count(&plan);
+                for part in &run.per_part {
+                    assert!(
+                        part.peak_embeddings <= cap * chunks,
+                        "{p}, cap {cap}: peak {} exceeds bound {}",
+                        part.peak_embeddings,
+                        cap * chunks
+                    );
+                }
             }
             engine.shutdown();
         }
+    }
+
+    /// Idle run states held for each part.
+    fn pooled(engine: &Engine) -> Vec<usize> {
+        engine.run_pools.iter().map(StatePool::len).collect()
+    }
+
+    #[test]
+    fn run_state_is_pooled_up_to_peak_concurrency_and_returned_on_every_exit() {
+        let g = gen::barabasi_albert(250, 5, 33);
+        let patterns =
+            [Pattern::triangle(), Pattern::clique(4), Pattern::path(4), Pattern::star(4)];
+        let expect: Vec<u64> =
+            patterns.iter().map(|p| oracle::count_subgraphs(&g, p, false)).collect();
+        let engine =
+            Arc::new(Engine::new(PartitionedGraph::new(&g, 2, 1), EngineConfig::default()));
+        assert_eq!(pooled(&engine), [0, 0]);
+        // One query at a time, deep plans after shallow ones and back:
+        // one state per part, whatever it last served.
+        for round in 0..50 {
+            let i = round % patterns.len();
+            assert_eq!(engine.count(&plan(&patterns[i])).count, expect[i], "round {round}");
+            assert_eq!(pooled(&engine), [1, 1], "round {round}");
+        }
+        // Four at once: at most four per part, and the same counts.
+        let barrier = Arc::new(std::sync::Barrier::new(patterns.len()));
+        let handles: Vec<_> = patterns
+            .iter()
+            .map(|p| {
+                let (engine, barrier, p) = (Arc::clone(&engine), Arc::clone(&barrier), plan(p));
+                std::thread::spawn(move || {
+                    barrier.wait();
+                    engine.try_count_query(&p, &engine.default_query()).expect("query run").count
+                })
+            })
+            .collect();
+        let counts: Vec<u64> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+        assert_eq!(counts, expect);
+        let held = pooled(&engine);
+        assert!(held.iter().all(|&n| (1..=patterns.len()).contains(&n)), "{held:?}");
+        // A stopped run hands its state back like a finished one.
+        let before = pooled(&engine);
+        assert!(engine.find_any(&plan(&Pattern::triangle())).is_some());
+        assert_eq!(pooled(&engine), before);
+        // Releasing is part of resetting the engine between runs.
+        assert!(engine.reset_caches());
+        assert_eq!(pooled(&engine), [0, 0]);
+
+        // A run that fails — every reply dropped, retries exhausted —
+        // still returns what each part was working in.
+        let failing = Engine::new(
+            PartitionedGraph::new(&g, 2, 1),
+            EngineConfig {
+                fabric: FabricConfig {
+                    retry: gpm_cluster::RetryPolicy {
+                        max_attempts: 2,
+                        timeout: Duration::from_millis(5),
+                        backoff: Duration::from_micros(100),
+                    },
+                    fault: Some(gpm_cluster::FaultPlan::drops(1.0)),
+                    ..FabricConfig::default()
+                },
+                ..EngineConfig::default()
+            },
+        );
+        assert!(matches!(
+            failing.try_count(&plan(&Pattern::triangle())),
+            Err(EngineError::Fetch(FetchError::Timeout { .. }))
+        ));
+        assert_eq!(pooled(&failing), [1, 1]);
+        // So does one that runs out of time.
+        let late = QueryCtx {
+            deadline: Some(Instant::now() - Duration::from_millis(1)),
+            ..failing.default_query()
+        };
+        assert!(matches!(
+            failing.try_count_query(&plan(&Pattern::star(4)), &late),
+            Err(EngineError::DeadlineExceeded { .. })
+        ));
+        assert_eq!(pooled(&failing), [1, 1]);
     }
 
     #[test]

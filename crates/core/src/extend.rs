@@ -1,53 +1,55 @@
-//! The extend (computation) phase: running a level's extension program
-//! over the claimable ranges of a chunk.
+//! The extend (computation) phase: running the plan over the claimable
+//! ranges of a chunk.
 //!
 //! Split out of the per-part coordinator (`runtime.rs`): this module owns
 //! everything that executes *inside* a phase — the [`Worker`] claim loop
 //! over the phase's [`TaskPool`], single-embedding extension, and where an
-//! embedding's edge lists and stored intermediate live; the set algebra
-//! itself is the plan's ([`LevelPlan::raw_candidates`],
-//! [`LevelPlan::count_candidates`]). Phases are dispatched to
-//! the engine's persistent worker pool through the part's
+//! embedding's edge lists and stored intermediate live ([`Lists`]). The set
+//! algebra is the plan's ([`LevelPlan::raw_candidates`]) and the loop nest
+//! below the last fetched level is the workspace's one depth-first walker
+//! ([`interp::Walk`]), told by [`Lists`] where the data is. Phases are
+//! dispatched to the engine's persistent worker pool through the part's
 //! [`Gate`](crate::scheduler::Gate); no threads are spawned here.
+//!
+//! [`LevelPlan::raw_candidates`]: gpm_pattern::plan::LevelPlan::raw_candidates
 
 use crate::chunk::{Chunk, Emb, ListRef, PushOutcome, Resume, StagedChild};
 use crate::runtime::{PartCtx, PartRun};
 use crate::scheduler::{Task, TaskPool};
-use gpm_graph::VertexId;
+use gpm_graph::{Label, VertexId};
 use gpm_obs::{Metric, SpanKind};
-use gpm_pattern::interp;
-use gpm_pattern::plan::{LevelPlan, PairMode};
+use gpm_pattern::interp::{self, DataSource, Walk};
+use gpm_pattern::plan::PairMode;
+use gpm_pattern::MAX_PATTERN_VERTICES;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
 impl PartRun<'_> {
-    /// Extend phase: run the level's extension program over the chunk's
-    /// unprocessed embeddings until the work is exhausted or the
-    /// next-level chunk fills. Work is drained as mini-batch range tasks;
-    /// multi-threaded phases run on the persistent pool's parked workers.
+    /// Extend phase: run the plan over the chunk's unprocessed embeddings
+    /// until the work is exhausted or the next-level chunk fills. Work is
+    /// drained as mini-batch range tasks; multi-threaded phases run on the
+    /// persistent pool's parked workers.
+    ///
+    /// Above the bottom of the stack an embedding is extended by one
+    /// level and its children parked in the next chunk, to wait for their
+    /// lists. An embedding of the bottom chunk holds every list the rest
+    /// of the plan reads, so it is walked to the end of the plan in the
+    /// worker's scratch and nothing is parked below it.
     pub(crate) fn extend(&mut self, cur: usize) {
         let t0 = Instant::now();
         let ets = self.obs.start();
-        let next_before = self.levels.get(cur + 1).map_or(0, |c| c.embs.len());
-        let plan = self.ctx.plan;
-        let lp = &plan.levels()[cur];
-        let terminal = cur + 1 == plan.levels().len();
-        // IEP pair shortcut (counting only): the second-to-last level
-        // counts pairs instead of materializing the final two loops.
-        let pair = if self.ctx.visitor.is_none() && cur + 2 == plan.levels().len() {
-            plan.pair_count_mode()
-        } else {
-            None
-        };
+        let bottom = cur == self.last;
+        let next_len = |levels: &[Chunk]| if bottom { 0 } else { levels[cur + 1].embs.len() };
+        let next_before = next_len(&self.levels);
 
         let start_cursor = self.levels[cur].cursor;
         let old_resumes = std::mem::take(&mut self.levels[cur].resumes);
         let leftovers = std::mem::take(&mut self.levels[cur].leftovers);
         let (read, rest) = self.levels.split_at_mut(cur + 1);
         let read: &[Chunk] = read;
-        let next: Option<Mutex<&mut Chunk>> = if terminal {
+        let next: Option<Mutex<&mut Chunk>> = if bottom {
             None
         } else {
             Some(Mutex::new(rest.first_mut().expect("next level chunk exists")))
@@ -58,11 +60,25 @@ impl PartRun<'_> {
         let new_resumes: Mutex<Vec<Resume>> = Mutex::new(Vec::new());
         let counter = AtomicU64::new(0);
         let threads = self.ctx.cfg.compute_threads.max(1);
-        let mini = self.ctx.cfg.mini_batch.max(1) as u32;
+        let mini_batch = self.ctx.cfg.mini_batch.max(1);
 
         let pending_work = old_resumes.len()
             + leftovers.iter().map(|&(s, e)| (e - s) as usize).sum::<usize>()
             + total.saturating_sub(start_cursor);
+        // A mini-batch is sized for embeddings that cost one extension
+        // each. Where more than one plan level runs under an embedding —
+        // the walk below the bottom chunk, owned children walked in place
+        // one chunk above it — it stands for a subtree, and a handful of
+        // them (a stolen batch of hub roots) is already a phase worth
+        // sharing: such a phase is cut into about eight tasks a worker,
+        // however few embeddings that makes a task.
+        let subtrees = cur + 1 >= self.last && self.ctx.plan.levels().len() - cur > 1;
+        let mini = if subtrees {
+            (pending_work / (threads * 8)).clamp(1, mini_batch) as u32
+        } else {
+            mini_batch as u32
+        };
+        let worth_sharing = pending_work > mini_batch || (subtrees && pending_work > 1);
         let tasks = TaskPool::new(threads, Arc::clone(&self.ctx.queue_depth));
         tasks.seed(
             old_resumes.len() as u32,
@@ -76,9 +92,8 @@ impl PartRun<'_> {
                 ctx: &self.ctx,
                 read,
                 cur,
-                lp,
-                terminal,
-                pair,
+                last: self.last,
+                pair: self.pair,
                 next: &next,
                 old_resumes: &old_resumes,
                 tasks: &tasks,
@@ -86,9 +101,10 @@ impl PartRun<'_> {
                 full: &full,
                 new_resumes: &new_resumes,
                 counter: &counter,
+                scratch: &self.workers,
             };
             match &self.ctx.gate {
-                Some(gate) if threads > 1 && pending_work > self.ctx.cfg.mini_batch => {
+                Some(gate) if threads > 1 && worth_sharing => {
                     gate.run_phase(threads, &|w| worker.run(w));
                 }
                 // Small phases (and single-threaded configs) run inline on
@@ -132,9 +148,8 @@ impl PartRun<'_> {
         leftover_ranges.sort_unstable();
         chunk.leftovers = leftover_ranges;
         chunk.resumes = resumes;
-        let grown =
-            self.levels.get(cur + 1).map_or(0, |c| c.embs.len()).saturating_sub(next_before);
-        if !terminal {
+        let grown = next_len(&self.levels).saturating_sub(next_before);
+        if !bottom {
             self.obs.observe(Metric::ChunkFanout, grown as u64);
         }
         self.obs.span(SpanKind::Extend, ets, grown as u64);
@@ -149,8 +164,9 @@ struct Worker<'a, 'c, 'e> {
     ctx: &'a PartCtx<'e>,
     read: &'a [Chunk],
     cur: usize,
-    lp: &'a LevelPlan,
-    terminal: bool,
+    /// The bottom of the chunk stack (the plan's last fetched level).
+    last: usize,
+    /// The plan's IEP pair shortcut, which a counting walk takes.
     pair: Option<PairMode>,
     next: &'a Option<Mutex<&'c mut Chunk>>,
     old_resumes: &'a [Resume],
@@ -159,18 +175,24 @@ struct Worker<'a, 'c, 'e> {
     full: &'a AtomicBool,
     new_resumes: &'a Mutex<Vec<Resume>>,
     counter: &'a AtomicU64,
+    /// The run's per-worker scratch, by worker index.
+    scratch: &'a [Mutex<Scratch>],
 }
 
 impl Worker<'_, '_, '_> {
+    fn stopped(&self) -> bool {
+        self.ctx.stop.is_some_and(|s| s.load(Ordering::Relaxed))
+    }
+
     /// Whether the phase must stop claiming: the next-level chunk filled,
     /// or the run was cooperatively cancelled.
     fn halted(&self) -> bool {
-        self.full.load(Ordering::Acquire)
-            || self.ctx.stop.is_some_and(|s| s.load(Ordering::Relaxed))
+        self.full.load(Ordering::Acquire) || self.stopped()
     }
 
     fn run(&self, w: usize) {
-        let mut scratch = Scratch::default();
+        // Uncontended: a worker index is one thread for the whole phase.
+        let mut scratch = self.scratch[w].lock();
         let mut local_count = 0u64;
         'claim: while !self.halted() {
             let Some(task) = self.tasks.claim(w, self.mini) else { break };
@@ -225,77 +247,153 @@ impl Worker<'_, '_, '_> {
         scratch: &mut Scratch,
         local_count: &mut u64,
     ) -> Option<u32> {
-        let ctx = self.ctx;
-        let lp = self.lp;
-        let mut matched = [0 as VertexId; gpm_pattern::MAX_PATTERN_VERTICES];
-        let mut chain = [0u32; gpm_pattern::MAX_PATTERN_VERTICES];
-        ancestor_chain(self.read, self.cur, emb, &mut matched, &mut chain);
+        let (ctx, cur) = (self.ctx, self.cur);
+        let plan = ctx.plan;
+        let mut lists =
+            Lists { ctx, read: self.read, chain: [0; MAX_PATTERN_VERTICES], depth: cur };
+        let mut matched = [0 as VertexId; MAX_PATTERN_VERTICES];
+        ancestor_chain(self.read, cur, emb, &mut matched, &mut lists.chain);
+        // The intermediate the level above stored for this embedding, in
+        // this chunk's arena (vertical computation reuse, §5.1).
+        let chunk = &self.read[cur];
+        let stored = chunk.embs[emb as usize].inter.map_or(&[][..], |span| chunk.inter(span));
+        debug_assert!(
+            cur == 0
+                || plan.levels()[cur - 1].store_intermediate
+                    == chunk.embs[emb as usize].inter.is_some(),
+            "an intermediate is stored exactly where the plan says one is read"
+        );
 
-        // Where this embedding's data lives (vertical reuse, §5.1): each
-        // ancestor's list where resolve put it, reached through the chain
-        // walked once above; the intermediate in this chunk's arena.
-        let list_at = |pos: usize| {
-            let chunk = &self.read[pos];
-            resolve_ref(ctx, chunk, &chunk.embs[chain[pos] as usize])
-        };
-        let stored = || {
-            let chunk = &self.read[self.cur];
-            let span = chunk.embs[emb as usize].inter;
-            chunk.inter(span.expect("plan guarantees a stored intermediate"))
-        };
-
-        // Counting without a visitor never needs the candidates themselves.
-        if ctx.visitor.is_none() && (self.terminal || self.pair.is_some()) {
-            debug_assert_eq!(from, 0, "counted levels never pause");
-            let passes = |c| passes_filters(ctx, lp, &matched, c);
-            let Scratch { raw, tmp, .. } = scratch;
-            let k = lp.count_candidates(&matched, list_at, stored, passes, tmp, raw);
-            *local_count += self.pair.map_or(k, |mode| interp::pair_contribution(k, mode));
+        let (bufs, tmp) = scratch.bufs.from_level(cur, plan.levels().len());
+        if cur == self.last {
+            debug_assert_eq!(from, 0, "a walked embedding never pauses");
+            *local_count += self.walk(&lists, matched, |walk| {
+                walk.descend(cur, stored, bufs, tmp);
+            });
             return None;
         }
 
-        lp.raw_candidates(&matched, list_at, stored, &mut scratch.tmp, &mut scratch.raw);
-
-        if self.terminal {
-            debug_assert_eq!(from, 0, "terminal levels never pause");
-            let visit = ctx.visitor.expect("terminal levels without a visitor are counted");
-            let mut tuple = [0 as VertexId; gpm_pattern::MAX_PATTERN_VERTICES];
-            tuple[..=self.cur].copy_from_slice(&matched[..=self.cur]);
-            for &cand in &scratch.raw {
-                if passes_filters(ctx, lp, &matched, cand) {
-                    *local_count += 1;
-                    tuple[self.cur + 1] = cand;
-                    visit(&tuple[..self.cur + 2]);
+        let lp = &plan.levels()[cur];
+        let (raw, deeper) = bufs.split_first_mut().expect("one buffer per remaining level");
+        lp.raw_candidates(&matched, |p| lists.list(p, matched[p]), || stored, tmp, raw);
+        // A child whose list has to be fetched is parked in the next
+        // chunk. One whose list this part owns has nothing to wait for —
+        // when the next chunk is the bottom of the stack it holds
+        // everything the rest of the plan reads, and is walked here, with
+        // this level's raw set (still in scratch) as its stored
+        // intermediate.
+        let in_place = cur + 1 == self.last;
+        scratch.parked.clear();
+        scratch.owned.clear();
+        for (i, &cand) in raw.iter().enumerate().skip(from as usize) {
+            if interp::passes_filters(&lists, lp, &matched, cand) {
+                let child = StagedChild { vertex: cand, raw_index: i as u32 };
+                if in_place && ctx.part.edge_list(cand).is_some() {
+                    scratch.owned.push(child);
+                } else {
+                    scratch.parked.push(child);
                 }
             }
-            return None;
         }
-
-        scratch.staged.clear();
-        for (i, &cand) in scratch.raw.iter().enumerate().skip(from as usize) {
-            if passes_filters(ctx, lp, &matched, cand) {
-                scratch.staged.push(StagedChild { vertex: cand, raw_index: i as u32 });
+        // Park first: where the push stops is where this embedding
+        // resumes, so only the owned children before that point are
+        // walked now. Those past it are staged again on resume, with the
+        // parked ones they sit between — each child is handled once.
+        let paused_at = if scratch.parked.is_empty() {
+            None
+        } else {
+            let inter = lp.store_intermediate.then_some(&raw[..]);
+            let mut next =
+                self.next.as_ref().expect("a level above the bottom has a next chunk").lock();
+            match next.try_push_children(emb, &scratch.parked, lp.new_vertex_active, inter) {
+                PushOutcome::All => None,
+                PushOutcome::Partial(n) => Some(scratch.parked[n].raw_index),
             }
+        };
+        let walk_now = paused_at.map_or(scratch.owned.len(), |at| {
+            scratch.owned.partition_point(|child| child.raw_index < at)
+        });
+        if walk_now > 0 {
+            *local_count += self.walk(&lists, matched, |walk| {
+                for child in &scratch.owned[..walk_now] {
+                    walk.matched[cur + 1] = child.vertex;
+                    if !walk.descend(cur + 1, raw, deeper, tmp) {
+                        break;
+                    }
+                }
+            });
         }
-        if scratch.staged.is_empty() {
-            return None;
-        }
-        let inter: Option<&[VertexId]> =
-            if lp.store_intermediate { Some(&scratch.raw) } else { None };
-        let mut next = self.next.as_ref().expect("non-terminal extension has a next chunk").lock();
-        match next.try_push_children(emb, &scratch.staged, lp.new_vertex_active, inter) {
-            PushOutcome::All => None,
-            PushOutcome::Partial(n) => Some(scratch.staged[n].raw_index),
-        }
+        paused_at
+    }
+
+    /// Runs `body` on a depth-first walk below the prefix `matched`, and
+    /// returns how many embeddings it found. Cancellation is seen between
+    /// embeddings, however long one parked embedding's walk is.
+    fn walk<'a>(
+        &self,
+        lists: &'a Lists<'a, '_>,
+        matched: [VertexId; MAX_PATTERN_VERTICES],
+        body: impl FnOnce(&mut Walk<'_, Lists<'a, '_>>),
+    ) -> u64 {
+        let plan = self.ctx.plan;
+        let mut deliver = self.ctx.visitor.map(|visit| {
+            move |m: &[VertexId]| {
+                visit(m);
+                !self.stopped()
+            }
+        });
+        let mut walk = match &mut deliver {
+            None => Walk::counting(plan, lists, self.pair),
+            Some(deliver) => Walk::visiting(plan, lists, deliver),
+        };
+        walk.matched = matched;
+        body(&mut walk);
+        walk.count
     }
 }
 
-/// Per-thread scratch buffers.
-#[derive(Default)]
-struct Scratch {
-    raw: Vec<VertexId>,
-    tmp: Vec<VertexId>,
-    staged: Vec<StagedChild>,
+/// Per-worker scratch buffers, kept with the run's pooled state.
+#[derive(Debug, Default)]
+pub(crate) struct Scratch {
+    /// One candidate buffer per plan level, plus set-algebra scratch.
+    bufs: interp::Buffers,
+    /// Children of the embedding being extended that wait for a fetch.
+    parked: Vec<StagedChild>,
+    /// Its children this part owns, walked in place.
+    owned: Vec<StagedChild>,
+}
+
+/// Where an embedding's data lives (vertical data reuse, §5.1): each
+/// ancestor's list where resolve put it, reached through the parent chain
+/// walked once by [`ancestor_chain`]. A position below the parked
+/// embedding is a child being walked in place, which this part owns.
+struct Lists<'a, 'e> {
+    ctx: &'a PartCtx<'e>,
+    read: &'a [Chunk],
+    /// `chain[p]` = index, in chunk `p`, of the ancestor matched there.
+    chain: [u32; MAX_PATTERN_VERTICES],
+    /// Position of the parked embedding's own vertex.
+    depth: usize,
+}
+
+impl DataSource for Lists<'_, '_> {
+    #[inline]
+    fn list(&self, pos: usize, v: VertexId) -> &[VertexId] {
+        if pos > self.depth {
+            return self.ctx.part.edge_list(v).expect("a child walked in place is owned here");
+        }
+        let chunk = &self.read[pos];
+        resolve_ref(self.ctx, chunk, &chunk.embs[self.chain[pos] as usize])
+    }
+
+    #[inline]
+    fn label(&self, v: VertexId) -> Option<Label> {
+        self.ctx.label(v)
+    }
+
+    fn edge_label(&self, _: VertexId, _: VertexId) -> Option<Label> {
+        unreachable!("the engine refuses plans that filter on edge labels")
+    }
 }
 
 /// Walks `emb`'s parent chain once — vertical data reuse by index
@@ -326,7 +424,7 @@ fn resolve_ref<'a>(ctx: &'a PartCtx<'_>, chunk: &'a Chunk, e: &Emb) -> &'a [Vert
     match e.list {
         ListRef::Local => ctx.part.edge_list(e.vertex).expect("local vertex owned by this part"),
         ListRef::Cached(pin) => chunk.pinned(pin),
-        ListRef::Fetched { start, len } => chunk.fetched(start, len),
+        ListRef::Fetched { seg, start, len } => chunk.fetched(seg, start, len),
         ListRef::Peer(j) => {
             let peer = &chunk.embs[j as usize];
             debug_assert!(!matches!(peer.list, ListRef::Peer(_)), "peer chains are length 1");
@@ -337,28 +435,99 @@ fn resolve_ref<'a>(ctx: &'a PartCtx<'_>, chunk: &'a Chunk, e: &Emb) -> &'a [Vert
     }
 }
 
-/// Order/injectivity/label filters for one candidate.
-#[inline]
-fn passes_filters(ctx: &PartCtx<'_>, lp: &LevelPlan, matched: &[VertexId], cand: VertexId) -> bool {
-    for &p in &lp.lower {
-        if cand <= matched[p] {
-            return false;
+#[cfg(test)]
+mod tests {
+    use crate::engine::{Engine, EngineConfig};
+    use gpm_graph::gen;
+    use gpm_graph::partition::PartitionedGraph;
+    use gpm_graph::VertexId;
+    use gpm_pattern::plan::{MatchingPlan, PlanOptions};
+    use gpm_pattern::{interp, oracle, Pattern};
+    use parking_lot::Mutex;
+
+    fn plan(p: &Pattern) -> MatchingPlan {
+        MatchingPlan::compile(p, &PlanOptions::automine()).unwrap()
+    }
+
+    /// Every embedding the engine visits, sorted.
+    fn visited(engine: &Engine, plan: &MatchingPlan) -> (u64, Vec<Vec<VertexId>>) {
+        let seen = Mutex::new(Vec::new());
+        let run = engine.enumerate(plan, |m| seen.lock().push(m.to_vec()));
+        let mut seen = seen.into_inner();
+        seen.sort_unstable();
+        (run.count, seen)
+    }
+
+    #[test]
+    fn a_parent_pausing_among_owned_and_remote_children_yields_each_once() {
+        // K12 on two parts, triangles, three embeddings to a chunk: the
+        // stack is roots + one fetched level, so a root's children are
+        // split — owned ones walked in place, remote ones parked — and
+        // parking stops every third child. The root below has remote
+        // children to pause on and owned children on both sides of a
+        // pause; a child walked both before the pause and after the
+        // resume, or by neither, shows in the multiset.
+        let g = gen::complete(12);
+        let pg = PartitionedGraph::new(&g, 2, 1);
+        let tri = plan(&Pattern::triangle());
+        assert_eq!(tri.last_fetched_level(), 1);
+        let mixed = g.vertices().any(|root| {
+            let owner = pg.owner(root);
+            let children: Vec<bool> = g
+                .neighbors(root)
+                .iter()
+                .filter(|&&c| interp::passes_filters(&g, &tri.levels()[0], &[root], c))
+                .map(|&c| pg.owner(c) == owner)
+                .collect();
+            let remote = children.iter().filter(|owned| !**owned).count();
+            let first_remote = children.iter().position(|owned| !owned);
+            let last_remote = children.iter().rposition(|owned| !owned);
+            remote > 3
+                && children[..first_remote.unwrap()].iter().any(|&owned| owned)
+                && children[last_remote.unwrap()..].iter().any(|&owned| owned)
+        });
+        assert!(mixed, "no root with owned children around more than a chunk of remote ones");
+
+        let mut want = Vec::new();
+        interp::enumerate_embeddings(&g, &tri, |m| want.push(m.to_vec()));
+        want.sort_unstable();
+        for threads in [1, 2] {
+            let engine = Engine::new(
+                PartitionedGraph::new(&g, 2, 1),
+                EngineConfig { chunk_capacity: 3, compute_threads: threads, ..Default::default() },
+            );
+            assert_eq!(engine.count(&tri).count, 220, "{threads} thread(s)");
+            let (count, seen) = visited(&engine, &tri);
+            assert_eq!(count, 220, "{threads} thread(s)");
+            assert_eq!(seen, want, "{threads} thread(s)");
+            engine.shutdown();
         }
     }
-    for &p in &lp.upper {
-        if cand >= matched[p] {
-            return false;
+
+    #[test]
+    fn a_star_parks_only_its_roots_and_fetches_nothing() {
+        // Every level of a star reads the centre's list and no other: the
+        // stack is the root chunk alone, and an owned root needs no fetch.
+        let g = gen::barabasi_albert(300, 4, 7);
+        let star = plan(&Pattern::star(4));
+        assert_eq!(star.last_fetched_level(), 0);
+        let engine = Engine::new(
+            PartitionedGraph::new(&g, 2, 1),
+            EngineConfig { chunk_capacity: 64, ..EngineConfig::default() },
+        );
+        let run = engine.count(&star);
+        assert_eq!(run.count, oracle::count_subgraphs(&g, &Pattern::star(4), false));
+        assert_eq!((run.traffic.requests, run.traffic.network_bytes), (0, 0));
+        for part in &run.per_part {
+            assert!(part.peak_embeddings <= 64, "peak {} > one root batch", part.peak_embeddings);
         }
+        // Visited, not only counted: the walk hands over whole tuples.
+        let (count, seen) = visited(&engine, &star);
+        assert_eq!(count, run.count);
+        let mut want = Vec::new();
+        interp::enumerate_embeddings(&g, &star, |m| want.push(m.to_vec()));
+        want.sort_unstable();
+        assert_eq!(seen, want);
+        engine.shutdown();
     }
-    for &p in &lp.distinct {
-        if cand == matched[p] {
-            return false;
-        }
-    }
-    if let Some(required) = lp.label {
-        if ctx.label(cand) != Some(required) {
-            return false;
-        }
-    }
-    true
 }

@@ -6,11 +6,14 @@
 //! keeps a stack of per-level [`Chunk`]s: the deepest chunk with
 //! unprocessed embeddings is always processed next (DFS over chunks), and
 //! each chunk's embeddings are extended breadth-first until the next
-//! level's chunk fills (§4.2). Before extension, a chunk's unresolved
-//! edge lists are fetched in circulant owner order (§4.3): the
-//! coordinator submits the round's requests itself — the fabric's
-//! `fetch_async` does not wait for the transfer — and integrates the
-//! replies in submission order while the later ones are in flight.
+//! level's chunk fills (§4.2). A chunk exists to batch the fetches of
+//! the embeddings parked in it, so the stack ends at the plan's last
+//! fetched level; below it extension is depth-first (see
+//! [`crate::extend`]). Before extension, a chunk's unresolved edge lists
+//! are fetched in circulant owner order (§4.3): the coordinator submits
+//! the round's requests itself — the fabric's `fetch_async` does not wait
+//! for the transfer — and integrates the replies in submission order
+//! while the later ones are in flight.
 //!
 //! The coordinator talks to the root ledger once per batch: the claim of
 //! the next batch carries the retirement of the finished one, and its
@@ -24,13 +27,15 @@ use crate::cache::SharedCache;
 use crate::chunk::{Chunk, Emb, ListRef, NO_PARENT};
 use crate::control::ControlPlane;
 use crate::engine::EngineConfig;
+use crate::extend::Scratch;
 use crate::scheduler::{Gate, QueryArbiter};
 use crate::stats::PartStats;
 use gpm_cluster::{ClaimSource, EdgeListClient, FetchError, PendingFetch};
 use gpm_graph::partition::{vertex_hash, GraphPart};
 use gpm_graph::{Label, VertexId};
 use gpm_obs::{FlightKind, ObsHandle, Recorder, SpanKind};
-use gpm_pattern::plan::MatchingPlan;
+use gpm_pattern::plan::{MatchingPlan, PairMode};
+use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -87,6 +92,9 @@ pub(crate) struct PartCtx<'e> {
     /// incident bundle when it freezes; without a watchdog the bumps are
     /// uncontended relaxed adds.
     pub heartbeat: Arc<AtomicU64>,
+    /// Where this part's runs take their working state from and return
+    /// it to.
+    pub pool: &'e StatePool,
 }
 
 impl PartCtx<'_> {
@@ -102,9 +110,48 @@ pub(crate) fn run_part(ctx: PartCtx<'_>) -> Result<PartStats, FetchError> {
     PartRun::new(ctx).run()
 }
 
+/// What a run on one part works in: the chunk stack with its share
+/// tables and arenas, the resolve buckets, and one extend scratch per
+/// worker — everything that grows to a working size and is then only
+/// overwritten.
+#[derive(Debug, Default)]
+pub(crate) struct RunState {
+    levels: Vec<Chunk>,
+    scratch: ResolveScratch,
+    workers: Vec<Mutex<Scratch>>,
+}
+
+/// One part's idle [`RunState`]s. A run takes one (or starts an empty
+/// one) and hands it back cleared when it ends, however it ends, so a
+/// query on a warm engine grows nothing. Never holds more than were in
+/// use at once on this part.
+#[derive(Debug, Default)]
+pub(crate) struct StatePool(Mutex<Vec<RunState>>);
+
+impl StatePool {
+    /// Drops every idle state.
+    pub(crate) fn release(&self) {
+        self.0.lock().clear();
+    }
+
+    /// Idle states held.
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
+        self.0.lock().len()
+    }
+}
+
 pub(crate) struct PartRun<'e> {
     pub(crate) ctx: PartCtx<'e>,
+    /// The chunk stack, `0..=last` in use. A pooled stack that served a
+    /// deeper plan keeps its spare chunks, empty.
     pub(crate) levels: Vec<Chunk>,
+    /// The bottom of the stack: the plan's last fetched level.
+    pub(crate) last: usize,
+    /// The plan's IEP pair shortcut, which a counting walk takes.
+    pub(crate) pair: Option<PairMode>,
+    /// Extend scratch, one per worker index.
+    pub(crate) workers: Vec<Mutex<Scratch>>,
     pub(crate) count: u64,
     pub(crate) compute: Duration,
     pub(crate) network: Duration,
@@ -134,6 +181,7 @@ pub(crate) struct PartRun<'e> {
 /// Per-owner fetch buckets of one resolve phase, as parallel columns:
 /// `embs[t][k]` is the embedding waiting for the list of `vertices[t][k]`.
 /// The vertex column is what goes on the wire.
+#[derive(Debug, Default)]
 struct ResolveScratch {
     embs: Vec<Vec<u32>>,
     vertices: Vec<Vec<VertexId>>,
@@ -146,9 +194,21 @@ struct ResolveScratch {
 
 impl<'e> PartRun<'e> {
     fn new(ctx: PartCtx<'e>) -> Self {
-        let depth = ctx.plan.depth();
-        let levels =
-            (0..depth.saturating_sub(1)).map(|_| Chunk::new(ctx.cfg.chunk_capacity)).collect();
+        let last = ctx.plan.last_fetched_level();
+        let RunState { mut levels, mut scratch, mut workers } =
+            ctx.pool.0.lock().pop().unwrap_or_default();
+        // A single-vertex plan extends nothing and needs no chunk.
+        let depth = if ctx.plan.depth() > 1 { last + 1 } else { 0 };
+        if levels.len() < depth {
+            levels.resize_with(depth, Chunk::default);
+        }
+        levels.iter_mut().for_each(|c| c.capacity = ctx.cfg.chunk_capacity);
+        scratch.embs.resize_with(ctx.part_count, Vec::new);
+        scratch.vertices.resize_with(ctx.part_count, Vec::new);
+        let threads = ctx.cfg.compute_threads.max(1);
+        if workers.len() < threads {
+            workers.resize_with(threads, Mutex::default);
+        }
         let obs = ctx.obs.handle_for_query(ctx.my_part as u32, ctx.client.query_id());
         let seed_batch = if ctx.ledger.stealing() {
             ctx.cfg.steal.batch.max(ctx.cfg.mini_batch).max(1).min(ctx.cfg.chunk_capacity.max(1))
@@ -157,6 +217,9 @@ impl<'e> PartRun<'e> {
         };
         PartRun {
             levels,
+            last,
+            pair: ctx.plan.pair_count_mode(),
+            workers,
             count: 0,
             compute: Duration::ZERO,
             network: Duration::ZERO,
@@ -167,12 +230,7 @@ impl<'e> PartRun<'e> {
             batch_open: false,
             outstanding_roots: 0,
             seed_batch,
-            scratch: ResolveScratch {
-                embs: vec![Vec::new(); ctx.part_count],
-                vertices: vec![Vec::new(); ctx.part_count],
-                order: Vec::new(),
-                inflight: VecDeque::new(),
-            },
+            scratch,
             ctx,
             obs,
         }
@@ -609,25 +667,42 @@ impl<'e> PartRun<'e> {
         let outcome = pending.wait();
         self.network += tw.elapsed();
         self.obs.span_linked(SpanKind::BucketRound, bts, t as u64, req_id);
-        // The reply is the lists back to back in request order: one
-        // copy moves the whole batch into the arena.
-        let (offsets, data) = outcome?.into_parts();
+        // The reply is adopted as it arrived: each embedding's list is a
+        // span of the payload the responder wrote, never copied again.
+        let lists = outcome?;
         let (embs, vertices) = (&self.scratch.embs[t], &self.scratch.vertices[t]);
-        debug_assert_eq!(offsets.len(), vertices.len() + 1, "one list per requested vertex");
+        debug_assert_eq!(lists.len(), vertices.len(), "one list per requested vertex");
         let cache_enabled = self.ctx.cache.is_enabled();
         let chunk = &mut self.levels[cur];
-        let base = chunk.push_fetched(&data);
-        for ((&emb_i, &v), span) in embs.iter().zip(vertices).zip(offsets.windows(2)) {
-            let (lo, hi) = (span[0], span[1]);
-            chunk.embs[emb_i as usize].list = ListRef::Fetched { start: base + lo, len: hi - lo };
+        let seg = chunk.next_segment();
+        for (k, (&emb_i, &v)) in embs.iter().zip(vertices).enumerate() {
+            let (start, len) = lists.span(k);
+            chunk.embs[emb_i as usize].list = ListRef::Fetched { seg, start, len };
             if cache_enabled {
-                self.ctx.cache.maybe_insert(v, &data[lo as usize..hi as usize]);
+                self.ctx.cache.maybe_insert(v, lists.list(k));
             }
         }
+        chunk.segments.push(lists.into_payload());
         if cache_enabled {
             self.obs.instant(SpanKind::CacheInsert, vertices.len() as u64);
         }
         Ok(())
+    }
+}
+
+impl Drop for PartRun<'_> {
+    /// Hands the working state back to the part's pool, cleared — on
+    /// every exit path: completion, stop, deadline, a failed fetch, a
+    /// recovery pass.
+    fn drop(&mut self) {
+        let mut state = RunState {
+            levels: std::mem::take(&mut self.levels),
+            scratch: std::mem::take(&mut self.scratch),
+            workers: std::mem::take(&mut self.workers),
+        };
+        state.levels.iter_mut().for_each(Chunk::clear);
+        state.scratch.inflight.clear();
+        self.ctx.pool.0.lock().push(state);
     }
 }
 
@@ -667,6 +742,7 @@ mod tests {
             None,
         ));
         let stop = AtomicBool::new(false);
+        let pool = StatePool::default();
         let mut run = PartRun::new(PartCtx {
             part: pg.part_arc(0),
             labels: pg.labels(),
@@ -689,6 +765,7 @@ mod tests {
             deadline_fired: Arc::default(),
             progress: None,
             heartbeat: Arc::default(),
+            pool: &pool,
         });
         let sent = || service.metrics().part(0).ctrl_sent();
 

@@ -218,18 +218,36 @@ impl MemoState {
 /// One queued execution.
 struct Job {
     query_id: u64,
+    /// This query's entry in [`ServiceInner::admitted`].
+    index: usize,
     plan: MatchingPlan,
     key: MemoKey,
     slot: Arc<QuerySlot>,
     admitted: Instant,
 }
 
-/// Everything admitted so far, in admission order.
+/// One admitted query. The list of these, in admission order, is the
+/// service's whole history: what a query came to is its slot's result
+/// plus, for one that was executed, what the executor noted in `done`.
 struct Admitted {
     query_id: u64,
     pattern: String,
     memoized: bool,
     slot: Arc<QuerySlot>,
+    /// Set by the executor just before it fulfills the slot. Stays `None`
+    /// for a memoized duplicate, which completes with its original and
+    /// spent no engine time of its own.
+    done: Option<Executed>,
+}
+
+/// What the executor records about a query it ran.
+#[derive(Clone, Copy, Default)]
+struct Executed {
+    elapsed: Duration,
+    roots_total: u64,
+    roots_completed: u64,
+    memo_entries: u64,
+    memo_evictions: u64,
 }
 
 /// Recent completions kept for the status plane.
@@ -243,7 +261,6 @@ struct ServiceInner {
     stop: AtomicBool,
     memo: Mutex<MemoState>,
     admitted: Mutex<Vec<Admitted>>,
-    outcomes: Mutex<HashMap<u64, QueryOutcome>>,
     /// Recently completed queries, oldest first (bounded ring).
     completions: Mutex<VecDeque<Completion>>,
     /// Completions slower than the configured threshold, oldest first.
@@ -298,7 +315,6 @@ impl MiningService {
             stop: AtomicBool::new(false),
             memo: Mutex::new(MemoState::default()),
             admitted: Mutex::new(Vec::new()),
-            outcomes: Mutex::new(HashMap::new()),
             completions: Mutex::new(VecDeque::new()),
             slow_log: Mutex::new(VecDeque::new()),
         });
@@ -358,6 +374,7 @@ impl MiningService {
                     pattern: pattern.to_string(),
                     memoized: true,
                     slot,
+                    done: None,
                 });
                 return Ok(handle);
             }
@@ -366,14 +383,20 @@ impl MiningService {
         if self.cfg.memoize {
             memo.insert(key.clone(), Arc::clone(&slot), self.cfg.memo_capacity);
         }
-        self.inner.admitted.lock().push(Admitted {
-            query_id,
-            pattern: pattern.to_string(),
-            memoized: false,
-            slot: Arc::clone(&slot),
-        });
+        let index = {
+            let mut admitted = self.inner.admitted.lock();
+            admitted.push(Admitted {
+                query_id,
+                pattern: pattern.to_string(),
+                memoized: false,
+                slot: Arc::clone(&slot),
+                done: None,
+            });
+            admitted.len() - 1
+        };
         drop(memo);
-        let job = Job { query_id, plan, key, slot: Arc::clone(&slot), admitted: Instant::now() };
+        let job =
+            Job { query_id, index, plan, key, slot: Arc::clone(&slot), admitted: Instant::now() };
         self.inner.queue.lock().push_back(job);
         self.inner.queue_cv.notify_one();
         Ok(QueryHandle { query_id, pattern: pattern.to_string(), memoized: false, slot })
@@ -393,29 +416,24 @@ impl MiningService {
     /// Outcomes of every *completed* query so far, in admission order.
     /// Memoized queries resolve as soon as their original does.
     pub fn outcomes(&self) -> Vec<QueryOutcome> {
-        let outcomes = self.inner.outcomes.lock();
         self.inner
             .admitted
             .lock()
             .iter()
             .filter_map(|a| {
-                if a.memoized {
-                    // A duplicate completes when its original does; it
-                    // spent no engine time of its own.
-                    a.slot.peek().map(|result| QueryOutcome {
-                        query_id: a.query_id,
-                        pattern: a.pattern.clone(),
-                        memoized: true,
-                        result,
-                        elapsed: Duration::ZERO,
-                        roots_total: 0,
-                        roots_completed: 0,
-                        memo_entries: 0,
-                        memo_evictions: 0,
-                    })
-                } else {
-                    outcomes.get(&a.query_id).cloned()
-                }
+                let result = a.slot.peek()?;
+                let done = a.done.unwrap_or_default();
+                Some(QueryOutcome {
+                    query_id: a.query_id,
+                    pattern: a.pattern.clone(),
+                    memoized: a.memoized,
+                    result,
+                    elapsed: done.elapsed,
+                    roots_total: done.roots_total,
+                    roots_completed: done.roots_completed,
+                    memo_entries: done.memo_entries,
+                    memo_evictions: done.memo_evictions,
+                })
             })
             .collect()
     }
@@ -586,24 +604,19 @@ fn executor_loop(engine: &Engine, inner: &ServiceInner, budget: u64, slow_query:
             (m.map.len() as u64, m.hits, m.evictions)
         };
         let elapsed = job.admitted.elapsed();
-        let outcome = QueryOutcome {
-            query_id: job.query_id,
-            pattern: String::new(),
-            memoized: false,
-            result: result.clone(),
-            elapsed,
-            roots_total,
-            roots_completed,
-            memo_entries,
-            memo_evictions,
+        let pattern = {
+            let mut admitted = inner.admitted.lock();
+            let entry = &mut admitted[job.index];
+            debug_assert_eq!(entry.query_id, job.query_id);
+            entry.done = Some(Executed {
+                elapsed,
+                roots_total,
+                roots_completed,
+                memo_entries,
+                memo_evictions,
+            });
+            entry.pattern.clone()
         };
-        let pattern = inner
-            .admitted
-            .lock()
-            .iter()
-            .find(|a| a.query_id == job.query_id)
-            .map(|a| a.pattern.clone())
-            .unwrap_or_default();
         // A completion over the slow-query threshold is an incident, not
         // just a log line: capture the bundle while the engine still has
         // the live context (concurrent queries' progress, counter totals).
@@ -635,13 +648,12 @@ fn executor_loop(engine: &Engine, inner: &ServiceInner, budget: u64, slow_query:
         inner.record_completion(
             Completion {
                 query_id: job.query_id,
-                pattern: pattern.clone(),
+                pattern,
                 count: result.as_ref().ok().map(|s| s.count),
                 elapsed,
             },
             slow_query,
         );
-        inner.outcomes.lock().insert(job.query_id, QueryOutcome { pattern, ..outcome });
         job.slot.fulfill(result);
     }
 }

@@ -1,31 +1,170 @@
-//! Single-machine reference interpreter for [`MatchingPlan`]s.
+//! Single-machine reference interpreter for [`MatchingPlan`]s, and the one
+//! depth-first walker every executor in the workspace runs.
 //!
-//! This is the "nested loops" of the paper's Figure 1, executed directly
-//! on an in-memory graph: the simplest correct executor of a plan. It is
-//! used as the ground-truth implementation for engine tests, as the core
-//! of the single-machine baselines, and by the oracle cross-checks.
+//! This is the "nested loops" of the paper's Figure 1: the simplest
+//! correct executor of a plan. [`Walk`] is the loop nest itself, told by a
+//! [`DataSource`] where each position's edge list lives. Run over a
+//! [`Graph`] it is the ground truth for engine tests, the core of the
+//! single-machine baselines, and the oracle cross-checks; the distributed
+//! engine runs the same walk below the last level it has to fetch for,
+//! with lists that live in its chunks.
 
 use crate::plan::{LevelPlan, MatchingPlan, PairMode};
-use gpm_graph::{Graph, VertexId};
+use crate::MAX_PATTERN_VERTICES;
+use gpm_graph::{Graph, Label, VertexId};
 
-/// Working buffers of one walk, grown once and reused for every
-/// embedding. `cands[i]` holds level `i`'s raw candidate set; while the
-/// walk is below that level it is also the stored intermediate the next
-/// level reads, so reuse costs no copy.
-struct Buffers {
+/// Where a walk's data lives: the executor's half of the plan/executor
+/// split. The plan says *what* each level intersects and filters on; the
+/// source hands over the lists and labels.
+pub trait DataSource {
+    /// The edge list of `v`, the vertex matched at position `pos`.
+    fn list(&self, pos: usize, v: VertexId) -> &[VertexId];
+    /// `v`'s label, on a labeled graph.
+    fn label(&self, v: VertexId) -> Option<Label>;
+    /// The label of the edge between `u` and `v`, where the source ships
+    /// edge labels.
+    fn edge_label(&self, u: VertexId, v: VertexId) -> Option<Label>;
+}
+
+impl DataSource for Graph {
+    fn list(&self, _pos: usize, v: VertexId) -> &[VertexId] {
+        self.neighbors(v)
+    }
+
+    fn label(&self, v: VertexId) -> Option<Label> {
+        Graph::label(self, v)
+    }
+
+    fn edge_label(&self, u: VertexId, v: VertexId) -> Option<Label> {
+        Graph::edge_label(self, u, v)
+    }
+}
+
+/// Working buffers of a walk, grown once and reused for every embedding:
+/// one candidate buffer per level plus scratch. While the walk is below a
+/// level, that level's buffer is also the stored intermediate the next
+/// level reads, so vertical reuse costs no copy.
+#[derive(Debug, Default)]
+pub struct Buffers {
     cands: Vec<Vec<VertexId>>,
     tmp: Vec<VertexId>,
 }
 
 impl Buffers {
-    fn new(plan: &MatchingPlan) -> Self {
-        Buffers { cands: vec![Vec::new(); plan.levels().len()], tmp: Vec::new() }
+    /// `(buffers of levels from.., scratch)` for a plan of `levels`
+    /// levels.
+    pub fn from_level(
+        &mut self,
+        from: usize,
+        levels: usize,
+    ) -> (&mut [Vec<VertexId>], &mut Vec<VertexId>) {
+        if self.cands.len() < levels {
+            self.cands.resize_with(levels, Vec::new);
+        }
+        (&mut self.cands[from..levels], &mut self.tmp)
+    }
+}
+
+/// What a visiting walk hands each embedding to; `false` ends the walk.
+pub type Visit<'a> = &'a mut dyn FnMut(&[VertexId]) -> bool;
+
+/// A depth-first walk of a plan's levels: the matched prefix, the running
+/// count, and what to do with a complete embedding.
+///
+/// Without a visitor the walk only counts, so the last level's candidates
+/// are counted rather than iterated and, under the IEP shortcut, the last
+/// two loops collapse into pair arithmetic. With one, every embedding is
+/// handed over in matching-order positions, and a `false` from the
+/// visitor ends the walk.
+pub struct Walk<'a, S: DataSource> {
+    plan: &'a MatchingPlan,
+    src: &'a S,
+    pair: Option<PairMode>,
+    visit: Option<Visit<'a>>,
+    /// The vertices matched so far, by position. The caller fills the
+    /// prefix above the level it descends from.
+    pub matched: [VertexId; MAX_PATTERN_VERTICES],
+    /// Embeddings found so far.
+    pub count: u64,
+}
+
+impl<'a, S: DataSource> Walk<'a, S> {
+    /// A walk that counts. `pair` is the plan's
+    /// [`pair_count_mode`](MatchingPlan::pair_count_mode) — taken as an
+    /// argument because an executor starts one walk per parked embedding
+    /// and the mode is the same for all of them.
+    pub fn counting(plan: &'a MatchingPlan, src: &'a S, pair: Option<PairMode>) -> Self {
+        Walk { plan, src, pair, visit: None, matched: [0; MAX_PATTERN_VERTICES], count: 0 }
     }
 
-    /// `(parent's stored intermediate, this level's buffer, scratch)`.
-    fn at(&mut self, level_idx: usize) -> (&[VertexId], &mut Vec<VertexId>, &mut Vec<VertexId>) {
-        let (above, below) = self.cands.split_at_mut(level_idx);
-        (above.last().map_or(&[], |v| v), &mut below[0], &mut self.tmp)
+    /// A walk that hands every embedding to `visit`.
+    pub fn visiting(plan: &'a MatchingPlan, src: &'a S, visit: Visit<'a>) -> Self {
+        Walk { visit: Some(visit), ..Walk::counting(plan, src, None) }
+    }
+
+    /// Walks every embedding rooted at `v`. Returns `false` once the
+    /// visitor has asked to stop.
+    pub fn from_root(&mut self, v: VertexId, bufs: &mut Buffers) -> bool {
+        if self.plan.root_label().is_some_and(|required| self.src.label(v) != Some(required)) {
+            return true;
+        }
+        self.matched[0] = v;
+        let levels = self.plan.levels().len();
+        if levels == 0 {
+            self.count += 1;
+            return self.visit.as_mut().is_none_or(|visit| visit(&self.matched[..1]));
+        }
+        let (cands, tmp) = bufs.from_level(0, levels);
+        self.descend(0, &[], cands, tmp)
+    }
+
+    /// Walks plan levels `level..` below the prefix `matched[..=level]`.
+    /// `stored` is the intermediate the level above stored (read only by
+    /// the reuse sources); `bufs` holds one buffer per remaining level,
+    /// `bufs[0]` receiving this level's candidate set, which is the next
+    /// level's `stored`. Returns `false` once the visitor has asked to
+    /// stop.
+    pub fn descend(
+        &mut self,
+        level: usize,
+        stored: &[VertexId],
+        bufs: &mut [Vec<VertexId>],
+        tmp: &mut Vec<VertexId>,
+    ) -> bool {
+        let (plan, src) = (self.plan, self.src);
+        let lp = &plan.levels()[level];
+        let (cands, deeper) = bufs.split_first_mut().expect("one buffer per remaining level");
+        let levels_left = plan.levels().len() - level;
+        if self.visit.is_none() {
+            let pair_here = self.pair.filter(|_| levels_left == 2);
+            if levels_left == 1 || pair_here.is_some() {
+                let matched = &self.matched;
+                let list_at = |p: usize| src.list(p, matched[p]);
+                let passes = |c| passes_filters(src, lp, matched, c);
+                let k = lp.count_candidates(matched, list_at, || stored, passes, tmp, cands);
+                self.count += pair_here.map_or(k, |mode| pair_contribution(k, mode));
+                return true;
+            }
+        }
+        let matched = &self.matched;
+        lp.raw_candidates(matched, |p| src.list(p, matched[p]), || stored, tmp, cands);
+        for &cand in cands.iter() {
+            if !passes_filters(src, lp, &self.matched, cand) {
+                continue;
+            }
+            self.matched[lp.position] = cand;
+            let keep = if levels_left == 1 {
+                self.count += 1;
+                let visit = self.visit.as_mut().expect("a last level without a visitor is counted");
+                visit(&self.matched[..=lp.position])
+            } else {
+                self.descend(level + 1, cands, deeper, tmp)
+            };
+            if !keep {
+                return false;
+            }
+        }
+        true
     }
 }
 
@@ -67,65 +206,24 @@ pub fn enumerate_embeddings_until<F: FnMut(&[VertexId]) -> bool>(
     plan: &MatchingPlan,
     mut visit: F,
 ) {
-    let mut matched: Vec<VertexId> = Vec::with_capacity(plan.depth());
-    let mut bufs = Buffers::new(plan);
+    let mut bufs = Buffers::default();
+    let mut walk = Walk::visiting(plan, g, &mut visit);
     for v in g.vertices() {
-        if let Some(required) = plan.root_label() {
-            if g.label(v) != Some(required) {
-                continue;
-            }
-        }
-        if plan.depth() == 1 {
-            if !visit(&[v]) {
-                return;
-            }
-            continue;
-        }
-        matched.push(v);
-        let keep = descend_until(g, plan, 0, &mut matched, &mut bufs, &mut visit);
-        matched.pop();
-        if !keep {
+        if !walk.from_root(v, &mut bufs) {
             return;
         }
     }
 }
 
-fn descend_until<F: FnMut(&[VertexId]) -> bool>(
-    g: &Graph,
-    plan: &MatchingPlan,
-    level_idx: usize,
-    matched: &mut Vec<VertexId>,
-    bufs: &mut Buffers,
-    visit: &mut F,
-) -> bool {
-    let lp = &plan.levels()[level_idx];
-    let (parent, cands, tmp) = bufs.at(level_idx);
-    lp.raw_candidates(matched, |p| g.neighbors(matched[p]), || parent, tmp, cands);
-    let last = level_idx + 1 == plan.levels().len();
-    // Indexed: deeper levels borrow `bufs` but leave this level's set alone.
-    for k in 0..bufs.cands[level_idx].len() {
-        let cand = bufs.cands[level_idx][k];
-        if !passes_filters(g, lp, matched, cand) {
-            continue;
-        }
-        matched.push(cand);
-        let keep = if last {
-            visit(matched)
-        } else {
-            descend_until(g, plan, level_idx + 1, matched, bufs, visit)
-        };
-        matched.pop();
-        if !keep {
-            return false;
-        }
-    }
-    true
-}
-
 /// Whether candidate `cand` passes the level's filters (bounds,
 /// injectivity, label) given the matched prefix.
 #[inline]
-pub fn passes_filters(g: &Graph, lp: &LevelPlan, matched: &[VertexId], cand: VertexId) -> bool {
+pub fn passes_filters<S: DataSource>(
+    src: &S,
+    lp: &LevelPlan,
+    matched: &[VertexId],
+    cand: VertexId,
+) -> bool {
     for &p in &lp.lower {
         if cand <= matched[p] {
             return false;
@@ -142,12 +240,12 @@ pub fn passes_filters(g: &Graph, lp: &LevelPlan, matched: &[VertexId], cand: Ver
         }
     }
     if let Some(required) = lp.label {
-        if g.label(cand) != Some(required) {
+        if src.label(cand) != Some(required) {
             return false;
         }
     }
     for &(p, required) in &lp.edge_labels {
-        if g.edge_label(matched[p], cand) != Some(required) {
+        if src.edge_label(matched[p], cand) != Some(required) {
             return false;
         }
     }
@@ -159,10 +257,12 @@ pub fn passes_filters(g: &Graph, lp: &LevelPlan, matched: &[VertexId], cand: Ver
 /// without materialising it where the filters allow. Produces identical
 /// results to [`count_embeddings`]; used by counting-only applications.
 pub fn count_embeddings_fast(g: &Graph, plan: &MatchingPlan) -> u64 {
-    let mut matched = Vec::with_capacity(plan.depth());
-    let mut bufs = Buffers::new(plan);
-    let pair = plan.pair_count_mode();
-    g.vertices().map(|v| count_rooted(g, plan, pair, v, &mut matched, &mut bufs)).sum()
+    let mut bufs = Buffers::default();
+    let mut walk = Walk::counting(plan, g, plan.pair_count_mode());
+    for v in g.vertices() {
+        walk.from_root(v, &mut bufs);
+    }
+    walk.count
 }
 
 /// Pairs contributed by a qualifying candidate set of size `k` under the
@@ -179,66 +279,9 @@ pub fn pair_contribution(k: u64, mode: PairMode) -> u64 {
 /// [`count_embeddings_fast`]; single-machine baselines parallelize over
 /// roots with this.
 pub fn count_from_root(g: &Graph, plan: &MatchingPlan, v: VertexId) -> u64 {
-    let mut matched = Vec::with_capacity(plan.depth());
-    count_rooted(g, plan, plan.pair_count_mode(), v, &mut matched, &mut Buffers::new(plan))
-}
-
-fn count_rooted(
-    g: &Graph,
-    plan: &MatchingPlan,
-    pair: Option<PairMode>,
-    v: VertexId,
-    matched: &mut Vec<VertexId>,
-    bufs: &mut Buffers,
-) -> u64 {
-    if let Some(required) = plan.root_label() {
-        if g.label(v) != Some(required) {
-            return 0;
-        }
-    }
-    if plan.depth() == 1 {
-        return 1;
-    }
-    let mut count = 0u64;
-    matched.push(v);
-    descend_fast(g, plan, 0, matched, bufs, pair, &mut count);
-    matched.pop();
-    count
-}
-
-fn descend_fast(
-    g: &Graph,
-    plan: &MatchingPlan,
-    level_idx: usize,
-    matched: &mut Vec<VertexId>,
-    bufs: &mut Buffers,
-    pair: Option<PairMode>,
-    count: &mut u64,
-) {
-    let lp = &plan.levels()[level_idx];
-    let (parent, cands, tmp) = bufs.at(level_idx);
-    let list_at = |p: usize| g.neighbors(matched[p]);
-    // The last level is counted, not iterated; under the IEP shortcut so
-    // is the one before it, and the last two loops collapse into pair
-    // arithmetic.
-    let levels_left = plan.levels().len() - level_idx;
-    let pair_here = pair.filter(|_| levels_left == 2);
-    if levels_left == 1 || pair_here.is_some() {
-        let passes = |c| passes_filters(g, lp, matched, c);
-        let k = lp.count_candidates(matched, list_at, || parent, passes, tmp, cands);
-        *count += pair_here.map_or(k, |mode| pair_contribution(k, mode));
-        return;
-    }
-    lp.raw_candidates(matched, list_at, || parent, tmp, cands);
-    for k in 0..bufs.cands[level_idx].len() {
-        let cand = bufs.cands[level_idx][k];
-        if !passes_filters(g, lp, matched, cand) {
-            continue;
-        }
-        matched.push(cand);
-        descend_fast(g, plan, level_idx + 1, matched, bufs, pair, count);
-        matched.pop();
-    }
+    let mut walk = Walk::counting(plan, g, plan.pair_count_mode());
+    walk.from_root(v, &mut Buffers::default());
+    walk.count
 }
 
 #[cfg(test)]

@@ -628,6 +628,16 @@ impl MatchingPlan {
         None
     }
 
+    /// The deepest position whose vertex is active — whose edge list some
+    /// later level reads — or 0 when no position past the root is. Below
+    /// it every level reads only lists an ancestor already holds, so an
+    /// executor that holds embeddings back until their lists arrive has
+    /// nothing left to wait for: an embedding complete up to this
+    /// position can be extended depth-first to the end of the plan.
+    pub fn last_fetched_level(&self) -> usize {
+        self.levels.iter().rposition(|l| l.new_vertex_active).map_or(0, |i| i + 1)
+    }
+
     /// Whether the root vertex's edge list is needed by level 1 (it always
     /// is for patterns with more than one vertex).
     pub fn root_active(&self) -> bool {
@@ -800,6 +810,49 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn last_fetched_level_is_the_deepest_active_position() {
+        let mut seen = 0;
+        for k in 1..=5 {
+            for p in crate::genpat::connected_patterns(k) {
+                for opts in [PlanOptions::automine(), PlanOptions::graphpi()] {
+                    let plan = MatchingPlan::compile(&p, &opts).unwrap();
+                    let last = plan.last_fetched_level();
+                    let deepest_active = plan
+                        .levels()
+                        .iter()
+                        .filter(|l| l.new_vertex_active)
+                        .map(|l| l.position)
+                        .max()
+                        .unwrap_or(0);
+                    assert_eq!(last, deepest_active, "{p}\n{}", plan.describe());
+                    // What the definition buys: no level reads the list of
+                    // a position past it.
+                    for l in plan.levels() {
+                        let reads = match l.source {
+                            CandidateSource::Scratch => l.intersect.clone(),
+                            CandidateSource::ParentIntermediate => Vec::new(),
+                            CandidateSource::ParentIntermediateAndNew => vec![l.position - 1],
+                        };
+                        assert!(reads.iter().chain(&l.subtract).all(|&r| r <= last), "{p}");
+                    }
+                }
+                seen += 1;
+            }
+        }
+        assert_eq!(seen, 31, "every connected pattern of up to five vertices");
+        // A star reads its centre's list at every level and nothing else.
+        for k in 3..=6 {
+            for opts in [PlanOptions::automine(), PlanOptions::graphpi()] {
+                let plan = MatchingPlan::compile(&Pattern::star(k), &opts).unwrap();
+                assert_eq!(plan.last_fetched_level(), 0, "star:{k}");
+            }
+        }
+        // A clique reads every list but the last vertex's.
+        let clique = MatchingPlan::compile(&Pattern::clique(5), &PlanOptions::default()).unwrap();
+        assert_eq!(clique.last_fetched_level(), 3);
     }
 
     #[test]
