@@ -669,8 +669,10 @@ fn http_get_body(addr: &str, path: &str) -> Result<String, String> {
         .set_read_timeout(Some(Duration::from_secs(5)))
         .and_then(|()| stream.set_write_timeout(Some(Duration::from_secs(5))))
         .map_err(|e| format!("{addr}: {e}"))?;
-    write!(stream, "GET {path} HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\r\n")
-        .map_err(|e| format!("{addr}: {e}"))?;
+    // One buffer, one write: `write!` on the stream would send the request
+    // as a segment per format fragment.
+    let request = format!("GET {path} HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\r\n");
+    stream.write_all(request.as_bytes()).map_err(|e| format!("{addr}: {e}"))?;
     let mut response = String::new();
     stream.read_to_string(&mut response).map_err(|e| format!("{addr}: {e}"))?;
     let (_, body) =
@@ -1283,11 +1285,12 @@ fn run_count(args: &[String]) -> Result<String, String> {
         writeln!(out, "pattern  {}{}", opts.pattern, if opts.induced { " (induced)" } else { "" });
     let _ = writeln!(
         out,
-        "system   {} ({} machines x {} sockets, {} threads)",
+        "system   {} ({} machines x {} sockets, {} threads; {} set kernels)",
         opts.system.name(),
         opts.machines,
         opts.sockets,
-        opts.threads
+        opts.threads,
+        gpm_graph::set_ops::kernel()
     );
     let _ = writeln!(out, "count    {}", stats.count);
     let _ = writeln!(out, "elapsed  {:?}", stats.elapsed);
@@ -1875,7 +1878,8 @@ mod tests {
     #[test]
     fn verbose_report_mentions_everything() {
         let out = run(&argv("--gen ba:200,4 --pattern clique:4 --machines 2")).unwrap();
-        for needle in ["graph", "pattern", "count", "elapsed", "traffic", "split"] {
+        let kernels = format!("; {} set kernels)", gpm_graph::set_ops::kernel());
+        for needle in ["graph", "pattern", &kernels, "count", "elapsed", "traffic", "split"] {
             assert!(out.contains(needle), "missing {needle} in:\n{out}");
         }
     }

@@ -2,7 +2,7 @@
 //! else is built from: sorted-set operations, plan interpretation,
 //! partition/fetch primitives, and the observability hot path.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use gpm_graph::{gen, partition::PartitionedGraph, set_ops};
 use gpm_obs::{Metric, ObsConfig, Recorder, SpanKind};
 use gpm_pattern::interp;
@@ -13,6 +13,8 @@ use khuzdul::{CachePolicy, Engine, EngineConfig};
 use std::hint::black_box;
 
 fn bench_set_ops(c: &mut Criterion) {
+    // Every number below, and every walk further down, depends on it.
+    println!("set_ops kernel: {}", set_ops::kernel());
     let mut g = c.benchmark_group("set_ops");
     let a: Vec<u32> = (0..10_000).map(|i| i * 3).collect();
     let b: Vec<u32> = (0..10_000).map(|i| i * 5).collect();
@@ -96,6 +98,61 @@ fn bench_set_ops(c: &mut Criterion) {
             }
         })
     });
+    g.finish();
+}
+
+/// The intersections a 4-clique level really runs, by shape: for every
+/// edge `u < v` of the `hub_cliques` graph, `N(u)` and `N(v)` clamped above
+/// `v` as the level's bounds clamp them, binned by the shorter length and
+/// the length ratio — the two things `set_ops` chooses a kernel by (block
+/// merge from 8 on the shorter side, gallop from 16×). Each bin runs the
+/// dispatching kernel and the scalar merge it falls back to, counting and
+/// materialising, and reports time per scanned element (`|a| + |b|`).
+fn bench_set_ops_shapes(c: &mut Criterion) {
+    const SHORT: [(&str, usize); 4] =
+        [("1-7", 8), ("8-31", 32), ("32-127", 128), ("128+", usize::MAX)];
+    const RATIO: [(&str, usize); 3] = [("1-4", 4), ("4-16", 16), ("16+", usize::MAX)];
+    let graph = gen::rmat(12, 16, (0.57, 0.19, 0.19), 12);
+    let mut bins: Vec<Vec<(&[u32], &[u32])>> = vec![Vec::new(); SHORT.len() * RATIO.len()];
+    for (u, v) in graph.edges() {
+        let bound = Some(u.max(v));
+        let a = set_ops::clamp(graph.neighbors(u), bound, None);
+        let b = set_ops::clamp(graph.neighbors(v), bound, None);
+        let (short, long) = (a.len().min(b.len()), a.len().max(b.len()));
+        if short == 0 {
+            continue;
+        }
+        let s = SHORT.iter().position(|&(_, end)| short < end).expect("last bin is open");
+        let r = RATIO.iter().position(|&(_, end)| long / short < end).expect("last bin is open");
+        bins[s * RATIO.len() + r].push((a, b));
+    }
+    let mut g = c.benchmark_group("set_ops_shapes");
+    for (bin, pairs) in bins.iter().enumerate().filter(|(_, pairs)| !pairs.is_empty()) {
+        let (short, ratio) = (SHORT[bin / RATIO.len()].0, RATIO[bin % RATIO.len()].0);
+        let scanned: usize = pairs.iter().map(|(a, b)| a.len() + b.len()).sum();
+        g.throughput(Throughput::Elements(scanned as u64));
+        let shape = format!("short_{short}/ratio_{ratio}/pairs_{}", pairs.len());
+        type Count = fn(&[u32], &[u32]) -> usize;
+        type Into = fn(&[u32], &[u32], &mut Vec<u32>);
+        for (name, count, into) in [
+            ("dispatch", set_ops::intersect_count as Count, set_ops::intersect_into as Into),
+            ("scalar", set_ops::merge_intersect_count, set_ops::merge_intersect_into),
+        ] {
+            g.bench_function(format!("count/{shape}/{name}"), |bench| {
+                bench.iter(|| pairs.iter().map(|(a, b)| count(a, b)).sum::<usize>())
+            });
+            g.bench_function(format!("into/{shape}/{name}"), |bench| {
+                let mut out = Vec::new();
+                bench.iter(|| {
+                    for (a, b) in pairs {
+                        out.clear();
+                        into(a, b, &mut out);
+                        black_box(&out);
+                    }
+                })
+            });
+        }
+    }
     g.finish();
 }
 
@@ -309,6 +366,7 @@ fn bench_obs_overhead(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_set_ops,
+    bench_set_ops_shapes,
     bench_plan_interp,
     bench_extend_tail,
     bench_partitioning,

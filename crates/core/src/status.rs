@@ -177,14 +177,15 @@ fn handle_conn(
     let _ = stream.set_write_timeout(Some(Duration::from_secs(2)));
     let mut buf = [0u8; 1024];
     let mut req = Vec::new();
-    // Read until the request line is complete; a scraper's GET fits in
-    // one segment, so one read usually suffices.
+    // Read to the end of the headers, not just of the request line: a
+    // stream dropped with bytes unread, or still arriving, is closed with
+    // a reset, which the client sees in place of the response.
     loop {
         match stream.read(&mut buf) {
             Ok(0) => break,
             Ok(n) => {
                 req.extend_from_slice(&buf[..n]);
-                if req.windows(2).any(|w| w == b"\r\n") || req.len() > 8192 {
+                if req.windows(4).any(|w| w == b"\r\n\r\n") || req.len() > 8192 {
                     break;
                 }
             }
@@ -675,11 +676,35 @@ mod tests {
     use gpm_pattern::Pattern;
 
     fn http_get(addr: SocketAddr, path: &str) -> String {
+        http_get_in_pieces(
+            addr,
+            &[&format!("GET {path} HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n")],
+        )
+    }
+
+    /// One request written piece by piece, 20 ms apart; returns the body.
+    /// Between pieces nothing may have come back: a server that answers
+    /// (and closes) before it has read the request to the end resets a
+    /// client whose remaining bytes land between its last read and the
+    /// close.
+    fn http_get_in_pieces(addr: SocketAddr, pieces: &[&str]) -> String {
         let mut s = TcpStream::connect(addr).expect("connect status server");
-        write!(s, "GET {path} HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n").unwrap();
+        s.set_nodelay(true).unwrap();
+        for (i, piece) in pieces.iter().enumerate() {
+            if i > 0 {
+                std::thread::sleep(Duration::from_millis(20));
+                s.set_nonblocking(true).unwrap();
+                let early = s.peek(&mut [0]).map_err(|e| e.kind());
+                assert_eq!(early, Err(std::io::ErrorKind::WouldBlock), "answered mid-request");
+                s.set_nonblocking(false).unwrap();
+            }
+            s.write_all(piece.as_bytes()).expect("write request");
+        }
         let mut out = String::new();
         s.read_to_string(&mut out).expect("read response");
-        let (_, body) = out.split_once("\r\n\r\n").expect("header/body split");
+        let (head, body) = out.split_once("\r\n\r\n").expect("header/body split");
+        let declared = head.lines().find_map(|l| l.strip_prefix("Content-Length: "));
+        assert_eq!(declared, Some(body.len().to_string().as_str()), "body cut short");
         body.to_string()
     }
 
@@ -731,6 +756,26 @@ mod tests {
         assert_eq!(http_get(server.local_addr(), "/quit"), "bye\n");
         assert!(server.quit_requested());
         assert!(http_get(server.local_addr(), "/nope").contains("not found"));
+    }
+
+    /// A client whose headers arrive after its request line — several
+    /// small writes, a slow link — still gets the whole response: the
+    /// server must not answer and close while request bytes are in flight.
+    #[test]
+    fn a_request_arriving_in_two_pieces_gets_a_complete_response() {
+        let g = gen::barabasi_albert(150, 4, 11);
+        let engine =
+            Arc::new(Engine::new(PartitionedGraph::new(&g, 2, 1), EngineConfig::default()));
+        let svc = Arc::new(MiningService::start(engine, ServiceConfig::default()));
+        let server = StatusServer::start(Arc::clone(&svc), StatusConfig::default()).unwrap();
+        let get = |path: &str| {
+            http_get_in_pieces(
+                server.local_addr(),
+                &[&format!("GET {path} HTTP/1.1\r\n"), "Host: x\r\nConnection: close\r\n\r\n"],
+            )
+        };
+        gpm_obs::parse_json(&get("/status")).expect("complete JSON body");
+        gpm_obs::validate_exposition(&get("/metrics")).expect("complete exposition");
     }
 
     /// Under the message control plane, `/metrics` exposes the control

@@ -39,18 +39,54 @@ pub fn clamp(list: &[VertexId], lo: Option<VertexId>, hi: Option<VertexId>) -> &
 /// long one by galloping instead of merging.
 const GALLOP_RATIO: usize = 16;
 
-/// `(short, long, gallop?)` for a pair of inputs.
+/// How one pair of inputs is intersected; [`by_length`] is the only place
+/// that decides.
+enum Kernel {
+    /// An input is empty: nothing to scan.
+    Empty,
+    /// Skewed lengths: search the long side for each element of the short.
+    Gallop,
+    /// Balanced, and at least one block on each side: 8×8 vector compares
+    /// for the whole blocks, the tails classified again.
+    #[cfg(target_arch = "x86_64")]
+    Block(avx2::Avx2),
+    /// Everything else, and everything on a CPU without the vector unit.
+    Merge,
+}
+
+/// `(short, long, kernel)` for a pair of inputs. The lengths are the only
+/// evidence: callers clamp first, so they are the lengths really scanned.
 #[inline]
-fn by_length<'a>(a: &'a [VertexId], b: &'a [VertexId]) -> (&'a [VertexId], &'a [VertexId], bool) {
+fn by_length<'a>(a: &'a [VertexId], b: &'a [VertexId]) -> (&'a [VertexId], &'a [VertexId], Kernel) {
     let (short, long) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-    (short, long, long.len() / short.len().max(1) >= GALLOP_RATIO)
+    let kernel = match short.len() {
+        0 => Kernel::Empty,
+        // `long / short >= GALLOP_RATIO`, without dividing.
+        n if long.len() / GALLOP_RATIO >= n => Kernel::Gallop,
+        #[cfg(target_arch = "x86_64")]
+        n if n >= avx2::BLOCK => avx2::Avx2::detect().map_or(Kernel::Merge, Kernel::Block),
+        _ => Kernel::Merge,
+    };
+    (short, long, kernel)
+}
+
+/// Which merge kernel balanced inputs get on this CPU: `"avx2"` or
+/// `"scalar"`. Printed beside timings so that a record from another host
+/// explains its own kernel numbers.
+pub fn kernel() -> &'static str {
+    #[cfg(target_arch = "x86_64")]
+    if avx2::Avx2::detect().is_some() {
+        return "avx2";
+    }
+    "scalar"
 }
 
 /// Intersection of two sorted slices, appended to `out`.
 ///
-/// Switches to galloping (exponential) search when one input is much
-/// shorter, which is the common case when intersecting a hot vertex's long
-/// list with a short one.
+/// The kernel follows the shape of the inputs: galloping (exponential)
+/// search when one is at least 16 times longer — a hot vertex's list
+/// against a short one; 8×8 vector block compares when both hold at least
+/// 8 elements and the CPU has AVX2; the scalar merge otherwise.
 ///
 /// # Example
 ///
@@ -60,21 +96,43 @@ fn by_length<'a>(a: &'a [VertexId], b: &'a [VertexId]) -> (&'a [VertexId], &'a [
 /// assert_eq!(out, vec![3, 7]);
 /// ```
 pub fn intersect_into(a: &[VertexId], b: &[VertexId], out: &mut Vec<VertexId>) {
-    let (short, long, gallop) = by_length(a, b);
-    if short.is_empty() {
-        return;
-    }
-    if gallop {
-        gallop_intersect(short, long, |x| out.push(x));
-    } else {
-        merge_intersect_into(short, long, out);
+    let (short, long, kernel) = by_length(a, b);
+    match kernel {
+        Kernel::Empty => {}
+        Kernel::Gallop => gallop_intersect(short, long, |x| out.push(x)),
+        #[cfg(target_arch = "x86_64")]
+        Kernel::Block(cpu) => block_intersect_into(cpu, short, long, out),
+        Kernel::Merge => merge_intersect_into(short, long, out),
     }
 }
 
-/// Branch-free merge: both cursors and the output length advance by
-/// comparison results, and the store is unconditional, so the loop has no
+/// The block loop, then whatever it left: one side has less than a block
+/// by then, so the rest gallops or merges and the recursion is one deep.
+/// Out of line, so that short inputs do not pay for its frame.
+#[cfg(target_arch = "x86_64")]
+#[inline(never)]
+fn block_intersect_into(cpu: avx2::Avx2, a: &[VertexId], b: &[VertexId], out: &mut Vec<VertexId>) {
+    let (i, j) = cpu.intersect_into(a, b, out);
+    intersect_into(&a[i..], &b[j..], out);
+}
+
+/// [`block_intersect_into`], counting only.
+#[cfg(target_arch = "x86_64")]
+#[inline(never)]
+fn block_intersect_count(cpu: avx2::Avx2, a: &[VertexId], b: &[VertexId]) -> usize {
+    let (i, j, count) = cpu.intersect_count(a, b);
+    count + intersect_count(&a[i..], &b[j..])
+}
+
+/// The scalar merge, for any pair of sorted inputs: [`intersect_into`]
+/// without the choice. It is the kernel of short lists and of every CPU
+/// without AVX2, and the reference the vector path is tested against.
+///
+/// Branch-free: both cursors and the output length advance by comparison
+/// results, and the store is unconditional, so the loop has no
 /// data-dependent branch for adjacency lists to mispredict.
-fn merge_intersect_into(a: &[VertexId], b: &[VertexId], out: &mut Vec<VertexId>) {
+#[inline]
+pub fn merge_intersect_into(a: &[VertexId], b: &[VertexId], out: &mut Vec<VertexId>) {
     let base = out.len();
     // At most min(|a|, |b|) matches; the slot past the last match is the
     // one the unconditional store scribbles on.
@@ -91,7 +149,9 @@ fn merge_intersect_into(a: &[VertexId], b: &[VertexId], out: &mut Vec<VertexId>)
     out.truncate(base + k);
 }
 
-fn merge_intersect_count(a: &[VertexId], b: &[VertexId]) -> usize {
+/// The scalar merge of [`merge_intersect_into`], counting only.
+#[inline]
+pub fn merge_intersect_count(a: &[VertexId], b: &[VertexId]) -> usize {
     let (mut i, mut j, mut count) = (0, 0, 0);
     while i < a.len() && j < b.len() {
         let (x, y) = (a[i], b[j]);
@@ -142,16 +202,17 @@ pub fn gallop(s: &[VertexId], x: VertexId) -> usize {
 /// assert_eq!(gpm_graph::set_ops::intersect_count(&[1, 2, 3], &[2, 3, 4]), 2);
 /// ```
 pub fn intersect_count(a: &[VertexId], b: &[VertexId]) -> usize {
-    let (short, long, gallop) = by_length(a, b);
-    if short.is_empty() {
-        return 0;
-    }
-    if gallop {
-        let mut count = 0usize;
-        gallop_intersect(short, long, |_| count += 1);
-        count
-    } else {
-        merge_intersect_count(short, long)
+    let (short, long, kernel) = by_length(a, b);
+    match kernel {
+        Kernel::Empty => 0,
+        Kernel::Gallop => {
+            let mut count = 0usize;
+            gallop_intersect(short, long, |_| count += 1);
+            count
+        }
+        #[cfg(target_arch = "x86_64")]
+        Kernel::Block(cpu) => block_intersect_count(cpu, short, long),
+        Kernel::Merge => merge_intersect_count(short, long),
     }
 }
 
@@ -259,6 +320,156 @@ pub fn count_above(s: &[VertexId], x: VertexId) -> usize {
     s.len() - s.partition_point(|&v| v <= x)
 }
 
+/// The vector half of the intersection kernels, and the only `unsafe` in
+/// this crate.
+///
+/// Both loops hold one block of 8 ids from each side, compare all 64 pairs
+/// and move past the block whose last id is the smaller (both on a tie).
+/// That is a merge: ids ascend strictly, so the block left behind is below
+/// everything still unread on the other side and has been compared with
+/// every block that could hold a partner, and a pair of blocks meets only
+/// once. When a side has less than a block left the loops stop and return
+/// their cursors; what remains is intersected by the caller.
+#[cfg(target_arch = "x86_64")]
+mod avx2 {
+    use super::VertexId;
+    use std::arch::x86_64::*;
+    use std::mem::MaybeUninit;
+
+    /// Ids per vector.
+    pub const BLOCK: usize = 8;
+
+    /// Proof that this CPU has AVX2 and POPCNT: [`Avx2::detect`] is the only
+    /// constructor, so holding one is what makes the loops below callable.
+    #[derive(Clone, Copy)]
+    pub struct Avx2(());
+
+    impl Avx2 {
+        /// `std` keeps the answer of the first `cpuid` in an atomic; every
+        /// later call is a load and a bit test.
+        #[inline]
+        pub fn detect() -> Option<Self> {
+            (is_x86_feature_detected!("avx2") && is_x86_feature_detected!("popcnt"))
+                .then_some(Self(()))
+        }
+
+        /// Appends to `out` the common ids of the whole blocks of `a` and
+        /// `b`; returns how far into each the blocks reached.
+        pub fn intersect_into(
+            self,
+            a: &[VertexId],
+            b: &[VertexId],
+            out: &mut Vec<VertexId>,
+        ) -> (usize, usize) {
+            // A store writes a whole block at the output cursor, which is
+            // the number of matches so far: at most min(|a|, |b|).
+            out.reserve(a.len().min(b.len()) + BLOCK);
+            let base = out.len();
+            // SAFETY: `self` exists, so `detect` saw both features.
+            let (i, j, k) = unsafe { merge_blocks_into(a, b, out.spare_capacity_mut()) };
+            // SAFETY: `merge_blocks_into` wrote the first `k` slots of the
+            // spare capacity it was handed and checked that they are in it.
+            unsafe { out.set_len(base + k) };
+            (i, j)
+        }
+
+        /// Counts the common ids of the whole blocks of `a` and `b`;
+        /// returns the two cursors and the count.
+        pub fn intersect_count(self, a: &[VertexId], b: &[VertexId]) -> (usize, usize, usize) {
+            // SAFETY: `self` exists, so `detect` saw both features.
+            unsafe { merge_blocks_count(a, b) }
+        }
+    }
+
+    /// Row `m` lists the set bits of `m`, lowest first: the permutation
+    /// that packs the lanes selected by mask `m` to the front of a vector.
+    #[repr(align(32))]
+    struct PackTable([[u32; BLOCK]; 256]);
+
+    static PACK: PackTable = {
+        let mut rows = [[0u32; BLOCK]; 256];
+        let mut m = 0;
+        while m < 256 {
+            let (mut lane, mut k) = (0, 0);
+            while lane < BLOCK {
+                if m >> lane & 1 == 1 {
+                    rows[m][k] = lane as u32;
+                    k += 1;
+                }
+                lane += 1;
+            }
+            m += 1;
+        }
+        PackTable(rows)
+    };
+
+    /// Bit `l` is set when lane `l` of `va` equals some lane of `vb`: `va`
+    /// against the four in-lane rotations of `vb` and of its half-swapped
+    /// copy is every one of the 64 pairs.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn match_mask(va: __m256i, vb: __m256i) -> usize {
+        let eq4 = |v: __m256i| {
+            let r0 = _mm256_cmpeq_epi32(va, v);
+            let r1 = _mm256_cmpeq_epi32(va, _mm256_shuffle_epi32::<0b00_11_10_01>(v));
+            let r2 = _mm256_cmpeq_epi32(va, _mm256_shuffle_epi32::<0b01_00_11_10>(v));
+            let r3 = _mm256_cmpeq_epi32(va, _mm256_shuffle_epi32::<0b10_01_00_11>(v));
+            _mm256_or_si256(_mm256_or_si256(r0, r1), _mm256_or_si256(r2, r3))
+        };
+        let hits = _mm256_or_si256(eq4(vb), eq4(_mm256_permute2x128_si256::<0x01>(vb, vb)));
+        _mm256_movemask_ps(_mm256_castsi256_ps(hits)) as usize
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn load(block: &[VertexId; BLOCK]) -> __m256i {
+        // SAFETY: `block` is 8 × 4 readable bytes; the load is unaligned.
+        unsafe { _mm256_loadu_si256(block.as_ptr().cast()) }
+    }
+
+    /// The block loop of [`Avx2::intersect_into`]: `(i, j, k)` are the
+    /// cursors into `a`, `b` and `dst`, and `dst[..k]` is initialised.
+    #[target_feature(enable = "avx2,popcnt")]
+    fn merge_blocks_into(
+        a: &[VertexId],
+        b: &[VertexId],
+        dst: &mut [MaybeUninit<VertexId>],
+    ) -> (usize, usize, usize) {
+        let ((a, _), (b, _)) = (a.as_chunks::<BLOCK>(), b.as_chunks::<BLOCK>());
+        let (mut i, mut j, mut k) = (0, 0, 0);
+        while i < a.len() && j < b.len() {
+            let (x, y) = (&a[i], &b[j]);
+            let vx = load(x);
+            let mask = match_mask(vx, load(y));
+            // SAFETY: a row of `PACK` is 32 readable bytes, 32-aligned.
+            let pack = unsafe { _mm256_load_si256(PACK.0[mask].as_ptr().cast()) };
+            let slot: &mut [MaybeUninit<VertexId>] = &mut dst[k..k + BLOCK];
+            // SAFETY: `slot` is 8 × 4 writable bytes; the store is unaligned.
+            unsafe {
+                _mm256_storeu_si256(slot.as_mut_ptr().cast(), _mm256_permutevar8x32_epi32(vx, pack))
+            };
+            k += mask.count_ones() as usize;
+            i += usize::from(x[BLOCK - 1] <= y[BLOCK - 1]);
+            j += usize::from(y[BLOCK - 1] <= x[BLOCK - 1]);
+        }
+        (i * BLOCK, j * BLOCK, k)
+    }
+
+    /// The block loop of [`Avx2::intersect_count`]: cursors and count.
+    #[target_feature(enable = "avx2,popcnt")]
+    fn merge_blocks_count(a: &[VertexId], b: &[VertexId]) -> (usize, usize, usize) {
+        let ((a, _), (b, _)) = (a.as_chunks::<BLOCK>(), b.as_chunks::<BLOCK>());
+        let (mut i, mut j, mut count) = (0, 0, 0);
+        while i < a.len() && j < b.len() {
+            let (x, y) = (&a[i], &b[j]);
+            count += match_mask(load(x), load(y)).count_ones() as usize;
+            i += usize::from(x[BLOCK - 1] <= y[BLOCK - 1]);
+            j += usize::from(y[BLOCK - 1] <= x[BLOCK - 1]);
+        }
+        (i * BLOCK, j * BLOCK, count)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -284,14 +495,118 @@ mod tests {
         // Force the galloping branch with a 1:250 size ratio.
         let long: Vec<VertexId> = (0..1000).map(|i| i * 3).collect();
         let short = vec![0, 7, 1500, 2997];
-        let mut fast = Vec::new();
-        intersect_into(&short, &long, &mut fast);
-        let mut slow = Vec::new();
-        merge_intersect_into(&short, &long, &mut slow);
-        assert_eq!(fast, slow);
-        assert_eq!(fast, vec![0, 1500, 2997]);
+        assert!(!reaches_block_loop(&short, &long));
+        check(&short, &long);
         assert_eq!(intersect_count(&short, &long), 3);
-        assert_eq!(merge_intersect_count(&short, &long), 3);
+    }
+
+    /// Whether `intersect_into`/`intersect_count` send this pair through
+    /// the block loop on a CPU with AVX2: balanced, and a whole block on
+    /// the shorter side. (Elsewhere the same rows run the scalar merge.)
+    fn reaches_block_loop(a: &[VertexId], b: &[VertexId]) -> bool {
+        let (short, long) = (a.len().min(b.len()), a.len().max(b.len()));
+        short >= 8 && long / short < GALLOP_RATIO
+    }
+
+    /// The dispatching kernels, in both argument orders, against a filter
+    /// and against the scalar merge called directly; `out` on entry is
+    /// empty, and non-empty with no spare capacity. Also that the pair was
+    /// classified as its lengths say.
+    fn check(a: &[VertexId], b: &[VertexId]) {
+        let (short, long) = (a.len().min(b.len()), a.len().max(b.len()));
+        let chosen = match by_length(a, b).2 {
+            Kernel::Empty => "empty",
+            Kernel::Gallop => "gallop",
+            #[cfg(target_arch = "x86_64")]
+            Kernel::Block(_) => "avx2",
+            Kernel::Merge => "scalar",
+        };
+        let expect = match short {
+            0 => "empty",
+            _ if long / short >= GALLOP_RATIO => "gallop",
+            _ if reaches_block_loop(a, b) => kernel(),
+            _ => "scalar",
+        };
+        assert_eq!(chosen, expect, "lengths {} and {}", a.len(), b.len());
+        let naive: Vec<VertexId> =
+            a.iter().copied().filter(|x| b.binary_search(x).is_ok()).collect();
+        let mut scalar = Vec::new();
+        merge_intersect_into(a, b, &mut scalar);
+        assert_eq!(scalar, naive);
+        assert_eq!(merge_intersect_count(a, b), naive.len());
+        for (x, y) in [(a, b), (b, a)] {
+            let mut out = Vec::new();
+            intersect_into(x, y, &mut out);
+            assert_eq!(out, naive, "{x:?} ∩ {y:?}");
+            let mut out = vec![VertexId::MAX, 0];
+            out.shrink_to_fit();
+            intersect_into(x, y, &mut out);
+            assert_eq!((&out[..2], &out[2..]), (&[VertexId::MAX, 0][..], &naive[..]));
+            assert_eq!(intersect_count(x, y), naive.len(), "{x:?} ∩ {y:?}");
+        }
+    }
+
+    #[test]
+    fn kernels_agree_at_every_length_residue_density_and_offset() {
+        let mut state = 0x9E37_79B9_7F4A_7C15_u64;
+        // `len` distinct ids below `range`, or as far below `u32::MAX`.
+        let mut ids = |len: usize, range: u32, top: bool| -> Vec<VertexId> {
+            let mut set = std::collections::BTreeSet::new();
+            while set.len() < len {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                let v = (state % u64::from(range)) as VertexId;
+                set.insert(if top { VertexId::MAX - v } else { v });
+            }
+            set.into_iter().collect()
+        };
+        // Every residue mod 8 on both sides, below and far above one block.
+        let lengths = || (0..=40).chain(200..208).chain([333]);
+        let mut block_rows = 0;
+        for la in lengths() {
+            for lb in lengths() {
+                // Dense (most ids shared), sparse (few), and up against the
+                // top of the id space.
+                for (spread, top) in [(2, false), (40, false), (3, true)] {
+                    let range = (la.max(lb) as u32 + 3) * spread;
+                    // Element offsets 1 and 3 into the allocations, so
+                    // that no block load is 32-byte aligned.
+                    let (a, b) = (ids(la + 1, range, top), ids(lb + 3, range, top));
+                    let (a, b) = (&a[1..], &b[3..]);
+                    check(a, b);
+                    block_rows += usize::from(reaches_block_loop(a, b));
+                }
+            }
+        }
+        // 42 lengths of a block or more on each side; the long ones are
+        // 16× the shortest of them, and those pairs gallop.
+        assert_eq!(block_rows, 3 * 1658);
+    }
+
+    #[test]
+    fn block_loop_rows_with_the_matches_where_a_cursor_rule_could_lose_them() {
+        let run: Vec<VertexId> = (0..203).map(|i| i * 7 + 1).collect();
+        let shifted = |s: &[VertexId], by: VertexId| s.iter().map(|v| v + by).collect::<Vec<_>>();
+        for len in [8, 9, 15, 16, 17, 24, 64, 203] {
+            let a = &run[..len];
+            let (first, last) = (a[0], a[len - 1]);
+            let rows = [
+                a.to_vec(),                                         // identical
+                shifted(a, 1),                                      // disjoint, interleaved
+                shifted(a, 10_000),                                 // disjoint, wholly above
+                [&[first][..], &shifted(&a[1..], 1)].concat(),      // only the first id shared
+                [&shifted(&a[..len - 1], 1)[..], &[last]].concat(), // only the last id shared
+                [&[0][..], a].concat(), // the same run, one lane out of step
+            ];
+            for b in &rows {
+                assert!(reaches_block_loop(a, b));
+                check(a, b);
+                // The same row with its largest id at `u32::MAX`.
+                let up = VertexId::MAX - b.last().unwrap().max(&last);
+                check(&shifted(a, up), &shifted(b, up));
+            }
+        }
     }
 
     #[test]
