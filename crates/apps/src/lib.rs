@@ -7,14 +7,10 @@
 //! * [`fsm`] — Frequent Subgraph Mining with minimum-image (MNI) support
 //!   over labeled graphs, growing candidate patterns edge by edge up to
 //!   three edges (the paper's Table 4 methodology, following Peregrine);
-//! * [`dynamic`] — incremental counting under edge insertions (the
-//!   Tesseract-style evolving-graph capability the paper's related work
-//!   discusses);
 //! * [`cli`] — the `gpm` command-line tool.
 
 #![warn(missing_docs)]
 
 pub mod cli;
 pub mod counting;
-pub mod dynamic;
 pub mod fsm;

@@ -9,7 +9,7 @@
 //! no data reuse is possible because possession follows the embedding.
 //! Figure 10 regenerates from this implementation.
 
-use gpm_cluster::metrics::ClusterMetrics;
+use gpm_cluster::metrics::{ClusterMetrics, Counter};
 use gpm_cluster::post::PostOffice;
 use gpm_cluster::work::WorkCounter;
 use gpm_graph::partition::PartitionedGraph;
@@ -120,14 +120,15 @@ impl CtdCluster {
             }
         })
         .expect("ctd scope");
+        let sent = post.metrics().totals();
         RunStats {
             count: total.into_inner(),
             elapsed: t0.elapsed(),
             per_part,
             traffic: TrafficSummary {
-                network_bytes: post.metrics().total_network_bytes(),
-                cross_socket_bytes: post.metrics().total_cross_socket_bytes(),
-                requests: post.metrics().total_requests(),
+                network_bytes: sent[Counter::NetworkBytes],
+                cross_socket_bytes: sent[Counter::NumaBytes],
+                requests: sent[Counter::FetchRequests],
                 ..TrafficSummary::default()
             },
             failures: Default::default(),

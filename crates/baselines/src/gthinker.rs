@@ -15,7 +15,7 @@
 //! communication/computation overlap), so the Table 2 / Figure 15 shapes
 //! regenerate.
 
-use gpm_cluster::{EdgeListClient, EdgeListService, FabricConfig};
+use gpm_cluster::{Counter, EdgeListClient, EdgeListService, FabricConfig};
 use gpm_graph::partition::PartitionedGraph;
 use gpm_graph::{set_ops, VertexId};
 use gpm_obs::{ObsHandle, Recorder, RunReport, SpanKind};
@@ -123,11 +123,11 @@ impl GThinker {
         })
         .expect("gthinker scope");
         let elapsed = t0.elapsed();
-        let m = service.metrics();
+        let fetched = service.metrics().totals();
         let traffic = TrafficSummary {
-            network_bytes: m.total_network_bytes(),
-            cross_socket_bytes: m.total_cross_socket_bytes(),
-            requests: m.total_requests(),
+            network_bytes: fetched[Counter::NetworkBytes],
+            cross_socket_bytes: fetched[Counter::NumaBytes],
+            requests: fetched[Counter::FetchRequests],
             ..TrafficSummary::default()
         };
         service.shutdown();

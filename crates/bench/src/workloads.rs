@@ -83,25 +83,7 @@ impl App {
         }
         let mut total = RunStats::default();
         for plan in self.plans(base) {
-            let run = engine.count(&plan);
-            total.count += run.count;
-            total.elapsed += run.elapsed;
-            total.traffic.network_bytes += run.traffic.network_bytes;
-            total.traffic.cross_socket_bytes += run.traffic.cross_socket_bytes;
-            total.traffic.requests += run.traffic.requests;
-            total.traffic.cache_hits += run.traffic.cache_hits;
-            total.traffic.cache_misses += run.traffic.cache_misses;
-            if total.per_part.is_empty() {
-                total.per_part = run.per_part;
-            } else {
-                for (acc, p) in total.per_part.iter_mut().zip(run.per_part) {
-                    acc.count += p.count;
-                    acc.compute += p.compute;
-                    acc.network += p.network;
-                    acc.scheduler += p.scheduler;
-                    acc.cache += p.cache;
-                }
-            }
+            total.absorb(&engine.count(&plan));
         }
         total
     }
@@ -142,6 +124,42 @@ mod tests {
             assert_eq!(run.count, expect, "{}", app.name());
         }
         engine.shutdown();
+    }
+
+    /// A multi-plan app reports everything its plans did, not a chosen
+    /// few fields: on two engines built alike (stealing is off, so
+    /// traffic repeats exactly), the app's totals are the field-wise sums
+    /// of its plans run one by one.
+    #[test]
+    fn a_two_plan_app_totals_every_field_of_its_runs() {
+        let g = gen::barabasi_albert(300, 4, 5);
+        let base = PlanOptions::automine();
+        let plans = App::ThreeMc.plans(&base);
+        assert_eq!(plans.len(), 2);
+        let engine = engine_for(&g, 2, 1, 1);
+        let total = App::ThreeMc.run_khuzdul(&engine, &base);
+        engine.shutdown();
+        let engine = engine_for(&g, 2, 1, 1);
+        let runs: Vec<RunStats> = plans.iter().map(|p| engine.count(p)).collect();
+        engine.shutdown();
+
+        let sum = |f: fn(&RunStats) -> u64| runs.iter().map(f).sum::<u64>();
+        assert_eq!(total.count, sum(|r| r.count));
+        assert_eq!(total.traffic.network_bytes, sum(|r| r.traffic.network_bytes));
+        assert_eq!(total.traffic.cross_socket_bytes, sum(|r| r.traffic.cross_socket_bytes));
+        assert_eq!(total.traffic.requests, sum(|r| r.traffic.requests));
+        assert_eq!(total.traffic.cache_hits, sum(|r| r.traffic.cache_hits));
+        assert_eq!(total.traffic.cache_misses, sum(|r| r.traffic.cache_misses));
+        assert_eq!(total.traffic.coalesced, sum(|r| r.traffic.coalesced));
+        assert_eq!(total.traffic.retries, sum(|r| r.traffic.retries));
+        assert_eq!(total.failures, Default::default());
+        assert_eq!(total.control, Default::default());
+        for (p, part) in total.per_part.iter().enumerate() {
+            assert_eq!(part.count, runs.iter().map(|r| r.per_part[p].count).sum::<u64>());
+            let peak = runs.iter().map(|r| r.per_part[p].peak_embeddings).max();
+            assert_eq!(Some(part.peak_embeddings), peak);
+            assert!(part.peak_embeddings > 0, "a field the old hand-rolled merge dropped");
+        }
     }
 
     #[test]

@@ -29,7 +29,7 @@
 
 use crate::fabric::{FetchError, RetryPolicy};
 use crate::ledger::{Ledger, LedgerSummary};
-use crate::metrics::{ClusterMetrics, PartMetrics, QueryMetrics};
+use crate::metrics::{ClusterMetrics, Counter, Counters, Scope};
 use crate::transport::{CtrlOp, CtrlPayload, CtrlReply, CtrlRequest, Fault, FaultPlan};
 use crate::PartId;
 use crossbeam::channel::{unbounded, Receiver, Sender};
@@ -91,12 +91,15 @@ pub struct ControlLedgerService {
     seq: Arc<AtomicU64>,
     cfg: ControlLedgerConfig,
     metrics: ClusterMetrics,
+    /// The row of `cfg.query`, resolved once for every client.
+    query_row: Arc<Counters>,
     obs: Arc<Recorder>,
 }
 
 impl ControlLedgerService {
     /// Starts the responder thread over a [`Ledger`] of `roots` (one
-    /// root list per part) with `spill` pre-seeded.
+    /// root list per part) with `spill` pre-seeded. Clients count into
+    /// the row `metrics` holds for `cfg.query`.
     ///
     /// # Panics
     ///
@@ -106,6 +109,24 @@ impl ControlLedgerService {
         spill: Vec<VertexId>,
         cfg: ControlLedgerConfig,
         metrics: &ClusterMetrics,
+        obs: Arc<Recorder>,
+    ) -> ControlLedgerService {
+        let query_row = metrics.query(cfg.query);
+        Self::start_for_query(roots, spill, cfg, metrics, query_row, obs)
+    }
+
+    /// [`ControlLedgerService::start`] for a caller that already holds
+    /// its query's row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the fault plan fails [`FaultPlan::validate`].
+    pub fn start_for_query(
+        roots: Vec<Vec<VertexId>>,
+        spill: Vec<VertexId>,
+        cfg: ControlLedgerConfig,
+        metrics: &ClusterMetrics,
+        query_row: Arc<Counters>,
         obs: Arc<Recorder>,
     ) -> ControlLedgerService {
         if let Some(plan) = &cfg.fault {
@@ -139,6 +160,7 @@ impl ControlLedgerService {
             seq: Arc::new(AtomicU64::new(0)),
             cfg,
             metrics: metrics.clone(),
+            query_row,
             obs,
         }
     }
@@ -155,8 +177,7 @@ impl ControlLedgerService {
             seq: Arc::clone(&self.seq),
             retry: self.cfg.retry,
             fault: self.cfg.fault.clone(),
-            part_metrics: Arc::clone(self.metrics.part(part)),
-            query_metrics: self.metrics.query(self.cfg.query),
+            scope: self.metrics.scope(part, &self.query_row),
             obs: Arc::clone(&self.obs),
         }
     }
@@ -190,8 +211,7 @@ pub struct ControlClient {
     seq: Arc<AtomicU64>,
     retry: RetryPolicy,
     fault: Option<FaultPlan>,
-    part_metrics: Arc<PartMetrics>,
-    query_metrics: Arc<QueryMetrics>,
+    scope: Scope,
     obs: Arc<Recorder>,
 }
 
@@ -226,8 +246,7 @@ impl ControlClient {
                 from: self.part,
                 op: Arc::clone(&op),
             };
-            self.part_metrics.record_ctrl_sent();
-            self.query_metrics.record_ctrl_sent();
+            self.scope.add(Counter::CtrlSent, 1);
             let fate = self.fault.as_ref().map_or(Fault::None, |p| p.decide(self.part, seq));
             // Where the responder's reply goes; `None` when the request
             // never reaches the responder at all.
@@ -237,8 +256,7 @@ impl ControlClient {
                     // The responder still applies the operation — the
                     // reply is lost in the network. The retry below is
                     // answered from the responder's dedup cache.
-                    self.part_metrics.record_ctrl_dropped();
-                    self.query_metrics.record_ctrl_dropped();
+                    self.scope.add(Counter::CtrlDropped, 1);
                     self.fault_instant(1, req_id);
                     Some(unbounded::<CtrlReply>().0)
                 }
@@ -287,8 +305,7 @@ impl ControlClient {
             if attempts >= self.retry.max_attempts.max(1) {
                 return Err(FetchError::Timeout { target: self.part, attempts });
             }
-            self.part_metrics.record_ctrl_retry();
-            self.query_metrics.record_ctrl_retry();
+            self.scope.add(Counter::CtrlRetried, 1);
             let rt0 = self.obs.now_ns();
             std::thread::sleep(self.retry.backoff * (1u32 << (attempts - 1).min(16)));
             self.obs.record_span_for(
@@ -569,11 +586,15 @@ mod tests {
         );
     }
 
+    /// A drop plan really drops, and each drop is retried: pinned by a
+    /// seed under which the first attempt of the first call is lost, so
+    /// no assertion depends on how many of the later draws come up.
     #[test]
     fn control_counters_account_sends_drops_and_retries() {
-        let plan = FaultPlan { drop_fraction: 0.5, ..FaultPlan::default() };
-        let n = 1;
-        let metrics = ClusterMetrics::new(n, 1);
+        let plan = FaultPlan { drop_fraction: 0.5, seed: 0x5eed, ..FaultPlan::default() };
+        // The first call takes `req_id` 1 and its first attempt `seq` 2.
+        assert_eq!(plan.decide(0, 2), Fault::Drop, "pick a seed that drops the first attempt");
+        let metrics = ClusterMetrics::new(1, 1);
         let cfg = ControlLedgerConfig {
             retry: RetryPolicy {
                 max_attempts: 10,
@@ -594,16 +615,13 @@ mod tests {
         for _ in 0..8 {
             let _ = c0.call(CtrlOp::Poll).unwrap();
         }
-        let sent = metrics.part(0).ctrl_sent();
-        let retried = metrics.part(0).ctrl_retried();
-        let dropped = metrics.part(0).ctrl_dropped();
-        assert!(sent >= 8, "every call sends at least once, got {sent}");
+        let row = metrics.part(0).snapshot();
+        let (sent, retried, dropped) =
+            (row[Counter::CtrlSent], row[Counter::CtrlRetried], row[Counter::CtrlDropped]);
+        assert!(dropped >= 1, "the first attempt was dropped");
+        assert!(retried >= dropped, "every dropped attempt is retried");
         assert_eq!(sent, 8 + retried, "each retry is one extra send");
-        assert!(dropped <= sent);
-        // Query counters see the same events.
-        let q = metrics.query(0);
-        assert_eq!(q.ctrl_sent(), sent);
-        assert_eq!(q.ctrl_retried(), retried);
-        assert_eq!(q.ctrl_dropped(), dropped);
+        // The query's row saw the same events.
+        assert_eq!(metrics.query(0).snapshot(), row);
     }
 }

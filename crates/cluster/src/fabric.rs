@@ -22,7 +22,7 @@
 //! * **Typed failure** — every way a fetch can fail is a
 //!   [`FetchError`] variant propagated to the caller, never a panic.
 
-use crate::metrics::{ClusterMetrics, PartMetrics, QueryMetrics, TrafficClass};
+use crate::metrics::{ClusterMetrics, Counter, Counters, Scope, TrafficClass};
 use crate::transport::{
     ChannelTransport, FaultInjectingTransport, FaultPlan, FetchedLists, ReplicaPush, Transport,
     WireReply, WireRequest, HEADER_BYTES,
@@ -298,37 +298,45 @@ struct Window {
     limit: usize,
     inflight: Mutex<usize>,
     retired: Condvar,
+    /// `inflight` as of its last change, stored under its lock so the
+    /// sampler and the occupancy histogram read it without taking it.
+    gauge: AtomicU64,
 }
 
 impl Window {
     fn new(limit: usize) -> Self {
-        Window { limit: limit.max(1), inflight: Mutex::new(0), retired: Condvar::new() }
+        Window {
+            limit: limit.max(1),
+            inflight: Mutex::new(0),
+            retired: Condvar::new(),
+            gauge: AtomicU64::new(0),
+        }
     }
 
     /// Blocks until a slot frees up, then occupies it.
-    fn acquire(self: &Arc<Self>, metrics: &Arc<PartMetrics>) -> WindowPermit {
+    fn acquire(self: &Arc<Self>) -> WindowPermit {
         let mut inflight = self.inflight.lock();
         while *inflight >= self.limit {
             self.retired.wait(&mut inflight);
         }
-        self.occupy(inflight, metrics)
+        self.occupy(inflight)
     }
 
     /// Occupies a slot if one is free right now.
-    fn try_acquire(self: &Arc<Self>, metrics: &Arc<PartMetrics>) -> Option<WindowPermit> {
+    fn try_acquire(self: &Arc<Self>) -> Option<WindowPermit> {
         let inflight = self.inflight.lock();
-        (*inflight < self.limit).then(|| self.occupy(inflight, metrics))
+        (*inflight < self.limit).then(|| self.occupy(inflight))
     }
 
-    fn occupy(
-        self: &Arc<Self>,
-        mut inflight: MutexGuard<'_, usize>,
-        metrics: &Arc<PartMetrics>,
-    ) -> WindowPermit {
+    fn occupy(self: &Arc<Self>, mut inflight: MutexGuard<'_, usize>) -> WindowPermit {
         *inflight += 1;
-        drop(inflight);
-        metrics.record_inflight_start();
-        WindowPermit { window: Arc::clone(self), metrics: Arc::clone(metrics) }
+        self.gauge.store(*inflight as u64, Ordering::Relaxed);
+        WindowPermit { window: Arc::clone(self) }
+    }
+
+    /// Requests occupying the window right now.
+    fn occupancy(&self) -> u64 {
+        self.gauge.load(Ordering::Relaxed)
     }
 }
 
@@ -337,14 +345,13 @@ impl Window {
 #[derive(Debug)]
 struct WindowPermit {
     window: Arc<Window>,
-    metrics: Arc<PartMetrics>,
 }
 
 impl Drop for WindowPermit {
     fn drop(&mut self) {
-        self.metrics.record_inflight_end();
         let mut inflight = self.window.inflight.lock();
         *inflight = inflight.saturating_sub(1);
+        self.window.gauge.store(*inflight as u64, Ordering::Relaxed);
         drop(inflight);
         self.window.retired.notify_one();
     }
@@ -438,25 +445,31 @@ impl EdgeListService {
     ///
     /// Panics if `part` is out of range.
     pub fn client(&self, part: PartId) -> EdgeListClient {
-        self.client_for_query(part, 0)
+        self.client_for_query(part, 0, &self.metrics.query(0))
     }
 
-    /// A client handle for `part` whose traffic — wire requests, span
-    /// tags, and per-query counters — is attributed to `query_id`.
-    /// Clients of different queries on the same part share the part's
-    /// in-flight window (the window models the part's link, which the
-    /// queries contend for) but record into distinct
-    /// [`QueryMetrics`].
+    /// A client handle for `part` whose traffic is attributed to
+    /// `query_id`: the id is stamped on wire requests and spans, and the
+    /// counters land in `row` — the query's row, which the caller
+    /// resolved once ([`ClusterMetrics::query`]) for all of its clients —
+    /// as well as in the part's. Clients of different queries on the same
+    /// part share the part's in-flight window (the window models the
+    /// part's link, which the queries contend for).
     ///
     /// # Panics
     ///
     /// Panics if `part` is out of range.
-    pub fn client_for_query(&self, part: PartId, query_id: u64) -> EdgeListClient {
+    pub fn client_for_query(
+        &self,
+        part: PartId,
+        query_id: u64,
+        row: &Arc<Counters>,
+    ) -> EdgeListClient {
         assert!(part < self.windows.len(), "part out of range");
         EdgeListClient {
             part,
             query: query_id,
-            query_metrics: self.metrics.query(query_id),
+            scope: self.metrics.scope(part, row),
             transport: Arc::clone(&self.transport),
             metrics: self.metrics.clone(),
             network: self.network,
@@ -596,6 +609,11 @@ impl EdgeListService {
         &self.metrics
     }
 
+    /// Requests occupying `part`'s in-flight window right now.
+    pub fn inflight(&self, part: PartId) -> u64 {
+        self.windows[part].occupancy()
+    }
+
     /// The recorder this service reports spans and histograms into.
     pub fn recorder(&self) -> &Arc<Recorder> {
         &self.obs
@@ -616,11 +634,11 @@ impl EdgeListService {
 pub struct EdgeListClient {
     part: PartId,
     /// The query this client works for (0 = unattributed). Stamped on
-    /// every wire request and span, and keyed into `query_metrics`.
+    /// every wire request and span.
     query: u64,
-    /// Resolved counters for `query` (shared with the engine's report
-    /// path via [`ClusterMetrics::query`]).
-    query_metrics: Arc<QueryMetrics>,
+    /// Where this client's events are counted: `part`'s row and
+    /// `query`'s.
+    scope: Scope,
     transport: Arc<dyn Transport>,
     metrics: ClusterMetrics,
     network: Option<NetworkModel>,
@@ -642,22 +660,17 @@ impl EdgeListClient {
         self.transport.part_count()
     }
 
-    /// The shared cluster metrics.
-    pub fn metrics(&self) -> &ClusterMetrics {
-        &self.metrics
-    }
-
     /// The query this client's traffic is attributed to (0 means
     /// unattributed).
     pub fn query_id(&self) -> u64 {
         self.query
     }
 
-    /// The per-query counters this client records into. The part runtime
-    /// also records cache hits/misses here so the query's hit rate is
-    /// exact under interleaving.
-    pub fn query_metrics(&self) -> &Arc<QueryMetrics> {
-        &self.query_metrics
+    /// The rows this client counts into. The part runtime also counts
+    /// cache hits and misses here, so a query's hit rate is exact under
+    /// interleaving.
+    pub fn scope(&self) -> &Scope {
+        &self.scope
     }
 
     /// Whether `part` has been detected as fail-stop dead. The part
@@ -670,7 +683,7 @@ impl EdgeListClient {
     /// cluster counter) exactly once across all clients.
     fn promote_dead(&self, part: PartId) {
         if self.liveness.promote(part) {
-            self.metrics.record_part_failed();
+            self.metrics.part(part).add(Counter::PartsFailed, 1);
             self.obs.record_instant(SpanKind::PartFailed, part as u32, 0);
             // Flight-ring entry rides along even when span tracing is
             // off, so a post-hoc incident bundle shows the death.
@@ -682,7 +695,7 @@ impl EdgeListClient {
     /// the response arrives — [`fetch_async`] + [`PendingFetch::wait`].
     /// All vertices must be owned by `target`.
     ///
-    /// Traffic, request count and blocking time are recorded against this
+    /// Traffic and request count are recorded against this
     /// client's part; if a [`NetworkModel`] is configured, cross-machine
     /// fetches are additionally delayed by the modeled transfer time.
     ///
@@ -715,7 +728,7 @@ impl EdgeListClient {
         target: PartId,
         vertices: &[VertexId],
     ) -> Result<PendingFetch, FetchError> {
-        let permit = self.window.acquire(self.metrics.part(self.part));
+        let permit = self.window.acquire();
         self.submit(target, vertices, permit)
     }
 
@@ -737,7 +750,7 @@ impl EdgeListClient {
         target: PartId,
         vertices: &[VertexId],
     ) -> Result<Option<PendingFetch>, FetchError> {
-        match self.window.try_acquire(self.metrics.part(self.part)) {
+        match self.window.try_acquire() {
             Some(permit) => self.submit(target, vertices, permit).map(Some),
             None => Ok(None),
         }
@@ -752,15 +765,13 @@ impl EdgeListClient {
         permit: WindowPermit,
     ) -> Result<PendingFetch, FetchError> {
         assert!(target < self.part_count(), "target part out of range");
-        let my = self.metrics.part(self.part);
         let (wire, expand) = coalesce(vertices);
         if let Some(saved) = vertices.len().checked_sub(wire.len()) {
             if saved > 0 {
-                my.record_coalesced(saved as u64);
-                self.query_metrics.record_coalesced(saved as u64);
+                self.scope.add(Counter::Coalesced, saved as u64);
             }
         }
-        self.obs.observe(Metric::WindowOccupancy, my.inflight());
+        self.obs.observe(Metric::WindowOccupancy, self.window.occupancy());
         let submitted_ns = self.obs.now_ns();
         let (reply_tx, reply_rx) = unbounded();
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
@@ -883,7 +894,7 @@ impl PendingFetch {
     }
 
     /// Blocks until the reply arrives (retrying on loss or transient
-    /// errors), records traffic/wait metrics, and returns the lists in
+    /// errors), counts the traffic, and returns the lists in
     /// original request order.
     ///
     /// # Errors
@@ -892,8 +903,6 @@ impl PendingFetch {
     /// the retry budget is exhausted.
     pub fn wait(mut self) -> Result<FetchedLists, FetchError> {
         let retry = self.client.retry;
-        let my = Arc::clone(self.client.metrics.part(self.client.part));
-        let wait_start = Instant::now();
         let mut attempt_start = self.submitted;
         let lists = loop {
             let remaining = retry.timeout.saturating_sub(attempt_start.elapsed());
@@ -902,15 +911,14 @@ impl PendingFetch {
                 Ok(reply) if reply.seq != self.seq => continue,
                 Ok(reply) => match reply.payload {
                     Ok(lists) => break lists,
-                    Err(e) if e.is_transient() => self.resubmit(&retry, &my)?,
+                    Err(e) if e.is_transient() => self.resubmit(&retry)?,
                     Err(e) => return Err(e),
                 },
-                Err(RecvTimeoutError::Timeout) => self.resubmit(&retry, &my)?,
+                Err(RecvTimeoutError::Timeout) => self.resubmit(&retry)?,
                 Err(RecvTimeoutError::Disconnected) => return Err(FetchError::Shutdown),
             }
             attempt_start = Instant::now();
         };
-        my.record_wait(wait_start.elapsed());
         let req_bytes = HEADER_BYTES + 4 * self.wire.len() as u64;
         let resp_bytes = lists.response_bytes();
         if self.target != self.owner {
@@ -918,9 +926,12 @@ impl PendingFetch {
             // failover traffic separately for the run report — once on
             // the issuing side, and once against the *serving holder* so
             // the spread (or hotspotting) of failover load is visible.
-            my.record_rerouted(req_bytes + resp_bytes);
-            self.client.query_metrics.record_rerouted(req_bytes + resp_bytes);
-            self.client.metrics.part(self.target).record_rerouted_served(req_bytes + resp_bytes);
+            let bytes = req_bytes + resp_bytes;
+            self.client.scope.add(Counter::ReroutedRequests, 1);
+            self.client.scope.add(Counter::ReroutedBytes, bytes);
+            let holder = self.client.metrics.part(self.target);
+            holder.add(Counter::ReroutedServedRequests, 1);
+            holder.add(Counter::ReroutedServedBytes, bytes);
         }
         let obs = &self.client.obs;
         obs.record_span_for(
@@ -934,10 +945,7 @@ impl PendingFetch {
         obs.observe(Metric::FetchLatencyNs, self.submitted.elapsed().as_nanos() as u64);
         obs.observe(Metric::BatchBytes, resp_bytes);
         let class = self.client.metrics.classify(self.client.part, self.target);
-        my.record_fetch(class, req_bytes, resp_bytes);
-        self.client.query_metrics.record_fetch(class, req_bytes, resp_bytes);
-        self.client.metrics.record_link(self.client.part, self.target, req_bytes);
-        self.client.metrics.record_link(self.target, self.client.part, resp_bytes);
+        self.client.scope.add_transfer(class, req_bytes, resp_bytes);
         if let (Some(model), TrafficClass::CrossMachine) = (self.client.network, class) {
             let target_delay = model.transfer_time(req_bytes + resp_bytes);
             // Time already spent since submission counts toward the
@@ -945,7 +953,6 @@ impl PendingFetch {
             // integrated earlier batches cost nothing extra.
             if let Some(remaining) = target_delay.checked_sub(self.submitted.elapsed()) {
                 precise_sleep(remaining);
-                my.record_wait(remaining);
             }
         }
         Ok(match self.expand.take() {
@@ -960,7 +967,7 @@ impl PendingFetch {
     /// on resubmission, or (under [`FabricConfig::fail_fast`]) the retry
     /// budget is exhausted — the part is promoted and the fetch fails
     /// over to the next live replica holder instead of erroring out.
-    fn resubmit(&mut self, retry: &RetryPolicy, my: &Arc<PartMetrics>) -> Result<(), FetchError> {
+    fn resubmit(&mut self, retry: &RetryPolicy) -> Result<(), FetchError> {
         if self.attempts >= retry.max_attempts {
             if self.client.liveness.fail_fast {
                 self.client.promote_dead(self.target);
@@ -975,8 +982,7 @@ impl PendingFetch {
         if !backoff.is_zero() {
             std::thread::sleep(backoff);
         }
-        my.record_retry();
-        self.client.query_metrics.record_retry();
+        self.client.scope.add(Counter::Retries, 1);
         self.client.obs.record_span_for(
             self.client.query,
             SpanKind::Retry,
@@ -1186,13 +1192,14 @@ mod tests {
         let owned: Vec<VertexId> = pg.part(0).owned().iter().copied().take(5).collect();
         client.fetch(0, &owned).unwrap();
         let m = service.metrics();
-        assert_eq!(m.total_requests(), 1);
-        assert!(m.total_network_bytes() > 0);
-        assert!(m.part(1).bytes_received() > 0);
-        assert!(m.part(0).served_requests() == 1);
+        let totals = m.totals();
+        assert_eq!(totals[Counter::FetchRequests], 1);
+        assert!(totals[Counter::NetworkBytes] > 0);
+        assert!(m.part(1).get(Counter::BytesReceived) > 0);
+        assert!(m.part(0).get(Counter::ServedRequests) == 1);
         // No duplicates, no faults: nothing coalesced, nothing retried.
-        assert_eq!(m.total_coalesced(), 0);
-        assert_eq!(m.total_retries(), 0);
+        assert_eq!(totals[Counter::Coalesced], 0);
+        assert_eq!(totals[Counter::Retries], 0);
         service.shutdown();
     }
 
@@ -1203,8 +1210,8 @@ mod tests {
         let client = service.client(0);
         let owned: Vec<VertexId> = pg.part(1).owned().iter().copied().take(3).collect();
         client.fetch(1, &owned).unwrap();
-        assert_eq!(service.metrics().total_network_bytes(), 0);
-        assert!(service.metrics().total_cross_socket_bytes() > 0);
+        assert_eq!(service.metrics().totals()[Counter::NetworkBytes], 0);
+        assert!(service.metrics().totals()[Counter::NumaBytes] > 0);
         service.shutdown();
     }
 
@@ -1269,7 +1276,7 @@ mod tests {
         for (i, &v) in request.iter().enumerate() {
             assert_eq!(lists.list(i), g.neighbors(v), "list {i} mismatched");
         }
-        assert_eq!(service.metrics().total_coalesced(), 3);
+        assert_eq!(service.metrics().totals()[Counter::Coalesced], 3);
         service.shutdown();
     }
 
@@ -1326,11 +1333,12 @@ mod tests {
                 assert_eq!(lists.response_bytes(), served.response_bytes());
                 assert_eq!(lists.into_payload(), served.into_payload());
             }
-            let m = service.metrics();
+            let totals = service.metrics().totals();
+            let (retries, rerouted) = (totals[Counter::Retries], totals[Counter::ReroutedRequests]);
             match &fabric.fault {
-                None => assert_eq!(m.total_retries() + m.total_rerouted_requests(), 0),
-                Some(plan) if plan.crashes.is_empty() => assert!(m.total_retries() > 0),
-                Some(_) => assert!(m.total_rerouted_requests() > 0),
+                None => assert_eq!(retries + rerouted, 0),
+                Some(plan) if plan.crashes.is_empty() => assert!(retries > 0),
+                Some(_) => assert!(rerouted > 0),
             }
             service.shutdown();
         }
@@ -1345,8 +1353,8 @@ mod tests {
         client.fetch(0, &[v; 8]).unwrap();
         // Request bytes account the deduplicated wire form: header + one
         // vertex, not eight.
-        assert_eq!(service.metrics().part(1).bytes_sent(), 16 + 4);
-        assert_eq!(service.metrics().total_coalesced(), 7);
+        assert_eq!(service.metrics().part(1).get(Counter::BytesSent), 16 + 4);
+        assert_eq!(service.metrics().totals()[Counter::Coalesced], 7);
         service.shutdown();
     }
 
@@ -1359,26 +1367,26 @@ mod tests {
         let obs = Recorder::new(&gpm_obs::ObsConfig::enabled());
         let service =
             EdgeListService::start_observed(&pg, None, FabricConfig::default(), Arc::clone(&obs));
-        let c7 = service.client_for_query(1, 7);
-        let c9 = service.client_for_query(1, 9);
+        let q7 = service.metrics().query(7);
+        let q9 = service.metrics().query(9);
+        let c7 = service.client_for_query(1, 7, &q7);
+        let c9 = service.client_for_query(1, 9, &q9);
         assert_eq!(c7.query_id(), 7);
         let owned: Vec<VertexId> = pg.part(0).owned().iter().copied().take(4).collect();
         c7.fetch(0, &owned[..2]).unwrap();
         c7.fetch(0, &[owned[2], owned[2]]).unwrap(); // one coalesced vertex
         c9.fetch(0, &owned[3..]).unwrap();
-        let q7 = service.metrics().query(7);
-        let q9 = service.metrics().query(9);
-        assert_eq!(q7.requests(), 2);
-        assert_eq!(q9.requests(), 1);
-        assert_eq!(q7.coalesced_requests(), 1);
-        assert_eq!(q9.coalesced_requests(), 0);
-        assert!(q7.network_bytes() > 0);
-        // Part counters still see the union.
-        assert_eq!(service.metrics().total_requests(), 3);
-        assert_eq!(
-            service.metrics().part(1).bytes_received(),
-            q7.network_bytes() + q9.network_bytes() - service.metrics().part(1).bytes_sent()
-        );
+        assert_eq!(q7.get(Counter::FetchRequests), 2);
+        assert_eq!(q9.get(Counter::FetchRequests), 1);
+        assert_eq!(q7.get(Counter::Coalesced), 1);
+        assert_eq!(q9.get(Counter::Coalesced), 0);
+        assert!(q7.get(Counter::NetworkBytes) > 0);
+        // The issuing part's row is the two queries' rows summed, counter
+        // by counter.
+        let mut sum = q7.snapshot();
+        sum += &q9.snapshot();
+        assert_eq!(sum, service.metrics().part(1).snapshot());
+        assert_eq!(sum[Counter::FetchRequests], 3);
         for s in obs.spans() {
             if matches!(s.kind, SpanKind::FetchIssue | SpanKind::Fetch | SpanKind::Serve) {
                 assert!(s.query == 7 || s.query == 9, "unattributed lifecycle span: {s:?}");
@@ -1423,11 +1431,11 @@ mod tests {
         let owned: Vec<VertexId> = pg.part(0).owned().iter().copied().take(3).collect();
         let p0 = client.fetch_async(0, &owned[..1]).unwrap();
         let p1 = client.fetch_async(0, &owned[1..2]).unwrap();
-        assert_eq!(service.metrics().part(1).inflight(), 2);
+        assert_eq!(service.inflight(1), 2);
         // A non-blocking third issue reports the full window and leaves
         // no trace: nothing submitted, nothing counted.
         assert!(client.try_fetch_async(0, &owned[2..3]).unwrap().is_none());
-        assert_eq!(service.metrics().part(1).inflight(), 2);
+        assert_eq!(service.inflight(1), 2);
         // A blocking third issue must wait until a slot retires.
         let (issued_tx, issued_rx) = unbounded::<()>();
         let c2 = client.clone();
@@ -1445,9 +1453,8 @@ mod tests {
         issued_rx.recv_timeout(Duration::from_secs(5)).expect("slot retire unblocks issue");
         p1.wait().unwrap();
         t.join().unwrap();
-        assert_eq!(service.metrics().part(1).inflight(), 0);
-        assert_eq!(service.metrics().part(1).peak_inflight(), 2);
-        assert_eq!(service.metrics().part(0).served_requests(), 3);
+        assert_eq!(service.inflight(1), 0);
+        assert_eq!(service.metrics().part(0).get(Counter::ServedRequests), 3);
         let p3 = client.try_fetch_async(0, &owned[..1]).unwrap().expect("the window has room");
         assert_eq!(p3.wait().unwrap().len(), 1);
         service.shutdown();
@@ -1475,7 +1482,7 @@ mod tests {
             let lists = client.fetch(0, &[v]).unwrap();
             assert_eq!(lists.list(0), g.neighbors(v));
         }
-        assert!(service.metrics().total_retries() > 0, "30% drops must force retries");
+        assert!(service.metrics().totals()[Counter::Retries] > 0, "30% drops must force retries");
         service.shutdown();
     }
 
@@ -1491,7 +1498,7 @@ mod tests {
             let lists = client.fetch(0, &[v]).unwrap();
             assert_eq!(lists.list(0), g.neighbors(v));
         }
-        assert!(service.metrics().total_retries() > 0);
+        assert!(service.metrics().totals()[Counter::Retries] > 0);
         service.shutdown();
     }
 
@@ -1532,7 +1539,7 @@ mod tests {
         let err = client.fetch(0, &[v]).unwrap_err();
         assert_eq!(err, FetchError::Timeout { target: 0, attempts: 3 });
         assert!(err.to_string().contains("after 3 attempts"));
-        assert_eq!(service.metrics().part(1).retries(), 2);
+        assert_eq!(service.metrics().part(1).get(Counter::Retries), 2);
         service.shutdown();
     }
 
@@ -1560,7 +1567,7 @@ mod tests {
         // Batch-bytes histogram saw exactly the accounted response size.
         assert_eq!(
             obs.hist_snapshot(Metric::BatchBytes).sum,
-            service.metrics().part(1).bytes_received()
+            service.metrics().part(1).get(Counter::BytesReceived)
         );
         service.shutdown();
     }
@@ -1585,7 +1592,7 @@ mod tests {
             "missing Fault(drop) instant"
         );
         let retries = spans.iter().filter(|s| s.kind == SpanKind::Retry).count() as u64;
-        assert_eq!(retries, service.metrics().total_retries());
+        assert_eq!(retries, service.metrics().totals()[Counter::Retries]);
         assert!(retries > 0);
         service.shutdown();
     }
@@ -1685,10 +1692,10 @@ mod tests {
         }
         assert!(client.is_part_dead(0));
         assert_eq!(service.dead_parts(), vec![0]);
-        let m = service.metrics();
-        assert_eq!(m.parts_failed(), 1);
-        assert!(m.total_rerouted_requests() >= 7, "{} rerouted", m.total_rerouted_requests());
-        assert!(m.total_rerouted_bytes() > 0);
+        let totals = service.metrics().totals();
+        assert_eq!(totals[Counter::PartsFailed], 1);
+        assert!(totals[Counter::ReroutedRequests] >= 7, "{totals:?}");
+        assert!(totals[Counter::ReroutedBytes] > 0);
         service.shutdown();
     }
 
@@ -1710,7 +1717,7 @@ mod tests {
         assert_eq!(err, FetchError::PartDead { part: 0 });
         assert!(err.to_string().contains("dead"));
         assert!(client.is_part_dead(0));
-        assert_eq!(service.metrics().parts_failed(), 1);
+        assert_eq!(service.metrics().totals()[Counter::PartsFailed], 1);
         service.shutdown();
     }
 
@@ -1737,7 +1744,7 @@ mod tests {
         let v = pg.part(0).owned()[0];
         let err = client.fetch(0, &[v]).unwrap_err();
         assert_eq!(err, FetchError::PartDead { part: 0 });
-        assert_eq!(service.metrics().parts_failed(), 2);
+        assert_eq!(service.metrics().totals()[Counter::PartsFailed], 2);
         assert!(client.is_part_dead(0) && client.is_part_dead(1));
         service.shutdown();
     }
@@ -1789,13 +1796,14 @@ mod tests {
             assert_eq!(lists.list(0), g.neighbors(v));
         }
         let m = service.metrics();
-        let (s2, s3) = (m.part(2).rerouted_served_requests(), m.part(3).rerouted_served_requests());
+        let served = |c| (m.part(2).get(c), m.part(3).get(c));
+        let (s2, s3) = served(Counter::ReroutedServedRequests);
         assert!(s2 > 0 && s3 > 0, "one holder starved: part2={s2} part3={s3}");
-        let (b2, b3) = (m.part(2).rerouted_served_bytes(), m.part(3).rerouted_served_bytes());
+        let (b2, b3) = served(Counter::ReroutedServedBytes);
         let max_share = b2.max(b3) as f64 / (b2 + b3) as f64;
         assert!(max_share <= 0.7, "holder hotspot: {b2} vs {b3} bytes ({max_share:.2})");
         // Issuer-side accounting still sees the union.
-        assert_eq!(m.total_rerouted_requests(), s2 + s3);
+        assert_eq!(m.totals()[Counter::ReroutedRequests], s2 + s3);
         service.shutdown();
     }
 
@@ -1839,7 +1847,7 @@ mod tests {
         assert!(service.hosted_slices(1).contains(&0), "slice 0 not installed on part 1");
         let lists = client.fetch(0, &[v]).unwrap();
         assert_eq!(lists.list(0), g.neighbors(v));
-        assert!(service.metrics().part(1).rerouted_served_requests() > 0);
+        assert!(service.metrics().part(1).get(Counter::ReroutedServedRequests) > 0);
         service.shutdown();
     }
 

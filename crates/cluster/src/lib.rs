@@ -22,9 +22,10 @@
 //! * [`ledger`] — the cross-part root ledger (claims, steals, donations,
 //!   quiescence, lost-root reconstruction) as one plain state machine, and
 //!   [`control`] — the two carriers that deliver operations to it;
-//! * [`metrics`] — per-part traffic and wait-time counters, split into
-//!   cross-machine and cross-socket classes (for §5.4 and Figure 19),
-//!   plus fabric counters (in-flight depth, coalesced vertices, retries);
+//! * [`metrics`] — the one counter table ([`Counter`]): every traffic,
+//!   failure and control counter with its name and help text, kept as one
+//!   [`Counters`] row per part and per query, written through a
+//!   [`Scope`] and read as [`Counts`];
 //! * [`NetworkModel`] — optional latency/bandwidth model used to convert
 //!   measured bytes into network-utilization numbers and, when enabled, to
 //!   delay fetches accordingly;
@@ -48,7 +49,7 @@ pub use fabric::{
     EdgeListClient, EdgeListService, FabricConfig, FetchError, PendingFetch, RetryPolicy,
 };
 pub use ledger::{Ledger, LedgerSummary};
-pub use metrics::{ClusterMetrics, CounterSnapshot, PartMetrics, QueryMetrics, TrafficClass};
+pub use metrics::{ClusterMetrics, Counter, Counters, Counts, Scope, TrafficClass};
 pub use transport::{
     ChannelTransport, ClaimSource, CrashAt, CtrlOp, CtrlPayload, CtrlReply, CtrlRequest,
     FaultInjectingTransport, FaultPlan, FetchedLists, Transport, WireReply, WireRequest,

@@ -141,7 +141,7 @@ impl<T: Send> Endpoint<T> {
     /// Panics if `to` is out of range or its queue is disconnected.
     pub fn send(&self, to: PartId, msg: T, bytes: u64) {
         let class = self.metrics.classify(self.part, to);
-        self.metrics.part(self.part).record_fetch(class, bytes, 0);
+        self.metrics.part(self.part).add_transfer(class, bytes, 0);
         // Offset by one so 0 stays "unlinked" (gpm_obs::Span::link).
         let msg_id = self.next_id.fetch_add(1, Ordering::Relaxed) + 1;
         self.obs.record_instant_linked(SpanKind::PostSend, self.part as u32, bytes, msg_id);
@@ -186,7 +186,7 @@ impl<T: Send> Endpoint<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::TrafficClass;
+    use crate::metrics::{Counter, TrafficClass};
     use gpm_obs::ObsConfig;
 
     #[test]
@@ -198,9 +198,9 @@ mod tests {
         a.send(2, 99, 40); // machine 0 -> machine 1
         assert_eq!(c.try_recv(), Some(99));
         assert_eq!(c.try_recv(), None);
-        assert_eq!(post.metrics().total_network_bytes(), 40);
+        assert_eq!(post.metrics().totals()[Counter::NetworkBytes], 40);
         a.send(1, 1, 10); // same machine, different socket
-        assert_eq!(post.metrics().total_cross_socket_bytes(), 10);
+        assert_eq!(post.metrics().totals()[Counter::NumaBytes], 10);
         assert_eq!(post.metrics().classify(0, 1), TrafficClass::CrossSocket);
     }
 

@@ -15,7 +15,7 @@
 //!   of messages, for exercising the fabric's timeout/retry path.
 
 use crate::fabric::FetchError;
-use crate::metrics::ClusterMetrics;
+use crate::metrics::{ClusterMetrics, Counter};
 use crate::PartId;
 use crossbeam::channel::{unbounded, Sender};
 use gpm_graph::partition::{GraphPart, PartitionedGraph};
@@ -509,7 +509,8 @@ impl ChannelTransport {
                                     serve(&slices, req.owner, &req.vertices)
                                 };
                                 if let Ok(lists) = &payload {
-                                    part_metrics.record_served(lists.response_bytes());
+                                    part_metrics.add(Counter::ServedRequests, 1);
+                                    part_metrics.add(Counter::ServedBytes, lists.response_bytes());
                                     obs.record_span_for(
                                         req.query,
                                         SpanKind::Serve,

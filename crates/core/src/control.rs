@@ -13,8 +13,8 @@
 
 use crate::incident::{ledger_json, CaptureSections, IncidentManager, Trigger, TriggerKind};
 use gpm_cluster::{
-    Carrier, ClaimSource, ClusterMetrics, ControlLedgerConfig, ControlLedgerService, CtrlOp,
-    CtrlPayload, FaultPlan, FetchError, Ledger, LedgerSummary, RetryPolicy,
+    Carrier, ClaimSource, ClusterMetrics, ControlLedgerConfig, ControlLedgerService, Counters,
+    CtrlOp, CtrlPayload, FaultPlan, FetchError, Ledger, LedgerSummary, RetryPolicy,
 };
 use gpm_graph::VertexId;
 use gpm_obs::Recorder;
@@ -111,12 +111,14 @@ impl ControlPlane {
     /// vertices for a normal pass, its placed share of the lost roots for
     /// a recovery pass — delivered by the carrier `mode` names. `cfg`
     /// carries the ledger's knobs for both carriers and the wire's knobs
-    /// for the message one.
+    /// for the message one, whose clients count into `query_row` (the
+    /// row of `cfg.query`) and their part's row in `metrics`.
     pub(crate) fn start(
         roots: Vec<Vec<VertexId>>,
         cfg: ControlLedgerConfig,
         mode: ControlMode,
         metrics: &ClusterMetrics,
+        query_row: &Arc<Counters>,
         obs: Arc<Recorder>,
         incidents: Option<Arc<IncidentManager>>,
     ) -> ControlPlane {
@@ -126,7 +128,14 @@ impl ControlPlane {
                 Carrier::shared(Ledger::new(roots, Vec::new(), stealing, cfg.batch, cfg.numa))
             }
             ControlMode::Msg => Carrier::msg(
-                ControlLedgerService::start(roots, Vec::new(), cfg, metrics, obs),
+                ControlLedgerService::start_for_query(
+                    roots,
+                    Vec::new(),
+                    cfg,
+                    metrics,
+                    Arc::clone(query_row),
+                    obs,
+                ),
                 parts,
             ),
         };
@@ -307,7 +316,8 @@ mod tests {
         incidents: Option<Arc<IncidentManager>>,
     ) -> ControlPlane {
         let metrics = ClusterMetrics::new(roots.len(), 1);
-        ControlPlane::start(roots, cfg, mode, &metrics, Recorder::disabled(), incidents)
+        let row = metrics.query(cfg.query);
+        ControlPlane::start(roots, cfg, mode, &metrics, &row, Recorder::disabled(), incidents)
     }
 
     /// The ledger's behaviour is specified by the table in
@@ -369,10 +379,11 @@ mod tests {
             cfg,
             ControlMode::Msg,
             &metrics,
+            &metrics.query(0),
             Recorder::disabled(),
             None,
         );
-        let sent = |p: usize| metrics.part(p).ctrl_sent();
+        let sent = |p: usize| metrics.part(p).get(gpm_cluster::Counter::CtrlSent);
         let mut batches = 0;
         while cp.claim(0, 4, batches > 0).unwrap().is_some() {
             batches += 1;

@@ -11,7 +11,8 @@ use crate::runtime::{run_part, PartCtx, StatePool, Visitor};
 use crate::scheduler::{place_recovery_roots, QueryArbiter, StealConfig, WorkerPool};
 use crate::stats::{ControlSummary, FailureSummary, PartStats, RunStats, TrafficSummary};
 use gpm_cluster::{
-    ClusterMetrics, ControlLedgerConfig, EdgeListService, FabricConfig, FetchError, NetworkModel,
+    ClusterMetrics, ControlLedgerConfig, Counter, Counters, EdgeListService, FabricConfig,
+    FetchError, NetworkModel,
 };
 use gpm_graph::partition::PartitionedGraph;
 use gpm_graph::VertexId;
@@ -434,8 +435,8 @@ impl Engine {
                     alive: !self.service.is_part_dead(p),
                     hosted_slices: self.service.hosted_slices(p),
                     live_copies: self.service.live_copies(p),
-                    rerouted_served_requests: pm.rerouted_served_requests(),
-                    rerouted_served_bytes: pm.rerouted_served_bytes(),
+                    rerouted_served_requests: pm.get(Counter::ReroutedServedRequests),
+                    rerouted_served_bytes: pm.get(Counter::ReroutedServedBytes),
                 }
             })
             .collect()
@@ -452,7 +453,8 @@ impl Engine {
         let per_holder_rerouted: Vec<HolderReroute> = (0..n)
             .filter_map(|p| {
                 let pm = metrics.part(p);
-                let (requests, bytes) = (pm.rerouted_served_requests(), pm.rerouted_served_bytes());
+                let (requests, bytes) =
+                    (pm.get(Counter::ReroutedServedRequests), pm.get(Counter::ReroutedServedBytes));
                 (requests != 0 || bytes != 0).then_some(HolderReroute {
                     part: p as u64,
                     requests,
@@ -643,7 +645,7 @@ impl Engine {
         self.active_queries.fetch_add(1, Ordering::SeqCst);
         self.arbiter.register(qid);
         let _guard = QueryGuard { engine: self, qid };
-        let qm = self.service.metrics().query(qid);
+        let query_row = self.service.metrics().query(qid);
         let deadline_fired = Arc::new(AtomicBool::new(false));
         let parts = self.pg.part_count();
         // Run-scoped scheduler state: the root ledger every part claims
@@ -652,7 +654,7 @@ impl Engine {
         let stealing = self.cfg.steal.enabled && !self.cfg.sequential_parts && parts > 1;
         let owned = (0..parts).map(|p| self.pg.part(p).owned().to_vec()).collect();
         let numa = self.cfg.steal.numa.then(|| self.pg.sockets_per_machine().max(1));
-        let ledger = self.make_ledger(owned, stealing, numa, qid);
+        let ledger = self.make_ledger(owned, stealing, numa, qid, &query_row);
         let gauges: Vec<Arc<AtomicUsize>> =
             (0..parts).map(|_| Arc::new(AtomicUsize::new(0))).collect();
         // Live progress tracker: the root multiset size is known up front
@@ -674,12 +676,8 @@ impl Engine {
         });
         // Stops and joins on drop, so both the error and success returns
         // below leave no sampler thread behind.
-        let _sampler = GaugeSampler::start(
-            &self.recorder,
-            self.service.metrics(),
-            gauges.clone(),
-            self.cfg.obs.tick,
-        );
+        let _sampler =
+            GaugeSampler::start(&self.recorder, &self.service, gauges.clone(), self.cfg.obs.tick);
         // Scheduler heartbeat: bumped on every claimed batch and every
         // batch retirement across all parts. The stall watchdog (started
         // only with incident capture + a window configured; joined on
@@ -697,7 +695,7 @@ impl Engine {
         let make_ctx = |part: usize, ledger: &Arc<ControlPlane>| PartCtx {
             part: self.pg.part_arc(part),
             labels: self.pg.labels(),
-            client: self.service.client_for_query(part, qid),
+            client: self.service.client_for_query(part, qid, &query_row),
             cache: Arc::clone(&self.caches[part]),
             plan,
             cfg: &self.cfg,
@@ -815,7 +813,7 @@ impl Engine {
                 &ledger,
             );
             let rts = self.recorder.now_ns();
-            let recovery = self.make_recovery_ledger(lost, qid, &gauges, &all_dead);
+            let recovery = self.make_recovery_ledger(lost, qid, &query_row, &gauges, &all_dead);
             ledgers.push(Arc::clone(&recovery));
             let survivors: Vec<usize> = (0..parts).filter(|p| !all_dead.contains(p)).collect();
             self.run_parts(&mut slots, &mut failure, survivors, |p| make_ctx(p, &recovery));
@@ -847,37 +845,24 @@ impl Engine {
         let per_part: Vec<PartStats> =
             slots.into_iter().map(|s| s.expect("every live part reports stats")).collect();
         let elapsed = t0.elapsed();
-        // Per-query accounting replaces the old before/after snapshots of
-        // the global counters: every client this run used was tagged with
-        // `qid`, so these counters hold exactly this query's traffic even
-        // with other queries running concurrently.
+        // Every client this run used counted into `query_row`, so it holds
+        // exactly this query's traffic even with other queries running
+        // concurrently.
+        let counted = query_row.snapshot();
         let stats = RunStats {
             count: per_part.iter().map(|p| p.count).sum(),
             elapsed,
             per_part,
-            traffic: TrafficSummary {
-                network_bytes: qm.network_bytes(),
-                cross_socket_bytes: qm.cross_socket_bytes(),
-                requests: qm.requests(),
-                cache_hits: qm.cache_hits(),
-                cache_misses: qm.cache_misses(),
-                coalesced: qm.coalesced_requests(),
-                retries: qm.retries(),
-            },
+            traffic: TrafficSummary::from(&counted),
             failures: FailureSummary {
                 // Dead parts observed by the end of this query's run; a
                 // query admitted after a crash still pays the failover
                 // and recovery for it, so it reports the failure too.
                 parts_failed: all_dead.len() as u64,
-                rerouted_requests: qm.rerouted_requests(),
-                rerouted_bytes: qm.rerouted_bytes(),
                 reexecuted_roots,
+                ..FailureSummary::from(&counted)
             },
-            control: ControlSummary {
-                sent: qm.ctrl_sent(),
-                retried: qm.ctrl_retried(),
-                dropped: qm.ctrl_dropped(),
-            },
+            control: ControlSummary::from(&counted),
         };
         if let Some(p) = &progress {
             p.mark_done();
@@ -903,7 +888,7 @@ impl Engine {
         let sections = if self.incidents.enabled() {
             CaptureSections {
                 progress: self.active_progress().iter().map(|p| progress_json(p)).collect(),
-                counters: Some(counters_json(&self.service.metrics().counter_snapshot())),
+                counters: Some(counters_json(&self.service.metrics().totals())),
                 ledger: Some(ledger_json(&ledger.state_summary())),
             }
         } else {
@@ -921,6 +906,7 @@ impl Engine {
         stealing: bool,
         numa: Option<usize>,
         qid: u64,
+        query_row: &Arc<Counters>,
     ) -> Arc<ControlPlane> {
         let cfg = ControlLedgerConfig {
             stealing,
@@ -935,6 +921,7 @@ impl Engine {
             cfg,
             self.cfg.control.mode,
             self.service.metrics(),
+            query_row,
             Arc::clone(&self.recorder),
             Some(Arc::clone(&self.incidents)),
         ))
@@ -951,6 +938,7 @@ impl Engine {
         &self,
         lost: Vec<VertexId>,
         qid: u64,
+        query_row: &Arc<Counters>,
         gauges: &[Arc<AtomicUsize>],
         dead: &[usize],
     ) -> Arc<ControlPlane> {
@@ -958,10 +946,10 @@ impl Engine {
         let loads: Vec<u64> = (0..self.pg.part_count())
             .map(|p| {
                 gauges[p].load(Ordering::Relaxed) as u64
-                    + metrics.part(p).rerouted_served_bytes() / 1024
+                    + metrics.part(p).get(Counter::ReroutedServedBytes) / 1024
             })
             .collect();
-        self.make_ledger(place_recovery_roots(lost, &loads, dead), true, None, qid)
+        self.make_ledger(place_recovery_roots(lost, &loads, dead), true, None, qid, query_row)
     }
 
     /// Runs `run_part` for each part in `run`, sequentially or
@@ -1080,7 +1068,7 @@ struct GaugeSampler {
 impl GaugeSampler {
     fn start(
         recorder: &Arc<Recorder>,
-        metrics: &ClusterMetrics,
+        service: &EdgeListService,
         queue_depths: Vec<Arc<AtomicUsize>>,
         tick: Duration,
     ) -> Option<GaugeSampler> {
@@ -1090,19 +1078,19 @@ impl GaugeSampler {
         let stop = Arc::new(AtomicBool::new(false));
         let flag = Arc::clone(&stop);
         let rec = Arc::clone(recorder);
-        let metrics = metrics.clone();
+        let service = service.clone();
         let handle = std::thread::Builder::new()
             .name("khuzdul-obs-sampler".to_string())
             .spawn(move || {
+                let metrics = service.metrics();
                 while !flag.load(Ordering::Relaxed) {
                     let t_ns = rec.now_ns();
                     for p in 0..metrics.part_count() {
-                        let pm = metrics.part(p);
                         rec.record_gauge(GaugeSample {
                             t_ns,
                             part: p as u32,
-                            inflight: pm.inflight(),
-                            network_bytes: pm.cross_machine_bytes(),
+                            inflight: service.inflight(p),
+                            network_bytes: metrics.part(p).get(Counter::NetworkBytes),
                             queue_depth: queue_depths
                                 .get(p)
                                 .map_or(0, |g| g.load(Ordering::Relaxed) as u64),
@@ -1343,12 +1331,12 @@ mod tests {
     }
 
     #[test]
-    fn larger_window_reduces_comm_wait() {
+    fn larger_window_reduces_network_wait() {
         use std::time::Duration;
         // With a network model attached, window=1 pays the full modelled
         // delay per transfer back-to-back (the old blocking behaviour);
         // window=8 keeps several transfers in flight so their modelled
-        // delays overlap and the summed comm-wait drops.
+        // delays overlap and the summed network wait drops.
         let g = gen::barabasi_albert(300, 6, 23);
         let p = Pattern::clique(4);
         let mk = |window: usize| {
@@ -1591,7 +1579,7 @@ mod tests {
             // not at once.
             let fault_free = engine_with(None);
             assert_eq!(fault_free.count(&plan(&p)).count, expect, "steal={steal}");
-            let served = fault_free.metrics().part(2).served_requests();
+            let served = fault_free.metrics().part(2).get(Counter::ServedRequests);
             fault_free.shutdown();
             assert!(served >= 4, "steal={steal}: part 2 served only {served} requests");
             let engine = engine_with(Some(FaultPlan {

@@ -397,14 +397,12 @@ pub(crate) fn progress_json(p: &QueryProgress) -> Value {
     ])
 }
 
-/// JSON map of a cluster counter snapshot, name for value, for the
+/// JSON map of the exported cluster counters, name for value, for the
 /// bundle's `counters` section.
-pub(crate) fn counters_json(snap: &gpm_cluster::CounterSnapshot) -> Value {
+pub(crate) fn counters_json(totals: &gpm_cluster::Counts) -> Value {
     Value::Map(
-        gpm_cluster::CounterSnapshot::NAMES
-            .iter()
-            .zip(snap.as_array())
-            .map(|(n, v)| ((*n).to_string(), Value::UInt(v)))
+        gpm_cluster::Counter::exported()
+            .map(|c| (c.name().to_string(), Value::UInt(totals[c])))
             .collect(),
     )
 }
@@ -664,6 +662,7 @@ mod tests {
             gpm_cluster::ControlLedgerConfig::default(),
             crate::control::ControlMode::Shared,
             &gpm_cluster::ClusterMetrics::new(0, 1),
+            &Arc::default(),
             gpm_obs::Recorder::disabled(),
             None,
         ))

@@ -71,8 +71,9 @@ pub use stats::{Breakdown, ControlSummary, FailureSummary, PartStats, RunStats, 
 pub use status::{StatusConfig, StatusServer};
 
 // Fabric knobs and errors surface through `EngineConfig` / `try_count`,
+// and the counter table through `Engine::metrics` / `RunStats::counter`,
 // so re-export them for downstream callers.
-pub use gpm_cluster::{CrashAt, FabricConfig, FaultPlan, FetchError, RetryPolicy};
+pub use gpm_cluster::{Counter, Counts, CrashAt, FabricConfig, FaultPlan, FetchError, RetryPolicy};
 
 // Observability surfaces through `EngineConfig::obs` / `Engine::report`;
 // re-export the types callers hold or write out.

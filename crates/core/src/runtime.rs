@@ -30,7 +30,7 @@ use crate::engine::EngineConfig;
 use crate::extend::Scratch;
 use crate::scheduler::{Gate, QueryArbiter};
 use crate::stats::PartStats;
-use gpm_cluster::{ClaimSource, EdgeListClient, FetchError, PendingFetch};
+use gpm_cluster::{ClaimSource, Counter, EdgeListClient, FetchError, PendingFetch};
 use gpm_graph::partition::{vertex_hash, GraphPart};
 use gpm_graph::{Label, VertexId};
 use gpm_obs::{FlightKind, ObsHandle, Recorder, SpanKind};
@@ -591,8 +591,9 @@ impl<'e> PartRun<'e> {
         }
         chunk.resolved_upto = chunk.embs.len();
         if hits + misses > 0 {
-            self.ctx.client.metrics().part(my_part).record_cache_lookups(hits, misses);
-            self.ctx.client.query_metrics().record_cache_lookups(hits, misses);
+            let counted = self.ctx.client.scope();
+            counted.add(Counter::CacheHits, hits);
+            counted.add(Counter::CacheMisses, misses);
         }
 
         // Circulant owner order: (K+1) % N, (K+2) % N, … (§4.3). The
@@ -738,6 +739,7 @@ mod tests {
             ControlLedgerConfig { stealing: true, batch: 16, ..ControlLedgerConfig::default() },
             ControlMode::Msg,
             service.metrics(),
+            &service.metrics().query(0),
             Recorder::disabled(),
             None,
         ));
@@ -767,7 +769,7 @@ mod tests {
             heartbeat: Arc::default(),
             pool: &pool,
         });
-        let sent = || service.metrics().part(0).ctrl_sent();
+        let sent = || service.metrics().part(0).get(Counter::CtrlSent);
 
         assert!(run.seed_roots().unwrap());
         assert_eq!((sent(), run.levels[0].embs.len()), (1, 16));

@@ -18,9 +18,8 @@
 use crate::engine::{Engine, EngineError, QueryCtx, DEFAULT_ROOT_BUDGET};
 use crate::incident::{counters_json, progress_json, CaptureSections, Trigger, TriggerKind};
 use crate::stats::RunStats;
-use gpm_obs::{
-    critical_path, ControlSection, FailureSection, QueryReport, RunReport, Span, TrafficTotals,
-};
+use gpm_cluster::Counter;
+use gpm_obs::{critical_path, QueryReport, RunReport, Span};
 use gpm_pattern::iso::canonical_code;
 use gpm_pattern::plan::{MatchingPlan, PlanOptions};
 use gpm_pattern::Pattern;
@@ -446,30 +445,11 @@ impl MiningService {
     /// only).
     pub fn report(&self, system: &str) -> RunReport {
         let outcomes = self.outcomes();
-        let mut agg = RunStats { elapsed: self.started.elapsed(), ..RunStats::default() };
-        for o in &outcomes {
-            let Ok(stats) = &o.result else { continue };
-            agg.count += stats.count;
-            if !o.memoized {
-                let t = &stats.traffic;
-                agg.traffic.network_bytes += t.network_bytes;
-                agg.traffic.cross_socket_bytes += t.cross_socket_bytes;
-                agg.traffic.requests += t.requests;
-                agg.traffic.cache_hits += t.cache_hits;
-                agg.traffic.cache_misses += t.cache_misses;
-                agg.traffic.coalesced += t.coalesced;
-                agg.traffic.retries += t.retries;
-                agg.failures.rerouted_requests += stats.failures.rerouted_requests;
-                agg.failures.rerouted_bytes += stats.failures.rerouted_bytes;
-                agg.failures.reexecuted_roots += stats.failures.reexecuted_roots;
-                agg.control.sent += stats.control.sent;
-                agg.control.retried += stats.control.retried;
-                agg.control.dropped += stats.control.dropped;
-            }
-        }
+        let mut agg = sum_outcomes(&outcomes);
+        agg.elapsed = self.started.elapsed();
         // Service-level failure count: parts that fail-stopped, counted
         // once, not once per query that observed them.
-        agg.failures.parts_failed = self.engine.metrics().parts_failed();
+        agg.failures.parts_failed = self.engine.metrics().totals()[Counter::PartsFailed];
         let mut report = agg.to_report(system);
         self.engine.recorder().augment_report(&mut report);
         report.incidents = self.engine.incidents().incidents();
@@ -529,6 +509,25 @@ impl Drop for MiningService {
     }
 }
 
+/// What the completed `outcomes` add up to — the one aggregation behind
+/// the service report and `/metrics`. Every completed query adds its
+/// count; only those that ran add traffic, failures and control
+/// messages (a memoized duplicate moved no bytes).
+pub(crate) fn sum_outcomes(outcomes: &[QueryOutcome]) -> RunStats {
+    let mut agg = RunStats::default();
+    for o in outcomes {
+        match &o.result {
+            Ok(stats) if o.memoized => agg.count += stats.count,
+            Ok(stats) => agg.absorb(stats),
+            Err(_) => {}
+        }
+    }
+    // Queries interleave on the same parts, so their per-part times
+    // overlap; the aggregate carries totals only.
+    agg.per_part.clear();
+    agg
+}
+
 /// One query's section of the aggregate report.
 fn query_report(o: &QueryOutcome, spans: &[Span]) -> QueryReport {
     let mut qr = QueryReport {
@@ -546,26 +545,9 @@ fn query_report(o: &QueryOutcome, spans: &[Span]) -> QueryReport {
     if let Ok(stats) = &o.result {
         qr.count = stats.count;
         if !o.memoized {
-            qr.traffic = TrafficTotals {
-                fetch_requests: stats.traffic.requests,
-                cache_hits: stats.traffic.cache_hits,
-                cache_misses: stats.traffic.cache_misses,
-                coalesced_requests: stats.traffic.coalesced,
-                retries: stats.traffic.retries,
-                network_bytes: stats.traffic.network_bytes,
-                numa_bytes: stats.traffic.cross_socket_bytes,
-            };
-            qr.failures = FailureSection {
-                parts_failed: stats.failures.parts_failed,
-                rerouted_requests: stats.failures.rerouted_requests,
-                rerouted_bytes: stats.failures.rerouted_bytes,
-                reexecuted_roots: stats.failures.reexecuted_roots,
-            };
-            qr.control = ControlSection {
-                sent: stats.control.sent,
-                retried: stats.control.retried,
-                dropped: stats.control.dropped,
-            };
+            qr.traffic = (&stats.traffic).into();
+            qr.failures = (&stats.failures).into();
+            qr.control = (&stats.control).into();
             let mine: Vec<Span> = spans.iter().filter(|s| s.query == o.query_id).cloned().collect();
             qr.critical_path = critical_path(&mine);
         }
@@ -625,7 +607,7 @@ fn executor_loop(engine: &Engine, inner: &ServiceInner, budget: u64, slow_query:
             let sections = if incidents.enabled() {
                 CaptureSections {
                     progress: engine.active_progress().iter().map(|p| progress_json(p)).collect(),
-                    counters: Some(counters_json(&engine.metrics().counter_snapshot())),
+                    counters: Some(counters_json(&engine.metrics().totals())),
                     ledger: None,
                 }
             } else {

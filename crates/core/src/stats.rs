@@ -1,5 +1,6 @@
 //! Run statistics: counts, timing breakdown, and traffic summary.
 
+use gpm_cluster::{Counter, Counts};
 use std::time::Duration;
 
 /// Per-part timing and output of one run.
@@ -64,6 +65,35 @@ pub struct TrafficSummary {
     pub retries: u64,
 }
 
+impl From<&Counts> for TrafficSummary {
+    fn from(c: &Counts) -> Self {
+        TrafficSummary {
+            network_bytes: c[Counter::NetworkBytes],
+            cross_socket_bytes: c[Counter::NumaBytes],
+            requests: c[Counter::FetchRequests],
+            cache_hits: c[Counter::CacheHits],
+            cache_misses: c[Counter::CacheMisses],
+            coalesced: c[Counter::Coalesced],
+            retries: c[Counter::Retries],
+        }
+    }
+}
+
+/// The report's `traffic` section, field for field.
+impl From<&TrafficSummary> for gpm_obs::TrafficTotals {
+    fn from(t: &TrafficSummary) -> Self {
+        gpm_obs::TrafficTotals {
+            fetch_requests: t.requests,
+            cache_hits: t.cache_hits,
+            cache_misses: t.cache_misses,
+            coalesced_requests: t.coalesced,
+            retries: t.retries,
+            network_bytes: t.network_bytes,
+            numa_bytes: t.cross_socket_bytes,
+        }
+    }
+}
+
 impl TrafficSummary {
     /// Cache hit rate in `[0, 1]`, or `None` without lookups.
     pub fn cache_hit_rate(&self) -> Option<f64> {
@@ -73,9 +103,11 @@ impl TrafficSummary {
 }
 
 impl PartStats {
-    /// Folds another pass's stats into this one (used when the recovery
-    /// pass adds re-execution work to a survivor's main-pass stats).
-    pub(crate) fn merge(&mut self, other: &PartStats) {
+    /// Folds another pass's stats into this one (the recovery pass adds
+    /// re-execution work to a survivor's main-pass stats; a multi-plan
+    /// app adds its plans). Every field adds, except the peak, which is a
+    /// high-water mark.
+    pub fn merge(&mut self, other: &PartStats) {
         self.count += other.count;
         self.compute += other.compute;
         self.network += other.network;
@@ -101,6 +133,30 @@ pub struct FailureSummary {
     pub reexecuted_roots: u64,
 }
 
+/// The counted half of the failure accounting; `parts_failed` and
+/// `reexecuted_roots` are the engine's own observations.
+impl From<&Counts> for FailureSummary {
+    fn from(c: &Counts) -> Self {
+        FailureSummary {
+            rerouted_requests: c[Counter::ReroutedRequests],
+            rerouted_bytes: c[Counter::ReroutedBytes],
+            ..FailureSummary::default()
+        }
+    }
+}
+
+/// The report's `failures` section, field for field.
+impl From<&FailureSummary> for gpm_obs::FailureSection {
+    fn from(f: &FailureSummary) -> Self {
+        gpm_obs::FailureSection {
+            parts_failed: f.parts_failed,
+            rerouted_requests: f.rerouted_requests,
+            rerouted_bytes: f.rerouted_bytes,
+            reexecuted_roots: f.reexecuted_roots,
+        }
+    }
+}
+
 /// Control-plane message accounting of one run (deltas over the run
 /// window). Non-zero only when the run coordinated steals and claims
 /// through the message-based ledger (`ControlMode::Msg`); the
@@ -115,6 +171,23 @@ pub struct ControlSummary {
     pub retried: u64,
     /// Control replies dropped by fault injection.
     pub dropped: u64,
+}
+
+impl From<&Counts> for ControlSummary {
+    fn from(c: &Counts) -> Self {
+        ControlSummary {
+            sent: c[Counter::CtrlSent],
+            retried: c[Counter::CtrlRetried],
+            dropped: c[Counter::CtrlDropped],
+        }
+    }
+}
+
+/// The report's `control` section, field for field.
+impl From<&ControlSummary> for gpm_obs::ControlSection {
+    fn from(c: &ControlSummary) -> Self {
+        gpm_obs::ControlSection { sent: c.sent, retried: c.retried, dropped: c.dropped }
+    }
 }
 
 /// The result of one engine run.
@@ -136,6 +209,61 @@ pub struct RunStats {
 }
 
 impl RunStats {
+    /// Folds another run into this one: a multi-plan app's total, a
+    /// service's aggregate over its queries. Every field adds — parts
+    /// pairwise through [`PartStats::merge`] — except `parts_failed`,
+    /// which each run reports as the dead set it saw by its end and so
+    /// folds as a high-water mark.
+    pub fn absorb(&mut self, run: &RunStats) {
+        self.count += run.count;
+        self.elapsed += run.elapsed;
+        if self.per_part.len() < run.per_part.len() {
+            self.per_part.resize_with(run.per_part.len(), PartStats::default);
+        }
+        for (mine, theirs) in self.per_part.iter_mut().zip(&run.per_part) {
+            mine.merge(theirs);
+        }
+        let (t, r) = (&mut self.traffic, &run.traffic);
+        t.network_bytes += r.network_bytes;
+        t.cross_socket_bytes += r.cross_socket_bytes;
+        t.requests += r.requests;
+        t.cache_hits += r.cache_hits;
+        t.cache_misses += r.cache_misses;
+        t.coalesced += r.coalesced;
+        t.retries += r.retries;
+        let (f, r) = (&mut self.failures, &run.failures);
+        f.parts_failed = f.parts_failed.max(r.parts_failed);
+        f.rerouted_requests += r.rerouted_requests;
+        f.rerouted_bytes += r.rerouted_bytes;
+        f.reexecuted_roots += r.reexecuted_roots;
+        let (c, r) = (&mut self.control, &run.control);
+        c.sent += r.sent;
+        c.retried += r.retried;
+        c.dropped += r.dropped;
+    }
+
+    /// This run's value of a row of the counter table, or `None` for a
+    /// row no summary carries (the serving side, raw wire bytes). The
+    /// inverse of the summaries' `from(&Counts)`.
+    pub fn counter(&self, counter: Counter) -> Option<u64> {
+        let (t, f, c) = (&self.traffic, &self.failures, &self.control);
+        Some(match counter {
+            Counter::NetworkBytes => t.network_bytes,
+            Counter::NumaBytes => t.cross_socket_bytes,
+            Counter::FetchRequests => t.requests,
+            Counter::CacheHits => t.cache_hits,
+            Counter::CacheMisses => t.cache_misses,
+            Counter::Coalesced => t.coalesced,
+            Counter::Retries => t.retries,
+            Counter::ReroutedRequests => f.rerouted_requests,
+            Counter::ReroutedBytes => f.rerouted_bytes,
+            Counter::CtrlSent => c.sent,
+            Counter::CtrlRetried => c.retried,
+            Counter::CtrlDropped => c.dropped,
+            _ => return None,
+        })
+    }
+
     /// The simulated cluster makespan: the busiest part's accounted time
     /// (compute + network + scheduler + cache).
     ///
@@ -167,15 +295,7 @@ impl RunStats {
             system: system.to_string(),
             count: self.count,
             elapsed_ns: self.elapsed.as_nanos() as u64,
-            traffic: gpm_obs::TrafficTotals {
-                fetch_requests: self.traffic.requests,
-                cache_hits: self.traffic.cache_hits,
-                cache_misses: self.traffic.cache_misses,
-                coalesced_requests: self.traffic.coalesced,
-                retries: self.traffic.retries,
-                network_bytes: self.traffic.network_bytes,
-                numa_bytes: self.traffic.cross_socket_bytes,
-            },
+            traffic: (&self.traffic).into(),
             breakdown: gpm_obs::BreakdownFractions {
                 compute: b.compute,
                 network: b.network,
@@ -202,18 +322,9 @@ impl RunStats {
             series: Vec::new(),
             spans: gpm_obs::SpanStats::default(),
             critical_path: gpm_obs::CriticalPathSection::default(),
-            failures: gpm_obs::FailureSection {
-                parts_failed: self.failures.parts_failed,
-                rerouted_requests: self.failures.rerouted_requests,
-                rerouted_bytes: self.failures.rerouted_bytes,
-                reexecuted_roots: self.failures.reexecuted_roots,
-            },
+            failures: (&self.failures).into(),
             rebalance: gpm_obs::RebalanceSection::default(),
-            control: gpm_obs::ControlSection {
-                sent: self.control.sent,
-                retried: self.control.retried,
-                dropped: self.control.dropped,
-            },
+            control: (&self.control).into(),
             queries: Vec::new(),
             incidents: Vec::new(),
         }
@@ -371,6 +482,86 @@ mod tests {
         assert_eq!(r.control.retried, stats.control.retried);
         assert_eq!(r.control.dropped, stats.control.dropped);
         gpm_obs::validate_report(&r.to_json()).expect("converted report must validate");
+    }
+
+    /// `from(&Counts)` and `counter()` are the two directions of one
+    /// mapping: a row a summary is built from reads back unchanged, and
+    /// exactly the twelve rows a query is accountable for are carried.
+    #[test]
+    fn summaries_read_back_the_rows_they_were_built_from() {
+        let row = gpm_cluster::Counters::default();
+        for (i, &c) in Counter::ALL.iter().enumerate() {
+            row.add(c, 100 + i as u64);
+        }
+        let counts = row.snapshot();
+        let stats = RunStats {
+            traffic: TrafficSummary::from(&counts),
+            failures: FailureSummary::from(&counts),
+            control: ControlSummary::from(&counts),
+            ..RunStats::default()
+        };
+        let carried: Vec<Counter> =
+            Counter::ALL.iter().copied().filter(|&c| stats.counter(c).is_some()).collect();
+        assert_eq!(carried.len(), 12);
+        for c in carried {
+            assert_eq!(stats.counter(c), Some(counts[c]), "{}", c.name());
+        }
+        for c in [Counter::ServedRequests, Counter::BytesSent, Counter::PartsFailed] {
+            assert_eq!(stats.counter(c), None, "{}", c.name());
+        }
+        assert_eq!((stats.failures.parts_failed, stats.failures.reexecuted_roots), (0, 0));
+    }
+
+    #[test]
+    fn absorb_adds_every_field_and_keeps_high_water_marks() {
+        let run = |k: u64| RunStats {
+            count: k,
+            elapsed: Duration::from_millis(k),
+            per_part: vec![PartStats {
+                count: k,
+                compute: Duration::from_millis(2 * k),
+                network: Duration::from_millis(3 * k),
+                scheduler: Duration::from_millis(4 * k),
+                cache: Duration::from_millis(5 * k),
+                peak_embeddings: 10 * k as usize,
+                roots_stolen: 6 * k,
+                roots_donated: 7 * k,
+            }],
+            traffic: TrafficSummary {
+                network_bytes: k,
+                cross_socket_bytes: 2 * k,
+                requests: 3 * k,
+                cache_hits: 4 * k,
+                cache_misses: 5 * k,
+                coalesced: 6 * k,
+                retries: 7 * k,
+            },
+            failures: FailureSummary {
+                parts_failed: k,
+                rerouted_requests: 2 * k,
+                rerouted_bytes: 3 * k,
+                reexecuted_roots: 4 * k,
+            },
+            control: ControlSummary { sent: k, retried: 2 * k, dropped: 3 * k },
+        };
+        let mut total = RunStats::default();
+        total.absorb(&run(1));
+        total.absorb(&run(2));
+        let sum = run(3);
+        assert_eq!((total.count, total.elapsed), (sum.count, sum.elapsed));
+        assert_eq!(total.traffic, sum.traffic);
+        assert_eq!(total.control, sum.control);
+        assert_eq!(total.failures, FailureSummary { parts_failed: 2, ..sum.failures });
+        let (part, want) = (&total.per_part[0], &sum.per_part[0]);
+        assert_eq!(
+            (part.count, part.compute, part.network, part.scheduler, part.cache),
+            (want.count, want.compute, want.network, want.scheduler, want.cache)
+        );
+        assert_eq!(
+            (part.roots_stolen, part.roots_donated),
+            (want.roots_stolen, want.roots_donated)
+        );
+        assert_eq!(part.peak_embeddings, 20);
     }
 
     #[test]

@@ -29,9 +29,9 @@
 //!
 //! [`ClusterMetrics`]: gpm_cluster::ClusterMetrics
 
-use crate::service::{Completion, MiningService};
-use gpm_cluster::CounterSnapshot;
-use gpm_obs::{render_prometheus, PromKind, PromMetric, QueryProgress, Rollup};
+use crate::service::{sum_outcomes, Completion, MiningService};
+use gpm_cluster::Counter;
+use gpm_obs::{render_prometheus, HolderReroute, PromKind, PromMetric, QueryProgress, Rollup};
 use serde::Value;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -131,7 +131,7 @@ fn serve_loop(
     quit: &AtomicBool,
 ) {
     let started = Instant::now();
-    let mut counter_names: Vec<&'static str> = CounterSnapshot::NAMES.to_vec();
+    let mut counter_names: Vec<&'static str> = Counter::exported().map(Counter::name).collect();
     counter_names.extend(SERVICE_COUNTERS);
     let mut rollup = Rollup::new(counter_names, ROLLUP_GAUGES.to_vec(), cfg.windows.max(1));
     let mut next_tick = Instant::now();
@@ -152,10 +152,10 @@ fn serve_loop(
 
 fn push_sample(rollup: &mut Rollup, svc: &MiningService, t_ns: u64) {
     let engine = svc.engine();
-    let cluster = engine.metrics().counter_snapshot();
+    let cluster = engine.metrics().totals();
     let (memo_entries, memo_hits, memo_evictions) = svc.memo_stats();
     let completed = svc.outcomes().len() as u64;
-    let mut counters = cluster.as_array().to_vec();
+    let mut counters: Vec<u64> = Counter::exported().map(|c| cluster[c]).collect();
     counters.extend([memo_hits, memo_evictions, completed]);
     let active = engine.active_query_count() as u64;
     let gauges = [
@@ -216,34 +216,7 @@ fn handle_conn(
 /// [`MiningService::report`] sums — plus live service gauges.
 fn render_metrics(svc: &MiningService) -> String {
     let outcomes = svc.outcomes();
-    // Aggregate the completed, non-memoized outcomes, mirroring
-    // `MiningService::report` field for field.
-    let mut count = 0u64;
-    let mut traffic = [0u64; 7]; // requests, net, numa, hits, misses, coalesced, retries
-    let mut rerouted_requests = 0u64;
-    let mut rerouted_bytes = 0u64;
-    let mut reexecuted_roots = 0u64;
-    let mut ctrl = [0u64; 3]; // sent, retried, dropped
-    for o in &outcomes {
-        let Ok(stats) = &o.result else { continue };
-        count += stats.count;
-        if !o.memoized {
-            let t = &stats.traffic;
-            traffic[0] += t.requests;
-            traffic[1] += t.network_bytes;
-            traffic[2] += t.cross_socket_bytes;
-            traffic[3] += t.cache_hits;
-            traffic[4] += t.cache_misses;
-            traffic[5] += t.coalesced;
-            traffic[6] += t.retries;
-            rerouted_requests += stats.failures.rerouted_requests;
-            rerouted_bytes += stats.failures.rerouted_bytes;
-            reexecuted_roots += stats.failures.reexecuted_roots;
-            ctrl[0] += stats.control.sent;
-            ctrl[1] += stats.control.retried;
-            ctrl[2] += stats.control.dropped;
-        }
-    }
+    let agg = sum_outcomes(&outcomes);
     let engine = svc.engine();
     let (memo_entries, memo_hits, memo_evictions) = svc.memo_stats();
     let rebalance = engine.rebalance_section();
@@ -252,7 +225,7 @@ fn render_metrics(svc: &MiningService) -> String {
             "gpm_embeddings_total",
             "Embeddings counted by completed queries",
             PromKind::Counter,
-            count as f64,
+            agg.count as f64,
         ),
         PromMetric::scalar(
             "gpm_queries_admitted_total",
@@ -266,81 +239,6 @@ fn render_metrics(svc: &MiningService) -> String {
             PromKind::Counter,
             outcomes.len() as f64,
         ),
-        PromMetric::scalar(
-            "gpm_fetch_requests_total",
-            "Remote edge-list fetch requests of completed queries",
-            PromKind::Counter,
-            traffic[0] as f64,
-        ),
-        PromMetric::scalar(
-            "gpm_network_bytes_total",
-            "Cross-machine bytes of completed queries",
-            PromKind::Counter,
-            traffic[1] as f64,
-        ),
-        PromMetric::scalar(
-            "gpm_numa_bytes_total",
-            "Cross-socket bytes of completed queries",
-            PromKind::Counter,
-            traffic[2] as f64,
-        ),
-        PromMetric::scalar(
-            "gpm_cache_hits_total",
-            "Edge-list cache hits of completed queries",
-            PromKind::Counter,
-            traffic[3] as f64,
-        ),
-        PromMetric::scalar(
-            "gpm_cache_misses_total",
-            "Edge-list cache misses of completed queries",
-            PromKind::Counter,
-            traffic[4] as f64,
-        ),
-        PromMetric::scalar(
-            "gpm_coalesced_requests_total",
-            "Fetches coalesced into an identical in-flight request",
-            PromKind::Counter,
-            traffic[5] as f64,
-        ),
-        PromMetric::scalar(
-            "gpm_retries_total",
-            "Fetch retries of completed queries",
-            PromKind::Counter,
-            traffic[6] as f64,
-        ),
-        // The rerouted families carry the query-attributed aggregate as
-        // the bare sample plus one `holder`-labelled sample per replica
-        // that actually served rerouted traffic — the spread-failover
-        // split. Summing across label sets double-counts; read the bare
-        // sample for totals and the labelled ones for the split.
-        PromMetric {
-            name: "gpm_rerouted_requests_total",
-            help: "Fetches rerouted to a replica after a part death \
-                   (holder label: the split per serving replica)",
-            kind: PromKind::Counter,
-            samples: std::iter::once((Vec::new(), rerouted_requests as f64))
-                .chain(
-                    rebalance
-                        .per_holder_rerouted
-                        .iter()
-                        .map(|h| (vec![("holder", h.part.to_string())], h.requests as f64)),
-                )
-                .collect(),
-        },
-        PromMetric {
-            name: "gpm_rerouted_bytes_total",
-            help: "Bytes served by replicas after a part death \
-                   (holder label: the split per serving replica)",
-            kind: PromKind::Counter,
-            samples: std::iter::once((Vec::new(), rerouted_bytes as f64))
-                .chain(
-                    rebalance
-                        .per_holder_rerouted
-                        .iter()
-                        .map(|h| (vec![("holder", h.part.to_string())], h.bytes as f64)),
-                )
-                .collect(),
-        },
         PromMetric::scalar(
             "gpm_rebalance_transfers_total",
             "Slices re-replicated to a new holder by the background rebalancer",
@@ -369,37 +267,19 @@ fn render_metrics(svc: &MiningService) -> String {
             "gpm_reexecuted_roots_total",
             "Roots re-executed by recovery passes",
             PromKind::Counter,
-            reexecuted_roots as f64,
+            agg.failures.reexecuted_roots as f64,
         ),
         PromMetric::scalar(
             "gpm_parts_failed_total",
             "Parts that fail-stopped since the engine started",
             PromKind::Counter,
-            engine.metrics().parts_failed() as f64,
+            engine.metrics().totals()[Counter::PartsFailed] as f64,
         ),
         PromMetric::scalar(
             "gpm_incidents_total",
             "Incident bundles captured since the engine started",
             PromKind::Counter,
             engine.incidents().incidents().len() as f64,
-        ),
-        PromMetric::scalar(
-            "gpm_ctrl_sent_total",
-            "Control-plane messages sent by completed queries, retries included",
-            PromKind::Counter,
-            ctrl[0] as f64,
-        ),
-        PromMetric::scalar(
-            "gpm_ctrl_retried_total",
-            "Control-plane message retries of completed queries",
-            PromKind::Counter,
-            ctrl[1] as f64,
-        ),
-        PromMetric::scalar(
-            "gpm_ctrl_dropped_total",
-            "Control-plane messages dropped by fault injection",
-            PromKind::Counter,
-            ctrl[2] as f64,
         ),
         PromMetric::scalar(
             "gpm_memo_entries",
@@ -438,6 +318,35 @@ fn render_metrics(svc: &MiningService) -> String {
             svc.uptime().as_secs_f64(),
         ),
     ];
+    // One family per row of the counter table that a query's stats
+    // carry. The rerouted families add, beside the query-attributed
+    // aggregate as the bare sample, one `holder`-labelled sample per
+    // replica that actually served rerouted traffic — the spread-failover
+    // split. Summing across label sets double-counts; read the bare
+    // sample for totals and the labelled ones for the split.
+    for &counter in Counter::ALL {
+        let Some(total) = agg.counter(counter) else { continue };
+        let mut family = PromMetric::scalar(
+            counter.sample_name(),
+            counter.help(),
+            PromKind::Counter,
+            total as f64,
+        );
+        let split: Option<fn(&HolderReroute) -> u64> = match counter {
+            Counter::ReroutedRequests => Some(|h| h.requests),
+            Counter::ReroutedBytes => Some(|h| h.bytes),
+            _ => None,
+        };
+        if let Some(split) = split {
+            family.samples.extend(
+                rebalance
+                    .per_holder_rerouted
+                    .iter()
+                    .map(|h| (vec![("holder", h.part.to_string())], split(h) as f64)),
+            );
+        }
+        metrics.push(family);
+    }
     // Claim round-trip latency of the message control plane. The
     // exporter has no native histogram kind, so the recorder snapshot's
     // percentiles go out as a quantile-labelled gauge; the Prometheus
@@ -941,6 +850,58 @@ mod tests {
         }
         for s in scrapers {
             s.join().expect("scraper thread must not panic");
+        }
+    }
+
+    /// After a crash the rerouted families carry the query-attributed
+    /// total as the bare sample and, beside it, one `holder`-labelled
+    /// sample per replica that served rerouted fetches; both reconcile
+    /// with the report.
+    #[test]
+    fn rerouted_families_carry_the_total_and_the_per_holder_split() {
+        use gpm_cluster::{FabricConfig, FaultPlan, RetryPolicy};
+        let g = gen::erdos_renyi(150, 700, 5);
+        let engine = Arc::new(Engine::new(
+            PartitionedGraph::with_replication(&g, 4, 1, 2),
+            EngineConfig {
+                // Small chunks split the fetches into many wire requests,
+                // so the crash lands mid-run.
+                chunk_capacity: 64,
+                fabric: FabricConfig {
+                    retry: RetryPolicy {
+                        max_attempts: 4,
+                        timeout: Duration::from_millis(50),
+                        backoff: Duration::from_millis(1),
+                    },
+                    fault: Some(FaultPlan::crash_at(2, 4)),
+                    ..FabricConfig::default()
+                },
+                ..EngineConfig::default()
+            },
+        ));
+        let svc = MiningService::start(engine, ServiceConfig::default());
+        svc.submit(&Pattern::clique(4), &PlanOptions::automine()).unwrap().wait().unwrap();
+        let text = render_metrics(&svc);
+        gpm_obs::validate_exposition(&text).expect("exposition must be well-formed");
+        let report = svc.report("khuzdul-service");
+        let holders = &report.rebalance.per_holder_rerouted;
+        assert!(report.failures.rerouted_requests > 0 && !holders.is_empty());
+        type Split = fn(&HolderReroute) -> u64;
+        let families: [(&str, u64, Split); 2] = [
+            ("gpm_rerouted_requests_total", report.failures.rerouted_requests, |h| h.requests),
+            ("gpm_rerouted_bytes_total", report.failures.rerouted_bytes, |h| h.bytes),
+        ];
+        for (family, total, split) in families {
+            // The bare sample is the family's first line.
+            assert_eq!(gpm_obs::sample_value(&text, family, None), Some(total as f64), "{family}");
+            for h in holders {
+                let label = format!("holder=\"{}\"", h.part);
+                let served = gpm_obs::sample_value(&text, family, Some(&label));
+                assert_eq!(served, Some(split(h) as f64), "{family}{{{label}}}");
+            }
+            // One query on a fresh engine: what it had rerouted is what
+            // the holders served.
+            assert_eq!(holders.iter().map(split).sum::<u64>(), total, "{family}");
         }
     }
 

@@ -7,8 +7,8 @@ use gpm_graph::{gen, GraphBuilder};
 use gpm_pattern::plan::{MatchingPlan, PlanOptions};
 use gpm_pattern::{interp, Pattern};
 use khuzdul::{
-    CacheConfig, CachePolicy, ControlConfig, ControlMode, Engine, EngineConfig, EngineError,
-    FabricConfig, FaultPlan, RetryPolicy, StealConfig,
+    CacheConfig, CachePolicy, ControlConfig, ControlMode, ControlSummary, Engine, EngineConfig,
+    EngineError, FabricConfig, FaultPlan, RetryPolicy, StealConfig,
 };
 use proptest::prelude::*;
 use std::time::Duration;
@@ -221,14 +221,16 @@ proptest! {
             ..EngineConfig::default()
         });
         let run = engine.try_count(&plan).expect("retries must mask dropped control replies");
-        let (retried, dropped) = (
-            engine.metrics().total_ctrl_retried(),
-            engine.metrics().total_ctrl_dropped(),
-        );
+        let parts = engine.metrics().totals();
         engine.shutdown();
         prop_assert_eq!(run.count, expect);
-        prop_assert!(retried > 0, "a 20% drop plan must force control retries");
-        prop_assert!(dropped > 0, "the drop plan must actually drop control replies");
+        // How many of a few dozen messages a 20% plan drops is a chance
+        // (that it drops at all is pinned, with a fixed seed, by
+        // `gpm_cluster::control`'s unit tests). These are consequences:
+        // every drop was retried, and the run's own account of its
+        // control messages is the part rows summed.
+        prop_assert!(run.control.retried >= run.control.dropped, "{:?}", run.control);
+        prop_assert_eq!(run.control, ControlSummary::from(&parts));
     }
 
     #[test]

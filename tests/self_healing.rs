@@ -7,7 +7,7 @@
 //! typed `PartLost`, never a wrong count) must reproduce verbatim.
 
 use khuzdul::{
-    CacheConfig, CachePolicy, ControlConfig, ControlMode, CrashAt, Engine, EngineConfig,
+    CacheConfig, CachePolicy, ControlConfig, ControlMode, Counter, CrashAt, Engine, EngineConfig,
     EngineError, FabricConfig, FaultPlan, ObsConfig, RebalanceConfig, RetryPolicy, StealConfig,
 };
 use khuzdul_repro::graph::partition::{PartitionedGraph, Partitioner};
@@ -54,7 +54,7 @@ fn probe_requests(g: &Graph, p: &Pattern, replication: usize) -> u64 {
     let pg = PartitionedGraph::with_replication(g, 4, 1, replication);
     let engine = Engine::new(pg, crashy(ControlMode::Shared, true, vec![]));
     engine.try_count(&plan(p)).expect("fault-free probe");
-    let total = (0..4).map(|q| engine.metrics().part(q).requests()).sum();
+    let total = (0..4).map(|q| engine.metrics().part(q).get(Counter::FetchRequests)).sum();
     engine.shutdown();
     total
 }

@@ -5,8 +5,8 @@
 //! as schema v4 with one section per query.
 
 use khuzdul::{
-    ControlConfig, ControlMode, Engine, EngineConfig, FabricConfig, FaultPlan, MiningService,
-    ObsConfig, QueryCtx, RetryPolicy, ServiceConfig, StealConfig,
+    ControlConfig, ControlMode, Counter, Engine, EngineConfig, FabricConfig, FaultPlan,
+    MiningService, ObsConfig, QueryCtx, RetryPolicy, ServiceConfig, StealConfig,
 };
 use khuzdul_repro::graph::partition::PartitionedGraph;
 use khuzdul_repro::graph::{gen, Graph};
@@ -77,7 +77,7 @@ fn overlapping_queries_match_solo_counts_under_steal_on_and_off() {
             // control messages, and its report says so — per query and
             // in the aggregate — while the shared ledger stays silent.
             let report = svc.report("khuzdul-service");
-            let sent = engine.metrics().total_ctrl_sent();
+            let sent = engine.metrics().totals()[Counter::CtrlSent];
             match mode {
                 ControlMode::Shared => assert_eq!(sent, 0, "shared ledger must send no messages"),
                 ControlMode::Msg => {
@@ -277,4 +277,45 @@ fn query_scoped_traffic_attribution_is_disjoint() {
         b.traffic.requests,
         solo_sq.traffic.requests
     );
+}
+
+/// The two views of the one counter table agree. Two queries overlap on
+/// a resident service — message carrier, stealing on, so fetch and
+/// control counters both move — after a warm-up query the window must
+/// not count: counter by counter, the two queries' shares add up to
+/// what the part rows grew by over the same window.
+#[test]
+fn concurrent_queries_sum_to_the_part_rows_counter_by_counter() {
+    let g = gen::barabasi_albert(300, 5, 29);
+    let engine = Arc::new(Engine::new(
+        PartitionedGraph::new(&g, 3, 1),
+        EngineConfig {
+            steal: StealConfig { enabled: true, batch: 8, ..StealConfig::default() },
+            control: ControlConfig { mode: ControlMode::Msg, ..ControlConfig::default() },
+            ..EngineConfig::default()
+        },
+    ));
+    let svc = MiningService::start(
+        Arc::clone(&engine),
+        ServiceConfig { max_concurrent: 2, root_budget: 32, ..ServiceConfig::default() },
+    );
+    let opts = PlanOptions::automine();
+    svc.submit(&Pattern::path(3), &opts).unwrap().wait().unwrap();
+    let before = engine.metrics().totals();
+    let handles = [
+        svc.submit(&Pattern::triangle(), &opts).unwrap(),
+        svc.submit(&Pattern::cycle(4), &opts).unwrap(),
+    ];
+    let [a, b] = handles.map(|h| h.wait().expect("query must succeed"));
+    let after = engine.metrics().totals();
+    let mut compared = 0;
+    for &c in Counter::ALL {
+        if let (Some(qa), Some(qb)) = (a.counter(c), b.counter(c)) {
+            assert_eq!(qa + qb, after[c] - before[c], "{}", c.name());
+            compared += 1;
+        }
+    }
+    assert_eq!(compared, 12, "every row a query's stats carry");
+    assert!(a.traffic.requests + b.traffic.requests > 0);
+    assert!(a.control.sent > 0 && b.control.sent > 0);
 }
