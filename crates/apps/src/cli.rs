@@ -67,7 +67,9 @@ pub struct Options {
     /// it on — interactive runs want the balance — while the library
     /// default stays off for deterministic traffic comparisons.
     pub steal: bool,
-    /// Root batch granularity for steals (`--steal-batch`).
+    /// Smallest root grant under stealing (`--steal-batch`): the ledger
+    /// hands out larger ones while a source holds plenty, never more
+    /// than a chunk's worth.
     pub steal_batch: usize,
     /// Which carrier coordinates cross-part claims and steals
     /// (`--control shared|msg`; Khuzdul systems only). `shared` is the

@@ -44,9 +44,10 @@ use std::time::{Duration, Instant};
 /// Configuration of one control-ledger responder.
 #[derive(Debug, Clone)]
 pub struct ControlLedgerConfig {
-    /// Whether idle parts may claim the spill or steal victim ranges.
+    /// Whether idle parts may claim the spill or steal victim ranges,
+    /// and with that whether the ledger sizes grants itself.
     pub stealing: bool,
-    /// Upper bound on roots per spill claim or steal.
+    /// The smallest grant under stealing, from any source.
     pub batch: usize,
     /// `Some(sockets_per_machine)` enables NUMA-aware victim ordering:
     /// thieves prefer same-machine victims before crossing the network.
@@ -487,7 +488,7 @@ mod tests {
         let svc = service(vec![vec![1, 2, 3, 4]], false, 2, Some(plan));
         let c0 = svc.client(0);
         // Each claim is applied exactly once despite lost replies: four
-        // owned roots at own_batch 2 yield exactly two claims.
+        // owned roots at a cap of 2 yield exactly two claims.
         let (_, first) = claimed(c0.call(CtrlOp::Claim { own_batch: 2 }).unwrap());
         let (_, second) = claimed(c0.call(CtrlOp::Claim { own_batch: 2 }).unwrap());
         assert_eq!((first, second), (vec![1, 2], vec![3, 4]));

@@ -8,6 +8,15 @@
 //! lists still flow through the fabric on demand, preserving the paper's
 //! "fetch data, never ship computation" rule.
 //!
+//! With stealing on, the ledger sizes every grant itself (guided
+//! self-scheduling): a claim takes `1 / (2 × parts)` of what its source
+//! — the claimant's own cursor, the spill, a victim's cursor — still
+//! holds, never less than the configured smallest grant while that much
+//! is left and never more than the claimant's cap. Grants are coarse
+//! while there is plenty, so a batch amortises its message and its chunk
+//! stack, and fine at the tail, where balance is decided. With stealing
+//! off nobody else can reach a cursor and a claim takes its whole cap.
+//!
 //! [`Ledger`] is plain single-threaded data: no atomics, no channels, no
 //! locks. Its only mutating entry point is [`Ledger::apply`], which takes
 //! one [`CtrlOp`] from one part and returns the [`CtrlPayload`] answering
@@ -55,6 +64,7 @@ pub struct Ledger {
     /// counter: repeating a signal or clearing one never set is a no-op.
     starving: Vec<bool>,
     stealing: bool,
+    /// The smallest grant under stealing.
     batch: usize,
     numa: Option<usize>,
 }
@@ -75,9 +85,9 @@ pub struct LedgerSummary {
 impl Ledger {
     /// A ledger over one root list per part, with `spill` pre-seeded.
     ///
-    /// `stealing` lets parts claim the spill and steal victim ranges in
-    /// batches of at most `batch` roots (clamped to at least 1);
-    /// `numa: Some(sockets_per_machine)` makes thieves prefer
+    /// `stealing` lets parts claim the spill and steal victim ranges, and
+    /// makes every grant guided, the smallest being `batch` roots (at
+    /// least one); `numa: Some(sockets_per_machine)` makes thieves prefer
     /// same-machine victims before crossing the simulated network, under
     /// the `machine * sockets_per_machine + socket` part numbering.
     pub fn new(
@@ -173,15 +183,30 @@ impl Ledger {
         CtrlPayload::NoWork { finished: self.finished(), starving: self.starving_count() }
     }
 
-    /// Own range first (up to `own_batch` roots), then — with stealing on
-    /// — the tail of the spill, then the unclaimed range of a victim.
-    fn claim(&mut self, me: usize, own_batch: usize) -> CtrlPayload {
-        let (source, roots) = if let Some(roots) = self.take_range(me, own_batch) {
+    /// How many of the `available` roots of one source a claim capped at
+    /// `cap` is granted: the one sizing rule, whatever the source.
+    fn grant(&self, available: usize, cap: usize) -> usize {
+        let guided = if self.stealing {
+            (available / (2 * self.roots.len())).max(self.batch)
+        } else {
+            usize::MAX
+        };
+        guided.min(cap).min(available)
+    }
+
+    /// Own range first, then — with stealing on — the tail of the spill,
+    /// then the unclaimed range of a victim; at most `cap` roots.
+    fn claim(&mut self, me: usize, cap: usize) -> CtrlPayload {
+        if cap == 0 {
+            return self.no_work();
+        }
+        let own = self.grant(self.remaining(me), cap);
+        let (source, roots) = if let Some(roots) = self.take_range(me, own) {
             (ClaimSource::Own, Arc::<[VertexId]>::from(roots))
         } else if !self.stealing {
             return self.no_work();
         } else if !self.spill.is_empty() {
-            let at = self.spill.len() - self.batch.min(self.spill.len());
+            let at = self.spill.len() - self.grant(self.spill.len(), cap);
             (ClaimSource::Spill, self.spill.drain(at..).collect())
         } else {
             // Victim order: with NUMA ordering on, the most-loaded part
@@ -194,8 +219,8 @@ impl Ledger {
                 .filter(|&p| p != me && self.remaining(p) > 0)
                 .max_by_key(|&p| (same_machine(p), self.remaining(p)));
             let Some(v) = victim else { return self.no_work() };
-            let roots = self.take_range(v, self.batch).expect("a victim has unclaimed roots");
-            (ClaimSource::Stolen(v), roots.into())
+            let n = self.grant(self.remaining(v), cap);
+            (ClaimSource::Stolen(v), self.take_range(v, n).expect("a victim has roots").into())
         };
         self.outstanding += 1;
         self.claim_log[me].extend_from_slice(&roots);
@@ -266,8 +291,8 @@ mod tests {
         script: Vec<(PartId, CtrlOp, CtrlPayload)>,
     }
 
-    fn claim(own_batch: usize) -> CtrlOp {
-        CtrlOp::Claim { own_batch }
+    fn claim(cap: usize) -> CtrlOp {
+        CtrlOp::Claim { own_batch: cap }
     }
     fn donate(roots: &[VertexId]) -> CtrlOp {
         CtrlOp::Donate { roots: roots.to_vec() }
@@ -278,8 +303,8 @@ mod tests {
     fn close(dead: &[PartId]) -> CtrlOp {
         CtrlOp::CloseDead { dead: dead.to_vec() }
     }
-    fn retire_claim(own_batch: usize) -> CtrlOp {
-        CtrlOp::RetireClaim { own_batch }
+    fn retire_claim(cap: usize) -> CtrlOp {
+        CtrlOp::RetireClaim { own_batch: cap }
     }
     fn got(source: ClaimSource, roots: &[VertexId]) -> CtrlPayload {
         got_among(source, roots, 0)
@@ -300,7 +325,8 @@ mod tests {
     fn table() -> Vec<Row> {
         vec![
             Row {
-                name: "own cursor walks in own_batch steps; stealing off reaches nobody else",
+                name:
+                    "stealing off: the own cursor walks in steps of the cap and reaches nobody else",
                 roots: vec![vec![1, 2, 3], vec![10, 20]],
                 spill: vec![],
                 stealing: false,
@@ -330,11 +356,13 @@ mod tests {
                 script: vec![
                     (1, claim(1), got(Own, &[10])),
                     (1, donate(&[10]), Ack),
-                    (0, claim(8), got(Own, &[1, 2, 3])),
+                    (0, claim(8), got(Own, &[1, 2])),
+                    (0, claim(8), got(Own, &[3])),
                     (0, claim(8), got(Spill, &[10])),
                     (0, claim(8), got(Stolen(1), &[20, 30])),
                     (0, claim(8), no_work(false, 0)),
                     (1, claim(8), no_work(false, 0)),
+                    (0, BatchDone, Ack),
                     (0, BatchDone, Ack),
                     (0, BatchDone, Ack),
                     (0, BatchDone, Ack),
@@ -347,7 +375,68 @@ mod tests {
                 ],
             },
             Row {
-                name: "spill claims take at most `batch` roots off the tail",
+                name: "a guided own grant is 1/(2 x parts) of what is left, the floor at the tail",
+                roots: vec![(0..12).collect(), vec![]],
+                spill: vec![],
+                stealing: true,
+                batch: 2,
+                numa: None,
+                script: vec![
+                    (0, claim(99), got(Own, &[0, 1, 2])),
+                    (0, claim(99), got(Own, &[3, 4])),
+                    (0, claim(99), got(Own, &[5, 6])),
+                    // The cap wins over the floor.
+                    (0, claim(1), got(Own, &[7])),
+                    (0, claim(99), got(Own, &[8, 9])),
+                    (0, claim(99), got(Own, &[10, 11])),
+                    (0, claim(99), no_work(false, 0)),
+                ],
+            },
+            Row {
+                name:
+                    "a steal is sized by what the victim has left: thief and victim walk one cursor",
+                roots: vec![vec![], (0..16).collect()],
+                spill: vec![],
+                stealing: true,
+                batch: 2,
+                numa: None,
+                script: vec![
+                    (0, claim(99), got(Stolen(1), &[0, 1, 2, 3])),
+                    (0, claim(99), got(Stolen(1), &[4, 5, 6])),
+                    (1, claim(99), got(Own, &[7, 8])),
+                    (0, claim(99), got(Stolen(1), &[9, 10])),
+                ],
+            },
+            Row {
+                name: "a spill claim is sized by what the spill holds, and comes off its tail",
+                roots: vec![vec![], vec![]],
+                spill: (20..36).collect(),
+                stealing: true,
+                batch: 2,
+                numa: None,
+                script: vec![
+                    (0, claim(99), got(Spill, &[32, 33, 34, 35])),
+                    (1, claim(99), got(Spill, &[29, 30, 31])),
+                    (0, claim(99), got(Spill, &[27, 28])),
+                    (1, claim(1), got(Spill, &[26])),
+                ],
+            },
+            Row {
+                name: "no grant exceeds the cap, and a cap of nothing claims nothing anywhere",
+                roots: vec![(0..40).collect(), (40..80).collect()],
+                spill: vec![90],
+                stealing: true,
+                batch: 2,
+                numa: None,
+                script: vec![
+                    (0, claim(4), got(Own, &[0, 1, 2, 3])),
+                    (0, claim(0), no_work(false, 0)),
+                    (0, retire_claim(0), no_work(false, 0)),
+                    (0, Poll, status(false, 0)),
+                ],
+            },
+            Row {
+                name: "no grant is smaller than `batch` while its source holds that many",
                 roots: vec![vec![], vec![]],
                 spill: vec![5, 6, 7],
                 stealing: true,
@@ -382,7 +471,7 @@ mod tests {
                 stealing: true,
                 batch: 4,
                 numa: None,
-                script: vec![(0, claim(0), got(Stolen(3), &[6, 7, 8, 9]))],
+                script: vec![(0, claim(8), got(Stolen(3), &[6, 7, 8, 9]))],
             },
             Row {
                 name: "NUMA victim order prefers the lighter same-machine part, then crosses",
@@ -392,10 +481,10 @@ mod tests {
                 batch: 4,
                 numa: Some(2),
                 script: vec![
-                    (0, claim(0), got(Stolen(1), &[1, 2])),
-                    (0, claim(0), got(Stolen(3), &[6, 7, 8, 9])),
-                    (0, claim(0), got(Stolen(2), &[3, 4, 5])),
-                    (0, claim(0), no_work(false, 0)),
+                    (0, claim(8), got(Stolen(1), &[1, 2])),
+                    (0, claim(8), got(Stolen(3), &[6, 7, 8, 9])),
+                    (0, claim(8), got(Stolen(2), &[3, 4, 5])),
+                    (0, claim(8), no_work(false, 0)),
                 ],
             },
             Row {
@@ -421,7 +510,7 @@ mod tests {
             },
             Row {
                 name: "lost roots = claims - donations + cursor tail + orphaned spill",
-                roots: vec![vec![1, 2, 3, 4], vec![10, 20, 30, 40, 50]],
+                roots: vec![vec![1, 2], vec![10, 20, 30, 40, 50]],
                 spill: vec![],
                 stealing: true,
                 batch: 2,
@@ -433,15 +522,16 @@ mod tests {
                     (1, claim(2), got(Own, &[10, 20])),
                     (1, claim(2), got(Own, &[30, 40])),
                     (1, donate(&[10, 20]), Ack),
-                    (0, claim(0), got(Spill, &[10, 20])),
+                    (0, claim(1), got(Own, &[1])),
+                    (0, claim(1), got(Own, &[2])),
+                    (0, claim(8), got(Spill, &[10, 20])),
                     // A survivor's donation nobody claimed before the
                     // run aborted must surface as lost too.
-                    (0, claim(1), got(Own, &[1])),
                     (0, donate(&[1]), Ack),
                     (0, close(&[1]), lost(&[30, 40, 50, 1])),
-                    // The dead part's cursor is closed, the spill empty.
-                    (0, claim(0), no_work(false, 0)),
-                    (0, claim(8), got(Own, &[2, 3, 4])),
+                    // The dead part's cursor is closed, the spill empty:
+                    // root 50 is not there to steal.
+                    (0, claim(8), no_work(false, 0)),
                 ],
             },
             Row {
@@ -578,6 +668,28 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// What guided sizing is for: a long cursor costs a few dozen claims
+    /// (469 at a fixed 64), each within its bounds, each root granted once.
+    #[test]
+    fn guided_grants_drain_a_long_cursor_in_few_claims() {
+        let (total, floor, cap) = (30_000, 64, 4096);
+        let mut ledger = Ledger::new(vec![(0..total).collect(), vec![]], vec![], true, floor, None);
+        let mut granted: Vec<VertexId> = Vec::new();
+        let mut claims = 0;
+        while let CtrlPayload::Claimed { roots, .. } = ledger.apply(0, &claim(cap)) {
+            claims += 1;
+            granted.extend(roots.iter());
+            assert!(roots.len() <= cap, "claim {claims} took {} roots", roots.len());
+            assert!(
+                roots.len() >= floor || granted.len() == total as usize,
+                "claim {claims} took {} roots with more left",
+                roots.len()
+            );
+        }
+        assert!(claims <= 40, "{claims} claims");
+        assert_eq!(granted, (0..total).collect::<Vec<_>>());
     }
 
     #[test]

@@ -203,10 +203,13 @@ impl ReplicaPush {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CtrlOp {
     /// Claim the next root batch for the sender: its own unclaimed range
-    /// first (up to `own_batch` roots), then — with stealing on — the
-    /// donation spill, then a steal from a victim part's range.
+    /// first, then — with stealing on — the donation spill, then a steal
+    /// from a victim part's range. The ledger sizes the grant (see
+    /// [`crate::ledger::Ledger`]); the sender only bounds it.
     Claim {
-        /// Upper bound on roots taken from the sender's own range.
+        /// The most roots the sender can take in one grant, whatever the
+        /// source — its chunk capacity. A cap, not a size: with stealing
+        /// on the ledger usually grants fewer; `0` claims nothing.
         own_batch: usize,
     },
     /// Retire one of the sender's previously claimed batches, on its own:
@@ -216,7 +219,7 @@ pub enum CtrlOp {
     /// [`CtrlOp::Claim`] does — the steady-state hand-off, one message
     /// per batch. The retirement counts even when the claim finds nothing.
     RetireClaim {
-        /// Upper bound on roots taken from the sender's own range.
+        /// The cap on the grant, as in [`CtrlOp::Claim`].
         own_batch: usize,
     },
     /// Donate never-started level-0 roots to the shared spill.

@@ -1,8 +1,9 @@
 //! Carrier equivalence and root conservation for the cross-part ledger:
 //! whatever interleaving of operations 2–5 parts issue, the shared and
 //! the message carrier answer identically, every root ends up in exactly
-//! one place, and every retirement — alone or riding on a claim, retried
-//! or not — counts once.
+//! one place — however the ledger sized the grants and wherever a
+//! donation split one — and every retirement — alone or riding on a
+//! claim, retried or not — counts once.
 
 use gpm_cluster::{
     Carrier, ClusterMetrics, ControlLedgerConfig, ControlLedgerService, CtrlOp, CtrlPayload,
@@ -17,10 +18,12 @@ use std::time::Duration;
 /// which roots that part currently holds.
 #[derive(Debug, Clone)]
 enum Step {
+    /// Claim at most this many roots.
     Claim(usize),
     /// Retire one batch and claim the next in one operation.
     RetireClaim(usize),
-    /// Donate this many of the roots the part holds.
+    /// Donate this many of the roots the part holds, off the tail of
+    /// what it claimed — usually part of a grant, as steal-half gives.
     Donate(usize),
     BatchDone,
     Starving(bool),
@@ -29,12 +32,17 @@ enum Step {
     Die,
 }
 
+/// Caps below the smallest grant, and one no guided grant here reaches.
+fn cap() -> impl Strategy<Value = usize> {
+    prop_oneof![0usize..6, Just(64usize)]
+}
+
 fn step() -> impl Strategy<Value = Step> {
     prop_oneof![
-        (0usize..6).prop_map(Step::Claim),
-        (0usize..6).prop_map(Step::Claim),
-        (0usize..6).prop_map(Step::RetireClaim),
-        (0usize..4).prop_map(Step::Donate),
+        cap().prop_map(Step::Claim),
+        cap().prop_map(Step::Claim),
+        cap().prop_map(Step::RetireClaim),
+        (0usize..12).prop_map(Step::Donate),
         Just(Step::BatchDone),
         any::<bool>().prop_map(Step::Starving),
         Just(Step::Poll),
@@ -46,7 +54,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
     #[test]
     fn carriers_agree_and_every_root_lands_exactly_once(
-        sizes in prop::collection::vec(0usize..12, 2..6),
+        sizes in prop::collection::vec(0usize..48, 2..6),
         stealing in any::<bool>(),
         batch in 1usize..5,
         numa in prop_oneof![Just(None), Just(Some(1usize)), Just(Some(2usize))],
@@ -94,14 +102,15 @@ proptest! {
                 continue;
             }
             match step {
-                Step::Claim(own_batch) | Step::RetireClaim(own_batch) => {
+                Step::Claim(cap) | Step::RetireClaim(cap) => {
                     let op = if matches!(step, Step::Claim(_)) {
-                        CtrlOp::Claim { own_batch }
+                        CtrlOp::Claim { own_batch: cap }
                     } else {
                         outstanding = outstanding.saturating_sub(1);
-                        CtrlOp::RetireClaim { own_batch }
+                        CtrlOp::RetireClaim { own_batch: cap }
                     };
                     if let CtrlPayload::Claimed { roots, .. } = both(p, op)? {
+                        prop_assert!(roots.len() <= cap, "{} roots under a cap of {cap}", roots.len());
                         held[p].extend(roots.iter());
                         outstanding += 1;
                     }

@@ -148,21 +148,25 @@ impl ControlPlane {
         self.stealing
     }
 
-    /// Claims the next root batch for `me`: own range first (up to
-    /// `own_batch` roots), then — with stealing on — the donation spill,
-    /// then the unclaimed tail of a victim part. With `retire`, the same
-    /// message first retires the batch `me` has just finished.
+    /// Claims the next root batch for `me`, at most `cap` roots: own
+    /// range first, then — with stealing on — the donation spill, then
+    /// the unclaimed range of a victim part. How many roots it is within
+    /// the cap is the ledger's decision. With `retire`, the same message
+    /// first retires the batch `me` has just finished.
     /// `Ok(None)` means nothing was claimable right now. Every
     /// `Ok(Some(..))` is retired by a later `claim(.., true)` or, on the
     /// way out, by [`ControlPlane::batch_done`].
     pub(crate) fn claim(
         &self,
         me: usize,
-        own_batch: usize,
+        cap: usize,
         retire: bool,
     ) -> Result<Option<Batch>, FetchError> {
-        let op =
-            if retire { CtrlOp::RetireClaim { own_batch } } else { CtrlOp::Claim { own_batch } };
+        let op = if retire {
+            CtrlOp::RetireClaim { own_batch: cap }
+        } else {
+            CtrlOp::Claim { own_batch: cap }
+        };
         match self.ask(me, op)? {
             CtrlPayload::Claimed { source, roots, starving } => {
                 self.hear(me, false, starving);
@@ -367,8 +371,9 @@ mod tests {
         }
     }
 
-    /// The per-batch message budget: a claimed batch costs one message,
-    /// an idle slice costs one, and reading the status costs none.
+    /// The per-batch message budget: a claimed batch costs one message
+    /// whatever size the ledger made it, an idle slice costs one, and
+    /// reading the status costs none.
     #[test]
     fn a_batch_costs_one_message_and_so_does_an_idle_slice() {
         let metrics = ClusterMetrics::new(2, 1);
@@ -384,18 +389,20 @@ mod tests {
             None,
         );
         let sent = |p: usize| metrics.part(p).get(gpm_cluster::Counter::CtrlSent);
-        let mut batches = 0;
-        while cp.claim(0, 4, batches > 0).unwrap().is_some() {
+        let (mut batches, mut claimed) = (0, 0);
+        while let Some((_, roots)) = cp.claim(0, 64, batches > 0).unwrap() {
             batches += 1;
-            if batches == 10 {
+            claimed += roots.len();
+            if claimed == 40 {
                 // Every root is claimed, the last batch still running:
                 // part 1 comes up empty. One slice, one message.
-                assert_eq!(cp.claim(1, 4, false).unwrap(), None);
+                assert_eq!(cp.claim(1, 64, false).unwrap(), None);
                 assert!(!cp.finished(1) && cp.starving(1) == 0);
                 assert_eq!(sent(1), 1);
             }
         }
-        assert_eq!(batches, 10);
+        assert_eq!(claimed, 40);
+        assert!(batches < 10, "guided grants beat ten at the floor: {batches}");
         assert!(cp.finished(0), "the claim that came up empty retired the last batch");
         assert_eq!(sent(0), batches + 1, "N claim/retire cycles cost N + 1 sends");
         assert_eq!(sent(1), 1);

@@ -1554,47 +1554,48 @@ mod tests {
         let g = gen::erdos_renyi(150, 700, 5);
         let p = Pattern::triangle();
         let expect = oracle::count_subgraphs(&g, &p, false);
+        let engine_with = |steal: bool, fault: Option<FaultPlan>| {
+            Engine::new(
+                PartitionedGraph::with_replication(&g, 4, 1, 3),
+                EngineConfig {
+                    chunk_capacity: 64,
+                    steal: StealConfig { enabled: steal, batch: 8, ..StealConfig::default() },
+                    obs: ObsConfig::enabled(),
+                    fabric: FabricConfig { retry: crash_retry(), fault, ..FabricConfig::default() },
+                    ..EngineConfig::default()
+                },
+            )
+        };
+        // The second fuse is sized from what part 2 serves when nothing
+        // fails and nothing is stolen, not written down: how many
+        // requests a run makes is the engine's business and has changed
+        // before. Half of that count burns for certain — the failed run
+        // asks part 2 for more, not less: it also holds part 1's replica,
+        // and every stolen batch resolves through a chunk stack of its own
+        // (which is why the count is not taken with stealing on: how much
+        // is stolen differs from run to run) — and not at once.
+        let fault_free = engine_with(false, None);
+        assert_eq!(fault_free.count(&plan(&p)).count, expect);
+        let served = fault_free.metrics().part(2).get(Counter::ServedRequests);
+        fault_free.shutdown();
+        assert!(served >= 4, "part 2 served only {served} requests");
         for steal in [false, true] {
-            let engine_with = |fault: Option<FaultPlan>| {
-                Engine::new(
-                    PartitionedGraph::with_replication(&g, 4, 1, 3),
-                    EngineConfig {
-                        chunk_capacity: 64,
-                        steal: StealConfig { enabled: steal, batch: 8, ..StealConfig::default() },
-                        obs: ObsConfig::enabled(),
-                        fabric: FabricConfig {
-                            retry: crash_retry(),
-                            fault,
-                            ..FabricConfig::default()
-                        },
-                        ..EngineConfig::default()
-                    },
-                )
-            };
-            // The second fuse is sized from what part 2 serves when
-            // nothing fails, not written down: how many requests a run
-            // makes is the engine's business and has changed before. Half
-            // of that count burns for certain (the failed run asks part 2
-            // for more, not less: it also holds part 1's replica), and
-            // not at once.
-            let fault_free = engine_with(None);
-            assert_eq!(fault_free.count(&plan(&p)).count, expect, "steal={steal}");
-            let served = fault_free.metrics().part(2).get(Counter::ServedRequests);
-            fault_free.shutdown();
-            assert!(served >= 4, "steal={steal}: part 2 served only {served} requests");
-            let engine = engine_with(Some(FaultPlan {
-                crashes: vec![
-                    // The first part dies on the very first fetch, so its
-                    // whole root set re-executes and the recovery pass
-                    // runs long...
-                    CrashAt { part: 1, after_requests: 0 },
-                    // ...and the second fuse burns through the main pass
-                    // and often into that recovery; the loop must absorb
-                    // the death in either phase without losing a root.
-                    CrashAt { part: 2, after_requests: served / 2 },
-                ],
-                ..FaultPlan::default()
-            }));
+            let engine = engine_with(
+                steal,
+                Some(FaultPlan {
+                    crashes: vec![
+                        // The first part dies on the very first fetch, so its
+                        // whole root set re-executes and the recovery pass
+                        // runs long...
+                        CrashAt { part: 1, after_requests: 0 },
+                        // ...and the second fuse burns through the main pass
+                        // and often into that recovery; the loop must absorb
+                        // the death in either phase without losing a root.
+                        CrashAt { part: 2, after_requests: served / 2 },
+                    ],
+                    ..FaultPlan::default()
+                }),
+            );
             let run = engine.try_count(&plan(&p)).expect("replication 3 must mask two crashes");
             assert_eq!(run.count, expect, "steal={steal}");
             assert_eq!(run.failures.parts_failed, 2, "steal={steal}");

@@ -167,9 +167,6 @@ pub(crate) struct PartRun<'e> {
     /// Roots inside that batch, for progress accounting: recorded as
     /// "completed" when it is retired.
     outstanding_roots: usize,
-    /// Roots claimed per seeding round: bounded when stealing (so loaded
-    /// parts keep a stealable tail), a whole chunk otherwise.
-    seed_batch: usize,
     /// Resolve-phase working storage, kept across phases so a resolve
     /// allocates nothing once the buffers have grown to a chunk's worth.
     scratch: ResolveScratch,
@@ -210,11 +207,6 @@ impl<'e> PartRun<'e> {
             workers.resize_with(threads, Mutex::default);
         }
         let obs = ctx.obs.handle_for_query(ctx.my_part as u32, ctx.client.query_id());
-        let seed_batch = if ctx.ledger.stealing() {
-            ctx.cfg.steal.batch.max(ctx.cfg.mini_batch).max(1).min(ctx.cfg.chunk_capacity.max(1))
-        } else {
-            ctx.cfg.chunk_capacity.max(1)
-        };
         PartRun {
             levels,
             last,
@@ -229,7 +221,6 @@ impl<'e> PartRun<'e> {
             roots_donated: 0,
             batch_open: false,
             outstanding_roots: 0,
-            seed_batch,
             scratch,
             ctx,
             obs,
@@ -360,12 +351,13 @@ impl<'e> PartRun<'e> {
     }
 
     /// Claims the next root batch from the ledger — retiring the finished
-    /// one in the same message — and seeds the root chunk. With stealing
-    /// enabled this may block (in 1 ms slices, one claim each) until work
-    /// appears somewhere; returns `Ok(false)` once the whole run has
-    /// quiesced or this part was stopped, and `Err` if a message-based
-    /// control plane lost an operation past its retry budget (the part
-    /// must abort rather than spin or silently quiesce).
+    /// one in the same message — and seeds the root chunk. The ledger
+    /// sizes the batch; a chunk's worth is the most it may be (§4.2).
+    /// With stealing enabled this may block (in 1 ms slices, one claim
+    /// each) until work appears somewhere; returns `Ok(false)` once the
+    /// whole run has quiesced or this part was stopped, and `Err` if a
+    /// message-based control plane lost an operation past its retry
+    /// budget (the part must abort rather than spin or silently quiesce).
     fn seed_roots(&mut self) -> Result<bool, FetchError> {
         let t0 = Instant::now();
         let mut starving = false;
@@ -377,7 +369,11 @@ impl<'e> PartRun<'e> {
             // Fairness pacing: yield the pool to less-served resident
             // queries before claiming more roots for this one.
             self.ctx.arbiter.pace(self.ctx.client.query_id(), self.ctx.root_budget);
-            let claimed = self.ctx.ledger.claim(self.ctx.my_part, self.seed_batch, self.batch_open);
+            let claimed = self.ctx.ledger.claim(
+                self.ctx.my_part,
+                self.ctx.cfg.chunk_capacity,
+                self.batch_open,
+            );
             if claimed.is_ok() {
                 self.close_batch();
             }
@@ -476,18 +472,21 @@ impl<'e> PartRun<'e> {
         self.obs.span(SpanKind::SeedRoots, ts, seeded as u64);
     }
 
-    /// Hands never-started level-0 leftover ranges to the ledger's spill
-    /// when other parts are starving. Only roots that no worker has
-    /// touched move: their embeddings stay behind as inert entries (the
-    /// release pass frees them with the chunk), and the claimant restarts
-    /// them from scratch on its own side of the fabric.
+    /// Hands half of the never-started level-0 roots this part can spare
+    /// to the ledger's spill when other parts are starving (steal-half),
+    /// off the tail of the leftover ranges and through the middle of one
+    /// where needed: a guided grant is large, and its one leftover range
+    /// is all a single-threaded part has to share. Only roots that no
+    /// worker has touched move: their embeddings stay behind as inert
+    /// entries (the release pass frees them with the chunk), and the
+    /// claimant restarts them from scratch on its own side of the fabric.
     fn maybe_donate(&mut self) {
         if !self.ctx.ledger.stealing() {
             return;
         }
         let threads = self.ctx.cfg.compute_threads.max(1);
         let keep = (self.ctx.cfg.mini_batch.max(1) * threads) as u32;
-        let mut volume: u32 = self.levels[0].leftovers.iter().map(|&(s, e)| e - s).sum();
+        let volume: u32 = self.levels[0].leftovers.iter().map(|&(s, e)| e - s).sum();
         // The local test first: most rounds leave nothing to give away,
         // and finding that out must not cost a message.
         if volume <= keep {
@@ -499,18 +498,18 @@ impl<'e> PartRun<'e> {
             return;
         }
         let chunk = &mut self.levels[0];
-        let mut donated: Vec<VertexId> = Vec::new();
-        while let Some(&(start, end)) = chunk.leftovers.last() {
-            let len = end - start;
-            if volume - len < keep {
-                break;
+        let mut give = (volume - keep).div_ceil(2);
+        let mut donated: Vec<VertexId> = Vec::with_capacity(give as usize);
+        while give > 0 {
+            let (start, end) = chunk.leftovers.last_mut().expect("leftovers hold `volume` roots");
+            let from = end.saturating_sub(give).max(*start);
+            donated.extend(chunk.embs[from as usize..*end as usize].iter().map(|e| e.vertex));
+            give -= *end - from;
+            if from == *start {
+                chunk.leftovers.pop();
+            } else {
+                *end = from;
             }
-            chunk.leftovers.pop();
-            volume -= len;
-            donated.extend(chunk.embs[start as usize..end as usize].iter().map(|e| e.vertex));
-        }
-        if donated.is_empty() {
-            return;
         }
         self.roots_donated += donated.len() as u64;
         // Donated roots leave this part's responsibility: the claimant
@@ -718,26 +717,29 @@ mod tests {
     use gpm_pattern::plan::PlanOptions;
     use gpm_pattern::Pattern;
 
-    /// What one part coordinator says to the ledger, message by message:
-    /// one per claimed batch (the retirement rides along), none to find
-    /// out it has nothing to give, one to ask who is starving when it
-    /// does, one to give.
-    #[test]
-    fn a_coordinator_spends_one_control_message_per_batch() {
+    /// Runs `body` on part 0's coordinator of a 2-part er(200, 800)
+    /// triangle run with stealing on (smallest grant 16, one compute
+    /// thread), with the run's control plane, a reader of part 0's
+    /// control-message count, and the run's stop flag.
+    fn with_part_run(
+        mini_batch: usize,
+        mode: ControlMode,
+        body: impl FnOnce(&mut PartRun<'_>, &ControlPlane, &dyn Fn() -> u64, &AtomicBool),
+    ) {
         let g = gen::erdos_renyi(200, 800, 3);
         let pg = PartitionedGraph::new(&g, 2, 1);
         let service = EdgeListService::start(&pg, None);
         let plan = MatchingPlan::compile(&Pattern::triangle(), &PlanOptions::automine()).unwrap();
         let cfg = EngineConfig {
             compute_threads: 1,
-            mini_batch: 8,
+            mini_batch,
             steal: StealConfig { enabled: true, batch: 16, numa: false },
             ..EngineConfig::default()
         };
         let ledger = Arc::new(ControlPlane::start(
             (0..2).map(|p| pg.part(p).owned().to_vec()).collect(),
             ControlLedgerConfig { stealing: true, batch: 16, ..ControlLedgerConfig::default() },
-            ControlMode::Msg,
+            mode,
             service.metrics(),
             &service.metrics().query(0),
             Recorder::disabled(),
@@ -770,32 +772,84 @@ mod tests {
             pool: &pool,
         });
         let sent = || service.metrics().part(0).get(Counter::CtrlSent);
-
-        assert!(run.seed_roots().unwrap());
-        assert_eq!((sent(), run.levels[0].embs.len()), (1, 16));
-        // Leftovers within what this part keeps for itself (`mini_batch`
-        // per compute thread): nothing to give, so nothing is asked.
-        run.levels[0].leftovers = vec![(0, 8)];
-        run.maybe_donate();
-        assert_eq!(sent(), 1);
-        // More than that: worth one question. Nobody is starving.
-        run.levels[0].leftovers = vec![(0, 8), (8, 16)];
-        run.maybe_donate();
-        assert_eq!((sent(), run.roots_donated), (2, 0));
-        // Somebody is: the question, then the donation.
-        ledger.set_starving(1, true);
-        run.maybe_donate();
-        assert_eq!((sent(), run.roots_donated), (4, 8));
-        assert_eq!(run.levels[0].leftovers, vec![(0, 8)]);
-        // The stack drains; the next claim is the retirement too.
-        run.levels[0].clear();
-        assert!(run.seed_roots().unwrap());
-        assert_eq!(sent(), 5);
-        // Stopped mid-batch: no next claim will carry the retirement, so
-        // it goes alone and peers never wedge.
-        stop.store(true, Ordering::Relaxed);
-        run.hybrid_loop().unwrap();
-        assert_eq!((sent(), run.batch_open), (6, false));
+        body(&mut run, &ledger, &sent, &stop);
+        drop(run);
         service.shutdown();
+    }
+
+    /// What one part coordinator says to the ledger, message by message:
+    /// one per claimed batch (the retirement rides along) whatever size
+    /// the ledger made it, none to find out it has nothing to give, one
+    /// to ask who is starving when it does, one to give.
+    #[test]
+    fn a_coordinator_spends_one_control_message_per_batch() {
+        with_part_run(8, ControlMode::Msg, |run, ledger, sent, stop| {
+            // A quarter of part 0's roots (1 / (2 x parts)), not the 16
+            // that are the smallest grant.
+            let guided = run.ctx.part.owned().len() / 4;
+            assert!(guided > 16, "part 0 owns {} roots", run.ctx.part.owned().len());
+            assert!(run.seed_roots().unwrap());
+            assert_eq!((sent(), run.levels[0].embs.len()), (1, guided));
+            // Leftovers within what this part keeps for itself
+            // (`mini_batch` per compute thread): nothing to give, so
+            // nothing is asked.
+            run.levels[0].leftovers = vec![(0, 8)];
+            run.maybe_donate();
+            assert_eq!(sent(), 1);
+            // More than that: worth one question. Nobody is starving.
+            run.levels[0].leftovers = vec![(0, 8), (8, 16)];
+            run.maybe_donate();
+            assert_eq!((sent(), run.roots_donated), (2, 0));
+            // Somebody is: the question, then the donation — half of
+            // what can be spared, out of the last range.
+            ledger.set_starving(1, true);
+            run.maybe_donate();
+            assert_eq!((sent(), run.roots_donated), (4, 4));
+            assert_eq!(run.levels[0].leftovers, vec![(0, 8), (8, 12)]);
+            // The stack drains; the next claim is the retirement too.
+            run.levels[0].clear();
+            assert!(run.seed_roots().unwrap());
+            assert_eq!(sent(), 5);
+            // Stopped mid-batch: no next claim will carry the retirement,
+            // so it goes alone and peers never wedge.
+            stop.store(true, Ordering::Relaxed);
+            run.hybrid_loop().unwrap();
+            assert_eq!((sent(), run.batch_open), (6, false));
+        });
+    }
+
+    /// Steal-half: a part with one compute thread has one leftover range,
+    /// and gives a starving peer half of what it can spare by splitting
+    /// it, tail first.
+    #[test]
+    fn a_donor_splits_its_one_leftover_range_in_half() {
+        with_part_run(64, ControlMode::Shared, |run, ledger, _, _| {
+            let root = |v| Emb { parent: NO_PARENT, vertex: v, list: ListRef::Local, inter: None };
+            run.levels[0].embs = (0..1000).map(root).collect();
+            run.levels[0].cursor = 1000;
+            // Nobody starves: nothing moves, however much is left over.
+            run.levels[0].leftovers = vec![(0, 1000)];
+            run.maybe_donate();
+            assert_eq!((run.roots_donated, ledger.state_summary().ledger.spill_len), (0, 0));
+            // A starving peer, but no more left than this part keeps.
+            ledger.set_starving(1, true);
+            run.levels[0].leftovers = vec![(0, 64)];
+            run.maybe_donate();
+            assert_eq!((run.roots_donated, ledger.state_summary().ledger.spill_len), (0, 0));
+            // ceil((1000 - 64) / 2) roots off the tail.
+            run.levels[0].leftovers = vec![(0, 1000)];
+            run.maybe_donate();
+            assert_eq!(run.levels[0].leftovers, vec![(0, 532)]);
+            assert_eq!((run.roots_donated, ledger.state_summary().ledger.spill_len), (468, 468));
+            // Whole ranges go first, then the split.
+            run.levels[0].leftovers = vec![(0, 100), (200, 230), (500, 510)];
+            run.maybe_donate();
+            assert_eq!(run.levels[0].leftovers, vec![(0, 100), (200, 202)]);
+            assert_eq!(run.roots_donated, 468 + 38);
+            // With nobody dead, the lost roots are what sits in the spill.
+            let mut spilled = ledger.lost_roots(&[]).unwrap();
+            spilled.sort_unstable();
+            assert_eq!(spilled, (202..230).chain(500..510).chain(532..1000).collect::<Vec<_>>());
+        });
     }
 }

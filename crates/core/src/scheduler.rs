@@ -35,9 +35,12 @@ pub struct StealConfig {
     /// extra cross-part fetch traffic for balance, which ablations must
     /// opt into explicitly.
     pub enabled: bool,
-    /// Upper bound on roots taken per steal (and per claim once a part is
-    /// feeding from the shared ledger). Smaller batches balance better;
-    /// larger batches amortize seeding overhead.
+    /// The smallest grant: with stealing on the ledger sizes every claim
+    /// — own range, spill or steal — as `1 / (2 × parts)` of what the
+    /// source still holds, never fewer than this many roots while that
+    /// many are left and never more than `chunk_capacity`. It sets how
+    /// finely the tail of a run is balanced; the bulk goes out in large
+    /// grants whatever it is.
     pub batch: usize,
     /// NUMA-aware victim ordering (paper §5.4): a thief prefers the
     /// most-loaded part on its *own machine* before crossing the

@@ -14,9 +14,13 @@ fn plan(p: &Pattern) -> MatchingPlan {
 
 /// A graph whose hubs concentrate on part 0 under range partitioning:
 /// R-MAT's recursive quadrant bias puts the high-degree vertices at low
-/// ids, so contiguous-range assignment starves every other part.
+/// ids, so contiguous-range assignment starves every other part. At this
+/// scale part 0's first grant alone is tens of milliseconds of triangles
+/// while the top quarter of the id range has next to none, so a thief is
+/// scheduled, drains its own range and reaches part 0's cursor long
+/// before part 0 does — however loaded the box is.
 fn skewed() -> gpm_graph::Graph {
-    gen::rmat(9, 16, (0.57, 0.19, 0.19), 0x5eed)
+    gen::rmat(11, 12, (0.57, 0.19, 0.19), 0xab)
 }
 
 /// Regression for the per-phase spawn storm: one engine run must spawn
@@ -113,6 +117,38 @@ fn stealing_rebalances_a_skewed_graph_without_changing_the_count() {
             "{mode:?}: stealing must reduce busy-time imbalance on a skewed graph: \
              on={on:.3} off={off:.3}"
         );
+    }
+}
+
+/// Steal-half, end to end. Under range partitioning Barabási–Albert's
+/// early hubs all sit in part 0's first grant, which is most of the
+/// run's work and, on one compute thread, a single leftover range: part 1
+/// drains everything else and starves while part 0 is still inside it,
+/// and only a donation that splits that range can feed it.
+#[test]
+fn a_single_threaded_part_shares_its_heavy_first_grant() {
+    let g = gen::barabasi_albert(3_000, 8, 7);
+    let p = plan(&Pattern::clique(4));
+    let expect = oracle::count_subgraphs(&g, &Pattern::clique(4), false);
+    for mode in [ControlMode::Shared, ControlMode::Msg] {
+        let pg = PartitionedGraph::with_partitioner(&g, 2, 1, Partitioner::Range);
+        let engine = Engine::new(
+            pg,
+            EngineConfig {
+                compute_threads: 1,
+                // Part 0 is back at its root chunk, where it looks for
+                // starving peers, every 512 parked children.
+                chunk_capacity: 512,
+                steal: StealConfig { enabled: true, batch: 16, ..StealConfig::default() },
+                control: ControlConfig { mode, ..ControlConfig::default() },
+                ..EngineConfig::default()
+            },
+        );
+        let run = engine.count(&p);
+        engine.shutdown();
+        assert_eq!(run.count, expect, "{mode:?}");
+        let donated: u64 = run.per_part.iter().map(|p| p.roots_donated).sum();
+        assert!(donated > 0, "{mode:?}: part 0 kept its whole first grant to itself");
     }
 }
 
