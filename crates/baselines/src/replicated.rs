@@ -101,7 +101,7 @@ impl ReplicatedCluster {
                         let _ = s2; // machine-level scope marker
                         for _ in 0..threads {
                             s3.spawn(|_| {
-                                let mut local = 0u64;
+                                let (mut local, mut bufs) = (0u64, interp::Buffers::default());
                                 loop {
                                     // One control round-trip per block
                                     // fetched from the coordinator.
@@ -116,7 +116,9 @@ impl ReplicatedCluster {
                                         break;
                                     }
                                     for v in start..(start + block).min(n) {
-                                        local += interp::count_from_root(graph, plan, v as u32);
+                                        local += interp::count_from_root(
+                                            graph, plan, v as u32, &mut bufs,
+                                        );
                                     }
                                 }
                                 machine_count.fetch_add(local, Ordering::Relaxed);

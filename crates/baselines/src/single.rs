@@ -118,23 +118,24 @@ impl SingleMachine {
         let total = AtomicU64::new(0);
         const BLOCK: usize = 64;
         if self.threads == 1 {
-            let mut count = 0u64;
+            let (mut count, mut bufs) = (0u64, interp::Buffers::default());
             for v in self.graph.vertices() {
-                count += interp::count_from_root(&self.graph, plan, v);
+                count += interp::count_from_root(&self.graph, plan, v, &mut bufs);
             }
             total.store(count, Ordering::Relaxed);
         } else {
             crossbeam::thread::scope(|s| {
                 for _ in 0..self.threads {
                     s.spawn(|_| {
-                        let mut local = 0u64;
+                        let (mut local, mut bufs) = (0u64, interp::Buffers::default());
                         loop {
                             let start = cursor.fetch_add(BLOCK, Ordering::Relaxed);
                             if start >= n {
                                 break;
                             }
                             for v in start..(start + BLOCK).min(n) {
-                                local += interp::count_from_root(&self.graph, plan, v as u32);
+                                local +=
+                                    interp::count_from_root(&self.graph, plan, v as u32, &mut bufs);
                             }
                         }
                         total.fetch_add(local, Ordering::Relaxed);

@@ -156,18 +156,107 @@ fn bench_set_ops_shapes(c: &mut Criterion) {
     g.finish();
 }
 
+/// The hand-written loop nests a compiler would emit for the three plans
+/// below (`MatchingPlan::describe` prints the same loops): what
+/// `interp::Walk` would cost with no plan to read. "Interpretation
+/// overhead" is a `count_fast` row over its `hand` row.
+mod hand {
+    use gpm_graph::{set_ops, Graph};
+
+    /// `v0 < v1 < v2`, all adjacent.
+    pub fn triangle(g: &Graph) -> u64 {
+        let mut count = 0;
+        for v0 in g.vertices() {
+            let c1 = set_ops::clamp(g.neighbors(v0), Some(v0), None);
+            for &v1 in c1 {
+                let (a, b) = (above(c1, v1), above(g.neighbors(v1), v1));
+                count += set_ops::intersect_count(a, b) as u64;
+            }
+        }
+        count
+    }
+
+    /// `v0 < v1 < v2 < v3`, all adjacent; each level narrows the last.
+    pub fn clique4(g: &Graph) -> u64 {
+        let (mut count, mut c2) = (0, Vec::new());
+        for v0 in g.vertices() {
+            let c1 = set_ops::clamp(g.neighbors(v0), Some(v0), None);
+            for &v1 in c1 {
+                c2.clear();
+                set_ops::intersect_into(above(c1, v1), above(g.neighbors(v1), v1), &mut c2);
+                for &v2 in &c2 {
+                    let (a, b) = (above(&c2, v2), above(g.neighbors(v2), v2));
+                    count += set_ops::intersect_count(a, b) as u64;
+                }
+            }
+        }
+        count
+    }
+
+    /// The cycle `v0 v1 v2 v3` with `v0` its smallest vertex and `v1 < v3`.
+    pub fn cycle4(g: &Graph) -> u64 {
+        let mut count = 0;
+        for v0 in g.vertices() {
+            let n0 = set_ops::clamp(g.neighbors(v0), Some(v0), None);
+            for &v1 in n0 {
+                for &v2 in set_ops::clamp(g.neighbors(v1), Some(v0), None) {
+                    let (a, b) = (above(n0, v1), above(g.neighbors(v2), v1));
+                    count += set_ops::intersect_count(a, b) as u64;
+                }
+            }
+        }
+        count
+    }
+
+    fn above(list: &[u32], v: u32) -> &[u32] {
+        set_ops::clamp(list, Some(v), None)
+    }
+}
+
+/// What reading the plan costs: the interpreter's counting walk on the
+/// service workload's patterns over the `service_mixed` graph, and on the
+/// `sparse_fetch` and `hub_cliques` graphs with their heaviest pattern,
+/// each beside the hand-written nest where there is one.
 fn bench_plan_interp(c: &mut Criterion) {
-    let graph = gen::erdos_renyi(2_000, 16_000, 7);
+    type Hand = fn(&gpm_graph::Graph) -> u64;
+    let hand_of = |spec: &str| -> Option<Hand> {
+        match spec {
+            "triangle" => Some(hand::triangle),
+            "clique:4" => Some(hand::clique4),
+            "cycle:4" => Some(hand::cycle4),
+            _ => None,
+        }
+    };
+    let mut service: Vec<&str> = include_str!("../../../ci/service-workload.txt")
+        .lines()
+        .map(str::trim)
+        .filter(|l| !l.is_empty() && !l.starts_with('#'))
+        .collect();
+    // The eighth query repeats the first; a row per distinct pattern.
+    service.sort_unstable();
+    service.dedup();
+    let rmat = (0.57, 0.19, 0.19);
+    let graphs = [
+        ("er_2k_8k", gen::erdos_renyi(2_000, 8_000, 12), service),
+        ("er_50k_200k", gen::erdos_renyi(50_000, 200_000, 12), vec!["cycle:4"]),
+        ("rmat_12_16", gen::rmat(12, 16, rmat, 12), vec!["clique:4"]),
+    ];
     let mut g = c.benchmark_group("plan_interp");
-    for (name, p) in [
-        ("triangle", Pattern::triangle()),
-        ("clique4", Pattern::clique(4)),
-        ("cycle4", Pattern::cycle(4)),
-    ] {
-        let plan = MatchingPlan::compile(&p, &PlanOptions::automine()).unwrap();
-        g.bench_with_input(BenchmarkId::new("count_fast", name), &plan, |bench, plan| {
-            bench.iter(|| interp::count_embeddings_fast(black_box(&graph), plan))
-        });
+    for (graph_name, graph, specs) in &graphs {
+        for spec in specs {
+            let pattern = gpm_apps::cli::parse_pattern(spec).expect("workload pattern parses");
+            let plan = MatchingPlan::compile(&pattern, &PlanOptions::automine()).unwrap();
+            let row = format!("{graph_name}/{spec}");
+            g.bench_with_input(BenchmarkId::new("count_fast", &row), &plan, |bench, plan| {
+                bench.iter(|| interp::count_embeddings_fast(black_box(graph), plan))
+            });
+            if let Some(hand) = hand_of(spec) {
+                assert_eq!(hand(graph), interp::count_embeddings_fast(graph, &plan), "{row}");
+                g.bench_function(BenchmarkId::new("hand", &row), |bench| {
+                    bench.iter(|| hand(black_box(graph)))
+                });
+            }
+        }
     }
     g.finish();
 }

@@ -44,11 +44,12 @@ fn replicated_makespan(g: &gpm_graph::Graph, app: App, machines: usize) -> Durat
     let span = n.div_ceil(machines);
     let plans = app.plans(&PlanOptions::graphpi());
     let mut worst = Duration::ZERO;
+    let mut bufs = interp::Buffers::default();
     for m in 0..machines {
         let t0 = Instant::now();
         for plan in &plans {
             for v in (m * span)..((m + 1) * span).min(n) {
-                interp::count_from_root(g, plan, v as u32);
+                interp::count_from_root(g, plan, v as u32, &mut bufs);
             }
         }
         worst = worst.max(t0.elapsed());

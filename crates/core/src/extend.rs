@@ -5,13 +5,13 @@
 //! everything that executes *inside* a phase — the [`Worker`] claim loop
 //! over the phase's [`TaskPool`], single-embedding extension, and where an
 //! embedding's edge lists and stored intermediate live ([`Lists`]). The set
-//! algebra is the plan's ([`LevelPlan::raw_candidates`]) and the loop nest
+//! algebra is the plan's ([`LevelPlan::candidates`]) and the loop nest
 //! below the last fetched level is the workspace's one depth-first walker
 //! ([`interp::Walk`]), told by [`Lists`] where the data is. Phases are
 //! dispatched to the engine's persistent worker pool through the part's
 //! [`Gate`](crate::scheduler::Gate); no threads are spawned here.
 //!
-//! [`LevelPlan::raw_candidates`]: gpm_pattern::plan::LevelPlan::raw_candidates
+//! [`LevelPlan::candidates`]: gpm_pattern::plan::LevelPlan::candidates
 
 use crate::chunk::{Chunk, Emb, ListRef, PushOutcome, Resume, StagedChild};
 use crate::runtime::{PartCtx, PartRun};
@@ -19,7 +19,6 @@ use crate::scheduler::{Task, TaskPool};
 use gpm_graph::{Label, VertexId};
 use gpm_obs::{Metric, SpanKind};
 use gpm_pattern::interp::{self, DataSource, Walk};
-use gpm_pattern::plan::PairMode;
 use gpm_pattern::MAX_PATTERN_VERTICES;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -93,7 +92,6 @@ impl PartRun<'_> {
                 read,
                 cur,
                 last: self.last,
-                pair: self.pair,
                 next: &next,
                 old_resumes: &old_resumes,
                 tasks: &tasks,
@@ -166,8 +164,6 @@ struct Worker<'a, 'c, 'e> {
     cur: usize,
     /// The bottom of the chunk stack (the plan's last fetched level).
     last: usize,
-    /// The plan's IEP pair shortcut, which a counting walk takes.
-    pair: Option<PairMode>,
     next: &'a Option<Mutex<&'c mut Chunk>>,
     old_resumes: &'a [Resume],
     tasks: &'a TaskPool,
@@ -274,19 +270,22 @@ impl Worker<'_, '_, '_> {
         }
 
         let lp = &plan.levels()[cur];
-        let (raw, deeper) = bufs.split_first_mut().expect("one buffer per remaining level");
-        lp.raw_candidates(&matched, |p| lists.list(p, matched[p]), || stored, tmp, raw);
+        let (buf, deeper) = bufs.split_first_mut().expect("one buffer per remaining level");
+        // The raw set is a window of the list it is cut from wherever the
+        // level computes nothing; a resumed embedding gets the same
+        // window, so `from` indexes it as it did before the pause.
+        let raw = lp.candidates(&matched, |p| lists.list(p, matched[p]), stored, tmp, buf);
         // A child whose list has to be fetched is parked in the next
         // chunk. One whose list this part owns has nothing to wait for —
         // when the next chunk is the bottom of the stack it holds
         // everything the rest of the plan reads, and is walked here, with
-        // this level's raw set (still in scratch) as its stored
-        // intermediate.
+        // this level's raw set (in scratch, or where its list lives) as
+        // its stored intermediate.
         let in_place = cur + 1 == self.last;
         scratch.parked.clear();
         scratch.owned.clear();
         for (i, &cand) in raw.iter().enumerate().skip(from as usize) {
-            if interp::passes_filters(&lists, lp, &matched, cand) {
+            if interp::passes_residual(&lists, lp, &matched, cand) {
                 let child = StagedChild { vertex: cand, raw_index: i as u32 };
                 if in_place && ctx.part.edge_list(cand).is_some() {
                     scratch.owned.push(child);
@@ -302,7 +301,7 @@ impl Worker<'_, '_, '_> {
         let paused_at = if scratch.parked.is_empty() {
             None
         } else {
-            let inter = lp.store_intermediate.then_some(&raw[..]);
+            let inter = lp.store_intermediate.then_some(raw);
             let mut next =
                 self.next.as_ref().expect("a level above the bottom has a next chunk").lock();
             match next.try_push_children(emb, &scratch.parked, lp.new_vertex_active, inter) {
@@ -343,7 +342,7 @@ impl Worker<'_, '_, '_> {
             }
         });
         let mut walk = match &mut deliver {
-            None => Walk::counting(plan, lists, self.pair),
+            None => Walk::counting(plan, lists),
             Some(deliver) => Walk::visiting(plan, lists, deliver),
         };
         walk.matched = matched;
@@ -501,6 +500,48 @@ mod tests {
             assert_eq!(count, 220, "{threads} thread(s)");
             assert_eq!(seen, want, "{threads} thread(s)");
             engine.shutdown();
+        }
+    }
+
+    #[test]
+    fn a_window_borrowed_as_candidate_set_pauses_resumes_and_is_stored_exactly() {
+        // Where a level computes nothing its candidate set is a window of
+        // the list it is cut from — an ancestor's, in a chunk, or the
+        // stored intermediate in the chunk's arena — not a buffer. Three
+        // embeddings to a chunk pause every parent in the middle of such a
+        // window, so it resumes at an index into a window cut again; the
+        // children parked from it get the window as their intermediate,
+        // and those walked in place read it where it lies.
+        let g = gen::barabasi_albert(70, 4, 23);
+        let cases = [
+            (Pattern::path(4), "C1:"),
+            (Pattern::star(4), "C2 clamped"),
+            (Pattern::cycle(4), "N(v1) clamped"),
+            (Pattern::house(), "N(v1):"),
+        ];
+        for (p, window_level) in cases {
+            let plan = plan(&p);
+            assert!(plan.describe().contains(&format!("in {window_level}")), "{}", plan.describe());
+            assert!(plan.levels().iter().all(|l| l.lowered.plain), "{p}");
+            let expect = oracle::count_subgraphs(&g, &p, false);
+            let mut want = Vec::new();
+            interp::enumerate_embeddings(&g, &plan, |m| want.push(m.to_vec()));
+            want.sort_unstable();
+            assert_eq!(want.len() as u64, expect, "{p}");
+            for chunk_capacity in [3, 64] {
+                for compute_threads in [1, 2] {
+                    let what = format!("{p}, chunk {chunk_capacity}, {compute_threads} thread(s)");
+                    let engine = Engine::new(
+                        PartitionedGraph::new(&g, 2, 1),
+                        EngineConfig { chunk_capacity, compute_threads, ..Default::default() },
+                    );
+                    assert_eq!(engine.count(&plan).count, expect, "{what}");
+                    let (count, seen) = visited(&engine, &plan);
+                    assert_eq!(count, expect, "{what}");
+                    assert!(seen == want, "{what}: the visited multiset differs");
+                    engine.shutdown();
+                }
+            }
         }
     }
 

@@ -34,7 +34,7 @@ use gpm_cluster::{ClaimSource, Counter, EdgeListClient, FetchError, PendingFetch
 use gpm_graph::partition::{vertex_hash, GraphPart};
 use gpm_graph::{Label, VertexId};
 use gpm_obs::{FlightKind, ObsHandle, Recorder, SpanKind};
-use gpm_pattern::plan::{MatchingPlan, PairMode};
+use gpm_pattern::plan::MatchingPlan;
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -148,8 +148,6 @@ pub(crate) struct PartRun<'e> {
     pub(crate) levels: Vec<Chunk>,
     /// The bottom of the stack: the plan's last fetched level.
     pub(crate) last: usize,
-    /// The plan's IEP pair shortcut, which a counting walk takes.
-    pub(crate) pair: Option<PairMode>,
     /// Extend scratch, one per worker index.
     pub(crate) workers: Vec<Mutex<Scratch>>,
     pub(crate) count: u64,
@@ -210,7 +208,6 @@ impl<'e> PartRun<'e> {
         PartRun {
             levels,
             last,
-            pair: ctx.plan.pair_count_mode(),
             workers,
             count: 0,
             compute: Duration::ZERO,

@@ -41,9 +41,11 @@ impl DataSource for Graph {
 }
 
 /// Working buffers of a walk, grown once and reused for every embedding:
-/// one candidate buffer per level plus scratch. While the walk is below a
-/// level, that level's buffer is also the stored intermediate the next
-/// level reads, so vertical reuse costs no copy.
+/// one candidate buffer per level plus scratch. A level writes its buffer
+/// only where its candidate set has to be computed (an intersection);
+/// where the set is a window of one list it is read where that list
+/// lives. Either way the slice the level iterates is also the stored
+/// intermediate the next level reads, so vertical reuse costs no copy.
 #[derive(Debug, Default)]
 pub struct Buffers {
     cands: Vec<Vec<VertexId>>,
@@ -81,6 +83,10 @@ pub struct Walk<'a, S: DataSource> {
     src: &'a S,
     pair: Option<PairMode>,
     visit: Option<Visit<'a>>,
+    /// The level that is counted instead of walked: the last one, the one
+    /// above it under the pair shortcut, none (`usize::MAX`) for a
+    /// visiting walk.
+    counted: usize,
     /// The vertices matched so far, by position. The caller fills the
     /// prefix above the level it descends from.
     pub matched: [VertexId; MAX_PATTERN_VERTICES],
@@ -89,17 +95,17 @@ pub struct Walk<'a, S: DataSource> {
 }
 
 impl<'a, S: DataSource> Walk<'a, S> {
-    /// A walk that counts. `pair` is the plan's
-    /// [`pair_count_mode`](MatchingPlan::pair_count_mode) — taken as an
-    /// argument because an executor starts one walk per parked embedding
-    /// and the mode is the same for all of them.
-    pub fn counting(plan: &'a MatchingPlan, src: &'a S, pair: Option<PairMode>) -> Self {
-        Walk { plan, src, pair, visit: None, matched: [0; MAX_PATTERN_VERTICES], count: 0 }
+    /// A walk that counts, by the plan's
+    /// [`pair_count_mode`](MatchingPlan::pair_count_mode) where it has one.
+    pub fn counting(plan: &'a MatchingPlan, src: &'a S) -> Self {
+        let pair = plan.pair_count_mode();
+        let counted = plan.levels().len().saturating_sub(1 + usize::from(pair.is_some()));
+        Walk { plan, src, pair, visit: None, counted, matched: [0; MAX_PATTERN_VERTICES], count: 0 }
     }
 
     /// A walk that hands every embedding to `visit`.
     pub fn visiting(plan: &'a MatchingPlan, src: &'a S, visit: Visit<'a>) -> Self {
-        Walk { visit: Some(visit), ..Walk::counting(plan, src, None) }
+        Walk { visit: Some(visit), pair: None, counted: usize::MAX, ..Walk::counting(plan, src) }
     }
 
     /// Walks every embedding rooted at `v`. Returns `false` once the
@@ -121,9 +127,10 @@ impl<'a, S: DataSource> Walk<'a, S> {
     /// Walks plan levels `level..` below the prefix `matched[..=level]`.
     /// `stored` is the intermediate the level above stored (read only by
     /// the reuse sources); `bufs` holds one buffer per remaining level,
-    /// `bufs[0]` receiving this level's candidate set, which is the next
-    /// level's `stored`. Returns `false` once the visitor has asked to
-    /// stop.
+    /// `bufs[0]` for this level's candidate set where it has to be
+    /// computed. That set — computed, or a window borrowed from the list
+    /// it is cut from — is the next level's `stored`. Returns `false` once
+    /// the visitor has asked to stop.
     pub fn descend(
         &mut self,
         level: usize,
@@ -131,29 +138,29 @@ impl<'a, S: DataSource> Walk<'a, S> {
         bufs: &mut [Vec<VertexId>],
         tmp: &mut Vec<VertexId>,
     ) -> bool {
+        debug_assert!(level <= self.counted, "the walk stops at the counted level");
         let (plan, src) = (self.plan, self.src);
         let lp = &plan.levels()[level];
-        let (cands, deeper) = bufs.split_first_mut().expect("one buffer per remaining level");
-        let levels_left = plan.levels().len() - level;
-        if self.visit.is_none() {
-            let pair_here = self.pair.filter(|_| levels_left == 2);
-            if levels_left == 1 || pair_here.is_some() {
-                let matched = &self.matched;
-                let list_at = |p: usize| src.list(p, matched[p]);
-                let passes = |c| passes_filters(src, lp, matched, c);
-                let k = lp.count_candidates(matched, list_at, || stored, passes, tmp, cands);
-                self.count += pair_here.map_or(k, |mode| pair_contribution(k, mode));
-                return true;
-            }
+        let (buf, deeper) = bufs.split_first_mut().expect("one buffer per remaining level");
+        if level == self.counted {
+            self.count += self.count_level(lp, stored, tmp, buf);
+            return true;
         }
         let matched = &self.matched;
-        lp.raw_candidates(matched, |p| src.list(p, matched[p]), || stored, tmp, cands);
-        for &cand in cands.iter() {
-            if !passes_filters(src, lp, &self.matched, cand) {
+        let cands = lp.candidates(matched, |p| src.list(p, matched[p]), stored, tmp, buf);
+        let last = level + 1 == plan.levels().len();
+        for &cand in cands {
+            if !passes_residual(src, lp, &self.matched, cand) {
                 continue;
             }
             self.matched[lp.position] = cand;
-            let keep = if levels_left == 1 {
+            let keep = if level + 1 == self.counted {
+                // Counted here: the level below is a length or one
+                // intersection, not worth a frame of its own.
+                let below = &plan.levels()[level + 1];
+                self.count += self.count_level(below, cands, tmp, &mut deeper[0]);
+                true
+            } else if last {
                 self.count += 1;
                 let visit = self.visit.as_mut().expect("a last level without a visitor is counted");
                 visit(&self.matched[..=lp.position])
@@ -165,6 +172,21 @@ impl<'a, S: DataSource> Walk<'a, S> {
             }
         }
         true
+    }
+
+    /// What the counted level `lp` contributes below the matched prefix.
+    #[inline]
+    fn count_level(
+        &self,
+        lp: &LevelPlan,
+        stored: &[VertexId],
+        tmp: &mut Vec<VertexId>,
+        buf: &mut Vec<VertexId>,
+    ) -> u64 {
+        let (src, matched) = (self.src, &self.matched);
+        let passes = |c| passes_filters(src, lp, matched, c);
+        let k = lp.count(matched, |p| src.list(p, matched[p]), stored, passes, tmp, buf);
+        self.pair.map_or(k, |mode| pair_contribution(k, mode))
     }
 }
 
@@ -215,8 +237,32 @@ pub fn enumerate_embeddings_until<F: FnMut(&[VertexId]) -> bool>(
     }
 }
 
-/// Whether candidate `cand` passes the level's filters (bounds,
-/// injectivity, label) given the matched prefix.
+/// Whether `cand`, a member of the level's raw candidate set, extends the
+/// matched prefix: the *residual* check — the order bounds the raw
+/// window's clamp did not apply, injectivity, labels. On the raw set it
+/// decides what [`passes_filters`] decides, without comparing again what
+/// the clamp already has.
+#[inline]
+pub fn passes_residual<S: DataSource>(
+    src: &S,
+    lp: &LevelPlan,
+    matched: &[VertexId],
+    cand: VertexId,
+) -> bool {
+    let lowered = &lp.lowered;
+    if lowered.unfiltered {
+        return true;
+    }
+    lowered.rest_lower.iter().all(|p| cand > matched[p])
+        && lowered.rest_upper.iter().all(|p| cand < matched[p])
+        && lowered.distinct.iter().all(|p| cand != matched[p])
+        && lp.label.is_none_or(|required| src.label(cand) == Some(required))
+        && lp.edge_labels.iter().all(|&(p, l)| src.edge_label(matched[p], cand) == Some(l))
+}
+
+/// Whether candidate `cand` passes all of the level's filters (bounds,
+/// injectivity, label) given the matched prefix: the full check, for a
+/// candidate no window has been applied to.
 #[inline]
 pub fn passes_filters<S: DataSource>(
     src: &S,
@@ -258,7 +304,7 @@ pub fn passes_filters<S: DataSource>(
 /// results to [`count_embeddings`]; used by counting-only applications.
 pub fn count_embeddings_fast(g: &Graph, plan: &MatchingPlan) -> u64 {
     let mut bufs = Buffers::default();
-    let mut walk = Walk::counting(plan, g, plan.pair_count_mode());
+    let mut walk = Walk::counting(plan, g);
     for v in g.vertices() {
         walk.from_root(v, &mut bufs);
     }
@@ -277,10 +323,10 @@ pub fn pair_contribution(k: u64, mode: PairMode) -> u64 {
 /// Counts the embeddings rooted at `v` only (level-0 vertex fixed),
 /// using the fast final-level shortcut. Summing over all vertices equals
 /// [`count_embeddings_fast`]; single-machine baselines parallelize over
-/// roots with this.
-pub fn count_from_root(g: &Graph, plan: &MatchingPlan, v: VertexId) -> u64 {
-    let mut walk = Walk::counting(plan, g, plan.pair_count_mode());
-    walk.from_root(v, &mut Buffers::default());
+/// roots with this, each worker thread passing its own `bufs`.
+pub fn count_from_root(g: &Graph, plan: &MatchingPlan, v: VertexId, bufs: &mut Buffers) -> u64 {
+    let mut walk = Walk::counting(plan, g);
+    walk.from_root(v, bufs);
     walk.count
 }
 
@@ -335,18 +381,70 @@ mod tests {
         }
     }
 
+    /// The plan walked by the general route alone — `raw_candidates` and the
+    /// full `passes_filters`, fresh buffers, no lowered form — checking at
+    /// every level it reaches that the lowered form computes the same:
+    /// the same raw set, the same verdict on each member of it, the same
+    /// count. Returns every embedding.
+    fn general_route(g: &Graph, plan: &MatchingPlan) -> Vec<Vec<VertexId>> {
+        fn below(
+            g: &Graph,
+            plan: &MatchingPlan,
+            level: usize,
+            matched: &mut [VertexId; MAX_PATTERN_VERTICES],
+            stored: &[VertexId],
+            out: &mut Vec<Vec<VertexId>>,
+        ) {
+            let Some(lp) = plan.levels().get(level) else {
+                out.push(matched[..=level].to_vec());
+                return;
+            };
+            let what = format!("level {level} below {:?}\n{}", &matched[..=level], plan.describe());
+            let (mut tmp, mut raw, mut buf) = (Vec::new(), Vec::new(), Vec::new());
+            let mut count_buf = Vec::new();
+            let prefix = *matched;
+            let list_at = |p: usize| g.neighbors(prefix[p]);
+            lp.raw_candidates(&prefix, list_at, || stored, &mut tmp, &mut raw);
+            assert_eq!(lp.candidates(&prefix, list_at, stored, &mut tmp, &mut buf), raw, "{what}");
+            let passing: Vec<VertexId> =
+                raw.iter().copied().filter(|&c| passes_filters(g, lp, &prefix, c)).collect();
+            for &c in &raw {
+                assert_eq!(passes_residual(g, lp, &prefix, c), passing.contains(&c), "{c}: {what}");
+            }
+            let passes = |c| passes_filters(g, lp, &prefix, c);
+            let counted = lp.count(&prefix, list_at, stored, passes, &mut tmp, &mut count_buf);
+            assert_eq!(counted, passing.len() as u64, "{what}");
+            for c in passing {
+                matched[lp.position] = c;
+                below(g, plan, level + 1, matched, &raw, out);
+            }
+        }
+        let mut out = Vec::new();
+        for v in g.vertices() {
+            if plan.root_label().is_none_or(|required| g.label(v) == Some(required)) {
+                below(g, plan, 0, &mut [v; MAX_PATTERN_VERTICES], &[], &mut out);
+            }
+        }
+        out.sort_unstable();
+        out
+    }
+
     #[test]
-    fn every_small_pattern_matches_oracle_under_both_compilers() {
+    fn every_small_pattern_matches_oracle_and_the_general_route_under_both_compilers() {
         // Every connected pattern of up to 5 vertices x {automine, graphpi}
         // x {non-induced, induced} x {unlabeled, labeled}: whatever bounds
-        // the compiler pushed into the candidate computation, and whether
-        // the last levels are iterated, counted or pair-counted, the plan
-        // counts what the brute-force oracle counts. The hubs of the
-        // skewed graph make the bounds cut real ranges.
+        // the compiler pushed into the candidate computation, whichever
+        // levels run from their lowered form, and whether the last levels
+        // are iterated, counted or pair-counted, the plan counts what the
+        // brute-force oracle counts and visits what the general route
+        // visits. The hubs of the skewed graph make the bounds cut real
+        // ranges.
         let plain = gen::barabasi_albert(28, 4, 17);
         let labeled = gen::with_random_labels(&plain, 2, 5);
+        let (mut seen, mut lowered, mut pair_counted) = (0, 0, 0);
         for k in 1..=5 {
             for p in crate::genpat::connected_patterns(k) {
+                seen += 1;
                 let labels = (0..k as gpm_graph::Label).map(|i| i % 2).collect();
                 let with_labels = p.clone().with_labels(labels).unwrap();
                 for (g, p) in [(&plain, p), (&labeled, with_labels)] {
@@ -356,13 +454,21 @@ mod tests {
                             let plan = MatchingPlan::compile(&p, &PlanOptions { induced, ..base })
                                 .unwrap();
                             let what = format!("{p}, induced={induced}\n{}", plan.describe());
-                            assert_eq!(count_embeddings(g, &plan), expect, "iterated: {what}");
                             assert_eq!(count_embeddings_fast(g, &plan), expect, "counted: {what}");
+                            let mut visited = Vec::new();
+                            enumerate_embeddings(g, &plan, |m| visited.push(m.to_vec()));
+                            visited.sort_unstable();
+                            assert_eq!(visited.len() as u64, expect, "iterated: {what}");
+                            assert_eq!(visited, general_route(g, &plan), "{what}");
+                            lowered += plan.levels().iter().filter(|l| l.lowered.plain).count();
+                            pair_counted += usize::from(plan.pair_count_mode().is_some());
                         }
                     }
                 }
             }
         }
+        assert_eq!(seen, 31, "every connected pattern of up to five vertices");
+        assert!(lowered > 100 && pair_counted > 5, "{lowered} plain levels, {pair_counted} pairs");
     }
 
     #[test]
@@ -503,7 +609,8 @@ mod tests {
         let g = gen::erdos_renyi(60, 250, 11);
         for p in [Pattern::triangle(), Pattern::clique(4), Pattern::star(4)] {
             let plan = MatchingPlan::compile(&p, &PlanOptions::default()).unwrap();
-            let total: u64 = g.vertices().map(|v| count_from_root(&g, &plan, v)).sum();
+            let mut bufs = Buffers::default();
+            let total: u64 = g.vertices().map(|v| count_from_root(&g, &plan, v, &mut bufs)).sum();
             assert_eq!(total, count_embeddings_fast(&g, &plan), "{p}");
         }
     }
@@ -516,7 +623,7 @@ mod tests {
         let root_label = plan.root_label().unwrap();
         for v in g.vertices() {
             if g.label(v) != Some(root_label) {
-                assert_eq!(count_from_root(&g, &plan, v), 0);
+                assert_eq!(count_from_root(&g, &plan, v, &mut Buffers::default()), 0);
             }
         }
     }

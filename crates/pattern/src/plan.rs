@@ -14,13 +14,14 @@
 
 use crate::order::{self, OrderChoice};
 use crate::restrictions::{self, Restriction};
-use crate::{iso, Pattern};
+use crate::{iso, Pattern, MAX_PATTERN_VERTICES};
 use gpm_graph::{set_ops, Label, VertexId};
 
 /// How a level's raw candidate set is obtained.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CandidateSource {
     /// Intersect the edge lists of all `intersect` positions.
+    #[default]
     Scratch,
     /// The candidate set equals the parent's stored intermediate result.
     ParentIntermediate,
@@ -80,6 +81,179 @@ pub struct LevelPlan {
     /// (if `false`, its edge list never needs to be fetched — the paper's
     /// "not all vertices are active" case).
     pub new_vertex_active: bool,
+    /// The level as the inner loop reads it, derived from the fields above
+    /// once, at the end of compilation.
+    pub lowered: Lowered,
+}
+
+/// A set of embedding positions in one byte, bit `p` for position `p`:
+/// what the walk iterates per candidate where the plan keeps a heap
+/// `Vec<usize>`. An empty set costs one test.
+#[derive(Clone, Copy, PartialEq, Eq, Default)]
+pub struct Positions(u8);
+
+const _: () = assert!(MAX_PATTERN_VERTICES <= u8::BITS as usize);
+
+impl FromIterator<usize> for Positions {
+    fn from_iter<I: IntoIterator<Item = usize>>(positions: I) -> Self {
+        Positions(positions.into_iter().fold(0, |bits, p| {
+            assert!(p < MAX_PATTERN_VERTICES, "position {p} outside an embedding");
+            bits | 1 << p
+        }))
+    }
+}
+
+impl Positions {
+    /// The positions, ascending.
+    #[inline]
+    pub fn iter(self) -> impl Iterator<Item = usize> {
+        let mut bits = self.0;
+        std::iter::from_fn(move || {
+            (bits != 0).then(|| {
+                let p = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                p
+            })
+        })
+    }
+
+    /// Whether the set names `p`.
+    #[inline]
+    pub fn contains(self, p: usize) -> bool {
+        self.0 >> p & 1 == 1
+    }
+
+    /// Whether the set names no position.
+    #[inline]
+    pub fn is_empty(self) -> bool {
+        self.0 == 0
+    }
+
+    /// How many positions the set names.
+    #[inline]
+    pub fn len(self) -> usize {
+        self.0.count_ones() as usize
+    }
+}
+
+impl std::fmt::Debug for Positions {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+/// One level lowered to the flat form executors run. The paper's client
+/// systems hand the engine a *compiled* `EXTEND` (§3.2); this is as close
+/// as a reified plan gets: every position list a byte, the order bounds
+/// split into what the raw window's clamp applies and the *residual*
+/// still owed per candidate, and what the inner loop would otherwise ask
+/// per call answered once.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct Lowered {
+    /// `LevelPlan::source`.
+    pub source: CandidateSource,
+    /// Positions whose edge lists the source reads: all of `intersect`
+    /// from scratch, the preceding position beside a reused intermediate,
+    /// none when the intermediate is the candidate set.
+    pub lists: Positions,
+    /// `LevelPlan::raw_lower`: the lower bounds the raw window applies.
+    pub raw_lower: Positions,
+    /// `LevelPlan::raw_upper`.
+    pub raw_upper: Positions,
+    /// `lower − raw_lower`: the lower bounds a member of the raw set is
+    /// still to be checked against.
+    pub rest_lower: Positions,
+    /// `upper − raw_upper`.
+    pub rest_upper: Positions,
+    /// `LevelPlan::distinct`.
+    pub distinct: Positions,
+    /// The `distinct` positions the pattern makes adjacent to every
+    /// intersected position: each one's vertex is in every input list for
+    /// certain, so counting the level need not search for it.
+    pub distinct_adjacent: Positions,
+    /// No label, edge label or subtraction, and at most two inputs: the
+    /// raw set is a clamped window of one list or one two-way
+    /// intersection, and the level never takes the general route.
+    pub plain: bool,
+    /// Nothing is left to check per candidate: every member of the raw
+    /// set extends the embedding.
+    pub unfiltered: bool,
+}
+
+impl Lowered {
+    /// Lowers a finished level; `adjacent(p, q)` says whether the pattern
+    /// has an edge between the vertices matched at `p` and `q`.
+    fn of(lp: &LevelPlan, adjacent: impl Fn(usize, usize) -> bool) -> Lowered {
+        let set = |positions: &[usize]| positions.iter().copied().collect::<Positions>();
+        let lists = match lp.source {
+            CandidateSource::Scratch => set(&lp.intersect),
+            CandidateSource::ParentIntermediate => set(&[]),
+            CandidateSource::ParentIntermediateAndNew => set(&[lp.position - 1]),
+        };
+        let inputs = lists.len() + usize::from(lp.source != CandidateSource::Scratch);
+        let (raw_lower, raw_upper) = (set(&lp.raw_lower), set(&lp.raw_upper));
+        let rest_lower = Positions(set(&lp.lower).0 & !raw_lower.0);
+        let rest_upper = Positions(set(&lp.upper).0 & !raw_upper.0);
+        let in_every_list = |p: &usize| lp.intersect.iter().all(|&q| adjacent(*p, q));
+        let unlabelled = lp.label.is_none() && lp.edge_labels.is_empty();
+        Lowered {
+            source: lp.source,
+            lists,
+            raw_lower,
+            raw_upper,
+            rest_lower,
+            rest_upper,
+            distinct: set(&lp.distinct),
+            distinct_adjacent: lp.distinct.iter().copied().filter(in_every_list).collect(),
+            plain: unlabelled && lp.subtract.is_empty() && inputs <= 2,
+            unfiltered: unlabelled
+                && rest_lower.is_empty()
+                && rest_upper.is_empty()
+                && lp.distinct.is_empty(),
+        }
+    }
+
+    /// The window the raw candidate set is clamped to.
+    #[inline]
+    pub fn raw_window(&self, matched: &[VertexId]) -> Window {
+        window_at(self.raw_lower, self.raw_upper, matched)
+    }
+
+    /// The window all of the level's order bounds put on a candidate: raw
+    /// and residual bounds together.
+    #[inline]
+    pub fn window(&self, matched: &[VertexId]) -> Window {
+        let lower = Positions(self.raw_lower.0 | self.rest_lower.0);
+        let upper = Positions(self.raw_upper.0 | self.rest_upper.0);
+        window_at(lower, upper, matched)
+    }
+
+    /// The one or two inputs of a plain level, unclamped.
+    #[inline]
+    fn inputs<'a>(
+        &self,
+        list_at: impl Fn(usize) -> &'a [VertexId],
+        stored: &'a [VertexId],
+    ) -> (&'a [VertexId], Option<&'a [VertexId]>) {
+        debug_assert!(self.plain);
+        let mut lists = self.lists.iter().map(list_at);
+        match self.source {
+            CandidateSource::Scratch => {
+                let first = lists.next().expect("a level from scratch intersects a list");
+                (first, lists.next())
+            }
+            CandidateSource::ParentIntermediate | CandidateSource::ParentIntermediateAndNew => {
+                (stored, lists.next())
+            }
+        }
+    }
+}
+
+/// The window above every vertex matched at `lower` and below every one
+/// matched at `upper`.
+#[inline]
+fn window_at(lower: Positions, upper: Positions, matched: &[VertexId]) -> Window {
+    (lower.iter().map(|p| matched[p]).max(), upper.iter().map(|p| matched[p]).min())
 }
 
 /// An exclusive `(lo, hi)` window on candidate vertices; either side may
@@ -88,23 +262,95 @@ pub type Window = (Option<VertexId>, Option<VertexId>);
 
 /// Executing one level. The plan knows *what* a level computes; the
 /// executor passes in *where the data lives*: `list_at(p)` is the edge
-/// list of the vertex matched at position `p`, and `stored()` the
-/// intermediate stored by the previous level (called only for the reuse
+/// list of the vertex matched at position `p`, and `stored` the
+/// intermediate stored by the previous level (read only by the reuse
 /// sources). Every input is clamped to the level's window before it is
 /// intersected, so what the order bounds exclude is never scanned.
+///
+/// Executors call [`candidates`](Self::candidates) and
+/// [`count`](Self::count). A [plain](Lowered::plain) level runs there from
+/// its lowered form; labelled and induced levels, and intersections of
+/// three lists or more, take the general route —
+/// [`raw_candidates`](Self::raw_candidates) and
+/// [`count_candidates`](Self::count_candidates), which compute any level
+/// and are what the lowered form is tested against.
 impl LevelPlan {
+    /// The level's raw candidate set — the candidate source restricted to
+    /// the raw window, so it may be stored as the next level's
+    /// intermediate — as a slice. A plain level with one input has nothing
+    /// to compute: its set is the clamped window *of that input*, borrowed
+    /// where it lives. Only an intersection (or the general route) writes
+    /// `buf`. Candidates still owe the residual check. `tmp` is scratch.
+    #[inline]
+    pub fn candidates<'a>(
+        &self,
+        matched: &[VertexId],
+        list_at: impl Fn(usize) -> &'a [VertexId],
+        stored: &'a [VertexId],
+        tmp: &mut Vec<VertexId>,
+        buf: &'a mut Vec<VertexId>,
+    ) -> &'a [VertexId] {
+        let lowered = &self.lowered;
+        if !lowered.plain {
+            self.raw_candidates(matched, list_at, || stored, tmp, buf);
+            return buf;
+        }
+        let (lo, hi) = lowered.raw_window(matched);
+        let (a, b) = lowered.inputs(list_at, stored);
+        let a = set_ops::clamp(a, lo, hi);
+        let Some(b) = b else { return a };
+        buf.clear();
+        set_ops::intersect_into(a, set_ops::clamp(b, lo, hi), buf);
+        buf
+    }
+
+    /// Counts the candidates that pass all of the level's filters, for a
+    /// level nothing is stored from (terminal, or pair-counted): a plain
+    /// level is the length of a window or the size of one two-way
+    /// intersection, less the `distinct` vertices inside it. `passes` is
+    /// the executor's full per-candidate filter, which only the general
+    /// route calls; `tmp` and `buf` are scratch.
+    #[inline]
+    pub fn count<'a>(
+        &self,
+        matched: &[VertexId],
+        list_at: impl Fn(usize) -> &'a [VertexId],
+        stored: &'a [VertexId],
+        passes: impl Fn(VertexId) -> bool,
+        tmp: &mut Vec<VertexId>,
+        buf: &mut Vec<VertexId>,
+    ) -> u64 {
+        let lowered = &self.lowered;
+        if !lowered.plain {
+            return self.count_candidates(matched, list_at, || stored, passes, tmp, buf);
+        }
+        let (lo, hi) = lowered.window(matched);
+        let (a, b) = lowered.inputs(list_at, stored);
+        let a = set_ops::clamp(a, lo, hi);
+        let b = b.map(|b| set_ops::clamp(b, lo, hi));
+        let size = b.map_or(a.len(), |b| set_ops::intersect_count(a, b));
+        if size == 0 {
+            return 0;
+        }
+        // A matched vertex the level must avoid is one candidate fewer if
+        // it is in the window (two compares) and in every input: known
+        // from the pattern, or a search per input.
+        let collides = |p: usize| {
+            let m = matched[p];
+            lo.is_none_or(|lo| m > lo)
+                && hi.is_none_or(|hi| m < hi)
+                && (lowered.distinct_adjacent.contains(p)
+                    || set_ops::contains(a, m) && b.is_none_or(|b| set_ops::contains(b, m)))
+        };
+        (size - lowered.distinct.iter().filter(|&p| collides(p)).count()) as u64
+    }
+
     /// The window all of this level's order bounds put on a candidate,
     /// given the matched prefix. Legal on the raw set only where no
     /// intermediate is stored from it: terminal and count-only levels, and
     /// executors that never reuse intermediates.
     pub fn window(&self, matched: &[VertexId]) -> Window {
-        window_of(&self.lower, &self.upper, matched)
-    }
-
-    /// The window the raw candidate set may be clamped to even when it is
-    /// stored for later levels (`raw_lower`/`raw_upper`).
-    pub fn raw_window(&self, matched: &[VertexId]) -> Window {
-        window_of(&self.raw_lower, &self.raw_upper, matched)
+        self.lowered.window(matched)
     }
 
     /// The level's intersection inputs per its candidate source, each
@@ -115,7 +361,7 @@ impl LevelPlan {
         (lo, hi): Window,
         list_at: &impl Fn(usize) -> &'a [VertexId],
         stored: impl FnOnce() -> &'a [VertexId],
-        lists: &mut [&'a [VertexId]; crate::MAX_PATTERN_VERTICES],
+        lists: &mut [&'a [VertexId]; MAX_PATTERN_VERTICES],
     ) -> usize {
         match self.source {
             CandidateSource::Scratch => {
@@ -136,9 +382,10 @@ impl LevelPlan {
         }
     }
 
-    /// Computes the level's raw candidate set into `out`: the candidate
+    /// The general route to [`candidates`](Self::candidates), for any
+    /// level: computes the raw candidate set into `out` — the candidate
     /// source minus the subtracted lists, restricted to
-    /// [`raw_window`](Self::raw_window) — so `out` may be stored as the
+    /// the [raw window](Lowered::raw_window) — so `out` may be stored as the
     /// next level's intermediate. Candidates still have to pass the
     /// per-candidate filters. `tmp` is scratch.
     pub fn raw_candidates<'a>(
@@ -149,8 +396,8 @@ impl LevelPlan {
         tmp: &mut Vec<VertexId>,
         out: &mut Vec<VertexId>,
     ) {
-        let (lo, hi) = self.raw_window(matched);
-        let mut lists: [&[VertexId]; crate::MAX_PATTERN_VERTICES] = Default::default();
+        let (lo, hi) = self.lowered.raw_window(matched);
+        let mut lists: [&[VertexId]; MAX_PATTERN_VERTICES] = Default::default();
         let n = self.clamped_inputs((lo, hi), &list_at, stored, &mut lists);
         set_ops::intersect_many_into(&mut lists[..n], tmp, out);
         for &p in &self.subtract {
@@ -160,8 +407,8 @@ impl LevelPlan {
         }
     }
 
-    /// Counts the candidates that pass all of the level's filters, for a
-    /// level nothing is stored from (terminal, or pair-counted). All of its
+    /// The general route to [`count`](Self::count), for any level nothing
+    /// is stored from (terminal, or pair-counted). All of its
     /// order bounds then clamp the inputs, and what is left is the size of
     /// an intersection — never materialised — minus the `distinct` vertices
     /// that fall in it. Labels and subtraction need the candidates
@@ -180,7 +427,7 @@ impl LevelPlan {
             self.raw_candidates(matched, list_at, stored, tmp, out);
             return out.iter().filter(|&&c| passes(c)).count() as u64;
         }
-        let mut lists: [&[VertexId]; crate::MAX_PATTERN_VERTICES] = Default::default();
+        let mut lists: [&[VertexId]; MAX_PATTERN_VERTICES] = Default::default();
         let n = self.clamped_inputs(self.window(matched), &list_at, stored, &mut lists);
         let lists = &mut lists[..n];
         let collisions = self
@@ -190,10 +437,6 @@ impl LevelPlan {
             .count();
         (set_ops::intersect_many_count(lists, tmp, out) - collisions) as u64
     }
-}
-
-fn window_of(lower: &[usize], upper: &[usize], matched: &[VertexId]) -> Window {
-    (lower.iter().map(|&p| matched[p]).max(), upper.iter().map(|&p| matched[p]).min())
 }
 
 /// Options controlling plan compilation.
@@ -262,6 +505,7 @@ pub struct MatchingPlan {
     restrictions: Vec<Restriction>,
     aut_count: u64,
     root_label: Option<Label>,
+    pair: Option<PairMode>,
 }
 
 impl MatchingPlan {
@@ -337,6 +581,7 @@ impl MatchingPlan {
                 store_intermediate: false,
                 active_after: Vec::new(),
                 new_vertex_active: false,
+                lowered: Lowered::default(),
             });
         }
 
@@ -412,6 +657,8 @@ impl MatchingPlan {
         for (lp, after) in levels.iter_mut().zip(afters) {
             lp.new_vertex_active = after.contains(&lp.position);
             lp.active_after = after;
+            // Last: the lowered form is a function of the finished level.
+            lp.lowered = Lowered::of(lp, |p, q| pattern.has_edge(order[p], order[q]));
         }
 
         let root_label = pattern.label(order[0]);
@@ -419,6 +666,7 @@ impl MatchingPlan {
             pattern: pattern.clone(),
             options: options.clone(),
             order,
+            pair: pair_mode(options, &levels),
             levels,
             restrictions: restr,
             aut_count: iso::automorphism_count(pattern),
@@ -590,42 +838,7 @@ impl MatchingPlan {
     /// of size `k` — collapsing, e.g., wedge counting to degree
     /// arithmetic.
     pub fn pair_count_mode(&self) -> Option<PairMode> {
-        if !self.options.iep || self.levels.len() < 2 {
-            return None;
-        }
-        let l1 = &self.levels[self.levels.len() - 2];
-        let l2 = &self.levels[self.levels.len() - 1];
-        if l2.source != CandidateSource::ParentIntermediate
-            || !l1.subtract.is_empty()
-            || !l2.subtract.is_empty()
-            || l1.label != l2.label
-            || !l1.edge_labels.is_empty()
-            || !l2.edge_labels.is_empty()
-            || l2.upper != l1.upper
-        {
-            return None;
-        }
-        let p1 = l1.position;
-        // Symmetric pair: l2 gains exactly the restriction `pos p1 < new`.
-        let mut lower_plus = l1.lower.clone();
-        lower_plus.push(p1);
-        lower_plus.sort_unstable();
-        let mut l2_lower = l2.lower.clone();
-        l2_lower.sort_unstable();
-        if l2_lower == lower_plus && l2.distinct == l1.distinct {
-            return Some(PairMode::Unordered);
-        }
-        // Asymmetric pair (e.g. differing labels made restrictions
-        // impossible): l2 gains exactly the injectivity check against p1.
-        let mut distinct_plus = l1.distinct.clone();
-        distinct_plus.push(p1);
-        distinct_plus.sort_unstable();
-        let mut l2_distinct = l2.distinct.clone();
-        l2_distinct.sort_unstable();
-        if l2.lower == l1.lower && l2_distinct == distinct_plus {
-            return Some(PairMode::Ordered);
-        }
-        None
+        self.pair
     }
 
     /// The deepest position whose vertex is active — whose edge list some
@@ -646,6 +859,47 @@ impl MatchingPlan {
                 || l.subtract.contains(&0)
         })
     }
+}
+
+/// [`MatchingPlan::pair_count_mode`], decided once when the plan is
+/// compiled: executors ask per run, the baselines per root.
+fn pair_mode(options: &PlanOptions, levels: &[LevelPlan]) -> Option<PairMode> {
+    if !options.iep || levels.len() < 2 {
+        return None;
+    }
+    let l1 = &levels[levels.len() - 2];
+    let l2 = &levels[levels.len() - 1];
+    if l2.source != CandidateSource::ParentIntermediate
+        || !l1.subtract.is_empty()
+        || !l2.subtract.is_empty()
+        || l1.label != l2.label
+        || !l1.edge_labels.is_empty()
+        || !l2.edge_labels.is_empty()
+        || l2.upper != l1.upper
+    {
+        return None;
+    }
+    let p1 = l1.position;
+    // Symmetric pair: l2 gains exactly the restriction `pos p1 < new`.
+    let mut lower_plus = l1.lower.clone();
+    lower_plus.push(p1);
+    lower_plus.sort_unstable();
+    let mut l2_lower = l2.lower.clone();
+    l2_lower.sort_unstable();
+    if l2_lower == lower_plus && l2.distinct == l1.distinct {
+        return Some(PairMode::Unordered);
+    }
+    // Asymmetric pair (e.g. differing labels made restrictions
+    // impossible): l2 gains exactly the injectivity check against p1.
+    let mut distinct_plus = l1.distinct.clone();
+    distinct_plus.push(p1);
+    distinct_plus.sort_unstable();
+    let mut l2_distinct = l2.distinct.clone();
+    l2_distinct.sort_unstable();
+    if l2.lower == l1.lower && l2_distinct == distinct_plus {
+        return Some(PairMode::Ordered);
+    }
+    None
 }
 
 fn pos_of(order: &[usize], pattern_vertex: usize) -> usize {
@@ -771,6 +1025,114 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn lowered_level_says_what_the_lists_say() {
+        let set = |ps: Positions| ps.iter().collect::<Vec<usize>>();
+        let (mut plain, mut general, mut unfiltered) = (0, 0, 0);
+        for k in 2..=5 {
+            for p in crate::genpat::connected_patterns(k) {
+                let labels = (0..k as Label).map(|i| i % 2).collect();
+                for p in [p.clone(), p.with_labels(labels).unwrap()] {
+                    for base in [PlanOptions::automine(), PlanOptions::graphpi()] {
+                        for (induced, vertical_reuse) in
+                            [(false, true), (false, false), (true, true)]
+                        {
+                            let opts = PlanOptions { induced, vertical_reuse, ..base.clone() };
+                            let plan = MatchingPlan::compile(&p, &opts).unwrap();
+                            for l in plan.levels() {
+                                let low = &l.lowered;
+                                let what = format!("level {}\n{}", l.position, plan.describe());
+                                // The raw window's bounds and the residual
+                                // split the level's bounds.
+                                for (raw, rest, all) in [
+                                    (low.raw_lower, low.rest_lower, &l.lower),
+                                    (low.raw_upper, low.rest_upper, &l.upper),
+                                ] {
+                                    let mut both = [set(raw), set(rest)].concat();
+                                    both.sort_unstable();
+                                    assert_eq!(&both, all, "{what}");
+                                    assert!(set(raw).iter().all(|p| !rest.contains(*p)), "{what}");
+                                }
+                                assert_eq!(set(low.raw_lower), l.raw_lower, "{what}");
+                                assert_eq!(set(low.raw_upper), l.raw_upper, "{what}");
+                                assert_eq!(set(low.distinct), l.distinct, "{what}");
+                                let reads = match l.source {
+                                    CandidateSource::Scratch => l.intersect.clone(),
+                                    CandidateSource::ParentIntermediate => Vec::new(),
+                                    CandidateSource::ParentIntermediateAndNew => {
+                                        vec![l.position - 1]
+                                    }
+                                };
+                                assert_eq!(
+                                    (low.source, set(low.lists)),
+                                    (l.source, reads),
+                                    "{what}"
+                                );
+                                // Adjacent to every intersected position, in
+                                // the pattern: nothing more, nothing less.
+                                let order = plan.order();
+                                let adjacent: Vec<usize> = l
+                                    .distinct
+                                    .iter()
+                                    .copied()
+                                    .filter(|&d| {
+                                        l.intersect.iter().all(|&q| p.has_edge(order[d], order[q]))
+                                    })
+                                    .collect();
+                                assert_eq!(set(low.distinct_adjacent), adjacent, "{what}");
+                                let unlabelled = l.label.is_none() && l.edge_labels.is_empty();
+                                let inputs = low.lists.len()
+                                    + usize::from(l.source != CandidateSource::Scratch);
+                                assert_eq!(
+                                    low.plain,
+                                    unlabelled && l.subtract.is_empty() && inputs <= 2,
+                                    "{what}"
+                                );
+                                assert_eq!(
+                                    low.unfiltered,
+                                    unlabelled
+                                        && l.distinct.is_empty()
+                                        && l.lower == l.raw_lower
+                                        && l.upper == l.raw_upper,
+                                    "{what}"
+                                );
+                                plain += usize::from(low.plain);
+                                general += usize::from(!low.plain);
+                                unfiltered += usize::from(low.unfiltered);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        // Both routes and both answers occur, or the sweep proves nothing.
+        assert!(plain > 100 && general > 100 && unfiltered > 50, "{plain} {general} {unfiltered}");
+        // The service workload's plans run lowered from end to end.
+        for p in [
+            Pattern::triangle(),
+            Pattern::clique(4),
+            Pattern::path(4),
+            Pattern::cycle(4),
+            Pattern::star(4),
+            Pattern::diamond(),
+            Pattern::house(),
+        ] {
+            let plan = MatchingPlan::compile(&p, &PlanOptions::automine()).unwrap();
+            assert!(plan.levels().iter().all(|l| l.lowered.plain), "{}", plan.describe());
+        }
+        // A clique checks nothing per candidate: its bounds all clamp.
+        let clique = MatchingPlan::compile(&Pattern::clique(5), &PlanOptions::default()).unwrap();
+        assert!(clique.levels().iter().all(|l| l.lowered.unfiltered));
+        // A house's first level keeps its bound per candidate (the stored
+        // set feeds a level without it) and, of the two vertices its last
+        // level must avoid, knows v1 to be in both lists and searches for v2.
+        let house = MatchingPlan::compile(&Pattern::house(), &PlanOptions::default()).unwrap();
+        let (first, last) = (&house.levels()[0].lowered, &house.levels()[3].lowered);
+        assert_eq!((set(first.raw_lower), set(first.rest_lower)), (vec![], vec![0]));
+        assert!(!first.unfiltered);
+        assert_eq!((set(last.distinct), set(last.distinct_adjacent)), (vec![1, 2], vec![1]));
     }
 
     #[test]
