@@ -11,6 +11,7 @@ use gpm_baselines::single::SingleMachine;
 use gpm_graph::datasets::DatasetId;
 use gpm_graph::partition::PartitionedGraph;
 use gpm_graph::{gen, Graph};
+use gpm_obs::json::{field, num, seq, text, uint};
 use gpm_obs::{DiffThresholds, Recorder, RunReport, REPORT_SCHEMA_VERSION};
 use gpm_pattern::plan::{MatchingPlan, PlanOptions};
 use gpm_pattern::Pattern;
@@ -19,6 +20,7 @@ use khuzdul::{
     IncidentConfig, MiningService, ObsConfig, RebalanceConfig, RetryPolicy, RunStats,
     ServiceConfig, StatusConfig, StatusServer, StealConfig,
 };
+use serde::Value;
 use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Duration;
@@ -204,7 +206,12 @@ pub fn parse_args(args: &[String]) -> Result<Options, String> {
             "--induced" => induced = true,
             "--quiet" => quiet = true,
             "--window" => window = parse_num(value()?)?,
-            "--retries" => retries = parse_num(value()?)? as u32,
+            "--retries" => {
+                let v = value()?;
+                retries = u32::try_from(parse_num(v)?).map_err(|_| {
+                    format!("--retries takes at most {} attempts, not {v}", u32::MAX)
+                })?
+            }
             "--fault-drop" => fault_drop = parse_fraction(value()?)?,
             "--fault-crash" => fault_crash.push(parse_crash(value()?)?),
             "--replication" => replication = parse_num(value()?)?,
@@ -236,6 +243,13 @@ pub fn parse_args(args: &[String]) -> Result<Options, String> {
     }
     if control_fault_drop > 0.0 && control != ControlMode::Msg {
         return Err("--control-fault-drop needs --control msg (shared control has no wire)".into());
+    }
+    let parts = machines.max(1) * sockets.max(1);
+    if let Some((part, after)) = fault_crash.iter().find(|&&(part, _)| part >= parts) {
+        return Err(format!(
+            "--fault-crash {part}@{after}: part {part} is out of range \
+             (parts are numbered below machines x sockets = {parts})"
+        ));
     }
     Ok(Options {
         graph: graph.ok_or("one of --graph or --gen is required")?,
@@ -682,32 +696,7 @@ fn http_get_body(addr: &str, path: &str) -> Result<String, String> {
     Ok(body.to_string())
 }
 
-fn render_top(addr: &str, doc: &serde::Value) -> Result<String, String> {
-    use serde::Value;
-    let obj = |v: &Value, key: &str| -> Option<Value> {
-        let Value::Map(fields) = v else { return None };
-        fields.iter().find(|(k, _)| k == key).map(|(_, v)| v.clone())
-    };
-    let num = |v: &Value, key: &str| -> f64 {
-        match obj(v, key) {
-            Some(Value::UInt(u)) => u as f64,
-            Some(Value::Int(i)) => i as f64,
-            Some(Value::Float(f)) => f,
-            _ => 0.0,
-        }
-    };
-    let seq = |v: &Value, key: &str| -> Vec<Value> {
-        match obj(v, key) {
-            Some(Value::Seq(items)) => items,
-            _ => Vec::new(),
-        }
-    };
-    let text = |v: &Value, key: &str| -> String {
-        match obj(v, key) {
-            Some(Value::Str(s)) => s,
-            _ => String::new(),
-        }
-    };
+fn render_top(addr: &str, doc: &Value) -> Result<String, String> {
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -718,56 +707,54 @@ fn render_top(addr: &str, doc: &serde::Value) -> Result<String, String> {
         num(doc, "queue_depth"),
         num(doc, "busy_fraction") * 100.0,
     );
-    let memo = obj(doc, "memo").unwrap_or(Value::Null);
+    let memo = field(doc, "memo");
     let _ = writeln!(
         out,
         "memo: {} entries, {} hits, {} evictions",
-        num(&memo, "entries"),
-        num(&memo, "hits"),
-        num(&memo, "evictions")
+        num(memo, "entries"),
+        num(memo, "hits"),
+        num(memo, "evictions")
     );
     // Replica placement and health. Quiet for an r=1 run with every
     // part alive — the table only earns its lines when there are
     // replicas to track or a death to diagnose.
-    if let Some(reb) = obj(doc, "replicas") {
-        let parts = seq(&reb, "parts");
-        let any_dead = parts.iter().any(|p| obj(p, "alive") == Some(Value::Bool(false)));
-        if num(&reb, "configured_replication") >= 2.0 || any_dead {
+    let reb = field(doc, "replicas");
+    let parts = seq(reb, "parts");
+    let any_dead = parts.iter().any(|p| *field(p, "alive") == Value::Bool(false));
+    if num(reb, "configured_replication") >= 2.0 || any_dead {
+        let _ = writeln!(
+            out,
+            "REPLICAS  r={} effective={} epoch={} repaired={} ({} B) lost={}",
+            num(reb, "configured_replication"),
+            num(reb, "min_effective_replication"),
+            num(reb, "routing_epoch"),
+            num(reb, "slices_restored"),
+            num(reb, "bytes"),
+            num(reb, "slices_lost"),
+        );
+        let _ = writeln!(
+            out,
+            "  {:>5} {:>6} {:>7} {:>14} {:<}",
+            "part", "state", "copies", "rerouted", "hosts"
+        );
+        for p in parts {
+            let hosts: Vec<String> = seq(p, "hosted_slices")
+                .iter()
+                .map(|s| match s {
+                    Value::UInt(u) => u.to_string(),
+                    _ => "?".to_string(),
+                })
+                .collect();
+            let state = if *field(p, "alive") == Value::Bool(true) { "live" } else { "DEAD" };
             let _ = writeln!(
                 out,
-                "REPLICAS  r={} effective={} epoch={} repaired={} ({} B) lost={}",
-                num(&reb, "configured_replication"),
-                num(&reb, "min_effective_replication"),
-                num(&reb, "routing_epoch"),
-                num(&reb, "slices_restored"),
-                num(&reb, "bytes"),
-                num(&reb, "slices_lost"),
+                "  {:>5} {:>6} {:>7} {:>12} B {:<}",
+                format!("p{}", num(p, "part")),
+                state,
+                num(p, "live_copies"),
+                num(p, "rerouted_served_bytes"),
+                hosts.join(","),
             );
-            let _ = writeln!(
-                out,
-                "  {:>5} {:>6} {:>7} {:>14} {:<}",
-                "part", "state", "copies", "rerouted", "hosts"
-            );
-            for p in &parts {
-                let hosts: Vec<String> = seq(p, "hosted_slices")
-                    .iter()
-                    .map(|s| match s {
-                        Value::UInt(u) => u.to_string(),
-                        _ => "?".to_string(),
-                    })
-                    .collect();
-                let state =
-                    if obj(p, "alive") == Some(Value::Bool(true)) { "live" } else { "DEAD" };
-                let _ = writeln!(
-                    out,
-                    "  {:>5} {:>6} {:>7} {:>12} B {:<}",
-                    format!("p{}", num(p, "part")),
-                    state,
-                    num(p, "live_copies"),
-                    num(p, "rerouted_served_bytes"),
-                    hosts.join(","),
-                );
-            }
         }
     }
     let active = seq(doc, "active_queries");
@@ -778,9 +765,9 @@ fn render_top(addr: &str, doc: &serde::Value) -> Result<String, String> {
             "  {:>5} {:>9} {:>13} {:>9} {:>9}",
             "query", "progress", "roots", "stolen", "eta"
         );
-        for q in &active {
-            let eta = match obj(q, "eta_ns") {
-                Some(Value::UInt(ns)) => format!("{:.1}s", ns as f64 / 1e9),
+        for q in active {
+            let eta = match field(q, "eta_ns") {
+                Value::UInt(ns) => format!("{:.1}s", *ns as f64 / 1e9),
                 _ => "?".to_string(),
             };
             let _ = writeln!(
@@ -799,8 +786,8 @@ fn render_top(addr: &str, doc: &serde::Value) -> Result<String, String> {
     if !completions.is_empty() {
         let _ = writeln!(out, "RECENT");
         for c in completions.iter().rev().take(10) {
-            let count = match obj(c, "count") {
-                Some(Value::UInt(n)) => n.to_string(),
+            let count = match field(c, "count") {
+                Value::UInt(n) => n.to_string(),
                 _ => "failed".to_string(),
             };
             let _ = writeln!(
@@ -816,7 +803,7 @@ fn render_top(addr: &str, doc: &serde::Value) -> Result<String, String> {
     let slow = seq(doc, "slow_queries");
     if !slow.is_empty() {
         let _ = writeln!(out, "SLOW");
-        for c in &slow {
+        for c in slow {
             let _ = writeln!(
                 out,
                 "  q{:<4} {:<24} {:.1}ms",
@@ -919,29 +906,8 @@ fn run_incident(args: &[String]) -> Result<String, String> {
     }
 }
 
-/// Looks up `key` in a JSON object, `Null` when absent or not an object.
-fn json_get(v: &serde::Value, key: &str) -> serde::Value {
-    let serde::Value::Map(fields) = v else { return serde::Value::Null };
-    fields.iter().find(|(k, _)| k == key).map(|(_, v)| v.clone()).unwrap_or(serde::Value::Null)
-}
-
-fn json_u64(v: &serde::Value, key: &str) -> u64 {
-    match json_get(v, key) {
-        serde::Value::UInt(u) => u,
-        serde::Value::Int(i) => i.max(0) as u64,
-        _ => 0,
-    }
-}
-
-fn json_str(v: &serde::Value, key: &str) -> String {
-    match json_get(v, key) {
-        serde::Value::Str(s) => s,
-        _ => String::new(),
-    }
-}
-
 /// Reads and schema-checks one bundle file.
-fn load_bundle(path: &str) -> Result<serde::Value, String> {
+fn load_bundle(path: &str) -> Result<Value, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
     khuzdul::validate_bundle(&text).map_err(|e| format!("{path}: {e}"))?;
     gpm_obs::parse_json(&text).map_err(|e| format!("{path}: {e}"))
@@ -958,14 +924,14 @@ fn run_incident_list(args: &[String]) -> Result<String, String> {
     let mut out = String::new();
     for path in &bundles {
         let doc = load_bundle(&path.display().to_string())?;
-        let trigger = json_get(&doc, "trigger");
+        let trigger = field(&doc, "trigger");
         let _ = writeln!(
             out,
             "{:<32} {:<18} q{:<5} t+{:.3}s  {}",
-            json_str(&doc, "id"),
-            json_str(&trigger, "kind"),
-            json_u64(&trigger, "query_id"),
-            json_u64(&trigger, "at_ns") as f64 / 1e9,
+            text(&doc, "id"),
+            text(trigger, "kind"),
+            uint(trigger, "query_id"),
+            uint(trigger, "at_ns") as f64 / 1e9,
             path.display()
         );
     }
@@ -978,89 +944,86 @@ fn run_incident_list(args: &[String]) -> Result<String, String> {
 fn run_incident_show(args: &[String]) -> Result<String, String> {
     let path = args.first().ok_or("incident show needs a bundle file")?;
     let doc = load_bundle(path)?;
-    let trigger = json_get(&doc, "trigger");
-    let config = json_get(&doc, "config");
+    let (trigger, config) = (field(&doc, "trigger"), field(&doc, "config"));
     let mut out = String::new();
-    let _ = writeln!(out, "incident {}", json_str(&doc, "id"));
-    let part = match json_get(&trigger, "part") {
-        serde::Value::UInt(p) => format!(" part {p}"),
+    let _ = writeln!(out, "incident {}", text(&doc, "id"));
+    let part = match field(trigger, "part") {
+        Value::UInt(p) => format!(" part {p}"),
         _ => String::new(),
     };
     let _ = writeln!(
         out,
         "trigger  {} (query {}{part}, value {}, t+{:.3}s)",
-        json_str(&trigger, "kind"),
-        json_u64(&trigger, "query_id"),
-        json_u64(&trigger, "value"),
-        json_u64(&trigger, "at_ns") as f64 / 1e9,
+        text(trigger, "kind"),
+        uint(trigger, "query_id"),
+        uint(trigger, "value"),
+        uint(trigger, "at_ns") as f64 / 1e9,
     );
-    let _ = writeln!(out, "detail   {}", json_str(&trigger, "detail"));
-    let stall = match json_get(&config, "stall_ms") {
-        serde::Value::UInt(ms) => format!(", stall watchdog {ms}ms"),
+    let _ = writeln!(out, "detail   {}", text(trigger, "detail"));
+    let stall = match field(config, "stall_ms") {
+        Value::UInt(ms) => format!(", stall watchdog {ms}ms"),
         _ => String::new(),
     };
-    let _ = writeln!(out, "config   fingerprint {}{stall}", json_str(&config, "fingerprint"));
-    let flight = json_get(&doc, "flight");
-    let serde::Value::Seq(events) = json_get(&flight, "events") else {
+    let _ = writeln!(out, "config   fingerprint {}{stall}", text(config, "fingerprint"));
+    let flight = field(&doc, "flight");
+    let Value::Seq(events) = field(flight, "events") else {
         return Err(format!("{path}: flight.events is not an array"));
     };
     let _ = writeln!(
         out,
         "flight   {} of {} event(s) retained (capacity {})",
         events.len(),
-        json_u64(&flight, "recorded"),
-        json_u64(&flight, "capacity"),
+        uint(flight, "recorded"),
+        uint(flight, "capacity"),
     );
-    for e in &events {
+    for e in events {
         let _ = writeln!(
             out,
             "  [{:>6}] t+{:<9.3} {:<15} q{:<5} part={:<20} a={}",
-            json_u64(e, "seq"),
-            json_u64(e, "at_ns") as f64 / 1e9,
-            json_str(e, "kind"),
-            json_u64(e, "query"),
+            uint(e, "seq"),
+            uint(e, "at_ns") as f64 / 1e9,
+            text(e, "kind"),
+            uint(e, "query"),
             // u64::MAX marks an event that is not part-scoped.
-            match json_u64(e, "part") {
+            match uint(e, "part") {
                 u64::MAX => "-".to_string(),
                 p => p.to_string(),
             },
-            json_u64(e, "a"),
+            uint(e, "a"),
         );
     }
-    if let serde::Value::Seq(progress) = json_get(&doc, "progress") {
-        for p in &progress {
-            let _ = writeln!(
-                out,
-                "progress q{}: {}/{} roots completed, {} claimed, {} stolen, {} recovered",
-                json_u64(p, "query_id"),
-                json_u64(p, "completed"),
-                json_u64(p, "roots_total"),
-                json_u64(p, "claimed"),
-                json_u64(p, "stolen"),
-                json_u64(p, "recovered"),
-            );
-        }
+    for p in seq(&doc, "progress") {
+        let _ = writeln!(
+            out,
+            "progress q{}: {}/{} roots completed, {} claimed, {} stolen, {} recovered",
+            uint(p, "query_id"),
+            uint(p, "completed"),
+            uint(p, "roots_total"),
+            uint(p, "claimed"),
+            uint(p, "stolen"),
+            uint(p, "recovered"),
+        );
     }
-    if let serde::Value::Map(counters) = json_get(&doc, "counters") {
+    if let Value::Map(counters) = field(&doc, "counters") {
         let _ = writeln!(out, "counters");
-        for (name, v) in &counters {
-            if let serde::Value::UInt(n) = v {
+        for (name, v) in counters {
+            if let Value::UInt(n) = v {
                 let _ = writeln!(out, "  {name:<24} {n}");
             }
         }
     }
-    let ledger = json_get(&doc, "ledger");
-    if let serde::Value::Map(_) = &ledger {
-        let poisoned = match json_get(&ledger, "poisoned") {
-            serde::Value::Str(e) => format!(", poisoned: {e}"),
+    let ledger = field(&doc, "ledger");
+    if let Value::Map(_) = ledger {
+        let poisoned = match field(ledger, "poisoned") {
+            Value::Str(e) => format!(", poisoned: {e}"),
             _ => String::new(),
         };
         let _ = writeln!(
             out,
             "ledger   carrier {}, available {}, quiescent {}{poisoned}",
-            json_str(&ledger, "carrier"),
-            json_get(&ledger, "available") == serde::Value::Bool(true),
-            json_get(&ledger, "quiescent") == serde::Value::Bool(true),
+            text(ledger, "carrier"),
+            *field(ledger, "available") == Value::Bool(true),
+            *field(ledger, "quiescent") == Value::Bool(true),
         );
     }
     Ok(out)
@@ -1070,43 +1033,32 @@ fn run_incident_show(args: &[String]) -> Result<String, String> {
 /// fingerprint, flight-event mix, and counter deltas — to answer "is
 /// this the same failure again?".
 fn run_incident_diff(args: &[String]) -> Result<String, String> {
-    let [a_path, b_path] = args else {
-        return Err("incident diff needs exactly two bundle files".into());
-    };
-    let (a, b) = (load_bundle(a_path)?, load_bundle(b_path)?);
-    let mut out = String::new();
-    let field = |out: &mut String, label: &str, a: String, b: String| {
+    fn row<T: std::fmt::Display + PartialEq>(out: &mut String, label: &str, a: T, b: T) {
         if a == b {
             let _ = writeln!(out, "  {label:<20} {a} (same)");
         } else {
             let _ = writeln!(out, "  {label:<20} {a} -> {b}");
         }
+    }
+    let [a_path, b_path] = args else {
+        return Err("incident diff needs exactly two bundle files".into());
     };
-    let _ = writeln!(out, "{} vs {}", json_str(&a, "id"), json_str(&b, "id"));
-    let (ta, tb) = (json_get(&a, "trigger"), json_get(&b, "trigger"));
-    field(&mut out, "trigger", json_str(&ta, "kind"), json_str(&tb, "kind"));
-    field(
-        &mut out,
-        "query",
-        json_u64(&ta, "query_id").to_string(),
-        json_u64(&tb, "query_id").to_string(),
-    );
-    field(
-        &mut out,
-        "config fingerprint",
-        json_str(&json_get(&a, "config"), "fingerprint"),
-        json_str(&json_get(&b, "config"), "fingerprint"),
-    );
+    let (a, b) = (load_bundle(a_path)?, load_bundle(b_path)?);
+    let mut out = String::new();
+    let _ = writeln!(out, "{} vs {}", text(&a, "id"), text(&b, "id"));
+    let (ta, tb) = (field(&a, "trigger"), field(&b, "trigger"));
+    row(&mut out, "trigger", text(ta, "kind"), text(tb, "kind"));
+    row(&mut out, "query", uint(ta, "query_id"), uint(tb, "query_id"));
+    let fingerprint = |doc: &Value| text(field(doc, "config"), "fingerprint").to_string();
+    row(&mut out, "config fingerprint", fingerprint(&a), fingerprint(&b));
     // Flight mix: events per kind, in either bundle's ring slice.
-    let kind_counts = |doc: &serde::Value| -> Vec<(String, u64)> {
+    let kind_counts = |doc: &Value| -> Vec<(String, u64)> {
         let mut counts: Vec<(String, u64)> = Vec::new();
-        if let serde::Value::Seq(events) = json_get(&json_get(doc, "flight"), "events") {
-            for e in &events {
-                let kind = json_str(e, "kind");
-                match counts.iter_mut().find(|(k, _)| *k == kind) {
-                    Some((_, n)) => *n += 1,
-                    None => counts.push((kind, 1)),
-                }
+        for e in seq(field(doc, "flight"), "events") {
+            let kind = text(e, "kind");
+            match counts.iter_mut().find(|(k, _)| k == kind) {
+                Some((_, n)) => *n += 1,
+                None => counts.push((kind.to_string(), 1)),
             }
         }
         counts
@@ -1117,17 +1069,15 @@ fn run_incident_diff(args: &[String]) -> Result<String, String> {
     kinds.dedup();
     for kind in &kinds {
         let get = |c: &[(String, u64)]| c.iter().find(|(k, _)| k == kind).map_or(0, |(_, n)| *n);
-        field(&mut out, &format!("flight {kind}"), get(&ka).to_string(), get(&kb).to_string());
+        row(&mut out, &format!("flight {kind}"), get(&ka), get(&kb));
     }
     // Counter deltas, where both bundles captured them.
-    if let (serde::Value::Map(ca), cb @ serde::Value::Map(_)) =
-        (json_get(&a, "counters"), json_get(&b, "counters"))
-    {
-        for (name, va) in &ca {
-            if let serde::Value::UInt(va) = va {
-                let vb = json_u64(&cb, name);
+    if let (Value::Map(ca), cb @ Value::Map(_)) = (field(&a, "counters"), field(&b, "counters")) {
+        for (name, va) in ca {
+            if let Value::UInt(va) = va {
+                let vb = uint(cb, name);
                 if *va != vb {
-                    field(&mut out, name, va.to_string(), vb.to_string());
+                    row(&mut out, name, *va, vb);
                 }
             }
         }
@@ -1626,6 +1576,33 @@ mod tests {
         assert!(parse_args(&argv("--gen ba:100,3 --pattern triangle --fault-crash 2")).is_err());
         assert!(parse_args(&argv("--gen ba:100,3 --pattern triangle --fault-crash x@5")).is_err());
         assert!(parse_args(&argv("--gen ba:100,3 --pattern triangle --fault-crash 2@y")).is_err());
+    }
+
+    #[test]
+    fn crash_part_must_be_a_part() {
+        // Four parts by default: part 9 does not exist, whatever AFTER is.
+        let err = parse_args(&argv("--gen er:300,1500,7 --pattern triangle --fault-crash 9@5"))
+            .expect_err("part 9 of 4");
+        assert!(err.contains("--fault-crash 9@5") && err.contains("= 4"), "{err}");
+        // The range is machines x sockets, whichever order the flags come in.
+        let ok = "--gen ba:100,3 --pattern triangle --fault-crash 5@1 --machines 3 --sockets 2";
+        assert_eq!(parse_args(&argv(ok)).unwrap().fault_crash, vec![(5, 1)]);
+        let err = parse_args(&argv(
+            "--gen ba:100,3 --pattern triangle --fault-crash 6@1 --machines 3 --sockets 2",
+        ))
+        .expect_err("part 6 of 6");
+        assert!(err.contains("--fault-crash 6@1"), "{err}");
+    }
+
+    #[test]
+    fn retries_must_fit_the_attempt_counter() {
+        let o =
+            parse_args(&argv("--gen ba:100,3 --pattern triangle --retries 4294967295")).unwrap();
+        assert_eq!(o.retries, u32::MAX);
+        // One past u32::MAX used to wrap silently to 1 attempt.
+        let err = parse_args(&argv("--gen ba:100,3 --pattern triangle --retries 4294967297"))
+            .expect_err("too many attempts");
+        assert!(err.contains("--retries") && err.contains("4294967297"), "{err}");
     }
 
     #[test]

@@ -7,13 +7,13 @@
 //! the bottom, is the seam over it and its shared-memory alternative.
 //!
 //! Where the data plane ([`crate::transport`]/[`crate::fabric`]) moves
-//! edge lists, this layer moves *scheduling state*. The shapes mirror the
-//! data plane deliberately: non-blocking submission over crossbeam
-//! channels, per-attempt sequence numbers feeding the same deterministic
-//! [`FaultPlan`] decision space, timeout/retry with exponential backoff,
-//! and per-message spans. One thing is new: control operations **mutate**
-//! the ledger, so the protocol must be exactly-once where data fetches
-//! only needed at-least-once. Every request carries a `req_id` stable
+//! edge lists, this layer moves *scheduling state* — under the same
+//! message discipline, in the same code: per-attempt sequence numbers
+//! rolling their fates under one deterministic [`FaultPlan`], the one
+//! backoff of [`RetryPolicy`], and the one wait for an attempt's reply,
+//! all from [`crate::transport`]. One thing is new: control operations
+//! **mutate** the ledger, so the protocol must be exactly-once where data
+//! fetches only needed at-least-once. Every request carries a `req_id` stable
 //! across retries, and the responder keeps a one-deep reply cache per
 //! sender: a retry of an operation whose reply was lost in the network is
 //! answered from the cache instead of being applied twice. One-deep is
@@ -27,10 +27,12 @@
 //! property that lets it stretch over a real multi-process transport
 //! later.
 
-use crate::fabric::{FetchError, RetryPolicy};
+use crate::fabric::FetchError;
 use crate::ledger::{Ledger, LedgerSummary};
 use crate::metrics::{ClusterMetrics, Counter, Counters, Scope};
-use crate::transport::{CtrlOp, CtrlPayload, CtrlReply, CtrlRequest, Fault, FaultPlan};
+use crate::transport::{
+    await_reply, fate, CtrlOp, CtrlPayload, CtrlReply, CtrlRequest, Fault, FaultPlan, RetryPolicy,
+};
 use crate::PartId;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use gpm_graph::VertexId;
@@ -195,8 +197,8 @@ impl Drop for ControlLedgerService {
 
 /// One part's handle to the control responder: blocking call semantics
 /// over the non-blocking channel, with the data fabric's timeout/retry
-/// discipline (fresh `seq` per attempt, exponential backoff capped at
-/// sixteen doublings, [`FetchError::Timeout`] on exhaustion).
+/// discipline from the same code (fresh `seq` per attempt, the
+/// [`RetryPolicy`] backoff, [`FetchError::Timeout`] on exhaustion).
 #[derive(Debug)]
 pub struct ControlClient {
     tx: Sender<ServiceMsg>,
@@ -240,107 +242,41 @@ impl ControlClient {
         loop {
             attempts += 1;
             let seq = self.seq.fetch_add(1, Ordering::Relaxed) + 1;
-            let req = CtrlRequest {
-                seq,
-                req_id,
-                query: self.query,
-                from: self.part,
-                op: Arc::clone(&op),
-            };
             self.scope.add(Counter::CtrlSent, 1);
-            let fate = self.fault.as_ref().map_or(Fault::None, |p| p.decide(self.part, seq));
-            // Where the responder's reply goes; `None` when the request
-            // never reaches the responder at all.
-            let reply_to = match fate {
-                Fault::None => Some(self.reply_tx.clone()),
-                Fault::Drop => {
-                    // The responder still applies the operation — the
-                    // reply is lost in the network. The retry below is
-                    // answered from the responder's dedup cache.
-                    self.scope.add(Counter::CtrlDropped, 1);
-                    self.fault_instant(1, req_id);
-                    Some(unbounded::<CtrlReply>().0)
-                }
-                Fault::Error => {
-                    // A transient wire error, observed immediately.
-                    self.fault_instant(2, req_id);
-                    None
-                }
-                Fault::Delay => {
-                    // The reply lands `delay` late — possibly after this
-                    // attempt, or this whole call, has given up on it.
-                    self.fault_instant(3, req_id);
-                    let (tx, rx) = unbounded::<CtrlReply>();
-                    let delay = self.fault.as_ref().expect("delay fate implies a plan").delay;
-                    let forward = self.reply_tx.clone();
-                    std::thread::spawn(move || {
-                        if let Ok(reply) = rx.recv() {
-                            std::thread::sleep(delay);
-                            let _ = forward.send(reply);
-                        }
-                    });
-                    Some(tx)
-                }
-            };
+            // A dropped operation is still applied — the reply is lost in
+            // the network — so its retry is answered from the
+            // responder's dedup cache; an errored one never leaves.
+            let plan = self.fault.as_ref();
+            let (fault, reply_to) =
+                fate(plan, &self.obs, self.part, seq, self.query, req_id, &self.reply_tx);
+            if fault == Fault::Drop {
+                self.scope.add(Counter::CtrlDropped, 1);
+            }
             let reply = match reply_to {
                 Some(reply_to) => {
-                    self.send(req, reply_to)?;
-                    self.await_reply(&inbox, req_id)
+                    let op = Arc::clone(&op);
+                    let req = CtrlRequest { seq, req_id, query: self.query, from: self.part, op };
+                    let msg = ServiceMsg::Op { req, reply_to };
+                    self.tx.send(msg).map_err(|_| FetchError::Shutdown)?;
+                    let deadline = Instant::now() + self.retry.timeout;
+                    await_reply(&inbox, deadline, |r: &CtrlReply| r.req_id == req_id)
                 }
                 None => None,
             };
-            if let Some(payload) = reply {
-                self.obs.record_span_for(
-                    self.query,
-                    SpanKind::CtrlMsg,
-                    self.part as u32,
-                    t0,
-                    code,
-                    req_id,
-                );
+            if let Some(reply) = reply {
+                let part = self.part as u32;
+                self.obs.record_span_for(self.query, SpanKind::CtrlMsg, part, t0, code, req_id);
                 if is_claim {
                     self.obs.observe(Metric::CtrlRttNs, self.obs.now_ns().saturating_sub(t0));
                 }
-                return Ok(payload);
+                return Ok(reply.payload);
             }
-            if attempts >= self.retry.max_attempts.max(1) {
+            let (obs, kind) = (&self.obs, SpanKind::CtrlRetry);
+            if !self.retry.back_off(attempts, obs, kind, self.query, self.part, req_id) {
                 return Err(FetchError::Timeout { target: self.part, attempts });
             }
             self.scope.add(Counter::CtrlRetried, 1);
-            let rt0 = self.obs.now_ns();
-            std::thread::sleep(self.retry.backoff * (1u32 << (attempts - 1).min(16)));
-            self.obs.record_span_for(
-                self.query,
-                SpanKind::CtrlRetry,
-                self.part as u32,
-                rt0,
-                attempts as u64,
-                req_id,
-            );
         }
-    }
-
-    /// Waits out one attempt's timeout for the reply to `req_id`. Any
-    /// other reply on the channel answers an earlier call that already
-    /// returned (a delayed original overtaken by its retry) and is
-    /// discarded; `None` means the attempt was lost.
-    fn await_reply(&self, inbox: &Receiver<CtrlReply>, req_id: u64) -> Option<CtrlPayload> {
-        let deadline = Instant::now() + self.retry.timeout;
-        loop {
-            match inbox.recv_timeout(deadline.saturating_duration_since(Instant::now())) {
-                Ok(reply) if reply.req_id == req_id => return Some(reply.payload),
-                Ok(_stale) => {}
-                Err(_) => return None,
-            }
-        }
-    }
-
-    fn send(&self, req: CtrlRequest, reply_to: Sender<CtrlReply>) -> Result<(), FetchError> {
-        self.tx.send(ServiceMsg::Op { req, reply_to }).map_err(|_| FetchError::Shutdown)
-    }
-
-    fn fault_instant(&self, kind: u64, req_id: u64) {
-        self.obs.record_instant_for(self.query, SpanKind::Fault, self.part as u32, kind, req_id);
     }
 }
 

@@ -1,4 +1,4 @@
-//! The async request-window fabric over a [`Transport`].
+//! The async request-window fabric over the [`ChannelTransport`].
 //!
 //! [`EdgeListClient::fetch_async`] issues a sequence-tagged request and
 //! returns a [`PendingFetch`] completion handle immediately; the caller
@@ -18,17 +18,19 @@
 //!   observe the dedup (reply order is invariant).
 //! * **Timeout/retry** — each attempt has a deadline; lost or
 //!   transiently errored replies are retried with exponential backoff
-//!   and a fresh sequence number (stale replies are discarded by tag).
+//!   and a fresh sequence number (stale replies are discarded by tag) —
+//!   the same discipline, in the same code, as the control plane's calls
+//!   (see [`crate::transport`]).
 //! * **Typed failure** — every way a fetch can fail is a
 //!   [`FetchError`] variant propagated to the caller, never a panic.
 
 use crate::metrics::{ClusterMetrics, Counter, Counters, Scope, TrafficClass};
 use crate::transport::{
-    ChannelTransport, FaultInjectingTransport, FaultPlan, FetchedLists, ReplicaPush, Transport,
-    WireReply, WireRequest, HEADER_BYTES,
+    await_reply, ChannelTransport, FaultPlan, FetchedLists, ReplicaPush, RetryPolicy, WireReply,
+    WireRequest, HEADER_BYTES,
 };
 use crate::{NetworkModel, PartId};
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{unbounded, Receiver, Sender};
 use gpm_graph::partition::{vertex_hash, GraphPart, PartitionedGraph};
 use gpm_graph::VertexId;
 use gpm_obs::{FlightKind, Metric, Recorder, SpanKind};
@@ -241,30 +243,6 @@ impl fmt::Display for FetchError {
 
 impl std::error::Error for FetchError {}
 
-/// Timeout and retry behaviour of the fabric.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Total attempts (first try included) before a fetch fails with
-    /// [`FetchError::Timeout`].
-    pub max_attempts: u32,
-    /// Per-attempt reply deadline. The in-process transport answers in
-    /// microseconds, so the generous default never fires without fault
-    /// injection; tighten it when a [`FaultPlan`] drops replies.
-    pub timeout: Duration,
-    /// Backoff before the second attempt; doubles on each further retry.
-    pub backoff: Duration,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 4,
-            timeout: Duration::from_secs(10),
-            backoff: Duration::from_millis(2),
-        }
-    }
-}
-
 /// Configuration of the request fabric (threaded through
 /// `EngineConfig::fabric` and the CLI).
 #[derive(Debug, Clone, PartialEq)]
@@ -378,7 +356,7 @@ impl Drop for WindowPermit {
 /// ```
 #[derive(Debug, Clone)]
 pub struct EdgeListService {
-    transport: Arc<dyn Transport>,
+    transport: Arc<ChannelTransport>,
     metrics: ClusterMetrics,
     network: Option<NetworkModel>,
     retry: RetryPolicy,
@@ -416,16 +394,10 @@ impl EdgeListService {
     ) -> Self {
         let parts = pg.part_count();
         let metrics = ClusterMetrics::new(parts, pg.sockets_per_machine());
-        let inner = ChannelTransport::start_observed(pg, &metrics, Arc::clone(&obs));
-        let transport: Arc<dyn Transport> = match fabric.fault {
-            Some(plan) => {
-                Arc::new(FaultInjectingTransport::new_observed(inner, plan, Arc::clone(&obs)))
-            }
-            None => Arc::new(inner),
-        };
+        let transport = ChannelTransport::start(pg, &metrics, fabric.fault, Arc::clone(&obs));
         let windows = (0..parts).map(|_| Arc::new(Window::new(fabric.window))).collect();
         EdgeListService {
-            transport,
+            transport: Arc::new(transport),
             metrics,
             network,
             retry: fabric.retry,
@@ -576,22 +548,10 @@ impl EdgeListService {
                 neighbors: neighbors[lo..hi].to_vec(),
             };
             let bytes = push.wire_bytes();
-            self.transport.push_replica(host, push, ack_tx.clone())?;
+            self.transport.push_replica(host, push, &ack_tx)?;
             let deadline = Instant::now() + self.retry.timeout;
-            loop {
-                let remaining = deadline.saturating_duration_since(Instant::now());
-                match ack_rx.recv_timeout(remaining) {
-                    Ok(ack) if ack.seq != seq => continue,
-                    Ok(ack) => {
-                        ack.payload?;
-                        break;
-                    }
-                    Err(RecvTimeoutError::Timeout) => {
-                        return Err(FetchError::Timeout { target: host, attempts: 1 })
-                    }
-                    Err(RecvTimeoutError::Disconnected) => return Err(FetchError::Shutdown),
-                }
-            }
+            let ack = await_reply(&ack_rx, deadline, |ack: &WireReply| ack.seq == seq);
+            ack.ok_or(FetchError::Timeout { target: host, attempts: 1 })?.payload?;
             streamed += bytes;
             progress.fetch_add(bytes, Ordering::Relaxed);
             if !chunk_delay.is_zero() {
@@ -639,7 +599,7 @@ pub struct EdgeListClient {
     /// Where this client's events are counted: `part`'s row and
     /// `query`'s.
     scope: Scope,
-    transport: Arc<dyn Transport>,
+    transport: Arc<ChannelTransport>,
     metrics: ClusterMetrics,
     network: Option<NetworkModel>,
     retry: RetryPolicy,
@@ -788,49 +748,12 @@ impl EdgeListClient {
             target as u64,
             req_id,
         );
-        // `target` stays the logical owner on the wire; the submission
-        // goes to whichever part currently serves that slice.
-        let mut route = self.liveness.route(target)?;
-        loop {
-            match self.transport.submit(
-                route,
-                WireRequest {
-                    seq,
-                    req_id,
-                    query: self.query,
-                    from: self.part,
-                    owner: target,
-                    vertices: Arc::clone(&wire),
-                },
-                reply_tx.clone(),
-            ) {
-                Ok(()) => break,
-                Err(FetchError::PartDead { part }) => {
-                    // The transport saw a fail-stop death the liveness
-                    // layer had not yet: promote and re-route.
-                    self.promote_dead(part);
-                    route = self.liveness.route(target)?;
-                    self.obs.record_instant_for(
-                        self.query,
-                        SpanKind::Failover,
-                        target as u32,
-                        route as u64,
-                        req_id,
-                    );
-                    self.obs.flight().record(
-                        FlightKind::Failover,
-                        self.query,
-                        target as u64,
-                        route as u64,
-                    );
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(PendingFetch {
+        let mut fetch = PendingFetch {
             client: self.clone(),
             owner: target,
-            target: route,
+            // `target` stays the logical owner on the wire; the submission
+            // goes to whichever part currently serves that slice.
+            target: self.liveness.route(target)?,
             wire,
             expand,
             reply_tx,
@@ -841,7 +764,9 @@ impl EdgeListClient {
             submitted: Instant::now(),
             submitted_ns,
             _permit: permit,
-        })
+        };
+        fetch.send()?;
+        Ok(fetch)
     }
 }
 
@@ -902,22 +827,16 @@ impl PendingFetch {
     /// Any non-transient [`FetchError`], or [`FetchError::Timeout`] once
     /// the retry budget is exhausted.
     pub fn wait(mut self) -> Result<FetchedLists, FetchError> {
-        let retry = self.client.retry;
-        let mut attempt_start = self.submitted;
+        let mut sent = self.submitted;
         let lists = loop {
-            let remaining = retry.timeout.saturating_sub(attempt_start.elapsed());
-            match self.reply_rx.recv_timeout(remaining) {
-                // Stale reply from an attempt that already timed out.
-                Ok(reply) if reply.seq != self.seq => continue,
-                Ok(reply) => match reply.payload {
-                    Ok(lists) => break lists,
-                    Err(e) if e.is_transient() => self.resubmit(&retry)?,
-                    Err(e) => return Err(e),
-                },
-                Err(RecvTimeoutError::Timeout) => self.resubmit(&retry)?,
-                Err(RecvTimeoutError::Disconnected) => return Err(FetchError::Shutdown),
+            let (deadline, seq) = (sent + self.client.retry.timeout, self.seq);
+            match await_reply(&self.reply_rx, deadline, |r: &WireReply| r.seq == seq) {
+                Some(WireReply { payload: Ok(lists), .. }) => break lists,
+                Some(WireReply { payload: Err(e), .. }) if !e.is_transient() => return Err(e),
+                // Lost, or transiently refused: another attempt.
+                _ => self.resubmit()?,
             }
-            attempt_start = Instant::now();
+            sent = Instant::now();
         };
         let req_bytes = HEADER_BYTES + 4 * self.wire.len() as u64;
         let resp_bytes = lists.response_bytes();
@@ -961,109 +880,62 @@ impl PendingFetch {
         })
     }
 
-    /// One more attempt: backoff, fresh sequence number, resubmit.
-    ///
-    /// When the serving part turns out to be dead — the transport says so
-    /// on resubmission, or (under [`FabricConfig::fail_fast`]) the retry
-    /// budget is exhausted — the part is promoted and the fetch fails
-    /// over to the next live replica holder instead of erroring out.
-    fn resubmit(&mut self, retry: &RetryPolicy) -> Result<(), FetchError> {
-        if self.attempts >= retry.max_attempts {
-            if self.client.liveness.fail_fast {
-                self.client.promote_dead(self.target);
-                return self.failover();
-            }
+    /// One more attempt after a lost one: backoff, a fresh sequence
+    /// number, [`PendingFetch::send`]. Once the budget is spent the fetch
+    /// fails with [`FetchError::Timeout`] — or, under
+    /// [`FabricConfig::fail_fast`], promotes the serving part to dead and
+    /// fails over to the next live replica holder.
+    fn resubmit(&mut self) -> Result<(), FetchError> {
+        let c = &self.client;
+        if c.retry.back_off(self.attempts, &c.obs, SpanKind::Retry, c.query, c.part, self.req_id) {
+            c.scope.add(Counter::Retries, 1);
+            let attempts = self.attempts as u64;
+            c.obs.flight().record(FlightKind::Retry, c.query, self.target as u64, attempts);
+            self.attempts += 1;
+            self.seq = c.seq.fetch_add(1, Ordering::Relaxed);
+        } else if c.liveness.fail_fast {
+            self.fail_over(self.target)?;
+        } else {
             return Err(FetchError::Timeout { target: self.target, attempts: self.attempts });
         }
-        let backoff = retry.backoff.saturating_mul(1 << (self.attempts - 1).min(16));
-        // The Retry span covers the backoff sleep so the critical-path
-        // pass can subtract self-inflicted backoff from fetch-wait time.
-        let backoff_start = self.client.obs.now_ns();
-        if !backoff.is_zero() {
-            std::thread::sleep(backoff);
-        }
-        self.client.scope.add(Counter::Retries, 1);
-        self.client.obs.record_span_for(
-            self.client.query,
-            SpanKind::Retry,
-            self.client.part as u32,
-            backoff_start,
-            self.attempts as u64,
-            self.req_id,
-        );
-        self.client.obs.flight().record(
-            FlightKind::Retry,
-            self.client.query,
-            self.target as u64,
-            self.attempts as u64,
-        );
-        self.attempts += 1;
-        self.seq = self.client.seq.fetch_add(1, Ordering::Relaxed);
-        match self.client.transport.submit(
-            self.target,
-            WireRequest {
+        self.send()
+    }
+
+    /// Submits attempt `seq` to the part serving `owner`'s slice. While
+    /// the transport reports that part dead, fails over and submits
+    /// again; ends once a submission is accepted, or with
+    /// [`FetchError::PartDead`] once no live holder is left — each turn
+    /// promotes one more part, so it terminates.
+    fn send(&mut self) -> Result<(), FetchError> {
+        loop {
+            let req = WireRequest {
                 seq: self.seq,
                 req_id: self.req_id,
                 query: self.client.query,
                 from: self.client.part,
                 owner: self.owner,
                 vertices: Arc::clone(&self.wire),
-            },
-            self.reply_tx.clone(),
-        ) {
-            Err(FetchError::PartDead { part }) => {
-                self.client.promote_dead(part);
-                self.failover()
+            };
+            match self.client.transport.submit(self.target, req, &self.reply_tx) {
+                Err(FetchError::PartDead { part }) => self.fail_over(part)?,
+                other => return other,
             }
-            other => other,
         }
     }
 
-    /// Re-routes this fetch to the next live holder of `owner`'s slice
-    /// after the current serving part died, resetting the attempt budget
-    /// for the new link. Terminates because every iteration either
-    /// succeeds or promotes one more part to dead, and a fetch with no
-    /// live holder left fails with [`FetchError::PartDead`].
-    fn failover(&mut self) -> Result<(), FetchError> {
-        loop {
-            let next = self.client.liveness.route(self.owner)?;
-            self.client.obs.record_instant_for(
-                self.client.query,
-                SpanKind::Failover,
-                self.owner as u32,
-                next as u64,
-                self.req_id,
-            );
-            self.client.obs.flight().record(
-                FlightKind::Failover,
-                self.client.query,
-                self.owner as u64,
-                next as u64,
-            );
-            self.attempts = 1;
-            self.seq = self.client.seq.fetch_add(1, Ordering::Relaxed);
-            match self.client.transport.submit(
-                next,
-                WireRequest {
-                    seq: self.seq,
-                    req_id: self.req_id,
-                    query: self.client.query,
-                    from: self.client.part,
-                    owner: self.owner,
-                    vertices: Arc::clone(&self.wire),
-                },
-                self.reply_tx.clone(),
-            ) {
-                Ok(()) => {
-                    self.target = next;
-                    return Ok(());
-                }
-                Err(FetchError::PartDead { part }) => {
-                    self.client.promote_dead(part);
-                }
-                Err(e) => return Err(e),
-            }
-        }
+    /// Promotes `dead` and re-routes this fetch to the next live holder
+    /// of `owner`'s slice, with a fresh sequence number and a fresh
+    /// attempt budget for the new link.
+    fn fail_over(&mut self, dead: PartId) -> Result<(), FetchError> {
+        let c = &self.client;
+        c.promote_dead(dead);
+        self.target = c.liveness.route(self.owner)?;
+        let (owner, target) = (self.owner as u64, self.target as u64);
+        c.obs.record_instant_for(c.query, SpanKind::Failover, owner as u32, target, self.req_id);
+        c.obs.flight().record(FlightKind::Failover, c.query, owner, target);
+        self.attempts = 1;
+        self.seq = c.seq.fetch_add(1, Ordering::Relaxed);
+        Ok(())
     }
 }
 

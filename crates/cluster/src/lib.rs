@@ -12,16 +12,19 @@
 //! Components:
 //!
 //! * [`transport`] — the wire layer: sequence-tagged request/reply
-//!   messages, the non-blocking [`Transport`] trait, the in-process
-//!   [`ChannelTransport`] (the paper's "graph data responding threads",
-//!   §6), and a deterministic [`FaultInjectingTransport`];
+//!   messages, the one in-process [`ChannelTransport`] (the paper's
+//!   "graph data responding threads", §6) with its optional deterministic
+//!   [`FaultPlan`], and the message discipline both planes share — a
+//!   message's fault fate, the [`RetryPolicy`] backoff, and the wait for
+//!   an attempt's reply, each written once;
 //! * [`fabric`] — the async request-window fabric above it:
 //!   [`EdgeListClient::fetch_async`] with bounded per-part in-flight
 //!   windows (backpressure), same-request coalescing, timeout/retry with
 //!   backoff, and typed [`FetchError`]s instead of panics;
 //! * [`ledger`] — the cross-part root ledger (claims, steals, donations,
 //!   quiescence, lost-root reconstruction) as one plain state machine, and
-//!   [`control`] — the two carriers that deliver operations to it;
+//!   [`control`] — the two carriers that deliver operations to it, the
+//!   message one retrying and injecting faults exactly as fetches do;
 //! * [`metrics`] — the one counter table ([`Counter`]): every traffic,
 //!   failure and control counter with its name and help text, kept as one
 //!   [`Counters`] row per part and per query, written through a
@@ -45,14 +48,12 @@ pub mod transport;
 pub mod work;
 
 pub use control::{Carrier, ControlClient, ControlLedgerConfig, ControlLedgerService};
-pub use fabric::{
-    EdgeListClient, EdgeListService, FabricConfig, FetchError, PendingFetch, RetryPolicy,
-};
+pub use fabric::{EdgeListClient, EdgeListService, FabricConfig, FetchError, PendingFetch};
 pub use ledger::{Ledger, LedgerSummary};
 pub use metrics::{ClusterMetrics, Counter, Counters, Counts, Scope, TrafficClass};
 pub use transport::{
-    ChannelTransport, ClaimSource, CrashAt, CtrlOp, CtrlPayload, CtrlReply, CtrlRequest,
-    FaultInjectingTransport, FaultPlan, FetchedLists, Transport, WireReply, WireRequest,
+    ChannelTransport, ClaimSource, CrashAt, CtrlOp, CtrlPayload, CtrlReply, CtrlRequest, FaultPlan,
+    FetchedLists, RetryPolicy, WireReply, WireRequest,
 };
 
 /// Identifier of a part (one NUMA socket of one machine). Parts are

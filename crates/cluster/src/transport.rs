@@ -1,30 +1,37 @@
-//! The wire layer beneath the request fabric: message types, the
-//! [`Transport`] trait, and its two implementations.
+//! The wire layer beneath the request fabric and the control plane:
+//! message types, the one transport, and the message discipline both
+//! planes share.
 //!
-//! A transport moves sequence-tagged [`WireRequest`]s to a target part's
-//! responder and delivers [`WireReply`]s back on a caller-provided
-//! channel. Submission is **non-blocking**: flow control (the in-flight
-//! window), retries, and metrics all live one layer up, in
-//! [`crate::fabric`]. Two transports exist:
+//! [`ChannelTransport`] is the in-process cluster: one responder thread
+//! per part serving batched edge-list requests from its local
+//! [`GraphPart`] (the paper's "graph data responding threads", §6). It
+//! moves sequence-tagged [`WireRequest`]s to a target part's responder
+//! and delivers [`WireReply`]s back on a caller-provided channel.
+//! Submission is **non-blocking**: flow control (the in-flight window),
+//! retries and metrics live one layer up, in [`crate::fabric`].
 //!
-//! * [`ChannelTransport`] — the in-process cluster: one responder thread
-//!   per part serving batched edge-list requests from its local
-//!   [`GraphPart`] (the paper's "graph data responding threads", §6);
-//! * [`FaultInjectingTransport`] — wraps the channel transport and
-//!   deterministically drops, errors, or delays a configurable fraction
-//!   of messages, for exercising the fabric's timeout/retry path.
+//! What every request–reply exchange does, whichever plane it is on, is
+//! written here once and used by fetches, slice transfers and control
+//! calls alike:
+//!
+//! * the fate of one message under an optional [`FaultPlan`] —
+//!   delivered, dropped (served, its reply lost), refused with a
+//!   transient error, or delayed — rolled per `(target, seq)` (`fate`);
+//! * the exponential backoff between attempts ([`RetryPolicy`]);
+//! * the wait for the one reply an attempt is owed, before its deadline,
+//!   discarding late replies to earlier attempts (`await_reply`).
 
 use crate::fabric::FetchError;
 use crate::metrics::{ClusterMetrics, Counter};
 use crate::PartId;
-use crossbeam::channel::{unbounded, Sender};
+use crossbeam::channel::{unbounded, Receiver, Sender};
 use gpm_graph::partition::{GraphPart, PartitionedGraph};
 use gpm_graph::VertexId;
 use gpm_obs::{Recorder, SpanKind};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Per-message fixed overhead in accounted bytes (headers/envelopes).
 pub(crate) const HEADER_BYTES: u64 = 16;
@@ -353,60 +360,6 @@ pub struct CtrlReply {
     pub payload: CtrlPayload,
 }
 
-/// A non-blocking message layer between parts.
-///
-/// `submit` hands a request to `target`'s responder and returns
-/// immediately; the reply arrives later on `reply_to`. Implementations
-/// must be shareable across client threads.
-pub trait Transport: Send + Sync + std::fmt::Debug {
-    /// Number of parts this transport connects.
-    fn part_count(&self) -> usize;
-
-    /// Queues `req` for `target`'s responder. The reply (carrying
-    /// `req.seq`) is sent on `reply_to` when served.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FetchError::PartDead`] if the target responder was
-    /// fail-stop killed, [`FetchError::Shutdown`] if it stopped as part
-    /// of an orderly teardown.
-    fn submit(
-        &self,
-        target: PartId,
-        req: WireRequest,
-        reply_to: Sender<WireReply>,
-    ) -> Result<(), FetchError>;
-
-    /// Queues a slice-transfer chunk for `target`'s responder, which
-    /// stages it and — on the final chunk — installs the rebuilt slice
-    /// into its hosted set. Each chunk is acked with an empty reply on
-    /// `reply_to`. The default implementation rejects the push, so
-    /// transports that predate re-replication stay valid.
-    ///
-    /// # Errors
-    ///
-    /// Same death/shutdown contract as [`Transport::submit`].
-    fn push_replica(
-        &self,
-        target: PartId,
-        push: ReplicaPush,
-        reply_to: Sender<WireReply>,
-    ) -> Result<(), FetchError> {
-        let _ = (target, push, reply_to);
-        Err(FetchError::Shutdown)
-    }
-
-    /// The slice ids `part`'s responder currently hosts, own slice
-    /// first. The default reports only the part's own slice, which is
-    /// correct for any transport without replica hosting.
-    fn hosted_slices(&self, part: PartId) -> Vec<PartId> {
-        vec![part]
-    }
-
-    /// Stops all responders and joins their threads. Idempotent.
-    fn shutdown(&self);
-}
-
 enum Msg {
     Fetch {
         req: WireRequest,
@@ -438,37 +391,57 @@ struct ReplicaStage {
 /// answered from the holder's copy. The hosted set is **mutable at
 /// runtime**: re-replication pushes ([`ReplicaPush`]) install further
 /// slices into it after a holder dies, restoring redundancy.
+///
+/// With a [`FaultPlan`], every fetch submission counts toward the plan's
+/// crash schedule and then rolls its fate under the plan's fractions.
 #[derive(Debug)]
 pub struct ChannelTransport {
     senders: Vec<Sender<Msg>>,
     handles: parking_lot::Mutex<Vec<JoinHandle<()>>>,
-    /// Set by [`ChannelTransport::kill_part`]; distinguishes a fail-stop
+    /// Set when a scheduled crash kills a part; distinguishes a fail-stop
     /// kill (submissions get [`FetchError::PartDead`]) from an orderly
-    /// [`Transport::shutdown`] (submissions get [`FetchError::Shutdown`]).
-    /// Shared with the responder threads so a killed responder abandons
-    /// queued requests instead of draining them.
+    /// [`ChannelTransport::shutdown`] (submissions get
+    /// [`FetchError::Shutdown`]). Shared with the responder threads so a
+    /// killed responder abandons queued requests instead of draining them.
     dead: Arc<Vec<AtomicBool>>,
     /// Per-part hosted-slice registries (`[0]` is the part's own slice),
     /// shared with the responder threads. Responders take the read lock
     /// per request; a replica install takes the write lock once.
     slices: Vec<Arc<parking_lot::RwLock<Vec<Arc<GraphPart>>>>>,
+    /// The fault plan fetch submissions pass through, if any.
+    fault: Option<FaultPlan>,
+    /// The plan's scheduled crashes in order, each with the submissions
+    /// counted toward it and a once-only fired latch.
+    crashes: Vec<(CrashAt, AtomicU64, AtomicBool)>,
+    obs: Arc<Recorder>,
 }
 
 impl ChannelTransport {
     /// Starts one responder thread per part of `pg`, recording served
-    /// requests into `metrics`.
-    pub fn start(pg: &PartitionedGraph, metrics: &ClusterMetrics) -> Self {
-        Self::start_observed(pg, metrics, Recorder::disabled())
-    }
-
-    /// Like [`ChannelTransport::start`], additionally recording a `Serve`
-    /// span per request into `obs`.
-    pub fn start_observed(
+    /// requests into `metrics` and a `Serve` span per request into `obs`,
+    /// with `fault` applied to every fetch submission.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the plan fails [`FaultPlan::validate`] or names a crash
+    /// part out of range.
+    pub fn start(
         pg: &PartitionedGraph,
         metrics: &ClusterMetrics,
+        fault: Option<FaultPlan>,
         obs: Arc<Recorder>,
     ) -> Self {
         let parts = pg.part_count();
+        if let Some(plan) = &fault {
+            plan.validate();
+            for c in &plan.crashes {
+                assert!(
+                    c.part < parts,
+                    "FaultPlan crash part {} out of range (part count {parts})",
+                    c.part
+                );
+            }
+        }
         let dead: Arc<Vec<AtomicBool>> =
             Arc::new((0..parts).map(|_| AtomicBool::new(false)).collect());
         let mut senders = Vec::with_capacity(parts);
@@ -524,7 +497,7 @@ impl ChannelTransport {
                                     );
                                 }
                                 // A dropped reply receiver just means the
-                                // client gave up (or the fault layer
+                                // client gave up (or the fault plan
                                 // swallowed the reply); keep serving
                                 // others.
                                 let _ = reply_to.send(WireReply { seq: req.seq, payload });
@@ -541,12 +514,88 @@ impl ChannelTransport {
                 .expect("spawn responder thread");
             handles.push(handle);
         }
+        let crashes = fault.iter().flat_map(|plan| &plan.crashes);
+        let crashes = crashes.map(|&c| (c, AtomicU64::new(0), AtomicBool::new(false))).collect();
         ChannelTransport {
             senders,
             handles: parking_lot::Mutex::new(handles),
             dead,
             slices: registries,
+            fault,
+            crashes,
+            obs,
         }
+    }
+
+    /// Number of parts this transport connects.
+    pub fn part_count(&self) -> usize {
+        self.senders.len()
+    }
+
+    /// Queues `req` for `target`'s responder; the reply, carrying
+    /// `req.seq`, goes to `reply_to` when served — unless the fault plan
+    /// drops or delays it, or refuses the request, which then answers on
+    /// `reply_to` at once with [`FetchError::Injected`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FetchError::PartDead`] if the target responder was
+    /// fail-stop killed, [`FetchError::Shutdown`] if it stopped as part
+    /// of an orderly teardown.
+    pub fn submit(
+        &self,
+        target: PartId,
+        req: WireRequest,
+        reply_to: &Sender<WireReply>,
+    ) -> Result<(), FetchError> {
+        self.maybe_crash(target);
+        let plan = self.fault.as_ref();
+        match fate(plan, &self.obs, target, req.seq, req.query, req.req_id, reply_to) {
+            (_, Some(reply_to)) => self.send(target, Msg::Fetch { req, reply_to }),
+            (_, None) => {
+                let payload = Err(FetchError::Injected { target });
+                let _ = reply_to.send(WireReply { seq: req.seq, payload });
+                Ok(())
+            }
+        }
+    }
+
+    /// Queues a slice-transfer chunk for `target`'s responder, which
+    /// stages it and — on the final chunk — installs the rebuilt slice
+    /// into its hosted set. Each chunk is acked with an empty reply on
+    /// `reply_to`.
+    ///
+    /// Pushes bypass the fault plan: they roll no fate and do not count
+    /// toward the crash schedule, which meters *fetch* submissions so a
+    /// schedule fires at the same fetch with rebalance on or off.
+    /// Transfer-level fault handling lives in the rebalancer's retry loop.
+    ///
+    /// # Errors
+    ///
+    /// Same death/shutdown contract as [`ChannelTransport::submit`].
+    pub fn push_replica(
+        &self,
+        target: PartId,
+        push: ReplicaPush,
+        reply_to: &Sender<WireReply>,
+    ) -> Result<(), FetchError> {
+        self.send(target, Msg::Push { push, reply_to: reply_to.clone() })
+    }
+
+    fn send(&self, target: PartId, msg: Msg) -> Result<(), FetchError> {
+        assert!(target < self.senders.len(), "target part out of range");
+        let dead = || self.dead[target].load(Ordering::SeqCst);
+        if dead() {
+            return Err(FetchError::PartDead { part: target });
+        }
+        // The queue may close between the check above and the send.
+        self.senders[target].send(msg).map_err(|_| {
+            if dead() {
+                FetchError::PartDead { part: target }
+            } else {
+                FetchError::Shutdown
+            }
+        })
     }
 
     /// The slice ids `part`'s responder currently hosts, own slice
@@ -556,80 +605,39 @@ impl ChannelTransport {
     /// # Panics
     ///
     /// Panics if `part` is out of range.
-    pub fn hosted_slice_ids(&self, part: PartId) -> Vec<PartId> {
+    pub fn hosted_slices(&self, part: PartId) -> Vec<PartId> {
         self.slices[part].read().iter().map(|s| s.part_id()).collect()
+    }
+
+    /// Fires the next scheduled crash if `target` is its victim and its
+    /// request budget is exhausted. Crashes chain: only the first
+    /// unfired entry counts submissions, so later entries measure
+    /// requests *since the previous crash* — which lets a schedule put
+    /// the second crash inside the first one's recovery pass.
+    fn maybe_crash(&self, target: PartId) {
+        let next = self.crashes.iter().find(|(_, _, fired)| !fired.load(Ordering::SeqCst));
+        let Some((crash, counted, fired)) = next else { return };
+        if target == crash.part {
+            let seen = counted.fetch_add(1, Ordering::Relaxed);
+            if seen >= crash.after_requests && !fired.swap(true, Ordering::SeqCst) {
+                self.obs.record_instant(SpanKind::PartCrash, target as u32, seen);
+                self.kill_part(target);
+            }
+        }
     }
 
     /// Fail-stop kills `part`'s responder: its queue is closed, queued
     /// requests are abandoned unanswered, and every later submission to
     /// it returns [`FetchError::PartDead`]. The thread is joined by the
-    /// eventual [`Transport::shutdown`]. Idempotent.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `part` is out of range.
-    pub fn kill_part(&self, part: PartId) {
+    /// eventual [`ChannelTransport::shutdown`]. Idempotent.
+    fn kill_part(&self, part: PartId) {
         if !self.dead[part].swap(true, Ordering::SeqCst) {
             let _ = self.senders[part].send(Msg::Shutdown);
         }
     }
 
-    /// Whether `part` was fail-stop killed via
-    /// [`ChannelTransport::kill_part`].
-    pub fn is_part_dead(&self, part: PartId) -> bool {
-        self.dead[part].load(Ordering::SeqCst)
-    }
-}
-
-impl Transport for ChannelTransport {
-    fn part_count(&self) -> usize {
-        self.senders.len()
-    }
-
-    fn submit(
-        &self,
-        target: PartId,
-        req: WireRequest,
-        reply_to: Sender<WireReply>,
-    ) -> Result<(), FetchError> {
-        assert!(target < self.senders.len(), "target part out of range");
-        if self.dead[target].load(Ordering::SeqCst) {
-            return Err(FetchError::PartDead { part: target });
-        }
-        self.senders[target].send(Msg::Fetch { req, reply_to }).map_err(|_| {
-            // The queue closed between the check above and the send.
-            if self.dead[target].load(Ordering::SeqCst) {
-                FetchError::PartDead { part: target }
-            } else {
-                FetchError::Shutdown
-            }
-        })
-    }
-
-    fn push_replica(
-        &self,
-        target: PartId,
-        push: ReplicaPush,
-        reply_to: Sender<WireReply>,
-    ) -> Result<(), FetchError> {
-        assert!(target < self.senders.len(), "target part out of range");
-        if self.dead[target].load(Ordering::SeqCst) {
-            return Err(FetchError::PartDead { part: target });
-        }
-        self.senders[target].send(Msg::Push { push, reply_to }).map_err(|_| {
-            if self.dead[target].load(Ordering::SeqCst) {
-                FetchError::PartDead { part: target }
-            } else {
-                FetchError::Shutdown
-            }
-        })
-    }
-
-    fn hosted_slices(&self, part: PartId) -> Vec<PartId> {
-        self.hosted_slice_ids(part)
-    }
-
-    fn shutdown(&self) {
+    /// Stops all responders and joins their threads. Idempotent.
+    pub fn shutdown(&self) {
         for tx in &self.senders {
             let _ = tx.send(Msg::Shutdown);
         }
@@ -736,12 +744,14 @@ fn serve(
     Ok(FetchedLists::from_parts(offsets, data))
 }
 
-/// What to do with a fraction of submitted messages.
+/// What to do with a fraction of sent messages, on either plane.
 ///
 /// Outcomes are decided deterministically per `(seed, target, seq)`, so a
 /// run with a fixed plan is reproducible, and a retried request (which
 /// carries a fresh sequence number) re-rolls its fate — with any fraction
-/// below 1.0, retries converge.
+/// below 1.0, retries converge. The fabric holds the plan in its
+/// [`ChannelTransport`]; the control plane applies the fractions to its
+/// own calls and ignores the crashes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     /// Fraction of requests whose replies are silently dropped (the
@@ -766,10 +776,11 @@ pub struct FaultPlan {
     pub crashes: Vec<CrashAt>,
 }
 
-/// A scheduled fail-stop crash: the responder of `part` is killed
-/// (via [`ChannelTransport::kill_part`]) by the first submission
-/// targeting it once `after_requests` earlier submissions have been
-/// counted. `after_requests: 0` kills it on the very first request.
+/// A scheduled fail-stop crash: the responder of `part` is killed by the
+/// first fetch submission targeting it once `after_requests` earlier
+/// ones have been counted. `after_requests: 0` kills it on the very
+/// first request. Only the data plane's fetches count; control calls and
+/// slice transfers never do.
 ///
 /// Unlike the probabilistic fractions this is exact and deterministic:
 /// the same workload crashes at the same point every run.
@@ -837,9 +848,8 @@ impl FaultPlan {
         );
     }
 
-    /// The fate of message `seq` to `target` under this plan. Shared
-    /// with the control plane (`crate::control`), whose per-attempt
-    /// sequence numbers draw from the same deterministic space.
+    /// The fate of message `seq` to `target` under this plan: one
+    /// deterministic draw, split by the three fractions.
     pub(crate) fn decide(&self, target: PartId, seq: u64) -> Fault {
         let r = unit_hash(self.seed, target as u64, seq);
         if r < self.drop_fraction {
@@ -854,12 +864,14 @@ impl FaultPlan {
     }
 }
 
+/// What a [`FaultPlan`] does to one message. The discriminant is the
+/// `arg` of the `Fault` instant recorded for it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Fault {
-    None,
-    Drop,
-    Error,
-    Delay,
+    None = 0,
+    Drop = 1,
+    Error = 2,
+    Delay = 3,
 }
 
 /// SplitMix64-style hash of `(seed, target, seq)` mapped to `[0, 1)`.
@@ -873,158 +885,120 @@ fn unit_hash(seed: u64, target: u64, seq: u64) -> f64 {
     (z >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
-/// A transport that injects faults in front of a [`ChannelTransport`].
+/// Rolls the fate of message `seq` to `target` under `plan` and returns
+/// it with where the receiving end should send the reply: `reply_to`
+/// itself; for a drop, a black hole whose receiver is already gone (the
+/// message is still served — the responder never sees the loss — but its
+/// reply is lost in the network); for a delay, a forwarder thread that
+/// holds the reply back [`FaultPlan::delay`]. `None` is an error: the
+/// message never leaves the sender, which sees a transient failure at
+/// once. Every fate but delivery records a `Fault` instant for `query`'s
+/// request `link`.
 ///
-/// Dropped messages are still *served* by the responder (the paper's
-/// responder never sees the loss — replies are lost in the network), but
-/// their replies never reach the client; errored messages are answered
-/// immediately with [`FetchError::Injected`]; delayed messages are held
-/// by a detached timer thread before delivery.
-#[derive(Debug)]
-pub struct FaultInjectingTransport {
-    inner: ChannelTransport,
-    plan: FaultPlan,
-    obs: Arc<Recorder>,
-    /// Per-scheduled-crash state, parallel to `plan.crashes`: submissions
-    /// counted toward the crash, and a once-only fired latch. Only the
-    /// first unfired crash counts, which chains the schedule.
-    crash_state: Vec<(AtomicU64, AtomicBool)>,
-}
-
-impl FaultInjectingTransport {
-    /// Wraps `inner`, applying `plan` to every submitted message.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the plan fails [`FaultPlan::validate`] or names a crash
-    /// part out of range.
-    pub fn new(inner: ChannelTransport, plan: FaultPlan) -> Self {
-        Self::new_observed(inner, plan, Recorder::disabled())
+/// Both planes send through here — the fabric per fetch submission with
+/// the target part, the control plane per call attempt with the calling
+/// part — so one plan's draws mean the same on either.
+pub(crate) fn fate<R: Send + 'static>(
+    plan: Option<&FaultPlan>,
+    obs: &Recorder,
+    target: PartId,
+    seq: u64,
+    query: u64,
+    link: u64,
+    reply_to: &Sender<R>,
+) -> (Fault, Option<Sender<R>>) {
+    let Some(plan) = plan else { return (Fault::None, Some(reply_to.clone())) };
+    let fault = plan.decide(target, seq);
+    if fault != Fault::None {
+        obs.record_instant_for(query, SpanKind::Fault, target as u32, fault as u64, link);
     }
-
-    /// Like [`FaultInjectingTransport::new`], additionally recording a
-    /// `Fault` instant into `obs` for every injected fault
-    /// (arg: 1 = drop, 2 = error, 3 = delay) and a `PartCrash` instant
-    /// when a scheduled crash fires.
-    pub fn new_observed(inner: ChannelTransport, plan: FaultPlan, obs: Arc<Recorder>) -> Self {
-        plan.validate();
-        for c in &plan.crashes {
-            assert!(
-                c.part < inner.part_count(),
-                "FaultPlan crash part {} out of range (part count {})",
-                c.part,
-                inner.part_count()
-            );
-        }
-        let crash_state =
-            plan.crashes.iter().map(|_| (AtomicU64::new(0), AtomicBool::new(false))).collect();
-        FaultInjectingTransport { inner, plan, obs, crash_state }
-    }
-
-    /// Fires the next scheduled crash if `target` is its victim and its
-    /// request budget is exhausted. Crashes chain: only the first
-    /// unfired entry counts submissions, so later entries measure
-    /// requests *since the previous crash* — which lets a schedule put
-    /// the second crash inside the first one's recovery pass.
-    fn maybe_crash(&self, target: PartId) {
-        for (c, (counter, fired)) in self.plan.crashes.iter().zip(&self.crash_state) {
-            if fired.load(Ordering::SeqCst) {
-                continue;
-            }
-            if target == c.part {
-                let seen = counter.fetch_add(1, Ordering::Relaxed);
-                if seen >= c.after_requests && !fired.swap(true, Ordering::SeqCst) {
-                    self.obs.record_instant(SpanKind::PartCrash, target as u32, seen);
-                    self.inner.kill_part(target);
+    let route = match fault {
+        Fault::None => Some(reply_to.clone()),
+        Fault::Drop => Some(unbounded().0),
+        Fault::Error => None,
+        Fault::Delay => {
+            let (tx, rx) = unbounded::<R>();
+            let (delay, forward) = (plan.delay, reply_to.clone());
+            std::thread::spawn(move || {
+                if let Ok(reply) = rx.recv() {
+                    std::thread::sleep(delay);
+                    let _ = forward.send(reply);
                 }
-            }
-            return;
+            });
+            Some(tx)
+        }
+    };
+    (fault, route)
+}
+
+/// Timeout and retry behaviour of a request–reply exchange: a fetch, a
+/// slice-transfer chunk (timeout only) or a control call.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RetryPolicy {
+    /// Total attempts (first try included) before the exchange fails
+    /// with [`FetchError::Timeout`].
+    pub max_attempts: u32,
+    /// Per-attempt reply deadline. The in-process transport answers in
+    /// microseconds, so the generous default never fires without fault
+    /// injection; tighten it when a [`FaultPlan`] drops replies.
+    pub timeout: Duration,
+    /// Backoff before the second attempt; doubles on each further retry.
+    pub backoff: Duration,
+}
+
+impl Default for RetryPolicy {
+    fn default() -> Self {
+        RetryPolicy {
+            max_attempts: 4,
+            timeout: Duration::from_secs(10),
+            backoff: Duration::from_millis(2),
         }
     }
 }
 
-impl Transport for FaultInjectingTransport {
-    fn part_count(&self) -> usize {
-        self.inner.part_count()
-    }
-
-    fn submit(
+impl RetryPolicy {
+    /// After `attempts` lost attempts of `query`'s request `link` from
+    /// `part`: `false` once they exhaust the budget; otherwise sleeps the
+    /// backoff — [`RetryPolicy::backoff`] doubled per attempt after the
+    /// first, at most 2^16 times — under a `kind` span covering the
+    /// sleep (so the critical path can tell self-inflicted backoff from
+    /// waiting on a reply), and returns `true`.
+    pub(crate) fn back_off(
         &self,
-        target: PartId,
-        req: WireRequest,
-        reply_to: Sender<WireReply>,
-    ) -> Result<(), FetchError> {
-        self.maybe_crash(target);
-        match self.plan.decide(target, req.seq) {
-            Fault::None => self.inner.submit(target, req, reply_to),
-            Fault::Drop => {
-                self.obs.record_instant_for(
-                    req.query,
-                    SpanKind::Fault,
-                    target as u32,
-                    1,
-                    req.req_id,
-                );
-                // Serve the request but lose the reply: the receiver of
-                // this channel is dropped right here.
-                let (black_hole, _) = unbounded::<WireReply>();
-                self.inner.submit(target, req, black_hole)
-            }
-            Fault::Error => {
-                self.obs.record_instant_for(
-                    req.query,
-                    SpanKind::Fault,
-                    target as u32,
-                    2,
-                    req.req_id,
-                );
-                let _ = reply_to.send(WireReply {
-                    seq: req.seq,
-                    payload: Err(FetchError::Injected { target }),
-                });
-                Ok(())
-            }
-            Fault::Delay => {
-                self.obs.record_instant_for(
-                    req.query,
-                    SpanKind::Fault,
-                    target as u32,
-                    3,
-                    req.req_id,
-                );
-                let (tx, rx) = unbounded::<WireReply>();
-                let delay = self.plan.delay;
-                std::thread::spawn(move || {
-                    if let Ok(reply) = rx.recv() {
-                        std::thread::sleep(delay);
-                        let _ = reply_to.send(reply);
-                    }
-                });
-                self.inner.submit(target, req, tx)
-            }
+        attempts: u32,
+        obs: &Recorder,
+        kind: SpanKind,
+        query: u64,
+        part: PartId,
+        link: u64,
+    ) -> bool {
+        if attempts >= self.max_attempts.max(1) {
+            return false;
         }
+        let t0 = obs.now_ns();
+        let backoff = self.backoff.saturating_mul(1 << (attempts - 1).min(16));
+        if !backoff.is_zero() {
+            std::thread::sleep(backoff);
+        }
+        obs.record_span_for(query, kind, part as u32, t0, attempts as u64, link);
+        true
     }
+}
 
-    fn push_replica(
-        &self,
-        target: PartId,
-        push: ReplicaPush,
-        reply_to: Sender<WireReply>,
-    ) -> Result<(), FetchError> {
-        // Replica pushes bypass the fault plan entirely: they neither
-        // count toward scheduled crash budgets (which meter *fetch*
-        // submissions, keeping crash schedules identical with rebalance
-        // on or off) nor roll drop/error/delay fates. Transfer-level
-        // fault handling lives in the rebalancer's retry loop.
-        self.inner.push_replica(target, push, reply_to)
-    }
-
-    fn hosted_slices(&self, part: PartId) -> Vec<PartId> {
-        self.inner.hosted_slice_ids(part)
-    }
-
-    fn shutdown(&self) {
-        self.inner.shutdown();
+/// Waits until `deadline` for the reply `ours` accepts, discarding any
+/// other on `inbox`: a late answer to an attempt, or a call, that already
+/// gave up on it. `None` once the deadline passes — the only way out
+/// without a reply, since every caller holds a sender of its own inbox.
+pub(crate) fn await_reply<R>(
+    inbox: &Receiver<R>,
+    deadline: Instant,
+    ours: impl Fn(&R) -> bool,
+) -> Option<R> {
+    loop {
+        let reply = inbox.recv_timeout(deadline.saturating_duration_since(Instant::now())).ok()?;
+        if ours(&reply) {
+            return Some(reply);
+        }
     }
 }
 
@@ -1095,6 +1069,11 @@ mod tests {
         let _ = FaultPlan::drops(1.5);
     }
 
+    fn start(pg: &PartitionedGraph, fault: Option<FaultPlan>) -> ChannelTransport {
+        let metrics = ClusterMetrics::new(pg.part_count(), 1);
+        ChannelTransport::start(pg, &metrics, fault, Recorder::disabled())
+    }
+
     fn wire(seq: u64, owner: PartId, v: VertexId) -> WireRequest {
         WireRequest { seq, req_id: 0, query: 0, from: 0, owner, vertices: Arc::from([v]) }
     }
@@ -1103,29 +1082,22 @@ mod tests {
     fn crash_at_kills_the_responder_permanently() {
         let g = gpm_graph::gen::complete(12);
         let pg = PartitionedGraph::new(&g, 2, 1);
-        let metrics = ClusterMetrics::new(2, 1);
-        let t = FaultInjectingTransport::new(
-            ChannelTransport::start(&pg, &metrics),
-            FaultPlan::crash_at(1, 2),
-        );
+        let t = start(&pg, Some(FaultPlan::crash_at(1, 2)));
         let (tx, rx) = unbounded::<WireReply>();
         let v1 = pg.part(1).owned()[0];
         // The first two submissions targeting part 1 are served.
         for seq in 0..2 {
-            t.submit(1, wire(seq, 1, v1), tx.clone()).unwrap();
+            t.submit(1, wire(seq, 1, v1), &tx).unwrap();
             let reply = rx.recv_timeout(Duration::from_secs(5)).unwrap();
             assert!(reply.payload.is_ok(), "pre-crash serve failed: {reply:?}");
         }
         // The third fires the crash; it and every later one fail typed.
         for seq in 2..4 {
-            assert_eq!(
-                t.submit(1, wire(seq, 1, v1), tx.clone()),
-                Err(FetchError::PartDead { part: 1 })
-            );
+            assert_eq!(t.submit(1, wire(seq, 1, v1), &tx), Err(FetchError::PartDead { part: 1 }));
         }
         // The surviving part keeps serving.
         let v0 = pg.part(0).owned()[0];
-        t.submit(0, wire(9, 0, v0), tx.clone()).unwrap();
+        t.submit(0, wire(9, 0, v0), &tx).unwrap();
         assert!(rx.recv_timeout(Duration::from_secs(5)).unwrap().payload.is_ok());
         t.shutdown();
     }
@@ -1137,19 +1109,18 @@ mod tests {
         // the replica, byte-identical to the primary's answer.
         let g = gpm_graph::gen::complete(12);
         let pg = PartitionedGraph::with_replication(&g, 3, 1, 2);
-        let metrics = ClusterMetrics::new(3, 1);
-        let t = ChannelTransport::start(&pg, &metrics);
+        let t = start(&pg, None);
         let v1 = pg.part(1).owned()[0];
         let (tx, rx) = unbounded::<WireReply>();
-        t.submit(0, wire(0, 1, v1), tx.clone()).unwrap();
+        t.submit(0, wire(0, 1, v1), &tx).unwrap();
         let from_replica = rx.recv_timeout(Duration::from_secs(5)).unwrap().payload.unwrap();
-        t.submit(1, wire(1, 1, v1), tx.clone()).unwrap();
+        t.submit(1, wire(1, 1, v1), &tx).unwrap();
         let from_primary = rx.recv_timeout(Duration::from_secs(5)).unwrap().payload.unwrap();
         assert_eq!(from_replica, from_primary);
         // A slice nobody here hosts (part 1 holds neither part 0's
         // primary nor its replica) is still a routing error.
         let err = {
-            t.submit(1, wire(2, 0, v1), tx.clone()).unwrap();
+            t.submit(1, wire(2, 0, v1), &tx).unwrap();
             rx.recv_timeout(Duration::from_secs(5)).unwrap().payload.unwrap_err()
         };
         assert_eq!(err, FetchError::NotOwner { target: 1, missing: vec![v1] });
@@ -1159,7 +1130,7 @@ mod tests {
     /// Streams part `owner`'s slice from `pg` to `target`'s responder in
     /// `chunks` pieces, asserting each chunk is acked.
     fn push_slice(
-        t: &dyn Transport,
+        t: &ChannelTransport,
         pg: &PartitionedGraph,
         owner: PartId,
         target: PartId,
@@ -1186,7 +1157,7 @@ mod tests {
                 offsets: if i == 0 { src.offsets().to_vec() } else { Vec::new() },
                 neighbors: seg.to_vec(),
             };
-            t.push_replica(target, push, tx.clone()).unwrap();
+            t.push_replica(target, push, &tx).unwrap();
             let ack = rx.recv_timeout(Duration::from_secs(5)).unwrap();
             assert_eq!(ack.seq, i as u64);
             assert!(ack.payload.is_ok(), "chunk {i} not acked: {ack:?}");
@@ -1203,21 +1174,20 @@ mod tests {
         // byte-identically to the primary's answer.
         let g = gpm_graph::gen::complete(12);
         let pg = PartitionedGraph::new(&g, 3, 1);
-        let metrics = ClusterMetrics::new(3, 1);
-        let t = ChannelTransport::start(&pg, &metrics);
-        assert_eq!(t.hosted_slice_ids(2), vec![2]);
+        let t = start(&pg, None);
+        assert_eq!(t.hosted_slices(2), vec![2]);
         let v0 = pg.part(0).owned()[0];
         let (tx, rx) = unbounded::<WireReply>();
-        t.submit(2, wire(0, 0, v0), tx.clone()).unwrap();
+        t.submit(2, wire(0, 0, v0), &tx).unwrap();
         let before = rx.recv_timeout(Duration::from_secs(5)).unwrap().payload;
         assert!(matches!(before, Err(FetchError::NotOwner { .. })), "{before:?}");
 
         push_slice(&t, &pg, 0, 2, 3);
-        assert_eq!(t.hosted_slice_ids(2), vec![2, 0]);
+        assert_eq!(t.hosted_slices(2), vec![2, 0]);
 
-        t.submit(2, wire(1, 0, v0), tx.clone()).unwrap();
+        t.submit(2, wire(1, 0, v0), &tx).unwrap();
         let from_new_replica = rx.recv_timeout(Duration::from_secs(5)).unwrap().payload.unwrap();
-        t.submit(0, wire(2, 0, v0), tx.clone()).unwrap();
+        t.submit(0, wire(2, 0, v0), &tx).unwrap();
         let from_primary = rx.recv_timeout(Duration::from_secs(5)).unwrap().payload.unwrap();
         assert_eq!(from_new_replica, from_primary);
         t.shutdown();
@@ -1227,8 +1197,7 @@ mod tests {
     fn out_of_order_push_aborts_the_transfer() {
         let g = gpm_graph::gen::complete(12);
         let pg = PartitionedGraph::new(&g, 2, 1);
-        let metrics = ClusterMetrics::new(2, 1);
-        let t = ChannelTransport::start(&pg, &metrics);
+        let t = start(&pg, None);
         let src = pg.part(0);
         let (tx, rx) = unbounded::<WireReply>();
         // Chunk 1 of 2 without chunk 0 first: rejected, nothing installed.
@@ -1241,13 +1210,13 @@ mod tests {
             offsets: Vec::new(),
             neighbors: src.neighbors().to_vec(),
         };
-        t.push_replica(1, push, tx.clone()).unwrap();
+        t.push_replica(1, push, &tx).unwrap();
         let ack = rx.recv_timeout(Duration::from_secs(5)).unwrap();
         assert_eq!(ack.payload, Err(FetchError::Injected { target: 1 }));
-        assert_eq!(t.hosted_slice_ids(1), vec![1]);
+        assert_eq!(t.hosted_slices(1), vec![1]);
         // A clean restart of the transfer still succeeds.
         push_slice(&t, &pg, 0, 1, 1);
-        assert_eq!(t.hosted_slice_ids(1), vec![1, 0]);
+        assert_eq!(t.hosted_slices(1), vec![1, 0]);
         t.shutdown();
     }
 
@@ -1257,20 +1226,19 @@ mod tests {
         // pushes must not advance crash request budgets.
         let g = gpm_graph::gen::complete(12);
         let pg = PartitionedGraph::new(&g, 2, 1);
-        let metrics = ClusterMetrics::new(2, 1);
         let plan = FaultPlan {
             drop_fraction: 1.0,
             crashes: vec![CrashAt { part: 1, after_requests: 1 }],
             ..FaultPlan::default()
         };
-        let t = FaultInjectingTransport::new(ChannelTransport::start(&pg, &metrics), plan);
+        let t = start(&pg, Some(plan));
         push_slice(&t, &pg, 0, 1, 2);
         assert_eq!(t.hosted_slices(1), vec![1, 0]);
         // The crash budget (1 fetch) is untouched by the two pushes: the
         // first fetch submission is still accepted.
         let v1 = pg.part(1).owned()[0];
         let (tx, _rx) = unbounded::<WireReply>();
-        assert!(t.submit(1, wire(0, 1, v1), tx.clone()).is_ok());
+        assert!(t.submit(1, wire(0, 1, v1), &tx).is_ok());
         t.shutdown();
     }
 }

@@ -26,6 +26,7 @@
 //! check `gpm incident show` and the chaos CI job run.
 
 use crate::control::{ControlPlane, ControlPlaneSummary};
+use gpm_obs::json::{as_map, get, req_map, req_seq, req_str, req_u64};
 use gpm_obs::{FlightKind, FlightRecorder, IncidentSummary, QueryProgress};
 use parking_lot::Mutex;
 use serde::Value;
@@ -367,8 +368,8 @@ pub(crate) fn config_fingerprint(desc: &str) -> String {
     format!("{h:016x}")
 }
 
-/// JSON snapshot of one query's live progress for the bundle's
-/// `progress` section.
+/// JSON snapshot of one query's live progress: an entry of a bundle's
+/// `progress` section and of `/status`'s `active_queries`.
 pub(crate) fn progress_json(p: &QueryProgress) -> Value {
     Value::Map(vec![
         ("query_id".into(), Value::UInt(p.query_id())),
@@ -378,6 +379,8 @@ pub(crate) fn progress_json(p: &QueryProgress) -> Value {
         ("stolen".into(), Value::UInt(p.stolen())),
         ("recovered".into(), Value::UInt(p.recovered())),
         ("done".into(), Value::Bool(p.is_done())),
+        ("fraction".into(), Value::Float(p.fraction())),
+        ("eta_ns".into(), p.eta_ns().map(Value::UInt).unwrap_or(Value::Null)),
         ("elapsed_ns".into(), Value::UInt(p.elapsed_ns())),
         (
             "per_part".into(),
@@ -427,39 +430,6 @@ pub(crate) fn ledger_json(s: &ControlPlaneSummary) -> Value {
     ])
 }
 
-fn get<'v>(map: &'v [(String, Value)], key: &str) -> Option<&'v Value> {
-    map.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-}
-
-fn require_uint(map: &[(String, Value)], key: &str, ctx: &str) -> Result<u64, String> {
-    match get(map, key) {
-        Some(Value::UInt(v)) => Ok(*v),
-        Some(Value::Int(v)) if *v >= 0 => Ok(*v as u64),
-        Some(other) => Err(format!("{ctx}: '{key}' must be an unsigned integer, got {other:?}")),
-        None => Err(format!("{ctx}: missing '{key}'")),
-    }
-}
-
-fn require_str<'v>(map: &'v [(String, Value)], key: &str, ctx: &str) -> Result<&'v str, String> {
-    match get(map, key) {
-        Some(Value::Str(s)) => Ok(s),
-        Some(other) => Err(format!("{ctx}: '{key}' must be a string, got {other:?}")),
-        None => Err(format!("{ctx}: missing '{key}'")),
-    }
-}
-
-fn require_map<'v>(
-    map: &'v [(String, Value)],
-    key: &str,
-    ctx: &str,
-) -> Result<&'v [(String, Value)], String> {
-    match get(map, key) {
-        Some(Value::Map(m)) => Ok(m),
-        Some(other) => Err(format!("{ctx}: '{key}' must be an object, got {other:?}")),
-        None => Err(format!("{ctx}: missing '{key}'")),
-    }
-}
-
 /// Validates one incident bundle: schema version, trigger taxonomy,
 /// flight-slice shape, and the optional context sections. `gpm incident
 /// show` refuses to render a bundle this rejects, and the chaos CI job
@@ -470,35 +440,31 @@ fn require_map<'v>(
 /// Returns a message naming the first offending field.
 pub fn validate_bundle(json: &str) -> Result<(), String> {
     let doc = gpm_obs::parse_json(json)?;
-    let Value::Map(top) = &doc else {
-        return Err("bundle: root must be an object".to_string());
-    };
-    let schema = require_uint(top, "bundle_schema", "bundle")?;
+    let top = as_map(&doc, "bundle")?;
+    let schema = req_u64(top, "bundle_schema", "bundle")?;
     if schema != BUNDLE_SCHEMA_VERSION {
         return Err(format!(
             "bundle: schema version {schema} unsupported (expected {BUNDLE_SCHEMA_VERSION})"
         ));
     }
-    if require_str(top, "id", "bundle")?.is_empty() {
+    if req_str(top, "id", "bundle")?.is_empty() {
         return Err("bundle: 'id' must be non-empty".to_string());
     }
-    let trigger = require_map(top, "trigger", "bundle")?;
-    let kind = require_str(trigger, "kind", "trigger")?;
+    let trigger = req_map(top, "trigger", "bundle")?;
+    let kind = req_str(trigger, "kind", "trigger")?;
     if !TriggerKind::ALL.iter().any(|t| t.name() == kind) {
         return Err(format!("trigger: unknown kind '{kind}'"));
     }
-    require_uint(trigger, "query_id", "trigger")?;
-    require_uint(trigger, "value", "trigger")?;
-    require_uint(trigger, "at_ns", "trigger")?;
-    require_str(trigger, "detail", "trigger")?;
-    let config = require_map(top, "config", "bundle")?;
-    require_str(config, "fingerprint", "config")?;
-    let flight = require_map(top, "flight", "bundle")?;
-    let capacity = require_uint(flight, "capacity", "flight")?;
-    require_uint(flight, "recorded", "flight")?;
-    let Some(Value::Seq(events)) = get(flight, "events") else {
-        return Err("flight: missing 'events' array".to_string());
-    };
+    req_u64(trigger, "query_id", "trigger")?;
+    req_u64(trigger, "value", "trigger")?;
+    req_u64(trigger, "at_ns", "trigger")?;
+    req_str(trigger, "detail", "trigger")?;
+    let config = req_map(top, "config", "bundle")?;
+    req_str(config, "fingerprint", "config")?;
+    let flight = req_map(top, "flight", "bundle")?;
+    let capacity = req_u64(flight, "capacity", "flight")?;
+    req_u64(flight, "recorded", "flight")?;
+    let events = req_seq(flight, "events", "flight")?;
     if events.len() as u64 > capacity {
         return Err(format!(
             "flight: {} events exceed the declared capacity {capacity}",
@@ -508,68 +474,59 @@ pub fn validate_bundle(json: &str) -> Result<(), String> {
     let mut last_seq = None;
     for (i, ev) in events.iter().enumerate() {
         let ctx = format!("flight.events[{i}]");
-        let Value::Map(ev) = ev else {
-            return Err(format!("{ctx}: must be an object"));
-        };
-        let seq = require_uint(ev, "seq", &ctx)?;
+        let ev = as_map(ev, &ctx)?;
+        let seq = req_u64(ev, "seq", &ctx)?;
         if last_seq.is_some_and(|p| seq <= p) {
             return Err(format!("{ctx}: seq {seq} not strictly increasing"));
         }
         last_seq = Some(seq);
-        require_uint(ev, "at_ns", &ctx)?;
-        require_uint(ev, "query", &ctx)?;
-        require_uint(ev, "part", &ctx)?;
-        require_uint(ev, "a", &ctx)?;
-        let k = require_str(ev, "kind", &ctx)?;
+        req_u64(ev, "at_ns", &ctx)?;
+        req_u64(ev, "query", &ctx)?;
+        req_u64(ev, "part", &ctx)?;
+        req_u64(ev, "a", &ctx)?;
+        let k = req_str(ev, "kind", &ctx)?;
         if !FlightKind::ALL.iter().any(|f| f.name() == k) {
             return Err(format!("{ctx}: unknown event kind '{k}'"));
         }
     }
-    match get(top, "progress") {
-        Some(Value::Seq(ps)) => {
-            for (i, p) in ps.iter().enumerate() {
-                let ctx = format!("progress[{i}]");
-                let Value::Map(p) = p else {
-                    return Err(format!("{ctx}: must be an object"));
-                };
-                require_uint(p, "query_id", &ctx)?;
-                require_uint(p, "roots_total", &ctx)?;
-                require_uint(p, "claimed", &ctx)?;
-                require_uint(p, "completed", &ctx)?;
-            }
+    for (i, p) in req_seq(top, "progress", "bundle")?.iter().enumerate() {
+        let ctx = format!("progress[{i}]");
+        let p = as_map(p, &ctx)?;
+        for key in ["query_id", "roots_total", "claimed", "completed"] {
+            req_u64(p, key, &ctx)?;
         }
-        Some(other) => return Err(format!("bundle: 'progress' must be an array, got {other:?}")),
-        None => return Err("bundle: missing 'progress'".to_string()),
     }
     match get(top, "ledger") {
         Some(Value::Null) | None => {}
-        Some(Value::Map(l)) => {
-            require_str(l, "carrier", "ledger")?;
-            require_uint(l, "spill_len", "ledger")?;
-            require_uint(l, "starving", "ledger")?;
+        Some(l) => {
+            let l = as_map(l, "bundle.ledger")?;
+            req_str(l, "carrier", "ledger")?;
+            req_u64(l, "spill_len", "ledger")?;
+            req_u64(l, "starving", "ledger")?;
         }
-        Some(other) => return Err(format!("bundle: 'ledger' must be an object, got {other:?}")),
     }
     Ok(())
 }
 
-/// Per-run watchdog against wedged runs: fires one `stall` bundle when
-/// the run's claim/retire heartbeat has not moved for the configured
-/// window, dumping the live scheduler state and progress snapshots.
-/// Started by the engine per `try_run` alongside the gauge sampler and
-/// — like it — stopped and joined on drop, so no thread outlives the
-/// run (or the engine).
+/// One stall detector: a thread that ticks at an eighth of its window
+/// and fires once when a progress counter has stayed flat
+/// for the whole window while an "armed" predicate held. Two watch a run
+/// today — the scheduler's claim/retire heartbeat ([`StallWatchdog::start`])
+/// and the rebalancer's transfer bytes — each with its own trigger. Like
+/// the gauge sampler, it is stopped and joined on drop, so no thread
+/// outlives the run (or the engine).
 pub(crate) struct StallWatchdog {
     stop: Arc<AtomicBool>,
     handle: Option<std::thread::JoinHandle<()>>,
 }
 
 impl StallWatchdog {
-    /// Starts the watchdog if a window is configured and capture is
-    /// enabled. `heartbeat` is bumped by the runtime on every root claim
-    /// and batch retirement; no movement for the window means the
-    /// scheduler is wedged (or the run is pathologically starved —
-    /// either way worth a bundle).
+    /// The per-run watchdog against wedged runs, if a window is
+    /// configured and capture is enabled. `heartbeat` is bumped by the
+    /// runtime on every root claim and batch retirement; no movement for
+    /// the window means the scheduler is wedged (or the run is
+    /// pathologically starved — either way worth a bundle), and one
+    /// `stall` bundle dumps the live scheduler state and progress.
     pub(crate) fn start(
         manager: &Arc<IncidentManager>,
         heartbeat: Arc<AtomicU64>,
@@ -581,52 +538,61 @@ impl StallWatchdog {
         if !manager.enabled() {
             return None;
         }
+        let mgr = Arc::clone(manager);
+        let fire = move |stalled: Duration, hb: u64| {
+            let sections = CaptureSections {
+                progress: progress.iter().map(|p| progress_json(p)).collect(),
+                counters: None,
+                ledger: Some(ledger_json(&ledger.state_summary())),
+            };
+            let detail = format!(
+                "no root claim or batch retirement for {stalled:?} (heartbeat stuck at {hb})"
+            );
+            let value = stalled.as_nanos() as u64;
+            let trigger = Trigger { kind: TriggerKind::Stall, query_id, part: None, value, detail };
+            mgr.capture(trigger, sections);
+        };
+        let counter = move || heartbeat.load(Ordering::Relaxed);
+        Some(StallWatchdog::watch("khuzdul-stall-watchdog", window, counter, || true, fire))
+    }
+
+    /// Starts a thread that calls `fire(stalled, counter)` once `counter`
+    /// has not moved for `window` while `armed` held throughout; a
+    /// disarmed tick restarts the clock. One bundle per watchdog: a stall
+    /// does not get less stuck, and repeated captures would only spam
+    /// near-identical bundles.
+    pub(crate) fn watch(
+        name: &str,
+        window: Duration,
+        counter: impl Fn() -> u64 + Send + 'static,
+        armed: impl Fn() -> bool + Send + 'static,
+        fire: impl FnOnce(Duration, u64) + Send + 'static,
+    ) -> StallWatchdog {
         let stop = Arc::new(AtomicBool::new(false));
         let flag = Arc::clone(&stop);
-        let mgr = Arc::clone(manager);
         let handle = std::thread::Builder::new()
-            .name("khuzdul-stall-watchdog".to_string())
+            .name(name.to_string())
             .spawn(move || {
                 let tick = (window / 8).max(Duration::from_millis(1));
-                let mut last_hb = heartbeat.load(Ordering::Relaxed);
+                let mut last = counter();
                 let mut last_change = Instant::now();
                 while !flag.load(Ordering::Relaxed) {
                     std::thread::sleep(tick);
-                    let hb = heartbeat.load(Ordering::Relaxed);
-                    if hb != last_hb {
-                        last_hb = hb;
+                    let now = counter();
+                    if now != last || !armed() {
+                        last = now;
                         last_change = Instant::now();
                         continue;
                     }
                     let stalled = last_change.elapsed();
-                    if stalled < window || flag.load(Ordering::Relaxed) {
-                        continue;
+                    if stalled >= window && !flag.load(Ordering::Relaxed) {
+                        fire(stalled, now);
+                        break;
                     }
-                    let sections = CaptureSections {
-                        progress: progress.iter().map(|p| progress_json(p)).collect(),
-                        counters: None,
-                        ledger: Some(ledger_json(&ledger.state_summary())),
-                    };
-                    mgr.capture(
-                        Trigger {
-                            kind: TriggerKind::Stall,
-                            query_id,
-                            part: None,
-                            value: stalled.as_nanos() as u64,
-                            detail: format!(
-                                "no root claim or batch retirement for {stalled:?} \
-                                 (heartbeat stuck at {hb})"
-                            ),
-                        },
-                        sections,
-                    );
-                    // One bundle per run: keep watching would only spam
-                    // near-identical captures.
-                    break;
                 }
             })
             .expect("spawn stall watchdog");
-        Some(StallWatchdog { stop, handle: Some(handle) })
+        StallWatchdog { stop, handle: Some(handle) }
     }
 }
 
@@ -744,8 +710,8 @@ mod tests {
     #[test]
     fn validate_bundle_rejects_malformed_documents() {
         for (json, needle) in [
-            ("[]", "root must be an object"),
-            ("{}", "missing 'bundle_schema'"),
+            ("[]", "bundle: expected object"),
+            ("{}", "bundle.bundle_schema: missing"),
             (r#"{"bundle_schema": 9}"#, "schema version 9"),
             (
                 r#"{"bundle_schema": 1, "id": "x", "trigger": {"kind": "meteor", "query_id": 1, "value": 0, "at_ns": 0, "detail": ""}}"#,

@@ -29,14 +29,14 @@
 //! reports the typed `PartLost` instead of running out the clock.
 //!
 //! Observability: each transfer advances a byte-progress counter that a
-//! watchdog thread (started only with incident capture + a stall window
-//! configured, like the engine's scheduler watchdog) checks — a transfer
-//! that makes no byte progress for the window captures one
+//! [`StallWatchdog`] (started only with incident capture + a stall window
+//! configured, the same detector that watches the scheduler) checks — a
+//! transfer that makes no byte progress for the window captures one
 //! `rebalance_stuck` incident bundle. Each healed death records a
 //! `rebalance_done` flight event, and cumulative counters feed the run
 //! report's `rebalance` section.
 
-use crate::incident::{CaptureSections, IncidentManager, Trigger, TriggerKind};
+use crate::incident::{CaptureSections, IncidentManager, StallWatchdog, Trigger, TriggerKind};
 use gpm_cluster::EdgeListService;
 use gpm_graph::partition::GraphPart;
 use gpm_obs::FlightKind;
@@ -121,7 +121,7 @@ struct Shared {
     handled: Mutex<HashSet<usize>>,
     cv: Condvar,
     stats: RebalanceStats,
-    /// Wire bytes acked across all transfers; the watchdog's heartbeat.
+    /// Wire bytes acked across all transfers; the watchdog's counter.
     progress: AtomicU64,
     /// Whether a repair (and therefore possibly a transfer) is in
     /// flight; the watchdog only counts stillness against this.
@@ -134,7 +134,10 @@ struct Shared {
 pub(crate) struct Rebalancer {
     shared: Arc<Shared>,
     stop: Arc<AtomicBool>,
-    handles: Vec<std::thread::JoinHandle<()>>,
+    handle: Option<std::thread::JoinHandle<()>>,
+    /// Fires one `rebalance_stuck` bundle if a repair is in flight but
+    /// no transfer byte has been acked for the stall window.
+    _watchdog: Option<StallWatchdog>,
 }
 
 impl std::fmt::Debug for Rebalancer {
@@ -167,58 +170,67 @@ impl Rebalancer {
             repairing: AtomicBool::new(false),
         });
         let stop = Arc::new(AtomicBool::new(false));
-        let mut handles = Vec::new();
-        {
+        let handle = {
             let shared = Arc::clone(&shared);
             let stop = Arc::clone(&stop);
             let tick = cfg.tick.max(Duration::from_micros(100));
-            handles.push(
-                std::thread::Builder::new()
-                    .name("khuzdul-rebalance".to_string())
-                    .spawn(move || {
-                        while !stop.load(Ordering::Relaxed) {
-                            let fresh: Vec<usize> = {
-                                let handled = shared.handled.lock();
-                                service
-                                    .dead_parts()
-                                    .into_iter()
-                                    .filter(|d| !handled.contains(d))
-                                    .collect()
-                            };
-                            if fresh.is_empty() {
-                                std::thread::sleep(tick);
-                                continue;
-                            }
-                            shared.repairing.store(true, Ordering::SeqCst);
-                            for d in fresh {
-                                let restored =
-                                    repair_after(&service, &parts, replication, &cfg, &shared);
-                                service.recorder().flight().record(
-                                    FlightKind::RebalanceDone,
-                                    0,
-                                    d as u64,
-                                    restored,
-                                );
-                                shared.handled.lock().insert(d);
-                                shared.cv.notify_all();
-                            }
-                            shared.repairing.store(false, Ordering::SeqCst);
+            std::thread::Builder::new()
+                .name("khuzdul-rebalance".to_string())
+                .spawn(move || {
+                    while !stop.load(Ordering::Relaxed) {
+                        let fresh: Vec<usize> = {
+                            let handled = shared.handled.lock();
+                            service
+                                .dead_parts()
+                                .into_iter()
+                                .filter(|d| !handled.contains(d))
+                                .collect()
+                        };
+                        if fresh.is_empty() {
+                            std::thread::sleep(tick);
+                            continue;
                         }
-                    })
-                    .expect("spawn rebalancer"),
-            );
-        }
-        if let (Some(window), true) = (incidents.stall_window(), incidents.enabled()) {
-            let shared = Arc::clone(&shared);
-            let stop = Arc::clone(&stop);
-            handles.push(
-                std::thread::Builder::new()
-                    .name("khuzdul-rebalance-watchdog".to_string())
-                    .spawn(move || watchdog_loop(&shared, &stop, &incidents, window))
-                    .expect("spawn rebalance watchdog"),
-            );
-        }
-        Rebalancer { shared, stop, handles }
+                        shared.repairing.store(true, Ordering::SeqCst);
+                        for d in fresh {
+                            let restored =
+                                repair_after(&service, &parts, replication, &cfg, &shared);
+                            service.recorder().flight().record(
+                                FlightKind::RebalanceDone,
+                                0,
+                                d as u64,
+                                restored,
+                            );
+                            shared.handled.lock().insert(d);
+                            shared.cv.notify_all();
+                        }
+                        shared.repairing.store(false, Ordering::SeqCst);
+                    }
+                })
+                .expect("spawn rebalancer")
+        };
+        let watchdog = match (incidents.stall_window(), incidents.enabled()) {
+            (Some(window), true) => {
+                let (counted, armed) = (Arc::clone(&shared), Arc::clone(&shared));
+                Some(StallWatchdog::watch(
+                    "khuzdul-rebalance-watchdog",
+                    window,
+                    move || counted.progress.load(Ordering::Relaxed),
+                    move || armed.repairing.load(Ordering::SeqCst),
+                    move |stalled, streamed| {
+                        let detail = format!(
+                            "re-replication transfer made no byte progress for {stalled:?} \
+                             ({streamed} bytes streamed so far)"
+                        );
+                        let value = stalled.as_nanos() as u64;
+                        let kind = TriggerKind::RebalanceStuck;
+                        let trigger = Trigger { kind, query_id: 0, part: None, value, detail };
+                        incidents.capture(trigger, CaptureSections::default());
+                    },
+                ))
+            }
+            _ => None,
+        };
+        Rebalancer { shared, stop, handle: Some(handle), _watchdog: watchdog }
     }
 
     /// Blocks until the repairs triggered by every death in `dead` have
@@ -248,7 +260,7 @@ impl Rebalancer {
 impl Drop for Rebalancer {
     fn drop(&mut self) {
         self.stop.store(true, Ordering::Relaxed);
-        for h in self.handles.drain(..) {
+        if let Some(h) = self.handle.take() {
             let _ = h.join();
         }
     }
@@ -315,49 +327,6 @@ fn repair_after(
         }
     }
     restored
-}
-
-/// Fires one `rebalance_stuck` bundle if a repair is in flight but the
-/// byte-progress counter has not moved for `window`. Mirrors the
-/// engine's scheduler stall watchdog: tick at window/8, fire once.
-fn watchdog_loop(
-    shared: &Shared,
-    stop: &AtomicBool,
-    incidents: &Arc<IncidentManager>,
-    window: Duration,
-) {
-    let tick = (window / 8).max(Duration::from_millis(1));
-    let mut last = shared.progress.load(Ordering::Relaxed);
-    let mut last_change = Instant::now();
-    while !stop.load(Ordering::Relaxed) {
-        std::thread::sleep(tick);
-        let p = shared.progress.load(Ordering::Relaxed);
-        if p != last || !shared.repairing.load(Ordering::SeqCst) {
-            last = p;
-            last_change = Instant::now();
-            continue;
-        }
-        let stalled = last_change.elapsed();
-        if stalled < window {
-            continue;
-        }
-        incidents.capture(
-            Trigger {
-                kind: TriggerKind::RebalanceStuck,
-                query_id: 0,
-                part: None,
-                value: stalled.as_nanos() as u64,
-                detail: format!(
-                    "re-replication transfer made no byte progress for {stalled:?} \
-                     ({p} bytes streamed so far)"
-                ),
-            },
-            CaptureSections::default(),
-        );
-        // One bundle per engine: a stuck transfer does not get less
-        // stuck, and repeated captures would only spam the directory.
-        break;
-    }
 }
 
 #[cfg(test)]

@@ -29,9 +29,10 @@
 //!
 //! [`ClusterMetrics`]: gpm_cluster::ClusterMetrics
 
+use crate::incident::progress_json;
 use crate::service::{sum_outcomes, Completion, MiningService};
 use gpm_cluster::Counter;
-use gpm_obs::{render_prometheus, HolderReroute, PromKind, PromMetric, QueryProgress, Rollup};
+use gpm_obs::{render_prometheus, HolderReroute, PromKind, PromMetric, Rollup};
 use serde::Value;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -496,35 +497,6 @@ fn replicas_json(svc: &MiningService) -> Value {
         ("slices_restored".into(), Value::UInt(reb.slices_restored)),
         ("slices_lost".into(), Value::UInt(reb.slices_lost)),
         ("parts".into(), Value::Seq(parts)),
-    ])
-}
-
-fn progress_json(p: &QueryProgress) -> Value {
-    Value::Map(vec![
-        ("query_id".into(), Value::UInt(p.query_id())),
-        ("roots_total".into(), Value::UInt(p.total())),
-        ("claimed".into(), Value::UInt(p.claimed())),
-        ("completed".into(), Value::UInt(p.completed())),
-        ("stolen".into(), Value::UInt(p.stolen())),
-        ("recovered".into(), Value::UInt(p.recovered())),
-        ("fraction".into(), Value::Float(p.fraction())),
-        ("eta_ns".into(), p.eta_ns().map(Value::UInt).unwrap_or(Value::Null)),
-        ("elapsed_ns".into(), Value::UInt(p.elapsed_ns())),
-        (
-            "per_part".into(),
-            Value::Seq(
-                p.per_part()
-                    .iter()
-                    .map(|pp| {
-                        Value::Map(vec![
-                            ("part".into(), Value::UInt(pp.part)),
-                            ("claimed".into(), Value::UInt(pp.claimed)),
-                            ("completed".into(), Value::UInt(pp.completed)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
     ])
 }
 

@@ -13,7 +13,7 @@
 
 use crate::report::REPORT_SCHEMA_VERSION;
 use crate::validate::{
-    as_map, as_seq, get, parse_json, req_fraction, req_u64, CRITICAL_PATH_FRACTION_KEYS,
+    as_map, get, parse_json, req_fraction, req_map, req_seq, req_u64, CRITICAL_PATH_FRACTION_KEYS,
     TRAFFIC_KEYS,
 };
 use serde::Value;
@@ -100,8 +100,7 @@ fn parse_report(json: &str, which: &str) -> Result<Parsed, String> {
             "{which}.schema_version: {version} != supported {REPORT_SCHEMA_VERSION}"
         ));
     }
-    let traffic_map =
-        as_map(get(top, "traffic").ok_or(format!("{which}.traffic: missing"))?, "traffic")?;
+    let traffic_map = req_map(top, "traffic", which)?;
     let mut traffic = Vec::new();
     for key in TRAFFIC_KEYS {
         traffic.push((key.to_string(), req_u64(traffic_map, key, "traffic")?));
@@ -110,8 +109,7 @@ fn parse_report(json: &str, which: &str) -> Result<Parsed, String> {
     let misses = req_u64(traffic_map, "cache_misses", "traffic")? as f64;
     let hit_rate = if hits + misses == 0.0 { 0.0 } else { hits / (hits + misses) };
 
-    let per_part =
-        as_seq(get(top, "per_part").ok_or(format!("{which}.per_part: missing"))?, "per_part")?;
+    let per_part = req_seq(top, "per_part", which)?;
     let mut busy: Vec<u64> = Vec::new();
     for p in per_part {
         let m = as_map(p, "per_part[i]")?;
@@ -126,10 +124,8 @@ fn parse_report(json: &str, which: &str) -> Result<Parsed, String> {
     let mean = busy.iter().sum::<u64>() as f64 / busy.len().max(1) as f64;
     let busy_imbalance = if mean == 0.0 { 0.0 } else { max as f64 / mean };
 
-    let cp =
-        as_map(get(top, "critical_path").ok_or(format!("{which}.critical_path: missing"))?, "cp")?;
-    let fr =
-        as_map(get(cp, "fractions").ok_or(format!("{which}.fractions: missing"))?, "fractions")?;
+    let cp = req_map(top, "critical_path", which)?;
+    let fr = req_map(cp, "fractions", &format!("{which}.critical_path"))?;
     let mut fractions = Vec::new();
     for key in CRITICAL_PATH_FRACTION_KEYS {
         fractions.push((key.to_string(), req_fraction(fr, key, "critical_path.fractions")?));
@@ -147,8 +143,7 @@ fn parse_report(json: &str, which: &str) -> Result<Parsed, String> {
         None => None,
     };
 
-    let queries_seq =
-        as_seq(get(top, "queries").ok_or(format!("{which}.queries: missing"))?, "queries")?;
+    let queries_seq = req_seq(top, "queries", which)?;
     let mut queries = Vec::new();
     for (i, q) in queries_seq.iter().enumerate() {
         let ctx = format!("{which}.queries[{i}]");
@@ -161,9 +156,8 @@ fn parse_report(json: &str, which: &str) -> Result<Parsed, String> {
             Some(Value::Bool(b)) => *b,
             _ => return Err(format!("{ctx}.memoized: missing")),
         };
-        let cp =
-            as_map(get(m, "critical_path").ok_or(format!("{ctx}.critical_path: missing"))?, &ctx)?;
-        let fr = as_map(get(cp, "fractions").ok_or(format!("{ctx}.fractions: missing"))?, &ctx)?;
+        let cp = req_map(m, "critical_path", &ctx)?;
+        let fr = req_map(cp, "fractions", &format!("{ctx}.critical_path"))?;
         let mut fractions = Vec::new();
         for key in CRITICAL_PATH_FRACTION_KEYS {
             fractions.push((key.to_string(), req_fraction(fr, key, &ctx)?));

@@ -3,8 +3,8 @@
 //!
 //! Full span tracing ([`crate::Recorder`]) is opt-in because it costs
 //! timestamps and ring writes per fetch; the flight ring records only
-//! *coarse* events — phase transitions, steals, donations, retries,
-//! failovers, control poisons, query admissions/completions — so it can
+//! *coarse* events — steals, donations, retries, failovers, crashes,
+//! control poisons, query admissions/completions — so it can
 //! stay on for the lifetime of a resident service. When something goes
 //! wrong (a crash, a deadline miss, a wedge), the last few thousand
 //! events are still there to snapshot into an incident bundle, the way
@@ -40,8 +40,6 @@ pub const FLIGHT_CAPACITY: usize = 4096;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 #[repr(u8)]
 pub enum FlightKind {
-    /// A query entered a run phase (`a` = query, `b` = phase ordinal).
-    Phase,
     /// A query was admitted to the engine (`a` = query).
     QueryAdmit,
     /// A query completed (`a` = query, `b` = 1 on success, 0 on error).
@@ -80,8 +78,7 @@ pub enum FlightKind {
 
 impl FlightKind {
     /// Every kind, for exhaustive schema/rendering tables.
-    pub const ALL: [FlightKind; 15] = [
-        FlightKind::Phase,
+    pub const ALL: [FlightKind; 14] = [
         FlightKind::QueryAdmit,
         FlightKind::QueryComplete,
         FlightKind::Steal,
@@ -101,7 +98,6 @@ impl FlightKind {
     /// Stable machine-readable name, used in incident bundles.
     pub fn name(self) -> &'static str {
         match self {
-            FlightKind::Phase => "phase",
             FlightKind::QueryAdmit => "query_admit",
             FlightKind::QueryComplete => "query_complete",
             FlightKind::Steal => "steal",

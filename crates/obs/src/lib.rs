@@ -70,6 +70,18 @@ pub use span::{Span, SpanKind};
 pub use trace::chrome_trace;
 pub use validate::{parse_json, validate_report, validate_trace};
 
+/// Readers of parsed JSON documents — reports, incident bundles, the
+/// `/status` page — shared by every validator and renderer: strict
+/// accessors that name the offending field (`req_*`, `opt_u64`, `as_*`)
+/// and lenient ones that read a missing field as empty (`field`, `uint`,
+/// `num`, `text`, `seq`).
+pub mod json {
+    pub use crate::validate::{
+        as_map, as_seq, field, get, num, opt_u64, parse_json, req_fraction, req_map, req_seq,
+        req_str, req_u64, seq, text, uint,
+    };
+}
+
 use std::time::Duration;
 
 /// Observability configuration, threaded through `EngineConfig::obs`.

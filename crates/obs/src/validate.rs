@@ -182,60 +182,143 @@ fn parse_number(b: &[u8], pos: &mut usize) -> Result<Value, String> {
     }
 }
 
-pub(crate) fn get<'a>(map: &'a [(String, Value)], key: &str) -> Option<&'a Value> {
-    map.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+/// `key`'s value in the object `fields`.
+pub fn get<'a>(fields: &'a [(String, Value)], key: &str) -> Option<&'a Value> {
+    fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
 }
 
-pub(crate) fn as_map<'a>(v: &'a Value, ctx: &str) -> Result<&'a [(String, Value)], String> {
+/// `v` as an unsigned integer: a `UInt`, or an `Int` that is not negative.
+fn as_u64(v: &Value) -> Option<u64> {
+    match v {
+        Value::UInt(u) => Some(*u),
+        Value::Int(i) if *i >= 0 => Some(*i as u64),
+        _ => None,
+    }
+}
+
+/// `v` as a number of any representation.
+fn as_f64(v: &Value) -> Option<f64> {
+    match v {
+        Value::Float(f) => Some(*f),
+        Value::UInt(u) => Some(*u as f64),
+        Value::Int(i) => Some(*i as f64),
+        _ => None,
+    }
+}
+
+/// `v` as an object, or an error naming `ctx`.
+pub fn as_map<'a>(v: &'a Value, ctx: &str) -> Result<&'a [(String, Value)], String> {
     match v {
         Value::Map(m) => Ok(m),
         _ => Err(format!("{ctx}: expected object")),
     }
 }
 
-pub(crate) fn as_seq<'a>(v: &'a Value, ctx: &str) -> Result<&'a [Value], String> {
+/// `v` as an array, or an error naming `ctx`.
+pub fn as_seq<'a>(v: &'a Value, ctx: &str) -> Result<&'a [Value], String> {
     match v {
         Value::Seq(s) => Ok(s),
         _ => Err(format!("{ctx}: expected array")),
     }
 }
 
-pub(crate) fn req_u64(map: &[(String, Value)], key: &str, ctx: &str) -> Result<u64, String> {
-    match get(map, key) {
-        Some(Value::UInt(u)) => Ok(*u),
-        Some(Value::Int(i)) if *i >= 0 => Ok(*i as u64),
-        Some(_) => Err(format!("{ctx}.{key}: expected unsigned integer")),
-        None => Err(format!("{ctx}.{key}: missing")),
-    }
+/// The unsigned integer at `key`; an error naming `ctx.key` when it is
+/// missing or of another type.
+pub fn req_u64(map: &[(String, Value)], key: &str, ctx: &str) -> Result<u64, String> {
+    opt_u64(map, key, ctx)?.ok_or_else(|| format!("{ctx}.{key}: missing"))
 }
 
 /// An *additive* u64 field: absent is fine (`None`), but a present value
 /// of the wrong type is still a schema violation.
-pub(crate) fn opt_u64(
-    map: &[(String, Value)],
-    key: &str,
-    ctx: &str,
-) -> Result<Option<u64>, String> {
+pub fn opt_u64(map: &[(String, Value)], key: &str, ctx: &str) -> Result<Option<u64>, String> {
+    get(map, key)
+        .map(|v| as_u64(v).ok_or_else(|| format!("{ctx}.{key}: expected unsigned integer")))
+        .transpose()
+}
+
+/// The string at `key`; an error naming `ctx.key` when it is missing or
+/// of another type.
+pub fn req_str<'a>(map: &'a [(String, Value)], key: &str, ctx: &str) -> Result<&'a str, String> {
     match get(map, key) {
-        Some(Value::UInt(u)) => Ok(Some(*u)),
-        Some(Value::Int(i)) if *i >= 0 => Ok(Some(*i as u64)),
-        Some(_) => Err(format!("{ctx}.{key}: expected unsigned integer")),
-        None => Ok(None),
+        Some(Value::Str(s)) => Ok(s),
+        Some(_) => Err(format!("{ctx}.{key}: expected string")),
+        None => Err(format!("{ctx}.{key}: missing")),
     }
 }
 
-pub(crate) fn req_fraction(map: &[(String, Value)], key: &str, ctx: &str) -> Result<f64, String> {
+/// The object at `key`; an error naming `ctx.key` when it is missing or
+/// of another type.
+pub fn req_map<'a>(
+    map: &'a [(String, Value)],
+    key: &str,
+    ctx: &str,
+) -> Result<&'a [(String, Value)], String> {
+    let ctx = format!("{ctx}.{key}");
+    as_map(get(map, key).ok_or_else(|| format!("{ctx}: missing"))?, &ctx)
+}
+
+/// The array at `key`; an error naming `ctx.key` when it is missing or
+/// of another type.
+pub fn req_seq<'a>(
+    map: &'a [(String, Value)],
+    key: &str,
+    ctx: &str,
+) -> Result<&'a [Value], String> {
+    let ctx = format!("{ctx}.{key}");
+    as_seq(get(map, key).ok_or_else(|| format!("{ctx}: missing"))?, &ctx)
+}
+
+/// A number in `[0, 1]` at `key`; an error naming `ctx.key` when it is
+/// missing, of another type or out of range.
+pub fn req_fraction(map: &[(String, Value)], key: &str, ctx: &str) -> Result<f64, String> {
     let f = match get(map, key) {
-        Some(Value::Float(f)) => *f,
-        Some(Value::UInt(u)) => *u as f64,
-        Some(Value::Int(i)) => *i as f64,
-        Some(_) => return Err(format!("{ctx}.{key}: expected number")),
+        Some(v) => as_f64(v).ok_or_else(|| format!("{ctx}.{key}: expected number"))?,
         None => return Err(format!("{ctx}.{key}: missing")),
     };
     if !f.is_finite() || !(0.0..=1.0).contains(&f) {
         return Err(format!("{ctx}.{key}: {f} outside [0, 1]"));
     }
     Ok(f)
+}
+
+/// `key`'s value in `v`, `Null` when `v` is not an object or lacks it.
+///
+/// This and the four readers below are the lenient side of the same
+/// accessors, for renderers that show whatever a document holds: an
+/// absent key or a value of another type reads as `Null`, 0, `""` or
+/// an empty array.
+pub fn field<'a>(v: &'a Value, key: &str) -> &'a Value {
+    static NULL: Value = Value::Null;
+    match v {
+        Value::Map(m) => get(m, key).unwrap_or(&NULL),
+        _ => &NULL,
+    }
+}
+
+/// The unsigned integer at `key` in `v`, else 0.
+pub fn uint(v: &Value, key: &str) -> u64 {
+    as_u64(field(v, key)).unwrap_or(0)
+}
+
+/// The number at `key` in `v`, else 0.
+pub fn num(v: &Value, key: &str) -> f64 {
+    as_f64(field(v, key)).unwrap_or(0.0)
+}
+
+/// The string at `key` in `v`, else `""`.
+pub fn text<'a>(v: &'a Value, key: &str) -> &'a str {
+    match field(v, key) {
+        Value::Str(s) => s,
+        _ => "",
+    }
+}
+
+/// The array at `key` in `v`, else empty.
+pub fn seq<'a>(v: &'a Value, key: &str) -> &'a [Value] {
+    match field(v, key) {
+        Value::Seq(s) => s,
+        _ => &[],
+    }
 }
 
 pub(crate) const TRAFFIC_KEYS: [&str; 7] = [
@@ -339,13 +422,7 @@ fn check_rebalance(parent: &[(String, Value)], warnings: &mut Vec<String>) -> Re
     for key in REBALANCE_KEYS {
         req_u64(m, key, "rebalance")?;
     }
-    for (i, h) in as_seq(
-        get(m, "per_holder_rerouted").ok_or("rebalance.per_holder_rerouted: missing")?,
-        "rebalance.per_holder_rerouted",
-    )?
-    .iter()
-    .enumerate()
-    {
+    for (i, h) in req_seq(m, "per_holder_rerouted", "rebalance")?.iter().enumerate() {
         let ctx = format!("rebalance.per_holder_rerouted[{i}]");
         let hm = as_map(h, &ctx)?;
         for key in ["part", "requests", "bytes"] {
@@ -409,8 +486,7 @@ fn check_failures(map: &[(String, Value)], ctx: &str) -> Result<(u64, u64), Stri
 /// Checks a critical-path section: fractions in `[0, 1]` summing to
 /// 1 ± 0.01 (or all zero), and the per-part decomposition keys.
 fn check_critical_path(map: &[(String, Value)], ctx: &str) -> Result<(), String> {
-    let fractions =
-        as_map(get(map, "fractions").ok_or(format!("{ctx}.fractions: missing"))?, "fractions")?;
+    let fractions = req_map(map, "fractions", ctx)?;
     let mut cp_sum = 0.0;
     for key in CRITICAL_PATH_FRACTION_KEYS {
         cp_sum += req_fraction(fractions, key, &format!("{ctx}.fractions"))?;
@@ -418,7 +494,7 @@ fn check_critical_path(map: &[(String, Value)], ctx: &str) -> Result<(), String>
     if cp_sum != 0.0 && (cp_sum - 1.0).abs() > 0.01 {
         return Err(format!("{ctx}.fractions: sum {cp_sum} not within 1 ± 0.01"));
     }
-    let cp_parts = as_seq(get(map, "per_part").ok_or(format!("{ctx}.per_part: missing"))?, ctx)?;
+    let cp_parts = req_seq(map, "per_part", ctx)?;
     for (i, p) in cp_parts.iter().enumerate() {
         let m = as_map(p, &format!("{ctx}.per_part[{i}]"))?;
         for key in [
@@ -467,10 +543,10 @@ pub fn validate_report(json: &str) -> Result<Vec<String>, String> {
     req_u64(top, "count", "report")?;
     req_u64(top, "elapsed_ns", "report")?;
 
-    let traffic = as_map(get(top, "traffic").ok_or("report.traffic: missing")?, "traffic")?;
+    let traffic = req_map(top, "traffic", "report")?;
     check_traffic(traffic, "traffic")?;
 
-    let breakdown = as_map(get(top, "breakdown").ok_or("report.breakdown: missing")?, "breakdown")?;
+    let breakdown = req_map(top, "breakdown", "report")?;
     let mut total = 0.0;
     for key in ["compute", "network", "scheduler", "cache"] {
         total += req_fraction(breakdown, key, "breakdown")?;
@@ -479,7 +555,7 @@ pub fn validate_report(json: &str) -> Result<Vec<String>, String> {
         return Err(format!("breakdown: fractions sum to {total} > 1"));
     }
 
-    let per_part = as_seq(get(top, "per_part").ok_or("report.per_part: missing")?, "per_part")?;
+    let per_part = req_seq(top, "per_part", "report")?;
     for (i, p) in per_part.iter().enumerate() {
         let m = as_map(p, "per_part[i]")?;
         for key in PART_KEYS {
@@ -487,7 +563,7 @@ pub fn validate_report(json: &str) -> Result<Vec<String>, String> {
         }
     }
 
-    let hists = as_seq(get(top, "histograms").ok_or("report.histograms: missing")?, "histograms")?;
+    let hists = req_seq(top, "histograms", "report")?;
     for (i, h) in hists.iter().enumerate() {
         let m = as_map(h, "histograms[i]")?;
         match get(m, "name") {
@@ -499,10 +575,7 @@ pub fn validate_report(json: &str) -> Result<Vec<String>, String> {
             }
             _ => return Err(format!("histograms[{i}].name: missing or empty")),
         }
-        let snap = as_map(
-            get(m, "histogram").ok_or_else(|| format!("histograms[{i}].histogram: missing"))?,
-            "histogram",
-        )?;
+        let snap = req_map(m, "histogram", &format!("histograms[{i}]"))?;
         for key in HIST_KEYS {
             req_u64(snap, key, &format!("histograms[{i}]"))?;
         }
@@ -519,10 +592,7 @@ pub fn validate_report(json: &str) -> Result<Vec<String>, String> {
             }
         }
         opt_u64(snap, "max", &format!("histograms[{i}]"))?;
-        let buckets = as_seq(
-            get(snap, "buckets").ok_or_else(|| format!("histograms[{i}].buckets: missing"))?,
-            "buckets",
-        )?;
+        let buckets = req_seq(snap, "buckets", &format!("histograms[{i}]"))?;
         let count = req_u64(snap, "count", "h")?;
         let sum: u64 = buckets
             .iter()
@@ -536,7 +606,7 @@ pub fn validate_report(json: &str) -> Result<Vec<String>, String> {
         }
     }
 
-    let series = as_seq(get(top, "series").ok_or("report.series: missing")?, "series")?;
+    let series = req_seq(top, "series", "report")?;
     for (i, s) in series.iter().enumerate() {
         let m = as_map(s, "series[i]")?;
         for key in ["t_ns", "part", "inflight", "network_bytes", "queue_depth"] {
@@ -544,7 +614,7 @@ pub fn validate_report(json: &str) -> Result<Vec<String>, String> {
         }
     }
 
-    let spans = as_map(get(top, "spans").ok_or("report.spans: missing")?, "spans")?;
+    let spans = req_map(top, "spans", "report")?;
     req_u64(spans, "recorded", "spans")?;
     let dropped = req_u64(spans, "dropped", "spans")?;
     if dropped > 0 {
@@ -553,7 +623,7 @@ pub fn validate_report(json: &str) -> Result<Vec<String>, String> {
              critical-path attribution derived from it are truncated"
         ));
     }
-    let rings = as_seq(get(spans, "rings").ok_or("spans.rings: missing")?, "rings")?;
+    let rings = req_seq(spans, "rings", "spans")?;
     for (i, r) in rings.iter().enumerate() {
         let m = as_map(r, "rings[i]")?;
         for key in ["shard", "len", "capacity", "dropped"] {
@@ -565,10 +635,10 @@ pub fn validate_report(json: &str) -> Result<Vec<String>, String> {
         }
     }
 
-    let cp = as_map(get(top, "critical_path").ok_or("report.critical_path: missing")?, "cp")?;
+    let cp = req_map(top, "critical_path", "report")?;
     check_critical_path(cp, "critical_path")?;
 
-    let failures = as_map(get(top, "failures").ok_or("report.failures: missing")?, "failures")?;
+    let failures = req_map(top, "failures", "report")?;
     let (parts_failed, rerouted_bytes) = check_failures(failures, "failures")?;
     if parts_failed > 0 && rerouted_bytes == 0 {
         warnings.push(format!(
@@ -581,7 +651,7 @@ pub fn validate_report(json: &str) -> Result<Vec<String>, String> {
     check_rebalance(top, &mut warnings)?;
     check_control(top, "control")?;
 
-    let queries = as_seq(get(top, "queries").ok_or("report.queries: missing")?, "queries")?;
+    let queries = req_seq(top, "queries", "report")?;
     let mut seen_ids: Vec<u64> = Vec::new();
     for (i, q) in queries.iter().enumerate() {
         let ctx = format!("queries[{i}]");
@@ -601,13 +671,11 @@ pub fn validate_report(json: &str) -> Result<Vec<String>, String> {
         }
         req_u64(m, "count", &ctx)?;
         req_u64(m, "elapsed_ns", &ctx)?;
-        let q_traffic = as_map(get(m, "traffic").ok_or(format!("{ctx}.traffic: missing"))?, &ctx)?;
+        let q_traffic = req_map(m, "traffic", &ctx)?;
         check_traffic(q_traffic, &format!("{ctx}.traffic"))?;
-        let q_failures =
-            as_map(get(m, "failures").ok_or(format!("{ctx}.failures: missing"))?, &ctx)?;
+        let q_failures = req_map(m, "failures", &ctx)?;
         check_failures(q_failures, &format!("{ctx}.failures"))?;
-        let q_cp =
-            as_map(get(m, "critical_path").ok_or(format!("{ctx}.critical_path: missing"))?, &ctx)?;
+        let q_cp = req_map(m, "critical_path", &ctx)?;
         check_critical_path(q_cp, &format!("{ctx}.critical_path"))?;
         check_control(m, &format!("{ctx}.control"))?;
         // A successful query that retired fewer roots than it claimed to
@@ -644,8 +712,7 @@ pub fn validate_report(json: &str) -> Result<Vec<String>, String> {
 pub fn validate_trace(json: &str) -> Result<(), String> {
     let doc = parse_json(json)?;
     let top = as_map(&doc, "trace")?;
-    let events =
-        as_seq(get(top, "traceEvents").ok_or("trace.traceEvents: missing")?, "traceEvents")?;
+    let events = req_seq(top, "traceEvents", "trace")?;
     let mut flow_starts: Vec<u64> = Vec::new();
     let mut flow_finishes: Vec<u64> = Vec::new();
     for (i, ev) in events.iter().enumerate() {
