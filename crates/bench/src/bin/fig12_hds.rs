@@ -1,13 +1,14 @@
 //! **Figure 12** — effect of horizontal data sharing (HDS).
 //!
 //! 4-CC and 5-CC on mc / pt / lj / fr stand-ins with and without the
-//! in-chunk no-collision share table (§5.2). Reports network traffic and
-//! critical-path communication time normalized to the without-HDS run.
-//! The paper's shape: large traffic cuts on skewed graphs, moderate on pt.
+//! in-chunk share table (§5.2), the only dedup before the wire. Reports
+//! network traffic and critical-path communication time normalized to the
+//! without-HDS run. The paper's shape: large traffic cuts on skewed
+//! graphs, moderate on pt; CI fails a `--quick` run with a row not below 1.
 //!
 //! Usage: `cargo run -p gpm-bench --release --bin fig12_hds [--quick]`
 
-use gpm_bench::report::{fmt_bytes, write_json, Table};
+use gpm_bench::report::{fmt_bytes, stamp, write_json, Table};
 use gpm_bench::workloads::App;
 use gpm_bench::{build_dataset, Scale, PAPER_MACHINES};
 use gpm_graph::datasets::DatasetId;
@@ -16,6 +17,14 @@ use gpm_pattern::plan::PlanOptions;
 use khuzdul::{CacheConfig, Engine, EngineConfig, RunStats};
 use serde::Serialize;
 use std::time::Duration;
+
+/// The rows, stamped with the tree and the day they were measured on.
+#[derive(Serialize)]
+struct Record {
+    commit: String,
+    date: String,
+    rows: Vec<Row>,
+}
 
 #[derive(Serialize)]
 struct Row {
@@ -84,7 +93,8 @@ fn main() {
     }
     println!("Figure 12: Effect of Horizontal Data Sharing (k-GraphPi, normalized to no-HDS)\n");
     table.print();
-    if let Ok(p) = write_json("fig12_hds", &rows) {
+    let (commit, date) = stamp();
+    if let Ok(p) = write_json("fig12_hds", &Record { commit, date, rows }) {
         println!("\nwrote {}", p.display());
     }
 }

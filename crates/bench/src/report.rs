@@ -90,6 +90,21 @@ impl Table {
     }
 }
 
+/// What a result file is stamped with: the tree that produced it, as
+/// `git describe --always --dirty` names it, and the UTC date it was run
+/// on (`unknown` where either command fails).
+pub fn stamp() -> (String, String) {
+    let run = |cmd: &str, args: &[&str]| {
+        let out = std::process::Command::new(cmd).args(args).output().ok();
+        let out = out.filter(|out| out.status.success());
+        out.map_or_else(
+            || "unknown".into(),
+            |out| String::from_utf8_lossy(&out.stdout).trim().into(),
+        )
+    };
+    (run("git", &["describe", "--always", "--dirty", "--abbrev=12"]), run("date", &["-u", "+%F"]))
+}
+
 /// Writes experiment rows as JSON next to the repository (for
 /// EXPERIMENTS.md bookkeeping and plotting).
 pub fn write_json<T: Serialize>(experiment: &str, rows: &T) -> std::io::Result<PathBuf> {

@@ -12,10 +12,12 @@
 //!   [`EdgeListClient::try_fetch_async`] reports a full window instead,
 //!   for callers that hold fetches of their own. Window size 1
 //!   reproduces the old blocking RPC's fully serialized transfers.
-//! * **Coalescing** — duplicate vertices within one request are sent
-//!   once and the reply is read back in request order — duplicates as
-//!   spans of the one served list, nothing copied — so callers never
-//!   observe the dedup (reply order is invariant).
+//! * **Bounded requests** — a request may carry a [`Clamp`]: one
+//!   exclusive lower bound per vertex and the degree from which lists
+//!   ship whole. The responder then serves each shorter list above its
+//!   bound, so only the part of a list its reader can reach crosses the
+//!   wire. Requests are sent as asked: deduplicating them is the caller's
+//!   business (the engine's share table), not the fabric's.
 //! * **Timeout/retry** — each attempt has a deadline; lost or
 //!   transiently errored replies are retried with exponential backoff
 //!   and a fresh sequence number (stale replies are discarded by tag) —
@@ -27,12 +29,12 @@
 use crate::metrics::{ClusterMetrics, Counter, Counters, Scope, TrafficClass};
 use crate::transport::{
     await_reply, ChannelTransport, FaultPlan, FetchedLists, ReplicaPush, RetryPolicy, WireReply,
-    WireRequest, HEADER_BYTES,
+    WireRequest,
 };
 use crate::{NetworkModel, PartId};
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use gpm_graph::partition::{vertex_hash, GraphPart, PartitionedGraph};
-use gpm_graph::VertexId;
+use gpm_graph::partition::{GraphPart, PartitionedGraph};
+use gpm_graph::{Degree, VertexId};
 use gpm_obs::{FlightKind, Metric, Recorder, SpanKind};
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::fmt;
@@ -589,6 +591,17 @@ impl EdgeListService {
     }
 }
 
+/// How much of each requested list a bounded fetch asks for: the `k`-th
+/// list above `above[k]`, unless it has `whole_from` entries or more, which
+/// ship whole — so a list the requester may cache always arrives whole.
+#[derive(Debug, Clone, Copy)]
+pub struct Clamp<'a> {
+    /// One exclusive lower bound per requested vertex.
+    pub above: &'a [VertexId],
+    /// The degree from which a list ships whole whatever its bound.
+    pub whole_from: Degree,
+}
+
 /// A per-part client of the [`EdgeListService`].
 #[derive(Debug, Clone)]
 pub struct EdgeListClient {
@@ -670,66 +683,82 @@ impl EdgeListClient {
         self.fetch_async(target, vertices)?.wait()
     }
 
-    /// Issues a fetch without waiting for the reply.
+    /// [`fetch_clamped_async`](EdgeListClient::fetch_clamped_async) of
+    /// whole lists.
+    pub fn fetch_async(
+        &self,
+        target: PartId,
+        vertices: &[VertexId],
+    ) -> Result<PendingFetch, FetchError> {
+        self.fetch_clamped_async(target, vertices, None)
+    }
+
+    /// Issues a fetch without waiting for the reply: each list whole, or
+    /// cut by `clamp`.
     ///
     /// Blocks only while this part's in-flight window is full
     /// (backpressure); once a slot is free the request is submitted and
-    /// a completion handle returned. Duplicate vertices are coalesced on
-    /// the wire; the reply [`PendingFetch::wait`] returns reads in
-    /// request order, so `lists.list(i)` always matches `vertices[i]`.
+    /// a completion handle returned. The reply [`PendingFetch::wait`]
+    /// returns reads in request order, so `lists.list(i)` always answers
+    /// `vertices[i]` — a vertex requested twice is served twice.
     ///
     /// # Errors
     ///
     /// Returns [`FetchError::Shutdown`] if the service has stopped, or
     /// [`FetchError::PartDead`] if `target` is dead and no live replica
     /// holder can serve its slice.
-    pub fn fetch_async(
+    ///
+    /// # Panics
+    ///
+    /// Panics if `target` is out of range or `clamp` does not hold one
+    /// bound per vertex.
+    pub fn fetch_clamped_async(
         &self,
         target: PartId,
         vertices: &[VertexId],
+        clamp: Option<Clamp<'_>>,
     ) -> Result<PendingFetch, FetchError> {
         let permit = self.window.acquire();
-        self.submit(target, vertices, permit)
+        self.submit(target, vertices, clamp, permit)
     }
 
-    /// [`fetch_async`] that never blocks: `Ok(None)`, with nothing
-    /// submitted or recorded, when this part's in-flight window is full.
+    /// [`fetch_clamped_async`] that never blocks: `Ok(None)`, with
+    /// nothing submitted or recorded, when this part's in-flight window
+    /// is full.
     ///
     /// The window is shared by every client of the part, so a caller
     /// holding un-waited fetches must not block on it — the slots it
     /// waits for may be its own. Such a caller submits through here and,
     /// on `None`, waits its oldest fetch before trying again.
     ///
-    /// [`fetch_async`]: EdgeListClient::fetch_async
+    /// [`fetch_clamped_async`]: EdgeListClient::fetch_clamped_async
     ///
     /// # Errors
     ///
-    /// As [`fetch_async`].
+    /// As [`fetch_clamped_async`].
     pub fn try_fetch_async(
         &self,
         target: PartId,
         vertices: &[VertexId],
+        clamp: Option<Clamp<'_>>,
     ) -> Result<Option<PendingFetch>, FetchError> {
         match self.window.try_acquire() {
-            Some(permit) => self.submit(target, vertices, permit).map(Some),
+            Some(permit) => self.submit(target, vertices, clamp, permit).map(Some),
             None => Ok(None),
         }
     }
 
-    /// Coalesces and submits one request under an already-held window
-    /// slot.
+    /// Submits one request under an already-held window slot.
     fn submit(
         &self,
         target: PartId,
         vertices: &[VertexId],
+        clamp: Option<Clamp<'_>>,
         permit: WindowPermit,
     ) -> Result<PendingFetch, FetchError> {
         assert!(target < self.part_count(), "target part out of range");
-        let (wire, expand) = coalesce(vertices);
-        if let Some(saved) = vertices.len().checked_sub(wire.len()) {
-            if saved > 0 {
-                self.scope.add(Counter::Coalesced, saved as u64);
-            }
+        if let Some(clamp) = clamp {
+            assert_eq!(clamp.above.len(), vertices.len(), "one bound per requested vertex");
         }
         self.obs.observe(Metric::WindowOccupancy, self.window.occupancy());
         let submitted_ns = self.obs.now_ns();
@@ -748,18 +777,24 @@ impl EdgeListClient {
             target as u64,
             req_id,
         );
-        let mut fetch = PendingFetch {
-            client: self.clone(),
-            owner: target,
-            // `target` stays the logical owner on the wire; the submission
-            // goes to whichever part currently serves that slice.
-            target: self.liveness.route(target)?,
-            wire,
-            expand,
-            reply_tx,
-            reply_rx,
+        let request = WireRequest {
             seq,
             req_id,
+            query: self.query,
+            from: self.part,
+            // `target` stays the logical owner on the wire; the submission
+            // goes to whichever part currently serves that slice.
+            owner: target,
+            vertices: Arc::from(vertices),
+            above: clamp.map(|clamp| Arc::from(clamp.above)),
+            whole_from: clamp.map_or(0, |clamp| clamp.whole_from),
+        };
+        let mut fetch = PendingFetch {
+            client: self.clone(),
+            target: self.liveness.route(target)?,
+            request,
+            reply_tx,
+            reply_rx,
             attempts: 1,
             submitted: Instant::now(),
             submitted_ns,
@@ -779,21 +814,17 @@ impl EdgeListClient {
 #[derive(Debug)]
 pub struct PendingFetch {
     client: EdgeListClient,
-    /// The part whose slice is being fetched (the logical target).
-    owner: PartId,
-    /// The part currently serving the request: `owner` while alive, else
-    /// a replica holder. Updated when a mid-flight failover re-routes.
+    /// The part currently serving the request: its logical owner while
+    /// alive, else a replica holder. Updated when a mid-flight failover
+    /// re-routes.
     target: PartId,
-    /// Deduplicated vertices as sent on the wire, shared with every
-    /// submission (first attempt, retries, failovers) of this fetch.
-    wire: Arc<[VertexId]>,
-    /// For requests with duplicates: original index → wire index.
-    expand: Option<Vec<u32>>,
+    /// The request as every submission (first attempt, retries,
+    /// failovers) sends it — its columns shared, not copied — with the
+    /// current attempt's `seq` and the stable causal `req_id`
+    /// (first-attempt seq + 1).
+    request: WireRequest,
     reply_tx: Sender<WireReply>,
     reply_rx: Receiver<WireReply>,
-    seq: u64,
-    /// Causal request id (first-attempt seq + 1), stable across retries.
-    req_id: u64,
     attempts: u32,
     /// First submission time; the network model's transfer delay is
     /// measured from here so concurrent in-flight transfers overlap.
@@ -807,7 +838,7 @@ impl PendingFetch {
     /// The part whose slice this fetch requests. A failed-over fetch is
     /// physically served elsewhere, but the logical owner is stable.
     pub fn owner(&self) -> PartId {
-        self.owner
+        self.request.owner
     }
 
     /// The causal request id of this fetch, stable across retries and
@@ -815,12 +846,12 @@ impl PendingFetch {
     /// covering their blocked `recv` (see `gpm_obs::Span::link`) so the
     /// trace links the wait to the issue and the responder's serve.
     pub fn request_id(&self) -> u64 {
-        self.req_id
+        self.request.req_id
     }
 
     /// Blocks until the reply arrives (retrying on loss or transient
     /// errors), counts the traffic, and returns the lists in
-    /// original request order.
+    /// request order.
     ///
     /// # Errors
     ///
@@ -829,7 +860,7 @@ impl PendingFetch {
     pub fn wait(mut self) -> Result<FetchedLists, FetchError> {
         let mut sent = self.submitted;
         let lists = loop {
-            let (deadline, seq) = (sent + self.client.retry.timeout, self.seq);
+            let (deadline, seq) = (sent + self.client.retry.timeout, self.request.seq);
             match await_reply(&self.reply_rx, deadline, |r: &WireReply| r.seq == seq) {
                 Some(WireReply { payload: Ok(lists), .. }) => break lists,
                 Some(WireReply { payload: Err(e), .. }) if !e.is_transient() => return Err(e),
@@ -838,9 +869,9 @@ impl PendingFetch {
             }
             sent = Instant::now();
         };
-        let req_bytes = HEADER_BYTES + 4 * self.wire.len() as u64;
+        let req_bytes = self.request.wire_bytes();
         let resp_bytes = lists.response_bytes();
-        if self.target != self.owner {
+        if self.target != self.request.owner {
             // Served by a replica holder of a dead part: account the
             // failover traffic separately for the run report — once on
             // the issuing side, and once against the *serving holder* so
@@ -859,7 +890,7 @@ impl PendingFetch {
             self.client.part as u32,
             self.submitted_ns,
             self.target as u64,
-            self.req_id,
+            self.request.req_id,
         );
         obs.observe(Metric::FetchLatencyNs, self.submitted.elapsed().as_nanos() as u64);
         obs.observe(Metric::BatchBytes, resp_bytes);
@@ -874,10 +905,7 @@ impl PendingFetch {
                 precise_sleep(remaining);
             }
         }
-        Ok(match self.expand.take() {
-            None => lists,
-            Some(map) => lists.requested_as(map),
-        })
+        Ok(lists)
     }
 
     /// One more attempt after a lost one: backoff, a fresh sequence
@@ -886,13 +914,13 @@ impl PendingFetch {
     /// [`FabricConfig::fail_fast`], promotes the serving part to dead and
     /// fails over to the next live replica holder.
     fn resubmit(&mut self) -> Result<(), FetchError> {
-        let c = &self.client;
-        if c.retry.back_off(self.attempts, &c.obs, SpanKind::Retry, c.query, c.part, self.req_id) {
+        let (c, link) = (&self.client, self.request.req_id);
+        if c.retry.back_off(self.attempts, &c.obs, SpanKind::Retry, c.query, c.part, link) {
             c.scope.add(Counter::Retries, 1);
             let attempts = self.attempts as u64;
             c.obs.flight().record(FlightKind::Retry, c.query, self.target as u64, attempts);
             self.attempts += 1;
-            self.seq = c.seq.fetch_add(1, Ordering::Relaxed);
+            self.request.seq = c.seq.fetch_add(1, Ordering::Relaxed);
         } else if c.liveness.fail_fast {
             self.fail_over(self.target)?;
         } else {
@@ -901,21 +929,14 @@ impl PendingFetch {
         self.send()
     }
 
-    /// Submits attempt `seq` to the part serving `owner`'s slice. While
-    /// the transport reports that part dead, fails over and submits
+    /// Submits the current attempt to the part serving the owner's slice.
+    /// While the transport reports that part dead, fails over and submits
     /// again; ends once a submission is accepted, or with
     /// [`FetchError::PartDead`] once no live holder is left — each turn
     /// promotes one more part, so it terminates.
     fn send(&mut self) -> Result<(), FetchError> {
         loop {
-            let req = WireRequest {
-                seq: self.seq,
-                req_id: self.req_id,
-                query: self.client.query,
-                from: self.client.part,
-                owner: self.owner,
-                vertices: Arc::clone(&self.wire),
-            };
+            let req = self.request.clone();
             match self.client.transport.submit(self.target, req, &self.reply_tx) {
                 Err(FetchError::PartDead { part }) => self.fail_over(part)?,
                 other => return other,
@@ -924,68 +945,19 @@ impl PendingFetch {
     }
 
     /// Promotes `dead` and re-routes this fetch to the next live holder
-    /// of `owner`'s slice, with a fresh sequence number and a fresh
+    /// of the owner's slice, with a fresh sequence number and a fresh
     /// attempt budget for the new link.
     fn fail_over(&mut self, dead: PartId) -> Result<(), FetchError> {
         let c = &self.client;
         c.promote_dead(dead);
-        self.target = c.liveness.route(self.owner)?;
-        let (owner, target) = (self.owner as u64, self.target as u64);
-        c.obs.record_instant_for(c.query, SpanKind::Failover, owner as u32, target, self.req_id);
-        c.obs.flight().record(FlightKind::Failover, c.query, owner, target);
+        let owner = self.request.owner;
+        self.target = c.liveness.route(owner)?;
+        let (link, target) = (self.request.req_id, self.target as u64);
+        c.obs.record_instant_for(c.query, SpanKind::Failover, owner as u32, target, link);
+        c.obs.flight().record(FlightKind::Failover, c.query, owner as u64, target);
         self.attempts = 1;
-        self.seq = c.seq.fetch_add(1, Ordering::Relaxed);
+        self.request.seq = c.seq.fetch_add(1, Ordering::Relaxed);
         Ok(())
-    }
-}
-
-/// Deduplicates `vertices` preserving first-occurrence order. Returns
-/// the wire list and, when duplicates existed, the original-index →
-/// wire-index map the reply is read through ([`FetchedLists::span`]).
-///
-/// One pass over an open-addressed table keyed by [`vertex_hash`]. A
-/// request without duplicates (what horizontal sharing leaves, barring
-/// its dropped collisions) builds neither a second list nor a map: the
-/// wire list is the input.
-fn coalesce(vertices: &[VertexId]) -> (Arc<[VertexId]>, Option<Vec<u32>>) {
-    // At most half full, so linear probing always reaches a free slot.
-    let mask = (vertices.len() * 2).next_power_of_two() - 1;
-    // Original index of a vertex's first occurrence, plus one; 0 = free.
-    let mut first = vec![0u32; mask + 1];
-    let mut dedup: Option<(Vec<VertexId>, Vec<u32>)> = None;
-    for (i, &v) in vertices.iter().enumerate() {
-        let mut slot = vertex_hash(v) as usize & mask;
-        let seen = loop {
-            match first[slot] {
-                0 => {
-                    first[slot] = i as u32 + 1;
-                    break None;
-                }
-                j if vertices[j as usize - 1] == v => break Some(j as usize - 1),
-                _ => slot = (slot + 1) & mask,
-            }
-        };
-        match (seen, &mut dedup) {
-            (None, None) => {}
-            (None, Some((wire, map))) => {
-                map.push(wire.len() as u32);
-                wire.push(v);
-            }
-            // First duplicate: everything before it is its own wire entry.
-            (Some(j), None) => {
-                let mut wire = Vec::with_capacity(vertices.len());
-                wire.extend_from_slice(&vertices[..i]);
-                let mut map = Vec::with_capacity(vertices.len());
-                map.extend(0..i as u32);
-                map.push(j as u32);
-                dedup = Some((wire, map));
-            }
-            (Some(j), Some((_, map))) => map.push(map[j]),
-        }
-    }
-    match dedup {
-        None => (Arc::from(vertices), None),
-        Some((wire, map)) => (Arc::from(wire), Some(map)),
     }
 }
 
@@ -1134,7 +1106,7 @@ mod tests {
     }
 
     #[test]
-    fn coalescing_preserves_reply_order() {
+    fn a_vertex_requested_twice_is_served_twice() {
         let (g, pg) = cluster(2, 1);
         let service = EdgeListService::start(&pg, None);
         let client = service.client(1);
@@ -1142,41 +1114,72 @@ mod tests {
         let (a, b, c) = (owned[0], owned[1], owned[2]);
         let request = [a, b, a, c, b, a];
         let lists = client.fetch(0, &request).unwrap();
-        // The reply has one list per *requested* vertex, in request
-        // order, even though only 3 unique vertices went on the wire.
         assert_eq!(lists.len(), request.len());
         for (i, &v) in request.iter().enumerate() {
             assert_eq!(lists.list(i), g.neighbors(v), "list {i} mismatched");
         }
-        assert_eq!(service.metrics().totals()[Counter::Coalesced], 3);
+        // Deduplicating is the requester's business: all six went out.
+        assert_eq!(service.metrics().part(1).get(Counter::BytesSent), 16 + 4 * 6);
+        assert_eq!(service.metrics().totals()[Counter::Coalesced], 0);
         service.shutdown();
     }
 
-    /// What `wait` returned for a coalesced request before replies were
-    /// read through spans — every requested list copied out in request
-    /// order, as `(offsets, data)` — kept as the oracle for the spans.
-    fn expand_reply(served: &FetchedLists, map: &[u32]) -> (Vec<u32>, Vec<VertexId>) {
-        let mut offsets = vec![0u32];
-        let mut data = Vec::new();
-        for &w in map {
-            data.extend_from_slice(served.list(w as usize));
-            offsets.push(data.len() as u32);
+    /// What a bounded request must return for `v` with bound `above`.
+    fn clamped(
+        g: &gpm_graph::Graph,
+        v: VertexId,
+        above: VertexId,
+        whole_from: u32,
+    ) -> Vec<VertexId> {
+        let list = g.neighbors(v);
+        if (list.len() as u32) < whole_from {
+            list.iter().copied().filter(|&u| u > above).collect()
+        } else {
+            list.to_vec()
         }
-        (offsets, data)
     }
 
     #[test]
-    fn coalesced_replies_alias_one_payload_whatever_served_them() {
+    fn the_responder_clamps_below_the_whole_list_degree_and_ships_whole_at_or_above_it() {
+        let (g, pg) = cluster(2, 1);
+        let service = EdgeListService::start(&pg, None);
+        let client = service.client(1);
+        let owned: Vec<VertexId> = pg.part(0).owned().to_vec();
+        let above: Vec<VertexId> = owned.iter().map(|&v| v.wrapping_mul(37) % 200).collect();
+        let mut degrees: Vec<u32> = owned.iter().map(|&v| g.degree(v)).collect();
+        degrees.sort_unstable();
+        let whole_from = degrees[degrees.len() / 2];
+        let (mut cut, mut whole) = (0, 0);
+        for whole_from in [0, whole_from, u32::MAX] {
+            let clamp = Clamp { above: &above, whole_from };
+            let lists = client.fetch_clamped_async(0, &owned, Some(clamp)).unwrap().wait().unwrap();
+            for (k, &v) in owned.iter().enumerate() {
+                let want = clamped(&g, v, above[k], whole_from);
+                assert_eq!(lists.list(k), &want[..], "{v} above {} from {whole_from}", above[k]);
+                cut += usize::from((want.len() as u32) < g.degree(v));
+                whole += usize::from(g.degree(v) >= whole_from && g.degree(v) > 0);
+            }
+        }
+        assert!(cut > 0 && whole > 0, "{cut} cut, {whole} whole");
+        // The unbounded entry points still ship every list whole.
+        let lists = client.fetch(0, &owned).unwrap();
+        assert!(owned.iter().enumerate().all(|(k, &v)| lists.list(k) == g.neighbors(v)));
+        service.shutdown();
+    }
+
+    #[test]
+    fn bounded_replies_are_clamped_whatever_served_them() {
         let g = gen::erdos_renyi(200, 800, 7);
         let pg = PartitionedGraph::with_replication(&g, 3, 1, 2);
         let owned: Vec<VertexId> = pg.part(0).owned().iter().copied().take(12).collect();
         let faults = [
             None,
-            // Replies lost or refused: `resubmit` sends the same wire list.
+            // Replies lost or refused: `resubmit` sends the same columns.
             Some(FaultPlan::drops(0.3)),
             Some(FaultPlan { error_fraction: 0.3, ..FaultPlan::default() }),
-            // The owner dies under the loop: `failover` re-routes to the
-            // replica holder, first at submission and then mid-flight.
+            // The owner dies under the loop: `fail_over` re-routes to the
+            // replica holder, first at submission and then mid-flight, and
+            // the holder clamps as the owner would.
             Some(FaultPlan::crash_at(0, 2)),
         ];
         for fault in faults {
@@ -1184,26 +1187,14 @@ mod tests {
             let service = EdgeListService::start_with(&pg, None, fabric.clone());
             let client = service.client(1);
             for round in 0..owned.len() - 2 {
-                let (a, b, c) = (owned[round], owned[round + 1], owned[round + 2]);
-                let request = [a, b, a, c, b, a];
-                let (wire, map) = coalesce(&request);
-                let map = map.expect("the request has duplicates");
-                let served = client.fetch(0, &wire).unwrap();
-                let (want_offsets, want_data) = expand_reply(&served, &map);
-                let lists = client.fetch(0, &request).unwrap();
-                assert_eq!(lists.len(), request.len());
-                for (i, w) in want_offsets.windows(2).enumerate() {
-                    assert_eq!(lists.list(i), &want_data[w[0] as usize..w[1] as usize], "{i}");
-                    assert_eq!(lists.list(i), g.neighbors(request[i]));
+                let request = &owned[round..round + 3];
+                let above: Vec<VertexId> = request.iter().map(|&v| (v * 7 + 50) % 200).collect();
+                let clamp = Clamp { above: &above, whole_from: 10 };
+                let lists = client.fetch_clamped_async(0, request, Some(clamp)).unwrap().wait();
+                let lists = lists.unwrap();
+                for (k, &v) in request.iter().enumerate() {
+                    assert_eq!(lists.list(k), &clamped(&g, v, above[k], 10)[..]);
                 }
-                // Duplicates are one span, not one copy each, and what
-                // crossed the wire is all there is.
-                assert_eq!(lists.span(0), lists.span(2));
-                assert_eq!(lists.span(0), lists.span(5));
-                assert_eq!(lists.span(1), lists.span(4));
-                assert_ne!(lists.span(0), lists.span(1));
-                assert_eq!(lists.response_bytes(), served.response_bytes());
-                assert_eq!(lists.into_payload(), served.into_payload());
             }
             let totals = service.metrics().totals();
             let (retries, rerouted) = (totals[Counter::Retries], totals[Counter::ReroutedRequests]);
@@ -1217,16 +1208,17 @@ mod tests {
     }
 
     #[test]
-    fn coalescing_shrinks_the_wire_request() {
+    fn a_bound_costs_four_request_bytes() {
         let (_, pg) = cluster(2, 1);
         let service = EdgeListService::start(&pg, None);
         let client = service.client(1);
-        let v = pg.part(0).owned()[0];
-        client.fetch(0, &[v; 8]).unwrap();
-        // Request bytes account the deduplicated wire form: header + one
-        // vertex, not eight.
-        assert_eq!(service.metrics().part(1).get(Counter::BytesSent), 16 + 4);
-        assert_eq!(service.metrics().totals()[Counter::Coalesced], 7);
+        let owned: Vec<VertexId> = pg.part(0).owned().iter().copied().take(8).collect();
+        let sent = || service.metrics().part(1).get(Counter::BytesSent);
+        client.fetch(0, &owned).unwrap();
+        assert_eq!(sent(), 16 + 4 * 8);
+        let clamp = Clamp { above: &owned, whole_from: u32::MAX };
+        client.fetch_clamped_async(0, &owned, Some(clamp)).unwrap().wait().unwrap();
+        assert_eq!(sent(), (16 + 4 * 8) + (16 + 4 * 8 + 4 * 8));
         service.shutdown();
     }
 
@@ -1246,12 +1238,10 @@ mod tests {
         assert_eq!(c7.query_id(), 7);
         let owned: Vec<VertexId> = pg.part(0).owned().iter().copied().take(4).collect();
         c7.fetch(0, &owned[..2]).unwrap();
-        c7.fetch(0, &[owned[2], owned[2]]).unwrap(); // one coalesced vertex
+        c7.fetch(0, &owned[2..3]).unwrap();
         c9.fetch(0, &owned[3..]).unwrap();
         assert_eq!(q7.get(Counter::FetchRequests), 2);
         assert_eq!(q9.get(Counter::FetchRequests), 1);
-        assert_eq!(q7.get(Counter::Coalesced), 1);
-        assert_eq!(q9.get(Counter::Coalesced), 0);
         assert!(q7.get(Counter::NetworkBytes) > 0);
         // The issuing part's row is the two queries' rows summed, counter
         // by counter.
@@ -1306,7 +1296,7 @@ mod tests {
         assert_eq!(service.inflight(1), 2);
         // A non-blocking third issue reports the full window and leaves
         // no trace: nothing submitted, nothing counted.
-        assert!(client.try_fetch_async(0, &owned[2..3]).unwrap().is_none());
+        assert!(client.try_fetch_async(0, &owned[2..3], None).unwrap().is_none());
         assert_eq!(service.inflight(1), 2);
         // A blocking third issue must wait until a slot retires.
         let (issued_tx, issued_rx) = unbounded::<()>();
@@ -1327,7 +1317,8 @@ mod tests {
         t.join().unwrap();
         assert_eq!(service.inflight(1), 0);
         assert_eq!(service.metrics().part(0).get(Counter::ServedRequests), 3);
-        let p3 = client.try_fetch_async(0, &owned[..1]).unwrap().expect("the window has room");
+        let p3 =
+            client.try_fetch_async(0, &owned[..1], None).unwrap().expect("the window has room");
         assert_eq!(p3.wait().unwrap().len(), 1);
         service.shutdown();
     }
@@ -1797,63 +1788,5 @@ mod tests {
         assert!(t0.elapsed() < Duration::from_secs(2), "lost slice ran out the grace clock");
         marker.join().unwrap();
         service.shutdown();
-    }
-
-    #[test]
-    fn coalesce_maps_duplicates() {
-        let (wire, map) = coalesce(&[5, 7, 5, 9, 7]);
-        assert_eq!(&wire[..], &[5, 7, 9]);
-        assert_eq!(map, Some(vec![0, 1, 0, 2, 1]));
-        let (wire, map) = coalesce(&[1, 2, 3]);
-        assert_eq!(&wire[..], &[1, 2, 3]);
-        assert_eq!(map, None);
-        let (wire, map) = coalesce(&[]);
-        assert!(wire.is_empty());
-        assert_eq!(map, None);
-    }
-
-    /// The `HashMap` formulation `coalesce` replaced, kept as its oracle.
-    fn coalesce_oracle(vertices: &[VertexId]) -> (Vec<VertexId>, Option<Vec<u32>>) {
-        let mut first = std::collections::HashMap::new();
-        let mut wire = Vec::new();
-        let mut map = Vec::new();
-        for &v in vertices {
-            let idx = *first.entry(v).or_insert_with(|| {
-                wire.push(v);
-                (wire.len() - 1) as u32
-            });
-            map.push(idx);
-        }
-        let deduped = wire.len() < vertices.len();
-        (wire, deduped.then_some(map))
-    }
-
-    #[test]
-    fn coalesce_keeps_wire_order_and_expand_map() {
-        // A deterministic scramble with as many distinct values as
-        // `modulus` allows: none, some, and all-but-one duplicated; ids
-        // that collide in the probe table's low bits included.
-        let scrambled = |n: u32, modulus: u32| -> Vec<VertexId> {
-            (0..n).map(|i| i.wrapping_mul(2_654_435_761) % modulus).collect()
-        };
-        let mut inputs: Vec<Vec<VertexId>> = vec![
-            vec![],
-            vec![3],
-            vec![3, 3],
-            (0..500).collect(),
-            (0..64).map(|i| i << 10).collect(),
-            vec![9; 300],
-        ];
-        for n in [2, 17, 256, 1000] {
-            inputs.push(scrambled(n, u32::MAX)); // no duplicates
-            inputs.push(scrambled(n, n / 2 + 1)); // some
-            inputs.push(scrambled(n, 1)); // all
-        }
-        for input in &inputs {
-            let (wire, map) = coalesce(input);
-            let (want_wire, want_map) = coalesce_oracle(input);
-            assert_eq!(&wire[..], &want_wire[..], "wire order for {input:?}");
-            assert_eq!(map, want_map, "expand map for {input:?}");
-        }
     }
 }

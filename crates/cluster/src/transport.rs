@@ -26,7 +26,7 @@ use crate::metrics::{ClusterMetrics, Counter};
 use crate::PartId;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use gpm_graph::partition::{GraphPart, PartitionedGraph};
-use gpm_graph::VertexId;
+use gpm_graph::{set_ops, Degree, VertexId};
 use gpm_obs::{Recorder, SpanKind};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -39,22 +39,20 @@ pub(crate) const HEADER_BYTES: u64 = 16;
 /// A batch of edge lists returned by a fetch.
 ///
 /// `list(i)` is the edge list of the `i`-th requested vertex, in request
-/// order. What is stored is the reply as it crossed the wire — the served
-/// lists back to back, written once by the responder — and every
-/// requested list is a span of that payload: vertices that were requested
-/// more than once and coalesced on the wire alias one span.
+/// order — whole, or the part above its bound for a bounded request (see
+/// [`WireRequest::above`]). What is stored is the reply as it crossed the
+/// wire — the served lists back to back, written once by the responder —
+/// and every requested list is a span of that payload.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FetchedLists {
     offsets: Vec<u32>,
     data: Vec<VertexId>,
-    /// For a coalesced request: requested index → served index.
-    map: Option<Vec<u32>>,
 }
 
 impl FetchedLists {
     /// Number of lists in the batch.
     pub fn len(&self) -> usize {
-        self.map.as_ref().map_or(self.offsets.len().saturating_sub(1), Vec::len)
+        self.offsets.len().saturating_sub(1)
     }
 
     /// Whether the batch is empty.
@@ -69,8 +67,7 @@ impl FetchedLists {
     ///
     /// Panics if `i >= len()`.
     pub fn span(&self, i: usize) -> (u32, u32) {
-        let served = self.map.as_ref().map_or(i, |map| map[i] as usize);
-        (self.offsets[served], self.offsets[served + 1] - self.offsets[served])
+        (self.offsets[i], self.offsets[i + 1] - self.offsets[i])
     }
 
     /// The `i`-th requested vertex's edge list.
@@ -100,14 +97,7 @@ impl FetchedLists {
     pub(crate) fn from_parts(offsets: Vec<u32>, data: Vec<VertexId>) -> Self {
         debug_assert!(!offsets.is_empty() && offsets[0] == 0);
         debug_assert_eq!(*offsets.last().unwrap() as usize, data.len());
-        FetchedLists { offsets, data, map: None }
-    }
-
-    /// The reply to a coalesced request, seen in request order: `map[i]`
-    /// is the served list the `i`-th requested vertex reads.
-    pub(crate) fn requested_as(self, map: Vec<u32>) -> Self {
-        debug_assert!(map.iter().all(|&w| (w as usize) + 1 < self.offsets.len()));
-        FetchedLists { map: Some(map), ..self }
+        FetchedLists { offsets, data }
     }
 }
 
@@ -150,6 +140,24 @@ pub struct WireRequest {
     /// issuing fetch's completion handle, so a retry or failover
     /// resubmits the same list rather than a copy of it.
     pub vertices: Arc<[VertexId]>,
+    /// A bounded request's column of exclusive lower bounds, one per
+    /// vertex: the responder serves the `k`-th list above `above[k]`,
+    /// unless the list has [`whole_from`](WireRequest::whole_from) entries
+    /// or more. `None` asks for every list whole.
+    pub above: Option<Arc<[VertexId]>>,
+    /// The degree from which a bounded request's lists ship whole
+    /// whatever their bound — the lists the requester may cache. Ignored
+    /// without `above`.
+    pub whole_from: Degree,
+}
+
+impl WireRequest {
+    /// Accounted wire size of the request in bytes: the header, and four
+    /// bytes per requested vertex and per bound.
+    pub fn wire_bytes(&self) -> u64 {
+        let bounds = self.above.as_ref().map_or(0, |above| above.len());
+        HEADER_BYTES + 4 * (self.vertices.len() + bounds) as u64
+    }
 }
 
 /// One reply on the wire, carrying the request's sequence number.
@@ -480,10 +488,7 @@ impl ChannelTransport {
                         match msg {
                             Msg::Fetch { req, reply_to } => {
                                 let t0 = obs.now_ns();
-                                let payload = {
-                                    let slices = registry.read();
-                                    serve(&slices, req.owner, &req.vertices)
-                                };
+                                let payload = serve(&registry.read(), &req);
                                 if let Ok(lists) = &payload {
                                     part_metrics.add(Counter::ServedRequests, 1);
                                     part_metrics.add(Counter::ServedBytes, lists.response_bytes());
@@ -707,21 +712,19 @@ fn stage_push(
     Ok(FetchedLists::from_parts(vec![0], Vec::new()))
 }
 
-/// Serves `vertices` from whichever of `slices` holds `owner`'s slice
+/// Serves `req` from whichever of `slices` holds its owner's slice
 /// (`slices[0]` is the responder's own part; the rest are hosted
-/// replicas). A request for a part not hosted here is a routing bug and
-/// answers [`FetchError::NotOwner`].
-fn serve(
-    slices: &[Arc<GraphPart>],
-    owner: PartId,
-    vertices: &[VertexId],
-) -> Result<FetchedLists, FetchError> {
-    let target = slices[0].part_id();
-    let Some(part) = slices.iter().find(|s| s.part_id() == owner) else {
+/// replicas): each list whole, or — for a bounded request, below its
+/// whole-list degree — the part above its bound. A request for a part not
+/// hosted here is a routing bug and answers [`FetchError::NotOwner`].
+fn serve(slices: &[Arc<GraphPart>], req: &WireRequest) -> Result<FetchedLists, FetchError> {
+    let (target, vertices) = (slices[0].part_id(), &req.vertices[..]);
+    let Some(part) = slices.iter().find(|s| s.part_id() == req.owner) else {
         return Err(FetchError::NotOwner { target, missing: vertices.to_vec() });
     };
-    // Size the reply before building it: one allocation of the final
-    // length instead of doubling through it list by list.
+    // Size the reply before building it: one allocation of the whole
+    // lists' length (what a cut reply never exceeds) instead of doubling
+    // through it list by list.
     let mut entries = 0usize;
     let mut missing = Vec::new();
     for &v in vertices {
@@ -737,8 +740,16 @@ fn serve(
     let mut offsets = Vec::with_capacity(vertices.len() + 1);
     offsets.push(0u32);
     let mut data = Vec::with_capacity(entries);
-    for &v in vertices {
-        data.extend_from_slice(part.edge_list(v).expect("ownership checked above"));
+    for (k, &v) in vertices.iter().enumerate() {
+        let list = part.edge_list(v).expect("ownership checked above");
+        // A bound column shorter than the request leaves the rest whole.
+        let list = match &req.above {
+            Some(above) if (list.len() as Degree) < req.whole_from => {
+                set_ops::clamp(list, above.get(k).copied(), None)
+            }
+            _ => list,
+        };
+        data.extend_from_slice(list);
         offsets.push(data.len() as u32);
     }
     Ok(FetchedLists::from_parts(offsets, data))
@@ -1075,7 +1086,16 @@ mod tests {
     }
 
     fn wire(seq: u64, owner: PartId, v: VertexId) -> WireRequest {
-        WireRequest { seq, req_id: 0, query: 0, from: 0, owner, vertices: Arc::from([v]) }
+        WireRequest {
+            seq,
+            req_id: 0,
+            query: 0,
+            from: 0,
+            owner,
+            vertices: Arc::from([v]),
+            above: None,
+            whole_from: 0,
+        }
     }
 
     #[test]

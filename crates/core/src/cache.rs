@@ -172,6 +172,19 @@ impl SharedCache {
         self.policy != CachePolicy::Disabled && self.capacity_bytes > 0
     }
 
+    /// The degree from which a fetched list must arrive whole because this
+    /// cache may admit it; a list cut below it is too short to be admitted.
+    /// A full static cache admits nothing until it is cleared, which only
+    /// happens between queries, so from then on every list may arrive cut.
+    pub(crate) fn whole_from(&self) -> Degree {
+        match self.policy {
+            _ if !self.is_enabled() => Degree::MAX,
+            CachePolicy::Static if self.inner.read().full => Degree::MAX,
+            CachePolicy::Static => self.degree_threshold,
+            _ => 0,
+        }
+    }
+
     /// Looks up the edge list of `v`.
     ///
     /// For LRU/MRU this updates recency (and therefore takes the write
@@ -333,6 +346,33 @@ mod tests {
         let c = SharedCache::new(CachePolicy::Static, 4096, 8);
         assert!(!c.maybe_insert(1, &list(7, 0)));
         assert!(c.maybe_insert(2, &list(8, 0)));
+    }
+
+    #[test]
+    fn a_list_the_cache_may_admit_arrives_whole() {
+        // A list shorter than `whole_from` may arrive cut; the cache must
+        // never admit one that short.
+        for (policy, capacity, want) in [
+            (CachePolicy::Static, 4096, 8),
+            (CachePolicy::Fifo, 4096, 0),
+            (CachePolicy::Lru, 4096, 0),
+            (CachePolicy::Disabled, 4096, Degree::MAX),
+            (CachePolicy::Static, 0, Degree::MAX),
+        ] {
+            let c = SharedCache::new(policy, capacity, 8);
+            assert_eq!(c.whole_from(), want, "{policy:?}");
+            let short = want.min(16) as usize;
+            assert!(short == 0 || !c.maybe_insert(1, &list(short - 1, 0)), "{policy:?}");
+        }
+        // Once full, a static cache refuses every list, long or cut.
+        let c = SharedCache::new(CachePolicy::Static, 100, 8);
+        assert!(c.maybe_insert(1, &list(20, 0)));
+        assert_eq!(c.whole_from(), 8);
+        assert!(!c.maybe_insert(2, &list(20, 0)));
+        assert_eq!(c.whole_from(), Degree::MAX);
+        assert!(!c.maybe_insert(3, &list(8, 0)));
+        c.clear();
+        assert_eq!(c.whole_from(), 8);
     }
 
     #[test]

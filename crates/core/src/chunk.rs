@@ -21,8 +21,10 @@ pub(crate) enum ListRef {
     #[default]
     None,
     /// Active but not yet resolved; fixed during the chunk's resolve
-    /// phase, before any extension reads it.
-    Pending,
+    /// phase, before any extension reads it. Carries the exclusive lower
+    /// bound above which the plan reads the list (`None`: all of it) —
+    /// what a fetch of the list asks for.
+    Pending(Option<VertexId>),
     /// Owned by the local part; read directly from the graph partition.
     Local,
     /// Served from the software cache: index into [`Chunk::pins`], whose
@@ -68,8 +70,17 @@ pub(crate) struct Resume {
     pub cand_offset: u32,
 }
 
-/// Horizontal-sharing hash table: open addressing, **no collision
-/// chains** — on a slot conflict the insertion is simply dropped (§5.2).
+/// Horizontal-sharing hash table (§5.2): the first embedding of a fill
+/// that waits for a vertex's list claims the vertex, and every later one
+/// reads the claimant's list instead of asking for its own.
+///
+/// Open addressing with linear probing over at least `2 × capacity` slots,
+/// of which a fill claims at most `capacity`, so a probe always ends at the
+/// vertex or at a free slot: no claim is ever dropped. This departs from
+/// the paper's table, which drops a registration that collides and accepts
+/// the redundant fetch. Here the table is the only deduplication before
+/// the wire — the fabric sends requests as asked — so a dropped claim
+/// would be a duplicate list crossing the network.
 ///
 /// The table remembers which slots the current fill wrote, so preparing
 /// it for the next fill wipes those and nothing else — a chunk of sixteen
@@ -87,14 +98,14 @@ pub(crate) struct ShareTable {
 #[derive(Debug, Clone, Copy, Default)]
 struct ShareSlot {
     vertex: VertexId,
-    /// Index of the registered embedding plus one; 0 marks a free slot,
+    /// Index of the claiming embedding plus one; 0 marks a free slot,
     /// so a zeroed table is an empty one.
     emb1: u32,
 }
 
 impl ShareTable {
-    /// Prepares the table for a chunk of `capacity` embeddings: every
-    /// registration of earlier fills is forgotten.
+    /// Prepares the table for a fill of at most `capacity` embeddings:
+    /// every claim of earlier fills is forgotten.
     pub fn reset(&mut self, capacity: usize) {
         let want = (capacity * 2).next_power_of_two().max(16);
         if self.slots.len() != want {
@@ -107,23 +118,41 @@ impl ShareTable {
         }
     }
 
-    /// Returns the embedding already registered for `v` in this fill, or
-    /// registers `emb` and returns `None`. A slot occupied by a
-    /// *different* vertex drops the registration (no chain), returning
-    /// `None`. `hash` must be `vertex_hash(v)`.
+    /// Points the pending `embs[i]` at the embedding that claimed its
+    /// vertex in this fill, lowering the claimant's bound to the lower of
+    /// the two so its fetch covers both readers — and returns `true`; or
+    /// claims the vertex for `embs[i]` and returns `false`. `hash` must be
+    /// `vertex_hash` of its vertex.
     #[inline]
-    pub fn lookup_or_claim(&mut self, v: VertexId, hash: u64, emb: u32) -> Option<u32> {
+    pub fn share(&mut self, embs: &mut [Emb], i: usize, hash: u64) -> bool {
+        let Emb { vertex: v, list: ListRef::Pending(above), .. } = embs[i] else {
+            unreachable!("only a pending list is shared")
+        };
         debug_assert_eq!(hash, gpm_graph::partition::vertex_hash(v));
-        let index = hash as usize & self.mask;
-        let slot = self.slots.get_mut(index)?;
-        if slot.emb1 == 0 {
-            *slot = ShareSlot { vertex: v, emb1: emb + 1 };
-            self.written.push(index as u32);
-            None
-        } else if slot.vertex == v {
-            Some(slot.emb1 - 1)
-        } else {
-            None // collision: drop, accept redundant fetch
+        if self.slots.is_empty() {
+            return false;
+        }
+        // A fill claims at most half the slots; past all of them the probe
+        // would not end.
+        assert!(self.written.len() < self.slots.len(), "share table over-filled");
+        let mut index = hash as usize & self.mask;
+        loop {
+            let slot = &mut self.slots[index];
+            if slot.emb1 == 0 {
+                *slot = ShareSlot { vertex: v, emb1: i as u32 + 1 };
+                self.written.push(index as u32);
+                return false;
+            }
+            if slot.vertex == v {
+                let first = slot.emb1 - 1;
+                match &mut embs[first as usize].list {
+                    ListRef::Pending(kept) => *kept = (*kept).min(above),
+                    other => unreachable!("a claimant waits until its fill resolves: {other:?}"),
+                }
+                embs[i].list = ListRef::Peer(first);
+                return true;
+            }
+            index = (index + 1) & self.mask;
         }
     }
 }
@@ -260,25 +289,21 @@ impl Chunk {
     /// Pushes the children of `parent` (staged in raw-candidate order)
     /// into this chunk, honoring capacity. If `inter` is provided and at
     /// least one child is pushed, the intermediate result is stored once
-    /// and shared by every pushed child. `needs_list` marks the new
-    /// vertex active (list fetch required later).
+    /// and shared by every pushed child. `list` says where a child's list
+    /// will live: [`ListRef::Pending`] with its bound where the new vertex
+    /// is active, [`ListRef::None`] where it is not.
     pub fn try_push_children(
         &mut self,
         parent: u32,
         children: &[StagedChild],
-        needs_list: bool,
+        list: impl Fn(VertexId) -> ListRef,
         inter: Option<&[VertexId]>,
     ) -> PushOutcome {
         let n = children.len().min(self.room());
         if n > 0 {
             let span = inter.map(|d| self.push_inter(d));
             for c in &children[..n] {
-                self.embs.push(Emb {
-                    parent,
-                    vertex: c.vertex,
-                    list: if needs_list { ListRef::Pending } else { ListRef::None },
-                    inter: span,
-                });
+                self.embs.push(Emb { parent, vertex: c.vertex, list: list(c.vertex), inter: span });
             }
         }
         if n == children.len() {
@@ -293,6 +318,10 @@ impl Chunk {
 mod tests {
     use super::*;
 
+    fn inactive(_: VertexId) -> ListRef {
+        ListRef::None
+    }
+
     fn staged(vs: &[VertexId]) -> Vec<StagedChild> {
         vs.iter()
             .enumerate()
@@ -303,28 +332,29 @@ mod tests {
     #[test]
     fn push_within_capacity() {
         let mut c = Chunk::new(10);
-        let out = c.try_push_children(NO_PARENT, &staged(&[1, 2, 3]), true, None);
+        let above = |v: VertexId| ListRef::Pending(Some(v * 10));
+        let out = c.try_push_children(NO_PARENT, &staged(&[1, 2, 3]), above, None);
         assert_eq!(out, PushOutcome::All);
         assert_eq!(c.embs.len(), 3);
-        assert!(c.embs.iter().all(|e| e.list == ListRef::Pending));
+        assert!(c.embs.iter().all(|e| e.list == ListRef::Pending(Some(e.vertex * 10))));
         assert!(c.has_work());
     }
 
     #[test]
     fn push_truncates_at_capacity() {
         let mut c = Chunk::new(2);
-        let out = c.try_push_children(0, &staged(&[1, 2, 3, 4]), false, None);
+        let out = c.try_push_children(0, &staged(&[1, 2, 3, 4]), inactive, None);
         assert_eq!(out, PushOutcome::Partial(2));
         assert_eq!(c.embs.len(), 2);
         assert_eq!(c.room(), 0);
-        let out2 = c.try_push_children(0, &staged(&[9]), false, None);
+        let out2 = c.try_push_children(0, &staged(&[9]), inactive, None);
         assert_eq!(out2, PushOutcome::Partial(0));
     }
 
     #[test]
     fn inter_shared_among_siblings() {
         let mut c = Chunk::new(10);
-        c.try_push_children(0, &staged(&[5, 6]), false, Some(&[7, 8, 9]));
+        c.try_push_children(0, &staged(&[5, 6]), inactive, Some(&[7, 8, 9]));
         let s0 = c.embs[0].inter.unwrap();
         let s1 = c.embs[1].inter.unwrap();
         assert_eq!(s0, s1);
@@ -334,7 +364,7 @@ mod tests {
     #[test]
     fn inter_not_stored_when_nothing_pushed() {
         let mut c = Chunk::new(0);
-        c.try_push_children(0, &staged(&[5]), false, Some(&[1, 2]));
+        c.try_push_children(0, &staged(&[5]), inactive, Some(&[1, 2]));
         assert!(c.inter_data.is_empty());
     }
 
@@ -357,7 +387,7 @@ mod tests {
     #[test]
     fn clear_releases_everything() {
         let mut c = Chunk::new(4);
-        c.try_push_children(0, &staged(&[1]), true, Some(&[2]));
+        c.try_push_children(0, &staged(&[1]), |_| ListRef::Pending(None), Some(&[2]));
         c.segments.push(vec![3]);
         c.cursor = 1;
         c.resumes.push(Resume { emb: 0, cand_offset: 2 });
@@ -370,63 +400,98 @@ mod tests {
         assert_eq!(c.resolved_upto, 0);
     }
 
-    fn claim(t: &mut ShareTable, v: VertexId, emb: u32) -> Option<u32> {
-        t.lookup_or_claim(v, gpm_graph::partition::vertex_hash(v), emb)
+    fn pending(vertex: VertexId, above: Option<VertexId>) -> Emb {
+        Emb { parent: NO_PARENT, vertex, list: ListRef::Pending(above), inter: None }
+    }
+
+    fn share(t: &mut ShareTable, embs: &mut [Emb], i: usize) -> bool {
+        t.share(embs, i, gpm_graph::partition::vertex_hash(embs[i].vertex))
     }
 
     #[test]
     fn share_table_claim_and_hit() {
         let mut t = ShareTable::default();
         t.reset(8);
-        assert_eq!(claim(&mut t, 42, 0), None); // claimed
-        assert_eq!(claim(&mut t, 42, 1), Some(0)); // shared
-        assert_eq!(claim(&mut t, 42, 2), Some(0));
+        let mut embs = vec![pending(42, Some(5)); 3];
+        assert!(!share(&mut t, &mut embs, 0)); // claimed
+        assert!(share(&mut t, &mut embs, 1)); // shared
+        assert!(share(&mut t, &mut embs, 2));
+        assert_eq!(embs[1].list, ListRef::Peer(0));
+        assert_eq!(embs[2].list, ListRef::Peer(0));
+        assert_eq!(embs[0].list, ListRef::Pending(Some(5)));
     }
 
     #[test]
     fn share_table_before_first_reset_shares_nothing() {
         let mut t = ShareTable::default();
-        assert_eq!(claim(&mut t, 42, 0), None);
-        assert_eq!(claim(&mut t, 42, 1), None);
+        let mut embs = vec![pending(42, None); 2];
+        assert!(!share(&mut t, &mut embs, 0));
+        assert!(!share(&mut t, &mut embs, 1));
+        assert!(embs.iter().all(|e| e.list == ListRef::Pending(None)));
     }
 
     #[test]
-    fn share_table_drops_collisions() {
-        // Tiny table to force collisions.
+    fn share_table_never_drops_and_keeps_the_lowest_bound() {
+        // A fill as large as the table is sized for (half its slots), with
+        // every vertex hashed to the same home slot so each probe runs past
+        // all the claims before it: every vertex is claimed by its first
+        // embedding, every later one shares it, and the claimant ends with
+        // the lowest bound among them (`None`, the whole list, is lower
+        // than any bound).
+        let capacity = 64;
         let mut t = ShareTable::default();
-        t.reset(1); // 16 slots
-        let mut dropped = 0;
-        let mut claimed = 0;
-        for v in 0..64u32 {
-            match claim(&mut t, v, v) {
-                None => {
-                    // Either claimed or dropped; re-query distinguishes.
-                    if claim(&mut t, v, 999) == Some(v) {
-                        claimed += 1;
-                    } else {
-                        dropped += 1;
-                    }
-                }
-                Some(_) => panic!("distinct vertices cannot hit"),
+        t.reset(capacity);
+        assert_eq!(t.slots.len(), 2 * capacity);
+        let home = |v: VertexId| gpm_graph::partition::vertex_hash(v) as usize & t.mask;
+        let vertices: Vec<VertexId> = (0..).filter(|&v| home(v) == home(0)).take(37).collect();
+        let readers = |k: usize| -> &[Option<VertexId>] {
+            match k {
+                0..12 => &[Some(30), Some(10), Some(40)],
+                12 => &[Some(30), Some(10), None, Some(40)],
+                _ => &[Some(7)],
+            }
+        };
+        let mut embs = Vec::new();
+        for (k, &v) in vertices.iter().enumerate() {
+            embs.extend(readers(k).iter().map(|&above| pending(v, above)));
+        }
+        assert_eq!(embs.len(), capacity);
+        let mut first: Vec<usize> = Vec::new();
+        for i in 0..embs.len() {
+            if !share(&mut t, &mut embs, i) {
+                first.push(i);
             }
         }
-        assert!(claimed <= 16);
-        assert!(dropped > 0, "collisions should drop on a saturated table");
+        assert_eq!(first.len(), vertices.len(), "a claim was dropped");
+        for (k, &claimant) in first.iter().enumerate() {
+            assert_eq!(embs[claimant].vertex, vertices[k]);
+            let lowest = readers(k).iter().copied().min().unwrap();
+            assert_eq!(embs[claimant].list, ListRef::Pending(lowest), "{}", vertices[k]);
+        }
+        for e in &embs {
+            if let ListRef::Peer(j) = e.list {
+                assert_eq!(embs[j as usize].vertex, e.vertex, "a peer of another vertex");
+                assert!(first.contains(&(j as usize)), "a peer chain");
+            }
+        }
+        let shared = embs.iter().filter(|e| matches!(e.list, ListRef::Peer(_))).count();
+        assert_eq!(shared + first.len(), embs.len());
     }
 
     #[test]
     fn share_table_reset_forgets_every_entry() {
         let mut t = ShareTable::default();
         t.reset(8);
-        for v in 0..16u32 {
-            claim(&mut t, v, v);
+        let mut embs: Vec<Emb> = (0..8).map(|v| pending(v, None)).collect();
+        for i in 0..embs.len() {
+            share(&mut t, &mut embs, i);
         }
         t.reset(8);
         assert!(t.slots.iter().all(|s| s.emb1 == 0), "a reset leaves no slot written");
-        for v in 0..16u32 {
-            assert_ne!(claim(&mut t, v, 100 + v), Some(v), "stale entry for {v} survived reset");
+        let mut again: Vec<Emb> = (0..8).map(|v| pending(v, None)).collect();
+        for i in 0..again.len() {
+            assert!(!share(&mut t, &mut again, i), "stale entry for {i} survived reset");
         }
-        assert_eq!(claim(&mut t, 7, 5), Some(107));
         assert!(std::mem::size_of::<ShareSlot>() <= 8);
     }
 
@@ -434,9 +499,10 @@ mod tests {
     fn share_table_resize_starts_a_clean_table() {
         let mut t = ShareTable::default();
         t.reset(8);
-        claim(&mut t, 7, 3);
+        let mut embs = vec![pending(7, None); 2];
+        share(&mut t, &mut embs, 0);
         t.reset(64);
-        assert_eq!(claim(&mut t, 7, 5), None);
+        assert!(!share(&mut t, &mut embs, 1));
     }
 
     #[test]

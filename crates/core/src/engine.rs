@@ -1291,11 +1291,109 @@ mod tests {
     }
 
     #[test]
+    fn clamped_fetches_are_exact_and_never_cached() {
+        // Every connected pattern of up to five vertices, induced or not,
+        // on a plain graph and on a labelled one, over 2 and 3 parts, with
+        // and without the share table, under no cache, a static cache
+        // whose threshold splits the degrees (lists below it may arrive
+        // cut), the same cache small enough to fill within the first plans
+        // (then every list may arrive cut) and a FIFO cache (which may
+        // admit any list, so none is cut):
+        // the count is the oracle's, the visited multiset the
+        // interpreter's, and after every run each list a cache holds is
+        // its owner's whole adjacency — no cut list is ever admitted.
+        use gpm_pattern::{genpat, interp};
+        let plain = gen::barabasi_albert(30, 4, 3);
+        assert!(plain.max_degree() >= 16 && plain.vertices().any(|v| plain.degree(v) < 16));
+        let labelled = gen::with_random_labels(&plain, 2, 5);
+        let mut bounded = 0;
+        for g in [&plain, &labelled] {
+            let mut plans = Vec::new();
+            for k in 1..=5 {
+                for p in genpat::connected_patterns(k) {
+                    let p = if g.labels().is_some() {
+                        p.with_labels((0..k as u16).map(|i| i % 2).collect()).unwrap()
+                    } else {
+                        p
+                    };
+                    for induced in [false, true] {
+                        let opts = PlanOptions { induced, ..PlanOptions::automine() };
+                        let plan = MatchingPlan::compile(&p, &opts).unwrap();
+                        let expect = oracle::count_subgraphs(g, &p, induced);
+                        let mut want = Vec::new();
+                        interp::enumerate_embeddings(g, &plan, |m| want.push(m.to_vec()));
+                        want.sort_unstable();
+                        assert_eq!(want.len() as u64, expect, "{p}");
+                        let last = plan.last_fetched_level();
+                        bounded += usize::from(
+                            plan.depth() > 1
+                                && (0..=last).any(|l| plan.fetch_bound(l).is_bounded()),
+                        );
+                        plans.push((plan, expect, want));
+                    }
+                }
+            }
+            assert_eq!(plans.len(), 2 * 31);
+            for parts in [2, 3] {
+                for horizontal_sharing in [true, false] {
+                    for cache in [
+                        CacheConfig::disabled(),
+                        CacheConfig { degree_threshold: 16, ..CacheConfig::default() },
+                        CacheConfig {
+                            degree_threshold: 16,
+                            capacity_per_machine: 100,
+                            ..CacheConfig::default()
+                        },
+                        CacheConfig { policy: CachePolicy::Fifo, ..CacheConfig::default() },
+                    ] {
+                        let engine = Engine::new(
+                            PartitionedGraph::new(g, parts, 1),
+                            EngineConfig {
+                                horizontal_sharing,
+                                cache,
+                                compute_threads: 1,
+                                ..EngineConfig::default()
+                            },
+                        );
+                        for (plan, expect, want) in &plans {
+                            let what = format!(
+                                "{parts} parts, sharing {horizontal_sharing}, {:?}\n{}",
+                                cache.policy,
+                                plan.describe()
+                            );
+                            assert_eq!(engine.count(plan).count, *expect, "counted: {what}");
+                            let seen = Mutex::new(Vec::new());
+                            let run = engine.enumerate(plan, |m| seen.lock().push(m.to_vec()));
+                            let mut seen = seen.into_inner();
+                            seen.sort_unstable();
+                            assert_eq!(run.count, *expect, "enumerated: {what}");
+                            assert!(seen == *want, "visited multiset differs: {what}");
+                            for cache in &engine.caches {
+                                for v in g.vertices() {
+                                    if let Some(list) = cache.lookup(v) {
+                                        assert_eq!(&list[..], g.neighbors(v), "{v}: {what}");
+                                    }
+                                }
+                            }
+                        }
+                        if cache.capacity_per_machine == 100 {
+                            let full =
+                                |c: &Arc<SharedCache>| c.whole_from() == gpm_graph::Degree::MAX;
+                            assert!(engine.caches.iter().any(full), "no small cache filled");
+                        }
+                        engine.shutdown();
+                    }
+                }
+            }
+        }
+        assert!(bounded > 20, "only {bounded} plans fetch a bounded list");
+    }
+
+    #[test]
     fn horizontal_sharing_reduces_fetch_workload() {
-        // Fabric-level coalescing dedups the same duplicate vertices that
-        // horizontal sharing removes upstream, so the *wire* traffic of
-        // the two runs matches; sharing's benefit now shows up as far
-        // fewer duplicates reaching (and being absorbed by) the fabric.
+        // The share table is the one dedup before the wire (§5.2): without
+        // it, every embedding of a fill waiting for the same vertex asks
+        // for the list again, and every copy crosses the network.
         let g = gen::barabasi_albert(300, 6, 1);
         let p = Pattern::clique(4);
         let mk = |horizontal: bool| {
@@ -1316,18 +1414,14 @@ mod tests {
         let without = mk(false);
         assert_eq!(with.count, without.count);
         assert!(
-            with.traffic.network_bytes <= without.traffic.network_bytes,
-            "horizontal sharing must not increase traffic ({} vs {})",
+            with.traffic.network_bytes < without.traffic.network_bytes,
+            "horizontal sharing must cut traffic ({} vs {})",
             with.traffic.network_bytes,
             without.traffic.network_bytes
         );
-        assert!(
-            with.traffic.coalesced < without.traffic.coalesced,
-            "without sharing the fabric must absorb the duplicate requests \
-             ({} coalesced vs {})",
-            with.traffic.coalesced,
-            without.traffic.coalesced
-        );
+        assert_eq!(with.traffic.requests, without.traffic.requests);
+        assert!(with.traffic.coalesced > 0, "nothing shared");
+        assert_eq!(without.traffic.coalesced, 0, "something shared with sharing off");
     }
 
     #[test]
@@ -1623,11 +1717,20 @@ mod tests {
             engine.shutdown();
             run
         };
-        let with = mk(CacheConfig { degree_threshold: 4, ..CacheConfig::default() });
         let without = mk(CacheConfig::disabled());
-        assert_eq!(with.count, without.count);
-        assert!(with.traffic.network_bytes < without.traffic.network_bytes);
-        assert!(with.traffic.cache_hits > 0);
+        // A list the cache may admit ships whole; below the threshold lists
+        // arrive cut to what the plan reads. At 4 every list is eligible
+        // (each vertex arrives with 6 edges): the cache trades every cut
+        // for reuse, and on this graph the trade costs bytes.
+        let every = mk(CacheConfig { degree_threshold: 4, ..CacheConfig::default() });
+        assert_eq!(every.count, without.count);
+        assert!(every.traffic.cache_hits > 0);
+        assert!(every.traffic.network_bytes >= without.traffic.network_bytes);
+        // A threshold that picks out the hubs keeps the cuts for the rest.
+        let hubs = mk(CacheConfig { degree_threshold: 8, ..CacheConfig::default() });
+        assert_eq!(hubs.count, without.count);
+        assert!(hubs.traffic.network_bytes < without.traffic.network_bytes);
+        assert!(hubs.traffic.cache_hits > 0);
     }
 
     #[test]

@@ -302,9 +302,19 @@ impl Worker<'_, '_, '_> {
             None
         } else {
             let inter = lp.store_intermediate.then_some(raw);
+            // A child waiting for its list waits for the part the plan
+            // reads of it.
+            let bound = plan.fetch_bound(cur + 1);
+            let list = |child: VertexId| {
+                if lp.new_vertex_active {
+                    ListRef::Pending(bound.above(&matched[..=cur], child))
+                } else {
+                    ListRef::None
+                }
+            };
             let mut next =
                 self.next.as_ref().expect("a level above the bottom has a next chunk").lock();
-            match next.try_push_children(emb, &scratch.parked, lp.new_vertex_active, inter) {
+            match next.try_push_children(emb, &scratch.parked, list, inter) {
                 PushOutcome::All => None,
                 PushOutcome::Partial(n) => Some(scratch.parked[n].raw_index),
             }
@@ -429,7 +439,7 @@ fn resolve_ref<'a>(ctx: &'a PartCtx<'_>, chunk: &'a Chunk, e: &Emb) -> &'a [Vert
             debug_assert!(!matches!(peer.list, ListRef::Peer(_)), "peer chains are length 1");
             resolve_ref(ctx, chunk, peer)
         }
-        ListRef::Pending => panic!("extension reached an unresolved edge list"),
+        ListRef::Pending(_) => panic!("extension reached an unresolved edge list"),
         ListRef::None => panic!("extension requested an inactive vertex's list"),
     }
 }

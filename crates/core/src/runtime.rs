@@ -30,7 +30,7 @@ use crate::engine::EngineConfig;
 use crate::extend::Scratch;
 use crate::scheduler::{Gate, QueryArbiter};
 use crate::stats::PartStats;
-use gpm_cluster::{ClaimSource, Counter, EdgeListClient, FetchError, PendingFetch};
+use gpm_cluster::{ClaimSource, Clamp, Counter, EdgeListClient, FetchError, PendingFetch};
 use gpm_graph::partition::{vertex_hash, GraphPart};
 use gpm_graph::{Label, VertexId};
 use gpm_obs::{FlightKind, ObsHandle, Recorder, SpanKind};
@@ -174,12 +174,14 @@ pub(crate) struct PartRun<'e> {
 }
 
 /// Per-owner fetch buckets of one resolve phase, as parallel columns:
-/// `embs[t][k]` is the embedding waiting for the list of `vertices[t][k]`.
-/// The vertex column is what goes on the wire.
+/// `embs[t][k]` is the embedding waiting for the list of `vertices[t][k]`,
+/// and — at a level the plan bounds — `above[t][k]` the bound it needs the
+/// list above. The vertex and bound columns are what goes on the wire.
 #[derive(Debug, Default)]
 struct ResolveScratch {
     embs: Vec<Vec<u32>>,
     vertices: Vec<Vec<VertexId>>,
+    above: Vec<Vec<VertexId>>,
     /// Targets with a non-empty bucket, in submission order.
     order: Vec<usize>,
     /// Submitted, not yet waited fetches with their targets, oldest
@@ -200,6 +202,7 @@ impl<'e> PartRun<'e> {
         levels.iter_mut().for_each(|c| c.capacity = ctx.cfg.chunk_capacity);
         scratch.embs.resize_with(ctx.part_count, Vec::new);
         scratch.vertices.resize_with(ctx.part_count, Vec::new);
+        scratch.above.resize_with(ctx.part_count, Vec::new);
         let threads = ctx.cfg.compute_threads.max(1);
         if workers.len() < threads {
             workers.resize_with(threads, Mutex::default);
@@ -434,6 +437,7 @@ impl<'e> PartRun<'e> {
         }
         let required = self.ctx.plan.root_label();
         let root_active = self.ctx.plan.root_active();
+        let fetch = self.ctx.plan.fetch_bound(0);
         let my_part = self.ctx.my_part;
         let chunk = &mut self.levels[0];
         debug_assert!(chunk.is_empty(), "root chunk must be clear before reseeding");
@@ -448,7 +452,7 @@ impl<'e> PartRun<'e> {
                 ListRef::Local
             } else {
                 any_pending = true;
-                ListRef::Pending
+                ListRef::Pending(fetch.above(&[], v))
             };
             chunk.embs.push(Emb { parent: NO_PARENT, vertex: v, list, inter: None });
         }
@@ -525,7 +529,9 @@ impl<'e> PartRun<'e> {
 
     /// Resolve phase: make every pending edge list of the current chunk
     /// locally available — local partition, cache, horizontal sharing, or
-    /// batched remote fetch in circulant order.
+    /// batched remote fetch in circulant order. A fetch asks only for the
+    /// part of each list the plan reads, where the plan bounds the level
+    /// and the cache lets a list arrive cut.
     ///
     /// # Errors
     ///
@@ -541,22 +547,30 @@ impl<'e> PartRun<'e> {
         let my_part = self.ctx.my_part;
         let cache_enabled = self.ctx.cache.is_enabled();
         let sharing = self.ctx.cfg.horizontal_sharing;
-        let ResolveScratch { embs: bucket_embs, vertices: bucket_vertices, order, .. } =
+        let whole_from = self
+            .ctx
+            .plan
+            .fetch_bound(cur)
+            .is_bounded()
+            .then(|| self.ctx.cache.whole_from())
+            .filter(|&whole_from| whole_from > 0);
+        let ResolveScratch { embs: bucket_embs, vertices: bucket_vertices, above, order, .. } =
             &mut self.scratch;
         bucket_embs.iter_mut().for_each(Vec::clear);
         bucket_vertices.iter_mut().for_each(Vec::clear);
+        above.iter_mut().for_each(Vec::clear);
 
         let chunk = &mut self.levels[cur];
-        if chunk.resolved_upto == 0 && sharing {
+        if sharing {
             chunk.share.reset(chunk.capacity);
         }
         // Every pending list gets its home here, once; extension reads it
         // from there without looking anything up again. One hash per
         // embedding serves the owner map, the cache and the share table,
-        // and the cache outcomes are tallied locally.
-        let (mut hits, mut misses) = (0u64, 0u64);
+        // and the outcomes are tallied locally.
+        let (mut hits, mut misses, mut shared) = (0u64, 0u64, 0u64);
         for i in chunk.resolved_upto..chunk.embs.len() {
-            if chunk.embs[i].list != ListRef::Pending {
+            if !matches!(chunk.embs[i].list, ListRef::Pending(_)) {
                 continue;
             }
             let v = chunk.embs[i].vertex;
@@ -576,20 +590,28 @@ impl<'e> PartRun<'e> {
                 misses += 1;
                 self.obs.instant(SpanKind::CacheLookup, 0);
             }
-            if sharing {
-                if let Some(peer) = chunk.share.lookup_or_claim(v, hash, i as u32) {
-                    chunk.embs[i].list = ListRef::Peer(peer);
-                    continue;
-                }
+            if sharing && chunk.share.share(&mut chunk.embs, i, hash) {
+                shared += 1;
+                continue;
             }
             bucket_embs[owner].push(i as u32);
             bucket_vertices[owner].push(v);
         }
+        // Read once every sharer has lowered its claimant's bound.
+        if whole_from.is_some() {
+            for (above, waiting) in above.iter_mut().zip(bucket_embs.iter()) {
+                above.extend(waiting.iter().map(|&i| match chunk.embs[i as usize].list {
+                    ListRef::Pending(Some(bound)) => bound,
+                    other => unreachable!("a bounded level bounds every list: {other:?}"),
+                }));
+            }
+        }
         chunk.resolved_upto = chunk.embs.len();
-        if hits + misses > 0 {
+        if hits + misses + shared > 0 {
             let counted = self.ctx.client.scope();
             counted.add(Counter::CacheHits, hits);
             counted.add(Counter::CacheMisses, misses);
+            counted.add(Counter::Coalesced, shared);
         }
 
         // Circulant owner order: (K+1) % N, (K+2) % N, … (§4.3). The
@@ -622,7 +644,9 @@ impl<'e> PartRun<'e> {
         for k in 0..self.scratch.order.len() {
             let t = self.scratch.order[k];
             let issued = loop {
-                match self.ctx.client.try_fetch_async(t, &self.scratch.vertices[t]) {
+                let (vertices, above) = (&self.scratch.vertices[t], &self.scratch.above[t]);
+                let clamp = whole_from.map(|whole_from| Clamp { above, whole_from });
+                match self.ctx.client.try_fetch_async(t, vertices, clamp) {
                     Ok(Some(pending)) => break Ok(pending),
                     Err(e) => break Err(e),
                     Ok(None) => {}
@@ -633,7 +657,7 @@ impl<'e> PartRun<'e> {
                     // belong to other queries, which follow the rule.
                     None => {
                         let tw = Instant::now();
-                        let issued = self.ctx.client.fetch_async(t, &self.scratch.vertices[t]);
+                        let issued = self.ctx.client.fetch_clamped_async(t, vertices, clamp);
                         self.network += tw.elapsed();
                         break issued;
                     }

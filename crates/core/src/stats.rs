@@ -58,7 +58,8 @@ pub struct TrafficSummary {
     pub cache_hits: u64,
     /// Software-cache misses during the run.
     pub cache_misses: u64,
-    /// Duplicate vertex requests elided by same-round coalescing.
+    /// Pending lists a chunk fill's share table absorbed: embeddings that
+    /// read an earlier embedding's list instead of fetching it again.
     pub coalesced: u64,
     /// Fetches re-submitted by the fabric's retry machinery (non-zero
     /// only under fault injection).

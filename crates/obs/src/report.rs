@@ -44,7 +44,8 @@ pub struct TrafficTotals {
     pub cache_hits: u64,
     /// Lookups that went to the fabric because the cache missed.
     pub cache_misses: u64,
-    /// Requests merged into an already-pending fetch.
+    /// Pending lists read from an earlier embedding of the same chunk
+    /// fill instead of being fetched again (horizontal sharing).
     pub coalesced_requests: u64,
     /// Fetches resubmitted after a timeout or transient fault.
     pub retries: u64,

@@ -260,6 +260,53 @@ fn window_at(lower: Positions, upper: Positions, matched: &[VertexId]) -> Window
 /// be open.
 pub type Window = (Option<VertexId>, Option<VertexId>);
 
+/// How much of the edge list matched at one position the rest of the plan
+/// can read, so how much of it a fetch has to move. Every level that reads
+/// the list — as an intersected input, beside a reused intermediate, or
+/// subtracted — clamps it to the level's raw window (or a narrower one)
+/// before it looks at it, so nothing at or below that window's lower bound
+/// is ever read. When the list is fetched only the positions up to its own
+/// are matched: each reading level contributes the raw lower bounds among
+/// those, and the list is needed above the least of the reading levels'
+/// largest known bound. A reading level with no such bound reads the list
+/// whole, and so does the fetch ([`FetchBound::above`] is `None`).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct FetchBound(Vec<Positions>);
+
+impl FetchBound {
+    /// The bound of the list matched at `p`, from the plan's levels.
+    fn of(p: usize, levels: &[LevelPlan]) -> FetchBound {
+        let mut known = Vec::new();
+        for lp in
+            levels.iter().filter(|lp| lp.lowered.lists.contains(p) || lp.subtract.contains(&p))
+        {
+            let bounds: Positions = lp.lowered.raw_lower.iter().filter(|&q| q <= p).collect();
+            if bounds.is_empty() {
+                return FetchBound::default();
+            }
+            known.push(bounds);
+        }
+        known.sort_unstable_by_key(|s| s.0);
+        known.dedup();
+        FetchBound(known)
+    }
+
+    /// The exclusive lower bound above which the list of `child` is read,
+    /// `child` matched after the vertices of `prefix`; `None` when it is
+    /// read whole.
+    #[inline]
+    pub fn above(&self, prefix: &[VertexId], child: VertexId) -> Option<VertexId> {
+        let at = |q: usize| prefix.get(q).copied().unwrap_or(child);
+        self.0.iter().map(|known| known.iter().map(at).max().expect("a known bound")).min()
+    }
+
+    /// Whether a fetch of the list can ever be cut short.
+    #[inline]
+    pub fn is_bounded(&self) -> bool {
+        !self.0.is_empty()
+    }
+}
+
 /// Executing one level. The plan knows *what* a level computes; the
 /// executor passes in *where the data lives*: `list_at(p)` is the edge
 /// list of the vertex matched at position `p`, and `stored` the
@@ -506,6 +553,8 @@ pub struct MatchingPlan {
     aut_count: u64,
     root_label: Option<Label>,
     pair: Option<PairMode>,
+    /// `fetch[p]` = the fetch bound of the list matched at position `p`.
+    fetch: Vec<FetchBound>,
 }
 
 impl MatchingPlan {
@@ -667,6 +716,7 @@ impl MatchingPlan {
             options: options.clone(),
             order,
             pair: pair_mode(options, &levels),
+            fetch: (0..n).map(|p| FetchBound::of(p, &levels)).collect(),
             levels,
             restrictions: restr,
             aut_count: iso::automorphism_count(pattern),
@@ -849,6 +899,12 @@ impl MatchingPlan {
     /// position can be extended depth-first to the end of the plan.
     pub fn last_fetched_level(&self) -> usize {
         self.levels.iter().rposition(|l| l.new_vertex_active).map_or(0, |i| i + 1)
+    }
+
+    /// How much of the edge list matched at position `p` the plan reads:
+    /// what an executor that fetches the list needs to ask for.
+    pub fn fetch_bound(&self, p: usize) -> &FetchBound {
+        &self.fetch[p]
     }
 
     /// Whether the root vertex's edge list is needed by level 1 (it always
@@ -1215,6 +1271,122 @@ mod tests {
         // A clique reads every list but the last vertex's.
         let clique = MatchingPlan::compile(&Pattern::clique(5), &PlanOptions::default()).unwrap();
         assert_eq!(clique.last_fetched_level(), 3);
+    }
+
+    #[test]
+    fn fetch_bounds_of_the_service_patterns() {
+        let none: &[&[usize]] = &[];
+        let cases: [(Pattern, [&[&[usize]]; 4]); 5] = [
+            // A fetched list is read above the largest matched vertex the
+            // level reading it is bounded by.
+            (Pattern::triangle(), [&[&[0]], &[&[0, 1]], none, none]),
+            (Pattern::cycle(4), [&[&[0]], &[&[0]], &[&[0, 1]], none]),
+            (Pattern::clique(4), [&[&[0]], &[&[0, 1]], &[&[0, 1, 2]], none]),
+            // C1 = N(v0) is stored for v2, which carries no bound, and v3
+            // reads N(v1) unbounded: the last fetched list ships whole.
+            (Pattern::path(4), [none; 4]),
+            // Every level reads the centre's list; the first unbounded.
+            (Pattern::star(4), [none; 4]),
+        ];
+        for (p, want) in cases {
+            let plan = MatchingPlan::compile(&p, &PlanOptions::automine()).unwrap();
+            let got: Vec<Vec<Vec<usize>>> = (0..plan.depth())
+                .map(|q| plan.fetch_bound(q).0.iter().map(|s| s.iter().collect()).collect())
+                .collect();
+            let want: Vec<Vec<Vec<usize>>> = want
+                .iter()
+                .take(plan.depth())
+                .map(|b| b.iter().map(|s| s.to_vec()).collect())
+                .collect();
+            assert_eq!(got, want, "{}", plan.describe());
+        }
+        let triangle =
+            MatchingPlan::compile(&Pattern::triangle(), &PlanOptions::automine()).unwrap();
+        assert_eq!(triangle.fetch_bound(1).above(&[4], 9), Some(9));
+        assert_eq!(triangle.fetch_bound(1).above(&[4], 2), Some(4));
+        assert!(!triangle.fetch_bound(2).is_bounded());
+        // The house reads N(v1) unbounded at v3, and N(v0) unbounded at v1.
+        let house = MatchingPlan::compile(&Pattern::house(), &PlanOptions::automine()).unwrap();
+        assert!((0..5).all(|q| !house.fetch_bound(q).is_bounded()), "{}", house.describe());
+        assert_eq!(house.fetch_bound(1).above(&[4], 9), None);
+    }
+
+    #[test]
+    fn a_fetch_bound_never_exceeds_a_reading_levels_raw_window() {
+        // Over every connected pattern of up to five vertices, labelled or
+        // not, induced or not, under both compilers: the fetch bound of a
+        // list is at most the raw lower bound of every level that reads it
+        // (so no reader misses an entry), and it is the least such bound
+        // over what is matched when the list is fetched (so nothing
+        // shippable is left in).
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut draw = || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) as VertexId % 1000
+        };
+        let (mut bounded, mut whole) = (0, 0);
+        for k in 2..=5 {
+            for p in crate::genpat::connected_patterns(k) {
+                let labels = (0..k as Label).map(|i| i % 2).collect();
+                for p in [p.clone(), p.with_labels(labels).unwrap()] {
+                    for base in [PlanOptions::automine(), PlanOptions::graphpi()] {
+                        for induced in [false, true] {
+                            let opts = PlanOptions { induced, ..base.clone() };
+                            let plan = MatchingPlan::compile(&p, &opts).unwrap();
+                            for q in 0..plan.depth() {
+                                let readers: Vec<&LevelPlan> = plan
+                                    .levels()
+                                    .iter()
+                                    .filter(|l| {
+                                        let via_source = match l.source {
+                                            CandidateSource::Scratch => l.intersect.contains(&q),
+                                            CandidateSource::ParentIntermediate => false,
+                                            CandidateSource::ParentIntermediateAndNew => {
+                                                l.position - 1 == q
+                                            }
+                                        };
+                                        via_source || l.subtract.contains(&q)
+                                    })
+                                    .collect();
+                                let bound = plan.fetch_bound(q);
+                                let what = format!("position {q}\n{}", plan.describe());
+                                let known = |l: &LevelPlan| -> Vec<usize> {
+                                    l.raw_lower.iter().copied().filter(|&b| b <= q).collect()
+                                };
+                                let reads_whole = readers.is_empty()
+                                    || readers.iter().any(|l| known(l).is_empty());
+                                assert_eq!(bound.is_bounded(), !reads_whole, "{what}");
+                                bounded += usize::from(bound.is_bounded());
+                                whole += usize::from(!bound.is_bounded());
+                                for _ in 0..8 {
+                                    let matched: Vec<VertexId> =
+                                        (0..plan.depth()).map(|_| draw()).collect();
+                                    let lowest =
+                                        |bs: &[usize]| bs.iter().map(|&b| matched[b]).max();
+                                    let above = bound.above(&matched[..q], matched[q]);
+                                    for l in &readers {
+                                        if let (Some(above), Some(lo)) =
+                                            (above, lowest(&l.raw_lower))
+                                        {
+                                            assert!(above <= lo, "{what}");
+                                        }
+                                    }
+                                    let tightest = readers
+                                        .iter()
+                                        .map(|l| lowest(&known(l)))
+                                        .collect::<Option<Vec<_>>>()
+                                        .and_then(|each| each.into_iter().min());
+                                    assert_eq!(above, tightest, "{what}");
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(bounded > 100 && whole > 100, "{bounded} bounded, {whole} whole");
     }
 
     #[test]

@@ -110,17 +110,32 @@ fn every_sharing_mechanism_reduces_traffic_on_skewed_graphs() {
     };
     let none = run_with(false, CacheConfig::disabled());
     let horizontal = run_with(true, CacheConfig::disabled());
-    let cache = run_with(false, CacheConfig { degree_threshold: 4, ..CacheConfig::default() });
-    let both = run_with(true, CacheConfig { degree_threshold: 4, ..CacheConfig::default() });
     assert_eq!(none.count, horizontal.count);
+    // The share table is the only dedup before the wire: without it every
+    // duplicate list crosses the network (§5.2).
+    assert!(horizontal.traffic.network_bytes < none.traffic.network_bytes);
+    assert!(horizontal.traffic.coalesced > 0 && none.traffic.coalesced == 0);
+    // A list the static cache may admit ships whole; the rest arrive cut
+    // to what the plan reads. A threshold under the minimum degree (each
+    // vertex arrives with 6 edges) makes every list eligible: the cache
+    // still beats shipping every duplicate, but once the share table has
+    // removed those its reuse no longer pays for the cuts it gives up.
+    let low = CacheConfig { degree_threshold: 4, ..CacheConfig::default() };
+    let cache = run_with(false, low);
+    let both = run_with(true, low);
     assert_eq!(none.count, cache.count);
     assert_eq!(none.count, both.count);
-    // The fabric's same-round coalescing dedups the identical duplicate
-    // requests that horizontal sharing elides upstream, so on the wire
-    // the two are equivalent; sharing's win shows in the coalesced
-    // counter (fewer duplicates ever reach the fabric).
-    assert!(horizontal.traffic.network_bytes <= none.traffic.network_bytes);
-    assert!(horizontal.traffic.coalesced < none.traffic.coalesced);
+    assert!(cache.traffic.cache_hits > 0 && both.traffic.cache_hits > 0);
+    assert!(cache.traffic.network_bytes < none.traffic.network_bytes);
+    assert!(both.traffic.network_bytes <= cache.traffic.network_bytes);
+    assert!(both.traffic.network_bytes >= horizontal.traffic.network_bytes);
+    // A threshold that picks out the hubs keeps the cuts for the rest, and
+    // every mechanism cuts traffic.
+    let hubs = CacheConfig { degree_threshold: 8, ..CacheConfig::default() };
+    let cache = run_with(false, hubs);
+    let both = run_with(true, hubs);
+    assert_eq!(none.count, cache.count);
+    assert_eq!(none.count, both.count);
     assert!(cache.traffic.network_bytes < none.traffic.network_bytes);
     assert!(both.traffic.network_bytes <= horizontal.traffic.network_bytes);
     assert!(both.traffic.network_bytes <= cache.traffic.network_bytes);
@@ -251,45 +266,60 @@ type Routing = (u64, u64, u64, u64, u64, u64);
 /// from the commit before the resolve path was rewritten (single-hash
 /// loop, batched counters, pin list, epoch-tagged share table).
 ///
-/// Re-recorded once since, when the chunk stack was cut at the last
-/// fetched level and owned children stopped being parked: the last chunk
-/// then holds only embeddings that wait for a fetch, so one fill batches
-/// (and dedups) more of them. Where no chunk fills nothing moves; the
-/// rmat 4-cycle rows went 91 892 → 87 848 bytes, 30 → 24 requests and
-/// 14 532 → 14 660 coalesced (sharing off), everything else identical.
-/// That is the only kind of re-record this table admits: `count` equal,
-/// hits and misses equal, bytes and requests lower. A change that moves a
-/// number any other way changed a routing decision it should not have.
-/// (The path, star and house rows were added with that change, to pin the
-/// depth-first tail; against the commit before it they differ only in the
-/// rmat house rows — 360 104 → 314 348 bytes, 261 → 201 requests, and 802
-/// of the 1 004 932 lookups moving from hit to miss, because a fuller
-/// round looks a hub up more often before that round's reply admits it.)
+/// Re-recorded when the chunk stack was cut at the last fetched level and
+/// owned children stopped being parked: the last chunk then holds only
+/// embeddings that wait for a fetch, so one fill batches (and dedups) more
+/// of them. Where no chunk fills nothing moved; the rmat 4-cycle rows went
+/// 91 892 → 87 848 bytes, 30 → 24 requests and 14 532 → 14 660 coalesced
+/// (sharing off), everything else identical. (The path, star and house
+/// rows were added with that change, to pin the depth-first tail; against
+/// the commit before it they differ only in the rmat house rows — 360 104
+/// → 314 348 bytes, 261 → 201 requests, and 802 of the 1 004 932 lookups
+/// moving from hit to miss, because a fuller round looks a hub up more
+/// often before that round's reply admits it.)
+///
+/// Re-recorded again when requests started to carry the plan's fetch
+/// bound and the share table became the one dedup (the fabric stopped
+/// coalescing), column by column:
+/// * `count`, `requests`, cache hits and misses: identical on every row —
+///   the cache admits exactly the lists it admitted (a cut list is shorter
+///   than the threshold of 16) and every bucket still goes out once.
+/// * `network_bytes`: lower on every "on" row whose plan bounds a fetched
+///   list (triangle, 4-cycle, 4-clique; e.g. er 4-cycle 544 556 → 450 264);
+///   equal where it bounds none (path, house) or fetches nothing (star).
+///   On the "off" rows duplicates now reach the wire, so bytes rise (er
+///   4-cycle 544 556 → 1 437 836), except er triangle, whose cut lists
+///   outweigh its duplicates (214 980 → 211 812).
+/// * `coalesced`: on "on" rows the duplicates the share table absorbed —
+///   exactly what the fabric used to coalesce on the "off" rows, since
+///   both removed repeats of one vertex within one fill; 0 on "off" rows.
+///
+/// Any other movement means a routing decision changed.
 const GOLDEN_ROUTING: [Routing; 24] = [
-    (92, 214980, 12, 101, 0, 8979),                  // er triangle on
-    (92, 214980, 12, 3896, 0, 8979),                 // er triangle off
-    (493, 544556, 24, 1559, 719, 56277),             // er 4-cycle on
-    (493, 544556, 24, 43028, 719, 56277),            // er 4-cycle off
-    (0, 218176, 24, 101, 4, 9040),                   // er 4-clique on
-    (0, 218176, 24, 3897, 4, 9040),                  // er 4-clique off
-    (764221, 214980, 12, 101, 0, 8979),              // er 4-path on
-    (764221, 214980, 12, 3896, 0, 8979),             // er 4-path off
+    (92, 126432, 12, 3896, 0, 8979),                 // er triangle on
+    (92, 211812, 12, 0, 0, 8979),                    // er triangle off
+    (493, 450264, 24, 43028, 719, 56277),            // er 4-cycle on
+    (493, 1437836, 24, 0, 719, 56277),               // er 4-cycle off
+    (0, 127968, 24, 3897, 4, 9040),                  // er 4-clique on
+    (0, 213360, 24, 0, 4, 9040),                     // er 4-clique off
+    (764221, 214980, 12, 3896, 0, 8979),             // er 4-path on
+    (764221, 395908, 12, 0, 0, 8979),                // er 4-path off
     (254752, 0, 0, 0, 0, 0),                         // er 4-star on
     (254752, 0, 0, 0, 0, 0),                         // er 4-star off
-    (42, 272352, 24, 102, 20, 10549),                // er house on
-    (42, 272352, 24, 4151, 20, 10549),               // er house off
-    (9519, 63760, 12, 0, 0, 2127),                   // rmat triangle on
-    (9519, 63760, 12, 1332, 0, 2127),                // rmat triangle off
-    (271380, 87848, 24, 0, 28600, 16301),            // rmat 4-cycle on
-    (271380, 87848, 24, 14660, 28600, 16301),        // rmat 4-cycle off
-    (22236, 73824, 24, 0, 6320, 2984),               // rmat 4-clique on
-    (22236, 73824, 24, 1924, 6320, 2984),            // rmat 4-clique off
-    (4719332, 63760, 12, 0, 0, 2127),                // rmat 4-path on
-    (4719332, 63760, 12, 1332, 0, 2127),             // rmat 4-path off
+    (42, 272352, 24, 4151, 20, 10549),               // er house on
+    (42, 465112, 24, 0, 20, 10549),                  // er house off
+    (9519, 58444, 12, 1332, 0, 2127),                // rmat triangle on
+    (9519, 262324, 12, 0, 0, 2127),                  // rmat triangle off
+    (271380, 85092, 24, 14660, 28600, 16301),        // rmat 4-cycle on
+    (271380, 618128, 24, 0, 28600, 16301),           // rmat 4-cycle off
+    (22236, 63740, 24, 1924, 6320, 2984),            // rmat 4-clique on
+    (22236, 278892, 24, 0, 6320, 2984),              // rmat 4-clique off
+    (4719332, 63760, 12, 1332, 0, 2127),             // rmat 4-path on
+    (4719332, 269244, 12, 0, 0, 2127),               // rmat 4-path off
     (3927740, 0, 0, 0, 0, 0),                        // rmat 4-star on
     (3927740, 0, 0, 0, 0, 0),                        // rmat 4-star off
-    (21397141, 314348, 201, 0, 711530, 293402),      // rmat house on
-    (21397141, 314348, 201, 285109, 711530, 293402), // rmat house off
+    (21397141, 314348, 201, 285109, 711530, 293402), // rmat house on
+    (21397141, 12050312, 201, 0, 711530, 293402),    // rmat house off
 ];
 
 #[test]
