@@ -3,7 +3,8 @@
 //! partition/fetch primitives, and the observability hot path.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use gpm_graph::{gen, partition::PartitionedGraph, set_ops};
+use gpm_graph::set_ops::{self, Side};
+use gpm_graph::{gen, partition::PartitionedGraph};
 use gpm_obs::{Metric, ObsConfig, Recorder, SpanKind};
 use gpm_pattern::interp;
 use gpm_pattern::plan::{MatchingPlan, PlanOptions};
@@ -104,34 +105,50 @@ fn bench_set_ops(c: &mut Criterion) {
 /// The intersections a 4-clique level really runs, by shape: for every
 /// edge `u < v` of the `hub_cliques` graph, `N(u)` and `N(v)` clamped above
 /// `v` as the level's bounds clamp them, binned by the shorter length and
-/// the length ratio — the two things `set_ops` chooses a kernel by (block
-/// merge from 8 on the shorter side, gallop from 16×). Each bin runs the
-/// dispatching kernel and the scalar merge it falls back to, counting and
-/// materialising, and reports time per scanned element (`|a| + |b|`).
+/// the length ratio — the two things `set_ops` chooses a kernel by for
+/// lists without a bitmap (block merge from 8 on the shorter side, gallop
+/// from 16×). Each bin runs the dispatching kernel and the scalar merge it
+/// falls back to, counting and materialising, and reports time per
+/// scanned element (`|a| + |b|`). The pairs with a hot list
+/// (`set_ops::is_hot`) are binned again under `hot/`, with a third row:
+/// `probe`, the call a plain level makes for the pair — the hot list with
+/// its bitmap, the other list clamped and probed against it — per element
+/// of the same clamped pair, so the three rows compare. The `probe` row
+/// pays for the one clamp a level still makes; the other two rows are
+/// handed both lists clamped.
 fn bench_set_ops_shapes(c: &mut Criterion) {
     const SHORT: [(&str, usize); 4] =
         [("1-7", 8), ("8-31", 32), ("32-127", 128), ("128+", usize::MAX)];
     const RATIO: [(&str, usize); 3] = [("1-4", 4), ("4-16", 16), ("16+", usize::MAX)];
+    const BINS: usize = SHORT.len() * RATIO.len();
     let graph = gen::rmat(12, 16, (0.57, 0.19, 0.19), 12);
-    let mut bins: Vec<Vec<(&[u32], &[u32])>> = vec![Vec::new(); SHORT.len() * RATIO.len()];
+    let mut bins: Vec<Bin> = vec![Bin::default(); 2 * BINS];
     for (u, v) in graph.edges() {
-        let bound = Some(u.max(v));
-        let a = set_ops::clamp(graph.neighbors(u), bound, None);
-        let b = set_ops::clamp(graph.neighbors(v), bound, None);
-        let (short, long) = (a.len().min(b.len()), a.len().max(b.len()));
+        let lo = Some(u.max(v));
+        let side = |v| Side { list: graph.neighbors(v), bits: graph.bits(v) };
+        let (a, b) = (side(u), side(v));
+        let (ca, cb) = (set_ops::clamp(a.list, lo, None), set_ops::clamp(b.list, lo, None));
+        let (short, long) = (ca.len().min(cb.len()), ca.len().max(cb.len()));
         if short == 0 {
             continue;
         }
         let s = SHORT.iter().position(|&(_, end)| short < end).expect("last bin is open");
         let r = RATIO.iter().position(|&(_, end)| long / short < end).expect("last bin is open");
-        bins[s * RATIO.len() + r].push((a, b));
+        bins[s * RATIO.len() + r].pairs.push((ca, cb));
+        if a.bits.is_some() || b.bits.is_some() {
+            let hot = &mut bins[BINS + s * RATIO.len() + r];
+            hot.pairs.push((ca, cb));
+            hot.sides.push((a, b, lo));
+        }
     }
     let mut g = c.benchmark_group("set_ops_shapes");
-    for (bin, pairs) in bins.iter().enumerate().filter(|(_, pairs)| !pairs.is_empty()) {
-        let (short, ratio) = (SHORT[bin / RATIO.len()].0, RATIO[bin % RATIO.len()].0);
+    for (bin, Bin { pairs, sides }) in bins.iter().enumerate().filter(|(_, b)| !b.pairs.is_empty())
+    {
+        let (short, ratio) = (SHORT[bin % BINS / RATIO.len()].0, RATIO[bin % RATIO.len()].0);
         let scanned: usize = pairs.iter().map(|(a, b)| a.len() + b.len()).sum();
         g.throughput(Throughput::Elements(scanned as u64));
-        let shape = format!("short_{short}/ratio_{ratio}/pairs_{}", pairs.len());
+        let hot = if bin >= BINS { "hot/" } else { "" };
+        let shape = format!("{hot}short_{short}/ratio_{ratio}/pairs_{}", pairs.len());
         type Count = fn(&[u32], &[u32]) -> usize;
         type Into = fn(&[u32], &[u32], &mut Vec<u32>);
         for (name, count, into) in [
@@ -152,8 +169,38 @@ fn bench_set_ops_shapes(c: &mut Criterion) {
                 })
             });
         }
+        if sides.is_empty() {
+            continue;
+        }
+        g.bench_function(format!("count/{shape}/probe"), |bench| {
+            bench.iter(|| {
+                sides
+                    .iter()
+                    .map(|&(a, b, lo)| set_ops::intersect_sides_count(a, b, lo, None))
+                    .sum::<usize>()
+            })
+        });
+        g.bench_function(format!("into/{shape}/probe"), |bench| {
+            let mut out = Vec::new();
+            bench.iter(|| {
+                for &(a, b, lo) in sides {
+                    out.clear();
+                    set_ops::intersect_sides_into(a, b, lo, None, &mut out);
+                    black_box(&out);
+                }
+            })
+        });
     }
     g.finish();
+}
+
+/// One shape bin of [`bench_set_ops_shapes`]: its pairs clamped, and — in
+/// a `hot/` bin — as a plain level hands them to the kernel, with the
+/// window's lower bound.
+#[derive(Clone, Default)]
+struct Bin<'a> {
+    pairs: Vec<(&'a [u32], &'a [u32])>,
+    sides: Vec<(Side<'a>, Side<'a>, Option<u32>)>,
 }
 
 /// The hand-written loop nests a compiler would emit for the three plans

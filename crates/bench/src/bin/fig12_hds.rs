@@ -8,7 +8,7 @@
 //!
 //! Usage: `cargo run -p gpm-bench --release --bin fig12_hds [--quick]`
 
-use gpm_bench::report::{fmt_bytes, stamp, write_json, Table};
+use gpm_bench::report::{fmt_bytes, write_stamped, Table};
 use gpm_bench::workloads::App;
 use gpm_bench::{build_dataset, Scale, PAPER_MACHINES};
 use gpm_graph::datasets::DatasetId;
@@ -17,14 +17,6 @@ use gpm_pattern::plan::PlanOptions;
 use khuzdul::{CacheConfig, Engine, EngineConfig, RunStats};
 use serde::Serialize;
 use std::time::Duration;
-
-/// The rows, stamped with the tree and the day they were measured on.
-#[derive(Serialize)]
-struct Record {
-    commit: String,
-    date: String,
-    rows: Vec<Row>,
-}
 
 #[derive(Serialize)]
 struct Row {
@@ -93,8 +85,7 @@ fn main() {
     }
     println!("Figure 12: Effect of Horizontal Data Sharing (k-GraphPi, normalized to no-HDS)\n");
     table.print();
-    let (commit, date) = stamp();
-    if let Ok(p) = write_json("fig12_hds", &Record { commit, date, rows }) {
+    if let Ok(p) = write_stamped("fig12_hds", rows) {
         println!("\nwrote {}", p.display());
     }
 }

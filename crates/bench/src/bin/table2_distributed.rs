@@ -11,7 +11,7 @@
 
 use gpm_baselines::gthinker::{GThinker, GThinkerConfig};
 use gpm_baselines::replicated::{ReplicatedCluster, ReplicatedConfig};
-use gpm_bench::report::{fmt_duration, write_json, Table};
+use gpm_bench::report::{fmt_duration, write_stamped, Table};
 use gpm_bench::workloads::{engine_for, App};
 use gpm_bench::{build_dataset, Scale, PAPER_MACHINES};
 use gpm_graph::datasets::DatasetId;
@@ -112,7 +112,7 @@ fn main() {
     }
     println!("Table 2: Comparing with GraphPi/G-thinker ({machines} machines)\n");
     table.print();
-    if let Ok(p) = write_json("table2_distributed", &rows) {
+    if let Ok(p) = write_stamped("table2_distributed", rows) {
         println!("\nwrote {}", p.display());
     }
 }

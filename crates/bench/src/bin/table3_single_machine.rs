@@ -10,7 +10,7 @@
 //! Usage: `cargo run -p gpm-bench --release --bin table3_single_machine [--quick]`
 
 use gpm_baselines::single::SingleMachine;
-use gpm_bench::report::{fmt_duration, write_json, Table};
+use gpm_bench::report::{fmt_duration, write_stamped, Table};
 use gpm_bench::workloads::{engine_for, App};
 use gpm_bench::{build_dataset, Scale};
 use gpm_graph::datasets::DatasetId;
@@ -101,7 +101,7 @@ fn main() {
     }
     println!("Table 3: Comparing with Single-Machine Systems (1 node, {threads} threads)\n");
     table.print();
-    if let Ok(p) = write_json("table3_single_machine", &rows) {
+    if let Ok(p) = write_stamped("table3_single_machine", rows) {
         println!("\nwrote {}", p.display());
     }
 }

@@ -1,6 +1,6 @@
 //! Table printing and JSON result emission.
 
-use serde::Serialize;
+use serde::{Serialize, Value};
 use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::time::Duration;
@@ -90,11 +90,12 @@ impl Table {
     }
 }
 
-/// What a result file is stamped with: the tree that produced it, as
-/// `git describe --always --dirty` names it, and the UTC date it was run
-/// on (`unknown` where either command fails).
-pub fn stamp() -> (String, String) {
-    let run = |cmd: &str, args: &[&str]| {
+/// Writes experiment rows as [`write_json`] does, stamped:
+/// `{commit, date, rows}`, with the tree that produced them as
+/// `git describe --always --dirty` names it and the UTC date they were
+/// measured on (`unknown` where either command fails).
+pub fn write_stamped<R: Serialize>(experiment: &str, rows: Vec<R>) -> std::io::Result<PathBuf> {
+    let run = |cmd: &str, args: &[&str]| -> String {
         let out = std::process::Command::new(cmd).args(args).output().ok();
         let out = out.filter(|out| out.status.success());
         out.map_or_else(
@@ -102,7 +103,15 @@ pub fn stamp() -> (String, String) {
             |out| String::from_utf8_lossy(&out.stdout).trim().into(),
         )
     };
-    (run("git", &["describe", "--always", "--dirty", "--abbrev=12"]), run("date", &["-u", "+%F"]))
+    let stamped = Value::Map(vec![
+        (
+            "commit".into(),
+            run("git", &["describe", "--always", "--dirty", "--abbrev=12"]).to_value(),
+        ),
+        ("date".into(), run("date", &["-u", "+%F"]).to_value()),
+        ("rows".into(), rows.to_value()),
+    ]);
+    write_json(experiment, &stamped)
 }
 
 /// Writes experiment rows as JSON next to the repository (for

@@ -463,6 +463,7 @@ impl ChannelTransport {
             slices.extend(pg.hosted_replicas(part_id).iter().cloned());
             let registry = Arc::new(parking_lot::RwLock::new(slices));
             registries.push(Arc::clone(&registry));
+            let vertices = pg.vertex_count();
             let part_metrics = Arc::clone(metrics.part(part_id));
             let obs = Arc::clone(&obs);
             let dead = Arc::clone(&dead);
@@ -509,7 +510,8 @@ impl ChannelTransport {
                             }
                             Msg::Push { push, reply_to } => {
                                 let seq = push.seq;
-                                let payload = stage_push(&mut staging, &registry, part_id, push);
+                                let payload =
+                                    stage_push(&mut staging, &registry, part_id, vertices, push);
                                 let _ = reply_to.send(WireReply { seq, payload });
                             }
                             Msg::Shutdown => break,
@@ -655,13 +657,14 @@ impl ChannelTransport {
 /// Applies one slice-transfer chunk on a responder: stages the columns
 /// and, on the final chunk, validates the assembled CSR and installs it
 /// into the hosted-slice registry (replacing a stale copy of the same
-/// slice if present). Out-of-order or mis-sized chunks abort the
-/// transfer with a transient [`FetchError::Injected`] so the sender can
-/// restart it from scratch.
+/// slice if present) as a part of a graph of `vertices` vertices.
+/// Out-of-order or mis-sized chunks abort the transfer with a transient
+/// [`FetchError::Injected`] so the sender can restart it from scratch.
 fn stage_push(
     staging: &mut std::collections::HashMap<PartId, ReplicaStage>,
     registry: &parking_lot::RwLock<Vec<Arc<GraphPart>>>,
     part_id: PartId,
+    vertices: usize,
     push: ReplicaPush,
 ) -> Result<FetchedLists, FetchError> {
     let owner = push.owner;
@@ -699,8 +702,13 @@ fn stage_push(
         if !consistent {
             return Err(FetchError::Injected { target: part_id });
         }
-        let part =
-            Arc::new(GraphPart::from_csr(owner, stage.owned, stage.offsets, stage.neighbors));
+        let part = Arc::new(GraphPart::from_csr(
+            owner,
+            stage.owned,
+            stage.offsets,
+            stage.neighbors,
+            vertices,
+        ));
         let mut slices = registry.write();
         match slices.iter_mut().find(|s| s.part_id() == owner) {
             Some(slot) => *slot = part,

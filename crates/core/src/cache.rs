@@ -11,11 +11,14 @@
 //! a *write* lock per lookup or insert-with-eviction, the overhead the
 //! paper measures.
 //!
-//! Entries hand out `Arc<[VertexId]>` so an evicted list stays alive while
-//! any extendable embedding still references it — eviction can never
-//! dangle a task's data.
+//! Entries hand out `Arc<Entry>` so an evicted list stays alive while any
+//! extendable embedding still references it — eviction can never dangle a
+//! task's data. A hot list ([`set_ops::is_hot`]) is admitted with its
+//! bitmap, built once at admission; the capacity budget counts list bytes
+//! only, so the bitmaps change nothing about which lists are admitted.
 
 use gpm_graph::partition::vertex_hash;
+use gpm_graph::set_ops::{self, Bits, Side};
 use gpm_graph::{Degree, VertexId};
 use parking_lot::RwLock;
 use std::collections::HashMap;
@@ -72,12 +75,53 @@ impl CacheConfig {
     }
 }
 
+/// One cached edge list, with its bitmap when the list is hot.
+#[derive(Debug)]
+pub struct Entry {
+    list: Box<[VertexId]>,
+    /// The bitmap of a hot list; empty for a cold one.
+    words: Box<[u64]>,
+}
+
+impl Entry {
+    /// `list`, with its bitmap over `vertices` ids if it is hot.
+    fn new(list: &[VertexId], vertices: Option<usize>) -> Entry {
+        let mut words = Vec::new();
+        if let Some(vertices) = vertices.filter(|&n| set_ops::is_hot(list.len(), n)) {
+            set_ops::push_bitmap(list, vertices, &mut words);
+        }
+        Entry { list: list.into(), words: words.into() }
+    }
+
+    /// The list with its bitmap, if it has one.
+    #[inline]
+    pub fn side(&self) -> Side<'_> {
+        let bits = (!self.words.is_empty()).then(|| Bits::new(&self.words, None));
+        Side { list: &self.list, bits }
+    }
+
+    fn bitmap_bytes(&self) -> usize {
+        std::mem::size_of_val(&self.words[..])
+    }
+}
+
+impl std::ops::Deref for Entry {
+    type Target = [VertexId];
+
+    fn deref(&self) -> &[VertexId] {
+        &self.list
+    }
+}
+
 /// A shared per-part software cache of remote edge lists.
 #[derive(Debug)]
 pub struct SharedCache {
     policy: CachePolicy,
     capacity_bytes: usize,
     degree_threshold: Degree,
+    /// `|V|` of the graph whose lists are cached, for the bitmaps of the
+    /// hot ones; `None` keeps no bitmaps.
+    vertices: Option<usize>,
     /// `inner.map.len()`, written under the write lock and read without
     /// any: zero lets a lookup answer "miss" without taking the lock.
     entries: AtomicUsize,
@@ -133,33 +177,58 @@ impl Hasher for PassThrough {
 
 #[derive(Debug, Default)]
 struct Inner {
-    map: HashMap<Key, Arc<[VertexId]>, BuildHasherDefault<PassThrough>>,
+    map: HashMap<Key, Arc<Entry>, BuildHasherDefault<PassThrough>>,
     /// Insertion/recency order queue for the replacement policies (front =
     /// next victim candidate end depends on policy). Unused by `Static`.
     order: Vec<VertexId>,
+    /// List bytes held: what the capacity bounds.
     bytes: usize,
+    /// Bitmap bytes held beside them, outside the capacity.
+    bitmap_bytes: usize,
     full: bool,
 }
 
+impl Inner {
+    fn admit(&mut self, key: Key, entry: Entry) {
+        self.bytes += std::mem::size_of_val(&entry[..]);
+        self.bitmap_bytes += entry.bitmap_bytes();
+        self.map.insert(key, Arc::new(entry));
+    }
+
+    fn evict(&mut self, v: VertexId) {
+        if let Some(old) = self.map.remove(&Key::of(v)) {
+            self.bytes -= std::mem::size_of_val(&old[..]);
+            self.bitmap_bytes -= old.bitmap_bytes();
+        }
+    }
+}
+
 impl SharedCache {
-    /// Creates a cache with `capacity_bytes` of list storage.
+    /// Creates a cache with `capacity_bytes` of list storage. It does not
+    /// know the graph, so it keeps no bitmaps.
     pub fn new(policy: CachePolicy, capacity_bytes: usize, degree_threshold: Degree) -> Self {
         SharedCache {
             policy,
             capacity_bytes,
             degree_threshold,
+            vertices: None,
             entries: AtomicUsize::new(0),
             inner: RwLock::new(Inner::default()),
         }
     }
 
-    /// Builds the per-part cache for a machine-level [`CacheConfig`].
-    pub fn for_part(cfg: &CacheConfig, sockets_per_machine: usize) -> Self {
-        SharedCache::new(
-            cfg.policy,
-            cfg.capacity_per_machine / sockets_per_machine.max(1),
-            cfg.degree_threshold,
-        )
+    /// Builds the per-part cache for a machine-level [`CacheConfig`], for a
+    /// graph of `vertices` vertices: every hot list it admits gets its
+    /// bitmap.
+    pub fn for_part(cfg: &CacheConfig, sockets_per_machine: usize, vertices: usize) -> Self {
+        SharedCache {
+            vertices: Some(vertices),
+            ..SharedCache::new(
+                cfg.policy,
+                cfg.capacity_per_machine / sockets_per_machine.max(1),
+                cfg.degree_threshold,
+            )
+        }
     }
 
     /// The policy in force.
@@ -191,14 +260,14 @@ impl SharedCache {
     /// lock — the measured cost of those policies); `Static`, FIFO and
     /// LIFO lookups take only the read lock, and no lock while the cache
     /// is empty.
-    pub fn lookup(&self, v: VertexId) -> Option<Arc<[VertexId]>> {
+    pub fn lookup(&self, v: VertexId) -> Option<Arc<Entry>> {
         self.lookup_hashed(v, vertex_hash(v))
     }
 
     /// [`SharedCache::lookup`] for a caller that already holds
     /// `hash == vertex_hash(v)`.
     #[inline]
-    pub(crate) fn lookup_hashed(&self, v: VertexId, hash: u64) -> Option<Arc<[VertexId]>> {
+    pub(crate) fn lookup_hashed(&self, v: VertexId, hash: u64) -> Option<Arc<Entry>> {
         debug_assert_eq!(hash, vertex_hash(v));
         // An empty map has nothing to return and no recency to update. A
         // lookup racing the first insert may miss it, exactly as if it
@@ -248,8 +317,7 @@ impl SharedCache {
                     inner.full = true;
                     return false;
                 }
-                inner.bytes += bytes;
-                inner.map.insert(key, list.into());
+                inner.admit(key, Entry::new(list, self.vertices));
                 self.entries.store(inner.map.len(), Ordering::Relaxed);
                 true
             }
@@ -275,14 +343,11 @@ impl SharedCache {
                         },
                         _ => unreachable!(),
                     };
-                    if let Some(old) = inner.map.remove(&Key::of(victim)) {
-                        inner.bytes -= std::mem::size_of_val(&old[..]);
-                    }
+                    inner.evict(victim);
                 }
                 let fits = inner.bytes + bytes <= self.capacity_bytes;
                 if fits {
-                    inner.bytes += bytes;
-                    inner.map.insert(key, list.into());
+                    inner.admit(key, Entry::new(list, self.vertices));
                     inner.order.push(v);
                 }
                 self.entries.store(inner.map.len(), Ordering::Relaxed);
@@ -307,6 +372,12 @@ impl SharedCache {
         self.inner.read().bytes
     }
 
+    /// Bytes of the hot lists' bitmaps held beside them, which the
+    /// capacity does not count.
+    pub fn bitmap_bytes(&self) -> usize {
+        self.inner.read().bitmap_bytes
+    }
+
     /// Capacity in bytes.
     pub fn capacity_bytes(&self) -> usize {
         self.capacity_bytes
@@ -318,6 +389,7 @@ impl SharedCache {
         inner.map.clear();
         inner.order.clear();
         inner.bytes = 0;
+        inner.bitmap_bytes = 0;
         inner.full = false;
         self.entries.store(0, Ordering::Relaxed);
     }
@@ -499,8 +571,42 @@ mod tests {
     #[test]
     fn per_part_sizing() {
         let cfg = CacheConfig { capacity_per_machine: 1000, ..CacheConfig::default() };
-        let c = SharedCache::for_part(&cfg, 2);
+        let c = SharedCache::for_part(&cfg, 2, 1 << 20);
         assert_eq!(c.capacity_bytes(), 500);
+    }
+
+    #[test]
+    fn a_hot_list_is_admitted_with_its_bitmap_outside_the_budget() {
+        // |V| = 640: a list of 20 entries is hot, one of 19 is not. The
+        // budget fits two lists of 20 whichever carry bitmaps.
+        for policy in [CachePolicy::Static, CachePolicy::Fifo] {
+            let c = SharedCache::for_part(
+                &CacheConfig { capacity_per_machine: 160, degree_threshold: 1, policy },
+                1,
+                640,
+            );
+            assert!(c.maybe_insert(1, &list(20, 100)));
+            assert!(c.maybe_insert(2, &list(19, 0)));
+            assert_eq!((c.bytes(), c.bitmap_bytes()), (156, 80));
+            let hot = c.lookup(1).unwrap();
+            let bits = hot.side().bits.expect("a hot list carries its bitmap");
+            assert!((100..120).all(|v| bits.contains(v)) && !bits.contains(99));
+            assert!(c.lookup(2).unwrap().side().bits.is_none());
+            // The same lists, the same admissions, without bitmaps.
+            let plain = SharedCache::new(policy, 160, 1);
+            assert!(plain.maybe_insert(1, &list(20, 100)));
+            assert!(plain.maybe_insert(2, &list(19, 0)));
+            assert!(plain.lookup(1).unwrap().side().bits.is_none());
+            assert_eq!((plain.bytes(), plain.bitmap_bytes()), (156, 0));
+            // A FIFO cache evicts the hot list and its bitmap with it.
+            if policy == CachePolicy::Fifo {
+                assert!(c.maybe_insert(3, &list(2, 0)));
+                assert!(c.lookup(1).is_none());
+                assert_eq!((c.bytes(), c.bitmap_bytes()), (84, 0));
+            }
+            c.clear();
+            assert_eq!(c.bitmap_bytes(), 0);
+        }
     }
 
     #[test]

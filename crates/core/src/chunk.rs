@@ -7,6 +7,8 @@
 //! outlive children (DFS over levels), so vertical sharing is plain index
 //! chasing.
 
+use crate::cache::Entry;
+use gpm_graph::set_ops::{self, Bits, Side};
 use gpm_graph::VertexId;
 use std::sync::Arc;
 
@@ -39,6 +41,9 @@ pub(crate) enum ListRef {
         /// List length.
         len: u32,
     },
+    /// Fetched, and hot: index into [`Chunk::hot`], which holds the span
+    /// and the bitmap the fill built for it.
+    Hot(u32),
     /// Horizontal sharing (§5.2): the embedding at this index in the same
     /// chunk holds the list (never itself a `Peer`).
     Peer(u32),
@@ -157,6 +162,17 @@ impl ShareTable {
     }
 }
 
+/// A hot fetched list: its span of a reply, the bound it was fetched
+/// above, and where its bitmap is in [`Chunk::bitmaps`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct HotList {
+    seg: u16,
+    start: u32,
+    len: u32,
+    above: Option<VertexId>,
+    words: (u32, u32),
+}
+
 /// A per-level chunk of extendable embeddings with its data arenas and
 /// BFS-DFS bookkeeping.
 #[derive(Debug, Default)]
@@ -168,9 +184,14 @@ pub(crate) struct Chunk {
     /// written once, by the responder, and read from there: adopting a
     /// reply moves its payload in.
     pub segments: Vec<Vec<VertexId>>,
+    /// The hot lists among this fill's fetched ones, by [`ListRef::Hot`]
+    /// index: one per claimant, which its peers read through it.
+    pub hot: Vec<HotList>,
+    /// Arena of their bitmaps.
+    pub bitmaps: Vec<u64>,
     /// Cache entries this level's [`ListRef::Cached`] embeddings read,
     /// pinned until the level is released.
-    pub pins: Vec<Arc<[VertexId]>>,
+    pub pins: Vec<Arc<Entry>>,
     /// Arena of stored intermediate results.
     pub inter_data: Vec<VertexId>,
     /// `embs[..cursor]` have been offered to an extend phase.
@@ -219,6 +240,8 @@ impl Chunk {
     pub fn clear(&mut self) {
         self.embs.clear();
         self.segments.clear();
+        self.hot.clear();
+        self.bitmaps.clear();
         self.pins.clear();
         self.inter_data.clear();
         self.cursor = 0;
@@ -245,21 +268,51 @@ impl Chunk {
 
     /// Pins a cache entry for this level's lifetime, returning its
     /// `ListRef`.
-    pub fn push_pinned(&mut self, list: Arc<[VertexId]>) -> ListRef {
-        self.pins.push(list);
+    pub fn push_pinned(&mut self, entry: Arc<Entry>) -> ListRef {
+        self.pins.push(entry);
         ListRef::Cached((self.pins.len() - 1) as u32)
     }
 
     /// Resolves a `Cached` index.
     #[inline]
-    pub fn pinned(&self, i: u32) -> &[VertexId] {
-        &self.pins[i as usize]
+    pub fn pinned(&self, i: u32) -> Side<'_> {
+        self.pins[i as usize].side()
     }
 
     /// Resolves a `Fetched` span.
     #[inline]
     pub fn fetched(&self, seg: u16, start: u32, len: u32) -> &[VertexId] {
         &self.segments[seg as usize][start as usize..(start + len) as usize]
+    }
+
+    /// Where the fetched `list` — the span `(seg, start)` of a reply this
+    /// chunk is adopting, asked for above `above` — lives: a plain span,
+    /// or, if it is hot for a graph of `vertices` vertices, a [`HotList`]
+    /// with the bitmap built here.
+    pub fn home_fetched(
+        &mut self,
+        (seg, start): (u16, u32),
+        list: &[VertexId],
+        above: Option<VertexId>,
+        vertices: usize,
+    ) -> ListRef {
+        let len = list.len() as u32;
+        if !set_ops::is_hot(list.len(), vertices) {
+            return ListRef::Fetched { seg, start, len };
+        }
+        let at = self.bitmaps.len() as u32;
+        set_ops::push_bitmap(list, vertices, &mut self.bitmaps);
+        let words = (at, self.bitmaps.len() as u32 - at);
+        self.hot.push(HotList { seg, start, len, above, words });
+        ListRef::Hot(self.hot.len() as u32 - 1)
+    }
+
+    /// Resolves a `Hot` index: the list and its bitmap.
+    #[inline]
+    pub fn hot_list(&self, i: u32) -> Side<'_> {
+        let HotList { seg, start, len, above, words: (at, n) } = self.hot[i as usize];
+        let words = &self.bitmaps[at as usize..(at + n) as usize];
+        Side { list: self.fetched(seg, start, len), bits: Some(Bits::new(words, above)) }
     }
 
     /// Resolves an intermediate span.
@@ -382,6 +435,25 @@ mod tests {
         c.clear();
         assert!(c.segments.is_empty(), "release drops every adopted reply as a whole");
         assert_eq!(c.next_segment(), 0, "the next fill numbers its segments from 0");
+    }
+
+    #[test]
+    fn a_hot_fetched_list_gets_its_bitmap_in_the_chunk_and_goes_with_it() {
+        // |V| = 96: three entries make a list hot.
+        let mut c = Chunk::new(4);
+        let payload: Vec<VertexId> = vec![5, 9, 40, 41, 90, 7];
+        let seg = c.next_segment();
+        let cut = c.home_fetched((seg, 0), &payload[..5], Some(4), 96);
+        let cold = c.home_fetched((seg, 5), &payload[5..], None, 96);
+        c.segments.push(payload);
+        assert_eq!((cut, cold), (ListRef::Hot(0), ListRef::Fetched { seg, start: 5, len: 1 }));
+        let side = c.hot_list(0);
+        assert_eq!(side.list, &[5, 9, 40, 41, 90]);
+        let bits = side.bits.expect("a hot list carries its bitmap");
+        assert!((5..96).all(|v| bits.contains(v) == side.list.contains(&v)));
+        assert_eq!(c.bitmaps.len(), 2);
+        c.clear();
+        assert!(c.hot.is_empty() && c.bitmaps.is_empty(), "release drops the fill's bitmaps");
     }
 
     #[test]
@@ -523,7 +595,7 @@ mod tests {
         cache.maybe_insert(3, &[0; 10]); // evicts 1
         assert!(cache.lookup(1).is_none());
         match list {
-            ListRef::Cached(i) => assert_eq!(c.pinned(i), &[7; 10]),
+            ListRef::Cached(i) => assert_eq!(c.pinned(i).list, &[7; 10]),
             other => panic!("unexpected {other:?}"),
         }
         c.clear();

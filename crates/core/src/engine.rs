@@ -288,7 +288,10 @@ impl Engine {
             Arc::clone(&recorder),
         );
         let caches = (0..pg.part_count())
-            .map(|_| Arc::new(SharedCache::for_part(&cfg.cache, pg.sockets_per_machine())))
+            .map(|_| {
+                let sockets = pg.sockets_per_machine();
+                Arc::new(SharedCache::for_part(&cfg.cache, sockets, pg.vertex_count()))
+            })
             .collect();
         // Self-healing: with replicas to restore toward, arm the grace
         // wait (dead-owner fetches briefly wait out an in-flight repair
@@ -1390,6 +1393,70 @@ mod tests {
     }
 
     #[test]
+    fn hot_lists_probed_from_every_home_keep_counts_exact() {
+        // An R-MAT graph whose hubs are hot (degree × 32 ≥ 256: eight and
+        // up) and whose tail is cold, over 2 and 3 parts, with and without
+        // the share table, under no cache, a static cache that admits
+        // degree 16 and up (so hot lists of degree 8-15 are always
+        // fetched, cut above their bound) and a FIFO cache: the count is
+        // the oracle's, the visited multiset the interpreter's, and the
+        // walks were handed bitmaps of owned lists, of fetched lists and,
+        // wherever a cache admits, of cached ones.
+        use gpm_pattern::interp;
+        let g = gen::rmat(8, 8, (0.57, 0.19, 0.19), 5);
+        let hot = |v| gpm_graph::set_ops::is_hot(g.degree(v) as usize, g.vertex_count());
+        let hubs = g.vertices().filter(|&v| hot(v)).count();
+        assert!(hubs > 10 && hubs < g.vertex_count() / 2, "{hubs} hot lists");
+        assert!(g.vertices().any(|v| hot(v) && g.degree(v) < 16));
+        let patterns =
+            [Pattern::triangle(), Pattern::clique(4), Pattern::cycle(4), Pattern::diamond()];
+        let plans: Vec<_> = patterns
+            .iter()
+            .map(|p| {
+                let plan = plan(p);
+                let mut want = Vec::new();
+                interp::enumerate_embeddings(&g, &plan, |m| want.push(m.to_vec()));
+                want.sort_unstable();
+                assert_eq!(want.len() as u64, oracle::count_subgraphs(&g, p, false), "{p}");
+                (plan, want)
+            })
+            .collect();
+        for parts in [2, 3] {
+            for horizontal_sharing in [true, false] {
+                for cache in [
+                    CacheConfig::disabled(),
+                    CacheConfig { degree_threshold: 16, ..CacheConfig::default() },
+                    CacheConfig { policy: CachePolicy::Fifo, ..CacheConfig::default() },
+                ] {
+                    let what = format!("{parts} parts, sharing {horizontal_sharing}, {cache:?}");
+                    let engine = Engine::new(
+                        PartitionedGraph::new(&g, parts, 1),
+                        EngineConfig { horizontal_sharing, cache, ..EngineConfig::default() },
+                    );
+                    for (plan, want) in &plans {
+                        let what = format!("{what}\n{}", plan.describe());
+                        assert_eq!(engine.count(plan).count, want.len() as u64, "{what}");
+                        let seen = Mutex::new(Vec::new());
+                        engine.enumerate(plan, |m| seen.lock().push(m.to_vec()));
+                        let mut seen = seen.into_inner();
+                        seen.sort_unstable();
+                        assert!(seen == *want, "visited multiset differs: {what}");
+                    }
+                    let [owned, cached, fetched] =
+                        engine.run_pools.iter().fold([0; 3], |sum, pool| {
+                            let handed = pool.bitmaps_handed();
+                            [0, 1, 2].map(|home| sum[home] + handed[home])
+                        });
+                    let caches = cache.policy != CachePolicy::Disabled;
+                    assert!(owned > 0 && fetched > 0, "{owned} owned, {fetched} fetched: {what}");
+                    assert_eq!(cached > 0, caches, "{cached} cached: {what}");
+                    engine.shutdown();
+                }
+            }
+        }
+    }
+
+    #[test]
     fn horizontal_sharing_reduces_fetch_workload() {
         // The share table is the one dedup before the wire (§5.2): without
         // it, every embedding of a fill waiting for the same vertex asks
@@ -1544,6 +1611,7 @@ mod tests {
         let expect = oracle::count_subgraphs(&g, &p, false);
         for steal in [false, true] {
             let pg = PartitionedGraph::with_replication(&g, 4, 1, 2);
+            let victim_roots = pg.part(2).owned().len() as u64;
             let engine = Engine::new(
                 pg,
                 EngineConfig {
@@ -1565,11 +1633,24 @@ mod tests {
             assert_eq!(run.count, expect, "steal={steal}");
             // The failure must be visible in the run stats: the dead part
             // was detected, traffic was re-routed to the replica holder,
-            // and the recovery pass re-executed the lost roots.
+            // and every root of the dead part ran on a survivor.
             assert_eq!(run.failures.parts_failed, 1, "steal={steal}");
             assert!(run.failures.rerouted_requests > 0, "steal={steal}");
             assert!(run.failures.rerouted_bytes > 0, "steal={steal}");
-            assert!(run.failures.reexecuted_roots > 0, "steal={steal}");
+            let reexecuted = run.failures.reexecuted_roots;
+            if steal {
+                // A part whose responder dies before its coordinator's
+                // first claim sees its own death and claims nothing, and
+                // the survivors may steal its whole range before the
+                // recovery pass: then nothing is re-executed. Every root
+                // it owned was re-executed or stolen by a survivor.
+                let stolen: u64 = run.per_part.iter().map(|p| p.roots_stolen).sum();
+                assert!(reexecuted + stolen >= victim_roots, "{reexecuted} + {stolen}");
+            } else {
+                // Nobody else may claim its roots: all of them re-execute,
+                // those it claimed and those it never reached.
+                assert_eq!(reexecuted, victim_roots);
+            }
             let report = engine.report(&run, "khuzdul");
             assert_eq!(report.failures.parts_failed, 1);
             assert_eq!(report.failures.rerouted_bytes, run.failures.rerouted_bytes);

@@ -16,6 +16,7 @@
 use crate::chunk::{Chunk, Emb, ListRef, PushOutcome, Resume, StagedChild};
 use crate::runtime::{PartCtx, PartRun};
 use crate::scheduler::{Task, TaskPool};
+use gpm_graph::set_ops::Bits;
 use gpm_graph::{Label, VertexId};
 use gpm_obs::{Metric, SpanKind};
 use gpm_pattern::interp::{self, DataSource, Walk};
@@ -245,8 +246,9 @@ impl Worker<'_, '_, '_> {
     ) -> Option<u32> {
         let (ctx, cur) = (self.ctx, self.cur);
         let plan = ctx.plan;
+        let vertices = ctx.part.vertex_count();
         let mut lists =
-            Lists { ctx, read: self.read, chain: [0; MAX_PATTERN_VERTICES], depth: cur };
+            Lists { ctx, read: self.read, chain: [0; MAX_PATTERN_VERTICES], depth: cur, vertices };
         let mut matched = [0 as VertexId; MAX_PATTERN_VERTICES];
         ancestor_chain(self.read, cur, emb, &mut matched, &mut lists.chain);
         // The intermediate the level above stored for this embedding, in
@@ -274,7 +276,7 @@ impl Worker<'_, '_, '_> {
         // The raw set is a window of the list it is cut from wherever the
         // level computes nothing; a resumed embedding gets the same
         // window, so `from` indexes it as it did before the pause.
-        let raw = lp.candidates(&matched, |p| lists.list(p, matched[p]), stored, tmp, buf);
+        let raw = lp.candidates(&matched, |p| lists.side(p, matched[p]), stored, tmp, buf);
         // A child whose list has to be fetched is parked in the next
         // chunk. One whose list this part owns has nothing to wait for —
         // when the next chunk is the bottom of the stack it holds
@@ -376,6 +378,10 @@ pub(crate) struct Scratch {
 /// ancestor's list where resolve put it, reached through the parent chain
 /// walked once by [`ancestor_chain`]. A position below the parked
 /// embedding is a child being walked in place, which this part owns.
+///
+/// A hot list's bitmap comes from whichever of the three places a list
+/// lives holds it: the part, for its own lists; the cache entry the list
+/// was admitted as; or the chunk whose fill fetched it.
 struct Lists<'a, 'e> {
     ctx: &'a PartCtx<'e>,
     read: &'a [Chunk],
@@ -383,16 +389,34 @@ struct Lists<'a, 'e> {
     chain: [u32; MAX_PATTERN_VERTICES],
     /// Position of the parked embedding's own vertex.
     depth: usize,
+    /// `|V|`, which the hot rule compares each list's length with.
+    vertices: usize,
 }
 
 impl DataSource for Lists<'_, '_> {
     #[inline]
     fn list(&self, pos: usize, v: VertexId) -> &[VertexId] {
-        if pos > self.depth {
-            return self.ctx.part.edge_list(v).expect("a child walked in place is owned here");
+        match self.held(pos) {
+            Some((chunk, e)) => resolve_ref(self.ctx, chunk, e),
+            None => self.ctx.part.edge_list(v).expect("a child walked in place is owned here"),
         }
-        let chunk = &self.read[pos];
-        resolve_ref(self.ctx, chunk, &chunk.embs[self.chain[pos] as usize])
+    }
+
+    fn bits(&self, pos: usize, v: VertexId) -> Option<Bits<'_>> {
+        let bits = match self.held(pos) {
+            Some((chunk, e)) => resolve_bits(self.ctx, chunk, e),
+            None => self.ctx.part.bits(v),
+        };
+        #[cfg(test)]
+        if bits.is_some() {
+            self.ctx.pool.tally_bitmap(self.home(pos));
+        }
+        bits
+    }
+
+    #[inline]
+    fn vertices(&self) -> usize {
+        self.vertices
     }
 
     #[inline]
@@ -402,6 +426,34 @@ impl DataSource for Lists<'_, '_> {
 
     fn edge_label(&self, _: VertexId, _: VertexId) -> Option<Label> {
         unreachable!("the engine refuses plans that filter on edge labels")
+    }
+}
+
+impl Lists<'_, '_> {
+    /// The chunk and the ancestor that hold the list matched at `pos`;
+    /// `None` below the parked embedding, where a child walked in place
+    /// reads its own list.
+    #[inline]
+    fn held(&self, pos: usize) -> Option<(&Chunk, &Emb)> {
+        (pos <= self.depth).then(|| {
+            let chunk = &self.read[pos];
+            (chunk, &chunk.embs[self.chain[pos] as usize])
+        })
+    }
+
+    /// Where the list at `pos` lives: 0 owned, 1 cached, 2 fetched.
+    #[cfg(test)]
+    fn home(&self, pos: usize) -> usize {
+        let Some((chunk, mut e)) = self.held(pos) else { return 0 };
+        if let ListRef::Peer(j) = e.list {
+            e = &chunk.embs[j as usize];
+        }
+        match e.list {
+            ListRef::Local => 0,
+            ListRef::Cached(_) => 1,
+            ListRef::Fetched { .. } | ListRef::Hot(_) => 2,
+            other => unreachable!("a list handed out from {other:?}"),
+        }
     }
 }
 
@@ -432,8 +484,9 @@ fn ancestor_chain(
 fn resolve_ref<'a>(ctx: &'a PartCtx<'_>, chunk: &'a Chunk, e: &Emb) -> &'a [VertexId] {
     match e.list {
         ListRef::Local => ctx.part.edge_list(e.vertex).expect("local vertex owned by this part"),
-        ListRef::Cached(pin) => chunk.pinned(pin),
+        ListRef::Cached(pin) => chunk.pinned(pin).list,
         ListRef::Fetched { seg, start, len } => chunk.fetched(seg, start, len),
+        ListRef::Hot(i) => chunk.hot_list(i).list,
         ListRef::Peer(j) => {
             let peer = &chunk.embs[j as usize];
             debug_assert!(!matches!(peer.list, ListRef::Peer(_)), "peer chains are length 1");
@@ -441,6 +494,19 @@ fn resolve_ref<'a>(ctx: &'a PartCtx<'_>, chunk: &'a Chunk, e: &Emb) -> &'a [Vert
         }
         ListRef::Pending(_) => panic!("extension reached an unresolved edge list"),
         ListRef::None => panic!("extension requested an inactive vertex's list"),
+    }
+}
+
+/// The bitmap of that list, where the place it lives keeps one: the part
+/// for an owned list, the cache entry, or the chunk whose fill fetched it
+/// (a peer reads its claimant's).
+fn resolve_bits<'a>(ctx: &'a PartCtx<'_>, chunk: &'a Chunk, e: &Emb) -> Option<Bits<'a>> {
+    match e.list {
+        ListRef::Local => ctx.part.bits(e.vertex),
+        ListRef::Cached(pin) => chunk.pinned(pin).bits,
+        ListRef::Hot(i) => chunk.hot_list(i).bits,
+        ListRef::Peer(j) => resolve_bits(ctx, chunk, &chunk.embs[j as usize]),
+        ListRef::Fetched { .. } | ListRef::Pending(_) | ListRef::None => None,
     }
 }
 

@@ -126,18 +126,36 @@ pub(crate) struct RunState {
 /// query on a warm engine grows nothing. Never holds more than were in
 /// use at once on this part.
 #[derive(Debug, Default)]
-pub(crate) struct StatePool(Mutex<Vec<RunState>>);
+pub(crate) struct StatePool {
+    idle: Mutex<Vec<RunState>>,
+    /// Bitmaps the part's walks were handed, by where the list lives:
+    /// owned, cached, fetched.
+    #[cfg(test)]
+    bitmaps: [AtomicU64; 3],
+}
 
 impl StatePool {
     /// Drops every idle state.
     pub(crate) fn release(&self) {
-        self.0.lock().clear();
+        self.idle.lock().clear();
     }
 
     /// Idle states held.
     #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
-        self.0.lock().len()
+        self.idle.lock().len()
+    }
+
+    #[cfg(test)]
+    pub(crate) fn tally_bitmap(&self, home: usize) {
+        self.bitmaps[home].fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// How many bitmaps the part's walks were handed: owned, cached,
+    /// fetched.
+    #[cfg(test)]
+    pub(crate) fn bitmaps_handed(&self) -> [u64; 3] {
+        self.bitmaps.each_ref().map(|n| n.load(Ordering::Relaxed))
     }
 }
 
@@ -193,7 +211,7 @@ impl<'e> PartRun<'e> {
     fn new(ctx: PartCtx<'e>) -> Self {
         let last = ctx.plan.last_fetched_level();
         let RunState { mut levels, mut scratch, mut workers } =
-            ctx.pool.0.lock().pop().unwrap_or_default();
+            ctx.pool.idle.lock().pop().unwrap_or_default();
         // A single-vertex plan extends nothing and needs no chunk.
         let depth = if ctx.plan.depth() > 1 { last + 1 } else { 0 };
         if levels.len() < depth {
@@ -694,13 +712,16 @@ impl<'e> PartRun<'e> {
         let (embs, vertices) = (&self.scratch.embs[t], &self.scratch.vertices[t]);
         debug_assert_eq!(lists.len(), vertices.len(), "one list per requested vertex");
         let cache_enabled = self.ctx.cache.is_enabled();
+        let (above, graph) = (&self.scratch.above[t], self.ctx.part.vertex_count());
         let chunk = &mut self.levels[cur];
         let seg = chunk.next_segment();
         for (k, (&emb_i, &v)) in embs.iter().zip(vertices).enumerate() {
-            let (start, len) = lists.span(k);
-            chunk.embs[emb_i as usize].list = ListRef::Fetched { seg, start, len };
+            let (start, list) = (lists.span(k).0, lists.list(k));
+            // A hot list gets its bitmap here, once, on the claimant.
+            let home = chunk.home_fetched((seg, start), list, above.get(k).copied(), graph);
+            chunk.embs[emb_i as usize].list = home;
             if cache_enabled {
-                self.ctx.cache.maybe_insert(v, lists.list(k));
+                self.ctx.cache.maybe_insert(v, list);
             }
         }
         chunk.segments.push(lists.into_payload());
@@ -723,7 +744,7 @@ impl Drop for PartRun<'_> {
         };
         state.levels.iter_mut().for_each(Chunk::clear);
         state.scratch.inflight.clear();
-        self.ctx.pool.0.lock().push(state);
+        self.ctx.pool.idle.lock().push(state);
     }
 }
 
@@ -772,7 +793,7 @@ mod tests {
             part: pg.part_arc(0),
             labels: pg.labels(),
             client: service.client(0),
-            cache: Arc::new(SharedCache::for_part(&cfg.cache, 1)),
+            cache: Arc::new(SharedCache::for_part(&cfg.cache, 1, pg.vertex_count())),
             plan: &plan,
             cfg: &cfg,
             my_part: 0,

@@ -1,6 +1,8 @@
 //! Compressed sparse row (CSR) graph representation.
 
+use crate::set_ops::{self, Bits, HotLists};
 use crate::{Degree, Label, VertexId};
+use std::sync::OnceLock;
 
 /// Whether a [`Graph`] stores both directions of every edge or only the
 /// degree-oriented direction.
@@ -46,7 +48,29 @@ pub struct Graph {
     labels: Option<Vec<Label>>,
     /// Per-adjacency-entry edge labels, aligned with `neighbors`.
     edge_labels: Option<Vec<Label>>,
+    hot: LazyHot,
 }
+
+/// The bitmaps of a graph's hot lists, built the first time a hot list's
+/// bitmap is asked for ([`Graph::bits`]). Derived data: graphs with the
+/// same lists are equal whether or not either has built them, and a copy
+/// builds its own.
+#[derive(Debug, Default)]
+struct LazyHot(OnceLock<HotLists>);
+
+impl Clone for LazyHot {
+    fn clone(&self) -> Self {
+        LazyHot::default()
+    }
+}
+
+impl PartialEq for LazyHot {
+    fn eq(&self, _: &LazyHot) -> bool {
+        true
+    }
+}
+
+impl Eq for LazyHot {}
 
 impl Graph {
     pub(crate) fn from_parts(
@@ -60,7 +84,7 @@ impl Graph {
         if let Some(l) = &labels {
             debug_assert_eq!(l.len() + 1, offsets.len());
         }
-        Graph { kind, offsets, neighbors, labels, edge_labels: None }
+        Graph { kind, offsets, neighbors, labels, edge_labels: None, hot: LazyHot::default() }
     }
 
     /// An empty graph with `n` isolated vertices.
@@ -103,6 +127,27 @@ impl Graph {
         let lo = self.offsets[v as usize] as usize;
         let hi = self.offsets[v as usize + 1] as usize;
         &self.neighbors[lo..hi]
+    }
+
+    /// The bitmap of `v`'s neighbor list if the list is hot
+    /// ([`set_ops::is_hot`]); a cold one costs a compare. The first hot
+    /// list asked for builds the bitmaps of all of them, and a graph with
+    /// none builds nothing.
+    #[inline]
+    pub fn bits(&self, v: VertexId) -> Option<Bits<'_>> {
+        if set_ops::is_hot(self.degree(v) as usize, self.vertex_count()) {
+            self.hot_bits(v)
+        } else {
+            None
+        }
+    }
+
+    /// Out of line, so that a cold list's path stays a compare.
+    #[inline(never)]
+    fn hot_bits(&self, v: VertexId) -> Option<Bits<'_>> {
+        let n = self.vertex_count();
+        let lists = || HotLists::build(n, (0..n as VertexId).map(|u| self.neighbors(u)));
+        self.hot.0.get_or_init(lists).get(v as usize)
     }
 
     /// Degree of `v` (out-degree for oriented graphs).
@@ -199,6 +244,8 @@ impl Graph {
 
     /// In-memory size of the CSR arrays in bytes, the paper's "graph size"
     /// notion used to express cache capacities as a fraction of graph size.
+    /// The hot lists' bitmaps are derived, built on demand, and not
+    /// counted.
     pub fn size_bytes(&self) -> usize {
         self.offsets.len() * std::mem::size_of::<u64>()
             + self.neighbors.len() * std::mem::size_of::<VertexId>()
@@ -298,6 +345,19 @@ mod tests {
         assert_eq!(g.size_bytes(), base);
         let gl = g.with_labels(vec![0; 4]);
         assert_eq!(gl.size_bytes(), base + 4 * 2);
+    }
+
+    #[test]
+    fn a_hot_list_comes_with_its_bitmap_and_a_cold_one_builds_nothing() {
+        // The centre of a 100-vertex star is hot (99 × 32 ≥ 100), a leaf
+        // is not (32 < 100).
+        let g = crate::gen::star(100);
+        assert!(g.bits(1).is_none());
+        assert!(g.hot.0.get().is_none(), "a cold list looks nothing up");
+        let centre = g.bits(0).expect("the centre is hot");
+        assert!((0..100).all(|v| centre.contains(v) == g.has_edge(0, v)));
+        assert_eq!(g.hot.0.get().map(HotLists::len), Some(1));
+        assert_eq!(g.clone(), g, "the bitmaps are not part of what a graph is");
     }
 
     #[test]

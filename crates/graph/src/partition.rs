@@ -9,6 +9,7 @@
 //! replication is the standard choice.
 
 use crate::csr::{Graph, GraphKind};
+use crate::set_ops::{Bits, HotLists};
 use crate::{Label, VertexId};
 use std::sync::Arc;
 
@@ -94,31 +95,40 @@ pub struct GraphPart {
     /// `rank_of[v]` = position of `v` in `owned`, or [`NOT_OWNED`]; dense
     /// over `0..=owned.last()`, so ids past the table are not owned.
     rank_of: Vec<u32>,
+    /// `|V|` of the whole graph: the id space the bitmaps cover.
+    vertices: usize,
+    /// Bitmaps of the hot owned lists, by rank.
+    hot: HotLists,
 }
 
 /// `rank_of` entry of a vertex another part owns.
 const NOT_OWNED: u32 = u32::MAX;
 
 impl GraphPart {
-    /// Builds the part and its vertex→rank index from CSR columns the
-    /// caller has already checked (`owned` strictly sorted).
+    /// Builds the part, its vertex→rank index and the bitmaps of its hot
+    /// lists from CSR columns the caller has already checked (`owned`
+    /// strictly sorted) of a graph of `vertices` vertices.
     fn indexed(
         part_id: usize,
         owned: Vec<VertexId>,
         offsets: Vec<u64>,
         neighbors: Vec<VertexId>,
+        vertices: usize,
     ) -> GraphPart {
         assert!(owned.len() < NOT_OWNED as usize, "too many owned vertices for a u32 rank");
         let mut rank_of = vec![NOT_OWNED; owned.last().map_or(0, |&v| v as usize + 1)];
         for (rank, &v) in owned.iter().enumerate() {
             rank_of[v as usize] = rank as u32;
         }
-        GraphPart { part_id, owned, offsets, neighbors, rank_of }
+        let list = |rank: usize| &neighbors[offsets[rank] as usize..offsets[rank + 1] as usize];
+        let hot = HotLists::build(vertices, (0..owned.len()).map(list));
+        GraphPart { part_id, owned, offsets, neighbors, rank_of, vertices, hot }
     }
 
-    /// Rebuilds a part from raw CSR columns — the receive side of a
-    /// slice transfer (replica re-replication streams exactly these
-    /// three arrays). The columns must describe a well-formed CSR:
+    /// Rebuilds a part of a graph of `vertices` vertices from raw CSR
+    /// columns — the receive side of a slice transfer (replica
+    /// re-replication streams exactly these three arrays). The columns
+    /// must describe a well-formed CSR:
     /// sorted owned vertices, `owned.len() + 1` monotone offsets starting
     /// at 0, and a neighbor array whose length matches the last offset.
     ///
@@ -131,6 +141,7 @@ impl GraphPart {
         owned: Vec<VertexId>,
         offsets: Vec<u64>,
         neighbors: Vec<VertexId>,
+        vertices: usize,
     ) -> GraphPart {
         assert_eq!(offsets.len(), owned.len() + 1, "offset column length mismatch");
         assert_eq!(offsets.first(), Some(&0), "offset column must start at 0");
@@ -141,7 +152,7 @@ impl GraphPart {
             "neighbor column length mismatch"
         );
         assert!(owned.windows(2).all(|w| w[0] < w[1]), "owned column must be strictly sorted");
-        GraphPart::indexed(part_id, owned, offsets, neighbors)
+        GraphPart::indexed(part_id, owned, offsets, neighbors, vertices)
     }
 
     /// Identifier of this part within its [`PartitionedGraph`].
@@ -170,14 +181,30 @@ impl GraphPart {
         self.owned.len()
     }
 
+    /// `|V|` of the graph this part belongs to.
+    pub fn vertex_count(&self) -> usize {
+        self.vertices
+    }
+
+    #[inline]
+    fn rank(&self, v: VertexId) -> Option<usize> {
+        match self.rank_of.get(v as usize) {
+            Some(&rank) if rank != NOT_OWNED => Some(rank as usize),
+            _ => None,
+        }
+    }
+
     /// Edge list of `v` if this part owns it, `None` otherwise. One
     /// load from the vertex→rank index, no search.
     #[inline]
     pub fn edge_list(&self, v: VertexId) -> Option<&[VertexId]> {
-        match self.rank_of.get(v as usize) {
-            Some(&rank) if rank != NOT_OWNED => Some(self.edge_list_by_rank(rank as usize)),
-            _ => None,
-        }
+        self.rank(v).map(|rank| self.edge_list_by_rank(rank))
+    }
+
+    /// The bitmap of `v`'s list if this part owns `v` and the list is hot.
+    #[inline]
+    pub fn bits(&self, v: VertexId) -> Option<Bits<'_>> {
+        self.hot.get(self.rank(v)?)
     }
 
     /// Edge list of the `rank`-th owned vertex.
@@ -197,13 +224,14 @@ impl GraphPart {
         self.neighbors.len()
     }
 
-    /// In-memory size of this part's CSR arrays and vertex→rank index in
-    /// bytes.
+    /// In-memory size of this part's CSR arrays, vertex→rank index and
+    /// hot lists' bitmaps in bytes.
     pub fn size_bytes(&self) -> usize {
         self.owned.len() * std::mem::size_of::<VertexId>()
             + self.offsets.len() * std::mem::size_of::<u64>()
             + self.neighbors.len() * std::mem::size_of::<VertexId>()
             + self.rank_of.len() * std::mem::size_of::<u32>()
+            + self.hot.size_bytes()
     }
 }
 
@@ -283,7 +311,7 @@ impl PartitionedGraph {
                     neighbors.extend_from_slice(g.neighbors(v));
                     offsets.push(neighbors.len() as u64);
                 }
-                Arc::new(GraphPart::indexed(part_id, owned, offsets, neighbors))
+                Arc::new(GraphPart::indexed(part_id, owned, offsets, neighbors, g.vertex_count()))
             })
             .collect();
         PartitionedGraph {
@@ -648,6 +676,7 @@ mod tests {
             src.owned().to_vec(),
             src.offsets().to_vec(),
             src.neighbors().to_vec(),
+            src.vertex_count(),
         );
         assert_eq!(rebuilt.part_id(), 1);
         assert_eq!(rebuilt.owned_count(), src.owned_count());
@@ -659,7 +688,47 @@ mod tests {
     #[test]
     #[should_panic(expected = "neighbor column length mismatch")]
     fn from_csr_rejects_truncated_columns() {
-        GraphPart::from_csr(0, vec![1, 2], vec![0, 2, 4], vec![3]);
+        GraphPart::from_csr(0, vec![1, 2], vec![0, 2, 4], vec![3], 4);
+    }
+
+    #[test]
+    fn a_part_keeps_a_bitmap_beside_each_hot_owned_list_and_counts_it() {
+        // |V| = 320: a list of ten or more entries is hot.
+        let g = gen::barabasi_albert(320, 3, 11);
+        let pg = PartitionedGraph::new(&g, 2, 1);
+        let hot = |v: VertexId| crate::set_ops::is_hot(g.degree(v) as usize, 320);
+        assert!(g.vertices().any(hot) && !g.vertices().all(hot));
+        for p in 0..2 {
+            let part = pg.part(p);
+            let owned_hot = part.owned().iter().filter(|&&v| hot(v)).count();
+            for &v in part.owned() {
+                assert_eq!(part.bits(v).is_some(), hot(v), "{v}");
+                if let Some(bits) = part.bits(v) {
+                    assert!(g.vertices().all(|u| bits.contains(u) == g.has_edge(v, u)), "{v}");
+                }
+            }
+            let other = pg.part(1 - p).owned();
+            assert!(other.iter().all(|&v| part.bits(v).is_none()), "only owned lists");
+            let rebuilt = GraphPart::from_csr(
+                p,
+                part.owned().to_vec(),
+                part.offsets().to_vec(),
+                part.neighbors().to_vec(),
+                320,
+            );
+            assert!(part.owned().iter().all(|&v| rebuilt.bits(v).is_some() == hot(v)));
+            assert_eq!(rebuilt.size_bytes(), part.size_bytes());
+            // A slot per owned rank, then the bitmaps: five words a hot list.
+            let csr =
+                part.owned().len() * (4 + 8) + 8 + (part.adjacency_len() + part.rank_of.len()) * 4;
+            assert_eq!(part.size_bytes(), csr + part.owned().len() * 4 + owned_hot * 5 * 8);
+        }
+        // No hot list, nothing kept: the CSR columns and the rank index.
+        let sparse = PartitionedGraph::new(&gen::erdos_renyi(2000, 4000, 3), 2, 1);
+        let part = sparse.part(0);
+        let csr =
+            part.owned().len() * (4 + 8) + 8 + (part.adjacency_len() + part.rank_of.len()) * 4;
+        assert_eq!(part.size_bytes(), csr);
     }
 
     #[test]

@@ -35,12 +35,174 @@ pub fn clamp(list: &[VertexId], lo: Option<VertexId>, hi: Option<VertexId>) -> &
     }
 }
 
+/// A list is *hot* when a bitmap of it over the vertex-id space — a bit per
+/// vertex — is no larger than the list itself, 32 bits per entry.
+pub const HOT_RATIO: usize = 32;
+
+/// The hot rule, `len × 32 ≥ |V|`: whether a holder keeps a bitmap beside a
+/// list of `len` entries of a graph of `vertices` vertices. Every holder —
+/// a graph, a part, the cache, a chunk's fetched lists — asks this one
+/// function, about the length of the list it has in hand.
+#[inline]
+pub fn is_hot(len: usize, vertices: usize) -> bool {
+    len * HOT_RATIO >= vertices
+}
+
+/// Words of a bitmap over `vertices` ids.
+#[inline]
+fn bitmap_words(vertices: usize) -> usize {
+    vertices.div_ceil(64)
+}
+
+/// Appends to `words` the bitmap of `list` over `vertices` ids:
+/// [`bitmap_words`] words, bit `v` set for every `v` in the list.
+pub fn push_bitmap(list: &[VertexId], vertices: usize, words: &mut Vec<u64>) {
+    let base = words.len();
+    words.resize(base + bitmap_words(vertices), 0);
+    let map = &mut words[base..];
+    for &v in list {
+        map[v as usize >> 6] |= 1 << (v & 63);
+    }
+}
+
+/// A bitmap of one list, borrowed from its holder: bit `v` is set iff `v`
+/// is in the list. A list fetched cut above a bound builds a bitmap that
+/// answers only above it — which is all any reader asks, because every
+/// probed id is a member of a window whose lower bound is at least the
+/// fetch bound.
+#[derive(Debug, Clone, Copy)]
+pub struct Bits<'a> {
+    words: &'a [u64],
+    above: Option<VertexId>,
+}
+
+impl<'a> Bits<'a> {
+    /// The bitmap in `words`, of a list that holds every id of the whole
+    /// list above `above` (`None`: the whole list).
+    #[inline]
+    pub fn new(words: &'a [u64], above: Option<VertexId>) -> Self {
+        Bits { words, above }
+    }
+
+    #[inline]
+    fn bit(self, v: VertexId) -> usize {
+        (self.words[v as usize >> 6] >> (v & 63) & 1) as usize
+    }
+
+    /// Whether `v` is in the list. `v` must be above the bound the list
+    /// was cut at.
+    #[inline]
+    pub fn contains(self, v: VertexId) -> bool {
+        debug_assert!(self.covers(v), "{v} is not above the cut at {:?}", self.above);
+        self.bit(v) == 1
+    }
+
+    /// Whether the list this bitmap was built from holds `v` if the whole
+    /// list does: `v` is above the cut.
+    #[inline]
+    fn covers(self, v: VertexId) -> bool {
+        self.above.is_none_or(|above| v > above)
+    }
+
+    /// Whether it covers every id above `lo` (every id, for `None`).
+    #[inline]
+    fn covers_above(self, lo: Option<VertexId>) -> bool {
+        self.above.is_none_or(|above| lo.is_some_and(|lo| lo >= above))
+    }
+}
+
+/// One input of an intersection: a sorted list, and the list's bitmap
+/// where its holder keeps one.
+#[derive(Debug, Clone, Copy)]
+pub struct Side<'a> {
+    /// The sorted list.
+    pub list: &'a [VertexId],
+    /// Its bitmap, if the list is hot and the holder built one.
+    pub bits: Option<Bits<'a>>,
+}
+
+impl<'a> Side<'a> {
+    /// A list with no bitmap.
+    #[inline]
+    pub fn plain(list: &'a [VertexId]) -> Self {
+        Side { list, bits: None }
+    }
+
+    /// Whether `v` is in the list: one bit where there is a bitmap, a
+    /// binary search where there is not.
+    #[inline]
+    pub fn contains(self, v: VertexId) -> bool {
+        self.bits.map_or_else(|| contains(self.list, v), |bits| bits.contains(v))
+    }
+}
+
+/// The bitmaps of one holder's hot lists, back to back, found by key — a
+/// vertex id, or an owned vertex's rank — through a slot table. A holder
+/// none of whose lists is hot allocates nothing.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct HotLists {
+    /// `slot[key]` = the bitmap's index, or [`HotLists::COLD`]; empty when
+    /// no list is hot.
+    slot: Vec<u32>,
+    words: Vec<u64>,
+    stride: usize,
+}
+
+impl HotLists {
+    const COLD: u32 = u32::MAX;
+
+    /// The bitmaps of the hot lists among `lists` (keyed by position) of a
+    /// graph of `vertices` vertices.
+    pub fn build<'a>(
+        vertices: usize,
+        lists: impl ExactSizeIterator<Item = &'a [VertexId]>,
+    ) -> HotLists {
+        let keys = lists.len();
+        let mut hot = HotLists { stride: bitmap_words(vertices), ..HotLists::default() };
+        if vertices == 0 {
+            return hot;
+        }
+        for (key, list) in lists.enumerate() {
+            if is_hot(list.len(), vertices) {
+                if hot.slot.is_empty() {
+                    hot.slot = vec![HotLists::COLD; keys];
+                }
+                hot.slot[key] = hot.len() as u32;
+                push_bitmap(list, vertices, &mut hot.words);
+            }
+        }
+        hot
+    }
+
+    /// The bitmap of the list at `key`, if it is hot.
+    #[inline]
+    pub fn get(&self, key: usize) -> Option<Bits<'_>> {
+        match self.slot.get(key) {
+            Some(&slot) if slot != HotLists::COLD => {
+                let at = slot as usize * self.stride;
+                Some(Bits::new(&self.words[at..at + self.stride], None))
+            }
+            _ => None,
+        }
+    }
+
+    /// How many lists carry a bitmap.
+    pub fn len(&self) -> usize {
+        self.words.len().checked_div(self.stride).unwrap_or(0)
+    }
+
+    /// Bytes of bitmaps and slot table.
+    pub fn size_bytes(&self) -> usize {
+        self.slot.len() * std::mem::size_of::<u32>() + self.words.len() * std::mem::size_of::<u64>()
+    }
+}
+
 /// One input is at least this many times longer than the other: probe the
 /// long one by galloping instead of merging.
 const GALLOP_RATIO: usize = 16;
 
-/// How one pair of inputs is intersected; [`by_length`] is the only place
-/// that decides.
+/// How a pair of sorted lists without bitmaps is intersected;
+/// [`by_length`] decides, once [`by_shape`] has found no bitmap to probe.
 enum Kernel {
     /// An input is empty: nothing to scan.
     Empty,
@@ -54,8 +216,33 @@ enum Kernel {
     Merge,
 }
 
-/// `(short, long, kernel)` for a pair of inputs. The lengths are the only
-/// evidence: callers clamp first, so they are the lengths really scanned.
+/// Where choosing a kernel starts, for two sides restricted to the
+/// exclusive window `(lo, hi)`: a side with a bitmap is probed. The result
+/// is the list to probe — the other side's window (the shorter list's,
+/// when both carry a bitmap) — and the bitmap; the bitmap's own list is
+/// neither clamped nor scanned. `None` when neither side has one: the pair
+/// is then clamped and classified [`by_length`]. Inlined always: a pair
+/// without a bitmap must cost its caller two tests, not a call.
+#[inline(always)]
+fn by_shape<'a>(
+    a: Side<'a>,
+    b: Side<'a>,
+    lo: Option<VertexId>,
+    hi: Option<VertexId>,
+) -> Option<(&'a [VertexId], Bits<'a>)> {
+    let (probe, bits) = match (a.bits, b.bits) {
+        (None, None) => return None,
+        (Some(x), Some(_)) if b.list.len() < a.list.len() => (b.list, x),
+        (_, Some(y)) => (a.list, y),
+        (Some(x), None) => (b.list, x),
+    };
+    debug_assert!(bits.covers_above(lo), "a window from {lo:?} probes a list cut above it");
+    Some((clamp(probe, lo, hi), bits))
+}
+
+/// `(short, long, kernel)` for a pair of lists without bitmaps. The
+/// lengths are the only evidence: callers clamp first, so they are the
+/// lengths really scanned.
 #[inline]
 fn by_length<'a>(a: &'a [VertexId], b: &'a [VertexId]) -> (&'a [VertexId], &'a [VertexId], Kernel) {
     let (short, long) = if a.len() <= b.len() { (a, b) } else { (b, a) };
@@ -103,6 +290,37 @@ pub fn intersect_into(a: &[VertexId], b: &[VertexId], out: &mut Vec<VertexId>) {
         #[cfg(target_arch = "x86_64")]
         Kernel::Block(cpu) => block_intersect_into(cpu, short, long, out),
         Kernel::Merge => merge_intersect_into(short, long, out),
+    }
+}
+
+/// The members of both sides strictly between `lo` and `hi`, appended to
+/// `out` in ascending order: [`intersect_into`] of the two lists clamped to
+/// the window, except that a side with a bitmap is never clamped or
+/// scanned — the other side's window is probed against it.
+///
+/// # Example
+///
+/// ```
+/// use gpm_graph::set_ops::{push_bitmap, intersect_sides_into, Bits, Side};
+/// let hot = [1, 2, 3, 5, 8];
+/// let mut words = Vec::new();
+/// push_bitmap(&hot, 10, &mut words);
+/// let hot = Side { list: &hot, bits: Some(Bits::new(&words, None)) };
+/// let mut out = Vec::new();
+/// intersect_sides_into(hot, Side::plain(&[0, 2, 5, 8, 9]), Some(2), None, &mut out);
+/// assert_eq!(out, vec![5, 8]);
+/// ```
+#[inline]
+pub fn intersect_sides_into(
+    a: Side<'_>,
+    b: Side<'_>,
+    lo: Option<VertexId>,
+    hi: Option<VertexId>,
+    out: &mut Vec<VertexId>,
+) {
+    match by_shape(a, b, lo, hi) {
+        Some((probe, bits)) => probe_into(probe, bits, out),
+        None => intersect_into(clamp(a.list, lo, hi), clamp(b.list, lo, hi), out),
     }
 }
 
@@ -162,6 +380,42 @@ pub fn merge_intersect_count(a: &[VertexId], b: &[VertexId]) -> usize {
     count
 }
 
+/// The elements of sorted `probe` that `bits` holds, appended to `out`:
+/// the kernel of a hot list against any other, one load and one shift per
+/// probed id however long the hot list is. Branch-free like the merge:
+/// the store is unconditional and the output cursor advances by the bit.
+///
+/// # Example
+///
+/// ```
+/// use gpm_graph::set_ops::{probe_count, probe_into, push_bitmap, Bits};
+/// let mut words = Vec::new();
+/// push_bitmap(&[3, 64, 65, 99], 100, &mut words);
+/// let mut out = vec![7];
+/// probe_into(&[1, 3, 65, 98, 99], Bits::new(&words, None), &mut out);
+/// assert_eq!(out, vec![7, 3, 65, 99]);
+/// assert_eq!(probe_count(&[1, 3, 65, 98, 99], Bits::new(&words, None)), 3);
+/// ```
+pub fn probe_into(probe: &[VertexId], bits: Bits<'_>, out: &mut Vec<VertexId>) {
+    debug_assert!(probe.first().is_none_or(|&x| bits.covers(x)), "probe below the cut");
+    let base = out.len();
+    out.resize(base + probe.len(), 0);
+    let dst = &mut out[base..];
+    let mut k = 0;
+    for &x in probe {
+        // At most as many hits as elements before this one: in bounds.
+        dst[k] = x;
+        k += bits.bit(x);
+    }
+    out.truncate(base + k);
+}
+
+/// [`probe_into`], counting only.
+pub fn probe_count(probe: &[VertexId], bits: Bits<'_>) -> usize {
+    debug_assert!(probe.first().is_none_or(|&x| bits.covers(x)), "probe below the cut");
+    probe.iter().map(|&x| bits.bit(x)).sum()
+}
+
 /// Calls `hit` for every element of `short` found in `long`.
 #[inline]
 fn gallop_intersect(short: &[VertexId], long: &[VertexId], mut hit: impl FnMut(VertexId)) {
@@ -213,6 +467,20 @@ pub fn intersect_count(a: &[VertexId], b: &[VertexId]) -> usize {
         #[cfg(target_arch = "x86_64")]
         Kernel::Block(cpu) => block_intersect_count(cpu, short, long),
         Kernel::Merge => merge_intersect_count(short, long),
+    }
+}
+
+/// [`intersect_sides_into`], counting only.
+#[inline]
+pub fn intersect_sides_count(
+    a: Side<'_>,
+    b: Side<'_>,
+    lo: Option<VertexId>,
+    hi: Option<VertexId>,
+) -> usize {
+    match by_shape(a, b, lo, hi) {
+        Some((probe, bits)) => probe_count(probe, bits),
+        None => intersect_count(clamp(a.list, lo, hi), clamp(b.list, lo, hi)),
     }
 }
 
@@ -698,5 +966,104 @@ mod tests {
         assert_eq!(count_above(s, 8), 0);
         assert!(contains(s, 6));
         assert!(!contains(s, 5));
+    }
+
+    #[test]
+    fn probe_kernels_equal_the_merge_on_random_lists_windows_and_cut_bitmaps() {
+        let mut state = 0x2545_F491_4F6C_DD1D_u64;
+        let mut draw = |below: usize| -> usize {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % below.max(1) as u64) as usize
+        };
+        let (mut probed, mut cut, mut both) = (0, 0, 0);
+        for vertices in [1, 63, 64, 65, 130, 700, 4096] {
+            for _ in 0..300 {
+                // Two random sorted lists, each of a random density.
+                let list = |draw: &mut dyn FnMut(usize) -> usize| -> Vec<VertexId> {
+                    let keep = 1 + draw(40);
+                    (0..vertices as VertexId).filter(|_| draw(40) < keep).collect()
+                };
+                let (hot, other) = (list(&mut draw), list(&mut draw));
+                let id = |draw: &mut dyn FnMut(usize) -> usize| {
+                    (draw(4) > 0).then(|| draw(vertices + 2) as VertexId)
+                };
+                // The hot list arrives cut above `above`, or whole; every
+                // reader's window starts at or above the cut.
+                let above = if draw(3) == 0 { id(&mut draw) } else { None };
+                let (lo, hi) = (id(&mut draw).max(above), id(&mut draw));
+                let held = clamp(&hot, above, None);
+                let (mut hot_words, mut other_words) = (Vec::new(), Vec::new());
+                push_bitmap(held, vertices, &mut hot_words);
+                push_bitmap(&other, vertices, &mut other_words);
+                let bits = Bits::new(&hot_words, above);
+                let (a, b) = (clamp(&hot, lo, hi), clamp(&other, lo, hi));
+                let mut expect = Vec::new();
+                merge_intersect_into(a, b, &mut expect);
+                let what = format!("|V| {vertices}, cut {above:?}, window {lo:?}..{hi:?}");
+
+                assert_eq!(probe_count(b, bits), expect.len(), "{what}");
+                let mut out = vec![VertexId::MAX];
+                probe_into(b, bits, &mut out);
+                assert_eq!((out[0], &out[1..]), (VertexId::MAX, &expect[..]), "{what}");
+                let hot_side = Side { list: held, bits: Some(bits) };
+                let other_bits = Some(Bits::new(&other_words, None));
+                for other_side in [Side::plain(&other), Side { list: &other, bits: other_bits }] {
+                    for (x, y) in [(hot_side, other_side), (other_side, hot_side)] {
+                        let mut out = Vec::new();
+                        intersect_sides_into(x, y, lo, hi, &mut out);
+                        assert_eq!(out, expect, "{what}");
+                        assert_eq!(intersect_sides_count(x, y, lo, hi), expect.len(), "{what}");
+                    }
+                }
+                for v in (lo.map_or(0, |lo| lo + 1)..vertices as VertexId).take(50) {
+                    assert_eq!(hot_side.contains(v), contains(&hot, v), "{v}: {what}");
+                }
+                probed += usize::from(!b.is_empty());
+                cut += usize::from(above.is_some_and(|above| held.len() < hot.len() && above > 0));
+                both += usize::from(!expect.is_empty());
+            }
+        }
+        assert!(probed > 1000 && cut > 200 && both > 1000, "{probed} {cut} {both}");
+    }
+
+    #[test]
+    fn a_side_with_a_bitmap_is_probed_and_its_list_never_scanned() {
+        let hot: Vec<VertexId> = (0..200).collect();
+        let mut words = Vec::new();
+        push_bitmap(&hot, 256, &mut words);
+        let bits = Some(Bits::new(&words, None));
+        let hot_side = Side { list: &hot, bits };
+        let cold = Side::plain(&[3, 50, 70]);
+        let (probe, _) = by_shape(hot_side, cold, Some(10), None).unwrap();
+        assert_eq!(probe, &[50, 70]);
+        let (probe, _) = by_shape(cold, hot_side, Some(70), None).unwrap();
+        assert!(probe.is_empty());
+        assert!(by_shape(cold, cold, None, None).is_none());
+        // Both hot: the shorter list is the one probed, inside the window.
+        let short = Side { list: &hot[..20], bits };
+        let (probe, _) = by_shape(hot_side, short, Some(9), None).unwrap();
+        assert_eq!(probe, &hot[10..20]);
+    }
+
+    #[test]
+    fn the_hot_rule_and_where_the_bitmaps_live() {
+        assert!(is_hot(32, 1024) && !is_hot(31, 1024) && is_hot(1, 32) && !is_hot(0, 1));
+        let lists: [&[VertexId]; 4] = [&[1, 2], &[0], &[], &[0, 1, 2, 3]];
+        // |V| = 64: a list of two or more entries is hot.
+        let hot = HotLists::build(64, lists.iter().copied());
+        assert_eq!((hot.len(), hot.size_bytes()), (2, 4 * 4 + 2 * 8));
+        for (key, list) in lists.iter().enumerate() {
+            let bits = hot.get(key);
+            assert_eq!(bits.is_some(), is_hot(list.len(), 64), "{key}");
+            if let Some(bits) = bits {
+                assert!((0..64).all(|v| bits.contains(v) == list.contains(&v)), "{key}");
+            }
+        }
+        assert!(hot.get(7).is_none());
+        // Nothing hot: nothing allocated.
+        let cold = HotLists::build(1000, lists.iter().copied());
+        assert!(cold.len() == 0 && cold.size_bytes() == 0 && cold.get(3).is_none());
     }
 }

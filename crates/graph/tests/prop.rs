@@ -228,6 +228,7 @@ proptest! {
                 built.owned().to_vec(),
                 built.offsets().to_vec(),
                 built.neighbors().to_vec(),
+                g.vertex_count(),
             );
             // Owned here, owned elsewhere, and past the id range.
             for v in 0..g.vertex_count() as VertexId + 2 {

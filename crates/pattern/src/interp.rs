@@ -11,24 +11,55 @@
 
 use crate::plan::{LevelPlan, MatchingPlan, PairMode};
 use crate::MAX_PATTERN_VERTICES;
+use gpm_graph::set_ops::{self, Bits, Side};
 use gpm_graph::{Graph, Label, VertexId};
 
 /// Where a walk's data lives: the executor's half of the plan/executor
 /// split. The plan says *what* each level intersects and filters on; the
-/// source hands over the lists and labels.
+/// source hands over the lists, the bitmaps of the hot ones it keeps, and
+/// labels.
 pub trait DataSource {
     /// The edge list of `v`, the vertex matched at position `pos`.
     fn list(&self, pos: usize, v: VertexId) -> &[VertexId];
+    /// The bitmap of that list, asked for only when it is hot
+    /// ([`set_ops::is_hot`]); `None` where the source keeps none.
+    fn bits(&self, pos: usize, v: VertexId) -> Option<Bits<'_>>;
+    /// `|V|`, the id space of the lists: what the hot rule compares with.
+    fn vertices(&self) -> usize;
     /// `v`'s label, on a labeled graph.
     fn label(&self, v: VertexId) -> Option<Label>;
     /// The label of the edge between `u` and `v`, where the source ships
     /// edge labels.
     fn edge_label(&self, u: VertexId, v: VertexId) -> Option<Label>;
+
+    /// The list with its bitmap where it is hot, as a plain level reads
+    /// it: the length in hand decides, so a cold list costs a compare and
+    /// no lookup. Inlined always, so that the list comes back in
+    /// registers and the compare is the caller's.
+    #[inline(always)]
+    fn side(&self, pos: usize, v: VertexId) -> Side<'_> {
+        let list = self.list(pos, v);
+        let hot = set_ops::is_hot(list.len(), self.vertices());
+        Side { list, bits: if hot { self.bits(pos, v) } else { None } }
+    }
 }
 
 impl DataSource for Graph {
+    #[inline]
     fn list(&self, _pos: usize, v: VertexId) -> &[VertexId] {
         self.neighbors(v)
+    }
+
+    // Out of line: asked for hot lists only, and a walk's per-list path
+    // must stay small enough to inline.
+    #[inline(never)]
+    fn bits(&self, _pos: usize, v: VertexId) -> Option<Bits<'_>> {
+        Graph::bits(self, v)
+    }
+
+    #[inline]
+    fn vertices(&self) -> usize {
+        self.vertex_count()
     }
 
     fn label(&self, v: VertexId) -> Option<Label> {
@@ -147,7 +178,7 @@ impl<'a, S: DataSource> Walk<'a, S> {
             return true;
         }
         let matched = &self.matched;
-        let cands = lp.candidates(matched, |p| src.list(p, matched[p]), stored, tmp, buf);
+        let cands = lp.candidates(matched, |p| src.side(p, matched[p]), stored, tmp, buf);
         let last = level + 1 == plan.levels().len();
         for &cand in cands {
             if !passes_residual(src, lp, &self.matched, cand) {
@@ -185,7 +216,7 @@ impl<'a, S: DataSource> Walk<'a, S> {
     ) -> u64 {
         let (src, matched) = (self.src, &self.matched);
         let passes = |c| passes_filters(src, lp, matched, c);
-        let k = lp.count(matched, |p| src.list(p, matched[p]), stored, passes, tmp, buf);
+        let k = lp.count(matched, |p| src.side(p, matched[p]), stored, passes, tmp, buf);
         self.pair.map_or(k, |mode| pair_contribution(k, mode))
     }
 }
@@ -404,15 +435,16 @@ mod tests {
             let mut count_buf = Vec::new();
             let prefix = *matched;
             let list_at = |p: usize| g.neighbors(prefix[p]);
+            let side_at = |p: usize| g.side(p, prefix[p]);
             lp.raw_candidates(&prefix, list_at, || stored, &mut tmp, &mut raw);
-            assert_eq!(lp.candidates(&prefix, list_at, stored, &mut tmp, &mut buf), raw, "{what}");
+            assert_eq!(lp.candidates(&prefix, side_at, stored, &mut tmp, &mut buf), raw, "{what}");
             let passing: Vec<VertexId> =
                 raw.iter().copied().filter(|&c| passes_filters(g, lp, &prefix, c)).collect();
             for &c in &raw {
                 assert_eq!(passes_residual(g, lp, &prefix, c), passing.contains(&c), "{c}: {what}");
             }
             let passes = |c| passes_filters(g, lp, &prefix, c);
-            let counted = lp.count(&prefix, list_at, stored, passes, &mut tmp, &mut count_buf);
+            let counted = lp.count(&prefix, side_at, stored, passes, &mut tmp, &mut count_buf);
             assert_eq!(counted, passing.len() as u64, "{what}");
             for c in passing {
                 matched[lp.position] = c;
@@ -438,21 +470,34 @@ mod tests {
         // are iterated, counted or pair-counted, the plan counts what the
         // brute-force oracle counts and visits what the general route
         // visits. The hubs of the skewed graph make the bounds cut real
-        // ranges.
-        let plain = gen::barabasi_albert(28, 4, 17);
-        let labeled = gen::with_random_labels(&plain, 2, 5);
+        // ranges. On 28 vertices every list is hot, so every plain
+        // two-input level probes a bitmap; the same edges among 328
+        // vertices make the hubs hot and the rest cold, so plain levels
+        // probe, merge and gallop.
+        let ba = gen::barabasi_albert(28, 4, 17);
+        let mut padded = gpm_graph::GraphBuilder::new(ba.vertex_count() + 300);
+        let padded = padded.extend_edges(ba.edges()).build();
+        let hot = |g: &Graph| g.vertices().filter(|&v| g.bits(v).is_some()).count();
+        assert_eq!(hot(&ba), 28);
+        assert!((3..20).contains(&hot(&padded)), "{} hot lists", hot(&padded));
+        let graphs = [ba, padded].map(|g| {
+            let labeled = gen::with_random_labels(&g, 2, 5);
+            (g, labeled)
+        });
         let (mut seen, mut lowered, mut pair_counted) = (0, 0, 0);
         for k in 1..=5 {
             for p in crate::genpat::connected_patterns(k) {
                 seen += 1;
                 let labels = (0..k as gpm_graph::Label).map(|i| i % 2).collect();
                 let with_labels = p.clone().with_labels(labels).unwrap();
-                for (g, p) in [(&plain, p), (&labeled, with_labels)] {
+                let inputs =
+                    graphs.iter().flat_map(|(g, labeled)| [(g, &p), (labeled, &with_labels)]);
+                for (g, p) in inputs {
                     for induced in [false, true] {
-                        let expect = oracle::count_subgraphs(g, &p, induced);
+                        let expect = oracle::count_subgraphs(g, p, induced);
                         for base in [PlanOptions::automine(), PlanOptions::graphpi()] {
-                            let plan = MatchingPlan::compile(&p, &PlanOptions { induced, ..base })
-                                .unwrap();
+                            let opts = PlanOptions { induced, ..base };
+                            let plan = MatchingPlan::compile(p, &opts).unwrap();
                             let what = format!("{p}, induced={induced}\n{}", plan.describe());
                             assert_eq!(count_embeddings_fast(g, &plan), expect, "counted: {what}");
                             let mut visited = Vec::new();

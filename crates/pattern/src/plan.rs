@@ -15,7 +15,8 @@
 use crate::order::{self, OrderChoice};
 use crate::restrictions::{self, Restriction};
 use crate::{iso, Pattern, MAX_PATTERN_VERTICES};
-use gpm_graph::{set_ops, Label, VertexId};
+use gpm_graph::set_ops::{self, Side};
+use gpm_graph::{Label, VertexId};
 
 /// How a level's raw candidate set is obtained.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -228,13 +229,14 @@ impl Lowered {
         window_at(lower, upper, matched)
     }
 
-    /// The one or two inputs of a plain level, unclamped.
+    /// The one or two inputs of a plain level, unclamped: a stored
+    /// intermediate never carries a bitmap, a list may.
     #[inline]
     fn inputs<'a>(
         &self,
-        list_at: impl Fn(usize) -> &'a [VertexId],
+        list_at: impl Fn(usize) -> Side<'a>,
         stored: &'a [VertexId],
-    ) -> (&'a [VertexId], Option<&'a [VertexId]>) {
+    ) -> (Side<'a>, Option<Side<'a>>) {
         debug_assert!(self.plain);
         let mut lists = self.lists.iter().map(list_at);
         match self.source {
@@ -243,7 +245,7 @@ impl Lowered {
                 (first, lists.next())
             }
             CandidateSource::ParentIntermediate | CandidateSource::ParentIntermediateAndNew => {
-                (stored, lists.next())
+                (Side::plain(stored), lists.next())
             }
         }
     }
@@ -309,10 +311,13 @@ impl FetchBound {
 
 /// Executing one level. The plan knows *what* a level computes; the
 /// executor passes in *where the data lives*: `list_at(p)` is the edge
-/// list of the vertex matched at position `p`, and `stored` the
-/// intermediate stored by the previous level (read only by the reuse
-/// sources). Every input is clamped to the level's window before it is
-/// intersected, so what the order bounds exclude is never scanned.
+/// list of the vertex matched at position `p` (with its bitmap, where the
+/// executor keeps one), and `stored` the intermediate stored by the
+/// previous level (read only by the reuse sources). Every input is
+/// clamped to the level's window before it is intersected, so what the
+/// order bounds exclude is never scanned — except a list with a bitmap,
+/// which a plain level never scans: the other input's window is probed
+/// against it.
 ///
 /// Executors call [`candidates`](Self::candidates) and
 /// [`count`](Self::count). A [plain](Lowered::plain) level runs there from
@@ -332,22 +337,21 @@ impl LevelPlan {
     pub fn candidates<'a>(
         &self,
         matched: &[VertexId],
-        list_at: impl Fn(usize) -> &'a [VertexId],
+        list_at: impl Fn(usize) -> Side<'a>,
         stored: &'a [VertexId],
         tmp: &mut Vec<VertexId>,
         buf: &'a mut Vec<VertexId>,
     ) -> &'a [VertexId] {
         let lowered = &self.lowered;
         if !lowered.plain {
-            self.raw_candidates(matched, list_at, || stored, tmp, buf);
+            self.raw_candidates(matched, |p| list_at(p).list, || stored, tmp, buf);
             return buf;
         }
         let (lo, hi) = lowered.raw_window(matched);
         let (a, b) = lowered.inputs(list_at, stored);
-        let a = set_ops::clamp(a, lo, hi);
-        let Some(b) = b else { return a };
+        let Some(b) = b else { return set_ops::clamp(a.list, lo, hi) };
         buf.clear();
-        set_ops::intersect_into(a, set_ops::clamp(b, lo, hi), buf);
+        set_ops::intersect_sides_into(a, b, lo, hi, buf);
         buf
     }
 
@@ -361,7 +365,7 @@ impl LevelPlan {
     pub fn count<'a>(
         &self,
         matched: &[VertexId],
-        list_at: impl Fn(usize) -> &'a [VertexId],
+        list_at: impl Fn(usize) -> Side<'a>,
         stored: &'a [VertexId],
         passes: impl Fn(VertexId) -> bool,
         tmp: &mut Vec<VertexId>,
@@ -369,25 +373,32 @@ impl LevelPlan {
     ) -> u64 {
         let lowered = &self.lowered;
         if !lowered.plain {
+            let list_at = |p| list_at(p).list;
             return self.count_candidates(matched, list_at, || stored, passes, tmp, buf);
         }
         let (lo, hi) = lowered.window(matched);
         let (a, b) = lowered.inputs(list_at, stored);
-        let a = set_ops::clamp(a, lo, hi);
-        let b = b.map(|b| set_ops::clamp(b, lo, hi));
-        let size = b.map_or(a.len(), |b| set_ops::intersect_count(a, b));
+        let (a, size) = match b {
+            // One input: its window is the candidate set, and what the
+            // collision checks below search.
+            None => {
+                let window = set_ops::clamp(a.list, lo, hi);
+                (Side { list: window, ..a }, window.len())
+            }
+            Some(b) => (a, set_ops::intersect_sides_count(a, b, lo, hi)),
+        };
         if size == 0 {
             return 0;
         }
         // A matched vertex the level must avoid is one candidate fewer if
         // it is in the window (two compares) and in every input: known
-        // from the pattern, or a search per input.
+        // from the pattern, or a bit or a search per input.
         let collides = |p: usize| {
             let m = matched[p];
             lo.is_none_or(|lo| m > lo)
                 && hi.is_none_or(|hi| m < hi)
                 && (lowered.distinct_adjacent.contains(p)
-                    || set_ops::contains(a, m) && b.is_none_or(|b| set_ops::contains(b, m)))
+                    || a.contains(m) && b.is_none_or(|b| b.contains(m)))
         };
         (size - lowered.distinct.iter().filter(|&p| collides(p)).count()) as u64
     }
