@@ -83,8 +83,8 @@ pub struct Options {
     /// post-mortems — into this directory (`--incident-dir`; Khuzdul
     /// systems only). Inspect them with `gpm incident list|show|diff`.
     pub incident_dir: Option<String>,
-    /// Arm the stall watchdog: a run whose scheduler heartbeat stays
-    /// flat this long dumps a bundle of the wedged state (`--stall-ms`;
+    /// Arm the stall watchdog: a run whose root claims and retirements
+    /// stay flat this long dumps a bundle of the wedged state (`--stall-ms`;
     /// needs `--incident-dir`).
     pub stall_ms: Option<u64>,
     /// Fraction of *control-plane* replies to drop

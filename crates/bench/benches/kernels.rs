@@ -414,10 +414,11 @@ fn bench_obs_overhead(c: &mut Criterion) {
         // them. Disabled must cost the same single relaxed-atomic
         // branch as the unlinked path (now_ns is also branch-only when
         // off).
-        g.bench_function(BenchmarkId::new("linked_span_record", name), |bench| {
+        g.bench_function(BenchmarkId::new("span", name), |bench| {
             bench.iter(|| {
                 let ts = rec.now_ns();
-                rec.record_span_linked(
+                rec.span(
+                    black_box(0),
                     black_box(SpanKind::Fetch),
                     black_box(0),
                     ts,
@@ -427,20 +428,20 @@ fn bench_obs_overhead(c: &mut Criterion) {
             })
         });
     }
-    // The coarse-event flight ring: enabled is a seqlock slot write
-    // (one fetch_add plus six relaxed stores — tens of nanoseconds, no
-    // allocation, no lock); disabled is a single capacity branch. The
-    // ring rides along during incident-armed runs, so this IS the hot
-    // path tax of `--incident-dir`.
+    // The flight ring a coarse event also lands in: enabled is one
+    // fetch_add plus a slot write (tens of nanoseconds, no allocation,
+    // no lock); disabled is a single branch. The ring is armed during
+    // incident-armed runs, so this IS the hot path tax of
+    // `--incident-dir`.
     {
-        use gpm_obs::{FlightKind, FlightRecorder};
+        use gpm_obs::FlightRecorder;
         for (name, ring) in
             [("disabled", FlightRecorder::disabled()), ("enabled", FlightRecorder::new(4096))]
         {
             g.bench_function(BenchmarkId::new("flight_record", name), |bench| {
                 bench.iter(|| {
                     ring.record(
-                        black_box(FlightKind::Steal),
+                        black_box(SpanKind::Steal),
                         black_box(1),
                         black_box(2),
                         black_box(3),
@@ -449,26 +450,14 @@ fn bench_obs_overhead(c: &mut Criterion) {
             });
         }
     }
-    // Live progress tracking: the disabled path is one untaken `Option`
-    // branch per claim/retire; enabled is a handful of relaxed atomic
-    // adds. Measured per hook call here and end-to-end below.
+    // Progress tracking, on for every run: a handful of relaxed atomic
+    // adds per claimed and per retired root batch.
     {
-        use gpm_obs::QueryProgress;
-        let progress: Option<std::sync::Arc<QueryProgress>> = None;
-        g.bench_function(BenchmarkId::new("progress_record", "disabled"), |bench| {
-            bench.iter(|| {
-                if let Some(p) = black_box(&progress) {
-                    p.record_claimed(0, 64, false);
-                }
-            })
-        });
-        let progress = Some(std::sync::Arc::new(QueryProgress::new(1, 1 << 20, 4)));
+        let progress = gpm_obs::QueryProgress::new(1, 1 << 20, 4);
         g.bench_function(BenchmarkId::new("progress_record", "enabled"), |bench| {
             bench.iter(|| {
-                if let Some(p) = black_box(&progress) {
-                    p.record_claimed(black_box(0), black_box(64), false);
-                    p.record_completed(black_box(0), black_box(64));
-                }
+                progress.record_claimed(black_box(0), black_box(64), false);
+                progress.record_completed(black_box(0), black_box(64));
             })
         });
     }
@@ -479,18 +468,6 @@ fn bench_obs_overhead(c: &mut Criterion) {
             PartitionedGraph::new(&graph, 4, 1),
             EngineConfig { obs, ..EngineConfig::default() },
         );
-        g.bench_function(BenchmarkId::new("engine_triangle", name), |bench| {
-            bench.iter(|| black_box(engine.count(&plan).count))
-        });
-        engine.shutdown();
-    }
-    // End-to-end cost of progress tracking alone (recorder off): the
-    // same triangle run with the tracker allocated and fed vs not.
-    for (name, track) in [("progress_off", false), ("progress_on", true)] {
-        let engine = Engine::new(PartitionedGraph::new(&graph, 4, 1), EngineConfig::default());
-        if track {
-            engine.enable_progress();
-        }
         g.bench_function(BenchmarkId::new("engine_triangle", name), |bench| {
             bench.iter(|| black_box(engine.count(&plan).count))
         });

@@ -265,7 +265,7 @@ impl ControlClient {
             };
             if let Some(reply) = reply {
                 let part = self.part as u32;
-                self.obs.record_span_for(self.query, SpanKind::CtrlMsg, part, t0, code, req_id);
+                self.obs.span(self.query, SpanKind::CtrlMsg, part, t0, code, req_id);
                 if is_claim {
                     self.obs.observe(Metric::CtrlRttNs, self.obs.now_ns().saturating_sub(t0));
                 }

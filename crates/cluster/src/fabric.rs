@@ -35,7 +35,7 @@ use crate::{NetworkModel, PartId};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use gpm_graph::partition::{GraphPart, PartitionedGraph};
 use gpm_graph::{Degree, VertexId};
-use gpm_obs::{FlightKind, Metric, Recorder, SpanKind};
+use gpm_obs::{Metric, Recorder, SpanKind};
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -561,8 +561,7 @@ impl EdgeListService {
             }
         }
         self.liveness.add_holder(owner, host);
-        self.obs.flight().record(FlightKind::ReplicaPush, 0, owner as u64, host as u64);
-        self.obs.record_instant(SpanKind::ReplicaPush, owner as u32, host as u64);
+        self.obs.event(0, SpanKind::ReplicaPush, owner as u32, host as u64, 0);
         Ok(streamed)
     }
 
@@ -652,15 +651,14 @@ impl EdgeListClient {
         self.liveness.is_dead(part)
     }
 
-    /// Promotes `part` to the dead state, recording the failure (span +
-    /// cluster counter) exactly once across all clients.
+    /// Promotes `part` to the dead state, recording the failure (event +
+    /// cluster counter) exactly once across all clients. The event is
+    /// coarse, so a post-hoc incident bundle shows the death even with
+    /// span tracing off.
     fn promote_dead(&self, part: PartId) {
         if self.liveness.promote(part) {
             self.metrics.part(part).add(Counter::PartsFailed, 1);
-            self.obs.record_instant(SpanKind::PartFailed, part as u32, 0);
-            // Flight-ring entry rides along even when span tracing is
-            // off, so a post-hoc incident bundle shows the death.
-            self.obs.flight().record(FlightKind::PartCrash, self.query, part as u64, 0);
+            self.obs.event(self.query, SpanKind::PartFailed, part as u32, 0, 0);
         }
     }
 
@@ -770,13 +768,7 @@ impl EdgeListClient {
         // lifecycle — issue, serves, retries, and the consuming wait —
         // shares one link.
         let req_id = seq + 1;
-        self.obs.record_instant_for(
-            self.query,
-            SpanKind::FetchIssue,
-            self.part as u32,
-            target as u64,
-            req_id,
-        );
+        self.obs.event(self.query, SpanKind::FetchIssue, self.part as u32, target as u64, req_id);
         let request = WireRequest {
             seq,
             req_id,
@@ -884,7 +876,7 @@ impl PendingFetch {
             holder.add(Counter::ReroutedServedBytes, bytes);
         }
         let obs = &self.client.obs;
-        obs.record_span_for(
+        obs.span(
             self.client.query,
             SpanKind::Fetch,
             self.client.part as u32,
@@ -917,8 +909,6 @@ impl PendingFetch {
         let (c, link) = (&self.client, self.request.req_id);
         if c.retry.back_off(self.attempts, &c.obs, SpanKind::Retry, c.query, c.part, link) {
             c.scope.add(Counter::Retries, 1);
-            let attempts = self.attempts as u64;
-            c.obs.flight().record(FlightKind::Retry, c.query, self.target as u64, attempts);
             self.attempts += 1;
             self.request.seq = c.seq.fetch_add(1, Ordering::Relaxed);
         } else if c.liveness.fail_fast {
@@ -953,8 +943,7 @@ impl PendingFetch {
         let owner = self.request.owner;
         self.target = c.liveness.route(owner)?;
         let (link, target) = (self.request.req_id, self.target as u64);
-        c.obs.record_instant_for(c.query, SpanKind::Failover, owner as u32, target, link);
-        c.obs.flight().record(FlightKind::Failover, c.query, owner as u64, target);
+        c.obs.event(c.query, SpanKind::Failover, owner as u32, target, link);
         self.attempts = 1;
         self.request.seq = c.seq.fetch_add(1, Ordering::Relaxed);
         Ok(())

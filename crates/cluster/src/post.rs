@@ -144,7 +144,7 @@ impl<T: Send> Endpoint<T> {
         self.metrics.part(self.part).add_transfer(class, bytes, 0);
         // Offset by one so 0 stays "unlinked" (gpm_obs::Span::link).
         let msg_id = self.next_id.fetch_add(1, Ordering::Relaxed) + 1;
-        self.obs.record_instant_linked(SpanKind::PostSend, self.part as u32, bytes, msg_id);
+        self.obs.event(0, SpanKind::PostSend, self.part as u32, bytes, msg_id);
         self.senders[to]
             .send(Envelope { msg_id, from: self.part, msg })
             .expect("post office receiver dropped");
@@ -173,12 +173,7 @@ impl<T: Send> Endpoint<T> {
     }
 
     fn open(&self, env: Envelope<T>) -> T {
-        self.obs.record_instant_linked(
-            SpanKind::PostRecv,
-            self.part as u32,
-            env.from as u64,
-            env.msg_id,
-        );
+        self.obs.event(0, SpanKind::PostRecv, self.part as u32, env.from as u64, env.msg_id);
         env.msg
     }
 }

@@ -493,7 +493,7 @@ impl ChannelTransport {
                                 if let Ok(lists) = &payload {
                                     part_metrics.add(Counter::ServedRequests, 1);
                                     part_metrics.add(Counter::ServedBytes, lists.response_bytes());
-                                    obs.record_span_for(
+                                    obs.span(
                                         req.query,
                                         SpanKind::Serve,
                                         part_id as u32,
@@ -627,7 +627,7 @@ impl ChannelTransport {
         if target == crash.part {
             let seen = counted.fetch_add(1, Ordering::Relaxed);
             if seen >= crash.after_requests && !fired.swap(true, Ordering::SeqCst) {
-                self.obs.record_instant(SpanKind::PartCrash, target as u32, seen);
+                self.obs.event(0, SpanKind::PartCrash, target as u32, seen, 0);
                 self.kill_part(target);
             }
         }
@@ -929,7 +929,7 @@ pub(crate) fn fate<R: Send + 'static>(
     let Some(plan) = plan else { return (Fault::None, Some(reply_to.clone())) };
     let fault = plan.decide(target, seq);
     if fault != Fault::None {
-        obs.record_instant_for(query, SpanKind::Fault, target as u32, fault as u64, link);
+        obs.event(query, SpanKind::Fault, target as u32, fault as u64, link);
     }
     let route = match fault {
         Fault::None => Some(reply_to.clone()),
@@ -981,7 +981,8 @@ impl RetryPolicy {
     /// backoff — [`RetryPolicy::backoff`] doubled per attempt after the
     /// first, at most 2^16 times — under a `kind` span covering the
     /// sleep (so the critical path can tell self-inflicted backoff from
-    /// waiting on a reply), and returns `true`.
+    /// waiting on a reply; a fetch's coarse `Retry` also reaches the
+    /// flight ring), and returns `true`.
     pub(crate) fn back_off(
         &self,
         attempts: u32,
@@ -999,7 +1000,7 @@ impl RetryPolicy {
         if !backoff.is_zero() {
             std::thread::sleep(backoff);
         }
-        obs.record_span_for(query, kind, part as u32, t0, attempts as u64, link);
+        obs.span(query, kind, part as u32, t0, attempts as u64, link);
         true
     }
 }

@@ -411,11 +411,12 @@ mod tests {
     #[test]
     fn first_poison_captures_a_control_poison_bundle() {
         use crate::incident::IncidentConfig;
-        use gpm_obs::FlightRecorder;
         let dir = std::env::temp_dir().join(format!("khuzdul-ctrl-poison-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let cfg = IncidentConfig { dir: Some(dir.clone()), ..IncidentConfig::default() };
-        let incidents = IncidentManager::new(&cfg, FlightRecorder::new(64), "t".to_string());
+        let flight = gpm_obs::FlightRecorder::new(64);
+        let recorder = gpm_obs::Recorder::with_flight(&gpm_obs::ObsConfig::default(), flight);
+        let incidents = IncidentManager::new(&cfg, recorder, "t".to_string());
         let cfg = ControlLedgerConfig {
             stealing: true,
             batch: 4,

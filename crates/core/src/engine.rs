@@ -17,8 +17,8 @@ use gpm_cluster::{
 use gpm_graph::partition::PartitionedGraph;
 use gpm_graph::VertexId;
 use gpm_obs::{
-    FlightKind, FlightRecorder, GaugeSample, HolderReroute, ObsConfig, QueryProgress,
-    RebalanceSection, Recorder, RunReport, SpanKind,
+    FlightRecorder, GaugeSample, HolderReroute, ObsConfig, QueryProgress, RebalanceSection,
+    Recorder, RunReport, SpanKind, FLIGHT_CAPACITY, NO_PART,
 };
 use gpm_pattern::plan::MatchingPlan;
 use parking_lot::Mutex;
@@ -30,6 +30,9 @@ use std::time::{Duration, Instant};
 /// Finished-progress entries the engine retains for late collectors
 /// (the service attaches them to query outcomes); oldest drop first.
 const FINISHED_PROGRESS_CAP: usize = 64;
+
+/// Sampling tick of the utilization time series (traced runs only).
+const GAUGE_TICK: Duration = Duration::from_millis(5);
 
 /// One part's replica-placement and health row, as served by `/status`
 /// and rendered by `gpm top` (see [`Engine::part_health`]).
@@ -181,9 +184,9 @@ pub struct EngineConfig {
     /// channel layer, with their own retry policy and fault injection.
     /// Both carriers produce bit-identical counts.
     pub control: ControlConfig,
-    /// Incident capture: the flight-ring size, the bundle directory (off
-    /// by default — no directory, no captures), the stall-watchdog
-    /// window, and bundle retention.
+    /// Incident capture: the bundle directory (off by default — no
+    /// directory, no captures), the stall-watchdog window, and bundle
+    /// retention.
     pub incident: IncidentConfig,
     /// Background re-replication after a fail-stop death: restore every
     /// short slice to the configured replication factor so a later
@@ -227,8 +230,10 @@ pub struct Engine {
     /// Idle run state, per part: chunk stacks and scratch that finished
     /// runs left behind for the next one.
     run_pools: Vec<StatePool>,
+    /// The event stream: span ring, flight ring, histograms, gauges.
     recorder: Arc<Recorder>,
-    /// Flight ring + incident bundle capture (see [`IncidentConfig`]).
+    /// Incident bundle capture over the recorder's flight ring (see
+    /// [`IncidentConfig`]).
     incidents: Arc<IncidentManager>,
     /// Background re-replication service, running whenever rebalance is
     /// enabled, replication ≥ 2, and the cluster has several parts.
@@ -250,10 +255,6 @@ pub struct Engine {
     /// Number of query runs currently in flight (gates
     /// [`Engine::reset_caches`]).
     active_queries: AtomicUsize,
-    /// Whether runs allocate a live [`QueryProgress`] tracker. Off by
-    /// default: the claim/retire paths then see a `None` and touch
-    /// nothing.
-    progress_enabled: AtomicBool,
     /// Live progress trackers of in-flight queries, by query id.
     progress: Mutex<HashMap<u64, Arc<QueryProgress>>>,
     /// Recently finished trackers (bounded ring), for collectors that
@@ -270,17 +271,17 @@ impl Engine {
     /// progress).
     pub fn new(pg: PartitionedGraph, cfg: EngineConfig) -> Engine {
         assert!(cfg.chunk_capacity >= 1, "chunk capacity must be positive");
-        // The flight ring records coarse events whenever *either* full
-        // span tracing or incident capture wants them; with both off it
-        // is the disabled stub and every record is one relaxed branch.
+        // The flight ring keeps the stream's coarse events whenever
+        // *either* full span tracing or incident capture wants them; with
+        // both off it is the disabled stub and every record is a branch.
         let flight = if cfg.incident.dir.is_some() || cfg.obs.enabled {
-            FlightRecorder::new(cfg.incident.flight_capacity)
+            FlightRecorder::new(FLIGHT_CAPACITY)
         } else {
             FlightRecorder::disabled()
         };
-        let recorder = Recorder::with_flight(&cfg.obs, Arc::clone(&flight));
-        let incidents =
-            IncidentManager::new(&cfg.incident, flight, config_fingerprint(&format!("{cfg:?}")));
+        let recorder = Recorder::with_flight(&cfg.obs, flight);
+        let fingerprint = config_fingerprint(&format!("{cfg:?}"));
+        let incidents = IncidentManager::new(&cfg.incident, Arc::clone(&recorder), fingerprint);
         let service = EdgeListService::start_observed(
             &pg,
             cfg.network,
@@ -321,26 +322,13 @@ impl Engine {
             next_query: AtomicU64::new(1),
             arbiter: Arc::new(QueryArbiter::new()),
             active_queries: AtomicUsize::new(0),
-            progress_enabled: AtomicBool::new(false),
             progress: Mutex::new(HashMap::new()),
             finished_progress: Mutex::new(std::collections::VecDeque::new()),
         }
     }
 
-    /// Turns on live per-query progress tracking for all subsequent runs.
-    /// Disabled by default; when off, runs allocate nothing and the
-    /// claim/retire hot paths take a single `None` branch.
-    pub fn enable_progress(&self) {
-        self.progress_enabled.store(true, Ordering::Release);
-    }
-
-    /// Whether progress tracking is on (see [`Engine::enable_progress`]).
-    pub fn progress_enabled(&self) -> bool {
-        self.progress_enabled.load(Ordering::Acquire)
-    }
-
-    /// The live progress tracker of an in-flight query, if tracking is on
-    /// and the query is currently running.
+    /// The live progress tracker of an in-flight query, if it is
+    /// currently running.
     pub fn query_progress(&self, query_id: u64) -> Option<Arc<QueryProgress>> {
         self.progress.lock().get(&query_id).cloned()
     }
@@ -642,12 +630,12 @@ impl Engine {
         );
         let query = query.unwrap_or_else(|| self.default_query());
         let qid = query.query_id;
-        self.incidents.flight().record(FlightKind::QueryAdmit, qid, u64::MAX, 0);
+        self.recorder.event(qid, SpanKind::QueryAdmit, NO_PART, 0, 0);
         // Registered for the whole run (and deregistered on every return
         // path, so a failed query never wedges its peers' pacing).
         self.active_queries.fetch_add(1, Ordering::SeqCst);
         self.arbiter.register(qid);
-        let _guard = QueryGuard { engine: self, qid };
+        let mut guard = QueryGuard { engine: self, qid, ok: false };
         let query_row = self.service.metrics().query(qid);
         let deadline_fired = Arc::new(AtomicBool::new(false));
         let parts = self.pg.part_count();
@@ -663,14 +651,11 @@ impl Engine {
         // Live progress tracker: the root multiset size is known up front
         // (the union of each part's owned vertices), so a monotone
         // completion fraction falls out of the ledger's claim/retire
-        // traffic. Allocated only when tracking is enabled; the guard
-        // moves it to the finished ring on every return path.
-        let progress: Option<Arc<QueryProgress>> = self.progress_enabled().then(|| {
-            let total: u64 = (0..parts).map(|p| self.pg.part(p).owned().len() as u64).sum();
-            let p = Arc::new(QueryProgress::new(qid, total, parts));
-            self.progress.lock().insert(qid, Arc::clone(&p));
-            p
-        });
+        // traffic. The guard moves it to the finished ring on every
+        // return path.
+        let total: u64 = (0..parts).map(|p| self.pg.part(p).owned().len() as u64).sum();
+        let progress = Arc::new(QueryProgress::new(qid, total, parts));
+        self.progress.lock().insert(qid, Arc::clone(&progress));
         // The persistent pool outlives the run; first multi-threaded run
         // pays the spawn cost, every later one reuses the parked workers.
         let pool = (self.cfg.compute_threads > 1).then(|| {
@@ -679,21 +664,13 @@ impl Engine {
         });
         // Stops and joins on drop, so both the error and success returns
         // below leave no sampler thread behind.
-        let _sampler =
-            GaugeSampler::start(&self.recorder, &self.service, gauges.clone(), self.cfg.obs.tick);
-        // Scheduler heartbeat: bumped on every claimed batch and every
-        // batch retirement across all parts. The stall watchdog (started
-        // only with incident capture + a window configured; joined on
-        // every return path like the sampler) fires one `stall` bundle
-        // if it freezes — the wedged-run case no error path reaches.
-        let heartbeat = Arc::new(AtomicU64::new(0));
-        let _watchdog = StallWatchdog::start(
-            &self.incidents,
-            Arc::clone(&heartbeat),
-            qid,
-            Arc::clone(&ledger),
-            progress.clone(),
-        );
+        let _sampler = GaugeSampler::start(&self.recorder, &self.service, gauges.clone());
+        // The stall watchdog (started only with incident capture + a
+        // window configured; joined on every return path like the
+        // sampler) fires one `stall` bundle if the tracker's claims and
+        // retirements freeze — the wedged-run case no error path reaches.
+        let _watchdog =
+            StallWatchdog::start(&self.incidents, Arc::clone(&progress), Arc::clone(&ledger));
         let t0 = Instant::now();
         let make_ctx = |part: usize, ledger: &Arc<ControlPlane>| PartCtx {
             part: self.pg.part_arc(part),
@@ -715,8 +692,7 @@ impl Engine {
             root_budget: query.root_budget,
             deadline: query.deadline,
             deadline_fired: Arc::clone(&deadline_fired),
-            progress: progress.clone(),
-            heartbeat: Arc::clone(&heartbeat),
+            progress: Arc::clone(&progress),
             pool: &self.run_pools[part],
         };
         // Per-part result slots: a part that aborts (fail-stop
@@ -797,9 +773,7 @@ impl Engine {
             }
             let n_lost = lost.len() as u64;
             reexecuted_roots += n_lost;
-            if let Some(p) = &progress {
-                p.record_recovered(n_lost);
-            }
+            progress.record_recovered(n_lost);
             // One bundle per recovery round: the crash is survivable
             // (replicas mask it), but the operator still wants the
             // incident — which part died, how many roots re-execute, and
@@ -820,8 +794,7 @@ impl Engine {
             ledgers.push(Arc::clone(&recovery));
             let survivors: Vec<usize> = (0..parts).filter(|p| !all_dead.contains(p)).collect();
             self.run_parts(&mut slots, &mut failure, survivors, |p| make_ctx(p, &recovery));
-            self.recorder.record_span(SpanKind::Recovery, new_dead[0] as u32, rts, n_lost);
-            self.incidents.flight().record(FlightKind::Recovery, qid, new_dead[0] as u64, n_lost);
+            self.recorder.span(qid, SpanKind::Recovery, new_dead[0] as u32, rts, n_lost, 0);
         }
         if let Some((_, e)) = failure {
             return Err(EngineError::Fetch(e));
@@ -867,10 +840,8 @@ impl Engine {
             },
             control: ControlSummary::from(&counted),
         };
-        if let Some(p) = &progress {
-            p.mark_done();
-        }
-        self.incidents.flight().record(FlightKind::QueryComplete, qid, u64::MAX, 1);
+        progress.mark_done();
+        guard.ok = true;
         Ok(stats)
     }
 
@@ -1032,20 +1003,25 @@ impl Drop for Engine {
 }
 
 /// Deregisters a run's query from the fairness arbiter and the active
-/// count on every exit path, error or success.
+/// count, and records its `query_complete` event, on every exit path,
+/// error or success.
 struct QueryGuard<'a> {
     engine: &'a Engine,
     qid: u64,
+    /// Set just before a successful return; the event's arg.
+    ok: bool,
 }
 
 impl Drop for QueryGuard<'_> {
     fn drop(&mut self) {
+        let recorder = &self.engine.recorder;
+        recorder.event(self.qid, SpanKind::QueryComplete, NO_PART, u64::from(self.ok), 0);
         self.engine.arbiter.deregister(self.qid);
         // The run has read (or abandoned) its counters by now; drop the
         // registry entry so a resident service doesn't accumulate one
         // per retired query. Holders of the `Arc` keep theirs alive.
         self.engine.service.metrics().retire_query(self.qid);
-        // Move the live progress tracker (if any) to the bounded finished
+        // Move the live progress tracker to the bounded finished
         // ring, so a collector can still attach it to the query outcome
         // after the run returned — on success *and* error paths alike.
         if let Some(p) = self.engine.progress.lock().remove(&self.qid) {
@@ -1060,7 +1036,7 @@ impl Drop for QueryGuard<'_> {
 }
 
 /// Background thread sampling per-part gauges (window occupancy,
-/// cumulative network bytes) on the configured tick, feeding the
+/// cumulative network bytes) every [`GAUGE_TICK`], feeding the
 /// utilization time series of the run report. Started only when the
 /// recorder is enabled; stopped and joined on drop.
 struct GaugeSampler {
@@ -1073,7 +1049,6 @@ impl GaugeSampler {
         recorder: &Arc<Recorder>,
         service: &EdgeListService,
         queue_depths: Vec<Arc<AtomicUsize>>,
-        tick: Duration,
     ) -> Option<GaugeSampler> {
         if !recorder.is_enabled() {
             return None;
@@ -1099,7 +1074,7 @@ impl GaugeSampler {
                                 .map_or(0, |g| g.load(Ordering::Relaxed) as u64),
                         });
                     }
-                    std::thread::sleep(tick);
+                    std::thread::sleep(GAUGE_TICK);
                 }
             })
             .expect("spawn gauge sampler");
@@ -1995,13 +1970,25 @@ mod tests {
                 ..EngineConfig::default()
             },
         );
-        engine.enable_progress();
         let p = plan(&Pattern::triangle());
         let q = QueryCtx { deadline: Some(Instant::now()), ..engine.default_query() };
         assert!(matches!(
             engine.try_count_query(&p, &q),
             Err(EngineError::DeadlineExceeded { .. })
         ));
+        // A failed query still completes in the flight ring (tracing is
+        // off; the incident dir arms the ring): admitted, then completed
+        // with arg 0.
+        let mine: Vec<(SpanKind, u64)> = engine
+            .incidents()
+            .flight()
+            .snapshot()
+            .iter()
+            .filter(|e| e.query == q.query_id)
+            .filter(|e| matches!(e.kind, SpanKind::QueryAdmit | SpanKind::QueryComplete))
+            .map(|e| (e.kind, e.a))
+            .collect();
+        assert_eq!(mine, [(SpanKind::QueryAdmit, 0), (SpanKind::QueryComplete, 0)]);
         let incidents = engine.incidents().incidents();
         assert_eq!(incidents.len(), 1);
         assert_eq!(incidents[0].trigger, "deadline_exceeded");
@@ -2058,6 +2045,52 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// One event, both rings: in a traced crash run with an incident dir,
+    /// every coarse kind appears as often in the flight ring as in the
+    /// span ring — nothing recorded twice, nothing recorded to one only.
+    #[test]
+    fn a_traced_crash_run_records_each_coarse_event_once_in_both_rings() {
+        use gpm_cluster::FaultPlan;
+        let g = gen::erdos_renyi(150, 700, 5);
+        let dir = incident_dir("bothrings");
+        let engine = Engine::new(
+            PartitionedGraph::with_replication(&g, 4, 1, 2),
+            EngineConfig {
+                chunk_capacity: 64,
+                steal: StealConfig { enabled: true, batch: 8, ..StealConfig::default() },
+                obs: ObsConfig::enabled(),
+                incident: IncidentConfig { dir: Some(dir.clone()), ..IncidentConfig::default() },
+                fabric: FabricConfig {
+                    retry: crash_retry(),
+                    fault: Some(FaultPlan::crash_at(2, 4)),
+                    ..FabricConfig::default()
+                },
+                ..EngineConfig::default()
+            },
+        );
+        let p = Pattern::triangle();
+        let run = engine.try_count(&plan(&p)).expect("a replica must mask the crash");
+        assert_eq!(run.count, oracle::count_subgraphs(&g, &p, false));
+        let flight = engine.incidents().flight();
+        let events = flight.snapshot();
+        assert_eq!(events.len() as u64, flight.recorded(), "the ring did not wrap");
+        let spans = engine.recorder().spans();
+        assert_eq!(engine.recorder().spans_dropped(), 0);
+        for kind in SpanKind::ALL.into_iter().filter(|k| k.coarse()) {
+            let in_flight = events.iter().filter(|e| e.kind == kind).count();
+            let in_spans = spans.iter().filter(|s| s.kind == kind).count();
+            assert_eq!(in_flight, in_spans, "{kind:?}");
+        }
+        for kind in [SpanKind::QueryAdmit, SpanKind::QueryComplete, SpanKind::PartCrash] {
+            assert!(events.iter().any(|e| e.kind == kind), "no {kind:?} event");
+        }
+        let incidents = engine.incidents().incidents();
+        let json = std::fs::read_to_string(&incidents[0].path).unwrap();
+        assert!(json.contains("\"part_crash\""), "the bundle holds the death");
+        engine.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn unmasked_crash_emits_a_part_lost_bundle() {
         use gpm_cluster::FaultPlan;
@@ -2101,7 +2134,7 @@ mod tests {
             EngineConfig {
                 // Message-based control plane where every reply is
                 // dropped: claims retry for far longer than the stall
-                // window, so the heartbeat never moves and the run is
+                // window, so progress never moves and the run is
                 // wedged until the retry budget finally expires.
                 control: ControlConfig {
                     mode: ControlMode::Msg,
@@ -2121,7 +2154,6 @@ mod tests {
                 ..EngineConfig::default()
             },
         );
-        engine.enable_progress();
         assert!(engine.try_count(&plan(&Pattern::triangle())).is_err(), "all-drops wire fails");
         let incidents = engine.incidents().incidents();
         let stalls: Vec<_> = incidents.iter().filter(|i| i.trigger == "stall").collect();

@@ -5,7 +5,8 @@
 //! a run wedges entirely — a post-hoc `RunReport` is too late and too
 //! aggregated to debug from. This module captures an **incident bundle**
 //! at the moment of the trigger: a JSON file holding the flight-ring
-//! slice around the event ([`gpm_obs::FlightRecorder`]), every in-flight
+//! slice around the event (the coarse events of the recorder's stream,
+//! [`gpm_obs::FlightRecorder`]), every in-flight
 //! query's progress snapshot, a cluster counter snapshot, a scheduler /
 //! ledger state summary (per-part cursors, spill depth, quiescence,
 //! starvation, poison), a config fingerprint, and the trigger record
@@ -16,9 +17,9 @@
 //! `slow_query`, `control_poison`, and `stall`. The first five wire into
 //! existing engine/service/control choke points; the last comes from the
 //! [`StallWatchdog`] — a per-run thread that fires when the run is still
-//! in flight but no root claim or batch retirement has happened for a
-//! configurable window, dumping scheduler state instead of letting a
-//! wedged run hang silently.
+//! in flight but its progress tracker has seen no root claim or
+//! retirement for a configurable window, dumping scheduler state instead
+//! of letting a wedged run hang silently.
 //!
 //! Capture is **off by default**: with no [`IncidentConfig::dir`] the
 //! manager records nothing and every trigger site costs one `Option`
@@ -27,7 +28,7 @@
 
 use crate::control::{ControlPlane, ControlPlaneSummary};
 use gpm_obs::json::{as_map, get, req_map, req_seq, req_str, req_u64};
-use gpm_obs::{FlightKind, FlightRecorder, IncidentSummary, QueryProgress};
+use gpm_obs::{FlightRecorder, IncidentSummary, QueryProgress, Recorder, SpanKind, NO_PART};
 use parking_lot::Mutex;
 use serde::Value;
 use std::path::{Path, PathBuf};
@@ -44,13 +45,9 @@ pub struct IncidentConfig {
     /// Directory bundles are written to. `None` (the default) disables
     /// capture entirely — triggers cost one branch and write nothing.
     pub dir: Option<PathBuf>,
-    /// Flight-ring slots. The ring is allocated per engine and enabled
-    /// whenever capture is configured (or span tracing is on), so coarse
-    /// events are recorded even with full tracing off.
-    pub flight_capacity: usize,
-    /// Stall-watchdog window: a run with no root claim or batch
-    /// retirement for this long triggers a `stall` bundle. `None`
-    /// disables the watchdog.
+    /// Stall-watchdog window: a run whose progress tracker sees no root
+    /// claim or retirement for this long triggers a `stall` bundle.
+    /// `None` disables the watchdog.
     pub stall: Option<Duration>,
     /// Most bundle files retained in `dir`; the oldest (by bundle
     /// sequence) are deleted past this.
@@ -59,17 +56,13 @@ pub struct IncidentConfig {
 
 impl Default for IncidentConfig {
     fn default() -> Self {
-        IncidentConfig {
-            dir: None,
-            flight_capacity: gpm_obs::FLIGHT_CAPACITY,
-            stall: None,
-            max_bundles: 64,
-        }
+        IncidentConfig { dir: None, stall: None, max_bundles: 64 }
     }
 }
 
 /// What fired. Each variant maps 1:1 onto a stable bundle trigger name
-/// and a [`FlightKind`] recorded into the ring alongside the capture.
+/// and a coarse [`SpanKind`] recorded into the stream alongside the
+/// capture.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TriggerKind {
     /// A part fail-stopped and a recovery pass re-executed its roots.
@@ -115,13 +108,13 @@ impl TriggerKind {
         }
     }
 
-    fn flight(self) -> FlightKind {
+    fn event(self) -> SpanKind {
         match self {
-            TriggerKind::PartFailed | TriggerKind::PartLost => FlightKind::PartCrash,
-            TriggerKind::DeadlineExceeded => FlightKind::DeadlineMiss,
-            TriggerKind::SlowQuery => FlightKind::SlowQuery,
-            TriggerKind::ControlPoison => FlightKind::ControlPoison,
-            TriggerKind::Stall | TriggerKind::RebalanceStuck => FlightKind::Stall,
+            TriggerKind::PartFailed | TriggerKind::PartLost => SpanKind::PartCrash,
+            TriggerKind::DeadlineExceeded => SpanKind::DeadlineMiss,
+            TriggerKind::SlowQuery => SpanKind::SlowQuery,
+            TriggerKind::ControlPoison => SpanKind::ControlPoison,
+            TriggerKind::Stall | TriggerKind::RebalanceStuck => SpanKind::Stall,
         }
     }
 }
@@ -154,29 +147,30 @@ pub(crate) struct CaptureSections {
     pub ledger: Option<Value>,
 }
 
-/// The per-engine incident sink: owns the flight ring, the bundle
-/// directory, and the list of captures for the report's `incidents[]`
-/// section and the `/incidents` status route.
+/// The per-engine incident sink: records triggers into the engine's
+/// event stream, snapshots its flight ring, and owns the bundle directory
+/// and the list of captures for the report's `incidents[]` section and
+/// the `/incidents` status route.
 #[derive(Debug)]
 pub struct IncidentManager {
     dir: Option<PathBuf>,
     stall: Option<Duration>,
     max_bundles: usize,
-    flight: Arc<FlightRecorder>,
+    recorder: Arc<Recorder>,
     fingerprint: String,
     seq: AtomicU64,
     captured: Mutex<Vec<IncidentSummary>>,
 }
 
 impl IncidentManager {
-    /// A manager over `flight`, capturing per `cfg`. `fingerprint`
-    /// identifies the engine configuration that produced the bundles
-    /// (see [`config_fingerprint`]). The capture sequence resumes past
+    /// A manager over `recorder`'s flight ring, capturing per `cfg`.
+    /// `fingerprint` identifies the engine configuration that produced
+    /// the bundles (see [`config_fingerprint`]). The capture sequence resumes past
     /// any bundles already in the directory, so repeated runs into one
     /// `--incident-dir` accumulate instead of overwriting.
     pub(crate) fn new(
         cfg: &IncidentConfig,
-        flight: Arc<FlightRecorder>,
+        recorder: Arc<Recorder>,
         fingerprint: String,
     ) -> Arc<IncidentManager> {
         let seq = cfg
@@ -197,7 +191,7 @@ impl IncidentManager {
             dir: cfg.dir.clone(),
             stall: cfg.stall,
             max_bundles: cfg.max_bundles.max(1),
-            flight,
+            recorder,
             fingerprint,
             seq: AtomicU64::new(seq),
             captured: Mutex::new(Vec::new()),
@@ -216,7 +210,7 @@ impl IncidentManager {
 
     /// The coarse-event flight ring bundles snapshot from.
     pub fn flight(&self) -> &Arc<FlightRecorder> {
-        &self.flight
+        self.recorder.flight()
     }
 
     /// The configured stall-watchdog window, if any.
@@ -230,9 +224,9 @@ impl IncidentManager {
         self.captured.lock().clone()
     }
 
-    /// Captures one bundle: records the trigger into the flight ring,
-    /// snapshots it, writes the schema-validated JSON file, enforces
-    /// retention, and remembers the summary. Returns `None` when capture
+    /// Captures one bundle: records the trigger as an event (which the
+    /// flight ring keeps), snapshots the ring, writes the schema-validated
+    /// JSON file, enforces retention, and remembers the summary. Returns `None` when capture
     /// is disabled or the write failed (a broken incident sink must
     /// never fail the run it is describing).
     pub(crate) fn capture(
@@ -240,13 +234,9 @@ impl IncidentManager {
         trigger: Trigger,
         sections: CaptureSections,
     ) -> Option<IncidentSummary> {
-        let at_ns = self.flight.now_ns();
-        self.flight.record(
-            trigger.kind.flight(),
-            trigger.query_id,
-            trigger.part.unwrap_or(u64::MAX),
-            trigger.value,
-        );
+        let at_ns = self.flight().now_ns();
+        let part = trigger.part.map_or(NO_PART, |p| p as u32);
+        self.recorder.event(trigger.query_id, trigger.kind.event(), part, trigger.value, 0);
         let dir = self.dir.as_ref()?;
         let n = self.seq.fetch_add(1, Ordering::Relaxed) + 1;
         let id = format!("incident-{n:06}-{}", trigger.kind.name());
@@ -273,8 +263,8 @@ impl IncidentManager {
         at_ns: u64,
         sections: &CaptureSections,
     ) -> Value {
-        let events: Vec<Value> = self
-            .flight
+        let flight = self.flight();
+        let events: Vec<Value> = flight
             .snapshot()
             .iter()
             .map(|e| {
@@ -317,8 +307,8 @@ impl IncidentManager {
             (
                 "flight".into(),
                 Value::Map(vec![
-                    ("capacity".into(), Value::UInt(self.flight.capacity() as u64)),
-                    ("recorded".into(), Value::UInt(self.flight.recorded())),
+                    ("capacity".into(), Value::UInt(flight.capacity() as u64)),
+                    ("recorded".into(), Value::UInt(flight.recorded())),
                     ("events".into(), Value::Seq(events)),
                 ]),
             ),
@@ -485,7 +475,7 @@ pub fn validate_bundle(json: &str) -> Result<(), String> {
         req_u64(ev, "part", &ctx)?;
         req_u64(ev, "a", &ctx)?;
         let k = req_str(ev, "kind", &ctx)?;
-        if !FlightKind::ALL.iter().any(|f| f.name() == k) {
+        if !SpanKind::ALL.iter().any(|f| f.coarse() && f.name() == k) {
             return Err(format!("{ctx}: unknown event kind '{k}'"));
         }
     }
@@ -511,8 +501,9 @@ pub fn validate_bundle(json: &str) -> Result<(), String> {
 /// One stall detector: a thread that ticks at an eighth of its window
 /// and fires once when a progress counter has stayed flat
 /// for the whole window while an "armed" predicate held. Two watch a run
-/// today — the scheduler's claim/retire heartbeat ([`StallWatchdog::start`])
-/// and the rebalancer's transfer bytes — each with its own trigger. Like
+/// today — its progress tracker's claims and retirements
+/// ([`StallWatchdog::start`]) and the rebalancer's transfer bytes — each
+/// with its own trigger. Like
 /// the gauge sampler, it is stopped and joined on drop, so no thread
 /// outlives the run (or the engine).
 pub(crate) struct StallWatchdog {
@@ -522,37 +513,36 @@ pub(crate) struct StallWatchdog {
 
 impl StallWatchdog {
     /// The per-run watchdog against wedged runs, if a window is
-    /// configured and capture is enabled. `heartbeat` is bumped by the
-    /// runtime on every root claim and batch retirement; no movement for
-    /// the window means the scheduler is wedged (or the run is
-    /// pathologically starved — either way worth a bundle), and one
+    /// configured and capture is enabled. The runtime feeds `progress` on
+    /// every root claim and batch retirement; no movement of claimed +
+    /// completed for the window means the scheduler is wedged (or the run
+    /// is pathologically starved — either way worth a bundle), and one
     /// `stall` bundle dumps the live scheduler state and progress.
     pub(crate) fn start(
         manager: &Arc<IncidentManager>,
-        heartbeat: Arc<AtomicU64>,
-        query_id: u64,
+        progress: Arc<QueryProgress>,
         ledger: Arc<ControlPlane>,
-        progress: Option<Arc<QueryProgress>>,
     ) -> Option<StallWatchdog> {
         let window = manager.stall_window()?;
         if !manager.enabled() {
             return None;
         }
-        let mgr = Arc::clone(manager);
-        let fire = move |stalled: Duration, hb: u64| {
+        let (mgr, watched) = (Arc::clone(manager), Arc::clone(&progress));
+        let fire = move |stalled: Duration, moved: u64| {
             let sections = CaptureSections {
-                progress: progress.iter().map(|p| progress_json(p)).collect(),
+                progress: vec![progress_json(&progress)],
                 counters: None,
                 ledger: Some(ledger_json(&ledger.state_summary())),
             };
             let detail = format!(
-                "no root claim or batch retirement for {stalled:?} (heartbeat stuck at {hb})"
+                "no root claim or batch retirement for {stalled:?} \
+                 (claimed + completed stuck at {moved})"
             );
-            let value = stalled.as_nanos() as u64;
+            let (query_id, value) = (progress.query_id(), stalled.as_nanos() as u64);
             let trigger = Trigger { kind: TriggerKind::Stall, query_id, part: None, value, detail };
             mgr.capture(trigger, sections);
         };
-        let counter = move || heartbeat.load(Ordering::Relaxed);
+        let counter = move || watched.claimed() + watched.completed();
         Some(StallWatchdog::watch("khuzdul-stall-watchdog", window, counter, || true, fire))
     }
 
@@ -616,9 +606,14 @@ mod tests {
         dir
     }
 
+    /// A recorder whose flight ring is armed, span tracing off.
+    fn armed_recorder() -> Arc<Recorder> {
+        Recorder::with_flight(&gpm_obs::ObsConfig::default(), FlightRecorder::new(64))
+    }
+
     fn manager(dir: Option<PathBuf>, max_bundles: usize) -> Arc<IncidentManager> {
         let cfg = IncidentConfig { dir, max_bundles, ..IncidentConfig::default() };
-        IncidentManager::new(&cfg, FlightRecorder::new(64), config_fingerprint("test"))
+        IncidentManager::new(&cfg, armed_recorder(), config_fingerprint("test"))
     }
 
     /// A control plane over no parts: something for a watchdog to dump.
@@ -653,8 +648,8 @@ mod tests {
     fn captured_bundle_validates_and_lists() {
         let dir = temp_dir("roundtrip");
         let m = manager(Some(dir.clone()), 8);
-        m.flight().record(FlightKind::QueryAdmit, 7, u64::MAX, 0);
-        m.flight().record(FlightKind::Steal, 7, 1, 0);
+        m.recorder.event(7, SpanKind::QueryAdmit, NO_PART, 0, 0);
+        m.recorder.event(7, SpanKind::Steal, 1, 0, 0);
         let s = m
             .capture(
                 trigger(TriggerKind::DeadlineExceeded),
@@ -724,29 +719,27 @@ mod tests {
     }
 
     #[test]
-    fn stall_watchdog_fires_once_on_a_dead_heartbeat() {
+    fn stall_watchdog_fires_once_when_progress_stops() {
         let dir = temp_dir("stall");
         let cfg = IncidentConfig {
             dir: Some(dir.clone()),
             stall: Some(Duration::from_millis(30)),
             ..IncidentConfig::default()
         };
-        let m = IncidentManager::new(&cfg, FlightRecorder::new(64), config_fingerprint("t"));
-        let heartbeat = Arc::new(AtomicU64::new(0));
-        let ledger = idle_ledger();
-        let progress = Some(Arc::new(QueryProgress::new(9, 50, 1)));
-        let wd =
-            StallWatchdog::start(&m, Arc::clone(&heartbeat), 9, ledger, progress).expect("starts");
-        // Keep the heartbeat moving: no bundle may fire.
+        let m = IncidentManager::new(&cfg, armed_recorder(), config_fingerprint("t"));
+        let progress = Arc::new(QueryProgress::new(9, 50, 1));
+        let wd = StallWatchdog::start(&m, Arc::clone(&progress), idle_ledger()).expect("starts");
+        // Keep claiming and retiring: no bundle may fire.
         for _ in 0..10 {
-            heartbeat.fetch_add(1, Ordering::Relaxed);
+            progress.record_claimed(0, 1, false);
+            progress.record_completed(0, 1);
             std::thread::sleep(Duration::from_millis(5));
         }
-        assert!(m.incidents().is_empty(), "a moving heartbeat must not trip the watchdog");
-        // Now wedge: the heartbeat freezes past the window.
+        assert!(m.incidents().is_empty(), "moving progress must not trip the watchdog");
+        // Now wedge: progress freezes past the window.
         std::thread::sleep(Duration::from_millis(120));
         let incidents = m.incidents();
-        assert_eq!(incidents.len(), 1, "a dead heartbeat must fire exactly once");
+        assert_eq!(incidents.len(), 1, "frozen progress must fire exactly once");
         assert_eq!(incidents[0].trigger, "stall");
         assert_eq!(incidents[0].query_id, 9);
         let json = std::fs::read_to_string(&incidents[0].path).unwrap();
@@ -758,15 +751,15 @@ mod tests {
 
     #[test]
     fn stall_watchdog_declines_without_window_or_dir() {
-        let heartbeat = Arc::new(AtomicU64::new(0));
+        let progress = Arc::new(QueryProgress::new(1, 0, 1));
         // No window.
         let m = manager(Some(temp_dir("nowindow")), 8);
-        assert!(StallWatchdog::start(&m, Arc::clone(&heartbeat), 1, idle_ledger(), None).is_none());
+        assert!(StallWatchdog::start(&m, Arc::clone(&progress), idle_ledger()).is_none());
         // Window but no dir.
         let cfg =
             IncidentConfig { stall: Some(Duration::from_millis(10)), ..IncidentConfig::default() };
-        let m = IncidentManager::new(&cfg, FlightRecorder::disabled(), String::new());
-        assert!(StallWatchdog::start(&m, heartbeat, 1, idle_ledger(), None).is_none());
+        let m = IncidentManager::new(&cfg, Recorder::disabled(), String::new());
+        assert!(StallWatchdog::start(&m, progress, idle_ledger()).is_none());
     }
 
     #[test]

@@ -39,7 +39,7 @@
 use crate::incident::{CaptureSections, IncidentManager, StallWatchdog, Trigger, TriggerKind};
 use gpm_cluster::EdgeListService;
 use gpm_graph::partition::GraphPart;
-use gpm_obs::FlightKind;
+use gpm_obs::SpanKind;
 use parking_lot::{Condvar, Mutex};
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -57,8 +57,6 @@ pub struct RebalanceConfig {
     /// the responder's per-message service time; larger ones amortize
     /// the per-chunk ack round trip.
     pub chunk_entries: usize,
-    /// Poll interval of the death-watch loop.
-    pub tick: Duration,
     /// Artificial pause between streamed chunks — a test knob for
     /// exercising the stuck-transfer watchdog and mid-transfer races.
     /// `Duration::ZERO` (the default) in production.
@@ -67,14 +65,12 @@ pub struct RebalanceConfig {
 
 impl Default for RebalanceConfig {
     fn default() -> Self {
-        RebalanceConfig {
-            enabled: true,
-            chunk_entries: 64 * 1024,
-            tick: Duration::from_millis(1),
-            chunk_delay: Duration::ZERO,
-        }
+        RebalanceConfig { enabled: true, chunk_entries: 64 * 1024, chunk_delay: Duration::ZERO }
     }
 }
+
+/// Poll interval of the death-watch loop.
+const TICK: Duration = Duration::from_millis(1);
 
 /// Bound on how long the engine's recovery gate waits for the repairs
 /// of one death event to settle before consulting per-slice liveness
@@ -173,7 +169,6 @@ impl Rebalancer {
         let handle = {
             let shared = Arc::clone(&shared);
             let stop = Arc::clone(&stop);
-            let tick = cfg.tick.max(Duration::from_micros(100));
             std::thread::Builder::new()
                 .name("khuzdul-rebalance".to_string())
                 .spawn(move || {
@@ -187,19 +182,15 @@ impl Rebalancer {
                                 .collect()
                         };
                         if fresh.is_empty() {
-                            std::thread::sleep(tick);
+                            std::thread::sleep(TICK);
                             continue;
                         }
                         shared.repairing.store(true, Ordering::SeqCst);
                         for d in fresh {
                             let restored =
                                 repair_after(&service, &parts, replication, &cfg, &shared);
-                            service.recorder().flight().record(
-                                FlightKind::RebalanceDone,
-                                0,
-                                d as u64,
-                                restored,
-                            );
+                            let event = SpanKind::RebalanceDone;
+                            service.recorder().event(0, event, d as u32, restored, 0);
                             shared.handled.lock().insert(d);
                             shared.cv.notify_all();
                         }
@@ -336,11 +327,12 @@ mod tests {
     use gpm_cluster::{CrashAt, FabricConfig, FaultPlan, RetryPolicy};
     use gpm_graph::gen;
     use gpm_graph::partition::PartitionedGraph;
-    use gpm_obs::FlightRecorder;
 
     fn manager(dir: Option<std::path::PathBuf>, stall: Option<Duration>) -> Arc<IncidentManager> {
         let cfg = IncidentConfig { dir, stall, ..IncidentConfig::default() };
-        IncidentManager::new(&cfg, FlightRecorder::new(256), "rb-test".to_string())
+        let flight = gpm_obs::FlightRecorder::new(256);
+        let recorder = gpm_obs::Recorder::with_flight(&gpm_obs::ObsConfig::default(), flight);
+        IncidentManager::new(&cfg, recorder, "rb-test".to_string())
     }
 
     fn crashy_service(pg: &PartitionedGraph, crashes: Vec<CrashAt>) -> EdgeListService {

@@ -33,11 +33,11 @@ use crate::stats::PartStats;
 use gpm_cluster::{ClaimSource, Clamp, Counter, EdgeListClient, FetchError, PendingFetch};
 use gpm_graph::partition::{vertex_hash, GraphPart};
 use gpm_graph::{Label, VertexId};
-use gpm_obs::{FlightKind, ObsHandle, Recorder, SpanKind};
+use gpm_obs::{ObsHandle, QueryProgress, Recorder, SpanKind};
 use gpm_pattern::plan::MatchingPlan;
 use parking_lot::Mutex;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -83,15 +83,10 @@ pub(crate) struct PartCtx<'e> {
     pub deadline: Option<Instant>,
     /// Set by any part that observed `deadline` expiring mid-run.
     pub deadline_fired: Arc<AtomicBool>,
-    /// Live progress tracker for this query; `None` unless the engine
-    /// has progress tracking enabled (the default), in which case every
-    /// hook below is a single untaken branch.
-    pub progress: Option<Arc<gpm_obs::QueryProgress>>,
-    /// Run-wide scheduler heartbeat, bumped on every claimed batch and
-    /// every batch retirement. The engine's stall watchdog fires an
-    /// incident bundle when it freezes; without a watchdog the bumps are
-    /// uncontended relaxed adds.
-    pub heartbeat: Arc<AtomicU64>,
+    /// This query's progress tracker, fed on every claimed batch and
+    /// every batch retirement — also the run's heartbeat: the engine's
+    /// stall watchdog fires an incident bundle when it freezes.
+    pub progress: Arc<QueryProgress>,
     /// Where this part's runs take their working state from and return
     /// it to.
     pub pool: &'e StatePool,
@@ -131,7 +126,7 @@ pub(crate) struct StatePool {
     /// Bitmaps the part's walks were handed, by where the list lives:
     /// owned, cached, fetched.
     #[cfg(test)]
-    bitmaps: [AtomicU64; 3],
+    bitmaps: [std::sync::atomic::AtomicU64; 3],
 }
 
 impl StatePool {
@@ -277,11 +272,9 @@ impl<'e> PartRun<'e> {
         }
         // Single-vertex plans never touch the ledger; report the whole
         // owned range as claimed-and-completed in one step.
-        if let Some(p) = &self.ctx.progress {
-            let n = self.ctx.part.owned().len() as u64;
-            p.record_claimed(self.ctx.my_part, n, false);
-            p.record_completed(self.ctx.my_part, n);
-        }
+        let n = self.ctx.part.owned().len() as u64;
+        self.ctx.progress.record_claimed(self.ctx.my_part, n, false);
+        self.ctx.progress.record_completed(self.ctx.my_part, n);
         self.compute += t0.elapsed();
     }
 
@@ -326,7 +319,7 @@ impl<'e> PartRun<'e> {
                     let child_empty = l + 1 >= self.levels.len() || self.levels[l + 1].is_empty();
                     if child_empty {
                         self.levels[l].clear();
-                        self.obs.instant(SpanKind::ChunkRelease, l as u64);
+                        self.obs.event(SpanKind::ChunkRelease, l as u64);
                     }
                 }
             }
@@ -361,10 +354,7 @@ impl<'e> PartRun<'e> {
         if !std::mem::take(&mut self.batch_open) {
             return;
         }
-        self.ctx.heartbeat.fetch_add(1, Ordering::Relaxed);
-        if let Some(p) = &self.ctx.progress {
-            p.record_completed(self.ctx.my_part, self.outstanding_roots as u64);
-        }
+        self.ctx.progress.record_completed(self.ctx.my_part, self.outstanding_roots as u64);
         self.outstanding_roots = 0;
     }
 
@@ -443,15 +433,8 @@ impl<'e> PartRun<'e> {
     /// moves, computation does not.
     fn seed_batch_into_chunk(&mut self, source: ClaimSource, roots: &[VertexId]) {
         let ts = self.obs.start();
-        self.ctx.heartbeat.fetch_add(1, Ordering::Relaxed);
         if let ClaimSource::Stolen(victim) = source {
-            self.obs.instant(SpanKind::Steal, victim as u64);
-            self.ctx.obs.flight().record(
-                FlightKind::Steal,
-                self.ctx.client.query_id(),
-                self.ctx.my_part as u64,
-                victim as u64,
-            );
+            self.obs.event(SpanKind::Steal, victim as u64);
         }
         let required = self.ctx.plan.root_label();
         let root_active = self.ctx.plan.root_active();
@@ -478,16 +461,11 @@ impl<'e> PartRun<'e> {
         chunk.resolved_upto = if any_pending { 0 } else { seeded };
         self.batch_open = true;
         self.outstanding_roots = roots.len();
-        if !matches!(source, ClaimSource::Own) {
+        let stolen = !matches!(source, ClaimSource::Own);
+        if stolen {
             self.roots_stolen += roots.len() as u64;
         }
-        if let Some(p) = &self.ctx.progress {
-            p.record_claimed(
-                self.ctx.my_part,
-                roots.len() as u64,
-                !matches!(source, ClaimSource::Own),
-            );
-        }
+        self.ctx.progress.record_claimed(self.ctx.my_part, roots.len() as u64, stolen);
         self.obs.span(SpanKind::SeedRoots, ts, seeded as u64);
     }
 
@@ -535,13 +513,7 @@ impl<'e> PartRun<'e> {
         // records them claimed (and completed) on its own side, so drop
         // them from this part's outstanding-progress tally.
         self.outstanding_roots = self.outstanding_roots.saturating_sub(donated.len());
-        self.obs.instant(SpanKind::Donate, donated.len() as u64);
-        self.ctx.obs.flight().record(
-            FlightKind::Donate,
-            self.ctx.client.query_id(),
-            self.ctx.my_part as u64,
-            donated.len() as u64,
-        );
+        self.obs.event(SpanKind::Donate, donated.len() as u64);
         self.ctx.ledger.donate(self.ctx.my_part, donated);
     }
 
@@ -601,12 +573,12 @@ impl<'e> PartRun<'e> {
             if cache_enabled {
                 if let Some(list) = self.ctx.cache.lookup_hashed(v, hash) {
                     hits += 1;
-                    self.obs.instant(SpanKind::CacheLookup, 1);
+                    self.obs.event(SpanKind::CacheLookup, 1);
                     chunk.embs[i].list = chunk.push_pinned(list);
                     continue;
                 }
                 misses += 1;
-                self.obs.instant(SpanKind::CacheLookup, 0);
+                self.obs.event(SpanKind::CacheLookup, 0);
             }
             if sharing && chunk.share.share(&mut chunk.embs, i, hash) {
                 shared += 1;
@@ -726,7 +698,7 @@ impl<'e> PartRun<'e> {
         }
         chunk.segments.push(lists.into_payload());
         if cache_enabled {
-            self.obs.instant(SpanKind::CacheInsert, vertices.len() as u64);
+            self.obs.event(SpanKind::CacheInsert, vertices.len() as u64);
         }
         Ok(())
     }
@@ -809,8 +781,7 @@ mod tests {
             root_budget: u64::MAX,
             deadline: None,
             deadline_fired: Arc::default(),
-            progress: None,
-            heartbeat: Arc::default(),
+            progress: Arc::new(QueryProgress::new(0, pg.vertex_count() as u64, 2)),
             pool: &pool,
         });
         let sent = || service.metrics().part(0).get(Counter::CtrlSent);

@@ -167,7 +167,7 @@ fn worker_loop(gate: &Gate, part: u32, w: usize, rec: &Recorder) {
                 gate.work_cv.wait(&mut st);
             }
         };
-        rec.record_span(SpanKind::Park, part, parked_at, w as u64);
+        rec.span(0, SpanKind::Park, part, parked_at, w as u64, 0);
         // A panicking job must still retire its `active` slot, or the
         // coordinator would wait forever; the panic is re-raised there.
         let ok = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| job(w))).is_ok();

@@ -575,8 +575,8 @@ fn executor_loop(engine: &Engine, inner: &ServiceInner, budget: u64, slow_query:
             // Never memoize a failure: a resubmission should retry.
             inner.memo.lock().map.remove(&job.key);
         }
-        // The run's guard parked its progress tracker (if tracking is
-        // on) in the engine's finished ring; fold it into the outcome.
+        // The run's guard parked its progress tracker in the engine's
+        // finished ring; fold it into the outcome.
         let (roots_total, roots_completed) = engine
             .take_finished_progress(job.query_id)
             .map(|p| (p.total(), p.completed()))
@@ -731,7 +731,6 @@ mod tests {
                 ..EngineConfig::default()
             },
         ));
-        engine.enable_progress();
         // Threshold zero: every executed query is "slow".
         let svc = MiningService::start(
             engine,

@@ -43,6 +43,9 @@ use std::time::{Duration, Instant};
 /// Service-level counters appended after the cluster counters in the
 /// rollup's counter vector.
 const SERVICE_COUNTERS: [&str; 3] = ["memo_hits", "memo_evictions", "queries_completed"];
+/// Rolling windows retained (older deltas fold into the evicted totals,
+/// conserving the cumulative counts).
+const ROLLUP_WINDOWS: usize = 120;
 /// Gauges sampled into every rollup window.
 const ROLLUP_GAUGES: [&str; 4] =
     ["queue_depth", "active_queries", "active_executors", "memo_entries"];
@@ -55,18 +58,11 @@ pub struct StatusConfig {
     pub addr: String,
     /// Rollup sampling interval.
     pub tick: Duration,
-    /// Rolling windows retained (older deltas fold into the evicted
-    /// totals, conserving the cumulative counts).
-    pub windows: usize,
 }
 
 impl Default for StatusConfig {
     fn default() -> Self {
-        StatusConfig {
-            addr: "127.0.0.1:0".to_string(),
-            tick: Duration::from_millis(250),
-            windows: 120,
-        }
+        StatusConfig { addr: "127.0.0.1:0".to_string(), tick: Duration::from_millis(250) }
     }
 }
 
@@ -81,9 +77,7 @@ pub struct StatusServer {
 }
 
 impl StatusServer {
-    /// Binds `cfg.addr` and starts serving `svc`. Enables the engine's
-    /// live progress tracking (the whole point of scraping) — queries
-    /// admitted before the server started report no root progress.
+    /// Binds `cfg.addr` and starts serving `svc`.
     ///
     /// # Errors
     ///
@@ -92,7 +86,6 @@ impl StatusServer {
         let listener = TcpListener::bind(&cfg.addr)?;
         listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
-        svc.engine().enable_progress();
         let stop = Arc::new(AtomicBool::new(false));
         let quit = Arc::new(AtomicBool::new(false));
         let thread_stop = Arc::clone(&stop);
@@ -134,7 +127,7 @@ fn serve_loop(
     let started = Instant::now();
     let mut counter_names: Vec<&'static str> = Counter::exported().map(Counter::name).collect();
     counter_names.extend(SERVICE_COUNTERS);
-    let mut rollup = Rollup::new(counter_names, ROLLUP_GAUGES.to_vec(), cfg.windows.max(1));
+    let mut rollup = Rollup::new(counter_names, ROLLUP_GAUGES.to_vec(), ROLLUP_WINDOWS);
     let mut next_tick = Instant::now();
     while !stop.load(Ordering::SeqCst) {
         if Instant::now() >= next_tick {
@@ -596,7 +589,6 @@ mod tests {
         let engine = Arc::new(Engine::new(pg, EngineConfig::default()));
         let svc = Arc::new(MiningService::start(engine, ServiceConfig::default()));
         let server = StatusServer::start(Arc::clone(&svc), StatusConfig::default()).unwrap();
-        assert!(svc.engine().progress_enabled(), "starting the server enables progress");
         let h = svc.submit(&Pattern::triangle(), &PlanOptions::automine()).unwrap();
         h.wait().unwrap();
         let metrics = http_get(server.local_addr(), "/metrics");

@@ -1,146 +1,63 @@
-//! Always-on flight recorder: a bounded, lock-free ring of recent
+//! The flight ring: a bounded, lock-free ring of the span stream's
 //! coarse events.
 //!
 //! Full span tracing ([`crate::Recorder`]) is opt-in because it costs
-//! timestamps and ring writes per fetch; the flight ring records only
-//! *coarse* events — steals, donations, retries, failovers, crashes,
-//! control poisons, query admissions/completions — so it can
-//! stay on for the lifetime of a resident service. When something goes
-//! wrong (a crash, a deadline miss, a wedge), the last few thousand
-//! events are still there to snapshot into an incident bundle, the way
-//! an aircraft flight recorder survives the flight it describes.
+//! timestamps and ring writes per fetch; the flight ring keeps only the
+//! events whose kind is [`SpanKind::coarse`] — steals, donations, retries,
+//! failovers, crashes, control poisons, query admissions/completions — so
+//! it can stay on for the lifetime of a resident service. There is one
+//! vocabulary: the recorder writes a coarse event here and (when tracing)
+//! into its span ring in the same call, stamped by this ring's clock. When
+//! something goes wrong (a crash, a deadline miss, a wedge), the last few
+//! thousand events are still here to snapshot into an incident bundle, the
+//! way an aircraft flight recorder survives the flight it describes.
 //!
-//! **Overhead discipline** (same as [`crate::QueryProgress`]): when the
-//! ring is disabled, [`FlightRecorder::record`] is one relaxed atomic
-//! load and a branch — no timestamp, no ring write. When enabled, a
-//! record is one `fetch_add` to claim a slot plus five relaxed stores
-//! and one release store; the `obs` group of the `kernels` bench holds
-//! this under ~60ns/event.
+//! **Overhead discipline**: when the ring is disabled, [`FlightRecorder::record`]
+//! is one relaxed atomic load and a branch — no timestamp, no ring write.
+//! When enabled, a record is one `fetch_add` to claim a slot plus five
+//! relaxed stores and two release stores; the `obs` group of the `kernels`
+//! bench holds this under ~60ns/event.
 //!
-//! **Consistency**: each slot carries its global sequence number,
-//! published last with `Release`. [`FlightRecorder::snapshot`] re-reads
-//! the sequence after copying a slot and drops any slot a concurrent
-//! writer tore — snapshots are best-effort by design, never blocking a
-//! recording thread.
+//! **Consistency**: a writer stores 0 into the slot's sequence word, then
+//! the fields, then the slot's global sequence number plus one, both with
+//! `Release`. [`FlightRecorder::snapshot`] reads the word before and after
+//! copying the fields and keeps the slot only if it read the same nonzero
+//! value twice — a slot a concurrent writer was rewriting is dropped.
+//! Snapshots are best-effort by design, never blocking a recording thread.
 
-use serde::Serialize;
+use crate::span::SpanKind;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Default number of slots in a flight ring. At a few hundred coarse
+/// Number of slots in an engine's flight ring. At a few hundred coarse
 /// events per second of steady-state service traffic this holds several
 /// seconds of history around any trigger.
 pub const FLIGHT_CAPACITY: usize = 4096;
 
-/// Coarse event classes the flight ring records.
-///
-/// Deliberately small: one event per *scheduling decision or anomaly*,
-/// never one per fetch or per embedding.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
-#[repr(u8)]
-pub enum FlightKind {
-    /// A query was admitted to the engine (`a` = query).
-    QueryAdmit,
-    /// A query completed (`a` = query, `b` = 1 on success, 0 on error).
-    QueryComplete,
-    /// A part claimed roots stolen from another (`a` = query, `part` =
-    /// thief, `b` = victim or donated batch size).
-    Steal,
-    /// A part donated roots to the spill (`a` = query, `b` = count).
-    Donate,
-    /// A fetch or control message was retried (`a` = query).
-    Retry,
-    /// A failed part's requests were re-routed to a replica holder
-    /// (`a` = query, `part` = dead part).
-    Failover,
-    /// A part fail-stopped (`a` = query, `part` = dead part).
-    PartCrash,
-    /// A recovery pass re-executed lost roots (`a` = query, `b` = roots).
-    Recovery,
-    /// The control-plane ledger was poisoned by a fire-and-forget wire
-    /// failure (`a` = query).
-    ControlPoison,
-    /// A query missed its deadline (`a` = query).
-    DeadlineMiss,
-    /// A completed query exceeded the slow-query threshold (`a` = query,
-    /// `b` = elapsed ns).
-    SlowQuery,
-    /// The stall watchdog fired (`a` = query or 0, `b` = stalled ns).
-    Stall,
-    /// A slice was re-replicated onto a new host (`part` = slice owner,
-    /// `a` = receiving host).
-    ReplicaPush,
-    /// Re-replication restored every repairable slice lost with a dead
-    /// part (`part` = dead part, `a` = slices restored).
-    RebalanceDone,
-}
-
-impl FlightKind {
-    /// Every kind, for exhaustive schema/rendering tables.
-    pub const ALL: [FlightKind; 14] = [
-        FlightKind::QueryAdmit,
-        FlightKind::QueryComplete,
-        FlightKind::Steal,
-        FlightKind::Donate,
-        FlightKind::Retry,
-        FlightKind::Failover,
-        FlightKind::PartCrash,
-        FlightKind::Recovery,
-        FlightKind::ControlPoison,
-        FlightKind::DeadlineMiss,
-        FlightKind::SlowQuery,
-        FlightKind::Stall,
-        FlightKind::ReplicaPush,
-        FlightKind::RebalanceDone,
-    ];
-
-    /// Stable machine-readable name, used in incident bundles.
-    pub fn name(self) -> &'static str {
-        match self {
-            FlightKind::QueryAdmit => "query_admit",
-            FlightKind::QueryComplete => "query_complete",
-            FlightKind::Steal => "steal",
-            FlightKind::Donate => "donate",
-            FlightKind::Retry => "retry",
-            FlightKind::Failover => "failover",
-            FlightKind::PartCrash => "part_crash",
-            FlightKind::Recovery => "recovery",
-            FlightKind::ControlPoison => "control_poison",
-            FlightKind::DeadlineMiss => "deadline_miss",
-            FlightKind::SlowQuery => "slow_query",
-            FlightKind::Stall => "stall",
-            FlightKind::ReplicaPush => "replica_push",
-            FlightKind::RebalanceDone => "rebalance_done",
-        }
-    }
-
-    fn from_u8(v: u8) -> Option<FlightKind> {
-        FlightKind::ALL.get(v as usize).copied()
-    }
-}
+/// The flight ring's event kind: the span vocabulary, of which the ring
+/// keeps the [`coarse`](SpanKind::coarse) kinds.
+pub type FlightKind = SpanKind;
 
 /// One event copied out of the ring by [`FlightRecorder::snapshot`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FlightEvent {
     /// Global sequence number (monotone across the ring's lifetime).
     pub seq: u64,
-    /// Nanoseconds since the recorder was created.
+    /// Nanoseconds since the ring was created (the recorder's clock).
     pub at_ns: u64,
     /// Event class.
-    pub kind: FlightKind,
+    pub kind: SpanKind,
     /// Query id the event belongs to (0 when not query-scoped).
     pub query: u64,
     /// Part the event happened on (`u64::MAX` when not part-scoped).
     pub part: u64,
-    /// Kind-specific payload (see [`FlightKind`] docs).
+    /// The event's `arg` (see each [`SpanKind`] variant's doc).
     pub a: u64,
 }
 
-/// A slot is written non-atomically field by field; `seq` is stored last
-/// with `Release` (and first set to 0 with `Release` to invalidate the
-/// old event), so a reader that sees the same nonzero `seq` before and
-/// after copying the fields got a consistent event.
+/// One slot: `seq` is 0 while a writer fills the fields and the event's
+/// sequence number plus one once it is published (see the module doc).
 #[derive(Debug)]
 struct FlightSlot {
     seq: AtomicU64,
@@ -195,6 +112,7 @@ impl FlightRecorder {
     }
 
     /// Whether the ring is recording.
+    #[inline]
     pub fn is_enabled(&self) -> bool {
         self.enabled.load(Ordering::Relaxed)
     }
@@ -209,28 +127,33 @@ impl FlightRecorder {
         self.cursor.load(Ordering::Relaxed)
     }
 
-    /// Nanoseconds since this ring was created — the time domain of
-    /// [`FlightEvent::at_ns`], so incident triggers can stamp themselves
-    /// consistently with the events around them.
+    /// Nanoseconds since this ring was created: the one clock of the
+    /// recorder carrying it, so [`FlightEvent::at_ns`] and a span's
+    /// `start_ns` are on the same time line.
+    #[inline]
     pub fn now_ns(&self) -> u64 {
         self.epoch.elapsed().as_nanos() as u64
     }
 
-    /// Records one coarse event. The disabled path is a single relaxed
-    /// load and branch; the enabled path claims a slot with `fetch_add`
-    /// and publishes with one release store.
-    pub fn record(&self, kind: FlightKind, query: u64, part: u64, a: u64) {
-        if !self.enabled.load(Ordering::Relaxed) {
-            return;
+    /// Records one event stamped now. The disabled path is a single
+    /// relaxed load and branch. Engine code records through
+    /// [`crate::Recorder::event`], which also writes the span ring.
+    pub fn record(&self, kind: SpanKind, query: u64, part: u64, a: u64) {
+        if self.is_enabled() {
+            self.write(self.now_ns(), kind, query, part, a);
         }
-        let at_ns = self.epoch.elapsed().as_nanos() as u64;
+    }
+
+    /// Claims a slot with `fetch_add` and publishes an event stamped
+    /// `at_ns`, whatever its kind. Callers check [`is_enabled`](Self::is_enabled).
+    pub(crate) fn write(&self, at_ns: u64, kind: SpanKind, query: u64, part: u64, a: u64) {
         let n = self.cursor.fetch_add(1, Ordering::Relaxed);
         let slot = &self.slots[(n as usize) % self.slots.len()];
         // Invalidate the old event so a concurrent snapshot never mixes
         // its fields with ours, then publish the new sequence last.
         slot.seq.store(0, Ordering::Release);
         slot.at_ns.store(at_ns, Ordering::Relaxed);
-        slot.kind.store(kind as u8 as u64, Ordering::Relaxed);
+        slot.kind.store(kind as u64, Ordering::Relaxed);
         slot.query.store(query, Ordering::Relaxed);
         slot.part.store(part, Ordering::Relaxed);
         slot.a.store(a, Ordering::Relaxed);
@@ -249,8 +172,8 @@ impl FlightRecorder {
             let ev = FlightEvent {
                 seq: s1 - 1,
                 at_ns: slot.at_ns.load(Ordering::Relaxed),
-                kind: match FlightKind::from_u8(slot.kind.load(Ordering::Relaxed) as u8) {
-                    Some(k) => k,
+                kind: match SpanKind::ALL.get(slot.kind.load(Ordering::Relaxed) as usize) {
+                    Some(&k) => k,
                     None => continue,
                 },
                 query: slot.query.load(Ordering::Relaxed),
@@ -274,7 +197,7 @@ mod tests {
     #[test]
     fn disabled_ring_records_nothing() {
         let r = FlightRecorder::disabled();
-        r.record(FlightKind::Steal, 1, 2, 3);
+        r.record(SpanKind::Steal, 1, 2, 3);
         assert!(!r.is_enabled());
         assert_eq!(r.recorded(), 0);
         assert!(r.snapshot().is_empty());
@@ -283,15 +206,15 @@ mod tests {
     #[test]
     fn events_come_back_in_order_with_payloads() {
         let r = FlightRecorder::new(64);
-        r.record(FlightKind::QueryAdmit, 7, u64::MAX, 0);
-        r.record(FlightKind::Steal, 7, 2, 1);
-        r.record(FlightKind::QueryComplete, 7, u64::MAX, 1);
+        r.record(SpanKind::QueryAdmit, 7, u64::MAX, 0);
+        r.record(SpanKind::Steal, 7, 2, 1);
+        r.record(SpanKind::QueryComplete, 7, u64::MAX, 1);
         let snap = r.snapshot();
         assert_eq!(snap.len(), 3);
-        assert_eq!(snap[0].kind, FlightKind::QueryAdmit);
-        assert_eq!(snap[1].kind, FlightKind::Steal);
+        assert_eq!(snap[0].kind, SpanKind::QueryAdmit);
+        assert_eq!(snap[1].kind, SpanKind::Steal);
         assert_eq!((snap[1].query, snap[1].part, snap[1].a), (7, 2, 1));
-        assert_eq!(snap[2].kind, FlightKind::QueryComplete);
+        assert_eq!(snap[2].kind, SpanKind::QueryComplete);
         assert!(snap.windows(2).all(|w| w[0].seq < w[1].seq));
         assert!(snap.windows(2).all(|w| w[0].at_ns <= w[1].at_ns));
     }
@@ -300,7 +223,7 @@ mod tests {
     fn ring_overwrites_oldest_when_full() {
         let r = FlightRecorder::new(8);
         for i in 0..20u64 {
-            r.record(FlightKind::Retry, i, 0, 0);
+            r.record(SpanKind::Retry, i, 0, 0);
         }
         let snap = r.snapshot();
         assert_eq!(snap.len(), 8);
@@ -318,7 +241,7 @@ mod tests {
                 let r = &r;
                 s.spawn(move || {
                     for i in 0..1000u64 {
-                        r.record(FlightKind::Donate, t, t, i);
+                        r.record(SpanKind::Donate, t, t, i);
                     }
                 });
             }
@@ -334,14 +257,12 @@ mod tests {
     }
 
     #[test]
-    fn kind_names_are_stable_and_unique() {
-        let names: Vec<&str> = FlightKind::ALL.iter().map(|k| k.name()).collect();
-        let mut dedup = names.clone();
-        dedup.sort_unstable();
-        dedup.dedup();
-        assert_eq!(dedup.len(), names.len());
-        for (i, k) in FlightKind::ALL.iter().enumerate() {
-            assert_eq!(FlightKind::from_u8(i as u8), Some(*k), "repr drifted");
+    fn every_kind_survives_the_slot_encoding() {
+        let r = FlightRecorder::new(64);
+        for k in SpanKind::ALL {
+            r.record(k, 1, 2, 3);
         }
+        let kinds: Vec<SpanKind> = r.snapshot().iter().map(|e| e.kind).collect();
+        assert_eq!(kinds, SpanKind::ALL);
     }
 }

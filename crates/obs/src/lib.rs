@@ -7,20 +7,25 @@
 //! totals. This crate provides that visibility at near-zero cost when
 //! disabled:
 //!
-//! * **Spans** ([`Span`], [`SpanKind`]) — timestamped intervals recorded
-//!   into per-thread ring buffers ([`ObsHandle`]) or, for cross-thread
-//!   producers like the fabric, into a small set of sharded rings on the
-//!   central [`Recorder`]. Rings overwrite their oldest entry when full,
-//!   so memory stays bounded and the hot path never blocks on a slow
-//!   consumer.
+//! * **Spans** ([`Span`], [`SpanKind`]) — timestamped intervals and
+//!   instants, the one event vocabulary, recorded into per-thread buffers
+//!   ([`ObsHandle`]) or, for cross-thread producers like the fabric, into
+//!   a small set of sharded rings on the central [`Recorder`]. Rings
+//!   overwrite their oldest entry when full, so memory stays bounded and
+//!   the hot path never blocks on a slow consumer.
 //! * **Histograms** ([`Histogram`]) — lock-free log2-bucketed counters
 //!   for latency/size distributions, with p50/p95/p99 percentiles and
 //!   shard merging ([`HistogramSnapshot::merge`]).
 //! * **Gauges** ([`GaugeSample`]) — per-part utilization samples taken on
-//!   a configurable tick ([`ObsConfig::tick`]), forming a time series.
-//! * **Flight ring** ([`FlightRecorder`]) — an always-on bounded ring of
-//!   coarse events (steals, retries, failovers, admits) that survives to
-//!   be snapshotted into incident bundles even when span tracing is off.
+//!   the engine's sampler tick, forming a time series.
+//! * **Flight ring** ([`FlightRecorder`]) — the stream's coarse events
+//!   ([`SpanKind::coarse`]: steals, retries, failovers, admits) in a
+//!   bounded ring that stays armed when span tracing is off, to be
+//!   snapshotted into incident bundles. A choke point records once
+//!   ([`Recorder::event`]) and both rings see it, on one clock.
+//! * **Progress** ([`QueryProgress`]) — every run's root claims and
+//!   retirements, a few relaxed atomics; the status plane's fractions and
+//!   the stall watchdog read the same counters.
 //! * **Exporters** — a Chrome trace-event JSON file
 //!   ([`Recorder::chrome_trace`], loadable in `chrome://tracing` or
 //!   Perfetto) and a versioned machine-readable [`RunReport`]
@@ -66,7 +71,7 @@ pub use report::{
     REPORT_SCHEMA_VERSION,
 };
 pub use rollup::{Rollup, Window};
-pub use span::{Span, SpanKind};
+pub use span::{Span, SpanKind, NO_PART};
 pub use trace::chrome_trace;
 pub use validate::{parse_json, validate_report, validate_trace};
 
@@ -82,16 +87,12 @@ pub mod json {
     };
 }
 
-use std::time::Duration;
-
 /// Observability configuration, threaded through `EngineConfig::obs`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ObsConfig {
     /// Master switch. When `false`, every record call is a branch on a
     /// relaxed atomic flag and nothing is allocated.
     pub enabled: bool,
-    /// Gauge sampling tick for the utilization time series.
-    pub tick: Duration,
     /// Total span budget across all ring shards; the oldest spans are
     /// overwritten (and counted as dropped) past this.
     pub span_capacity: usize,
@@ -99,12 +100,12 @@ pub struct ObsConfig {
 
 impl Default for ObsConfig {
     fn default() -> Self {
-        ObsConfig { enabled: false, tick: Duration::from_millis(5), span_capacity: 1 << 18 }
+        ObsConfig { enabled: false, span_capacity: 1 << 18 }
     }
 }
 
 impl ObsConfig {
-    /// An enabled configuration with the default tick and capacity.
+    /// An enabled configuration with the default capacity.
     pub fn enabled() -> Self {
         ObsConfig { enabled: true, ..ObsConfig::default() }
     }

@@ -9,10 +9,9 @@
 //! plane can expose a monotonic completion fraction and a rate-based ETA
 //! while the query runs.
 //!
-//! **Disabled by default**: the engine only allocates a `QueryProgress`
-//! when progress tracking was explicitly enabled, and every hot-path
-//! hook is a branch on an `Option` that is `None` otherwise. The
-//! `obs_overhead` bench measures both sides.
+//! **Always on**: every run gets one (a handful of relaxed atomic adds
+//! per root batch), and it is the run's heartbeat too — the stall
+//! watchdog fires when claimed + completed stops moving.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Instant;

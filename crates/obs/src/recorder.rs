@@ -2,12 +2,11 @@
 
 use crate::flight::FlightRecorder;
 use crate::hist::{Histogram, HistogramSnapshot};
-use crate::span::{Span, SpanKind};
+use crate::span::{Span, SpanKind, NO_PART};
 use crate::ObsConfig;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Number of span ring shards on the central recorder. Cross-thread
 /// producers (fabric, responders) hash by part; engine threads buffer
@@ -86,7 +85,7 @@ impl Metric {
 /// One utilization sample taken on the recorder tick.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GaugeSample {
-    /// Sample time, nanoseconds since recorder epoch.
+    /// Sample time, nanoseconds on the recorder's clock.
     pub t_ns: u64,
     /// Part sampled.
     pub part: u32,
@@ -125,15 +124,18 @@ impl Ring {
     }
 }
 
-/// The run-wide sink for spans, histogram observations, and gauges.
+/// The run-wide sink for spans, histogram observations, and gauges, and
+/// the one entry to the event stream: [`span`](Recorder::span),
+/// [`event`](Recorder::event) and [`span_at`](Recorder::span_at).
 ///
-/// Every record method first checks a relaxed atomic enable flag; when
-/// tracing is disabled the call is a load, a branch, and a return — no
-/// allocation, no locks, no clock reads.
+/// A record of a [`coarse`](SpanKind::coarse) kind lands in the flight
+/// ring whenever that ring is armed, and every record lands in the span
+/// ring while tracing is on — one call, one clock (the flight ring's).
+/// With both off a record is a relaxed load and a branch (two for a coarse
+/// kind): no allocation, no locks, no clock reads.
 #[derive(Debug)]
 pub struct Recorder {
     enabled: AtomicBool,
-    epoch: Instant,
     shards: Vec<Mutex<Ring>>,
     hists: [Histogram; 6],
     series: Mutex<Vec<GaugeSample>>,
@@ -149,15 +151,14 @@ impl Recorder {
         Recorder::with_flight(cfg, FlightRecorder::disabled())
     }
 
-    /// A recorder carrying `flight` as its coarse-event ring. The flight
-    /// ring has its own enable flag: it keeps recording incident-grade
-    /// events (steals, retries, failovers) even when span tracing is
-    /// off, so post-hoc bundles always have a black box to read.
+    /// A recorder whose coarse events also land in `flight`, on
+    /// `flight`'s clock. The flight ring has its own enable flag: it keeps
+    /// incident-grade events (steals, retries, failovers) even when span
+    /// tracing is off, so post-hoc bundles always have a black box to read.
     pub fn with_flight(cfg: &ObsConfig, flight: Arc<FlightRecorder>) -> Arc<Recorder> {
         let shard_cap = (cfg.span_capacity / SHARDS).max(1);
         Arc::new(Recorder {
             enabled: AtomicBool::new(cfg.enabled),
-            epoch: Instant::now(),
             shards: (0..SHARDS).map(|_| Mutex::new(Ring::with_capacity(shard_cap))).collect(),
             hists: std::array::from_fn(|_| Histogram::new()),
             series: Mutex::new(Vec::new()),
@@ -172,7 +173,7 @@ impl Recorder {
         Recorder::new(&ObsConfig::default())
     }
 
-    /// The coarse-event flight ring riding on this recorder. Its enable
+    /// The flight ring this recorder's coarse events land in. Its enable
     /// flag is independent of span tracing: [`Recorder::is_enabled`]
     /// gates spans/histograms/gauges only.
     #[inline]
@@ -191,72 +192,42 @@ impl Recorder {
         self.enabled.store(on, Ordering::Relaxed);
     }
 
-    /// Nanoseconds since this recorder's epoch, or 0 when disabled (no
-    /// clock read on the disabled path).
+    /// Nanoseconds on the recorder's clock, or 0 when tracing is disabled
+    /// (no clock read on the disabled path).
     #[inline]
     pub fn now_ns(&self) -> u64 {
         if !self.is_enabled() {
             return 0;
         }
-        self.epoch.elapsed().as_nanos() as u64
+        self.flight.now_ns()
     }
 
-    /// Records a span from `start_ns` (from [`Recorder::now_ns`]) to now.
+    /// Records `query`'s span of `kind` on `part` from `start_ns` (from
+    /// [`Recorder::now_ns`]) to now. `link` is a causal id tying the span
+    /// to a request lifecycle (0 = unlinked); `query` 0 is unattributed.
+    /// A coarse kind also lands in the flight ring, stamped at its end.
     #[inline]
-    pub fn record_span(&self, kind: SpanKind, part: u32, start_ns: u64, arg: u64) {
-        self.record_span_linked(kind, part, start_ns, arg, 0);
-    }
-
-    /// Like [`Recorder::record_span`] with a causal `link` id (0 =
-    /// unlinked) tying the span to a request lifecycle.
-    #[inline]
-    pub fn record_span_linked(
-        &self,
-        kind: SpanKind,
-        part: u32,
-        start_ns: u64,
-        arg: u64,
-        link: u64,
-    ) {
-        self.record_span_for(0, kind, part, start_ns, arg, link);
-    }
-
-    /// Like [`Recorder::record_span_linked`], additionally attributing
-    /// the span to `query` (0 = unattributed).
-    #[inline]
-    pub fn record_span_for(
-        &self,
-        query: u64,
-        kind: SpanKind,
-        part: u32,
-        start_ns: u64,
-        arg: u64,
-        link: u64,
-    ) {
-        if !self.is_enabled() {
-            return;
+    pub fn span(&self, query: u64, kind: SpanKind, part: u32, start_ns: u64, arg: u64, link: u64) {
+        if let Some(end) = self.stamp(kind) {
+            let dur_ns = end.saturating_sub(start_ns);
+            self.keep(Span { kind, part, start_ns, dur_ns, arg, link, query }, None);
         }
-        let end = self.epoch.elapsed().as_nanos() as u64;
-        self.push(Span {
-            kind,
-            part,
-            start_ns,
-            dur_ns: end.saturating_sub(start_ns),
-            arg,
-            link,
-            query,
-        });
     }
 
-    /// Records a span with explicit endpoints. Exists so tests (and any
-    /// replay tooling) can produce byte-identical exports from synthetic
-    /// timestamps, independent of wall-clock jitter.
-    pub fn record_span_at(&self, kind: SpanKind, part: u32, start_ns: u64, end_ns: u64, arg: u64) {
-        self.record_span_at_linked(kind, part, start_ns, end_ns, arg, 0);
+    /// Records an instant (zero-duration span) of `kind` stamped now;
+    /// arguments as for [`Recorder::span`].
+    #[inline]
+    pub fn event(&self, query: u64, kind: SpanKind, part: u32, arg: u64, link: u64) {
+        if let Some(now) = self.stamp(kind) {
+            self.keep(Span { kind, part, start_ns: now, dur_ns: 0, arg, link, query }, None);
+        }
     }
 
-    /// [`Recorder::record_span_at`] with a causal `link` id.
-    pub fn record_span_at_linked(
+    /// Records an unattributed span with explicit endpoints into the span
+    /// ring only. Exists so tests (and any replay tooling) can produce
+    /// byte-identical exports from synthetic timestamps, independent of
+    /// wall-clock jitter; synthetic times are not the flight ring's clock.
+    pub fn span_at(
         &self,
         kind: SpanKind,
         part: u32,
@@ -265,41 +236,36 @@ impl Recorder {
         arg: u64,
         link: u64,
     ) {
-        if !self.is_enabled() {
-            return;
+        if self.is_enabled() {
+            let dur_ns = end_ns.saturating_sub(start_ns);
+            self.push(Span { kind, part, start_ns, dur_ns, arg, link, query: 0 });
         }
-        self.push(Span {
-            kind,
-            part,
-            start_ns,
-            dur_ns: end_ns.saturating_sub(start_ns),
-            arg,
-            link,
-            query: 0,
-        });
     }
 
-    /// Records an instant event (zero-duration span) stamped now.
+    /// The clock reading that ends a record of `kind` now, or `None` when
+    /// neither ring keeps it.
     #[inline]
-    pub fn record_instant(&self, kind: SpanKind, part: u32, arg: u64) {
-        self.record_instant_linked(kind, part, arg, 0);
+    fn stamp(&self, kind: SpanKind) -> Option<u64> {
+        let kept = self.is_enabled() || (kind.coarse() && self.flight.is_enabled());
+        kept.then(|| self.flight.now_ns())
     }
 
-    /// Like [`Recorder::record_instant`] with a causal `link` id.
+    /// Hands a stamped span to the rings that keep it: a coarse one to the
+    /// flight ring (at its end), and any to `buf` — or the span ring — while
+    /// tracing.
     #[inline]
-    pub fn record_instant_linked(&self, kind: SpanKind, part: u32, arg: u64, link: u64) {
-        self.record_instant_for(0, kind, part, arg, link);
-    }
-
-    /// Like [`Recorder::record_instant_linked`], additionally
-    /// attributing the instant to `query` (0 = unattributed).
-    #[inline]
-    pub fn record_instant_for(&self, query: u64, kind: SpanKind, part: u32, arg: u64, link: u64) {
-        if !self.is_enabled() {
-            return;
+    fn keep(&self, span: Span, buf: Option<&mut Vec<Span>>) {
+        if span.kind.coarse() && self.flight.is_enabled() {
+            let part = if span.part == NO_PART { u64::MAX } else { u64::from(span.part) };
+            let at_ns = span.start_ns + span.dur_ns;
+            self.flight.write(at_ns, span.kind, span.query, part, span.arg);
         }
-        let now = self.epoch.elapsed().as_nanos() as u64;
-        self.push(Span { kind, part, start_ns: now, dur_ns: 0, arg, link, query });
+        if self.is_enabled() {
+            match buf {
+                Some(buf) => buf.push(span),
+                None => self.push(span),
+            }
+        }
     }
 
     fn push(&self, span: Span) {
@@ -483,37 +449,22 @@ impl ObsHandle {
     /// tying the span to the request lifecycle it waited on.
     #[inline]
     pub fn span_linked(&mut self, kind: SpanKind, start_ns: u64, arg: u64, link: u64) {
-        if !self.rec.is_enabled() {
-            return;
+        if let Some(end) = self.rec.stamp(kind) {
+            let (part, query, dur_ns) = (self.part, self.query, end.saturating_sub(start_ns));
+            let span = Span { kind, part, start_ns, dur_ns, arg, link, query };
+            self.rec.keep(span, Some(&mut self.buf));
         }
-        let end = self.rec.now_ns();
-        self.buf.push(Span {
-            kind,
-            part: self.part,
-            start_ns,
-            dur_ns: end.saturating_sub(start_ns),
-            arg,
-            link,
-            query: self.query,
-        });
     }
 
-    /// Buffers an instant event stamped now.
+    /// Buffers an instant event stamped now; a coarse one reaches the
+    /// flight ring at once, as with [`Recorder::event`].
     #[inline]
-    pub fn instant(&mut self, kind: SpanKind, arg: u64) {
-        if !self.rec.is_enabled() {
-            return;
+    pub fn event(&mut self, kind: SpanKind, arg: u64) {
+        if let Some(now) = self.rec.stamp(kind) {
+            let (part, query) = (self.part, self.query);
+            let span = Span { kind, part, start_ns: now, dur_ns: 0, arg, link: 0, query };
+            self.rec.keep(span, Some(&mut self.buf));
         }
-        let now = self.rec.now_ns();
-        self.buf.push(Span {
-            kind,
-            part: self.part,
-            start_ns: now,
-            dur_ns: 0,
-            arg,
-            link: 0,
-            query: self.query,
-        });
     }
 
     /// Records one histogram observation on the owning recorder.
@@ -544,8 +495,8 @@ mod tests {
         let rec = Recorder::disabled();
         assert!(!rec.is_enabled());
         assert_eq!(rec.now_ns(), 0);
-        rec.record_span(SpanKind::Fetch, 0, 0, 0);
-        rec.record_instant(SpanKind::Retry, 0, 1);
+        rec.span(0, SpanKind::Fetch, 0, 0, 0, 0);
+        rec.event(0, SpanKind::Retry, 0, 1, 0);
         rec.observe(Metric::BatchBytes, 128);
         rec.record_gauge(GaugeSample {
             t_ns: 0,
@@ -566,9 +517,9 @@ mod tests {
     #[test]
     fn spans_sort_deterministically() {
         let rec = Recorder::new(&ObsConfig::enabled());
-        rec.record_span_at(SpanKind::Fetch, 1, 50, 90, 0);
-        rec.record_span_at(SpanKind::Resolve, 0, 10, 30, 0);
-        rec.record_span_at(SpanKind::Fetch, 0, 50, 70, 2);
+        rec.span_at(SpanKind::Fetch, 1, 50, 90, 0, 0);
+        rec.span_at(SpanKind::Resolve, 0, 10, 30, 0, 0);
+        rec.span_at(SpanKind::Fetch, 0, 50, 70, 2, 0);
         let spans = rec.spans();
         assert_eq!(spans.len(), 3);
         assert_eq!(spans[0].kind, SpanKind::Resolve);
@@ -578,11 +529,11 @@ mod tests {
 
     #[test]
     fn ring_overwrites_oldest_when_full() {
-        let cfg = ObsConfig { enabled: true, span_capacity: SHARDS * 2, ..ObsConfig::default() };
+        let cfg = ObsConfig { enabled: true, span_capacity: SHARDS * 2 };
         let rec = Recorder::new(&cfg);
         // All on part 0 → one shard, capacity 2.
         for i in 0..5u64 {
-            rec.record_span_at(SpanKind::Job, 0, i, i + 1, i);
+            rec.span_at(SpanKind::Job, 0, i, i + 1, i, 0);
         }
         let spans = rec.spans();
         assert_eq!(spans.len(), 2);
@@ -596,7 +547,7 @@ mod tests {
     fn handle_buffers_until_flush() {
         let rec = Recorder::new(&ObsConfig::enabled());
         let mut h = rec.handle(2);
-        h.instant(SpanKind::ChunkRelease, 0);
+        h.event(SpanKind::ChunkRelease, 0);
         assert!(rec.spans().is_empty());
         h.flush();
         assert_eq!(rec.spans().len(), 1);
@@ -608,7 +559,7 @@ mod tests {
         let rec = Recorder::new(&ObsConfig::enabled());
         {
             let mut h = rec.handle(1);
-            h.instant(SpanKind::CacheInsert, 7);
+            h.event(SpanKind::CacheInsert, 7);
         }
         assert_eq!(rec.spans().len(), 1);
     }
@@ -664,9 +615,9 @@ mod tests {
     #[test]
     fn linked_spans_carry_their_link() {
         let rec = Recorder::new(&ObsConfig::enabled());
-        rec.record_span_at_linked(SpanKind::Fetch, 0, 10, 20, 1, 7);
-        rec.record_instant_linked(SpanKind::FetchIssue, 0, 1, 7);
-        rec.record_span_at(SpanKind::Extend, 0, 0, 5, 0);
+        rec.span_at(SpanKind::Fetch, 0, 10, 20, 1, 7);
+        rec.event(0, SpanKind::FetchIssue, 0, 1, 7);
+        rec.span_at(SpanKind::Extend, 0, 0, 5, 0, 0);
         let mut h = rec.handle(0);
         h.span_linked(SpanKind::BucketRound, h.start(), 1, 7);
         h.flush();
@@ -678,38 +629,75 @@ mod tests {
     #[test]
     fn query_scoped_records_stamp_the_query() {
         let rec = Recorder::new(&ObsConfig::enabled());
-        rec.record_span_for(3, SpanKind::Fetch, 0, 10, 1, 7);
-        rec.record_instant_for(3, SpanKind::FetchIssue, 0, 1, 7);
+        rec.span(3, SpanKind::Fetch, 0, 10, 1, 7);
+        rec.event(3, SpanKind::FetchIssue, 0, 1, 7);
         let mut h = rec.handle_for_query(0, 3);
         h.span(SpanKind::Extend, h.start(), 0);
-        h.instant(SpanKind::ChunkRelease, 0);
+        h.event(SpanKind::ChunkRelease, 0);
         h.flush();
-        rec.record_span_at(SpanKind::Job, 0, 0, 5, 0);
+        rec.span_at(SpanKind::Job, 0, 0, 5, 0, 0);
         let spans = rec.spans();
         assert_eq!(spans.iter().filter(|s| s.query == 3).count(), 4);
         assert_eq!(spans.iter().filter(|s| s.query == 0).count(), 1);
     }
 
     #[test]
-    fn flight_ring_rides_along_independent_of_span_tracing() {
-        use crate::flight::{FlightKind, FlightRecorder};
-        // Span tracing off, flight ring on: the black box still records.
+    fn one_event_lands_in_both_rings() {
+        use crate::flight::FlightRecorder;
+        // Tracing off, flight ring armed: a coarse event reaches the ring
+        // alone.
         let rec = Recorder::with_flight(&ObsConfig::default(), FlightRecorder::new(16));
-        assert!(!rec.is_enabled());
-        rec.flight().record(FlightKind::Steal, 1, 2, 3);
-        assert_eq!(rec.flight().snapshot().len(), 1);
-        // Default construction carries a disabled ring: no-op, no growth.
+        rec.event(7, SpanKind::Steal, 2, 3, 0);
+        let mut h = rec.handle_for_query(1, 7);
+        h.event(SpanKind::Donate, 5);
+        h.flush();
+        assert!(rec.spans().is_empty());
+        let snap = rec.flight().snapshot();
+        let got: Vec<_> = snap.iter().map(|e| (e.kind, e.query, e.part, e.a)).collect();
+        assert_eq!(got, [(SpanKind::Steal, 7, 2, 3), (SpanKind::Donate, 7, 1, 5)]);
+        // Tracing on: the same call writes both, on one clock.
+        rec.set_enabled(true);
+        rec.event(7, SpanKind::QueryAdmit, NO_PART, 0, 0);
+        let t0 = rec.now_ns();
+        rec.span(7, SpanKind::Recovery, 1, t0, 4, 0);
+        let spans = rec.spans();
+        let flight = rec.flight().snapshot();
+        assert_eq!(spans.len(), 2);
+        let admit = flight.iter().find(|e| e.kind == SpanKind::QueryAdmit).unwrap();
+        assert_eq!(admit.part, u64::MAX, "no part reads as u64::MAX in a bundle");
+        assert_eq!(admit.at_ns, spans[0].start_ns);
+        let recovery = flight.iter().find(|e| e.kind == SpanKind::Recovery).unwrap();
+        assert_eq!(recovery.at_ns, spans[1].start_ns + spans[1].dur_ns, "stamped at its end");
+        // Without an armed ring, nothing grows.
         let plain = Recorder::new(&ObsConfig::enabled());
-        plain.flight().record(FlightKind::Steal, 1, 2, 3);
+        plain.event(1, SpanKind::Steal, 2, 3, 0);
         assert!(plain.flight().snapshot().is_empty());
+        assert_eq!(plain.spans().len(), 1);
+    }
+
+    #[test]
+    fn fine_kinds_never_reach_the_flight_ring() {
+        use crate::flight::FlightRecorder;
+        let rec = Recorder::with_flight(&ObsConfig::enabled(), FlightRecorder::new(16));
+        rec.event(1, SpanKind::FetchIssue, 0, 1, 9);
+        rec.event(1, SpanKind::PostSend, 0, 64, 3);
+        rec.span(1, SpanKind::Fetch, 0, rec.now_ns(), 1, 9);
+        let mut h = rec.handle(0);
+        h.event(SpanKind::ChunkRelease, 0);
+        h.event(SpanKind::CacheLookup, 1);
+        h.span(SpanKind::Extend, h.start(), 3);
+        h.flush();
+        assert_eq!(rec.spans().len(), 6);
+        assert!(rec.flight().snapshot().is_empty());
+        assert_eq!(rec.flight().recorded(), 0);
     }
 
     #[test]
     fn ring_occupancy_covers_every_shard() {
-        let cfg = ObsConfig { enabled: true, span_capacity: SHARDS * 2, ..ObsConfig::default() };
+        let cfg = ObsConfig { enabled: true, span_capacity: SHARDS * 2 };
         let rec = Recorder::new(&cfg);
         for i in 0..5u64 {
-            rec.record_span_at(SpanKind::Job, 0, i, i + 1, i);
+            rec.span_at(SpanKind::Job, 0, i, i + 1, i, 0);
         }
         let rings = rec.ring_occupancy();
         assert_eq!(rings.len(), SHARDS);

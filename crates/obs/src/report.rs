@@ -311,12 +311,13 @@ pub struct QueryReport {
     pub failures: FailureSection,
     /// Critical-path attribution over this query's spans only.
     pub critical_path: CriticalPathSection,
-    /// Size of the root multiset this query enumerated (0 when progress
-    /// tracking was disabled, and for memoized queries). Additive in v4.
+    /// Size of the root multiset this query enumerated (0 for memoized
+    /// queries, and in reports written while progress was optional).
+    /// Additive in v4.
     pub roots_total: u64,
     /// Roots retired by the time the query finished — at least
     /// `roots_total` for a successful run, higher when a recovery pass
-    /// re-executed lost roots. 0 when progress tracking was disabled.
+    /// re-executed lost roots.
     pub roots_completed: u64,
     /// Service memo entries resident when this query completed.
     /// Additive in v4.

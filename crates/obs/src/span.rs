@@ -1,4 +1,10 @@
-//! Span taxonomy: what we time and where it renders in the trace.
+//! Event taxonomy: the one vocabulary of the span ring, the flight ring
+//! and the trace, and where each kind renders.
+
+/// The `part` of an event that belongs to no part (a query admission,
+/// an incident trigger); the flight ring reports it as `u64::MAX` and the
+/// trace as an `engine` process.
+pub const NO_PART: u32 = u32::MAX;
 
 /// Kind of a recorded span or instant event.
 ///
@@ -6,8 +12,12 @@
 /// events stack on the same track per part: chunk lifecycle on lane 0,
 /// resolve on 1, bucket rounds on 2, fetches/retries on 3, cache traffic
 /// on 4, responder service and fault/failure events on 5, baseline
-/// scheduler scans on 6, load balancing (steal/donate/park/idle) and
-/// crash recovery on 7, post-office message traffic on 8.
+/// scheduler scans on 6, load balancing (steal/donate/park/idle), crash
+/// recovery and re-replication on 7, post-office message traffic on 8,
+/// query lifecycle and incident triggers on 9.
+///
+/// The [`coarse`](SpanKind::coarse) kinds — one per scheduling decision or
+/// anomaly, never one per fetch — are also what the flight ring keeps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum SpanKind {
     /// Seeding root embeddings for a part (arg = number seeded).
@@ -55,11 +65,12 @@ pub enum SpanKind {
     PostSend,
     /// Instant: a post-office message was received (arg = sender part).
     PostRecv,
-    /// Instant: the fault plan executed a fail-stop crash of a part's
-    /// responder (arg = crashed part).
+    /// Instant: a part fail-stopped (part = that part) — the fault plan
+    /// crashed its responder (arg = requests it had seen), or an incident
+    /// trigger reported the death (arg = the trigger's value).
     PartCrash,
     /// Instant: liveness promoted a part to the failed state; later
-    /// fetches to it fail fast or fail over (arg = dead part).
+    /// fetches to it fail fast or fail over (part = dead part).
     PartFailed,
     /// Instant: a fetch for a dead part was re-routed to a live replica
     /// holder (arg = replacement target).
@@ -76,9 +87,90 @@ pub enum SpanKind {
     /// Instant: re-replication installed a slice on a new host
     /// (part = slice owner, arg = receiving host).
     ReplicaPush,
+    /// Instant: a query was admitted to the engine (part = [`NO_PART`]).
+    QueryAdmit,
+    /// Instant: a query's run returned (part = [`NO_PART`], arg = 1 on
+    /// success, 0 on error).
+    QueryComplete,
+    /// Instant: a fire-and-forget control operation failed and poisoned
+    /// the query's ledger.
+    ControlPoison,
+    /// Instant: a query missed its deadline (arg = elapsed ns).
+    DeadlineMiss,
+    /// Instant: a completed query exceeded the slow-query threshold
+    /// (arg = elapsed ns).
+    SlowQuery,
+    /// Instant: a stall watchdog fired (arg = stalled ns).
+    Stall,
+    /// Instant: re-replication settled every slice lost with a dead part
+    /// (part = dead part, arg = slices restored).
+    RebalanceDone,
 }
 
 impl SpanKind {
+    /// Every kind, in declaration order (`ALL[k as usize] == k`).
+    pub const ALL: [SpanKind; 35] = [
+        SpanKind::SeedRoots,
+        SpanKind::Resolve,
+        SpanKind::BucketRound,
+        SpanKind::Fetch,
+        SpanKind::Extend,
+        SpanKind::ChunkRelease,
+        SpanKind::CacheLookup,
+        SpanKind::CacheInsert,
+        SpanKind::Serve,
+        SpanKind::Retry,
+        SpanKind::Fault,
+        SpanKind::SchedulerScan,
+        SpanKind::CacheGc,
+        SpanKind::Job,
+        SpanKind::Steal,
+        SpanKind::Donate,
+        SpanKind::Park,
+        SpanKind::Idle,
+        SpanKind::FetchIssue,
+        SpanKind::PostSend,
+        SpanKind::PostRecv,
+        SpanKind::PartCrash,
+        SpanKind::PartFailed,
+        SpanKind::Failover,
+        SpanKind::Recovery,
+        SpanKind::CtrlMsg,
+        SpanKind::CtrlRetry,
+        SpanKind::ReplicaPush,
+        SpanKind::QueryAdmit,
+        SpanKind::QueryComplete,
+        SpanKind::ControlPoison,
+        SpanKind::DeadlineMiss,
+        SpanKind::SlowQuery,
+        SpanKind::Stall,
+        SpanKind::RebalanceDone,
+    ];
+
+    /// Whether the flight ring keeps this kind: the scheduling decisions
+    /// and anomalies an incident bundle is read for.
+    #[inline]
+    pub fn coarse(self) -> bool {
+        matches!(
+            self,
+            SpanKind::Steal
+                | SpanKind::Donate
+                | SpanKind::Retry
+                | SpanKind::PartCrash
+                | SpanKind::PartFailed
+                | SpanKind::Failover
+                | SpanKind::Recovery
+                | SpanKind::ReplicaPush
+                | SpanKind::QueryAdmit
+                | SpanKind::QueryComplete
+                | SpanKind::ControlPoison
+                | SpanKind::DeadlineMiss
+                | SpanKind::SlowQuery
+                | SpanKind::Stall
+                | SpanKind::RebalanceDone
+        )
+    }
+
     /// Stable display name, used as the trace event name.
     pub fn name(self) -> &'static str {
         match self {
@@ -110,6 +202,13 @@ impl SpanKind {
             SpanKind::CtrlMsg => "ctrl_msg",
             SpanKind::CtrlRetry => "ctrl_retry",
             SpanKind::ReplicaPush => "replica_push",
+            SpanKind::QueryAdmit => "query_admit",
+            SpanKind::QueryComplete => "query_complete",
+            SpanKind::ControlPoison => "control_poison",
+            SpanKind::DeadlineMiss => "deadline_miss",
+            SpanKind::SlowQuery => "slow_query",
+            SpanKind::Stall => "stall",
+            SpanKind::RebalanceDone => "rebalance_done",
         }
     }
 
@@ -134,8 +233,15 @@ impl SpanKind {
             | SpanKind::Recovery
             | SpanKind::CtrlMsg
             | SpanKind::CtrlRetry
-            | SpanKind::ReplicaPush => 7,
+            | SpanKind::ControlPoison
+            | SpanKind::ReplicaPush
+            | SpanKind::RebalanceDone => 7,
             SpanKind::PostSend | SpanKind::PostRecv => 8,
+            SpanKind::QueryAdmit
+            | SpanKind::QueryComplete
+            | SpanKind::DeadlineMiss
+            | SpanKind::SlowQuery
+            | SpanKind::Stall => 9,
         }
     }
 
@@ -150,7 +256,8 @@ impl SpanKind {
             5 => "responder",
             6 => "scheduler",
             7 => "balance",
-            _ => "post",
+            8 => "post",
+            _ => "queries",
         }
     }
 }
@@ -197,43 +304,52 @@ impl Span {
 mod tests {
     use super::*;
 
-    const ALL: [SpanKind; 28] = [
-        SpanKind::SeedRoots,
-        SpanKind::Resolve,
-        SpanKind::BucketRound,
-        SpanKind::Fetch,
-        SpanKind::Extend,
-        SpanKind::ChunkRelease,
-        SpanKind::CacheLookup,
-        SpanKind::CacheInsert,
-        SpanKind::Serve,
-        SpanKind::Retry,
-        SpanKind::Fault,
-        SpanKind::SchedulerScan,
-        SpanKind::CacheGc,
-        SpanKind::Job,
-        SpanKind::Steal,
-        SpanKind::Donate,
-        SpanKind::Park,
-        SpanKind::Idle,
-        SpanKind::FetchIssue,
-        SpanKind::PostSend,
-        SpanKind::PostRecv,
-        SpanKind::PartCrash,
-        SpanKind::PartFailed,
-        SpanKind::Failover,
-        SpanKind::Recovery,
-        SpanKind::CtrlMsg,
-        SpanKind::CtrlRetry,
-        SpanKind::ReplicaPush,
-    ];
-
     #[test]
-    fn names_are_unique() {
-        let mut names: Vec<&str> = ALL.iter().map(|k| k.name()).collect();
+    fn names_are_unique_and_all_is_in_declaration_order() {
+        let mut names: Vec<&str> = SpanKind::ALL.iter().map(|k| k.name()).collect();
         names.sort_unstable();
         names.dedup();
-        assert_eq!(names.len(), ALL.len());
+        assert_eq!(names.len(), SpanKind::ALL.len());
+        for (i, k) in SpanKind::ALL.iter().enumerate() {
+            assert_eq!(*k as usize, i, "{k:?} out of place");
+        }
+    }
+
+    #[test]
+    fn the_coarse_kinds_cover_every_name_a_bundle_has_carried() {
+        // The flight ring's vocabulary before it became a view of this
+        // one: bundles written then must still name only coarse kinds.
+        let carried = [
+            "query_admit",
+            "query_complete",
+            "steal",
+            "donate",
+            "retry",
+            "failover",
+            "part_crash",
+            "recovery",
+            "control_poison",
+            "deadline_miss",
+            "slow_query",
+            "stall",
+            "replica_push",
+            "rebalance_done",
+        ];
+        let coarse: Vec<&str> =
+            SpanKind::ALL.iter().filter(|k| k.coarse()).map(|k| k.name()).collect();
+        for name in carried {
+            assert!(coarse.contains(&name), "{name} is not coarse");
+        }
+        for fine in [
+            SpanKind::FetchIssue,
+            SpanKind::ChunkRelease,
+            SpanKind::CacheLookup,
+            SpanKind::PostSend,
+            SpanKind::Fetch,
+            SpanKind::Extend,
+        ] {
+            assert!(!fine.coarse(), "{fine:?} would flood the flight ring");
+        }
     }
 
     #[test]
@@ -256,7 +372,7 @@ mod tests {
 
     #[test]
     fn every_lane_has_a_label() {
-        for k in ALL {
+        for k in SpanKind::ALL {
             assert!(!SpanKind::lane_name(k.lane()).is_empty());
         }
     }

@@ -1,6 +1,6 @@
 //! Chrome trace-event JSON exporter (`chrome://tracing` / Perfetto).
 
-use crate::span::{Span, SpanKind};
+use crate::span::{Span, SpanKind, NO_PART};
 use serde::Value;
 
 /// Renders `spans` as a Chrome trace-event JSON document.
@@ -27,7 +27,8 @@ pub fn chrome_trace(spans: &[Span]) -> String {
 
     let mut events = Vec::with_capacity(sorted.len() + parts.len() + lanes.len());
     for &part in &parts {
-        events.push(metadata_event("process_name", part, 0, Value::Str(format!("part {part}"))));
+        let name = if part == NO_PART { "engine".to_string() } else { format!("part {part}") };
+        events.push(metadata_event("process_name", part, 0, Value::Str(name)));
     }
     for &(part, lane) in &lanes {
         events.push(metadata_event(
