@@ -7,7 +7,7 @@
 //!
 //! Usage: `cargo run -p gpm-bench --release --bin table6_static_cache [--quick]`
 
-use gpm_bench::report::{fmt_bytes, fmt_duration, write_json, Table};
+use gpm_bench::report::{fmt_bytes, fmt_duration, write_stamped, Table};
 use gpm_bench::workloads::App;
 use gpm_bench::{build_dataset, Scale, PAPER_MACHINES};
 use gpm_graph::datasets::DatasetId;
@@ -89,7 +89,7 @@ fn main() {
     }
     println!("Table 6: Analyzing the Static Data Cache (k-GraphPi, {PAPER_MACHINES} machines)\n");
     table.print();
-    if let Ok(p) = write_json("table6_static_cache", &rows) {
+    if let Ok(p) = write_stamped("table6_static_cache", rows) {
         println!("\nwrote {}", p.display());
     }
 }

@@ -67,7 +67,7 @@ counters! {
     NumaBytes "numa_bytes" true "Bytes that crossed only a socket boundary";
     CacheHits "cache_hits" true "Edge-list cache hits";
     CacheMisses "cache_misses" true "Edge-list cache misses";
-    Coalesced "coalesced_requests" true "Duplicate pending lists absorbed by a chunk's share table";
+    Coalesced "coalesced_requests" true "Lists a share table kept off the wire: sharers and held children";
     Retries "retries" true "Fetch attempts beyond the first";
     ReroutedRequests "rerouted_requests" true "Fetches rerouted to a replica after a part death";
     ReroutedBytes "rerouted_bytes" true "Bytes of fetches rerouted to a replica";

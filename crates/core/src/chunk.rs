@@ -92,12 +92,19 @@ pub(crate) struct Resume {
 /// roots pays for sixteen slots, not for the table — and a slot is the
 /// eight bytes it has to be: a pooled table ends up wholly resident, so
 /// its size is what a warm part holds per chunk.
+///
+/// Once the fill is resolved, the table serves the level below too: a
+/// child whose vertex a claimant holds, fetched at or below the child's
+/// own bound, reads the claimant's list ([`ShareTable::holder`]).
 #[derive(Debug, Default)]
 pub(crate) struct ShareTable {
     slots: Vec<ShareSlot>,
     mask: usize,
     /// Indices of the slots written since the last reset.
     written: Vec<u32>,
+    /// By claimant's embedding: the lowest bound among its readers, plus
+    /// one (0: the whole list). Grows with the fills, not the table.
+    above1: Vec<VertexId>,
 }
 
 #[derive(Debug, Clone, Copy, Default)]
@@ -106,6 +113,10 @@ struct ShareSlot {
     /// Index of the claiming embedding plus one; 0 marks a free slot,
     /// so a zeroed table is an empty one.
     emb1: u32,
+}
+
+fn plus_one(above: Option<VertexId>) -> VertexId {
+    above.map_or(0, |b| b + 1)
 }
 
 impl ShareTable {
@@ -146,6 +157,10 @@ impl ShareTable {
             if slot.emb1 == 0 {
                 *slot = ShareSlot { vertex: v, emb1: i as u32 + 1 };
                 self.written.push(index as u32);
+                if self.above1.len() < embs.len() {
+                    self.above1.resize(embs.len(), 0);
+                }
+                self.above1[i] = plus_one(above);
                 return false;
             }
             if slot.vertex == v {
@@ -154,11 +169,33 @@ impl ShareTable {
                     ListRef::Pending(kept) => *kept = (*kept).min(above),
                     other => unreachable!("a claimant waits until its fill resolves: {other:?}"),
                 }
+                let kept = &mut self.above1[first as usize];
+                *kept = (*kept).min(plus_one(above));
                 embs[i].list = ListRef::Peer(first);
                 return true;
             }
             index = (index + 1) & self.mask;
         }
+    }
+
+    /// The claimant of `v` in the fill `embs`, if its list is fetched,
+    /// with the bound it was fetched above (`None`: whole). Never inserts.
+    /// The table is reset when its chunk's next fill resolves, so a slot
+    /// counts only if it names an embedding of `v` this fill fetched.
+    #[inline]
+    pub fn holder(&self, embs: &[Emb], v: VertexId, hash: u64) -> Option<(u32, Option<VertexId>)> {
+        let mut index = hash as usize & self.mask;
+        while let Some(slot) = self.slots.get(index).filter(|slot| slot.emb1 != 0) {
+            if slot.vertex == v {
+                let j = slot.emb1 - 1;
+                let e = embs.get(j as usize)?;
+                let fetched = matches!(e.list, ListRef::Fetched { .. } | ListRef::Hot(_));
+                let above = self.above1[j as usize].checked_sub(1);
+                return (e.vertex == v && fetched).then_some((j, above));
+            }
+            index = (index + 1) & self.mask;
+        }
+        None
     }
 }
 
@@ -331,11 +368,14 @@ pub(crate) enum PushOutcome {
     Partial(usize),
 }
 
-/// A child embedding staged for pushing: `(vertex, raw candidate index)`.
+/// A child embedding staged for pushing or for a walk in place: `(vertex,
+/// raw candidate index)`, and where a walked child's list lives: the
+/// embedding of the parent's chunk that holds it, or (`None`) the part.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct StagedChild {
     pub vertex: VertexId,
     pub raw_index: u32,
+    pub held: Option<u32>,
 }
 
 impl Chunk {
@@ -378,7 +418,7 @@ mod tests {
     fn staged(vs: &[VertexId]) -> Vec<StagedChild> {
         vs.iter()
             .enumerate()
-            .map(|(i, &v)| StagedChild { vertex: v, raw_index: i as u32 })
+            .map(|(i, &v)| StagedChild { vertex: v, raw_index: i as u32, held: None })
             .collect()
     }
 
@@ -565,6 +605,45 @@ mod tests {
             assert!(!share(&mut t, &mut again, i), "stale entry for {i} survived reset");
         }
         assert!(std::mem::size_of::<ShareSlot>() <= 8);
+    }
+
+    #[test]
+    fn holder_names_a_resolved_claimant_of_this_fill_with_its_lowest_bound() {
+        let holder = |t: &ShareTable, embs: &[Emb], v: VertexId| {
+            t.holder(embs, v, gpm_graph::partition::vertex_hash(v))
+        };
+        let mut t = ShareTable::default();
+        let mut embs = vec![
+            pending(42, Some(30)),
+            pending(42, Some(10)),
+            pending(7, None),
+            pending(9, Some(3)),
+        ];
+        assert_eq!(holder(&t, &embs, 42), None, "a table never reset holds nothing");
+        t.reset(8);
+        assert_eq!(holder(&t, &embs, 42), None, "an empty table holds nothing");
+        for i in 0..embs.len() {
+            share(&mut t, &mut embs, i);
+        }
+        assert_eq!(holder(&t, &embs, 42), None, "a claimant still waiting holds nothing");
+        // The fill resolves; each claimant's list is fetched, cold or hot.
+        let fetched = ListRef::Fetched { seg: 0, start: 0, len: 1 };
+        embs[0].list = fetched;
+        embs[2].list = fetched;
+        embs[3].list = ListRef::Hot(0);
+        assert_eq!(holder(&t, &embs, 42), Some((0, Some(10))), "the sharer lowered the bound");
+        assert_eq!(holder(&t, &embs, 7), Some((2, None)));
+        assert_eq!(holder(&t, &embs, 9), Some((3, Some(3))));
+        assert_eq!(holder(&t, &embs, 8), None, "never claimed");
+        // The chunk is released and refilled, and the table waits for the
+        // next fill's resolve to be reset: its slots name an embedding of
+        // another vertex, one whose list this fill did not fetch, and one
+        // past the fill's end. None of them holds anything.
+        let owned = Emb { list: ListRef::Local, ..pending(7, None) };
+        let next = [Emb { list: fetched, ..pending(5, None) }, pending(6, None), owned];
+        for v in [42, 7, 9] {
+            assert_eq!(holder(&t, &next, v), None, "{v}: a slot left by an earlier fill");
+        }
     }
 
     #[test]

@@ -16,12 +16,15 @@
 use crate::chunk::{Chunk, Emb, ListRef, PushOutcome, Resume, StagedChild};
 use crate::runtime::{PartCtx, PartRun};
 use crate::scheduler::{Task, TaskPool};
+use gpm_cluster::Counter;
+use gpm_graph::partition::vertex_hash;
 use gpm_graph::set_ops::Bits;
 use gpm_graph::{Label, VertexId};
 use gpm_obs::{Metric, SpanKind};
 use gpm_pattern::interp::{self, DataSource, Walk};
 use gpm_pattern::MAX_PATTERN_VERTICES;
 use parking_lot::Mutex;
+use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -59,6 +62,7 @@ impl PartRun<'_> {
         let full = AtomicBool::new(false);
         let new_resumes: Mutex<Vec<Resume>> = Mutex::new(Vec::new());
         let counter = AtomicU64::new(0);
+        let held = AtomicU64::new(0);
         let threads = self.ctx.cfg.compute_threads.max(1);
         let mini_batch = self.ctx.cfg.mini_batch.max(1);
 
@@ -67,11 +71,11 @@ impl PartRun<'_> {
             + total.saturating_sub(start_cursor);
         // A mini-batch is sized for embeddings that cost one extension
         // each. Where more than one plan level runs under an embedding —
-        // the walk below the bottom chunk, owned children walked in place
-        // one chunk above it — it stands for a subtree, and a handful of
-        // them (a stolen batch of hub roots) is already a phase worth
-        // sharing: such a phase is cut into about eight tasks a worker,
-        // however few embeddings that makes a task.
+        // the walk below the bottom chunk, owned and held children walked
+        // in place one chunk above it — it stands for a subtree, and a
+        // handful of them (a stolen batch of hub roots) is already a phase
+        // worth sharing: such a phase is cut into about eight tasks a
+        // worker, however few embeddings that makes a task.
         let subtrees = cur + 1 >= self.last && self.ctx.plan.levels().len() - cur > 1;
         let mini = if subtrees {
             (pending_work / (threads * 8)).clamp(1, mini_batch) as u32
@@ -100,6 +104,7 @@ impl PartRun<'_> {
                 full: &full,
                 new_resumes: &new_resumes,
                 counter: &counter,
+                held: &held,
                 scratch: &self.workers,
             };
             match &self.ctx.gate {
@@ -153,6 +158,13 @@ impl PartRun<'_> {
         }
         self.obs.span(SpanKind::Extend, ets, grown as u64);
         self.count += counter.load(Ordering::SeqCst);
+        // A held child's list stayed off the wire, as a sharer's does.
+        let held = held.into_inner();
+        if held > 0 {
+            self.ctx.client.scope().add(Counter::Coalesced, held);
+            #[cfg(test)]
+            self.ctx.pool.held.fetch_add(held, Ordering::Relaxed);
+        }
         self.compute += t0.elapsed();
     }
 }
@@ -172,6 +184,8 @@ struct Worker<'a, 'c, 'e> {
     full: &'a AtomicBool,
     new_resumes: &'a Mutex<Vec<Resume>>,
     counter: &'a AtomicU64,
+    /// Children walked on a list their parent's fill holds.
+    held: &'a AtomicU64,
     /// The run's per-worker scratch, by worker index.
     scratch: &'a [Mutex<Scratch>],
 }
@@ -232,6 +246,7 @@ impl Worker<'_, '_, '_> {
             }
         }
         self.counter.fetch_add(local_count, Ordering::Relaxed);
+        self.held.fetch_add(std::mem::take(&mut scratch.held), Ordering::Relaxed);
     }
 
     /// Extends one embedding from raw-candidate offset `from`. Returns
@@ -247,8 +262,14 @@ impl Worker<'_, '_, '_> {
         let (ctx, cur) = (self.ctx, self.cur);
         let plan = ctx.plan;
         let vertices = ctx.part.vertex_count();
-        let mut lists =
-            Lists { ctx, read: self.read, chain: [0; MAX_PATTERN_VERTICES], depth: cur, vertices };
+        let mut lists = Lists {
+            ctx,
+            read: self.read,
+            chain: [0; MAX_PATTERN_VERTICES],
+            depth: cur,
+            vertices,
+            child: Cell::new(None),
+        };
         let mut matched = [0 as VertexId; MAX_PATTERN_VERTICES];
         ancestor_chain(self.read, cur, emb, &mut matched, &mut lists.chain);
         // The intermediate the level above stored for this embedding, in
@@ -278,26 +299,29 @@ impl Worker<'_, '_, '_> {
         // window, so `from` indexes it as it did before the pause.
         let raw = lp.candidates(&matched, |p| lists.side(p, matched[p]), stored, tmp, buf);
         // A child whose list has to be fetched is parked in the next
-        // chunk. One whose list this part owns has nothing to wait for —
-        // when the next chunk is the bottom of the stack it holds
-        // everything the rest of the plan reads, and is walked here, with
-        // this level's raw set (in scratch, or where its list lives) as
-        // its stored intermediate.
+        // chunk. One with nothing to wait for — its list is this part's,
+        // or held: fetched by its parent's own fill, cut no higher than
+        // the child's bound — is, when the next chunk is the bottom of the
+        // stack, walked here, with this level's raw set (in scratch, or
+        // where its list lives) as its stored intermediate.
         let in_place = cur + 1 == self.last;
+        let holds = in_place && ctx.cfg.horizontal_sharing;
         scratch.parked.clear();
-        scratch.owned.clear();
+        scratch.walked.clear();
         for (i, &cand) in raw.iter().enumerate().skip(from as usize) {
             if interp::passes_residual(&lists, lp, &matched, cand) {
-                let child = StagedChild { vertex: cand, raw_index: i as u32 };
+                let child = StagedChild { vertex: cand, raw_index: i as u32, held: None };
                 if in_place && ctx.part.edge_list(cand).is_some() {
-                    scratch.owned.push(child);
+                    scratch.walked.push(child);
+                } else if let Some(j) = holds.then(|| self.holder(&matched, cand)).flatten() {
+                    scratch.walked.push(StagedChild { held: Some(j), ..child });
                 } else {
                     scratch.parked.push(child);
                 }
             }
         }
         // Park first: where the push stops is where this embedding
-        // resumes, so only the owned children before that point are
+        // resumes, so only the walked children before that point are
         // walked now. Those past it are staged again on resume, with the
         // parked ones they sit between — each child is handled once.
         let paused_at = if scratch.parked.is_empty() {
@@ -321,12 +345,15 @@ impl Worker<'_, '_, '_> {
                 PushOutcome::Partial(n) => Some(scratch.parked[n].raw_index),
             }
         };
-        let walk_now = paused_at.map_or(scratch.owned.len(), |at| {
-            scratch.owned.partition_point(|child| child.raw_index < at)
+        let walk_now = paused_at.map_or(scratch.walked.len(), |at| {
+            scratch.walked.partition_point(|child| child.raw_index < at)
         });
         if walk_now > 0 {
+            let walked = &scratch.walked[..walk_now];
+            scratch.held += walked.iter().filter(|child| child.held.is_some()).count() as u64;
             *local_count += self.walk(&lists, matched, |walk| {
-                for child in &scratch.owned[..walk_now] {
+                for child in walked {
+                    lists.child.set(child.held);
                     walk.matched[cur + 1] = child.vertex;
                     if !walk.descend(cur + 1, raw, deeper, tmp) {
                         break;
@@ -335,6 +362,15 @@ impl Worker<'_, '_, '_> {
             });
         }
         paused_at
+    }
+
+    /// The embedding of the parent's fill holding `child`'s list, cut no
+    /// higher than the child's own bound (`None`, whole, is the lowest).
+    fn holder(&self, matched: &[VertexId], child: VertexId) -> Option<u32> {
+        let chunk = &self.read[self.cur];
+        let (j, above) = chunk.share.holder(&chunk.embs, child, vertex_hash(child))?;
+        let wants = self.ctx.plan.fetch_bound(self.cur + 1).above(&matched[..=self.cur], child);
+        (above <= wants).then_some(j)
     }
 
     /// Runs `body` on a depth-first walk below the prefix `matched`, and
@@ -370,14 +406,16 @@ pub(crate) struct Scratch {
     bufs: interp::Buffers,
     /// Children of the embedding being extended that wait for a fetch.
     parked: Vec<StagedChild>,
-    /// Its children this part owns, walked in place.
-    owned: Vec<StagedChild>,
+    /// Its children walked in place: owned, or held by the parent's fill.
+    walked: Vec<StagedChild>,
+    /// Held children walked since the phase began.
+    held: u64,
 }
 
 /// Where an embedding's data lives (vertical data reuse, §5.1): each
 /// ancestor's list where resolve put it, reached through the parent chain
 /// walked once by [`ancestor_chain`]. A position below the parked
-/// embedding is a child being walked in place, which this part owns.
+/// embedding is the child walked in place: owned, or held in its chunk.
 ///
 /// A hot list's bitmap comes from whichever of the three places a list
 /// lives holds it: the part, for its own lists; the cache entry the list
@@ -391,6 +429,9 @@ struct Lists<'a, 'e> {
     depth: usize,
     /// `|V|`, which the hot rule compares each list's length with.
     vertices: usize,
+    /// The embedding of chunk `depth` holding the list of the child
+    /// walked in place; `None` while that list is this part's.
+    child: Cell<Option<u32>>,
 }
 
 impl DataSource for Lists<'_, '_> {
@@ -430,15 +471,18 @@ impl DataSource for Lists<'_, '_> {
 }
 
 impl Lists<'_, '_> {
-    /// The chunk and the ancestor that hold the list matched at `pos`;
-    /// `None` below the parked embedding, where a child walked in place
-    /// reads its own list.
+    /// The chunk and the embedding that hold the list matched at `pos`:
+    /// an ancestor, or below the parked embedding the child's holder;
+    /// `None` where a child walked in place reads the part's list.
     #[inline]
     fn held(&self, pos: usize) -> Option<(&Chunk, &Emb)> {
-        (pos <= self.depth).then(|| {
-            let chunk = &self.read[pos];
-            (chunk, &chunk.embs[self.chain[pos] as usize])
-        })
+        let (level, e) = if pos <= self.depth {
+            (pos, self.chain[pos])
+        } else {
+            (self.depth, self.child.get()?)
+        };
+        let chunk = &self.read[level];
+        Some((chunk, &chunk.embs[e as usize]))
     }
 
     /// Where the list at `pos` lives: 0 owned, 1 cached, 2 fetched.
@@ -519,6 +563,7 @@ mod tests {
     use gpm_pattern::plan::{MatchingPlan, PlanOptions};
     use gpm_pattern::{interp, oracle, Pattern};
     use parking_lot::Mutex;
+    use std::sync::atomic::Ordering;
 
     fn plan(p: &Pattern) -> MatchingPlan {
         MatchingPlan::compile(p, &PlanOptions::automine()).unwrap()
@@ -616,6 +661,90 @@ mod tests {
                     assert_eq!(count, expect, "{what}");
                     assert!(seen == want, "{what}: the visited multiset differs");
                     engine.shutdown();
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn held_children_are_walked_in_place_exactly() {
+        // A child whose list its parent's own fill fetched is walked on
+        // that list, not parked, wherever the share table is on. Over the
+        // service patterns and the 4- and 5-cliques (whose bounds cut
+        // every fetched list), on a BA and an R-MAT graph, 2 and 3 parts,
+        // chunks of 3 (every parent pauses among walked and parked
+        // children), 64 and the default, one and two compute threads, with
+        // and without the share table, no cache and a static one from
+        // degree 16: the count is the oracle's, the visited multiset the
+        // interpreter's, and children were held exactly where the table
+        // was on.
+        use crate::cache::CacheConfig;
+        let graphs = [gen::barabasi_albert(40, 3, 29), gen::rmat(6, 5, (0.57, 0.19, 0.19), 3)];
+        let patterns = [
+            Pattern::triangle(),
+            Pattern::clique(4),
+            Pattern::path(4),
+            Pattern::cycle(4),
+            Pattern::star(4),
+            Pattern::diamond(),
+            Pattern::house(),
+            Pattern::clique(5),
+        ];
+        for g in &graphs {
+            let plans: Vec<_> = patterns
+                .iter()
+                .map(|p| {
+                    let plan = plan(p);
+                    let mut want = Vec::new();
+                    interp::enumerate_embeddings(g, &plan, |m| want.push(m.to_vec()));
+                    want.sort_unstable();
+                    assert_eq!(want.len() as u64, oracle::count_subgraphs(g, p, false), "{p}");
+                    (plan, want)
+                })
+                .collect();
+            for parts in [2, 3] {
+                for chunk_capacity in [3, 64, EngineConfig::default().chunk_capacity] {
+                    for compute_threads in [1, 2] {
+                        for horizontal_sharing in [true, false] {
+                            for cache in [
+                                CacheConfig::disabled(),
+                                CacheConfig { degree_threshold: 16, ..CacheConfig::default() },
+                            ] {
+                                let what = format!(
+                                    "{} vertices, {parts} parts, chunk {chunk_capacity}, \
+                                     {compute_threads} thread(s), sharing {horizontal_sharing}, \
+                                     {:?}",
+                                    g.vertex_count(),
+                                    cache.policy
+                                );
+                                let engine = Engine::new(
+                                    PartitionedGraph::new(g, parts, 1),
+                                    EngineConfig {
+                                        chunk_capacity,
+                                        compute_threads,
+                                        horizontal_sharing,
+                                        cache,
+                                        ..Default::default()
+                                    },
+                                );
+                                for (plan, want) in &plans {
+                                    let what = format!("{what}\n{}", plan.describe());
+                                    let expect = want.len() as u64;
+                                    assert_eq!(engine.count(plan).count, expect, "{what}");
+                                    let (count, seen) = visited(&engine, plan);
+                                    assert_eq!(count, expect, "{what}");
+                                    assert!(seen == *want, "visited multiset differs: {what}");
+                                }
+                                let held: u64 = engine
+                                    .run_pools
+                                    .iter()
+                                    .map(|pool| pool.held.load(Ordering::Relaxed))
+                                    .sum();
+                                assert_eq!(held > 0, horizontal_sharing, "{held} held: {what}");
+                                engine.shutdown();
+                            }
+                        }
+                    }
                 }
             }
         }

@@ -127,6 +127,9 @@ pub(crate) struct StatePool {
     /// owned, cached, fetched.
     #[cfg(test)]
     bitmaps: [std::sync::atomic::AtomicU64; 3],
+    /// Children the part's walks read from a list their parent's fill held.
+    #[cfg(test)]
+    pub(crate) held: std::sync::atomic::AtomicU64,
 }
 
 impl StatePool {
