@@ -1,21 +1,7 @@
 //! `gpm` — command-line pattern mining over the simulated cluster.
 //!
-//! ```text
-//! Usage: gpm [OPTIONS]
-//!
-//!   --graph <path>        load a SNAP text (or .bin) edge list
-//!   --gen <spec>          or generate: ba:N,M[,SEED] | er:N,M[,SEED] |
-//!                         rmat:SCALE,EF[,SEED] | dataset:ABBR
-//!   --pattern <spec>      triangle | clique:K | path:K | cycle:K |
-//!                         star:K | house | diamond | edges:0-1,1-2,...
-//!   --system <name>       khuzdul-automine (default) | khuzdul-graphpi |
-//!                         gthinker | replicated | ctd | single
-//!   --machines <N>        simulated machines (default 4)
-//!   --sockets <S>         NUMA sockets per machine (default 1)
-//!   --threads <T>         compute threads per part (default 2)
-//!   --induced             induced (exact) matching
-//!   --quiet               print only the count
-//! ```
+//! `gpm --help` prints every flag, grouped by the subcommands that take
+//! it (the text is `USAGE` in `gpm_apps::cli`).
 //!
 //! Example: `gpm --gen ba:20000,8 --pattern clique:4 --machines 8`
 

@@ -2,7 +2,9 @@
 //! graph/pattern specification grammar, and run reporting.
 //!
 //! Kept as a library module so the grammar is unit-testable; the `gpm`
-//! binary is a thin wrapper over [`run`].
+//! binary is a thin wrapper over [`run`]. Every subcommand that mines or
+//! loads a graph parses one [`Cluster`] config; `gpm --help` prints the
+//! flags, grouped by the subcommands that take them.
 
 use gpm_baselines::ctd::CtdCluster;
 use gpm_baselines::gthinker::{GThinker, GThinkerConfig};
@@ -14,7 +16,7 @@ use gpm_graph::{gen, Graph};
 use gpm_obs::json::{field, num, seq, text, uint};
 use gpm_obs::{DiffThresholds, Recorder, RunReport, REPORT_SCHEMA_VERSION};
 use gpm_pattern::plan::{MatchingPlan, PlanOptions};
-use gpm_pattern::Pattern;
+use gpm_pattern::{Pattern, MAX_PATTERN_VERTICES};
 use khuzdul::{
     ControlConfig, ControlMode, CrashAt, Engine, EngineConfig, FabricConfig, FaultPlan,
     IncidentConfig, MiningService, ObsConfig, RebalanceConfig, RetryPolicy, RunStats,
@@ -25,95 +27,302 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Parsed command line.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Options {
-    /// Where the graph comes from.
-    pub graph: GraphSource,
-    /// The pattern to mine.
-    pub pattern: Pattern,
-    /// Which system runs it.
-    pub system: System,
-    /// Simulated machines.
-    pub machines: usize,
-    /// NUMA sockets per machine.
-    pub sockets: usize,
-    /// Compute threads per part.
-    pub threads: usize,
-    /// Induced matching.
-    pub induced: bool,
-    /// Print only the count.
-    pub quiet: bool,
-    /// Per-part in-flight request window of the fetch fabric (1 =
-    /// fully serialized transfers, the pre-fabric behaviour).
-    pub window: usize,
-    /// Maximum fetch attempts before a request times out.
-    pub retries: u32,
-    /// Fraction of fetch replies to drop (fault injection; 0 = off).
-    pub fault_drop: f64,
-    /// Scheduled fail-stop crashes: kill part PART after AFTER requests
-    /// (`--fault-crash PART@AFTER`, repeatable for chained failures;
-    /// Khuzdul systems only).
-    pub fault_crash: Vec<(usize, u64)>,
-    /// Edge-list replication factor (`--replication N`); with N >= 2 the
-    /// engine survives a single fail-stop part failure.
-    pub replication: usize,
-    /// Declare a part dead as soon as its retry budget is exhausted
-    /// instead of surfacing a timeout (`--fail-fast`).
-    pub fail_fast: bool,
-    /// Write a Chrome trace-event JSON file here (enables tracing).
-    pub trace_out: Option<String>,
-    /// Write a versioned `RunReport` JSON file here (enables tracing).
-    pub report_out: Option<String>,
-    /// Cross-part work stealing (Khuzdul systems only). The CLI defaults
-    /// it on — interactive runs want the balance — while the library
-    /// default stays off for deterministic traffic comparisons.
-    pub steal: bool,
-    /// Smallest root grant under stealing (`--steal-batch`): the ledger
-    /// hands out larger ones while a source holds plenty, never more
-    /// than a chunk's worth.
-    pub steal_batch: usize,
-    /// Which carrier coordinates cross-part claims and steals
-    /// (`--control shared|msg`; Khuzdul systems only). `shared` is the
-    /// in-process atomic ledger, `msg` routes every claim, donation,
-    /// retirement, and quiescence vote as typed control messages over
-    /// the same fabric that moves edge lists.
-    pub control: ControlMode,
-    /// Capture incident bundles — crash, deadline-miss, and stall
-    /// post-mortems — into this directory (`--incident-dir`; Khuzdul
-    /// systems only). Inspect them with `gpm incident list|show|diff`.
-    pub incident_dir: Option<String>,
-    /// Arm the stall watchdog: a run whose root claims and retirements
-    /// stay flat this long dumps a bundle of the wedged state (`--stall-ms`;
-    /// needs `--incident-dir`).
-    pub stall_ms: Option<u64>,
-    /// Fraction of *control-plane* replies to drop
-    /// (`--control-fault-drop`; needs `--control msg`). Separate from
-    /// `--fault-drop`, which only touches data fetches — dropping every
-    /// claim reply is how you wedge the scheduler on purpose.
-    pub control_fault_drop: f64,
-    /// Background re-replication after a part death (`--rebalance
-    /// on|off`; Khuzdul systems only, engages with `--replication >= 2`).
-    /// On by default: a crashed part's slices are streamed to new
-    /// holders so a later crash of a different part still resolves
-    /// exactly. `off` reproduces the static-replica envelope, where the
-    /// replication factor bounds the total deaths a run survives.
-    pub rebalance: bool,
+/// `gpm --help`. A header names the subcommands that take the flags
+/// below it, before its colon.
+const USAGE: &str = "\
+usage: gpm [SUBCOMMAND] [FLAGS]   (no SUBCOMMAND runs count; -h or --help prints this)
+
+count, serve, motifs, fsm, stats: the graph
+  --graph PATH              load a SNAP text (or .bin) edge list
+  --gen SPEC                or generate: ba|er:N,M[,SEED] | rmat:SCALE,EF[,SEED] | dataset:ABBR
+count, serve, motifs, fsm: the cluster (baselines read the first three)
+  --machines N              simulated machines (default 4)
+  --sockets N               NUMA sockets per machine (default 1)
+  --threads N               compute threads per part (default 2)
+  --replication N           each part also hosts its N-1 successors' slices (default 1)
+  --window N                in-flight fetches per part (default 4)
+  --retries N               attempts before a fetch times out (default 4)
+  --fault-drop F            drop this fraction of fetch replies
+  --fault-crash PART@AFTER  kill PART once AFTER requests targeted it; repeatable
+  --fail-fast               a part that exhausts its retries is dead
+  --steal on|off            cross-part work stealing (default on)
+  --steal-batch N           smallest root grant under stealing (default 256)
+  --control shared|msg      how claims and steals reach the ledger (default shared)
+  --control-fault-drop F    drop this fraction of control replies (needs --control msg)
+  --rebalance on|off        restore lost replicas after a death (default on)
+  --incident-dir DIR        capture crash, deadline and stall bundles here
+  --stall-ms MS             bundle a run whose claims stay flat this long (needs --incident-dir)
+count, serve: output
+  --quiet                   print only the counts
+  --report-out FILE         write a RunReport JSON (arms tracing)
+count: mine one pattern
+  --pattern SPEC            triangle | clique:K | path:K | cycle:K | star:K | house |
+                            diamond | tailed-triangle | edges:0-1,1-2,...
+  --system NAME             khuzdul-automine (default) | khuzdul-graphpi | gthinker |
+                            replicated | ctd | single
+  --induced                 induced matching
+  --trace-out FILE          write a Chrome trace JSON (arms tracing)
+serve: replay a workload file on one resident engine
+  --queries FILE            one pattern SPEC per line, then `induced` or `graphpi`
+  --max-concurrent N        queries running at once (default 2)
+  --root-budget N           roots a query claims before yielding its turn (default 4096)
+  --memo-capacity N         results kept for duplicate queries (default 256)
+  --slow-query-ms MS        log every query slower than this
+  --status-addr ADDR        serve /status, /metrics and /quit here
+  --status-linger-ms MS     keep that endpoint up this long after the workload
+motifs: induced k-motif census
+  --k K                     motif size (default 3)
+fsm: frequent subgraph mining
+  --threshold N             minimum support (default 100)
+  --max-edges N             largest pattern, in edges (default 3)
+  --labels N                random labels for an unlabeled graph (default 3)
+top ADDR: live view of a serve status endpoint
+  --watch SECS              a frame every SECS
+  --frames N                stop after N frames (needs --watch)
+report diff BASELINE CANDIDATE: the regression gate over two RunReports
+  --traffic-rel F           relative traffic headroom
+  --traffic-abs B           absolute traffic headroom, bytes
+  --hit-rate-abs F          cache hit-rate headroom
+  --imbalance-abs F         busy-imbalance headroom
+  --frac-rel F              relative critical-path fraction headroom
+  --frac-abs F              absolute critical-path fraction headroom
+report-validate FILE, metrics-validate FILE, incident list DIR|show FILE|diff A B
+";
+
+/// An argument list walked flag by flag: [`Args::value`] pulls the value
+/// of the flag [`Args::flag`] last returned.
+struct Args<'a> {
+    rest: std::slice::Iter<'a, String>,
+    flag: &'a str,
 }
 
-/// Graph source.
+impl<'a> Args<'a> {
+    fn new(args: &'a [String]) -> Self {
+        Args { rest: args.iter(), flag: "" }
+    }
+
+    fn flag(&mut self) -> Option<&'a str> {
+        self.flag = self.rest.next()?;
+        Some(self.flag)
+    }
+
+    fn value(&mut self) -> Result<&'a str, String> {
+        self.rest.next().map(String::as_str).ok_or_else(|| format!("{} needs a value", self.flag))
+    }
+
+    fn num(&mut self) -> Result<usize, String> {
+        parse_num(self.value()?)
+    }
+
+    fn switch(&mut self) -> Result<bool, String> {
+        match self.value()? {
+            "on" => Ok(true),
+            "off" => Ok(false),
+            other => Err(format!("{} takes on|off, not '{other}'", self.flag)),
+        }
+    }
+}
+
+/// The cluster a subcommand mines on: where the graph comes from, every
+/// flag that shapes the partition or the [`Engine`], and the two output
+/// flags `count` and `serve` share. Each field is the flag of its name,
+/// described in [`USAGE`]; `Default` is all zeros, [`Cluster::parse`]
+/// starts from the CLI's defaults.
+#[derive(Debug, Clone, Default, PartialEq)]
+struct Cluster {
+    graph: Option<GraphSource>,
+    machines: usize,
+    sockets: usize,
+    threads: usize,
+    replication: usize,
+    window: usize,
+    retries: u32,
+    fault_drop: f64,
+    /// `(part, after_requests)`, in flag order.
+    fault_crash: Vec<(usize, u64)>,
+    fail_fast: bool,
+    /// On here, where interactive runs want the balance; the library keeps
+    /// it off for deterministic traffic.
+    steal: bool,
+    steal_batch: usize,
+    control: ControlMode,
+    control_fault_drop: f64,
+    rebalance: bool,
+    incident_dir: Option<String>,
+    stall_ms: Option<u64>,
+    quiet: bool,
+    report_out: Option<String>,
+}
+
+impl Cluster {
+    /// Parses `args`, offering each flag to `own` (the calling
+    /// subcommand's few flags) and the rest to [`Cluster::accept`], then
+    /// validates the result and clamps its zero counts to one.
+    fn parse(
+        args: &[String],
+        mut own: impl FnMut(&str, &mut Args) -> Result<bool, String>,
+    ) -> Result<Cluster, String> {
+        let fabric = FabricConfig::default();
+        let mut c = Cluster {
+            machines: 4,
+            sockets: 1,
+            threads: 2,
+            replication: 1,
+            window: fabric.window,
+            retries: fabric.retry.max_attempts,
+            steal: true,
+            steal_batch: StealConfig::default().batch,
+            rebalance: true,
+            ..Cluster::default()
+        };
+        let mut args = Args::new(args);
+        while let Some(flag) = args.flag() {
+            if !own(flag, &mut args)? && !c.accept(flag, &mut args)? {
+                return Err(format!("unknown flag '{flag}'"));
+            }
+        }
+        if c.graph.is_none() {
+            return Err("one of --graph or --gen is required".into());
+        }
+        if c.control_fault_drop > 0.0 && c.control != ControlMode::Msg {
+            return Err("--control-fault-drop needs --control msg (shared has no wire)".into());
+        }
+        let counts = [&mut c.machines, &mut c.sockets, &mut c.threads, &mut c.replication];
+        for n in counts.into_iter().chain([&mut c.window, &mut c.steal_batch]) {
+            *n = (*n).max(1);
+        }
+        c.retries = c.retries.max(1);
+        let parts = c.machines * c.sockets;
+        if let Some((part, after)) = c.fault_crash.iter().find(|&&(part, _)| part >= parts) {
+            return Err(format!(
+                "--fault-crash {part}@{after}: part {part} is out of range \
+                 (parts are numbered below machines x sockets = {parts})"
+            ));
+        }
+        Ok(c)
+    }
+
+    /// Takes `flag`, pulling its value from `args`, if it is one of the
+    /// cluster's; `Ok(false)` if it is not.
+    fn accept(&mut self, flag: &str, args: &mut Args) -> Result<bool, String> {
+        match flag {
+            "--graph" => self.graph = Some(GraphSource::Path(args.value()?.into())),
+            "--gen" => self.graph = Some(GraphSource::Spec(args.value()?.into())),
+            "--machines" => self.machines = args.num()?,
+            "--sockets" => self.sockets = args.num()?,
+            "--threads" => self.threads = args.num()?,
+            "--replication" => self.replication = args.num()?,
+            "--window" => self.window = args.num()?,
+            "--retries" => {
+                let v = args.value()?;
+                self.retries = parse_num(v)?.try_into().map_err(|_| {
+                    format!("--retries takes at most {} attempts, not {v}", u32::MAX)
+                })?
+            }
+            "--fault-drop" => self.fault_drop = parse_fraction(args.value()?)?,
+            "--fault-crash" => self.fault_crash.push(parse_crash(args.value()?)?),
+            "--fail-fast" => self.fail_fast = true,
+            "--steal" => self.steal = args.switch()?,
+            "--steal-batch" => self.steal_batch = args.num()?,
+            "--control" => {
+                self.control = match args.value()? {
+                    "shared" => ControlMode::Shared,
+                    "msg" => ControlMode::Msg,
+                    other => return Err(format!("--control takes shared|msg, not '{other}'")),
+                }
+            }
+            "--control-fault-drop" => self.control_fault_drop = parse_fraction(args.value()?)?,
+            "--rebalance" => self.rebalance = args.switch()?,
+            "--incident-dir" => self.incident_dir = Some(args.value()?.into()),
+            "--stall-ms" => self.stall_ms = Some(args.num()? as u64),
+            "--quiet" => self.quiet = true,
+            "--report-out" => self.report_out = Some(args.value()?.into()),
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+
+    fn graph(&self) -> Result<Graph, String> {
+        match self.graph.as_ref().expect("Cluster::parse requires a graph") {
+            GraphSource::Path(p) => gpm_graph::io::load_graph(p).map_err(|e| e.to_string()),
+            GraphSource::Spec(s) => parse_gen(s),
+        }
+    }
+
+    /// The Khuzdul engine over `graph` that this config describes.
+    fn engine(&self, graph: &Graph, obs: ObsConfig) -> Engine {
+        // A dropped reply, or a request a crashed part abandoned, resolves
+        // only by timeout: under injected faults the generous default would
+        // crawl (or hold a wedge for minutes), so either plane tightens it.
+        let tight = RetryPolicy {
+            max_attempts: self.retries,
+            timeout: Duration::from_millis(25),
+            backoff: Duration::from_millis(1),
+        };
+        let mut fabric =
+            FabricConfig { window: self.window, fail_fast: self.fail_fast, ..Default::default() };
+        fabric.retry.max_attempts = self.retries;
+        if self.fault_drop > 0.0 || !self.fault_crash.is_empty() {
+            let crashes = self.fault_crash.iter();
+            let crashes = crashes.map(|&(part, after_requests)| CrashAt { part, after_requests });
+            fabric.fault =
+                Some(FaultPlan { crashes: crashes.collect(), ..FaultPlan::drops(self.fault_drop) });
+            fabric.retry = tight;
+        }
+        let mut control = ControlConfig { mode: self.control, ..ControlConfig::default() };
+        if self.control_fault_drop > 0.0 {
+            control.fault = Some(FaultPlan::drops(self.control_fault_drop));
+            control.retry = tight;
+        }
+        let parts = self.machines * self.sockets;
+        let replication = self.replication.min(parts);
+        Engine::new(
+            PartitionedGraph::with_replication(graph, self.machines, self.sockets, replication),
+            EngineConfig {
+                compute_threads: self.threads,
+                fabric,
+                obs,
+                steal: StealConfig {
+                    enabled: self.steal,
+                    batch: self.steal_batch,
+                    ..StealConfig::default()
+                },
+                control,
+                incident: IncidentConfig {
+                    dir: self.incident_dir.clone().map(Into::into),
+                    stall: self.stall_ms.map(Duration::from_millis),
+                    ..IncidentConfig::default()
+                },
+                rebalance: RebalanceConfig {
+                    enabled: self.rebalance,
+                    ..RebalanceConfig::default()
+                },
+                ..EngineConfig::default()
+            },
+        )
+    }
+}
+
+/// `gpm count`'s command line: the cluster, the pattern and how to mine it.
 #[derive(Debug, Clone, PartialEq)]
-pub enum GraphSource {
-    /// Load from a file path.
+struct Options {
+    cluster: Cluster,
+    pattern: Pattern,
+    system: System,
+    induced: bool,
+    trace_out: Option<String>,
+}
+
+/// `--graph PATH` or `--gen SPEC`.
+#[derive(Debug, Clone, PartialEq)]
+enum GraphSource {
     Path(String),
-    /// Generate from a spec string.
     Spec(String),
 }
 
 /// Selectable system.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[allow(missing_docs)]
-pub enum System {
+enum System {
     KhuzdulAutomine,
     KhuzdulGraphpi,
     GThinker,
@@ -122,169 +331,46 @@ pub enum System {
     Single,
 }
 
+/// Every system: its two `--system` spellings, the first of which is the
+/// slug its `RunReport` carries, and its display name.
+const SYSTEMS: [(System, [&str; 2], &str); 6] = [
+    (System::KhuzdulAutomine, ["khuzdul-automine", "k-automine"], "k-Automine (Khuzdul)"),
+    (System::KhuzdulGraphpi, ["khuzdul-graphpi", "k-graphpi"], "k-GraphPi (Khuzdul)"),
+    (System::GThinker, ["gthinker", "g-thinker"], "G-thinker-like"),
+    (System::Replicated, ["replicated", "graphpi"], "replicated GraphPi-like"),
+    (System::Ctd, ["ctd", "adfs"], "aDFS-like (computation-to-data)"),
+    (System::Single, ["single", "automine-ih"], "AutomineIH (single machine)"),
+];
+
 impl System {
     fn parse(s: &str) -> Result<System, String> {
-        Ok(match s {
-            "khuzdul-automine" | "k-automine" => System::KhuzdulAutomine,
-            "khuzdul-graphpi" | "k-graphpi" => System::KhuzdulGraphpi,
-            "gthinker" | "g-thinker" => System::GThinker,
-            "replicated" | "graphpi" => System::Replicated,
-            "ctd" | "adfs" => System::Ctd,
-            "single" | "automine-ih" => System::Single,
-            other => return Err(format!("unknown system '{other}'")),
-        })
+        let row = SYSTEMS.iter().find(|(_, names, _)| names.contains(&s));
+        row.map(|&(system, ..)| system).ok_or_else(|| format!("unknown system '{s}'"))
     }
 
-    fn name(self) -> &'static str {
-        match self {
-            System::KhuzdulAutomine => "k-Automine (Khuzdul)",
-            System::KhuzdulGraphpi => "k-GraphPi (Khuzdul)",
-            System::GThinker => "G-thinker-like",
-            System::Replicated => "replicated GraphPi-like",
-            System::Ctd => "aDFS-like (computation-to-data)",
-            System::Single => "AutomineIH (single machine)",
-        }
-    }
-
-    /// Stable machine-readable identifier used as `RunReport.system`.
-    fn slug(self) -> &'static str {
-        match self {
-            System::KhuzdulAutomine => "khuzdul-automine",
-            System::KhuzdulGraphpi => "khuzdul-graphpi",
-            System::GThinker => "gthinker",
-            System::Replicated => "replicated",
-            System::Ctd => "ctd",
-            System::Single => "single",
-        }
+    /// The slug a `RunReport` carries, and the display name.
+    fn names(self) -> (&'static str, &'static str) {
+        let row = SYSTEMS.iter().find(|row| row.0 == self).expect("every system has a row");
+        (row.1[0], row.2)
     }
 }
 
-/// Parses the argument list.
-///
-/// # Errors
-///
-/// Returns a human-readable message on unknown flags, missing values, or
-/// malformed specs. `--help` is reported as an error string containing
-/// the usage text.
-pub fn parse_args(args: &[String]) -> Result<Options, String> {
-    let mut graph: Option<GraphSource> = None;
-    let mut pattern: Option<Pattern> = None;
-    let mut system = System::KhuzdulAutomine;
-    let mut machines = 4usize;
-    let mut sockets = 1usize;
-    let mut threads = 2usize;
-    let mut induced = false;
-    let mut quiet = false;
-    let fabric_default = FabricConfig::default();
-    let mut window = fabric_default.window;
-    let mut retries = fabric_default.retry.max_attempts;
-    let mut fault_drop = 0.0f64;
-    let mut fault_crash: Vec<(usize, u64)> = Vec::new();
-    let mut replication = 1usize;
-    let mut fail_fast = false;
-    let mut trace_out: Option<String> = None;
-    let mut report_out: Option<String> = None;
-    let mut steal = true;
-    let mut steal_batch = StealConfig::default().batch;
-    let mut control = ControlMode::default();
-    let mut incident_dir: Option<String> = None;
-    let mut stall_ms: Option<u64> = None;
-    let mut control_fault_drop = 0.0f64;
-    let mut rebalance = true;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value =
-            || it.next().map(String::as_str).ok_or_else(|| format!("{arg} needs a value"));
-        match arg.as_str() {
-            "--graph" => graph = Some(GraphSource::Path(value()?.to_string())),
-            "--gen" => graph = Some(GraphSource::Spec(value()?.to_string())),
-            "--pattern" => pattern = Some(parse_pattern(value()?)?),
-            "--system" => system = System::parse(value()?)?,
-            "--machines" => machines = parse_num(value()?)?,
-            "--sockets" => sockets = parse_num(value()?)?,
-            "--threads" => threads = parse_num(value()?)?,
+/// Parses `gpm count`'s argument list.
+fn parse_args(args: &[String]) -> Result<Options, String> {
+    let (mut pattern, mut system, mut induced, mut trace_out) =
+        (None, System::KhuzdulAutomine, false, None);
+    let cluster = Cluster::parse(args, |flag, args| {
+        match flag {
+            "--pattern" => pattern = Some(parse_pattern(args.value()?)?),
+            "--system" => system = System::parse(args.value()?)?,
             "--induced" => induced = true,
-            "--quiet" => quiet = true,
-            "--window" => window = parse_num(value()?)?,
-            "--retries" => {
-                let v = value()?;
-                retries = u32::try_from(parse_num(v)?).map_err(|_| {
-                    format!("--retries takes at most {} attempts, not {v}", u32::MAX)
-                })?
-            }
-            "--fault-drop" => fault_drop = parse_fraction(value()?)?,
-            "--fault-crash" => fault_crash.push(parse_crash(value()?)?),
-            "--replication" => replication = parse_num(value()?)?,
-            "--fail-fast" => fail_fast = true,
-            "--trace-out" => trace_out = Some(value()?.to_string()),
-            "--report-out" => report_out = Some(value()?.to_string()),
-            "--steal" => {
-                steal = match value()? {
-                    "on" => true,
-                    "off" => false,
-                    other => return Err(format!("--steal takes on|off, not '{other}'")),
-                }
-            }
-            "--steal-batch" => steal_batch = parse_num(value()?)?,
-            "--control" => control = parse_control(value()?)?,
-            "--incident-dir" => incident_dir = Some(value()?.to_string()),
-            "--stall-ms" => stall_ms = Some(parse_num(value()?)? as u64),
-            "--control-fault-drop" => control_fault_drop = parse_fraction(value()?)?,
-            "--rebalance" => {
-                rebalance = match value()? {
-                    "on" => true,
-                    "off" => false,
-                    other => return Err(format!("--rebalance takes on|off, not '{other}'")),
-                }
-            }
-            "--help" | "-h" => return Err("see the crate docs for usage".into()),
-            other => return Err(format!("unknown flag '{other}'")),
+            "--trace-out" => trace_out = Some(args.value()?.to_string()),
+            _ => return Ok(false),
         }
-    }
-    if control_fault_drop > 0.0 && control != ControlMode::Msg {
-        return Err("--control-fault-drop needs --control msg (shared control has no wire)".into());
-    }
-    let parts = machines.max(1) * sockets.max(1);
-    if let Some((part, after)) = fault_crash.iter().find(|&&(part, _)| part >= parts) {
-        return Err(format!(
-            "--fault-crash {part}@{after}: part {part} is out of range \
-             (parts are numbered below machines x sockets = {parts})"
-        ));
-    }
-    Ok(Options {
-        graph: graph.ok_or("one of --graph or --gen is required")?,
-        pattern: pattern.ok_or("--pattern is required")?,
-        system,
-        machines: machines.max(1),
-        sockets: sockets.max(1),
-        threads: threads.max(1),
-        induced,
-        quiet,
-        window: window.max(1),
-        retries: retries.max(1),
-        fault_drop,
-        fault_crash,
-        replication: replication.max(1),
-        fail_fast,
-        trace_out,
-        report_out,
-        steal,
-        steal_batch: steal_batch.max(1),
-        control,
-        incident_dir,
-        stall_ms,
-        control_fault_drop,
-        rebalance,
-    })
-}
-
-/// Parses a `--control` spec: the steal/claim coordination carrier.
-fn parse_control(s: &str) -> Result<ControlMode, String> {
-    Ok(match s {
-        "shared" => ControlMode::Shared,
-        "msg" => ControlMode::Msg,
-        other => return Err(format!("--control takes shared|msg, not '{other}'")),
-    })
+        Ok(true)
+    })?;
+    let pattern = pattern.ok_or("--pattern is required")?;
+    Ok(Options { cluster, pattern, system, induced, trace_out })
 }
 
 fn parse_num(s: &str) -> Result<usize, String> {
@@ -305,16 +391,14 @@ fn parse_crash(s: &str) -> Result<(usize, u64), String> {
     let (part, after) = s
         .split_once('@')
         .ok_or_else(|| format!("bad crash spec '{s}' (want PART@AFTER, e.g. 2@5000)"))?;
-    let after = after.parse().map_err(|_| format!("'{after}' is not a number"))?;
-    Ok((parse_num(part)?, after))
+    Ok((parse_num(part)?, parse_num(after)? as u64))
 }
 
 fn parse_fraction(s: &str) -> Result<f64, String> {
-    let f: f64 = s.parse().map_err(|_| format!("'{s}' is not a number"))?;
-    if !(0.0..=1.0).contains(&f) {
-        return Err(format!("'{s}' must be a fraction in [0, 1]"));
+    match parse_float(s)? {
+        f if f <= 1.0 => Ok(f),
+        _ => Err(format!("'{s}' must be a fraction in [0, 1]")),
     }
-    Ok(f)
 }
 
 /// Parses a pattern spec: `triangle`, `clique:4`, `path:5`, `cycle:4`,
@@ -325,15 +409,20 @@ pub fn parse_pattern(spec: &str) -> Result<Pattern, String> {
         Some((h, a)) => (h, Some(a)),
         None => (spec, None),
     };
-    let k = |a: Option<&str>| -> Result<usize, String> {
-        parse_num(a.ok_or_else(|| format!("'{head}' needs a size, e.g. {head}:4"))?)
+    // A shape of `k` vertices, for `k` from `min` up to the engine's limit.
+    let sized = |min: usize, shape: fn(usize) -> Pattern| -> Result<Pattern, String> {
+        let k = parse_num(arg.ok_or_else(|| format!("'{head}' needs a size, e.g. {head}:4"))?)?;
+        if !(min..=MAX_PATTERN_VERTICES).contains(&k) {
+            return Err(format!("'{spec}': a {head} has {min} to {MAX_PATTERN_VERTICES} vertices"));
+        }
+        Ok(shape(k))
     };
     match head {
         "triangle" => Ok(Pattern::triangle()),
-        "clique" => Ok(Pattern::clique(k(arg)?)),
-        "path" => Ok(Pattern::path(k(arg)?)),
-        "cycle" => Ok(Pattern::cycle(k(arg)?)),
-        "star" => Ok(Pattern::star(k(arg)?)),
+        "clique" => sized(1, Pattern::clique),
+        "path" => sized(1, Pattern::path),
+        "cycle" => sized(3, Pattern::cycle),
+        "star" => sized(2, Pattern::star),
         "house" => Ok(Pattern::house()),
         "diamond" => Ok(Pattern::diamond()),
         "tailed-triangle" => Ok(Pattern::tailed_triangle()),
@@ -356,61 +445,59 @@ pub fn parse_pattern(spec: &str) -> Result<Pattern, String> {
 
 /// Parses a generator spec: `ba:N,M[,SEED]`, `er:N,M[,SEED]`,
 /// `rmat:SCALE,EF[,SEED]`, or `dataset:ABBR`.
-pub fn parse_gen(spec: &str) -> Result<Graph, String> {
+fn parse_gen(spec: &str) -> Result<Graph, String> {
     let (head, args) =
         spec.split_once(':').ok_or_else(|| format!("bad generator spec '{spec}'"))?;
-    let nums: Vec<&str> = args.split(',').collect();
-    let num = |i: usize| -> Result<usize, String> {
-        parse_num(nums.get(i).copied().ok_or("missing generator argument")?)
+    if head == "dataset" {
+        let dataset = DatasetId::ALL.iter().find(|d| d.abbr() == args);
+        return dataset.map(|d| d.build()).ok_or_else(|| format!("unknown dataset '{args}'"));
+    }
+    let (n, m, seed) = match args.split(',').collect::<Vec<_>>()[..] {
+        [n, m] => (n, m, "42"),
+        [n, m, seed] => (n, m, seed),
+        _ => return Err(format!("bad generator spec '{spec}' (want {head}:N,M[,SEED])")),
     };
-    let seed = |i: usize| -> u64 { nums.get(i).and_then(|s| s.parse().ok()).unwrap_or(42) };
+    let (n, m) = (parse_num(n)?, parse_num(m)?);
+    let seed = seed.parse().map_err(|_| format!("'{seed}' in '{spec}' is not a seed"))?;
     match head {
-        "ba" => Ok(gen::barabasi_albert(num(0)?, num(1)?, seed(2))),
-        "er" => Ok(gen::erdos_renyi(num(0)?, num(1)?, seed(2))),
-        "rmat" => Ok(gen::rmat(num(0)? as u32, num(1)?, (0.57, 0.19, 0.19), seed(2))),
-        "dataset" => {
-            let abbr = nums.first().copied().unwrap_or("");
-            DatasetId::ALL
-                .iter()
-                .find(|d| d.abbr() == abbr)
-                .map(|d| d.build())
-                .ok_or_else(|| format!("unknown dataset '{abbr}'"))
-        }
+        "ba" => Ok(gen::barabasi_albert(n, m, seed)),
+        "er" => Ok(gen::erdos_renyi(n, m, seed)),
+        // Vertex ids are u32: 2^31 vertices is the largest R-MAT graph.
+        "rmat" if n > 31 => Err(format!("'{spec}': the rmat scale is at most 31, not {n}")),
+        "rmat" => Ok(gen::rmat(n as u32, m, (0.57, 0.19, 0.19), seed)),
         other => Err(format!("unknown generator '{other}'")),
     }
 }
 
-/// Executes a parsed command line and renders the report.
-///
-/// The first argument may be a subcommand: `count` (default — mine one
-/// pattern), `stats` (graph analysis report), `motifs` (k-motif census),
-/// `fsm` (frequent subgraph mining), `serve` (replay a multi-query
-/// workload through the resident [`MiningService`]), `top` (live view
-/// of a served `--status-addr` endpoint, one-shot or `--watch`),
-/// `report-validate` (schema-check a `RunReport` JSON file produced by
-/// `--report-out`), `metrics-validate` (syntax-check a saved `/metrics`
-/// scrape), `report diff` (thresholded regression gate over two report
-/// files), or `incident list|show|diff` (inspect incident bundles
-/// captured by `--incident-dir` runs).
+/// Executes a command line and renders its output: the subcommand its
+/// first argument names (`count` if none does), or the usage text if any
+/// argument is `-h` or `--help`.
 ///
 /// # Errors
 ///
 /// Propagates parse, I/O, and plan-compilation failures as strings.
 pub fn run(args: &[String]) -> Result<String, String> {
-    match args.first().map(String::as_str) {
-        Some("stats") => return run_stats(&args[1..]),
-        Some("motifs") => return run_motifs(&args[1..]),
-        Some("fsm") => return run_fsm(&args[1..]),
-        Some("count") => return run_count(&args[1..]),
-        Some("serve") => return run_serve(&args[1..]),
-        Some("top") => return run_top(&args[1..]),
-        Some("report-validate") => return run_report_validate(&args[1..]),
-        Some("metrics-validate") => return run_metrics_validate(&args[1..]),
-        Some("report") => return run_report(&args[1..]),
-        Some("incident") => return run_incident(&args[1..]),
-        _ => {}
+    if args.iter().any(|a| a == "--help" || a == "-h") {
+        return Ok(USAGE.to_string());
     }
-    run_count(args)
+    let words: Vec<&str> = args.iter().take(2).map(String::as_str).collect();
+    match words[..] {
+        ["stats", ..] => run_stats(&args[1..]),
+        ["motifs", ..] => run_motifs(&args[1..]),
+        ["fsm", ..] => run_fsm(&args[1..]),
+        ["count", ..] => run_count(&args[1..]),
+        ["serve", ..] => run_serve(&args[1..]),
+        ["top", ..] => run_top(&args[1..]),
+        ["report-validate", ..] => run_report_validate(&args[1..]),
+        ["metrics-validate", ..] => run_metrics_validate(&args[1..]),
+        ["report", "diff"] => run_report_diff(&args[2..]),
+        ["incident", "list"] => run_incident_list(&args[2..]),
+        ["incident", "show"] => run_incident_show(&args[2..]),
+        ["incident", "diff"] => run_incident_diff(&args[2..]),
+        ["report", ..] => Err("report takes one subcommand: diff".into()),
+        ["incident", ..] => Err("incident takes a subcommand: list, show or diff".into()),
+        _ => run_count(args),
+    }
 }
 
 /// One line of a `serve --queries` workload file: a pattern spec plus
@@ -440,124 +527,47 @@ fn parse_query_line(line: &str) -> Result<Option<(Pattern, PlanOptions)>, String
 /// duplicate submissions are served from the memo. Results print in
 /// admission order, so a seeded workload replays deterministically.
 fn run_serve(args: &[String]) -> Result<String, String> {
-    let mut graph: Option<GraphSource> = None;
-    let mut queries_path: Option<String> = None;
-    let mut machines = 4usize;
-    let mut sockets = 1usize;
-    let mut threads = 2usize;
-    let mut max_concurrent = 2usize;
-    let mut root_budget = khuzdul::DEFAULT_ROOT_BUDGET;
-    let mut steal = true;
-    let mut control = ControlMode::default();
-    let mut quiet = false;
-    let mut report_out: Option<String> = None;
-    let mut status_addr: Option<String> = None;
-    let mut slow_query_ms: Option<u64> = None;
-    let mut linger_ms = 0u64;
-    let mut memo_capacity = ServiceConfig::default().memo_capacity;
-    let mut incident_dir: Option<String> = None;
-    let mut stall_ms: Option<u64> = None;
-    let mut replication = 1usize;
-    let mut rebalance = true;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value =
-            || it.next().map(String::as_str).ok_or_else(|| format!("{arg} needs a value"));
-        match arg.as_str() {
-            "--graph" => graph = Some(GraphSource::Path(value()?.to_string())),
-            "--gen" => graph = Some(GraphSource::Spec(value()?.to_string())),
-            "--queries" => queries_path = Some(value()?.to_string()),
-            "--machines" => machines = parse_num(value()?)?,
-            "--sockets" => sockets = parse_num(value()?)?,
-            "--threads" => threads = parse_num(value()?)?,
-            "--max-concurrent" => max_concurrent = parse_num(value()?)?,
-            "--root-budget" => root_budget = parse_num(value()?)? as u64,
-            "--steal" => {
-                steal = match value()? {
-                    "on" => true,
-                    "off" => false,
-                    other => return Err(format!("--steal takes on|off, not '{other}'")),
-                }
+    let (mut queries_path, mut status_addr, mut linger_ms) = (None, None, 0u64);
+    let mut config = ServiceConfig::default();
+    let cluster = Cluster::parse(args, |flag, args| {
+        match flag {
+            "--queries" => queries_path = Some(args.value()?.to_string()),
+            "--max-concurrent" => config.max_concurrent = args.num()?.max(1),
+            "--root-budget" => config.root_budget = args.num()? as u64,
+            "--memo-capacity" => config.memo_capacity = args.num()?,
+            "--slow-query-ms" => {
+                config.slow_query = Some(Duration::from_millis(args.num()? as u64))
             }
-            "--control" => control = parse_control(value()?)?,
-            "--quiet" => quiet = true,
-            "--report-out" => report_out = Some(value()?.to_string()),
-            "--status-addr" => status_addr = Some(value()?.to_string()),
-            "--slow-query-ms" => slow_query_ms = Some(parse_num(value()?)? as u64),
-            "--status-linger-ms" => linger_ms = parse_num(value()?)? as u64,
-            "--memo-capacity" => memo_capacity = parse_num(value()?)?,
-            "--incident-dir" => incident_dir = Some(value()?.to_string()),
-            "--stall-ms" => stall_ms = Some(parse_num(value()?)? as u64),
-            "--replication" => replication = parse_num(value()?)?,
-            "--rebalance" => {
-                rebalance = match value()? {
-                    "on" => true,
-                    "off" => false,
-                    other => return Err(format!("--rebalance takes on|off, not '{other}'")),
-                }
-            }
-            other => return Err(format!("unknown flag '{other}'")),
+            "--status-addr" => status_addr = Some(args.value()?.to_string()),
+            "--status-linger-ms" => linger_ms = args.num()? as u64,
+            _ => return Ok(false),
         }
-    }
+        Ok(true)
+    })?;
     let queries_path = queries_path.ok_or("serve needs --queries <file>")?;
     let text = std::fs::read_to_string(&queries_path)
         .map_err(|e| format!("reading {queries_path}: {e}"))?;
-    let mut workload = Vec::new();
-    for line in text.lines() {
-        if let Some(q) = parse_query_line(line)? {
-            workload.push(q);
-        }
-    }
+    let workload: Vec<_> =
+        text.lines().filter_map(|l| parse_query_line(l).transpose()).collect::<Result<_, _>>()?;
     if workload.is_empty() {
         return Err(format!("{queries_path}: no queries (every line blank or a comment)"));
     }
-    let graph = load(&graph.ok_or("one of --graph or --gen is required")?)?;
-    let observe = report_out.is_some();
-    let obs = if observe { ObsConfig::enabled() } else { ObsConfig::default() };
-    let parts = machines.max(1) * sockets.max(1);
-    let engine = Arc::new(Engine::new(
-        PartitionedGraph::with_replication(
-            &graph,
-            machines.max(1),
-            sockets.max(1),
-            replication.clamp(1, parts),
-        ),
-        EngineConfig {
-            compute_threads: threads.max(1),
-            obs,
-            steal: StealConfig { enabled: steal, ..StealConfig::default() },
-            control: ControlConfig { mode: control, ..ControlConfig::default() },
-            incident: IncidentConfig {
-                dir: incident_dir.clone().map(Into::into),
-                stall: stall_ms.map(Duration::from_millis),
-                ..IncidentConfig::default()
-            },
-            rebalance: RebalanceConfig { enabled: rebalance, ..RebalanceConfig::default() },
-            ..EngineConfig::default()
-        },
-    ));
-    let service = Arc::new(MiningService::start(
-        engine,
-        ServiceConfig {
-            max_concurrent: max_concurrent.max(1),
-            root_budget,
-            memo_capacity,
-            slow_query: slow_query_ms.map(Duration::from_millis),
-            ..ServiceConfig::default()
-        },
-    ));
+    let graph = cluster.graph()?;
+    let obs =
+        if cluster.report_out.is_some() { ObsConfig::enabled() } else { ObsConfig::default() };
+    let engine = Arc::new(cluster.engine(&graph, obs));
+    let max_concurrent = config.max_concurrent;
+    let service = Arc::new(MiningService::start(engine, config));
     // The status plane starts before any query is admitted, so scrapers
     // see the workload from its first root claim.
-    let status_server = match &status_addr {
-        Some(addr) => Some(
-            StatusServer::start(
-                Arc::clone(&service),
-                StatusConfig { addr: addr.clone(), ..StatusConfig::default() },
-            )
-            .map_err(|e| format!("binding status server on {addr}: {e}"))?,
-        ),
-        None => None,
-    };
+    let status_server = status_addr
+        .map(|addr| {
+            let config = StatusConfig { addr: addr.clone(), ..StatusConfig::default() };
+            StatusServer::start(Arc::clone(&service), config)
+                .map_err(|e| format!("binding status server on {addr}: {e}"))
+        })
+        .transpose()?;
+    let quiet = cluster.quiet;
     let mut out = String::new();
     if let (Some(s), false) = (&status_server, quiet) {
         let _ =
@@ -572,11 +582,10 @@ fn run_serve(args: &[String]) -> Result<String, String> {
     if !quiet {
         let _ = writeln!(
             out,
-            "serving {} queries over {} machines x {} sockets ({} concurrent)",
+            "serving {} queries over {} machines x {} sockets ({max_concurrent} concurrent)",
             workload.len(),
-            machines,
-            sockets,
-            max_concurrent
+            cluster.machines,
+            cluster.sockets,
         );
     }
     for o in &outcomes {
@@ -589,13 +598,13 @@ fn run_serve(args: &[String]) -> Result<String, String> {
                 writeln!(out, "q{:<3} {:<24} count={}{memo}", o.query_id, o.pattern, stats.count);
         }
     }
-    if let (Some(dir), false) = (&incident_dir, quiet) {
+    if let (Some(dir), false) = (&cluster.incident_dir, quiet) {
         let n = service.engine().incidents().incidents().len();
         if n > 0 {
             let _ = writeln!(out, "{n} incident bundle(s) in {dir}");
         }
     }
-    if let Some(path) = &report_out {
+    if let Some(path) = &cluster.report_out {
         let report = service.report("khuzdul-service");
         report.write_to(path).map_err(|e| format!("writing {path}: {e}"))?;
         if !quiet {
@@ -606,11 +615,9 @@ fn run_serve(args: &[String]) -> Result<String, String> {
     // file exists, so a scraper can reconcile against it); `GET /quit`
     // ends the linger early.
     if let Some(server) = &status_server {
-        if linger_ms > 0 {
-            let deadline = std::time::Instant::now() + Duration::from_millis(linger_ms);
-            while std::time::Instant::now() < deadline && !server.quit_requested() {
-                std::thread::sleep(Duration::from_millis(50));
-            }
+        let deadline = std::time::Instant::now() + Duration::from_millis(linger_ms);
+        while std::time::Instant::now() < deadline && !server.quit_requested() {
+            std::thread::sleep(Duration::from_millis(50));
         }
     }
     Ok(out)
@@ -635,13 +642,15 @@ fn run_top(args: &[String]) -> Result<String, String> {
     let mut addr: Option<&str> = None;
     let mut watch: Option<Duration> = None;
     let mut frames: Option<usize> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value =
-            || it.next().map(String::as_str).ok_or_else(|| format!("{arg} needs a value"));
-        match arg.as_str() {
-            "--watch" => watch = Some(Duration::from_secs_f64(parse_float(value()?)?)),
-            "--frames" => frames = Some(parse_num(value()?)?.max(1)),
+    let mut args = Args::new(args);
+    while let Some(arg) = args.flag() {
+        match arg {
+            "--watch" => {
+                let v = args.value()?;
+                let secs = Duration::try_from_secs_f64(parse_float(v)?);
+                watch = Some(secs.map_err(|e| format!("--watch {v}: {e}"))?)
+            }
+            "--frames" => frames = Some(args.num()?.max(1)),
             other if other.starts_with("--") => return Err(format!("unknown flag '{other}'")),
             other => addr = Some(other),
         }
@@ -831,37 +840,24 @@ fn run_report_validate(args: &[String]) -> Result<String, String> {
     Ok(out)
 }
 
-/// `gpm report SUBCOMMAND`: operations over saved `RunReport` files.
-fn run_report(args: &[String]) -> Result<String, String> {
-    match args.first().map(String::as_str) {
-        Some("diff") => run_report_diff(&args[1..]),
-        Some(other) => Err(format!("unknown report subcommand '{other}' (expected: diff)")),
-        None => Err("report needs a subcommand: diff <baseline.json> <candidate.json>".into()),
-    }
-}
-
 /// `gpm report diff BASELINE CANDIDATE [threshold flags]`: the perf
 /// regression gate. Prints every comparison; returns `Err` (a non-zero
 /// exit through the binary) when the candidate regresses past the
-/// thresholds. Flags (`--traffic-rel`, `--traffic-abs`,
-/// `--hit-rate-abs`, `--imbalance-abs`, `--frac-rel`, `--frac-abs`)
-/// loosen or tighten the [`DiffThresholds`] defaults — CI comparing two
-/// runs of a stochastic workload wants looser fractions than CI
-/// comparing a run against its own report.
+/// thresholds. The flags loosen or tighten the [`DiffThresholds`]
+/// defaults: comparing two runs of a stochastic workload wants looser
+/// fractions than comparing a run against its own report.
 fn run_report_diff(args: &[String]) -> Result<String, String> {
     let mut paths: Vec<&str> = Vec::new();
     let mut t = DiffThresholds::default();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value =
-            || it.next().map(String::as_str).ok_or_else(|| format!("{arg} needs a value"));
-        match arg.as_str() {
-            "--traffic-rel" => t.traffic_rel = parse_float(value()?)?,
-            "--traffic-abs" => t.traffic_abs = parse_float(value()?)?,
-            "--hit-rate-abs" => t.hit_rate_abs = parse_float(value()?)?,
-            "--imbalance-abs" => t.imbalance_abs = parse_float(value()?)?,
-            "--frac-rel" => t.frac_rel = parse_float(value()?)?,
-            "--frac-abs" => t.frac_abs = parse_float(value()?)?,
+    let mut args = Args::new(args);
+    while let Some(arg) = args.flag() {
+        match arg {
+            "--traffic-rel" => t.traffic_rel = parse_float(args.value()?)?,
+            "--traffic-abs" => t.traffic_abs = parse_float(args.value()?)?,
+            "--hit-rate-abs" => t.hit_rate_abs = parse_float(args.value()?)?,
+            "--imbalance-abs" => t.imbalance_abs = parse_float(args.value()?)?,
+            "--frac-rel" => t.frac_rel = parse_float(args.value()?)?,
+            "--frac-abs" => t.frac_abs = parse_float(args.value()?)?,
             other if other.starts_with("--") => return Err(format!("unknown flag '{other}'")),
             path => paths.push(path),
         }
@@ -887,23 +883,6 @@ fn run_report_diff(args: &[String]) -> Result<String, String> {
     }
     let _ = writeln!(out, "FAIL: {} regression(s) against {baseline}", diff.regressions.len());
     Err(out)
-}
-
-/// `gpm incident SUBCOMMAND`: operations over incident bundles captured
-/// by `--incident-dir` runs.
-fn run_incident(args: &[String]) -> Result<String, String> {
-    match args.first().map(String::as_str) {
-        Some("list") => run_incident_list(&args[1..]),
-        Some("show") => run_incident_show(&args[1..]),
-        Some("diff") => run_incident_diff(&args[1..]),
-        Some(other) => {
-            Err(format!("unknown incident subcommand '{other}' (expected: list, show, diff)"))
-        }
-        None => Err(
-            "incident needs a subcommand: list <dir> | show <bundle.json> | diff <a.json> <b.json>"
-                .into(),
-        ),
-    }
 }
 
 /// Reads and schema-checks one bundle file.
@@ -1085,45 +1064,14 @@ fn run_incident_diff(args: &[String]) -> Result<String, String> {
     Ok(out)
 }
 
-fn load(source: &GraphSource) -> Result<Graph, String> {
-    match source {
-        GraphSource::Path(p) => gpm_graph::io::load_graph(p).map_err(|e| e.to_string()),
-        GraphSource::Spec(s) => parse_gen(s),
-    }
-}
-
-/// Pulls `--graph`/`--gen` plus any `extra` numeric flags out of an
-/// argument list, returning the graph and the parsed extras (in order,
-/// with defaults).
-fn graph_and_flags(
-    args: &[String],
-    extra: &[(&str, usize)],
-) -> Result<(Graph, Vec<usize>), String> {
-    let mut graph = None;
-    let mut values: Vec<usize> = extra.iter().map(|&(_, d)| d).collect();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value =
-            || it.next().map(String::as_str).ok_or_else(|| format!("{arg} needs a value"));
-        match arg.as_str() {
-            "--graph" => graph = Some(GraphSource::Path(value()?.to_string())),
-            "--gen" => graph = Some(GraphSource::Spec(value()?.to_string())),
-            other => {
-                let Some(i) = extra.iter().position(|&(name, _)| name == other) else {
-                    return Err(format!("unknown flag '{other}'"));
-                };
-                values[i] = parse_num(value()?)?;
-            }
-        }
-    }
-    let graph = load(&graph.ok_or("one of --graph or --gen is required")?)?;
-    Ok((graph, values))
-}
-
 /// `gpm stats`: Table-1-style characterization plus skew diagnostics.
 fn run_stats(args: &[String]) -> Result<String, String> {
     use gpm_graph::analysis;
-    let (g, _) = graph_and_flags(args, &[])?;
+    let cluster = Cluster::parse(args, |flag, _| match flag {
+        "--graph" | "--gen" => Ok(false),
+        other => Err(format!("unknown flag '{other}'")),
+    })?;
+    let g = cluster.graph()?;
     let mut out = String::new();
     let _ = writeln!(out, "vertices        {}", g.vertex_count());
     let _ = writeln!(out, "edges           {}", g.edge_count());
@@ -1144,16 +1092,29 @@ fn run_stats(args: &[String]) -> Result<String, String> {
     Ok(out)
 }
 
-/// `gpm motifs --k K --machines N`: induced k-motif census.
+/// `motifs` and `fsm` print neither a bare count nor a report.
+fn no_output_flag(flag: &str) -> Result<bool, String> {
+    match flag {
+        "--quiet" | "--report-out" => Err(format!("{flag} is a count and serve flag")),
+        _ => Ok(false),
+    }
+}
+
+/// `gpm motifs --k K`: induced k-motif census.
 fn run_motifs(args: &[String]) -> Result<String, String> {
-    let (g, vals) = graph_and_flags(args, &[("--k", 3), ("--machines", 4)])?;
-    let (k, machines) = (vals[0], vals[1]);
-    let engine =
-        Engine::new(PartitionedGraph::new(&g, machines.max(1), 1), EngineConfig::default());
-    let motifs = gpm_apps_counting_motifs(&engine, k)?;
+    let mut k = 3;
+    let cluster = Cluster::parse(args, |flag, args| match flag {
+        "--k" => {
+            k = args.num()?;
+            Ok(true)
+        }
+        _ => no_output_flag(flag),
+    })?;
+    let engine = cluster.engine(&cluster.graph()?, ObsConfig::default());
+    let motifs = crate::counting::motif_count(&engine, k, &PlanOptions::automine())?;
     engine.shutdown();
     let mut out = String::new();
-    let _ = writeln!(out, "{k}-motif census ({machines} machines):");
+    let _ = writeln!(out, "{k}-motif census ({} machines):", cluster.machines);
     for (p, c) in &motifs.per_pattern {
         let _ = writeln!(out, "  {p:<30} {c}");
     }
@@ -1162,27 +1123,25 @@ fn run_motifs(args: &[String]) -> Result<String, String> {
     Ok(out)
 }
 
-fn gpm_apps_counting_motifs(
-    engine: &Engine,
-    k: usize,
-) -> Result<crate::counting::MotifCounts, String> {
-    crate::counting::motif_count(engine, k, &PlanOptions::automine())
-}
-
-/// `gpm fsm --threshold T --max-edges E --labels L --machines N`.
+/// `gpm fsm --threshold T --max-edges E --labels L`.
 fn run_fsm(args: &[String]) -> Result<String, String> {
-    let (g, vals) = graph_and_flags(
-        args,
-        &[("--threshold", 100), ("--max-edges", 3), ("--labels", 3), ("--machines", 4)],
-    )?;
-    let (threshold, max_edges, labels, machines) = (vals[0], vals[1], vals[2], vals[3]);
+    let (mut threshold, mut max_edges, mut labels) = (100, 3, 3);
+    let cluster = Cluster::parse(args, |flag, args| {
+        match flag {
+            "--threshold" => threshold = args.num()?,
+            "--max-edges" => max_edges = args.num()?,
+            "--labels" => labels = args.num()?,
+            _ => return no_output_flag(flag),
+        }
+        Ok(true)
+    })?;
+    let g = cluster.graph()?;
     let g = if g.is_labeled() {
         g
     } else {
         gpm_graph::gen::with_random_labels(&g, labels as gpm_graph::Label, 7)
     };
-    let engine =
-        Engine::new(PartitionedGraph::new(&g, machines.max(1), 1), EngineConfig::default());
+    let engine = cluster.engine(&g, ObsConfig::default());
     let result = crate::fsm::fsm(
         &engine,
         &crate::fsm::FsmConfig {
@@ -1212,17 +1171,18 @@ fn run_fsm(args: &[String]) -> Result<String, String> {
 
 fn run_count(args: &[String]) -> Result<String, String> {
     let opts = parse_args(args)?;
-    let graph = load(&opts.graph)?;
+    let c = &opts.cluster;
+    let graph = c.graph()?;
     let ex = execute(&graph, &opts)?;
     if let Some(path) = &opts.trace_out {
         std::fs::write(path, &ex.trace).map_err(|e| format!("writing {path}: {e}"))?;
     }
-    if let Some(path) = &opts.report_out {
+    if let Some(path) = &c.report_out {
         ex.report.write_to(path).map_err(|e| format!("writing {path}: {e}"))?;
     }
     let stats = ex.stats;
     let mut out = String::new();
-    if opts.quiet {
+    if c.quiet {
         let _ = writeln!(out, "{}", stats.count);
         return Ok(out);
     }
@@ -1238,10 +1198,10 @@ fn run_count(args: &[String]) -> Result<String, String> {
     let _ = writeln!(
         out,
         "system   {} ({} machines x {} sockets, {} threads; {} set kernels)",
-        opts.system.name(),
-        opts.machines,
-        opts.sockets,
-        opts.threads,
+        opts.system.names().1,
+        c.machines,
+        c.sockets,
+        c.threads,
         gpm_graph::set_ops::kernel()
     );
     let _ = writeln!(out, "count    {}", stats.count);
@@ -1284,7 +1244,7 @@ fn run_count(args: &[String]) -> Result<String, String> {
         b.scheduler * 100.0,
         b.cache * 100.0
     );
-    if let (Some(dir), 1..) = (&opts.incident_dir, ex.incidents) {
+    if let (Some(dir), 1..) = (&c.incident_dir, ex.incidents) {
         let _ = writeln!(out, "incident {} bundle(s) in {dir}", ex.incidents);
     }
     Ok(out)
@@ -1297,98 +1257,33 @@ struct Executed {
     stats: RunStats,
     report: RunReport,
     trace: String,
-    /// Incident bundles captured during the run (Khuzdul systems with
-    /// `--incident-dir`; always 0 for the baselines).
+    /// Incident bundles captured during the run (0 for the baselines).
     incidents: usize,
 }
 
 fn execute(graph: &Graph, opts: &Options) -> Result<Executed, String> {
-    let base = match opts.system {
+    let c = &opts.cluster;
+    let mut plan_opts = match opts.system {
         System::KhuzdulGraphpi => PlanOptions::graphpi(),
         _ => PlanOptions::automine(),
     };
-    let plan_opts = PlanOptions { induced: opts.induced, ..base.clone() };
+    plan_opts.induced = opts.induced;
     // Tracing is opt-in: either output flag arms the recorder.
-    let observe = opts.trace_out.is_some() || opts.report_out.is_some();
+    let observe = opts.trace_out.is_some() || c.report_out.is_some();
     let obs = if observe { ObsConfig::enabled() } else { ObsConfig::default() };
-    let slug = opts.system.slug();
+    let slug = opts.system.names().0;
     match opts.system {
         System::KhuzdulAutomine | System::KhuzdulGraphpi => {
             let plan = MatchingPlan::compile(&opts.pattern, &plan_opts)?;
-            let mut fabric = FabricConfig { window: opts.window, ..FabricConfig::default() };
-            fabric.retry.max_attempts = opts.retries;
-            fabric.fail_fast = opts.fail_fast;
-            if opts.fault_drop > 0.0 || !opts.fault_crash.is_empty() {
-                let mut fault = if opts.fault_drop > 0.0 {
-                    FaultPlan::drops(opts.fault_drop)
-                } else {
-                    FaultPlan::default()
-                };
-                for &(part, after) in &opts.fault_crash {
-                    fault.crashes.push(CrashAt { part, after_requests: after });
-                }
-                fabric.fault = Some(fault);
-                // Dropped replies and a crashed part's abandoned requests
-                // only resolve via timeout, so the default (generous)
-                // timeout would crawl; tighten it.
-                fabric.retry.timeout = Duration::from_millis(25);
-                fabric.retry.backoff = Duration::from_millis(1);
-            }
-            let mut control = ControlConfig { mode: opts.control, ..ControlConfig::default() };
-            if opts.control_fault_drop > 0.0 {
-                // Dropping claim replies wedges the scheduler by design;
-                // the generous default timeout would hold the wedge for
-                // minutes, so tighten it the same way the fabric does.
-                control.fault = Some(FaultPlan::drops(opts.control_fault_drop));
-                control.retry = RetryPolicy {
-                    max_attempts: opts.retries,
-                    timeout: Duration::from_millis(25),
-                    backoff: Duration::from_millis(1),
-                };
-            }
-            let parts = opts.machines * opts.sockets;
-            let engine = Engine::new(
-                PartitionedGraph::with_replication(
-                    graph,
-                    opts.machines,
-                    opts.sockets,
-                    opts.replication.min(parts.max(1)),
-                ),
-                EngineConfig {
-                    compute_threads: opts.threads,
-                    fabric,
-                    obs,
-                    steal: StealConfig {
-                        enabled: opts.steal,
-                        batch: opts.steal_batch,
-                        ..StealConfig::default()
-                    },
-                    control,
-                    incident: IncidentConfig {
-                        dir: opts.incident_dir.clone().map(Into::into),
-                        stall: opts.stall_ms.map(Duration::from_millis),
-                        ..IncidentConfig::default()
-                    },
-                    rebalance: RebalanceConfig {
-                        enabled: opts.rebalance,
-                        ..RebalanceConfig::default()
-                    },
-                    ..EngineConfig::default()
-                },
-            );
-            let stats = match engine.try_count(&plan) {
-                Ok(stats) => stats,
-                Err(e) => {
-                    // The bundles are the whole point of a failed chaos
-                    // run: point the error at them.
-                    let n = engine.incidents().incidents().len();
-                    return Err(match (&opts.incident_dir, n) {
-                        (Some(dir), 1..) => format!("{e} ({n} incident bundle(s) in {dir})"),
-                        _ => e.to_string(),
-                    });
-                }
-            };
+            let engine = c.engine(graph, obs);
+            let counted = engine.try_count(&plan);
             let incidents = engine.incidents().incidents().len();
+            // The bundles are the whole point of a failed chaos run: point
+            // the error at them.
+            let stats = counted.map_err(|e| match (&c.incident_dir, incidents) {
+                (Some(dir), 1..) => format!("{e} ({incidents} incident bundle(s) in {dir})"),
+                _ => e.to_string(),
+            })?;
             let report = engine.report(&stats, slug);
             let trace = engine.chrome_trace();
             engine.shutdown();
@@ -1396,11 +1291,9 @@ fn execute(graph: &Graph, opts: &Options) -> Result<Executed, String> {
         }
         System::GThinker => {
             let recorder = Recorder::new(&obs);
-            let sys = GThinker::new(
-                PartitionedGraph::new(graph, opts.machines, opts.sockets),
-                GThinkerConfig::default(),
-            )
-            .with_recorder(Arc::clone(&recorder));
+            let pg = PartitionedGraph::new(graph, c.machines, c.sockets);
+            let sys =
+                GThinker::new(pg, GThinkerConfig::default()).with_recorder(Arc::clone(&recorder));
             let stats = sys.count(&opts.pattern, &plan_opts)?;
             let report = sys.report(&stats);
             let trace = recorder.chrome_trace();
@@ -1411,8 +1304,8 @@ fn execute(graph: &Graph, opts: &Options) -> Result<Executed, String> {
             let sys = ReplicatedCluster::new(
                 graph.clone(),
                 ReplicatedConfig {
-                    machines: opts.machines,
-                    threads_per_machine: opts.threads,
+                    machines: c.machines,
+                    threads_per_machine: c.threads,
                     ..ReplicatedConfig::default()
                 },
             );
@@ -1424,7 +1317,7 @@ fn execute(graph: &Graph, opts: &Options) -> Result<Executed, String> {
         }
         System::Ctd => {
             let recorder = Recorder::new(&obs);
-            let sys = CtdCluster::new(PartitionedGraph::new(graph, opts.machines, opts.sockets))
+            let sys = CtdCluster::new(PartitionedGraph::new(graph, c.machines, c.sockets))
                 .with_recorder(Arc::clone(&recorder));
             let stats = sys.count(&opts.pattern, &plan_opts)?;
             let report = sys.report(&stats);
@@ -1432,7 +1325,7 @@ fn execute(graph: &Graph, opts: &Options) -> Result<Executed, String> {
             Ok(Executed { stats, report, trace, incidents: 0 })
         }
         System::Single => {
-            let sys = SingleMachine::automine_ih(graph.clone(), opts.threads);
+            let sys = SingleMachine::automine_ih(graph.clone(), c.threads);
             let stats = if opts.induced {
                 let plan = MatchingPlan::compile(&opts.pattern, &plan_opts)?;
                 sys.count_plan(&plan)
@@ -1456,7 +1349,7 @@ mod tests {
     #[test]
     fn parse_minimal() {
         let o = parse_args(&argv("--gen ba:100,3 --pattern triangle")).unwrap();
-        assert_eq!(o.machines, 4);
+        assert_eq!(o.cluster.machines, 4);
         assert_eq!(o.pattern, Pattern::triangle());
         assert_eq!(o.system, System::KhuzdulAutomine);
     }
@@ -1469,8 +1362,8 @@ mod tests {
         ))
         .unwrap();
         assert_eq!(o.system, System::GThinker);
-        assert_eq!((o.machines, o.sockets, o.threads), (2, 2, 3));
-        assert!(o.induced && o.quiet);
+        assert_eq!((o.cluster.machines, o.cluster.sockets, o.cluster.threads), (2, 2, 3));
+        assert!(o.induced && o.cluster.quiet);
     }
 
     #[test]
@@ -1482,6 +1375,40 @@ mod tests {
         assert!(parse_args(&argv("--gen ba:100,3 --pattern triangle --machines x")).is_err());
         assert!(parse_args(&argv("--gen ba:100,3 --pattern triangle --fault-drop 1.5")).is_err());
         assert!(parse_args(&argv("--gen ba:100,3 --pattern triangle --fault-drop x")).is_err());
+        // Sizes the pattern constructors would panic on name the spec.
+        for spec in ["clique:0", "clique:40", "path:0", "star:1", "cycle:2", "cycle:9"] {
+            let err =
+                parse_args(&argv(&format!("--gen er:50,100 --pattern {spec}"))).expect_err(spec);
+            assert!(err.contains(spec), "{err}");
+        }
+    }
+
+    /// `--help` prints the usage text, and every `--flag` in it is taken
+    /// by each subcommand its header names.
+    #[test]
+    fn usage_lists_only_flags_its_subcommands_take() {
+        assert_eq!(run(&argv("--help")).unwrap(), USAGE);
+        assert_eq!(run(&argv("serve --queries q.txt -h")).unwrap(), USAGE);
+        let mut subcommands: Vec<&str> = Vec::new();
+        for line in USAGE.lines().skip(1) {
+            if !line.starts_with(' ') {
+                let names = line.split_once(':').map_or("", |(names, _)| names);
+                subcommands = names.split(", ").filter(|n| !n.is_empty()).collect();
+                continue;
+            }
+            let flags = line.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'));
+            for flag in flags.filter(|w| w.starts_with("--")) {
+                assert!(!subcommands.is_empty(), "{flag} is under no subcommand");
+                for sub in &subcommands {
+                    let err = run(&argv(&format!("{sub} {flag}"))).unwrap_err();
+                    assert!(!err.contains("unknown flag"), "{sub} {flag}: {err}");
+                }
+            }
+        }
+        for sub in ["count", "serve", "motifs", "fsm", "stats", "top ADDR", "report diff A B"] {
+            let err = run(&argv(&format!("{sub} --bogus"))).unwrap_err();
+            assert!(err.contains("unknown flag '--bogus'"), "{sub}: {err}");
+        }
     }
 
     #[test]
@@ -1490,31 +1417,31 @@ mod tests {
             "--gen ba:100,3 --pattern triangle --window 8 --retries 6 --fault-drop 0.05",
         ))
         .unwrap();
-        assert_eq!(o.window, 8);
-        assert_eq!(o.retries, 6);
-        assert!((o.fault_drop - 0.05).abs() < 1e-12);
+        assert_eq!(o.cluster.window, 8);
+        assert_eq!(o.cluster.retries, 6);
+        assert!((o.cluster.fault_drop - 0.05).abs() < 1e-12);
         // Defaults track the fabric's own defaults.
         let d = parse_args(&argv("--gen ba:100,3 --pattern triangle")).unwrap();
-        assert_eq!(d.window, FabricConfig::default().window);
-        assert_eq!(d.fault_drop, 0.0);
+        assert_eq!(d.cluster.window, FabricConfig::default().window);
+        assert_eq!(d.cluster.fault_drop, 0.0);
         // --window 0 is clamped rather than deadlocking the fabric.
         let z = parse_args(&argv("--gen ba:100,3 --pattern triangle --window 0")).unwrap();
-        assert_eq!(z.window, 1);
+        assert_eq!(z.cluster.window, 1);
     }
 
     #[test]
     fn parse_steal_flags() {
         // CLI default: stealing on, batch from StealConfig's default.
         let d = parse_args(&argv("--gen ba:100,3 --pattern triangle")).unwrap();
-        assert!(d.steal);
-        assert_eq!(d.steal_batch, StealConfig::default().batch);
+        assert!(d.cluster.steal);
+        assert_eq!(d.cluster.steal_batch, StealConfig::default().batch);
         let o = parse_args(&argv("--gen ba:100,3 --pattern triangle --steal off --steal-batch 32"))
             .unwrap();
-        assert!(!o.steal);
-        assert_eq!(o.steal_batch, 32);
+        assert!(!o.cluster.steal);
+        assert_eq!(o.cluster.steal_batch, 32);
         // Batch 0 is clamped, not a claim-nothing livelock.
         let z = parse_args(&argv("--gen ba:100,3 --pattern triangle --steal-batch 0")).unwrap();
-        assert_eq!(z.steal_batch, 1);
+        assert_eq!(z.cluster.steal_batch, 1);
         assert!(parse_args(&argv("--gen ba:100,3 --pattern triangle --steal maybe")).is_err());
     }
 
@@ -1522,9 +1449,9 @@ mod tests {
     fn parse_rebalance_flag() {
         // Self-healing is on by default; it only engages with replicas.
         let d = parse_args(&argv("--gen ba:100,3 --pattern triangle")).unwrap();
-        assert!(d.rebalance);
+        assert!(d.cluster.rebalance);
         let o = parse_args(&argv("--gen ba:100,3 --pattern triangle --rebalance off")).unwrap();
-        assert!(!o.rebalance);
+        assert!(!o.cluster.rebalance);
         assert!(parse_args(&argv("--gen ba:100,3 --pattern triangle --rebalance maybe")).is_err());
     }
 
@@ -1556,23 +1483,23 @@ mod tests {
             "--gen ba:100,3 --pattern triangle --replication 2 --fault-crash 2@5000 --fail-fast",
         ))
         .unwrap();
-        assert_eq!(o.replication, 2);
-        assert_eq!(o.fault_crash, vec![(2, 5000)]);
-        assert!(o.fail_fast);
+        assert_eq!(o.cluster.replication, 2);
+        assert_eq!(o.cluster.fault_crash, vec![(2, 5000)]);
+        assert!(o.cluster.fail_fast);
         // The flag repeats: chained failures accumulate in order.
         let multi = parse_args(&argv(
             "--gen ba:100,3 --pattern triangle --replication 3 \
              --fault-crash 1@40 --fault-crash 2@90",
         ))
         .unwrap();
-        assert_eq!(multi.fault_crash, vec![(1, 40), (2, 90)]);
+        assert_eq!(multi.cluster.fault_crash, vec![(1, 40), (2, 90)]);
         let d = parse_args(&argv("--gen ba:100,3 --pattern triangle")).unwrap();
-        assert_eq!(d.replication, 1);
-        assert!(d.fault_crash.is_empty());
-        assert!(!d.fail_fast);
+        assert_eq!(d.cluster.replication, 1);
+        assert!(d.cluster.fault_crash.is_empty());
+        assert!(!d.cluster.fail_fast);
         // Replication 0 is clamped to the un-replicated baseline.
         let z = parse_args(&argv("--gen ba:100,3 --pattern triangle --replication 0")).unwrap();
-        assert_eq!(z.replication, 1);
+        assert_eq!(z.cluster.replication, 1);
         assert!(parse_args(&argv("--gen ba:100,3 --pattern triangle --fault-crash 2")).is_err());
         assert!(parse_args(&argv("--gen ba:100,3 --pattern triangle --fault-crash x@5")).is_err());
         assert!(parse_args(&argv("--gen ba:100,3 --pattern triangle --fault-crash 2@y")).is_err());
@@ -1586,7 +1513,7 @@ mod tests {
         assert!(err.contains("--fault-crash 9@5") && err.contains("= 4"), "{err}");
         // The range is machines x sockets, whichever order the flags come in.
         let ok = "--gen ba:100,3 --pattern triangle --fault-crash 5@1 --machines 3 --sockets 2";
-        assert_eq!(parse_args(&argv(ok)).unwrap().fault_crash, vec![(5, 1)]);
+        assert_eq!(parse_args(&argv(ok)).unwrap().cluster.fault_crash, vec![(5, 1)]);
         let err = parse_args(&argv(
             "--gen ba:100,3 --pattern triangle --fault-crash 6@1 --machines 3 --sockets 2",
         ))
@@ -1598,7 +1525,7 @@ mod tests {
     fn retries_must_fit_the_attempt_counter() {
         let o =
             parse_args(&argv("--gen ba:100,3 --pattern triangle --retries 4294967295")).unwrap();
-        assert_eq!(o.retries, u32::MAX);
+        assert_eq!(o.cluster.retries, u32::MAX);
         // One past u32::MAX used to wrap silently to 1 attempt.
         let err = parse_args(&argv("--gen ba:100,3 --pattern triangle --retries 4294967297"))
             .expect_err("too many attempts");
@@ -1608,11 +1535,11 @@ mod tests {
     #[test]
     fn parse_control_flag() {
         let d = parse_args(&argv("--gen ba:100,3 --pattern triangle")).unwrap();
-        assert_eq!(d.control, ControlMode::Shared, "shared atomics stay the default");
+        assert_eq!(d.cluster.control, ControlMode::Shared, "shared atomics stay the default");
         let m = parse_args(&argv("--gen ba:100,3 --pattern triangle --control msg")).unwrap();
-        assert_eq!(m.control, ControlMode::Msg);
+        assert_eq!(m.cluster.control, ControlMode::Msg);
         let s = parse_args(&argv("--gen ba:100,3 --pattern triangle --control shared")).unwrap();
-        assert_eq!(s.control, ControlMode::Shared);
+        assert_eq!(s.cluster.control, ControlMode::Shared);
         let e = parse_args(&argv("--gen ba:100,3 --pattern triangle --control carrier-pigeon"));
         assert!(e.unwrap_err().contains("shared|msg"));
     }
@@ -1667,6 +1594,17 @@ mod tests {
         assert!(parse_gen("dataset:mc").is_ok());
         assert!(parse_gen("dataset:nope").is_err());
         assert!(parse_gen("zzz:1").is_err());
+        // No silent default seed, no ignored trailing argument, and no
+        // R-MAT scale wrapping through u32.
+        let bad =
+            ["ba:100,3,x", "ba:100,3,42,7", "er:60,90,1,2,3", "rmat:4294967300,2", "rmat:32,2"];
+        for spec in bad {
+            let err = parse_gen(spec).err().unwrap_or_else(|| panic!("{spec} parsed"));
+            assert!(err.contains(spec), "{spec}: {err}");
+        }
+        assert!(parse_gen("dataset:mc,x").is_err());
+        // A missing seed is still 42.
+        assert!(parse_gen("ba:100,3,42").unwrap() == parse_gen("ba:100,3").unwrap());
     }
 
     #[test]
@@ -1682,6 +1620,10 @@ mod tests {
         let out = run(&argv("motifs --gen er:50,150 --k 3 --machines 2")).unwrap();
         assert!(out.contains("3-motif census"));
         assert!(out.contains("total connected 3-subgraphs"));
+        // Stealing (the cluster default) moves work, never a count.
+        let total = |out: &str| out.lines().find(|l| l.starts_with("total")).unwrap().to_string();
+        let off = run(&argv("motifs --gen er:50,150 --k 3 --machines 2 --steal off")).unwrap();
+        assert_eq!(total(&out), total(&off));
     }
 
     #[test]
@@ -1689,6 +1631,21 @@ mod tests {
         let out =
             run(&argv("fsm --gen er:60,200 --threshold 5 --max-edges 2 --machines 2")).unwrap();
         assert!(out.contains("frequent at support >= 5"), "{out}");
+        // Fewer labels, fewer distinct labelled candidates to evaluate.
+        let evaluated = |out: &str| -> usize {
+            out.split_whitespace().nth(1).and_then(|n| n.parse().ok()).expect("fsm: N candidates")
+        };
+        let two = run(&argv("fsm --gen er:60,200 --threshold 5 --max-edges 2 --labels 2")).unwrap();
+        assert!(evaluated(&two) < evaluated(&out), "{two}\n{out}");
+        // Stealing (the cluster default) moves work, never the frequent
+        // set; a support is a lower bound that stops where the run does.
+        let off = "fsm --gen er:60,200 --threshold 5 --max-edges 2 --machines 2 --steal off";
+        let frequent = |out: &str| -> Vec<String> {
+            out.lines().skip(1).map(|l| l.split("support").next().unwrap().to_string()).collect()
+        };
+        let off = run(&argv(off)).unwrap();
+        assert_eq!(frequent(&out), frequent(&off));
+        assert_eq!(evaluated(&out), evaluated(&off));
     }
 
     #[test]
@@ -1720,10 +1677,10 @@ mod tests {
         ))
         .unwrap();
         assert_eq!(o.trace_out.as_deref(), Some("/tmp/t.json"));
-        assert_eq!(o.report_out.as_deref(), Some("/tmp/r.json"));
+        assert_eq!(o.cluster.report_out.as_deref(), Some("/tmp/r.json"));
         let d = parse_args(&argv("--gen ba:100,3 --pattern triangle")).unwrap();
         assert_eq!(d.trace_out, None);
-        assert_eq!(d.report_out, None);
+        assert_eq!(d.cluster.report_out, None);
         assert!(parse_args(&argv("--gen ba:100,3 --pattern triangle --trace-out")).is_err());
     }
 
@@ -1985,6 +1942,8 @@ mod tests {
         assert!(run(&argv("top 127.0.0.1:1")).is_err());
         assert!(run(&argv("top 127.0.0.1:1 --watch")).is_err());
         assert!(run(&argv("top 127.0.0.1:1 --watch x")).is_err());
+        let err = run(&argv("top 127.0.0.1:1 --watch inf")).unwrap_err();
+        assert!(err.contains("--watch inf"), "{err}");
         assert!(run(&argv("top 127.0.0.1:1 --frames 2")).is_err()); // needs --watch
         assert!(run(&argv("top 127.0.0.1:1 --bogus 1")).is_err());
     }
@@ -2109,11 +2068,11 @@ mod tests {
             "--gen ba:100,3 --pattern triangle --incident-dir /tmp/inc --stall-ms 500",
         ))
         .unwrap();
-        assert_eq!(o.incident_dir.as_deref(), Some("/tmp/inc"));
-        assert_eq!(o.stall_ms, Some(500));
+        assert_eq!(o.cluster.incident_dir.as_deref(), Some("/tmp/inc"));
+        assert_eq!(o.cluster.stall_ms, Some(500));
         let d = parse_args(&argv("--gen ba:100,3 --pattern triangle")).unwrap();
-        assert_eq!(d.incident_dir, None);
-        assert_eq!(d.stall_ms, None);
+        assert_eq!(d.cluster.incident_dir, None);
+        assert_eq!(d.cluster.stall_ms, None);
         assert!(parse_args(&argv("--gen ba:100,3 --pattern triangle --incident-dir")).is_err());
         assert!(parse_args(&argv("--gen ba:100,3 --pattern triangle --stall-ms x")).is_err());
     }
@@ -2124,9 +2083,9 @@ mod tests {
             "--gen ba:100,3 --pattern triangle --control msg --control-fault-drop 0.5",
         ))
         .unwrap();
-        assert!((o.control_fault_drop - 0.5).abs() < 1e-12);
+        assert!((o.cluster.control_fault_drop - 0.5).abs() < 1e-12);
         let d = parse_args(&argv("--gen ba:100,3 --pattern triangle")).unwrap();
-        assert_eq!(d.control_fault_drop, 0.0);
+        assert_eq!(d.cluster.control_fault_drop, 0.0);
         // The shared ledger has no wire to drop on.
         assert!(parse_args(&argv("--gen ba:100,3 --pattern triangle --control-fault-drop 0.5"))
             .is_err());
@@ -2179,6 +2138,10 @@ mod tests {
         let err =
             run(&argv(&format!("serve --gen ba:100,3 --queries {}", empty.display()))).unwrap_err();
         assert!(err.contains("no queries"), "{err}");
+        std::fs::write(&empty, "triangle\nclique:40\n").unwrap();
+        let err =
+            run(&argv(&format!("serve --gen ba:100,3 --queries {}", empty.display()))).unwrap_err();
+        assert!(err.contains("clique:40"), "{err}");
         std::fs::remove_file(&empty).ok();
     }
 
