@@ -562,7 +562,7 @@ fn run_serve(args: &[String]) -> Result<String, String> {
     // see the workload from its first root claim.
     let status_server = status_addr
         .map(|addr| {
-            let config = StatusConfig { addr: addr.clone(), ..StatusConfig::default() };
+            let config = StatusConfig { addr: addr.clone() };
             StatusServer::start(Arc::clone(&service), config)
                 .map_err(|e| format!("binding status server on {addr}: {e}"))
         })

@@ -2,14 +2,14 @@
 //! workspace keeps, declared once.
 //!
 //! A row of the table is a [`Counter`]: its stable name (the key in
-//! `/status`, the rollup ring and incident bundles, and the stem of its
-//! `/metrics` sample), its help text, and whether it is exported at all.
+//! `/status` and incident bundles, and the stem of its `/metrics`
+//! sample), its help text, and whether it is exported at all.
 //! [`Counters`] is one atomic cell per row and [`Counts`] its plain
 //! snapshot. A part's view and a query's view are both a [`Counters`];
 //! the fabric and control clients hold a [`Scope`] naming one of each, so
 //! an event is written once and lands in both. Nothing is summed on read
-//! or folded on retire: a part row only ever grows, which is what a
-//! delta ring needs, and a query row holds exactly that query's share
+//! or folded on retire: a part row only ever grows, as a cumulative
+//! counter must, and a query row holds exactly that query's share
 //! however many others ran beside it.
 //!
 //! These counters back the paper's network-traffic tables (Table 6,
@@ -106,9 +106,9 @@ impl Counter {
         self.row().help
     }
 
-    /// The exported rows, in table order: the ones `/status`, the rollup
-    /// ring and incident bundles carry. The rest serve tests and the
-    /// engine's own decisions.
+    /// The exported rows, in table order: the ones `/status` and incident
+    /// bundles carry. The rest serve tests and the engine's own
+    /// decisions.
     pub fn exported() -> impl Iterator<Item = Counter> {
         Self::ALL.iter().copied().filter(|c| c.row().exported)
     }
@@ -151,7 +151,7 @@ impl Counters {
 
     /// A plain copy of every cell. Each is a relaxed load, so the copy is
     /// not one atomic cut, but every counter is individually exact and
-    /// monotone — which is all a delta ring needs.
+    /// monotone — which is all a cumulative counter needs.
     pub fn snapshot(&self) -> Counts {
         Counts(std::array::from_fn(|i| self.0[i].load(Ordering::Relaxed)))
     }
@@ -304,9 +304,9 @@ mod tests {
         }
     }
 
-    /// The external contract: `/status`, the rollup ring and incident
-    /// bundles key their values by these strings, in this order. A rename
-    /// or a reorder must show up as a diff of this list.
+    /// The external contract: `/status` and incident bundles key their
+    /// values by these strings, in this order. A rename or a reorder must
+    /// show up as a diff of this list.
     #[test]
     fn exported_names_are_the_recorded_fourteen() {
         let names: Vec<_> = Counter::exported().map(Counter::name).collect();

@@ -11,11 +11,11 @@
 //!   schema-v4 `RunReport`, sample for sample.
 //! * `GET /status` — a JSON document for humans and `gpm top`: service
 //!   state, admission queue, live per-query progress with ETA, the
-//!   recent-completions ring, the slow-query log, and the rolling
-//!   windows of a [`Rollup`] fed from the live [`ClusterMetrics`]
-//!   counters (these show *rates*, and deliberately live outside the
+//!   recent-completions ring, the slow-query log, and the live cumulative
+//!   [`ClusterMetrics`] counters (these deliberately live outside the
 //!   reconciliation contract — in-flight queries move them before any
-//!   outcome exists).
+//!   outcome exists; a scraper derives rates from two scrapes, as for
+//!   any Prometheus counter).
 //! * `GET /incidents` — the incident bundles captured so far, in
 //!   capture order, mirroring the report's `incidents[]` section. Each
 //!   entry carries the on-disk path of its full schema-validated
@@ -23,32 +23,22 @@
 //! * `GET /quit` — flags quit; `gpm serve --status-linger-ms` polls
 //!   [`StatusServer::quit_requested`] so CI can end a linger cleanly.
 //!
-//! The server thread owns the rollup and does all rendering; the
+//! The server thread does all rendering and keeps no history; the
 //! mining hot path is never touched — scrapes read the same atomics
 //! and brief locks the report path already reads.
 //!
 //! [`ClusterMetrics`]: gpm_cluster::ClusterMetrics
 
-use crate::incident::progress_json;
+use crate::incident::{counters_json, progress_json};
 use crate::service::{sum_outcomes, Completion, MiningService};
 use gpm_cluster::Counter;
-use gpm_obs::{render_prometheus, HolderReroute, PromKind, PromMetric, Rollup};
+use gpm_obs::{render_prometheus, HolderReroute, PromKind, PromMetric};
 use serde::Value;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
-
-/// Service-level counters appended after the cluster counters in the
-/// rollup's counter vector.
-const SERVICE_COUNTERS: [&str; 3] = ["memo_hits", "memo_evictions", "queries_completed"];
-/// Rolling windows retained (older deltas fold into the evicted totals,
-/// conserving the cumulative counts).
-const ROLLUP_WINDOWS: usize = 120;
-/// Gauges sampled into every rollup window.
-const ROLLUP_GAUGES: [&str; 4] =
-    ["queue_depth", "active_queries", "active_executors", "memo_entries"];
+use std::time::Duration;
 
 /// Knobs of a [`StatusServer`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -56,13 +46,11 @@ pub struct StatusConfig {
     /// Listen address; port 0 picks a free port (see
     /// [`StatusServer::local_addr`]).
     pub addr: String,
-    /// Rollup sampling interval.
-    pub tick: Duration,
 }
 
 impl Default for StatusConfig {
     fn default() -> Self {
-        StatusConfig { addr: "127.0.0.1:0".to_string(), tick: Duration::from_millis(250) }
+        StatusConfig { addr: "127.0.0.1:0".to_string() }
     }
 }
 
@@ -92,7 +80,7 @@ impl StatusServer {
         let thread_quit = Arc::clone(&quit);
         let handle = std::thread::Builder::new()
             .name("khuzdul-status".to_string())
-            .spawn(move || serve_loop(&listener, &svc, &cfg, &thread_stop, &thread_quit))
+            .spawn(move || serve_loop(&listener, &svc, &thread_stop, &thread_quit))
             .expect("spawn status server");
         Ok(StatusServer { local_addr, stop, quit, handle: Some(handle) })
     }
@@ -120,22 +108,12 @@ impl Drop for StatusServer {
 fn serve_loop(
     listener: &TcpListener,
     svc: &Arc<MiningService>,
-    cfg: &StatusConfig,
     stop: &AtomicBool,
     quit: &AtomicBool,
 ) {
-    let started = Instant::now();
-    let mut counter_names: Vec<&'static str> = Counter::exported().map(Counter::name).collect();
-    counter_names.extend(SERVICE_COUNTERS);
-    let mut rollup = Rollup::new(counter_names, ROLLUP_GAUGES.to_vec(), ROLLUP_WINDOWS);
-    let mut next_tick = Instant::now();
     while !stop.load(Ordering::SeqCst) {
-        if Instant::now() >= next_tick {
-            push_sample(&mut rollup, svc, started.elapsed().as_nanos() as u64);
-            next_tick = Instant::now() + cfg.tick.max(Duration::from_millis(10));
-        }
         match listener.accept() {
-            Ok((stream, _)) => handle_conn(stream, svc, &rollup, quit),
+            Ok((stream, _)) => handle_conn(stream, svc, quit),
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                 std::thread::sleep(Duration::from_millis(5));
             }
@@ -144,29 +122,7 @@ fn serve_loop(
     }
 }
 
-fn push_sample(rollup: &mut Rollup, svc: &MiningService, t_ns: u64) {
-    let engine = svc.engine();
-    let cluster = engine.metrics().totals();
-    let (memo_entries, memo_hits, memo_evictions) = svc.memo_stats();
-    let completed = svc.outcomes().len() as u64;
-    let mut counters: Vec<u64> = Counter::exported().map(|c| cluster[c]).collect();
-    counters.extend([memo_hits, memo_evictions, completed]);
-    let active = engine.active_query_count() as u64;
-    let gauges = [
-        svc.queue_depth() as u64,
-        active,
-        active.min(svc.config().max_concurrent as u64),
-        memo_entries,
-    ];
-    rollup.push(t_ns, &counters, &gauges);
-}
-
-fn handle_conn(
-    mut stream: TcpStream,
-    svc: &Arc<MiningService>,
-    rollup: &Rollup,
-    quit: &AtomicBool,
-) {
+fn handle_conn(mut stream: TcpStream, svc: &Arc<MiningService>, quit: &AtomicBool) {
     let _ = stream.set_read_timeout(Some(Duration::from_millis(250)));
     let _ = stream.set_write_timeout(Some(Duration::from_secs(2)));
     let mut buf = [0u8; 1024];
@@ -190,7 +146,7 @@ fn handle_conn(
     let path = line.split_whitespace().nth(1).unwrap_or("/").to_string();
     let (status, ctype, body) = match path.as_str() {
         "/metrics" => ("200 OK", "text/plain; version=0.0.4; charset=utf-8", render_metrics(svc)),
-        "/status" => ("200 OK", "application/json", render_status(svc, rollup)),
+        "/status" => ("200 OK", "application/json", render_status(svc)),
         "/incidents" => ("200 OK", "application/json", render_incidents(svc)),
         "/quit" => {
             quit.store(true, Ordering::SeqCst);
@@ -398,25 +354,10 @@ fn render_metrics(svc: &MiningService) -> String {
 /// the list [`MiningService::report`] attaches as `incidents[]`. The
 /// full bundles live on disk at each entry's `path`.
 fn render_incidents(svc: &MiningService) -> String {
-    let entries: Vec<Value> = svc
-        .engine()
-        .incidents()
-        .incidents()
-        .iter()
-        .map(|i| {
-            Value::Map(vec![
-                ("id".into(), Value::Str(i.id.clone())),
-                ("trigger".into(), Value::Str(i.trigger.clone())),
-                ("query_id".into(), Value::UInt(i.query_id)),
-                ("at_ns".into(), Value::UInt(i.at_ns)),
-                ("path".into(), Value::Str(i.path.clone())),
-            ])
-        })
-        .collect();
-    serde_json::to_string(&Value::Seq(entries)).expect("incident JSON renders")
+    serde_json::to_string(&svc.engine().incidents().incidents()).expect("incident JSON renders")
 }
 
-fn render_status(svc: &MiningService, rollup: &Rollup) -> String {
+fn render_status(svc: &MiningService) -> String {
     let engine = svc.engine();
     let (memo_entries, memo_hits, memo_evictions) = svc.memo_stats();
     let active: Vec<Value> = {
@@ -451,7 +392,7 @@ fn render_status(svc: &MiningService, rollup: &Rollup) -> String {
             "slow_queries".into(),
             Value::Seq(svc.slow_queries().iter().map(completion_json).collect()),
         ),
-        ("rollup".into(), rollup_json(rollup)),
+        ("counters".into(), counters_json(&engine.metrics().totals())),
     ]);
     serde_json::to_string(&doc).expect("status JSON renders")
 }
@@ -499,43 +440,6 @@ fn completion_json(c: &Completion) -> Value {
         ("pattern".into(), Value::Str(c.pattern.clone())),
         ("count".into(), c.count.map(Value::UInt).unwrap_or(Value::Null)),
         ("elapsed_ns".into(), Value::UInt(c.elapsed.as_nanos() as u64)),
-    ])
-}
-
-fn rollup_json(r: &Rollup) -> Value {
-    let names =
-        |ns: &[&'static str]| Value::Seq(ns.iter().map(|n| Value::Str((*n).to_string())).collect());
-    let windows: Vec<Value> = r
-        .windows()
-        .map(|w| {
-            Value::Map(vec![
-                ("t_ns".into(), Value::UInt(w.t_ns)),
-                ("dt_ns".into(), Value::UInt(w.dt_ns)),
-                ("deltas".into(), Value::Seq(w.deltas.iter().map(|&d| Value::UInt(d)).collect())),
-                ("gauges".into(), Value::Seq(w.gauges.iter().map(|&g| Value::UInt(g)).collect())),
-            ])
-        })
-        .collect();
-    let rates = Value::Map(
-        r.counter_names()
-            .iter()
-            .enumerate()
-            .map(|(i, n)| ((*n).to_string(), Value::Float(r.rate_per_sec(i))))
-            .collect(),
-    );
-    Value::Map(vec![
-        ("counter_names".into(), names(r.counter_names())),
-        ("gauge_names".into(), names(r.gauge_names())),
-        ("windows".into(), Value::Seq(windows)),
-        (
-            "evicted_totals".into(),
-            Value::Seq(r.evicted_totals().iter().map(|&e| Value::UInt(e)).collect()),
-        ),
-        (
-            "cumulative".into(),
-            Value::Seq(r.latest_cumulative().iter().map(|&c| Value::UInt(c)).collect()),
-        ),
-        ("rates_per_sec".into(), rates),
     ])
 }
 
@@ -607,7 +511,10 @@ mod tests {
         let status = http_get(server.local_addr(), "/status");
         let doc = gpm_obs::parse_json(&status).expect("status must be valid JSON");
         let serde::Value::Map(fields) = &doc else { panic!("status root is an object") };
-        assert!(fields.iter().any(|(k, _)| k == "rollup"));
+        // The live cumulative counters, one per exported cluster counter.
+        let counters = fields.iter().find(|(k, _)| k == "counters").map(|(_, v)| v);
+        let Some(serde::Value::Map(counters)) = counters else { panic!("counters missing") };
+        assert_eq!(counters.len(), Counter::exported().count());
         // The replica table is always present; at r=1 every part hosts
         // only its own slice and has exactly one live copy.
         let replicas = fields.iter().find(|(k, _)| k == "replicas").map(|(_, v)| v);

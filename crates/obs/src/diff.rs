@@ -11,12 +11,8 @@
 //! absolute time gate, which is exactly why the critical-path fractions
 //! (self-normalizing) are the headline check.
 
-use crate::report::REPORT_SCHEMA_VERSION;
-use crate::validate::{
-    as_map, get, parse_json, req_fraction, req_map, req_seq, req_u64, CRITICAL_PATH_FRACTION_KEYS,
-    TRAFFIC_KEYS,
-};
-use serde::Value;
+use crate::report::CriticalPathFractions;
+use crate::validate::{numbers, read_report};
 
 /// Tolerances for [`diff_reports`]. A candidate value `c` against
 /// baseline `b` regresses when it moves adversely past
@@ -68,130 +64,38 @@ impl ReportDiff {
     }
 }
 
-struct Parsed {
-    count: u64,
-    traffic: Vec<(String, u64)>,
-    hit_rate: f64,
-    busy_imbalance: f64,
-    fractions: Vec<(String, f64)>,
-    /// Control-plane counters — `None` for reports written before the
-    /// section existed (it is additive in v4 and optional here so old
-    /// checked-in baselines keep parsing).
-    control: Option<Vec<(String, u64)>>,
-    queries: Vec<ParsedQuery>,
-}
-
-/// One `queries[]` entry of a schema-v4 service report, as the gate
-/// compares it: identity (position + pattern), the exact count, and the
-/// critical-path fractions.
-struct ParsedQuery {
-    pattern: String,
-    memoized: bool,
-    count: u64,
-    fractions: Vec<(String, f64)>,
-}
-
-fn parse_report(json: &str, which: &str) -> Result<Parsed, String> {
-    let doc = parse_json(json).map_err(|e| format!("{which}: {e}"))?;
-    let top = as_map(&doc, which)?;
-    let version = req_u64(top, "schema_version", which)?;
-    if version != REPORT_SCHEMA_VERSION {
-        return Err(format!(
-            "{which}.schema_version: {version} != supported {REPORT_SCHEMA_VERSION}"
-        ));
-    }
-    let traffic_map = req_map(top, "traffic", which)?;
-    let mut traffic = Vec::new();
-    for key in TRAFFIC_KEYS {
-        traffic.push((key.to_string(), req_u64(traffic_map, key, "traffic")?));
-    }
-    let hits = req_u64(traffic_map, "cache_hits", "traffic")? as f64;
-    let misses = req_u64(traffic_map, "cache_misses", "traffic")? as f64;
-    let hit_rate = if hits + misses == 0.0 { 0.0 } else { hits / (hits + misses) };
-
-    let per_part = req_seq(top, "per_part", which)?;
-    let mut busy: Vec<u64> = Vec::new();
-    for p in per_part {
-        let m = as_map(p, "per_part[i]")?;
-        busy.push(
-            req_u64(m, "compute_ns", "p")?
-                + req_u64(m, "network_ns", "p")?
-                + req_u64(m, "scheduler_ns", "p")?
-                + req_u64(m, "cache_ns", "p")?,
-        );
-    }
-    let max = busy.iter().copied().max().unwrap_or(0);
-    let mean = busy.iter().sum::<u64>() as f64 / busy.len().max(1) as f64;
-    let busy_imbalance = if mean == 0.0 { 0.0 } else { max as f64 / mean };
-
-    let cp = req_map(top, "critical_path", which)?;
-    let fr = req_map(cp, "fractions", &format!("{which}.critical_path"))?;
-    let mut fractions = Vec::new();
-    for key in CRITICAL_PATH_FRACTION_KEYS {
-        fractions.push((key.to_string(), req_fraction(fr, key, "critical_path.fractions")?));
-    }
-
-    let control = match get(top, "control") {
-        Some(v) => {
-            let m = as_map(v, "control")?;
-            let mut c = Vec::new();
-            for key in ["sent", "retried", "dropped"] {
-                c.push((key.to_string(), req_u64(m, key, "control")?));
-            }
-            Some(c)
+/// One regression line per blocked-time fraction of `c` past its
+/// baseline `b`; `at` names the section and `tag` follows the key.
+fn gate_fractions(
+    at: &str,
+    tag: &str,
+    b: &CriticalPathFractions,
+    c: &CriticalPathFractions,
+    t: &DiffThresholds,
+    out: &mut Vec<String>,
+) {
+    for ((key, b), (_, c)) in numbers(b).into_iter().zip(numbers(c)) {
+        // Only blocked-time fractions regress upward; compute shrinking
+        // is already covered by the others growing (they sum to 1).
+        let limit = b * (1.0 + t.frac_rel) + t.frac_abs;
+        if key != "compute" && c > limit {
+            out.push(format!("{at}.{key}{tag}: {c:.4} exceeds baseline {b:.4} (limit {limit:.4})"));
         }
-        None => None,
-    };
-
-    let queries_seq = req_seq(top, "queries", which)?;
-    let mut queries = Vec::new();
-    for (i, q) in queries_seq.iter().enumerate() {
-        let ctx = format!("{which}.queries[{i}]");
-        let m = as_map(q, &ctx)?;
-        let pattern = match get(m, "pattern") {
-            Some(Value::Str(s)) => s.clone(),
-            _ => return Err(format!("{ctx}.pattern: missing")),
-        };
-        let memoized = match get(m, "memoized") {
-            Some(Value::Bool(b)) => *b,
-            _ => return Err(format!("{ctx}.memoized: missing")),
-        };
-        let cp = req_map(m, "critical_path", &ctx)?;
-        let fr = req_map(cp, "fractions", &format!("{ctx}.critical_path"))?;
-        let mut fractions = Vec::new();
-        for key in CRITICAL_PATH_FRACTION_KEYS {
-            fractions.push((key.to_string(), req_fraction(fr, key, &ctx)?));
-        }
-        queries.push(ParsedQuery {
-            pattern,
-            memoized,
-            count: req_u64(m, "count", &ctx)?,
-            fractions,
-        });
     }
-
-    Ok(Parsed {
-        count: req_u64(top, "count", which)?,
-        traffic,
-        hit_rate,
-        busy_imbalance,
-        fractions,
-        control,
-        queries,
-    })
 }
 
 /// Compares `candidate` against `baseline` (both `RunReport` JSON) under
-/// `t`. Returns `Err` when either document is unparseable or not a
-/// supported-schema report; otherwise returns the full comparison, with
-/// one regression line per threshold violation.
+/// `t`. Both sides are read and checked by the same reader as
+/// `report-validate`, so `Err` names the first field of either document
+/// the validator would reject; otherwise returns the full comparison,
+/// with one regression line per threshold violation.
 pub fn diff_reports(
     baseline: &str,
     candidate: &str,
     t: &DiffThresholds,
 ) -> Result<ReportDiff, String> {
-    let base = parse_report(baseline, "baseline")?;
-    let cand = parse_report(candidate, "candidate")?;
+    let (base, _) = read_report(baseline, "baseline")?;
+    let (cand, _) = read_report(candidate, "candidate")?;
     let mut out = ReportDiff::default();
 
     out.compared.push(format!("count: {} -> {}", base.count, cand.count));
@@ -200,10 +104,9 @@ pub fn diff_reports(
             .push(format!("count mismatch: baseline {} != candidate {}", base.count, cand.count));
     }
 
-    for ((key, b), (_, c)) in base.traffic.iter().zip(&cand.traffic) {
+    for ((key, b), (_, c)) in numbers(&base.traffic).into_iter().zip(numbers(&cand.traffic)) {
         out.compared.push(format!("traffic.{key}: {b} -> {c}"));
-        let limit = *b as f64 * (1.0 + t.traffic_rel) + t.traffic_abs;
-        if *c as f64 > limit {
+        if c > b * (1.0 + t.traffic_rel) + t.traffic_abs {
             out.regressions.push(format!(
                 "traffic.{key}: {c} exceeds baseline {b} by more than {:.0}% + {:.0}",
                 t.traffic_rel * 100.0,
@@ -212,45 +115,37 @@ pub fn diff_reports(
         }
     }
 
-    out.compared.push(format!("cache_hit_rate: {:.4} -> {:.4}", base.hit_rate, cand.hit_rate));
-    if cand.hit_rate < base.hit_rate - t.hit_rate_abs {
+    let (b, c) = (base.traffic.cache_hit_rate(), cand.traffic.cache_hit_rate());
+    out.compared.push(format!("cache_hit_rate: {b:.4} -> {c:.4}"));
+    if c < b - t.hit_rate_abs {
         out.regressions.push(format!(
-            "cache_hit_rate: dropped {:.4} -> {:.4} (more than {:.4} below baseline)",
-            base.hit_rate, cand.hit_rate, t.hit_rate_abs
+            "cache_hit_rate: dropped {b:.4} -> {c:.4} (more than {:.4} below baseline)",
+            t.hit_rate_abs
         ));
     }
 
-    out.compared
-        .push(format!("busy_imbalance: {:.3} -> {:.3}", base.busy_imbalance, cand.busy_imbalance));
-    if cand.busy_imbalance > base.busy_imbalance + t.imbalance_abs {
+    let (b, c) = (base.busy_imbalance(), cand.busy_imbalance());
+    out.compared.push(format!("busy_imbalance: {b:.3} -> {c:.3}"));
+    if c > b + t.imbalance_abs {
         out.regressions.push(format!(
-            "busy_imbalance: {:.3} exceeds baseline {:.3} by more than {:.3}",
-            cand.busy_imbalance, base.busy_imbalance, t.imbalance_abs
+            "busy_imbalance: {c:.3} exceeds baseline {b:.3} by more than {:.3}",
+            t.imbalance_abs
         ));
     }
 
-    for ((key, b), (_, c)) in base.fractions.iter().zip(&cand.fractions) {
+    let (bf, cf) = (&base.critical_path.fractions, &cand.critical_path.fractions);
+    for ((key, b), (_, c)) in numbers(bf).into_iter().zip(numbers(cf)) {
         out.compared.push(format!("critical_path.{key}: {b:.4} -> {c:.4}"));
-        // Only blocked-time fractions regress upward; compute shrinking
-        // is already covered by the others growing (they sum to 1).
-        if key == "compute" {
-            continue;
-        }
-        let limit = b * (1.0 + t.frac_rel) + t.frac_abs;
-        if *c > limit {
-            out.regressions.push(format!(
-                "critical_path.{key}: {c:.4} exceeds baseline {b:.4} (limit {limit:.4})"
-            ));
-        }
     }
+    gate_fractions("critical_path", "", bf, cf, t, &mut out.regressions);
 
     // Control-plane counters are informational, never a gate: message
     // volume depends on steal timing, which is schedule-dependent even
-    // for bit-identical counts. They only appear when both sides carry
-    // the (additive, optional) section.
-    if let (Some(b), Some(c)) = (&base.control, &cand.control) {
-        for ((key, bv), (_, cv)) in b.iter().zip(c) {
-            out.compared.push(format!("control.{key}: {bv} -> {cv}"));
+    // for bit-identical counts. They only appear when both sides sent
+    // control messages (a report without the section reads as zero).
+    if base.control.sent > 0 && cand.control.sent > 0 {
+        for ((key, b), (_, c)) in numbers(&base.control).into_iter().zip(numbers(&cand.control)) {
+            out.compared.push(format!("control.{key}: {b} -> {c}"));
         }
     }
 
@@ -284,21 +179,15 @@ pub fn diff_reports(
                 b.pattern, b.count, c.count
             ));
         }
-        if b.memoized || c.memoized {
-            continue;
-        }
-        for ((key, bf), (_, cf)) in b.fractions.iter().zip(&c.fractions) {
-            if key == "compute" {
-                continue;
-            }
-            let limit = bf * (1.0 + t.frac_rel) + t.frac_abs;
-            if *cf > limit {
-                out.regressions.push(format!(
-                    "queries[{i}].critical_path.{key} ({}): {cf:.4} exceeds baseline {bf:.4} \
-                     (limit {limit:.4})",
-                    b.pattern
-                ));
-            }
+        if !(b.memoized || c.memoized) {
+            gate_fractions(
+                &format!("queries[{i}].critical_path"),
+                &format!(" ({})", b.pattern),
+                &b.critical_path.fractions,
+                &c.critical_path.fractions,
+                t,
+                &mut out.regressions,
+            );
         }
     }
 
@@ -309,7 +198,7 @@ pub fn diff_reports(
 mod tests {
     use super::*;
     use crate::report::{
-        CriticalPathFractions, CriticalPathSection, PartReport, RunReport, SpanStats, TrafficTotals,
+        CriticalPathSection, PartReport, RunReport, SpanStats, TrafficTotals, REPORT_SCHEMA_VERSION,
     };
 
     fn base_report() -> RunReport {
@@ -359,12 +248,29 @@ mod tests {
         }
     }
 
+    /// The committed service baseline CI gates against. It predates the
+    /// additive v4 fields, so it pins the defaults they read as.
+    const SERVICE_BASELINE: &str = include_str!("../../../ci/service-baseline.report.json");
+
     #[test]
     fn identical_reports_pass() {
-        let json = base_report().to_json();
-        let d = diff_reports(&json, &json, &DiffThresholds::default()).unwrap();
-        assert!(d.passed(), "regressions: {:?}", d.regressions);
-        assert!(!d.compared.is_empty());
+        for json in [base_report().to_json(), SERVICE_BASELINE.to_string()] {
+            assert_eq!(crate::validate_report(&json), Ok(Vec::new()));
+            let d = diff_reports(&json, &json, &DiffThresholds::default()).unwrap();
+            assert!(d.passed(), "regressions: {:?}", d.regressions);
+            assert!(!d.compared.is_empty());
+        }
+        let (r, _) = read_report(SERVICE_BASELINE, "baseline").unwrap();
+        assert_eq!((r.queries.len(), r.count), (8, 198_411));
+        assert_eq!(r.control, Default::default());
+        assert_eq!(r.rebalance, Default::default());
+        assert!(r.incidents.is_empty());
+        let h = &r.histograms[0].histogram;
+        assert_eq!((h.p999, h.max), (h.p99, h.p99), "a missing tail reads as the p99");
+        for q in &r.queries {
+            assert_eq!((q.roots_total, q.roots_completed, q.memo_entries), (0, 0, 0));
+            assert_eq!((q.memo_evictions, q.control), (0, Default::default()));
+        }
     }
 
     #[test]
@@ -551,5 +457,23 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.contains("schema_version"));
+
+        // The gate refuses what the validator refuses: the service
+        // baseline with non-monotone percentiles and a duplicate query
+        // id, on either side, fails with the offending field named.
+        let (mut bad, _) = read_report(SERVICE_BASELINE, "baseline").unwrap();
+        bad.queries[1].query_id = bad.queries[0].query_id;
+        let duplicate = bad.to_json();
+        let h = &mut bad.histograms[0].histogram;
+        std::mem::swap(&mut h.p50, &mut h.p99);
+        let both = bad.to_json();
+        for (json, field) in [(&duplicate, "queries: duplicate query_id"), (&both, "histograms[0]")]
+        {
+            assert!(crate::validate_report(json).unwrap_err().contains(field));
+            let err = diff_reports(SERVICE_BASELINE, json, &Default::default()).unwrap_err();
+            assert!(err.starts_with(&format!("candidate.{field}")), "{err}");
+            let err = diff_reports(json, SERVICE_BASELINE, &Default::default()).unwrap_err();
+            assert!(err.starts_with(&format!("baseline.{field}")), "{err}");
+        }
     }
 }

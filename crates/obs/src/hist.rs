@@ -1,6 +1,6 @@
 //! Lock-free log2-bucketed histograms with percentile estimation.
 
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Number of buckets: one for zero plus one per bit of a `u64`.
@@ -96,7 +96,7 @@ impl Histogram {
 /// exported summary coherent (`quantile="0.999"` never above
 /// `quantile="1"`). `p50 <= p95 <= p99 <= p999 <= max` holds by
 /// construction.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct HistogramSnapshot {
     /// Observation count.
     pub count: u64,

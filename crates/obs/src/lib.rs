@@ -52,7 +52,6 @@ mod hist;
 mod progress;
 mod recorder;
 mod report;
-mod rollup;
 mod span;
 mod trace;
 mod validate;
@@ -70,20 +69,19 @@ pub use report::{
     RebalanceSection, RingOccupancy, RunReport, SeriesPoint, SpanStats, TrafficTotals,
     REPORT_SCHEMA_VERSION,
 };
-pub use rollup::{Rollup, Window};
 pub use span::{Span, SpanKind, NO_PART};
 pub use trace::chrome_trace;
 pub use validate::{parse_json, validate_report, validate_trace};
 
-/// Readers of parsed JSON documents — reports, incident bundles, the
+/// Readers of parsed JSON documents — incident bundles, traces, the
 /// `/status` page — shared by every validator and renderer: strict
-/// accessors that name the offending field (`req_*`, `opt_u64`, `as_*`)
-/// and lenient ones that read a missing field as empty (`field`, `uint`,
-/// `num`, `text`, `seq`).
+/// accessors that name the offending field (`req_*`, `as_*`) and lenient
+/// ones that read a missing field as empty (`field`, `uint`, `num`,
+/// `text`, `seq`). A report is read whole, into a [`RunReport`].
 pub mod json {
     pub use crate::validate::{
-        as_map, as_seq, field, get, num, opt_u64, parse_json, req_fraction, req_map, req_seq,
-        req_str, req_u64, seq, text, uint,
+        as_map, as_seq, field, get, num, parse_json, req_map, req_seq, req_str, req_u64, seq, text,
+        uint,
     };
 }
 

@@ -1,7 +1,7 @@
 //! The versioned machine-readable `RunReport`.
 
 use crate::hist::HistogramSnapshot;
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 
 /// Schema version written into every report. Bump on any
 /// field removal/rename or semantic change; additive fields keep the
@@ -36,7 +36,7 @@ pub const REPORT_SCHEMA_VERSION: u64 = 4;
 
 /// End-of-run traffic totals, mirroring the engine's `TrafficSummary`
 /// counter-for-counter so the two can be diffed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct TrafficTotals {
     /// Remote adjacency requests issued over the fabric.
     pub fetch_requests: u64,
@@ -57,7 +57,7 @@ pub struct TrafficTotals {
 
 /// Runtime breakdown fractions (sum to 1 when any time was accounted,
 /// all zero otherwise — never NaN).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct BreakdownFractions {
     /// Fraction of accounted time in pattern-extension compute.
     pub compute: f64,
@@ -70,7 +70,7 @@ pub struct BreakdownFractions {
 }
 
 /// Per-part counters copied from the engine's `PartStats`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct PartReport {
     /// Part id.
     pub part: u64,
@@ -93,7 +93,7 @@ pub struct PartReport {
 }
 
 /// A named histogram snapshot in the report.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct NamedHistogram {
     /// Metric name (see `Metric::name`).
     pub name: String,
@@ -102,7 +102,7 @@ pub struct NamedHistogram {
 }
 
 /// One point of the utilization time series.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SeriesPoint {
     /// Sample time, nanoseconds since recorder epoch.
     pub t_ns: u64,
@@ -117,7 +117,7 @@ pub struct SeriesPoint {
 }
 
 /// Occupancy of one span ring shard at report time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct RingOccupancy {
     /// Shard index.
     pub shard: u64,
@@ -133,7 +133,7 @@ pub struct RingOccupancy {
 /// Nonzero `dropped` means the trace (and anything derived from it, like
 /// the critical-path section) is truncated; `report-validate` warns on
 /// it so truncated traces are never silently trusted.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct SpanStats {
     /// Spans offered to the recorder.
     pub recorded: u64,
@@ -147,7 +147,7 @@ pub struct SpanStats {
 /// Wall-time attribution fractions from the critical-path pass. Each is
 /// in `[0, 1]`; together they sum to 1 when any time was accounted and
 /// are all zero otherwise (never NaN).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct CriticalPathFractions {
     /// Fraction in pattern-extension compute (seed/extend/job spans).
     pub compute: f64,
@@ -162,7 +162,7 @@ pub struct CriticalPathFractions {
 }
 
 /// Per-part critical-path decomposition, nanoseconds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct PartCriticalPath {
     /// Part id.
     pub part: u64,
@@ -183,7 +183,7 @@ pub struct PartCriticalPath {
 
 /// The critical-path section of the report (schema v2): how the run's
 /// accounted wall time decomposes along each part's dependency chain.
-#[derive(Debug, Clone, PartialEq, Default, Serialize)]
+#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct CriticalPathSection {
     /// Run-wide attribution fractions.
     pub fractions: CriticalPathFractions,
@@ -195,7 +195,7 @@ pub struct CriticalPathSection {
 /// run. `report-validate` warns when `parts_failed > 0` but
 /// `rerouted_bytes == 0` — a part died and failover never engaged, so
 /// the run either had no replicas or lost data.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct FailureSection {
     /// Parts declared failed (fail-stop) during the run.
     pub parts_failed: u64,
@@ -212,7 +212,7 @@ pub struct FailureSection {
 /// (additive in v4): the spread-failover policy round-robins dead-owner
 /// fetches across every live holder, and this records how much each one
 /// actually served.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct HolderReroute {
     /// The part that served the rerouted fetches.
     pub part: u64,
@@ -227,7 +227,7 @@ pub struct HolderReroute {
 /// `report-validate` warns when `min_effective_replication` ends below
 /// `configured_replication` — a slice is still short a copy, so the next
 /// crash may lose data.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct RebalanceSection {
     /// Whether the background rebalancer was running.
     pub enabled: bool,
@@ -257,7 +257,7 @@ pub struct RebalanceSection {
 /// shared-memory carrier, which exchanges no messages. `sent` counts
 /// every attempt (first sends *and* retries), so `sent - retried` is the
 /// number of distinct operations issued.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct ControlSection {
     /// Control requests sent, including retransmissions.
     pub sent: u64,
@@ -269,9 +269,9 @@ pub struct ControlSection {
 
 /// Summary of one incident bundle captured during the run (additive in
 /// v4). The full schema-validated bundle — flight-ring slice, progress
-/// snapshots, rollup windows, scheduler state — lives on disk at
+/// snapshots, counters, scheduler state — lives on disk at
 /// `path`; the report only carries enough to find and rank it.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct IncidentSummary {
     /// Stable bundle id (also the bundle's file stem).
     pub id: String,
@@ -289,7 +289,7 @@ pub struct IncidentSummary {
 /// Per-query section of a multi-tenant service report (schema v4). One
 /// entry per admitted query, in admission order; a plain single-run
 /// report carries an empty `queries` list.
-#[derive(Debug, Clone, PartialEq, Default, Serialize)]
+#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct QueryReport {
     /// Engine-assigned query id (nonzero; spans carry it in
     /// `Span::query`).
@@ -314,18 +314,23 @@ pub struct QueryReport {
     /// Size of the root multiset this query enumerated (0 for memoized
     /// queries, and in reports written while progress was optional).
     /// Additive in v4.
+    #[serde(default)]
     pub roots_total: u64,
     /// Roots retired by the time the query finished — at least
     /// `roots_total` for a successful run, higher when a recovery pass
     /// re-executed lost roots.
+    #[serde(default)]
     pub roots_completed: u64,
     /// Service memo entries resident when this query completed.
     /// Additive in v4.
+    #[serde(default)]
     pub memo_entries: u64,
     /// Cumulative memo evictions by the time this query completed.
+    #[serde(default)]
     pub memo_evictions: u64,
     /// Control-plane messages attributed to this query (additive in v4;
     /// all-zero under the shared-memory carrier).
+    #[serde(default)]
     pub control: ControlSection,
 }
 
@@ -334,7 +339,7 @@ pub struct QueryReport {
 /// Subsumes the engine's `TrafficSummary`/`Breakdown` and adds
 /// percentile histograms and the gauge time series, so benches and CI
 /// diff one artifact instead of scraping stdout.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RunReport {
     /// Report schema version ([`REPORT_SCHEMA_VERSION`]).
     pub schema_version: u64,
@@ -364,15 +369,18 @@ pub struct RunReport {
     pub failures: FailureSection,
     /// Self-healing re-replication and spread-failover accounting
     /// (additive in v4; `enabled: false` without the rebalancer).
+    #[serde(default)]
     pub rebalance: RebalanceSection,
     /// Control-plane message accounting (additive in v4; all-zero under
     /// the shared-memory carrier).
+    #[serde(default)]
     pub control: ControlSection,
     /// Per-query sections of a multi-tenant service run (schema v4),
     /// in admission order; empty for a single-query run.
     pub queries: Vec<QueryReport>,
     /// Incident bundles captured during the run (additive in v4), in
     /// capture order; empty for a clean run.
+    #[serde(default)]
     pub incidents: Vec<IncidentSummary>,
 }
 

@@ -1,11 +1,12 @@
 //! JSON parsing and schema validation for reports and traces.
 //!
-//! The vendored `serde_json` shim is write-only, so CI's schema check
-//! parses with a small recursive-descent parser here and validates the
-//! resulting [`Value`] tree structurally.
+//! The vendored `serde_json` shim is write-only, so documents are parsed
+//! with a small recursive-descent parser here. A report is then read into
+//! a [`RunReport`] by its own `Deserialize` and checked over the typed
+//! fields; a trace is validated structurally.
 
-use crate::report::REPORT_SCHEMA_VERSION;
-use serde::Value;
+use crate::report::{ControlSection, CriticalPathSection, RunReport, REPORT_SCHEMA_VERSION};
+use serde::{Deserialize, Serialize, Value};
 
 /// Parses a JSON document into the vendored [`Value`] tree.
 ///
@@ -187,31 +188,9 @@ pub fn get<'a>(fields: &'a [(String, Value)], key: &str) -> Option<&'a Value> {
     fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
 }
 
-/// `v` as an unsigned integer: a `UInt`, or an `Int` that is not negative.
-fn as_u64(v: &Value) -> Option<u64> {
-    match v {
-        Value::UInt(u) => Some(*u),
-        Value::Int(i) if *i >= 0 => Some(*i as u64),
-        _ => None,
-    }
-}
-
-/// `v` as a number of any representation.
-fn as_f64(v: &Value) -> Option<f64> {
-    match v {
-        Value::Float(f) => Some(*f),
-        Value::UInt(u) => Some(*u as f64),
-        Value::Int(i) => Some(*i as f64),
-        _ => None,
-    }
-}
-
 /// `v` as an object, or an error naming `ctx`.
 pub fn as_map<'a>(v: &'a Value, ctx: &str) -> Result<&'a [(String, Value)], String> {
-    match v {
-        Value::Map(m) => Ok(m),
-        _ => Err(format!("{ctx}: expected object")),
-    }
+    serde::object(v, ctx)
 }
 
 /// `v` as an array, or an error naming `ctx`.
@@ -225,15 +204,7 @@ pub fn as_seq<'a>(v: &'a Value, ctx: &str) -> Result<&'a [Value], String> {
 /// The unsigned integer at `key`; an error naming `ctx.key` when it is
 /// missing or of another type.
 pub fn req_u64(map: &[(String, Value)], key: &str, ctx: &str) -> Result<u64, String> {
-    opt_u64(map, key, ctx)?.ok_or_else(|| format!("{ctx}.{key}: missing"))
-}
-
-/// An *additive* u64 field: absent is fine (`None`), but a present value
-/// of the wrong type is still a schema violation.
-pub fn opt_u64(map: &[(String, Value)], key: &str, ctx: &str) -> Result<Option<u64>, String> {
-    get(map, key)
-        .map(|v| as_u64(v).ok_or_else(|| format!("{ctx}.{key}: expected unsigned integer")))
-        .transpose()
+    serde::field(map, key, ctx, None)
 }
 
 /// The string at `key`; an error naming `ctx.key` when it is missing or
@@ -268,19 +239,6 @@ pub fn req_seq<'a>(
     as_seq(get(map, key).ok_or_else(|| format!("{ctx}: missing"))?, &ctx)
 }
 
-/// A number in `[0, 1]` at `key`; an error naming `ctx.key` when it is
-/// missing, of another type or out of range.
-pub fn req_fraction(map: &[(String, Value)], key: &str, ctx: &str) -> Result<f64, String> {
-    let f = match get(map, key) {
-        Some(v) => as_f64(v).ok_or_else(|| format!("{ctx}.{key}: expected number"))?,
-        None => return Err(format!("{ctx}.{key}: missing")),
-    };
-    if !f.is_finite() || !(0.0..=1.0).contains(&f) {
-        return Err(format!("{ctx}.{key}: {f} outside [0, 1]"));
-    }
-    Ok(f)
-}
-
 /// `key`'s value in `v`, `Null` when `v` is not an object or lacks it.
 ///
 /// This and the four readers below are the lenient side of the same
@@ -297,12 +255,12 @@ pub fn field<'a>(v: &'a Value, key: &str) -> &'a Value {
 
 /// The unsigned integer at `key` in `v`, else 0.
 pub fn uint(v: &Value, key: &str) -> u64 {
-    as_u64(field(v, key)).unwrap_or(0)
+    u64::from_value(field(v, key), key).unwrap_or(0)
 }
 
 /// The number at `key` in `v`, else 0.
 pub fn num(v: &Value, key: &str) -> f64 {
-    as_f64(field(v, key)).unwrap_or(0.0)
+    f64::from_value(field(v, key), key).unwrap_or(0.0)
 }
 
 /// The string at `key` in `v`, else `""`.
@@ -321,53 +279,6 @@ pub fn seq<'a>(v: &'a Value, key: &str) -> &'a [Value] {
     }
 }
 
-pub(crate) const TRAFFIC_KEYS: [&str; 7] = [
-    "fetch_requests",
-    "cache_hits",
-    "cache_misses",
-    "coalesced_requests",
-    "retries",
-    "network_bytes",
-    "numa_bytes",
-];
-
-const PART_KEYS: [&str; 9] = [
-    "part",
-    "count",
-    "compute_ns",
-    "network_ns",
-    "scheduler_ns",
-    "cache_ns",
-    "peak_embeddings",
-    "roots_stolen",
-    "roots_donated",
-];
-
-const HIST_KEYS: [&str; 5] = ["count", "sum", "p50", "p95", "p99"];
-
-/// Fraction keys of the critical-path section, in report order. Shared
-/// with `report diff` so the gate and the validator check one list.
-pub(crate) const CRITICAL_PATH_FRACTION_KEYS: [&str; 4] =
-    ["compute", "fetch_wait", "responder_queue", "retry_backoff"];
-
-/// Counter keys of the v3 failure section, in report order.
-const FAILURE_KEYS: [&str; 4] =
-    ["parts_failed", "rerouted_requests", "rerouted_bytes", "reexecuted_roots"];
-
-/// Counter keys of the (additive-in-v4, optional) control section.
-const CONTROL_KEYS: [&str; 3] = ["sent", "retried", "dropped"];
-
-/// Counter keys of the (additive-in-v4, optional) rebalance section.
-const REBALANCE_KEYS: [&str; 7] = [
-    "transfers",
-    "bytes",
-    "slices_restored",
-    "slices_lost",
-    "routing_epoch",
-    "configured_replication",
-    "min_effective_replication",
-];
-
 /// Trigger classes an incident summary may carry, mirroring
 /// `khuzdul::incident`'s trigger taxonomy.
 pub(crate) const INCIDENT_TRIGGERS: [&str; 7] = [
@@ -380,327 +291,220 @@ pub(crate) const INCIDENT_TRIGGERS: [&str; 7] = [
     "rebalance_stuck",
 ];
 
-/// Checks the incidents section *if present* (additive in v4: reports
-/// written before the flight-recorder subsystem lack it, and readers
-/// treat absence as an empty list).
-fn check_incidents(parent: &[(String, Value)]) -> Result<(), String> {
-    let Some(incidents) = get(parent, "incidents") else { return Ok(()) };
-    for (i, inc) in as_seq(incidents, "incidents")?.iter().enumerate() {
-        let ctx = format!("incidents[{i}]");
-        let m = as_map(inc, &ctx)?;
-        for key in ["id", "path"] {
-            match get(m, key) {
-                Some(Value::Str(s)) if !s.is_empty() => {}
-                _ => return Err(format!("{ctx}.{key}: missing or empty")),
+/// Histogram tails are additive in v4: a snapshot written without them
+/// reports no tail past its p99, so a missing `p999` reads as the p99
+/// and a missing `max` as the p999 — unreported, not zero.
+fn fill_missing_tails(v: &mut Value) {
+    match v {
+        Value::Map(m) => {
+            if let Some(mut tail) = get(m, "p99").cloned() {
+                for key in ["p999", "max"] {
+                    match get(m, key) {
+                        Some(v) => tail = v.clone(),
+                        None => m.push((key.to_string(), tail.clone())),
+                    }
+                }
             }
+            m.iter_mut().for_each(|(_, v)| fill_missing_tails(v));
         }
-        match get(m, "trigger") {
-            Some(Value::Str(s)) if INCIDENT_TRIGGERS.contains(&s.as_str()) => {}
-            Some(Value::Str(s)) => return Err(format!("{ctx}.trigger: unknown trigger {s:?}")),
-            _ => return Err(format!("{ctx}.trigger: missing or empty")),
-        }
-        req_u64(m, "query_id", &ctx)?;
-        req_u64(m, "at_ns", &ctx)?;
+        Value::Seq(s) => s.iter_mut().for_each(fill_missing_tails),
+        _ => {}
     }
-    Ok(())
 }
 
-/// Checks the rebalance section *if present* (additive in v4: reports
-/// written before the self-healing subsystem lack it, and readers treat
-/// absence as disabled/all-zero). A present section must be well-formed,
-/// and two conditions earn warnings rather than errors: effective
-/// replication ending below the configured factor (a slice is still
-/// short a copy, so the next crash may lose data), and slices marked
-/// permanently lost.
-fn check_rebalance(parent: &[(String, Value)], warnings: &mut Vec<String>) -> Result<(), String> {
-    let Some(reb) = get(parent, "rebalance") else { return Ok(()) };
-    let m = as_map(reb, "rebalance")?;
-    match get(m, "enabled") {
-        Some(Value::Bool(_)) => {}
-        _ => return Err("rebalance.enabled: missing or not a bool".to_string()),
-    }
-    for key in REBALANCE_KEYS {
-        req_u64(m, key, "rebalance")?;
-    }
-    for (i, h) in req_seq(m, "per_holder_rerouted", "rebalance")?.iter().enumerate() {
-        let ctx = format!("rebalance.per_holder_rerouted[{i}]");
-        let hm = as_map(h, &ctx)?;
-        for key in ["part", "requests", "bytes"] {
-            req_u64(hm, key, &ctx)?;
-        }
-    }
-    let configured = req_u64(m, "configured_replication", "rebalance")?;
-    let effective = req_u64(m, "min_effective_replication", "rebalance")?;
-    if configured > 1 && effective < configured {
-        warnings.push(format!(
-            "rebalance: effective replication {effective} is below the configured \
-             factor {configured} — a slice is still short a copy, so the next \
-             crash may lose data"
+/// The one report reader: `json` read into a [`RunReport`] through the
+/// report types' own field names, then the checks the types cannot
+/// express. Absent additive sections read as zero or empty. Every error
+/// names the offending field under `root`; the second value is the
+/// non-fatal warnings. [`validate_report`] and `report diff` both read
+/// through here, so the gate refuses whatever the validator refuses.
+pub(crate) fn read_report(json: &str, root: &str) -> Result<(RunReport, Vec<String>), String> {
+    let mut doc = parse_json(json).map_err(|e| format!("{root}: {e}"))?;
+    // The version first: another version may lay out anything.
+    let version = req_u64(as_map(&doc, root)?, "schema_version", root)?;
+    if version != REPORT_SCHEMA_VERSION {
+        return Err(format!(
+            "{root}.schema_version: {version} != supported {REPORT_SCHEMA_VERSION}"
         ));
     }
-    let lost = req_u64(m, "slices_lost", "rebalance")?;
-    if lost > 0 {
+    fill_missing_tails(&mut doc);
+    let r = RunReport::from_value(&doc, root)?;
+    let mut warnings = Vec::new();
+
+    nonempty(&r.system, &format!("{root}.system"))?;
+    let total = fraction_sum(&r.breakdown, &format!("{root}.breakdown"))?;
+    if total > 1.0 + 1e-6 {
+        return Err(format!("{root}.breakdown: fractions sum to {total} > 1"));
+    }
+
+    for (i, named) in r.histograms.iter().enumerate() {
+        let ctx = format!("{root}.histograms[{i}]");
+        // Allowed names derive from the same table as `Metric::name`, so
+        // the two cannot drift apart.
+        if !crate::Metric::ALL.iter().any(|m| m.name() == named.name) {
+            return Err(format!("{ctx}.name: unknown metric {:?}", named.name));
+        }
+        let h = &named.histogram;
+        if !(h.p50 <= h.p95 && h.p95 <= h.p99) {
+            return Err(format!("{ctx}: percentiles not monotone"));
+        }
+        if h.p99 > h.p999 {
+            return Err(format!("{ctx}: p99 {} > p999 {}", h.p99, h.p999));
+        }
+        let sum: u64 = h.buckets.iter().sum();
+        if sum != h.count {
+            return Err(format!("{ctx}: bucket sum {sum} != count {}", h.count));
+        }
+    }
+
+    if r.spans.dropped > 0 {
         warnings.push(format!(
-            "rebalance.slices_lost: {lost} slice(s) lost every copy before a \
-             repair landed — counts derived from them cannot be trusted"
+            "spans.dropped: {} spans were overwritten — the trace and the \
+             critical-path attribution derived from it are truncated",
+            r.spans.dropped
         ));
     }
-    Ok(())
-}
-
-/// Checks a control section *if present*. The section is additive in
-/// v4 — reports written before the message-based control plane lack it,
-/// and readers treat a missing section as all-zero — so absence is not
-/// an error, but a present section must be well-formed: all counters
-/// u64, and retries can never exceed sends (every retry is a send).
-fn check_control(parent: &[(String, Value)], ctx: &str) -> Result<(), String> {
-    let Some(ctrl) = get(parent, "control") else { return Ok(()) };
-    let m = as_map(ctrl, ctx)?;
-    for key in CONTROL_KEYS {
-        req_u64(m, key, ctx)?;
-    }
-    let (sent, retried) = (req_u64(m, "sent", ctx)?, req_u64(m, "retried", ctx)?);
-    if retried > sent {
-        return Err(format!("{ctx}: retried {retried} > sent {sent}"));
-    }
-    Ok(())
-}
-
-/// Checks a traffic section: all [`TRAFFIC_KEYS`] present as u64.
-fn check_traffic(map: &[(String, Value)], ctx: &str) -> Result<(), String> {
-    for key in TRAFFIC_KEYS {
-        req_u64(map, key, ctx)?;
-    }
-    Ok(())
-}
-
-/// Checks a failures section; returns `(parts_failed, rerouted_bytes)`
-/// so the caller can decide whether to warn.
-fn check_failures(map: &[(String, Value)], ctx: &str) -> Result<(u64, u64), String> {
-    for key in FAILURE_KEYS {
-        req_u64(map, key, ctx)?;
-    }
-    Ok((req_u64(map, "parts_failed", ctx)?, req_u64(map, "rerouted_bytes", ctx)?))
-}
-
-/// Checks a critical-path section: fractions in `[0, 1]` summing to
-/// 1 ± 0.01 (or all zero), and the per-part decomposition keys.
-fn check_critical_path(map: &[(String, Value)], ctx: &str) -> Result<(), String> {
-    let fractions = req_map(map, "fractions", ctx)?;
-    let mut cp_sum = 0.0;
-    for key in CRITICAL_PATH_FRACTION_KEYS {
-        cp_sum += req_fraction(fractions, key, &format!("{ctx}.fractions"))?;
-    }
-    if cp_sum != 0.0 && (cp_sum - 1.0).abs() > 0.01 {
-        return Err(format!("{ctx}.fractions: sum {cp_sum} not within 1 ± 0.01"));
-    }
-    let cp_parts = req_seq(map, "per_part", ctx)?;
-    for (i, p) in cp_parts.iter().enumerate() {
-        let m = as_map(p, &format!("{ctx}.per_part[{i}]"))?;
-        for key in [
-            "part",
-            "compute_ns",
-            "fetch_wait_ns",
-            "responder_queue_ns",
-            "retry_backoff_ns",
-            "linked_waits",
-            "unlinked_waits",
-        ] {
-            req_u64(m, key, &format!("{ctx}.per_part[{i}]"))?;
+    for (i, ring) in r.spans.rings.iter().enumerate() {
+        if ring.len > ring.capacity {
+            return Err(format!(
+                "{root}.spans.rings[{i}]: len {} > capacity {}",
+                ring.len, ring.capacity
+            ));
         }
+    }
+
+    fractions_sum_to_one(&r.critical_path, &format!("{root}.critical_path"))?;
+    let f = &r.failures;
+    if f.parts_failed > 0 && f.rerouted_bytes == 0 {
+        warnings.push(format!(
+            "failures.parts_failed: {} part(s) failed but no bytes were \
+             re-routed — failover never engaged (no replicas, or the dead parts' \
+             data was never requested)",
+            f.parts_failed
+        ));
+    }
+    // Effective replication below the configured factor: a slice is
+    // still short a copy, so the next crash may lose data.
+    let reb = &r.rebalance;
+    if reb.configured_replication > 1 && reb.min_effective_replication < reb.configured_replication
+    {
+        warnings.push(format!(
+            "rebalance: effective replication {} is below the configured \
+             factor {} — a slice is still short a copy, so the next \
+             crash may lose data",
+            reb.min_effective_replication, reb.configured_replication
+        ));
+    }
+    if reb.slices_lost > 0 {
+        warnings.push(format!(
+            "rebalance.slices_lost: {} slice(s) lost every copy before a \
+             repair landed — counts derived from them cannot be trusted",
+            reb.slices_lost
+        ));
+    }
+    retries_within_sends(&r.control, &format!("{root}.control"))?;
+
+    let mut seen_ids: Vec<u64> = Vec::new();
+    for (i, q) in r.queries.iter().enumerate() {
+        let ctx = format!("{root}.queries[{i}]");
+        if q.query_id == 0 {
+            return Err(format!("{ctx}.query_id: must be nonzero"));
+        }
+        seen_ids.push(q.query_id);
+        nonempty(&q.pattern, &format!("{ctx}.pattern"))?;
+        fractions_sum_to_one(&q.critical_path, &format!("{ctx}.critical_path"))?;
+        retries_within_sends(&q.control, &format!("{ctx}.control"))?;
+        // A successful query that retired fewer roots than it claimed to
+        // own leaked progress accounting somewhere — warn instead of
+        // silently passing (absence or a disabled tracker reads as zero
+        // and stays quiet).
+        if q.roots_total > 0 && q.roots_completed < q.roots_total {
+            warnings.push(format!(
+                "queries[{i}]: query {} succeeded but completed only {} of \
+                 {} roots — progress accounting leaked",
+                q.query_id, q.roots_completed, q.roots_total
+            ));
+        }
+    }
+    seen_ids.sort_unstable();
+    if seen_ids.windows(2).any(|w| w[0] == w[1]) {
+        return Err(format!("{root}.queries: duplicate query_id"));
+    }
+
+    for (i, inc) in r.incidents.iter().enumerate() {
+        let ctx = format!("{root}.incidents[{i}]");
+        nonempty(&inc.id, &format!("{ctx}.id"))?;
+        nonempty(&inc.path, &format!("{ctx}.path"))?;
+        if !INCIDENT_TRIGGERS.contains(&inc.trigger.as_str()) {
+            return Err(format!("{ctx}.trigger: unknown trigger {:?}", inc.trigger));
+        }
+    }
+    Ok((r, warnings))
+}
+
+fn nonempty(s: &str, path: &str) -> Result<(), String> {
+    if s.is_empty() {
+        return Err(format!("{path}: empty"));
+    }
+    Ok(())
+}
+
+/// A report section's numeric fields, named as the report names them,
+/// in declaration order.
+pub(crate) fn numbers(section: &impl Serialize) -> Vec<(String, f64)> {
+    let Value::Map(fields) = section.to_value() else { return Vec::new() };
+    fields.into_iter().filter_map(|(k, v)| Some((k, f64::from_value(&v, "").ok()?))).collect()
+}
+
+/// The sum of a section of fractions, each in `[0, 1]`.
+fn fraction_sum(section: &impl Serialize, path: &str) -> Result<f64, String> {
+    numbers(section)
+        .into_iter()
+        .map(|(key, f)| {
+            if (0.0..=1.0).contains(&f) {
+                Ok(f)
+            } else {
+                Err(format!("{path}.{key}: {f} outside [0, 1]"))
+            }
+        })
+        .sum()
+}
+
+/// Critical-path fractions each in `[0, 1]`, summing to 1 ± 0.01 (or all
+/// zero).
+fn fractions_sum_to_one(cp: &CriticalPathSection, path: &str) -> Result<(), String> {
+    let sum = fraction_sum(&cp.fractions, &format!("{path}.fractions"))?;
+    if sum != 0.0 && (sum - 1.0).abs() > 0.01 {
+        return Err(format!("{path}.fractions: sum {sum} not within 1 ± 0.01"));
+    }
+    Ok(())
+}
+
+/// Retries can never exceed sends: every retry is a send.
+fn retries_within_sends(c: &ControlSection, path: &str) -> Result<(), String> {
+    if c.retried > c.sent {
+        return Err(format!("{path}: retried {} > sent {}", c.retried, c.sent));
     }
     Ok(())
 }
 
 /// Validates a `RunReport` JSON document against schema version
-/// [`REPORT_SCHEMA_VERSION`]: required keys present with the right
-/// types, fractions finite and in `[0, 1]`, percentiles monotone,
-/// histogram names drawn from the metric table, and critical-path
-/// fractions summing to 1 ± 0.01 (or all zero).
+/// [`REPORT_SCHEMA_VERSION`] by reading it into a [`RunReport`]: every
+/// field present with the right type (the additive ones may be absent),
+/// fractions finite and in `[0, 1]`, percentiles monotone, histogram
+/// names drawn from the metric table, and critical-path fractions
+/// summing to 1 ± 0.01 (or all zero).
 ///
 /// Returns the list of non-fatal warnings on success — a warning when
 /// `spans.dropped` is nonzero (a truncated trace must never be silently
 /// trusted), one when `failures.parts_failed` is nonzero but no bytes
-/// were re-routed (a part died and failover never engaged), and one
-/// when the rebalance section reports effective replication below the
-/// configured factor or permanently lost slices — and an error string
-/// on schema violation.
+/// were re-routed (a part died and failover never engaged), one per
+/// query that retired fewer roots than it owned, and one when the
+/// rebalance section reports effective replication below the configured
+/// factor or permanently lost slices — and an error string naming the
+/// offending field on a schema violation.
 pub fn validate_report(json: &str) -> Result<Vec<String>, String> {
-    let mut warnings = Vec::new();
-    let doc = parse_json(json)?;
-    let top = as_map(&doc, "report")?;
-
-    let version = req_u64(top, "schema_version", "report")?;
-    if version != REPORT_SCHEMA_VERSION {
-        return Err(format!(
-            "report.schema_version: {version} != supported {REPORT_SCHEMA_VERSION}"
-        ));
-    }
-    match get(top, "system") {
-        Some(Value::Str(s)) if !s.is_empty() => {}
-        _ => return Err("report.system: missing or empty".to_string()),
-    }
-    req_u64(top, "count", "report")?;
-    req_u64(top, "elapsed_ns", "report")?;
-
-    let traffic = req_map(top, "traffic", "report")?;
-    check_traffic(traffic, "traffic")?;
-
-    let breakdown = req_map(top, "breakdown", "report")?;
-    let mut total = 0.0;
-    for key in ["compute", "network", "scheduler", "cache"] {
-        total += req_fraction(breakdown, key, "breakdown")?;
-    }
-    if total > 1.0 + 1e-6 {
-        return Err(format!("breakdown: fractions sum to {total} > 1"));
-    }
-
-    let per_part = req_seq(top, "per_part", "report")?;
-    for (i, p) in per_part.iter().enumerate() {
-        let m = as_map(p, "per_part[i]")?;
-        for key in PART_KEYS {
-            req_u64(m, key, &format!("per_part[{i}]"))?;
-        }
-    }
-
-    let hists = req_seq(top, "histograms", "report")?;
-    for (i, h) in hists.iter().enumerate() {
-        let m = as_map(h, "histograms[i]")?;
-        match get(m, "name") {
-            // Allowed names derive from the same table as
-            // `Metric::name`, so the two cannot drift apart.
-            Some(Value::Str(s)) if crate::Metric::ALL.iter().any(|m| m.name() == s) => {}
-            Some(Value::Str(s)) => {
-                return Err(format!("histograms[{i}].name: unknown metric {s:?}"))
-            }
-            _ => return Err(format!("histograms[{i}].name: missing or empty")),
-        }
-        let snap = req_map(m, "histogram", &format!("histograms[{i}]"))?;
-        for key in HIST_KEYS {
-            req_u64(snap, key, &format!("histograms[{i}]"))?;
-        }
-        let (p50, p95, p99) =
-            (req_u64(snap, "p50", "h")?, req_u64(snap, "p95", "h")?, req_u64(snap, "p99", "h")?);
-        if !(p50 <= p95 && p95 <= p99) {
-            return Err(format!("histograms[{i}]: percentiles not monotone"));
-        }
-        // Tail fields are additive in v4: absent in older reports, but a
-        // present p999 must continue the monotone percentile chain.
-        if let Some(p999) = opt_u64(snap, "p999", &format!("histograms[{i}]"))? {
-            if p99 > p999 {
-                return Err(format!("histograms[{i}]: p99 {p99} > p999 {p999}"));
-            }
-        }
-        opt_u64(snap, "max", &format!("histograms[{i}]"))?;
-        let buckets = req_seq(snap, "buckets", &format!("histograms[{i}]"))?;
-        let count = req_u64(snap, "count", "h")?;
-        let sum: u64 = buckets
-            .iter()
-            .map(|b| match b {
-                Value::UInt(u) => Ok(*u),
-                _ => Err(format!("histograms[{i}].buckets: non-integer entry")),
-            })
-            .sum::<Result<u64, String>>()?;
-        if sum != count {
-            return Err(format!("histograms[{i}]: bucket sum {sum} != count {count}"));
-        }
-    }
-
-    let series = req_seq(top, "series", "report")?;
-    for (i, s) in series.iter().enumerate() {
-        let m = as_map(s, "series[i]")?;
-        for key in ["t_ns", "part", "inflight", "network_bytes", "queue_depth"] {
-            req_u64(m, key, &format!("series[{i}]"))?;
-        }
-    }
-
-    let spans = req_map(top, "spans", "report")?;
-    req_u64(spans, "recorded", "spans")?;
-    let dropped = req_u64(spans, "dropped", "spans")?;
-    if dropped > 0 {
-        warnings.push(format!(
-            "spans.dropped: {dropped} spans were overwritten — the trace and the \
-             critical-path attribution derived from it are truncated"
-        ));
-    }
-    let rings = req_seq(spans, "rings", "spans")?;
-    for (i, r) in rings.iter().enumerate() {
-        let m = as_map(r, "rings[i]")?;
-        for key in ["shard", "len", "capacity", "dropped"] {
-            req_u64(m, key, &format!("spans.rings[{i}]"))?;
-        }
-        let (len, cap) = (req_u64(m, "len", "r")?, req_u64(m, "capacity", "r")?);
-        if len > cap {
-            return Err(format!("spans.rings[{i}]: len {len} > capacity {cap}"));
-        }
-    }
-
-    let cp = req_map(top, "critical_path", "report")?;
-    check_critical_path(cp, "critical_path")?;
-
-    let failures = req_map(top, "failures", "report")?;
-    let (parts_failed, rerouted_bytes) = check_failures(failures, "failures")?;
-    if parts_failed > 0 && rerouted_bytes == 0 {
-        warnings.push(format!(
-            "failures.parts_failed: {parts_failed} part(s) failed but no bytes were \
-             re-routed — failover never engaged (no replicas, or the dead parts' \
-             data was never requested)"
-        ));
-    }
-
-    check_rebalance(top, &mut warnings)?;
-    check_control(top, "control")?;
-
-    let queries = req_seq(top, "queries", "report")?;
-    let mut seen_ids: Vec<u64> = Vec::new();
-    for (i, q) in queries.iter().enumerate() {
-        let ctx = format!("queries[{i}]");
-        let m = as_map(q, &ctx)?;
-        let qid = req_u64(m, "query_id", &ctx)?;
-        if qid == 0 {
-            return Err(format!("{ctx}.query_id: must be nonzero"));
-        }
-        seen_ids.push(qid);
-        match get(m, "pattern") {
-            Some(Value::Str(s)) if !s.is_empty() => {}
-            _ => return Err(format!("{ctx}.pattern: missing or empty")),
-        }
-        match get(m, "memoized") {
-            Some(Value::Bool(_)) => {}
-            _ => return Err(format!("{ctx}.memoized: missing or not a bool")),
-        }
-        req_u64(m, "count", &ctx)?;
-        req_u64(m, "elapsed_ns", &ctx)?;
-        let q_traffic = req_map(m, "traffic", &ctx)?;
-        check_traffic(q_traffic, &format!("{ctx}.traffic"))?;
-        let q_failures = req_map(m, "failures", &ctx)?;
-        check_failures(q_failures, &format!("{ctx}.failures"))?;
-        let q_cp = req_map(m, "critical_path", &ctx)?;
-        check_critical_path(q_cp, &format!("{ctx}.critical_path"))?;
-        check_control(m, &format!("{ctx}.control"))?;
-        // A successful query that retired fewer roots than it claimed to
-        // own leaked progress accounting somewhere — warn instead of
-        // silently passing (the fields are additive, so absence or a
-        // disabled tracker reads as zero and stays quiet).
-        let roots_total = opt_u64(m, "roots_total", &ctx)?.unwrap_or(0);
-        let roots_completed = opt_u64(m, "roots_completed", &ctx)?.unwrap_or(0);
-        if roots_total > 0 && roots_completed < roots_total {
-            warnings.push(format!(
-                "{ctx}: query {qid} succeeded but completed only {roots_completed} of \
-                 {roots_total} roots — progress accounting leaked"
-            ));
-        }
-    }
-    seen_ids.sort_unstable();
-    let unique = seen_ids.len();
-    seen_ids.dedup();
-    if seen_ids.len() != unique {
-        return Err("queries: duplicate query_id".to_string());
-    }
-
-    check_incidents(top)?;
-
-    Ok(warnings)
+    read_report(json, "report").map(|(_, warnings)| warnings)
 }
 
 /// Validates a Chrome trace-event JSON document: a top-level

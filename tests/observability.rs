@@ -184,8 +184,14 @@ fn report_diff_gates_injected_fetch_wait_regression() {
     assert!(ok.contains("PASS"), "{ok}");
     let mut perturbed = report.clone();
     let f = &mut perturbed.critical_path.fractions;
+    // The share moves from compute, so the fractions still sum to 1: the
+    // gate refuses a report the validator refuses, and this one must
+    // fail on the regression itself.
+    let moved = f.fetch_wait * 0.10 + 0.02;
     assert!(f.fetch_wait <= 0.85, "no headroom to inject a regression: {f:?}");
-    f.fetch_wait = f.fetch_wait * 1.10 + 0.02;
+    assert!(f.compute >= moved, "no compute share to move: {f:?}");
+    f.fetch_wait += moved;
+    f.compute -= moved;
     std::fs::write(&cand, perturbed.to_json()).unwrap();
     let err =
         gpm_apps::cli::run(&argv(format!("report diff {} {}", base.display(), cand.display())))

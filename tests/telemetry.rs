@@ -63,11 +63,8 @@ fn scraped_progress_is_monotone_and_metrics_reconcile_with_the_report() {
             ..ServiceConfig::default()
         },
     ));
-    let server = StatusServer::start(
-        Arc::clone(&svc),
-        StatusConfig { tick: Duration::from_millis(20), ..StatusConfig::default() },
-    )
-    .expect("bind status server");
+    let server =
+        StatusServer::start(Arc::clone(&svc), StatusConfig::default()).expect("bind status server");
     let addr = server.local_addr();
 
     let handles: Vec<_> =
