@@ -13,16 +13,14 @@ use gpm_baselines::single::SingleMachine;
 use gpm_graph::datasets::DatasetId;
 use gpm_graph::partition::PartitionedGraph;
 use gpm_graph::{gen, Graph};
-use gpm_obs::json::{field, num, seq, text, uint};
 use gpm_obs::{DiffThresholds, Recorder, RunReport, REPORT_SCHEMA_VERSION};
 use gpm_pattern::plan::{MatchingPlan, PlanOptions};
 use gpm_pattern::{Pattern, MAX_PATTERN_VERTICES};
 use khuzdul::{
-    ControlConfig, ControlMode, CrashAt, Engine, EngineConfig, FabricConfig, FaultPlan,
+    Bundle, ControlConfig, ControlMode, CrashAt, Engine, EngineConfig, FabricConfig, FaultPlan,
     IncidentConfig, MiningService, ObsConfig, RebalanceConfig, RetryPolicy, RunStats,
-    ServiceConfig, StatusConfig, StatusServer, StealConfig,
+    ServiceConfig, StatusConfig, StatusDoc, StatusServer, StealConfig,
 };
-use serde::Value;
 use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Duration;
@@ -676,12 +674,11 @@ fn run_top(args: &[String]) -> Result<String, String> {
             }
             Err(e) => return Err(e),
         };
-        let doc =
-            gpm_obs::parse_json(&body).map_err(|e| format!("{addr}: bad /status JSON: {e}"))?;
+        let doc = khuzdul::read_status(&body).map_err(|e| format!("{addr}: bad /status: {e}"))?;
         if watch.is_some() {
             let _ = writeln!(out, "--- frame {} ---", frame + 1);
         }
-        out.push_str(&render_top(addr, &doc)?);
+        out.push_str(&render_top(addr, &doc));
     }
     Ok(out)
 }
@@ -705,124 +702,101 @@ fn http_get_body(addr: &str, path: &str) -> Result<String, String> {
     Ok(body.to_string())
 }
 
-fn render_top(addr: &str, doc: &Value) -> Result<String, String> {
+fn render_top(addr: &str, doc: &StatusDoc) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
         "khuzdul service @ {addr} — up {:.1}s, {} admitted / {} completed, queue {}, busy {:.0}%",
-        num(doc, "uptime_ns") / 1e9,
-        num(doc, "admitted"),
-        num(doc, "completed"),
-        num(doc, "queue_depth"),
-        num(doc, "busy_fraction") * 100.0,
+        doc.uptime_ns as f64 / 1e9,
+        doc.admitted,
+        doc.completed,
+        doc.queue_depth,
+        doc.busy_fraction * 100.0,
     );
-    let memo = field(doc, "memo");
-    let _ = writeln!(
-        out,
-        "memo: {} entries, {} hits, {} evictions",
-        num(memo, "entries"),
-        num(memo, "hits"),
-        num(memo, "evictions")
-    );
+    let m = &doc.memo;
+    let _ =
+        writeln!(out, "memo: {} entries, {} hits, {} evictions", m.entries, m.hits, m.evictions);
     // Replica placement and health. Quiet for an r=1 run with every
     // part alive — the table only earns its lines when there are
     // replicas to track or a death to diagnose.
-    let reb = field(doc, "replicas");
-    let parts = seq(reb, "parts");
-    let any_dead = parts.iter().any(|p| *field(p, "alive") == Value::Bool(false));
-    if num(reb, "configured_replication") >= 2.0 || any_dead {
+    let reb = &doc.replicas;
+    if reb.configured_replication >= 2 || reb.parts.iter().any(|p| !p.alive) {
         let _ = writeln!(
             out,
             "REPLICAS  r={} effective={} epoch={} repaired={} ({} B) lost={}",
-            num(reb, "configured_replication"),
-            num(reb, "min_effective_replication"),
-            num(reb, "routing_epoch"),
-            num(reb, "slices_restored"),
-            num(reb, "bytes"),
-            num(reb, "slices_lost"),
+            reb.configured_replication,
+            reb.min_effective_replication,
+            reb.routing_epoch,
+            reb.slices_restored,
+            reb.bytes,
+            reb.slices_lost,
         );
         let _ = writeln!(
             out,
             "  {:>5} {:>6} {:>7} {:>14} {:<}",
             "part", "state", "copies", "rerouted", "hosts"
         );
-        for p in parts {
-            let hosts: Vec<String> = seq(p, "hosted_slices")
-                .iter()
-                .map(|s| match s {
-                    Value::UInt(u) => u.to_string(),
-                    _ => "?".to_string(),
-                })
-                .collect();
-            let state = if *field(p, "alive") == Value::Bool(true) { "live" } else { "DEAD" };
+        for p in &reb.parts {
+            let hosts: Vec<String> = p.hosted_slices.iter().map(usize::to_string).collect();
             let _ = writeln!(
                 out,
                 "  {:>5} {:>6} {:>7} {:>12} B {:<}",
-                format!("p{}", num(p, "part")),
-                state,
-                num(p, "live_copies"),
-                num(p, "rerouted_served_bytes"),
+                format!("p{}", p.part),
+                if p.alive { "live" } else { "DEAD" },
+                p.live_copies,
+                p.rerouted_served_bytes,
                 hosts.join(","),
             );
         }
     }
-    let active = seq(doc, "active_queries");
-    if !active.is_empty() {
+    if !doc.active_queries.is_empty() {
         let _ = writeln!(out, "IN FLIGHT");
         let _ = writeln!(
             out,
             "  {:>5} {:>9} {:>13} {:>9} {:>9}",
             "query", "progress", "roots", "stolen", "eta"
         );
-        for q in active {
-            let eta = match field(q, "eta_ns") {
-                Value::UInt(ns) => format!("{:.1}s", *ns as f64 / 1e9),
-                _ => "?".to_string(),
-            };
+        for q in &doc.active_queries {
+            let eta = q.eta_ns.map_or("?".to_string(), |ns| format!("{:.1}s", ns as f64 / 1e9));
             let _ = writeln!(
                 out,
                 "  {:>5} {:>8.1}% {:>6}/{:<6} {:>9} {:>9}",
-                format!("q{}", num(q, "query_id")),
-                num(q, "fraction") * 100.0,
-                num(q, "completed"),
-                num(q, "roots_total"),
-                num(q, "stolen"),
+                format!("q{}", q.query_id),
+                q.fraction * 100.0,
+                q.completed,
+                q.roots_total,
+                q.stolen,
                 eta
             );
         }
     }
-    let completions = seq(doc, "recent_completions");
-    if !completions.is_empty() {
+    if !doc.recent_completions.is_empty() {
         let _ = writeln!(out, "RECENT");
-        for c in completions.iter().rev().take(10) {
-            let count = match field(c, "count") {
-                Value::UInt(n) => n.to_string(),
-                _ => "failed".to_string(),
-            };
+        for c in doc.recent_completions.iter().rev().take(10) {
+            let count = c.count.map_or("failed".to_string(), |n| n.to_string());
             let _ = writeln!(
                 out,
                 "  q{:<4} {:<24} count={:<12} {:.1}ms",
-                num(c, "query_id"),
-                text(c, "pattern"),
+                c.query_id,
+                c.pattern,
                 count,
-                num(c, "elapsed_ns") / 1e6
+                c.elapsed_ns as f64 / 1e6
             );
         }
     }
-    let slow = seq(doc, "slow_queries");
-    if !slow.is_empty() {
+    if !doc.slow_queries.is_empty() {
         let _ = writeln!(out, "SLOW");
-        for c in slow {
+        for c in &doc.slow_queries {
             let _ = writeln!(
                 out,
                 "  q{:<4} {:<24} {:.1}ms",
-                num(c, "query_id"),
-                text(c, "pattern"),
-                num(c, "elapsed_ns") / 1e6
+                c.query_id,
+                c.pattern,
+                c.elapsed_ns as f64 / 1e6
             );
         }
     }
-    Ok(out)
+    out
 }
 
 /// `gpm report-validate FILE`: parse and schema-check a `RunReport`.
@@ -885,11 +859,10 @@ fn run_report_diff(args: &[String]) -> Result<String, String> {
     Err(out)
 }
 
-/// Reads and schema-checks one bundle file.
-fn load_bundle(path: &str) -> Result<Value, String> {
+/// Reads one bundle file through the bundle reader.
+fn load_bundle(path: &str) -> Result<Bundle, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-    khuzdul::validate_bundle(&text).map_err(|e| format!("{path}: {e}"))?;
-    gpm_obs::parse_json(&text).map_err(|e| format!("{path}: {e}"))
+    khuzdul::validate_bundle(&text).map_err(|e| format!("{path}: {e}"))
 }
 
 /// `gpm incident list DIR`: one line per bundle, oldest first.
@@ -902,15 +875,14 @@ fn run_incident_list(args: &[String]) -> Result<String, String> {
     }
     let mut out = String::new();
     for path in &bundles {
-        let doc = load_bundle(&path.display().to_string())?;
-        let trigger = field(&doc, "trigger");
+        let b = load_bundle(&path.display().to_string())?;
         let _ = writeln!(
             out,
             "{:<32} {:<18} q{:<5} t+{:.3}s  {}",
-            text(&doc, "id"),
-            text(trigger, "kind"),
-            uint(trigger, "query_id"),
-            uint(trigger, "at_ns") as f64 / 1e9,
+            b.id,
+            b.trigger.kind.name(),
+            b.trigger.query_id,
+            b.trigger.at_ns as f64 / 1e9,
             path.display()
         );
     }
@@ -922,96 +894,84 @@ fn run_incident_list(args: &[String]) -> Result<String, String> {
 /// flight-ring slice, progress snapshots, counters, and ledger state.
 fn run_incident_show(args: &[String]) -> Result<String, String> {
     let path = args.first().ok_or("incident show needs a bundle file")?;
-    let doc = load_bundle(path)?;
-    let (trigger, config) = (field(&doc, "trigger"), field(&doc, "config"));
-    let mut out = String::new();
-    let _ = writeln!(out, "incident {}", text(&doc, "id"));
-    let part = match field(trigger, "part") {
-        Value::UInt(p) => format!(" part {p}"),
-        _ => String::new(),
-    };
+    Ok(render_bundle(&load_bundle(path)?))
+}
+
+fn render_bundle(b: &Bundle) -> String {
+    let (t, mut out) = (&b.trigger, String::new());
+    let _ = writeln!(out, "incident {}", b.id);
+    let part = t.part.map_or(String::new(), |p| format!(" part {p}"));
     let _ = writeln!(
         out,
         "trigger  {} (query {}{part}, value {}, t+{:.3}s)",
-        text(trigger, "kind"),
-        uint(trigger, "query_id"),
-        uint(trigger, "value"),
-        uint(trigger, "at_ns") as f64 / 1e9,
+        t.kind.name(),
+        t.query_id,
+        t.value,
+        t.at_ns as f64 / 1e9,
     );
-    let _ = writeln!(out, "detail   {}", text(trigger, "detail"));
-    let stall = match field(config, "stall_ms") {
-        Value::UInt(ms) => format!(", stall watchdog {ms}ms"),
-        _ => String::new(),
-    };
-    let _ = writeln!(out, "config   fingerprint {}{stall}", text(config, "fingerprint"));
-    let flight = field(&doc, "flight");
-    let Value::Seq(events) = field(flight, "events") else {
-        return Err(format!("{path}: flight.events is not an array"));
-    };
+    let _ = writeln!(out, "detail   {}", t.detail);
+    let stall = b.config.stall_ms.map_or(String::new(), |ms| format!(", stall watchdog {ms}ms"));
+    let _ = writeln!(out, "config   fingerprint {}{stall}", b.config.fingerprint);
+    let f = &b.flight;
     let _ = writeln!(
         out,
         "flight   {} of {} event(s) retained (capacity {})",
-        events.len(),
-        uint(flight, "recorded"),
-        uint(flight, "capacity"),
+        f.events.len(),
+        f.recorded,
+        f.capacity,
     );
-    for e in events {
+    for e in &f.events {
         let _ = writeln!(
             out,
             "  [{:>6}] t+{:<9.3} {:<15} q{:<5} part={:<20} a={}",
-            uint(e, "seq"),
-            uint(e, "at_ns") as f64 / 1e9,
-            text(e, "kind"),
-            uint(e, "query"),
+            e.seq,
+            e.at_ns as f64 / 1e9,
+            e.kind.name(),
+            e.query,
             // u64::MAX marks an event that is not part-scoped.
-            match uint(e, "part") {
-                u64::MAX => "-".to_string(),
-                p => p.to_string(),
-            },
-            uint(e, "a"),
+            if e.part == u64::MAX { "-".to_string() } else { e.part.to_string() },
+            e.a,
         );
     }
-    for p in seq(&doc, "progress") {
+    for p in &b.progress {
         let _ = writeln!(
             out,
             "progress q{}: {}/{} roots completed, {} claimed, {} stolen, {} recovered",
-            uint(p, "query_id"),
-            uint(p, "completed"),
-            uint(p, "roots_total"),
-            uint(p, "claimed"),
-            uint(p, "stolen"),
-            uint(p, "recovered"),
+            p.query_id, p.completed, p.roots_total, p.claimed, p.stolen, p.recovered,
         );
     }
-    if let Value::Map(counters) = field(&doc, "counters") {
+    if let Some(counters) = &b.counters {
         let _ = writeln!(out, "counters");
-        for (name, v) in counters {
-            if let Value::UInt(n) = v {
-                let _ = writeln!(out, "  {name:<24} {n}");
-            }
+        for (name, n) in &counters.0 {
+            let _ = writeln!(out, "  {name:<24} {n}");
         }
     }
-    let ledger = field(&doc, "ledger");
-    if let Value::Map(_) = ledger {
-        let poisoned = match field(ledger, "poisoned") {
-            Value::Str(e) => format!(", poisoned: {e}"),
-            _ => String::new(),
-        };
+    if let Some(l) = &b.ledger {
+        // The message carrier reads no ledger state into a bundle.
+        let quiescent = l
+            .quiescent
+            .map_or(", ledger state not read".to_string(), |q| format!(", quiescent {q}"));
+        let poisoned = l.poisoned.as_ref().map_or(String::new(), |e| format!(", poisoned: {e}"));
         let _ = writeln!(
             out,
-            "ledger   carrier {}, available {}, quiescent {}{poisoned}",
-            text(ledger, "carrier"),
-            *field(ledger, "available") == Value::Bool(true),
-            *field(ledger, "quiescent") == Value::Bool(true),
+            "ledger   carrier {}, available {}{quiescent}{poisoned}",
+            l.carrier, l.available
         );
     }
-    Ok(out)
+    out
 }
 
 /// `gpm incident diff A B`: compare two bundles — trigger, config
 /// fingerprint, flight-event mix, and counter deltas — to answer "is
 /// this the same failure again?".
 fn run_incident_diff(args: &[String]) -> Result<String, String> {
+    let [a_path, b_path] = args else {
+        return Err("incident diff needs exactly two bundle files".into());
+    };
+    Ok(diff_bundles(&load_bundle(a_path)?, &load_bundle(b_path)?))
+}
+
+fn diff_bundles(a: &Bundle, b: &Bundle) -> String {
     fn row<T: std::fmt::Display + PartialEq>(out: &mut String, label: &str, a: T, b: T) {
         if a == b {
             let _ = writeln!(out, "  {label:<20} {a} (same)");
@@ -1019,49 +979,32 @@ fn run_incident_diff(args: &[String]) -> Result<String, String> {
             let _ = writeln!(out, "  {label:<20} {a} -> {b}");
         }
     }
-    let [a_path, b_path] = args else {
-        return Err("incident diff needs exactly two bundle files".into());
-    };
-    let (a, b) = (load_bundle(a_path)?, load_bundle(b_path)?);
     let mut out = String::new();
-    let _ = writeln!(out, "{} vs {}", text(&a, "id"), text(&b, "id"));
-    let (ta, tb) = (field(&a, "trigger"), field(&b, "trigger"));
-    row(&mut out, "trigger", text(ta, "kind"), text(tb, "kind"));
-    row(&mut out, "query", uint(ta, "query_id"), uint(tb, "query_id"));
-    let fingerprint = |doc: &Value| text(field(doc, "config"), "fingerprint").to_string();
-    row(&mut out, "config fingerprint", fingerprint(&a), fingerprint(&b));
+    let _ = writeln!(out, "{} vs {}", a.id, b.id);
+    row(&mut out, "trigger", a.trigger.kind.name(), b.trigger.kind.name());
+    row(&mut out, "query", a.trigger.query_id, b.trigger.query_id);
+    row(&mut out, "config fingerprint", &a.config.fingerprint, &b.config.fingerprint);
     // Flight mix: events per kind, in either bundle's ring slice.
-    let kind_counts = |doc: &Value| -> Vec<(String, u64)> {
-        let mut counts: Vec<(String, u64)> = Vec::new();
-        for e in seq(field(doc, "flight"), "events") {
-            let kind = text(e, "kind");
-            match counts.iter_mut().find(|(k, _)| k == kind) {
-                Some((_, n)) => *n += 1,
-                None => counts.push((kind.to_string(), 1)),
-            }
-        }
-        counts
+    let count = |doc: &Bundle, kind: &str| {
+        doc.flight.events.iter().filter(|e| e.kind.name() == kind).count()
     };
-    let (ka, kb) = (kind_counts(&a), kind_counts(&b));
-    let mut kinds: Vec<String> = ka.iter().chain(&kb).map(|(k, _)| k.clone()).collect();
+    let mut kinds: Vec<&str> =
+        a.flight.events.iter().chain(&b.flight.events).map(|e| e.kind.name()).collect();
     kinds.sort();
     kinds.dedup();
-    for kind in &kinds {
-        let get = |c: &[(String, u64)]| c.iter().find(|(k, _)| k == kind).map_or(0, |(_, n)| *n);
-        row(&mut out, &format!("flight {kind}"), get(&ka), get(&kb));
+    for kind in kinds {
+        row(&mut out, &format!("flight {kind}"), count(a, kind), count(b, kind));
     }
     // Counter deltas, where both bundles captured them.
-    if let (Value::Map(ca), cb @ Value::Map(_)) = (field(&a, "counters"), field(&b, "counters")) {
-        for (name, va) in ca {
-            if let Value::UInt(va) = va {
-                let vb = uint(cb, name);
-                if *va != vb {
-                    row(&mut out, name, *va, vb);
-                }
+    if let (Some(ca), Some(cb)) = (&a.counters, &b.counters) {
+        for (name, va) in &ca.0 {
+            let vb = cb.0.iter().find(|(k, _)| k == name).map_or(0, |(_, n)| *n);
+            if *va != vb {
+                row(&mut out, name, *va, vb);
             }
         }
     }
-    Ok(out)
+    out
 }
 
 /// `gpm stats`: Table-1-style characterization plus skew diagnostics.
@@ -2060,6 +2003,64 @@ mod tests {
         let err = run(&argv(&format!("incident show {}", bad.display()))).unwrap_err();
         assert!(err.contains(&bad.display().to_string()), "{err}");
         std::fs::remove_file(&bad).ok();
+        // A real stall bundle with five fields deleted or mistyped: show
+        // and list refuse it, naming the first field the reader hit.
+        let dir = std::env::temp_dir().join(format!("gpm-cli-malformed-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let broken = [
+            (r#""available":true,"quiescent":false,"#, ""),
+            (r#""stolen":0,"recovered":0,"#, ""),
+            (r#""part":null"#, r#""part":"two""#),
+            (r#""stall_ms":300"#, r#""stall_ms":"300""#),
+            (r#""recorded":2"#, r#""recorded":1"#),
+        ]
+        .iter()
+        .fold(STALL_BUNDLE.to_string(), |b, (from, to)| {
+            assert!(b.contains(from), "{from}");
+            b.replacen(from, to, 1)
+        });
+        let path = dir.join("incident-000001-stall.json");
+        std::fs::write(&path, broken).unwrap();
+        for cmd in [
+            format!("incident show {}", path.display()),
+            format!("incident list {}", dir.display()),
+        ] {
+            let err = run(&argv(&cmd)).unwrap_err();
+            assert!(err.contains("bundle.trigger.part: expected unsigned integer"), "{cmd}: {err}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    const PART_FAILED_BUNDLE: &str = include_str!("../../../ci/fixtures/part_failed.bundle.json");
+    const STALL_BUNDLE: &str = include_str!("../../../ci/fixtures/stall.bundle.json");
+
+    /// Bundles and a `/status` body written by the untyped writers render
+    /// byte for byte as the untyped renderers printed them (the `.txt`
+    /// beside each fixture is that output).
+    #[test]
+    fn earlier_documents_render_as_they_did() {
+        let read = |json| khuzdul::validate_bundle(json).expect("fixture bundle reads");
+        let (crash, stall) = (read(PART_FAILED_BUNDLE), read(STALL_BUNDLE));
+        let crash_b = read(include_str!("../../../ci/fixtures/part_failed_b.bundle.json"));
+        assert_eq!(
+            render_bundle(&crash),
+            include_str!("../../../ci/fixtures/part_failed.show.txt")
+        );
+        assert_eq!(render_bundle(&stall), include_str!("../../../ci/fixtures/stall.show.txt"));
+        assert_eq!(
+            diff_bundles(&crash, &stall),
+            include_str!("../../../ci/fixtures/part_failed-vs-stall.diff.txt")
+        );
+        assert_eq!(
+            diff_bundles(&crash, &crash_b),
+            include_str!("../../../ci/fixtures/part_failed-vs-part_failed_b.diff.txt")
+        );
+        let status = khuzdul::read_status(include_str!("../../../ci/fixtures/status.json"))
+            .expect("fixture /status reads");
+        assert_eq!(
+            render_top("127.0.0.1:9194", &status),
+            include_str!("../../../ci/fixtures/status.top.txt")
+        );
     }
 
     #[test]

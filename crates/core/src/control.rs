@@ -11,14 +11,15 @@
 //! interchangeable per run and produce bit-identical counts;
 //! `EngineConfig::control` picks between them.
 
-use crate::incident::{ledger_json, CaptureSections, IncidentManager, Trigger, TriggerKind};
+use crate::incident::{CaptureSections, IncidentManager, Trigger};
 use gpm_cluster::{
     Carrier, ClaimSource, ClusterMetrics, ControlLedgerConfig, ControlLedgerService, Counters,
-    CtrlOp, CtrlPayload, FaultPlan, FetchError, Ledger, LedgerSummary, RetryPolicy,
+    CtrlOp, CtrlPayload, FaultPlan, FetchError, Ledger, RetryPolicy,
 };
 use gpm_graph::VertexId;
-use gpm_obs::Recorder;
+use gpm_obs::{Recorder, TriggerKind};
 use parking_lot::Mutex;
+use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -47,16 +48,25 @@ pub struct ControlConfig {
     pub fault: Option<FaultPlan>,
 }
 
-/// What [`ControlPlane::state_summary`] reports into an incident bundle.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub(crate) struct ControlPlaneSummary {
+/// What [`ControlPlane::state_summary`] reports: an incident bundle's
+/// `ledger` section. The ledger's fields (see
+/// [`gpm_cluster::LedgerSummary`]) are `None` when the carrier could not
+/// read them without a round trip.
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct ControlPlaneSummary {
     /// Carrier name (`"shared"` or `"msg"`).
-    pub carrier: &'static str,
-    /// The ledger's state; all-default when the carrier cannot read it
-    /// without a round trip.
-    pub ledger: LedgerSummary,
-    /// The poison of a carrier that lost a fire-and-forget operation;
-    /// bundles report the plane `available` while there is none.
+    pub carrier: String,
+    /// Whether the plane is unpoisoned.
+    pub available: bool,
+    /// Whether no claimed batch awaits retirement.
+    pub quiescent: Option<bool>,
+    /// Parts idle and polling.
+    pub starving: Option<u64>,
+    /// Donated roots unclaimed in the spill.
+    pub spill_len: Option<u64>,
+    /// Roots left on each part's cursor.
+    pub per_part_remaining: Option<Vec<u64>>,
+    /// The poison of a carrier that lost a fire-and-forget operation.
     pub poisoned: Option<String>,
 }
 
@@ -251,10 +261,16 @@ impl ControlPlane {
     /// to call from a watchdog thread while parts are mid-claim, and
     /// wire-free: see [`Carrier::summary`].
     pub(crate) fn state_summary(&self) -> ControlPlaneSummary {
+        let poisoned = self.poisoned.lock().as_ref().map(|e| format!("{e:?}"));
+        let ledger = self.carrier.summary();
         ControlPlaneSummary {
-            carrier: self.carrier.name(),
-            ledger: self.carrier.summary().unwrap_or_default(),
-            poisoned: self.poisoned.lock().as_ref().map(|e| format!("{e:?}")),
+            carrier: self.carrier.name().to_string(),
+            available: poisoned.is_none(),
+            quiescent: ledger.as_ref().map(|l| l.quiescent),
+            starving: ledger.as_ref().map(|l| l.starving),
+            spill_len: ledger.as_ref().map(|l| l.spill_len),
+            per_part_remaining: ledger.map(|l| l.per_part_remaining),
+            poisoned,
         }
     }
 
@@ -286,17 +302,16 @@ impl ControlPlane {
         }
         if let Some(m) = &self.incidents {
             m.capture(
-                Trigger {
-                    kind: TriggerKind::ControlPoison,
-                    query_id: self.query,
-                    part: None,
-                    value: 0,
-                    detail: format!("control-plane poisoned by a fire-and-forget failure: {e:?}"),
-                },
+                Trigger::new(
+                    TriggerKind::ControlPoison,
+                    self.query,
+                    None,
+                    0,
+                    format!("control-plane poisoned by a fire-and-forget failure: {e:?}"),
+                ),
                 CaptureSections {
-                    progress: Vec::new(),
-                    counters: None,
-                    ledger: Some(ledger_json(&self.state_summary())),
+                    ledger: Some(self.state_summary()),
+                    ..CaptureSections::default()
                 },
             );
         }
@@ -361,11 +376,18 @@ mod tests {
             match mode {
                 ControlMode::Shared => {
                     assert_eq!(summary.carrier, "shared");
-                    assert_eq!(summary.ledger.per_part_remaining, vec![0, 0]);
-                    assert!(summary.ledger.quiescent);
+                    assert_eq!(summary.per_part_remaining, Some(vec![0, 0]));
+                    assert_eq!(summary.quiescent, Some(true));
                 }
                 ControlMode::Msg => {
-                    assert_eq!((summary.carrier, summary.ledger), ("msg", LedgerSummary::default()))
+                    // The message carrier reads no ledger state: every
+                    // ledger field is unread, not zero.
+                    let unread = ControlPlaneSummary {
+                        carrier: "msg".to_string(),
+                        available: true,
+                        ..ControlPlaneSummary::default()
+                    };
+                    assert_eq!(summary, unread);
                 }
             }
         }
@@ -441,7 +463,7 @@ mod tests {
         ledger.set_starving(0, true);
         let captured = incidents.incidents();
         assert_eq!(captured.len(), 1, "exactly one bundle per poisoning");
-        assert_eq!(captured[0].trigger, "control_poison");
+        assert_eq!(captured[0].trigger, TriggerKind::ControlPoison);
         assert_eq!(captured[0].query_id, 3);
         let json = std::fs::read_to_string(&captured[0].path).unwrap();
         crate::incident::validate_bundle(&json).expect("poison bundle validates");

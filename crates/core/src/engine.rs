@@ -3,8 +3,8 @@
 use crate::cache::{CacheConfig, SharedCache};
 use crate::control::{ControlConfig, ControlPlane};
 use crate::incident::{
-    config_fingerprint, counters_json, ledger_json, progress_json, CaptureSections, IncidentConfig,
-    IncidentManager, StallWatchdog, Trigger, TriggerKind,
+    config_fingerprint, counter_snapshot, CaptureSections, IncidentConfig, IncidentManager,
+    StallWatchdog, Trigger,
 };
 use crate::rebalance::{RebalanceConfig, Rebalancer};
 use crate::runtime::{run_part, PartCtx, StatePool, Visitor};
@@ -18,10 +18,11 @@ use gpm_graph::partition::PartitionedGraph;
 use gpm_graph::VertexId;
 use gpm_obs::{
     FlightRecorder, GaugeSample, HolderReroute, ObsConfig, QueryProgress, RebalanceSection,
-    Recorder, RunReport, SpanKind, FLIGHT_CAPACITY, NO_PART,
+    Recorder, RunReport, SpanKind, TriggerKind, FLIGHT_CAPACITY, NO_PART,
 };
 use gpm_pattern::plan::MatchingPlan;
 use parking_lot::Mutex;
+use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -36,7 +37,7 @@ const GAUGE_TICK: Duration = Duration::from_millis(5);
 
 /// One part's replica-placement and health row, as served by `/status`
 /// and rendered by `gpm top` (see [`Engine::part_health`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PartHealth {
     /// The part this row describes.
     pub part: usize,
@@ -861,14 +862,14 @@ impl Engine {
     ) {
         let sections = if self.incidents.enabled() {
             CaptureSections {
-                progress: self.active_progress().iter().map(|p| progress_json(p)).collect(),
-                counters: Some(counters_json(&self.service.metrics().totals())),
-                ledger: Some(ledger_json(&ledger.state_summary())),
+                progress: self.active_progress().iter().map(|p| p.snapshot()).collect(),
+                counters: Some(counter_snapshot(&self.service.metrics().totals())),
+                ledger: Some(ledger.state_summary()),
             }
         } else {
             CaptureSections::default()
         };
-        self.incidents.capture(Trigger { kind, query_id: qid, part, value, detail }, sections);
+        self.incidents.capture(Trigger::new(kind, qid, part, value, detail), sections);
     }
 
     /// Builds a run-scoped control plane over one root list per part, in
@@ -2004,7 +2005,7 @@ mod tests {
         assert_eq!(mine, [(SpanKind::QueryAdmit, 0), (SpanKind::QueryComplete, 0)]);
         let incidents = engine.incidents().incidents();
         assert_eq!(incidents.len(), 1);
-        assert_eq!(incidents[0].trigger, "deadline_exceeded");
+        assert_eq!(incidents[0].trigger, TriggerKind::DeadlineExceeded);
         assert_eq!(incidents[0].query_id, q.query_id);
         let json = std::fs::read_to_string(&incidents[0].path).unwrap();
         crate::incident::validate_bundle(&json).expect("deadline bundle validates");
@@ -2016,7 +2017,7 @@ mod tests {
         let run = engine.count(&p);
         let report = engine.report(&run, "khuzdul");
         assert_eq!(report.incidents.len(), 1);
-        assert_eq!(report.incidents[0].trigger, "deadline_exceeded");
+        assert_eq!(report.incidents[0].trigger, TriggerKind::DeadlineExceeded);
         gpm_obs::validate_report(&report.to_json()).expect("report with incidents validates");
         engine.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
@@ -2047,7 +2048,7 @@ mod tests {
         assert_eq!(run.count, expect);
         let incidents = engine.incidents().incidents();
         assert_eq!(incidents.len(), 1, "one crash, one bundle: {incidents:?}");
-        assert_eq!(incidents[0].trigger, "part_failed");
+        assert_eq!(incidents[0].trigger, TriggerKind::PartFailed);
         let json = std::fs::read_to_string(&incidents[0].path).unwrap();
         crate::incident::validate_bundle(&json).expect("part-failed bundle validates");
         assert!(json.contains("\"part\": 2") || json.contains("\"part\":2"));
@@ -2129,7 +2130,7 @@ mod tests {
         ));
         let incidents = engine.incidents().incidents();
         assert_eq!(incidents.len(), 1);
-        assert_eq!(incidents[0].trigger, "part_lost");
+        assert_eq!(incidents[0].trigger, TriggerKind::PartLost);
         let json = std::fs::read_to_string(&incidents[0].path).unwrap();
         crate::incident::validate_bundle(&json).expect("part-lost bundle validates");
         engine.shutdown();
@@ -2169,7 +2170,7 @@ mod tests {
         );
         assert!(engine.try_count(&plan(&Pattern::triangle())).is_err(), "all-drops wire fails");
         let incidents = engine.incidents().incidents();
-        let stalls: Vec<_> = incidents.iter().filter(|i| i.trigger == "stall").collect();
+        let stalls: Vec<_> = incidents.iter().filter(|i| i.trigger == TriggerKind::Stall).collect();
         assert_eq!(stalls.len(), 1, "the watchdog fires exactly once: {incidents:?}");
         let json = std::fs::read_to_string(&stalls[0].path).unwrap();
         crate::incident::validate_bundle(&json).expect("stall bundle validates");

@@ -12,25 +12,33 @@
 //! starvation, poison), a config fingerprint, and the trigger record
 //! itself.
 //!
-//! Six triggers exist, mirroring `gpm_obs`'s `INCIDENT_TRIGGERS`
-//! taxonomy: `part_failed`, `part_lost`, `deadline_exceeded`,
-//! `slow_query`, `control_poison`, and `stall`. The first five wire into
-//! existing engine/service/control choke points; the last comes from the
+//! Seven triggers exist, one [`TriggerKind`] each — the same type names
+//! the report's `incidents[]` entries: `part_failed`, `part_lost`,
+//! `deadline_exceeded`, `slow_query`, `control_poison`, `stall`, and
+//! `rebalance_stuck`. The first five wire into existing
+//! engine/service/control choke points; `stall` comes from the
 //! [`StallWatchdog`] — a per-run thread that fires when the run is still
 //! in flight but its progress tracker has seen no root claim or
 //! retirement for a configurable window, dumping scheduler state instead
-//! of letting a wedged run hang silently.
+//! of letting a wedged run hang silently — and `rebalance_stuck` from the
+//! same watchdog over a re-replication transfer.
+//!
+//! A bundle is one typed document, [`Bundle`]: capture serializes it and
+//! [`validate_bundle`] reads it back, so the writer, the validator and
+//! `gpm incident` share one definition.
 //!
 //! Capture is **off by default**: with no [`IncidentConfig::dir`] the
 //! manager records nothing and every trigger site costs one `Option`
-//! branch. Bundles are schema-checked by [`validate_bundle`] — the same
-//! check `gpm incident show` and the chaos CI job run.
+//! branch.
 
 use crate::control::{ControlPlane, ControlPlaneSummary};
-use gpm_obs::json::{as_map, get, req_map, req_seq, req_str, req_u64};
-use gpm_obs::{FlightRecorder, IncidentSummary, QueryProgress, Recorder, SpanKind, NO_PART};
+use gpm_cluster::{Counter, Counts};
+use gpm_obs::{
+    CounterSnapshot, FlightEvent, FlightRecorder, IncidentSummary, ProgressSnapshot, QueryProgress,
+    Recorder, TriggerKind, NO_PART,
+};
 use parking_lot::Mutex;
-use serde::Value;
+use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -60,68 +68,32 @@ impl Default for IncidentConfig {
     }
 }
 
-/// What fired. Each variant maps 1:1 onto a stable bundle trigger name
-/// and a coarse [`SpanKind`] recorded into the stream alongside the
-/// capture.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TriggerKind {
-    /// A part fail-stopped and a recovery pass re-executed its roots.
-    PartFailed,
-    /// A part fail-stopped with no replica to recover from.
-    PartLost,
-    /// A query's cooperative deadline expired.
-    DeadlineExceeded,
-    /// A completed query exceeded the slow-query threshold.
-    SlowQuery,
-    /// The control-plane ledger lost a fire-and-forget operation.
-    ControlPoison,
-    /// The stall watchdog saw no scheduler progress for its window.
-    Stall,
-    /// A re-replication transfer made no byte progress for the stall
-    /// window.
-    RebalanceStuck,
+/// One incident bundle: what capture writes, [`validate_bundle`] reads
+/// and `gpm incident` renders.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct Bundle {
+    /// [`BUNDLE_SCHEMA_VERSION`].
+    pub bundle_schema: u64,
+    /// Stable id, also the file stem.
+    pub id: String,
+    /// What fired.
+    pub trigger: Trigger,
+    /// The engine configuration that captured it.
+    pub config: BundleConfig,
+    /// The flight ring at capture.
+    pub flight: FlightSlice,
+    /// Live queries' progress at capture.
+    pub progress: Vec<ProgressSnapshot>,
+    /// Cluster counter totals, where the trigger site had them.
+    pub counters: Option<CounterSnapshot>,
+    /// The triggering run's control-plane state, where there was one.
+    pub ledger: Option<ControlPlaneSummary>,
 }
 
-impl TriggerKind {
-    /// Every trigger, in taxonomy order.
-    pub const ALL: [TriggerKind; 7] = [
-        TriggerKind::PartFailed,
-        TriggerKind::PartLost,
-        TriggerKind::DeadlineExceeded,
-        TriggerKind::SlowQuery,
-        TriggerKind::ControlPoison,
-        TriggerKind::Stall,
-        TriggerKind::RebalanceStuck,
-    ];
-
-    /// Stable machine-readable name (matches the report validator's
-    /// `INCIDENT_TRIGGERS` list).
-    pub fn name(self) -> &'static str {
-        match self {
-            TriggerKind::PartFailed => "part_failed",
-            TriggerKind::PartLost => "part_lost",
-            TriggerKind::DeadlineExceeded => "deadline_exceeded",
-            TriggerKind::SlowQuery => "slow_query",
-            TriggerKind::ControlPoison => "control_poison",
-            TriggerKind::Stall => "stall",
-            TriggerKind::RebalanceStuck => "rebalance_stuck",
-        }
-    }
-
-    fn event(self) -> SpanKind {
-        match self {
-            TriggerKind::PartFailed | TriggerKind::PartLost => SpanKind::PartCrash,
-            TriggerKind::DeadlineExceeded => SpanKind::DeadlineMiss,
-            TriggerKind::SlowQuery => SpanKind::SlowQuery,
-            TriggerKind::ControlPoison => SpanKind::ControlPoison,
-            TriggerKind::Stall | TriggerKind::RebalanceStuck => SpanKind::Stall,
-        }
-    }
-}
-
-/// One trigger record, written verbatim into the bundle.
-#[derive(Debug, Clone)]
-pub(crate) struct Trigger {
+/// A bundle's trigger record.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub struct Trigger {
+    /// Trigger class.
     pub kind: TriggerKind,
     /// Query the trigger belongs to (0 when not query-scoped).
     pub query_id: u64,
@@ -132,6 +104,47 @@ pub(crate) struct Trigger {
     pub value: u64,
     /// Human-readable one-liner.
     pub detail: String,
+    /// Capture time, nanoseconds since the flight ring's epoch.
+    pub at_ns: u64,
+}
+
+impl Trigger {
+    /// A trigger record; capture stamps its time.
+    pub(crate) fn new(
+        kind: TriggerKind,
+        query_id: u64,
+        part: Option<u64>,
+        value: u64,
+        detail: String,
+    ) -> Trigger {
+        Trigger { kind, query_id, part, value, detail, at_ns: 0 }
+    }
+}
+
+/// A bundle's `config` section.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub struct BundleConfig {
+    /// [`config_fingerprint`] of the engine configuration.
+    pub fingerprint: String,
+    /// The stall-watchdog window, if one was armed.
+    pub stall_ms: Option<u64>,
+}
+
+/// A bundle's `flight` section: the ring's retained events.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub struct FlightSlice {
+    /// Ring slots.
+    pub capacity: u64,
+    /// Events ever recorded, overwritten ones included.
+    pub recorded: u64,
+    /// The retained events, oldest first.
+    pub events: Vec<FlightEvent>,
+}
+
+/// The exported rows of `totals`, name for value: the `counters` of a
+/// bundle and of `/status`.
+pub(crate) fn counter_snapshot(totals: &Counts) -> CounterSnapshot {
+    CounterSnapshot(Counter::exported().map(|c| (c.name().to_string(), totals[c])).collect())
 }
 
 /// Optional context sections a trigger site attaches to its bundle.
@@ -140,11 +153,11 @@ pub(crate) struct Trigger {
 #[derive(Debug, Default)]
 pub(crate) struct CaptureSections {
     /// Per-query progress snapshots (live queries at capture time).
-    pub progress: Vec<Value>,
-    /// Cluster counter snapshot, as a name → value map.
-    pub counters: Option<Value>,
+    pub progress: Vec<ProgressSnapshot>,
+    /// Cluster counter snapshot.
+    pub counters: Option<CounterSnapshot>,
     /// Scheduler/ledger state summary.
-    pub ledger: Option<Value>,
+    pub ledger: Option<ControlPlaneSummary>,
 }
 
 /// The per-engine incident sink: records triggers into the engine's
@@ -203,11 +216,6 @@ impl IncidentManager {
         self.dir.is_some()
     }
 
-    /// The bundle directory, if configured.
-    pub fn dir(&self) -> Option<&Path> {
-        self.dir.as_deref()
-    }
-
     /// The coarse-event flight ring bundles snapshot from.
     pub fn flight(&self) -> &Arc<FlightRecorder> {
         self.recorder.flight()
@@ -224,98 +232,53 @@ impl IncidentManager {
         self.captured.lock().clone()
     }
 
-    /// Captures one bundle: records the trigger as an event (which the
-    /// flight ring keeps), snapshots the ring, writes the schema-validated
-    /// JSON file, enforces retention, and remembers the summary. Returns `None` when capture
-    /// is disabled or the write failed (a broken incident sink must
-    /// never fail the run it is describing).
+    /// Captures one bundle: stamps the trigger and records it as an
+    /// event (which the flight ring keeps), snapshots the ring, writes
+    /// the bundle, enforces retention, and remembers the summary. Returns
+    /// `None` when capture is disabled or the write failed (a broken
+    /// incident sink must never fail the run it is describing).
     pub(crate) fn capture(
         &self,
-        trigger: Trigger,
+        mut trigger: Trigger,
         sections: CaptureSections,
     ) -> Option<IncidentSummary> {
-        let at_ns = self.flight().now_ns();
+        trigger.at_ns = self.flight().now_ns();
         let part = trigger.part.map_or(NO_PART, |p| p as u32);
         self.recorder.event(trigger.query_id, trigger.kind.event(), part, trigger.value, 0);
         let dir = self.dir.as_ref()?;
         let n = self.seq.fetch_add(1, Ordering::Relaxed) + 1;
         let id = format!("incident-{n:06}-{}", trigger.kind.name());
         let path = dir.join(format!("{id}.json"));
-        let doc = self.bundle_json(&id, &trigger, at_ns, &sections);
-        std::fs::create_dir_all(dir).ok()?;
-        std::fs::write(&path, serde_json::to_string(&doc).expect("bundle renders")).ok()?;
-        self.enforce_retention(dir);
+        let flight = self.flight();
+        // The events before the count, so the count covers every one.
+        let events = flight.snapshot();
+        let flight =
+            FlightSlice { capacity: flight.capacity() as u64, recorded: flight.recorded(), events };
         let summary = IncidentSummary {
-            id,
-            trigger: trigger.kind.name().to_string(),
+            id: id.clone(),
+            trigger: trigger.kind,
             query_id: trigger.query_id,
-            at_ns,
+            at_ns: trigger.at_ns,
             path: path.display().to_string(),
         };
+        let bundle = Bundle {
+            bundle_schema: BUNDLE_SCHEMA_VERSION,
+            id,
+            trigger,
+            config: BundleConfig {
+                fingerprint: self.fingerprint.clone(),
+                stall_ms: self.stall.map(|w| w.as_millis() as u64),
+            },
+            flight,
+            progress: sections.progress,
+            counters: sections.counters,
+            ledger: sections.ledger,
+        };
+        std::fs::create_dir_all(dir).ok()?;
+        std::fs::write(&path, serde_json::to_string(&bundle).expect("bundle renders")).ok()?;
+        self.enforce_retention(dir);
         self.captured.lock().push(summary.clone());
         Some(summary)
-    }
-
-    fn bundle_json(
-        &self,
-        id: &str,
-        trigger: &Trigger,
-        at_ns: u64,
-        sections: &CaptureSections,
-    ) -> Value {
-        let flight = self.flight();
-        let events: Vec<Value> = flight
-            .snapshot()
-            .iter()
-            .map(|e| {
-                Value::Map(vec![
-                    ("seq".into(), Value::UInt(e.seq)),
-                    ("at_ns".into(), Value::UInt(e.at_ns)),
-                    ("kind".into(), Value::Str(e.kind.name().to_string())),
-                    ("query".into(), Value::UInt(e.query)),
-                    ("part".into(), Value::UInt(e.part)),
-                    ("a".into(), Value::UInt(e.a)),
-                ])
-            })
-            .collect();
-        Value::Map(vec![
-            ("bundle_schema".into(), Value::UInt(BUNDLE_SCHEMA_VERSION)),
-            ("id".into(), Value::Str(id.to_string())),
-            (
-                "trigger".into(),
-                Value::Map(vec![
-                    ("kind".into(), Value::Str(trigger.kind.name().to_string())),
-                    ("query_id".into(), Value::UInt(trigger.query_id)),
-                    ("part".into(), trigger.part.map(Value::UInt).unwrap_or(Value::Null)),
-                    ("value".into(), Value::UInt(trigger.value)),
-                    ("detail".into(), Value::Str(trigger.detail.clone())),
-                    ("at_ns".into(), Value::UInt(at_ns)),
-                ]),
-            ),
-            (
-                "config".into(),
-                Value::Map(vec![
-                    ("fingerprint".into(), Value::Str(self.fingerprint.clone())),
-                    (
-                        "stall_ms".into(),
-                        self.stall
-                            .map(|w| Value::UInt(w.as_millis() as u64))
-                            .unwrap_or(Value::Null),
-                    ),
-                ]),
-            ),
-            (
-                "flight".into(),
-                Value::Map(vec![
-                    ("capacity".into(), Value::UInt(flight.capacity() as u64)),
-                    ("recorded".into(), Value::UInt(flight.recorded())),
-                    ("events".into(), Value::Seq(events)),
-                ]),
-            ),
-            ("progress".into(), Value::Seq(sections.progress.clone())),
-            ("counters".into(), sections.counters.clone().unwrap_or(Value::Null)),
-            ("ledger".into(), sections.ledger.clone().unwrap_or(Value::Null)),
-        ])
     }
 
     /// Deletes the oldest bundles past `max_bundles`. Bundle filenames
@@ -358,144 +321,48 @@ pub(crate) fn config_fingerprint(desc: &str) -> String {
     format!("{h:016x}")
 }
 
-/// JSON snapshot of one query's live progress: an entry of a bundle's
-/// `progress` section and of `/status`'s `active_queries`.
-pub(crate) fn progress_json(p: &QueryProgress) -> Value {
-    Value::Map(vec![
-        ("query_id".into(), Value::UInt(p.query_id())),
-        ("roots_total".into(), Value::UInt(p.total())),
-        ("claimed".into(), Value::UInt(p.claimed())),
-        ("completed".into(), Value::UInt(p.completed())),
-        ("stolen".into(), Value::UInt(p.stolen())),
-        ("recovered".into(), Value::UInt(p.recovered())),
-        ("done".into(), Value::Bool(p.is_done())),
-        ("fraction".into(), Value::Float(p.fraction())),
-        ("eta_ns".into(), p.eta_ns().map(Value::UInt).unwrap_or(Value::Null)),
-        ("elapsed_ns".into(), Value::UInt(p.elapsed_ns())),
-        (
-            "per_part".into(),
-            Value::Seq(
-                p.per_part()
-                    .iter()
-                    .map(|pp| {
-                        Value::Map(vec![
-                            ("part".into(), Value::UInt(pp.part)),
-                            ("claimed".into(), Value::UInt(pp.claimed)),
-                            ("completed".into(), Value::UInt(pp.completed)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
-/// JSON map of the exported cluster counters, name for value, for the
-/// bundle's `counters` section.
-pub(crate) fn counters_json(totals: &gpm_cluster::Counts) -> Value {
-    Value::Map(
-        gpm_cluster::Counter::exported()
-            .map(|c| (c.name().to_string(), Value::UInt(totals[c])))
-            .collect(),
-    )
-}
-
-/// JSON form of a [`ControlPlaneSummary`] for the bundle's `ledger`
-/// section.
-pub(crate) fn ledger_json(s: &ControlPlaneSummary) -> Value {
-    Value::Map(vec![
-        ("carrier".into(), Value::Str(s.carrier.to_string())),
-        ("available".into(), Value::Bool(s.poisoned.is_none())),
-        ("quiescent".into(), Value::Bool(s.ledger.quiescent)),
-        ("starving".into(), Value::UInt(s.ledger.starving)),
-        ("spill_len".into(), Value::UInt(s.ledger.spill_len)),
-        (
-            "per_part_remaining".into(),
-            Value::Seq(s.ledger.per_part_remaining.iter().map(|&r| Value::UInt(r)).collect()),
-        ),
-        (
-            "poisoned".into(),
-            s.poisoned.as_ref().map(|e| Value::Str(e.clone())).unwrap_or(Value::Null),
-        ),
-    ])
-}
-
-/// Validates one incident bundle: schema version, trigger taxonomy,
-/// flight-slice shape, and the optional context sections. `gpm incident
-/// show` refuses to render a bundle this rejects, and the chaos CI job
-/// runs it over every bundle a crash run emits.
+/// The one bundle reader: `json` read into a [`Bundle`] through its own
+/// field names, then the checks the types cannot express — the schema
+/// version, a non-empty id, and a flight slice of coarse events in
+/// strictly increasing `seq`, within its capacity and its recorded
+/// count. `gpm incident` renders only what this returns, and the chaos
+/// CI job runs it over every bundle a crash run emits.
 ///
 /// # Errors
 ///
 /// Returns a message naming the first offending field.
-pub fn validate_bundle(json: &str) -> Result<(), String> {
-    let doc = gpm_obs::parse_json(json)?;
-    let top = as_map(&doc, "bundle")?;
-    let schema = req_u64(top, "bundle_schema", "bundle")?;
+pub fn validate_bundle(json: &str) -> Result<Bundle, String> {
+    let doc = gpm_obs::parse_json(json).map_err(|e| format!("bundle: {e}"))?;
+    // The version first: another version may lay out anything.
+    let schema: u64 =
+        serde::field(serde::object(&doc, "bundle")?, "bundle_schema", "bundle", None)?;
     if schema != BUNDLE_SCHEMA_VERSION {
         return Err(format!(
             "bundle: schema version {schema} unsupported (expected {BUNDLE_SCHEMA_VERSION})"
         ));
     }
-    if req_str(top, "id", "bundle")?.is_empty() {
-        return Err("bundle: 'id' must be non-empty".to_string());
+    let bundle = Bundle::from_value(&doc, "bundle")?;
+    if bundle.id.is_empty() {
+        return Err("bundle.id: empty".to_string());
     }
-    let trigger = req_map(top, "trigger", "bundle")?;
-    let kind = req_str(trigger, "kind", "trigger")?;
-    if !TriggerKind::ALL.iter().any(|t| t.name() == kind) {
-        return Err(format!("trigger: unknown kind '{kind}'"));
+    let FlightSlice { capacity, recorded, events } = &bundle.flight;
+    let retained = events.len() as u64;
+    if retained > *capacity {
+        return Err(format!("bundle.flight: {retained} events exceed the capacity {capacity}"));
     }
-    req_u64(trigger, "query_id", "trigger")?;
-    req_u64(trigger, "value", "trigger")?;
-    req_u64(trigger, "at_ns", "trigger")?;
-    req_str(trigger, "detail", "trigger")?;
-    let config = req_map(top, "config", "bundle")?;
-    req_str(config, "fingerprint", "config")?;
-    let flight = req_map(top, "flight", "bundle")?;
-    let capacity = req_u64(flight, "capacity", "flight")?;
-    req_u64(flight, "recorded", "flight")?;
-    let events = req_seq(flight, "events", "flight")?;
-    if events.len() as u64 > capacity {
-        return Err(format!(
-            "flight: {} events exceed the declared capacity {capacity}",
-            events.len()
-        ));
+    if retained > *recorded {
+        return Err(format!("bundle.flight.recorded: {recorded} < the {retained} events retained"));
     }
-    let mut last_seq = None;
-    for (i, ev) in events.iter().enumerate() {
-        let ctx = format!("flight.events[{i}]");
-        let ev = as_map(ev, &ctx)?;
-        let seq = req_u64(ev, "seq", &ctx)?;
-        if last_seq.is_some_and(|p| seq <= p) {
-            return Err(format!("{ctx}: seq {seq} not strictly increasing"));
+    for (i, e) in events.iter().enumerate() {
+        let ctx = format!("bundle.flight.events[{i}]");
+        if !e.kind.coarse() {
+            return Err(format!("{ctx}.kind: {:?} is not a flight-ring kind", e.kind.name()));
         }
-        last_seq = Some(seq);
-        req_u64(ev, "at_ns", &ctx)?;
-        req_u64(ev, "query", &ctx)?;
-        req_u64(ev, "part", &ctx)?;
-        req_u64(ev, "a", &ctx)?;
-        let k = req_str(ev, "kind", &ctx)?;
-        if !SpanKind::ALL.iter().any(|f| f.coarse() && f.name() == k) {
-            return Err(format!("{ctx}: unknown event kind '{k}'"));
+        if i > 0 && e.seq <= events[i - 1].seq {
+            return Err(format!("{ctx}.seq: {} not strictly increasing", e.seq));
         }
     }
-    for (i, p) in req_seq(top, "progress", "bundle")?.iter().enumerate() {
-        let ctx = format!("progress[{i}]");
-        let p = as_map(p, &ctx)?;
-        for key in ["query_id", "roots_total", "claimed", "completed"] {
-            req_u64(p, key, &ctx)?;
-        }
-    }
-    match get(top, "ledger") {
-        Some(Value::Null) | None => {}
-        Some(l) => {
-            let l = as_map(l, "bundle.ledger")?;
-            req_str(l, "carrier", "ledger")?;
-            req_u64(l, "spill_len", "ledger")?;
-            req_u64(l, "starving", "ledger")?;
-        }
-    }
-    Ok(())
+    Ok(bundle)
 }
 
 /// One stall detector: a thread that ticks at an eighth of its window
@@ -530,17 +397,16 @@ impl StallWatchdog {
         let (mgr, watched) = (Arc::clone(manager), Arc::clone(&progress));
         let fire = move |stalled: Duration, moved: u64| {
             let sections = CaptureSections {
-                progress: vec![progress_json(&progress)],
+                progress: vec![progress.snapshot()],
                 counters: None,
-                ledger: Some(ledger_json(&ledger.state_summary())),
+                ledger: Some(ledger.state_summary()),
             };
             let detail = format!(
                 "no root claim or batch retirement for {stalled:?} \
                  (claimed + completed stuck at {moved})"
             );
             let (query_id, value) = (progress.query_id(), stalled.as_nanos() as u64);
-            let trigger = Trigger { kind: TriggerKind::Stall, query_id, part: None, value, detail };
-            mgr.capture(trigger, sections);
+            mgr.capture(Trigger::new(TriggerKind::Stall, query_id, None, value, detail), sections);
         };
         let counter = move || watched.claimed() + watched.completed();
         Some(StallWatchdog::watch("khuzdul-stall-watchdog", window, counter, || true, fire))
@@ -598,6 +464,7 @@ impl Drop for StallWatchdog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gpm_obs::SpanKind;
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir =
@@ -630,7 +497,7 @@ mod tests {
     }
 
     fn trigger(kind: TriggerKind) -> Trigger {
-        Trigger { kind, query_id: 7, part: Some(2), value: 42, detail: "test trigger".to_string() }
+        Trigger::new(kind, 7, Some(2), 42, "test trigger".to_string())
     }
 
     #[test]
@@ -650,38 +517,81 @@ mod tests {
         let m = manager(Some(dir.clone()), 8);
         m.recorder.event(7, SpanKind::QueryAdmit, NO_PART, 0, 0);
         m.recorder.event(7, SpanKind::Steal, 1, 0, 0);
-        let s = m
-            .capture(
-                trigger(TriggerKind::DeadlineExceeded),
-                CaptureSections {
-                    progress: vec![progress_json(&QueryProgress::new(7, 100, 2))],
-                    counters: Some(Value::Map(vec![("x".into(), Value::UInt(1))])),
-                    ledger: Some(ledger_json(&ControlPlaneSummary {
-                        carrier: "shared",
-                        ledger: gpm_cluster::LedgerSummary {
-                            quiescent: false,
-                            starving: 1,
-                            spill_len: 3,
-                            per_part_remaining: vec![10, 0],
-                        },
-                        poisoned: None,
-                    })),
-                },
-            )
-            .expect("enabled manager captures");
-        assert_eq!(s.trigger, "deadline_exceeded");
+        let progress = QueryProgress::new(7, 100, 2).snapshot();
+        let counters = CounterSnapshot(vec![("x".to_string(), 1)]);
+        let ledger = ControlPlaneSummary {
+            carrier: "shared".to_string(),
+            available: true,
+            quiescent: Some(false),
+            starving: Some(1),
+            spill_len: Some(3),
+            per_part_remaining: Some(vec![10, 0]),
+            poisoned: None,
+        };
+        let sections = CaptureSections {
+            progress: vec![progress.clone()],
+            counters: Some(counters.clone()),
+            ledger: Some(ledger.clone()),
+        };
+        let s = m.capture(trigger(TriggerKind::DeadlineExceeded), sections).expect("captures");
+        assert_eq!(s.trigger, TriggerKind::DeadlineExceeded);
         assert_eq!(s.query_id, 7);
         assert!(s.id.starts_with("incident-000001-"));
         let listed = list_bundles(&dir).unwrap();
         assert_eq!(listed.len(), 1);
         let json = std::fs::read_to_string(&listed[0]).unwrap();
-        validate_bundle(&json).expect("bundle must validate");
-        assert!(json.contains("\"deadline_exceeded\""));
-        assert!(json.contains("\"per_part_remaining\""));
+        let b = validate_bundle(&json).expect("bundle must validate");
+        assert_eq!((b.id, b.trigger.kind, b.trigger.at_ns), (s.id, s.trigger, s.at_ns));
+        assert_eq!(
+            (b.progress, b.counters, b.ledger),
+            (vec![progress], Some(counters), Some(ledger))
+        );
         // The trigger itself landed in the flight slice.
-        assert!(json.contains("\"deadline_miss\""));
+        let kinds: Vec<SpanKind> = b.flight.events.iter().map(|e| e.kind).collect();
+        assert_eq!(kinds, [SpanKind::QueryAdmit, SpanKind::Steal, SpanKind::DeadlineMiss]);
         assert_eq!(m.incidents().len(), 1);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Bundles this module's writer produced before it was typed — a
+    /// masked crash's `part_failed` and a message-carrier `stall` —
+    /// still read, field for field, and write back byte for byte.
+    #[test]
+    fn earlier_bundles_still_read() {
+        for json in [PART_FAILED, STALL] {
+            let bundle = validate_bundle(json).expect("fixture reads");
+            assert_eq!(serde_json::to_string(&bundle).unwrap(), json);
+        }
+        let crash = validate_bundle(PART_FAILED).expect("part_failed fixture");
+        assert_eq!((crash.trigger.kind, crash.trigger.part), (TriggerKind::PartFailed, Some(2)));
+        assert_eq!(crash.counters.expect("counters").0.len(), Counter::exported().count());
+        assert_eq!(crash.ledger.expect("ledger").per_part_remaining, Some(vec![0; 4]));
+        let stall = validate_bundle(STALL).expect("stall fixture");
+        assert_eq!((stall.config.stall_ms, stall.counters), (Some(300), None));
+        assert_eq!(stall.progress[0].eta_ns, None);
+        assert_eq!(stall.flight.events.last().map(|e| e.kind), Some(SpanKind::Stall));
+    }
+
+    const PART_FAILED: &str = include_str!("../../../ci/fixtures/part_failed.bundle.json");
+    const STALL: &str = include_str!("../../../ci/fixtures/stall.bundle.json");
+
+    /// Five fields of a real stall bundle broken the ways a lenient
+    /// reader silently papers over — each refused, naming its field.
+    #[test]
+    fn a_bundle_with_missing_or_mistyped_fields_is_refused() {
+        for (from, to, field) in [
+            (r#""available":true,"#, "", "bundle.ledger.available: missing"),
+            (r#""quiescent":false,"#, "", "bundle.ledger.quiescent: missing"),
+            (r#""stolen":0,"#, "", "bundle.progress[0].stolen: missing"),
+            (r#""recovered":0,"#, "", "bundle.progress[0].recovered: missing"),
+            (r#""part":null"#, r#""part":"two""#, "bundle.trigger.part: expected unsigned"),
+            (r#""stall_ms":300"#, r#""stall_ms":"300""#, "bundle.config.stall_ms: expected"),
+            (r#""recorded":2"#, r#""recorded":1"#, "bundle.flight.recorded: 1 < the 2 events"),
+        ] {
+            assert!(STALL.contains(from), "{from}");
+            let err = validate_bundle(&STALL.replacen(from, to, 1)).expect_err(from);
+            assert!(err.starts_with(field), "{from}: {err}");
+        }
     }
 
     #[test]
@@ -710,7 +620,7 @@ mod tests {
             (r#"{"bundle_schema": 9}"#, "schema version 9"),
             (
                 r#"{"bundle_schema": 1, "id": "x", "trigger": {"kind": "meteor", "query_id": 1, "value": 0, "at_ns": 0, "detail": ""}}"#,
-                "unknown kind 'meteor'",
+                r#"bundle.trigger.kind: unknown trigger "meteor""#,
             ),
         ] {
             let err = validate_bundle(json).expect_err(json);
@@ -740,11 +650,12 @@ mod tests {
         std::thread::sleep(Duration::from_millis(120));
         let incidents = m.incidents();
         assert_eq!(incidents.len(), 1, "frozen progress must fire exactly once");
-        assert_eq!(incidents[0].trigger, "stall");
+        assert_eq!(incidents[0].trigger, TriggerKind::Stall);
         assert_eq!(incidents[0].query_id, 9);
         let json = std::fs::read_to_string(&incidents[0].path).unwrap();
-        validate_bundle(&json).expect("stall bundle validates");
-        assert!(json.contains("\"carrier\""), "stall bundle must dump the ledger state");
+        let bundle = validate_bundle(&json).expect("stall bundle validates");
+        let ledger = bundle.ledger.expect("stall bundle must dump the ledger state");
+        assert_eq!((ledger.carrier.as_str(), ledger.quiescent), ("shared", Some(true)));
         drop(wd);
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -61,14 +61,14 @@ pub mod stats;
 pub mod status;
 
 pub use cache::{CacheConfig, CachePolicy};
-pub use control::{ControlConfig, ControlMode};
+pub use control::{ControlConfig, ControlMode, ControlPlaneSummary};
 pub use engine::{Engine, EngineConfig, EngineError, PartHealth, QueryCtx, DEFAULT_ROOT_BUDGET};
-pub use incident::{list_bundles, validate_bundle, IncidentConfig, IncidentManager};
+pub use incident::{list_bundles, validate_bundle, Bundle, IncidentConfig, IncidentManager};
 pub use rebalance::{RebalanceConfig, RebalanceStats};
 pub use scheduler::{QueryArbiter, StealConfig};
-pub use service::{Completion, MiningService, QueryHandle, QueryOutcome, ServiceConfig};
+pub use service::{Completion, MemoStats, MiningService, QueryHandle, QueryOutcome, ServiceConfig};
 pub use stats::{Breakdown, ControlSummary, FailureSummary, PartStats, RunStats, TrafficSummary};
-pub use status::{StatusConfig, StatusServer};
+pub use status::{read_status, StatusConfig, StatusDoc, StatusServer};
 
 // Fabric knobs and errors surface through `EngineConfig` / `try_count`,
 // and the counter table through `Engine::metrics` / `RunStats::counter`,

@@ -36,10 +36,10 @@
 //! `rebalance_done` flight event, and cumulative counters feed the run
 //! report's `rebalance` section.
 
-use crate::incident::{CaptureSections, IncidentManager, StallWatchdog, Trigger, TriggerKind};
+use crate::incident::{CaptureSections, IncidentManager, StallWatchdog, Trigger};
 use gpm_cluster::EdgeListService;
 use gpm_graph::partition::GraphPart;
-use gpm_obs::SpanKind;
+use gpm_obs::{SpanKind, TriggerKind};
 use parking_lot::{Condvar, Mutex};
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -214,7 +214,7 @@ impl Rebalancer {
                         );
                         let value = stalled.as_nanos() as u64;
                         let kind = TriggerKind::RebalanceStuck;
-                        let trigger = Trigger { kind, query_id: 0, part: None, value, detail };
+                        let trigger = Trigger::new(kind, 0, None, value, detail);
                         incidents.capture(trigger, CaptureSections::default());
                     },
                 ))
@@ -413,7 +413,7 @@ mod tests {
         }
         let captured = incidents.incidents();
         assert_eq!(captured.len(), 1, "exactly one stuck bundle");
-        assert_eq!(captured[0].trigger, "rebalance_stuck");
+        assert_eq!(captured[0].trigger, TriggerKind::RebalanceStuck);
         let json = std::fs::read_to_string(&captured[0].path).unwrap();
         crate::incident::validate_bundle(&json).expect("stuck bundle validates");
         drop(rb);

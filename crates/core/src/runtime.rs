@@ -846,17 +846,17 @@ mod tests {
             // Nobody starves: nothing moves, however much is left over.
             run.levels[0].leftovers = vec![(0, 1000)];
             run.maybe_donate();
-            assert_eq!((run.roots_donated, ledger.state_summary().ledger.spill_len), (0, 0));
+            assert_eq!((run.roots_donated, ledger.state_summary().spill_len), (0, Some(0)));
             // A starving peer, but no more left than this part keeps.
             ledger.set_starving(1, true);
             run.levels[0].leftovers = vec![(0, 64)];
             run.maybe_donate();
-            assert_eq!((run.roots_donated, ledger.state_summary().ledger.spill_len), (0, 0));
+            assert_eq!((run.roots_donated, ledger.state_summary().spill_len), (0, Some(0)));
             // ceil((1000 - 64) / 2) roots off the tail.
             run.levels[0].leftovers = vec![(0, 1000)];
             run.maybe_donate();
             assert_eq!(run.levels[0].leftovers, vec![(0, 532)]);
-            assert_eq!((run.roots_donated, ledger.state_summary().ledger.spill_len), (468, 468));
+            assert_eq!((run.roots_donated, ledger.state_summary().spill_len), (468, Some(468)));
             // Whole ranges go first, then the split.
             run.levels[0].leftovers = vec![(0, 100), (200, 230), (500, 510)];
             run.maybe_donate();

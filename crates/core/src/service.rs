@@ -16,14 +16,15 @@
 //! a resubmission retries instead of replaying the error forever.
 
 use crate::engine::{Engine, EngineError, QueryCtx, DEFAULT_ROOT_BUDGET};
-use crate::incident::{counters_json, progress_json, CaptureSections, Trigger, TriggerKind};
+use crate::incident::{counter_snapshot, CaptureSections, Trigger};
 use crate::stats::RunStats;
 use gpm_cluster::Counter;
-use gpm_obs::{critical_path, QueryReport, RunReport, Span};
+use gpm_obs::{critical_path, QueryReport, RunReport, Span, TriggerKind};
 use gpm_pattern::iso::canonical_code;
 use gpm_pattern::plan::{MatchingPlan, PlanOptions};
 use gpm_pattern::Pattern;
 use parking_lot::{Condvar, Mutex};
+use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -155,7 +156,7 @@ pub struct QueryOutcome {
 
 /// One entry of the status plane's recent-completions ring and
 /// slow-query log.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Completion {
     /// Engine-assigned query id.
     pub query_id: u64,
@@ -163,8 +164,20 @@ pub struct Completion {
     pub pattern: String,
     /// The embedding count, `None` if the query failed.
     pub count: Option<u64>,
-    /// Wall clock from admission to completion.
-    pub elapsed: Duration,
+    /// Wall clock from admission to completion, in nanoseconds.
+    pub elapsed_ns: u64,
+}
+
+/// The memo's resident entry count, cumulative hits and cumulative LRU
+/// evictions.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub struct MemoStats {
+    /// Entries resident now.
+    pub entries: u64,
+    /// Submissions served from the memo.
+    pub hits: u64,
+    /// Entries evicted by the capacity cap.
+    pub evictions: u64,
 }
 
 type MemoKey = (Vec<u8>, String, u64);
@@ -267,8 +280,8 @@ struct ServiceInner {
 }
 
 impl ServiceInner {
-    fn record_completion(&self, c: Completion, slow_query: Option<Duration>) {
-        if slow_query.is_some_and(|t| c.elapsed >= t) {
+    fn record_completion(&self, c: Completion, slow: bool) {
+        if slow {
             let mut log = self.slow_log.lock();
             log.push_back(c.clone());
             while log.len() > SLOW_LOG_CAP {
@@ -479,11 +492,10 @@ impl MiningService {
         self.inner.admitted.lock().len()
     }
 
-    /// `(entries, hits, evictions)` of the memo: resident entry count,
-    /// cumulative memo hits, and cumulative LRU evictions.
-    pub fn memo_stats(&self) -> (u64, u64, u64) {
+    /// The memo's counters.
+    pub fn memo_stats(&self) -> MemoStats {
         let m = self.inner.memo.lock();
-        (m.map.len() as u64, m.hits, m.evictions)
+        MemoStats { entries: m.map.len() as u64, hits: m.hits, evictions: m.evictions }
     }
 
     /// Recently *executed* queries, oldest first (bounded ring).
@@ -602,28 +614,29 @@ fn executor_loop(engine: &Engine, inner: &ServiceInner, budget: u64, slow_query:
         // A completion over the slow-query threshold is an incident, not
         // just a log line: capture the bundle while the engine still has
         // the live context (concurrent queries' progress, counter totals).
-        if slow_query.is_some_and(|t| elapsed >= t) {
+        let slow = slow_query.is_some_and(|t| elapsed >= t);
+        if slow {
             let incidents = engine.incidents();
             let sections = if incidents.enabled() {
                 CaptureSections {
-                    progress: engine.active_progress().iter().map(|p| progress_json(p)).collect(),
-                    counters: Some(counters_json(&engine.metrics().totals())),
+                    progress: engine.active_progress().iter().map(|p| p.snapshot()).collect(),
+                    counters: Some(counter_snapshot(&engine.metrics().totals())),
                     ledger: None,
                 }
             } else {
                 CaptureSections::default()
             };
             incidents.capture(
-                Trigger {
-                    kind: TriggerKind::SlowQuery,
-                    query_id: job.query_id,
-                    part: None,
-                    value: elapsed.as_nanos() as u64,
-                    detail: format!(
+                Trigger::new(
+                    TriggerKind::SlowQuery,
+                    job.query_id,
+                    None,
+                    elapsed.as_nanos() as u64,
+                    format!(
                         "query {} ({pattern}) took {elapsed:?}, over the slow-query threshold",
                         job.query_id
                     ),
-                },
+                ),
                 sections,
             );
         }
@@ -632,9 +645,9 @@ fn executor_loop(engine: &Engine, inner: &ServiceInner, budget: u64, slow_query:
                 query_id: job.query_id,
                 pattern,
                 count: result.as_ref().ok().map(|s| s.count),
-                elapsed,
+                elapsed_ns: elapsed.as_nanos() as u64,
             },
-            slow_query,
+            slow,
         );
         job.slot.fulfill(result);
     }
@@ -744,13 +757,13 @@ mod tests {
         svc.drain();
         let incidents = svc.engine().incidents().incidents();
         assert_eq!(incidents.len(), 1, "executed query captures; memo hit does not");
-        assert_eq!(incidents[0].trigger, "slow_query");
+        assert_eq!(incidents[0].trigger, TriggerKind::SlowQuery);
         assert_eq!(incidents[0].query_id, h1.query_id());
         let json = std::fs::read_to_string(&incidents[0].path).unwrap();
         crate::incident::validate_bundle(&json).expect("slow-query bundle validates");
         let report = svc.report("khuzdul-service");
         assert_eq!(report.incidents.len(), 1);
-        assert_eq!(report.incidents[0].trigger, "slow_query");
+        assert_eq!(report.incidents[0].trigger, TriggerKind::SlowQuery);
         gpm_obs::validate_report(&report.to_json()).expect("report with incidents validates");
         drop(svc);
         let _ = std::fs::remove_dir_all(&dir);

@@ -9,7 +9,8 @@
 //!   [`MiningService::report`] sums — the completed, non-memoized query
 //!   outcomes — so the final scrape reconciles *exactly* with the
 //!   schema-v4 `RunReport`, sample for sample.
-//! * `GET /status` — a JSON document for humans and `gpm top`: service
+//! * `GET /status` — a [`StatusDoc`] for humans and `gpm top`, which
+//!   reads it back through [`read_status`]: service
 //!   state, admission queue, live per-query progress with ETA, the
 //!   recent-completions ring, the slow-query log, and the live cumulative
 //!   [`ClusterMetrics`] counters (these deliberately live outside the
@@ -29,11 +30,14 @@
 //!
 //! [`ClusterMetrics`]: gpm_cluster::ClusterMetrics
 
-use crate::incident::{counters_json, progress_json};
-use crate::service::{sum_outcomes, Completion, MiningService};
+use crate::engine::PartHealth;
+use crate::incident::counter_snapshot;
+use crate::service::{sum_outcomes, Completion, MemoStats, MiningService};
 use gpm_cluster::Counter;
-use gpm_obs::{render_prometheus, HolderReroute, PromKind, PromMetric};
-use serde::Value;
+use gpm_obs::{
+    render_prometheus, CounterSnapshot, HolderReroute, ProgressSnapshot, PromKind, PromMetric,
+};
+use serde::{Deserialize, Serialize};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -168,7 +172,7 @@ fn render_metrics(svc: &MiningService) -> String {
     let outcomes = svc.outcomes();
     let agg = sum_outcomes(&outcomes);
     let engine = svc.engine();
-    let (memo_entries, memo_hits, memo_evictions) = svc.memo_stats();
+    let memo = svc.memo_stats();
     let rebalance = engine.rebalance_section();
     let mut metrics = vec![
         PromMetric::scalar(
@@ -235,19 +239,19 @@ fn render_metrics(svc: &MiningService) -> String {
             "gpm_memo_entries",
             "Memo entries currently resident",
             PromKind::Gauge,
-            memo_entries as f64,
+            memo.entries as f64,
         ),
         PromMetric::scalar(
             "gpm_memo_hits_total",
             "Submissions served from the memo",
             PromKind::Counter,
-            memo_hits as f64,
+            memo.hits as f64,
         ),
         PromMetric::scalar(
             "gpm_memo_evictions_total",
             "Memo entries evicted by the LRU capacity cap",
             PromKind::Counter,
-            memo_evictions as f64,
+            memo.evictions as f64,
         ),
         PromMetric::scalar(
             "gpm_admission_queue_depth",
@@ -357,90 +361,103 @@ fn render_incidents(svc: &MiningService) -> String {
     serde_json::to_string(&svc.engine().incidents().incidents()).expect("incident JSON renders")
 }
 
+/// The `/status` document: [`render_status`] writes it, [`read_status`]
+/// reads it back for `gpm top`.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct StatusDoc {
+    /// Nanoseconds since the service started.
+    pub uptime_ns: u64,
+    /// Queries the service runs at once.
+    pub max_concurrent: u64,
+    /// Jobs admitted but not yet executing.
+    pub queue_depth: u64,
+    /// Queries admitted, memoized duplicates included.
+    pub admitted: u64,
+    /// Queries completed, memoized duplicates included.
+    pub completed: u64,
+    /// Executing queries over `max_concurrent`.
+    pub busy_fraction: f64,
+    /// In-flight queries' progress, by query id.
+    pub active_queries: Vec<ProgressSnapshot>,
+    /// The memo's counters.
+    pub memo: MemoStats,
+    /// Replica placement and health.
+    pub replicas: ReplicaTable,
+    /// Recently executed queries, oldest first.
+    pub recent_completions: Vec<Completion>,
+    /// Completions over the slow-query threshold, oldest first.
+    pub slow_queries: Vec<Completion>,
+    /// The live cumulative cluster counters.
+    pub counters: CounterSnapshot,
+}
+
+/// The replica section of `/status`: the rebalancer's cumulative totals
+/// (as in the report's `rebalance` section) and one health row per part.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub struct ReplicaTable {
+    /// Whether the background rebalancer runs.
+    pub enabled: bool,
+    /// The replication factor the graph was partitioned with.
+    pub configured_replication: u64,
+    /// The fewest live copies of any slice right now.
+    pub min_effective_replication: u64,
+    /// Routing epoch, bumped by each repair.
+    pub routing_epoch: u64,
+    /// Slices re-replicated so far.
+    pub transfers: u64,
+    /// Bytes those transfers streamed.
+    pub bytes: u64,
+    /// Slices restored to the configured factor.
+    pub slices_restored: u64,
+    /// Slices that lost every copy.
+    pub slices_lost: u64,
+    /// One row per part.
+    pub parts: Vec<PartHealth>,
+}
+
+/// Reads a `/status` body.
+///
+/// # Errors
+///
+/// Returns a message naming the first missing or mistyped field.
+pub fn read_status(json: &str) -> Result<StatusDoc, String> {
+    let doc = gpm_obs::parse_json(json).map_err(|e| format!("status: {e}"))?;
+    StatusDoc::from_value(&doc, "status")
+}
+
 fn render_status(svc: &MiningService) -> String {
     let engine = svc.engine();
-    let (memo_entries, memo_hits, memo_evictions) = svc.memo_stats();
-    let active: Vec<Value> = {
-        let mut ps = engine.active_progress();
-        ps.sort_by_key(|p| p.query_id());
-        ps.iter().map(|p| progress_json(p)).collect()
-    };
+    let mut active: Vec<ProgressSnapshot> =
+        engine.active_progress().iter().map(|p| p.snapshot()).collect();
+    active.sort_by_key(|p| p.query_id);
     let max_concurrent = svc.config().max_concurrent.max(1);
     let busy = engine.active_query_count().min(max_concurrent);
-    let doc = Value::Map(vec![
-        ("uptime_ns".into(), Value::UInt(svc.uptime().as_nanos() as u64)),
-        ("max_concurrent".into(), Value::UInt(max_concurrent as u64)),
-        ("queue_depth".into(), Value::UInt(svc.queue_depth() as u64)),
-        ("admitted".into(), Value::UInt(svc.admitted_count() as u64)),
-        ("completed".into(), Value::UInt(svc.outcomes().len() as u64)),
-        ("busy_fraction".into(), Value::Float(busy as f64 / max_concurrent as f64)),
-        ("active_queries".into(), Value::Seq(active)),
-        (
-            "memo".into(),
-            Value::Map(vec![
-                ("entries".into(), Value::UInt(memo_entries)),
-                ("hits".into(), Value::UInt(memo_hits)),
-                ("evictions".into(), Value::UInt(memo_evictions)),
-            ]),
-        ),
-        ("replicas".into(), replicas_json(svc)),
-        (
-            "recent_completions".into(),
-            Value::Seq(svc.recent_completions().iter().map(completion_json).collect()),
-        ),
-        (
-            "slow_queries".into(),
-            Value::Seq(svc.slow_queries().iter().map(completion_json).collect()),
-        ),
-        ("counters".into(), counters_json(&engine.metrics().totals())),
-    ]);
-    serde_json::to_string(&doc).expect("status JSON renders")
-}
-
-/// The replica-placement/health section of `/status`: the rebalancer's
-/// cumulative totals plus one row per part (liveness, hosted slices,
-/// live copies of its own slice, rerouted traffic served) — the table
-/// `gpm top` renders.
-fn replicas_json(svc: &MiningService) -> Value {
-    let engine = svc.engine();
     let reb = engine.rebalance_section();
-    let parts: Vec<Value> = engine
-        .part_health()
-        .iter()
-        .map(|h| {
-            Value::Map(vec![
-                ("part".into(), Value::UInt(h.part as u64)),
-                ("alive".into(), Value::Bool(h.alive)),
-                (
-                    "hosted_slices".into(),
-                    Value::Seq(h.hosted_slices.iter().map(|&s| Value::UInt(s as u64)).collect()),
-                ),
-                ("live_copies".into(), Value::UInt(h.live_copies as u64)),
-                ("rerouted_served_requests".into(), Value::UInt(h.rerouted_served_requests)),
-                ("rerouted_served_bytes".into(), Value::UInt(h.rerouted_served_bytes)),
-            ])
-        })
-        .collect();
-    Value::Map(vec![
-        ("enabled".into(), Value::Bool(reb.enabled)),
-        ("configured_replication".into(), Value::UInt(reb.configured_replication)),
-        ("min_effective_replication".into(), Value::UInt(reb.min_effective_replication)),
-        ("routing_epoch".into(), Value::UInt(reb.routing_epoch)),
-        ("transfers".into(), Value::UInt(reb.transfers)),
-        ("bytes".into(), Value::UInt(reb.bytes)),
-        ("slices_restored".into(), Value::UInt(reb.slices_restored)),
-        ("slices_lost".into(), Value::UInt(reb.slices_lost)),
-        ("parts".into(), Value::Seq(parts)),
-    ])
-}
-
-fn completion_json(c: &Completion) -> Value {
-    Value::Map(vec![
-        ("query_id".into(), Value::UInt(c.query_id)),
-        ("pattern".into(), Value::Str(c.pattern.clone())),
-        ("count".into(), c.count.map(Value::UInt).unwrap_or(Value::Null)),
-        ("elapsed_ns".into(), Value::UInt(c.elapsed.as_nanos() as u64)),
-    ])
+    let doc = StatusDoc {
+        uptime_ns: svc.uptime().as_nanos() as u64,
+        max_concurrent: max_concurrent as u64,
+        queue_depth: svc.queue_depth() as u64,
+        admitted: svc.admitted_count() as u64,
+        completed: svc.outcomes().len() as u64,
+        busy_fraction: busy as f64 / max_concurrent as f64,
+        active_queries: active,
+        memo: svc.memo_stats(),
+        replicas: ReplicaTable {
+            enabled: reb.enabled,
+            configured_replication: reb.configured_replication,
+            min_effective_replication: reb.min_effective_replication,
+            routing_epoch: reb.routing_epoch,
+            transfers: reb.transfers,
+            bytes: reb.bytes,
+            slices_restored: reb.slices_restored,
+            slices_lost: reb.slices_lost,
+            parts: engine.part_health(),
+        },
+        recent_completions: svc.recent_completions(),
+        slow_queries: svc.slow_queries(),
+        counters: counter_snapshot(&engine.metrics().totals()),
+    };
+    serde_json::to_string(&doc).expect("status JSON renders")
 }
 
 #[cfg(test)]
@@ -450,6 +467,7 @@ mod tests {
     use crate::service::ServiceConfig;
     use gpm_graph::gen;
     use gpm_graph::partition::PartitionedGraph;
+    use gpm_obs::IncidentSummary;
     use gpm_pattern::plan::PlanOptions;
     use gpm_pattern::Pattern;
 
@@ -508,25 +526,14 @@ mod tests {
         // The shared ledger sends no control messages, and the scrape
         // says so explicitly rather than omitting the family.
         assert_eq!(gpm_obs::sample_value(&metrics, "gpm_ctrl_sent_total", None), Some(0.0));
-        let status = http_get(server.local_addr(), "/status");
-        let doc = gpm_obs::parse_json(&status).expect("status must be valid JSON");
-        let serde::Value::Map(fields) = &doc else { panic!("status root is an object") };
+        let status = read_status(&http_get(server.local_addr(), "/status")).expect("/status reads");
         // The live cumulative counters, one per exported cluster counter.
-        let counters = fields.iter().find(|(k, _)| k == "counters").map(|(_, v)| v);
-        let Some(serde::Value::Map(counters)) = counters else { panic!("counters missing") };
-        assert_eq!(counters.len(), Counter::exported().count());
+        assert_eq!(status.counters.0.len(), Counter::exported().count());
         // The replica table is always present; at r=1 every part hosts
         // only its own slice and has exactly one live copy.
-        let replicas = fields.iter().find(|(k, _)| k == "replicas").map(|(_, v)| v);
-        let Some(serde::Value::Map(reb)) = replicas else { panic!("replicas section missing") };
-        let parts = reb.iter().find(|(k, _)| k == "parts").map(|(_, v)| v);
-        let Some(serde::Value::Seq(rows)) = parts else { panic!("replica parts missing") };
-        assert_eq!(rows.len(), 2);
-        for row in rows {
-            let serde::Value::Map(r) = row else { panic!("replica row is an object") };
-            assert!(r.iter().any(|(k, v)| k == "alive" && *v == serde::Value::Bool(true)));
-            assert!(r.iter().any(|(k, v)| k == "live_copies" && *v == serde::Value::UInt(1)));
-        }
+        assert_eq!(status.replicas.parts.len(), 2);
+        assert!(status.replicas.parts.iter().all(|p| p.alive && p.live_copies == 1));
+        assert_eq!((status.completed, status.recent_completions.len()), (1, 1));
         assert_eq!(
             gpm_obs::sample_value(&metrics, "gpm_effective_replication_min", None),
             Some(1.0),
@@ -536,6 +543,23 @@ mod tests {
         assert_eq!(http_get(server.local_addr(), "/quit"), "bye\n");
         assert!(server.quit_requested());
         assert!(http_get(server.local_addr(), "/nope").contains("not found"));
+    }
+
+    /// A `/status` body the untyped writer served mid-run (two queries in
+    /// flight, one without an ETA yet, r=2 replicas) reads into a
+    /// [`StatusDoc`] and writes back byte for byte.
+    #[test]
+    fn an_earlier_status_body_reads_and_writes_back_unchanged() {
+        let json = include_str!("../../../ci/fixtures/status.json");
+        let doc = read_status(json).expect("fixture reads");
+        assert_eq!(
+            doc.active_queries.iter().map(|q| q.eta_ns.is_some()).collect::<Vec<_>>(),
+            [true, false]
+        );
+        assert_eq!(doc.replicas.parts[3].hosted_slices, [3, 0]);
+        assert_eq!(serde_json::to_string(&doc).unwrap(), json);
+        let broken = json.replacen(r#""eta_ns":null,"#, "", 1);
+        assert_eq!(read_status(&broken).unwrap_err(), "status.active_queries[1].eta_ns: missing");
     }
 
     /// A client whose headers arrive after its request line — several
@@ -554,7 +578,7 @@ mod tests {
                 &[&format!("GET {path} HTTP/1.1\r\n"), "Host: x\r\nConnection: close\r\n\r\n"],
             )
         };
-        gpm_obs::parse_json(&get("/status")).expect("complete JSON body");
+        read_status(&get("/status")).expect("complete /status body");
         gpm_obs::validate_exposition(&get("/metrics")).expect("complete exposition");
     }
 
@@ -801,17 +825,11 @@ mod tests {
         svc.submit(&Pattern::triangle(), &PlanOptions::automine()).unwrap().wait().unwrap();
         let body = http_get(server.local_addr(), "/incidents");
         let doc = gpm_obs::parse_json(&body).expect("incidents must be valid JSON");
-        let Value::Seq(entries) = &doc else { panic!("incidents root is an array") };
+        let entries: Vec<IncidentSummary> =
+            Deserialize::from_value(&doc, "incidents").expect("incident summaries");
         assert_eq!(entries.len(), 1, "the zero-threshold slow-query log captures once");
-        let Value::Map(fields) = &entries[0] else { panic!("entry is an object") };
-        let trigger = fields.iter().find(|(k, _)| k == "trigger").map(|(_, v)| v);
-        assert_eq!(trigger, Some(&Value::Str("slow_query".to_string())));
-        let path = fields.iter().find_map(|(k, v)| match (k.as_str(), v) {
-            ("path", Value::Str(p)) => Some(p.clone()),
-            _ => None,
-        });
-        let path = path.expect("entry carries the bundle path");
-        let raw = std::fs::read_to_string(&path).expect("bundle exists on disk");
+        assert_eq!(entries[0].trigger, gpm_obs::TriggerKind::SlowQuery);
+        let raw = std::fs::read_to_string(&entries[0].path).expect("bundle exists on disk");
         crate::incident::validate_bundle(&raw).expect("bundle validates");
         let metrics = http_get(server.local_addr(), "/metrics");
         assert_eq!(

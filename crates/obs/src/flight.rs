@@ -26,6 +26,7 @@
 //! Snapshots are best-effort by design, never blocking a recording thread.
 
 use crate::span::SpanKind;
+use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -39,8 +40,9 @@ pub const FLIGHT_CAPACITY: usize = 4096;
 /// keeps the [`coarse`](SpanKind::coarse) kinds.
 pub type FlightKind = SpanKind;
 
-/// One event copied out of the ring by [`FlightRecorder::snapshot`].
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// One event copied out of the ring by [`FlightRecorder::snapshot`]; an
+/// incident bundle's `flight.events` entry.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FlightEvent {
     /// Global sequence number (monotone across the ring's lifetime).
     pub seq: u64,

@@ -44,6 +44,25 @@
 
 #![warn(missing_docs)]
 
+/// `Serialize` and `Deserialize` for a unit enum as its `name()`, read
+/// back through its `ALL` table; `$what` names it in the error.
+macro_rules! serde_by_name {
+    ($t:ty, $what:literal) => {
+        impl serde::Serialize for $t {
+            fn to_value(&self) -> serde::Value {
+                serde::Value::Str(self.name().to_string())
+            }
+        }
+        impl serde::Deserialize for $t {
+            fn from_value(v: &serde::Value, path: &str) -> Result<Self, String> {
+                let name = String::from_value(v, path)?;
+                let kind = <$t>::ALL.into_iter().find(|k| k.name() == name);
+                kind.ok_or_else(|| format!("{path}: unknown {} {name:?}", $what))
+            }
+        }
+    };
+}
+
 mod critical;
 mod diff;
 mod export;
@@ -61,29 +80,17 @@ pub use diff::{diff_reports, DiffThresholds, ReportDiff};
 pub use export::{render_prometheus, sample_value, validate_exposition, PromKind, PromMetric};
 pub use flight::{FlightEvent, FlightKind, FlightRecorder, FLIGHT_CAPACITY};
 pub use hist::{bucket_of, bucket_upper, Histogram, HistogramSnapshot, BUCKETS};
-pub use progress::{PartProgress, QueryProgress};
+pub use progress::{PartProgress, ProgressSnapshot, QueryProgress};
 pub use recorder::{GaugeSample, Metric, ObsHandle, Recorder};
 pub use report::{
-    BreakdownFractions, ControlSection, CriticalPathFractions, CriticalPathSection, FailureSection,
-    HolderReroute, IncidentSummary, NamedHistogram, PartCriticalPath, PartReport, QueryReport,
-    RebalanceSection, RingOccupancy, RunReport, SeriesPoint, SpanStats, TrafficTotals,
-    REPORT_SCHEMA_VERSION,
+    BreakdownFractions, ControlSection, CounterSnapshot, CriticalPathFractions,
+    CriticalPathSection, FailureSection, HolderReroute, IncidentSummary, NamedHistogram,
+    PartCriticalPath, PartReport, QueryReport, RebalanceSection, RingOccupancy, RunReport,
+    SeriesPoint, SpanStats, TrafficTotals, TriggerKind, REPORT_SCHEMA_VERSION,
 };
 pub use span::{Span, SpanKind, NO_PART};
 pub use trace::chrome_trace;
 pub use validate::{parse_json, validate_report, validate_trace};
-
-/// Readers of parsed JSON documents — incident bundles, traces, the
-/// `/status` page — shared by every validator and renderer: strict
-/// accessors that name the offending field (`req_*`, `as_*`) and lenient
-/// ones that read a missing field as empty (`field`, `uint`, `num`,
-/// `text`, `seq`). A report is read whole, into a [`RunReport`].
-pub mod json {
-    pub use crate::validate::{
-        as_map, as_seq, field, get, num, parse_json, req_map, req_seq, req_str, req_u64, seq, text,
-        uint,
-    };
-}
 
 /// Observability configuration, threaded through `EngineConfig::obs`.
 #[derive(Debug, Clone, PartialEq)]

@@ -13,6 +13,7 @@
 //! per root batch), and it is the run's heartbeat too — the stall
 //! watchdog fires when claimed + completed stops moving.
 
+use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -43,7 +44,7 @@ pub struct QueryProgress {
 }
 
 /// Point-in-time copy of one part's progress counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct PartProgress {
     /// Part id.
     pub part: u64,
@@ -51,6 +52,34 @@ pub struct PartProgress {
     pub claimed: u64,
     /// Roots this part has retired so far.
     pub completed: u64,
+}
+
+/// Point-in-time copy of a [`QueryProgress`]: an entry of an incident
+/// bundle's `progress` section and of `/status`'s `active_queries`.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct ProgressSnapshot {
+    /// The query.
+    pub query_id: u64,
+    /// Size of its root multiset.
+    pub roots_total: u64,
+    /// Roots claimed so far.
+    pub claimed: u64,
+    /// Roots retired so far.
+    pub completed: u64,
+    /// Roots claimed from another part's cursor or the spill.
+    pub stolen: u64,
+    /// Lost roots re-executed by recovery passes.
+    pub recovered: u64,
+    /// Whether the query was marked done.
+    pub done: bool,
+    /// [`QueryProgress::fraction`].
+    pub fraction: f64,
+    /// [`QueryProgress::eta_ns`].
+    pub eta_ns: Option<u64>,
+    /// Nanoseconds since the tracker was created.
+    pub elapsed_ns: u64,
+    /// Per-part counters, indexed by part.
+    pub per_part: Vec<PartProgress>,
 }
 
 impl QueryProgress {
@@ -127,31 +156,8 @@ impl QueryProgress {
         self.completed.load(Ordering::Relaxed)
     }
 
-    /// Roots claimed from another part's cursor or the spill.
-    pub fn stolen(&self) -> u64 {
-        self.stolen.load(Ordering::Relaxed)
-    }
-
-    /// Lost roots re-executed by recovery passes.
-    pub fn recovered(&self) -> u64 {
-        self.recovered.load(Ordering::Relaxed)
-    }
-
-    /// Per-part claimed/completed counters, indexed by part.
-    pub fn per_part(&self) -> Vec<PartProgress> {
-        self.per_part
-            .iter()
-            .enumerate()
-            .map(|(p, (c, d))| PartProgress {
-                part: p as u64,
-                claimed: c.load(Ordering::Relaxed),
-                completed: d.load(Ordering::Relaxed),
-            })
-            .collect()
-    }
-
     /// Nanoseconds since this tracker was created.
-    pub fn elapsed_ns(&self) -> u64 {
+    fn elapsed_ns(&self) -> u64 {
         self.started.elapsed().as_nanos() as u64
     }
 
@@ -167,6 +173,29 @@ impl QueryProgress {
             return 0.0;
         }
         (self.completed() as f64 / self.total as f64).min(1.0)
+    }
+
+    /// Every counter, read now.
+    pub fn snapshot(&self) -> ProgressSnapshot {
+        ProgressSnapshot {
+            query_id: self.query_id,
+            roots_total: self.total,
+            claimed: self.claimed(),
+            completed: self.completed(),
+            stolen: self.stolen.load(Ordering::Relaxed),
+            recovered: self.recovered.load(Ordering::Relaxed),
+            done: self.is_done(),
+            fraction: self.fraction(),
+            eta_ns: self.eta_ns(),
+            elapsed_ns: self.elapsed_ns(),
+            per_part: (self.per_part.iter().enumerate())
+                .map(|(p, (c, d))| PartProgress {
+                    part: p as u64,
+                    claimed: c.load(Ordering::Relaxed),
+                    completed: d.load(Ordering::Relaxed),
+                })
+                .collect(),
+        }
     }
 
     /// Rate-based remaining-time estimate in nanoseconds: remaining
@@ -219,14 +248,12 @@ mod tests {
         p.record_claimed(1, 10, true);
         p.record_completed(1, 10);
         p.record_recovered(3);
-        assert_eq!(p.claimed(), 30);
-        assert_eq!(p.stolen(), 10);
-        assert_eq!(p.completed(), 10);
-        assert_eq!(p.recovered(), 3);
-        let parts = p.per_part();
-        assert_eq!(parts[0], PartProgress { part: 0, claimed: 20, completed: 0 });
-        assert_eq!(parts[1], PartProgress { part: 1, claimed: 10, completed: 10 });
-        let eta = p.eta_ns().expect("rate exists after a retirement");
+        let s = p.snapshot();
+        assert_eq!((s.claimed, s.stolen, s.completed, s.recovered), (30, 10, 10, 3));
+        assert_eq!(s.per_part[0], PartProgress { part: 0, claimed: 20, completed: 0 });
+        assert_eq!(s.per_part[1], PartProgress { part: 1, claimed: 10, completed: 10 });
+        assert_eq!((s.done, s.fraction, s.roots_total), (false, 0.2, 50));
+        let eta = s.eta_ns.expect("rate exists after a retirement");
         assert!(eta > 0);
     }
 

@@ -1,7 +1,8 @@
 //! The versioned machine-readable `RunReport`.
 
 use crate::hist::HistogramSnapshot;
-use serde::{Deserialize, Serialize};
+use crate::span::SpanKind;
+use serde::{Deserialize, Serialize, Value};
 
 /// Schema version written into every report. Bump on any
 /// field removal/rename or semantic change; additive fields keep the
@@ -271,19 +272,100 @@ pub struct ControlSection {
 /// v4). The full schema-validated bundle — flight-ring slice, progress
 /// snapshots, counters, scheduler state — lives on disk at
 /// `path`; the report only carries enough to find and rank it.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct IncidentSummary {
     /// Stable bundle id (also the bundle's file stem).
     pub id: String,
-    /// Trigger class (`part_failed`, `part_lost`, `deadline_exceeded`,
-    /// `slow_query`, `control_poison`, `stall`, or `rebalance_stuck`).
-    pub trigger: String,
+    /// Trigger class.
+    pub trigger: TriggerKind,
     /// Query the trigger was attributed to (0 when not query-scoped).
     pub query_id: u64,
     /// Trigger time, nanoseconds since the engine's flight-ring epoch.
     pub at_ns: u64,
     /// Bundle file path as written.
     pub path: String,
+}
+
+/// Named counter totals in their table's order: the `counters` object
+/// of an incident bundle and of `/status`.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct CounterSnapshot(pub Vec<(String, u64)>);
+
+impl Serialize for CounterSnapshot {
+    fn to_value(&self) -> Value {
+        Value::Map(self.0.iter().map(|(name, n)| (name.clone(), Value::UInt(*n))).collect())
+    }
+}
+
+impl Deserialize for CounterSnapshot {
+    fn from_value(v: &Value, path: &str) -> Result<Self, String> {
+        let read = |(name, n): &(String, Value)| {
+            Ok((name.clone(), u64::from_value(n, &format!("{path}.{name}"))?))
+        };
+        serde::object(v, path)?.iter().map(read).collect::<Result<_, String>>().map(CounterSnapshot)
+    }
+}
+
+/// What fired an incident capture. Each variant has one stable name —
+/// the bundle's `trigger.kind` and the report's `incidents[].trigger` —
+/// and a coarse [`SpanKind`] recorded into the stream alongside the
+/// capture.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TriggerKind {
+    /// A part fail-stopped and a recovery pass re-executed its roots.
+    PartFailed,
+    /// A part fail-stopped with no replica to recover from.
+    PartLost,
+    /// A query's cooperative deadline expired.
+    DeadlineExceeded,
+    /// A completed query exceeded the slow-query threshold.
+    SlowQuery,
+    /// The control-plane ledger lost a fire-and-forget operation.
+    ControlPoison,
+    /// The stall watchdog saw no scheduler progress for its window.
+    Stall,
+    /// A re-replication transfer made no byte progress for the stall
+    /// window.
+    RebalanceStuck,
+}
+
+serde_by_name!(TriggerKind, "trigger");
+
+impl TriggerKind {
+    /// Every trigger, in taxonomy order.
+    pub const ALL: [TriggerKind; 7] = [
+        TriggerKind::PartFailed,
+        TriggerKind::PartLost,
+        TriggerKind::DeadlineExceeded,
+        TriggerKind::SlowQuery,
+        TriggerKind::ControlPoison,
+        TriggerKind::Stall,
+        TriggerKind::RebalanceStuck,
+    ];
+
+    /// Stable machine-readable name.
+    pub fn name(self) -> &'static str {
+        match self {
+            TriggerKind::PartFailed => "part_failed",
+            TriggerKind::PartLost => "part_lost",
+            TriggerKind::DeadlineExceeded => "deadline_exceeded",
+            TriggerKind::SlowQuery => "slow_query",
+            TriggerKind::ControlPoison => "control_poison",
+            TriggerKind::Stall => "stall",
+            TriggerKind::RebalanceStuck => "rebalance_stuck",
+        }
+    }
+
+    /// The event recorded into the stream when this trigger fires.
+    pub fn event(self) -> SpanKind {
+        match self {
+            TriggerKind::PartFailed | TriggerKind::PartLost => SpanKind::PartCrash,
+            TriggerKind::DeadlineExceeded => SpanKind::DeadlineMiss,
+            TriggerKind::SlowQuery => SpanKind::SlowQuery,
+            TriggerKind::ControlPoison => SpanKind::ControlPoison,
+            TriggerKind::Stall | TriggerKind::RebalanceStuck => SpanKind::Stall,
+        }
+    }
 }
 
 /// Per-query section of a multi-tenant service report (schema v4). One
@@ -605,7 +687,7 @@ mod tests {
             }],
             incidents: vec![IncidentSummary {
                 id: "incident-000001-part_failed".to_string(),
-                trigger: "part_failed".to_string(),
+                trigger: TriggerKind::PartFailed,
                 query_id: 1,
                 at_ns: 450_000_000,
                 path: "/tmp/incidents/incident-000001-part_failed.json".to_string(),

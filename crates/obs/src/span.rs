@@ -262,6 +262,8 @@ impl SpanKind {
     }
 }
 
+serde_by_name!(SpanKind, "event kind");
+
 /// One recorded interval (or instant, when `dur_ns == 0`).
 ///
 /// Timestamps are nanoseconds since the owning recorder's epoch, so two

@@ -184,112 +184,25 @@ fn parse_number(b: &[u8], pos: &mut usize) -> Result<Value, String> {
 }
 
 /// `key`'s value in the object `fields`.
-pub fn get<'a>(fields: &'a [(String, Value)], key: &str) -> Option<&'a Value> {
+fn get<'a>(fields: &'a [(String, Value)], key: &str) -> Option<&'a Value> {
     fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-}
-
-/// `v` as an object, or an error naming `ctx`.
-pub fn as_map<'a>(v: &'a Value, ctx: &str) -> Result<&'a [(String, Value)], String> {
-    serde::object(v, ctx)
-}
-
-/// `v` as an array, or an error naming `ctx`.
-pub fn as_seq<'a>(v: &'a Value, ctx: &str) -> Result<&'a [Value], String> {
-    match v {
-        Value::Seq(s) => Ok(s),
-        _ => Err(format!("{ctx}: expected array")),
-    }
 }
 
 /// The unsigned integer at `key`; an error naming `ctx.key` when it is
 /// missing or of another type.
-pub fn req_u64(map: &[(String, Value)], key: &str, ctx: &str) -> Result<u64, String> {
+fn req_u64(map: &[(String, Value)], key: &str, ctx: &str) -> Result<u64, String> {
     serde::field(map, key, ctx, None)
-}
-
-/// The string at `key`; an error naming `ctx.key` when it is missing or
-/// of another type.
-pub fn req_str<'a>(map: &'a [(String, Value)], key: &str, ctx: &str) -> Result<&'a str, String> {
-    match get(map, key) {
-        Some(Value::Str(s)) => Ok(s),
-        Some(_) => Err(format!("{ctx}.{key}: expected string")),
-        None => Err(format!("{ctx}.{key}: missing")),
-    }
-}
-
-/// The object at `key`; an error naming `ctx.key` when it is missing or
-/// of another type.
-pub fn req_map<'a>(
-    map: &'a [(String, Value)],
-    key: &str,
-    ctx: &str,
-) -> Result<&'a [(String, Value)], String> {
-    let ctx = format!("{ctx}.{key}");
-    as_map(get(map, key).ok_or_else(|| format!("{ctx}: missing"))?, &ctx)
 }
 
 /// The array at `key`; an error naming `ctx.key` when it is missing or
 /// of another type.
-pub fn req_seq<'a>(
-    map: &'a [(String, Value)],
-    key: &str,
-    ctx: &str,
-) -> Result<&'a [Value], String> {
-    let ctx = format!("{ctx}.{key}");
-    as_seq(get(map, key).ok_or_else(|| format!("{ctx}: missing"))?, &ctx)
-}
-
-/// `key`'s value in `v`, `Null` when `v` is not an object or lacks it.
-///
-/// This and the four readers below are the lenient side of the same
-/// accessors, for renderers that show whatever a document holds: an
-/// absent key or a value of another type reads as `Null`, 0, `""` or
-/// an empty array.
-pub fn field<'a>(v: &'a Value, key: &str) -> &'a Value {
-    static NULL: Value = Value::Null;
-    match v {
-        Value::Map(m) => get(m, key).unwrap_or(&NULL),
-        _ => &NULL,
+fn req_seq<'a>(map: &'a [(String, Value)], key: &str, ctx: &str) -> Result<&'a [Value], String> {
+    match get(map, key) {
+        Some(Value::Seq(s)) => Ok(s),
+        Some(_) => Err(format!("{ctx}.{key}: expected array")),
+        None => Err(format!("{ctx}.{key}: missing")),
     }
 }
-
-/// The unsigned integer at `key` in `v`, else 0.
-pub fn uint(v: &Value, key: &str) -> u64 {
-    u64::from_value(field(v, key), key).unwrap_or(0)
-}
-
-/// The number at `key` in `v`, else 0.
-pub fn num(v: &Value, key: &str) -> f64 {
-    f64::from_value(field(v, key), key).unwrap_or(0.0)
-}
-
-/// The string at `key` in `v`, else `""`.
-pub fn text<'a>(v: &'a Value, key: &str) -> &'a str {
-    match field(v, key) {
-        Value::Str(s) => s,
-        _ => "",
-    }
-}
-
-/// The array at `key` in `v`, else empty.
-pub fn seq<'a>(v: &'a Value, key: &str) -> &'a [Value] {
-    match field(v, key) {
-        Value::Seq(s) => s,
-        _ => &[],
-    }
-}
-
-/// Trigger classes an incident summary may carry, mirroring
-/// `khuzdul::incident`'s trigger taxonomy.
-pub(crate) const INCIDENT_TRIGGERS: [&str; 7] = [
-    "part_failed",
-    "part_lost",
-    "deadline_exceeded",
-    "slow_query",
-    "control_poison",
-    "stall",
-    "rebalance_stuck",
-];
 
 /// Histogram tails are additive in v4: a snapshot written without them
 /// reports no tail past its p99, so a missing `p999` reads as the p99
@@ -321,7 +234,7 @@ fn fill_missing_tails(v: &mut Value) {
 pub(crate) fn read_report(json: &str, root: &str) -> Result<(RunReport, Vec<String>), String> {
     let mut doc = parse_json(json).map_err(|e| format!("{root}: {e}"))?;
     // The version first: another version may lay out anything.
-    let version = req_u64(as_map(&doc, root)?, "schema_version", root)?;
+    let version = req_u64(serde::object(&doc, root)?, "schema_version", root)?;
     if version != REPORT_SCHEMA_VERSION {
         return Err(format!(
             "{root}.schema_version: {version} != supported {REPORT_SCHEMA_VERSION}"
@@ -435,9 +348,6 @@ pub(crate) fn read_report(json: &str, root: &str) -> Result<(RunReport, Vec<Stri
         let ctx = format!("{root}.incidents[{i}]");
         nonempty(&inc.id, &format!("{ctx}.id"))?;
         nonempty(&inc.path, &format!("{ctx}.path"))?;
-        if !INCIDENT_TRIGGERS.contains(&inc.trigger.as_str()) {
-            return Err(format!("{ctx}.trigger: unknown trigger {:?}", inc.trigger));
-        }
     }
     Ok((r, warnings))
 }
@@ -515,12 +425,12 @@ pub fn validate_report(json: &str) -> Result<Vec<String>, String> {
 /// finish (`f`).
 pub fn validate_trace(json: &str) -> Result<(), String> {
     let doc = parse_json(json)?;
-    let top = as_map(&doc, "trace")?;
+    let top = serde::object(&doc, "trace")?;
     let events = req_seq(top, "traceEvents", "trace")?;
     let mut flow_starts: Vec<u64> = Vec::new();
     let mut flow_finishes: Vec<u64> = Vec::new();
     for (i, ev) in events.iter().enumerate() {
-        let m = as_map(ev, "traceEvents[i]")?;
+        let m = serde::object(ev, "traceEvents[i]")?;
         let ph = match get(m, "ph") {
             Some(Value::Str(s)) if !s.is_empty() => s.clone(),
             _ => return Err(format!("traceEvents[{i}].ph: missing")),
@@ -574,7 +484,7 @@ mod tests {
     #[test]
     fn parses_roundtrip_shapes() {
         let v = parse_json(r#"{"a": 1, "b": [true, null, -2, 1.5], "c": "x\ny"}"#).unwrap();
-        let m = as_map(&v, "t").unwrap();
+        let m = serde::object(&v, "t").unwrap();
         assert_eq!(get(m, "a"), Some(&Value::UInt(1)));
         assert_eq!(
             get(m, "b"),

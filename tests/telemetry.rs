@@ -4,13 +4,15 @@
 //! reconcile **exactly** — sample for sample — with the schema-v4
 //! `RunReport` the service writes.
 
-use gpm_obs::{parse_json, sample_value, validate_exposition};
-use khuzdul::{Engine, EngineConfig, MiningService, ServiceConfig, StatusConfig, StatusServer};
+use gpm_obs::{sample_value, validate_exposition};
+use khuzdul::{
+    read_status, Engine, EngineConfig, MemoStats, MiningService, ServiceConfig, StatusConfig,
+    StatusServer,
+};
 use khuzdul_repro::graph::gen;
 use khuzdul_repro::graph::partition::PartitionedGraph;
 use khuzdul_repro::pattern::plan::PlanOptions;
 use khuzdul_repro::pattern::{oracle, Pattern};
-use serde::Value;
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -24,20 +26,6 @@ fn http_get(addr: SocketAddr, path: &str) -> String {
     let mut out = String::new();
     s.read_to_string(&mut out).expect("read response");
     out.split_once("\r\n\r\n").expect("header/body split").1.to_string()
-}
-
-fn field<'v>(v: &'v Value, key: &str) -> Option<&'v Value> {
-    let Value::Map(fields) = v else { return None };
-    fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-}
-
-fn num(v: &Value, key: &str) -> f64 {
-    match field(v, key) {
-        Some(Value::UInt(u)) => *u as f64,
-        Some(Value::Int(i)) => *i as f64,
-        Some(Value::Float(f)) => *f,
-        _ => panic!("missing numeric field '{key}' in {v:?}"),
-    }
 }
 
 /// Scrapes `/status` while a mixed workload runs, asserting every
@@ -75,20 +63,15 @@ fn scraped_progress_is_monotone_and_metrics_reconcile_with_the_report() {
         let scraper = s.spawn(|| {
             let mut seen: HashMap<u64, Vec<f64>> = HashMap::new();
             while !done.load(Ordering::SeqCst) {
-                let body = http_get(addr, "/status");
-                let doc = parse_json(&body).expect("valid /status JSON");
-                let Some(Value::Seq(active)) = field(&doc, "active_queries") else {
-                    panic!("status lacks active_queries: {body}");
-                };
-                for q in active {
-                    let qid = num(q, "query_id") as u64;
-                    let f = num(q, "fraction");
+                let doc = read_status(&http_get(addr, "/status")).expect("/status reads");
+                for q in doc.active_queries {
+                    let f = q.fraction;
                     assert!((0.0..=1.0).contains(&f), "fraction out of range: {f}");
                     assert!(
-                        num(q, "completed") <= num(q, "claimed") + num(q, "recovered"),
+                        q.completed <= q.claimed + q.recovered,
                         "completions cannot outrun claims"
                     );
-                    seen.entry(qid).or_default().push(f);
+                    seen.entry(q.query_id).or_default().push(f);
                 }
                 std::thread::sleep(Duration::from_millis(5));
             }
@@ -158,7 +141,7 @@ fn scraped_progress_is_monotone_and_metrics_reconcile_with_the_report() {
         );
     }
     // Memo counters agree between the scrape and the report sections.
-    let (entries, hits, evictions) = svc.memo_stats();
+    let MemoStats { entries, hits, evictions } = svc.memo_stats();
     assert_eq!(sample("gpm_memo_entries"), entries as f64);
     assert_eq!(sample("gpm_memo_hits_total"), hits as f64);
     assert_eq!(sample("gpm_memo_evictions_total"), evictions as f64);
@@ -171,17 +154,14 @@ fn scraped_progress_is_monotone_and_metrics_reconcile_with_the_report() {
 
     // The slow-query log caught everything (threshold zero) and the
     // status document agrees with the outcome count.
-    let status = http_get(addr, "/status");
-    let doc = parse_json(&status).expect("valid /status JSON");
-    assert_eq!(num(&doc, "completed"), outcomes.len() as f64);
-    let Some(Value::Seq(slow)) = field(&doc, "slow_queries") else { panic!("no slow_queries") };
-    assert!(!slow.is_empty(), "zero threshold logs every completion as slow");
-    let Some(Value::Seq(recent)) = field(&doc, "recent_completions") else {
-        panic!("no recent_completions")
-    };
+    let doc = read_status(&http_get(addr, "/status")).expect("/status reads");
+    assert_eq!(doc.completed, outcomes.len() as u64);
+    assert!(!doc.slow_queries.is_empty(), "zero threshold logs every completion as slow");
     // The ring records executed queries; memoized duplicates spent no
     // engine time and never pass through an executor.
-    assert_eq!(recent.len(), outcomes.iter().filter(|o| !o.memoized).count());
+    let executed = outcomes.iter().filter(|o| !o.memoized).count();
+    assert_eq!(doc.recent_completions.len(), executed);
+    assert_eq!(doc.memo, svc.memo_stats());
 }
 
 /// The memo LRU: a capacity-capped service evicts the least-recently
@@ -200,7 +180,7 @@ fn memo_lru_evicts_at_capacity_and_counts_it() {
     for p in &patterns {
         svc.submit(p, &opts).unwrap().wait().unwrap();
     }
-    let (entries, hits, evictions) = svc.memo_stats();
+    let MemoStats { entries, hits, evictions } = svc.memo_stats();
     assert_eq!(entries, 2, "capacity bounds the memo");
     assert!(evictions >= 1, "inserting past capacity evicted");
     // The triangle was evicted by cycle:4 (LRU), so its resubmission
