@@ -8,7 +8,7 @@
 //!
 //! Usage: `cargo run -p gpm-bench --release --bin fig16_cache_policies [--quick]`
 
-use gpm_bench::report::{write_json, Table};
+use gpm_bench::report::{write_stamped, Table};
 use gpm_bench::workloads::App;
 use gpm_bench::{build_dataset, Scale, PAPER_MACHINES};
 use gpm_graph::datasets::DatasetId;
@@ -80,7 +80,7 @@ fn main() {
     }
     println!("Figure 16: Comparing Different Cache Policies (k-GraphPi, normalized to STATIC)\n");
     table.print();
-    if let Ok(p) = write_json("fig16_cache_policies", &rows) {
+    if let Ok(p) = write_stamped("fig16_cache_policies", rows) {
         println!("\nwrote {}", p.display());
     }
 }

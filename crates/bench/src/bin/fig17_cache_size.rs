@@ -8,7 +8,7 @@
 //!
 //! Usage: `cargo run -p gpm-bench --release --bin fig17_cache_size [--quick]`
 
-use gpm_bench::report::{write_json, Table};
+use gpm_bench::report::{write_stamped, Table};
 use gpm_bench::workloads::App;
 use gpm_bench::{build_dataset, Scale, PAPER_MACHINES};
 use gpm_graph::datasets::DatasetId;
@@ -37,7 +37,9 @@ fn main() {
         for app in [App::Tc, App::FourCc] {
             let mut base: Option<(f64, f64)> = None; // (traffic, runtime)
             for &frac in &fractions {
+                // One compute thread per part, so the bytes repeat exactly.
                 let cfg = EngineConfig {
+                    compute_threads: 1,
                     cache: CacheConfig {
                         policy: CachePolicy::Static,
                         capacity_per_machine: ((g.size_bytes() as f64 * frac) as usize)
@@ -76,7 +78,7 @@ fn main() {
     }
     println!("Figure 17: Varying Cache Size (k-GraphPi, normalized to the 1% point)\n");
     table.print();
-    if let Ok(p) = write_json("fig17_cache_size", &rows) {
+    if let Ok(p) = write_stamped("fig17_cache_size", rows) {
         println!("\nwrote {}", p.display());
     }
 }

@@ -28,7 +28,10 @@ struct Row {
 }
 
 fn run(g: &gpm_graph::Graph, app: App, policy: CachePolicy) -> khuzdul::RunStats {
+    // One compute thread per part, so the columns differ by the cache only:
+    // with two, the order a part's threads fill chunks moves its bytes.
     let cfg = EngineConfig {
+        compute_threads: 1,
         cache: CacheConfig {
             policy,
             capacity_per_machine: (g.size_bytes() / 10).max(64 << 10),

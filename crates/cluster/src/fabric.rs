@@ -12,9 +12,8 @@
 //!   [`EdgeListClient::try_fetch_async`] reports a full window instead,
 //!   for callers that hold fetches of their own. Window size 1
 //!   reproduces the old blocking RPC's fully serialized transfers.
-//! * **Bounded requests** — a request may carry a [`Clamp`]: one
-//!   exclusive lower bound per vertex and the degree from which lists
-//!   ship whole. The responder then serves each shorter list above its
+//! * **Bounded requests** — a request may carry one exclusive lower
+//!   bound per vertex. The responder then serves every list above its
 //!   bound, so only the part of a list its reader can reach crosses the
 //!   wire. Requests are sent as asked: deduplicating them is the caller's
 //!   business (the engine's share table), not the fabric's.
@@ -34,7 +33,7 @@ use crate::transport::{
 use crate::{NetworkModel, PartId};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use gpm_graph::partition::{GraphPart, PartitionedGraph};
-use gpm_graph::{Degree, VertexId};
+use gpm_graph::VertexId;
 use gpm_obs::{Metric, Recorder, SpanKind};
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::fmt;
@@ -590,17 +589,6 @@ impl EdgeListService {
     }
 }
 
-/// How much of each requested list a bounded fetch asks for: the `k`-th
-/// list above `above[k]`, unless it has `whole_from` entries or more, which
-/// ship whole — so a list the requester may cache always arrives whole.
-#[derive(Debug, Clone, Copy)]
-pub struct Clamp<'a> {
-    /// One exclusive lower bound per requested vertex.
-    pub above: &'a [VertexId],
-    /// The degree from which a list ships whole whatever its bound.
-    pub whole_from: Degree,
-}
-
 /// A per-part client of the [`EdgeListService`].
 #[derive(Debug, Clone)]
 pub struct EdgeListClient {
@@ -692,7 +680,7 @@ impl EdgeListClient {
     }
 
     /// Issues a fetch without waiting for the reply: each list whole, or
-    /// cut by `clamp`.
+    /// the `k`-th list above `above[k]`.
     ///
     /// Blocks only while this part's in-flight window is full
     /// (backpressure); once a slot is free the request is submitted and
@@ -708,16 +696,16 @@ impl EdgeListClient {
     ///
     /// # Panics
     ///
-    /// Panics if `target` is out of range or `clamp` does not hold one
+    /// Panics if `target` is out of range or `above` does not hold one
     /// bound per vertex.
     pub fn fetch_clamped_async(
         &self,
         target: PartId,
         vertices: &[VertexId],
-        clamp: Option<Clamp<'_>>,
+        above: Option<&[VertexId]>,
     ) -> Result<PendingFetch, FetchError> {
         let permit = self.window.acquire();
-        self.submit(target, vertices, clamp, permit)
+        self.submit(target, vertices, above, permit)
     }
 
     /// [`fetch_clamped_async`] that never blocks: `Ok(None)`, with
@@ -738,10 +726,10 @@ impl EdgeListClient {
         &self,
         target: PartId,
         vertices: &[VertexId],
-        clamp: Option<Clamp<'_>>,
+        above: Option<&[VertexId]>,
     ) -> Result<Option<PendingFetch>, FetchError> {
         match self.window.try_acquire() {
-            Some(permit) => self.submit(target, vertices, clamp, permit).map(Some),
+            Some(permit) => self.submit(target, vertices, above, permit).map(Some),
             None => Ok(None),
         }
     }
@@ -751,12 +739,12 @@ impl EdgeListClient {
         &self,
         target: PartId,
         vertices: &[VertexId],
-        clamp: Option<Clamp<'_>>,
+        above: Option<&[VertexId]>,
         permit: WindowPermit,
     ) -> Result<PendingFetch, FetchError> {
         assert!(target < self.part_count(), "target part out of range");
-        if let Some(clamp) = clamp {
-            assert_eq!(clamp.above.len(), vertices.len(), "one bound per requested vertex");
+        if let Some(above) = above {
+            assert_eq!(above.len(), vertices.len(), "one bound per requested vertex");
         }
         self.obs.observe(Metric::WindowOccupancy, self.window.occupancy());
         let submitted_ns = self.obs.now_ns();
@@ -778,8 +766,7 @@ impl EdgeListClient {
             // goes to whichever part currently serves that slice.
             owner: target,
             vertices: Arc::from(vertices),
-            above: clamp.map(|clamp| Arc::from(clamp.above)),
-            whole_from: clamp.map_or(0, |clamp| clamp.whole_from),
+            above: above.map(Arc::from),
         };
         let mut fetch = PendingFetch {
             client: self.clone(),
@@ -1114,22 +1101,12 @@ mod tests {
     }
 
     /// What a bounded request must return for `v` with bound `above`.
-    fn clamped(
-        g: &gpm_graph::Graph,
-        v: VertexId,
-        above: VertexId,
-        whole_from: u32,
-    ) -> Vec<VertexId> {
-        let list = g.neighbors(v);
-        if (list.len() as u32) < whole_from {
-            list.iter().copied().filter(|&u| u > above).collect()
-        } else {
-            list.to_vec()
-        }
+    fn clamped(g: &gpm_graph::Graph, v: VertexId, above: VertexId) -> Vec<VertexId> {
+        g.neighbors(v).iter().copied().filter(|&u| u > above).collect()
     }
 
     #[test]
-    fn the_responder_clamps_below_the_whole_list_degree_and_ships_whole_at_or_above_it() {
+    fn the_responder_clamps_every_bounded_list() {
         let (g, pg) = cluster(2, 1);
         let service = EdgeListService::start(&pg, None);
         let client = service.client(1);
@@ -1137,19 +1114,18 @@ mod tests {
         let above: Vec<VertexId> = owned.iter().map(|&v| v.wrapping_mul(37) % 200).collect();
         let mut degrees: Vec<u32> = owned.iter().map(|&v| g.degree(v)).collect();
         degrees.sort_unstable();
-        let whole_from = degrees[degrees.len() / 2];
-        let (mut cut, mut whole) = (0, 0);
-        for whole_from in [0, whole_from, u32::MAX] {
-            let clamp = Clamp { above: &above, whole_from };
-            let lists = client.fetch_clamped_async(0, &owned, Some(clamp)).unwrap().wait().unwrap();
-            for (k, &v) in owned.iter().enumerate() {
-                let want = clamped(&g, v, above[k], whole_from);
-                assert_eq!(lists.list(k), &want[..], "{v} above {} from {whole_from}", above[k]);
-                cut += usize::from((want.len() as u32) < g.degree(v));
-                whole += usize::from(g.degree(v) >= whole_from && g.degree(v) > 0);
+        let median = degrees[degrees.len() / 2];
+        let lists = client.fetch_clamped_async(0, &owned, Some(&above)).unwrap().wait().unwrap();
+        // Cut lists on both sides of the median degree: no degree ships whole.
+        let (mut short, mut long) = (0, 0);
+        for (k, &v) in owned.iter().enumerate() {
+            let want = clamped(&g, v, above[k]);
+            assert_eq!(lists.list(k), &want[..], "{v} above {}", above[k]);
+            if (want.len() as u32) < g.degree(v) {
+                *if g.degree(v) < median { &mut short } else { &mut long } += 1;
             }
         }
-        assert!(cut > 0 && whole > 0, "{cut} cut, {whole} whole");
+        assert!(short > 0 && long > 0, "{short} short and {long} long lists cut");
         // The unbounded entry points still ship every list whole.
         let lists = client.fetch(0, &owned).unwrap();
         assert!(owned.iter().enumerate().all(|(k, &v)| lists.list(k) == g.neighbors(v)));
@@ -1178,11 +1154,10 @@ mod tests {
             for round in 0..owned.len() - 2 {
                 let request = &owned[round..round + 3];
                 let above: Vec<VertexId> = request.iter().map(|&v| (v * 7 + 50) % 200).collect();
-                let clamp = Clamp { above: &above, whole_from: 10 };
-                let lists = client.fetch_clamped_async(0, request, Some(clamp)).unwrap().wait();
+                let lists = client.fetch_clamped_async(0, request, Some(&above)).unwrap().wait();
                 let lists = lists.unwrap();
                 for (k, &v) in request.iter().enumerate() {
-                    assert_eq!(lists.list(k), &clamped(&g, v, above[k], 10)[..]);
+                    assert_eq!(lists.list(k), &clamped(&g, v, above[k])[..]);
                 }
             }
             let totals = service.metrics().totals();
@@ -1205,8 +1180,7 @@ mod tests {
         let sent = || service.metrics().part(1).get(Counter::BytesSent);
         client.fetch(0, &owned).unwrap();
         assert_eq!(sent(), 16 + 4 * 8);
-        let clamp = Clamp { above: &owned, whole_from: u32::MAX };
-        client.fetch_clamped_async(0, &owned, Some(clamp)).unwrap().wait().unwrap();
+        client.fetch_clamped_async(0, &owned, Some(&owned)).unwrap().wait().unwrap();
         assert_eq!(sent(), (16 + 4 * 8) + (16 + 4 * 8 + 4 * 8));
         service.shutdown();
     }

@@ -20,7 +20,7 @@
 //! * [`fabric`] — the async request-window fabric above it:
 //!   [`EdgeListClient::fetch_async`] with bounded per-part in-flight
 //!   windows (backpressure), requests bounded to what their reader can
-//!   reach ([`Clamp`]), timeout/retry with backoff, and typed
+//!   reach ([`EdgeListClient::fetch_clamped_async`]), timeout/retry with backoff, and typed
 //!   [`FetchError`]s instead of panics;
 //! * [`ledger`] — the cross-part root ledger (claims, steals, donations,
 //!   quiescence, lost-root reconstruction) as one plain state machine, and
@@ -49,7 +49,7 @@ pub mod transport;
 pub mod work;
 
 pub use control::{Carrier, ControlClient, ControlLedgerConfig, ControlLedgerService};
-pub use fabric::{Clamp, EdgeListClient, EdgeListService, FabricConfig, FetchError, PendingFetch};
+pub use fabric::{EdgeListClient, EdgeListService, FabricConfig, FetchError, PendingFetch};
 pub use ledger::{Ledger, LedgerSummary};
 pub use metrics::{ClusterMetrics, Counter, Counters, Counts, Scope, TrafficClass};
 pub use transport::{

@@ -26,7 +26,7 @@ use crate::metrics::{ClusterMetrics, Counter};
 use crate::PartId;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use gpm_graph::partition::{GraphPart, PartitionedGraph};
-use gpm_graph::{set_ops, Degree, VertexId};
+use gpm_graph::{set_ops, VertexId};
 use gpm_obs::{Recorder, SpanKind};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -141,14 +141,9 @@ pub struct WireRequest {
     /// resubmits the same list rather than a copy of it.
     pub vertices: Arc<[VertexId]>,
     /// A bounded request's column of exclusive lower bounds, one per
-    /// vertex: the responder serves the `k`-th list above `above[k]`,
-    /// unless the list has [`whole_from`](WireRequest::whole_from) entries
-    /// or more. `None` asks for every list whole.
+    /// vertex: the responder serves the `k`-th list above `above[k]`.
+    /// `None` asks for every list whole.
     pub above: Option<Arc<[VertexId]>>,
-    /// The degree from which a bounded request's lists ship whole
-    /// whatever their bound — the lists the requester may cache. Ignored
-    /// without `above`.
-    pub whole_from: Degree,
 }
 
 impl WireRequest {
@@ -722,9 +717,9 @@ fn stage_push(
 
 /// Serves `req` from whichever of `slices` holds its owner's slice
 /// (`slices[0]` is the responder's own part; the rest are hosted
-/// replicas): each list whole, or — for a bounded request, below its
-/// whole-list degree — the part above its bound. A request for a part not
-/// hosted here is a routing bug and answers [`FetchError::NotOwner`].
+/// replicas): each list whole, or — for a bounded request — the part
+/// above its bound. A request for a part not hosted here is a routing bug
+/// and answers [`FetchError::NotOwner`].
 fn serve(slices: &[Arc<GraphPart>], req: &WireRequest) -> Result<FetchedLists, FetchError> {
     let (target, vertices) = (slices[0].part_id(), &req.vertices[..]);
     let Some(part) = slices.iter().find(|s| s.part_id() == req.owner) else {
@@ -751,12 +746,7 @@ fn serve(slices: &[Arc<GraphPart>], req: &WireRequest) -> Result<FetchedLists, F
     for (k, &v) in vertices.iter().enumerate() {
         let list = part.edge_list(v).expect("ownership checked above");
         // A bound column shorter than the request leaves the rest whole.
-        let list = match &req.above {
-            Some(above) if (list.len() as Degree) < req.whole_from => {
-                set_ops::clamp(list, above.get(k).copied(), None)
-            }
-            _ => list,
-        };
+        let list = set_ops::clamp(list, req.above.as_ref().and_then(|a| a.get(k).copied()), None);
         data.extend_from_slice(list);
         offsets.push(data.len() as u32);
     }
@@ -1103,7 +1093,6 @@ mod tests {
             owner,
             vertices: Arc::from([v]),
             above: None,
-            whole_from: 0,
         }
     }
 

@@ -11,6 +11,11 @@
 //! a *write* lock per lookup or insert-with-eviction, the overhead the
 //! paper measures.
 //!
+//! A list is cached as it was fetched, cut above its request's bound or
+//! whole, and keeps that bound: a lookup hits only at a bound at or above
+//! the entry's. Every clique plan asks for `N(v)` above `v` itself, so one
+//! cached `N(v) ∩ (v, ∞)` answers every later request for `v`.
+//!
 //! Entries hand out `Arc<Entry>` so an evicted list stays alive while any
 //! extendable embedding still references it — eviction can never dangle a
 //! task's data. A hot list ([`set_ops::is_hot`]) is admitted with its
@@ -50,7 +55,8 @@ pub struct CacheConfig {
     /// Capacity in bytes **per machine**; divided evenly among its NUMA
     /// sockets (§5.4).
     pub capacity_per_machine: usize,
-    /// Minimum degree for insertion (the paper's threshold, e.g. 64).
+    /// Minimum length of an admitted list (the paper's degree threshold,
+    /// e.g. 64), counted on the list as it arrived: cut at its fetch bound.
     /// Applied by the static policy only; replacement policies accept
     /// everything, as G-thinker-style general caches do.
     pub degree_threshold: Degree,
@@ -75,28 +81,32 @@ impl CacheConfig {
     }
 }
 
-/// One cached edge list, with its bitmap when the list is hot.
+/// One cached edge list, with the bound it was fetched above and its
+/// bitmap when the list is hot.
 #[derive(Debug)]
 pub struct Entry {
     list: Box<[VertexId]>,
+    /// The exclusive lower bound the list was cut at; `None`: whole.
+    pub(crate) above: Option<VertexId>,
     /// The bitmap of a hot list; empty for a cold one.
     words: Box<[u64]>,
 }
 
 impl Entry {
-    /// `list`, with its bitmap over `vertices` ids if it is hot.
-    fn new(list: &[VertexId], vertices: Option<usize>) -> Entry {
+    /// `list`, cut above `above`, with its bitmap over `vertices` ids if it
+    /// is hot.
+    fn new(list: &[VertexId], above: Option<VertexId>, vertices: Option<usize>) -> Entry {
         let mut words = Vec::new();
         if let Some(vertices) = vertices.filter(|&n| set_ops::is_hot(list.len(), n)) {
             set_ops::push_bitmap(list, vertices, &mut words);
         }
-        Entry { list: list.into(), words: words.into() }
+        Entry { list: list.into(), above, words: words.into() }
     }
 
     /// The list with its bitmap, if it has one.
     #[inline]
     pub fn side(&self) -> Side<'_> {
-        let bits = (!self.words.is_empty()).then(|| Bits::new(&self.words, None));
+        let bits = (!self.words.is_empty()).then(|| Bits::new(&self.words, self.above));
         Side { list: &self.list, bits }
     }
 
@@ -241,19 +251,6 @@ impl SharedCache {
         self.policy != CachePolicy::Disabled && self.capacity_bytes > 0
     }
 
-    /// The degree from which a fetched list must arrive whole because this
-    /// cache may admit it; a list cut below it is too short to be admitted.
-    /// A full static cache admits nothing until it is cleared, which only
-    /// happens between queries, so from then on every list may arrive cut.
-    pub(crate) fn whole_from(&self) -> Degree {
-        match self.policy {
-            _ if !self.is_enabled() => Degree::MAX,
-            CachePolicy::Static if self.inner.read().full => Degree::MAX,
-            CachePolicy::Static => self.degree_threshold,
-            _ => 0,
-        }
-    }
-
     /// Looks up the edge list of `v`.
     ///
     /// For LRU/MRU this updates recency (and therefore takes the write
@@ -261,25 +258,24 @@ impl SharedCache {
     /// LIFO lookups take only the read lock, and no lock while the cache
     /// is empty.
     pub fn lookup(&self, v: VertexId) -> Option<Arc<Entry>> {
-        self.lookup_hashed(v, vertex_hash(v))
+        self.lookup_above(v, None)
     }
 
-    /// [`SharedCache::lookup`] for a caller that already holds
-    /// `hash == vertex_hash(v)`.
+    /// [`SharedCache::lookup`] of `v`'s list above `above` (`None`: whole):
+    /// an entry answers if it was cut at or below `above`.
     #[inline]
-    pub(crate) fn lookup_hashed(&self, v: VertexId, hash: u64) -> Option<Arc<Entry>> {
-        debug_assert_eq!(hash, vertex_hash(v));
+    pub(crate) fn lookup_above(&self, v: VertexId, above: Option<VertexId>) -> Option<Arc<Entry>> {
         // An empty map has nothing to return and no recency to update. A
         // lookup racing the first insert may miss it, exactly as if it
         // had taken the lock first.
         if !self.is_enabled() || self.entries.load(Ordering::Relaxed) == 0 {
             return None;
         }
-        let key = Key { v, hash };
+        let key = Key::of(v);
         match self.policy {
             CachePolicy::Lru | CachePolicy::Mru => {
                 let mut inner = self.inner.write();
-                let hit = inner.map.get(&key).cloned();
+                let hit = inner.map.get(&key).filter(|e| e.above <= above).cloned();
                 if hit.is_some() {
                     if let Some(pos) = inner.order.iter().position(|&u| u == v) {
                         inner.order.remove(pos);
@@ -288,13 +284,19 @@ impl SharedCache {
                 }
                 hit
             }
-            _ => self.inner.read().map.get(&key).cloned(),
+            _ => self.inner.read().map.get(&key).filter(|e| e.above <= above).cloned(),
         }
     }
 
-    /// Offers a freshly fetched list for caching; the policy decides.
-    /// Returns `true` if the list was inserted.
+    /// Offers a freshly fetched whole list for caching; the policy
+    /// decides. Returns `true` if the list was inserted.
     pub fn maybe_insert(&self, v: VertexId, list: &[VertexId]) -> bool {
+        self.offer(v, list, None)
+    }
+
+    /// [`SharedCache::maybe_insert`] of a list that arrived cut above
+    /// `above` (`None`: whole). A vertex already cached keeps its entry.
+    pub(crate) fn offer(&self, v: VertexId, list: &[VertexId], above: Option<VertexId>) -> bool {
         if !self.is_enabled() {
             return false;
         }
@@ -317,7 +319,7 @@ impl SharedCache {
                     inner.full = true;
                     return false;
                 }
-                inner.admit(key, Entry::new(list, self.vertices));
+                inner.admit(key, Entry::new(list, above, self.vertices));
                 self.entries.store(inner.map.len(), Ordering::Relaxed);
                 true
             }
@@ -347,7 +349,7 @@ impl SharedCache {
                 }
                 let fits = inner.bytes + bytes <= self.capacity_bytes;
                 if fits {
-                    inner.admit(key, Entry::new(list, self.vertices));
+                    inner.admit(key, Entry::new(list, above, self.vertices));
                     inner.order.push(v);
                 }
                 self.entries.store(inner.map.len(), Ordering::Relaxed);
@@ -383,6 +385,14 @@ impl SharedCache {
         self.capacity_bytes
     }
 
+    /// Whether a static cache has refused a list for want of room, and
+    /// every entry by vertex.
+    #[cfg(test)]
+    pub(crate) fn snapshot(&self) -> (bool, Vec<(VertexId, Arc<Entry>)>) {
+        let inner = self.inner.read();
+        (inner.full, inner.map.iter().map(|(key, entry)| (key.v, Arc::clone(entry))).collect())
+    }
+
     /// Drops every entry (used between benchmark runs).
     pub fn clear(&self) {
         let mut inner = self.inner.write();
@@ -411,6 +421,20 @@ mod tests {
         assert_eq!(c.lookup(1).unwrap().len(), 10);
         assert_eq!(c.len(), 1);
         assert_eq!(c.bytes(), 40);
+        // A list cut above 5 answers a bound at or above 5; a lower one
+        // and the whole list miss. The whole list answers every bound.
+        assert!(c.offer(2, &list(10, 6), Some(5)));
+        for (v, above, hit) in [
+            (2, Some(5), true),
+            (2, Some(9), true),
+            (2, Some(4), false),
+            (2, None, false),
+            (1, Some(0), true),
+            (1, None, true),
+        ] {
+            assert_eq!(c.lookup_above(v, above).is_some(), hit, "{v} above {above:?}");
+        }
+        assert_eq!(c.lookup_above(2, Some(7)).unwrap().above, Some(5));
     }
 
     #[test]
@@ -418,33 +442,6 @@ mod tests {
         let c = SharedCache::new(CachePolicy::Static, 4096, 8);
         assert!(!c.maybe_insert(1, &list(7, 0)));
         assert!(c.maybe_insert(2, &list(8, 0)));
-    }
-
-    #[test]
-    fn a_list_the_cache_may_admit_arrives_whole() {
-        // A list shorter than `whole_from` may arrive cut; the cache must
-        // never admit one that short.
-        for (policy, capacity, want) in [
-            (CachePolicy::Static, 4096, 8),
-            (CachePolicy::Fifo, 4096, 0),
-            (CachePolicy::Lru, 4096, 0),
-            (CachePolicy::Disabled, 4096, Degree::MAX),
-            (CachePolicy::Static, 0, Degree::MAX),
-        ] {
-            let c = SharedCache::new(policy, capacity, 8);
-            assert_eq!(c.whole_from(), want, "{policy:?}");
-            let short = want.min(16) as usize;
-            assert!(short == 0 || !c.maybe_insert(1, &list(short - 1, 0)), "{policy:?}");
-        }
-        // Once full, a static cache refuses every list, long or cut.
-        let c = SharedCache::new(CachePolicy::Static, 100, 8);
-        assert!(c.maybe_insert(1, &list(20, 0)));
-        assert_eq!(c.whole_from(), 8);
-        assert!(!c.maybe_insert(2, &list(20, 0)));
-        assert_eq!(c.whole_from(), Degree::MAX);
-        assert!(!c.maybe_insert(3, &list(8, 0)));
-        c.clear();
-        assert_eq!(c.whole_from(), 8);
     }
 
     #[test]

@@ -178,10 +178,11 @@ impl ShareTable {
         }
     }
 
-    /// The claimant of `v` in the fill `embs`, if its list is fetched,
-    /// with the bound it was fetched above (`None`: whole). Never inserts.
-    /// The table is reset when its chunk's next fill resolves, so a slot
-    /// counts only if it names an embedding of `v` this fill fetched.
+    /// The claimant of `v` in the fill `embs`, if its list is fetched or
+    /// cached, with the bound it asked for (`None`: whole; a cached list is
+    /// cut at or below it). Never inserts. The table is reset when its
+    /// chunk's next fill resolves, so a slot counts only if it names an
+    /// embedding of `v` this fill resolved remotely.
     #[inline]
     pub fn holder(&self, embs: &[Emb], v: VertexId, hash: u64) -> Option<(u32, Option<VertexId>)> {
         let mut index = hash as usize & self.mask;
@@ -189,9 +190,12 @@ impl ShareTable {
             if slot.vertex == v {
                 let j = slot.emb1 - 1;
                 let e = embs.get(j as usize)?;
-                let fetched = matches!(e.list, ListRef::Fetched { .. } | ListRef::Hot(_));
+                let served = matches!(
+                    e.list,
+                    ListRef::Fetched { .. } | ListRef::Hot(_) | ListRef::Cached(_)
+                );
                 let above = self.above1[j as usize].checked_sub(1);
-                return (e.vertex == v && fetched).then_some((j, above));
+                return (e.vertex == v && served).then_some((j, above));
             }
             index = (index + 1) & self.mask;
         }
@@ -626,10 +630,11 @@ mod tests {
             share(&mut t, &mut embs, i);
         }
         assert_eq!(holder(&t, &embs, 42), None, "a claimant still waiting holds nothing");
-        // The fill resolves; each claimant's list is fetched, cold or hot.
+        // The fill resolves; each claimant's list is fetched, cold or hot,
+        // or served by the cache.
         let fetched = ListRef::Fetched { seg: 0, start: 0, len: 1 };
         embs[0].list = fetched;
-        embs[2].list = fetched;
+        embs[2].list = ListRef::Cached(0);
         embs[3].list = ListRef::Hot(0);
         assert_eq!(holder(&t, &embs, 42), Some((0, Some(10))), "the sharer lowered the bound");
         assert_eq!(holder(&t, &embs, 7), Some((2, None)));

@@ -1270,22 +1270,21 @@ mod tests {
     }
 
     #[test]
-    fn clamped_fetches_are_exact_and_never_cached() {
+    fn clamped_fetches_are_exact_and_cached_at_their_bound() {
         // Every connected pattern of up to five vertices, induced or not,
         // on a plain graph and on a labelled one, over 2 and 3 parts, with
         // and without the share table, under no cache, a static cache
-        // whose threshold splits the degrees (lists below it may arrive
-        // cut), the same cache small enough to fill within the first plans
-        // (then every list may arrive cut) and a FIFO cache (which may
-        // admit any list, so none is cut):
-        // the count is the oracle's, the visited multiset the
+        // whose threshold splits the degrees, the same cache small enough
+        // to fill within the first plans, and a FIFO cache (which admits
+        // any list): the count is the oracle's, the visited multiset the
         // interpreter's, and after every run each list a cache holds is
-        // its owner's whole adjacency — no cut list is ever admitted.
+        // its owner's adjacency above the bound the entry records — and
+        // some entries are cut.
         use gpm_pattern::{genpat, interp};
         let plain = gen::barabasi_albert(30, 4, 3);
         assert!(plain.max_degree() >= 16 && plain.vertices().any(|v| plain.degree(v) < 16));
         let labelled = gen::with_random_labels(&plain, 2, 5);
-        let mut bounded = 0;
+        let (mut bounded, mut cut) = (0, 0);
         for g in [&plain, &labelled] {
             let mut plans = Vec::new();
             for k in 1..=5 {
@@ -1347,18 +1346,16 @@ mod tests {
                             seen.sort_unstable();
                             assert_eq!(run.count, *expect, "enumerated: {what}");
                             assert!(seen == *want, "visited multiset differs: {what}");
-                            for cache in &engine.caches {
-                                for v in g.vertices() {
-                                    if let Some(list) = cache.lookup(v) {
-                                        assert_eq!(&list[..], g.neighbors(v), "{v}: {what}");
-                                    }
-                                }
+                            for (v, entry) in engine.caches.iter().flat_map(|c| c.snapshot().1) {
+                                let want =
+                                    gpm_graph::set_ops::clamp(g.neighbors(v), entry.above, None);
+                                assert_eq!(&entry[..], want, "{v} above {:?}: {what}", entry.above);
+                                cut += usize::from(entry.len() < g.neighbors(v).len());
                             }
                         }
                         if cache.capacity_per_machine == 100 {
-                            let full =
-                                |c: &Arc<SharedCache>| c.whole_from() == gpm_graph::Degree::MAX;
-                            assert!(engine.caches.iter().any(full), "no small cache filled");
+                            let full = engine.caches.iter().any(|c| c.snapshot().0);
+                            assert!(full, "no small cache filled");
                         }
                         engine.shutdown();
                     }
@@ -1366,6 +1363,7 @@ mod tests {
             }
         }
         assert!(bounded > 20, "only {bounded} plans fetch a bounded list");
+        assert!(cut > 0, "no cache held a cut list");
     }
 
     #[test]
@@ -1774,32 +1772,33 @@ mod tests {
     #[test]
     fn static_cache_reduces_traffic() {
         let g = gen::barabasi_albert(300, 6, 2);
-        let p = Pattern::clique(4);
         // One run, and a second on the warm engine. Within one run the
-        // share table already keeps every repeat off the wire: a fill
-        // fetches a vertex once, and a 4-clique's `v2` lists, fetched by
-        // the fill of their `v1` siblings, are walked there, not looked up.
-        // So the cache pays across runs, and the first run pays for it.
-        let mk = |cache: CacheConfig| {
-            let pg = PartitionedGraph::new(&g, 4, 1);
-            let engine = Engine::new(pg, EngineConfig { cache, ..EngineConfig::default() });
-            let runs = (engine.count(&plan(&p)), engine.count(&plan(&p)));
-            engine.shutdown();
-            runs
-        };
-        let (without, again) = mk(CacheConfig::disabled());
-        assert_eq!(again.traffic.network_bytes, without.traffic.network_bytes);
-        // A list the cache may admit ships whole; below the threshold lists
-        // arrive cut to what the plan reads. At 4 every list is eligible
-        // (each vertex arrives with 6 edges), at 8 the hubs are: the first
-        // run trades cuts for admissions, and costs bytes.
-        for threshold in [4, 8] {
-            let cache = CacheConfig { degree_threshold: threshold, ..CacheConfig::default() };
-            let (first, warm) = mk(cache);
-            assert_eq!((first.count, warm.count), (without.count, without.count));
-            assert!(first.traffic.network_bytes >= without.traffic.network_bytes, "{threshold}");
-            assert!(warm.traffic.cache_hits > 0, "{threshold}");
-            assert!(warm.traffic.network_bytes < without.traffic.network_bytes, "{threshold}");
+        // share table already keeps most repeats off the wire: a fill
+        // fetches a vertex once, and a clique's deeper lists, fetched or
+        // cached for the fill of their siblings, are walked there, not
+        // looked up. A list arrives cut at its bound whether or not the
+        // cache admits it, so the first run never pays for the cache, and
+        // the warm run reads what the first admitted.
+        for p in [Pattern::triangle(), Pattern::clique(4), Pattern::clique(5)] {
+            let mk = |cache: CacheConfig| {
+                let pg = PartitionedGraph::new(&g, 4, 1);
+                let engine = Engine::new(pg, EngineConfig { cache, ..EngineConfig::default() });
+                let runs = (engine.count(&plan(&p)), engine.count(&plan(&p)));
+                engine.shutdown();
+                runs
+            };
+            let (without, again) = mk(CacheConfig::disabled());
+            assert_eq!(again.traffic.network_bytes, without.traffic.network_bytes, "{p}");
+            // At 4 every cut list of 4 or more is eligible, at 8 the hubs'.
+            for threshold in [4, 8] {
+                let cache = CacheConfig { degree_threshold: threshold, ..CacheConfig::default() };
+                let (first, warm) = mk(cache);
+                let what = format!("{p}, threshold {threshold}");
+                assert_eq!((first.count, warm.count), (without.count, without.count), "{what}");
+                assert!(first.traffic.network_bytes <= without.traffic.network_bytes, "{what}");
+                assert!(warm.traffic.cache_hits > 0, "{what}");
+                assert!(warm.traffic.network_bytes < without.traffic.network_bytes, "{what}");
+            }
         }
     }
 

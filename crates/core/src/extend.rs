@@ -300,10 +300,10 @@ impl Worker<'_, '_, '_> {
         let raw = lp.candidates(&matched, |p| lists.side(p, matched[p]), stored, tmp, buf);
         // A child whose list has to be fetched is parked in the next
         // chunk. One with nothing to wait for — its list is this part's,
-        // or held: fetched by its parent's own fill, cut no higher than
-        // the child's bound — is, when the next chunk is the bottom of the
-        // stack, walked here, with this level's raw set (in scratch, or
-        // where its list lives) as its stored intermediate.
+        // or held: fetched or cached for its parent's own fill, cut no
+        // higher than the child's bound — is, when the next chunk is the
+        // bottom of the stack, walked here, with this level's raw set (in
+        // scratch, or where its list lives) as its stored intermediate.
         let in_place = cur + 1 == self.last;
         let holds = in_place && ctx.cfg.horizontal_sharing;
         scratch.parked.clear();

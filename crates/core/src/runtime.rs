@@ -30,7 +30,7 @@ use crate::engine::EngineConfig;
 use crate::extend::Scratch;
 use crate::scheduler::{Gate, QueryArbiter};
 use crate::stats::PartStats;
-use gpm_cluster::{ClaimSource, Clamp, Counter, EdgeListClient, FetchError, PendingFetch};
+use gpm_cluster::{ClaimSource, Counter, EdgeListClient, FetchError, PendingFetch};
 use gpm_graph::partition::{vertex_hash, GraphPart};
 use gpm_graph::{Label, VertexId};
 use gpm_obs::{ObsHandle, QueryProgress, Recorder, SpanKind};
@@ -521,10 +521,10 @@ impl<'e> PartRun<'e> {
     }
 
     /// Resolve phase: make every pending edge list of the current chunk
-    /// locally available — local partition, cache, horizontal sharing, or
+    /// locally available — local partition, horizontal sharing, cache, or
     /// batched remote fetch in circulant order. A fetch asks only for the
-    /// part of each list the plan reads, where the plan bounds the level
-    /// and the cache lets a list arrive cut.
+    /// part of each list the plan reads, where the plan bounds the level,
+    /// and the cache answers a list cut at or below that bound.
     ///
     /// # Errors
     ///
@@ -540,13 +540,7 @@ impl<'e> PartRun<'e> {
         let my_part = self.ctx.my_part;
         let cache_enabled = self.ctx.cache.is_enabled();
         let sharing = self.ctx.cfg.horizontal_sharing;
-        let whole_from = self
-            .ctx
-            .plan
-            .fetch_bound(cur)
-            .is_bounded()
-            .then(|| self.ctx.cache.whole_from())
-            .filter(|&whole_from| whole_from > 0);
+        let bounded = self.ctx.plan.fetch_bound(cur).is_bounded();
         let ResolveScratch { embs: bucket_embs, vertices: bucket_vertices, above, order, .. } =
             &mut self.scratch;
         bucket_embs.iter_mut().for_each(Vec::clear);
@@ -559,8 +553,8 @@ impl<'e> PartRun<'e> {
         }
         // Every pending list gets its home here, once; extension reads it
         // from there without looking anything up again. One hash per
-        // embedding serves the owner map, the cache and the share table,
-        // and the outcomes are tallied locally.
+        // embedding serves the owner map and the share table, and the
+        // outcomes are tallied locally.
         let (mut hits, mut misses, mut shared) = (0u64, 0u64, 0u64);
         for i in chunk.resolved_upto..chunk.embs.len() {
             if !matches!(chunk.embs[i].list, ListRef::Pending(_)) {
@@ -573,16 +567,6 @@ impl<'e> PartRun<'e> {
                 chunk.embs[i].list = ListRef::Local;
                 continue;
             }
-            if cache_enabled {
-                if let Some(list) = self.ctx.cache.lookup_hashed(v, hash) {
-                    hits += 1;
-                    self.obs.event(SpanKind::CacheLookup, 1);
-                    chunk.embs[i].list = chunk.push_pinned(list);
-                    continue;
-                }
-                misses += 1;
-                self.obs.event(SpanKind::CacheLookup, 0);
-            }
             if sharing && chunk.share.share(&mut chunk.embs, i, hash) {
                 shared += 1;
                 continue;
@@ -590,14 +574,35 @@ impl<'e> PartRun<'e> {
             bucket_embs[owner].push(i as u32);
             bucket_vertices[owner].push(v);
         }
-        // Read once every sharer has lowered its claimant's bound.
-        if whole_from.is_some() {
-            for (above, waiting) in above.iter_mut().zip(bucket_embs.iter()) {
-                above.extend(waiting.iter().map(|&i| match chunk.embs[i as usize].list {
-                    ListRef::Pending(Some(bound)) => bound,
-                    other => unreachable!("a bounded level bounds every list: {other:?}"),
-                }));
+        // Once every sharer has lowered its claimant's bound, each claimant
+        // asks the cache for its list above that bound; a miss stays in
+        // its bucket and its bound goes out with the request.
+        let columns = bucket_embs.iter_mut().zip(bucket_vertices.iter_mut());
+        for ((embs, vertices), above) in columns.zip(above.iter_mut()) {
+            let mut kept = 0;
+            for k in 0..embs.len() {
+                let (i, v) = (embs[k] as usize, vertices[k]);
+                let ListRef::Pending(bound) = chunk.embs[i].list else {
+                    unreachable!("a claimant waits until its fill resolves")
+                };
+                if cache_enabled {
+                    if let Some(list) = self.ctx.cache.lookup_above(v, bound) {
+                        hits += 1;
+                        self.obs.event(SpanKind::CacheLookup, 1);
+                        chunk.embs[i].list = chunk.push_pinned(list);
+                        continue;
+                    }
+                    misses += 1;
+                    self.obs.event(SpanKind::CacheLookup, 0);
+                }
+                (embs[kept], vertices[kept]) = (i as u32, v);
+                kept += 1;
+                if bounded {
+                    above.push(bound.expect("a bounded level bounds every list"));
+                }
             }
+            embs.truncate(kept);
+            vertices.truncate(kept);
         }
         chunk.resolved_upto = chunk.embs.len();
         if hits + misses + shared > 0 {
@@ -637,9 +642,9 @@ impl<'e> PartRun<'e> {
         for k in 0..self.scratch.order.len() {
             let t = self.scratch.order[k];
             let issued = loop {
-                let (vertices, above) = (&self.scratch.vertices[t], &self.scratch.above[t]);
-                let clamp = whole_from.map(|whole_from| Clamp { above, whole_from });
-                match self.ctx.client.try_fetch_async(t, vertices, clamp) {
+                let vertices = &self.scratch.vertices[t];
+                let above = bounded.then_some(&self.scratch.above[t][..]);
+                match self.ctx.client.try_fetch_async(t, vertices, above) {
                     Ok(Some(pending)) => break Ok(pending),
                     Err(e) => break Err(e),
                     Ok(None) => {}
@@ -650,7 +655,7 @@ impl<'e> PartRun<'e> {
                     // belong to other queries, which follow the rule.
                     None => {
                         let tw = Instant::now();
-                        let issued = self.ctx.client.fetch_clamped_async(t, vertices, clamp);
+                        let issued = self.ctx.client.fetch_clamped_async(t, vertices, above);
                         self.network += tw.elapsed();
                         break issued;
                     }
@@ -691,12 +696,11 @@ impl<'e> PartRun<'e> {
         let chunk = &mut self.levels[cur];
         let seg = chunk.next_segment();
         for (k, (&emb_i, &v)) in embs.iter().zip(vertices).enumerate() {
-            let (start, list) = (lists.span(k).0, lists.list(k));
+            let (start, list, bound) = (lists.span(k).0, lists.list(k), above.get(k).copied());
             // A hot list gets its bitmap here, once, on the claimant.
-            let home = chunk.home_fetched((seg, start), list, above.get(k).copied(), graph);
-            chunk.embs[emb_i as usize].list = home;
+            chunk.embs[emb_i as usize].list = chunk.home_fetched((seg, start), list, bound, graph);
             if cache_enabled {
-                self.ctx.cache.maybe_insert(v, list);
+                self.ctx.cache.offer(v, list, bound);
             }
         }
         chunk.segments.push(lists.into_payload());
