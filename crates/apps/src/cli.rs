@@ -13,7 +13,7 @@ use gpm_baselines::single::SingleMachine;
 use gpm_graph::datasets::DatasetId;
 use gpm_graph::partition::PartitionedGraph;
 use gpm_graph::{gen, Graph};
-use gpm_obs::{DiffThresholds, Recorder, RunReport, REPORT_SCHEMA_VERSION};
+use gpm_obs::{DiffThresholds, Recorder, RunReport};
 use gpm_pattern::plan::{MatchingPlan, PlanOptions};
 use gpm_pattern::{Pattern, MAX_PATTERN_VERTICES};
 use khuzdul::{
@@ -805,12 +805,12 @@ fn render_top(addr: &str, doc: &StatusDoc) -> String {
 fn run_report_validate(args: &[String]) -> Result<String, String> {
     let path = args.first().ok_or("report-validate needs a file path")?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-    let warnings = gpm_obs::validate_report(&text).map_err(|e| format!("{path}: {e}"))?;
+    let (report, warnings) = gpm_obs::validate_report(&text).map_err(|e| format!("{path}: {e}"))?;
     let mut out = String::new();
     for w in &warnings {
         let _ = writeln!(out, "{path}: warning: {w}");
     }
-    let _ = writeln!(out, "{path}: valid RunReport (schema v{REPORT_SCHEMA_VERSION})");
+    let _ = writeln!(out, "{path}: valid RunReport (schema v{})", report.schema_version);
     Ok(out)
 }
 
@@ -1677,7 +1677,7 @@ mod tests {
     fn report_diff_subcommand_gates_regressions() {
         use gpm_obs::{CriticalPathFractions, CriticalPathSection, PartReport, TrafficTotals};
         let mut base = RunReport {
-            schema_version: REPORT_SCHEMA_VERSION,
+            schema_version: gpm_obs::REPORT_SCHEMA_VERSION,
             system: "khuzdul-automine".into(),
             count: 500,
             elapsed_ns: 1_000_000,
@@ -1708,7 +1708,6 @@ mod tests {
             },
             breakdown: Default::default(),
             histograms: Vec::new(),
-            series: Vec::new(),
             spans: Default::default(),
             failures: Default::default(),
             rebalance: Default::default(),
@@ -1778,7 +1777,8 @@ mod tests {
 
     /// `serve` replays a workload file: counts match solo runs line by
     /// line, the duplicate is memoized, and the aggregate report
-    /// validates as schema v4.
+    /// validates as schema v5; `report-validate` names the version it
+    /// read, so the committed v4 baseline reads as v4.
     #[test]
     fn serve_replays_a_workload_with_solo_counts() {
         let dir = std::env::temp_dir().join(format!("gpm-cli-serve-{}", std::process::id()));
@@ -1807,8 +1807,13 @@ mod tests {
             assert!(line.contains(&want), "{pattern}: expected {want} in '{line}'");
         }
         let json = std::fs::read_to_string(&report).unwrap();
-        gpm_obs::validate_report(&json).expect("service report must validate");
         assert!(json.contains("\"queries\""), "report lacks per-query sections");
+        let validated = run(&argv(&format!("report-validate {}", report.display()))).unwrap();
+        assert!(validated.contains("valid RunReport (schema v5)"), "{validated}");
+        let baseline =
+            concat!(env!("CARGO_MANIFEST_DIR"), "/../../ci/service-baseline.report.json");
+        let validated = run(&argv(&format!("report-validate {baseline}"))).unwrap();
+        assert!(validated.contains("valid RunReport (schema v4)"), "{validated}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

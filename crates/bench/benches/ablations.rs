@@ -149,8 +149,8 @@ fn request_window(c: &mut Criterion) {
 /// (hubs concentrated on part 0): stealing should close the per-part
 /// busy-time gap the `RunReport` exposes. The ER graph bounds the cost
 /// of the ledger when there is nothing to rebalance. Besides the timing,
-/// each variant prints the report's busy-time and queue-depth imbalance
-/// ratios once, so a bench run doubles as the balance experiment.
+/// each variant prints the report's busy-time imbalance ratio once, so a
+/// bench run doubles as the balance experiment.
 fn steal(c: &mut Criterion) {
     use gpm_graph::partition::Partitioner;
     let plan = MatchingPlan::compile(&Pattern::triangle(), &PlanOptions::automine()).unwrap();
@@ -165,7 +165,6 @@ fn steal(c: &mut Criterion) {
             let cfg = || EngineConfig {
                 compute_threads: 2,
                 steal: StealConfig { enabled, batch: 256, ..StealConfig::default() },
-                obs: khuzdul::ObsConfig::enabled(),
                 ..EngineConfig::default()
             };
             // One observed run per variant for the balance numbers.
@@ -175,22 +174,13 @@ fn steal(c: &mut Criterion) {
             let report = e.report(&run, "khuzdul");
             let stolen: u64 = run.per_part.iter().map(|p| p.roots_stolen).sum();
             eprintln!(
-                "ablation_steal/{gname}/{sname}: busy_imbalance={:.3} queue_depth_imbalance={:.3} \
-                 roots_stolen={stolen} count={}",
+                "ablation_steal/{gname}/{sname}: busy_imbalance={:.3} roots_stolen={stolen} count={}",
                 report.busy_imbalance(),
-                report.queue_depth_imbalance(),
                 run.count,
             );
             e.shutdown();
             grp.bench_function(format!("{gname}/{sname}"), |b| {
-                b.iter(|| {
-                    run_with(
-                        g,
-                        *strategy,
-                        EngineConfig { obs: khuzdul::ObsConfig::default(), ..cfg() },
-                        &plan,
-                    )
-                })
+                b.iter(|| run_with(g, *strategy, cfg(), &plan))
             });
         }
     }

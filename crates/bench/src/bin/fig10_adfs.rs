@@ -9,7 +9,7 @@
 //! Usage: `cargo run -p gpm-bench --release --bin fig10_adfs [--quick]`
 
 use gpm_baselines::ctd::CtdCluster;
-use gpm_bench::report::{fmt_bytes, fmt_duration, write_json, Table};
+use gpm_bench::report::{fmt_bytes, fmt_duration, write_stamped, Table};
 use gpm_bench::workloads::{engine_for, App};
 use gpm_bench::{build_dataset, Scale, PAPER_MACHINES};
 use gpm_graph::datasets::DatasetId;
@@ -70,7 +70,7 @@ fn main() {
     }
     println!("Figure 10: Comparing with aDFS (TC, {PAPER_MACHINES} machines)\n");
     table.print();
-    if let Ok(p) = write_json("fig10_adfs", &rows) {
+    if let Ok(p) = write_stamped("fig10_adfs", rows) {
         println!("\nwrote {}", p.display());
     }
 }

@@ -6,7 +6,7 @@
 //!
 //! Usage: `cargo run -p gpm-bench --release --bin fig11_vcs [--quick]`
 
-use gpm_bench::report::{fmt_duration, write_json, Table};
+use gpm_bench::report::{fmt_duration, write_stamped, Table};
 use gpm_bench::workloads::App;
 use gpm_bench::{build_dataset, Scale, PAPER_MACHINES};
 use gpm_graph::datasets::DatasetId;
@@ -59,7 +59,7 @@ fn main() {
     }
     println!("Figure 11: Speedup by Vertical Computation Sharing (k-GraphPi)\n");
     table.print();
-    if let Ok(p) = write_json("fig11_vcs", &rows) {
+    if let Ok(p) = write_stamped("fig11_vcs", rows) {
         println!("\nwrote {}", p.display());
     }
 }

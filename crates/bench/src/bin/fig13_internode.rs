@@ -15,7 +15,7 @@
 //!
 //! Usage: `cargo run -p gpm-bench --release --bin fig13_internode [--quick]`
 
-use gpm_bench::report::{fmt_duration, write_json, Table};
+use gpm_bench::report::{fmt_duration, write_stamped, Table};
 use gpm_bench::workloads::App;
 use gpm_bench::{build_dataset, Scale};
 use gpm_graph::datasets::DatasetId;
@@ -110,7 +110,7 @@ fn main() {
     }
     println!("Figure 13: Inter-Node Scalability (graph: lj stand-in, simulated makespans)\n");
     table.print();
-    if let Ok(p) = write_json("fig13_internode", &rows) {
+    if let Ok(p) = write_stamped("fig13_internode", rows) {
         println!("\nwrote {}", p.display());
     }
 }

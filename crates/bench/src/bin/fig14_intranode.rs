@@ -15,7 +15,7 @@
 //! Usage: `cargo run -p gpm-bench --release --bin fig14_intranode [--quick]`
 
 use gpm_baselines::single::SingleMachine;
-use gpm_bench::report::{fmt_duration, write_json, Table};
+use gpm_bench::report::{fmt_duration, write_stamped, Table};
 use gpm_bench::workloads::App;
 use gpm_bench::{build_dataset, Scale};
 use gpm_graph::datasets::DatasetId;
@@ -133,7 +133,7 @@ fn main() {
             None => println!("  {app}: not reached at 8 cores"),
         }
     }
-    if let Ok(p) = write_json("fig14_intranode", &rows) {
+    if let Ok(p) = write_stamped("fig14_intranode", rows) {
         println!("\nwrote {}", p.display());
     }
 }

@@ -10,7 +10,7 @@
 //! Usage: `cargo run -p gpm-bench --release --bin fig15_breakdown [--quick]`
 
 use gpm_baselines::gthinker::{GThinker, GThinkerConfig};
-use gpm_bench::report::{write_json, Table};
+use gpm_bench::report::{write_stamped, Table};
 use gpm_bench::workloads::{engine_for, App};
 use gpm_bench::{build_dataset, Scale, PAPER_MACHINES};
 use gpm_graph::datasets::DatasetId;
@@ -110,7 +110,7 @@ fn main() {
     }
     println!("Figure 15: Runtime Breakdown of G-thinker/k-Automine ({PAPER_MACHINES} machines)\n");
     table.print();
-    if let Ok(p) = write_json("fig15_breakdown", &rows) {
+    if let Ok(p) = write_stamped("fig15_breakdown", rows) {
         println!("\nwrote {}", p.display());
     }
 }

@@ -7,7 +7,7 @@
 //!
 //! Usage: `cargo run -p gpm-bench --release --bin fig18_chunk_size [--quick]`
 
-use gpm_bench::report::{fmt_bytes, fmt_duration, write_json, Table};
+use gpm_bench::report::{fmt_bytes, fmt_duration, write_stamped, Table};
 use gpm_bench::workloads::App;
 use gpm_bench::{build_dataset, Scale, PAPER_MACHINES};
 use gpm_graph::datasets::DatasetId;
@@ -60,7 +60,7 @@ fn main() {
     }
     println!("Figure 18: Varying Chunk Size (k-GraphPi, lj stand-in)\n");
     table.print();
-    if let Ok(p) = write_json("fig18_chunk_size", &rows) {
+    if let Ok(p) = write_stamped("fig18_chunk_size", rows) {
         println!("\nwrote {}", p.display());
     }
 }

@@ -8,7 +8,7 @@
 //!
 //! Usage: `cargo run -p gpm-bench --release --bin fig19_net_util [--quick]`
 
-use gpm_bench::report::{fmt_bytes, fmt_duration, write_json, Table};
+use gpm_bench::report::{fmt_bytes, fmt_duration, write_stamped, Table};
 use gpm_bench::workloads::App;
 use gpm_bench::{build_dataset, Scale, PAPER_MACHINES};
 use gpm_cluster::NetworkModel;
@@ -65,7 +65,7 @@ fn main() {
          56 Gbps model)\n"
     );
     table.print();
-    if let Ok(p) = write_json("fig19_net_util", &rows) {
+    if let Ok(p) = write_stamped("fig19_net_util", rows) {
         println!("\nwrote {}", p.display());
     }
 }

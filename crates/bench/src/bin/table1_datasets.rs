@@ -7,7 +7,7 @@
 //!
 //! Usage: `cargo run -p gpm-bench --release --bin table1_datasets [--quick]`
 
-use gpm_bench::report::{fmt_bytes, write_json, Table};
+use gpm_bench::report::{fmt_bytes, write_stamped, Table};
 use gpm_bench::{build_dataset, Scale};
 use gpm_graph::datasets::{stats, DatasetId};
 use serde::Serialize;
@@ -52,7 +52,7 @@ fn main() {
     }
     println!("Table 1: Graph Datasets (synthetic stand-ins)\n");
     table.print();
-    if let Ok(p) = write_json("table1_datasets", &rows) {
+    if let Ok(p) = write_stamped("table1_datasets", rows) {
         println!("\nwrote {}", p.display());
     }
 }

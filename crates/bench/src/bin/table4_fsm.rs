@@ -9,7 +9,7 @@
 //! Usage: `cargo run -p gpm-bench --release --bin table4_fsm [--quick]`
 
 use gpm_apps::fsm::{fsm, fsm_single, FsmConfig};
-use gpm_bench::report::{fmt_duration, write_json, Table};
+use gpm_bench::report::{fmt_duration, write_stamped, Table};
 use gpm_bench::workloads::engine_for;
 use gpm_bench::{build_dataset, Scale, PAPER_MACHINES};
 use gpm_graph::datasets::DatasetId;
@@ -90,7 +90,7 @@ fn main() {
     }
     println!("Table 4: FSM Performance (MNI support, patterns up to 3 edges)\n");
     table.print();
-    if let Ok(p) = write_json("table4_fsm", &rows) {
+    if let Ok(p) = write_stamped("table4_fsm", rows) {
         println!("\nwrote {}", p.display());
     }
 }

@@ -12,7 +12,7 @@
 
 use gpm_apps::counting::oriented_clique_plan;
 use gpm_baselines::single::SingleMachine;
-use gpm_bench::report::{fmt_bytes, fmt_duration, write_json, Table};
+use gpm_bench::report::{fmt_bytes, fmt_duration, write_stamped, Table};
 use gpm_bench::{build_dataset, Scale};
 use gpm_graph::datasets::DatasetId;
 use gpm_graph::orient::orient_by_degree;
@@ -123,7 +123,7 @@ fn main() {
         "\nReplication-based systems need one full replica per machine \
          (x{machines}); the partitioned engine needs 1/{machines} per machine."
     );
-    if let Ok(p) = write_json("table5_large_graphs", &rows) {
+    if let Ok(p) = write_stamped("table5_large_graphs", rows) {
         println!("wrote {}", p.display());
     }
 }

@@ -7,7 +7,7 @@
 //!
 //! Usage: `cargo run -p gpm-bench --release --bin table7_numa [--quick]`
 
-use gpm_bench::report::{fmt_duration, write_json, Table};
+use gpm_bench::report::{fmt_duration, write_stamped, Table};
 use gpm_bench::workloads::App;
 use gpm_bench::{build_dataset, Scale};
 use gpm_graph::datasets::DatasetId;
@@ -71,7 +71,7 @@ fn main() {
     }
     println!("Table 7: NUMA-Aware Support (1 node, 2 sockets, {total_threads} threads)\n");
     table.print();
-    if let Ok(p) = write_json("table7_numa", &rows) {
+    if let Ok(p) = write_stamped("table7_numa", rows) {
         println!("\nwrote {}", p.display());
     }
 }

@@ -90,7 +90,8 @@ impl Table {
     }
 }
 
-/// Writes experiment rows as [`write_json`] does, stamped:
+/// Writes experiment rows as JSON next to the repository (for
+/// EXPERIMENTS.md bookkeeping and plotting), stamped:
 /// `{commit, date, rows}`, with the tree that produced them as
 /// `git describe --always --dirty` names it and the UTC date they were
 /// measured on (`unknown` where either command fails).
@@ -114,16 +115,16 @@ pub fn write_stamped<R: Serialize>(experiment: &str, rows: Vec<R>) -> std::io::R
     write_json(experiment, &stamped)
 }
 
-/// Writes experiment rows as JSON next to the repository (for
-/// EXPERIMENTS.md bookkeeping and plotting).
-pub fn write_json<T: Serialize>(experiment: &str, rows: &T) -> std::io::Result<PathBuf> {
+/// Writes `doc` as pretty JSON to `$GPM_BENCH_OUT/{experiment}.json`
+/// (`bench_results/` by default).
+fn write_json<T: Serialize>(experiment: &str, doc: &T) -> std::io::Result<PathBuf> {
     let dir = std::env::var("GPM_BENCH_OUT")
         .map(PathBuf::from)
         .unwrap_or_else(|_| PathBuf::from("bench_results"));
     std::fs::create_dir_all(&dir)?;
     let path = dir.join(format!("{experiment}.json"));
     let file = std::fs::File::create(&path)?;
-    serde_json::to_writer_pretty(file, rows)?;
+    serde_json::to_writer_pretty(file, doc)?;
     Ok(path)
 }
 

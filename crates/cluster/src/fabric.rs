@@ -278,7 +278,7 @@ struct Window {
     inflight: Mutex<usize>,
     retired: Condvar,
     /// `inflight` as of its last change, stored under its lock so the
-    /// sampler and the occupancy histogram read it without taking it.
+    /// occupancy histogram reads it without taking it.
     gauge: AtomicU64,
 }
 
@@ -567,11 +567,6 @@ impl EdgeListService {
     /// The shared metrics of this cluster.
     pub fn metrics(&self) -> &ClusterMetrics {
         &self.metrics
-    }
-
-    /// Requests occupying `part`'s in-flight window right now.
-    pub fn inflight(&self, part: PartId) -> u64 {
-        self.windows[part].occupancy()
     }
 
     /// The recorder this service reports spans and histograms into.
@@ -1256,11 +1251,11 @@ mod tests {
         let owned: Vec<VertexId> = pg.part(0).owned().iter().copied().take(3).collect();
         let p0 = client.fetch_async(0, &owned[..1]).unwrap();
         let p1 = client.fetch_async(0, &owned[1..2]).unwrap();
-        assert_eq!(service.inflight(1), 2);
+        assert_eq!(service.windows[1].occupancy(), 2);
         // A non-blocking third issue reports the full window and leaves
         // no trace: nothing submitted, nothing counted.
         assert!(client.try_fetch_async(0, &owned[2..3], None).unwrap().is_none());
-        assert_eq!(service.inflight(1), 2);
+        assert_eq!(service.windows[1].occupancy(), 2);
         // A blocking third issue must wait until a slot retires.
         let (issued_tx, issued_rx) = unbounded::<()>();
         let c2 = client.clone();
@@ -1278,7 +1273,7 @@ mod tests {
         issued_rx.recv_timeout(Duration::from_secs(5)).expect("slot retire unblocks issue");
         p1.wait().unwrap();
         t.join().unwrap();
-        assert_eq!(service.inflight(1), 0);
+        assert_eq!(service.windows[1].occupancy(), 0);
         assert_eq!(service.metrics().part(0).get(Counter::ServedRequests), 3);
         let p3 =
             client.try_fetch_async(0, &owned[..1], None).unwrap().expect("the window has room");

@@ -184,6 +184,29 @@ impl AddAssign<&Counts> for Counts {
     }
 }
 
+/// The counted half of a report's `failures` section; `parts_failed` and
+/// `reexecuted_roots` are the engine's own observations.
+impl From<&Counts> for gpm_obs::FailureSection {
+    fn from(c: &Counts) -> Self {
+        gpm_obs::FailureSection {
+            rerouted_requests: c[Counter::ReroutedRequests],
+            rerouted_bytes: c[Counter::ReroutedBytes],
+            ..Default::default()
+        }
+    }
+}
+
+/// A report's `control` section.
+impl From<&Counts> for gpm_obs::ControlSection {
+    fn from(c: &Counts) -> Self {
+        gpm_obs::ControlSection {
+            sent: c[Counter::CtrlSent],
+            retried: c[Counter::CtrlRetried],
+            dropped: c[Counter::CtrlDropped],
+        }
+    }
+}
+
 /// Where a client's events land: the row of the part it runs on and the
 /// row of the query it works for. One call writes both.
 #[derive(Debug, Clone)]

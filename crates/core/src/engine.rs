@@ -9,7 +9,7 @@ use crate::incident::{
 use crate::rebalance::{RebalanceConfig, Rebalancer};
 use crate::runtime::{run_part, PartCtx, StatePool, Visitor};
 use crate::scheduler::{place_recovery_roots, QueryArbiter, StealConfig, WorkerPool};
-use crate::stats::{ControlSummary, FailureSummary, PartStats, RunStats, TrafficSummary};
+use crate::stats::{PartStats, RunStats, TrafficSummary};
 use gpm_cluster::{
     ClusterMetrics, ControlLedgerConfig, Counter, Counters, EdgeListService, FabricConfig,
     FetchError, NetworkModel,
@@ -17,8 +17,8 @@ use gpm_cluster::{
 use gpm_graph::partition::PartitionedGraph;
 use gpm_graph::VertexId;
 use gpm_obs::{
-    FlightRecorder, GaugeSample, HolderReroute, ObsConfig, QueryProgress, RebalanceSection,
-    Recorder, RunReport, SpanKind, TriggerKind, FLIGHT_CAPACITY, NO_PART,
+    ControlSection, FailureSection, FlightRecorder, HolderReroute, ObsConfig, QueryProgress,
+    RebalanceSection, Recorder, RunReport, SpanKind, TriggerKind, FLIGHT_CAPACITY, NO_PART,
 };
 use gpm_pattern::plan::MatchingPlan;
 use parking_lot::Mutex;
@@ -26,14 +26,11 @@ use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Finished-progress entries the engine retains for late collectors
 /// (the service attaches them to query outcomes); oldest drop first.
 const FINISHED_PROGRESS_CAP: usize = 64;
-
-/// Sampling tick of the utilization time series (traced runs only).
-const GAUGE_TICK: Duration = Duration::from_millis(5);
 
 /// One part's replica-placement and health row, as served by `/status`
 /// and rendered by `gpm top` (see [`Engine::part_health`]).
@@ -169,7 +166,7 @@ pub struct EngineConfig {
     /// [`RunStats::simulated_makespan`] estimates real-cluster runtime
     /// (used by the scalability experiments; see `EXPERIMENTS.md`).
     pub sequential_parts: bool,
-    /// Observability: span tracing, histograms, and the gauge sampler.
+    /// Observability: span tracing and histograms.
     /// Disabled by default; every record site then costs one branch on a
     /// relaxed atomic flag.
     pub obs: ObsConfig,
@@ -231,7 +228,7 @@ pub struct Engine {
     /// Idle run state, per part: chunk stacks and scratch that finished
     /// runs left behind for the next one.
     pub(crate) run_pools: Vec<StatePool>,
-    /// The event stream: span ring, flight ring, histograms, gauges.
+    /// The event stream: span ring, flight ring, histograms.
     recorder: Arc<Recorder>,
     /// Incident bundle capture over the recorder's flight ring (see
     /// [`IncidentConfig`]).
@@ -400,9 +397,8 @@ impl Engine {
     }
 
     /// The versioned machine-readable report for `run`: the run's
-    /// counters and breakdown plus the recorder's histograms, gauge
-    /// series, and span accounting. `system` names the producer (e.g.
-    /// `"khuzdul"`).
+    /// counters and breakdown plus the recorder's histograms and span
+    /// accounting. `system` names the producer (e.g. `"khuzdul"`).
     pub fn report(&self, run: &RunStats, system: &str) -> RunReport {
         let mut report = run.to_report(system);
         self.recorder.augment_report(&mut report);
@@ -641,14 +637,11 @@ impl Engine {
         let deadline_fired = Arc::new(AtomicBool::new(false));
         let parts = self.pg.part_count();
         // Run-scoped scheduler state: the root ledger every part claims
-        // its seed batches from (and steals through, when enabled) and
-        // one queue-depth gauge per part for the sampler.
+        // its seed batches from (and steals through, when enabled).
         let stealing = self.cfg.steal.enabled && !self.cfg.sequential_parts && parts > 1;
         let owned = (0..parts).map(|p| self.pg.part(p).owned().to_vec()).collect();
         let numa = self.cfg.steal.numa.then(|| self.pg.sockets_per_machine().max(1));
         let ledger = self.make_ledger(owned, stealing, numa, qid, &query_row);
-        let gauges: Vec<Arc<AtomicUsize>> =
-            (0..parts).map(|_| Arc::new(AtomicUsize::new(0))).collect();
         // Live progress tracker: the root multiset size is known up front
         // (the union of each part's owned vertices), so a monotone
         // completion fraction falls out of the ledger's claim/retire
@@ -663,13 +656,10 @@ impl Engine {
             self.pool
                 .get_or_init(|| WorkerPool::new(parts, self.cfg.compute_threads, &self.recorder))
         });
-        // Stops and joins on drop, so both the error and success returns
-        // below leave no sampler thread behind.
-        let _sampler = GaugeSampler::start(&self.recorder, &self.service, gauges.clone());
         // The stall watchdog (started only with incident capture + a
-        // window configured; joined on every return path like the
-        // sampler) fires one `stall` bundle if the tracker's claims and
-        // retirements freeze — the wedged-run case no error path reaches.
+        // window configured; joined on every return path) fires one
+        // `stall` bundle if the tracker's claims and retirements freeze —
+        // the wedged-run case no error path reaches.
         let _watchdog =
             StallWatchdog::start(&self.incidents, Arc::clone(&progress), Arc::clone(&ledger));
         let t0 = Instant::now();
@@ -688,7 +678,6 @@ impl Engine {
             obs: Arc::clone(&self.recorder),
             ledger: Arc::clone(ledger),
             gate: pool.map(|p| p.gate(part)),
-            queue_depth: Arc::clone(&gauges[part]),
             arbiter: Arc::clone(&self.arbiter),
             root_budget: query.root_budget,
             deadline: query.deadline,
@@ -791,7 +780,7 @@ impl Engine {
                 &ledger,
             );
             let rts = self.recorder.now_ns();
-            let recovery = self.make_recovery_ledger(lost, qid, &query_row, &gauges, &all_dead);
+            let recovery = self.make_recovery_ledger(lost, qid, &query_row, &all_dead);
             ledgers.push(Arc::clone(&recovery));
             let survivors: Vec<usize> = (0..parts).filter(|p| !all_dead.contains(p)).collect();
             self.run_parts(&mut slots, &mut failure, survivors, |p| make_ctx(p, &recovery));
@@ -831,15 +820,15 @@ impl Engine {
             elapsed,
             per_part,
             traffic: TrafficSummary::from(&counted),
-            failures: FailureSummary {
+            failures: FailureSection {
                 // Dead parts observed by the end of this query's run; a
                 // query admitted after a crash still pays the failover
                 // and recovery for it, so it reports the failure too.
                 parts_failed: all_dead.len() as u64,
                 reexecuted_roots,
-                ..FailureSummary::from(&counted)
+                ..FailureSection::from(&counted)
             },
-            control: ControlSummary::from(&counted),
+            control: ControlSection::from(&counted),
         };
         progress.mark_done();
         guard.ok = true;
@@ -905,7 +894,7 @@ impl Engine {
     /// A control plane for a recovery pass: the same ledger over
     /// different root lists. Lost roots are **placed**, not spilled: each
     /// survivor gets a share inversely weighted by its current load
-    /// (queue depth plus rerouted-fetch service in KiB) as its own range,
+    /// (the rerouted-fetch service it has served, in KiB) as its own range,
     /// so recovery work lands on the parts that are not already busy
     /// serving the dead part's traffic. Stealing is forced on, so a bad
     /// estimate costs a steal, never a stall.
@@ -914,15 +903,11 @@ impl Engine {
         lost: Vec<VertexId>,
         qid: u64,
         query_row: &Arc<Counters>,
-        gauges: &[Arc<AtomicUsize>],
         dead: &[usize],
     ) -> Arc<ControlPlane> {
         let metrics = self.service.metrics();
         let loads: Vec<u64> = (0..self.pg.part_count())
-            .map(|p| {
-                gauges[p].load(Ordering::Relaxed) as u64
-                    + metrics.part(p).get(Counter::ReroutedServedBytes) / 1024
-            })
+            .map(|p| metrics.part(p).get(Counter::ReroutedServedBytes) / 1024)
             .collect();
         self.make_ledger(place_recovery_roots(lost, &loads, dead), true, None, qid, query_row)
     }
@@ -1036,62 +1021,6 @@ impl Drop for QueryGuard<'_> {
     }
 }
 
-/// Background thread sampling per-part gauges (window occupancy,
-/// cumulative network bytes) every [`GAUGE_TICK`], feeding the
-/// utilization time series of the run report. Started only when the
-/// recorder is enabled; stopped and joined on drop.
-struct GaugeSampler {
-    stop: Arc<AtomicBool>,
-    handle: Option<std::thread::JoinHandle<()>>,
-}
-
-impl GaugeSampler {
-    fn start(
-        recorder: &Arc<Recorder>,
-        service: &EdgeListService,
-        queue_depths: Vec<Arc<AtomicUsize>>,
-    ) -> Option<GaugeSampler> {
-        if !recorder.is_enabled() {
-            return None;
-        }
-        let stop = Arc::new(AtomicBool::new(false));
-        let flag = Arc::clone(&stop);
-        let rec = Arc::clone(recorder);
-        let service = service.clone();
-        let handle = std::thread::Builder::new()
-            .name("khuzdul-obs-sampler".to_string())
-            .spawn(move || {
-                let metrics = service.metrics();
-                while !flag.load(Ordering::Relaxed) {
-                    let t_ns = rec.now_ns();
-                    for p in 0..metrics.part_count() {
-                        rec.record_gauge(GaugeSample {
-                            t_ns,
-                            part: p as u32,
-                            inflight: service.inflight(p),
-                            network_bytes: metrics.part(p).get(Counter::NetworkBytes),
-                            queue_depth: queue_depths
-                                .get(p)
-                                .map_or(0, |g| g.load(Ordering::Relaxed) as u64),
-                        });
-                    }
-                    std::thread::sleep(GAUGE_TICK);
-                }
-            })
-            .expect("spawn gauge sampler");
-        Some(GaugeSampler { stop, handle: Some(handle) })
-    }
-}
-
-impl Drop for GaugeSampler {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1101,6 +1030,7 @@ mod tests {
     use gpm_pattern::oracle;
     use gpm_pattern::plan::PlanOptions;
     use gpm_pattern::Pattern;
+    use std::time::Duration;
 
     fn engine_for(g: &gpm_graph::Graph, machines: usize, sockets: usize) -> Engine {
         let pg = PartitionedGraph::new(g, machines, sockets);
@@ -1885,7 +1815,7 @@ mod tests {
 
     /// Drops `engine` and asserts none of its threads outlived it. Every
     /// thread an engine starts — fabric responders, the pooled
-    /// `khuzdul-compute-*` workers, part coordinators, samplers, control
+    /// `khuzdul-compute-*` workers, part coordinators, watchdogs, control
     /// responders; nothing else, a coordinator submits its own fetches —
     /// holds a clone of that engine's recorder for as long as it runs, so
     /// a sole remaining owner means they have all been joined. Unlike a
@@ -2412,7 +2342,6 @@ mod tests {
         engine.count(&plan(&Pattern::triangle()));
         assert!(!engine.recorder().is_enabled());
         assert_eq!(engine.recorder().spans_recorded(), 0);
-        assert!(engine.recorder().series().is_empty());
         engine.shutdown();
     }
 

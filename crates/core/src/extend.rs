@@ -26,7 +26,6 @@ use gpm_pattern::MAX_PATTERN_VERTICES;
 use parking_lot::Mutex;
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::Instant;
 
 impl PartRun<'_> {
@@ -83,7 +82,7 @@ impl PartRun<'_> {
             mini_batch as u32
         };
         let worth_sharing = pending_work > mini_batch || (subtrees && pending_work > 1);
-        let tasks = TaskPool::new(threads, Arc::clone(&self.ctx.queue_depth));
+        let tasks = TaskPool::new(threads);
         tasks.seed(
             old_resumes.len() as u32,
             &leftovers,

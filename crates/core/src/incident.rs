@@ -370,8 +370,7 @@ pub fn validate_bundle(json: &str) -> Result<Bundle, String> {
 /// for the whole window while an "armed" predicate held. Two watch a run
 /// today — its progress tracker's claims and retirements
 /// ([`StallWatchdog::start`]) and the rebalancer's transfer bytes — each
-/// with its own trigger. Like
-/// the gauge sampler, it is stopped and joined on drop, so no thread
+/// with its own trigger. It is stopped and joined on drop, so no thread
 /// outlives the run (or the engine).
 pub(crate) struct StallWatchdog {
     stop: Arc<AtomicBool>,

@@ -67,7 +67,7 @@ pub use incident::{list_bundles, validate_bundle, Bundle, IncidentConfig, Incide
 pub use rebalance::{RebalanceConfig, RebalanceStats};
 pub use scheduler::{QueryArbiter, StealConfig};
 pub use service::{Completion, MemoStats, MiningService, QueryHandle, QueryOutcome, ServiceConfig};
-pub use stats::{Breakdown, ControlSummary, FailureSummary, PartStats, RunStats, TrafficSummary};
+pub use stats::{PartStats, RunStats, TrafficSummary};
 pub use status::{read_status, StatusConfig, StatusDoc, StatusServer};
 
 // Fabric knobs and errors surface through `EngineConfig` / `try_count`,

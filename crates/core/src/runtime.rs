@@ -37,7 +37,7 @@ use gpm_obs::{ObsHandle, QueryProgress, Recorder, SpanKind};
 use gpm_pattern::plan::MatchingPlan;
 use parking_lot::Mutex;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -69,9 +69,6 @@ pub(crate) struct PartCtx<'e> {
     /// This part's gate into the engine's persistent worker pool; `None`
     /// for single-threaded configs, which extend inline.
     pub gate: Option<Arc<Gate>>,
-    /// Unclaimed embedding volume of the currently-executing extend
-    /// phase's task pool, sampled by the engine's gauge thread.
-    pub queue_depth: Arc<AtomicUsize>,
     /// Cross-query fairness arbiter shared by every resident query; root
     /// claims are paced through it (never truncated).
     pub arbiter: Arc<QueryArbiter>,
@@ -291,7 +288,6 @@ impl<'e> PartRun<'e> {
             self.ctx.ledger.batch_done(self.ctx.my_part);
             self.close_batch();
         }
-        self.ctx.queue_depth.store(0, Ordering::Relaxed);
         result
     }
 
@@ -783,7 +779,6 @@ mod tests {
             obs: Recorder::disabled(),
             ledger: Arc::clone(&ledger),
             gate: None,
-            queue_depth: Arc::default(),
             arbiter: Arc::default(),
             root_budget: u64::MAX,
             deadline: None,

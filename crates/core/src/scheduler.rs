@@ -23,7 +23,7 @@ use gpm_graph::VertexId;
 use gpm_obs::{Recorder, SpanKind};
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -292,18 +292,13 @@ impl Task {
 pub(crate) struct TaskPool {
     injector: Mutex<VecDeque<Task>>,
     deques: Vec<Mutex<VecDeque<Task>>>,
-    /// Unclaimed embedding volume, mirrored into the part's queue-depth
-    /// gauge so the sampler can record imbalance over time.
-    depth: Arc<AtomicUsize>,
 }
 
 impl TaskPool {
-    pub(crate) fn new(workers: usize, depth: Arc<AtomicUsize>) -> TaskPool {
-        depth.store(0, Ordering::Relaxed);
+    pub(crate) fn new(workers: usize) -> TaskPool {
         TaskPool {
             injector: Mutex::new(VecDeque::new()),
             deques: (0..workers.max(1)).map(|_| Mutex::new(VecDeque::new())).collect(),
-            depth,
         }
     }
 
@@ -324,8 +319,6 @@ impl TaskPool {
             push_split(&mut tasks, Task::Fresh { start, end }, pieces);
         }
         push_split(&mut tasks, Task::Fresh { start: fresh.0, end: fresh.1 }, pieces);
-        let volume: usize = tasks.iter().map(|t| t.len() as usize).sum();
-        self.depth.store(volume, Ordering::Relaxed);
         self.injector.lock().extend(tasks);
     }
 
@@ -338,7 +331,6 @@ impl TaskPool {
         if let Some(tail) = tail {
             self.deques[w].lock().push_back(tail);
         }
-        self.depth.fetch_sub(head.len() as usize, Ordering::Relaxed);
         Some(head)
     }
 
@@ -348,7 +340,6 @@ impl TaskPool {
         if task.len() == 0 {
             return;
         }
-        self.depth.fetch_add(task.len() as usize, Ordering::Relaxed);
         self.deques[w].lock().push_back(task);
     }
 
@@ -402,8 +393,8 @@ fn push_split(out: &mut Vec<Task>, task: Task, pieces: u32) {
 
 /// Splits `lost` roots across the surviving parts in inverse proportion
 /// to their current load — the recovery-aware placement pass. `loads`
-/// is a per-part service-pressure score (the engine feeds queue depth
-/// plus rerouted-fetch service volume); `dead` parts receive nothing.
+/// is a per-part service-pressure score (the engine feeds the
+/// rerouted-fetch service volume); `dead` parts receive nothing.
 /// The split is contiguous and deterministic for a given input, and the
 /// union of the assignments is exactly `lost`, so counts are unaffected
 /// by *where* the roots land.
@@ -514,10 +505,7 @@ impl QueryArbiter {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn depth() -> Arc<AtomicUsize> {
-        Arc::new(AtomicUsize::new(0))
-    }
+    use std::sync::atomic::AtomicUsize;
 
     #[test]
     fn task_split_head_partitions_the_range() {
@@ -532,7 +520,7 @@ mod tests {
 
     #[test]
     fn claims_drain_resumes_before_fresh_work() {
-        let pool = TaskPool::new(1, depth());
+        let pool = TaskPool::new(1);
         pool.seed(4, &[], (0, 12), 1);
         let first = pool.claim(0, 64).expect("work seeded");
         assert_eq!(first, Task::Resumes { start: 0, end: 4 });
@@ -543,33 +531,56 @@ mod tests {
 
     #[test]
     fn oversized_claims_split_and_keep_the_tail_local() {
-        let gauge = depth();
-        let pool = TaskPool::new(2, Arc::clone(&gauge));
+        let pool = TaskPool::new(2);
         pool.seed(0, &[], (0, 100), 1);
-        assert_eq!(gauge.load(Ordering::Relaxed), 100);
         let head = pool.claim(0, 16).expect("head");
         assert_eq!(head.len(), 16);
-        assert_eq!(gauge.load(Ordering::Relaxed), 84);
         // Worker 1 steals the tail parked on worker 0's deque.
         let stolen = pool.claim(1, 16).expect("stolen");
         assert_eq!(stolen, Task::Fresh { start: 16, end: 32 });
     }
 
     #[test]
-    fn give_back_restores_depth_and_is_drained() {
-        let gauge = depth();
-        let pool = TaskPool::new(1, Arc::clone(&gauge));
+    fn given_back_work_is_drained() {
+        let pool = TaskPool::new(1);
         pool.seed(0, &[(5, 9)], (20, 24), 1);
         let t = pool.claim(0, 64).expect("leftover range first");
         assert_eq!(t, Task::Fresh { start: 5, end: 9 });
         pool.give_back(0, Task::Fresh { start: 7, end: 9 });
-        assert_eq!(gauge.load(Ordering::Relaxed), 6);
         let mut rest = pool.drain();
         rest.sort_by_key(|t| t.len());
         assert_eq!(
             rest,
             vec![Task::Fresh { start: 7, end: 9 }, Task::Fresh { start: 20, end: 24 }]
         );
+    }
+
+    /// Every seeded embedding is claimed or drained exactly once, however
+    /// the claims split, steal and hand work back.
+    #[test]
+    fn claims_and_drain_cover_the_seed_exactly_once() {
+        let pool = TaskPool::new(3);
+        pool.seed(10, &[(40, 57)], (100, 230), 4);
+        let (mut resumes, mut fresh) = (vec![0u32; 10], vec![0u32; 230]);
+        let mut mark = |t: Task| match t {
+            Task::Resumes { start, end } => (start..end).for_each(|i| resumes[i as usize] += 1),
+            Task::Fresh { start, end } => (start..end).for_each(|i| fresh[i as usize] += 1),
+        };
+        for w in 0..20 {
+            let Some(t) = pool.claim(w % 3, 7) else { break };
+            // Every fifth claimant processes two and hands the rest back.
+            let (head, tail) = if w % 5 == 4 { t.split_head(2) } else { (t, None) };
+            mark(head);
+            if let Some(tail) = tail {
+                pool.give_back(w % 3, tail);
+            }
+        }
+        pool.drain().into_iter().for_each(&mut mark);
+        assert_eq!(resumes, vec![1; 10]);
+        for (i, &n) in fresh.iter().enumerate() {
+            let seeded = (40..57).contains(&i) || (100..230).contains(&i);
+            assert_eq!(n, u32::from(seeded), "fresh embedding {i}");
+        }
     }
 
     #[test]

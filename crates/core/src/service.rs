@@ -450,9 +450,8 @@ impl MiningService {
             .collect()
     }
 
-    /// The service-level aggregate report (schema v4): totals summed
-    /// over every completed query, the recorder's histograms / series /
-    /// span accounting, and one `queries[]` section per completed query
+    /// The service-level aggregate report: totals summed over every
+    /// completed query, the recorder's histograms and span accounting, and one `queries[]` section per completed query
     /// in admission order — each with its own traffic, failure, and
     /// critical-path attribution (computed over that query's spans
     /// only).
@@ -558,8 +557,8 @@ fn query_report(o: &QueryOutcome, spans: &[Span]) -> QueryReport {
         qr.count = stats.count;
         if !o.memoized {
             qr.traffic = (&stats.traffic).into();
-            qr.failures = (&stats.failures).into();
-            qr.control = (&stats.control).into();
+            qr.failures = stats.failures;
+            qr.control = stats.control;
             let mine: Vec<Span> = spans.iter().filter(|s| s.query == o.query_id).cloned().collect();
             qr.critical_path = critical_path(&mine);
         }

@@ -1,6 +1,7 @@
 //! Run statistics: counts, timing breakdown, and traffic summary.
 
 use gpm_cluster::{Counter, Counts};
+use gpm_obs::{BreakdownFractions, ControlSection, FailureSection};
 use std::time::Duration;
 
 /// Per-part timing and output of one run.
@@ -29,20 +30,6 @@ pub struct PartStats {
     /// Roots this part donated to the steal ledger's spill for starving
     /// parts. Zero with stealing off.
     pub roots_donated: u64,
-}
-
-/// Fractional runtime breakdown (Figure 15).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Breakdown {
-    /// Fraction of accounted time spent computing extensions.
-    pub compute: f64,
-    /// Fraction blocked on communication.
-    pub network: f64,
-    /// Fraction in scheduling/bookkeeping.
-    pub scheduler: f64,
-    /// Fraction in cache maintenance (reported separately only by the
-    /// G-thinker baseline; folded into `scheduler` for Khuzdul).
-    pub cache: f64,
 }
 
 /// Communication summary of one run (deltas over the run window).
@@ -120,77 +107,6 @@ impl PartStats {
     }
 }
 
-/// Fail-stop failure accounting of one run (deltas over the run window).
-/// All-zero for a fault-free run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FailureSummary {
-    /// Parts declared failed (fail-stop) during the run.
-    pub parts_failed: u64,
-    /// Fetches re-routed from a dead part to a live replica holder.
-    pub rerouted_requests: u64,
-    /// Bytes (request + response) moved by re-routed fetches.
-    pub rerouted_bytes: u64,
-    /// Roots re-executed on surviving parts by the recovery pass.
-    pub reexecuted_roots: u64,
-}
-
-/// The counted half of the failure accounting; `parts_failed` and
-/// `reexecuted_roots` are the engine's own observations.
-impl From<&Counts> for FailureSummary {
-    fn from(c: &Counts) -> Self {
-        FailureSummary {
-            rerouted_requests: c[Counter::ReroutedRequests],
-            rerouted_bytes: c[Counter::ReroutedBytes],
-            ..FailureSummary::default()
-        }
-    }
-}
-
-/// The report's `failures` section, field for field.
-impl From<&FailureSummary> for gpm_obs::FailureSection {
-    fn from(f: &FailureSummary) -> Self {
-        gpm_obs::FailureSection {
-            parts_failed: f.parts_failed,
-            rerouted_requests: f.rerouted_requests,
-            rerouted_bytes: f.rerouted_bytes,
-            reexecuted_roots: f.reexecuted_roots,
-        }
-    }
-}
-
-/// Control-plane message accounting of one run (deltas over the run
-/// window). Non-zero only when the run coordinated steals and claims
-/// through the message-based ledger (`ControlMode::Msg`); the
-/// shared-memory carrier exchanges no messages. Deliberately *not*
-/// folded into [`TrafficSummary`], so shared-mode baselines stay
-/// bit-identical.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ControlSummary {
-    /// Control requests sent, including retransmissions.
-    pub sent: u64,
-    /// Control requests re-sent after a timeout or injected fault.
-    pub retried: u64,
-    /// Control replies dropped by fault injection.
-    pub dropped: u64,
-}
-
-impl From<&Counts> for ControlSummary {
-    fn from(c: &Counts) -> Self {
-        ControlSummary {
-            sent: c[Counter::CtrlSent],
-            retried: c[Counter::CtrlRetried],
-            dropped: c[Counter::CtrlDropped],
-        }
-    }
-}
-
-/// The report's `control` section, field for field.
-impl From<&ControlSummary> for gpm_obs::ControlSection {
-    fn from(c: &ControlSummary) -> Self {
-        gpm_obs::ControlSection { sent: c.sent, retried: c.retried, dropped: c.dropped }
-    }
-}
-
 /// The result of one engine run.
 #[derive(Debug, Clone, Default)]
 pub struct RunStats {
@@ -202,11 +118,14 @@ pub struct RunStats {
     pub per_part: Vec<PartStats>,
     /// Communication summary.
     pub traffic: TrafficSummary,
-    /// Fail-stop failure and failover accounting.
-    pub failures: FailureSummary,
-    /// Control-plane message accounting (all-zero under the
-    /// shared-memory carrier).
-    pub control: ControlSummary,
+    /// Fail-stop failure and failover accounting (deltas over the run
+    /// window; all-zero for a fault-free run).
+    pub failures: FailureSection,
+    /// Control-plane message accounting (deltas over the run window).
+    /// Non-zero only when the run coordinated steals and claims through
+    /// the message-based ledger; deliberately *not* folded into
+    /// [`TrafficSummary`], so shared-mode baselines stay bit-identical.
+    pub control: ControlSection,
 }
 
 impl RunStats {
@@ -245,7 +164,7 @@ impl RunStats {
 
     /// This run's value of a row of the counter table, or `None` for a
     /// row no summary carries (the serving side, raw wire bytes). The
-    /// inverse of the summaries' `from(&Counts)`.
+    /// inverse of the summaries' and sections' `from(&Counts)`.
     pub fn counter(&self, counter: Counter) -> Option<u64> {
         let (t, f, c) = (&self.traffic, &self.failures, &self.control);
         Some(match counter {
@@ -286,23 +205,16 @@ impl RunStats {
     /// Converts this run into a [`gpm_obs::RunReport`] skeleton: count,
     /// elapsed time, traffic totals (field-for-field from
     /// [`TrafficSummary`]), breakdown fractions, and per-part detail.
-    /// Recorder-owned sections (histograms, gauge series, span
-    /// accounting) stay empty; `Engine::report` fills them via
-    /// `gpm_obs::Recorder::augment_report`.
+    /// Recorder-owned sections (histograms, span accounting) stay empty;
+    /// `Engine::report` fills them via `gpm_obs::Recorder::augment_report`.
     pub fn to_report(&self, system: &str) -> gpm_obs::RunReport {
-        let b = self.breakdown();
         gpm_obs::RunReport {
             schema_version: gpm_obs::REPORT_SCHEMA_VERSION,
             system: system.to_string(),
             count: self.count,
             elapsed_ns: self.elapsed.as_nanos() as u64,
             traffic: (&self.traffic).into(),
-            breakdown: gpm_obs::BreakdownFractions {
-                compute: b.compute,
-                network: b.network,
-                scheduler: b.scheduler,
-                cache: b.cache,
-            },
+            breakdown: self.breakdown(),
             per_part: self
                 .per_part
                 .iter()
@@ -320,19 +232,18 @@ impl RunStats {
                 })
                 .collect(),
             histograms: Vec::new(),
-            series: Vec::new(),
             spans: gpm_obs::SpanStats::default(),
             critical_path: gpm_obs::CriticalPathSection::default(),
-            failures: (&self.failures).into(),
+            failures: self.failures,
             rebalance: gpm_obs::RebalanceSection::default(),
-            control: (&self.control).into(),
+            control: self.control,
             queries: Vec::new(),
             incidents: Vec::new(),
         }
     }
 
-    /// Aggregated fractional breakdown over all parts.
-    pub fn breakdown(&self) -> Breakdown {
+    /// Aggregated fractional breakdown over all parts (Figure 15).
+    pub fn breakdown(&self) -> BreakdownFractions {
         let sum = |f: fn(&PartStats) -> Duration| -> f64 {
             self.per_part.iter().map(|p| f(p).as_secs_f64()).sum()
         };
@@ -342,9 +253,9 @@ impl RunStats {
         let cache = sum(|p| p.cache);
         let total = compute + network + scheduler + cache;
         if total == 0.0 {
-            return Breakdown { compute: 0.0, network: 0.0, scheduler: 0.0, cache: 0.0 };
+            return BreakdownFractions::default();
         }
-        Breakdown {
+        BreakdownFractions {
             compute: compute / total,
             network: network / total,
             scheduler: scheduler / total,
@@ -452,13 +363,13 @@ mod tests {
                 coalesced: 3,
                 retries: 1,
             },
-            failures: FailureSummary {
+            failures: FailureSection {
                 parts_failed: 1,
                 rerouted_requests: 2,
                 rerouted_bytes: 512,
                 reexecuted_roots: 6,
             },
-            control: ControlSummary { sent: 40, retried: 3, dropped: 2 },
+            control: ControlSection { sent: 40, retried: 3, dropped: 2 },
         };
         let r = stats.to_report("khuzdul");
         assert_eq!(r.system, "khuzdul");
@@ -497,8 +408,8 @@ mod tests {
         let counts = row.snapshot();
         let stats = RunStats {
             traffic: TrafficSummary::from(&counts),
-            failures: FailureSummary::from(&counts),
-            control: ControlSummary::from(&counts),
+            failures: FailureSection::from(&counts),
+            control: ControlSection::from(&counts),
             ..RunStats::default()
         };
         let carried: Vec<Counter> =
@@ -537,13 +448,13 @@ mod tests {
                 coalesced: 6 * k,
                 retries: 7 * k,
             },
-            failures: FailureSummary {
+            failures: FailureSection {
                 parts_failed: k,
                 rerouted_requests: 2 * k,
                 rerouted_bytes: 3 * k,
                 reexecuted_roots: 4 * k,
             },
-            control: ControlSummary { sent: k, retried: 2 * k, dropped: 3 * k },
+            control: ControlSection { sent: k, retried: 2 * k, dropped: 3 * k },
         };
         let mut total = RunStats::default();
         total.absorb(&run(1));
@@ -552,7 +463,7 @@ mod tests {
         assert_eq!((total.count, total.elapsed), (sum.count, sum.elapsed));
         assert_eq!(total.traffic, sum.traffic);
         assert_eq!(total.control, sum.control);
-        assert_eq!(total.failures, FailureSummary { parts_failed: 2, ..sum.failures });
+        assert_eq!(total.failures, FailureSection { parts_failed: 2, ..sum.failures });
         let (part, want) = (&total.per_part[0], &sum.per_part[0]);
         assert_eq!(
             (part.count, part.compute, part.network, part.scheduler, part.cache),

@@ -4,11 +4,12 @@
 
 use gpm_graph::partition::{PartitionedGraph, Partitioner};
 use gpm_graph::{gen, GraphBuilder};
+use gpm_obs::ControlSection;
 use gpm_pattern::plan::{MatchingPlan, PlanOptions};
 use gpm_pattern::{interp, Pattern};
 use khuzdul::{
-    CacheConfig, CachePolicy, ControlConfig, ControlMode, ControlSummary, Engine, EngineConfig,
-    EngineError, FabricConfig, FaultPlan, RetryPolicy, StealConfig,
+    CacheConfig, CachePolicy, ControlConfig, ControlMode, Engine, EngineConfig, EngineError,
+    FabricConfig, FaultPlan, RetryPolicy, StealConfig,
 };
 use proptest::prelude::*;
 use std::time::Duration;
@@ -230,7 +231,7 @@ proptest! {
         // every drop was retried, and the run's own account of its
         // control messages is the part rows summed.
         prop_assert!(run.control.retried >= run.control.dropped, "{:?}", run.control);
-        prop_assert_eq!(run.control, ControlSummary::from(&parts));
+        prop_assert_eq!(run.control, ControlSection::from(&parts));
     }
 
     #[test]

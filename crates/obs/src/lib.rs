@@ -1,5 +1,5 @@
 //! Observability for the Khuzdul reproduction: spans, histograms,
-//! gauges, and exporters.
+//! progress, and exporters.
 //!
 //! The paper's evaluation (runtime breakdown, Figure 15; utilization
 //! timeline, Figure 19; cache ablations, Table 6) needs to know *when*
@@ -16,8 +16,6 @@
 //! * **Histograms** ([`Histogram`]) — lock-free log2-bucketed counters
 //!   for latency/size distributions, with p50/p95/p99 percentiles and
 //!   shard merging ([`HistogramSnapshot::merge`]).
-//! * **Gauges** ([`GaugeSample`]) — per-part utilization samples taken on
-//!   the engine's sampler tick, forming a time series.
 //! * **Flight ring** ([`FlightRecorder`]) — the stream's coarse events
 //!   ([`SpanKind::coarse`]: steals, retries, failovers, admits) in a
 //!   bounded ring that stays armed when span tracing is off, to be
@@ -30,7 +28,7 @@
 //!   ([`Recorder::chrome_trace`], loadable in `chrome://tracing` or
 //!   Perfetto) and a versioned machine-readable [`RunReport`]
 //!   (schema [`REPORT_SCHEMA_VERSION`]) that subsumes the engine's
-//!   `TrafficSummary`/`Breakdown` and adds percentiles per metric.
+//!   `TrafficSummary` and breakdown and adds percentiles per metric.
 //! * **Causal links** — spans of one request lifecycle share a nonzero
 //!   [`Span::link`]; the trace exporter renders them as flow arrows
 //!   (issue → serve → wait), [`critical_path`] decomposes wall time
@@ -81,12 +79,12 @@ pub use export::{render_prometheus, sample_value, validate_exposition, PromKind,
 pub use flight::{FlightEvent, FlightKind, FlightRecorder, FLIGHT_CAPACITY};
 pub use hist::{bucket_of, bucket_upper, Histogram, HistogramSnapshot, BUCKETS};
 pub use progress::{PartProgress, ProgressSnapshot, QueryProgress};
-pub use recorder::{GaugeSample, Metric, ObsHandle, Recorder};
+pub use recorder::{Metric, ObsHandle, Recorder};
 pub use report::{
     BreakdownFractions, ControlSection, CounterSnapshot, CriticalPathFractions,
     CriticalPathSection, FailureSection, HolderReroute, IncidentSummary, NamedHistogram,
     PartCriticalPath, PartReport, QueryReport, RebalanceSection, RingOccupancy, RunReport,
-    SeriesPoint, SpanStats, TrafficTotals, TriggerKind, REPORT_SCHEMA_VERSION,
+    SpanStats, TrafficTotals, TriggerKind, REPORT_SCHEMA_VERSION,
 };
 pub use span::{Span, SpanKind, NO_PART};
 pub use trace::chrome_trace;

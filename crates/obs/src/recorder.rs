@@ -1,4 +1,4 @@
-//! The central recorder: sharded span rings, histograms, gauge series.
+//! The central recorder: sharded span rings and histograms.
 
 use crate::flight::FlightRecorder;
 use crate::hist::{Histogram, HistogramSnapshot};
@@ -12,10 +12,6 @@ use std::sync::Arc;
 /// producers (fabric, responders) hash by part; engine threads buffer
 /// locally in an [`ObsHandle`] and only touch a shard on flush.
 const SHARDS: usize = 16;
-
-/// Cap on the gauge time series so a long run with a fast tick cannot
-/// grow memory without bound.
-const MAX_SERIES: usize = 1 << 20;
 
 /// Metrics with a dedicated histogram on the recorder.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -82,22 +78,6 @@ impl Metric {
     }
 }
 
-/// One utilization sample taken on the recorder tick.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GaugeSample {
-    /// Sample time, nanoseconds on the recorder's clock.
-    pub t_ns: u64,
-    /// Part sampled.
-    pub part: u32,
-    /// Requests in flight in the part's window at sample time.
-    pub inflight: u64,
-    /// Cumulative cross-machine bytes at sample time.
-    pub network_bytes: u64,
-    /// Unclaimed embedding volume in the part's extend task pool at
-    /// sample time (0 between phases).
-    pub queue_depth: u64,
-}
-
 /// Bounded span buffer: appends until full, then overwrites the oldest
 /// entry, counting how many were displaced.
 #[derive(Debug, Default)]
@@ -124,7 +104,7 @@ impl Ring {
     }
 }
 
-/// The run-wide sink for spans, histogram observations, and gauges, and
+/// The run-wide sink for spans and histogram observations, and
 /// the one entry to the event stream: [`span`](Recorder::span),
 /// [`event`](Recorder::event) and [`span_at`](Recorder::span_at).
 ///
@@ -138,7 +118,6 @@ pub struct Recorder {
     enabled: AtomicBool,
     shards: Vec<Mutex<Ring>>,
     hists: [Histogram; 6],
-    series: Mutex<Vec<GaugeSample>>,
     recorded: AtomicU64,
     shard_cap: usize,
     flight: Arc<FlightRecorder>,
@@ -161,7 +140,6 @@ impl Recorder {
             enabled: AtomicBool::new(cfg.enabled),
             shards: (0..SHARDS).map(|_| Mutex::new(Ring::with_capacity(shard_cap))).collect(),
             hists: std::array::from_fn(|_| Histogram::new()),
-            series: Mutex::new(Vec::new()),
             recorded: AtomicU64::new(0),
             shard_cap,
             flight,
@@ -175,7 +153,7 @@ impl Recorder {
 
     /// The flight ring this recorder's coarse events land in. Its enable
     /// flag is independent of span tracing: [`Recorder::is_enabled`]
-    /// gates spans/histograms/gauges only.
+    /// gates spans and histograms only.
     #[inline]
     pub fn flight(&self) -> &Arc<FlightRecorder> {
         &self.flight
@@ -298,17 +276,6 @@ impl Recorder {
         self.hists[metric.index()].snapshot()
     }
 
-    /// Appends a gauge sample to the utilization series.
-    pub fn record_gauge(&self, sample: GaugeSample) {
-        if !self.is_enabled() {
-            return;
-        }
-        let mut series = self.series.lock();
-        if series.len() < MAX_SERIES {
-            series.push(sample);
-        }
-    }
-
     /// A per-thread handle buffering spans for `part` locally.
     pub fn handle(self: &Arc<Recorder>, part: u32) -> ObsHandle {
         self.handle_for_query(part, 0)
@@ -361,20 +328,12 @@ impl Recorder {
             .collect()
     }
 
-    /// The gauge time series, ordered by `(t_ns, part)`.
-    pub fn series(&self) -> Vec<GaugeSample> {
-        let mut out = self.series.lock().clone();
-        out.sort_unstable_by_key(|g| (g.t_ns, g.part));
-        out
-    }
-
-    /// Clears spans, gauges, and drop counters (histograms persist — the
+    /// Clears spans and drop counters (histograms persist — the
     /// engine resets by building a fresh recorder instead).
     pub fn reset_spans(&self) {
         for shard in &self.shards {
             *shard.lock() = Ring::with_capacity(self.shard_cap);
         }
-        self.series.lock().clear();
         self.recorded.store(0, Ordering::Relaxed);
     }
 
@@ -384,7 +343,7 @@ impl Recorder {
     }
 
     /// Fills a report's recorder-owned sections: the per-metric
-    /// histograms, the gauge time series, the span ring accounting, and
+    /// histograms, the span ring accounting, and
     /// the critical-path attribution derived from linked spans.
     /// Counter/breakdown fields are the caller's to populate.
     pub fn augment_report(&self, report: &mut crate::report::RunReport) {
@@ -393,17 +352,6 @@ impl Recorder {
             .map(|&m| crate::report::NamedHistogram {
                 name: m.name().to_string(),
                 histogram: self.hist_snapshot(m),
-            })
-            .collect();
-        report.series = self
-            .series()
-            .iter()
-            .map(|g| crate::report::SeriesPoint {
-                t_ns: g.t_ns,
-                part: g.part as u64,
-                inflight: g.inflight,
-                network_bytes: g.network_bytes,
-                queue_depth: g.queue_depth,
             })
             .collect();
         report.spans = crate::report::SpanStats {
@@ -498,20 +446,12 @@ mod tests {
         rec.span(0, SpanKind::Fetch, 0, 0, 0, 0);
         rec.event(0, SpanKind::Retry, 0, 1, 0);
         rec.observe(Metric::BatchBytes, 128);
-        rec.record_gauge(GaugeSample {
-            t_ns: 0,
-            part: 0,
-            inflight: 1,
-            network_bytes: 0,
-            queue_depth: 0,
-        });
         let mut h = rec.handle(0);
         h.span(SpanKind::Extend, h.start(), 3);
         h.flush();
         assert!(rec.spans().is_empty());
         assert_eq!(rec.spans_recorded(), 0);
         assert_eq!(rec.hist_snapshot(Metric::BatchBytes).count, 0);
-        assert!(rec.series().is_empty());
     }
 
     #[test]
@@ -562,37 +502,6 @@ mod tests {
             h.event(SpanKind::CacheInsert, 7);
         }
         assert_eq!(rec.spans().len(), 1);
-    }
-
-    #[test]
-    fn gauge_series_sorted_by_time_then_part() {
-        let rec = Recorder::new(&ObsConfig::enabled());
-        rec.record_gauge(GaugeSample {
-            t_ns: 20,
-            part: 1,
-            inflight: 2,
-            network_bytes: 10,
-            queue_depth: 4,
-        });
-        rec.record_gauge(GaugeSample {
-            t_ns: 10,
-            part: 0,
-            inflight: 1,
-            network_bytes: 5,
-            queue_depth: 0,
-        });
-        rec.record_gauge(GaugeSample {
-            t_ns: 20,
-            part: 0,
-            inflight: 3,
-            network_bytes: 6,
-            queue_depth: 2,
-        });
-        let s = rec.series();
-        assert_eq!(s.len(), 3);
-        assert_eq!((s[0].t_ns, s[0].part), (10, 0));
-        assert_eq!((s[1].t_ns, s[1].part), (20, 0));
-        assert_eq!((s[2].t_ns, s[2].part), (20, 1));
     }
 
     #[test]

@@ -33,7 +33,10 @@ use serde::{Deserialize, Serialize, Value};
 /// section — self-healing re-replication totals and per-holder
 /// spread-failover accounting (readers treat a missing section as
 /// disabled/all-zero).
-pub const REPORT_SCHEMA_VERSION: u64 = 4;
+///
+/// v5: the gauge time series `series` is gone. A v4 report still reads:
+/// its `series` key is ignored like any unknown key.
+pub const REPORT_SCHEMA_VERSION: u64 = 5;
 
 /// End-of-run traffic totals, mirroring the engine's `TrafficSummary`
 /// counter-for-counter so the two can be diffed.
@@ -100,21 +103,6 @@ pub struct NamedHistogram {
     pub name: String,
     /// The snapshot, with p50/p95/p99.
     pub histogram: HistogramSnapshot,
-}
-
-/// One point of the utilization time series.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct SeriesPoint {
-    /// Sample time, nanoseconds since recorder epoch.
-    pub t_ns: u64,
-    /// Part sampled.
-    pub part: u64,
-    /// In-flight window occupancy at sample time.
-    pub inflight: u64,
-    /// Cumulative cross-machine bytes at sample time.
-    pub network_bytes: u64,
-    /// Unclaimed embedding volume in the part's extend task pool.
-    pub queue_depth: u64,
 }
 
 /// Occupancy of one span ring shard at report time.
@@ -418,9 +406,9 @@ pub struct QueryReport {
 
 /// The versioned run report written by `--report-out`.
 ///
-/// Subsumes the engine's `TrafficSummary`/`Breakdown` and adds
-/// percentile histograms and the gauge time series, so benches and CI
-/// diff one artifact instead of scraping stdout.
+/// Subsumes the engine's `TrafficSummary` and breakdown and adds
+/// percentile histograms, so benches and CI diff one artifact instead
+/// of scraping stdout.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RunReport {
     /// Report schema version ([`REPORT_SCHEMA_VERSION`]).
@@ -433,14 +421,12 @@ pub struct RunReport {
     pub elapsed_ns: u64,
     /// Traffic totals (mirror of `TrafficSummary`).
     pub traffic: TrafficTotals,
-    /// Runtime breakdown fractions (mirror of `Breakdown`).
+    /// Runtime breakdown fractions (`RunStats::breakdown`).
     pub breakdown: BreakdownFractions,
     /// Per-part counters.
     pub per_part: Vec<PartReport>,
     /// Percentile histograms, one per recorded metric.
     pub histograms: Vec<NamedHistogram>,
-    /// Utilization time series from the gauge sampler.
-    pub series: Vec<SeriesPoint>,
     /// Span ring accounting.
     pub spans: SpanStats,
     /// Critical-path attribution from linked spans (all-zero when the
@@ -531,32 +517,6 @@ impl RunReport {
             max as f64 / mean
         }
     }
-
-    /// Max-over-mean of each part's peak sampled queue depth, from the
-    /// gauge series. Edge cases are finite and documented: an empty or
-    /// always-zero series returns 0.0, and a series covering a single
-    /// part returns exactly 1.0 (max equals mean).
-    pub fn queue_depth_imbalance(&self) -> f64 {
-        let parts: Vec<u64> = {
-            let mut ids: Vec<u64> = self.series.iter().map(|s| s.part).collect();
-            ids.sort_unstable();
-            ids.dedup();
-            ids
-        };
-        let peaks: Vec<u64> = parts
-            .iter()
-            .map(|&p| {
-                self.series.iter().filter(|s| s.part == p).map(|s| s.queue_depth).max().unwrap_or(0)
-            })
-            .collect();
-        let max = peaks.iter().copied().max().unwrap_or(0);
-        let mean = peaks.iter().sum::<u64>() as f64 / peaks.len().max(1) as f64;
-        if mean == 0.0 {
-            0.0
-        } else {
-            max as f64 / mean
-        }
-    }
 }
 
 #[cfg(test)]
@@ -598,13 +558,6 @@ mod tests {
             histograms: vec![NamedHistogram {
                 name: "fetch_latency_ns".to_string(),
                 histogram: HistogramSnapshot::from_buckets(vec![0, 2, 1], 7, 3),
-            }],
-            series: vec![SeriesPoint {
-                t_ns: 100,
-                part: 0,
-                inflight: 2,
-                network_bytes: 1024,
-                queue_depth: 16,
             }],
             spans: SpanStats {
                 recorded: 12,
@@ -702,7 +655,8 @@ mod tests {
         let b = sample().to_json();
         assert_eq!(a, b);
         assert!(a.ends_with('\n'));
-        assert!(a.contains("\"schema_version\": 4"));
+        assert!(a.contains("\"schema_version\": 5"));
+        assert!(!a.contains("\"series\""));
         assert!(a.contains("\"fetch_latency_ns\""));
         assert!(a.contains("\"critical_path\""));
         assert!(a.contains("\"rings\""));
@@ -769,22 +723,6 @@ mod tests {
         let mut idle = sample();
         idle.per_part[0] = PartReport { part: 0, ..PartReport::default() };
         assert_eq!(idle.busy_imbalance(), 0.0);
-    }
-
-    #[test]
-    fn queue_depth_imbalance_edge_cases_are_finite() {
-        let mut r = sample();
-        r.series.clear();
-        assert_eq!(r.queue_depth_imbalance(), 0.0);
-
-        let single = sample();
-        assert_eq!(single.queue_depth_imbalance(), 1.0);
-
-        let mut flat = sample();
-        for s in &mut flat.series {
-            s.queue_depth = 0;
-        }
-        assert_eq!(flat.queue_depth_imbalance(), 0.0);
     }
 
     #[test]

@@ -233,11 +233,12 @@ fn fill_missing_tails(v: &mut Value) {
 /// through here, so the gate refuses whatever the validator refuses.
 pub(crate) fn read_report(json: &str, root: &str) -> Result<(RunReport, Vec<String>), String> {
     let mut doc = parse_json(json).map_err(|e| format!("{root}: {e}"))?;
-    // The version first: another version may lay out anything.
+    // The version first: another version may lay out anything. A v4
+    // report differs only by the `series` key, which the read ignores.
     let version = req_u64(serde::object(&doc, root)?, "schema_version", root)?;
-    if version != REPORT_SCHEMA_VERSION {
+    if !(4..=REPORT_SCHEMA_VERSION).contains(&version) {
         return Err(format!(
-            "{root}.schema_version: {version} != supported {REPORT_SCHEMA_VERSION}"
+            "{root}.schema_version: {version} not in supported 4..={REPORT_SCHEMA_VERSION}"
         ));
     }
     fill_missing_tails(&mut doc);
@@ -398,14 +399,15 @@ fn retries_within_sends(c: &ControlSection, path: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// Validates a `RunReport` JSON document against schema version
+/// Validates a `RunReport` JSON document of schema version 4 or
 /// [`REPORT_SCHEMA_VERSION`] by reading it into a [`RunReport`]: every
 /// field present with the right type (the additive ones may be absent),
 /// fractions finite and in `[0, 1]`, percentiles monotone, histogram
 /// names drawn from the metric table, and critical-path fractions
 /// summing to 1 ± 0.01 (or all zero).
 ///
-/// Returns the list of non-fatal warnings on success — a warning when
+/// Returns the report read and its non-fatal warnings on success — a
+/// warning when
 /// `spans.dropped` is nonzero (a truncated trace must never be silently
 /// trusted), one when `failures.parts_failed` is nonzero but no bytes
 /// were re-routed (a part died and failover never engaged), one per
@@ -413,8 +415,8 @@ fn retries_within_sends(c: &ControlSection, path: &str) -> Result<(), String> {
 /// rebalance section reports effective replication below the configured
 /// factor or permanently lost slices — and an error string naming the
 /// offending field on a schema violation.
-pub fn validate_report(json: &str) -> Result<Vec<String>, String> {
-    read_report(json, "report").map(|(_, warnings)| warnings)
+pub fn validate_report(json: &str) -> Result<(RunReport, Vec<String>), String> {
+    read_report(json, "report")
 }
 
 /// Validates a Chrome trace-event JSON document: a top-level
@@ -521,29 +523,45 @@ mod tests {
         assert_eq!(parse_json(&pretty).unwrap(), v);
     }
 
+    /// The warnings of a report that validates.
+    fn warnings_of(json: &str) -> Result<Vec<String>, String> {
+        validate_report(json).map(|(_, warnings)| warnings)
+    }
+
     #[test]
     fn validate_report_rejects_bad_version() {
-        let json = r#"{"schema_version": 99}"#;
-        let err = validate_report(json).unwrap_err();
-        assert!(err.contains("schema_version"));
+        for v in [3, 6, 99] {
+            let json = format!(r#"{{"schema_version": {v}}}"#);
+            let err = warnings_of(&json).unwrap_err();
+            assert!(err.contains("schema_version"), "v{v}: {err}");
+        }
+        // A v4 report still reads; its gauge `series` is ignored.
+        let v4 = v5_report(FULL_TRAFFIC, CLEAN_SPANS, ZERO_CP, "[]").replace(
+            r#""schema_version": 5,"#,
+            r#""schema_version": 4, "series": [{"t_ns": 1,
+                "part": 0, "inflight": 2, "network_bytes": 64, "queue_depth": 3}],"#,
+        );
+        let (r, warnings) = validate_report(&v4).unwrap();
+        assert_eq!(r.schema_version, 4);
+        assert!(warnings.is_empty());
     }
 
-    /// A minimal valid v4 report with one substitutable section.
-    fn v4_report(traffic: &str, spans: &str, critical_path: &str, histograms: &str) -> String {
-        v4_report_with_failures(traffic, spans, critical_path, histograms, ZERO_FAILURES)
+    /// A minimal valid v5 report with one substitutable section.
+    fn v5_report(traffic: &str, spans: &str, critical_path: &str, histograms: &str) -> String {
+        v5_report_with_failures(traffic, spans, critical_path, histograms, ZERO_FAILURES)
     }
 
-    fn v4_report_with_failures(
+    fn v5_report_with_failures(
         traffic: &str,
         spans: &str,
         critical_path: &str,
         histograms: &str,
         failures: &str,
     ) -> String {
-        v4_report_with_queries(traffic, spans, critical_path, histograms, failures, "[]")
+        v5_report_with_queries(traffic, spans, critical_path, histograms, failures, "[]")
     }
 
-    fn v4_report_with_queries(
+    fn v5_report_with_queries(
         traffic: &str,
         spans: &str,
         critical_path: &str,
@@ -553,10 +571,10 @@ mod tests {
     ) -> String {
         format!(
             r#"{{
-            "schema_version": 4, "system": "khuzdul", "count": 0, "elapsed_ns": 1,
+            "schema_version": 5, "system": "khuzdul", "count": 0, "elapsed_ns": 1,
             "traffic": {traffic},
             "breakdown": {{"compute": 0.0, "network": 0.0, "scheduler": 0.0, "cache": 0.0}},
-            "per_part": [], "histograms": {histograms}, "series": [],
+            "per_part": [], "histograms": {histograms},
             "spans": {spans},
             "critical_path": {critical_path},
             "failures": {failures},
@@ -575,22 +593,22 @@ mod tests {
 
     #[test]
     fn validate_report_rejects_missing_traffic_key() {
-        let json = v4_report(r#"{"fetch_requests": 0}"#, CLEAN_SPANS, ZERO_CP, "[]");
-        let err = validate_report(&json).unwrap_err();
+        let json = v5_report(r#"{"fetch_requests": 0}"#, CLEAN_SPANS, ZERO_CP, "[]");
+        let err = warnings_of(&json).unwrap_err();
         assert!(err.contains("cache_hits"), "got: {err}");
     }
 
     #[test]
     fn validate_report_warns_on_dropped_spans() {
-        let clean = v4_report(FULL_TRAFFIC, CLEAN_SPANS, ZERO_CP, "[]");
-        assert!(validate_report(&clean).unwrap().is_empty());
-        let truncated = v4_report(
+        let clean = v5_report(FULL_TRAFFIC, CLEAN_SPANS, ZERO_CP, "[]");
+        assert!(warnings_of(&clean).unwrap().is_empty());
+        let truncated = v5_report(
             FULL_TRAFFIC,
             r#"{"recorded": 10, "dropped": 3, "rings": [{"shard": 0, "len": 7, "capacity": 7, "dropped": 3}]}"#,
             ZERO_CP,
             "[]",
         );
-        let warnings = validate_report(&truncated).unwrap();
+        let warnings = warnings_of(&truncated).unwrap();
         assert_eq!(warnings.len(), 1);
         assert!(warnings[0].contains("dropped"), "got: {warnings:?}");
     }
@@ -600,7 +618,7 @@ mod tests {
         // A part died but nothing was re-routed: either there were no
         // replicas or the dead data was never requested — worth a warning
         // either way, since counts may silently rest on luck.
-        let stranded = v4_report_with_failures(
+        let stranded = v5_report_with_failures(
             FULL_TRAFFIC,
             CLEAN_SPANS,
             ZERO_CP,
@@ -608,12 +626,12 @@ mod tests {
             r#"{"parts_failed": 1, "rerouted_requests": 0,
                 "rerouted_bytes": 0, "reexecuted_roots": 0}"#,
         );
-        let warnings = validate_report(&stranded).unwrap();
+        let warnings = warnings_of(&stranded).unwrap();
         assert_eq!(warnings.len(), 1);
         assert!(warnings[0].contains("failover never engaged"), "got: {warnings:?}");
 
         // With failover traffic recorded, the same failure count is fine.
-        let recovered = v4_report_with_failures(
+        let recovered = v5_report_with_failures(
             FULL_TRAFFIC,
             CLEAN_SPANS,
             ZERO_CP,
@@ -621,48 +639,48 @@ mod tests {
             r#"{"parts_failed": 1, "rerouted_requests": 3,
                 "rerouted_bytes": 4096, "reexecuted_roots": 12}"#,
         );
-        assert!(validate_report(&recovered).unwrap().is_empty());
+        assert!(warnings_of(&recovered).unwrap().is_empty());
 
         // A report missing the failures section is not a v3 report.
-        let missing = v4_report(FULL_TRAFFIC, CLEAN_SPANS, ZERO_CP, "[]")
+        let missing = v5_report(FULL_TRAFFIC, CLEAN_SPANS, ZERO_CP, "[]")
             .replace(r#""parts_failed": 0,"#, "");
-        assert!(validate_report(&missing).unwrap_err().contains("parts_failed"));
+        assert!(warnings_of(&missing).unwrap_err().contains("parts_failed"));
     }
 
     #[test]
     fn validate_report_rejects_unbalanced_critical_path() {
-        let bad = v4_report(
+        let bad = v5_report(
             FULL_TRAFFIC,
             CLEAN_SPANS,
             r#"{"fractions": {"compute": 0.5, "fetch_wait": 0.1,
                 "responder_queue": 0.0, "retry_backoff": 0.0}, "per_part": []}"#,
             "[]",
         );
-        let err = validate_report(&bad).unwrap_err();
+        let err = warnings_of(&bad).unwrap_err();
         assert!(err.contains("critical_path.fractions"), "got: {err}");
 
-        let good = v4_report(
+        let good = v5_report(
             FULL_TRAFFIC,
             CLEAN_SPANS,
             r#"{"fractions": {"compute": 0.6, "fetch_wait": 0.25,
                 "responder_queue": 0.1, "retry_backoff": 0.05}, "per_part": []}"#,
             "[]",
         );
-        validate_report(&good).expect("fractions summing to 1 must validate");
+        warnings_of(&good).expect("fractions summing to 1 must validate");
     }
 
     #[test]
     fn validate_report_rejects_unknown_histogram_name() {
         // The allowed-name list derives from the metric table; a name
         // that isn't in it must be rejected.
-        let bad = v4_report(
+        let bad = v5_report(
             FULL_TRAFFIC,
             CLEAN_SPANS,
             ZERO_CP,
             r#"[{"name": "made_up_metric", "histogram":
                 {"count": 0, "sum": 0, "p50": 0, "p95": 0, "p99": 0, "buckets": []}}]"#,
         );
-        let err = validate_report(&bad).unwrap_err();
+        let err = warnings_of(&bad).unwrap_err();
         assert!(err.contains("unknown metric"), "got: {err}");
     }
 
@@ -677,7 +695,7 @@ mod tests {
 
     #[test]
     fn validate_report_checks_query_sections() {
-        let good = v4_report_with_queries(
+        let good = v5_report_with_queries(
             FULL_TRAFFIC,
             CLEAN_SPANS,
             ZERO_CP,
@@ -685,26 +703,26 @@ mod tests {
             ZERO_FAILURES,
             FULL_QUERY,
         );
-        assert!(validate_report(&good).unwrap().is_empty());
+        assert!(warnings_of(&good).unwrap().is_empty());
 
-        // A report missing the queries section is not a v4 report.
+        // A report missing the queries section is refused.
         let missing =
-            v4_report(FULL_TRAFFIC, CLEAN_SPANS, ZERO_CP, "[]").replace(r#""queries": []"#, "");
+            v5_report(FULL_TRAFFIC, CLEAN_SPANS, ZERO_CP, "[]").replace(r#""queries": []"#, "");
         let missing = missing.trim_end().trim_end_matches('}').trim_end().trim_end_matches(',');
         let missing = format!("{missing}}}");
-        assert!(validate_report(&missing).unwrap_err().contains("queries"));
+        assert!(warnings_of(&missing).unwrap_err().contains("queries"));
 
         // query_id 0 is reserved for unattributed work.
         let zero_id = good.replace(r#""query_id": 1"#, r#""query_id": 0"#);
-        assert!(validate_report(&zero_id).unwrap_err().contains("nonzero"));
+        assert!(warnings_of(&zero_id).unwrap_err().contains("nonzero"));
 
         // memoized must be a bool, not a count.
         let bad_memo = good.replace(r#""memoized": false"#, r#""memoized": 0"#);
-        assert!(validate_report(&bad_memo).unwrap_err().contains("memoized"));
+        assert!(warnings_of(&bad_memo).unwrap_err().contains("memoized"));
 
         // Per-query traffic must carry every traffic key.
         let bad_traffic = good.replace(r#""numa_bytes": 0}"#, "}"); // strip one key
-        assert!(validate_report(&bad_traffic).is_err());
+        assert!(warnings_of(&bad_traffic).is_err());
 
         // Duplicate query ids are rejected.
         let dup = good.replace(
@@ -719,7 +737,7 @@ mod tests {
                     "responder_queue": 0.0, "retry_backoff": 0.0}, "per_part": []}},
                 {"query_id": 1"#,
         );
-        assert!(validate_report(&dup).unwrap_err().contains("duplicate"));
+        assert!(warnings_of(&dup).unwrap_err().contains("duplicate"));
     }
 
     #[test]
@@ -731,8 +749,8 @@ mod tests {
             r#""elapsed_ns": 5, "roots_total": 100, "roots_completed": 90,"#,
         );
         let json =
-            v4_report_with_queries(FULL_TRAFFIC, CLEAN_SPANS, ZERO_CP, "[]", ZERO_FAILURES, &leaky);
-        let warnings = validate_report(&json).unwrap();
+            v5_report_with_queries(FULL_TRAFFIC, CLEAN_SPANS, ZERO_CP, "[]", ZERO_FAILURES, &leaky);
+        let warnings = warnings_of(&json).unwrap();
         assert_eq!(warnings.len(), 1, "got: {warnings:?}");
         assert!(warnings[0].contains("progress accounting leaked"), "got: {warnings:?}");
 
@@ -742,23 +760,23 @@ mod tests {
             r#""elapsed_ns": 5, "roots_total": 100, "roots_completed": 100,"#,
         );
         let json =
-            v4_report_with_queries(FULL_TRAFFIC, CLEAN_SPANS, ZERO_CP, "[]", ZERO_FAILURES, &clean);
-        assert!(validate_report(&json).unwrap().is_empty());
+            v5_report_with_queries(FULL_TRAFFIC, CLEAN_SPANS, ZERO_CP, "[]", ZERO_FAILURES, &clean);
+        assert!(warnings_of(&json).unwrap().is_empty());
     }
 
     #[test]
     fn validate_report_checks_histogram_tail_fields() {
         // Additive: a histogram without p999/max still validates...
-        let legacy = v4_report(
+        let legacy = v5_report(
             FULL_TRAFFIC,
             CLEAN_SPANS,
             ZERO_CP,
             r#"[{"name": "fetch_latency_ns", "histogram":
                 {"count": 1, "sum": 5, "p50": 7, "p95": 7, "p99": 7, "buckets": [0, 0, 0, 1]}}]"#,
         );
-        assert!(validate_report(&legacy).unwrap().is_empty());
+        assert!(warnings_of(&legacy).unwrap().is_empty());
         // ...and a present p999 must continue the monotone chain.
-        let bad = v4_report(
+        let bad = v5_report(
             FULL_TRAFFIC,
             CLEAN_SPANS,
             ZERO_CP,
@@ -766,16 +784,16 @@ mod tests {
                 {"count": 1, "sum": 5, "p50": 7, "p95": 7, "p99": 7, "p999": 3, "max": 5,
                  "buckets": [0, 0, 0, 1]}}]"#,
         );
-        assert!(validate_report(&bad).unwrap_err().contains("p999"));
+        assert!(warnings_of(&bad).unwrap_err().contains("p999"));
         let good = bad.replace(r#""p999": 3"#, r#""p999": 7"#);
-        assert!(validate_report(&good).unwrap().is_empty());
+        assert!(warnings_of(&good).unwrap().is_empty());
     }
 
     #[test]
     fn validate_report_checks_rebalance_section() {
         // Absent: fine (additive). Present, healthy: fine and quiet.
-        let base = v4_report(FULL_TRAFFIC, CLEAN_SPANS, ZERO_CP, "[]");
-        assert!(validate_report(&base).unwrap().is_empty());
+        let base = v5_report(FULL_TRAFFIC, CLEAN_SPANS, ZERO_CP, "[]");
+        assert!(warnings_of(&base).unwrap().is_empty());
         let healthy = base.replace(
             r#""queries": []"#,
             r#""queries": [], "rebalance": {"enabled": true, "transfers": 1, "bytes": 4096,
@@ -783,43 +801,43 @@ mod tests {
                 "configured_replication": 2, "min_effective_replication": 2,
                 "per_holder_rerouted": [{"part": 1, "requests": 3, "bytes": 1024}]}"#,
         );
-        assert!(validate_report(&healthy).unwrap().is_empty());
+        assert!(warnings_of(&healthy).unwrap().is_empty());
         // Effective replication below the configured factor warns: a
         // slice is still short a copy.
         let degraded = healthy
             .replace(r#""min_effective_replication": 2"#, r#""min_effective_replication": 1"#);
-        let warnings = validate_report(&degraded).unwrap();
+        let warnings = warnings_of(&degraded).unwrap();
         assert_eq!(warnings.len(), 1, "got: {warnings:?}");
         assert!(warnings[0].contains("below the configured factor"), "got: {warnings:?}");
         // Lost slices warn too — the counts cannot be trusted.
         let lossy = healthy.replace(r#""slices_lost": 0"#, r#""slices_lost": 1"#);
-        let warnings = validate_report(&lossy).unwrap();
+        let warnings = warnings_of(&lossy).unwrap();
         assert_eq!(warnings.len(), 1, "got: {warnings:?}");
         assert!(warnings[0].contains("lost every copy"), "got: {warnings:?}");
         // Malformed sections are schema violations, not warnings.
         let bad = healthy.replace(r#""enabled": true"#, r#""enabled": 1"#);
-        assert!(validate_report(&bad).unwrap_err().contains("enabled"));
+        assert!(warnings_of(&bad).unwrap_err().contains("enabled"));
         let missing_key = healthy.replace(r#""routing_epoch": 2,"#, "");
-        assert!(validate_report(&missing_key).unwrap_err().contains("routing_epoch"));
+        assert!(warnings_of(&missing_key).unwrap_err().contains("routing_epoch"));
     }
 
     #[test]
     fn validate_report_checks_incidents_section() {
         // Absent: fine (additive). Present and well-formed: fine.
-        let base = v4_report(FULL_TRAFFIC, CLEAN_SPANS, ZERO_CP, "[]");
-        assert!(validate_report(&base).unwrap().is_empty());
+        let base = v5_report(FULL_TRAFFIC, CLEAN_SPANS, ZERO_CP, "[]");
+        assert!(warnings_of(&base).unwrap().is_empty());
         let with = base.replace(
             r#""queries": []"#,
             r#""queries": [], "incidents": [{"id": "incident-000001-stall",
                 "trigger": "stall", "query_id": 0, "at_ns": 12345,
                 "path": "/tmp/i/incident-000001-stall.json"}]"#,
         );
-        assert!(validate_report(&with).unwrap().is_empty());
+        assert!(warnings_of(&with).unwrap().is_empty());
         // Unknown trigger class and missing id are schema violations.
         let bad_trigger = with.replace(r#""trigger": "stall""#, r#""trigger": "gremlins""#);
-        assert!(validate_report(&bad_trigger).unwrap_err().contains("unknown trigger"));
+        assert!(warnings_of(&bad_trigger).unwrap_err().contains("unknown trigger"));
         let no_id = with.replace(r#""id": "incident-000001-stall","#, "");
-        assert!(validate_report(&no_id).unwrap_err().contains("id"));
+        assert!(warnings_of(&no_id).unwrap_err().contains("id"));
     }
 
     #[test]

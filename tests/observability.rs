@@ -212,7 +212,6 @@ fn disabled_tracing_records_nothing_but_still_reports_counters() {
     engine.shutdown();
     assert_eq!(trace, r#"{"traceEvents":[]}"#);
     assert_eq!(report.spans.recorded, 0);
-    assert!(report.series.is_empty());
     // Counters still flow through the report even with tracing off.
     assert_eq!(report.traffic.fetch_requests, run.traffic.requests);
     validate_report(&report.to_json()).expect("disabled-run report must validate");

@@ -2,7 +2,7 @@
 //! engine must behave exactly like solo runs — bit-identical counts
 //! under interleaving, work stealing, memoization, and an injected
 //! fail-stop crash — and the service's aggregate report must validate
-//! as schema v4 with one section per query.
+//! as schema v5 with one section per query.
 
 use khuzdul::{
     ControlConfig, ControlMode, Counter, Engine, EngineConfig, FabricConfig, FaultPlan,
