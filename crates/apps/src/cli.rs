@@ -2,9 +2,11 @@
 //! graph/pattern specification grammar, and run reporting.
 //!
 //! Kept as a library module so the grammar is unit-testable; the `gpm`
-//! binary is a thin wrapper over [`run`]. Every subcommand that mines or
-//! loads a graph parses one [`Cluster`] config; `gpm --help` prints the
-//! flags, grouped by the subcommands that take them.
+//! binary is a thin wrapper over [`run`], which tells a command line that
+//! does not parse from a command that ran and failed ([`Error`]). Every
+//! subcommand that mines or loads a graph parses one [`Cluster`] config;
+//! `gpm --help` prints the flags, grouped by the subcommands that take
+//! them.
 
 use gpm_baselines::ctd::CtdCluster;
 use gpm_baselines::gthinker::{GThinker, GThinkerConfig};
@@ -86,6 +88,36 @@ report diff BASELINE CANDIDATE: the regression gate over two RunReports
   --frac-abs F              absolute critical-path fraction headroom
 report-validate FILE, metrics-validate FILE, incident list DIR|show FILE|diff A B
 ";
+
+/// Why a command printed no output. The binary exits 2 and points at
+/// `--help` on a usage error, and exits 1 on a failure.
+#[derive(Debug)]
+pub enum Error {
+    /// The command line does not parse: an argument, flag or value is
+    /// unknown, missing or malformed.
+    Usage(String),
+    /// The command ran and failed: a gate verdict, a rejected file, a
+    /// failed run.
+    Failed(String),
+}
+
+impl From<String> for Error {
+    fn from(e: String) -> Error {
+        Error::Failed(e)
+    }
+}
+
+impl std::fmt::Display for Error {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let (Error::Usage(e) | Error::Failed(e)) = self;
+        f.write_str(e)
+    }
+}
+
+/// A usage error.
+fn usage(e: impl Into<String>) -> Error {
+    Error::Usage(e.into())
+}
 
 /// An argument list walked flag by flag: [`Args::value`] pulls the value
 /// of the flag [`Args::flag`] last returned.
@@ -240,10 +272,14 @@ impl Cluster {
         Ok(true)
     }
 
-    fn graph(&self) -> Result<Graph, String> {
+    /// The graph: loaded, or generated from a spec, which is a usage error
+    /// if it does not parse.
+    fn graph(&self) -> Result<Graph, Error> {
         match self.graph.as_ref().expect("Cluster::parse requires a graph") {
-            GraphSource::Path(p) => gpm_graph::io::load_graph(p).map_err(|e| e.to_string()),
-            GraphSource::Spec(s) => parse_gen(s),
+            GraphSource::Path(p) => {
+                gpm_graph::io::load_graph(p).map_err(|e| Error::Failed(e.to_string()))
+            }
+            GraphSource::Spec(s) => parse_gen(s).map_err(usage),
         }
     }
 
@@ -473,8 +509,10 @@ fn parse_gen(spec: &str) -> Result<Graph, String> {
 ///
 /// # Errors
 ///
-/// Propagates parse, I/O, and plan-compilation failures as strings.
-pub fn run(args: &[String]) -> Result<String, String> {
+/// [`Error::Usage`] for a command line that does not parse;
+/// [`Error::Failed`] for I/O, plan-compilation and run failures, a file
+/// that is refused and a regression verdict.
+pub fn run(args: &[String]) -> Result<String, Error> {
     if args.iter().any(|a| a == "--help" || a == "-h") {
         return Ok(USAGE.to_string());
     }
@@ -492,8 +530,8 @@ pub fn run(args: &[String]) -> Result<String, String> {
         ["incident", "list"] => run_incident_list(&args[2..]),
         ["incident", "show"] => run_incident_show(&args[2..]),
         ["incident", "diff"] => run_incident_diff(&args[2..]),
-        ["report", ..] => Err("report takes one subcommand: diff".into()),
-        ["incident", ..] => Err("incident takes a subcommand: list, show or diff".into()),
+        ["report", ..] => Err(usage("report takes one subcommand: diff")),
+        ["incident", ..] => Err(usage("incident takes a subcommand: list, show or diff")),
         _ => run_count(args),
     }
 }
@@ -524,7 +562,7 @@ fn parse_query_line(line: &str) -> Result<Option<(Pattern, PlanOptions)>, String
 /// up to `--max-concurrent` at a time on the shared worker pool, and
 /// duplicate submissions are served from the memo. Results print in
 /// admission order, so a seeded workload replays deterministically.
-fn run_serve(args: &[String]) -> Result<String, String> {
+fn run_serve(args: &[String]) -> Result<String, Error> {
     let (mut queries_path, mut status_addr, mut linger_ms) = (None, None, 0u64);
     let mut config = ServiceConfig::default();
     let cluster = Cluster::parse(args, |flag, args| {
@@ -541,14 +579,15 @@ fn run_serve(args: &[String]) -> Result<String, String> {
             _ => return Ok(false),
         }
         Ok(true)
-    })?;
-    let queries_path = queries_path.ok_or("serve needs --queries <file>")?;
+    })
+    .map_err(usage)?;
+    let queries_path = queries_path.ok_or_else(|| usage("serve needs --queries <file>"))?;
     let text = std::fs::read_to_string(&queries_path)
         .map_err(|e| format!("reading {queries_path}: {e}"))?;
     let workload: Vec<_> =
         text.lines().filter_map(|l| parse_query_line(l).transpose()).collect::<Result<_, _>>()?;
     if workload.is_empty() {
-        return Err(format!("{queries_path}: no queries (every line blank or a comment)"));
+        return Err(format!("{queries_path}: no queries (every line blank or a comment)").into());
     }
     let graph = cluster.graph()?;
     let obs =
@@ -623,8 +662,8 @@ fn run_serve(args: &[String]) -> Result<String, String> {
 
 /// `gpm metrics-validate FILE`: syntax-check a saved Prometheus text
 /// exposition (a `/metrics` scrape) and report its sample count.
-fn run_metrics_validate(args: &[String]) -> Result<String, String> {
-    let path = args.first().ok_or("metrics-validate needs a file path")?;
+fn run_metrics_validate(args: &[String]) -> Result<String, Error> {
+    let path = args.first().ok_or_else(|| usage("metrics-validate needs a file path"))?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
     let samples = gpm_obs::validate_exposition(&text).map_err(|e| format!("{path}: {e}"))?;
     Ok(format!("{path}: valid Prometheus exposition ({samples} samples)\n"))
@@ -636,7 +675,36 @@ fn run_metrics_validate(args: &[String]) -> Result<String, String> {
 /// rendered as a table. Without `--watch` it scrapes once; with it, a
 /// frame per interval until `--frames` runs out or the server goes away
 /// (a `serve --status-linger-ms` window ending, or `GET /quit`).
-fn run_top(args: &[String]) -> Result<String, String> {
+fn run_top(args: &[String]) -> Result<String, Error> {
+    let (addr, watch, frames) = parse_top(args).map_err(usage)?;
+    let mut out = String::new();
+    for frame in 0..frames {
+        if frame > 0 {
+            std::thread::sleep(watch.unwrap_or_default());
+        }
+        let body = match http_get_body(addr, "/status") {
+            Ok(body) => body,
+            // A watched server disappearing mid-watch is the normal end
+            // of a linger window, not an error; the first scrape failing
+            // means there was never anything to watch.
+            Err(e) if frame > 0 => {
+                let _ = writeln!(out, "server gone: {e}");
+                break;
+            }
+            Err(e) => return Err(e.into()),
+        };
+        let doc = khuzdul::read_status(&body).map_err(|e| format!("{addr}: bad /status: {e}"))?;
+        if watch.is_some() {
+            let _ = writeln!(out, "--- frame {} ---", frame + 1);
+        }
+        out.push_str(&render_top(addr, &doc));
+    }
+    Ok(out)
+}
+
+/// `gpm top`'s arguments: the address, the watch interval, and how many
+/// frames to draw.
+fn parse_top(args: &[String]) -> Result<(&str, Option<Duration>, usize), String> {
     let mut addr: Option<&str> = None;
     let mut watch: Option<Duration> = None;
     let mut frames: Option<usize> = None;
@@ -657,30 +725,7 @@ fn run_top(args: &[String]) -> Result<String, String> {
     if frames.is_some() && watch.is_none() {
         return Err("--frames needs --watch".into());
     }
-    let frames = frames.unwrap_or(if watch.is_some() { usize::MAX } else { 1 });
-    let mut out = String::new();
-    for frame in 0..frames {
-        if frame > 0 {
-            std::thread::sleep(watch.unwrap_or_default());
-        }
-        let body = match http_get_body(addr, "/status") {
-            Ok(body) => body,
-            // A watched server disappearing mid-watch is the normal end
-            // of a linger window, not an error; the first scrape failing
-            // means there was never anything to watch.
-            Err(e) if frame > 0 => {
-                let _ = writeln!(out, "server gone: {e}");
-                break;
-            }
-            Err(e) => return Err(e),
-        };
-        let doc = khuzdul::read_status(&body).map_err(|e| format!("{addr}: bad /status: {e}"))?;
-        if watch.is_some() {
-            let _ = writeln!(out, "--- frame {} ---", frame + 1);
-        }
-        out.push_str(&render_top(addr, &doc));
-    }
-    Ok(out)
+    Ok((addr, watch, frames.unwrap_or(if watch.is_some() { usize::MAX } else { 1 })))
 }
 
 /// Minimal blocking HTTP GET against the status server.
@@ -802,8 +847,8 @@ fn render_top(addr: &str, doc: &StatusDoc) -> String {
 /// `gpm report-validate FILE`: parse and schema-check a `RunReport`.
 /// Soft findings (e.g. dropped spans) are reported as warnings without
 /// failing validation.
-fn run_report_validate(args: &[String]) -> Result<String, String> {
-    let path = args.first().ok_or("report-validate needs a file path")?;
+fn run_report_validate(args: &[String]) -> Result<String, Error> {
+    let path = args.first().ok_or_else(|| usage("report-validate needs a file path"))?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
     let (report, warnings) = gpm_obs::validate_report(&text).map_err(|e| format!("{path}: {e}"))?;
     let mut out = String::new();
@@ -815,12 +860,33 @@ fn run_report_validate(args: &[String]) -> Result<String, String> {
 }
 
 /// `gpm report diff BASELINE CANDIDATE [threshold flags]`: the perf
-/// regression gate. Prints every comparison; returns `Err` (a non-zero
-/// exit through the binary) when the candidate regresses past the
-/// thresholds. The flags loosen or tighten the [`DiffThresholds`]
+/// regression gate. Prints every comparison; returns [`Error::Failed`]
+/// (exit status 1 through the binary) when the candidate regresses past
+/// the thresholds. The flags loosen or tighten the [`DiffThresholds`]
 /// defaults: comparing two runs of a stochastic workload wants looser
 /// fractions than comparing a run against its own report.
-fn run_report_diff(args: &[String]) -> Result<String, String> {
+fn run_report_diff(args: &[String]) -> Result<String, Error> {
+    let ([baseline, candidate], t) = parse_diff(args).map_err(usage)?;
+    let read = |p: &str| std::fs::read_to_string(p).map_err(|e| format!("reading {p}: {e}"));
+    let diff = gpm_obs::diff_reports(&read(baseline)?, &read(candidate)?, &t)?;
+    let mut out = String::new();
+    for line in &diff.compared {
+        let _ = writeln!(out, "  {line}");
+    }
+    if diff.passed() {
+        let _ = writeln!(out, "PASS: {candidate} within thresholds of {baseline}");
+        return Ok(out);
+    }
+    for r in &diff.regressions {
+        let _ = writeln!(out, "REGRESSION: {r}");
+    }
+    let _ = writeln!(out, "FAIL: {} regression(s) against {baseline}", diff.regressions.len());
+    Err(Error::Failed(out))
+}
+
+/// `gpm report diff`'s arguments: the two report paths and the
+/// thresholds.
+fn parse_diff(args: &[String]) -> Result<([&str; 2], DiffThresholds), String> {
     let mut paths: Vec<&str> = Vec::new();
     let mut t = DiffThresholds::default();
     let mut args = Args::new(args);
@@ -842,21 +908,7 @@ fn run_report_diff(args: &[String]) -> Result<String, String> {
             paths.len()
         ));
     };
-    let read = |p: &str| std::fs::read_to_string(p).map_err(|e| format!("reading {p}: {e}"));
-    let diff = gpm_obs::diff_reports(&read(baseline)?, &read(candidate)?, &t)?;
-    let mut out = String::new();
-    for line in &diff.compared {
-        let _ = writeln!(out, "  {line}");
-    }
-    if diff.passed() {
-        let _ = writeln!(out, "PASS: {candidate} within thresholds of {baseline}");
-        return Ok(out);
-    }
-    for r in &diff.regressions {
-        let _ = writeln!(out, "REGRESSION: {r}");
-    }
-    let _ = writeln!(out, "FAIL: {} regression(s) against {baseline}", diff.regressions.len());
-    Err(out)
+    Ok(([baseline, candidate], t))
 }
 
 /// Reads one bundle file through the bundle reader.
@@ -866,8 +918,8 @@ fn load_bundle(path: &str) -> Result<Bundle, String> {
 }
 
 /// `gpm incident list DIR`: one line per bundle, oldest first.
-fn run_incident_list(args: &[String]) -> Result<String, String> {
-    let dir = args.first().ok_or("incident list needs a directory")?;
+fn run_incident_list(args: &[String]) -> Result<String, Error> {
+    let dir = args.first().ok_or_else(|| usage("incident list needs a directory"))?;
     let bundles = khuzdul::list_bundles(std::path::Path::new(dir.as_str()))
         .map_err(|e| format!("{dir}: {e}"))?;
     if bundles.is_empty() {
@@ -892,8 +944,8 @@ fn run_incident_list(args: &[String]) -> Result<String, String> {
 
 /// `gpm incident show FILE`: render one bundle — trigger, config,
 /// flight-ring slice, progress snapshots, counters, and ledger state.
-fn run_incident_show(args: &[String]) -> Result<String, String> {
-    let path = args.first().ok_or("incident show needs a bundle file")?;
+fn run_incident_show(args: &[String]) -> Result<String, Error> {
+    let path = args.first().ok_or_else(|| usage("incident show needs a bundle file"))?;
     Ok(render_bundle(&load_bundle(path)?))
 }
 
@@ -964,9 +1016,9 @@ fn render_bundle(b: &Bundle) -> String {
 /// `gpm incident diff A B`: compare two bundles — trigger, config
 /// fingerprint, flight-event mix, and counter deltas — to answer "is
 /// this the same failure again?".
-fn run_incident_diff(args: &[String]) -> Result<String, String> {
+fn run_incident_diff(args: &[String]) -> Result<String, Error> {
     let [a_path, b_path] = args else {
-        return Err("incident diff needs exactly two bundle files".into());
+        return Err(usage("incident diff needs exactly two bundle files"));
     };
     Ok(diff_bundles(&load_bundle(a_path)?, &load_bundle(b_path)?))
 }
@@ -1008,12 +1060,13 @@ fn diff_bundles(a: &Bundle, b: &Bundle) -> String {
 }
 
 /// `gpm stats`: Table-1-style characterization plus skew diagnostics.
-fn run_stats(args: &[String]) -> Result<String, String> {
+fn run_stats(args: &[String]) -> Result<String, Error> {
     use gpm_graph::analysis;
     let cluster = Cluster::parse(args, |flag, _| match flag {
         "--graph" | "--gen" => Ok(false),
         other => Err(format!("unknown flag '{other}'")),
-    })?;
+    })
+    .map_err(usage)?;
     let g = cluster.graph()?;
     let mut out = String::new();
     let _ = writeln!(out, "vertices        {}", g.vertex_count());
@@ -1044,7 +1097,7 @@ fn no_output_flag(flag: &str) -> Result<bool, String> {
 }
 
 /// `gpm motifs --k K`: induced k-motif census.
-fn run_motifs(args: &[String]) -> Result<String, String> {
+fn run_motifs(args: &[String]) -> Result<String, Error> {
     let mut k = 3;
     let cluster = Cluster::parse(args, |flag, args| match flag {
         "--k" => {
@@ -1052,7 +1105,8 @@ fn run_motifs(args: &[String]) -> Result<String, String> {
             Ok(true)
         }
         _ => no_output_flag(flag),
-    })?;
+    })
+    .map_err(usage)?;
     let engine = cluster.engine(&cluster.graph()?, ObsConfig::default());
     let motifs = crate::counting::motif_count(&engine, k, &PlanOptions::automine())?;
     engine.shutdown();
@@ -1067,7 +1121,7 @@ fn run_motifs(args: &[String]) -> Result<String, String> {
 }
 
 /// `gpm fsm --threshold T --max-edges E --labels L`.
-fn run_fsm(args: &[String]) -> Result<String, String> {
+fn run_fsm(args: &[String]) -> Result<String, Error> {
     let (mut threshold, mut max_edges, mut labels) = (100, 3, 3);
     let cluster = Cluster::parse(args, |flag, args| {
         match flag {
@@ -1077,7 +1131,8 @@ fn run_fsm(args: &[String]) -> Result<String, String> {
             _ => return no_output_flag(flag),
         }
         Ok(true)
-    })?;
+    })
+    .map_err(usage)?;
     let g = cluster.graph()?;
     let g = if g.is_labeled() {
         g
@@ -1112,8 +1167,8 @@ fn run_fsm(args: &[String]) -> Result<String, String> {
     Ok(out)
 }
 
-fn run_count(args: &[String]) -> Result<String, String> {
-    let opts = parse_args(args)?;
+fn run_count(args: &[String]) -> Result<String, Error> {
+    let opts = parse_args(args).map_err(usage)?;
     let c = &opts.cluster;
     let graph = c.graph()?;
     let ex = execute(&graph, &opts)?;
@@ -1343,13 +1398,13 @@ mod tests {
             for flag in flags.filter(|w| w.starts_with("--")) {
                 assert!(!subcommands.is_empty(), "{flag} is under no subcommand");
                 for sub in &subcommands {
-                    let err = run(&argv(&format!("{sub} {flag}"))).unwrap_err();
+                    let err = run(&argv(&format!("{sub} {flag}"))).unwrap_err().to_string();
                     assert!(!err.contains("unknown flag"), "{sub} {flag}: {err}");
                 }
             }
         }
         for sub in ["count", "serve", "motifs", "fsm", "stats", "top ADDR", "report diff A B"] {
-            let err = run(&argv(&format!("{sub} --bogus"))).unwrap_err();
+            let err = run(&argv(&format!("{sub} --bogus"))).unwrap_err().to_string();
             assert!(err.contains("unknown flag '--bogus'"), "{sub}: {err}");
         }
     }
@@ -1514,7 +1569,8 @@ mod tests {
         let err = run(&argv(
             "--gen er:120,500,7 --pattern triangle --machines 3 --quiet --fault-crash 1@0",
         ))
-        .unwrap_err();
+        .unwrap_err()
+        .to_string();
         assert!(err.contains("fail-stopped"), "{err}");
         assert!(err.contains("replication"), "{err}");
     }
@@ -1664,7 +1720,8 @@ mod tests {
         let dir = std::env::temp_dir();
         let bad = dir.join(format!("gpm-cli-bad-{}.json", std::process::id()));
         std::fs::write(&bad, "{\"schema_version\": 99}").unwrap();
-        let err = run(&argv(&format!("report-validate {}", bad.display()))).unwrap_err();
+        let err =
+            run(&argv(&format!("report-validate {}", bad.display()))).unwrap_err().to_string();
         assert!(err.contains(&bad.display().to_string()));
         std::fs::remove_file(&bad).ok();
         assert!(run(&argv("report-validate")).is_err()); // no path
@@ -1728,8 +1785,9 @@ mod tests {
         base.critical_path.fractions.fetch_wait *= 1.10;
         base.critical_path.fractions.compute -= 0.03;
         std::fs::write(&cp, base.to_json()).unwrap();
-        let err =
-            run(&argv(&format!("report diff {} {}", bp.display(), cp.display()))).unwrap_err();
+        let err = run(&argv(&format!("report diff {} {}", bp.display(), cp.display())))
+            .unwrap_err()
+            .to_string();
         assert!(err.contains("REGRESSION"), "{err}");
         assert!(err.contains("fetch_wait"), "{err}");
         // Loosened thresholds (a noisy run-pair comparison) pass it.
@@ -1890,7 +1948,7 @@ mod tests {
         assert!(run(&argv("top 127.0.0.1:1")).is_err());
         assert!(run(&argv("top 127.0.0.1:1 --watch")).is_err());
         assert!(run(&argv("top 127.0.0.1:1 --watch x")).is_err());
-        let err = run(&argv("top 127.0.0.1:1 --watch inf")).unwrap_err();
+        let err = run(&argv("top 127.0.0.1:1 --watch inf")).unwrap_err().to_string();
         assert!(err.contains("--watch inf"), "{err}");
         assert!(run(&argv("top 127.0.0.1:1 --frames 2")).is_err()); // needs --watch
         assert!(run(&argv("top 127.0.0.1:1 --bogus 1")).is_err());
@@ -1985,7 +2043,8 @@ mod tests {
              --fault-crash 1@0 --incident-dir {}",
             dir.display()
         )))
-        .unwrap_err();
+        .unwrap_err()
+        .to_string();
         assert!(err.contains("incident bundle(s)"), "{err}");
         let listed = run(&argv(&format!("incident list {}", dir.display()))).unwrap();
         assert!(listed.contains("part_lost"), "{listed}");
@@ -2005,7 +2064,7 @@ mod tests {
         let bad =
             std::env::temp_dir().join(format!("gpm-cli-incident-bad-{}.json", std::process::id()));
         std::fs::write(&bad, "{\"bundle_schema\": 99}").unwrap();
-        let err = run(&argv(&format!("incident show {}", bad.display()))).unwrap_err();
+        let err = run(&argv(&format!("incident show {}", bad.display()))).unwrap_err().to_string();
         assert!(err.contains(&bad.display().to_string()), "{err}");
         std::fs::remove_file(&bad).ok();
         // A real stall bundle with five fields deleted or mistyped: show
@@ -2030,7 +2089,7 @@ mod tests {
             format!("incident show {}", path.display()),
             format!("incident list {}", dir.display()),
         ] {
-            let err = run(&argv(&cmd)).unwrap_err();
+            let err = run(&argv(&cmd)).unwrap_err().to_string();
             assert!(err.contains("bundle.trigger.part: expected unsigned integer"), "{cmd}: {err}");
         }
         std::fs::remove_dir_all(&dir).ok();
@@ -2115,7 +2174,8 @@ mod tests {
              --stall-ms 60 --incident-dir {}",
             dir.display()
         )))
-        .unwrap_err();
+        .unwrap_err()
+        .to_string();
         assert!(err.contains("incident bundle(s)"), "{err}");
         let listed = run(&argv(&format!("incident list {}", dir.display()))).unwrap();
         // A control-poison bundle may ride along; pick the stall one by
@@ -2141,12 +2201,14 @@ mod tests {
         let dir = std::env::temp_dir();
         let empty = dir.join(format!("gpm-cli-serve-empty-{}.txt", std::process::id()));
         std::fs::write(&empty, "# nothing\n\n").unwrap();
-        let err =
-            run(&argv(&format!("serve --gen ba:100,3 --queries {}", empty.display()))).unwrap_err();
+        let err = run(&argv(&format!("serve --gen ba:100,3 --queries {}", empty.display())))
+            .unwrap_err()
+            .to_string();
         assert!(err.contains("no queries"), "{err}");
         std::fs::write(&empty, "triangle\nclique:40\n").unwrap();
-        let err =
-            run(&argv(&format!("serve --gen ba:100,3 --queries {}", empty.display()))).unwrap_err();
+        let err = run(&argv(&format!("serve --gen ba:100,3 --queries {}", empty.display())))
+            .unwrap_err()
+            .to_string();
         assert!(err.contains("clique:40"), "{err}");
         std::fs::remove_file(&empty).ok();
     }

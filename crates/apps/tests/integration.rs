@@ -147,3 +147,55 @@ fn cli_and_library_agree() {
     assert_eq!(out.trim().parse::<u64>().unwrap(), interp::count_embeddings(&g, &plan));
     let _ = std::fs::remove_file(dir);
 }
+
+#[test]
+fn gpm_exits_2_on_a_usage_error_and_1_on_a_failure() {
+    let gpm = |args: &[&str]| {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_gpm"))
+            .args(args)
+            .output()
+            .expect("gpm starts");
+        (out.status.code(), String::from_utf8_lossy(&out.stderr).into_owned())
+    };
+    let hint = "run with --help for usage";
+    // A command line that does not parse: status 2, and the hint.
+    for args in [
+        &["--bogus"][..],
+        &["--gen", "ba:100,3"],
+        &["--gen", "zzz:1", "--pattern", "triangle"],
+        &["report", "diff", "only-one.json"],
+        &["incident", "frobnicate"],
+    ] {
+        let (code, err) = gpm(args);
+        assert_eq!(code, Some(2), "{args:?}: {err}");
+        assert!(err.contains(hint), "{args:?}: {err}");
+    }
+    // A command that ran and failed: status 1, and no hint.
+    let dir = std::env::temp_dir().join(format!("gpm-exit-status-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = |name: &str| dir.join(name).display().to_string();
+    std::fs::write(path("bad.json"), "{\"schema_version\": 99}").unwrap();
+    for pattern in ["triangle", "path:3"] {
+        let out = path(&format!("{pattern}.json"));
+        let run = ["--gen", "er:120,500,7", "--pattern", pattern, "--machines", "2", "--quiet"];
+        assert_eq!(gpm(&[&run[..], &["--report-out", &out]].concat()).0, Some(0), "{pattern}");
+    }
+    let failures = [
+        // A refused file.
+        vec!["report-validate".to_string(), path("bad.json")],
+        // A regression verdict: the counts differ.
+        vec!["report".into(), "diff".into(), path("triangle.json"), path("path:3.json")],
+        // A failed run: a crash with no replica to recover from.
+        "--gen er:120,500,7 --pattern triangle --machines 3 --quiet --fault-crash 1@0"
+            .split(' ')
+            .map(String::from)
+            .collect(),
+    ];
+    for args in failures {
+        let args: Vec<&str> = args.iter().map(String::as_str).collect();
+        let (code, err) = gpm(&args);
+        assert_eq!(code, Some(1), "{args:?}: {err}");
+        assert!(err.starts_with("error: ") && !err.contains(hint), "{args:?}: {err}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

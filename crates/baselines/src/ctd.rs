@@ -13,10 +13,10 @@ use gpm_cluster::metrics::{ClusterMetrics, Counter};
 use gpm_cluster::post::PostOffice;
 use gpm_cluster::work::WorkCounter;
 use gpm_graph::partition::PartitionedGraph;
-use gpm_graph::{set_ops, VertexId};
+use gpm_graph::VertexId;
 use gpm_obs::{ObsHandle, Recorder, RunReport, SpanKind};
 use gpm_pattern::plan::{MatchingPlan, PlanOptions};
-use gpm_pattern::Pattern;
+use gpm_pattern::{interp, Pattern};
 use khuzdul::{PartStats, RunStats, TrafficSummary};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -82,10 +82,14 @@ impl CtdCluster {
     ///
     /// # Errors
     ///
-    /// Propagates plan compilation errors.
+    /// Propagates plan compilation errors, and refuses a pattern with edge
+    /// labels: a part keeps vertex labels only.
     pub fn count(&self, pattern: &Pattern, base: &PlanOptions) -> Result<RunStats, String> {
         let opts = PlanOptions { vertical_reuse: false, ..base.clone() };
         let plan = MatchingPlan::compile(pattern, &opts)?;
+        if plan.requires_edge_labels() {
+            return Err("ctd matches vertex labels only".into());
+        }
         Ok(self.count_plan(&plan))
     }
 
@@ -219,37 +223,15 @@ impl Worker<'_> {
 
     fn process(&self, job: &Job, count: &mut u64) {
         let lp = &self.plan.levels()[job.level];
-        // No intermediates are stored here, so the level's whole bound set
-        // may clamp the inputs — the same kernel work the engine does.
-        let (lo, hi) = lp.window(&job.matched);
+        // No intermediates are stored here, so the raw window is the
+        // level's whole window — the same kernel work the engine does.
         let (mut raw, mut tmp) = (Vec::new(), Vec::new());
-        {
-            let mut lists: Vec<&[VertexId]> = lp
-                .intersect
-                .iter()
-                .map(|&p| set_ops::clamp(self.list_of(job, p), lo, hi))
-                .collect();
-            set_ops::intersect_many_into(&mut lists, &mut tmp, &mut raw);
-        }
-        for &p in &lp.subtract {
-            tmp.clear();
-            set_ops::subtract_into(&raw, set_ops::clamp(self.list_of(job, p), lo, hi), &mut tmp);
-            std::mem::swap(&mut raw, &mut tmp);
-        }
+        lp.raw_candidates(&job.matched, |p| self.list_of(job, p), || &[], &mut tmp, &mut raw);
         let terminal = job.level + 1 == self.plan.levels().len();
-        let labels = self.pg.labels();
+        let label = |v| self.pg.label(v);
         for &cand in &raw {
-            // Filters.
-            if lp.lower.iter().any(|&p| cand <= job.matched[p])
-                || lp.upper.iter().any(|&p| cand >= job.matched[p])
-                || lp.distinct.iter().any(|&p| cand == job.matched[p])
-            {
+            if !interp::passes_filters(lp, &job.matched, cand, label, |_, _| None) {
                 continue;
-            }
-            if let Some(required) = lp.label {
-                if labels.as_ref().map(|l| l[cand as usize]) != Some(required) {
-                    continue;
-                }
             }
             if terminal {
                 *count += 1;
@@ -262,7 +244,7 @@ impl Worker<'_> {
             matched.push(cand);
             // Carry every still-active list the target does not own.
             let mut carried = Vec::new();
-            for &p in &lp.active_after {
+            for p in lp.active_after.iter() {
                 if p >= matched.len() - 1 {
                     continue; // the new vertex's list is local at target
                 }
@@ -340,6 +322,10 @@ mod tests {
         let p = Pattern::path(3).with_labels(vec![0, 1, 2]).unwrap();
         let expect = oracle::count_subgraphs(&g, &p, false);
         assert_eq!(count_of(&g, 3, &p).count, expect);
+        // A part keeps vertex labels only: edge labels are refused.
+        let edged = Pattern::path(3).with_edge_labels(&[(0, 1, 0), (1, 2, 1)]).unwrap();
+        let ctd = CtdCluster::new(PartitionedGraph::new(&g, 3, 1));
+        assert!(ctd.count(&edged, &PlanOptions::automine()).is_err());
     }
 
     #[test]

@@ -17,10 +17,10 @@
 
 use gpm_cluster::{Counter, EdgeListClient, EdgeListService, FabricConfig};
 use gpm_graph::partition::PartitionedGraph;
-use gpm_graph::{set_ops, VertexId};
+use gpm_graph::VertexId;
 use gpm_obs::{ObsHandle, Recorder, RunReport, SpanKind};
 use gpm_pattern::plan::{MatchingPlan, PlanOptions};
-use gpm_pattern::Pattern;
+use gpm_pattern::{interp, Pattern, MAX_PATTERN_VERTICES};
 use khuzdul::{PartStats, RunStats, TrafficSummary};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -84,12 +84,16 @@ impl GThinker {
     ///
     /// # Errors
     ///
-    /// Propagates plan compilation errors.
+    /// Propagates plan compilation errors, and refuses a pattern with edge
+    /// labels: a part keeps vertex labels only.
     pub fn count(&self, pattern: &Pattern, base: &PlanOptions) -> Result<RunStats, String> {
         // No vertical computation reuse: G-thinker explores trees with
         // plain nested loops.
         let opts = PlanOptions { vertical_reuse: false, ..base.clone() };
         let plan = MatchingPlan::compile(pattern, &opts)?;
+        if plan.requires_edge_labels() {
+            return Err("gthinker matches vertex labels only".into());
+        }
         Ok(self.count_plan(&plan))
     }
 
@@ -394,41 +398,24 @@ impl PartWorker<'_> {
         count: &mut u64,
     ) {
         let lp = &self.plan.levels()[level];
-        // No intermediates are stored here, so the level's whole bound set
-        // may clamp the inputs — the same kernel work the engine does.
-        let (lo, hi) = lp.window(matched);
+        // Every list the level reads, intersected then subtracted, in
+        // order; the probe prunes at the first one not yet local.
+        let mut lists: [&[VertexId]; MAX_PATTERN_VERTICES] = Default::default();
+        for p in lp.lists.iter().chain(lp.subtract.iter()) {
+            match self.list_of(matched[p], cache, missing, touched) {
+                Some(l) => lists[p] = l,
+                None => return,
+            }
+        }
+        // No intermediates are stored here, so the raw window is the
+        // level's whole window — the same kernel work the engine does.
         let (mut raw, mut tmp) = (Vec::new(), Vec::new());
-        {
-            let mut lists: Vec<&[VertexId]> = Vec::with_capacity(lp.intersect.len());
-            for &p in &lp.intersect {
-                match self.list_of(matched[p], cache, missing, touched) {
-                    Some(l) => lists.push(set_ops::clamp(l, lo, hi)),
-                    None => return, // prune: data not yet local
-                }
-            }
-            set_ops::intersect_many_into(&mut lists, &mut tmp, &mut raw);
-        }
-        for &p in &lp.subtract {
-            let Some(l) = self.list_of(matched[p], cache, missing, touched) else {
-                return;
-            };
-            tmp.clear();
-            set_ops::subtract_into(&raw, set_ops::clamp(l, lo, hi), &mut tmp);
-            std::mem::swap(&mut raw, &mut tmp);
-        }
+        lp.raw_candidates(matched, |p| lists[p], || &[], &mut tmp, &mut raw);
         let terminal = level + 1 == self.plan.levels().len();
-        let labels = self.pg.labels();
+        let label = |v| self.pg.label(v);
         for &cand in &raw {
-            if lp.lower.iter().any(|&p| cand <= matched[p])
-                || lp.upper.iter().any(|&p| cand >= matched[p])
-                || lp.distinct.iter().any(|&p| cand == matched[p])
-            {
+            if !interp::passes_filters(lp, matched, cand, label, |_, _| None) {
                 continue;
-            }
-            if let Some(required) = lp.label {
-                if labels.as_ref().map(|l| l[cand as usize]) != Some(required) {
-                    continue;
-                }
             }
             if terminal {
                 *count += 1;
@@ -496,6 +483,10 @@ mod tests {
         let p = Pattern::path(3).with_labels(vec![1, 0, 2]).unwrap();
         let expect = oracle::count_subgraphs(&g, &p, false);
         assert_eq!(run(&g, 3, &p).count, expect);
+        // A part keeps vertex labels only: edge labels are refused.
+        let edged = Pattern::path(3).with_edge_labels(&[(0, 1, 0), (1, 2, 1)]).unwrap();
+        let gt = GThinker::new(PartitionedGraph::new(&g, 3, 1), GThinkerConfig::default());
+        assert!(gt.count(&edged, &PlanOptions::automine()).is_err());
     }
 
     #[test]

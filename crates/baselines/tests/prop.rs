@@ -35,12 +35,20 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     #[test]
-    fn all_baselines_agree(g in arb_graph(), p in arb_pattern(), machines in 1usize..4) {
-        let plan = MatchingPlan::compile(&p, &PlanOptions::automine()).unwrap();
+    fn all_baselines_agree(
+        g in arb_graph(),
+        p in arb_pattern(),
+        machines in 1usize..4,
+        induced in any::<bool>(),
+        graphpi in any::<bool>(),
+    ) {
+        let base = if graphpi { PlanOptions::graphpi() } else { PlanOptions::automine() };
+        let opts = PlanOptions { induced, ..base };
+        let plan = MatchingPlan::compile(&p, &opts).unwrap();
         let expect = interp::count_embeddings(&g, &plan);
 
         let single = SingleMachine::automine_ih(g.clone(), 1);
-        prop_assert_eq!(single.count(&p).unwrap().count, expect);
+        prop_assert_eq!(single.count_plan(&plan).count, expect);
 
         let repl = ReplicatedCluster::new(
             g.clone(),
@@ -52,10 +60,10 @@ proptest! {
             PartitionedGraph::new(&g, machines, 1),
             GThinkerConfig { max_active_tasks: 8, cache_capacity: 1 << 14 },
         );
-        prop_assert_eq!(gt.count(&p, &PlanOptions::automine()).unwrap().count, expect);
+        prop_assert_eq!(gt.count(&p, &opts).unwrap().count, expect);
 
         let ctd = CtdCluster::new(PartitionedGraph::new(&g, machines, 1));
-        prop_assert_eq!(ctd.count(&p, &PlanOptions::automine()).unwrap().count, expect);
+        prop_assert_eq!(ctd.count(&p, &opts).unwrap().count, expect);
     }
 
     #[test]

@@ -84,15 +84,6 @@ impl WorkCounter {
     pub fn is_quiescent(&self) -> bool {
         self.outstanding() == 0
     }
-
-    /// Spin-waits (with yields) until quiescent. Intended for coordinator
-    /// threads; workers should poll [`WorkCounter::is_quiescent`] in their
-    /// message loops instead.
-    pub fn wait_quiescent(&self) {
-        while !self.is_quiescent() {
-            std::thread::yield_now();
-        }
-    }
 }
 
 #[cfg(test)]
@@ -170,18 +161,5 @@ mod tests {
         // visible (Release on the final done of each thread).
         assert_eq!(effects.load(Ordering::Relaxed), THREADS * UNITS);
         assert_eq!(wc.outstanding(), 0);
-    }
-
-    #[test]
-    fn wait_quiescent_returns() {
-        let wc = WorkCounter::new();
-        wc.add(1);
-        let waiter = {
-            let wc = wc.clone();
-            std::thread::spawn(move || wc.wait_quiescent())
-        };
-        std::thread::sleep(std::time::Duration::from_millis(10));
-        wc.done();
-        waiter.join().unwrap();
     }
 }

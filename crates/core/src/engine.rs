@@ -325,12 +325,6 @@ impl Engine {
         }
     }
 
-    /// The live progress tracker of an in-flight query, if it is
-    /// currently running.
-    pub fn query_progress(&self, query_id: u64) -> Option<Arc<QueryProgress>> {
-        self.progress.lock().get(&query_id).cloned()
-    }
-
     /// Progress trackers of all in-flight queries, unordered.
     pub fn active_progress(&self) -> Vec<Arc<QueryProgress>> {
         self.progress.lock().values().cloned().collect()
@@ -539,20 +533,6 @@ impl Engine {
         F: Fn(&[VertexId]) + Sync,
     {
         self.run(plan, Some(&visit), None)
-    }
-
-    /// Like [`Engine::enumerate`], but returns failures as typed
-    /// [`EngineError`]s instead of panicking.
-    ///
-    /// Under a fail-stop part failure (with replication ≥ 2) the final
-    /// *count* is exact, but `visit` is **at-least-once**: embeddings
-    /// the dead part visited before dying are visited again when its
-    /// roots are re-executed on survivors.
-    pub fn try_enumerate<F>(&self, plan: &MatchingPlan, visit: F) -> Result<RunStats, EngineError>
-    where
-        F: Fn(&[VertexId]) + Sync,
-    {
-        self.try_run(plan, Some(&visit), None, None)
     }
 
     /// Enumerates embeddings with cooperative early termination: when

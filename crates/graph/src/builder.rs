@@ -46,11 +46,6 @@ impl GraphBuilder {
         self.n
     }
 
-    /// Number of raw (pre-deduplication) edge insertions so far.
-    pub fn raw_edge_count(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Adds the undirected edge `{u, v}`. Self-loops are dropped silently;
     /// duplicates are eliminated at [`GraphBuilder::build`] time.
     pub fn add_edge(&mut self, u: VertexId, v: VertexId) -> &mut Self {

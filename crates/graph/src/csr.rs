@@ -252,12 +252,6 @@ impl Graph {
             + self.labels.as_ref().map_or(0, |l| l.len() * std::mem::size_of::<Label>())
             + self.edge_labels.as_ref().map_or(0, |l| l.len() * std::mem::size_of::<Label>())
     }
-
-    /// Sum of degrees of `v`'s neighborhood; a cheap skew indicator used by
-    /// tests and dataset descriptions.
-    pub fn neighborhood_weight(&self, v: VertexId) -> u64 {
-        self.neighbors(v).iter().map(|&u| self.degree(u) as u64).sum()
-    }
 }
 
 #[cfg(test)]

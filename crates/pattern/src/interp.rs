@@ -9,7 +9,7 @@
 //! engine runs the same walk below the last level it has to fetch for,
 //! with lists that live in its chunks.
 
-use crate::plan::{LevelPlan, MatchingPlan, PairMode};
+use crate::plan::{LevelPlan, MatchingPlan, PairMode, Positions};
 use crate::MAX_PATTERN_VERTICES;
 use gpm_graph::set_ops::{self, Bits, Side};
 use gpm_graph::{Graph, Label, VertexId};
@@ -215,7 +215,8 @@ impl<'a, S: DataSource> Walk<'a, S> {
         buf: &mut Vec<VertexId>,
     ) -> u64 {
         let (src, matched) = (self.src, &self.matched);
-        let passes = |c| passes_filters(src, lp, matched, c);
+        let passes =
+            |c| passes_filters(lp, matched, c, |v| src.label(v), |u, v| src.edge_label(u, v));
         let k = lp.count(matched, |p| src.side(p, matched[p]), stored, passes, tmp, buf);
         self.pair.map_or(k, |mode| pair_contribution(k, mode))
     }
@@ -280,53 +281,43 @@ pub fn passes_residual<S: DataSource>(
     matched: &[VertexId],
     cand: VertexId,
 ) -> bool {
-    let lowered = &lp.lowered;
-    if lowered.unfiltered {
-        return true;
-    }
-    lowered.rest_lower.iter().all(|p| cand > matched[p])
-        && lowered.rest_upper.iter().all(|p| cand < matched[p])
-        && lowered.distinct.iter().all(|p| cand != matched[p])
-        && lp.label.is_none_or(|required| src.label(cand) == Some(required))
-        && lp.edge_labels.iter().all(|&(p, l)| src.edge_label(matched[p], cand) == Some(l))
+    let (label, edge_label) = (|v| src.label(v), |u, v| src.edge_label(u, v));
+    lp.unfiltered || passes(lp, (lp.rest_lower, lp.rest_upper), matched, cand, label, edge_label)
 }
 
 /// Whether candidate `cand` passes all of the level's filters (bounds,
-/// injectivity, label) given the matched prefix: the full check, for a
-/// candidate no window has been applied to.
+/// injectivity, labels) given the matched prefix: the full check, for a
+/// candidate no window has been applied to. `label` and `edge_label` read
+/// the executor's graph: a [`DataSource`], or a part that keeps vertex
+/// labels only.
 #[inline]
-pub fn passes_filters<S: DataSource>(
-    src: &S,
+pub fn passes_filters(
     lp: &LevelPlan,
     matched: &[VertexId],
     cand: VertexId,
+    label: impl Fn(VertexId) -> Option<Label>,
+    edge_label: impl Fn(VertexId, VertexId) -> Option<Label>,
 ) -> bool {
-    for &p in &lp.lower {
-        if cand <= matched[p] {
-            return false;
-        }
-    }
-    for &p in &lp.upper {
-        if cand >= matched[p] {
-            return false;
-        }
-    }
-    for &p in &lp.distinct {
-        if cand == matched[p] {
-            return false;
-        }
-    }
-    if let Some(required) = lp.label {
-        if src.label(cand) != Some(required) {
-            return false;
-        }
-    }
-    for &(p, required) in &lp.edge_labels {
-        if src.edge_label(matched[p], cand) != Some(required) {
-            return false;
-        }
-    }
-    true
+    passes(lp, (lp.lower, lp.upper), matched, cand, label, edge_label)
+}
+
+/// Whether `cand` lies above every vertex matched at `lower` and below
+/// every one matched at `upper`, differs from those the level must avoid
+/// and carries the level's labels.
+#[inline]
+fn passes(
+    lp: &LevelPlan,
+    (lower, upper): (Positions, Positions),
+    matched: &[VertexId],
+    cand: VertexId,
+    label: impl Fn(VertexId) -> Option<Label>,
+    edge_label: impl Fn(VertexId, VertexId) -> Option<Label>,
+) -> bool {
+    lower.iter().all(|p| cand > matched[p])
+        && upper.iter().all(|p| cand < matched[p])
+        && lp.distinct.iter().all(|p| cand != matched[p])
+        && lp.label.is_none_or(|required| label(cand) == Some(required))
+        && lp.edge_labels.iter().all(|&(p, l)| edge_label(matched[p], cand) == Some(l))
 }
 
 /// Counts embeddings using the final-level counting shortcut: instead of
@@ -413,10 +404,11 @@ mod tests {
     }
 
     /// The plan walked by the general route alone — `raw_candidates` and the
-    /// full `passes_filters`, fresh buffers, no lowered form — checking at
-    /// every level it reaches that the lowered form computes the same:
-    /// the same raw set, the same verdict on each member of it, the same
-    /// count. Returns every embedding.
+    /// full `passes_filters`, fresh buffers, never a plain level's shortcut —
+    /// checking at every level it reaches that `candidates`,
+    /// `passes_residual` and `count` compute the same: the same raw set,
+    /// the same verdict on each member of it, the same count. Returns
+    /// every embedding.
     fn general_route(g: &Graph, plan: &MatchingPlan) -> Vec<Vec<VertexId>> {
         fn below(
             g: &Graph,
@@ -438,12 +430,12 @@ mod tests {
             let side_at = |p: usize| g.side(p, prefix[p]);
             lp.raw_candidates(&prefix, list_at, || stored, &mut tmp, &mut raw);
             assert_eq!(lp.candidates(&prefix, side_at, stored, &mut tmp, &mut buf), raw, "{what}");
-            let passing: Vec<VertexId> =
-                raw.iter().copied().filter(|&c| passes_filters(g, lp, &prefix, c)).collect();
+            let passes =
+                |c| passes_filters(lp, &prefix, c, |v| g.label(v), |u, v| g.edge_label(u, v));
+            let passing: Vec<VertexId> = raw.iter().copied().filter(|&c| passes(c)).collect();
             for &c in &raw {
                 assert_eq!(passes_residual(g, lp, &prefix, c), passing.contains(&c), "{c}: {what}");
             }
-            let passes = |c| passes_filters(g, lp, &prefix, c);
             let counted = lp.count(&prefix, side_at, stored, passes, &mut tmp, &mut count_buf);
             assert_eq!(counted, passing.len() as u64, "{what}");
             for c in passing {
@@ -466,14 +458,13 @@ mod tests {
         // Every connected pattern of up to 5 vertices x {automine, graphpi}
         // x {non-induced, induced} x {unlabeled, labeled}: whatever bounds
         // the compiler pushed into the candidate computation, whichever
-        // levels run from their lowered form, and whether the last levels
-        // are iterated, counted or pair-counted, the plan counts what the
-        // brute-force oracle counts and visits what the general route
-        // visits. The hubs of the skewed graph make the bounds cut real
-        // ranges. On 28 vertices every list is hot, so every plain
-        // two-input level probes a bitmap; the same edges among 328
-        // vertices make the hubs hot and the rest cold, so plain levels
-        // probe, merge and gallop.
+        // levels are plain, and whether the last levels are iterated,
+        // counted or pair-counted, the plan counts what the brute-force
+        // oracle counts and visits what the general route visits. The hubs
+        // of the skewed graph make the bounds cut real ranges. On 28
+        // vertices every list is hot, so every plain two-input level probes
+        // a bitmap; the same edges among 328 vertices make the hubs hot and
+        // the rest cold, so plain levels probe, merge and gallop.
         let ba = gen::barabasi_albert(28, 4, 17);
         let mut padded = gpm_graph::GraphBuilder::new(ba.vertex_count() + 300);
         let padded = padded.extend_edges(ba.edges()).build();
@@ -484,7 +475,7 @@ mod tests {
             let labeled = gen::with_random_labels(&g, 2, 5);
             (g, labeled)
         });
-        let (mut seen, mut lowered, mut pair_counted) = (0, 0, 0);
+        let (mut seen, mut plain, mut pair_counted) = (0, 0, 0);
         for k in 1..=5 {
             for p in crate::genpat::connected_patterns(k) {
                 seen += 1;
@@ -505,7 +496,7 @@ mod tests {
                             visited.sort_unstable();
                             assert_eq!(visited.len() as u64, expect, "iterated: {what}");
                             assert_eq!(visited, general_route(g, &plan), "{what}");
-                            lowered += plan.levels().iter().filter(|l| l.lowered.plain).count();
+                            plain += plan.levels().iter().filter(|l| l.plain).count();
                             pair_counted += usize::from(plan.pair_count_mode().is_some());
                         }
                     }
@@ -513,7 +504,7 @@ mod tests {
             }
         }
         assert_eq!(seen, 31, "every connected pattern of up to five vertices");
-        assert!(lowered > 100 && pair_counted > 5, "{lowered} plain levels, {pair_counted} pairs");
+        assert!(plain > 100 && pair_counted > 5, "{plain} plain levels, {pair_counted} pairs");
     }
 
     #[test]

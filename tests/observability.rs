@@ -195,7 +195,8 @@ fn report_diff_gates_injected_fetch_wait_regression() {
     std::fs::write(&cand, perturbed.to_json()).unwrap();
     let err =
         gpm_apps::cli::run(&argv(format!("report diff {} {}", base.display(), cand.display())))
-            .expect_err("injected fetch-wait regression must fail the gate");
+            .expect_err("injected fetch-wait regression must fail the gate")
+            .to_string();
     assert!(err.contains("fetch_wait"), "{err}");
     assert!(err.contains("REGRESSION"), "{err}");
     std::fs::remove_dir_all(&dir).ok();
