@@ -3,7 +3,9 @@
 //! `gpm --help` prints every flag, grouped by the subcommands that take
 //! it (the text is `USAGE` in `gpm_apps::cli`). A command line that does
 //! not parse exits 2 and points at `--help`; a command that ran and
-//! failed — a failed run, a refused file, a regression verdict — exits 1.
+//! failed — a failed run, a refused file, a regression verdict — exits 1
+//! with a one-line `error:` on stderr (a verdict's comparison still goes
+//! to stdout).
 //!
 //! Example: `gpm --gen ba:20000,8 --pattern clique:4 --machines 8`
 
@@ -18,8 +20,9 @@ fn main() {
             eprintln!("run with --help for usage");
             std::process::exit(2);
         }
-        Err(Error::Failed(e)) => {
-            eprintln!("error: {e}");
+        Err(Error::Failed { output, error }) => {
+            print!("{output}");
+            eprintln!("error: {error}");
             std::process::exit(1);
         }
     }

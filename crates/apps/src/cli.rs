@@ -4,7 +4,7 @@
 //! Kept as a library module so the grammar is unit-testable; the `gpm`
 //! binary is a thin wrapper over [`run`], which tells a command line that
 //! does not parse from a command that ran and failed ([`Error`]). Every
-//! subcommand that mines or loads a graph parses one [`Cluster`] config;
+//! subcommand that mines or loads a graph parses one `Cluster` config;
 //! `gpm --help` prints the flags, grouped by the subcommands that take
 //! them.
 
@@ -89,7 +89,7 @@ report diff BASELINE CANDIDATE: the regression gate over two RunReports
 report-validate FILE, metrics-validate FILE, incident list DIR|show FILE|diff A B
 ";
 
-/// Why a command printed no output. The binary exits 2 and points at
+/// Why a command did not succeed. The binary exits 2 and points at
 /// `--help` on a usage error, and exits 1 on a failure.
 #[derive(Debug)]
 pub enum Error {
@@ -97,19 +97,26 @@ pub enum Error {
     /// unknown, missing or malformed.
     Usage(String),
     /// The command ran and failed: a gate verdict, a rejected file, a
-    /// failed run.
-    Failed(String),
+    /// failed run. `output` is what it rendered before it failed (a
+    /// gate's comparison, printed to stdout like a success's; empty
+    /// otherwise) and `error` the one-line reason.
+    Failed {
+        /// The rendered output.
+        output: String,
+        /// Why the command failed.
+        error: String,
+    },
 }
 
 impl From<String> for Error {
-    fn from(e: String) -> Error {
-        Error::Failed(e)
+    fn from(error: String) -> Error {
+        Error::Failed { output: String::new(), error }
     }
 }
 
 impl std::fmt::Display for Error {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let (Error::Usage(e) | Error::Failed(e)) = self;
+        let (Error::Usage(e) | Error::Failed { error: e, .. }) = self;
         f.write_str(e)
     }
 }
@@ -277,7 +284,7 @@ impl Cluster {
     fn graph(&self) -> Result<Graph, Error> {
         match self.graph.as_ref().expect("Cluster::parse requires a graph") {
             GraphSource::Path(p) => {
-                gpm_graph::io::load_graph(p).map_err(|e| Error::Failed(e.to_string()))
+                gpm_graph::io::load_graph(p).map_err(|e| Error::from(e.to_string()))
             }
             GraphSource::Spec(s) => parse_gen(s).map_err(usage),
         }
@@ -860,11 +867,12 @@ fn run_report_validate(args: &[String]) -> Result<String, Error> {
 }
 
 /// `gpm report diff BASELINE CANDIDATE [threshold flags]`: the perf
-/// regression gate. Prints every comparison; returns [`Error::Failed`]
-/// (exit status 1 through the binary) when the candidate regresses past
-/// the thresholds. The flags loosen or tighten the [`DiffThresholds`]
-/// defaults: comparing two runs of a stochastic workload wants looser
-/// fractions than comparing a run against its own report.
+/// regression gate. Renders every comparison; returns [`Error::Failed`]
+/// carrying that output (exit status 1 through the binary) when the
+/// candidate regresses past the thresholds. The flags loosen or tighten
+/// the [`DiffThresholds`] defaults: comparing two runs of a stochastic
+/// workload wants looser fractions than comparing a run against its own
+/// report.
 fn run_report_diff(args: &[String]) -> Result<String, Error> {
     let ([baseline, candidate], t) = parse_diff(args).map_err(usage)?;
     let read = |p: &str| std::fs::read_to_string(p).map_err(|e| format!("reading {p}: {e}"));
@@ -880,8 +888,9 @@ fn run_report_diff(args: &[String]) -> Result<String, Error> {
     for r in &diff.regressions {
         let _ = writeln!(out, "REGRESSION: {r}");
     }
-    let _ = writeln!(out, "FAIL: {} regression(s) against {baseline}", diff.regressions.len());
-    Err(Error::Failed(out))
+    let error = format!("{} regression(s) against {baseline}", diff.regressions.len());
+    let _ = writeln!(out, "FAIL: {error}");
+    Err(Error::Failed { output: out, error })
 }
 
 /// `gpm report diff`'s arguments: the two report paths and the
@@ -1785,11 +1794,13 @@ mod tests {
         base.critical_path.fractions.fetch_wait *= 1.10;
         base.critical_path.fractions.compute -= 0.03;
         std::fs::write(&cp, base.to_json()).unwrap();
-        let err = run(&argv(&format!("report diff {} {}", bp.display(), cp.display())))
-            .unwrap_err()
-            .to_string();
-        assert!(err.contains("REGRESSION"), "{err}");
-        assert!(err.contains("fetch_wait"), "{err}");
+        let verdict = run(&argv(&format!("report diff {} {}", bp.display(), cp.display())));
+        let Err(Error::Failed { output, error }) = verdict else {
+            panic!("the regression must fail the gate: {verdict:?}");
+        };
+        assert!(output.contains("REGRESSION"), "{output}");
+        assert!(output.contains("fetch_wait"), "{output}");
+        assert_eq!(error, format!("1 regression(s) against {}", bp.display()));
         // Loosened thresholds (a noisy run-pair comparison) pass it.
         let loose = run(&argv(&format!(
             "report diff {} {} --frac-rel 0.5 --frac-abs 0.1",

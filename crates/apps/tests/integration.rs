@@ -155,7 +155,8 @@ fn gpm_exits_2_on_a_usage_error_and_1_on_a_failure() {
             .args(args)
             .output()
             .expect("gpm starts");
-        (out.status.code(), String::from_utf8_lossy(&out.stderr).into_owned())
+        let text = |b: &[u8]| String::from_utf8_lossy(b).into_owned();
+        (out.status.code(), text(&out.stdout), text(&out.stderr))
     };
     let hint = "run with --help for usage";
     // A command line that does not parse: status 2, and the hint.
@@ -166,7 +167,7 @@ fn gpm_exits_2_on_a_usage_error_and_1_on_a_failure() {
         &["report", "diff", "only-one.json"],
         &["incident", "frobnicate"],
     ] {
-        let (code, err) = gpm(args);
+        let (code, _, err) = gpm(args);
         assert_eq!(code, Some(2), "{args:?}: {err}");
         assert!(err.contains(hint), "{args:?}: {err}");
     }
@@ -193,9 +194,15 @@ fn gpm_exits_2_on_a_usage_error_and_1_on_a_failure() {
     ];
     for args in failures {
         let args: Vec<&str> = args.iter().map(String::as_str).collect();
-        let (code, err) = gpm(&args);
+        let (code, out, err) = gpm(&args);
         assert_eq!(code, Some(1), "{args:?}: {err}");
         assert!(err.starts_with("error: ") && !err.contains(hint), "{args:?}: {err}");
+        if args[0] == "report" {
+            // The verdict's comparison goes to stdout, as a PASS's does;
+            // stderr carries the one-line reason only.
+            assert!(out.contains("REGRESSION: ") && out.contains("FAIL: "), "{out}");
+            assert_eq!(err.lines().count(), 1, "{err}");
+        }
     }
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -9,16 +9,15 @@
 //! no data reuse is possible because possession follows the embedding.
 //! Figure 10 regenerates from this implementation.
 
+use crossbeam::channel::{unbounded, Receiver, Sender};
 use gpm_cluster::metrics::{ClusterMetrics, Counter};
-use gpm_cluster::post::PostOffice;
-use gpm_cluster::work::WorkCounter;
 use gpm_graph::partition::PartitionedGraph;
 use gpm_graph::VertexId;
 use gpm_obs::{ObsHandle, Recorder, RunReport, SpanKind};
 use gpm_pattern::plan::{MatchingPlan, PlanOptions};
 use gpm_pattern::{interp, Pattern};
 use khuzdul::{PartStats, RunStats, TrafficSummary};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -37,6 +36,92 @@ impl Job {
     fn bytes(&self) -> u64 {
         16 + 4 * self.matched.len() as u64
             + self.carried.iter().map(|(_, l)| 8 + 4 * l.len() as u64).sum::<u64>()
+    }
+}
+
+/// A shipped job with its trace context: the message id (nonzero, the
+/// link between its `PostSend` and `PostRecv` events) and the sending
+/// part.
+type Envelope = (u64, usize, Job);
+
+/// The wire between one run's workers: an unbounded mailbox per part,
+/// and the count of shipped jobs not yet finished.
+///
+/// The run has no global barrier: it is over only when every part has
+/// run out of roots and no shipped job is queued or running. A job is
+/// only made by a root or by another job, so once `in_flight` reads zero
+/// after every part finished its roots, no job can appear again.
+struct Wire<'a> {
+    mailboxes: Vec<(Sender<Envelope>, Receiver<Envelope>)>,
+    metrics: ClusterMetrics,
+    recorder: &'a Recorder,
+    next_msg: AtomicU64,
+    in_flight: AtomicI64,
+}
+
+impl<'a> Wire<'a> {
+    /// An empty wire between `parts` parts, `sockets_per_machine` to a
+    /// machine, recording its messages into `recorder`.
+    fn new(parts: usize, sockets_per_machine: usize, recorder: &'a Recorder) -> Self {
+        Wire {
+            mailboxes: (0..parts).map(|_| unbounded()).collect(),
+            metrics: ClusterMetrics::new(parts, sockets_per_machine),
+            recorder,
+            next_msg: AtomicU64::new(0),
+            in_flight: AtomicI64::new(0),
+        }
+    }
+
+    /// Ships `job` from part `from` to part `to`: counts it in flight,
+    /// accounts its bytes to the link it crosses, and records a
+    /// `PostSend` event linked to the `PostRecv` its receiver records.
+    fn send(&self, from: usize, to: usize, job: Job) {
+        // `Relaxed` suffices: the job is counted *before* the channel
+        // send publishes it, and that publication is itself a
+        // synchronizing operation — any thread that can receive the job
+        // already observes its registration through the same edge. The
+        // count therefore never under-counts live work; no other
+        // thread's data depends on this store being ordered.
+        self.in_flight.fetch_add(1, Ordering::Relaxed);
+        let bytes = job.bytes();
+        let class = self.metrics.classify(from, to);
+        self.metrics.part(from).add_transfer(class, bytes, 0);
+        // Offset by one so 0 stays "unlinked" (gpm_obs::Span::link).
+        let msg_id = self.next_msg.fetch_add(1, Ordering::Relaxed) + 1;
+        self.recorder.event(0, SpanKind::PostSend, from as u32, bytes, msg_id);
+        self.mailboxes[to].0.send((msg_id, from, job)).expect("every mailbox outlives the run");
+    }
+
+    /// The next job waiting in `part`'s mailbox, if any.
+    fn try_recv(&self, part: usize) -> Option<Job> {
+        let (msg_id, from, job) = self.mailboxes[part].1.try_recv().ok()?;
+        self.recorder.event(0, SpanKind::PostRecv, part as u32, from as u64, msg_id);
+        Some(job)
+    }
+
+    /// Marks one received job finished.
+    ///
+    /// `Release` publishes every write the finishing thread made on
+    /// behalf of the job (the children it shipped, each counted in flight
+    /// before it was sent) to any thread whose `Acquire` load in
+    /// [`Wire::quiescent`] subsequently observes the decrement. That is
+    /// exactly the edge termination needs: a thread that reads zero sees
+    /// *all* effects of *all* finished jobs.
+    fn done(&self) {
+        let prev = self.in_flight.fetch_sub(1, Ordering::Release);
+        debug_assert!(prev > 0, "in-flight job count went negative");
+    }
+
+    /// Whether no shipped job is queued or running.
+    ///
+    /// `Acquire` pairs with the `Release` decrement in [`Wire::done`]:
+    /// observing the count that a decrement produced also makes the
+    /// finishing thread's prior writes visible, so a zero read is a safe
+    /// quiescence signal, not merely a stale snapshot. (A `SeqCst` pair
+    /// would add a total order no site uses — none reasons about the
+    /// interleaving of two *different* atomics.)
+    fn quiescent(&self) -> bool {
+        self.in_flight.load(Ordering::Acquire) == 0
     }
 }
 
@@ -95,10 +180,7 @@ impl CtdCluster {
 
     fn count_plan(&self, plan: &MatchingPlan) -> RunStats {
         let parts = self.pg.part_count();
-        let metrics = ClusterMetrics::new(parts, self.pg.sockets_per_machine());
-        let post: PostOffice<Job> =
-            PostOffice::new_observed(parts, metrics, Arc::clone(&self.recorder));
-        let wc = WorkCounter::new();
+        let wire = Wire::new(parts, self.pg.sockets_per_machine(), &self.recorder);
         let roots_done = AtomicUsize::new(0);
         let total = AtomicU64::new(0);
         let t0 = Instant::now();
@@ -111,8 +193,7 @@ impl CtdCluster {
                     plan,
                     part,
                     parts,
-                    endpoint: post.endpoint(part),
-                    wc: wc.clone(),
+                    wire: &wire,
                     roots_done: &roots_done,
                     total: &total,
                     obs: self.recorder.handle(part as u32),
@@ -124,7 +205,7 @@ impl CtdCluster {
             }
         })
         .expect("ctd scope");
-        let sent = post.metrics().totals();
+        let sent = wire.metrics.totals();
         RunStats {
             count: total.into_inner(),
             elapsed: t0.elapsed(),
@@ -146,8 +227,7 @@ struct Worker<'a> {
     plan: &'a MatchingPlan,
     part: usize,
     parts: usize,
-    endpoint: gpm_cluster::post::Endpoint<Job>,
-    wc: WorkCounter,
+    wire: &'a Wire<'a>,
     roots_done: &'a AtomicUsize,
     total: &'a AtomicU64,
     obs: ObsHandle,
@@ -164,12 +244,12 @@ impl Worker<'_> {
         let mut next_root = 0usize;
         let mut roots_finished = false;
         loop {
-            if let Some(job) = self.endpoint.try_recv() {
+            if let Some(job) = self.wire.try_recv(self.part) {
                 let tb = Instant::now();
                 let js = self.obs.start();
                 self.process(&job, &mut count);
                 self.obs.span(SpanKind::Job, js, job.level as u64);
-                self.wc.done();
+                self.wire.done();
                 busy += tb.elapsed();
                 continue;
             }
@@ -195,7 +275,7 @@ impl Worker<'_> {
                 roots_finished = true;
                 self.roots_done.fetch_add(1, Ordering::SeqCst);
             }
-            if self.roots_done.load(Ordering::SeqCst) == self.parts && self.wc.is_quiescent() {
+            if self.roots_done.load(Ordering::SeqCst) == self.parts && self.wire.quiescent() {
                 break;
             }
             std::thread::yield_now();
@@ -257,9 +337,7 @@ impl Worker<'_> {
             if target == self.part {
                 self.process(&child, count);
             } else {
-                let bytes = child.bytes();
-                self.wc.add(1);
-                self.endpoint.send(target, child, bytes);
+                self.wire.send(self.part, target, child);
             }
         }
     }
@@ -300,6 +378,176 @@ mod tests {
         let g = gen::erdos_renyi(80, 300, 1);
         let run = count_of(&g, 1, &Pattern::triangle());
         assert_eq!(run.traffic.network_bytes, 0);
+    }
+
+    #[test]
+    fn shipped_bytes_are_classified_by_the_link_they_cross() {
+        let g = gen::barabasi_albert(200, 5, 2);
+        let run = |machines, sockets| {
+            let pg = PartitionedGraph::new(&g, machines, sockets);
+            CtdCluster::new(pg).count(&Pattern::clique(4), &PlanOptions::automine()).unwrap()
+        };
+        // Two sockets of one machine: every shipped job crosses a socket,
+        // none the network.
+        let numa = run(1, 2).traffic;
+        assert!(numa.cross_socket_bytes > 0, "{numa:?}");
+        assert_eq!(numa.network_bytes, 0, "{numa:?}");
+        let both = run(2, 2).traffic;
+        assert!(both.cross_socket_bytes > 0 && both.network_bytes > 0, "{both:?}");
+    }
+
+    #[test]
+    fn many_parts_quiesce_only_after_the_last_shipped_job() {
+        // Sixteen workers ship jobs to one another while each decides,
+        // from the in-flight count alone, whether the run is over. A
+        // worker that read zero before the last shipped job finished
+        // would stop early, and its part's jobs would be missing from
+        // the count.
+        let g = gen::barabasi_albert(300, 6, 11);
+        let p = Pattern::clique(4);
+        let expect = oracle::count_subgraphs(&g, &p, false);
+        for round in 0..5 {
+            let pg = PartitionedGraph::new(&g, 8, 2);
+            let run = CtdCluster::new(pg).count(&p, &PlanOptions::automine()).unwrap();
+            assert_eq!(run.count, expect, "round {round}");
+        }
+    }
+
+    fn job(tag: VertexId) -> Job {
+        Job { level: 0, matched: vec![tag], carried: Vec::new() }
+    }
+
+    #[test]
+    fn wire_delivers_jobs_across_threads() {
+        let rec = Recorder::disabled();
+        let wire = Wire::new(2, 1, &rec);
+        let got = std::thread::scope(|s| {
+            let rx = s.spawn(|| {
+                let mut got = Vec::new();
+                while got.len() < 10 {
+                    match wire.try_recv(1) {
+                        Some(j) => got.push(j.matched[0]),
+                        None => std::thread::yield_now(),
+                    }
+                }
+                got
+            });
+            for i in 0..10 {
+                wire.send(0, 1, job(i));
+            }
+            rx.join().unwrap()
+        });
+        assert_eq!(got, (0..10).collect::<Vec<_>>());
+        assert!(wire.try_recv(0).is_none(), "the sender's own mailbox got a job");
+    }
+
+    #[test]
+    fn observed_wire_links_each_send_to_its_recv() {
+        let rec = Recorder::new(&gpm_obs::ObsConfig::enabled());
+        let wire = Wire::new(2, 1, &rec);
+        wire.send(0, 1, job(7));
+        wire.send(0, 1, job(8));
+        assert_eq!(wire.try_recv(1).map(|j| j.matched[0]), Some(7));
+        assert_eq!(wire.try_recv(1).map(|j| j.matched[0]), Some(8));
+        let spans = rec.spans();
+        let sends: Vec<_> = spans.iter().filter(|s| s.kind == SpanKind::PostSend).collect();
+        let recvs: Vec<_> = spans.iter().filter(|s| s.kind == SpanKind::PostRecv).collect();
+        assert_eq!(sends.len(), 2);
+        assert_eq!(recvs.len(), 2);
+        for send in &sends {
+            assert_ne!(send.link, 0);
+            assert_eq!(send.arg, job(7).bytes(), "a send records the bytes it shipped");
+            assert!(
+                recvs.iter().any(|r| r.link == send.link && r.arg == 0 && r.part == 1),
+                "send {} has no matching recv at part 1 from part 0",
+                send.link
+            );
+        }
+        assert_ne!(sends[0].link, sends[1].link, "distinct messages share a link");
+    }
+
+    #[test]
+    fn wire_quiesces_once_every_shipped_job_is_done() {
+        let rec = Recorder::disabled();
+        let wire = Wire::new(2, 1, &rec);
+        assert!(wire.quiescent());
+        for i in 0..3 {
+            wire.send(0, 1, job(i));
+        }
+        for _ in 0..3 {
+            assert!(!wire.quiescent(), "quiescent with a shipped job not done");
+            wire.try_recv(1).expect("a shipped job");
+            wire.done();
+        }
+        assert!(wire.quiescent());
+    }
+
+    #[test]
+    fn wire_in_flight_count_is_shared_across_threads() {
+        let rec = Recorder::disabled();
+        let wire = Wire::new(4, 1, &rec);
+        for i in 0..100 {
+            wire.send(0, i as usize % 4, job(i));
+        }
+        std::thread::scope(|s| {
+            for part in 0..4 {
+                let wire = &wire;
+                s.spawn(move || {
+                    for _ in 0..25 {
+                        wire.try_recv(part).expect("25 jobs per part");
+                        wire.done();
+                    }
+                });
+            }
+        });
+        assert!(wire.quiescent());
+    }
+
+    #[test]
+    fn wire_orderings_survive_a_spawning_stress() {
+        // Eight threads drive the Relaxed add / Release done / Acquire
+        // read protocol the way CTD workers do: a job may ship a child
+        // before it retires, so quiescence must only be observable after
+        // every transitively shipped job retired. Each thread publishes
+        // a side effect before each `done`; a zero read must see them all.
+        const PARTS: usize = 8;
+        const UNITS: u64 = 1_000;
+        let rec = Recorder::disabled();
+        let wire = Wire::new(PARTS, 2, &rec);
+        let effects = AtomicU64::new(0);
+        for part in 0..PARTS {
+            for i in 0..UNITS {
+                wire.send(part, part, job(i as VertexId));
+            }
+        }
+        std::thread::scope(|s| {
+            for part in 0..PARTS {
+                let (wire, effects) = (&wire, &effects);
+                s.spawn(move || {
+                    while let Some(j) = wire.try_recv(part) {
+                        // Every 7th root job ships a child to the next part.
+                        if j.level == 0 && j.matched[0] % 7 == 0 {
+                            let child = Job { level: 1, ..j.clone() };
+                            wire.send(part, (part + 1) % PARTS, child);
+                        }
+                        effects.fetch_add(1, Ordering::Relaxed);
+                        wire.done();
+                    }
+                });
+            }
+        });
+        // A child shipped to a part whose thread already drained its
+        // mailbox is still queued: the count must say so.
+        for part in 0..PARTS {
+            while wire.try_recv(part).is_some() {
+                assert!(!wire.quiescent(), "quiescent with a queued child");
+                effects.fetch_add(1, Ordering::Relaxed);
+                wire.done();
+            }
+        }
+        assert!(wire.quiescent());
+        let children = PARTS as u64 * UNITS.div_ceil(7);
+        assert_eq!(effects.load(Ordering::Relaxed), PARTS as u64 * UNITS + children);
     }
 
     #[test]

@@ -143,11 +143,13 @@ impl Liveness {
         loop {
             {
                 let holders = self.holders.read();
-                let mut live = holders[owner].iter().copied().filter(|&h| !self.is_dead(h));
-                let n = live.clone().count();
-                if n > 0 {
-                    let pick = (self.rr[owner].fetch_add(1, Ordering::Relaxed) as usize) % n;
-                    return Ok(live.nth(pick).expect("live holder in range"));
+                // One snapshot of the live set: a holder may die between
+                // two passes over `holders`, so count and pick from the same one.
+                let live: Vec<PartId> =
+                    holders[owner].iter().copied().filter(|&h| !self.is_dead(h)).collect();
+                if !live.is_empty() {
+                    let pick = self.rr[owner].fetch_add(1, Ordering::Relaxed) as usize;
+                    return Ok(live[pick % live.len()]);
                 }
             }
             if !self.rebalance_armed.load(Ordering::SeqCst)
@@ -192,7 +194,7 @@ pub enum FetchError {
         entries: usize,
     },
     /// A transient transport error injected by a
-    /// [`FaultPlan`](crate::transport::FaultPlan); retryable.
+    /// [`FaultPlan`]; retryable.
     Injected {
         /// The part that was asked.
         target: PartId,

@@ -32,11 +32,7 @@
 //!   [`Scope`] and read as [`Counts`];
 //! * [`NetworkModel`] — optional latency/bandwidth model used to convert
 //!   measured bytes into network-utilization numbers and, when enabled, to
-//!   delay fetches accordingly;
-//! * [`post`] — a typed point-to-point mailbox layer used by baselines
-//!   that move *computation* to data (aDFS-like) or ship task state;
-//! * [`work::WorkCounter`] — distributed-termination detection for
-//!   message-driven baselines.
+//!   delay fetches accordingly.
 
 #![warn(missing_docs)]
 
@@ -44,9 +40,7 @@ pub mod control;
 pub mod fabric;
 pub mod ledger;
 pub mod metrics;
-pub mod post;
 pub mod transport;
-pub mod work;
 
 pub use control::{Carrier, ControlClient, ControlLedgerConfig, ControlLedgerService};
 pub use fabric::{EdgeListClient, EdgeListService, FabricConfig, FetchError, PendingFetch};

@@ -48,7 +48,7 @@ pub struct ControlConfig {
     pub fault: Option<FaultPlan>,
 }
 
-/// What [`ControlPlane::state_summary`] reports: an incident bundle's
+/// What `ControlPlane::state_summary` reports: an incident bundle's
 /// `ledger` section. The ledger's fields (see
 /// [`gpm_cluster::LedgerSummary`]) are `None` when the carrier could not
 /// read them without a round trip.

@@ -17,7 +17,7 @@
 //! `deadline_exceeded`, `slow_query`, `control_poison`, `stall`, and
 //! `rebalance_stuck`. The first five wire into existing
 //! engine/service/control choke points; `stall` comes from the
-//! [`StallWatchdog`] — a per-run thread that fires when the run is still
+//! `StallWatchdog` — a per-run thread that fires when the run is still
 //! in flight but its progress tracker has seen no root claim or
 //! retirement for a configurable window, dumping scheduler state instead
 //! of letting a wedged run hang silently — and `rebalance_stuck` from the
@@ -124,7 +124,7 @@ impl Trigger {
 /// A bundle's `config` section.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct BundleConfig {
-    /// [`config_fingerprint`] of the engine configuration.
+    /// `config_fingerprint` of the engine configuration.
     pub fingerprint: String,
     /// The stall-watchdog window, if one was armed.
     pub stall_ms: Option<u64>,

@@ -4,7 +4,7 @@
 //! root recovery) keeps a run *correct* after a crash, but it leaves the
 //! cluster degraded: every slice the dead part owned or hosted is one
 //! copy short, so a second crash of the wrong part turns survivable into
-//! `PartLost`. The [`Rebalancer`] closes that gap. A background thread
+//! `PartLost`. The `Rebalancer` closes that gap. A background thread
 //! watches [`EdgeListService::dead_parts`]; when a part is promoted
 //! dead, it walks every slice whose effective replication dropped below
 //! the configured factor, picks a replacement host in hash-successor
@@ -29,7 +29,7 @@
 //! reports the typed `PartLost` instead of running out the clock.
 //!
 //! Observability: each transfer advances a byte-progress counter that a
-//! [`StallWatchdog`] (started only with incident capture + a stall window
+//! `StallWatchdog` (started only with incident capture + a stall window
 //! configured, the same detector that watches the scheduler) checks — a
 //! transfer that makes no byte progress for the window captures one
 //! `rebalance_stuck` incident bundle. Each healed death records a

@@ -365,9 +365,13 @@ impl MiningService {
     /// # Errors
     ///
     /// Returns the plan compiler's error message if `pattern` cannot be
-    /// compiled under `opts`.
+    /// compiled under `opts`, and refuses a pattern with edge labels: the
+    /// engine matches vertex labels only (like the paper's, §2.1).
     pub fn submit(&self, pattern: &Pattern, opts: &PlanOptions) -> Result<QueryHandle, String> {
         let plan = MatchingPlan::compile(pattern, opts)?;
+        if plan.requires_edge_labels() {
+            return Err("the distributed engine matches vertex labels only".into());
+        }
         let key: MemoKey = (canonical_code(pattern), format!("{opts:?}"), self.graph_id);
         let query_id = self.engine.next_query_id();
         // One lock for the memo-or-admit decision keeps admission order
@@ -679,6 +683,22 @@ mod tests {
         let r2 = h2.wait().unwrap();
         assert_eq!(r1.count, oracle::count_subgraphs(&g, &Pattern::triangle(), false));
         assert_eq!(r2.count, oracle::count_subgraphs(&g, &Pattern::path(3), false));
+    }
+
+    #[test]
+    fn edge_labelled_submissions_are_refused_and_the_service_keeps_serving() {
+        let (g, svc) = service(3);
+        let opts = PlanOptions::automine();
+        let edged = Pattern::path(3).with_edge_labels(&[(0, 1, 0), (1, 2, 1)]).unwrap();
+        // Refused before the memo and the queue, so a resubmission is
+        // refused again rather than handed a slot no executor fills.
+        assert!(svc.submit(&edged, &opts).is_err());
+        assert!(svc.submit(&edged, &opts).is_err());
+        let h = svc.submit(&Pattern::triangle(), &opts).unwrap();
+        assert!(!h.memoized());
+        let expect = oracle::count_subgraphs(&g, &Pattern::triangle(), false);
+        assert_eq!(h.wait().unwrap().count, expect);
+        assert_eq!(svc.drain().len(), 1);
     }
 
     #[test]

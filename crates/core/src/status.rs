@@ -361,7 +361,7 @@ fn render_incidents(svc: &MiningService) -> String {
     serde_json::to_string(&svc.engine().incidents().incidents()).expect("incident JSON renders")
 }
 
-/// The `/status` document: [`render_status`] writes it, [`read_status`]
+/// The `/status` document: `render_status` writes it, [`read_status`]
 /// reads it back for `gpm top`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StatusDoc {

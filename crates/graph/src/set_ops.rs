@@ -55,7 +55,7 @@ fn bitmap_words(vertices: usize) -> usize {
 }
 
 /// Appends to `words` the bitmap of `list` over `vertices` ids:
-/// [`bitmap_words`] words, bit `v` set for every `v` in the list.
+/// `bitmap_words` words, bit `v` set for every `v` in the list.
 pub fn push_bitmap(list: &[VertexId], vertices: usize, words: &mut Vec<u64>) {
     let base = words.len();
     words.resize(base + bitmap_words(vertices), 0);

@@ -193,12 +193,14 @@ fn report_diff_gates_injected_fetch_wait_regression() {
     f.fetch_wait += moved;
     f.compute -= moved;
     std::fs::write(&cand, perturbed.to_json()).unwrap();
-    let err =
-        gpm_apps::cli::run(&argv(format!("report diff {} {}", base.display(), cand.display())))
-            .expect_err("injected fetch-wait regression must fail the gate")
-            .to_string();
-    assert!(err.contains("fetch_wait"), "{err}");
-    assert!(err.contains("REGRESSION"), "{err}");
+    let verdict =
+        gpm_apps::cli::run(&argv(format!("report diff {} {}", base.display(), cand.display())));
+    let Err(gpm_apps::cli::Error::Failed { output, error }) = verdict else {
+        panic!("injected fetch-wait regression must fail the gate: {verdict:?}");
+    };
+    assert!(output.contains("fetch_wait"), "{output}");
+    assert!(output.contains("REGRESSION"), "{output}");
+    assert!(error.contains("regression") && !error.contains('\n'), "{error}");
     std::fs::remove_dir_all(&dir).ok();
 }
 
