@@ -1124,8 +1124,8 @@ fn run_motifs(args: &[String]) -> Result<String, Error> {
     for (p, c) in &motifs.per_pattern {
         let _ = writeln!(out, "  {p:<30} {c}");
     }
-    let _ = writeln!(out, "total connected {k}-subgraphs: {}", motifs.total);
-    let _ = writeln!(out, "elapsed: {:?}", motifs.elapsed);
+    let _ = writeln!(out, "total connected {k}-subgraphs: {}", motifs.run.count);
+    let _ = writeln!(out, "elapsed: {:?}", motifs.run.elapsed);
     Ok(out)
 }
 
@@ -1623,15 +1623,31 @@ mod tests {
         assert!(out.contains("degree histogram"));
     }
 
+    /// `motifs` prints the induced count of every connected k-vertex
+    /// pattern, then their total, each exact against the oracle; stealing
+    /// (the cluster default) moves work, never a count.
     #[test]
     fn motifs_subcommand() {
-        let out = run(&argv("motifs --gen er:50,150 --k 3 --machines 2")).unwrap();
-        assert!(out.contains("3-motif census"));
-        assert!(out.contains("total connected 3-subgraphs"));
-        // Stealing (the cluster default) moves work, never a count.
-        let total = |out: &str| out.lines().find(|l| l.starts_with("total")).unwrap().to_string();
-        let off = run(&argv("motifs --gen er:50,150 --k 3 --machines 2 --steal off")).unwrap();
-        assert_eq!(total(&out), total(&off));
+        let spec = "er:30,110,3";
+        let g = parse_gen(spec).unwrap();
+        for k in [3usize, 4] {
+            let counts: Vec<(Pattern, u64)> = (gpm_pattern::genpat::connected_patterns(k))
+                .into_iter()
+                .map(|p| {
+                    let c = gpm_pattern::oracle::count_subgraphs(&g, &p, true);
+                    (p, c)
+                })
+                .collect();
+            let total: u64 = counts.iter().map(|(_, c)| c).sum();
+            let mut lines = vec![format!("{k}-motif census (2 machines):")];
+            lines.extend(counts.iter().map(|(p, c)| format!("  {p:<30} {c}")));
+            lines.push(format!("total connected {k}-subgraphs: {total}"));
+            for steal in ["on", "off"] {
+                let cmd = format!("motifs --gen {spec} --k {k} --machines 2 --steal {steal}");
+                let out = run(&argv(&cmd)).unwrap();
+                assert_eq!(out.lines().take(lines.len()).collect::<Vec<_>>(), lines, "{cmd}");
+            }
+        }
     }
 
     #[test]

@@ -4,7 +4,6 @@ use gpm_pattern::genpat;
 use gpm_pattern::plan::{MatchingPlan, PlanOptions};
 use gpm_pattern::Pattern;
 use khuzdul::{Engine, RunStats};
-use std::time::Duration;
 
 /// Counts triangles.
 ///
@@ -56,57 +55,20 @@ pub struct MotifCounts {
     /// `(pattern, induced count)` for every connected size-k pattern, in
     /// the deterministic [`genpat::connected_patterns`] order.
     pub per_pattern: Vec<(Pattern, u64)>,
-    /// Sum of all counts (the number of connected induced k-subgraphs).
-    pub total: u64,
-    /// Total wall time over all patterns.
-    pub elapsed: Duration,
-    /// Network bytes over all patterns.
-    pub network_bytes: u64,
-    /// Per-part stats accumulated over all patterns (for work-span
-    /// makespan estimation).
-    pub per_part: Vec<khuzdul::PartStats>,
+    /// Every pattern's run folded through [`RunStats::absorb`], with
+    /// `count` the census total (the number of connected induced
+    /// k-subgraphs).
+    pub run: RunStats,
 }
 
-fn accumulate_parts(acc: &mut Vec<khuzdul::PartStats>, run: &khuzdul::RunStats) {
-    if acc.is_empty() {
-        acc.clone_from(&run.per_part);
-        return;
-    }
-    for (a, p) in acc.iter_mut().zip(&run.per_part) {
-        a.count += p.count;
-        a.compute += p.compute;
-        a.network += p.network;
-        a.scheduler += p.scheduler;
-        a.cache += p.cache;
-        a.peak_embeddings = a.peak_embeddings.max(p.peak_embeddings);
-    }
-}
-
-/// k-Motif Counting: counts the **induced** embeddings of every connected
-/// size-k pattern (the paper's k-MC application).
+/// k-Motif Counting: the induced count of every connected size-k
+/// pattern (the paper's k-MC application).
 ///
-/// # Errors
-///
-/// Returns plan-compilation errors.
-pub fn motif_count(engine: &Engine, k: usize, opts: &PlanOptions) -> Result<MotifCounts, String> {
-    let mut out = MotifCounts::default();
-    for p in genpat::connected_patterns(k) {
-        let plan_opts = PlanOptions { induced: true, ..opts.clone() };
-        let plan = MatchingPlan::compile(&p, &plan_opts)?;
-        let run = engine.count(&plan);
-        out.elapsed += run.elapsed;
-        out.network_bytes += run.traffic.network_bytes;
-        accumulate_parts(&mut out.per_part, &run);
-        out.per_pattern.push((p, run.count));
-    }
-    out.total = out.per_pattern.iter().map(|(_, c)| c).sum();
-    Ok(out)
-}
-
-/// k-Motif Counting the GraphPi way: count every size-k pattern
-/// **non-induced** (where the IEP pair shortcut and cheaper filters
-/// apply), then recover induced counts by solving the inclusion–exclusion
-/// system
+/// The plan options pick the client system's route. Without `iep`
+/// (k-Automine) every pattern is counted induced. With `iep` (k-GraphPi)
+/// every pattern is counted **non-induced**, where the IEP pair shortcut
+/// and cheaper filters apply, and the induced counts come from solving
+/// the inclusion–exclusion system
 ///
 /// ```text
 /// noninduced(p) = Σ_{q ⊇ p, |q| = k}  sub(p, q) · induced(q)
@@ -115,42 +77,39 @@ pub fn motif_count(engine: &Engine, k: usize, opts: &PlanOptions) -> Result<Moti
 /// where `sub(p, q)` is the number of copies of `p` inside the pattern
 /// `q` — tiny integers computed once with the oracle. The system is
 /// triangular in edge-count order, so back-substitution over integers is
-/// exact.
-///
-/// Produces identical results to [`motif_count`]; exists because it is
-/// usually faster (the paper attributes k-GraphPi's 3-MC advantage to
-/// GraphPi's better matching algorithm).
+/// exact. Both routes give identical counts; the paper attributes
+/// k-GraphPi's 3-MC advantage to the second. On it, every field of `run`
+/// but `count` totals the non-induced runs.
 ///
 /// # Errors
 ///
 /// Returns plan-compilation errors.
-pub fn motif_count_noninduced(
-    engine: &Engine,
-    k: usize,
-    opts: &PlanOptions,
-) -> Result<MotifCounts, String> {
+pub fn motif_count(engine: &Engine, k: usize, opts: &PlanOptions) -> Result<MotifCounts, String> {
     let patterns = genpat::connected_patterns(k);
-    let mut elapsed = Duration::ZERO;
-    let mut network_bytes = 0u64;
-    let mut per_part: Vec<khuzdul::PartStats> = Vec::new();
-    // Non-induced counts per pattern.
-    let mut raw: Vec<u64> = Vec::with_capacity(patterns.len());
+    let plan_opts = PlanOptions { induced: !opts.iep, ..opts.clone() };
+    let mut run = RunStats::default();
+    let mut counts = Vec::with_capacity(patterns.len());
     for p in &patterns {
-        let plan_opts = PlanOptions { induced: false, ..opts.clone() };
-        let plan = MatchingPlan::compile(p, &plan_opts)?;
-        let run = engine.count(&plan);
-        elapsed += run.elapsed;
-        network_bytes += run.traffic.network_bytes;
-        accumulate_parts(&mut per_part, &run);
-        raw.push(run.count);
+        let one = engine.count(&MatchingPlan::compile(p, &plan_opts)?);
+        counts.push(one.count);
+        run.absorb(&one);
     }
-    // Solve: order patterns by decreasing edge count; the densest pattern
-    // (k-clique) has noninduced == induced.
+    if opts.iep {
+        counts = solve_induced(&patterns, &counts);
+        run.count = counts.iter().sum();
+    }
+    Ok(MotifCounts { per_pattern: patterns.into_iter().zip(counts).collect(), run })
+}
+
+/// Induced counts from non-induced ones: back-substitution in decreasing
+/// edge-count order, starting from the densest pattern (the k-clique),
+/// whose non-induced count is its induced count.
+fn solve_induced(patterns: &[Pattern], noninduced: &[u64]) -> Vec<u64> {
     let mut order: Vec<usize> = (0..patterns.len()).collect();
     order.sort_by_key(|&i| std::cmp::Reverse(patterns[i].edge_count()));
     let mut induced = vec![0i128; patterns.len()];
     for &i in &order {
-        let mut value = raw[i] as i128;
+        let mut value = noninduced[i] as i128;
         for &j in &order {
             if patterns[j].edge_count() > patterns[i].edge_count() {
                 let c = copies_inside(&patterns[i], &patterns[j]);
@@ -159,16 +118,13 @@ pub fn motif_count_noninduced(
         }
         induced[i] = value;
     }
-    let per_pattern: Vec<(Pattern, u64)> = patterns
+    induced
         .into_iter()
-        .zip(&induced)
-        .map(|(p, &c)| {
+        .map(|c| {
             debug_assert!(c >= 0, "inclusion–exclusion produced a negative count");
-            (p, c as u64)
+            c as u64
         })
-        .collect();
-    let total = per_pattern.iter().map(|(_, c)| c).sum();
-    Ok(MotifCounts { per_pattern, total, elapsed, network_bytes, per_part })
+        .collect()
 }
 
 /// Number of subgraphs of the (tiny) pattern `sup` isomorphic to `sub`.
@@ -246,7 +202,7 @@ mod tests {
         // Triangles + induced paths = all connected triples.
         let tri = oracle::count_subgraphs(&g, &Pattern::triangle(), false);
         let wedge = oracle::count_subgraphs(&g, &Pattern::path(3), true);
-        assert_eq!(motifs.total, tri + wedge);
+        assert_eq!(motifs.run.count, tri + wedge);
         engine.shutdown();
     }
 
@@ -256,8 +212,8 @@ mod tests {
         let engine = engine_for(&g, 2);
         for k in [3usize, 4] {
             let direct = motif_count(&engine, k, &PlanOptions::automine()).unwrap();
-            let via = motif_count_noninduced(&engine, k, &PlanOptions::graphpi()).unwrap();
-            assert_eq!(direct.total, via.total, "k = {k}");
+            let via = motif_count(&engine, k, &PlanOptions::graphpi()).unwrap();
+            assert_eq!(direct.run.count, via.run.count, "k = {k}");
             for ((p1, c1), (p2, c2)) in direct.per_pattern.iter().zip(&via.per_pattern) {
                 assert_eq!(p1, p2);
                 assert_eq!(c1, c2, "pattern {p1}");

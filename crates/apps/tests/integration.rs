@@ -1,6 +1,6 @@
 //! Application-level integration tests.
 
-use gpm_apps::counting::{motif_count, motif_count_noninduced};
+use gpm_apps::counting::motif_count;
 use gpm_apps::fsm::{fsm_single, FsmConfig};
 use gpm_graph::partition::PartitionedGraph;
 use gpm_graph::{gen, GraphBuilder};
@@ -44,7 +44,7 @@ fn motif_routes_agree_on_five_motifs() {
     let g = gen::erdos_renyi(35, 130, 21);
     let e = engine(&g, 2);
     let direct = motif_count(&e, 5, &PlanOptions::automine()).unwrap();
-    let via = motif_count_noninduced(&e, 5, &PlanOptions::graphpi()).unwrap();
+    let via = motif_count(&e, 5, &PlanOptions::graphpi()).unwrap();
     e.shutdown();
     assert_eq!(direct.per_pattern.len(), 21);
     for ((p, a), (_, b)) in direct.per_pattern.iter().zip(&via.per_pattern) {

@@ -72,19 +72,7 @@ fn gthinker_run(g: &gpm_graph::Graph, app: App) -> RunStats {
     let mut total = RunStats::default();
     for (p, induced) in app.patterns() {
         let opts = PlanOptions { induced, ..PlanOptions::automine() };
-        let run = sys.count(&p, &opts).expect("gthinker run");
-        total.count += run.count;
-        total.elapsed += run.elapsed;
-        if total.per_part.is_empty() {
-            total.per_part = run.per_part;
-        } else {
-            for (acc, part) in total.per_part.iter_mut().zip(run.per_part) {
-                acc.compute += part.compute;
-                acc.network += part.network;
-                acc.scheduler += part.scheduler;
-                acc.cache += part.cache;
-            }
-        }
+        total.absorb(&sys.count(&p, &opts).expect("gthinker run"));
     }
     total
 }

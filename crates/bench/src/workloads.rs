@@ -1,5 +1,6 @@
 //! The paper's four counting workloads, runnable on every system.
 
+use gpm_apps::counting;
 use gpm_graph::partition::PartitionedGraph;
 use gpm_graph::Graph;
 use gpm_pattern::plan::{MatchingPlan, PlanOptions};
@@ -47,7 +48,8 @@ impl App {
         }
     }
 
-    /// Compiles this app's plans under the client system's options.
+    /// Compiles this app's plans, induced for motif counting, under the
+    /// options a baseline runs them with.
     pub fn plans(self, base: &PlanOptions) -> Vec<MatchingPlan> {
         self.patterns()
             .into_iter()
@@ -60,32 +62,19 @@ impl App {
 
     /// Runs the app on a Khuzdul engine, summing over its patterns.
     ///
-    /// Motif counting routes through the client system's preferred
-    /// algorithm: with IEP enabled (k-GraphPi) the counts come from
-    /// non-induced enumeration plus the inclusion–exclusion solve — the
-    /// "better pattern matching algorithm" the paper credits for
-    /// k-GraphPi's 3-MC advantage.
+    /// Motif counting takes the client system's route through
+    /// [`counting::motif_count`]: with IEP enabled (k-GraphPi) the counts
+    /// come from non-induced enumeration plus the inclusion–exclusion
+    /// solve — the "better pattern matching algorithm" the paper credits
+    /// for k-GraphPi's 3-MC advantage.
     pub fn run_khuzdul(self, engine: &Engine, base: &PlanOptions) -> RunStats {
-        if self == App::ThreeMc && base.iep {
-            let motifs = gpm_apps::counting::motif_count_noninduced(engine, 3, base)
-                .expect("3-motif patterns compile");
-            return RunStats {
-                count: motifs.total,
-                elapsed: motifs.elapsed,
-                per_part: motifs.per_part,
-                traffic: khuzdul::TrafficSummary {
-                    network_bytes: motifs.network_bytes,
-                    ..Default::default()
-                },
-                failures: Default::default(),
-                control: Default::default(),
-            };
-        }
-        let mut total = RunStats::default();
-        for plan in self.plans(base) {
-            total.absorb(&engine.count(&plan));
-        }
-        total
+        let run = match self {
+            App::Tc => counting::clique_count(engine, 3, base),
+            App::ThreeMc => counting::motif_count(engine, 3, base).map(|m| m.run),
+            App::FourCc => counting::clique_count(engine, 4, base),
+            App::FiveCc => counting::clique_count(engine, 5, base),
+        };
+        run.expect("workload patterns compile")
     }
 }
 
@@ -129,36 +118,48 @@ mod tests {
     /// A multi-plan app reports everything its plans did, not a chosen
     /// few fields: on two engines built alike (stealing is off, so
     /// traffic repeats exactly), the app's totals are the field-wise sums
-    /// of its plans run one by one.
+    /// of its plans run one by one — induced plans under k-Automine,
+    /// non-induced ones under k-GraphPi's IEP route — and its count is
+    /// the census total either way.
     #[test]
     fn a_two_plan_app_totals_every_field_of_its_runs() {
         let g = gen::barabasi_albert(300, 4, 5);
-        let base = PlanOptions::automine();
-        let plans = App::ThreeMc.plans(&base);
-        assert_eq!(plans.len(), 2);
-        let engine = engine_for(&g, 2, 1, 1);
-        let total = App::ThreeMc.run_khuzdul(&engine, &base);
-        engine.shutdown();
-        let engine = engine_for(&g, 2, 1, 1);
-        let runs: Vec<RunStats> = plans.iter().map(|p| engine.count(p)).collect();
-        engine.shutdown();
+        let census: u64 =
+            App::ThreeMc.patterns().iter().map(|(p, _)| oracle::count_subgraphs(&g, p, true)).sum();
+        for base in [PlanOptions::automine(), PlanOptions::graphpi()] {
+            let opts = PlanOptions { induced: !base.iep, ..base.clone() };
+            let plans: Vec<MatchingPlan> = (App::ThreeMc.patterns().iter())
+                .map(|(p, _)| MatchingPlan::compile(p, &opts).unwrap())
+                .collect();
+            assert_eq!(plans.len(), 2);
+            let engine = engine_for(&g, 2, 1, 1);
+            let total = App::ThreeMc.run_khuzdul(&engine, &base);
+            engine.shutdown();
+            let engine = engine_for(&g, 2, 1, 1);
+            let runs: Vec<RunStats> = plans.iter().map(|p| engine.count(p)).collect();
+            engine.shutdown();
 
-        let sum = |f: fn(&RunStats) -> u64| runs.iter().map(f).sum::<u64>();
-        assert_eq!(total.count, sum(|r| r.count));
-        assert_eq!(total.traffic.network_bytes, sum(|r| r.traffic.network_bytes));
-        assert_eq!(total.traffic.cross_socket_bytes, sum(|r| r.traffic.cross_socket_bytes));
-        assert_eq!(total.traffic.requests, sum(|r| r.traffic.requests));
-        assert_eq!(total.traffic.cache_hits, sum(|r| r.traffic.cache_hits));
-        assert_eq!(total.traffic.cache_misses, sum(|r| r.traffic.cache_misses));
-        assert_eq!(total.traffic.coalesced, sum(|r| r.traffic.coalesced));
-        assert_eq!(total.traffic.retries, sum(|r| r.traffic.retries));
-        assert_eq!(total.failures, Default::default());
-        assert_eq!(total.control, Default::default());
-        for (p, part) in total.per_part.iter().enumerate() {
-            assert_eq!(part.count, runs.iter().map(|r| r.per_part[p].count).sum::<u64>());
-            let peak = runs.iter().map(|r| r.per_part[p].peak_embeddings).max();
-            assert_eq!(Some(part.peak_embeddings), peak);
-            assert!(part.peak_embeddings > 0, "a field the old hand-rolled merge dropped");
+            let sum = |f: fn(&RunStats) -> u64| runs.iter().map(f).sum::<u64>();
+            assert_eq!(total.count, census, "{base:?}");
+            assert_eq!(total.traffic.network_bytes, sum(|r| r.traffic.network_bytes));
+            assert_eq!(total.traffic.cross_socket_bytes, sum(|r| r.traffic.cross_socket_bytes));
+            assert_eq!(total.traffic.requests, sum(|r| r.traffic.requests));
+            assert_eq!(total.traffic.cache_hits, sum(|r| r.traffic.cache_hits));
+            assert_eq!(total.traffic.cache_misses, sum(|r| r.traffic.cache_misses));
+            assert_eq!(total.traffic.coalesced, sum(|r| r.traffic.coalesced));
+            assert_eq!(total.traffic.retries, sum(|r| r.traffic.retries));
+            assert!(total.traffic.requests > 0, "a field the old IEP total dropped");
+            assert_eq!(total.failures, Default::default());
+            assert_eq!(total.control.sent, sum(|r| r.control.sent));
+            assert_eq!(total.control.retried, sum(|r| r.control.retried));
+            assert_eq!(total.control.dropped, sum(|r| r.control.dropped));
+            assert_eq!(total.per_part.len(), 2);
+            for (p, part) in total.per_part.iter().enumerate() {
+                assert_eq!(part.count, runs.iter().map(|r| r.per_part[p].count).sum::<u64>());
+                let peak = runs.iter().map(|r| r.per_part[p].peak_embeddings).max();
+                assert_eq!(Some(part.peak_embeddings), peak);
+                assert!(part.peak_embeddings > 0, "a field the old hand-rolled merge dropped");
+            }
         }
     }
 

@@ -76,6 +76,10 @@ pub enum EngineError {
         /// The query whose deadline fired.
         query_id: u64,
     },
+    /// The plan matches edge labels, which a part does not keep: the
+    /// engine matches vertex labels only (like the paper's, §2.1). The
+    /// query is refused before it is admitted.
+    EdgeLabels,
 }
 
 impl std::fmt::Display for EngineError {
@@ -91,6 +95,11 @@ impl std::fmt::Display for EngineError {
             EngineError::DeadlineExceeded { query_id } => {
                 write!(f, "query {query_id} exceeded its deadline before completing")
             }
+            EngineError::EdgeLabels => write!(
+                f,
+                "the distributed engine supports vertex labels only (like the paper's, §2.1); \
+                 run edge-labeled plans on gpm_pattern::interp or the single-machine baselines"
+            ),
         }
     }
 }
@@ -99,7 +108,9 @@ impl std::error::Error for EngineError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             EngineError::Fetch(e) => Some(e),
-            EngineError::PartLost { .. } | EngineError::DeadlineExceeded { .. } => None,
+            EngineError::PartLost { .. }
+            | EngineError::DeadlineExceeded { .. }
+            | EngineError::EdgeLabels => None,
         }
     }
 }
@@ -504,8 +515,9 @@ impl Engine {
     ///
     /// # Panics
     ///
-    /// Panics if the fabric reports an unrecoverable fault (see
-    /// [`Engine::try_count`] for the non-panicking form).
+    /// Panics if the fabric reports an unrecoverable fault or `plan`
+    /// matches edge labels (see [`Engine::try_count`] for the
+    /// non-panicking form).
     pub fn count(&self, plan: &MatchingPlan) -> RunStats {
         self.run(plan, None, None)
     }
@@ -521,6 +533,12 @@ impl Engine {
     /// its lost roots on the survivors, so the returned counts are
     /// bit-identical to a fault-free run. The failover and re-execution
     /// volume is reported in [`RunStats::failures`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`EngineError::EdgeLabels`] for a plan that matches edge
+    /// labels, before the query is admitted; otherwise the run's fabric,
+    /// part-loss or deadline failure.
     pub fn try_count(&self, plan: &MatchingPlan) -> Result<RunStats, EngineError> {
         self.try_run(plan, None, None, None)
     }
@@ -576,6 +594,10 @@ impl Engine {
     /// on one engine: they share the worker pool, the fabric, and the
     /// caches, while each keeps its own root ledger, traffic accounting,
     /// and failure recovery.
+    ///
+    /// # Errors
+    ///
+    /// As [`Engine::try_count`].
     pub fn try_count_query(
         &self,
         plan: &MatchingPlan,
@@ -590,7 +612,10 @@ impl Engine {
         visitor: Option<Visitor<'_>>,
         stop: Option<&std::sync::atomic::AtomicBool>,
     ) -> RunStats {
-        self.try_run(plan, visitor, stop, None).unwrap_or_else(|e| panic!("engine run failed: {e}"))
+        self.try_run(plan, visitor, stop, None).unwrap_or_else(|e| match e {
+            EngineError::EdgeLabels => panic!("{e}"),
+            e => panic!("engine run failed: {e}"),
+        })
     }
 
     fn try_run(
@@ -600,11 +625,9 @@ impl Engine {
         stop: Option<&std::sync::atomic::AtomicBool>,
         query: Option<QueryCtx>,
     ) -> Result<RunStats, EngineError> {
-        assert!(
-            !plan.requires_edge_labels(),
-            "the distributed engine supports vertex labels only (like the paper's, §2.1); \
-             run edge-labeled plans on gpm_pattern::interp or the single-machine baselines"
-        );
+        if plan.requires_edge_labels() {
+            return Err(EngineError::EdgeLabels);
+        }
         let query = query.unwrap_or_else(|| self.default_query());
         let qid = query.query_id;
         self.recorder.event(qid, SpanKind::QueryAdmit, NO_PART, 0, 0);
@@ -1874,6 +1897,28 @@ mod tests {
         engine.shutdown();
     }
 
+    /// A part keeps vertex labels only: an edge-labelled plan is refused
+    /// with a typed error before it is admitted, the engine stays usable,
+    /// and `count` still panics with the refusal's message.
+    #[test]
+    fn an_edge_labelled_plan_is_a_typed_error() {
+        let g = gen::erdos_renyi(150, 700, 5);
+        let engine = engine_for(&g, 2, 1);
+        let labelled = Pattern::triangle().with_edge_labels(&[(0, 1, 0), (1, 2, 0), (2, 0, 1)]);
+        let labelled = plan(&labelled.unwrap());
+        assert_eq!(engine.try_count(&labelled).unwrap_err(), EngineError::EdgeLabels);
+        let q = engine.default_query();
+        assert_eq!(engine.try_count_query(&labelled, &q).unwrap_err(), EngineError::EdgeLabels);
+        let expect = oracle::count_subgraphs(&g, &Pattern::triangle(), false);
+        assert_eq!(engine.count(&plan(&Pattern::triangle())).count, expect);
+        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            engine.count(&labelled);
+        }));
+        let message = panic.unwrap_err().downcast::<String>().unwrap();
+        assert!(message.starts_with("the distributed engine supports vertex labels only"));
+        engine.shutdown();
+    }
+
     fn incident_dir(tag: &str) -> std::path::PathBuf {
         let dir =
             std::env::temp_dir().join(format!("khuzdul-engine-inc-{tag}-{}", std::process::id()));
@@ -2389,10 +2434,21 @@ mod tests {
     fn iep_pair_counting_in_the_distributed_engine() {
         let g = gen::barabasi_albert(300, 6, 21);
         let engine = engine_for(&g, 4, 1);
-        for p in [Pattern::path(3), Pattern::star(4), Pattern::star(5), Pattern::path(4)] {
+        // A star on k >= 3 vertices has a unique centre, so it occurs
+        // Σ_v C(deg v, k−1) times (`path:3` is `star:3`); the brute-force
+        // oracle, which takes a minute on the larger stars, checks `path:4`.
+        let stars = |k: u64| -> u64 {
+            let choose = |n: u64| (0..k - 1).fold(1, |c, i| c * n.saturating_sub(i) / (i + 1));
+            g.vertices().map(|v| choose(g.degree(v) as u64)).sum()
+        };
+        for (p, expect) in [
+            (Pattern::path(3), stars(3)),
+            (Pattern::star(4), stars(4)),
+            (Pattern::star(5), stars(5)),
+            (Pattern::path(4), oracle::count_subgraphs(&g, &Pattern::path(4), false)),
+        ] {
             let iep = PlanOptions { iep: true, ..PlanOptions::automine() };
             let plan = MatchingPlan::compile(&p, &iep).unwrap();
-            let expect = oracle::count_subgraphs(&g, &p, false);
             assert_eq!(engine.count(&plan).count, expect, "{p}");
             // Enumeration must ignore the shortcut and still visit every
             // embedding individually.
