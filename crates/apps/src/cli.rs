@@ -501,7 +501,9 @@ fn parse_gen(spec: &str) -> Result<Graph, String> {
     let (n, m) = (parse_num(n)?, parse_num(m)?);
     let seed = seed.parse().map_err(|_| format!("'{seed}' in '{spec}' is not a seed"))?;
     match head {
+        "ba" if m == 0 || m >= n => Err(format!("'{spec}': ba:N,M needs 1 <= M < N")),
         "ba" => Ok(gen::barabasi_albert(n, m, seed)),
+        "er" if n < 2 => Err(format!("'{spec}': er:N,M needs N >= 2")),
         "er" => Ok(gen::erdos_renyi(n, m, seed)),
         // Vertex ids are u32: 2^31 vertices is the largest R-MAT graph.
         "rmat" if n > 31 => Err(format!("'{spec}': the rmat scale is at most 31, not {n}")),
@@ -1862,7 +1864,7 @@ mod tests {
 
     /// `serve` replays a workload file: counts match solo runs line by
     /// line, the duplicate is memoized, and the aggregate report
-    /// validates as schema v5; `report-validate` names the version it
+    /// validates as schema v6; `report-validate` names the version it
     /// read, so the committed v4 baseline reads as v4.
     #[test]
     fn serve_replays_a_workload_with_solo_counts() {
@@ -1894,7 +1896,7 @@ mod tests {
         let json = std::fs::read_to_string(&report).unwrap();
         assert!(json.contains("\"queries\""), "report lacks per-query sections");
         let validated = run(&argv(&format!("report-validate {}", report.display()))).unwrap();
-        assert!(validated.contains("valid RunReport (schema v5)"), "{validated}");
+        assert!(validated.contains("valid RunReport (schema v6)"), "{validated}");
         let baseline =
             concat!(env!("CARGO_MANIFEST_DIR"), "/../../ci/service-baseline.report.json");
         let validated = run(&argv(&format!("report-validate {baseline}"))).unwrap();

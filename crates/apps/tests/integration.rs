@@ -164,6 +164,12 @@ fn gpm_exits_2_on_a_usage_error_and_1_on_a_failure() {
         &["--bogus"][..],
         &["--gen", "ba:100,3"],
         &["--gen", "zzz:1", "--pattern", "triangle"],
+        // Specs the generators cannot build.
+        &["--gen", "ba:5,10", "--pattern", "triangle"],
+        &["--gen", "ba:3,0", "--pattern", "triangle"],
+        &["--gen", "ba:0,0", "--pattern", "triangle"],
+        &["--gen", "er:1,5", "--pattern", "triangle"],
+        &["--gen", "er:0,0", "--pattern", "triangle"],
         &["report", "diff", "only-one.json"],
         &["incident", "frobnicate"],
     ] {

@@ -47,7 +47,9 @@ fn main() {
         let g = build_dataset(id, scale);
         for app in [App::FourCc, App::FiveCc] {
             let run = |horizontal: bool| {
+                // One compute thread per part, so the bytes repeat exactly.
                 let cfg = EngineConfig {
+                    compute_threads: 1,
                     horizontal_sharing: horizontal,
                     // Isolate HDS: no cache, as the ablation intends.
                     cache: CacheConfig::disabled(),

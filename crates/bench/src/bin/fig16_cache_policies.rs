@@ -39,7 +39,9 @@ fn main() {
         for app in App::ALL {
             let mut results = Vec::new();
             for policy in POLICIES {
+                // One compute thread per part, so the bytes repeat exactly.
                 let cfg = EngineConfig {
+                    compute_threads: 1,
                     cache: CacheConfig {
                         policy,
                         capacity_per_machine: (g.size_bytes() / 20).max(32 << 10),

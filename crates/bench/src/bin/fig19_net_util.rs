@@ -34,7 +34,9 @@ fn main() {
     let mut rows = Vec::new();
     for id in [DatasetId::Mico, DatasetId::Patents, DatasetId::LiveJournal, DatasetId::Friendster] {
         let g = build_dataset(id, scale);
-        let cfg = EngineConfig { network: Some(model), ..EngineConfig::default() };
+        // One compute thread per part, so the bytes repeat exactly.
+        let cfg =
+            EngineConfig { compute_threads: 1, network: Some(model), ..EngineConfig::default() };
         let engine = Engine::new(PartitionedGraph::new(&g, PAPER_MACHINES, 1), cfg);
         for app in App::ALL {
             let run = app.run_khuzdul(&engine, &PlanOptions::graphpi());

@@ -272,7 +272,7 @@ impl ControlClient {
                 return Ok(reply.payload);
             }
             let (obs, kind) = (&self.obs, SpanKind::CtrlRetry);
-            if !self.retry.back_off(attempts, obs, kind, self.query, self.part, req_id) {
+            if self.retry.back_off(attempts, obs, kind, self.query, self.part, req_id).is_none() {
                 return Err(FetchError::Timeout { target: self.part, attempts });
             }
             self.scope.add(Counter::CtrlRetried, 1);

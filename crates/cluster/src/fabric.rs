@@ -781,6 +781,18 @@ impl EdgeListClient {
     }
 }
 
+/// How one [`PendingFetch::wait_split`] divides: the parts of the wait
+/// that were not spent while the reply was served or in flight.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct WaitSplit {
+    /// Waiting before the responder began serving the attempt that
+    /// answered: behind the responder's other requests, or behind lost
+    /// attempts.
+    pub queue: Duration,
+    /// Sleeping in retry backoff between attempts.
+    pub backoff: Duration,
+}
+
 /// A fetch in flight: the completion handle returned by
 /// [`EdgeListClient::fetch_async`].
 ///
@@ -827,24 +839,45 @@ impl PendingFetch {
 
     /// Blocks until the reply arrives (retrying on loss or transient
     /// errors), counts the traffic, and returns the lists in
-    /// request order.
+    /// request order: [`PendingFetch::wait_split`] without the split.
     ///
     /// # Errors
     ///
     /// Any non-transient [`FetchError`], or [`FetchError::Timeout`] once
     /// the retry budget is exhausted.
-    pub fn wait(mut self) -> Result<FetchedLists, FetchError> {
+    pub fn wait(self) -> Result<FetchedLists, FetchError> {
+        self.wait_split().map(|(lists, _)| lists)
+    }
+
+    /// [`PendingFetch::wait`], also returning how this wait divides: the
+    /// time before the responder began serving the attempt that answered,
+    /// and the time this fetch slept in retry backoff. Both fall inside
+    /// the wait, so together they are at most its length; the rest was
+    /// spent while the reply was served or in (modelled) flight.
+    ///
+    /// # Errors
+    ///
+    /// As [`PendingFetch::wait`].
+    pub fn wait_split(mut self) -> Result<(FetchedLists, WaitSplit), FetchError> {
+        let waited = Instant::now();
+        let mut backoff = Duration::ZERO;
         let mut sent = self.submitted;
-        let lists = loop {
+        let (lists, served_at) = loop {
             let (deadline, seq) = (sent + self.client.retry.timeout, self.request.seq);
             match await_reply(&self.reply_rx, deadline, |r: &WireReply| r.seq == seq) {
-                Some(WireReply { payload: Ok(lists), .. }) => break lists,
+                Some(WireReply { payload: Ok(lists), served_at, .. }) => break (lists, served_at),
                 Some(WireReply { payload: Err(e), .. }) if !e.is_transient() => return Err(e),
                 // Lost, or transiently refused: another attempt.
-                _ => self.resubmit()?,
+                _ => backoff += self.resubmit()?,
             }
             sent = Instant::now();
         };
+        // Queueing is the overlap of this wait with [first submission,
+        // serve start]. The wait opens after the submission and the serve
+        // starts before its reply arrives, so that is the wait's time
+        // before the serve — less the backoff, which sleeps inside it
+        // ahead of the last attempt.
+        let queue = served_at.saturating_duration_since(waited).saturating_sub(backoff);
         let req_bytes = self.request.wire_bytes();
         let resp_bytes = lists.response_bytes();
         if self.target != self.request.owner {
@@ -881,17 +914,18 @@ impl PendingFetch {
                 precise_sleep(remaining);
             }
         }
-        Ok(lists)
+        Ok((lists, WaitSplit { queue, backoff }))
     }
 
     /// One more attempt after a lost one: backoff, a fresh sequence
-    /// number, [`PendingFetch::send`]. Once the budget is spent the fetch
-    /// fails with [`FetchError::Timeout`] — or, under
-    /// [`FabricConfig::fail_fast`], promotes the serving part to dead and
-    /// fails over to the next live replica holder.
-    fn resubmit(&mut self) -> Result<(), FetchError> {
+    /// number, [`PendingFetch::send`]; returns the backoff slept. Once the
+    /// budget is spent the fetch fails with [`FetchError::Timeout`] — or,
+    /// under [`FabricConfig::fail_fast`], promotes the serving part to
+    /// dead and fails over to the next live replica holder.
+    fn resubmit(&mut self) -> Result<Duration, FetchError> {
         let (c, link) = (&self.client, self.request.req_id);
-        if c.retry.back_off(self.attempts, &c.obs, SpanKind::Retry, c.query, c.part, link) {
+        let slept = c.retry.back_off(self.attempts, &c.obs, SpanKind::Retry, c.query, c.part, link);
+        if slept.is_some() {
             c.scope.add(Counter::Retries, 1);
             self.attempts += 1;
             self.request.seq = c.seq.fetch_add(1, Ordering::Relaxed);
@@ -900,7 +934,8 @@ impl PendingFetch {
         } else {
             return Err(FetchError::Timeout { target: self.target, attempts: self.attempts });
         }
-        self.send()
+        self.send()?;
+        Ok(slept.unwrap_or_default())
     }
 
     /// Submits the current attempt to the part serving the owner's slice.
@@ -1309,6 +1344,35 @@ mod tests {
         service.shutdown();
     }
 
+    /// A wait under dropped replies splits into parts that fit inside
+    /// it: the backoff it reports covers every sleep the policy owes the
+    /// retries it took, and queueing plus backoff never exceed the wait.
+    #[test]
+    fn a_wait_reports_its_backoff_and_queueing_within_itself() {
+        let (g, pg) = cluster(2, 1);
+        let retry = faulty_retry();
+        let fabric =
+            FabricConfig { retry, fault: Some(FaultPlan::drops(0.5)), ..FabricConfig::default() };
+        let service = EdgeListService::start_with(&pg, None, fabric);
+        let client = service.client(1);
+        let mut retried = 0;
+        for &v in pg.part(0).owned().iter().take(20) {
+            let before = service.metrics().totals()[Counter::Retries];
+            let pending = client.fetch_async(0, &[v]).unwrap();
+            let t0 = Instant::now();
+            let (lists, split) = pending.wait_split().unwrap();
+            let waited = t0.elapsed();
+            assert_eq!(lists.list(0), g.neighbors(v));
+            let retries = service.metrics().totals()[Counter::Retries] - before;
+            let owed: Duration = (0..retries as u32).map(|k| retry.backoff * (1 << k)).sum();
+            assert!(split.backoff >= owed, "{split:?} for {retries} retries, owed {owed:?}");
+            assert!(split.queue + split.backoff <= waited, "{split:?} over a {waited:?} wait");
+            retried += retries;
+        }
+        assert!(retried > 0, "50% drops must force retries");
+        service.shutdown();
+    }
+
     #[test]
     fn injected_errors_are_retried() {
         let (g, pg) = cluster(2, 1);
@@ -1456,8 +1520,8 @@ mod tests {
     #[test]
     fn retry_spans_keep_the_original_link() {
         // Retries roll a fresh wire seq (the fault plan re-rolls per
-        // seq) but the causal link must survive, so backoff time lands
-        // on the right request in the critical path.
+        // seq) but the causal link must survive, so the trace ties each
+        // backoff to the right request.
         let (_, pg) = cluster(2, 1);
         let obs = Recorder::new(&gpm_obs::ObsConfig::enabled());
         let fabric = FabricConfig {

@@ -115,9 +115,8 @@ pub(crate) fn checked_offset(len: usize) -> Result<u32, usize> {
 /// context**: the request id (stable across retries) and the issuing
 /// part. The responder stamps its `Serve` span with the request id, so
 /// the issue, every retry, the responder's service interval, and the
-/// client wait that consumes the reply all share one causal link — the
-/// raw material for flow arrows in the trace and for critical-path
-/// attribution.
+/// client wait that consumes the reply all share one causal link, which
+/// the trace draws as flow arrows.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WireRequest {
     /// Client-assigned sequence number; a retry gets a fresh one.
@@ -127,7 +126,7 @@ pub struct WireRequest {
     pub req_id: u64,
     /// Id of the query this request works for; 0 means unattributed
     /// (see `gpm_obs::Span::query`). The responder stamps its `Serve`
-    /// span with it so per-query critical paths include service time.
+    /// span with it, so a query's trace includes its service time.
     pub query: u64,
     /// The part that issued this request.
     pub from: PartId,
@@ -162,6 +161,10 @@ pub struct WireReply {
     pub seq: u64,
     /// The served lists, or a typed failure.
     pub payload: Result<FetchedLists, FetchError>,
+    /// When the responder began serving this attempt (when the reply was
+    /// made, for a refusal or an ack): how the waiting side tells time
+    /// queued from time served. Not counted in any wire-byte total.
+    pub served_at: Instant,
 }
 
 /// One chunk of a slice transfer on the wire — the re-replication
@@ -483,7 +486,7 @@ impl ChannelTransport {
                         }
                         match msg {
                             Msg::Fetch { req, reply_to } => {
-                                let t0 = obs.now_ns();
+                                let (t0, served_at) = (obs.now_ns(), Instant::now());
                                 let payload = serve(&registry.read(), &req);
                                 if let Ok(lists) = &payload {
                                     part_metrics.add(Counter::ServedRequests, 1);
@@ -501,13 +504,15 @@ impl ChannelTransport {
                                 // client gave up (or the fault plan
                                 // swallowed the reply); keep serving
                                 // others.
-                                let _ = reply_to.send(WireReply { seq: req.seq, payload });
+                                let reply = WireReply { seq: req.seq, payload, served_at };
+                                let _ = reply_to.send(reply);
                             }
                             Msg::Push { push, reply_to } => {
                                 let seq = push.seq;
                                 let payload =
                                     stage_push(&mut staging, &registry, part_id, vertices, push);
-                                let _ = reply_to.send(WireReply { seq, payload });
+                                let served_at = Instant::now();
+                                let _ = reply_to.send(WireReply { seq, payload, served_at });
                             }
                             Msg::Shutdown => break,
                         }
@@ -556,7 +561,8 @@ impl ChannelTransport {
             (_, Some(reply_to)) => self.send(target, Msg::Fetch { req, reply_to }),
             (_, None) => {
                 let payload = Err(FetchError::Injected { target });
-                let _ = reply_to.send(WireReply { seq: req.seq, payload });
+                let _ =
+                    reply_to.send(WireReply { seq: req.seq, payload, served_at: Instant::now() });
                 Ok(())
             }
         }
@@ -967,12 +973,12 @@ impl Default for RetryPolicy {
 
 impl RetryPolicy {
     /// After `attempts` lost attempts of `query`'s request `link` from
-    /// `part`: `false` once they exhaust the budget; otherwise sleeps the
+    /// `part`: `None` once they exhaust the budget; otherwise sleeps the
     /// backoff — [`RetryPolicy::backoff`] doubled per attempt after the
     /// first, at most 2^16 times — under a `kind` span covering the
-    /// sleep (so the critical path can tell self-inflicted backoff from
-    /// waiting on a reply; a fetch's coarse `Retry` also reaches the
-    /// flight ring), and returns `true`.
+    /// sleep (a fetch's coarse `Retry` also reaches the flight ring), and
+    /// returns how long it slept, so a fetch's wait can tell
+    /// self-inflicted backoff from waiting on a reply.
     pub(crate) fn back_off(
         &self,
         attempts: u32,
@@ -981,17 +987,17 @@ impl RetryPolicy {
         query: u64,
         part: PartId,
         link: u64,
-    ) -> bool {
+    ) -> Option<Duration> {
         if attempts >= self.max_attempts.max(1) {
-            return false;
+            return None;
         }
-        let t0 = obs.now_ns();
+        let (t0, slept) = (obs.now_ns(), Instant::now());
         let backoff = self.backoff.saturating_mul(1 << (attempts - 1).min(16));
         if !backoff.is_zero() {
             std::thread::sleep(backoff);
         }
         obs.span(query, kind, part as u32, t0, attempts as u64, link);
-        true
+        Some(slept.elapsed())
     }
 }
 

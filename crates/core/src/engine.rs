@@ -2460,4 +2460,36 @@ mod tests {
         }
         engine.shutdown();
     }
+
+    /// The critical-path section is the parts' own timers: compute as
+    /// timed, network split where the fabric's waits measured it. An
+    /// untraced run reports it whole, and a traced run whose rings keep
+    /// one span per shard — dropping nearly all of them — reports the
+    /// same account.
+    #[test]
+    fn critical_path_is_the_part_timers_traced_or_not() {
+        let g = gen::erdos_renyi(300, 1_500, 7);
+        for obs in [ObsConfig::default(), ObsConfig { enabled: true, span_capacity: 1 }] {
+            let cfg = EngineConfig { obs: obs.clone(), ..EngineConfig::default() };
+            let engine = Engine::new(PartitionedGraph::new(&g, 4, 1), cfg);
+            let run = engine.count(&plan(&Pattern::triangle()));
+            let report = engine.report(&run, "khuzdul");
+            engine.shutdown();
+            assert_eq!(obs.enabled, report.spans.dropped > 0, "{:?}", report.spans);
+            let cp = &report.critical_path;
+            assert_eq!(cp.per_part.len(), 4);
+            for (row, part) in cp.per_part.iter().zip(&run.per_part) {
+                let ns = |d: Duration| d.as_nanos() as u64;
+                let waited = row.fetch_wait_ns + row.responder_queue_ns + row.retry_backoff_ns;
+                assert_eq!(row.compute_ns, ns(part.compute), "part {}", row.part);
+                assert_eq!(waited, ns(part.network), "part {}", row.part);
+                assert_eq!(row.responder_queue_ns, ns(part.responder_queue));
+                assert_eq!(row.retry_backoff_ns, ns(part.retry_backoff));
+            }
+            let f = cp.fractions;
+            let sum = f.compute + f.fetch_wait + f.responder_queue + f.retry_backoff;
+            assert!((sum - 1.0).abs() < 1e-9, "{f:?}");
+            assert!(f.compute > 0.0 && f.fetch_wait > 0.0, "{f:?}");
+        }
+    }
 }

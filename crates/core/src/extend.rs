@@ -156,7 +156,7 @@ impl PartRun<'_> {
             self.obs.observe(Metric::ChunkFanout, grown as u64);
         }
         self.obs.span(SpanKind::Extend, ets, grown as u64);
-        self.count += counter.load(Ordering::SeqCst);
+        self.stats.count += counter.load(Ordering::SeqCst);
         // A held child's list stayed off the wire, as a sharer's does.
         let held = held.into_inner();
         if held > 0 {
@@ -164,7 +164,7 @@ impl PartRun<'_> {
             #[cfg(test)]
             self.ctx.pool.held.fetch_add(held, Ordering::Relaxed);
         }
-        self.compute += t0.elapsed();
+        self.stats.compute += t0.elapsed();
     }
 }
 

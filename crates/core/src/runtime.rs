@@ -39,7 +39,7 @@ use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Embedding visitor used by `Engine::enumerate`.
 pub(crate) type Visitor<'a> = &'a (dyn Fn(&[VertexId]) + Sync);
@@ -163,15 +163,8 @@ pub(crate) struct PartRun<'e> {
     pub(crate) last: usize,
     /// Extend scratch, one per worker index.
     pub(crate) workers: Vec<Mutex<Scratch>>,
-    pub(crate) count: u64,
-    pub(crate) compute: Duration,
-    pub(crate) network: Duration,
-    pub(crate) scheduler: Duration,
-    pub(crate) peak_embeddings: usize,
-    /// Roots this part obtained from other parts (steals + spill claims).
-    roots_stolen: u64,
-    /// Roots this part handed to the spill for starving parts.
-    roots_donated: u64,
+    /// The part's count, timers and counters, returned by `run`.
+    pub(crate) stats: PartStats,
     /// Whether a seeded ledger batch is still to be retired: on the next
     /// claim, or alone if the run ends first.
     batch_open: bool,
@@ -225,13 +218,7 @@ impl<'e> PartRun<'e> {
             levels,
             last,
             workers,
-            count: 0,
-            compute: Duration::ZERO,
-            network: Duration::ZERO,
-            scheduler: Duration::ZERO,
-            peak_embeddings: 0,
-            roots_stolen: 0,
-            roots_donated: 0,
+            stats: PartStats::default(),
             batch_open: false,
             outstanding_roots: 0,
             scratch,
@@ -246,16 +233,7 @@ impl<'e> PartRun<'e> {
         } else {
             self.hybrid_loop()?;
         }
-        Ok(PartStats {
-            count: self.count,
-            compute: self.compute,
-            network: self.network,
-            scheduler: self.scheduler,
-            cache: Duration::ZERO,
-            peak_embeddings: self.peak_embeddings,
-            roots_stolen: self.roots_stolen,
-            roots_donated: self.roots_donated,
-        })
+        Ok(std::mem::take(&mut self.stats))
     }
 
     fn count_single_vertices(&mut self) {
@@ -265,7 +243,7 @@ impl<'e> PartRun<'e> {
             if required.is_some() && self.ctx.label(v) != required {
                 continue;
             }
-            self.count += 1;
+            self.stats.count += 1;
             if let Some(visit) = self.ctx.visitor {
                 visit(&[v]);
             }
@@ -275,7 +253,7 @@ impl<'e> PartRun<'e> {
         let n = self.ctx.part.owned().len() as u64;
         self.ctx.progress.record_claimed(self.ctx.my_part, n, false);
         self.ctx.progress.record_completed(self.ctx.my_part, n);
-        self.compute += t0.elapsed();
+        self.stats.compute += t0.elapsed();
     }
 
     /// The DFS-over-chunks / BFS-within-chunk driver (§4.2, Figure 7).
@@ -323,7 +301,7 @@ impl<'e> PartRun<'e> {
                 }
             }
             let live: usize = self.levels.iter().map(|c| c.embs.len()).sum();
-            self.peak_embeddings = self.peak_embeddings.max(live);
+            self.stats.peak_embeddings = self.stats.peak_embeddings.max(live);
             let cur = (0..self.levels.len()).rev().find(|&l| self.levels[l].has_work());
             match cur {
                 Some(cur) => {
@@ -419,7 +397,7 @@ impl<'e> PartRun<'e> {
         if starving {
             self.ctx.ledger.set_starving(self.ctx.my_part, false);
         }
-        self.scheduler += t0.elapsed();
+        self.stats.scheduler += t0.elapsed();
         match failure {
             Some(e) => Err(e),
             None => Ok(seeded),
@@ -462,7 +440,7 @@ impl<'e> PartRun<'e> {
         self.outstanding_roots = roots.len();
         let stolen = !matches!(source, ClaimSource::Own);
         if stolen {
-            self.roots_stolen += roots.len() as u64;
+            self.stats.roots_stolen += roots.len() as u64;
         }
         self.ctx.progress.record_claimed(self.ctx.my_part, roots.len() as u64, stolen);
         self.obs.span(SpanKind::SeedRoots, ts, seeded as u64);
@@ -507,7 +485,7 @@ impl<'e> PartRun<'e> {
                 *end = from;
             }
         }
-        self.roots_donated += donated.len() as u64;
+        self.stats.roots_donated += donated.len() as u64;
         // Donated roots leave this part's responsibility: the claimant
         // records them claimed (and completed) on its own side, so drop
         // them from this part's outstanding-progress tally.
@@ -626,7 +604,7 @@ impl<'e> PartRun<'e> {
         // part's other queries; the one rule that keeps them from
         // wedging each other is never to block on it while holding an
         // un-waited fetch — wait the oldest instead.
-        let network_before = self.network;
+        let network_before = self.stats.network;
         // Keep going after a failure so every window slot retires, then
         // report the first.
         let mut failure: Option<FetchError> = None;
@@ -652,7 +630,7 @@ impl<'e> PartRun<'e> {
                     None => {
                         let tw = Instant::now();
                         let issued = self.ctx.client.fetch_clamped_async(t, vertices, above);
-                        self.network += tw.elapsed();
+                        self.stats.network += tw.elapsed();
                         break issued;
                     }
                 }
@@ -662,7 +640,7 @@ impl<'e> PartRun<'e> {
         while let Some((t, oldest)) = self.scratch.inflight.pop_front() {
             note(self.collect(cur, t, oldest));
         }
-        self.scheduler += t0.elapsed().saturating_sub(self.network - network_before);
+        self.stats.scheduler += t0.elapsed().saturating_sub(self.stats.network - network_before);
         self.obs.span(SpanKind::Resolve, rts, remote);
         match failure {
             Some(e) => Err(e),
@@ -679,12 +657,14 @@ impl<'e> PartRun<'e> {
         // The causal request id links the span covering this blocked
         // wait to the issue/serve spans of the request it waited on.
         let req_id = pending.request_id();
-        let outcome = pending.wait();
-        self.network += tw.elapsed();
+        let outcome = pending.wait_split();
+        self.stats.network += tw.elapsed();
         self.obs.span_linked(SpanKind::BucketRound, bts, t as u64, req_id);
         // The reply is adopted as it arrived: each embedding's list is a
         // span of the payload the responder wrote, never copied again.
-        let lists = outcome?;
+        let (lists, split) = outcome?;
+        self.stats.responder_queue += split.queue;
+        self.stats.retry_backoff += split.backoff;
         let (embs, vertices) = (&self.scratch.embs[t], &self.scratch.vertices[t]);
         debug_assert_eq!(lists.len(), vertices.len(), "one list per requested vertex");
         let cache_enabled = self.ctx.cache.is_enabled();
@@ -814,12 +794,12 @@ mod tests {
             // More than that: worth one question. Nobody is starving.
             run.levels[0].leftovers = vec![(0, 8), (8, 16)];
             run.maybe_donate();
-            assert_eq!((sent(), run.roots_donated), (2, 0));
+            assert_eq!((sent(), run.stats.roots_donated), (2, 0));
             // Somebody is: the question, then the donation — half of
             // what can be spared, out of the last range.
             ledger.set_starving(1, true);
             run.maybe_donate();
-            assert_eq!((sent(), run.roots_donated), (4, 4));
+            assert_eq!((sent(), run.stats.roots_donated), (4, 4));
             assert_eq!(run.levels[0].leftovers, vec![(0, 8), (8, 12)]);
             // The stack drains; the next claim is the retirement too.
             run.levels[0].clear();
@@ -845,22 +825,25 @@ mod tests {
             // Nobody starves: nothing moves, however much is left over.
             run.levels[0].leftovers = vec![(0, 1000)];
             run.maybe_donate();
-            assert_eq!((run.roots_donated, ledger.state_summary().spill_len), (0, Some(0)));
+            assert_eq!((run.stats.roots_donated, ledger.state_summary().spill_len), (0, Some(0)));
             // A starving peer, but no more left than this part keeps.
             ledger.set_starving(1, true);
             run.levels[0].leftovers = vec![(0, 64)];
             run.maybe_donate();
-            assert_eq!((run.roots_donated, ledger.state_summary().spill_len), (0, Some(0)));
+            assert_eq!((run.stats.roots_donated, ledger.state_summary().spill_len), (0, Some(0)));
             // ceil((1000 - 64) / 2) roots off the tail.
             run.levels[0].leftovers = vec![(0, 1000)];
             run.maybe_donate();
             assert_eq!(run.levels[0].leftovers, vec![(0, 532)]);
-            assert_eq!((run.roots_donated, ledger.state_summary().spill_len), (468, Some(468)));
+            assert_eq!(
+                (run.stats.roots_donated, ledger.state_summary().spill_len),
+                (468, Some(468))
+            );
             // Whole ranges go first, then the split.
             run.levels[0].leftovers = vec![(0, 100), (200, 230), (500, 510)];
             run.maybe_donate();
             assert_eq!(run.levels[0].leftovers, vec![(0, 100), (200, 202)]);
-            assert_eq!(run.roots_donated, 468 + 38);
+            assert_eq!(run.stats.roots_donated, 468 + 38);
             // With nobody dead, the lost roots are what sits in the spill.
             let mut spilled = ledger.lost_roots(&[]).unwrap();
             spilled.sort_unstable();

@@ -19,7 +19,7 @@ use crate::engine::{Engine, EngineError, QueryCtx, DEFAULT_ROOT_BUDGET};
 use crate::incident::{counter_snapshot, CaptureSections, Trigger};
 use crate::stats::RunStats;
 use gpm_cluster::Counter;
-use gpm_obs::{critical_path, QueryReport, RunReport, Span, TriggerKind};
+use gpm_obs::{QueryReport, RunReport, TriggerKind};
 use gpm_pattern::iso::canonical_code;
 use gpm_pattern::plan::{MatchingPlan, PlanOptions};
 use gpm_pattern::Pattern;
@@ -455,23 +455,29 @@ impl MiningService {
     }
 
     /// The service-level aggregate report: totals summed over every
-    /// completed query, the recorder's histograms and span accounting, and one `queries[]` section per completed query
-    /// in admission order — each with its own traffic, failure, and
-    /// critical-path attribution (computed over that query's spans
-    /// only).
+    /// completed query, the recorder's histograms and span accounting,
+    /// and one `queries[]` section per completed query in admission order
+    /// — each with its own traffic, failure, and critical-path
+    /// attribution (read off that query's own part timers). The
+    /// top-level critical path sums the executed queries' accounts.
     pub fn report(&self, system: &str) -> RunReport {
         let outcomes = self.outcomes();
         let mut agg = sum_outcomes(&outcomes);
+        let critical_path = agg.critical_path();
+        // Queries interleave on the same parts, so their per-part times
+        // overlap; past the summed account, the aggregate carries totals
+        // only.
+        agg.per_part.clear();
         agg.elapsed = self.started.elapsed();
         // Service-level failure count: parts that fail-stopped, counted
         // once, not once per query that observed them.
         agg.failures.parts_failed = self.engine.metrics().totals()[Counter::PartsFailed];
         let mut report = agg.to_report(system);
+        report.critical_path = critical_path;
         self.engine.recorder().augment_report(&mut report);
         report.incidents = self.engine.incidents().incidents();
         report.rebalance = self.engine.rebalance_section();
-        let spans = self.engine.recorder().spans();
-        report.queries = outcomes.iter().map(|o| query_report(o, &spans)).collect();
+        report.queries = outcomes.iter().map(query_report).collect();
         report
     }
 
@@ -526,8 +532,8 @@ impl Drop for MiningService {
 
 /// What the completed `outcomes` add up to — the one aggregation behind
 /// the service report and `/metrics`. Every completed query adds its
-/// count; only those that ran add traffic, failures and control
-/// messages (a memoized duplicate moved no bytes).
+/// count; only those that ran add traffic, failures, control messages
+/// and part timers (a memoized duplicate moved no bytes).
 pub(crate) fn sum_outcomes(outcomes: &[QueryOutcome]) -> RunStats {
     let mut agg = RunStats::default();
     for o in outcomes {
@@ -537,14 +543,11 @@ pub(crate) fn sum_outcomes(outcomes: &[QueryOutcome]) -> RunStats {
             Err(_) => {}
         }
     }
-    // Queries interleave on the same parts, so their per-part times
-    // overlap; the aggregate carries totals only.
-    agg.per_part.clear();
     agg
 }
 
 /// One query's section of the aggregate report.
-fn query_report(o: &QueryOutcome, spans: &[Span]) -> QueryReport {
+fn query_report(o: &QueryOutcome) -> QueryReport {
     let mut qr = QueryReport {
         query_id: o.query_id,
         pattern: o.pattern.clone(),
@@ -563,8 +566,7 @@ fn query_report(o: &QueryOutcome, spans: &[Span]) -> QueryReport {
             qr.traffic = (&stats.traffic).into();
             qr.failures = stats.failures;
             qr.control = stats.control;
-            let mine: Vec<Span> = spans.iter().filter(|s| s.query == o.query_id).cloned().collect();
-            qr.critical_path = critical_path(&mine);
+            qr.critical_path = stats.critical_path();
         }
     }
     qr

@@ -13,6 +13,14 @@ pub struct PartStats {
     pub compute: Duration,
     /// Wall time blocked waiting for remote data (the paper's "network").
     pub network: Duration,
+    /// The part of `network` before the responder began serving the
+    /// attempt that answered: queued behind its other requests, or
+    /// behind lost attempts (`WaitSplit::queue`). Zero for baselines,
+    /// whose waits are not split.
+    pub responder_queue: Duration,
+    /// The part of `network` slept in retry backoff
+    /// (`WaitSplit::backoff`).
+    pub retry_backoff: Duration,
     /// Wall time in resolve-phase bookkeeping: bucketing, horizontal
     /// table, cache queries, chunk management (the paper's "scheduler").
     pub scheduler: Duration,
@@ -99,11 +107,28 @@ impl PartStats {
         self.count += other.count;
         self.compute += other.compute;
         self.network += other.network;
+        self.responder_queue += other.responder_queue;
+        self.retry_backoff += other.retry_backoff;
         self.scheduler += other.scheduler;
         self.cache += other.cache;
         self.peak_embeddings = self.peak_embeddings.max(other.peak_embeddings);
         self.roots_stolen += other.roots_stolen;
         self.roots_donated += other.roots_donated;
+    }
+
+    /// This part's row of the report's critical-path section: compute as
+    /// timed, and the network time split three ways — the queueing and
+    /// backoff its waits measured, and the rest waiting on a reply.
+    fn critical_path(&self, part: usize) -> gpm_obs::PartCriticalPath {
+        let ns = |d: Duration| d.as_nanos() as u64;
+        let (queue, backoff) = (ns(self.responder_queue), ns(self.retry_backoff));
+        gpm_obs::PartCriticalPath {
+            part: part as u64,
+            compute_ns: ns(self.compute),
+            fetch_wait_ns: ns(self.network).saturating_sub(queue + backoff),
+            responder_queue_ns: queue,
+            retry_backoff_ns: backoff,
+        }
     }
 }
 
@@ -202,11 +227,19 @@ impl RunStats {
             .unwrap_or(self.elapsed)
     }
 
+    /// The report's critical-path section: one row per part, read off
+    /// its timers.
+    pub fn critical_path(&self) -> gpm_obs::CriticalPathSection {
+        let rows = self.per_part.iter().enumerate().map(|(i, p)| p.critical_path(i));
+        gpm_obs::CriticalPathSection::from_parts(rows.collect())
+    }
+
     /// Converts this run into a [`gpm_obs::RunReport`] skeleton: count,
     /// elapsed time, traffic totals (field-for-field from
-    /// [`TrafficSummary`]), breakdown fractions, and per-part detail.
-    /// Recorder-owned sections (histograms, span accounting) stay empty;
-    /// `Engine::report` fills them via `gpm_obs::Recorder::augment_report`.
+    /// [`TrafficSummary`]), breakdown and critical-path fractions, and
+    /// per-part detail. Recorder-owned sections (histograms, span
+    /// accounting) stay empty; `Engine::report` fills them via
+    /// `gpm_obs::Recorder::augment_report`.
     pub fn to_report(&self, system: &str) -> gpm_obs::RunReport {
         gpm_obs::RunReport {
             schema_version: gpm_obs::REPORT_SCHEMA_VERSION,
@@ -233,7 +266,7 @@ impl RunStats {
                 .collect(),
             histograms: Vec::new(),
             spans: gpm_obs::SpanStats::default(),
-            critical_path: gpm_obs::CriticalPathSection::default(),
+            critical_path: self.critical_path(),
             failures: self.failures,
             rebalance: gpm_obs::RebalanceSection::default(),
             control: self.control,
@@ -433,6 +466,8 @@ mod tests {
                 count: k,
                 compute: Duration::from_millis(2 * k),
                 network: Duration::from_millis(3 * k),
+                responder_queue: Duration::from_millis(k),
+                retry_backoff: Duration::from_micros(k),
                 scheduler: Duration::from_millis(4 * k),
                 cache: Duration::from_millis(5 * k),
                 peak_embeddings: 10 * k as usize,
@@ -470,8 +505,8 @@ mod tests {
             (want.count, want.compute, want.network, want.scheduler, want.cache)
         );
         assert_eq!(
-            (part.roots_stolen, part.roots_donated),
-            (want.roots_stolen, want.roots_donated)
+            (part.responder_queue, part.retry_backoff, part.roots_stolen, part.roots_donated),
+            (want.responder_queue, want.retry_backoff, want.roots_stolen, want.roots_donated)
         );
         assert_eq!(part.peak_embeddings, 20);
     }

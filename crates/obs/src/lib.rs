@@ -28,12 +28,13 @@
 //!   ([`Recorder::chrome_trace`], loadable in `chrome://tracing` or
 //!   Perfetto) and a versioned machine-readable [`RunReport`]
 //!   (schema [`REPORT_SCHEMA_VERSION`]) that subsumes the engine's
-//!   `TrafficSummary` and breakdown and adds percentiles per metric.
+//!   `TrafficSummary` and breakdown and adds percentiles per metric. Its
+//!   critical-path section ([`CriticalPathSection::from_parts`]) turns the
+//!   parts' own timers into compute/fetch-wait/queue/backoff fractions,
+//!   and [`diff_reports`] gates CI on those fractions regressing.
 //! * **Causal links** — spans of one request lifecycle share a nonzero
 //!   [`Span::link`]; the trace exporter renders them as flow arrows
-//!   (issue → serve → wait), [`critical_path`] decomposes wall time
-//!   into compute/fetch-wait/queue/backoff fractions from them, and
-//!   [`diff_reports`] gates CI on those fractions regressing.
+//!   (issue → serve → wait).
 //!
 //! **Overhead model**: every record method first loads a relaxed
 //! [`AtomicBool`](std::sync::atomic::AtomicBool) and returns if tracing
@@ -61,7 +62,6 @@ macro_rules! serde_by_name {
     };
 }
 
-mod critical;
 mod diff;
 mod export;
 mod flight;
@@ -73,7 +73,6 @@ mod span;
 mod trace;
 mod validate;
 
-pub use critical::critical_path;
 pub use diff::{diff_reports, DiffThresholds, ReportDiff};
 pub use export::{render_prometheus, sample_value, validate_exposition, PromKind, PromMetric};
 pub use flight::{FlightEvent, FlightKind, FlightRecorder, FLIGHT_CAPACITY};

@@ -343,9 +343,8 @@ impl Recorder {
     }
 
     /// Fills a report's recorder-owned sections: the per-metric
-    /// histograms, the span ring accounting, and
-    /// the critical-path attribution derived from linked spans.
-    /// Counter/breakdown fields are the caller's to populate.
+    /// histograms and the span ring accounting. Counter, breakdown and
+    /// critical-path fields are the caller's to populate.
     pub fn augment_report(&self, report: &mut crate::report::RunReport) {
         report.histograms = Metric::ALL
             .iter()
@@ -359,7 +358,6 @@ impl Recorder {
             dropped: self.spans_dropped(),
             rings: self.ring_occupancy(),
         };
-        report.critical_path = crate::critical::critical_path(&self.spans());
     }
 }
 

@@ -10,7 +10,7 @@ use serde::{Deserialize, Serialize, Value};
 ///
 /// v2: `spans` gained per-shard `rings` occupancy and the report gained
 /// the `critical_path` section (compute/fetch-wait/queue/retry
-/// attribution from linked spans).
+/// attribution).
 ///
 /// v3: the report gained the `failures` section (fail-stop parts,
 /// replica failover traffic, and recovery re-execution counts).
@@ -36,7 +36,15 @@ use serde::{Deserialize, Serialize, Value};
 ///
 /// v5: the gauge time series `series` is gone. A v4 report still reads:
 /// its `series` key is ignored like any unknown key.
-pub const REPORT_SCHEMA_VERSION: u64 = 5;
+///
+/// v6: `critical_path` is read off the parts' own timers, for every run
+/// — `compute_ns` is the part's compute, and its network time splits into
+/// `fetch_wait_ns`, `responder_queue_ns` and `retry_backoff_ns` where the
+/// fabric's wait measured the split — instead of rebuilt from the spans
+/// the trace rings kept. The per-part counts of waits found and not found
+/// in the trace are gone: every wait is measured. A v4 or v5 report still
+/// reads; its two counts are ignored like any unknown key.
+pub const REPORT_SCHEMA_VERSION: u64 = 6;
 
 /// End-of-run traffic totals, mirroring the engine's `TrafficSummary`
 /// counter-for-counter so the two can be diffed.
@@ -119,9 +127,8 @@ pub struct RingOccupancy {
 }
 
 /// Span accounting: how much of the trace survived the ring buffers.
-/// Nonzero `dropped` means the trace (and anything derived from it, like
-/// the critical-path section) is truncated; `report-validate` warns on
-/// it so truncated traces are never silently trusted.
+/// Nonzero `dropped` means the trace is truncated; `report-validate`
+/// warns on it so truncated traces are never silently trusted.
 #[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct SpanStats {
     /// Spans offered to the recorder.
@@ -133,12 +140,12 @@ pub struct SpanStats {
     pub rings: Vec<RingOccupancy>,
 }
 
-/// Wall-time attribution fractions from the critical-path pass. Each is
+/// Wall-time attribution fractions of the critical-path section. Each is
 /// in `[0, 1]`; together they sum to 1 when any time was accounted and
 /// are all zero otherwise (never NaN).
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct CriticalPathFractions {
-    /// Fraction in pattern-extension compute (seed/extend/job spans).
+    /// Fraction in pattern-extension compute.
     pub compute: f64,
     /// Fraction blocked on a remote fetch in flight (after subtracting
     /// responder queueing and retry backoff).
@@ -150,12 +157,13 @@ pub struct CriticalPathFractions {
     pub retry_backoff: f64,
 }
 
-/// Per-part critical-path decomposition, nanoseconds.
+/// Per-part critical-path decomposition, nanoseconds: the part's compute
+/// timer, and its network timer split into the three blocked buckets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct PartCriticalPath {
     /// Part id.
     pub part: u64,
-    /// Nanoseconds in compute spans.
+    /// Nanoseconds in compute.
     pub compute_ns: u64,
     /// Nanoseconds blocked on in-flight fetches.
     pub fetch_wait_ns: u64,
@@ -163,21 +171,41 @@ pub struct PartCriticalPath {
     pub responder_queue_ns: u64,
     /// Nanoseconds of blocked time in retry backoff.
     pub retry_backoff_ns: u64,
-    /// Waits whose request lifecycle was linked and found in the trace.
-    pub linked_waits: u64,
-    /// Waits with no (or a truncated) lifecycle — attributed wholly to
-    /// `fetch_wait_ns`.
-    pub unlinked_waits: u64,
 }
 
 /// The critical-path section of the report (schema v2): how the run's
-/// accounted wall time decomposes along each part's dependency chain.
+/// accounted time divides into compute and the three kinds of waiting
+/// on remote data.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct CriticalPathSection {
     /// Run-wide attribution fractions.
     pub fractions: CriticalPathFractions,
     /// Per-part nanosecond decomposition, sorted by part.
     pub per_part: Vec<PartCriticalPath>,
+}
+
+impl CriticalPathSection {
+    /// The section over `per_part`: each bucket's share of the time all
+    /// rows account, all zero when they account none.
+    pub fn from_parts(per_part: Vec<PartCriticalPath>) -> Self {
+        let sum = |f: fn(&PartCriticalPath) -> u64| per_part.iter().map(f).sum::<u64>() as f64;
+        let compute = sum(|p| p.compute_ns);
+        let fetch_wait = sum(|p| p.fetch_wait_ns);
+        let queue = sum(|p| p.responder_queue_ns);
+        let backoff = sum(|p| p.retry_backoff_ns);
+        let total = compute + fetch_wait + queue + backoff;
+        let fractions = if total == 0.0 {
+            CriticalPathFractions::default()
+        } else {
+            CriticalPathFractions {
+                compute: compute / total,
+                fetch_wait: fetch_wait / total,
+                responder_queue: queue / total,
+                retry_backoff: backoff / total,
+            }
+        };
+        CriticalPathSection { fractions, per_part }
+    }
 }
 
 /// Fail-stop failure accounting (schema v3). All-zero for a fault-free
@@ -379,7 +407,7 @@ pub struct QueryReport {
     pub traffic: TrafficTotals,
     /// Fail-stop failures observed while this query ran.
     pub failures: FailureSection,
-    /// Critical-path attribution over this query's spans only.
+    /// Critical-path attribution from this query's own part timers.
     pub critical_path: CriticalPathSection,
     /// Size of the root multiset this query enumerated (0 for memoized
     /// queries, and in reports written while progress was optional).
@@ -429,8 +457,8 @@ pub struct RunReport {
     pub histograms: Vec<NamedHistogram>,
     /// Span ring accounting.
     pub spans: SpanStats,
-    /// Critical-path attribution from linked spans (all-zero when the
-    /// run recorded no spans).
+    /// Critical-path attribution from the parts' timers; a service
+    /// report sums its executed queries' sections.
     pub critical_path: CriticalPathSection,
     /// Fail-stop failure and failover accounting (all-zero for a
     /// fault-free run).
@@ -577,8 +605,6 @@ mod tests {
                     fetch_wait_ns: 30,
                     responder_queue_ns: 15,
                     retry_backoff_ns: 5,
-                    linked_waits: 3,
-                    unlinked_waits: 1,
                 }],
             },
             failures: FailureSection {
@@ -649,13 +675,45 @@ mod tests {
     }
 
     #[test]
+    fn empty_rows_yield_zero_fractions() {
+        let cp = CriticalPathSection::from_parts(Vec::new());
+        assert_eq!(cp, CriticalPathSection::default());
+        let idle = vec![PartCriticalPath { part: 3, ..PartCriticalPath::default() }];
+        assert_eq!(CriticalPathSection::from_parts(idle).fractions, Default::default());
+    }
+
+    #[test]
+    fn fractions_are_each_bucket_over_every_row() {
+        let row = |part, compute_ns, fetch_wait_ns, responder_queue_ns, retry_backoff_ns| {
+            PartCriticalPath {
+                part,
+                compute_ns,
+                fetch_wait_ns,
+                responder_queue_ns,
+                retry_backoff_ns,
+            }
+        };
+        let cp =
+            CriticalPathSection::from_parts(vec![row(0, 100, 120, 60, 20), row(1, 0, 0, 0, 0)]);
+        assert_eq!(cp.per_part.len(), 2, "an idle part keeps its row");
+        let f = cp.fractions;
+        for v in [f.compute, f.fetch_wait, f.responder_queue, f.retry_backoff] {
+            assert!((0.0..=1.0).contains(&v), "fraction {v} out of range");
+        }
+        let sum = f.compute + f.fetch_wait + f.responder_queue + f.retry_backoff;
+        assert!((sum - 1.0).abs() < 1e-9, "fractions sum to {sum}");
+        assert!((f.compute - 100.0 / 300.0).abs() < 1e-9);
+        assert!((f.responder_queue - 60.0 / 300.0).abs() < 1e-9);
+    }
+
+    #[test]
     fn json_is_byte_stable() {
         // Satellite: identical data serializes to identical bytes.
         let a = sample().to_json();
         let b = sample().to_json();
         assert_eq!(a, b);
         assert!(a.ends_with('\n'));
-        assert!(a.contains("\"schema_version\": 5"));
+        assert!(a.contains("\"schema_version\": 6"));
         assert!(!a.contains("\"series\""));
         assert!(a.contains("\"fetch_latency_ns\""));
         assert!(a.contains("\"critical_path\""));

@@ -285,13 +285,11 @@ pub struct Span {
     /// produced it; 0 means unlinked. All spans of one fetch lifecycle —
     /// issue, responder serve, retries, and the wait that consumed the
     /// reply — share one nonzero link, which the Chrome exporter renders
-    /// as flow-event arrows and the critical-path pass walks for
-    /// attribution.
+    /// as flow-event arrows.
     pub link: u64,
     /// Id of the query this span belongs to; 0 means unattributed
     /// (engine-internal work, service plumbing, or a run recorded before
-    /// query scoping). Per-query report sections filter the trace on
-    /// this field.
+    /// query scoping), so a trace reads one query at a time.
     pub query: u64,
 }
 

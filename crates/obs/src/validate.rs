@@ -233,8 +233,9 @@ fn fill_missing_tails(v: &mut Value) {
 /// through here, so the gate refuses whatever the validator refuses.
 pub(crate) fn read_report(json: &str, root: &str) -> Result<(RunReport, Vec<String>), String> {
     let mut doc = parse_json(json).map_err(|e| format!("{root}: {e}"))?;
-    // The version first: another version may lay out anything. A v4
-    // report differs only by the `series` key, which the read ignores.
+    // The version first: another version may lay out anything. A v4 or
+    // v5 report differs only by keys the read ignores: v4's `series`, and
+    // both versions' per-part counts of waits the trace linked.
     let version = req_u64(serde::object(&doc, root)?, "schema_version", root)?;
     if !(4..=REPORT_SCHEMA_VERSION).contains(&version) {
         return Err(format!(
@@ -273,8 +274,7 @@ pub(crate) fn read_report(json: &str, root: &str) -> Result<(RunReport, Vec<Stri
 
     if r.spans.dropped > 0 {
         warnings.push(format!(
-            "spans.dropped: {} spans were overwritten — the trace and the \
-             critical-path attribution derived from it are truncated",
+            "spans.dropped: {} spans were overwritten — the trace is truncated",
             r.spans.dropped
         ));
     }
@@ -399,7 +399,7 @@ fn retries_within_sends(c: &ControlSection, path: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// Validates a `RunReport` JSON document of schema version 4 or
+/// Validates a `RunReport` JSON document of schema version 4 to
 /// [`REPORT_SCHEMA_VERSION`] by reading it into a [`RunReport`]: every
 /// field present with the right type (the additive ones may be absent),
 /// fractions finite and in `[0, 1]`, percentiles monotone, histogram
@@ -530,11 +530,14 @@ mod tests {
 
     #[test]
     fn validate_report_rejects_bad_version() {
-        for v in [3, 6, 99] {
+        for v in [3, 7, 99] {
             let json = format!(r#"{{"schema_version": {v}}}"#);
             let err = warnings_of(&json).unwrap_err();
             assert!(err.contains("schema_version"), "v{v}: {err}");
         }
+        let v6 = v5_report(FULL_TRAFFIC, CLEAN_SPANS, ZERO_CP, "[]")
+            .replace(r#""schema_version": 5,"#, r#""schema_version": 6,"#);
+        assert_eq!(validate_report(&v6).unwrap().0.schema_version, 6);
         // A v4 report still reads; its gauge `series` is ignored.
         let v4 = v5_report(FULL_TRAFFIC, CLEAN_SPANS, ZERO_CP, "[]").replace(
             r#""schema_version": 5,"#,

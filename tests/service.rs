@@ -2,7 +2,7 @@
 //! engine must behave exactly like solo runs — bit-identical counts
 //! under interleaving, work stealing, memoization, and an injected
 //! fail-stop crash — and the service's aggregate report must validate
-//! as schema v5 with one section per query.
+//! as schema v6 with one section per query.
 
 use khuzdul::{
     ControlConfig, ControlMode, Counter, Engine, EngineConfig, FabricConfig, FaultPlan,
@@ -185,7 +185,8 @@ fn concurrent_queries_survive_a_crash_with_exact_counts() {
 
 /// The aggregate report: one section per query in admission order, the
 /// memoized query carrying the original's count with zero traffic, and
-/// per-query critical paths only for enumerated queries.
+/// per-query critical paths only for enumerated queries, each read off
+/// that query's own part timers, summing to the top-level section.
 #[test]
 fn service_report_attributes_per_query() {
     let g = gen::barabasi_albert(250, 5, 3);
@@ -213,17 +214,33 @@ fn service_report_attributes_per_query() {
     assert!(memo.memoized);
     assert_eq!(memo.traffic.fetch_requests, 0, "memo hit must do no fetches");
     assert_eq!(memo.count, report.queries[0].count);
-    // Enumerated queries each get their own critical path over their
-    // own spans.
-    let enumerated_with_path = report.queries[..4]
-        .iter()
-        .filter(|q| {
-            let f = &q.critical_path.fractions;
-            f.compute + f.fetch_wait + f.responder_queue + f.retry_backoff > 0.0
-        })
-        .count();
-    assert!(enumerated_with_path > 0, "no per-query critical path was attributed");
-    gpm_obs::validate_report(&report.to_json()).expect("must validate as v4");
+    // Each enumerated query's critical path is its own run's account, and
+    // the top-level section sums them part by part.
+    let mut summed = vec![gpm_obs::PartCriticalPath::default(); 3];
+    for (o, q) in outcomes.iter().zip(&report.queries) {
+        let stats = o.result.as_ref().expect("fault-free query");
+        if o.memoized {
+            assert_eq!(q.critical_path, gpm_obs::CriticalPathSection::default());
+            continue;
+        }
+        assert_eq!(q.critical_path, stats.critical_path(), "query {}", q.pattern);
+        let f = &q.critical_path.fractions;
+        let sum = f.compute + f.fetch_wait + f.responder_queue + f.retry_backoff;
+        assert!((sum - 1.0).abs() < 1e-9, "query {}: {f:?}", q.pattern);
+        for (row, part) in q.critical_path.per_part.iter().zip(&stats.per_part) {
+            let waited = row.fetch_wait_ns + row.responder_queue_ns + row.retry_backoff_ns;
+            assert_eq!(row.compute_ns, part.compute.as_nanos() as u64);
+            assert_eq!(waited, part.network.as_nanos() as u64);
+            let total = &mut summed[row.part as usize];
+            total.part = row.part;
+            total.compute_ns += row.compute_ns;
+            total.fetch_wait_ns += row.fetch_wait_ns;
+            total.responder_queue_ns += row.responder_queue_ns;
+            total.retry_backoff_ns += row.retry_backoff_ns;
+        }
+    }
+    assert_eq!(report.critical_path.per_part, summed);
+    gpm_obs::validate_report(&report.to_json()).expect("must validate");
 }
 
 /// Direct engine-level interleaving (no service): two queries driven

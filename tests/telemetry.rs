@@ -92,7 +92,7 @@ fn scraped_progress_is_monotone_and_metrics_reconcile_with_the_report() {
 
     let outcomes = svc.drain();
     let report = svc.report("khuzdul-service");
-    gpm_obs::validate_report(&report.to_json()).expect("schema v5 report");
+    gpm_obs::validate_report(&report.to_json()).expect("schema v6 report");
     // Progress landed at 1.0: every enumerated (non-memoized) query
     // retired at least its whole root multiset. The root total equals
     // the graph's vertex count (1-D hash partition of all vertices).
