@@ -57,7 +57,10 @@ pub struct MotifCounts {
     pub per_pattern: Vec<(Pattern, u64)>,
     /// Every pattern's run folded through [`RunStats::absorb`], with
     /// `count` the census total (the number of connected induced
-    /// k-subgraphs).
+    /// k-subgraphs). On the `iep` route the runs counted non-induced, so
+    /// `run.per_part[i].count` sums non-induced counts and the parts'
+    /// counts need not add up to `run.count`; every other per-part field
+    /// is what the runs did.
     pub run: RunStats,
 }
 

@@ -102,7 +102,10 @@ pub struct ControlLedgerService {
 impl ControlLedgerService {
     /// Starts the responder thread over a [`Ledger`] of `roots` (one
     /// root list per part) with `spill` pre-seeded. Clients count into
-    /// the row `metrics` holds for `cfg.query`.
+    /// their part's row in `metrics` and a fresh query row of the
+    /// service's own, which nothing reads back; a caller that reads its
+    /// query's control traffic uses
+    /// [`ControlLedgerService::start_for_query`].
     ///
     /// # Panics
     ///
@@ -114,8 +117,7 @@ impl ControlLedgerService {
         metrics: &ClusterMetrics,
         obs: Arc<Recorder>,
     ) -> ControlLedgerService {
-        let query_row = metrics.query(cfg.query);
-        Self::start_for_query(roots, spill, cfg, metrics, query_row, obs)
+        Self::start_for_query(roots, spill, cfg, metrics, Arc::default(), obs)
     }
 
     /// [`ControlLedgerService::start`] for a caller that already holds
@@ -541,11 +543,13 @@ mod tests {
             fault: Some(plan),
             ..ControlLedgerConfig::default()
         };
-        let svc = ControlLedgerService::start(
+        let query_row = Arc::new(Counters::default());
+        let svc = ControlLedgerService::start_for_query(
             vec![vec![1, 2]],
             Vec::new(),
             cfg,
             &metrics,
+            Arc::clone(&query_row),
             Recorder::disabled(),
         );
         let c0 = svc.client(0);
@@ -559,6 +563,6 @@ mod tests {
         assert!(retried >= dropped, "every dropped attempt is retried");
         assert_eq!(sent, 8 + retried, "each retry is one extra send");
         // The query's row saw the same events.
-        assert_eq!(metrics.query(0).snapshot(), row);
+        assert_eq!(query_row.snapshot(), row);
     }
 }

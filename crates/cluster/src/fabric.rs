@@ -413,23 +413,25 @@ impl EdgeListService {
 
     /// A client handle for `part` (cheap to clone, thread-safe). Clones
     /// share the part's in-flight window. Traffic is attributed to the
-    /// conventional query id 0 (unattributed); a resident service uses
+    /// conventional query id 0 (unattributed) and counted into the
+    /// part's row and a fresh query row of the client's own; a caller
+    /// that reads its query's traffic back uses
     /// [`EdgeListService::client_for_query`] instead.
     ///
     /// # Panics
     ///
     /// Panics if `part` is out of range.
     pub fn client(&self, part: PartId) -> EdgeListClient {
-        self.client_for_query(part, 0, &self.metrics.query(0))
+        self.client_for_query(part, 0, &Arc::default())
     }
 
     /// A client handle for `part` whose traffic is attributed to
     /// `query_id`: the id is stamped on wire requests and spans, and the
-    /// counters land in `row` — the query's row, which the caller
-    /// resolved once ([`ClusterMetrics::query`]) for all of its clients —
-    /// as well as in the part's. Clients of different queries on the same
-    /// part share the part's in-flight window (the window models the
-    /// part's link, which the queries contend for).
+    /// counters land in `row` — the query's row, which the caller made
+    /// once for all of its clients — as well as in the part's. Clients
+    /// of different queries on the same part share the part's in-flight
+    /// window (the window models the part's link, which the queries
+    /// contend for).
     ///
     /// # Panics
     ///
@@ -1226,8 +1228,7 @@ mod tests {
         let obs = Recorder::new(&gpm_obs::ObsConfig::enabled());
         let service =
             EdgeListService::start_observed(&pg, None, FabricConfig::default(), Arc::clone(&obs));
-        let q7 = service.metrics().query(7);
-        let q9 = service.metrics().query(9);
+        let (q7, q9) = (Arc::new(Counters::default()), Arc::new(Counters::default()));
         let c7 = service.client_for_query(1, 7, &q7);
         let c9 = service.client_for_query(1, 9, &q9);
         assert_eq!(c7.query_id(), 7);

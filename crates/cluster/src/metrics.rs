@@ -15,7 +15,6 @@
 //! These counters back the paper's network-traffic tables (Table 6,
 //! Figure 12, Figure 16, Figure 17).
 
-use std::collections::HashMap;
 use std::ops::{AddAssign, Index};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -229,38 +228,20 @@ impl Scope {
     }
 }
 
-/// The rows of one cluster: one per part, and one per running query.
+/// The per-part rows of one cluster. A query's row is not kept here: its
+/// run makes one (`Arc<Counters>`), hands it to every client and control
+/// service it starts, and reads it back itself; [`ClusterMetrics::scope`]
+/// pairs it with a part's row.
 #[derive(Debug, Clone)]
 pub struct ClusterMetrics {
     parts: Vec<Arc<Counters>>,
-    /// Query rows, keyed by engine-assigned query id.
-    queries: Arc<parking_lot::Mutex<HashMap<u64, Arc<Counters>>>>,
     sockets_per_machine: usize,
 }
 
 impl ClusterMetrics {
     /// Fresh counters for `parts` parts.
     pub fn new(parts: usize, sockets_per_machine: usize) -> Self {
-        ClusterMetrics {
-            parts: (0..parts).map(|_| Arc::default()).collect(),
-            queries: Arc::default(),
-            sockets_per_machine,
-        }
-    }
-
-    /// The row of one query, created on first use. The registry is
-    /// shared by clones, so whoever resolves an id gets the same row.
-    /// Query id 0 is the conventional "unattributed" row of callers that
-    /// run one query at a time.
-    pub fn query(&self, query_id: u64) -> Arc<Counters> {
-        Arc::clone(self.queries.lock().entry(query_id).or_default())
-    }
-
-    /// Drops one query's row from the registry (the engine calls this
-    /// when a run ends, so a resident service's registry doesn't grow
-    /// without bound). Holders of the `Arc` keep theirs alive.
-    pub fn retire_query(&self, query_id: u64) {
-        self.queries.lock().remove(&query_id);
+        ClusterMetrics { parts: (0..parts).map(|_| Arc::default()).collect(), sockets_per_machine }
     }
 
     /// The scope of a client on `part` working for the query whose row
@@ -381,7 +362,7 @@ mod tests {
     #[test]
     fn a_scoped_event_shows_in_both_rows_and_a_part_event_in_one() {
         let m = ClusterMetrics::new(2, 1);
-        let query = m.query(7);
+        let query = Arc::new(Counters::default());
         let scope = m.scope(1, &query);
         scope.add(Counter::Retries, 2);
         scope.add_transfer(TrafficClass::CrossMachine, 10, 90);
@@ -394,19 +375,6 @@ mod tests {
         assert_eq!(query.get(Counter::ServedBytes), 0);
         // The other part's row saw none of it.
         assert_eq!(m.part(0).snapshot(), Counts::default());
-    }
-
-    #[test]
-    fn query_rows_are_shared_and_retire() {
-        let m = ClusterMetrics::new(2, 1);
-        m.query(7).add(Counter::Coalesced, 5);
-        // A clone resolves the same row for the same id.
-        assert_eq!(m.clone().query(7).get(Counter::Coalesced), 5);
-        // Distinct ids get distinct rows.
-        assert_eq!(m.query(8).get(Counter::Coalesced), 0);
-        // Retiring drops the row; re-resolving starts fresh.
-        m.retire_query(7);
-        assert_eq!(m.query(7).get(Counter::Coalesced), 0);
     }
 
     #[test]

@@ -335,8 +335,15 @@ mod tests {
         incidents: Option<Arc<IncidentManager>>,
     ) -> ControlPlane {
         let metrics = ClusterMetrics::new(roots.len(), 1);
-        let row = metrics.query(cfg.query);
-        ControlPlane::start(roots, cfg, mode, &metrics, &row, Recorder::disabled(), incidents)
+        ControlPlane::start(
+            roots,
+            cfg,
+            mode,
+            &metrics,
+            &Arc::default(),
+            Recorder::disabled(),
+            incidents,
+        )
     }
 
     /// The ledger's behaviour is specified by the table in
@@ -406,7 +413,7 @@ mod tests {
             cfg,
             ControlMode::Msg,
             &metrics,
-            &metrics.query(0),
+            &Arc::default(),
             Recorder::disabled(),
             None,
         );

@@ -8,7 +8,7 @@ use crate::incident::{
 };
 use crate::rebalance::{RebalanceConfig, Rebalancer};
 use crate::runtime::{run_part, PartCtx, StatePool, Visitor};
-use crate::scheduler::{place_recovery_roots, QueryArbiter, StealConfig, WorkerPool};
+use crate::scheduler::{place_recovery_roots, LiveQueries, StealConfig, WorkerPool};
 use crate::stats::{PartStats, RunStats, TrafficSummary};
 use gpm_cluster::{
     ClusterMetrics, ControlLedgerConfig, Counter, Counters, EdgeListService, FabricConfig,
@@ -23,8 +23,7 @@ use gpm_obs::{
 use gpm_pattern::plan::MatchingPlan;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
@@ -258,14 +257,10 @@ pub struct Engine {
     /// Next query id; ids are unique per engine and never 0 (the
     /// unattributed bucket).
     next_query: AtomicU64,
-    /// Cross-query fairness arbiter; every run registers its query here
-    /// for the duration of the run.
-    arbiter: Arc<QueryArbiter>,
-    /// Number of query runs currently in flight (gates
-    /// [`Engine::reset_caches`]).
-    active_queries: AtomicUsize,
-    /// Live progress trackers of in-flight queries, by query id.
-    progress: Mutex<HashMap<u64, Arc<QueryProgress>>>,
+    /// The progress trackers of the runs in flight, by query id: what
+    /// paces them against each other, and what gates
+    /// [`Engine::reset_caches`].
+    live: LiveQueries,
     /// Recently finished trackers (bounded ring), for collectors that
     /// look the query up after the run returned.
     finished_progress: Mutex<std::collections::VecDeque<Arc<QueryProgress>>>,
@@ -329,16 +324,14 @@ impl Engine {
             cfg,
             pool: OnceLock::new(),
             next_query: AtomicU64::new(1),
-            arbiter: Arc::new(QueryArbiter::new()),
-            active_queries: AtomicUsize::new(0),
-            progress: Mutex::new(HashMap::new()),
+            live: LiveQueries::default(),
             finished_progress: Mutex::new(std::collections::VecDeque::new()),
         }
     }
 
     /// Progress trackers of all in-flight queries, unordered.
     pub fn active_progress(&self) -> Vec<Arc<QueryProgress>> {
-        self.progress.lock().values().cloned().collect()
+        self.live.trackers()
     }
 
     /// Removes and returns the finished tracker for `query_id`, if it is
@@ -351,7 +344,7 @@ impl Engine {
 
     /// Number of query runs currently in flight.
     pub fn active_query_count(&self) -> usize {
-        self.active_queries.load(Ordering::SeqCst)
+        self.live.len()
     }
 
     /// Allocates a fresh query id (unique per engine, never 0).
@@ -494,7 +487,7 @@ impl Engine {
     /// untouched) unless the engine is query-quiescent; callers retry
     /// after draining their queries.
     pub fn reset_caches(&self) -> bool {
-        if self.active_queries.load(Ordering::SeqCst) > 0 {
+        if self.live.len() > 0 {
             return false;
         }
         for c in &self.caches {
@@ -631,28 +624,25 @@ impl Engine {
         let query = query.unwrap_or_else(|| self.default_query());
         let qid = query.query_id;
         self.recorder.event(qid, SpanKind::QueryAdmit, NO_PART, 0, 0);
-        // Registered for the whole run (and deregistered on every return
-        // path, so a failed query never wedges its peers' pacing).
-        self.active_queries.fetch_add(1, Ordering::SeqCst);
-        self.arbiter.register(qid);
-        let mut guard = QueryGuard { engine: self, qid, ok: false };
-        let query_row = self.service.metrics().query(qid);
-        let deadline_fired = Arc::new(AtomicBool::new(false));
         let parts = self.pg.part_count();
+        // Live progress tracker: the root multiset size is known up front
+        // (the union of each part's owned vertices), so a monotone
+        // completion fraction falls out of the ledger's claim/retire
+        // traffic. Registered for the whole run; the guard moves it to
+        // the finished ring on every return path, so a failed query never
+        // wedges its peers' pacing.
+        let total: u64 = (0..parts).map(|p| self.pg.part(p).owned().len() as u64).sum();
+        let progress = Arc::new(QueryProgress::new(qid, total, parts));
+        self.live.admit(Arc::clone(&progress));
+        let mut guard = QueryGuard { engine: self, qid, ok: false };
+        let query_row = Arc::new(Counters::default());
+        let deadline_fired = Arc::new(AtomicBool::new(false));
         // Run-scoped scheduler state: the root ledger every part claims
         // its seed batches from (and steals through, when enabled).
         let stealing = self.cfg.steal.enabled && !self.cfg.sequential_parts && parts > 1;
         let owned = (0..parts).map(|p| self.pg.part(p).owned().to_vec()).collect();
         let numa = self.cfg.steal.numa.then(|| self.pg.sockets_per_machine().max(1));
         let ledger = self.make_ledger(owned, stealing, numa, qid, &query_row);
-        // Live progress tracker: the root multiset size is known up front
-        // (the union of each part's owned vertices), so a monotone
-        // completion fraction falls out of the ledger's claim/retire
-        // traffic. The guard moves it to the finished ring on every
-        // return path.
-        let total: u64 = (0..parts).map(|p| self.pg.part(p).owned().len() as u64).sum();
-        let progress = Arc::new(QueryProgress::new(qid, total, parts));
-        self.progress.lock().insert(qid, Arc::clone(&progress));
         // The persistent pool outlives the run; first multi-threaded run
         // pays the spawn cost, every later one reuses the parked workers.
         let pool = (self.cfg.compute_threads > 1).then(|| {
@@ -681,7 +671,7 @@ impl Engine {
             obs: Arc::clone(&self.recorder),
             ledger: Arc::clone(ledger),
             gate: pool.map(|p| p.gate(part)),
-            arbiter: Arc::clone(&self.arbiter),
+            live: &self.live,
             root_budget: query.root_budget,
             deadline: query.deadline,
             deadline_fired: Arc::clone(&deadline_fired),
@@ -991,9 +981,9 @@ impl Drop for Engine {
     }
 }
 
-/// Deregisters a run's query from the fairness arbiter and the active
-/// count, and records its `query_complete` event, on every exit path,
-/// error or success.
+/// Moves a run's tracker out of the live map into the finished ring (which
+/// wakes paced peers), and records its `query_complete` event, on every
+/// exit path, error or success.
 struct QueryGuard<'a> {
     engine: &'a Engine,
     qid: u64,
@@ -1005,22 +995,16 @@ impl Drop for QueryGuard<'_> {
     fn drop(&mut self) {
         let recorder = &self.engine.recorder;
         recorder.event(self.qid, SpanKind::QueryComplete, NO_PART, u64::from(self.ok), 0);
-        self.engine.arbiter.deregister(self.qid);
-        // The run has read (or abandoned) its counters by now; drop the
-        // registry entry so a resident service doesn't accumulate one
-        // per retired query. Holders of the `Arc` keep theirs alive.
-        self.engine.service.metrics().retire_query(self.qid);
-        // Move the live progress tracker to the bounded finished
-        // ring, so a collector can still attach it to the query outcome
-        // after the run returned — on success *and* error paths alike.
-        if let Some(p) = self.engine.progress.lock().remove(&self.qid) {
+        // The bounded finished ring keeps the tracker, so a collector can
+        // still attach it to the query outcome after the run returned —
+        // on success *and* error paths alike.
+        if let Some(p) = self.engine.live.leave(self.qid) {
             let mut ring = self.engine.finished_progress.lock();
             ring.push_back(p);
             while ring.len() > FINISHED_PROGRESS_CAP {
                 ring.pop_front();
             }
         }
-        self.engine.active_queries.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
@@ -1916,6 +1900,63 @@ mod tests {
         }));
         let message = panic.unwrap_err().downcast::<String>().unwrap();
         assert!(message.starts_with("the distributed engine supports vertex labels only"));
+        engine.shutdown();
+    }
+
+    /// Every way out of a run leaves the live registry empty: after a
+    /// success, an early stop, an expired deadline, a refused plan and a
+    /// crash with no replica, no query is in flight, the caches reset,
+    /// and each admitted run's tracker (ids 1, 2, … in admission order)
+    /// sits in the finished ring.
+    #[test]
+    fn every_exit_path_leaves_the_live_registry_empty() {
+        use gpm_cluster::FaultPlan;
+        let g = gen::erdos_renyi(150, 700, 5);
+        let engine = Engine::new(
+            PartitionedGraph::new(&g, 4, 1), // replication = 1
+            EngineConfig {
+                chunk_capacity: 64,
+                fabric: FabricConfig {
+                    retry: crash_retry(),
+                    fault: Some(FaultPlan::crash_at(2, 4)),
+                    ..FabricConfig::default()
+                },
+                ..EngineConfig::default()
+            },
+        );
+        let quiescent = |admitted: u64| {
+            assert_eq!(engine.active_query_count(), 0);
+            assert!(engine.active_progress().is_empty());
+            assert!(engine.reset_caches(), "no query is in flight");
+            let finished: Vec<u64> =
+                engine.finished_progress.lock().iter().map(|p| p.query_id()).collect();
+            assert_eq!(finished, (1..=admitted).collect::<Vec<_>>());
+        };
+        // An edge extends from the root's own list: these three runs
+        // fetch nothing, so part 2's crash budget is left for the last.
+        let edge = plan(&Pattern::path(2));
+        assert_eq!(engine.try_count(&edge).unwrap().count, 700);
+        quiescent(1);
+        assert!(engine.find_any(&edge).is_some());
+        quiescent(2);
+        let late = QueryCtx { deadline: Some(Instant::now()), ..engine.default_query() };
+        assert!(matches!(
+            engine.try_count_query(&edge, &late),
+            Err(EngineError::DeadlineExceeded { .. })
+        ));
+        quiescent(3);
+        let labelled = Pattern::triangle().with_edge_labels(&[(0, 1, 0), (1, 2, 0), (2, 0, 1)]);
+        assert_eq!(
+            engine.try_count(&plan(&labelled.unwrap())).unwrap_err(),
+            EngineError::EdgeLabels
+        );
+        quiescent(3);
+        assert_eq!(engine.metrics().totals()[Counter::FetchRequests], 0);
+        assert!(matches!(
+            engine.try_count(&plan(&Pattern::triangle())),
+            Err(EngineError::PartLost { part: 2 })
+        ));
+        quiescent(4);
         engine.shutdown();
     }
 

@@ -65,7 +65,7 @@ pub use control::{ControlConfig, ControlMode, ControlPlaneSummary};
 pub use engine::{Engine, EngineConfig, EngineError, PartHealth, QueryCtx, DEFAULT_ROOT_BUDGET};
 pub use incident::{list_bundles, validate_bundle, Bundle, IncidentConfig, IncidentManager};
 pub use rebalance::{RebalanceConfig, RebalanceStats};
-pub use scheduler::{QueryArbiter, StealConfig};
+pub use scheduler::StealConfig;
 pub use service::{Completion, MemoStats, MiningService, QueryHandle, QueryOutcome, ServiceConfig};
 pub use stats::{PartStats, RunStats, TrafficSummary};
 pub use status::{read_status, StatusConfig, StatusDoc, StatusServer};

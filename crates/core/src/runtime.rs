@@ -28,7 +28,7 @@ use crate::chunk::{Chunk, Emb, ListRef, NO_PARENT};
 use crate::control::ControlPlane;
 use crate::engine::EngineConfig;
 use crate::extend::Scratch;
-use crate::scheduler::{Gate, QueryArbiter};
+use crate::scheduler::{Gate, LiveQueries};
 use crate::stats::PartStats;
 use gpm_cluster::{ClaimSource, Counter, EdgeListClient, FetchError, PendingFetch};
 use gpm_graph::partition::{vertex_hash, GraphPart};
@@ -69,9 +69,10 @@ pub(crate) struct PartCtx<'e> {
     /// This part's gate into the engine's persistent worker pool; `None`
     /// for single-threaded configs, which extend inline.
     pub gate: Option<Arc<Gate>>,
-    /// Cross-query fairness arbiter shared by every resident query; root
-    /// claims are paced through it (never truncated).
-    pub arbiter: Arc<QueryArbiter>,
+    /// The engine's live queries; root claims are paced against them
+    /// (never truncated), and every claim recorded through them wakes
+    /// paced peers.
+    pub live: &'e LiveQueries,
     /// This query's fairness quantum: how far (in claimed roots) it may
     /// race ahead of the least-served active query before pacing.
     pub root_budget: u64,
@@ -251,7 +252,7 @@ impl<'e> PartRun<'e> {
         // Single-vertex plans never touch the ledger; report the whole
         // owned range as claimed-and-completed in one step.
         let n = self.ctx.part.owned().len() as u64;
-        self.ctx.progress.record_claimed(self.ctx.my_part, n, false);
+        self.ctx.live.record_claimed(&self.ctx.progress, self.ctx.my_part, n, false);
         self.ctx.progress.record_completed(self.ctx.my_part, n);
         self.stats.compute += t0.elapsed();
     }
@@ -353,7 +354,7 @@ impl<'e> PartRun<'e> {
             }
             // Fairness pacing: yield the pool to less-served resident
             // queries before claiming more roots for this one.
-            self.ctx.arbiter.pace(self.ctx.client.query_id(), self.ctx.root_budget);
+            self.ctx.live.pace(self.ctx.client.query_id(), self.ctx.root_budget);
             let claimed = self.ctx.ledger.claim(
                 self.ctx.my_part,
                 self.ctx.cfg.chunk_capacity,
@@ -364,7 +365,6 @@ impl<'e> PartRun<'e> {
             }
             match claimed {
                 Ok(Some((source, roots))) => {
-                    self.ctx.arbiter.note_claimed(self.ctx.client.query_id(), roots.len() as u64);
                     self.seed_batch_into_chunk(source, &roots);
                     break true;
                 }
@@ -442,7 +442,7 @@ impl<'e> PartRun<'e> {
         if stolen {
             self.stats.roots_stolen += roots.len() as u64;
         }
-        self.ctx.progress.record_claimed(self.ctx.my_part, roots.len() as u64, stolen);
+        self.ctx.live.record_claimed(&self.ctx.progress, my_part, roots.len() as u64, stolen);
         self.obs.span(SpanKind::SeedRoots, ts, seeded as u64);
     }
 
@@ -738,12 +738,13 @@ mod tests {
             ControlLedgerConfig { stealing: true, batch: 16, ..ControlLedgerConfig::default() },
             mode,
             service.metrics(),
-            &service.metrics().query(0),
+            &Arc::default(),
             Recorder::disabled(),
             None,
         ));
         let stop = AtomicBool::new(false);
         let pool = StatePool::default();
+        let live = LiveQueries::default();
         let mut run = PartRun::new(PartCtx {
             part: pg.part_arc(0),
             labels: pg.labels(),
@@ -759,7 +760,7 @@ mod tests {
             obs: Recorder::disabled(),
             ledger: Arc::clone(&ledger),
             gate: None,
-            arbiter: Arc::default(),
+            live: &live,
             root_budget: u64::MAX,
             deadline: None,
             deadline_fired: Arc::default(),

@@ -16,14 +16,14 @@
 //!
 //! Above them, cross-part stealing and termination run through the root
 //! ledger in [`crate::control`]; what lives here is its configuration
-//! ([`StealConfig`]), the placement of recovery roots, and the
-//! cross-query [`QueryArbiter`].
+//! ([`StealConfig`]), the placement of recovery roots, and the engine's
+//! registry of live queries, which paces them against each other
+//! (`LiveQueries`).
 
 use gpm_graph::VertexId;
-use gpm_obs::{Recorder, SpanKind};
+use gpm_obs::{QueryProgress, Recorder, SpanKind};
 use parking_lot::{Condvar, Mutex};
-use std::collections::VecDeque;
-use std::sync::atomic::Ordering;
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -437,15 +437,16 @@ pub(crate) fn place_recovery_roots(
 }
 
 // ---------------------------------------------------------------------------
-// Cross-query fairness arbiter
+// Live queries and cross-query fairness
 // ---------------------------------------------------------------------------
 
-/// Pacing coordinator for concurrent queries sharing one worker pool.
+/// The engine's one registry of in-flight queries: each run's
+/// [`QueryProgress`] tracker, by query id, from admission until its guard
+/// drops, plus the condvar paced coordinators park on.
 ///
-/// Each active query registers itself and bumps its counter for every
-/// root it claims from its own control plane. Before claiming, a part
-/// coordinator calls [`QueryArbiter::pace`]: a query that has raced more
-/// than `budget` roots ahead of the *least served* active query parks
+/// Pacing reads the trackers' claimed-root counts. Before claiming, a part
+/// coordinator calls [`LiveQueries::pace`]: a query that has raced more
+/// than `budget` roots ahead of the *least served* live query parks
 /// briefly, yielding the part's compute threads to the straggler. The
 /// least-served query never waits, so some query always makes progress,
 /// and the waits are timed, so a stalled straggler (e.g. blocked on a
@@ -454,50 +455,61 @@ pub(crate) fn place_recovery_roots(
 /// The budget is a fairness quantum only — it delays claims, it never
 /// truncates them, so per-query counts stay bit-identical to solo runs.
 #[derive(Debug, Default)]
-pub struct QueryArbiter {
-    active: Mutex<std::collections::HashMap<u64, Arc<std::sync::atomic::AtomicU64>>>,
+pub(crate) struct LiveQueries {
+    map: Mutex<HashMap<u64, Arc<QueryProgress>>>,
     cv: Condvar,
 }
 
-impl QueryArbiter {
-    /// Creates an arbiter with no registered queries.
-    pub fn new() -> QueryArbiter {
-        QueryArbiter::default()
+impl LiveQueries {
+    /// Registers a run's tracker for the duration of the run.
+    pub(crate) fn admit(&self, progress: Arc<QueryProgress>) {
+        self.map.lock().insert(progress.query_id(), progress);
     }
 
-    /// Registers `query` as active with zero claimed roots.
-    pub fn register(&self, query: u64) {
-        self.active.lock().insert(query, Arc::new(std::sync::atomic::AtomicU64::new(0)));
+    /// Removes `query`'s tracker and wakes paced peers (the minimum may
+    /// have risen).
+    pub(crate) fn leave(&self, query: u64) -> Option<Arc<QueryProgress>> {
+        let gone = self.map.lock().remove(&query);
+        self.cv.notify_all();
+        gone
     }
 
-    /// Removes `query` and wakes paced peers (the minimum may have risen).
-    pub fn deregister(&self, query: u64) {
-        self.active.lock().remove(&query);
+    /// Records `n` roots claimed by `part` on `progress` and wakes paced
+    /// peers.
+    pub(crate) fn record_claimed(
+        &self,
+        progress: &QueryProgress,
+        part: usize,
+        n: u64,
+        stolen: bool,
+    ) {
+        progress.record_claimed(part, n, stolen);
         self.cv.notify_all();
     }
 
-    /// Records `n` roots claimed by `query` and wakes paced peers.
-    pub fn note_claimed(&self, query: u64, n: u64) {
-        let counter = self.active.lock().get(&query).map(Arc::clone);
-        if let Some(c) = counter {
-            c.fetch_add(n, Ordering::Relaxed);
-            self.cv.notify_all();
-        }
+    /// Number of queries in flight.
+    pub(crate) fn len(&self) -> usize {
+        self.map.lock().len()
+    }
+
+    /// The live trackers, unordered.
+    pub(crate) fn trackers(&self) -> Vec<Arc<QueryProgress>> {
+        self.map.lock().values().cloned().collect()
     }
 
     /// Blocks (briefly, in timed slices) while `query` is more than
-    /// `budget` claimed roots ahead of the least-served active query.
-    pub fn pace(&self, query: u64, budget: u64) {
-        let mut active = self.active.lock();
+    /// `budget` claimed roots ahead of the least-served live query.
+    pub(crate) fn pace(&self, query: u64, budget: u64) {
+        let mut live = self.map.lock();
         loop {
-            let Some(mine) = active.get(&query).map(|c| c.load(Ordering::Relaxed)) else {
+            let Some(mine) = live.get(&query).map(|p| p.claimed()) else {
                 return;
             };
-            let min = active.values().map(|c| c.load(Ordering::Relaxed)).min().unwrap_or(0);
+            let min = live.values().map(|p| p.claimed()).min().unwrap_or(0);
             if mine <= min.saturating_add(budget) {
                 return;
             }
-            let _ = self.cv.wait_for(&mut active, Duration::from_micros(200));
+            let _ = self.cv.wait_for(&mut live, Duration::from_micros(200));
         }
     }
 }
@@ -505,7 +517,7 @@ impl QueryArbiter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn task_split_head_partitions_the_range() {
@@ -670,28 +682,42 @@ mod tests {
 
     #[test]
     fn arbiter_paces_the_leader_but_never_the_minimum() {
-        let arb = QueryArbiter::new();
-        arb.register(1);
-        arb.register(2);
-        arb.note_claimed(1, 100);
+        let live = LiveQueries::default();
+        let tracker = |q| Arc::new(QueryProgress::new(q, 1000, 1));
+        let (leader, straggler) = (tracker(1), tracker(2));
+        live.admit(Arc::clone(&leader));
+        live.admit(Arc::clone(&straggler));
+        live.record_claimed(&leader, 0, 100, false);
         // Query 2 is the minimum: pace returns immediately.
         let t0 = std::time::Instant::now();
-        arb.pace(2, 8);
+        live.pace(2, 8);
         assert!(t0.elapsed() < Duration::from_millis(50));
-        // Query 1 is 100 ahead with budget 8: it parks until query 2
-        // catches up (done here from another thread).
+        // Query 1 is 100 ahead with budget 8: it parks until query 2's
+        // tracker records enough claims (done here from another thread).
+        let released = AtomicUsize::new(0);
         std::thread::scope(|s| {
             s.spawn(|| {
-                std::thread::sleep(Duration::from_millis(10));
-                arb.note_claimed(2, 95);
+                std::thread::sleep(Duration::from_millis(20));
+                assert_eq!(released.load(Ordering::SeqCst), 0, "the leader did not wait");
+                live.record_claimed(&straggler, 0, 95, false);
             });
-            arb.pace(1, 8);
+            live.pace(1, 8);
+            released.store(1, Ordering::SeqCst);
         });
-        // Deregistering the straggler lifts the brake entirely.
-        arb.note_claimed(2, 1);
-        arb.deregister(2);
-        arb.pace(1, 0);
-        // Unregistered queries are never paced.
-        arb.pace(99, 0);
+        assert!(straggler.claimed() + 8 >= leader.claimed());
+        // The straggler's tracker leaving lifts the brake as well.
+        live.record_claimed(&leader, 0, 100, false);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                std::thread::sleep(Duration::from_millis(20));
+                assert_eq!(released.load(Ordering::SeqCst), 1, "the leader did not wait");
+                assert!(Arc::ptr_eq(&live.leave(2).unwrap(), &straggler));
+            });
+            live.pace(1, 0);
+            released.store(2, Ordering::SeqCst);
+        });
+        assert_eq!(live.len(), 1);
+        // Queries with no live tracker are never paced.
+        live.pace(99, 0);
     }
 }

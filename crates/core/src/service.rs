@@ -26,7 +26,7 @@ use gpm_pattern::Pattern;
 use parking_lot::{Condvar, Mutex};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -154,8 +154,8 @@ pub struct QueryOutcome {
     pub memo_evictions: u64,
 }
 
-/// One entry of the status plane's recent-completions ring and
-/// slow-query log.
+/// One entry of the status plane's recent completions and slow-query
+/// log, both read off the service's admission history.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Completion {
     /// Engine-assigned query id.
@@ -255,6 +255,9 @@ struct Admitted {
 /// What the executor records about a query it ran.
 #[derive(Clone, Copy, Default)]
 struct Executed {
+    /// Position in completion order: the executor stamps it under the
+    /// `admitted` lock as it sets `done`.
+    seq: u64,
     elapsed: Duration,
     roots_total: u64,
     roots_completed: u64,
@@ -262,9 +265,9 @@ struct Executed {
     memo_evictions: u64,
 }
 
-/// Recent completions kept for the status plane.
+/// Most recent completions the status plane lists.
 const COMPLETIONS_CAP: usize = 128;
-/// Slow-query log entries kept for the status plane.
+/// Most slow-query log entries the status plane lists.
 const SLOW_LOG_CAP: usize = 32;
 
 struct ServiceInner {
@@ -273,27 +276,8 @@ struct ServiceInner {
     stop: AtomicBool,
     memo: Mutex<MemoState>,
     admitted: Mutex<Vec<Admitted>>,
-    /// Recently completed queries, oldest first (bounded ring).
-    completions: Mutex<VecDeque<Completion>>,
-    /// Completions slower than the configured threshold, oldest first.
-    slow_log: Mutex<VecDeque<Completion>>,
-}
-
-impl ServiceInner {
-    fn record_completion(&self, c: Completion, slow: bool) {
-        if slow {
-            let mut log = self.slow_log.lock();
-            log.push_back(c.clone());
-            while log.len() > SLOW_LOG_CAP {
-                log.pop_front();
-            }
-        }
-        let mut ring = self.completions.lock();
-        ring.push_back(c);
-        while ring.len() > COMPLETIONS_CAP {
-            ring.pop_front();
-        }
-    }
+    /// Executed queries so far; the next one's [`Executed::seq`].
+    executed: AtomicU64,
 }
 
 /// A resident multi-tenant query engine over one [`Engine`]: FIFO
@@ -327,8 +311,7 @@ impl MiningService {
             stop: AtomicBool::new(false),
             memo: Mutex::new(MemoState::default()),
             admitted: Mutex::new(Vec::new()),
-            completions: Mutex::new(VecDeque::new()),
-            slow_log: Mutex::new(VecDeque::new()),
+            executed: AtomicU64::new(0),
         });
         // Cheap fingerprint of the graph this service serves; keys the
         // memo so a future multi-graph registry can share one memo map.
@@ -507,16 +490,39 @@ impl MiningService {
         MemoStats { entries: m.map.len() as u64, hits: m.hits, evictions: m.evictions }
     }
 
-    /// Recently *executed* queries, oldest first (bounded ring).
-    /// Memoized duplicates spend no engine time and are not recorded.
+    /// The last 128 *executed* queries to complete, oldest first.
+    /// Memoized duplicates spend no engine time and are not listed.
     pub fn recent_completions(&self) -> Vec<Completion> {
-        self.inner.completions.lock().iter().cloned().collect()
+        self.completions(|_| true, COMPLETIONS_CAP)
     }
 
-    /// Completions slower than [`ServiceConfig::slow_query`], oldest
-    /// first (empty when the threshold is unset).
+    /// The last 32 completions slower than [`ServiceConfig::slow_query`],
+    /// oldest first (empty when the threshold is unset).
     pub fn slow_queries(&self) -> Vec<Completion> {
-        self.inner.slow_log.lock().iter().cloned().collect()
+        let Some(threshold) = self.cfg.slow_query else { return Vec::new() };
+        self.completions(|done| done.elapsed >= threshold, SLOW_LOG_CAP)
+    }
+
+    /// The last `cap` executed queries `keep` selects whose result is in,
+    /// in completion order.
+    fn completions(&self, keep: impl Fn(&Executed) -> bool, cap: usize) -> Vec<Completion> {
+        let admitted = self.inner.admitted.lock();
+        let mut done: Vec<(Executed, &Admitted)> =
+            admitted.iter().filter_map(|a| Some((a.done.filter(|d| keep(d))?, a))).collect();
+        done.sort_unstable_by_key(|(d, _)| d.seq);
+        let mut last: Vec<Completion> = (done.into_iter().rev())
+            .filter_map(|(d, a)| {
+                Some(Completion {
+                    query_id: a.query_id,
+                    pattern: a.pattern.clone(),
+                    count: a.slot.peek()?.ok().map(|s| s.count),
+                    elapsed_ns: d.elapsed.as_nanos() as u64,
+                })
+            })
+            .take(cap)
+            .collect();
+        last.reverse();
+        last
     }
 }
 
@@ -608,6 +614,7 @@ fn executor_loop(engine: &Engine, inner: &ServiceInner, budget: u64, slow_query:
             let entry = &mut admitted[job.index];
             debug_assert_eq!(entry.query_id, job.query_id);
             entry.done = Some(Executed {
+                seq: inner.executed.fetch_add(1, Ordering::Relaxed),
                 elapsed,
                 roots_total,
                 roots_completed,
@@ -619,8 +626,7 @@ fn executor_loop(engine: &Engine, inner: &ServiceInner, budget: u64, slow_query:
         // A completion over the slow-query threshold is an incident, not
         // just a log line: capture the bundle while the engine still has
         // the live context (concurrent queries' progress, counter totals).
-        let slow = slow_query.is_some_and(|t| elapsed >= t);
-        if slow {
+        if slow_query.is_some_and(|t| elapsed >= t) {
             let incidents = engine.incidents();
             let sections = if incidents.enabled() {
                 CaptureSections {
@@ -645,15 +651,6 @@ fn executor_loop(engine: &Engine, inner: &ServiceInner, budget: u64, slow_query:
                 sections,
             );
         }
-        inner.record_completion(
-            Completion {
-                query_id: job.query_id,
-                pattern,
-                count: result.as_ref().ok().map(|s| s.count),
-                elapsed_ns: elapsed.as_nanos() as u64,
-            },
-            slow,
-        );
         job.slot.fulfill(result);
     }
 }
@@ -821,5 +818,89 @@ mod tests {
         let h2 = svc.submit(&Pattern::triangle(), &opts).unwrap();
         assert!(!h2.memoized(), "failed query must not serve from the memo");
         assert!(h2.wait().is_err());
+    }
+
+    /// The status plane's two lists are views of the admission history:
+    /// the last 128 executed queries in completion order and, with a zero
+    /// threshold, the last 32 of them as slow, memoized duplicates in
+    /// neither.
+    #[test]
+    fn completions_and_slow_queries_are_the_last_executed_queries() {
+        let g = gen::erdos_renyi(40, 100, 3);
+        let engine =
+            Arc::new(Engine::new(PartitionedGraph::new(&g, 2, 1), EngineConfig::default()));
+        let svc = MiningService::start(
+            engine,
+            ServiceConfig {
+                max_concurrent: 2,
+                slow_query: Some(Duration::ZERO),
+                ..ServiceConfig::default()
+            },
+        );
+        // 31 connected patterns on 1–5 vertices under 8 option sets:
+        // 248 distinct memo keys.
+        let queries: Vec<(Pattern, PlanOptions)> = (1..=5)
+            .flat_map(gpm_pattern::genpat::connected_patterns)
+            .flat_map(|p| {
+                [PlanOptions::automine(), PlanOptions::graphpi()].into_iter().flat_map(move |o| {
+                    [(false, false), (false, true), (true, false), (true, true)].map(
+                        |(induced, vertical_reuse)| {
+                            (p.clone(), PlanOptions { induced, vertical_reuse, ..o.clone() })
+                        },
+                    )
+                })
+            })
+            .collect();
+        let ids = |list: Vec<Completion>| list.iter().map(|c| c.query_id).collect::<Vec<_>>();
+        let mut memoized = Vec::new();
+        // 100 executed queries at once, each tenth resubmitted.
+        let mut first = Vec::new();
+        for (i, (p, o)) in queries[..100].iter().enumerate() {
+            first.push(svc.submit(p, o).unwrap().query_id());
+            if i % 10 == 0 {
+                let dup = svc.submit(p, o).unwrap();
+                assert!(dup.memoized());
+                memoized.push(dup.query_id());
+            }
+        }
+        svc.drain();
+        let before = ids(svc.recent_completions());
+        let mut sorted = before.clone();
+        sorted.sort_unstable();
+        assert_eq!(sorted, first, "every executed query, no duplicate");
+        // 60 more, one at a time: their completion order is their
+        // admission order.
+        let mut second = Vec::new();
+        for (p, o) in &queries[100..160] {
+            let h = svc.submit(p, o).unwrap();
+            h.wait().unwrap();
+            second.push(h.query_id());
+            let dup = svc.submit(p, o).unwrap();
+            assert!(dup.memoized());
+            memoized.push(dup.query_id());
+        }
+        svc.drain();
+        let recent = ids(svc.recent_completions());
+        let expect: Vec<u64> = before[32..].iter().chain(&second).copied().collect();
+        assert_eq!(recent, expect, "the last 128 in completion order");
+        assert_eq!(ids(svc.slow_queries()), second[28..], "the last 32");
+        assert!(recent.iter().all(|id| !memoized.contains(id)));
+        let executed = svc.outcomes().iter().filter(|o| !o.memoized).count();
+        assert_eq!((executed, svc.outcomes().len()), (160, 160 + memoized.len()));
+        // The order is the executors' stamps, not admission: swap the
+        // last two queries' stamps and both lists follow.
+        {
+            let mut admitted = svc.inner.admitted.lock();
+            let mut stamps: Vec<&mut Executed> = admitted
+                .iter_mut()
+                .filter(|a| second[58..].contains(&a.query_id))
+                .filter_map(|a| a.done.as_mut())
+                .collect();
+            let [x, y] = &mut stamps[..] else { panic!("two executed entries") };
+            std::mem::swap(&mut x.seq, &mut y.seq);
+        }
+        let swapped = [second[59], second[58]];
+        assert_eq!(ids(svc.recent_completions())[126..], swapped);
+        assert_eq!(ids(svc.slow_queries())[30..], swapped);
     }
 }

@@ -7,7 +7,11 @@ use std::time::Duration;
 /// Per-part timing and output of one run.
 #[derive(Debug, Clone, Default)]
 pub struct PartStats {
-    /// Embeddings produced (or visited) by this part.
+    /// Embeddings produced (or visited) by this part. Over an engine
+    /// run the parts' counts add up to [`RunStats::count`]; a caller that
+    /// derives its total from several runs need not keep that (the
+    /// k-GraphPi motif census reports induced totals over parts that
+    /// counted non-induced).
     pub count: u64,
     /// Wall time spent extending embeddings (the paper's "compute").
     pub compute: Duration,

@@ -12,7 +12,8 @@
 //! * `GET /status` — a [`StatusDoc`] for humans and `gpm top`, which
 //!   reads it back through [`read_status`]: service
 //!   state, admission queue, live per-query progress with ETA, the
-//!   recent-completions ring, the slow-query log, and the live cumulative
+//!   recent completions and the slow-query log (both read off the
+//!   service's admission history), and the live cumulative
 //!   [`ClusterMetrics`] counters (these deliberately live outside the
 //!   reconciliation contract — in-flight queries move them before any
 //!   outcome exists; a scraper derives rates from two scrapes, as for
