@@ -41,14 +41,13 @@ count, serve, motifs, fsm: the cluster (baselines read the first three)
   --threads N               compute threads per part (default 2)
   --replication N           each part also hosts its N-1 successors' slices (default 1)
   --window N                in-flight fetches per part (default 4)
-  --retries N               attempts before a fetch times out (default 4)
-  --fault-drop F            drop this fraction of fetch replies
+  --retries N               attempts before a fetch or msg control call times out (default 4)
+  --fault-drop F            drop this fraction of fetch (and msg control) replies
   --fault-crash PART@AFTER  kill PART once AFTER requests targeted it; repeatable
   --fail-fast               a part that exhausts its retries is dead
   --steal on|off            cross-part work stealing (default on)
   --steal-batch N           smallest root grant under stealing (default 256)
   --control shared|msg      how claims and steals reach the ledger (default shared)
-  --control-fault-drop F    drop this fraction of control replies (needs --control msg)
   --rebalance on|off        restore lost replicas after a death (default on)
   --incident-dir DIR        capture crash, deadline and stall bundles here
   --stall-ms MS             bundle a run whose claims stay flat this long (needs --incident-dir)
@@ -183,7 +182,6 @@ struct Cluster {
     steal: bool,
     steal_batch: usize,
     control: ControlMode,
-    control_fault_drop: f64,
     rebalance: bool,
     incident_dir: Option<String>,
     stall_ms: Option<u64>,
@@ -221,8 +219,8 @@ impl Cluster {
         if c.graph.is_none() {
             return Err("one of --graph or --gen is required".into());
         }
-        if c.control_fault_drop > 0.0 && c.control != ControlMode::Msg {
-            return Err("--control-fault-drop needs --control msg (shared has no wire)".into());
+        if c.stall_ms.is_some() && c.incident_dir.is_none() {
+            return Err("--stall-ms needs --incident-dir (a stall is reported as a bundle)".into());
         }
         let counts = [&mut c.machines, &mut c.sockets, &mut c.threads, &mut c.replication];
         for n in counts.into_iter().chain([&mut c.window, &mut c.steal_batch]) {
@@ -268,7 +266,6 @@ impl Cluster {
                     other => return Err(format!("--control takes shared|msg, not '{other}'")),
                 }
             }
-            "--control-fault-drop" => self.control_fault_drop = parse_fraction(args.value()?)?,
             "--rebalance" => self.rebalance = args.switch()?,
             "--incident-dir" => self.incident_dir = Some(args.value()?.into()),
             "--stall-ms" => self.stall_ms = Some(args.num()? as u64),
@@ -292,14 +289,6 @@ impl Cluster {
 
     /// The Khuzdul engine over `graph` that this config describes.
     fn engine(&self, graph: &Graph, obs: ObsConfig) -> Engine {
-        // A dropped reply, or a request a crashed part abandoned, resolves
-        // only by timeout: under injected faults the generous default would
-        // crawl (or hold a wedge for minutes), so either plane tightens it.
-        let tight = RetryPolicy {
-            max_attempts: self.retries,
-            timeout: Duration::from_millis(25),
-            backoff: Duration::from_millis(1),
-        };
         let mut fabric =
             FabricConfig { window: self.window, fail_fast: self.fail_fast, ..Default::default() };
         fabric.retry.max_attempts = self.retries;
@@ -308,12 +297,15 @@ impl Cluster {
             let crashes = crashes.map(|&(part, after_requests)| CrashAt { part, after_requests });
             fabric.fault =
                 Some(FaultPlan { crashes: crashes.collect(), ..FaultPlan::drops(self.fault_drop) });
-            fabric.retry = tight;
-        }
-        let mut control = ControlConfig { mode: self.control, ..ControlConfig::default() };
-        if self.control_fault_drop > 0.0 {
-            control.fault = Some(FaultPlan::drops(self.control_fault_drop));
-            control.retry = tight;
+            // A dropped reply, or a request a crashed part abandoned,
+            // resolves only by timeout: under injected faults the generous
+            // default would crawl (or hold a wedge for minutes). Both
+            // planes run under this policy.
+            fabric.retry = RetryPolicy {
+                max_attempts: self.retries,
+                timeout: Duration::from_millis(25),
+                backoff: Duration::from_millis(1),
+            };
         }
         let parts = self.machines * self.sockets;
         let replication = self.replication.min(parts);
@@ -328,7 +320,7 @@ impl Cluster {
                     batch: self.steal_batch,
                     ..StealConfig::default()
                 },
-                control,
+                control: ControlConfig { mode: self.control },
                 incident: IncidentConfig {
                     dir: self.incident_dir.clone().map(Into::into),
                     stall: self.stall_ms.map(Duration::from_millis),
@@ -659,8 +651,13 @@ fn run_serve(args: &[String]) -> Result<String, Error> {
     }
     // Keep the status plane up after the workload (and after the report
     // file exists, so a scraper can reconcile against it); `GET /quit`
-    // ends the linger early.
+    // ends the linger early. The output is complete by then: print it
+    // first, so whoever watches the lingering plane can read the counts.
     if let Some(server) = &status_server {
+        if linger_ms > 0 {
+            print!("{}", std::mem::take(&mut out));
+            let _ = std::io::Write::flush(&mut std::io::stdout());
+        }
         let deadline = std::time::Instant::now() + Duration::from_millis(linger_ms);
         while std::time::Instant::now() < deadline && !server.quit_requested() {
             std::thread::sleep(Duration::from_millis(50));
@@ -2169,37 +2166,23 @@ mod tests {
         assert_eq!(d.cluster.stall_ms, None);
         assert!(parse_args(&argv("--gen ba:100,3 --pattern triangle --incident-dir")).is_err());
         assert!(parse_args(&argv("--gen ba:100,3 --pattern triangle --stall-ms x")).is_err());
-    }
-
-    #[test]
-    fn parse_control_fault_drop() {
-        let o = parse_args(&argv(
-            "--gen ba:100,3 --pattern triangle --control msg --control-fault-drop 0.5",
-        ))
-        .unwrap();
-        assert!((o.cluster.control_fault_drop - 0.5).abs() < 1e-12);
-        let d = parse_args(&argv("--gen ba:100,3 --pattern triangle")).unwrap();
-        assert_eq!(d.cluster.control_fault_drop, 0.0);
-        // The shared ledger has no wire to drop on.
-        assert!(parse_args(&argv("--gen ba:100,3 --pattern triangle --control-fault-drop 0.5"))
-            .is_err());
-        assert!(parse_args(&argv(
-            "--gen ba:100,3 --pattern triangle --control msg --control-fault-drop 1.5"
-        ))
-        .is_err());
+        // A stall is reported as a bundle: without a directory the
+        // watchdog would never start.
+        let err = parse_args(&argv("--gen ba:100,3 --pattern triangle --stall-ms 500"));
+        assert!(err.unwrap_err().contains("--incident-dir"));
     }
 
     /// The stall-watchdog acceptance flow, end to end from the CLI: a
-    /// message-control run whose claim replies all vanish wedges until
-    /// the retry budget expires, and the watchdog captures a `stall`
-    /// bundle in the meantime.
+    /// message-control run whose claim replies all vanish (so no fetch is
+    /// ever sent) wedges until the retry budget expires, and the watchdog
+    /// captures a `stall` bundle in the meantime.
     #[test]
     fn wedged_run_trips_the_stall_watchdog_from_the_cli() {
         let dir = std::env::temp_dir().join(format!("gpm-cli-wedged-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let err = run(&argv(&format!(
             "--gen er:100,500,3 --pattern triangle --machines 2 --quiet \
-             --control msg --control-fault-drop 1.0 --retries 6 \
+             --control msg --fault-drop 1.0 --retries 6 \
              --stall-ms 60 --incident-dir {}",
             dir.display()
         )))

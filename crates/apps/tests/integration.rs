@@ -172,6 +172,19 @@ fn gpm_exits_2_on_a_usage_error_and_1_on_a_failure() {
         &["--gen", "er:0,0", "--pattern", "triangle"],
         &["report", "diff", "only-one.json"],
         &["incident", "frobnicate"],
+        // A flag that is gone: control replies drop under --fault-drop.
+        &[
+            "--gen",
+            "er:100,500",
+            "--pattern",
+            "triangle",
+            "--control",
+            "msg",
+            "--control-fault-drop",
+            "0.5",
+        ],
+        // A stall watchdog with nowhere to write its bundle.
+        &["--gen", "er:100,500", "--pattern", "triangle", "--stall-ms", "60"],
     ] {
         let (code, _, err) = gpm(args);
         assert_eq!(code, Some(2), "{args:?}: {err}");

@@ -31,7 +31,7 @@ use crate::fabric::FetchError;
 use crate::ledger::{Ledger, LedgerSummary};
 use crate::metrics::{ClusterMetrics, Counter, Counters, Scope};
 use crate::transport::{
-    await_reply, fate, CtrlOp, CtrlPayload, CtrlReply, CtrlRequest, Fault, FaultPlan, RetryPolicy,
+    await_reply, fate, CtrlOp, CtrlPayload, CtrlReply, CtrlRequest, FaultPlan, RetryPolicy,
 };
 use crate::PartId;
 use crossbeam::channel::{unbounded, Receiver, Sender};
@@ -54,12 +54,13 @@ pub struct ControlLedgerConfig {
     /// `Some(sockets_per_machine)` enables NUMA-aware victim ordering:
     /// thieves prefer same-machine victims before crossing the network.
     pub numa: Option<usize>,
-    /// Timeout/retry policy of every control client.
+    /// Timeout/retry policy of every control client; an engine passes
+    /// its fabric's.
     pub retry: RetryPolicy,
-    /// Optional deterministic fault plan applied to control messages
-    /// (the fractions partition the same per-`(part, seq)` draw as the
-    /// data plane; scheduled crashes are ignored here — they belong to
-    /// the data transport).
+    /// Optional deterministic fault plan applied to control messages; an
+    /// engine passes its fabric's. Its drop fraction rolls the same
+    /// per-`(part, seq)` draw as the data plane; its scheduled crashes
+    /// are ignored here — they count data-plane fetches only.
     pub fault: Option<FaultPlan>,
     /// Query id stamped on control spans and per-query counters.
     pub query: u64,
@@ -226,8 +227,8 @@ impl ControlClient {
         self.part
     }
 
-    /// Issues `op` and blocks for its reply, retrying with backoff on
-    /// timeouts and injected faults.
+    /// Issues `op` and blocks for its reply, retrying with backoff when a
+    /// reply is lost.
     ///
     /// # Errors
     ///
@@ -247,25 +248,19 @@ impl ControlClient {
             self.scope.add(Counter::CtrlSent, 1);
             // A dropped operation is still applied — the reply is lost in
             // the network — so its retry is answered from the
-            // responder's dedup cache; an errored one never leaves.
+            // responder's dedup cache.
             let plan = self.fault.as_ref();
-            let (fault, reply_to) =
+            let (reply_to, dropped) =
                 fate(plan, &self.obs, self.part, seq, self.query, req_id, &self.reply_tx);
-            if fault == Fault::Drop {
+            if dropped {
                 self.scope.add(Counter::CtrlDropped, 1);
             }
-            let reply = match reply_to {
-                Some(reply_to) => {
-                    let op = Arc::clone(&op);
-                    let req = CtrlRequest { seq, req_id, query: self.query, from: self.part, op };
-                    let msg = ServiceMsg::Op { req, reply_to };
-                    self.tx.send(msg).map_err(|_| FetchError::Shutdown)?;
-                    let deadline = Instant::now() + self.retry.timeout;
-                    await_reply(&inbox, deadline, |r: &CtrlReply| r.req_id == req_id)
-                }
-                None => None,
-            };
-            if let Some(reply) = reply {
+            let op = Arc::clone(&op);
+            let req = CtrlRequest { seq, req_id, query: self.query, from: self.part, op };
+            let msg = ServiceMsg::Op { req, reply_to };
+            self.tx.send(msg).map_err(|_| FetchError::Shutdown)?;
+            let deadline = Instant::now() + self.retry.timeout;
+            if let Some(reply) = await_reply(&inbox, deadline, |r: &CtrlReply| r.req_id == req_id) {
                 let part = self.part as u32;
                 self.obs.span(self.query, SpanKind::CtrlMsg, part, t0, code, req_id);
                 if is_claim {
@@ -299,7 +294,7 @@ pub enum Carrier {
     },
     /// Send and wait: per-part clients in front of the responder thread
     /// that owns the ledger, with retry/backoff, exactly-once dedup and
-    /// fault injection on the way.
+    /// dropped replies on the way.
     Msg {
         /// One client per part, indexed by part.
         clients: Vec<ControlClient>,
@@ -441,62 +436,20 @@ mod tests {
         );
     }
 
-    /// A reply that a delay fault lands after its call already returned
-    /// (through a retry) must not answer the next call.
+    /// A late reply to a call that already returned (through a retry)
+    /// must not answer the next call.
     #[test]
     fn a_late_reply_to_an_earlier_call_is_skipped() {
-        // Call 1 takes req_id 1 and attempt seqs 2, 3; call 2 takes
-        // req_id 4 and seq 5. Pick the seed that delays exactly seq 2.
-        let plan = (0..)
-            .map(|seed| FaultPlan {
-                delay_fraction: 0.5,
-                delay: Duration::from_millis(20),
-                seed,
-                ..FaultPlan::default()
-            })
-            .find(|p| {
-                (p.decide(0, 2), p.decide(0, 3), p.decide(0, 5))
-                    == (Fault::Delay, Fault::None, Fault::None)
-            })
-            .expect("half of all seeds delay any one seq");
-        let cfg = ControlLedgerConfig {
-            retry: RetryPolicy {
-                max_attempts: 3,
-                timeout: Duration::from_millis(5),
-                backoff: Duration::from_micros(100),
-            },
-            fault: Some(plan),
-            ..ControlLedgerConfig::default()
-        };
-        let svc = ControlLedgerService::start(
-            vec![vec![1, 2, 3, 4]],
-            Vec::new(),
-            cfg,
-            &ClusterMetrics::new(1, 1),
-            Recorder::disabled(),
-        );
+        let svc = service(vec![vec![1, 2, 3, 4]], false, 2, None);
         let c0 = svc.client(0);
-        let (_, first) = claimed(c0.call(CtrlOp::Claim { own_batch: 2 }).unwrap());
-        assert_eq!(first, vec![1, 2], "the retry answers call 1 from the replay cache");
-        // The delayed original is still on its way; wait until it sits
-        // in the channel, ahead of anything call 2 will be sent.
-        let landed = Instant::now() + Duration::from_secs(10);
-        while c0.inbox.lock().is_empty() {
-            assert!(Instant::now() < landed, "the delayed reply never arrived");
-            std::thread::yield_now();
-        }
+        let first = c0.call(CtrlOp::Claim { own_batch: 2 }).unwrap();
+        // Call 1 took req_id 1. Its reply arrives a second time, late,
+        // ahead of anything call 2 will be sent.
+        c0.reply_tx.send(CtrlReply { req_id: 1, payload: first.clone() }).unwrap();
+        assert_eq!(claimed(first).1, vec![1, 2]);
         let (_, second) = claimed(c0.call(CtrlOp::Claim { own_batch: 2 }).unwrap());
         assert_eq!(second, vec![3, 4], "call 2 must skip call 1's late reply");
         assert!(c0.inbox.lock().is_empty());
-    }
-
-    #[test]
-    fn injected_errors_retry_and_converge() {
-        let plan = FaultPlan { error_fraction: 0.5, ..FaultPlan::default() };
-        let svc = service(vec![vec![7]], false, 2, Some(plan));
-        let c0 = svc.client(0);
-        let (_, roots) = claimed(c0.call(CtrlOp::Claim { own_batch: 2 }).unwrap());
-        assert_eq!(roots, vec![7]);
     }
 
     #[test]
@@ -532,7 +485,7 @@ mod tests {
     fn control_counters_account_sends_drops_and_retries() {
         let plan = FaultPlan { drop_fraction: 0.5, seed: 0x5eed, ..FaultPlan::default() };
         // The first call takes `req_id` 1 and its first attempt `seq` 2.
-        assert_eq!(plan.decide(0, 2), Fault::Drop, "pick a seed that drops the first attempt");
+        assert!(plan.drops_reply(0, 2), "pick a seed that drops the first attempt");
         let metrics = ClusterMetrics::new(1, 1);
         let cfg = ControlLedgerConfig {
             retry: RetryPolicy {

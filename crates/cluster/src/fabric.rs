@@ -17,9 +17,9 @@
 //!   bound, so only the part of a list its reader can reach crosses the
 //!   wire. Requests are sent as asked: deduplicating them is the caller's
 //!   business (the engine's share table), not the fabric's.
-//! * **Timeout/retry** — each attempt has a deadline; lost or
-//!   transiently errored replies are retried with exponential backoff
-//!   and a fresh sequence number (stale replies are discarded by tag) —
+//! * **Timeout/retry** — each attempt has a deadline; lost replies are
+//!   retried with exponential backoff and a fresh sequence number (stale
+//!   replies are discarded by tag) —
 //!   the same discipline, in the same code, as the control plane's calls
 //!   (see [`crate::transport`]).
 //! * **Typed failure** — every way a fetch can fail is a
@@ -163,11 +163,9 @@ impl Liveness {
     }
 }
 
-/// Why a fetch failed. Transient variants ([`Injected`]) are retried by
-/// the fabric up to [`RetryPolicy::max_attempts`]; the rest surface to
-/// the caller immediately.
-///
-/// [`Injected`]: FetchError::Injected
+/// Why a fetch failed. A lost reply is retried by the fabric up to
+/// [`RetryPolicy::max_attempts`] and surfaces as [`FetchError::Timeout`];
+/// every error a reply carries surfaces to the caller at once.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FetchError {
     /// The target part does not own some requested vertices.
@@ -193,10 +191,11 @@ pub enum FetchError {
         /// The edge-list entry count that overflowed.
         entries: usize,
     },
-    /// A transient transport error injected by a
-    /// [`FaultPlan`]; retryable.
+    /// A responder refused a slice-transfer chunk that does not follow
+    /// the transfer's earlier chunks, or a transfer whose assembled slice
+    /// is incoherent; the sender restarts the transfer from scratch.
     Injected {
-        /// The part that was asked.
+        /// The part that refused the chunk.
         target: PartId,
     },
     /// The part is fail-stop dead and no live replica holder can serve
@@ -207,13 +206,6 @@ pub enum FetchError {
         /// The dead part whose data is unreachable.
         part: PartId,
     },
-}
-
-impl FetchError {
-    /// Whether the fabric may retry after this error.
-    fn is_transient(&self) -> bool {
-        matches!(self, FetchError::Injected { .. })
-    }
 }
 
 impl fmt::Display for FetchError {
@@ -235,7 +227,7 @@ impl fmt::Display for FetchError {
                 "reply from part {target} too large for the wire format ({entries} entries)"
             ),
             FetchError::Injected { target } => {
-                write!(f, "injected transport fault on the link to part {target}")
+                write!(f, "part {target} refused an incoherent replica transfer")
             }
             FetchError::PartDead { part } => {
                 write!(f, "part {part} is dead and no live replica holds its slice")
@@ -256,7 +248,8 @@ pub struct FabricConfig {
     pub window: usize,
     /// Timeout/retry behaviour.
     pub retry: RetryPolicy,
-    /// Optional fault injection beneath the fabric.
+    /// Optional fault injection beneath the fabric, and beneath the
+    /// message control carrier, which also runs under `retry`.
     pub fault: Option<FaultPlan>,
     /// Fail-fast liveness: when a fetch exhausts its retry budget,
     /// promote the unresponsive part to the dead state (and fail over to
@@ -839,14 +832,14 @@ impl PendingFetch {
         self.request.req_id
     }
 
-    /// Blocks until the reply arrives (retrying on loss or transient
-    /// errors), counts the traffic, and returns the lists in
-    /// request order: [`PendingFetch::wait_split`] without the split.
+    /// Blocks until the reply arrives (retrying on loss), counts the
+    /// traffic, and returns the lists in request order:
+    /// [`PendingFetch::wait_split`] without the split.
     ///
     /// # Errors
     ///
-    /// Any non-transient [`FetchError`], or [`FetchError::Timeout`] once
-    /// the retry budget is exhausted.
+    /// The [`FetchError`] the reply carries, or [`FetchError::Timeout`]
+    /// once the retry budget is exhausted.
     pub fn wait(self) -> Result<FetchedLists, FetchError> {
         self.wait_split().map(|(lists, _)| lists)
     }
@@ -867,10 +860,9 @@ impl PendingFetch {
         let (lists, served_at) = loop {
             let (deadline, seq) = (sent + self.client.retry.timeout, self.request.seq);
             match await_reply(&self.reply_rx, deadline, |r: &WireReply| r.seq == seq) {
-                Some(WireReply { payload: Ok(lists), served_at, .. }) => break (lists, served_at),
-                Some(WireReply { payload: Err(e), .. }) if !e.is_transient() => return Err(e),
-                // Lost, or transiently refused: another attempt.
-                _ => backoff += self.resubmit()?,
+                Some(WireReply { payload, served_at, .. }) => break (payload?, served_at),
+                // Lost: another attempt.
+                None => backoff += self.resubmit()?,
             }
             sent = Instant::now();
         };
@@ -1173,9 +1165,8 @@ mod tests {
         let owned: Vec<VertexId> = pg.part(0).owned().iter().copied().take(12).collect();
         let faults = [
             None,
-            // Replies lost or refused: `resubmit` sends the same columns.
+            // Replies lost: `resubmit` sends the same columns.
             Some(FaultPlan::drops(0.3)),
-            Some(FaultPlan { error_fraction: 0.3, ..FaultPlan::default() }),
             // The owner dies under the loop: `fail_over` re-routes to the
             // replica holder, first at submission and then mid-flight, and
             // the holder clamps as the owner would.
@@ -1374,38 +1365,32 @@ mod tests {
         service.shutdown();
     }
 
+    /// A late reply to an earlier attempt, queued ahead of the answer to
+    /// the current one, is skipped: the wait takes only its own `seq`.
     #[test]
-    fn injected_errors_are_retried() {
+    fn a_late_reply_to_an_earlier_attempt_is_skipped() {
         let (g, pg) = cluster(2, 1);
-        let fault = FaultPlan { error_fraction: 0.3, ..FaultPlan::default() };
-        let fabric =
-            FabricConfig { retry: faulty_retry(), fault: Some(fault), ..FabricConfig::default() };
+        // A fresh service's first fetch takes seq 0 and its retry seq 1.
+        // Pick the seed that loses exactly the first attempt.
+        let fault = (0..)
+            .map(|seed| FaultPlan { seed, ..FaultPlan::drops(0.5) })
+            .find(|p| p.drops_reply(0, 0) && !p.drops_reply(0, 1))
+            .expect("a quarter of all seeds drop seq 0 and deliver seq 1");
+        let retry = RetryPolicy { timeout: Duration::from_secs(10), ..faulty_retry() };
+        let fabric = FabricConfig { retry, fault: Some(fault), ..FabricConfig::default() };
         let service = EdgeListService::start_with(&pg, None, fabric);
-        let client = service.client(1);
-        for &v in pg.part(0).owned().iter().take(30) {
-            let lists = client.fetch(0, &[v]).unwrap();
-            assert_eq!(lists.list(0), g.neighbors(v));
-        }
-        assert!(service.metrics().totals()[Counter::Retries] > 0);
-        service.shutdown();
-    }
-
-    #[test]
-    fn delayed_replies_still_arrive() {
-        let (g, pg) = cluster(2, 1);
-        let fault = FaultPlan {
-            delay_fraction: 1.0,
-            delay: Duration::from_millis(3),
-            ..FaultPlan::default()
-        };
-        let fabric = FabricConfig { fault: Some(fault), ..FabricConfig::default() };
-        let service = EdgeListService::start_with(&pg, None, fabric);
-        let client = service.client(1);
         let v = pg.part(0).owned()[0];
-        let t0 = Instant::now();
-        let lists = client.fetch(0, &[v]).unwrap();
-        assert!(t0.elapsed() >= Duration::from_millis(3));
-        assert_eq!(lists.list(0), g.neighbors(v));
+        let mut pending = service.client(1).fetch_async(0, &[v]).unwrap();
+        assert_eq!(pending.request.seq, 0);
+        // The first attempt's reply, late and wrong, lands before the
+        // retry is even sent.
+        let stale = FetchedLists::from_parts(vec![0, 0], Vec::new());
+        let late = WireReply { seq: 0, payload: Ok(stale), served_at: Instant::now() };
+        pending.reply_tx.send(late).unwrap();
+        pending.resubmit().unwrap();
+        assert_eq!(pending.request.seq, 1);
+        let (lists, _) = pending.wait_split().unwrap();
+        assert_eq!(lists.list(0), g.neighbors(v), "the wait took the stale reply");
         service.shutdown();
     }
 

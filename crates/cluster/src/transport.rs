@@ -15,8 +15,8 @@
 //! calls alike:
 //!
 //! * the fate of one message under an optional [`FaultPlan`] —
-//!   delivered, dropped (served, its reply lost), refused with a
-//!   transient error, or delayed — rolled per `(target, seq)` (`fate`);
+//!   delivered, or dropped (served, its reply lost) — rolled per
+//!   `(target, seq)` (`fate`);
 //! * the exponential backoff between attempts ([`RetryPolicy`]);
 //! * the wait for the one reply an attempt is owed, before its deadline,
 //!   discarding late replies to earlier attempts (`await_reply`).
@@ -399,7 +399,7 @@ struct ReplicaStage {
 /// slices into it after a holder dies, restoring redundancy.
 ///
 /// With a [`FaultPlan`], every fetch submission counts toward the plan's
-/// crash schedule and then rolls its fate under the plan's fractions.
+/// crash schedule and then rolls its fate under the plan's drop fraction.
 #[derive(Debug)]
 pub struct ChannelTransport {
     senders: Vec<Sender<Msg>>,
@@ -541,8 +541,7 @@ impl ChannelTransport {
 
     /// Queues `req` for `target`'s responder; the reply, carrying
     /// `req.seq`, goes to `reply_to` when served — unless the fault plan
-    /// drops or delays it, or refuses the request, which then answers on
-    /// `reply_to` at once with [`FetchError::Injected`].
+    /// drops it.
     ///
     /// # Errors
     ///
@@ -557,15 +556,8 @@ impl ChannelTransport {
     ) -> Result<(), FetchError> {
         self.maybe_crash(target);
         let plan = self.fault.as_ref();
-        match fate(plan, &self.obs, target, req.seq, req.query, req.req_id, reply_to) {
-            (_, Some(reply_to)) => self.send(target, Msg::Fetch { req, reply_to }),
-            (_, None) => {
-                let payload = Err(FetchError::Injected { target });
-                let _ =
-                    reply_to.send(WireReply { seq: req.seq, payload, served_at: Instant::now() });
-                Ok(())
-            }
-        }
+        let (reply_to, _) = fate(plan, &self.obs, target, req.seq, req.query, req.req_id, reply_to);
+        self.send(target, Msg::Fetch { req, reply_to })
     }
 
     /// Queues a slice-transfer chunk for `target`'s responder, which
@@ -659,7 +651,7 @@ impl ChannelTransport {
 /// and, on the final chunk, validates the assembled CSR and installs it
 /// into the hosted-slice registry (replacing a stale copy of the same
 /// slice if present) as a part of a graph of `vertices` vertices.
-/// Out-of-order or mis-sized chunks abort the transfer with a transient
+/// Out-of-order or mis-sized chunks abort the transfer with
 /// [`FetchError::Injected`] so the sender can restart it from scratch.
 fn stage_push(
     staging: &mut std::collections::HashMap<PartId, ReplicaStage>,
@@ -759,29 +751,21 @@ fn serve(slices: &[Arc<GraphPart>], req: &WireRequest) -> Result<FetchedLists, F
     Ok(FetchedLists::from_parts(offsets, data))
 }
 
-/// What to do with a fraction of sent messages, on either plane.
+/// The faults of one run, on both planes: a reply arrives or is lost,
+/// and a part lives or dies.
 ///
-/// Outcomes are decided deterministically per `(seed, target, seq)`, so a
+/// Drops are decided deterministically per `(seed, target, seq)`, so a
 /// run with a fixed plan is reproducible, and a retried request (which
-/// carries a fresh sequence number) re-rolls its fate — with any fraction
+/// carries a fresh sequence number) re-rolls its fate — with a fraction
 /// below 1.0, retries converge. The fabric holds the plan in its
-/// [`ChannelTransport`]; the control plane applies the fractions to its
-/// own calls and ignores the crashes.
+/// [`ChannelTransport`]; the message control carrier drops the same
+/// fraction of its replies and ignores the crashes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     /// Fraction of requests whose replies are silently dropped (the
     /// client sees a timeout).
     pub drop_fraction: f64,
-    /// Fraction of requests answered with a transient
-    /// [`FetchError::Injected`] error.
-    pub error_fraction: f64,
-    /// Fraction of requests whose replies are delayed by [`delay`].
-    ///
-    /// [`delay`]: FaultPlan::delay
-    pub delay_fraction: f64,
-    /// How long delayed replies are held back.
-    pub delay: Duration,
-    /// Seed of the deterministic per-message fault decision.
+    /// Seed of the deterministic per-message drop decision.
     pub seed: u64,
     /// Scheduled fail-stop crashes, fired **in list order**: entry
     /// `i + 1` starts counting submissions targeting its part only once
@@ -797,7 +781,7 @@ pub struct FaultPlan {
 /// first request. Only the data plane's fetches count; control calls and
 /// slice transfers never do.
 ///
-/// Unlike the probabilistic fractions this is exact and deterministic:
+/// Unlike the probabilistic drops this is exact and deterministic:
 /// the same workload crashes at the same point every run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CrashAt {
@@ -810,14 +794,7 @@ pub struct CrashAt {
 
 impl Default for FaultPlan {
     fn default() -> Self {
-        FaultPlan {
-            drop_fraction: 0.0,
-            error_fraction: 0.0,
-            delay_fraction: 0.0,
-            delay: Duration::from_millis(1),
-            seed: 0x5eed,
-            crashes: Vec::new(),
-        }
+        FaultPlan { drop_fraction: 0.0, seed: 0x5eed, crashes: Vec::new() }
     }
 }
 
@@ -841,52 +818,21 @@ impl FaultPlan {
     }
 
     /// Checks the plan's parameters, panicking with a descriptive
-    /// message on nonsense: each fraction must be a finite value in
-    /// `[0, 1]` (NaN, negative, and `> 1` are all rejected), and the
-    /// three fractions must sum to at most 1 — they partition the same
-    /// per-message random draw.
+    /// message on nonsense: the drop fraction must be a finite value in
+    /// `[0, 1]` (NaN, negative, and `> 1` are all rejected).
     pub fn validate(&self) {
-        for (name, f) in [
-            ("drop_fraction", self.drop_fraction),
-            ("error_fraction", self.error_fraction),
-            ("delay_fraction", self.delay_fraction),
-        ] {
-            assert!(
-                f.is_finite() && (0.0..=1.0).contains(&f),
-                "FaultPlan.{name} must be a probability in [0, 1], got {f}"
-            );
-        }
-        let sum = self.drop_fraction + self.error_fraction + self.delay_fraction;
+        let f = self.drop_fraction;
         assert!(
-            sum <= 1.0,
-            "FaultPlan fractions must sum to at most 1 (they split one draw), got {sum}"
+            f.is_finite() && (0.0..=1.0).contains(&f),
+            "FaultPlan.drop_fraction must be a probability in [0, 1], got {f}"
         );
     }
 
-    /// The fate of message `seq` to `target` under this plan: one
-    /// deterministic draw, split by the three fractions.
-    pub(crate) fn decide(&self, target: PartId, seq: u64) -> Fault {
-        let r = unit_hash(self.seed, target as u64, seq);
-        if r < self.drop_fraction {
-            Fault::Drop
-        } else if r < self.drop_fraction + self.error_fraction {
-            Fault::Error
-        } else if r < self.drop_fraction + self.error_fraction + self.delay_fraction {
-            Fault::Delay
-        } else {
-            Fault::None
-        }
+    /// Whether this plan drops the reply to message `seq` to `target`:
+    /// one deterministic draw against the drop fraction.
+    pub(crate) fn drops_reply(&self, target: PartId, seq: u64) -> bool {
+        unit_hash(self.seed, target as u64, seq) < self.drop_fraction
     }
-}
-
-/// What a [`FaultPlan`] does to one message. The discriminant is the
-/// `arg` of the `Fault` instant recorded for it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Fault {
-    None = 0,
-    Drop = 1,
-    Error = 2,
-    Delay = 3,
 }
 
 /// SplitMix64-style hash of `(seed, target, seq)` mapped to `[0, 1)`.
@@ -901,19 +847,16 @@ fn unit_hash(seed: u64, target: u64, seq: u64) -> f64 {
 }
 
 /// Rolls the fate of message `seq` to `target` under `plan` and returns
-/// it with where the receiving end should send the reply: `reply_to`
-/// itself; for a drop, a black hole whose receiver is already gone (the
-/// message is still served — the responder never sees the loss — but its
-/// reply is lost in the network); for a delay, a forwarder thread that
-/// holds the reply back [`FaultPlan::delay`]. `None` is an error: the
-/// message never leaves the sender, which sees a transient failure at
-/// once. Every fate but delivery records a `Fault` instant for `query`'s
-/// request `link`.
+/// where the receiving end should send the reply, with whether it is
+/// dropped: `reply_to` itself, or for a drop a black hole whose receiver
+/// is already gone (the message is still served — the responder never
+/// sees the loss — but its reply is lost in the network). A drop records
+/// a `Fault` instant (`arg` 1) for `query`'s request `link`.
 ///
 /// Both planes send through here — the fabric per fetch submission with
 /// the target part, the control plane per call attempt with the calling
 /// part — so one plan's draws mean the same on either.
-pub(crate) fn fate<R: Send + 'static>(
+pub(crate) fn fate<R>(
     plan: Option<&FaultPlan>,
     obs: &Recorder,
     target: PartId,
@@ -921,29 +864,12 @@ pub(crate) fn fate<R: Send + 'static>(
     query: u64,
     link: u64,
     reply_to: &Sender<R>,
-) -> (Fault, Option<Sender<R>>) {
-    let Some(plan) = plan else { return (Fault::None, Some(reply_to.clone())) };
-    let fault = plan.decide(target, seq);
-    if fault != Fault::None {
-        obs.event(query, SpanKind::Fault, target as u32, fault as u64, link);
+) -> (Sender<R>, bool) {
+    if !plan.is_some_and(|plan| plan.drops_reply(target, seq)) {
+        return (reply_to.clone(), false);
     }
-    let route = match fault {
-        Fault::None => Some(reply_to.clone()),
-        Fault::Drop => Some(unbounded().0),
-        Fault::Error => None,
-        Fault::Delay => {
-            let (tx, rx) = unbounded::<R>();
-            let (delay, forward) = (plan.delay, reply_to.clone());
-            std::thread::spawn(move || {
-                if let Ok(reply) = rx.recv() {
-                    std::thread::sleep(delay);
-                    let _ = forward.send(reply);
-                }
-            });
-            Some(tx)
-        }
-    };
-    (fault, route)
+    obs.event(query, SpanKind::Fault, target as u32, 1, link);
+    (unbounded().0, true)
 }
 
 /// Timeout and retry behaviour of a request–reply exchange: a fetch, a
@@ -1032,19 +958,19 @@ mod tests {
 
     #[test]
     fn fault_decisions_are_deterministic() {
-        let plan = FaultPlan { drop_fraction: 0.3, error_fraction: 0.3, ..Default::default() };
+        let plan = FaultPlan { drop_fraction: 0.3, ..Default::default() };
         for seq in 0..64 {
-            assert_eq!(plan.decide(1, seq), plan.decide(1, seq));
+            assert_eq!(plan.drops_reply(1, seq), plan.drops_reply(1, seq));
         }
         // A retried message (fresh seq) can change fate.
-        let fates: Vec<Fault> = (0..64).map(|s| plan.decide(0, s)).collect();
+        let fates: Vec<bool> = (0..64).map(|s| plan.drops_reply(0, s)).collect();
         assert!(fates.iter().any(|&f| f != fates[0]), "fates never vary: {fates:?}");
     }
 
     #[test]
     fn fault_fractions_roughly_respected() {
         let plan = FaultPlan { drop_fraction: 0.5, ..Default::default() };
-        let drops = (0..1000).filter(|&s| plan.decide(0, s) == Fault::Drop).count();
+        let drops = (0..1000).filter(|&s| plan.drops_reply(0, s)).count();
         assert!((350..650).contains(&drops), "{drops} drops out of 1000");
     }
 
@@ -1062,11 +988,8 @@ mod tests {
         let bad = [
             FaultPlan { drop_fraction: f64::NAN, ..FaultPlan::default() },
             FaultPlan { drop_fraction: f64::INFINITY, ..FaultPlan::default() },
-            FaultPlan { error_fraction: -0.1, ..FaultPlan::default() },
-            FaultPlan { delay_fraction: 1.5, ..FaultPlan::default() },
-            // Individually fine, but the fractions split one draw, so
-            // they must not sum past 1.
-            FaultPlan { drop_fraction: 0.6, error_fraction: 0.6, ..FaultPlan::default() },
+            FaultPlan { drop_fraction: -0.1, ..FaultPlan::default() },
+            FaultPlan { drop_fraction: 1.5, ..FaultPlan::default() },
         ];
         for plan in bad {
             assert!(
@@ -1076,7 +999,7 @@ mod tests {
         }
         // The boundaries are inclusive.
         FaultPlan { drop_fraction: 1.0, ..FaultPlan::default() }.validate();
-        FaultPlan { drop_fraction: 0.5, delay_fraction: 0.5, ..FaultPlan::default() }.validate();
+        FaultPlan { drop_fraction: 0.0, ..FaultPlan::default() }.validate();
     }
 
     #[test]

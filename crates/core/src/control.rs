@@ -4,8 +4,8 @@
 //! the spill, the claim/donate logs and the quiescence count; one
 //! [`Carrier`] gets each [`CtrlOp`] to it and brings the [`CtrlPayload`]
 //! back — by locking shared memory, or by a control message through the
-//! cluster's channel layer with retry/backoff and deterministic fault
-//! injection. [`ControlPlane`] is everything above that seam, written
+//! cluster's channel layer under the fabric's retry policy and fault
+//! plan. [`ControlPlane`] is everything above that seam, written
 //! once: the typed operations a part coordinator calls, the decoding of
 //! replies, and what happens when an operation is lost. The carriers are
 //! interchangeable per run and produce bit-identical counts;
@@ -14,7 +14,7 @@
 use crate::incident::{CaptureSections, IncidentManager, Trigger};
 use gpm_cluster::{
     Carrier, ClaimSource, ClusterMetrics, ControlLedgerConfig, ControlLedgerService, Counters,
-    CtrlOp, CtrlPayload, FaultPlan, FetchError, Ledger, RetryPolicy,
+    CtrlOp, CtrlPayload, FetchError, Ledger,
 };
 use gpm_graph::VertexId;
 use gpm_obs::{Recorder, TriggerKind};
@@ -29,23 +29,19 @@ pub enum ControlMode {
     /// The ledger behind a lock in shared memory (the default).
     #[default]
     Shared,
-    /// Typed control messages over the cluster's channel layer, with
-    /// retry/backoff and fault injection — the carrier that can stretch
-    /// over a real multi-process transport.
+    /// Typed control messages over the cluster's channel layer, under
+    /// the fabric's retry policy and fault plan — the carrier that can
+    /// stretch over a real multi-process transport.
     Msg,
 }
 
-/// Control-plane selection and, for the message carrier, its wire knobs.
+/// Control-plane selection. The message carrier has no wire knobs of its
+/// own: it runs under `EngineConfig::fabric`'s retry policy and fault
+/// plan, as the fetches do.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct ControlConfig {
     /// Which carrier coordinates cross-part work.
     pub mode: ControlMode,
-    /// Timeout/retry policy of control messages (message carrier only).
-    pub retry: RetryPolicy,
-    /// Optional deterministic fault plan applied to control messages —
-    /// *not* to data fetches, which have their own plan in
-    /// `EngineConfig::fault` (message carrier only).
-    pub fault: Option<FaultPlan>,
 }
 
 /// What `ControlPlane::state_summary` reports: an incident bundle's
@@ -326,6 +322,7 @@ fn unexpected(op: &str, payload: &CtrlPayload) -> FetchError {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gpm_cluster::{FaultPlan, RetryPolicy};
     use std::time::Duration;
 
     fn plane(

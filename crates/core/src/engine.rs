@@ -189,7 +189,7 @@ pub struct EngineConfig {
     pub steal: StealConfig,
     /// Which carrier runs the steal/claim control plane: shared-memory
     /// atomics (the default) or typed control messages over the cluster's
-    /// channel layer, with their own retry policy and fault injection.
+    /// channel layer, under `fabric`'s retry policy and fault plan.
     /// Both carriers produce bit-identical counts.
     pub control: ControlConfig,
     /// Incident capture: the bundle directory (off by default — no
@@ -869,8 +869,8 @@ impl Engine {
             stealing,
             batch: self.cfg.steal.batch.max(1),
             numa,
-            retry: self.cfg.control.retry,
-            fault: self.cfg.control.fault.clone(),
+            retry: self.cfg.fabric.retry,
+            fault: self.cfg.fabric.fault.clone(),
             query: qid,
         };
         Arc::new(ControlPlane::start(
@@ -1846,7 +1846,7 @@ mod tests {
             PartitionedGraph::new(&g, 2, 1),
             EngineConfig {
                 compute_threads: 2,
-                control: ControlConfig { mode: ControlMode::Msg, ..ControlConfig::default() },
+                control: ControlConfig { mode: ControlMode::Msg },
                 ..EngineConfig::default()
             },
         );
@@ -2143,16 +2143,17 @@ mod tests {
             EngineConfig {
                 // Message-based control plane where every reply is
                 // dropped: claims retry for far longer than the stall
-                // window, so progress never moves and the run is
-                // wedged until the retry budget finally expires.
-                control: ControlConfig {
-                    mode: ControlMode::Msg,
+                // window, so progress never moves (and no fetch is ever
+                // sent) until the retry budget finally expires.
+                control: ControlConfig { mode: ControlMode::Msg },
+                fabric: FabricConfig {
                     retry: RetryPolicy {
                         max_attempts: 6,
                         timeout: Duration::from_millis(100),
                         backoff: Duration::from_millis(1),
                     },
                     fault: Some(FaultPlan::drops(1.0)),
+                    ..FabricConfig::default()
                 },
                 steal: StealConfig { enabled: true, ..StealConfig::default() },
                 incident: IncidentConfig {

@@ -596,7 +596,7 @@ mod tests {
             pg,
             EngineConfig {
                 steal: StealConfig { enabled: true, batch: 8, ..StealConfig::default() },
-                control: ControlConfig { mode: ControlMode::Msg, ..ControlConfig::default() },
+                control: ControlConfig { mode: ControlMode::Msg },
                 // The RTT histogram records through the obs recorder,
                 // which is off by default.
                 obs: gpm_obs::ObsConfig::enabled(),

@@ -149,7 +149,7 @@ proptest! {
             // requests so most sampled schedules actually fire mid-run.
             chunk_capacity: 32,
             steal: StealConfig { enabled: steal, batch: 4, ..StealConfig::default() },
-            control: ControlConfig { mode, ..ControlConfig::default() },
+            control: ControlConfig { mode },
             fabric: FabricConfig {
                 retry: RetryPolicy {
                     max_attempts: 4,
@@ -195,10 +195,11 @@ proptest! {
         fault_seed in 0u64..u64::MAX,
         p in arb_pattern(),
     ) {
-        // Dropping *control* messages (claims, retirements, quiescence
-        // polls) — not data fetches — must never change counts: replies
-        // are replayed from the responder's dedup cache, so a retried
-        // claim is never applied twice.
+        // Dropping replies on both planes — control messages (claims,
+        // retirements, quiescence polls) and data fetches — must never
+        // change counts: control replies are replayed from the
+        // responder's dedup cache, so a retried claim is never applied
+        // twice, and a retried fetch re-reads an immutable list.
         let g = gen::rmat(6, 8, (0.57, 0.19, 0.19), seed);
         let plan = MatchingPlan::compile(&p, &PlanOptions::automine()).unwrap();
         let pg = PartitionedGraph::with_partitioner(&g, 4, 1, Partitioner::Range);
@@ -210,14 +211,17 @@ proptest! {
         let engine = Engine::new(pg, EngineConfig {
             chunk_capacity: 32,
             steal: StealConfig { enabled: true, batch: 4, ..StealConfig::default() },
-            control: ControlConfig {
-                mode: ControlMode::Msg,
+            control: ControlConfig { mode: ControlMode::Msg },
+            // A drop costs one timeout on either plane: the CLI's tight
+            // 25 ms keeps the 24 cases to a few seconds.
+            fabric: FabricConfig {
                 retry: RetryPolicy {
                     max_attempts: 10,
-                    timeout: Duration::from_millis(50),
+                    timeout: Duration::from_millis(25),
                     backoff: Duration::from_micros(500),
                 },
                 fault: Some(FaultPlan { seed: fault_seed, ..FaultPlan::drops(0.2) }),
+                ..FabricConfig::default()
             },
             ..EngineConfig::default()
         });
@@ -265,7 +269,7 @@ proptest! {
                             // and leftover hand-backs under stealing.
                             chunk_capacity: 64,
                             steal: StealConfig { enabled: steal, batch: 8, ..StealConfig::default() },
-                            control: ControlConfig { mode, ..ControlConfig::default() },
+                            control: ControlConfig { mode },
                             ..EngineConfig::default()
                         });
                         let c = engine.count(&plan).count;

@@ -88,7 +88,7 @@ fn stealing_rebalances_a_skewed_graph_without_changing_the_count() {
                 EngineConfig {
                     compute_threads: 2,
                     steal: StealConfig { enabled, batch: 64, ..StealConfig::default() },
-                    control: ControlConfig { mode, ..ControlConfig::default() },
+                    control: ControlConfig { mode },
                     ..EngineConfig::default()
                 },
             );
@@ -140,7 +140,7 @@ fn a_single_threaded_part_shares_its_heavy_first_grant() {
                 // starving peers, every 512 parked children.
                 chunk_capacity: 512,
                 steal: StealConfig { enabled: true, batch: 16, ..StealConfig::default() },
-                control: ControlConfig { mode, ..ControlConfig::default() },
+                control: ControlConfig { mode },
                 ..EngineConfig::default()
             },
         );

@@ -31,7 +31,7 @@ fn crashy(mode: ControlMode, rebalance: bool, crashes: Vec<CrashAt>) -> EngineCo
         chunk_capacity: 64,
         cache: CacheConfig { policy: CachePolicy::Disabled, ..CacheConfig::default() },
         obs: ObsConfig::enabled(),
-        control: ControlConfig { mode, ..ControlConfig::default() },
+        control: ControlConfig { mode },
         rebalance: RebalanceConfig { enabled: rebalance, ..RebalanceConfig::default() },
         fabric: FabricConfig {
             retry: RetryPolicy {

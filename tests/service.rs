@@ -48,7 +48,7 @@ fn overlapping_queries_match_solo_counts_under_steal_on_and_off() {
                 PartitionedGraph::new(&g, 4, 1),
                 EngineConfig {
                     steal: StealConfig { enabled: steal, batch: 8, ..StealConfig::default() },
-                    control: ControlConfig { mode, ..ControlConfig::default() },
+                    control: ControlConfig { mode },
                     ..EngineConfig::default()
                 },
             ));
@@ -308,7 +308,7 @@ fn concurrent_queries_sum_to_the_part_rows_counter_by_counter() {
         PartitionedGraph::new(&g, 3, 1),
         EngineConfig {
             steal: StealConfig { enabled: true, batch: 8, ..StealConfig::default() },
-            control: ControlConfig { mode: ControlMode::Msg, ..ControlConfig::default() },
+            control: ControlConfig { mode: ControlMode::Msg },
             ..EngineConfig::default()
         },
     ));
