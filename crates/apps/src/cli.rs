@@ -21,7 +21,7 @@ use gpm_pattern::{Pattern, MAX_PATTERN_VERTICES};
 use khuzdul::{
     Bundle, ControlConfig, ControlMode, CrashAt, Engine, EngineConfig, FabricConfig, FaultPlan,
     IncidentConfig, MiningService, ObsConfig, RebalanceConfig, RetryPolicy, RunStats,
-    ServiceConfig, StatusConfig, StatusDoc, StatusServer, StealConfig,
+    ServiceConfig, StatusDoc, StatusServer, StealConfig,
 };
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -44,12 +44,11 @@ count, serve, motifs, fsm: the cluster (baselines read the first three)
   --retries N               attempts before a fetch or msg control call times out (default 4)
   --fault-drop F            drop this fraction of fetch (and msg control) replies
   --fault-crash PART@AFTER  kill PART once AFTER requests targeted it; repeatable
-  --fail-fast               a part that exhausts its retries is dead
   --steal on|off            cross-part work stealing (default on)
   --steal-batch N           smallest root grant under stealing (default 256)
   --control shared|msg      how claims and steals reach the ledger (default shared)
   --rebalance on|off        restore lost replicas after a death (default on)
-  --incident-dir DIR        capture crash, deadline and stall bundles here
+  --incident-dir DIR        capture crash, poison and stall bundles here
   --stall-ms MS             bundle a run whose claims stay flat this long (needs --incident-dir)
 count, serve: output
   --quiet                   print only the counts
@@ -176,7 +175,6 @@ struct Cluster {
     fault_drop: f64,
     /// `(part, after_requests)`, in flag order.
     fault_crash: Vec<(usize, u64)>,
-    fail_fast: bool,
     /// On here, where interactive runs want the balance; the library keeps
     /// it off for deterministic traffic.
     steal: bool,
@@ -256,7 +254,6 @@ impl Cluster {
             }
             "--fault-drop" => self.fault_drop = parse_fraction(args.value()?)?,
             "--fault-crash" => self.fault_crash.push(parse_crash(args.value()?)?),
-            "--fail-fast" => self.fail_fast = true,
             "--steal" => self.steal = args.switch()?,
             "--steal-batch" => self.steal_batch = args.num()?,
             "--control" => {
@@ -289,8 +286,7 @@ impl Cluster {
 
     /// The Khuzdul engine over `graph` that this config describes.
     fn engine(&self, graph: &Graph, obs: ObsConfig) -> Engine {
-        let mut fabric =
-            FabricConfig { window: self.window, fail_fast: self.fail_fast, ..Default::default() };
+        let mut fabric = FabricConfig { window: self.window, ..Default::default() };
         fabric.retry.max_attempts = self.retries;
         if self.fault_drop > 0.0 || !self.fault_crash.is_empty() {
             let crashes = self.fault_crash.iter();
@@ -324,7 +320,6 @@ impl Cluster {
                 incident: IncidentConfig {
                     dir: self.incident_dir.clone().map(Into::into),
                     stall: self.stall_ms.map(Duration::from_millis),
-                    ..IncidentConfig::default()
                 },
                 rebalance: RebalanceConfig {
                     enabled: self.rebalance,
@@ -600,8 +595,7 @@ fn run_serve(args: &[String]) -> Result<String, Error> {
     // see the workload from its first root claim.
     let status_server = status_addr
         .map(|addr| {
-            let config = StatusConfig { addr: addr.clone() };
-            StatusServer::start(Arc::clone(&service), config)
+            StatusServer::start(Arc::clone(&service), &addr)
                 .map_err(|e| format!("binding status server on {addr}: {e}"))
         })
         .transpose()?;
@@ -1486,12 +1480,11 @@ mod tests {
     #[test]
     fn parse_failure_flags() {
         let o = parse_args(&argv(
-            "--gen ba:100,3 --pattern triangle --replication 2 --fault-crash 2@5000 --fail-fast",
+            "--gen ba:100,3 --pattern triangle --replication 2 --fault-crash 2@5000",
         ))
         .unwrap();
         assert_eq!(o.cluster.replication, 2);
         assert_eq!(o.cluster.fault_crash, vec![(2, 5000)]);
-        assert!(o.cluster.fail_fast);
         // The flag repeats: chained failures accumulate in order.
         let multi = parse_args(&argv(
             "--gen ba:100,3 --pattern triangle --replication 3 \
@@ -1502,7 +1495,6 @@ mod tests {
         let d = parse_args(&argv("--gen ba:100,3 --pattern triangle")).unwrap();
         assert_eq!(d.cluster.replication, 1);
         assert!(d.cluster.fault_crash.is_empty());
-        assert!(!d.cluster.fail_fast);
         // Replication 0 is clamped to the un-replicated baseline.
         let z = parse_args(&argv("--gen ba:100,3 --pattern triangle --replication 0")).unwrap();
         assert_eq!(z.cluster.replication, 1);
@@ -1936,7 +1928,7 @@ mod tests {
             engine,
             ServiceConfig { slow_query: Some(Duration::ZERO), ..ServiceConfig::default() },
         ));
-        let server = StatusServer::start(Arc::clone(&svc), StatusConfig::default()).unwrap();
+        let server = StatusServer::start(Arc::clone(&svc), "127.0.0.1:0").unwrap();
         let h = svc.submit(&Pattern::triangle(), &PlanOptions::automine()).unwrap();
         h.wait().unwrap();
         let top = run(&argv(&format!("top {}", server.local_addr()))).unwrap();
@@ -1990,7 +1982,7 @@ mod tests {
         let engine =
             Arc::new(Engine::new(PartitionedGraph::new(&g, 2, 1), EngineConfig::default()));
         let svc = Arc::new(MiningService::start(engine, ServiceConfig::default()));
-        let server = StatusServer::start(Arc::clone(&svc), StatusConfig::default()).unwrap();
+        let server = StatusServer::start(Arc::clone(&svc), "127.0.0.1:0").unwrap();
         let addr = server.local_addr().to_string();
         svc.submit(&Pattern::triangle(), &PlanOptions::automine()).unwrap().wait().unwrap();
         let out = run(&argv(&format!("top {addr} --watch 0.02 --frames 3"))).unwrap();

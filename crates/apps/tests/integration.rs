@@ -183,6 +183,8 @@ fn gpm_exits_2_on_a_usage_error_and_1_on_a_failure() {
             "--control-fault-drop",
             "0.5",
         ],
+        // A flag that is gone: a part dies by its crash, never by a lost reply.
+        &["--gen", "er:100,500", "--pattern", "triangle", "--fail-fast"],
         // A stall watchdog with nowhere to write its bundle.
         &["--gen", "er:100,500", "--pattern", "triangle", "--stall-ms", "60"],
     ] {

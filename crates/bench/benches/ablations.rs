@@ -1,7 +1,7 @@
 //! Ablation benches for design choices DESIGN.md calls out beyond the
-//! paper's own figures: circulant vs. natural fetch order, mini-batch
-//! granularity, the cost of the share-table on unskewed inputs, and the
-//! fetch fabric's request-window depth.
+//! paper's own figures: circulant vs. natural fetch order, the cost of
+//! the share-table on unskewed inputs, and the fetch fabric's
+//! request-window depth.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gpm_graph::partition::PartitionedGraph;
@@ -36,30 +36,6 @@ fn circulant_order(c: &mut Criterion) {
     for (name, circulant) in [("circulant", true), ("natural", false)] {
         grp.bench_function(name, |b| {
             b.iter(|| run(&g, EngineConfig { circulant, ..EngineConfig::default() }, &plan))
-        });
-    }
-    grp.finish();
-}
-
-/// Work-claim granularity (the paper's 64-embedding mini-batches, §6).
-fn mini_batch(c: &mut Criterion) {
-    let g = skewed();
-    let plan = MatchingPlan::compile(&Pattern::clique(4), &PlanOptions::graphpi()).unwrap();
-    let mut grp = c.benchmark_group("ablation_mini_batch");
-    grp.sample_size(10);
-    for batch in [1usize, 16, 64, 512] {
-        grp.bench_with_input(BenchmarkId::from_parameter(batch), &batch, |b, &batch| {
-            b.iter(|| {
-                run(
-                    &g,
-                    EngineConfig {
-                        mini_batch: batch,
-                        compute_threads: 4,
-                        ..EngineConfig::default()
-                    },
-                    &plan,
-                )
-            })
         });
     }
     grp.finish();
@@ -277,7 +253,6 @@ fn concurrency(c: &mut Criterion) {
 criterion_group!(
     benches,
     circulant_order,
-    mini_batch,
     share_table_overhead,
     oblivious_vs_aware,
     partitioner_strategy,

@@ -91,7 +91,7 @@ enum ServiceMsg {
 #[derive(Debug)]
 pub struct ControlLedgerService {
     tx: Sender<ServiceMsg>,
-    handle: Mutex<Option<JoinHandle<()>>>,
+    handle: Option<JoinHandle<()>>,
     seq: Arc<AtomicU64>,
     cfg: ControlLedgerConfig,
     metrics: ClusterMetrics,
@@ -162,7 +162,7 @@ impl ControlLedgerService {
             .expect("spawn control responder thread");
         ControlLedgerService {
             tx,
-            handle: Mutex::new(Some(handle)),
+            handle: Some(handle),
             seq: Arc::new(AtomicU64::new(0)),
             cfg,
             metrics: metrics.clone(),
@@ -192,7 +192,7 @@ impl ControlLedgerService {
 impl Drop for ControlLedgerService {
     fn drop(&mut self) {
         let _ = self.tx.send(ServiceMsg::Shutdown);
-        if let Some(h) = self.handle.lock().take() {
+        if let Some(h) = self.handle.take() {
             let _ = h.join();
         }
     }

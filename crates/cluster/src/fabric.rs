@@ -44,13 +44,12 @@ use std::time::{Duration, Instant};
 /// Shared liveness state of the cluster: which parts have been detected
 /// as fail-stop dead, and who holds a replica of each part's slice.
 ///
-/// A part is *promoted* to dead when a submission to it returns
-/// [`FetchError::PartDead`] (the transport saw the fail-stop kill), or —
-/// with [`FabricConfig::fail_fast`] — when a fetch to it exhausts its
-/// retry budget. Promotion is broadcast by construction: every client of
-/// the service shares this one structure, so after the first detection
-/// all later fetches route around the dead part immediately instead of
-/// burning their own retry budgets.
+/// A part is *promoted* to dead only when a submission to it returns
+/// [`FetchError::PartDead`] (the transport saw the fail-stop kill); a
+/// lost reply never promotes. Promotion is broadcast by construction:
+/// every client of the service shares this one structure, so after the
+/// first detection all later fetches route around the dead part
+/// immediately instead of burning their own retry budgets.
 #[derive(Debug)]
 struct Liveness {
     dead: Vec<AtomicBool>,
@@ -75,7 +74,6 @@ struct Liveness {
     /// repair before failing `PartDead`; disarmed, it fails immediately
     /// (the pre-rebalance envelope).
     rebalance_armed: AtomicBool,
-    fail_fast: bool,
 }
 
 /// How long an armed [`Liveness::route`] waits for an in-flight repair
@@ -83,7 +81,7 @@ struct Liveness {
 const REROUTE_GRACE: Duration = Duration::from_secs(5);
 
 impl Liveness {
-    fn new(pg: &PartitionedGraph, fail_fast: bool) -> Liveness {
+    fn new(pg: &PartitionedGraph) -> Liveness {
         let parts = pg.part_count();
         Liveness {
             dead: (0..parts).map(|_| AtomicBool::new(false)).collect(),
@@ -92,7 +90,6 @@ impl Liveness {
             rr: (0..parts).map(|_| AtomicU64::new(0)).collect(),
             lost: (0..parts).map(|_| AtomicBool::new(false)).collect(),
             rebalance_armed: AtomicBool::new(false),
-            fail_fast,
         }
     }
 
@@ -194,7 +191,7 @@ pub enum FetchError {
     /// A responder refused a slice-transfer chunk that does not follow
     /// the transfer's earlier chunks, or a transfer whose assembled slice
     /// is incoherent; the sender restarts the transfer from scratch.
-    Injected {
+    TransferRefused {
         /// The part that refused the chunk.
         target: PartId,
     },
@@ -226,7 +223,7 @@ impl fmt::Display for FetchError {
                 f,
                 "reply from part {target} too large for the wire format ({entries} entries)"
             ),
-            FetchError::Injected { target } => {
+            FetchError::TransferRefused { target } => {
                 write!(f, "part {target} refused an incoherent replica transfer")
             }
             FetchError::PartDead { part } => {
@@ -251,18 +248,11 @@ pub struct FabricConfig {
     /// Optional fault injection beneath the fabric, and beneath the
     /// message control carrier, which also runs under `retry`.
     pub fault: Option<FaultPlan>,
-    /// Fail-fast liveness: when a fetch exhausts its retry budget,
-    /// promote the unresponsive part to the dead state (and fail over to
-    /// a replica holder if one exists) instead of surfacing
-    /// [`FetchError::Timeout`]. Off by default — plain packet loss then
-    /// keeps its timeout semantics and only a definitive transport-level
-    /// death promotes.
-    pub fail_fast: bool,
 }
 
 impl Default for FabricConfig {
     fn default() -> Self {
-        FabricConfig { window: 4, retry: RetryPolicy::default(), fault: None, fail_fast: false }
+        FabricConfig { window: 4, retry: RetryPolicy::default(), fault: None }
     }
 }
 
@@ -399,7 +389,7 @@ impl EdgeListService {
             retry: fabric.retry,
             windows,
             seq: Arc::new(AtomicU64::new(0)),
-            liveness: Arc::new(Liveness::new(pg, fabric.fail_fast)),
+            liveness: Arc::new(Liveness::new(pg)),
             obs,
         }
     }
@@ -465,8 +455,8 @@ impl EdgeListService {
     /// currently has no live holder waits a bounded period for an
     /// in-flight repair instead of failing `PartDead` immediately.
     /// Called by the engine when it starts a rebalancer over this
-    /// service; never called with rebalance off, so the disarmed
-    /// fail-fast envelope is unchanged.
+    /// service; never called with rebalance off, so a dead slice with
+    /// no live holder then fails at once, as it did before rebalancing.
     pub fn arm_rebalance(&self) {
         self.liveness.rebalance_armed.store(true, Ordering::SeqCst);
     }
@@ -753,7 +743,6 @@ impl EdgeListClient {
             seq,
             req_id,
             query: self.query,
-            from: self.part,
             // `target` stays the logical owner on the wire; the submission
             // goes to whichever part currently serves that slice.
             owner: target,
@@ -818,12 +807,6 @@ pub struct PendingFetch {
 }
 
 impl PendingFetch {
-    /// The part whose slice this fetch requests. A failed-over fetch is
-    /// physically served elsewhere, but the logical owner is stable.
-    pub fn owner(&self) -> PartId {
-        self.request.owner
-    }
-
     /// The causal request id of this fetch, stable across retries and
     /// nonzero by construction. Wait-side callers stamp it on the span
     /// covering their blocked `recv` (see `gpm_obs::Span::link`) so the
@@ -913,23 +896,20 @@ impl PendingFetch {
 
     /// One more attempt after a lost one: backoff, a fresh sequence
     /// number, [`PendingFetch::send`]; returns the backoff slept. Once the
-    /// budget is spent the fetch fails with [`FetchError::Timeout`] — or,
-    /// under [`FabricConfig::fail_fast`], promotes the serving part to
-    /// dead and fails over to the next live replica holder.
+    /// budget is spent the fetch fails with [`FetchError::Timeout`]; a lost
+    /// reply never promotes the serving part to dead.
     fn resubmit(&mut self) -> Result<Duration, FetchError> {
         let (c, link) = (&self.client, self.request.req_id);
-        let slept = c.retry.back_off(self.attempts, &c.obs, SpanKind::Retry, c.query, c.part, link);
-        if slept.is_some() {
-            c.scope.add(Counter::Retries, 1);
-            self.attempts += 1;
-            self.request.seq = c.seq.fetch_add(1, Ordering::Relaxed);
-        } else if c.liveness.fail_fast {
-            self.fail_over(self.target)?;
-        } else {
+        let Some(slept) =
+            c.retry.back_off(self.attempts, &c.obs, SpanKind::Retry, c.query, c.part, link)
+        else {
             return Err(FetchError::Timeout { target: self.target, attempts: self.attempts });
-        }
+        };
+        c.scope.add(Counter::Retries, 1);
+        self.attempts += 1;
+        self.request.seq = c.seq.fetch_add(1, Ordering::Relaxed);
         self.send()?;
-        Ok(slept.unwrap_or_default())
+        Ok(slept)
     }
 
     /// Submits the current attempt to the part serving the owner's slice.
@@ -1413,6 +1393,7 @@ mod tests {
         assert_eq!(err, FetchError::Timeout { target: 0, attempts: 3 });
         assert!(err.to_string().contains("after 3 attempts"));
         assert_eq!(service.metrics().part(1).get(Counter::Retries), 2);
+        assert!(!client.is_part_dead(0), "a lost reply never promotes its target");
         service.shutdown();
     }
 
@@ -1591,34 +1572,6 @@ mod tests {
         assert!(err.to_string().contains("dead"));
         assert!(client.is_part_dead(0));
         assert_eq!(service.metrics().totals()[Counter::PartsFailed], 1);
-        service.shutdown();
-    }
-
-    #[test]
-    fn fail_fast_promotes_after_exhausted_retries() {
-        // With every reply dropped, fail_fast turns retry exhaustion
-        // into promotion + failover instead of a Timeout error; once
-        // every holder of the slice is promoted, the typed PartDead
-        // error names the logical owner.
-        let g = gen::erdos_renyi(200, 800, 7);
-        let pg = PartitionedGraph::with_replication(&g, 2, 1, 2);
-        let fabric = FabricConfig {
-            retry: RetryPolicy {
-                max_attempts: 2,
-                timeout: Duration::from_millis(5),
-                backoff: Duration::from_micros(100),
-            },
-            fault: Some(FaultPlan::drops(1.0)),
-            fail_fast: true,
-            ..FabricConfig::default()
-        };
-        let service = EdgeListService::start_with(&pg, None, fabric);
-        let client = service.client(1);
-        let v = pg.part(0).owned()[0];
-        let err = client.fetch(0, &[v]).unwrap_err();
-        assert_eq!(err, FetchError::PartDead { part: 0 });
-        assert_eq!(service.metrics().totals()[Counter::PartsFailed], 2);
-        assert!(client.is_part_dead(0) && client.is_part_dead(1));
         service.shutdown();
     }
 

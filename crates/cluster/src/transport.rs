@@ -112,11 +112,11 @@ pub(crate) fn checked_offset(len: usize) -> Result<u32, usize> {
 /// can be matched back to the right in-flight fetch.
 ///
 /// Besides the per-attempt `seq`, every request carries a **trace
-/// context**: the request id (stable across retries) and the issuing
-/// part. The responder stamps its `Serve` span with the request id, so
-/// the issue, every retry, the responder's service interval, and the
-/// client wait that consumes the reply all share one causal link, which
-/// the trace draws as flow arrows.
+/// context**: the request id, stable across retries. The responder
+/// stamps its `Serve` span with the request id, so the issue, every
+/// retry, the responder's service interval, and the client wait that
+/// consumes the reply all share one causal link, which the trace draws
+/// as flow arrows.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WireRequest {
     /// Client-assigned sequence number; a retry gets a fresh one.
@@ -128,8 +128,6 @@ pub struct WireRequest {
     /// (see `gpm_obs::Span::query`). The responder stamps its `Serve`
     /// span with it, so a query's trace includes its service time.
     pub query: u64,
-    /// The part that issued this request.
-    pub from: PartId,
     /// The part whose edge-list slice is requested. Normally the
     /// submission target; differs when the fabric fails over a dead
     /// part's fetch to a replica holder, which then serves from its
@@ -293,19 +291,6 @@ pub struct CtrlRequest {
     pub from: PartId,
     /// The operation itself, shared by every attempt of one call.
     pub op: Arc<CtrlOp>,
-}
-
-impl CtrlRequest {
-    /// Accounted wire size of the request in bytes (header plus 4 bytes
-    /// per carried vertex id), for the control-traffic counters.
-    pub fn wire_bytes(&self) -> u64 {
-        let payload = match &*self.op {
-            CtrlOp::Donate { roots } => 4 * roots.len() as u64,
-            CtrlOp::CloseDead { dead } => 4 * dead.len() as u64,
-            _ => 0,
-        };
-        HEADER_BYTES + payload
-    }
 }
 
 /// Where a claimed root batch came from.
@@ -652,7 +637,7 @@ impl ChannelTransport {
 /// into the hosted-slice registry (replacing a stale copy of the same
 /// slice if present) as a part of a graph of `vertices` vertices.
 /// Out-of-order or mis-sized chunks abort the transfer with
-/// [`FetchError::Injected`] so the sender can restart it from scratch.
+/// [`FetchError::TransferRefused`] so the sender can restart it from scratch.
 fn stage_push(
     staging: &mut std::collections::HashMap<PartId, ReplicaStage>,
     registry: &parking_lot::RwLock<Vec<Arc<GraphPart>>>,
@@ -663,7 +648,7 @@ fn stage_push(
     let owner = push.owner;
     let abort = move |staging: &mut std::collections::HashMap<PartId, ReplicaStage>| {
         staging.remove(&owner);
-        Err(FetchError::Injected { target: part_id })
+        Err(FetchError::TransferRefused { target: part_id })
     };
     let stage = staging.entry(owner).or_insert_with(|| ReplicaStage {
         owned: Vec::new(),
@@ -693,7 +678,7 @@ fn stage_push(
             && stage.offsets.last().map(|&n| n as usize) == Some(stage.neighbors.len())
             && stage.owned.windows(2).all(|w| w[0] < w[1]);
         if !consistent {
-            return Err(FetchError::Injected { target: part_id });
+            return Err(FetchError::TransferRefused { target: part_id });
         }
         let part = Arc::new(GraphPart::from_csr(
             owner,
@@ -1014,15 +999,7 @@ mod tests {
     }
 
     fn wire(seq: u64, owner: PartId, v: VertexId) -> WireRequest {
-        WireRequest {
-            seq,
-            req_id: 0,
-            query: 0,
-            from: 0,
-            owner,
-            vertices: Arc::from([v]),
-            above: None,
-        }
+        WireRequest { seq, req_id: 0, query: 0, owner, vertices: Arc::from([v]), above: None }
     }
 
     #[test]
@@ -1159,7 +1136,7 @@ mod tests {
         };
         t.push_replica(1, push, &tx).unwrap();
         let ack = rx.recv_timeout(Duration::from_secs(5)).unwrap();
-        assert_eq!(ack.payload, Err(FetchError::Injected { target: 1 }));
+        assert_eq!(ack.payload, Err(FetchError::TransferRefused { target: 1 }));
         assert_eq!(t.hosted_slices(1), vec![1]);
         // A clean restart of the transfer still succeeds.
         push_slice(&t, &pg, 0, 1, 1);

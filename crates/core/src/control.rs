@@ -187,7 +187,7 @@ impl ControlPlane {
     }
 
     /// Retires one of `me`'s claimed batches without claiming another:
-    /// the stop, deadline and error exits.
+    /// the stop and error exits.
     pub(crate) fn batch_done(&self, me: usize) {
         self.tell(me, CtrlOp::BatchDone);
     }
@@ -270,9 +270,12 @@ impl ControlPlane {
         }
     }
 
-    /// A fallible operation: refused once poisoned.
+    /// A fallible operation: refused once poisoned. The poison guard is
+    /// dropped before the call, which may wait out every retry, so a
+    /// watchdog's [`ControlPlane::state_summary`] never waits behind it.
     fn ask(&self, from: usize, op: CtrlOp) -> Result<CtrlPayload, FetchError> {
-        match self.poisoned.lock().clone() {
+        let poisoned = self.poisoned.lock().clone();
+        match poisoned {
             Some(e) => Err(e),
             None => self.carrier.call(from, op),
         }
@@ -322,8 +325,8 @@ fn unexpected(op: &str, payload: &CtrlPayload) -> FetchError {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gpm_cluster::{FaultPlan, RetryPolicy};
-    use std::time::Duration;
+    use gpm_cluster::{Counter, FaultPlan, RetryPolicy};
+    use std::time::{Duration, Instant};
 
     fn plane(
         roots: Vec<Vec<VertexId>>,
@@ -432,6 +435,52 @@ mod tests {
         assert!(cp.finished(0), "the claim that came up empty retired the last batch");
         assert_eq!(sent(0), batches + 1, "N claim/retire cycles cost N + 1 sends");
         assert_eq!(sent(1), 1);
+    }
+
+    /// No lock is held across a wire call: while a claim retries on a
+    /// wire that drops every reply, the stall watchdog's state summary
+    /// still answers at once.
+    #[test]
+    fn a_state_summary_does_not_wait_behind_a_retrying_claim() {
+        let metrics = ClusterMetrics::new(2, 1);
+        let cfg = ControlLedgerConfig {
+            stealing: true,
+            batch: 4,
+            retry: RetryPolicy {
+                max_attempts: 8,
+                timeout: Duration::from_millis(250),
+                backoff: Duration::from_millis(1),
+            },
+            fault: Some(FaultPlan::drops(1.0)),
+            ..ControlLedgerConfig::default()
+        };
+        let cp = ControlPlane::start(
+            vec![vec![0, 2], vec![1, 3]],
+            cfg,
+            ControlMode::Msg,
+            &metrics,
+            &Arc::default(),
+            Recorder::disabled(),
+            None,
+        );
+        std::thread::scope(|s| {
+            let claim = s.spawn(|| {
+                let t0 = Instant::now();
+                (cp.claim(0, 4, false), t0.elapsed())
+            });
+            while metrics.part(0).get(Counter::CtrlSent) == 0 {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            let t0 = Instant::now();
+            let summary = cp.state_summary();
+            let waited = t0.elapsed();
+            assert!(!claim.is_finished(), "the claim is still retrying");
+            assert!(waited < Duration::from_secs(1), "the summary waited {waited:?}");
+            assert!(summary.available);
+            let (result, took) = claim.join().unwrap();
+            assert!(matches!(result, Err(FetchError::Timeout { .. })), "{result:?}");
+            assert!(took >= Duration::from_millis(1500), "the claim took {took:?}");
+        });
     }
 
     #[test]

@@ -15,7 +15,7 @@
 
 use crate::chunk::{Chunk, Emb, ListRef, PushOutcome, Resume, StagedChild};
 use crate::runtime::{PartCtx, PartRun};
-use crate::scheduler::{Task, TaskPool};
+use crate::scheduler::{Task, TaskPool, MINI_BATCH};
 use gpm_cluster::Counter;
 use gpm_graph::partition::vertex_hash;
 use gpm_graph::set_ops::Bits;
@@ -63,7 +63,6 @@ impl PartRun<'_> {
         let counter = AtomicU64::new(0);
         let held = AtomicU64::new(0);
         let threads = self.ctx.cfg.compute_threads.max(1);
-        let mini_batch = self.ctx.cfg.mini_batch.max(1);
 
         let pending_work = old_resumes.len()
             + leftovers.iter().map(|&(s, e)| (e - s) as usize).sum::<usize>()
@@ -77,11 +76,11 @@ impl PartRun<'_> {
         // worker, however few embeddings that makes a task.
         let subtrees = cur + 1 >= self.last && self.ctx.plan.levels().len() - cur > 1;
         let mini = if subtrees {
-            (pending_work / (threads * 8)).clamp(1, mini_batch) as u32
+            (pending_work / (threads * 8)).clamp(1, MINI_BATCH) as u32
         } else {
-            mini_batch as u32
+            MINI_BATCH as u32
         };
-        let worth_sharing = pending_work > mini_batch || (subtrees && pending_work > 1);
+        let worth_sharing = pending_work > MINI_BATCH || (subtrees && pending_work > 1);
         let tasks = TaskPool::new(threads);
         tasks.seed(
             old_resumes.len() as u32,

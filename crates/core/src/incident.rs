@@ -1,7 +1,7 @@
 //! Incident detection and automatic bundle capture.
 //!
-//! When something goes wrong — a part fail-stops, a deadline fires, a
-//! query blows the slow threshold, the control plane poisons itself, or
+//! When something goes wrong — a part fail-stops, a query blows the slow
+//! threshold, the control plane poisons itself, or
 //! a run wedges entirely — a post-hoc `RunReport` is too late and too
 //! aggregated to debug from. This module captures an **incident bundle**
 //! at the moment of the trigger: a JSON file holding the flight-ring
@@ -12,11 +12,12 @@
 //! starvation, poison), a config fingerprint, and the trigger record
 //! itself.
 //!
-//! Seven triggers exist, one [`TriggerKind`] each — the same type names
+//! Six triggers fire, one [`TriggerKind`] each — the same type names
 //! the report's `incidents[]` entries: `part_failed`, `part_lost`,
-//! `deadline_exceeded`, `slow_query`, `control_poison`, `stall`, and
-//! `rebalance_stuck`. The first five wire into existing
-//! engine/service/control choke points; `stall` comes from the
+//! `slow_query`, `control_poison`, `stall`, and `rebalance_stuck`. (A
+//! seventh, `deadline_exceeded`, is only read: nothing fires it any
+//! more, and bundles written with it still validate.) The first four
+//! wire into existing engine/service/control choke points; `stall` comes from the
 //! `StallWatchdog` — a per-run thread that fires when the run is still
 //! in flight but its progress tracker has seen no root claim or
 //! retirement for a configurable window, dumping scheduler state instead
@@ -47,8 +48,12 @@ use std::time::{Duration, Instant};
 /// Version stamped into every bundle; bump on breaking layout changes.
 pub const BUNDLE_SCHEMA_VERSION: u64 = 1;
 
+/// Most bundle files retained in a bundle directory; the oldest (by
+/// bundle sequence) are deleted past this.
+pub(crate) const MAX_BUNDLES: usize = 64;
+
 /// Incident capture knobs, threaded through `EngineConfig::incident`.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct IncidentConfig {
     /// Directory bundles are written to. `None` (the default) disables
     /// capture entirely — triggers cost one branch and write nothing.
@@ -57,15 +62,6 @@ pub struct IncidentConfig {
     /// claim or retirement for this long triggers a `stall` bundle.
     /// `None` disables the watchdog.
     pub stall: Option<Duration>,
-    /// Most bundle files retained in `dir`; the oldest (by bundle
-    /// sequence) are deleted past this.
-    pub max_bundles: usize,
-}
-
-impl Default for IncidentConfig {
-    fn default() -> Self {
-        IncidentConfig { dir: None, stall: None, max_bundles: 64 }
-    }
 }
 
 /// One incident bundle: what capture writes, [`validate_bundle`] reads
@@ -168,7 +164,6 @@ pub(crate) struct CaptureSections {
 pub struct IncidentManager {
     dir: Option<PathBuf>,
     stall: Option<Duration>,
-    max_bundles: usize,
     recorder: Arc<Recorder>,
     fingerprint: String,
     seq: AtomicU64,
@@ -203,7 +198,6 @@ impl IncidentManager {
         Arc::new(IncidentManager {
             dir: cfg.dir.clone(),
             stall: cfg.stall,
-            max_bundles: cfg.max_bundles.max(1),
             recorder,
             fingerprint,
             seq: AtomicU64::new(seq),
@@ -281,12 +275,12 @@ impl IncidentManager {
         Some(summary)
     }
 
-    /// Deletes the oldest bundles past `max_bundles`. Bundle filenames
+    /// Deletes the oldest bundles past [`MAX_BUNDLES`]. Bundle filenames
     /// embed a zero-padded sequence, so lexicographic order is capture
     /// order.
     fn enforce_retention(&self, dir: &Path) {
         let Ok(mut bundles) = list_bundles(dir) else { return };
-        while bundles.len() > self.max_bundles {
+        while bundles.len() > MAX_BUNDLES {
             let oldest = bundles.remove(0);
             let _ = std::fs::remove_file(oldest);
         }
@@ -477,8 +471,8 @@ mod tests {
         Recorder::with_flight(&gpm_obs::ObsConfig::default(), FlightRecorder::new(64))
     }
 
-    fn manager(dir: Option<PathBuf>, max_bundles: usize) -> Arc<IncidentManager> {
-        let cfg = IncidentConfig { dir, max_bundles, ..IncidentConfig::default() };
+    fn manager(dir: Option<PathBuf>) -> Arc<IncidentManager> {
+        let cfg = IncidentConfig { dir, ..IncidentConfig::default() };
         IncidentManager::new(&cfg, armed_recorder(), config_fingerprint("test"))
     }
 
@@ -501,7 +495,7 @@ mod tests {
 
     #[test]
     fn disabled_manager_captures_nothing_but_still_marks_the_ring() {
-        let m = manager(None, 8);
+        let m = manager(None);
         assert!(!m.enabled());
         assert!(m.capture(trigger(TriggerKind::PartFailed), CaptureSections::default()).is_none());
         assert!(m.incidents().is_empty());
@@ -513,7 +507,7 @@ mod tests {
     #[test]
     fn captured_bundle_validates_and_lists() {
         let dir = temp_dir("roundtrip");
-        let m = manager(Some(dir.clone()), 8);
+        let m = manager(Some(dir.clone()));
         m.recorder.event(7, SpanKind::QueryAdmit, NO_PART, 0, 0);
         m.recorder.event(7, SpanKind::Steal, 1, 0, 0);
         let progress = QueryProgress::new(7, 100, 2).snapshot();
@@ -532,8 +526,8 @@ mod tests {
             counters: Some(counters.clone()),
             ledger: Some(ledger.clone()),
         };
-        let s = m.capture(trigger(TriggerKind::DeadlineExceeded), sections).expect("captures");
-        assert_eq!(s.trigger, TriggerKind::DeadlineExceeded);
+        let s = m.capture(trigger(TriggerKind::SlowQuery), sections).expect("captures");
+        assert_eq!(s.trigger, TriggerKind::SlowQuery);
         assert_eq!(s.query_id, 7);
         assert!(s.id.starts_with("incident-000001-"));
         let listed = list_bundles(&dir).unwrap();
@@ -547,7 +541,7 @@ mod tests {
         );
         // The trigger itself landed in the flight slice.
         let kinds: Vec<SpanKind> = b.flight.events.iter().map(|e| e.kind).collect();
-        assert_eq!(kinds, [SpanKind::QueryAdmit, SpanKind::Steal, SpanKind::DeadlineMiss]);
+        assert_eq!(kinds, [SpanKind::QueryAdmit, SpanKind::Steal, SpanKind::SlowQuery]);
         assert_eq!(m.incidents().len(), 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -596,18 +590,19 @@ mod tests {
     #[test]
     fn retention_keeps_only_the_newest_bundles() {
         let dir = temp_dir("retention");
-        let m = manager(Some(dir.clone()), 3);
-        for _ in 0..5 {
+        let m = manager(Some(dir.clone()));
+        for _ in 0..=MAX_BUNDLES {
             m.capture(trigger(TriggerKind::SlowQuery), CaptureSections::default()).unwrap();
         }
         let listed = list_bundles(&dir).unwrap();
-        assert_eq!(listed.len(), 3);
+        assert_eq!(listed.len(), MAX_BUNDLES);
         let names: Vec<String> =
             listed.iter().map(|p| p.file_name().unwrap().to_str().unwrap().to_string()).collect();
-        assert!(names[0].starts_with("incident-000003-"), "oldest kept: {names:?}");
-        assert!(names[2].starts_with("incident-000005-"), "newest kept: {names:?}");
-        // The in-memory summary list still remembers all five.
-        assert_eq!(m.incidents().len(), 5);
+        assert!(names[0].starts_with("incident-000002-"), "oldest kept: {names:?}");
+        let newest = format!("incident-{:06}-", MAX_BUNDLES + 1);
+        assert!(names[MAX_BUNDLES - 1].starts_with(&newest), "newest kept: {names:?}");
+        // The in-memory summary list still remembers every one.
+        assert_eq!(m.incidents().len(), MAX_BUNDLES + 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -630,11 +625,7 @@ mod tests {
     #[test]
     fn stall_watchdog_fires_once_when_progress_stops() {
         let dir = temp_dir("stall");
-        let cfg = IncidentConfig {
-            dir: Some(dir.clone()),
-            stall: Some(Duration::from_millis(30)),
-            ..IncidentConfig::default()
-        };
+        let cfg = IncidentConfig { dir: Some(dir.clone()), stall: Some(Duration::from_millis(30)) };
         let m = IncidentManager::new(&cfg, armed_recorder(), config_fingerprint("t"));
         let progress = Arc::new(QueryProgress::new(9, 50, 1));
         let wd = StallWatchdog::start(&m, Arc::clone(&progress), idle_ledger()).expect("starts");
@@ -663,7 +654,7 @@ mod tests {
     fn stall_watchdog_declines_without_window_or_dir() {
         let progress = Arc::new(QueryProgress::new(1, 0, 1));
         // No window.
-        let m = manager(Some(temp_dir("nowindow")), 8);
+        let m = manager(Some(temp_dir("nowindow")));
         assert!(StallWatchdog::start(&m, Arc::clone(&progress), idle_ledger()).is_none());
         // Window but no dir.
         let cfg =

@@ -68,7 +68,7 @@ pub use rebalance::{RebalanceConfig, RebalanceStats};
 pub use scheduler::StealConfig;
 pub use service::{Completion, MemoStats, MiningService, QueryHandle, QueryOutcome, ServiceConfig};
 pub use stats::{PartStats, RunStats, TrafficSummary};
-pub use status::{read_status, StatusConfig, StatusDoc, StatusServer};
+pub use status::{read_status, StatusDoc, StatusServer};
 
 // Fabric knobs and errors surface through `EngineConfig` / `try_count`,
 // and the counter table through `Engine::metrics` / `RunStats::counter`,

@@ -329,7 +329,7 @@ mod tests {
     use gpm_graph::partition::PartitionedGraph;
 
     fn manager(dir: Option<std::path::PathBuf>, stall: Option<Duration>) -> Arc<IncidentManager> {
-        let cfg = IncidentConfig { dir, stall, ..IncidentConfig::default() };
+        let cfg = IncidentConfig { dir, stall };
         let flight = gpm_obs::FlightRecorder::new(256);
         let recorder = gpm_obs::Recorder::with_flight(&gpm_obs::ObsConfig::default(), flight);
         IncidentManager::new(&cfg, recorder, "rb-test".to_string())

@@ -28,7 +28,7 @@ use crate::chunk::{Chunk, Emb, ListRef, NO_PARENT};
 use crate::control::ControlPlane;
 use crate::engine::EngineConfig;
 use crate::extend::Scratch;
-use crate::scheduler::{Gate, LiveQueries};
+use crate::scheduler::{Gate, LiveQueries, MINI_BATCH};
 use crate::stats::PartStats;
 use gpm_cluster::{ClaimSource, Counter, EdgeListClient, FetchError, PendingFetch};
 use gpm_graph::partition::{vertex_hash, GraphPart};
@@ -76,11 +76,6 @@ pub(crate) struct PartCtx<'e> {
     /// This query's fairness quantum: how far (in claimed roots) it may
     /// race ahead of the least-served active query before pacing.
     pub root_budget: u64,
-    /// Optional cooperative deadline; parts stop claiming and extending
-    /// once it passes, and flag `deadline_fired` for the engine.
-    pub deadline: Option<Instant>,
-    /// Set by any part that observed `deadline` expiring mid-run.
-    pub deadline_fired: Arc<AtomicBool>,
     /// This query's progress tracker, fed on every claimed batch and
     /// every batch retirement — also the run's heartbeat: the engine's
     /// stall watchdog fires an incident bundle when it freezes.
@@ -260,9 +255,9 @@ impl<'e> PartRun<'e> {
     /// The DFS-over-chunks / BFS-within-chunk driver (§4.2, Figure 7).
     fn hybrid_loop(&mut self) -> Result<(), FetchError> {
         let result = self.hybrid_loop_inner();
-        // Retire a batch still on the books (stop, deadline or error:
-        // no next claim will carry it), so peers waiting on quiescence
-        // are never wedged by this part.
+        // Retire a batch still on the books (stop or error: no next
+        // claim will carry it), so peers waiting on quiescence are never
+        // wedged by this part.
         if self.batch_open {
             self.ctx.ledger.batch_done(self.ctx.my_part);
             self.close_batch();
@@ -273,13 +268,6 @@ impl<'e> PartRun<'e> {
     fn hybrid_loop_inner(&mut self) -> Result<(), FetchError> {
         loop {
             if self.ctx.stop.is_some_and(|s| s.load(Ordering::Relaxed)) {
-                return Ok(());
-            }
-            // Cooperative deadline: past it, stop claiming and extending.
-            // The engine sees the flag and reports the run as expired —
-            // partial counts are never returned as results.
-            if self.ctx.deadline.is_some_and(|d| Instant::now() >= d) {
-                self.ctx.deadline_fired.store(true, Ordering::Relaxed);
                 return Ok(());
             }
             // Fail-stop self-check: once this part's own death is
@@ -459,7 +447,7 @@ impl<'e> PartRun<'e> {
             return;
         }
         let threads = self.ctx.cfg.compute_threads.max(1);
-        let keep = (self.ctx.cfg.mini_batch.max(1) * threads) as u32;
+        let keep = (MINI_BATCH * threads) as u32;
         let volume: u32 = self.levels[0].leftovers.iter().map(|&(s, e)| e - s).sum();
         // The local test first: most rounds leave nothing to give away,
         // and finding that out must not cost a message.
@@ -689,7 +677,7 @@ impl<'e> PartRun<'e> {
 
 impl Drop for PartRun<'_> {
     /// Hands the working state back to the part's pool, cleared — on
-    /// every exit path: completion, stop, deadline, a failed fetch, a
+    /// every exit path: completion, stop, a failed fetch, a
     /// recovery pass.
     fn drop(&mut self) {
         let mut state = RunState {
@@ -719,7 +707,6 @@ mod tests {
     /// thread), with the run's control plane, a reader of part 0's
     /// control-message count, and the run's stop flag.
     fn with_part_run(
-        mini_batch: usize,
         mode: ControlMode,
         body: impl FnOnce(&mut PartRun<'_>, &ControlPlane, &dyn Fn() -> u64, &AtomicBool),
     ) {
@@ -729,7 +716,6 @@ mod tests {
         let plan = MatchingPlan::compile(&Pattern::triangle(), &PlanOptions::automine()).unwrap();
         let cfg = EngineConfig {
             compute_threads: 1,
-            mini_batch,
             steal: StealConfig { enabled: true, batch: 16, numa: false },
             ..EngineConfig::default()
         };
@@ -762,8 +748,6 @@ mod tests {
             gate: None,
             live: &live,
             root_budget: u64::MAX,
-            deadline: None,
-            deadline_fired: Arc::default(),
             progress: Arc::new(QueryProgress::new(0, pg.vertex_count() as u64, 2)),
             pool: &pool,
         });
@@ -779,7 +763,7 @@ mod tests {
     /// to ask who is starving when it does, one to give.
     #[test]
     fn a_coordinator_spends_one_control_message_per_batch() {
-        with_part_run(8, ControlMode::Msg, |run, ledger, sent, stop| {
+        with_part_run(ControlMode::Msg, |run, ledger, sent, stop| {
             // A quarter of part 0's roots (1 / (2 x parts)), not the 16
             // that are the smallest grant.
             let guided = run.ctx.part.owned().len() / 4;
@@ -787,21 +771,23 @@ mod tests {
             assert!(run.seed_roots().unwrap());
             assert_eq!((sent(), run.levels[0].embs.len()), (1, guided));
             // Leftovers within what this part keeps for itself
-            // (`mini_batch` per compute thread): nothing to give, so
+            // (`MINI_BATCH` per compute thread): nothing to give, so
             // nothing is asked.
-            run.levels[0].leftovers = vec![(0, 8)];
+            let root = |v| Emb { parent: NO_PARENT, vertex: v, list: ListRef::Local, inter: None };
+            run.levels[0].embs = (0..128).map(root).collect();
+            run.levels[0].leftovers = vec![(0, 64)];
             run.maybe_donate();
             assert_eq!(sent(), 1);
             // More than that: worth one question. Nobody is starving.
-            run.levels[0].leftovers = vec![(0, 8), (8, 16)];
+            run.levels[0].leftovers = vec![(0, 64), (64, 128)];
             run.maybe_donate();
             assert_eq!((sent(), run.stats.roots_donated), (2, 0));
             // Somebody is: the question, then the donation — half of
             // what can be spared, out of the last range.
             ledger.set_starving(1, true);
             run.maybe_donate();
-            assert_eq!((sent(), run.stats.roots_donated), (4, 4));
-            assert_eq!(run.levels[0].leftovers, vec![(0, 8), (8, 12)]);
+            assert_eq!((sent(), run.stats.roots_donated), (4, 32));
+            assert_eq!(run.levels[0].leftovers, vec![(0, 64), (64, 96)]);
             // The stack drains; the next claim is the retirement too.
             run.levels[0].clear();
             assert!(run.seed_roots().unwrap());
@@ -819,7 +805,7 @@ mod tests {
     /// it, tail first.
     #[test]
     fn a_donor_splits_its_one_leftover_range_in_half() {
-        with_part_run(64, ControlMode::Shared, |run, ledger, _, _| {
+        with_part_run(ControlMode::Shared, |run, ledger, _, _| {
             let root = |v| Emb { parent: NO_PARENT, vertex: v, list: ListRef::Local, inter: None };
             run.levels[0].embs = (0..1000).map(root).collect();
             run.levels[0].cursor = 1000;

@@ -10,7 +10,7 @@
 //! 2. [`TaskPool`] — the explicit task model of one extend phase. A
 //!    [`Task`] is a claimable range of the chunk's embedding cursor (or of
 //!    its resume list); coarse tasks are seeded into a per-part injector
-//!    queue, workers split `mini_batch`-sized heads off them, keep the
+//!    queue, workers split [`MINI_BATCH`]-sized heads off them, keep the
 //!    remainder in their own LIFO deque, and steal from sibling deques
 //!    when both their deque and the injector run dry.
 //!
@@ -26,6 +26,10 @@ use parking_lot::{Condvar, Mutex};
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 use std::time::Duration;
+
+/// Work-claim granularity for the dynamic distribution of extensions:
+/// the paper's 64-embedding mini-batches (§6).
+pub(crate) const MINI_BATCH: usize = 64;
 
 /// Cross-part work-stealing knobs (`Engine` level).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -287,7 +291,7 @@ impl Task {
 /// Per-phase work queues: one shared injector plus one LIFO deque per
 /// worker. The vendored crossbeam shim has no lock-free deque, so these
 /// are short-critical-section mutexed `VecDeque`s — claims move whole
-/// range tasks, so the lock is taken once per `mini_batch`, not per
+/// range tasks, so the lock is taken once per [`MINI_BATCH`], not per
 /// embedding.
 pub(crate) struct TaskPool {
     injector: Mutex<VecDeque<Task>>,

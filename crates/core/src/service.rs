@@ -180,7 +180,9 @@ pub struct MemoStats {
     pub evictions: u64,
 }
 
-type MemoKey = (Vec<u8>, String, u64);
+/// A submission's identity on this service's one graph: the pattern's
+/// canonical code and the plan options.
+type MemoKey = (Vec<u8>, String);
 
 /// The memo map plus its LRU clock and counters, all under one lock.
 #[derive(Default)]
@@ -286,7 +288,6 @@ struct ServiceInner {
 pub struct MiningService {
     engine: Arc<Engine>,
     cfg: ServiceConfig,
-    graph_id: u64,
     inner: Arc<ServiceInner>,
     workers: Vec<std::thread::JoinHandle<()>>,
     started: Instant,
@@ -313,12 +314,6 @@ impl MiningService {
             admitted: Mutex::new(Vec::new()),
             executed: AtomicU64::new(0),
         });
-        // Cheap fingerprint of the graph this service serves; keys the
-        // memo so a future multi-graph registry can share one memo map.
-        let pg = engine.partitioned_graph();
-        let graph_id = (0..pg.part_count()).fold(pg.part_count() as u64, |acc, p| {
-            acc.wrapping_mul(0x100000001b3).wrapping_add(pg.part(p).owned().len() as u64)
-        });
         let workers = (0..cfg.max_concurrent.max(1))
             .map(|i| {
                 let engine = Arc::clone(&engine);
@@ -331,7 +326,7 @@ impl MiningService {
                     .expect("spawn query executor")
             })
             .collect();
-        MiningService { engine, cfg, graph_id, inner, workers, started: Instant::now() }
+        MiningService { engine, cfg, inner, workers, started: Instant::now() }
     }
 
     /// The shared engine this service executes on.
@@ -355,7 +350,7 @@ impl MiningService {
         if plan.requires_edge_labels() {
             return Err("the distributed engine matches vertex labels only".into());
         }
-        let key: MemoKey = (canonical_code(pattern), format!("{opts:?}"), self.graph_id);
+        let key: MemoKey = (canonical_code(pattern), format!("{opts:?}"));
         let query_id = self.engine.next_query_id();
         // One lock for the memo-or-admit decision keeps admission order
         // well-defined under concurrent submitters.
@@ -592,7 +587,7 @@ fn executor_loop(engine: &Engine, inner: &ServiceInner, budget: u64, slow_query:
                 inner.queue_cv.wait(&mut q);
             }
         };
-        let query = QueryCtx { query_id: job.query_id, root_budget: budget, deadline: None };
+        let query = QueryCtx { query_id: job.query_id, root_budget: budget };
         let result = engine.try_count_query(&job.plan, &query).map(Arc::new);
         if result.is_err() {
             // Never memoize a failure: a resubmission should retry.

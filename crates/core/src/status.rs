@@ -45,20 +45,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Knobs of a [`StatusServer`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StatusConfig {
-    /// Listen address; port 0 picks a free port (see
-    /// [`StatusServer::local_addr`]).
-    pub addr: String,
-}
-
-impl Default for StatusConfig {
-    fn default() -> Self {
-        StatusConfig { addr: "127.0.0.1:0".to_string() }
-    }
-}
-
 /// A background HTTP exporter over one [`MiningService`]. Stops and
 /// joins on drop.
 #[derive(Debug)]
@@ -70,13 +56,14 @@ pub struct StatusServer {
 }
 
 impl StatusServer {
-    /// Binds `cfg.addr` and starts serving `svc`.
+    /// Binds `addr` and starts serving `svc`; port 0 picks a free port
+    /// (see [`StatusServer::local_addr`]).
     ///
     /// # Errors
     ///
     /// Returns the bind error if the address is unavailable.
-    pub fn start(svc: Arc<MiningService>, cfg: StatusConfig) -> std::io::Result<StatusServer> {
-        let listener = TcpListener::bind(&cfg.addr)?;
+    pub fn start(svc: Arc<MiningService>, addr: &str) -> std::io::Result<StatusServer> {
+        let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
@@ -511,7 +498,7 @@ mod tests {
         let pg = PartitionedGraph::new(&g, 2, 1);
         let engine = Arc::new(Engine::new(pg, EngineConfig::default()));
         let svc = Arc::new(MiningService::start(engine, ServiceConfig::default()));
-        let server = StatusServer::start(Arc::clone(&svc), StatusConfig::default()).unwrap();
+        let server = StatusServer::start(Arc::clone(&svc), "127.0.0.1:0").unwrap();
         let h = svc.submit(&Pattern::triangle(), &PlanOptions::automine()).unwrap();
         h.wait().unwrap();
         let metrics = http_get(server.local_addr(), "/metrics");
@@ -572,7 +559,7 @@ mod tests {
         let engine =
             Arc::new(Engine::new(PartitionedGraph::new(&g, 2, 1), EngineConfig::default()));
         let svc = Arc::new(MiningService::start(engine, ServiceConfig::default()));
-        let server = StatusServer::start(Arc::clone(&svc), StatusConfig::default()).unwrap();
+        let server = StatusServer::start(Arc::clone(&svc), "127.0.0.1:0").unwrap();
         let get = |path: &str| {
             http_get_in_pieces(
                 server.local_addr(),
@@ -604,7 +591,7 @@ mod tests {
             },
         ));
         let svc = Arc::new(MiningService::start(engine, ServiceConfig::default()));
-        let server = StatusServer::start(Arc::clone(&svc), StatusConfig::default()).unwrap();
+        let server = StatusServer::start(Arc::clone(&svc), "127.0.0.1:0").unwrap();
         for p in [Pattern::triangle(), Pattern::cycle(4)] {
             svc.submit(&p, &PlanOptions::automine()).unwrap().wait().unwrap();
         }
@@ -665,7 +652,7 @@ mod tests {
         let pg = PartitionedGraph::new(&g, 2, 1);
         let engine = Arc::new(Engine::new(pg, EngineConfig::default()));
         let svc = Arc::new(MiningService::start(engine, ServiceConfig::default()));
-        let server = StatusServer::start(Arc::clone(&svc), StatusConfig::default()).unwrap();
+        let server = StatusServer::start(Arc::clone(&svc), "127.0.0.1:0").unwrap();
         let resp = http_raw(server.local_addr(), b"GET /definitely/not/a/route HTTP/1.1\r\n\r\n");
         assert!(
             resp.starts_with("HTTP/1.1 404 Not Found"),
@@ -683,7 +670,7 @@ mod tests {
         let pg = PartitionedGraph::new(&g, 2, 1);
         let engine = Arc::new(Engine::new(pg, EngineConfig::default()));
         let svc = Arc::new(MiningService::start(engine, ServiceConfig::default()));
-        let server = StatusServer::start(Arc::clone(&svc), StatusConfig::default()).unwrap();
+        let server = StatusServer::start(Arc::clone(&svc), "127.0.0.1:0").unwrap();
         for payload in
             [&b"garbage\r\n"[..], &b"\r\n"[..], &b"GET\r\n"[..], &b"\x00\x01\x02\xff\r\n"[..]]
         {
@@ -707,7 +694,7 @@ mod tests {
         let pg = PartitionedGraph::new(&g, 2, 1);
         let engine = Arc::new(Engine::new(pg, EngineConfig::default()));
         let svc = Arc::new(MiningService::start(engine, ServiceConfig::default()));
-        let server = StatusServer::start(Arc::clone(&svc), StatusConfig::default()).unwrap();
+        let server = StatusServer::start(Arc::clone(&svc), "127.0.0.1:0").unwrap();
         let addr = server.local_addr();
         let handles: Vec<_> = [Pattern::triangle(), Pattern::cycle(4), Pattern::clique(4)]
             .iter()
@@ -822,7 +809,7 @@ mod tests {
             engine,
             ServiceConfig { slow_query: Some(Duration::ZERO), ..ServiceConfig::default() },
         ));
-        let server = StatusServer::start(Arc::clone(&svc), StatusConfig::default()).unwrap();
+        let server = StatusServer::start(Arc::clone(&svc), "127.0.0.1:0").unwrap();
         svc.submit(&Pattern::triangle(), &PlanOptions::automine()).unwrap().wait().unwrap();
         let body = http_get(server.local_addr(), "/incidents");
         let doc = gpm_obs::parse_json(&body).expect("incidents must be valid JSON");

@@ -116,7 +116,6 @@ proptest! {
                     backoff: Duration::from_millis(1),
                 },
                 fault: Some(FaultPlan { seed: fault_seed, ..FaultPlan::drops(0.05) }),
-                ..FabricConfig::default()
             },
             ..EngineConfig::default()
         });

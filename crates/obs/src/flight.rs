@@ -8,9 +8,10 @@
 //! it can stay on for the lifetime of a resident service. There is one
 //! vocabulary: the recorder writes a coarse event here and (when tracing)
 //! into its span ring in the same call, stamped by this ring's clock. When
-//! something goes wrong (a crash, a deadline miss, a wedge), the last few
-//! thousand events are still here to snapshot into an incident bundle, the
-//! way an aircraft flight recorder survives the flight it describes.
+//! something goes wrong (a crash, a poisoned control plane, a wedge), the
+//! last few thousand events are still here to snapshot into an incident
+//! bundle, the way an aircraft flight recorder survives the flight it
+//! describes.
 //!
 //! **Overhead discipline**: when the ring is disabled, [`FlightRecorder::record`]
 //! is one relaxed atomic load and a branch — no timestamp, no ring write.

@@ -332,7 +332,8 @@ pub enum TriggerKind {
     PartFailed,
     /// A part fail-stopped with no replica to recover from.
     PartLost,
-    /// A query's cooperative deadline expired.
+    /// A query's cooperative deadline expired. Nothing produces it any
+    /// more; it stays so that bundles written with it still read.
     DeadlineExceeded,
     /// A completed query exceeded the slow-query threshold.
     SlowQuery,

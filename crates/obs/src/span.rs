@@ -95,7 +95,9 @@ pub enum SpanKind {
     /// Instant: a fire-and-forget control operation failed and poisoned
     /// the query's ledger.
     ControlPoison,
-    /// Instant: a query missed its deadline (arg = elapsed ns).
+    /// Instant: a query missed its deadline (arg = elapsed ns). Nothing
+    /// records it any more; it stays so that bundles and traces written
+    /// with it still read.
     DeadlineMiss,
     /// Instant: a completed query exceeded the slow-query threshold
     /// (arg = elapsed ns).

@@ -6,8 +6,7 @@
 
 use gpm_obs::{sample_value, validate_exposition};
 use khuzdul::{
-    read_status, Engine, EngineConfig, MemoStats, MiningService, ServiceConfig, StatusConfig,
-    StatusServer,
+    read_status, Engine, EngineConfig, MemoStats, MiningService, ServiceConfig, StatusServer,
 };
 use khuzdul_repro::graph::gen;
 use khuzdul_repro::graph::partition::PartitionedGraph;
@@ -51,8 +50,7 @@ fn scraped_progress_is_monotone_and_metrics_reconcile_with_the_report() {
             ..ServiceConfig::default()
         },
     ));
-    let server =
-        StatusServer::start(Arc::clone(&svc), StatusConfig::default()).expect("bind status server");
+    let server = StatusServer::start(Arc::clone(&svc), "127.0.0.1:0").expect("bind status server");
     let addr = server.local_addr();
 
     let handles: Vec<_> =
