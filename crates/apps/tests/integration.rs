@@ -197,6 +197,7 @@ fn gpm_exits_2_on_a_usage_error_and_1_on_a_failure() {
     std::fs::create_dir_all(&dir).unwrap();
     let path = |name: &str| dir.join(name).display().to_string();
     std::fs::write(path("bad.json"), "{\"schema_version\": 99}").unwrap();
+    std::fs::write(path("deep.json"), "[".repeat(100_000)).unwrap();
     for pattern in ["triangle", "path:3"] {
         let out = path(&format!("{pattern}.json"));
         let run = ["--gen", "er:120,500,7", "--pattern", pattern, "--machines", "2", "--quiet"];
@@ -205,6 +206,8 @@ fn gpm_exits_2_on_a_usage_error_and_1_on_a_failure() {
     let failures = [
         // A refused file.
         vec!["report-validate".to_string(), path("bad.json")],
+        // A document nested past the reader's depth cap.
+        vec!["report-validate".to_string(), path("deep.json")],
         // A regression verdict: the counts differ.
         vec!["report".into(), "diff".into(), path("triangle.json"), path("path:3.json")],
         // A failed run: a crash with no replica to recover from.

@@ -167,14 +167,10 @@ impl CtdCluster {
     ///
     /// # Errors
     ///
-    /// Propagates plan compilation errors, and refuses a pattern with edge
-    /// labels: a part keeps vertex labels only.
+    /// Propagates plan compilation errors.
     pub fn count(&self, pattern: &Pattern, base: &PlanOptions) -> Result<RunStats, String> {
         let opts = PlanOptions { vertical_reuse: false, ..base.clone() };
         let plan = MatchingPlan::compile(pattern, &opts)?;
-        if plan.requires_edge_labels() {
-            return Err("ctd matches vertex labels only".into());
-        }
         Ok(self.count_plan(&plan))
     }
 
@@ -310,7 +306,7 @@ impl Worker<'_> {
         let terminal = job.level + 1 == self.plan.levels().len();
         let label = |v| self.pg.label(v);
         for &cand in &raw {
-            if !interp::passes_filters(lp, &job.matched, cand, label, |_, _| None) {
+            if !interp::passes_filters(lp, &job.matched, cand, label) {
                 continue;
             }
             if terminal {
@@ -570,10 +566,6 @@ mod tests {
         let p = Pattern::path(3).with_labels(vec![0, 1, 2]).unwrap();
         let expect = oracle::count_subgraphs(&g, &p, false);
         assert_eq!(count_of(&g, 3, &p).count, expect);
-        // A part keeps vertex labels only: edge labels are refused.
-        let edged = Pattern::path(3).with_edge_labels(&[(0, 1, 0), (1, 2, 1)]).unwrap();
-        let ctd = CtdCluster::new(PartitionedGraph::new(&g, 3, 1));
-        assert!(ctd.count(&edged, &PlanOptions::automine()).is_err());
     }
 
     #[test]

@@ -84,16 +84,12 @@ impl GThinker {
     ///
     /// # Errors
     ///
-    /// Propagates plan compilation errors, and refuses a pattern with edge
-    /// labels: a part keeps vertex labels only.
+    /// Propagates plan compilation errors.
     pub fn count(&self, pattern: &Pattern, base: &PlanOptions) -> Result<RunStats, String> {
         // No vertical computation reuse: G-thinker explores trees with
         // plain nested loops.
         let opts = PlanOptions { vertical_reuse: false, ..base.clone() };
         let plan = MatchingPlan::compile(pattern, &opts)?;
-        if plan.requires_edge_labels() {
-            return Err("gthinker matches vertex labels only".into());
-        }
         Ok(self.count_plan(&plan))
     }
 
@@ -414,7 +410,7 @@ impl PartWorker<'_> {
         let terminal = level + 1 == self.plan.levels().len();
         let label = |v| self.pg.label(v);
         for &cand in &raw {
-            if !interp::passes_filters(lp, matched, cand, label, |_, _| None) {
+            if !interp::passes_filters(lp, matched, cand, label) {
                 continue;
             }
             if terminal {
@@ -483,10 +479,6 @@ mod tests {
         let p = Pattern::path(3).with_labels(vec![1, 0, 2]).unwrap();
         let expect = oracle::count_subgraphs(&g, &p, false);
         assert_eq!(run(&g, 3, &p).count, expect);
-        // A part keeps vertex labels only: edge labels are refused.
-        let edged = Pattern::path(3).with_edge_labels(&[(0, 1, 0), (1, 2, 1)]).unwrap();
-        let gt = GThinker::new(PartitionedGraph::new(&g, 3, 1), GThinkerConfig::default());
-        assert!(gt.count(&edged, &PlanOptions::automine()).is_err());
     }
 
     #[test]

@@ -69,10 +69,6 @@ pub enum EngineError {
         /// The part that fail-stopped.
         part: usize,
     },
-    /// The plan matches edge labels, which a part does not keep: the
-    /// engine matches vertex labels only (like the paper's, §2.1). The
-    /// query is refused before it is admitted.
-    EdgeLabels,
 }
 
 impl std::fmt::Display for EngineError {
@@ -85,11 +81,6 @@ impl std::fmt::Display for EngineError {
                  (raise --replication, or leave --rebalance on so repairs \
                  outpace the next crash)"
             ),
-            EngineError::EdgeLabels => write!(
-                f,
-                "the distributed engine supports vertex labels only (like the paper's, §2.1); \
-                 run edge-labeled plans on gpm_pattern::interp or the single-machine baselines"
-            ),
         }
     }
 }
@@ -98,7 +89,7 @@ impl std::error::Error for EngineError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             EngineError::Fetch(e) => Some(e),
-            EngineError::PartLost { .. } | EngineError::EdgeLabels => None,
+            EngineError::PartLost { .. } => None,
         }
     }
 }
@@ -488,9 +479,8 @@ impl Engine {
     ///
     /// # Panics
     ///
-    /// Panics if the fabric reports an unrecoverable fault or `plan`
-    /// matches edge labels (see [`Engine::try_count`] for the
-    /// non-panicking form).
+    /// Panics if the fabric reports an unrecoverable fault (see
+    /// [`Engine::try_count`] for the non-panicking form).
     pub fn count(&self, plan: &MatchingPlan) -> RunStats {
         self.run(plan, None, None)
     }
@@ -509,9 +499,9 @@ impl Engine {
     ///
     /// # Errors
     ///
-    /// Returns [`EngineError::EdgeLabels`] for a plan that matches edge
-    /// labels, before the query is admitted; otherwise the run's fabric
-    /// or part-loss failure.
+    /// Returns [`EngineError::Fetch`] for a fabric failure no retry or
+    /// failover masked, and [`EngineError::PartLost`] when a part dies
+    /// with no live replica of its slice.
     pub fn try_count(&self, plan: &MatchingPlan) -> Result<RunStats, EngineError> {
         self.try_run(plan, None, None, None)
     }
@@ -570,10 +560,7 @@ impl Engine {
         visitor: Option<Visitor<'_>>,
         stop: Option<&std::sync::atomic::AtomicBool>,
     ) -> RunStats {
-        self.try_run(plan, visitor, stop, None).unwrap_or_else(|e| match e {
-            EngineError::EdgeLabels => panic!("{e}"),
-            e => panic!("engine run failed: {e}"),
-        })
+        self.try_run(plan, visitor, stop, None).unwrap_or_else(|e| panic!("engine run failed: {e}"))
     }
 
     fn try_run(
@@ -583,9 +570,6 @@ impl Engine {
         stop: Option<&std::sync::atomic::AtomicBool>,
         query: Option<QueryCtx>,
     ) -> Result<RunStats, EngineError> {
-        if plan.requires_edge_labels() {
-            return Err(EngineError::EdgeLabels);
-        }
         let query = query.unwrap_or_else(|| self.default_query());
         let qid = query.query_id;
         self.recorder.event(qid, SpanKind::QueryAdmit, NO_PART, 0, 0);
@@ -1812,30 +1796,8 @@ mod tests {
         engine.shutdown();
     }
 
-    /// A part keeps vertex labels only: an edge-labelled plan is refused
-    /// with a typed error before it is admitted, the engine stays usable,
-    /// and `count` still panics with the refusal's message.
-    #[test]
-    fn an_edge_labelled_plan_is_a_typed_error() {
-        let g = gen::erdos_renyi(150, 700, 5);
-        let engine = engine_for(&g, 2, 1);
-        let labelled = Pattern::triangle().with_edge_labels(&[(0, 1, 0), (1, 2, 0), (2, 0, 1)]);
-        let labelled = plan(&labelled.unwrap());
-        assert_eq!(engine.try_count(&labelled).unwrap_err(), EngineError::EdgeLabels);
-        let q = engine.default_query();
-        assert_eq!(engine.try_count_query(&labelled, &q).unwrap_err(), EngineError::EdgeLabels);
-        let expect = oracle::count_subgraphs(&g, &Pattern::triangle(), false);
-        assert_eq!(engine.count(&plan(&Pattern::triangle())).count, expect);
-        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            engine.count(&labelled);
-        }));
-        let message = panic.unwrap_err().downcast::<String>().unwrap();
-        assert!(message.starts_with("the distributed engine supports vertex labels only"));
-        engine.shutdown();
-    }
-
     /// Every way out of a run leaves the live registry empty: after a
-    /// success, an early stop, a refused plan and a crash with no replica,
+    /// success, an early stop and a crash with no replica,
     /// no query is in flight, the caches reset, and each admitted run's
     /// tracker (ids 1, 2, … in admission order) sits in the finished ring.
     #[test]
@@ -1868,12 +1830,6 @@ mod tests {
         assert_eq!(engine.try_count(&edge).unwrap().count, 700);
         quiescent(1);
         assert!(engine.enumerate_until(&edge, |_| false).count >= 1);
-        quiescent(2);
-        let labelled = Pattern::triangle().with_edge_labels(&[(0, 1, 0), (1, 2, 0), (2, 0, 1)]);
-        assert_eq!(
-            engine.try_count(&plan(&labelled.unwrap())).unwrap_err(),
-            EngineError::EdgeLabels
-        );
         quiescent(2);
         assert_eq!(engine.metrics().totals()[Counter::FetchRequests], 0);
         assert!(matches!(
@@ -2026,9 +1982,18 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// The watchdog bundles a wedged run while it is wedged, not when it
+    /// fails: at 16 attempts of 100 ms the run holds on for over 1.6 s,
+    /// and the bundle lands within the 120 ms window plus slack of the
+    /// query's admission. No backoff: doubled per attempt from 1 ms, it
+    /// alone would hold the run for 33 s.
     #[test]
     fn wedged_msg_control_run_trips_the_stall_watchdog() {
         use gpm_cluster::{FaultPlan, RetryPolicy};
+        const ATTEMPTS: u32 = 16;
+        const TIMEOUT: Duration = Duration::from_millis(100);
+        const WINDOW: Duration = Duration::from_millis(120);
+        const SLACK: Duration = Duration::from_millis(600);
         let g = gen::erdos_renyi(100, 500, 3);
         let dir = incident_dir("stall");
         let pg = PartitionedGraph::new(&g, 2, 1);
@@ -2042,31 +2007,37 @@ mod tests {
                 control: ControlConfig { mode: ControlMode::Msg },
                 fabric: FabricConfig {
                     retry: RetryPolicy {
-                        max_attempts: 6,
-                        timeout: Duration::from_millis(100),
-                        backoff: Duration::from_millis(1),
+                        max_attempts: ATTEMPTS,
+                        timeout: TIMEOUT,
+                        backoff: Duration::ZERO,
                     },
                     fault: Some(FaultPlan::drops(1.0)),
                     ..FabricConfig::default()
                 },
                 steal: StealConfig { enabled: true, ..StealConfig::default() },
-                incident: IncidentConfig {
-                    dir: Some(dir.clone()),
-                    stall: Some(Duration::from_millis(120)),
-                },
+                incident: IncidentConfig { dir: Some(dir.clone()), stall: Some(WINDOW) },
                 ..EngineConfig::default()
             },
         );
         assert!(engine.try_count(&plan(&Pattern::triangle())).is_err(), "all-drops wire fails");
+        let failed_ns = engine.incidents().flight().now_ns();
         let incidents = engine.incidents().incidents();
         let stalls: Vec<_> = incidents.iter().filter(|i| i.trigger == TriggerKind::Stall).collect();
         assert_eq!(stalls.len(), 1, "the watchdog fires exactly once: {incidents:?}");
         let json = std::fs::read_to_string(&stalls[0].path).unwrap();
-        crate::incident::validate_bundle(&json).expect("stall bundle validates");
+        let bundle = crate::incident::validate_bundle(&json).expect("stall bundle validates");
         // The stall bundle dumps the scheduler state: the msg carrier's
         // client-side summary plus the live progress snapshot.
-        assert!(json.contains("\"msg\""), "ledger carrier recorded");
+        assert!(bundle.ledger.is_some() && json.contains("\"msg\""), "ledger carrier recorded");
         assert!(json.contains("\"roots_total\""), "progress snapshot recorded");
+        let admit = bundle.flight.events.iter().find(|e| e.kind == SpanKind::QueryAdmit);
+        let admit_ns = admit.expect("the bundle holds the query's admission").at_ns;
+        let (fired, failed) = (bundle.trigger.at_ns - admit_ns, failed_ns - admit_ns);
+        assert!(failed >= (TIMEOUT * ATTEMPTS).as_nanos() as u64, "failed after {failed} ns");
+        assert!(
+            fired >= WINDOW.as_nanos() as u64 && fired <= (WINDOW + SLACK).as_nanos() as u64,
+            "bundled {fired} ns after admission; the run failed after {failed} ns"
+        );
         engine.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -462,10 +462,6 @@ impl DataSource for Lists<'_, '_> {
     fn label(&self, v: VertexId) -> Option<Label> {
         self.ctx.label(v)
     }
-
-    fn edge_label(&self, _: VertexId, _: VertexId) -> Option<Label> {
-        unreachable!("the engine refuses plans that filter on edge labels")
-    }
 }
 
 impl Lists<'_, '_> {
@@ -594,10 +590,7 @@ mod tests {
             let children: Vec<bool> = g
                 .neighbors(root)
                 .iter()
-                .filter(|&&c| {
-                    let (label, edge_label) = (|v| g.label(v), |u, v| g.edge_label(u, v));
-                    interp::passes_filters(&tri.levels()[0], &[root], c, label, edge_label)
-                })
+                .filter(|&&c| interp::passes_filters(&tri.levels()[0], &[root], c, |v| g.label(v)))
                 .map(|&c| pg.owner(c) == owner)
                 .collect();
             let remote = children.iter().filter(|owned| !**owned).count();

@@ -343,13 +343,10 @@ impl MiningService {
     /// # Errors
     ///
     /// Returns the plan compiler's error message if `pattern` cannot be
-    /// compiled under `opts`, and refuses a pattern with edge labels: the
-    /// engine matches vertex labels only (like the paper's, §2.1).
+    /// compiled under `opts`; the query is refused before the memo and
+    /// the queue.
     pub fn submit(&self, pattern: &Pattern, opts: &PlanOptions) -> Result<QueryHandle, String> {
         let plan = MatchingPlan::compile(pattern, opts)?;
-        if plan.requires_edge_labels() {
-            return Err("the distributed engine matches vertex labels only".into());
-        }
         let key: MemoKey = (canonical_code(pattern), format!("{opts:?}"));
         let query_id = self.engine.next_query_id();
         // One lock for the memo-or-admit decision keeps admission order
@@ -657,6 +654,7 @@ mod tests {
     use gpm_graph::gen;
     use gpm_graph::partition::PartitionedGraph;
     use gpm_pattern::oracle;
+    use gpm_pattern::order::OrderChoice;
 
     fn service(machines: usize) -> (gpm_graph::Graph, MiningService) {
         let g = gen::barabasi_albert(200, 5, 7);
@@ -680,14 +678,15 @@ mod tests {
     }
 
     #[test]
-    fn edge_labelled_submissions_are_refused_and_the_service_keeps_serving() {
+    fn uncompilable_submissions_are_refused_and_the_service_keeps_serving() {
         let (g, svc) = service(3);
         let opts = PlanOptions::automine();
-        let edged = Pattern::path(3).with_edge_labels(&[(0, 1, 0), (1, 2, 1)]).unwrap();
+        // Vertex 2 of the path 0-1-2 is not adjacent to the prefix {0}.
+        let disconnected = PlanOptions { order: OrderChoice::Given(vec![0, 2, 1]), ..opts.clone() };
         // Refused before the memo and the queue, so a resubmission is
         // refused again rather than handed a slot no executor fills.
-        assert!(svc.submit(&edged, &opts).is_err());
-        assert!(svc.submit(&edged, &opts).is_err());
+        assert!(svc.submit(&Pattern::path(3), &disconnected).is_err());
+        assert!(svc.submit(&Pattern::path(3), &disconnected).is_err());
         let h = svc.submit(&Pattern::triangle(), &opts).unwrap();
         assert!(!h.memoized());
         let expect = oracle::count_subgraphs(&g, &Pattern::triangle(), false);

@@ -46,8 +46,6 @@ pub struct Graph {
     offsets: Vec<u64>,
     neighbors: Vec<VertexId>,
     labels: Option<Vec<Label>>,
-    /// Per-adjacency-entry edge labels, aligned with `neighbors`.
-    edge_labels: Option<Vec<Label>>,
     hot: LazyHot,
 }
 
@@ -84,7 +82,7 @@ impl Graph {
         if let Some(l) = &labels {
             debug_assert_eq!(l.len() + 1, offsets.len());
         }
-        Graph { kind, offsets, neighbors, labels, edge_labels: None, hot: LazyHot::default() }
+        Graph { kind, offsets, neighbors, labels, hot: LazyHot::default() }
     }
 
     /// An empty graph with `n` isolated vertices.
@@ -194,34 +192,6 @@ impl Graph {
         Graph { labels: Some(labels), ..self.clone() }
     }
 
-    /// Whether the graph carries per-edge labels (the paper's named
-    /// extension — "edge label support can be added without fundamental
-    /// difficulty", §2.1).
-    pub fn has_edge_labels(&self) -> bool {
-        self.edge_labels.is_some()
-    }
-
-    /// Label of the edge `{u, v}`: `None` if the graph has no edge labels
-    /// or the edge does not exist.
-    pub fn edge_label(&self, u: VertexId, v: VertexId) -> Option<Label> {
-        let el = self.edge_labels.as_ref()?;
-        let lo = self.offsets[u as usize] as usize;
-        let pos = self.neighbors(u).binary_search(&v).ok()?;
-        Some(el[lo + pos])
-    }
-
-    /// Attaches edge labels via a function of the (unordered) endpoints.
-    /// Both stored directions of an edge receive the same label.
-    pub fn with_edge_labels_by(&self, f: impl Fn(VertexId, VertexId) -> Label) -> Graph {
-        let mut el = Vec::with_capacity(self.neighbors.len());
-        for u in self.vertices() {
-            for &v in self.neighbors(u) {
-                el.push(f(u.min(v), u.max(v)));
-            }
-        }
-        Graph { edge_labels: Some(el), ..self.clone() }
-    }
-
     /// Iterator over all vertices.
     pub fn vertices(&self) -> impl Iterator<Item = VertexId> + '_ {
         0..self.vertex_count() as VertexId
@@ -250,7 +220,6 @@ impl Graph {
         self.offsets.len() * std::mem::size_of::<u64>()
             + self.neighbors.len() * std::mem::size_of::<VertexId>()
             + self.labels.as_ref().map_or(0, |l| l.len() * std::mem::size_of::<Label>())
-            + self.edge_labels.as_ref().map_or(0, |l| l.len() * std::mem::size_of::<Label>())
     }
 }
 
@@ -352,22 +321,5 @@ mod tests {
         assert!((0..100).all(|v| centre.contains(v) == g.has_edge(0, v)));
         assert_eq!(g.hot.0.get().map(HotLists::len), Some(1));
         assert_eq!(g.clone(), g, "the bitmaps are not part of what a graph is");
-    }
-
-    #[test]
-    fn edge_labels_by_function() {
-        let g = triangle_plus_tail();
-        assert!(!g.has_edge_labels());
-        assert_eq!(g.edge_label(0, 1), None);
-        let gl = g.with_edge_labels_by(|u, v| (u + v) as crate::Label);
-        assert!(gl.has_edge_labels());
-        // Symmetric lookup, same value from either direction.
-        assert_eq!(gl.edge_label(0, 1), Some(1));
-        assert_eq!(gl.edge_label(1, 0), Some(1));
-        assert_eq!(gl.edge_label(2, 3), Some(5));
-        // Missing edges have no label.
-        assert_eq!(gl.edge_label(0, 3), None);
-        // Size accounting includes the edge-label array.
-        assert_eq!(gl.size_bytes(), g.size_bytes() + 8 * 2);
     }
 }

@@ -112,36 +112,6 @@ pub fn rmat(scale: u32, edge_factor: usize, probs: (f64, f64, f64), seed: u64) -
     b.build()
 }
 
-/// Watts–Strogatz small-world graph: a ring lattice where each vertex
-/// connects to its `k` nearest neighbors (k even), with each edge rewired
-/// to a uniform random endpoint with probability `beta`.
-///
-/// Small-world graphs have high clustering with near-uniform degree — a
-/// third degree regime between ER and the power-law generators, used by
-/// tests that need triangle-rich but unskewed inputs.
-pub fn watts_strogatz(n: usize, k: usize, beta: f64, seed: u64) -> Graph {
-    assert!(k >= 2 && k.is_multiple_of(2), "k must be even and >= 2");
-    assert!(n > k, "need more vertices than the ring degree");
-    assert!((0.0..=1.0).contains(&beta), "beta must be a probability");
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut b = GraphBuilder::new(n);
-    for v in 0..n {
-        for d in 1..=(k / 2) {
-            let mut u = (v + d) % n;
-            if rng.random::<f64>() < beta {
-                // Rewire to a random endpoint (avoiding self-loops; the
-                // builder drops any duplicate that results).
-                let r = rng.random_range(0..n);
-                if r != v {
-                    u = r;
-                }
-            }
-            b.add_edge(v as VertexId, u as VertexId);
-        }
-    }
-    b.build()
-}
-
 /// Complete graph on `n` vertices.
 pub fn complete(n: usize) -> Graph {
     let mut b = GraphBuilder::new(n);
@@ -183,34 +153,6 @@ pub fn cycle(n: usize) -> Graph {
     b.build()
 }
 
-/// `w × h` grid graph.
-pub fn grid(w: usize, h: usize) -> Graph {
-    let mut b = GraphBuilder::new(w * h);
-    let id = |x: usize, y: usize| (y * w + x) as VertexId;
-    for y in 0..h {
-        for x in 0..w {
-            if x + 1 < w {
-                b.add_edge(id(x, y), id(x + 1, y));
-            }
-            if y + 1 < h {
-                b.add_edge(id(x, y), id(x, y + 1));
-            }
-        }
-    }
-    b.build()
-}
-
-/// Complete bipartite graph `K_{a,b}`.
-pub fn complete_bipartite(a: usize, b_size: usize) -> Graph {
-    let mut b = GraphBuilder::new(a + b_size);
-    for u in 0..a as VertexId {
-        for v in 0..b_size as VertexId {
-            b.add_edge(u, a as VertexId + v);
-        }
-    }
-    b.build()
-}
-
 /// Attaches uniform random labels from `0..label_count` to `g`.
 ///
 /// This mirrors the paper's FSM methodology: "for unlabeled datasets like
@@ -221,22 +163,6 @@ pub fn with_random_labels(g: &Graph, label_count: Label, seed: u64) -> Graph {
     let labels: Vec<Label> =
         (0..g.vertex_count()).map(|_| rng.random_range(0..label_count)).collect();
     g.with_labels(labels)
-}
-
-/// Attaches uniform random **edge** labels from `0..label_count` to `g`,
-/// deterministic in the seed and symmetric across edge directions.
-pub fn with_random_edge_labels(g: &Graph, label_count: Label, seed: u64) -> Graph {
-    assert!(label_count >= 1);
-    g.with_edge_labels_by(|u, v| {
-        let h = gpm_hash(u as u64) ^ gpm_hash((v as u64) << 20) ^ gpm_hash(seed << 40);
-        (h % label_count as u64) as Label
-    })
-}
-
-fn gpm_hash(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x ^ (x >> 27)
 }
 
 #[cfg(test)]
@@ -283,59 +209,12 @@ mod tests {
     }
 
     #[test]
-    fn watts_strogatz_ring_and_rewired() {
-        // beta = 0: pure ring lattice, exactly n*k/2 edges, degree k.
-        let ring = watts_strogatz(50, 4, 0.0, 1);
-        assert_eq!(ring.edge_count(), 100);
-        for v in ring.vertices() {
-            assert_eq!(ring.degree(v), 4);
-        }
-        // beta = 0.3: deterministic, similar edge count, degrees vary.
-        let sw = watts_strogatz(50, 4, 0.3, 1);
-        assert_eq!(sw, watts_strogatz(50, 4, 0.3, 1));
-        assert!(sw.edge_count() <= 100 && sw.edge_count() > 80);
-        // Clustered: the ring lattice has triangles.
-        let mut tri = 0u64;
-        for u in ring.vertices() {
-            for &v in ring.neighbors(u) {
-                if v > u {
-                    tri += crate::set_ops::intersect_count(ring.neighbors(u), ring.neighbors(v))
-                        as u64;
-                }
-            }
-        }
-        assert!(tri > 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "k must be even")]
-    fn watts_strogatz_odd_k_panics() {
-        watts_strogatz(10, 3, 0.1, 1);
-    }
-
-    #[test]
     fn structured_fixtures() {
         assert_eq!(complete(5).edge_count(), 10);
         assert_eq!(star(6).edge_count(), 5);
         assert_eq!(star(6).degree(0), 5);
         assert_eq!(path(4).edge_count(), 3);
         assert_eq!(cycle(5).edge_count(), 5);
-        assert_eq!(grid(3, 2).edge_count(), 7);
-        assert_eq!(complete_bipartite(2, 3).edge_count(), 6);
-    }
-
-    #[test]
-    fn random_edge_labels_symmetric_and_bounded() {
-        let g = with_random_edge_labels(&erdos_renyi(60, 200, 1), 3, 9);
-        assert!(g.has_edge_labels());
-        for (u, v) in g.edges() {
-            let l = g.edge_label(u, v).unwrap();
-            assert!(l < 3);
-            assert_eq!(g.edge_label(v, u), Some(l));
-        }
-        // Deterministic.
-        let g2 = with_random_edge_labels(&erdos_renyi(60, 200, 1), 3, 9);
-        assert_eq!(g, g2);
     }
 
     #[test]

@@ -12,11 +12,13 @@ use serde::{Deserialize, Serialize, Value};
 ///
 /// Supports the subset the exporters emit: objects, arrays, strings with
 /// the standard escapes, numbers (integers parse as `UInt`/`Int`, others
-/// as `Float`), booleans, and `null`.
+/// as `Float`), booleans, and `null`. Arrays and objects nest at most
+/// `MAX_DEPTH` (128) deep: the parser recurses once per level, so a deeper
+/// document is an error rather than an overflowed stack.
 pub fn parse_json(input: &str) -> Result<Value, String> {
     let bytes = input.as_bytes();
     let mut pos = 0usize;
-    let v = parse_value(bytes, &mut pos)?;
+    let v = parse_value(bytes, &mut pos, MAX_DEPTH)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing data at byte {pos}"));
@@ -30,12 +32,21 @@ fn skip_ws(b: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, String> {
+/// The deepest nesting of arrays and objects [`parse_json`] reads. The
+/// documents this workspace writes nest at most 6 deep.
+const MAX_DEPTH: usize = 128;
+
+/// Parses the value at `pos`, inside which arrays and objects may nest
+/// `depth` more levels.
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
     skip_ws(b, pos);
     match b.get(*pos) {
         None => Err("unexpected end of input".to_string()),
-        Some(b'{') => parse_object(b, pos),
-        Some(b'[') => parse_array(b, pos),
+        Some(b'{' | b'[') if depth == 0 => {
+            Err(format!("nesting deeper than {MAX_DEPTH} at byte {pos}", pos = *pos))
+        }
+        Some(b'{') => parse_object(b, pos, depth - 1),
+        Some(b'[') => parse_array(b, pos, depth - 1),
         Some(b'"') => Ok(Value::Str(parse_string(b, pos)?)),
         Some(b't') => parse_literal(b, pos, "true", Value::Bool(true)),
         Some(b'f') => parse_literal(b, pos, "false", Value::Bool(false)),
@@ -53,7 +64,7 @@ fn parse_literal(b: &[u8], pos: &mut usize, lit: &str, v: Value) -> Result<Value
     }
 }
 
-fn parse_object(b: &[u8], pos: &mut usize) -> Result<Value, String> {
+fn parse_object(b: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
     *pos += 1; // '{'
     let mut entries = Vec::new();
     skip_ws(b, pos);
@@ -69,7 +80,7 @@ fn parse_object(b: &[u8], pos: &mut usize) -> Result<Value, String> {
             return Err(format!("expected ':' at byte {pos}", pos = *pos));
         }
         *pos += 1;
-        let val = parse_value(b, pos)?;
+        let val = parse_value(b, pos, depth)?;
         entries.push((key, val));
         skip_ws(b, pos);
         match b.get(*pos) {
@@ -83,7 +94,7 @@ fn parse_object(b: &[u8], pos: &mut usize) -> Result<Value, String> {
     }
 }
 
-fn parse_array(b: &[u8], pos: &mut usize) -> Result<Value, String> {
+fn parse_array(b: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
     *pos += 1; // '['
     let mut items = Vec::new();
     skip_ws(b, pos);
@@ -92,7 +103,7 @@ fn parse_array(b: &[u8], pos: &mut usize) -> Result<Value, String> {
         return Ok(Value::Seq(items));
     }
     loop {
-        items.push(parse_value(b, pos)?);
+        items.push(parse_value(b, pos, depth)?);
         skip_ws(b, pos);
         match b.get(*pos) {
             Some(b',') => *pos += 1,
@@ -143,12 +154,11 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Copy the full UTF-8 scalar starting here.
-                let rest = &b[*pos..];
-                let s = std::str::from_utf8(rest).map_err(|e| e.to_string())?;
-                let c = s.chars().next().unwrap();
-                out.push(c);
-                *pos += c.len_utf8();
+                // The run up to the next quote or backslash: both are
+                // ASCII, so the run ends on a character boundary.
+                let run = b[*pos..].iter().take_while(|&&c| c != b'"' && c != b'\\').count();
+                out.push_str(std::str::from_utf8(&b[*pos..*pos + run]).map_err(|e| e.to_string())?);
+                *pos += run;
             }
         }
     }
@@ -507,6 +517,18 @@ mod tests {
         assert!(parse_json(r#"{"a" 1}"#).is_err());
         assert!(parse_json("12 34").is_err());
         assert!(parse_json("").is_err());
+    }
+
+    #[test]
+    fn nesting_past_the_cap_is_an_error_not_an_overflow() {
+        let deep = "[".repeat(100_000);
+        let err = parse_json(&deep).unwrap_err();
+        assert_eq!(err, format!("nesting deeper than {MAX_DEPTH} at byte {MAX_DEPTH}"));
+        let at_cap = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse_json(&at_cap).is_ok());
+        let past = format!("{}{}", "{\"a\":".repeat(MAX_DEPTH + 1), "}".repeat(MAX_DEPTH + 1));
+        assert!(parse_json(&past).unwrap_err().starts_with("nesting deeper than"));
+        assert!(validate_report(&deep).is_err());
     }
 
     #[test]

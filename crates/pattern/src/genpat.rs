@@ -61,7 +61,7 @@ pub fn labeled_edge_patterns(label_count: Label) -> Vec<Pattern> {
     let mut out = Vec::new();
     for a in 0..label_count {
         for b in a..label_count {
-            out.push(Pattern::edge().with_labels(vec![a, b]).expect("edge labels are valid"));
+            out.push(Pattern::edge().with_labels(vec![a, b]).expect("endpoint labels are valid"));
         }
     }
     out

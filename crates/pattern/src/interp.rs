@@ -28,9 +28,6 @@ pub trait DataSource {
     fn vertices(&self) -> usize;
     /// `v`'s label, on a labeled graph.
     fn label(&self, v: VertexId) -> Option<Label>;
-    /// The label of the edge between `u` and `v`, where the source ships
-    /// edge labels.
-    fn edge_label(&self, u: VertexId, v: VertexId) -> Option<Label>;
 
     /// The list with its bitmap where it is hot, as a plain level reads
     /// it: the length in hand decides, so a cold list costs a compare and
@@ -64,10 +61,6 @@ impl DataSource for Graph {
 
     fn label(&self, v: VertexId) -> Option<Label> {
         Graph::label(self, v)
-    }
-
-    fn edge_label(&self, u: VertexId, v: VertexId) -> Option<Label> {
-        Graph::edge_label(self, u, v)
     }
 }
 
@@ -215,8 +208,7 @@ impl<'a, S: DataSource> Walk<'a, S> {
         buf: &mut Vec<VertexId>,
     ) -> u64 {
         let (src, matched) = (self.src, &self.matched);
-        let passes =
-            |c| passes_filters(lp, matched, c, |v| src.label(v), |u, v| src.edge_label(u, v));
+        let passes = |c| passes_filters(lp, matched, c, |v| src.label(v));
         let k = lp.count(matched, |p| src.side(p, matched[p]), stored, passes, tmp, buf);
         self.pair.map_or(k, |mode| pair_contribution(k, mode))
     }
@@ -281,29 +273,26 @@ pub fn passes_residual<S: DataSource>(
     matched: &[VertexId],
     cand: VertexId,
 ) -> bool {
-    let (label, edge_label) = (|v| src.label(v), |u, v| src.edge_label(u, v));
-    lp.unfiltered || passes(lp, (lp.rest_lower, lp.rest_upper), matched, cand, label, edge_label)
+    lp.unfiltered || passes(lp, (lp.rest_lower, lp.rest_upper), matched, cand, |v| src.label(v))
 }
 
 /// Whether candidate `cand` passes all of the level's filters (bounds,
 /// injectivity, labels) given the matched prefix: the full check, for a
-/// candidate no window has been applied to. `label` and `edge_label` read
-/// the executor's graph: a [`DataSource`], or a part that keeps vertex
-/// labels only.
+/// candidate no window has been applied to. `label` reads the executor's
+/// graph: a [`DataSource`], or a part's own label array.
 #[inline]
 pub fn passes_filters(
     lp: &LevelPlan,
     matched: &[VertexId],
     cand: VertexId,
     label: impl Fn(VertexId) -> Option<Label>,
-    edge_label: impl Fn(VertexId, VertexId) -> Option<Label>,
 ) -> bool {
-    passes(lp, (lp.lower, lp.upper), matched, cand, label, edge_label)
+    passes(lp, (lp.lower, lp.upper), matched, cand, label)
 }
 
 /// Whether `cand` lies above every vertex matched at `lower` and below
 /// every one matched at `upper`, differs from those the level must avoid
-/// and carries the level's labels.
+/// and carries the level's label.
 #[inline]
 fn passes(
     lp: &LevelPlan,
@@ -311,13 +300,11 @@ fn passes(
     matched: &[VertexId],
     cand: VertexId,
     label: impl Fn(VertexId) -> Option<Label>,
-    edge_label: impl Fn(VertexId, VertexId) -> Option<Label>,
 ) -> bool {
     lower.iter().all(|p| cand > matched[p])
         && upper.iter().all(|p| cand < matched[p])
         && lp.distinct.iter().all(|p| cand != matched[p])
         && lp.label.is_none_or(|required| label(cand) == Some(required))
-        && lp.edge_labels.iter().all(|&(p, l)| edge_label(matched[p], cand) == Some(l))
 }
 
 /// Counts embeddings using the final-level counting shortcut: instead of
@@ -430,8 +417,7 @@ mod tests {
             let side_at = |p: usize| g.side(p, prefix[p]);
             lp.raw_candidates(&prefix, list_at, || stored, &mut tmp, &mut raw);
             assert_eq!(lp.candidates(&prefix, side_at, stored, &mut tmp, &mut buf), raw, "{what}");
-            let passes =
-                |c| passes_filters(lp, &prefix, c, |v| g.label(v), |u, v| g.edge_label(u, v));
+            let passes = |c| passes_filters(lp, &prefix, c, |v| g.label(v));
             let passing: Vec<VertexId> = raw.iter().copied().filter(|&c| passes(c)).collect();
             for &c in &raw {
                 assert_eq!(passes_residual(g, lp, &prefix, c), passing.contains(&c), "{c}: {what}");
@@ -544,40 +530,6 @@ mod tests {
         let p = Pattern::path(3).with_labels(vec![0, 1, 2]).unwrap();
         let plan = MatchingPlan::compile(&p, &PlanOptions::default()).unwrap();
         assert_eq!(count_embeddings(&g, &plan), oracle::count_subgraphs(&g, &p, false));
-    }
-
-    #[test]
-    fn edge_labeled_counting_matches_oracle() {
-        let g = gen::with_random_edge_labels(&gen::erdos_renyi(40, 170, 6), 2, 3);
-        // Triangle with one marked edge.
-        let p = Pattern::triangle().with_edge_labels(&[(0, 1, 0), (1, 2, 1), (0, 2, 0)]).unwrap();
-        let plan = MatchingPlan::compile(&p, &PlanOptions::default()).unwrap();
-        assert!(plan.requires_edge_labels());
-        let expect = oracle::count_subgraphs(&g, &p, false);
-        assert_eq!(count_embeddings(&g, &plan), expect);
-        assert_eq!(count_embeddings_fast(&g, &plan), expect);
-        // Uniform labels over a 2-label graph: strictly fewer matches
-        // than the unlabeled pattern.
-        let unlabeled =
-            MatchingPlan::compile(&Pattern::triangle(), &PlanOptions::default()).unwrap();
-        assert!(count_embeddings(&g, &plan) <= count_embeddings(&g, &unlabeled));
-    }
-
-    #[test]
-    fn edge_label_restriction_identity_holds() {
-        // restricted count x |Aut| == injective map count, with edge
-        // labels shrinking the automorphism group.
-        let g = gen::with_random_edge_labels(&gen::erdos_renyi(30, 130, 9), 2, 5);
-        let p = Pattern::triangle().with_edge_labels(&[(0, 1, 1), (1, 2, 0), (0, 2, 0)]).unwrap();
-        let restricted = MatchingPlan::compile(&p, &PlanOptions::default()).unwrap();
-        let unrestricted = MatchingPlan::compile(
-            &p,
-            &PlanOptions { symmetry_break: false, ..PlanOptions::default() },
-        )
-        .unwrap();
-        let maps = count_embeddings(&g, &unrestricted);
-        assert_eq!(maps % restricted.automorphism_count(), 0);
-        assert_eq!(count_embeddings(&g, &restricted), maps / restricted.automorphism_count());
     }
 
     #[test]

@@ -31,90 +31,54 @@ pub fn automorphism_count(p: &Pattern) -> u64 {
 
 /// Enumerates every isomorphism from `a` to `b` (empty if none exists).
 pub fn isomorphisms(a: &Pattern, b: &Pattern) -> Vec<Vec<usize>> {
-    if a.size() != b.size()
-        || a.edge_count() != b.edge_count()
-        || a.is_labeled() != b.is_labeled()
-        || a.has_edge_labels() != b.has_edge_labels()
-    {
-        return Vec::new();
-    }
-    let n = a.size();
     let mut out = Vec::new();
-    let mut perm = vec![usize::MAX; n];
-    let mut used = vec![false; n];
-    search(a, b, 0, &mut perm, &mut used, &mut out);
-    debug_assert!(out.iter().all(|p| p.len() == n));
+    search(a, b, &mut |perm| {
+        out.push(perm.to_vec());
+        false
+    });
     out
 }
 
-fn search(
+/// Whether two patterns are isomorphic (respecting labels).
+pub fn are_isomorphic(a: &Pattern, b: &Pattern) -> bool {
+    search(a, b, &mut |_| true)
+}
+
+/// Backtracks over the isomorphisms from `a` to `b`, handing each to
+/// `found`; stops at the first one `found` answers `true` for, and returns
+/// whether it stopped.
+fn search(a: &Pattern, b: &Pattern, found: &mut impl FnMut(&[usize]) -> bool) -> bool {
+    if a.size() != b.size() || a.edge_count() != b.edge_count() || a.is_labeled() != b.is_labeled()
+    {
+        return false;
+    }
+    let n = a.size();
+    extend(a, b, 0, &mut vec![usize::MAX; n], &mut vec![false; n], found)
+}
+
+fn extend(
     a: &Pattern,
     b: &Pattern,
     i: usize,
     perm: &mut Vec<usize>,
     used: &mut Vec<bool>,
-    out: &mut Vec<Vec<usize>>,
-) {
-    let n = a.size();
-    if i == n {
-        out.push(perm.clone());
-        return;
+    found: &mut impl FnMut(&[usize]) -> bool,
+) -> bool {
+    if i == a.size() {
+        return found(perm);
     }
-    for cand in 0..n {
+    for cand in 0..a.size() {
         if used[cand] || a.degree(i) != b.degree(cand) || a.label(i) != b.label(cand) {
             continue;
         }
         // Edges between i and already-mapped vertices must be preserved
-        // both ways (patterns, unlike matches, are exact structures),
-        // including edge labels when present.
-        let ok = (0..i).all(|j| {
-            a.has_edge(i, j) == b.has_edge(cand, perm[j])
-                && a.edge_label(i, j) == b.edge_label(cand, perm[j])
-        });
-        if !ok {
+        // both ways (patterns, unlike matches, are exact structures).
+        if !(0..i).all(|j| a.has_edge(i, j) == b.has_edge(cand, perm[j])) {
             continue;
         }
         perm[i] = cand;
         used[cand] = true;
-        search(a, b, i + 1, perm, used, out);
-        used[cand] = false;
-        perm[i] = usize::MAX;
-    }
-}
-
-/// Whether two patterns are isomorphic (respecting labels).
-pub fn are_isomorphic(a: &Pattern, b: &Pattern) -> bool {
-    if a.size() != b.size()
-        || a.edge_count() != b.edge_count()
-        || a.is_labeled() != b.is_labeled()
-        || a.has_edge_labels() != b.has_edge_labels()
-    {
-        return false;
-    }
-    let n = a.size();
-    let mut perm = vec![usize::MAX; n];
-    let mut used = vec![false; n];
-    exists(a, b, 0, &mut perm, &mut used)
-}
-
-fn exists(a: &Pattern, b: &Pattern, i: usize, perm: &mut Vec<usize>, used: &mut Vec<bool>) -> bool {
-    let n = a.size();
-    if i == n {
-        return true;
-    }
-    for cand in 0..n {
-        if used[cand] || a.degree(i) != b.degree(cand) || a.label(i) != b.label(cand) {
-            continue;
-        }
-        if !(0..i).all(|j| {
-            a.has_edge(i, j) == b.has_edge(cand, perm[j])
-                && a.edge_label(i, j) == b.edge_label(cand, perm[j])
-        }) {
-            continue;
-        }
-        perm[i] = cand;
-        used[cand] = true;
-        if exists(a, b, i + 1, perm, used) {
+        if extend(a, b, i + 1, perm, used, found) {
             return true;
         }
         used[cand] = false;
@@ -152,13 +116,6 @@ pub fn canonical_code(p: &Pattern) -> Vec<u8> {
         if let Some(labels) = q.labels() {
             for &l in labels {
                 code.extend_from_slice(&l.to_le_bytes());
-            }
-        }
-        if q.has_edge_labels() {
-            for (u, v) in q.edges() {
-                code.extend_from_slice(
-                    &q.edge_label(u, v).expect("fully edge-labeled").to_le_bytes(),
-                );
             }
         }
         match &best {
@@ -265,24 +222,6 @@ mod tests {
         assert!(!are_isomorphic(&ab, &aa));
         assert!(!are_isomorphic(&ab, &unlabeled));
         assert_eq!(canonical_code(&ab), canonical_code(&ba));
-    }
-
-    #[test]
-    fn edge_labels_break_symmetry() {
-        let uniform =
-            Pattern::triangle().with_edge_labels(&[(0, 1, 5), (1, 2, 5), (0, 2, 5)]).unwrap();
-        assert_eq!(automorphism_count(&uniform), 6);
-        let one_marked =
-            Pattern::triangle().with_edge_labels(&[(0, 1, 9), (1, 2, 5), (0, 2, 5)]).unwrap();
-        // Only the swap of 0 and 1 survives.
-        assert_eq!(automorphism_count(&one_marked), 2);
-        assert!(!are_isomorphic(&uniform, &one_marked));
-        // A rotation of the marked triangle is still isomorphic to it.
-        let rotated =
-            Pattern::triangle().with_edge_labels(&[(1, 2, 9), (0, 2, 5), (0, 1, 5)]).unwrap();
-        assert!(are_isomorphic(&one_marked, &rotated));
-        assert_eq!(canonical_code(&one_marked), canonical_code(&rotated));
-        assert_ne!(canonical_code(&one_marked), canonical_code(&uniform));
     }
 
     #[test]

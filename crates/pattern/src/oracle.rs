@@ -109,13 +109,6 @@ impl Recursion<'_> {
             if self.induced && !pat_edge && graph_edge {
                 return false;
             }
-            if pat_edge {
-                if let Some(required) = self.p.edge_label(u, pv) {
-                    if self.g.edge_label(gu, cand) != Some(required) {
-                        return false;
-                    }
-                }
-            }
         }
         true
     }

@@ -64,8 +64,6 @@ pub struct Pattern {
     n: usize,
     adj: [u8; MAX_PATTERN_VERTICES],
     labels: Option<Vec<Label>>,
-    /// Edge labels keyed by `(min, max)` endpoint pair, sorted.
-    edge_labels: Option<Vec<((usize, usize), Label)>>,
 }
 
 impl Pattern {
@@ -91,7 +89,7 @@ impl Pattern {
             adj[u] |= 1 << v;
             adj[v] |= 1 << u;
         }
-        let p = Pattern { n, adj, labels: None, edge_labels: None };
+        let p = Pattern { n, adj, labels: None };
         if !p.is_connected() {
             return Err(PatternError::Disconnected);
         }
@@ -113,7 +111,7 @@ impl Pattern {
 
     /// The single-vertex pattern (optionally used as an enumeration seed).
     pub fn single_vertex() -> Pattern {
-        Pattern { n: 1, adj: [0; MAX_PATTERN_VERTICES], labels: None, edge_labels: None }
+        Pattern { n: 1, adj: [0; MAX_PATTERN_VERTICES], labels: None }
     }
 
     /// The single-edge pattern.
@@ -252,49 +250,6 @@ impl Pattern {
         self.labels.is_some()
     }
 
-    /// Attaches edge labels: every pattern edge must receive exactly one
-    /// label (the paper's "edge label support" extension, executed by the
-    /// single-machine layers).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PatternError::BadEdge`] if a labeled pair is not a
-    /// pattern edge, and [`PatternError::BadLabels`] if any edge is left
-    /// unlabeled or labeled twice.
-    pub fn with_edge_labels(
-        mut self,
-        labels: &[(usize, usize, Label)],
-    ) -> Result<Pattern, PatternError> {
-        let mut el: Vec<((usize, usize), Label)> = Vec::with_capacity(labels.len());
-        for &(u, v, l) in labels {
-            if u >= self.n || v >= self.n || !self.has_edge(u, v) {
-                return Err(PatternError::BadEdge(u, v));
-            }
-            el.push(((u.min(v), u.max(v)), l));
-        }
-        el.sort_unstable();
-        let before = el.len();
-        el.dedup_by_key(|(k, _)| *k);
-        if el.len() != self.edge_count() || before != el.len() {
-            return Err(PatternError::BadLabels { expected: self.edge_count(), got: before });
-        }
-        self.edge_labels = Some(el);
-        Ok(self)
-    }
-
-    /// Whether the pattern carries edge labels.
-    pub fn has_edge_labels(&self) -> bool {
-        self.edge_labels.is_some()
-    }
-
-    /// Label of the pattern edge `{u, v}`, if edge labels are attached
-    /// and the edge exists.
-    pub fn edge_label(&self, u: usize, v: usize) -> Option<Label> {
-        let el = self.edge_labels.as_ref()?;
-        let key = (u.min(v), u.max(v));
-        el.binary_search_by_key(&key, |(k, _)| *k).ok().map(|i| el[i].1)
-    }
-
     /// Whether every vertex is reachable from vertex 0.
     pub fn is_connected(&self) -> bool {
         if self.n == 0 {
@@ -345,18 +300,7 @@ impl Pattern {
             }
             nl
         });
-        let edge_labels = self.edge_labels.as_ref().map(|el| {
-            let mut out: Vec<((usize, usize), Label)> = el
-                .iter()
-                .map(|&((u, v), l)| {
-                    let (a, b) = (perm[u], perm[v]);
-                    ((a.min(b), a.max(b)), l)
-                })
-                .collect();
-            out.sort_unstable();
-            out
-        });
-        Pattern { n: self.n, adj, labels, edge_labels }
+        Pattern { n: self.n, adj, labels }
     }
 }
 
@@ -433,28 +377,6 @@ mod tests {
         assert_eq!(p.label(1), Some(6));
         let q = p.permuted(&[1, 0]);
         assert_eq!(q.label(0), Some(6));
-    }
-
-    #[test]
-    fn edge_labels_roundtrip() {
-        let p = Pattern::triangle().with_edge_labels(&[(0, 1, 7), (1, 2, 8), (2, 0, 9)]).unwrap();
-        assert!(p.has_edge_labels());
-        assert_eq!(p.edge_label(0, 1), Some(7));
-        assert_eq!(p.edge_label(1, 0), Some(7));
-        assert_eq!(p.edge_label(0, 2), Some(9));
-        // Permutation relabels consistently.
-        let q = p.permuted(&[2, 0, 1]);
-        assert_eq!(q.edge_label(2, 0), Some(7)); // old (0,1)
-    }
-
-    #[test]
-    fn edge_label_errors() {
-        // Non-edge.
-        assert!(Pattern::path(3).with_edge_labels(&[(0, 2, 1)]).is_err());
-        // Incomplete labeling.
-        assert!(Pattern::triangle().with_edge_labels(&[(0, 1, 1)]).is_err());
-        // Duplicate labeling.
-        assert!(Pattern::edge().with_edge_labels(&[(0, 1, 1), (1, 0, 2)]).is_err());
     }
 
     #[test]

@@ -75,11 +75,6 @@ pub struct LevelPlan {
     pub rest_upper: Positions,
     /// Required label of the candidate, for labeled patterns.
     pub label: Option<Label>,
-    /// Required **edge** labels: `(position, label)` pairs meaning the
-    /// graph edge between the candidate and that matched position must
-    /// carry the label. Only single-machine executors support these (the
-    /// paper's engine, like ours, ships vertex labels only).
-    pub edge_labels: Vec<(usize, Label)>,
     /// How the raw candidate set is computed.
     pub source: CandidateSource,
     /// Positions whose edge lists the source reads: all of `intersect`
@@ -97,7 +92,7 @@ pub struct LevelPlan {
     /// (if `false`, its edge list never needs to be fetched — the paper's
     /// "not all vertices are active" case).
     pub new_vertex_active: bool,
-    /// No label, edge label or subtraction, and at most two inputs: the
+    /// No label or subtraction, and at most two inputs: the
     /// raw set is a clamped window of one list or one two-way
     /// intersection, and the level never takes the general route.
     pub plain: bool,
@@ -436,7 +431,7 @@ impl LevelPlan {
         tmp: &mut Vec<VertexId>,
         out: &mut Vec<VertexId>,
     ) -> u64 {
-        if self.label.is_some() || !self.edge_labels.is_empty() || !self.subtract.is_empty() {
+        if self.label.is_some() || !self.subtract.is_empty() {
             self.raw_candidates(matched, list_at, stored, tmp, out);
             return out.iter().filter(|&&c| passes(c)).count() as u64;
         }
@@ -545,8 +540,7 @@ impl MatchingPlan {
 
         let adjacent = |p: usize, q: usize| pattern.has_edge(order[p], order[q]);
         let mut levels = Vec::with_capacity(n.saturating_sub(1));
-        for i in 1..n {
-            let v = order[i];
+        for (i, &v) in order.iter().enumerate().skip(1) {
             let intersect: Positions = (0..i).filter(|&j| adjacent(j, i)).collect();
             debug_assert!(!intersect.is_empty(), "connected-prefix violated");
             let subtract: Positions = if options.induced {
@@ -572,10 +566,6 @@ impl MatchingPlan {
             // cannot collide either. Everything else needs a != check.
             let bounded = intersect | lower | upper;
             let distinct: Positions = (0..i).filter(|&j| !bounded.contains(j)).collect();
-            let edge_labels: Vec<(usize, Label)> = intersect
-                .iter()
-                .filter_map(|j| pattern.edge_label(order[j], v).map(|l| (j, l)))
-                .collect();
             levels.push(LevelPlan {
                 position: i,
                 intersect,
@@ -592,7 +582,6 @@ impl MatchingPlan {
                 rest_lower: Positions::default(),
                 rest_upper: Positions::default(),
                 label: pattern.label(v),
-                edge_labels,
                 source: CandidateSource::Scratch,
                 lists: intersect,
                 store_intermediate: false,
@@ -643,7 +632,7 @@ impl MatchingPlan {
             lp.active_after = read_later;
             lp.new_vertex_active = read_later.contains(lp.position);
             read_later = read_later | lp.lists | lp.subtract;
-            let unlabelled = lp.label.is_none() && lp.edge_labels.is_empty();
+            let unlabelled = lp.label.is_none();
             let inputs = lp.lists.len() + usize::from(lp.source != CandidateSource::Scratch);
             lp.plain = unlabelled && lp.subtract.is_empty() && inputs <= 2;
             lp.unfiltered = unlabelled
@@ -704,13 +693,6 @@ impl MatchingPlan {
     /// Number of embedding positions (= pattern size).
     pub fn depth(&self) -> usize {
         self.pattern.size()
-    }
-
-    /// Whether any level filters on **edge** labels. Such plans run on
-    /// the single-machine executors only: the distributed engine (like
-    /// the paper's) does not ship edge labels with fetched lists.
-    pub fn requires_edge_labels(&self) -> bool {
-        self.levels.iter().any(|l| !l.edge_labels.is_empty())
     }
 
     /// Renders the plan as the nested-loop pseudocode its `EXTEND`
@@ -790,9 +772,6 @@ impl MatchingPlan {
             if let Some(l) = lp.label {
                 clauses.push(format!("label {l}"));
             }
-            for &(p, l) in &lp.edge_labels {
-                clauses.push(format!("edge(v{p})~{l}"));
-            }
             let filter = if clauses.is_empty() {
                 String::new()
             } else {
@@ -857,8 +836,6 @@ fn pair_mode(options: &PlanOptions, levels: &[LevelPlan]) -> Option<PairMode> {
         || !l1.subtract.is_empty()
         || !l2.subtract.is_empty()
         || l1.label != l2.label
-        || !l1.edge_labels.is_empty()
-        || !l2.edge_labels.is_empty()
         || l2.upper != l1.upper
     {
         return None;
@@ -1047,7 +1024,7 @@ mod tests {
                                     })
                                     .collect();
                                 assert_eq!(set(l.distinct_adjacent), adjacent, "{what}");
-                                let unlabelled = l.label.is_none() && l.edge_labels.is_empty();
+                                let unlabelled = l.label.is_none();
                                 let inputs =
                                     reads.len() + usize::from(l.source != CandidateSource::Scratch);
                                 assert_eq!(

@@ -6,7 +6,8 @@
 
 use gpm_obs::{sample_value, validate_exposition};
 use khuzdul::{
-    read_status, Engine, EngineConfig, MemoStats, MiningService, ServiceConfig, StatusServer,
+    read_status, ControlConfig, ControlMode, Engine, EngineConfig, FabricConfig, FaultPlan,
+    MemoStats, MiningService, RetryPolicy, ServiceConfig, StatusServer,
 };
 use khuzdul_repro::graph::gen;
 use khuzdul_repro::graph::partition::PartitionedGraph;
@@ -17,10 +18,12 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn http_get(addr: SocketAddr, path: &str) -> String {
     let mut s = TcpStream::connect(addr).expect("connect status server");
+    // A status plane that waits on the engine fails the read, not the suite.
+    s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
     write!(s, "GET {path} HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n").unwrap();
     let mut out = String::new();
     s.read_to_string(&mut out).expect("read response");
@@ -193,4 +196,52 @@ fn memo_lru_evicts_at_capacity_and_counts_it() {
     let last = report.queries.last().unwrap();
     assert!(last.memo_evictions >= 1);
     assert!(last.memo_entries <= 2);
+}
+
+/// `/status` answers while a query is wedged: every control reply over
+/// the message carrier is dropped, so the query claims nothing for
+/// 16 attempts of 100 ms, and a scrape in that time reads and lists it
+/// as active.
+#[test]
+fn status_answers_while_a_msg_control_query_is_wedged() {
+    const WEDGE: Duration = Duration::from_millis(1_600);
+    let g = gen::erdos_renyi(100, 500, 3);
+    let engine = Arc::new(Engine::new(
+        PartitionedGraph::new(&g, 2, 1),
+        EngineConfig {
+            control: ControlConfig { mode: ControlMode::Msg },
+            fabric: FabricConfig {
+                retry: RetryPolicy {
+                    max_attempts: 16,
+                    timeout: Duration::from_millis(100),
+                    backoff: Duration::ZERO,
+                },
+                fault: Some(FaultPlan::drops(1.0)),
+                ..FabricConfig::default()
+            },
+            ..EngineConfig::default()
+        },
+    ));
+    let svc = Arc::new(MiningService::start(Arc::clone(&engine), ServiceConfig::default()));
+    let server = StatusServer::start(Arc::clone(&svc), "127.0.0.1:0").expect("bind status server");
+    let submitted = Instant::now();
+    let h = svc.submit(&Pattern::triangle(), &PlanOptions::automine()).unwrap();
+    // The query is listed once the executor admits it; a listed query
+    // has not failed yet, since a finished one leaves the live map.
+    let listed = loop {
+        let doc = read_status(&http_get(server.local_addr(), "/status")).expect("/status reads");
+        if doc.active_queries.iter().any(|q| q.query_id == h.query_id()) {
+            break submitted.elapsed();
+        }
+        assert!(submitted.elapsed() < WEDGE / 2, "the wedged query was never listed as active");
+        std::thread::sleep(Duration::from_millis(10));
+    };
+    assert!(h.wait().is_err(), "an all-drops control plane fails the query");
+    assert!(
+        submitted.elapsed() >= WEDGE && listed < WEDGE / 2,
+        "listed after {listed:?}, failed after {:?}",
+        submitted.elapsed()
+    );
+    drop(server);
+    svc.drain();
 }
