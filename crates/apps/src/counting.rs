@@ -35,20 +35,6 @@ pub fn clique_count(engine: &Engine, k: usize, opts: &PlanOptions) -> Result<Run
     Ok(engine.count(&plan))
 }
 
-/// The clique plan for **degree-oriented (DAG) graphs**: the orientation
-/// preprocessing (Table 5, "orientation optimization") already selects a
-/// unique vertex order per clique, so the plan disables symmetry breaking.
-///
-/// Use with an engine built over `PartitionedGraph::new(&orient_by_degree(g), …)`.
-///
-/// # Errors
-///
-/// Returns plan-compilation errors.
-pub fn oriented_clique_plan(k: usize, opts: &PlanOptions) -> Result<MatchingPlan, String> {
-    let opts = PlanOptions { symmetry_break: false, ..opts.clone() };
-    MatchingPlan::compile(&Pattern::clique(k), &opts)
-}
-
 /// Per-pattern output of k-motif counting.
 #[derive(Debug, Clone, Default)]
 pub struct MotifCounts {
@@ -142,7 +128,6 @@ fn copies_inside(sub: &Pattern, sup: &Pattern) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gpm_graph::orient::orient_by_degree;
     use gpm_graph::partition::PartitionedGraph;
     use gpm_graph::{gen, Graph};
     use gpm_pattern::oracle;
@@ -178,19 +163,21 @@ mod tests {
 
     #[test]
     fn oriented_clique_counting_agrees() {
+        // Every partitioned graph is ranked by degree, so the
+        // symmetry-broken clique plan walks the degree-oriented windows.
         let g = gen::barabasi_albert(200, 6, 7);
-        let dag = orient_by_degree(&g);
-        let engine = engine_for(&dag, 4);
-        for k in [3usize, 4] {
-            let plan = oriented_clique_plan(k, &PlanOptions::automine()).unwrap();
-            let run = engine.count(&plan);
-            assert_eq!(
-                run.count,
-                oracle::count_subgraphs(&g, &Pattern::clique(k), false),
-                "k = {k}"
-            );
+        for machines in [1, 4] {
+            let engine = engine_for(&g, machines);
+            for k in [3usize, 4] {
+                let run = clique_count(&engine, k, &PlanOptions::automine()).unwrap();
+                assert_eq!(
+                    run.count,
+                    oracle::count_subgraphs(&g, &Pattern::clique(k), false),
+                    "k = {k}, {machines} machines"
+                );
+            }
+            engine.shutdown();
         }
-        engine.shutdown();
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! systems are C++/Java and partly closed-source; see `DESIGN.md` §1):
 //!
 //! * [`single::SingleMachine`] — an efficient single-machine engine
-//!   (the paper's in-house AutomineIH and the Peregrine/Pangolin-like
-//!   variants are presets over the same executor);
+//!   (the paper's in-house AutomineIH and the Peregrine-like variant are
+//!   presets over the same executor);
 //! * [`replicated::ReplicatedCluster`] — distributed execution with a
 //!   fully replicated graph and coarse root-block task distribution
 //!   (GraphPi's distributed mode);

@@ -14,6 +14,7 @@
 //! only** in coarse blocks — parallelism is limited to root granularity,
 //! unlike Khuzdul's fine-grained extension tasks.
 
+use gpm_graph::rank::rank_by_degree;
 use gpm_graph::Graph;
 use gpm_pattern::interp;
 use gpm_pattern::plan::MatchingPlan;
@@ -63,12 +64,13 @@ pub struct ReplicatedCluster {
 }
 
 impl ReplicatedCluster {
-    /// Builds the cluster (conceptually replicating `graph` to every
-    /// machine — one copy is shared in-process, but the memory footprint
-    /// reported by [`ReplicatedCluster::replicated_bytes`] is per-replica).
+    /// Builds the cluster (conceptually replicating `graph`, ranked by
+    /// degree as every system's input is, to every machine — one copy is
+    /// shared in-process, but the memory footprint reported by
+    /// [`ReplicatedCluster::replicated_bytes`] is per-replica).
     pub fn new(graph: Graph, cfg: ReplicatedConfig) -> Self {
         assert!(cfg.machines >= 1 && cfg.threads_per_machine >= 1 && cfg.task_block >= 1);
-        ReplicatedCluster { graph, cfg }
+        ReplicatedCluster { graph: rank_by_degree(&graph).0, cfg }
     }
 
     /// Total memory the replication policy needs cluster-wide.

@@ -7,25 +7,20 @@
 //!   in-house reimplementation, also the COST-metric reference when run
 //!   with one thread);
 //! * [`SingleMachine::peregrine_like`] — pattern-aware matching with the
-//!   GraphPi-style order search (a different, sometimes better schedule);
-//! * [`SingleMachine::pangolin_like`] — AutoMine plans plus the
-//!   orientation (DAG) preprocessing for triangle/clique workloads.
+//!   GraphPi-style order search (a different, sometimes better schedule).
+//!
+//! Both rank their input by degree ([`gpm_graph::rank`]), as every
+//! partitioned graph does, so a symmetry-broken plan reads Pangolin's
+//! degree-oriented windows here too and the distributed and single-machine
+//! systems compare scheduling, not vertex order.
 
-use gpm_graph::orient::orient_by_degree;
-use gpm_graph::{Graph, GraphKind};
+use gpm_graph::rank::rank_by_degree;
+use gpm_graph::Graph;
 use gpm_pattern::plan::{MatchingPlan, PlanOptions};
 use gpm_pattern::{interp, Pattern};
 use khuzdul::{PartStats, RunStats};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Instant;
-
-/// Which plan family a preset compiles.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Preset {
-    Automine,
-    Peregrine,
-    Pangolin,
-}
 
 /// A single-machine GPM engine: shared-memory, root-parallel.
 ///
@@ -43,61 +38,36 @@ enum Preset {
 /// ```
 #[derive(Debug)]
 pub struct SingleMachine {
+    /// The input, ranked by degree.
     graph: Graph,
     threads: usize,
-    preset: Preset,
+    /// The preset's plan family.
+    opts: PlanOptions,
 }
 
 impl SingleMachine {
     /// AutomineIH: AutoMine-style greedy matching orders.
     pub fn automine_ih(graph: Graph, threads: usize) -> Self {
-        SingleMachine { graph, threads: threads.max(1), preset: Preset::Automine }
+        SingleMachine::ranked(&graph, threads, PlanOptions::automine())
     }
 
     /// Peregrine-like: pattern-aware matching with cost-model orders.
     pub fn peregrine_like(graph: Graph, threads: usize) -> Self {
-        SingleMachine { graph, threads: threads.max(1), preset: Preset::Peregrine }
+        SingleMachine::ranked(&graph, threads, PlanOptions::graphpi())
     }
 
-    /// Pangolin-like: orientation preprocessing (cliques/triangles only).
-    ///
-    /// The input graph is converted to a degree-ordered DAG; counting a
-    /// clique pattern on the DAG without symmetry breaking yields each
-    /// undirected clique exactly once.
-    pub fn pangolin_like(graph: Graph, threads: usize) -> Self {
-        let graph =
-            if graph.kind() == GraphKind::Undirected { orient_by_degree(&graph) } else { graph };
-        SingleMachine { graph, threads: threads.max(1), preset: Preset::Pangolin }
-    }
-
-    /// The (possibly oriented) graph this engine runs on.
-    pub fn graph(&self) -> &Graph {
-        &self.graph
+    fn ranked(graph: &Graph, threads: usize, opts: PlanOptions) -> Self {
+        SingleMachine { graph: rank_by_degree(graph).0, threads: threads.max(1), opts }
     }
 
     /// Compiles the preset's plan for `pattern`.
     ///
     /// # Errors
     ///
-    /// Returns an error for patterns the preset cannot handle (the
-    /// Pangolin-like preset only supports cliques).
+    /// Returns plan-compilation errors (e.g. a pattern above the size
+    /// limit).
     pub fn compile(&self, pattern: &Pattern) -> Result<MatchingPlan, String> {
-        let opts = match self.preset {
-            Preset::Automine => PlanOptions::automine(),
-            Preset::Peregrine => PlanOptions::graphpi(),
-            Preset::Pangolin => {
-                let k = pattern.size();
-                if pattern != &Pattern::clique(k) {
-                    return Err(
-                        "the orientation optimization applies to clique patterns only".into()
-                    );
-                }
-                // The DAG already picks one orientation per clique; no
-                // symmetry breaking needed (or wanted).
-                PlanOptions { symmetry_break: false, ..PlanOptions::automine() }
-            }
-        };
-        MatchingPlan::compile(pattern, &opts)
+        MatchingPlan::compile(pattern, &self.opts)
     }
 
     /// Counts `pattern`'s embeddings with root-parallel execution.
@@ -184,19 +154,15 @@ mod tests {
 
     #[test]
     fn pangolin_orientation_counts_cliques() {
-        let g = gen::erdos_renyi(120, 800, 7);
-        let engine = SingleMachine::pangolin_like(g.clone(), 2);
+        // Ranked ids: each symmetry-broken clique is walked along the
+        // degree-oriented windows.
+        let g = gen::barabasi_albert(150, 6, 7);
+        let engine = SingleMachine::automine_ih(g.clone(), 2);
         for k in [3usize, 4, 5] {
             let p = Pattern::clique(k);
             let expect = oracle::count_subgraphs(&g, &p, false);
             assert_eq!(engine.count(&p).unwrap().count, expect, "{k}-clique");
         }
-    }
-
-    #[test]
-    fn pangolin_rejects_non_cliques() {
-        let engine = SingleMachine::pangolin_like(gen::complete(5), 1);
-        assert!(engine.count(&Pattern::path(3)).is_err());
     }
 
     #[test]

@@ -23,7 +23,7 @@ use gpm_graph::partition::PartitionedGraph;
 use gpm_pattern::plan::PlanOptions;
 use khuzdul::{Engine, EngineConfig};
 use serde::Serialize;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 #[derive(Serialize)]
 struct Row {
@@ -35,41 +35,11 @@ struct Row {
 }
 
 fn best_single_thread(g: &gpm_graph::Graph, app: App) -> Duration {
-    let mut best = Duration::MAX;
-    let systems: Vec<SingleMachine> = vec![
-        SingleMachine::automine_ih(g.clone(), 1),
-        SingleMachine::peregrine_like(g.clone(), 1),
-        SingleMachine::pangolin_like(g.clone(), 1),
-    ];
-    for sys in &systems {
-        let t0 = Instant::now();
-        let mut ok = true;
-        for (p, induced) in app.patterns() {
-            let plan = match sys.compile(&p) {
-                Ok(plan) if !induced => plan,
-                Ok(plan) => {
-                    let opts =
-                        gpm_pattern::plan::PlanOptions { induced: true, ..plan.options().clone() };
-                    match gpm_pattern::plan::MatchingPlan::compile(&p, &opts) {
-                        Ok(pl) => pl,
-                        Err(_) => {
-                            ok = false;
-                            break;
-                        }
-                    }
-                }
-                Err(_) => {
-                    ok = false;
-                    break;
-                }
-            };
-            sys.count_plan(&plan);
-        }
-        if ok {
-            best = best.min(t0.elapsed());
-        }
-    }
-    best
+    [SingleMachine::automine_ih(g.clone(), 1), SingleMachine::peregrine_like(g.clone(), 1)]
+        .iter()
+        .map(|sys| app.run_single(sys).1)
+        .min()
+        .expect("two systems")
 }
 
 fn main() {

@@ -1,12 +1,14 @@
 //! The paper's four counting workloads, runnable on every system.
 
 use gpm_apps::counting;
+use gpm_baselines::single::SingleMachine;
 use gpm_graph::partition::PartitionedGraph;
 use gpm_graph::Graph;
 use gpm_pattern::plan::{MatchingPlan, PlanOptions};
 use gpm_pattern::Pattern;
 use khuzdul::{Engine, EngineConfig, RunStats};
 use serde::Serialize;
+use std::time::{Duration, Instant};
 
 /// One of the evaluation applications (§7.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
@@ -75,6 +77,23 @@ impl App {
             App::FiveCc => counting::clique_count(engine, 5, base),
         };
         run.expect("workload patterns compile")
+    }
+
+    /// Runs the app on a single-machine system, timing its patterns
+    /// (each induced one recompiled induced under the system's options):
+    /// the total count and the wall time.
+    pub fn run_single(self, sys: &SingleMachine) -> (u64, Duration) {
+        let t0 = Instant::now();
+        let mut count = 0u64;
+        for (p, induced) in self.patterns() {
+            let mut plan = sys.compile(&p).expect("workload patterns compile");
+            if induced {
+                let opts = PlanOptions { induced: true, ..plan.options().clone() };
+                plan = MatchingPlan::compile(&p, &opts).expect("workload patterns compile");
+            }
+            count += sys.count_plan(&plan).count;
+        }
+        (count, t0.elapsed())
     }
 }
 

@@ -328,10 +328,11 @@ impl Drop for WindowPermit {
 ///
 /// ```
 /// use gpm_cluster::EdgeListService;
-/// use gpm_graph::{gen, partition::PartitionedGraph};
+/// use gpm_graph::{gen, partition::PartitionedGraph, rank::rank_by_degree};
 ///
 /// let g = gen::erdos_renyi(100, 400, 1);
 /// let pg = PartitionedGraph::new(&g, 4, 1);
+/// let g = rank_by_degree(&g).0; // the ids the parts serve
 /// let service = EdgeListService::start(&pg, None);
 /// let client = service.client(0);
 /// let v = 17;
@@ -963,11 +964,13 @@ mod tests {
     use super::*;
     use crate::transport::CrashAt;
     use gpm_graph::gen;
+    use gpm_graph::rank::rank_by_degree;
 
+    /// A partitioned graph and the ranked graph its parts hold.
     fn cluster(machines: usize, sockets: usize) -> (gpm_graph::Graph, PartitionedGraph) {
         let g = gen::erdos_renyi(200, 800, 7);
         let pg = PartitionedGraph::new(&g, machines, sockets);
-        (g, pg)
+        (rank_by_degree(&g).0, pg)
     }
 
     #[test]
@@ -1142,6 +1145,7 @@ mod tests {
     fn bounded_replies_are_clamped_whatever_served_them() {
         let g = gen::erdos_renyi(200, 800, 7);
         let pg = PartitionedGraph::with_replication(&g, 3, 1, 2);
+        let g = rank_by_degree(&g).0;
         let owned: Vec<VertexId> = pg.part(0).owned().iter().copied().take(12).collect();
         let faults = [
             None,
@@ -1533,6 +1537,7 @@ mod tests {
     fn crashed_part_fails_over_to_a_replica_holder() {
         let g = gen::erdos_renyi(200, 800, 7);
         let pg = PartitionedGraph::with_replication(&g, 3, 1, 2);
+        let g = rank_by_degree(&g).0;
         let fabric =
             FabricConfig { fault: Some(FaultPlan::crash_at(0, 3)), ..FabricConfig::default() };
         let service = EdgeListService::start_with(&pg, None, fabric);
@@ -1612,6 +1617,7 @@ mod tests {
         // holders instead of hammering the nearest hash-successor.
         let g = gen::erdos_renyi(200, 800, 7);
         let pg = PartitionedGraph::with_replication(&g, 4, 1, 3);
+        let g = rank_by_degree(&g).0;
         let fabric =
             FabricConfig { fault: Some(FaultPlan::crash_at(0, 0)), ..FabricConfig::default() };
         let service = EdgeListService::start_with(&pg, None, fabric);
@@ -1640,6 +1646,7 @@ mod tests {
         // replica push installing the slice on part 1 restores service.
         let g = gen::erdos_renyi(200, 800, 7);
         let pg = PartitionedGraph::with_replication(&g, 3, 1, 2);
+        let g = rank_by_degree(&g).0;
         let fabric = FabricConfig {
             fault: Some(FaultPlan {
                 crashes: vec![
@@ -1684,6 +1691,7 @@ mod tests {
         // restored holder — instead of surfacing PartDead mid-repair.
         let g = gen::erdos_renyi(200, 800, 7);
         let pg = PartitionedGraph::with_replication(&g, 3, 1, 2);
+        let g = rank_by_degree(&g).0;
         let fabric = FabricConfig {
             fault: Some(FaultPlan {
                 crashes: vec![

@@ -868,7 +868,8 @@ pub struct RetryPolicy {
     /// microseconds, so the generous default never fires without fault
     /// injection; tighten it when a [`FaultPlan`] drops replies.
     pub timeout: Duration,
-    /// Backoff before the second attempt; doubles on each further retry.
+    /// Backoff before the second attempt; doubles on each further retry,
+    /// up to one attempt's `timeout`.
     pub backoff: Duration,
 }
 
@@ -885,8 +886,7 @@ impl Default for RetryPolicy {
 impl RetryPolicy {
     /// After `attempts` lost attempts of `query`'s request `link` from
     /// `part`: `None` once they exhaust the budget; otherwise sleeps the
-    /// backoff — [`RetryPolicy::backoff`] doubled per attempt after the
-    /// first, at most 2^16 times — under a `kind` span covering the
+    /// backoff ([`RetryPolicy::delay`]) under a `kind` span covering the
     /// sleep (a fetch's coarse `Retry` also reaches the flight ring), and
     /// returns how long it slept, so a fetch's wait can tell
     /// self-inflicted backoff from waiting on a reply.
@@ -903,12 +903,20 @@ impl RetryPolicy {
             return None;
         }
         let (t0, slept) = (obs.now_ns(), Instant::now());
-        let backoff = self.backoff.saturating_mul(1 << (attempts - 1).min(16));
+        let backoff = self.delay(attempts);
         if !backoff.is_zero() {
             std::thread::sleep(backoff);
         }
         obs.span(query, kind, part as u32, t0, attempts as u64, link);
         Some(slept.elapsed())
+    }
+
+    /// The sleep after `attempts ≥ 1` lost attempts:
+    /// [`RetryPolicy::backoff`] doubled per attempt after the first, and
+    /// never longer than one attempt's [`RetryPolicy::timeout`], so a
+    /// long budget costs at most twice its timeouts.
+    fn delay(&self, attempts: u32) -> Duration {
+        self.backoff.saturating_mul(1 << (attempts - 1).min(31)).min(self.timeout)
     }
 }
 
@@ -932,6 +940,22 @@ pub(crate) fn await_reply<R>(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_backoff_never_outgrows_the_attempt_timeout() {
+        let policy = RetryPolicy {
+            max_attempts: 16,
+            timeout: Duration::from_millis(5),
+            backoff: Duration::from_millis(1),
+        };
+        let sleeps: Vec<Duration> = (1..16).map(|a| policy.delay(a)).collect();
+        assert_eq!(sleeps[..4], [1, 2, 4, 5].map(Duration::from_millis));
+        assert!(sleeps.iter().all(|&d| d <= policy.timeout));
+        assert!(sleeps.iter().sum::<Duration>() < 16 * policy.timeout);
+        // The uncapped doubling would have slept 2^15 - 1 ms.
+        let far = RetryPolicy { max_attempts: 64, ..policy };
+        assert_eq!(far.delay(63), policy.timeout);
+    }
 
     #[test]
     fn checked_offset_guards_truncation() {

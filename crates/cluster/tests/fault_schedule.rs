@@ -11,6 +11,7 @@ use gpm_cluster::{
     FabricConfig, FaultPlan, RetryPolicy,
 };
 use gpm_graph::partition::PartitionedGraph;
+use gpm_graph::rank::rank_by_degree;
 use gpm_graph::VertexId;
 use gpm_obs::{ObsConfig, Recorder, SpanKind};
 use std::sync::Arc;
@@ -35,6 +36,7 @@ fn retry() -> RetryPolicy {
 fn fetch_fault_schedule_is_pinned() {
     let g = gpm_graph::gen::erdos_renyi(200, 800, 7);
     let pg = PartitionedGraph::new(&g, 2, 1);
+    let g = rank_by_degree(&g).0;
     let obs = Recorder::new(&ObsConfig::enabled());
     let fabric = FabricConfig { retry: retry(), fault: Some(plan()), ..FabricConfig::default() };
     let service = EdgeListService::start_observed(&pg, None, fabric, Arc::clone(&obs));

@@ -1,8 +1,10 @@
 //! Software graph-data caches.
 //!
 //! The engine's default is the paper's **static cache** (§5.3): edge lists
-//! fetched from remote machines are inserted if the vertex degree passes a
-//! threshold and the cache is not yet full; nothing is ever evicted, so
+//! fetched from remote machines are inserted if the vertex's full degree
+//! passes a threshold and the cache is not yet full. Ids are ranked by
+//! degree ([`gpm_graph::rank`]), so that test is one compare of the id
+//! against the first hot one; nothing is ever evicted, so
 //! lookups need only a read lock and no bookkeeping — and while the cache
 //! holds nothing (a low-skew graph never passes the threshold) a lookup is
 //! one relaxed load and no lock at all. The replacement
@@ -55,10 +57,10 @@ pub struct CacheConfig {
     /// Capacity in bytes **per machine**; divided evenly among its NUMA
     /// sockets (§5.4).
     pub capacity_per_machine: usize,
-    /// Minimum length of an admitted list (the paper's degree threshold,
-    /// e.g. 64), counted on the list as it arrived: cut at its fetch bound.
-    /// Applied by the static policy only; replacement policies accept
-    /// everything, as G-thinker-style general caches do.
+    /// Minimum full degree of a vertex whose list is admitted (the
+    /// paper's degree threshold, e.g. 64, §5.3), however short the window
+    /// its fetch cut. Applied by the static policy only; replacement
+    /// policies accept everything, as G-thinker-style general caches do.
     pub degree_threshold: Degree,
     /// Replacement policy.
     pub policy: CachePolicy,
@@ -128,10 +130,13 @@ impl std::ops::Deref for Entry {
 pub struct SharedCache {
     policy: CachePolicy,
     capacity_bytes: usize,
-    degree_threshold: Degree,
     /// `|V|` of the graph whose lists are cached, for the bitmaps of the
     /// hot ones; `None` keeps no bitmaps.
     vertices: Option<usize>,
+    /// The first ranked id whose full degree reaches the threshold
+    /// ([`gpm_graph::partition::PartitionedGraph::hot_from`]): the static
+    /// policy admits exactly the ids from here up.
+    hot_from: VertexId,
     /// `inner.map.len()`, written under the write lock and read without
     /// any: zero lets a lookup answer "miss" without taking the lock.
     entries: AtomicUsize,
@@ -215,24 +220,34 @@ impl Inner {
 
 impl SharedCache {
     /// Creates a cache with `capacity_bytes` of list storage. It does not
-    /// know the graph, so it keeps no bitmaps.
-    pub fn new(policy: CachePolicy, capacity_bytes: usize, degree_threshold: Degree) -> Self {
+    /// know the graph, so it keeps no bitmaps and cannot tell a vertex's
+    /// full degree: a static one admits every vertex, whatever
+    /// `_degree_threshold` says. [`SharedCache::for_part`] applies the
+    /// threshold.
+    pub fn new(policy: CachePolicy, capacity_bytes: usize, _degree_threshold: Degree) -> Self {
         SharedCache {
             policy,
             capacity_bytes,
-            degree_threshold,
             vertices: None,
+            hot_from: 0,
             entries: AtomicUsize::new(0),
             inner: RwLock::new(Inner::default()),
         }
     }
 
     /// Builds the per-part cache for a machine-level [`CacheConfig`], for a
-    /// graph of `vertices` vertices: every hot list it admits gets its
-    /// bitmap.
-    pub fn for_part(cfg: &CacheConfig, sockets_per_machine: usize, vertices: usize) -> Self {
+    /// ranked graph of `vertices` vertices whose ids from `hot_from` up
+    /// have a full degree at or above the threshold: every hot list it
+    /// admits gets its bitmap.
+    pub fn for_part(
+        cfg: &CacheConfig,
+        sockets_per_machine: usize,
+        vertices: usize,
+        hot_from: VertexId,
+    ) -> Self {
         SharedCache {
             vertices: Some(vertices),
+            hot_from,
             ..SharedCache::new(
                 cfg.policy,
                 cfg.capacity_per_machine / sockets_per_machine.max(1),
@@ -306,7 +321,7 @@ impl SharedCache {
         }
         match self.policy {
             CachePolicy::Static => {
-                if (list.len() as Degree) < self.degree_threshold {
+                if v < self.hot_from {
                     return false;
                 }
                 let key = Key::of(v);
@@ -439,9 +454,19 @@ mod tests {
 
     #[test]
     fn static_respects_degree_threshold() {
-        let c = SharedCache::new(CachePolicy::Static, 4096, 8);
-        assert!(!c.maybe_insert(1, &list(7, 0)));
-        assert!(c.maybe_insert(2, &list(8, 0)));
+        // Over a ranked graph whose ids from 50 up have degree 8 or more,
+        // the full degree decides: a hub whose window was cut to 3
+        // entries is admitted, and a whole list of a vertex under the
+        // threshold is still refused.
+        let cfg = CacheConfig {
+            capacity_per_machine: 4096,
+            degree_threshold: 8,
+            ..CacheConfig::default()
+        };
+        let c = SharedCache::for_part(&cfg, 1, 100, 50);
+        assert!(c.offer(60, &list(3, 61), Some(60)));
+        assert!(!c.maybe_insert(49, &list(7, 0)));
+        assert_eq!(c.len(), 1);
     }
 
     #[test]
@@ -568,7 +593,7 @@ mod tests {
     #[test]
     fn per_part_sizing() {
         let cfg = CacheConfig { capacity_per_machine: 1000, ..CacheConfig::default() };
-        let c = SharedCache::for_part(&cfg, 2, 1 << 20);
+        let c = SharedCache::for_part(&cfg, 2, 1 << 20, 0);
         assert_eq!(c.capacity_bytes(), 500);
     }
 
@@ -581,6 +606,7 @@ mod tests {
                 &CacheConfig { capacity_per_machine: 160, degree_threshold: 1, policy },
                 1,
                 640,
+                0,
             );
             assert!(c.maybe_insert(1, &list(20, 100)));
             assert!(c.maybe_insert(2, &list(19, 0)));

@@ -21,6 +21,7 @@ use gpm_obs::{
     RebalanceSection, Recorder, RunReport, SpanKind, TriggerKind, FLIGHT_CAPACITY, NO_PART,
 };
 use gpm_pattern::plan::MatchingPlan;
+use gpm_pattern::MAX_PATTERN_VERTICES;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -267,10 +268,13 @@ impl Engine {
             cfg.fabric.clone(),
             Arc::clone(&recorder),
         );
+        // Ranked ids ascend with degree: the static cache admits `v` by
+        // its full degree when `v` is at or above this one id.
+        let hot_from = pg.hot_from(cfg.cache.degree_threshold);
         let caches = (0..pg.part_count())
             .map(|_| {
                 let sockets = pg.sockets_per_machine();
-                Arc::new(SharedCache::for_part(&cfg.cache, sockets, pg.vertex_count()))
+                Arc::new(SharedCache::for_part(&cfg.cache, sockets, pg.vertex_count(), hot_from))
             })
             .collect();
         // Self-healing: with replicas to restore toward, arm the grace
@@ -508,12 +512,13 @@ impl Engine {
 
     /// Enumerates embeddings, calling `visit` (possibly concurrently from
     /// many threads) with the matched vertices in matching-order
-    /// positions.
+    /// positions, as ids of the graph the partitioned graph was built
+    /// from.
     pub fn enumerate<F>(&self, plan: &MatchingPlan, visit: F) -> RunStats
     where
         F: Fn(&[VertexId]) + Sync,
     {
-        self.run(plan, Some(&visit), None)
+        self.run(plan, Some(&|m: &[VertexId]| self.in_input_ids(m, &visit)), None)
     }
 
     /// Enumerates embeddings with cooperative early termination: when
@@ -530,11 +535,21 @@ impl Engine {
     {
         let stop = std::sync::atomic::AtomicBool::new(false);
         let wrapped = |m: &[VertexId]| {
-            if !visit(m) {
+            if !self.in_input_ids(m, &visit) {
                 stop.store(true, std::sync::atomic::Ordering::Relaxed);
             }
         };
         self.run(plan, Some(&wrapped), Some(&stop))
+    }
+
+    /// Calls `visit` with the ranked match `m` mapped back to the input
+    /// graph's ids.
+    fn in_input_ids<R>(&self, m: &[VertexId], visit: impl Fn(&[VertexId]) -> R) -> R {
+        let mut ids = [0; MAX_PATTERN_VERTICES];
+        for (id, &v) in ids.iter_mut().zip(m) {
+            *id = self.pg.original_id(v);
+        }
+        visit(&ids[..m.len()])
     }
 
     /// Counts `plan` under an explicit [`QueryCtx`] — the resident
@@ -945,6 +960,7 @@ mod tests {
     use super::*;
     use crate::cache::CachePolicy;
     use crate::control::ControlMode;
+    use crate::test_support::ranked_visits;
     use gpm_graph::gen;
     use gpm_pattern::oracle;
     use gpm_pattern::plan::PlanOptions;
@@ -1124,13 +1140,14 @@ mod tests {
         // Every connected pattern of up to five vertices, induced or not,
         // on a plain graph and on a labelled one, over 2 and 3 parts, with
         // and without the share table, under no cache, a static cache
-        // whose threshold splits the degrees, the same cache small enough
-        // to fill within the first plans, and a FIFO cache (which admits
+        // whose threshold splits the degrees, one with a lower threshold
+        // small enough to fill within the first plans (the hubs' ranked
+        // windows are short), and a FIFO cache (which admits
         // any list): the count is the oracle's, the visited multiset the
         // interpreter's, and after every run each list a cache holds is
         // its owner's adjacency above the bound the entry records — and
         // some entries are cut.
-        use gpm_pattern::{genpat, interp};
+        use gpm_pattern::genpat;
         let plain = gen::barabasi_albert(30, 4, 3);
         assert!(plain.max_degree() >= 16 && plain.vertices().any(|v| plain.degree(v) < 16));
         let labelled = gen::with_random_labels(&plain, 2, 5);
@@ -1148,9 +1165,7 @@ mod tests {
                         let opts = PlanOptions { induced, ..PlanOptions::automine() };
                         let plan = MatchingPlan::compile(&p, &opts).unwrap();
                         let expect = oracle::count_subgraphs(g, &p, induced);
-                        let mut want = Vec::new();
-                        interp::enumerate_embeddings(g, &plan, |m| want.push(m.to_vec()));
-                        want.sort_unstable();
+                        let want = ranked_visits(g, &plan);
                         assert_eq!(want.len() as u64, expect, "{p}");
                         let last = plan.last_fetched_level();
                         bounded += usize::from(
@@ -1162,14 +1177,16 @@ mod tests {
                 }
             }
             assert_eq!(plans.len(), 2 * 31);
+            // The ids the parts and the caches hold.
+            let ranked = gpm_graph::rank::rank_by_degree(g).0;
             for parts in [2, 3] {
                 for horizontal_sharing in [true, false] {
                     for cache in [
                         CacheConfig::disabled(),
                         CacheConfig { degree_threshold: 16, ..CacheConfig::default() },
                         CacheConfig {
-                            degree_threshold: 16,
-                            capacity_per_machine: 100,
+                            degree_threshold: 8,
+                            capacity_per_machine: 40,
                             ..CacheConfig::default()
                         },
                         CacheConfig { policy: CachePolicy::Fifo, ..CacheConfig::default() },
@@ -1197,13 +1214,13 @@ mod tests {
                             assert_eq!(run.count, *expect, "enumerated: {what}");
                             assert!(seen == *want, "visited multiset differs: {what}");
                             for (v, entry) in engine.caches.iter().flat_map(|c| c.snapshot().1) {
-                                let want =
-                                    gpm_graph::set_ops::clamp(g.neighbors(v), entry.above, None);
+                                let list = ranked.neighbors(v);
+                                let want = gpm_graph::set_ops::clamp(list, entry.above, None);
                                 assert_eq!(&entry[..], want, "{v} above {:?}: {what}", entry.above);
-                                cut += usize::from(entry.len() < g.neighbors(v).len());
+                                cut += usize::from(entry.len() < list.len());
                             }
                         }
-                        if cache.capacity_per_machine == 100 {
+                        if cache.capacity_per_machine == 40 {
                             let full = engine.caches.iter().any(|c| c.snapshot().0);
                             assert!(full, "no small cache filled");
                         }
@@ -1226,7 +1243,6 @@ mod tests {
         // the oracle's, the visited multiset the interpreter's, and the
         // walks were handed bitmaps of owned lists, of fetched lists and,
         // wherever a cache admits, of cached ones.
-        use gpm_pattern::interp;
         let g = gen::rmat(8, 8, (0.57, 0.19, 0.19), 5);
         let hot = |v| gpm_graph::set_ops::is_hot(g.degree(v) as usize, g.vertex_count());
         let hubs = g.vertices().filter(|&v| hot(v)).count();
@@ -1238,9 +1254,7 @@ mod tests {
             .iter()
             .map(|p| {
                 let plan = plan(p);
-                let mut want = Vec::new();
-                interp::enumerate_embeddings(&g, &plan, |m| want.push(m.to_vec()));
-                want.sort_unstable();
+                let want = ranked_visits(&g, &plan);
                 assert_eq!(want.len() as u64, oracle::count_subgraphs(&g, p, false), "{p}");
                 (plan, want)
             })

@@ -551,6 +551,7 @@ fn resolve_bits<'a>(ctx: &'a PartCtx<'_>, chunk: &'a Chunk, e: &Emb) -> Option<B
 #[cfg(test)]
 mod tests {
     use crate::engine::{Engine, EngineConfig};
+    use crate::test_support::ranked_visits;
     use gpm_graph::gen;
     use gpm_graph::partition::PartitionedGraph;
     use gpm_graph::VertexId;
@@ -602,9 +603,7 @@ mod tests {
         });
         assert!(mixed, "no root with owned children around more than a chunk of remote ones");
 
-        let mut want = Vec::new();
-        interp::enumerate_embeddings(&g, &tri, |m| want.push(m.to_vec()));
-        want.sort_unstable();
+        let want = ranked_visits(&g, &tri);
         for threads in [1, 2] {
             let engine = Engine::new(
                 PartitionedGraph::new(&g, 2, 1),
@@ -639,9 +638,7 @@ mod tests {
             assert!(plan.describe().contains(&format!("in {window_level}")), "{}", plan.describe());
             assert!(plan.levels().iter().all(|l| l.plain), "{p}");
             let expect = oracle::count_subgraphs(&g, &p, false);
-            let mut want = Vec::new();
-            interp::enumerate_embeddings(&g, &plan, |m| want.push(m.to_vec()));
-            want.sort_unstable();
+            let want = ranked_visits(&g, &plan);
             assert_eq!(want.len() as u64, expect, "{p}");
             for chunk_capacity in [3, 64] {
                 for compute_threads in [1, 2] {
@@ -689,9 +686,7 @@ mod tests {
                 .iter()
                 .map(|p| {
                     let plan = plan(p);
-                    let mut want = Vec::new();
-                    interp::enumerate_embeddings(g, &plan, |m| want.push(m.to_vec()));
-                    want.sort_unstable();
+                    let want = ranked_visits(g, &plan);
                     assert_eq!(want.len() as u64, oracle::count_subgraphs(g, p, false), "{p}");
                     (plan, want)
                 })
@@ -764,9 +759,7 @@ mod tests {
         // Visited, not only counted: the walk hands over whole tuples.
         let (count, seen) = visited(&engine, &star);
         assert_eq!(count, run.count);
-        let mut want = Vec::new();
-        interp::enumerate_embeddings(&g, &star, |m| want.push(m.to_vec()));
-        want.sort_unstable();
+        let want = ranked_visits(&g, &star);
         assert_eq!(seen, want);
         engine.shutdown();
     }

@@ -81,3 +81,23 @@ pub use gpm_obs::{ObsConfig, Recorder, RunReport};
 
 // Re-export the plan types that form the engine's EXTEND-level interface.
 pub use gpm_pattern::plan::MatchingPlan;
+
+/// Helpers the unit tests of several modules share.
+#[cfg(test)]
+mod test_support {
+    use gpm_graph::VertexId;
+    use gpm_pattern::plan::MatchingPlan;
+
+    /// What the interpreter visits for `plan` on `g` ranked by degree,
+    /// mapped back to `g`'s ids and sorted: the multiset an engine over
+    /// `g` visits.
+    pub(crate) fn ranked_visits(g: &gpm_graph::Graph, plan: &MatchingPlan) -> Vec<Vec<VertexId>> {
+        let (ranked, original) = gpm_graph::rank::rank_by_degree(g);
+        let mut want = Vec::new();
+        gpm_pattern::interp::enumerate_embeddings(&ranked, plan, |m| {
+            want.push(m.iter().map(|&v| original[v as usize]).collect());
+        });
+        want.sort_unstable();
+        want
+    }
+}

@@ -735,7 +735,12 @@ mod tests {
             part: pg.part_arc(0),
             labels: pg.labels(),
             client: service.client(0),
-            cache: Arc::new(SharedCache::for_part(&cfg.cache, 1, pg.vertex_count())),
+            cache: Arc::new(SharedCache::for_part(
+                &cfg.cache,
+                1,
+                pg.vertex_count(),
+                pg.hot_from(cfg.cache.degree_threshold),
+            )),
             plan: &plan,
             cfg: &cfg,
             my_part: 0,

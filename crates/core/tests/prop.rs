@@ -288,6 +288,62 @@ proptest! {
     }
 
     #[test]
+    fn ranked_execution_matches_the_oracle_in_input_ids(
+        kind in 0usize..3,
+        seed in 0u64..1000,
+        parts in prop_oneof![Just(1usize), Just(2), Just(4)],
+        range in any::<bool>(),
+        p in arb_pattern(),
+    ) {
+        let g = match kind {
+            0 => gen::erdos_renyi(60, 240, seed),
+            1 => gen::barabasi_albert(60, 4, seed),
+            _ => gen::rmat(6, 4, (0.57, 0.19, 0.19), seed),
+        };
+        let strategy = if range { Partitioner::Range } else { Partitioner::Hash };
+        let pg = PartitionedGraph::with_partitioner(&g, parts, 1, strategy);
+        // The window a symmetry-broken plan reads above `v` is the
+        // degree-oriented out-list of the vertex it stands for.
+        let rank_less = |u: u32, w: u32| (g.degree(u), u) < (g.degree(w), w);
+        for v in 0..g.vertex_count() as u32 {
+            let list = pg.part(pg.owner(v)).edge_list(v).unwrap();
+            let mut above: Vec<u32> =
+                list.iter().filter(|&&w| w > v).map(|&w| pg.original_id(w)).collect();
+            above.sort_unstable();
+            let u = pg.original_id(v);
+            let out: Vec<u32> = g.neighbors(u).iter().copied().filter(|&w| rank_less(u, w)).collect();
+            prop_assert!(above == out, "ranked {v} is {u}: {above:?} above, {out:?} out");
+        }
+        // Each match as the set of edges it covers, in input ids.
+        let edges_of = |at: &dyn Fn(usize) -> u32| {
+            let mut e: Vec<(u32, u32)> =
+                p.edges().iter().map(|&(a, b)| (at(a).min(at(b)), at(a).max(at(b)))).collect();
+            e.sort_unstable();
+            e
+        };
+        let mut want = std::collections::BTreeSet::new();
+        gpm_pattern::oracle::enumerate_maps(&g, &p, false, &mut |f| {
+            want.insert(edges_of(&|i| f[i]));
+        });
+        let plan = MatchingPlan::compile(&p, &PlanOptions::automine()).unwrap();
+        let engine = Engine::new(pg, EngineConfig::default());
+        let counted = engine.count(&plan).count;
+        let seen = std::sync::Mutex::new(Vec::new());
+        engine.enumerate(&plan, |m| {
+            let mut at = [0; 8];
+            for (pos, &pv) in plan.order().iter().enumerate() {
+                at[pv] = m[pos];
+            }
+            seen.lock().unwrap().push(edges_of(&|i| at[i]));
+        });
+        engine.shutdown();
+        prop_assert_eq!(counted, want.len() as u64);
+        let seen = seen.into_inner().unwrap();
+        prop_assert_eq!(seen.len(), want.len());
+        prop_assert_eq!(seen.into_iter().collect::<std::collections::BTreeSet<_>>(), want);
+    }
+
+    #[test]
     fn engine_enumerate_agrees_with_count(
         seed in 0u64..500,
         p in arb_pattern(),

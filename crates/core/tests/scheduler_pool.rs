@@ -12,16 +12,42 @@ fn plan(p: &Pattern) -> MatchingPlan {
     MatchingPlan::compile(p, &PlanOptions::automine()).unwrap()
 }
 
-/// A graph whose hubs concentrate on part 0 under range partitioning:
-/// R-MAT's recursive quadrant bias puts the high-degree vertices at low
-/// ids, so contiguous-range assignment starves every other part. At this
-/// scale part 0's first grant alone is tens of milliseconds of triangles
-/// while the top quarter of the id range has next to none, so a thief is
-/// scheduled, drains its own range and reaches part 0's cursor long
-/// before part 0 does — however loaded the box is.
-fn skewed() -> gpm_graph::Graph {
-    gen::rmat(11, 12, (0.57, 0.19, 0.19), 0xab)
+/// A `(k - 1)`-regular graph on `n` vertices, which degree ranking leaves
+/// in place: a k-clique at each of `starts`, and a bipartite circulant
+/// (no triangle) between the two halves of the other ids, in id order.
+fn regular(n: u32, k: u32, starts: &[u32]) -> gpm_graph::Graph {
+    let mut b = GraphBuilder::new(n as usize);
+    let mut light = vec![true; n as usize];
+    for &s in starts {
+        for i in s..s + k {
+            light[i as usize] = false;
+            for j in i + 1..s + k {
+                b.add_edge(i, j);
+            }
+        }
+    }
+    let light: Vec<u32> = (0..n).filter(|&v| light[v as usize]).collect();
+    let (left, right) = light.split_at(light.len() / 2);
+    for (i, &u) in left.iter().enumerate() {
+        for j in 0..k as usize - 1 {
+            b.add_edge(u, right[(i + j) % right.len()]);
+        }
+    }
+    let g = b.build();
+    assert!(g.vertices().all(|v| g.degree(v) == k - 1), "not {}-regular", k - 1);
+    g
 }
+
+/// A graph whose work sits at the front of the id range: four disjoint
+/// 80-cliques on ids 0..320, then 2680 triangle-free vertices of the same
+/// degree. Degree ranking keeps its ids, so range partitioning loads the
+/// first part with every clique and the last with next to nothing.
+fn skewed() -> gpm_graph::Graph {
+    regular(3000, 80, &[0, 80, 160, 240])
+}
+
+/// [`skewed`]'s triangles: four cliques of C(80, 3) = 82 160.
+const SKEWED_TRIANGLES: u64 = 4 * 82_160;
 
 /// Regression for the per-phase spawn storm: one engine run must spawn
 /// exactly `parts × compute_threads` pooled compute threads, and a second
@@ -79,7 +105,7 @@ fn single_threaded_config_never_spawns_a_pool() {
 fn stealing_rebalances_a_skewed_graph_without_changing_the_count() {
     let g = skewed();
     let p = plan(&Pattern::triangle());
-    let expect = oracle::count_subgraphs(&g, &Pattern::triangle(), false);
+    let expect = SKEWED_TRIANGLES;
     for mode in [ControlMode::Shared, ControlMode::Msg] {
         let run_with = |enabled: bool| {
             let pg = PartitionedGraph::with_partitioner(&g, 4, 1, Partitioner::Range);
@@ -120,16 +146,17 @@ fn stealing_rebalances_a_skewed_graph_without_changing_the_count() {
     }
 }
 
-/// Steal-half, end to end. Under range partitioning Barabási–Albert's
-/// early hubs all sit in part 0's first grant, which is most of the
-/// run's work and, on one compute thread, a single leftover range: part 1
+/// Steal-half, end to end. Under range partitioning every 4-clique of
+/// [`skewed`] sits in part 0's first grant, which is then all of the run's
+/// work and, on one compute thread, a single leftover range: part 1
 /// drains everything else and starves while part 0 is still inside it,
 /// and only a donation that splits that range can feed it.
 #[test]
 fn a_single_threaded_part_shares_its_heavy_first_grant() {
-    let g = gen::barabasi_albert(3_000, 8, 7);
+    let g = skewed();
     let p = plan(&Pattern::clique(4));
-    let expect = oracle::count_subgraphs(&g, &Pattern::clique(4), false);
+    // Four cliques of C(80, 4) = 1 581 580.
+    let expect = 4 * 1_581_580;
     for mode in [ControlMode::Shared, ControlMode::Msg] {
         let pg = PartitionedGraph::with_partitioner(&g, 2, 1, Partitioner::Range);
         let engine = Engine::new(
@@ -152,27 +179,15 @@ fn a_single_threaded_part_shares_its_heavy_first_grant() {
     }
 }
 
-/// Two triangle-dense hubs, one per simulated machine, in a sea of light
-/// vertices: under range partitioning into 2 machines × 2 sockets, parts
-/// 0 and 2 hold the cliques while parts 1 and 3 drain early and have to
+/// Two triangle-dense hubs, one per simulated machine, among triangle-free
+/// vertices of the same degree (so degree ranking keeps the ids): under
+/// range partitioning into 2 machines × 2 sockets, parts 0 and 2 hold the
+/// cliques while parts 1 and 3 drain their own roots early and have to
 /// steal. Each starving thief therefore always has a same-machine hub
 /// with work left — the configuration where victim ordering actually
 /// decides whether stolen roots cross the network.
 fn twin_hub() -> gpm_graph::Graph {
-    let mut b = GraphBuilder::new(512);
-    for hub in [0u32, 256] {
-        for i in 0..64 {
-            for j in (i + 1)..64 {
-                b.add_edge(hub + i, hub + j);
-            }
-        }
-    }
-    // A light ring so every part has its own roots to drain before it
-    // starves into stealing.
-    for k in 0..512u32 {
-        b.add_edge(k, (k + 1) % 512);
-    }
-    b.build()
+    regular(512, 64, &[0, 256])
 }
 
 /// NUMA-aware victim ordering, end to end: `steal.numa` must reach the
@@ -245,7 +260,7 @@ fn sequential_parts_disables_stealing() {
         },
     );
     let run = engine.count(&plan(&Pattern::triangle()));
-    assert_eq!(run.count, oracle::count_subgraphs(&g, &Pattern::triangle(), false) as u64);
+    assert_eq!(run.count, SKEWED_TRIANGLES);
     assert_eq!(
         run.per_part.iter().map(|p| p.roots_stolen + p.roots_donated).sum::<u64>(),
         0,

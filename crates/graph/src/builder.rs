@@ -1,7 +1,7 @@
 //! Edge-list ingestion with the paper's preprocessing (§7.1): self-loops
 //! and duplicate edges are removed, and directed inputs are symmetrized.
 
-use crate::csr::{Graph, GraphKind};
+use crate::csr::Graph;
 use crate::{Label, VertexId};
 
 /// Incremental builder producing a deduplicated, sorted [`Graph`].
@@ -119,7 +119,7 @@ impl GraphBuilder {
             l.truncate(n);
             l
         });
-        Graph::from_parts(GraphKind::Undirected, offsets, neighbors, labels)
+        Graph::from_parts(offsets, neighbors, labels)
     }
 }
 

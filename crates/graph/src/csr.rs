@@ -4,21 +4,8 @@ use crate::set_ops::{self, Bits, HotLists};
 use crate::{Degree, Label, VertexId};
 use std::sync::OnceLock;
 
-/// Whether a [`Graph`] stores both directions of every edge or only the
-/// degree-oriented direction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum GraphKind {
-    /// Every undirected edge `{u, v}` appears in both `neighbors(u)` and
-    /// `neighbors(v)`.
-    Undirected,
-    /// The graph has been converted to a DAG by the orientation
-    /// preprocessing ([`crate::orient::orient_by_degree`]); each edge
-    /// appears exactly once, from the lower-ranked to the higher-ranked
-    /// endpoint.
-    Oriented,
-}
-
-/// An immutable graph in CSR form with sorted adjacency lists.
+/// An immutable undirected graph in CSR form with sorted adjacency lists:
+/// every edge `{u, v}` appears in both `neighbors(u)` and `neighbors(v)`.
 ///
 /// Adjacency lists are sorted in ascending vertex order, which the engine
 /// relies on for merge-based intersection during embedding extension.
@@ -42,7 +29,6 @@ pub enum GraphKind {
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Graph {
-    kind: GraphKind,
     offsets: Vec<u64>,
     neighbors: Vec<VertexId>,
     labels: Option<Vec<Label>>,
@@ -72,7 +58,6 @@ impl Eq for LazyHot {}
 
 impl Graph {
     pub(crate) fn from_parts(
-        kind: GraphKind,
         offsets: Vec<u64>,
         neighbors: Vec<VertexId>,
         labels: Option<Vec<Label>>,
@@ -82,17 +67,12 @@ impl Graph {
         if let Some(l) = &labels {
             debug_assert_eq!(l.len() + 1, offsets.len());
         }
-        Graph { kind, offsets, neighbors, labels, hot: LazyHot::default() }
+        Graph { offsets, neighbors, labels, hot: LazyHot::default() }
     }
 
     /// An empty graph with `n` isolated vertices.
     pub fn empty(n: usize) -> Self {
-        Graph::from_parts(GraphKind::Undirected, vec![0; n + 1], Vec::new(), None)
-    }
-
-    /// Whether this graph is undirected or degree-oriented.
-    pub fn kind(&self) -> GraphKind {
-        self.kind
+        Graph::from_parts(vec![0; n + 1], Vec::new(), None)
     }
 
     /// Number of vertices.
@@ -100,17 +80,13 @@ impl Graph {
         self.offsets.len() - 1
     }
 
-    /// Number of edges. For [`GraphKind::Undirected`] graphs each edge
-    /// `{u, v}` is counted once even though it is stored twice; for
-    /// [`GraphKind::Oriented`] graphs this is the stored arc count.
+    /// Number of edges: each edge `{u, v}` counts once although it is
+    /// stored twice.
     pub fn edge_count(&self) -> usize {
-        match self.kind {
-            GraphKind::Undirected => self.neighbors.len() / 2,
-            GraphKind::Oriented => self.neighbors.len(),
-        }
+        self.neighbors.len() / 2
     }
 
-    /// Total number of stored adjacency entries (`2|E|` for undirected).
+    /// Total number of stored adjacency entries (`2|E|`).
     pub fn adjacency_len(&self) -> usize {
         self.neighbors.len()
     }
@@ -148,7 +124,7 @@ impl Graph {
         self.hot.0.get_or_init(lists).get(v as usize)
     }
 
-    /// Degree of `v` (out-degree for oriented graphs).
+    /// Degree of `v`.
     #[inline]
     pub fn degree(&self, v: VertexId) -> Degree {
         (self.offsets[v as usize + 1] - self.offsets[v as usize]) as Degree
@@ -160,8 +136,6 @@ impl Graph {
     }
 
     /// Whether the edge `(u, v)` is stored, via binary search on `u`'s list.
-    ///
-    /// For oriented graphs this checks the stored direction only.
     pub fn has_edge(&self, u: VertexId, v: VertexId) -> bool {
         self.neighbors(u).binary_search(&v).is_ok()
     }
@@ -197,19 +171,16 @@ impl Graph {
         0..self.vertex_count() as VertexId
     }
 
-    /// Iterator over every stored arc `(u, v)`.
-    ///
-    /// For undirected graphs each edge is yielded twice (once per
-    /// direction); use [`Graph::edges`] for the deduplicated view.
+    /// Iterator over every stored arc `(u, v)`: each edge is yielded twice
+    /// (once per direction); use [`Graph::edges`] for the deduplicated
+    /// view.
     pub fn arcs(&self) -> impl Iterator<Item = (VertexId, VertexId)> + '_ {
         self.vertices().flat_map(move |u| self.neighbors(u).iter().map(move |&v| (u, v)))
     }
 
-    /// Iterator over undirected edges with `u <= v` (or all arcs if
-    /// oriented).
+    /// Iterator over undirected edges with `u <= v`.
     pub fn edges(&self) -> impl Iterator<Item = (VertexId, VertexId)> + '_ {
-        let oriented = self.kind == GraphKind::Oriented;
-        self.arcs().filter(move |&(u, v)| oriented || u <= v)
+        self.arcs().filter(|&(u, v)| u <= v)
     }
 
     /// In-memory size of the CSR arrays in bytes, the paper's "graph size"

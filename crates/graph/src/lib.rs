@@ -3,8 +3,8 @@
 //! This crate provides everything the distributed GPM engine needs from the
 //! input graph side:
 //!
-//! * [`Graph`] — an immutable, undirected (or degree-oriented) graph in CSR
-//!   form with sorted adjacency lists and optional vertex labels;
+//! * [`Graph`] — an immutable, undirected graph in CSR form with sorted
+//!   adjacency lists and optional vertex labels;
 //! * [`GraphBuilder`] — edge-list ingestion with self-loop removal and
 //!   duplicate-edge elimination (the paper's preprocessing, §7.1);
 //! * [`gen`] — deterministic synthetic generators (Erdős–Rényi,
@@ -14,8 +14,9 @@
 //!   to scaled-down synthetic equivalents with the same skew class;
 //! * [`partition`] — 1-D hash graph partitioning (§2.2) with NUMA
 //!   sub-partitioning (§5.4);
-//! * [`orient`] — the orientation (degree-ordered DAG) preprocessing used
-//!   for triangle/clique workloads on skewed graphs (§7.2, Table 5);
+//! * [`rank`] — the relabelling by ascending degree that every partitioned
+//!   graph and single-machine executor applies, so that symmetry breaking
+//!   reads degree-oriented windows (§7.2, Table 5);
 //! * [`set_ops`] — the sorted-set kernels (intersection, subtraction,
 //!   galloping search) that embedding extension is built from;
 //! * [`io`] — plain-text and binary edge-list readers/writers.
@@ -45,12 +46,12 @@ mod csr;
 pub mod datasets;
 pub mod gen;
 pub mod io;
-pub mod orient;
 pub mod partition;
+pub mod rank;
 pub mod set_ops;
 
 pub use builder::GraphBuilder;
-pub use csr::{Graph, GraphKind};
+pub use csr::Graph;
 
 /// Identifier of a vertex in an input graph.
 ///

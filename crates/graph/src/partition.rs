@@ -1,16 +1,19 @@
 //! 1-D hash graph partitioning (paper §2.2) with NUMA sub-partitioning
 //! (§5.4).
 //!
-//! The vertex set is divided among `machines × sockets` *parts* by a mixing
-//! hash; part `p` stores the full (sorted) edge list of every vertex it
-//! owns — "all edges with at least one endpoint in V_i". Vertex labels are
-//! replicated to every part: they cost 2 bytes per vertex and labeled
-//! matching must test the label of arbitrary candidate vertices, so
-//! replication is the standard choice.
+//! The input is first ranked by degree ([`crate::rank`]): every id a part
+//! stores or serves is a ranked id, and the partitioned graph keeps the
+//! permutation back to the input's ids. The vertex set is divided among
+//! `machines × sockets` *parts* by a mixing hash; part `p` stores the full
+//! (sorted) edge list of every vertex it owns — "all edges with at least
+//! one endpoint in V_i". Vertex labels are replicated to every part: they
+//! cost 2 bytes per vertex and labeled matching must test the label of
+//! arbitrary candidate vertices, so replication is the standard choice.
 
-use crate::csr::{Graph, GraphKind};
+use crate::csr::Graph;
+use crate::rank;
 use crate::set_ops::{Bits, HotLists};
-use crate::{Label, VertexId};
+use crate::{Degree, Label, VertexId};
 use std::sync::Arc;
 
 /// SplitMix64-style mixing hash used to assign vertices to parts.
@@ -30,14 +33,15 @@ pub fn vertex_hash(v: VertexId) -> u64 {
 ///
 /// The paper uses hash partitioning "to ensure balanced data
 /// distribution" (§2.2); the range strategy exists to demonstrate why —
-/// on graphs whose vertex numbering correlates with degree (e.g.
-/// Barabási–Albert seeds) ranges concentrate the hubs on one machine.
+/// ranked ids ascend with degree, so ranges concentrate the hubs on the
+/// last part.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Partitioner {
     /// Mixing-hash assignment (the paper's choice).
     #[default]
     Hash,
-    /// Contiguous ranges of vertex ids.
+    /// Contiguous ranges of (ranked) vertex ids: the hubs land on the
+    /// last part.
     Range,
 }
 
@@ -235,26 +239,29 @@ impl GraphPart {
     }
 }
 
-/// A graph hash-partitioned across `machines × sockets_per_machine` parts.
+/// A degree-ranked graph hash-partitioned across
+/// `machines × sockets_per_machine` parts.
 ///
 /// # Example
 ///
 /// ```
-/// use gpm_graph::{gen, partition::PartitionedGraph};
+/// use gpm_graph::{gen, partition::PartitionedGraph, rank::rank_by_degree};
 ///
 /// let g = gen::erdos_renyi(100, 400, 1);
 /// let pg = PartitionedGraph::new(&g, 2, 2); // 2 machines, 2 sockets each
 /// assert_eq!(pg.part_count(), 4);
-/// let v = 42;
-/// let p = pg.owner(v);
-/// assert_eq!(pg.part(p).edge_list(v).unwrap(), g.neighbors(v));
+/// let (ranked, original) = rank_by_degree(&g);
+/// let v = 42; // a ranked id: the input's vertex original[42]
+/// assert_eq!(pg.original_id(v), original[42]);
+/// assert_eq!(pg.part(pg.owner(v)).edge_list(v).unwrap(), ranked.neighbors(v));
 /// ```
 #[derive(Debug, Clone)]
 pub struct PartitionedGraph {
     machines: usize,
     sockets_per_machine: usize,
     vertex_count: usize,
-    kind: GraphKind,
+    /// `original[v]`: the input's id of the ranked vertex `v`.
+    original: Arc<[VertexId]>,
     owner_map: OwnerMap,
     parts: Vec<Arc<GraphPart>>,
     labels: Option<Arc<Vec<Label>>>,
@@ -282,7 +289,8 @@ impl PartitionedGraph {
         PartitionedGraph::with_partitioner(g, machines, sockets_per_machine, Partitioner::Hash)
     }
 
-    /// Partitions with an explicit [`Partitioner`] strategy.
+    /// Ranks `g` by degree ([`crate::rank`]) and partitions the ranked
+    /// graph with an explicit [`Partitioner`] strategy.
     ///
     /// # Panics
     ///
@@ -295,33 +303,24 @@ impl PartitionedGraph {
     ) -> Self {
         assert!(machines >= 1 && sockets_per_machine >= 1, "need at least one part");
         let part_count = machines * sockets_per_machine;
-        let owner_map = OwnerMap::new(strategy, part_count, g.vertex_count());
-        let mut owned: Vec<Vec<VertexId>> = vec![Vec::new(); part_count];
-        for v in g.vertices() {
-            owned[owner_map.owner(v)].push(v);
-        }
-        let parts = owned
+        let n = g.vertex_count();
+        let owner_map = OwnerMap::new(strategy, part_count, n);
+        let original = rank::degree_order(g);
+        let parts = rank::ranked_columns(g, &original, part_count, |v| owner_map.owner(v))
             .into_iter()
             .enumerate()
-            .map(|(part_id, owned)| {
-                let mut offsets = Vec::with_capacity(owned.len() + 1);
-                offsets.push(0u64);
-                let mut neighbors = Vec::new();
-                for &v in &owned {
-                    neighbors.extend_from_slice(g.neighbors(v));
-                    offsets.push(neighbors.len() as u64);
-                }
-                Arc::new(GraphPart::indexed(part_id, owned, offsets, neighbors, g.vertex_count()))
+            .map(|(part_id, (owned, offsets, neighbors))| {
+                Arc::new(GraphPart::indexed(part_id, owned, offsets, neighbors, n))
             })
             .collect();
         PartitionedGraph {
             machines,
             sockets_per_machine,
-            vertex_count: g.vertex_count(),
-            kind: g.kind(),
+            vertex_count: n,
+            labels: g.labels().map(|l| Arc::new(rank::permuted_labels(l, &original))),
+            original: original.into(),
             owner_map,
             parts,
-            labels: g.labels().map(|l| Arc::new(l.to_vec())),
             replication: 1,
             replicas: vec![Vec::new(); part_count],
         }
@@ -389,9 +388,28 @@ impl PartitionedGraph {
         self.vertex_count
     }
 
-    /// Whether the partitioned graph is undirected or oriented.
-    pub fn kind(&self) -> GraphKind {
-        self.kind
+    /// The input's id of the ranked vertex `v`.
+    #[inline]
+    pub fn original_id(&self, v: VertexId) -> VertexId {
+        self.original[v as usize]
+    }
+
+    /// The first ranked id whose degree is at least `threshold`, or `|V|`
+    /// when none is: ids ascend with degree, so `degree(v) ≥ threshold`
+    /// exactly when `v ≥ hot_from(threshold)`. A binary search over the
+    /// owning parts' list lengths.
+    pub fn hot_from(&self, threshold: Degree) -> VertexId {
+        let degree = |v| self.part(self.owner(v)).edge_list(v).map_or(0, <[_]>::len);
+        let (mut lo, mut hi) = (0, self.vertex_count as VertexId);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if (degree(mid) as Degree) < threshold {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        lo
     }
 
     /// The part owning vertex `v`.
@@ -426,7 +444,8 @@ impl PartitionedGraph {
         Arc::clone(&self.parts[id])
     }
 
-    /// Replicated label array (present iff the input graph was labeled).
+    /// Replicated label array by ranked id (present iff the input graph
+    /// was labeled).
     pub fn labels(&self) -> Option<Arc<Vec<Label>>> {
         self.labels.clone()
     }
@@ -478,6 +497,7 @@ impl PartitionedGraph {
 mod tests {
     use super::*;
     use crate::gen;
+    use crate::rank::rank_by_degree;
 
     #[test]
     fn parts_cover_and_partition_vertices() {
@@ -496,8 +516,10 @@ mod tests {
 
     #[test]
     fn edge_lists_match_source_graph() {
-        let g = gen::barabasi_albert(300, 3, 8);
-        let pg = PartitionedGraph::new(&g, 4, 1);
+        let input = gen::barabasi_albert(300, 3, 8);
+        let pg = PartitionedGraph::new(&input, 4, 1);
+        let (g, original) = rank_by_degree(&input);
+        assert!(g.vertices().all(|v| pg.original_id(v) == original[v as usize]));
         for v in g.vertices() {
             let part = pg.part(pg.owner(v));
             assert_eq!(part.edge_list(v).unwrap(), g.neighbors(v));
@@ -544,10 +566,10 @@ mod tests {
 
     #[test]
     fn labels_replicated() {
-        let g = gen::with_random_labels(&gen::complete(20), 5, 3);
+        let g = gen::with_random_labels(&gen::barabasi_albert(20, 3, 1), 5, 3);
         let pg = PartitionedGraph::new(&g, 3, 1);
         for v in g.vertices() {
-            assert_eq!(pg.label(v), g.label(v));
+            assert_eq!(pg.label(v), g.label(pg.original_id(v)));
         }
     }
 
@@ -567,8 +589,9 @@ mod tests {
 
     #[test]
     fn range_partitioning_assigns_contiguous_blocks() {
-        let g = gen::erdos_renyi(100, 300, 1);
-        let pg = PartitionedGraph::with_partitioner(&g, 4, 1, Partitioner::Range);
+        let input = gen::erdos_renyi(100, 300, 1);
+        let pg = PartitionedGraph::with_partitioner(&input, 4, 1, Partitioner::Range);
+        let g = rank_by_degree(&input).0;
         for v in g.vertices() {
             assert_eq!(pg.owner(v), (v as usize) / 25);
             let part = pg.part(pg.owner(v));
@@ -578,8 +601,8 @@ mod tests {
 
     #[test]
     fn range_partitioning_concentrates_ba_hubs() {
-        // BA numbering correlates with degree: range partitioning puts
-        // the heavy adjacency mass on part 0 — the imbalance hash
+        // Ranked ids ascend with degree: range partitioning puts the
+        // heavy adjacency mass on the last part — the imbalance hash
         // partitioning exists to avoid (§2.2).
         let g = gen::barabasi_albert(4000, 8, 3);
         let range = PartitionedGraph::with_partitioner(&g, 4, 1, Partitioner::Range);
@@ -590,6 +613,7 @@ mod tests {
         };
         let (range_max, range_min) = load(&range);
         let (hash_max, hash_min) = load(&hash);
+        assert_eq!(range.part(3).adjacency_len(), range_max, "the hubs sit on the last part");
         let range_skew = range_max as f64 / range_min.max(1) as f64;
         let hash_skew = hash_max as f64 / hash_min.max(1) as f64;
         assert!(
@@ -611,8 +635,9 @@ mod tests {
 
     #[test]
     fn replication_places_successor_slices() {
-        let g = gen::erdos_renyi(200, 800, 7);
-        let pg = PartitionedGraph::with_replication(&g, 4, 1, 2);
+        let input = gen::erdos_renyi(200, 800, 7);
+        let pg = PartitionedGraph::with_replication(&input, 4, 1, 2);
+        let g = rank_by_degree(&input).0;
         assert_eq!(pg.replication(), 2);
         for host in 0..4 {
             let hosted = pg.hosted_replicas(host);
@@ -694,8 +719,9 @@ mod tests {
     #[test]
     fn a_part_keeps_a_bitmap_beside_each_hot_owned_list_and_counts_it() {
         // |V| = 320: a list of ten or more entries is hot.
-        let g = gen::barabasi_albert(320, 3, 11);
-        let pg = PartitionedGraph::new(&g, 2, 1);
+        let input = gen::barabasi_albert(320, 3, 11);
+        let pg = PartitionedGraph::new(&input, 2, 1);
+        let g = rank_by_degree(&input).0;
         let hot = |v: VertexId| crate::set_ops::is_hot(g.degree(v) as usize, 320);
         assert!(g.vertices().any(hot) && !g.vertices().all(hot));
         for p in 0..2 {
@@ -729,6 +755,20 @@ mod tests {
         let csr =
             part.owned().len() * (4 + 8) + 8 + (part.adjacency_len() + part.rank_of.len()) * 4;
         assert_eq!(part.size_bytes(), csr);
+    }
+
+    #[test]
+    fn hot_from_splits_the_ranked_ids_at_the_degree_threshold() {
+        let g = gen::barabasi_albert(500, 3, 4);
+        let pg = PartitionedGraph::new(&g, 3, 1);
+        let ranked = rank_by_degree(&g).0;
+        for threshold in [0, 1, 3, 4, 10, 64, ranked.max_degree(), ranked.max_degree() + 1] {
+            let from = pg.hot_from(threshold);
+            for v in ranked.vertices() {
+                assert_eq!(ranked.degree(v) >= threshold, v >= from, "t {threshold}, v {v}");
+            }
+        }
+        assert_eq!(pg.hot_from(ranked.max_degree() + 1), 500);
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Property-based tests for the graph substrate.
 
 use gpm_graph::partition::{GraphPart, PartitionedGraph, Partitioner};
-use gpm_graph::{orient, set_ops, GraphBuilder, VertexId};
+use gpm_graph::rank::rank_by_degree;
+use gpm_graph::{set_ops, GraphBuilder, VertexId};
 use proptest::prelude::*;
 
 fn arb_edges(max_v: u32, max_e: usize) -> impl Strategy<Value = Vec<(VertexId, VertexId)>> {
@@ -200,9 +201,10 @@ proptest! {
         machines in 1usize..5,
         sockets in 1usize..3,
     ) {
-        let g = edges.into_iter().collect::<GraphBuilder>().build();
-        if g.vertex_count() == 0 { return Ok(()); }
-        let pg = PartitionedGraph::new(&g, machines, sockets);
+        let input = edges.into_iter().collect::<GraphBuilder>().build();
+        if input.vertex_count() == 0 { return Ok(()); }
+        let pg = PartitionedGraph::new(&input, machines, sockets);
+        let g = rank_by_degree(&input).0;
         for v in g.vertices() {
             let owner = pg.owner(v);
             prop_assert!(owner < pg.part_count());
@@ -244,10 +246,13 @@ proptest! {
     fn orientation_preserves_edge_multiset(edges in arb_edges(40, 120)) {
         let g = edges.into_iter().collect::<GraphBuilder>().build();
         if g.vertex_count() == 0 { return Ok(()); }
-        let dag = orient::orient_by_degree(&g);
-        prop_assert_eq!(dag.edge_count(), g.edge_count());
-        let mut from_dag: Vec<(VertexId, VertexId)> =
-            dag.arcs().map(|(u, v)| (u.min(v), u.max(v))).collect();
+        let (ranked, original) = rank_by_degree(&g);
+        prop_assert_eq!(ranked.edge_count(), g.edge_count());
+        let back = |v: VertexId| original[v as usize];
+        let mut from_dag: Vec<(VertexId, VertexId)> = ranked
+            .edges()
+            .map(|(u, v)| (back(u).min(back(v)), back(u).max(back(v))))
+            .collect();
         from_dag.sort_unstable();
         let mut from_g: Vec<(VertexId, VertexId)> = g.edges().collect();
         from_g.sort_unstable();

@@ -456,8 +456,7 @@ pub struct PlanOptions {
     pub induced: bool,
     /// Emit symmetry-breaking restrictions so each subgraph is enumerated
     /// exactly once. Disable to enumerate all injective maps (used by
-    /// tests and by orientation-preprocessed clique counting, where the
-    /// DAG already breaks the symmetry).
+    /// tests).
     pub symmetry_break: bool,
     /// Annotate vertical computation reuse (Figure 11's ablation switch).
     pub vertical_reuse: bool,
@@ -527,118 +526,14 @@ impl MatchingPlan {
     pub fn compile(pattern: &Pattern, options: &PlanOptions) -> Result<MatchingPlan, String> {
         let n = pattern.size();
         let order = order::resolve(pattern, &options.order)?;
-        let restr = if options.symmetry_break && n > 1 {
+        let mut restr = if options.symmetry_break && n > 1 {
             restrictions::generate(pattern, &order)
         } else {
             Vec::new()
         };
-        // pos[v] = level at which pattern vertex v is matched.
-        let mut pos = vec![0usize; n];
-        for (i, &v) in order.iter().enumerate() {
-            pos[v] = i;
-        }
-
-        let adjacent = |p: usize, q: usize| pattern.has_edge(order[p], order[q]);
-        let mut levels = Vec::with_capacity(n.saturating_sub(1));
-        for (i, &v) in order.iter().enumerate().skip(1) {
-            let intersect: Positions = (0..i).filter(|&j| adjacent(j, i)).collect();
-            debug_assert!(!intersect.is_empty(), "connected-prefix violated");
-            let subtract: Positions = if options.induced {
-                (0..i).filter(|&j| !adjacent(j, i)).collect()
-            } else {
-                Positions::default()
-            };
-            let (mut lower, mut upper) = (Positions::default(), Positions::default());
-            for r in &restr {
-                let (ps, pl) = (pos[r.smaller], pos[r.larger]);
-                if ps.max(pl) == i {
-                    if pl == i {
-                        // candidate is the larger one: candidate > pos ps
-                        lower = lower.with(ps);
-                    } else {
-                        // candidate is the smaller one: candidate < pos pl
-                        upper = upper.with(pl);
-                    }
-                }
-            }
-            // Injectivity: candidates are adjacent to `intersect` positions
-            // (self-loops are impossible), and positions bounded by < / >
-            // cannot collide either. Everything else needs a != check.
-            let bounded = intersect | lower | upper;
-            let distinct: Positions = (0..i).filter(|&j| !bounded.contains(j)).collect();
-            levels.push(LevelPlan {
-                position: i,
-                intersect,
-                subtract,
-                distinct,
-                distinct_adjacent: distinct
-                    .iter()
-                    .filter(|&d| intersect.iter().all(|q| adjacent(d, q)))
-                    .collect(),
-                lower,
-                upper,
-                raw_lower: Positions::default(),
-                raw_upper: Positions::default(),
-                rest_lower: Positions::default(),
-                rest_upper: Positions::default(),
-                label: pattern.label(v),
-                source: CandidateSource::Scratch,
-                lists: intersect,
-                store_intermediate: false,
-                active_after: Positions::default(),
-                new_vertex_active: false,
-                plain: false,
-                unfiltered: false,
-            });
-        }
-
-        // Vertical computation reuse annotations (§5.1 / Figure 9). Only
-        // for non-induced plans: subtraction results are not reusable the
-        // same way.
-        if options.vertical_reuse && !options.induced {
-            for i in 1..levels.len() {
-                let (head, tail) = levels.split_at_mut(i);
-                let (prev, cur) = (&mut head[i - 1], &mut tail[0]);
-                if cur.intersect == prev.intersect {
-                    cur.source = CandidateSource::ParentIntermediate;
-                    cur.lists = Positions::default();
-                } else if cur.intersect == prev.intersect.with(prev.position) {
-                    cur.source = CandidateSource::ParentIntermediateAndNew;
-                    cur.lists = Positions::default().with(prev.position);
-                } else {
-                    continue;
-                }
-                prev.store_intermediate = true;
-            }
-        }
-
-        // Last level first: the bounds that may be pushed into the raw
-        // candidate computation — a stored intermediate is the next
-        // level's input (and, through it, the input of every level
-        // chained after it), so it may only lose candidates all of those
-        // reject too — and the active set, every position a later level
-        // reads the list of.
-        let mut read_later = Positions::default();
-        for i in (0..levels.len()).rev() {
-            let (head, tail) = levels.split_at_mut(i + 1);
-            let lp = &mut head[i];
-            (lp.raw_lower, lp.raw_upper) = match tail.first() {
-                Some(consumer) if lp.store_intermediate => {
-                    (lp.lower & consumer.raw_lower, lp.upper & consumer.raw_upper)
-                }
-                _ => (lp.lower, lp.upper),
-            };
-            (lp.rest_lower, lp.rest_upper) = (lp.lower - lp.raw_lower, lp.upper - lp.raw_upper);
-            lp.active_after = read_later;
-            lp.new_vertex_active = read_later.contains(lp.position);
-            read_later = read_later | lp.lists | lp.subtract;
-            let unlabelled = lp.label.is_none();
-            let inputs = lp.lists.len() + usize::from(lp.source != CandidateSource::Scratch);
-            lp.plain = unlabelled && lp.subtract.is_empty() && inputs <= 2;
-            lp.unfiltered = unlabelled
-                && lp.rest_lower.is_empty()
-                && lp.rest_upper.is_empty()
-                && lp.distinct.is_empty();
+        let mut levels = levels_of(pattern, options, &order, &restr);
+        if turn_to_short_ends(&mut restr, &order, &levels) {
+            levels = levels_of(pattern, options, &order, &restr);
         }
 
         let root_label = pattern.label(order[0]);
@@ -824,6 +719,160 @@ impl MatchingPlan {
     }
 }
 
+/// The levels of `pattern` matched in `order` under the restrictions
+/// `restr`: what each level intersects, subtracts and bounds, the reuse
+/// annotations, the bounds pushed into raw candidate sets, and the active
+/// sets.
+fn levels_of(
+    pattern: &Pattern,
+    options: &PlanOptions,
+    order: &[usize],
+    restr: &[Restriction],
+) -> Vec<LevelPlan> {
+    let n = pattern.size();
+    // pos[v] = level at which pattern vertex v is matched.
+    let mut pos = vec![0usize; n];
+    for (i, &v) in order.iter().enumerate() {
+        pos[v] = i;
+    }
+
+    let adjacent = |p: usize, q: usize| pattern.has_edge(order[p], order[q]);
+    let mut levels = Vec::with_capacity(n.saturating_sub(1));
+    for (i, &v) in order.iter().enumerate().skip(1) {
+        let intersect: Positions = (0..i).filter(|&j| adjacent(j, i)).collect();
+        debug_assert!(!intersect.is_empty(), "connected-prefix violated");
+        let subtract: Positions = if options.induced {
+            (0..i).filter(|&j| !adjacent(j, i)).collect()
+        } else {
+            Positions::default()
+        };
+        let (mut lower, mut upper) = (Positions::default(), Positions::default());
+        for r in restr {
+            let (ps, pl) = (pos[r.smaller], pos[r.larger]);
+            if ps.max(pl) == i {
+                if pl == i {
+                    // candidate is the larger one: candidate > pos ps
+                    lower = lower.with(ps);
+                } else {
+                    // candidate is the smaller one: candidate < pos pl
+                    upper = upper.with(pl);
+                }
+            }
+        }
+        // Injectivity: candidates are adjacent to `intersect` positions
+        // (self-loops are impossible), and positions bounded by < / >
+        // cannot collide either. Everything else needs a != check.
+        let bounded = intersect | lower | upper;
+        let distinct: Positions = (0..i).filter(|&j| !bounded.contains(j)).collect();
+        levels.push(LevelPlan {
+            position: i,
+            intersect,
+            subtract,
+            distinct,
+            distinct_adjacent: distinct
+                .iter()
+                .filter(|&d| intersect.iter().all(|q| adjacent(d, q)))
+                .collect(),
+            lower,
+            upper,
+            raw_lower: Positions::default(),
+            raw_upper: Positions::default(),
+            rest_lower: Positions::default(),
+            rest_upper: Positions::default(),
+            label: pattern.label(v),
+            source: CandidateSource::Scratch,
+            lists: intersect,
+            store_intermediate: false,
+            active_after: Positions::default(),
+            new_vertex_active: false,
+            plain: false,
+            unfiltered: false,
+        });
+    }
+
+    // Vertical computation reuse annotations (§5.1 / Figure 9). Only
+    // for non-induced plans: subtraction results are not reusable the
+    // same way.
+    if options.vertical_reuse && !options.induced {
+        for i in 1..levels.len() {
+            let (head, tail) = levels.split_at_mut(i);
+            let (prev, cur) = (&mut head[i - 1], &mut tail[0]);
+            if cur.intersect == prev.intersect {
+                cur.source = CandidateSource::ParentIntermediate;
+                cur.lists = Positions::default();
+            } else if cur.intersect == prev.intersect.with(prev.position) {
+                cur.source = CandidateSource::ParentIntermediateAndNew;
+                cur.lists = Positions::default().with(prev.position);
+            } else {
+                continue;
+            }
+            prev.store_intermediate = true;
+        }
+    }
+
+    // Last level first: the bounds that may be pushed into the raw
+    // candidate computation — a stored intermediate is the next
+    // level's input (and, through it, the input of every level
+    // chained after it), so it may only lose candidates all of those
+    // reject too — and the active set, every position a later level
+    // reads the list of.
+    let mut read_later = Positions::default();
+    for i in (0..levels.len()).rev() {
+        let (head, tail) = levels.split_at_mut(i + 1);
+        let lp = &mut head[i];
+        (lp.raw_lower, lp.raw_upper) = match tail.first() {
+            Some(consumer) if lp.store_intermediate => {
+                (lp.lower & consumer.raw_lower, lp.upper & consumer.raw_upper)
+            }
+            _ => (lp.lower, lp.upper),
+        };
+        (lp.rest_lower, lp.rest_upper) = (lp.lower - lp.raw_lower, lp.upper - lp.raw_upper);
+        lp.active_after = read_later;
+        lp.new_vertex_active = read_later.contains(lp.position);
+        read_later = read_later | lp.lists | lp.subtract;
+        let unlabelled = lp.label.is_none();
+        let inputs = lp.lists.len() + usize::from(lp.source != CandidateSource::Scratch);
+        lp.plain = unlabelled && lp.subtract.is_empty() && inputs <= 2;
+        lp.unfiltered = unlabelled
+            && lp.rest_lower.is_empty()
+            && lp.rest_upper.is_empty()
+            && lp.distinct.is_empty();
+    }
+    levels
+}
+
+/// Turns round each stage of the restriction chain (its restrictions
+/// share their `smaller` vertex, the stage's base) where that gives the
+/// fetched lists the short end of their edges, and says whether it turned
+/// any. Ids ascend with degree ([`gpm_graph::rank`]), so a vertex bounded
+/// above the base is the higher-degree end of its edge with it: that is
+/// the end a fetch wants only when the bound cuts the list it ships. A
+/// stage turns when its base's list is never fetched (the root's is
+/// owned), some image's list ships whole, and no fetch bound names the
+/// base; the turned stage keeps the map whose base is the *largest* over
+/// its orbit, as unique as the smallest, and no fetch bound moves.
+fn turn_to_short_ends(restr: &mut [Restriction], order: &[usize], levels: &[LevelPlan]) -> bool {
+    let n = order.len();
+    let fetch: Vec<FetchBound> = (0..n).map(|p| FetchBound::of(p, levels)).collect();
+    let fetched = |p: usize| p > 0 && levels.iter().any(|lp| (lp.lists | lp.subtract).contains(p));
+    let mut turned = false;
+    for stage in restr.chunk_by_mut(|a, b| a.smaller == b.smaller) {
+        let base = pos_of(order, stage[0].smaller);
+        let cuts = fetch.iter().any(|f| f.0.iter().any(|known| known.contains(base)));
+        let whole = stage.iter().any(|r| {
+            let q = pos_of(order, r.larger);
+            fetched(q) && !fetch[q].is_bounded()
+        });
+        if !fetched(base) && !cuts && whole {
+            for r in stage.iter_mut() {
+                (r.smaller, r.larger) = (r.larger, r.smaller);
+            }
+            turned = true;
+        }
+    }
+    turned
+}
+
 /// [`MatchingPlan::pair_count_mode`], decided once when the plan is
 /// compiled: executors ask per run, the baselines per root.
 fn pair_mode(options: &PlanOptions, levels: &[LevelPlan]) -> Option<PairMode> {
@@ -938,18 +987,24 @@ mod tests {
 
     #[test]
     fn bound_missing_from_a_consumer_stays_out_of_the_stored_intermediate() {
-        // Both patterns bound v1 from below by v0 and store C1 = N(v0) for
-        // v2, which carries no such bound: trimming C1 would lose v2's
-        // candidates below v0.
+        // Both patterns bound v1 by v0 (from below or, turned to the short
+        // end, from above) and store C1 = N(v0) for v2, which carries no
+        // such bound: trimming C1 would lose v2's candidates beyond v0.
         for p in [Pattern::house(), Pattern::diamond()] {
             for opts in [PlanOptions::automine(), PlanOptions::graphpi()] {
                 let plan = MatchingPlan::compile(&p, &opts).unwrap();
                 let l1 = &plan.levels()[0];
-                assert!(l1.store_intermediate && l1.lower == Positions::from_iter([0]), "{p}");
-                assert!(!plan.levels()[1].lower.contains(0), "{p}");
+                let v0 = Positions::from_iter([0]);
+                assert!(l1.store_intermediate && l1.lower | l1.upper == v0, "{p}");
+                assert!(!(plan.levels()[1].lower | plan.levels()[1].upper).contains(0), "{p}");
                 assert!(l1.raw_lower.is_empty() && l1.raw_upper.is_empty(), "{p}");
                 // The bound is still enforced, per candidate.
-                assert!(plan.describe().contains("for v1 in N(v0):  if > v0"), "{p}");
+                let code = plan.describe();
+                assert!(
+                    code.contains("for v1 in N(v0):  if > v0")
+                        || code.contains("for v1 in N(v0):  if < v0"),
+                    "{code}"
+                );
             }
         }
     }
@@ -1068,11 +1123,13 @@ mod tests {
         let clique = MatchingPlan::compile(&Pattern::clique(5), &PlanOptions::default()).unwrap();
         assert!(clique.levels().iter().all(|l| l.unfiltered));
         // A house's first level keeps its bound per candidate (the stored
-        // set feeds a level without it) and, of the two vertices its last
-        // level must avoid, knows v1 to be in both lists and searches for v2.
+        // set feeds a level without it; the bound is turned below v0, see
+        // `whole_lists_take_the_short_end_of_their_edge`) and, of the two
+        // vertices its last level must avoid, knows v1 to be in both lists
+        // and searches for v2.
         let house = MatchingPlan::compile(&Pattern::house(), &PlanOptions::default()).unwrap();
         let (first, last) = (&house.levels()[0], &house.levels()[3]);
-        assert_eq!((set(first.raw_lower), set(first.rest_lower)), (vec![], vec![0]));
+        assert_eq!((set(first.raw_upper), set(first.rest_upper)), (vec![], vec![0]));
         assert!(!first.unfiltered);
         assert_eq!((set(last.distinct), set(last.distinct_adjacent)), (vec![1, 2], vec![1]));
     }
@@ -1331,6 +1388,31 @@ mod tests {
         let opts =
             PlanOptions { order: OrderChoice::Given(vec![0, 2, 1]), ..PlanOptions::default() };
         assert!(MatchingPlan::compile(&Pattern::path(3), &opts).is_err());
+    }
+
+    #[test]
+    fn whole_lists_take_the_short_end_of_their_edge() {
+        // A path and a house bound v1 by the root alone and ship N(v1)
+        // whole: the stage turns, so v1 is below v0 — on ranked ids the
+        // lower-degree end of the edge.
+        for p in [Pattern::path(4), Pattern::house()] {
+            for opts in [PlanOptions::automine(), PlanOptions::graphpi()] {
+                let plan = MatchingPlan::compile(&p, &opts).unwrap();
+                let l1 = &plan.levels()[0];
+                assert!(l1.lower.is_empty() && l1.upper == Positions::from_iter([0]), "{p}");
+                assert!(!plan.fetch_bound(1).is_bounded(), "{p}");
+                let turned = plan.restrictions().iter().all(|r| {
+                    (pos_of(plan.order(), r.smaller), pos_of(plan.order(), r.larger)) == (1, 0)
+                });
+                assert!(turned, "{}", plan.describe());
+            }
+        }
+        // Where a bound cuts a fetched list, or the list bounded above the
+        // base is never fetched, every stage keeps the smaller base.
+        for p in [Pattern::triangle(), Pattern::clique(5), Pattern::cycle(4), Pattern::star(4)] {
+            let plan = MatchingPlan::compile(&p, &PlanOptions::automine()).unwrap();
+            assert!(plan.levels().iter().all(|l| l.upper.is_empty()), "{}", plan.describe());
+        }
     }
 
     #[test]

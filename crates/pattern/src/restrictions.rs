@@ -11,7 +11,10 @@
 //! a surviving automorphism, emit one `<` constraint per image, and keep
 //! only the automorphisms fixing that vertex. The surviving map is the one
 //! whose value at each chain base point is minimal over the orbit, which
-//! exists and is unique for every subgraph.
+//! exists and is unique for every subgraph. Turning one stage round (every
+//! `<` of that base read as `>`) keeps the map whose base value is maximal
+//! instead, as unique; the plan compiler turns the stages that give its
+//! fetched lists the short end of their edges.
 
 use crate::{iso, Pattern};
 

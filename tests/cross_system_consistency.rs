@@ -61,20 +61,27 @@ fn every_system_agrees_on_a_skewed_graph() {
 
 #[test]
 fn orientation_pipeline_agrees_end_to_end() {
-    use khuzdul_repro::apps::counting::oriented_clique_plan;
-    use khuzdul_repro::graph::orient::orient_by_degree;
+    // Every system ranks its input by degree, so the symmetry-broken
+    // clique plan reads the degree-oriented windows on each of them.
     let g = gen::barabasi_albert(400, 6, 3);
     let expect = oracle::count_subgraphs(&g, &Pattern::clique(4), false);
 
-    // Distributed oriented counting.
-    let dag = orient_by_degree(&g);
-    let engine = Engine::new(PartitionedGraph::new(&dag, 4, 1), EngineConfig::default());
-    let plan = oriented_clique_plan(4, &PlanOptions::automine()).unwrap();
+    // Distributed counting, and the enumerated cliques in the input's ids.
+    let engine = Engine::new(PartitionedGraph::new(&g, 4, 1), EngineConfig::default());
+    let plan = MatchingPlan::compile(&Pattern::clique(4), &PlanOptions::automine()).unwrap();
     assert_eq!(engine.count(&plan).count, expect);
+    let cliques = std::sync::Mutex::new(std::collections::BTreeSet::new());
+    engine.enumerate(&plan, |m| {
+        let mut c = m.to_vec();
+        c.sort_unstable();
+        assert!(c.iter().enumerate().all(|(i, &u)| c[i + 1..].iter().all(|&v| g.has_edge(u, v))));
+        assert!(cliques.lock().unwrap().insert(c), "a clique enumerated twice");
+    });
+    assert_eq!(cliques.into_inner().unwrap().len() as u64, expect);
     engine.shutdown();
 
-    // Single-machine oriented counting.
-    let single = SingleMachine::pangolin_like(g, 2);
+    // Single-machine counting.
+    let single = SingleMachine::automine_ih(g, 2);
     assert_eq!(single.count(&Pattern::clique(4)).unwrap().count, expect);
 }
 

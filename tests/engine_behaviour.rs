@@ -49,8 +49,10 @@ fn every_small_pattern_is_exact_wherever_its_chunk_stack_ends() {
     // children are owned and walked in place (all, half, a quarter), and
     // capacity 3 pauses every parent that parks more than three. The
     // count is the oracle's; the visited multiset is the interpreter's,
-    // which walks the same plan over the whole graph.
+    // which walks the same plan over the whole graph ranked by degree,
+    // mapped back to the graph's ids.
     let g = gen::barabasi_albert(28, 4, 17);
+    let (ranked, original) = khuzdul_repro::graph::rank::rank_by_degree(&g);
     let mut plans = Vec::new();
     for k in 1..=5 {
         for p in khuzdul_repro::pattern::genpat::connected_patterns(k) {
@@ -58,8 +60,8 @@ fn every_small_pattern_is_exact_wherever_its_chunk_stack_ends() {
             for opts in [PlanOptions::automine(), PlanOptions::graphpi()] {
                 let plan = MatchingPlan::compile(&p, &opts).unwrap();
                 let mut tuples = Vec::new();
-                khuzdul_repro::pattern::interp::enumerate_embeddings(&g, &plan, |m| {
-                    tuples.push(m.to_vec());
+                khuzdul_repro::pattern::interp::enumerate_embeddings(&ranked, &plan, |m| {
+                    tuples.push(m.iter().map(|&v| original[v as usize]).collect::<Vec<_>>());
                 });
                 tuples.sort_unstable();
                 assert_eq!(tuples.len() as u64, expect, "{p}");
@@ -341,32 +343,63 @@ type Routing = (u64, u64, u64, u64, u64, u64);
 ///   the 4-cycle and the 4-clique hits turn into misses (rmat 4-cycle
 ///   28 600 / 16 301 → 24 845 / 20 056).
 ///
+/// Re-recorded when every partitioned graph started to rank its vertices
+/// by ascending degree, the static cache started to admit by full degree
+/// (a vertex at or above the first id of degree 16), and the plan compiler
+/// started to turn a restriction stage round where that gives a list
+/// shipped whole the lower-degree end of its edge (path, house: `v1 < v0`),
+/// column by column:
+/// * `count`: identical on every row.
+/// * `network_bytes`: lower wherever a plan cuts its lists above `v0` — the
+///   window above a vertex is now its degree-oriented out-list (rmat
+///   triangle "on" 36 720 → 23 624, rmat 4-clique "off" 276 640 → 111 852,
+///   er triangle "on" 124 048 → 112 532, rmat 4-cycle "on" 80 040 →
+///   74 400). Lower too where a plan ships `N(v1)` whole, now from the
+///   lower-degree end (rmat 4-path "off" 269 244 → 198 776, er house "off"
+///   465 112 → 394 200, rmat house "on" 314 348 → 258 852), except the rmat
+///   house "off" row (12 050 312 → 12 202 688, +1.3 %), the er 4-path "on"
+///   row (214 980 → 216 116, +0.5 %) and the "off" rows of the er 4-cycle
+///   (1 451 864 → 1 561 492, +7.6 %), whose level-2 lists are cut above a
+///   lower `v0` than their own vertex.
+/// * `requests`: identical except the rmat 4-cycle "off" (24 → 29), the rmat
+///   4-clique "off" (24 → 12) and the rmat house rows (201 → 162): the
+///   number of fills follows the embeddings parked at fetched levels.
+/// * `coalesced`: up on the "on" rows whose plans cut lists (rmat 4-cycle
+///   43 488 → 89 118), since more children share a hub's window; down on
+///   the path and house rows (rmat house 991 299 → 794 578), whose
+///   children now fetch short lists; 0 on "off" rows.
+/// * Cache hits and misses: a hub is admitted by its degree however short
+///   its window, so the rmat clique and cycle rows hit more (4-clique "off"
+///   2 520 / 6 784 → 7 022 / 2 118, 4-cycle "off" 24 845 / 20 056 →
+///   73 510 / 16 617); the house rows look up fewer lists, as they fetch
+///   fewer hubs (rmat "off" 711 530 / 293 402 → 577 819 / 227 361).
+///
 /// Any other movement means a routing decision changed.
 const GOLDEN_ROUTING: [Routing; 24] = [
-    (92, 124048, 12, 3896, 0, 5083),              // er triangle on
-    (92, 204476, 12, 0, 0, 8979),                 // er triangle off
-    (493, 336972, 24, 47270, 0, 9726),            // er 4-cycle on
-    (493, 1451864, 24, 0, 82, 56914),             // er 4-cycle off
-    (0, 124048, 12, 3961, 0, 5083),               // er 4-clique on
-    (0, 206140, 24, 0, 0, 9044),                  // er 4-clique off
-    (764221, 214980, 12, 3896, 0, 5083),          // er 4-path on
-    (764221, 395908, 12, 0, 0, 8979),             // er 4-path off
+    (92, 112532, 12, 4480, 0, 4503),              // er triangle on
+    (92, 201944, 12, 0, 0, 8983),                 // er triangle off
+    (493, 313268, 24, 55076, 0, 8605),            // er 4-cycle on
+    (493, 1561492, 24, 0, 1140, 62541),           // er 4-cycle off
+    (0, 112532, 12, 4549, 0, 4503),               // er 4-clique on
+    (0, 203536, 24, 0, 8, 9044),                  // er 4-clique off
+    (764221, 216116, 12, 3285, 0, 5698),          // er 4-path on
+    (764221, 338260, 12, 0, 0, 8983),             // er 4-path off
     (254752, 0, 0, 0, 0, 0),                      // er 4-star on
     (254752, 0, 0, 0, 0, 0),                      // er 4-star off
-    (42, 272352, 24, 4157, 14, 6398),             // er house on
-    (42, 465112, 24, 0, 20, 10549),               // er house off
-    (9519, 36720, 12, 1332, 0, 795),              // rmat triangle on
-    (9519, 124548, 12, 0, 0, 2127),               // rmat triangle off
-    (271380, 80040, 24, 43488, 0, 1413),          // rmat 4-cycle on
-    (271380, 674176, 24, 0, 24845, 20056),        // rmat 4-cycle off
-    (22236, 36720, 12, 8509, 0, 795),             // rmat 4-clique on
-    (22236, 276640, 24, 0, 2520, 6784),           // rmat 4-clique off
-    (4719332, 63760, 12, 1332, 0, 795),           // rmat 4-path on
-    (4719332, 269244, 12, 0, 0, 2127),            // rmat 4-path off
+    (42, 262996, 24, 3489, 0, 6760),              // er house on
+    (42, 394200, 24, 0, 0, 10249),                // er house off
+    (9519, 23624, 12, 1748, 0, 370),              // rmat triangle on
+    (9519, 111852, 12, 0, 0, 2118),               // rmat triangle off
+    (271380, 74400, 24, 89118, 0, 1009),          // rmat 4-cycle on
+    (271380, 687532, 29, 0, 73510, 16617),        // rmat 4-cycle off
+    (22236, 23624, 12, 8770, 0, 370),             // rmat 4-clique on
+    (22236, 111852, 12, 0, 7022, 2118),           // rmat 4-clique off
+    (4719332, 61320, 12, 1289, 0, 829),           // rmat 4-path on
+    (4719332, 198776, 12, 0, 0, 2118),            // rmat 4-path off
     (3927740, 0, 0, 0, 0, 0),                     // rmat 4-star on
     (3927740, 0, 0, 0, 0, 0),                     // rmat 4-star off
-    (21397141, 314348, 201, 991299, 5340, 8293),  // rmat house on
-    (21397141, 12050312, 201, 0, 711530, 293402), // rmat house off
+    (21397141, 258852, 162, 794578, 4121, 6481),  // rmat house on
+    (21397141, 12202688, 162, 0, 577819, 227361), // rmat house off
 ];
 
 #[test]
