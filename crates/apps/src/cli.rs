@@ -1583,6 +1583,7 @@ mod tests {
         assert!(parse_pattern("clique").is_err());
         assert!(parse_pattern("edges:0-").is_err());
         assert!(parse_pattern("edges:0-1,5-6").is_err()); // disconnected
+        assert_eq!(parse_pattern("edges:0-1,1-1").unwrap_err(), "edge (1, 1) is a self-loop");
     }
 
     #[test]

@@ -192,6 +192,12 @@ fn gpm_exits_2_on_a_usage_error_and_1_on_a_failure() {
         assert_eq!(code, Some(2), "{args:?}: {err}");
         assert!(err.contains(hint), "{args:?}: {err}");
     }
+    // A pattern that cannot be built says why: a self-loop is not an
+    // endpoint out of range.
+    let (code, _, err) = gpm(&["count", "--gen", "er:100,500", "--pattern", "edges:0-0"]);
+    assert_eq!(code, Some(2), "{err}");
+    assert!(err.starts_with("error: edge (0, 0) is a self-loop\n"), "{err}");
+    assert!(err.contains(hint) && !err.contains("out of range"), "{err}");
     // A command that ran and failed: status 1, and no hint.
     let dir = std::env::temp_dir().join(format!("gpm-exit-status-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();

@@ -20,9 +20,12 @@
 //!
 //! Entries hand out `Arc<Entry>` so an evicted list stays alive while any
 //! extendable embedding still references it — eviction can never dangle a
-//! task's data. A hot list ([`set_ops::is_hot`]) is admitted with its
-//! bitmap, built once at admission; the capacity budget counts list bytes
-//! only, so the bitmaps change nothing about which lists are admitted.
+//! task's data. A hot list ([`set_ops::is_hot`] of the list as cut, so a
+//! hub's short window above a high bound is hot) is admitted with its
+//! bitmap, built once at admission over the ids above its cut. The
+//! capacity budget counts list bytes only, so the bitmaps change nothing
+//! about which lists are admitted; no bitmap is larger than its list (and
+//! a word), so they at most double what the cache holds.
 
 use gpm_graph::partition::vertex_hash;
 use gpm_graph::set_ops::{self, Bits, Side};
@@ -84,7 +87,7 @@ impl CacheConfig {
 }
 
 /// One cached edge list, with the bound it was fetched above and its
-/// bitmap when the list is hot.
+/// bitmap when the list is hot, which covers the ids above that bound.
 #[derive(Debug)]
 pub struct Entry {
     list: Box<[VertexId]>,
@@ -95,12 +98,12 @@ pub struct Entry {
 }
 
 impl Entry {
-    /// `list`, cut above `above`, with its bitmap over `vertices` ids if it
-    /// is hot.
+    /// `list`, cut above `above`, with its bitmap if it is hot in a graph
+    /// of `vertices` ids.
     fn new(list: &[VertexId], above: Option<VertexId>, vertices: Option<usize>) -> Entry {
         let mut words = Vec::new();
-        if let Some(vertices) = vertices.filter(|&n| set_ops::is_hot(list.len(), n)) {
-            set_ops::push_bitmap(list, vertices, &mut words);
+        if let Some(vertices) = vertices.filter(|&n| set_ops::is_hot(list.len(), above, n)) {
+            set_ops::push_bitmap(list, above, vertices, &mut words);
         }
         Entry { list: list.into(), above, words: words.into() }
     }
@@ -630,6 +633,27 @@ mod tests {
             c.clear();
             assert_eq!(c.bitmap_bytes(), 0);
         }
+    }
+
+    #[test]
+    fn a_window_above_a_high_bound_is_cached_with_a_bitmap_of_its_span() {
+        // |V| = 100. Two ids cut above 96 can only be among 97..100: the
+        // window is hot, and its bitmap is the one word that holds them.
+        // Two ids cut above 5 span 94 ids, more than 2 × 32: no bitmap.
+        let cfg = CacheConfig {
+            capacity_per_machine: 4096,
+            degree_threshold: 1,
+            ..CacheConfig::default()
+        };
+        let c = SharedCache::for_part(&cfg, 1, 100, 0);
+        assert!(c.offer(95, &[97, 99], Some(96)));
+        assert!(c.offer(4, &[20, 40], Some(5)));
+        let entry = c.lookup_above(95, Some(96)).unwrap();
+        assert_eq!(entry.above, Some(96));
+        let bits = entry.side().bits.expect("a hot window carries its bitmap");
+        assert!(bits.contains(97) && !bits.contains(98) && bits.contains(99));
+        assert!(c.lookup_above(4, Some(5)).unwrap().side().bits.is_none());
+        assert_eq!((c.bytes(), c.bitmap_bytes()), (16, 8));
     }
 
     #[test]

@@ -226,7 +226,9 @@ pub(crate) struct Chunk {
     /// reply moves its payload in.
     pub segments: Vec<Vec<VertexId>>,
     /// The hot lists among this fill's fetched ones, by [`ListRef::Hot`]
-    /// index: one per claimant, which its peers read through it.
+    /// index: one per claimant, which its peers read through it. A bitmap
+    /// covers the ids above its list's cut and is no larger than the list
+    /// (and a word), so a fill's bitmaps never outweigh what it fetched.
     pub hot: Vec<HotList>,
     /// Arena of their bitmaps.
     pub bitmaps: Vec<u64>,
@@ -328,8 +330,8 @@ impl Chunk {
 
     /// Where the fetched `list` — the span `(seg, start)` of a reply this
     /// chunk is adopting, asked for above `above` — lives: a plain span,
-    /// or, if it is hot for a graph of `vertices` vertices, a [`HotList`]
-    /// with the bitmap built here.
+    /// or, if it is hot as cut for a graph of `vertices` vertices, a
+    /// [`HotList`] with the bitmap built here over the ids above the cut.
     pub fn home_fetched(
         &mut self,
         (seg, start): (u16, u32),
@@ -338,11 +340,11 @@ impl Chunk {
         vertices: usize,
     ) -> ListRef {
         let len = list.len() as u32;
-        if !set_ops::is_hot(list.len(), vertices) {
+        if !set_ops::is_hot(list.len(), above, vertices) {
             return ListRef::Fetched { seg, start, len };
         }
         let at = self.bitmaps.len() as u32;
-        set_ops::push_bitmap(list, vertices, &mut self.bitmaps);
+        set_ops::push_bitmap(list, above, vertices, &mut self.bitmaps);
         let words = (at, self.bitmaps.len() as u32 - at);
         self.hot.push(HotList { seg, start, len, above, words });
         ListRef::Hot(self.hot.len() as u32 - 1)
@@ -483,19 +485,32 @@ mod tests {
 
     #[test]
     fn a_hot_fetched_list_gets_its_bitmap_in_the_chunk_and_goes_with_it() {
-        // |V| = 96: three entries make a list hot.
+        // |V| = 96: a whole list of three entries is hot, and so is one
+        // cut above 4 (91 ids it can hold). A window of two ids cut above
+        // 70 can hold only 25 ids: it is hot too, with a bitmap of the one
+        // word that holds them. Two ids cut above 4, or one whole, are not.
         let mut c = Chunk::new(4);
-        let payload: Vec<VertexId> = vec![5, 9, 40, 41, 90, 7];
+        let payload: Vec<VertexId> = vec![5, 9, 40, 41, 90, 7, 71, 90, 5, 40];
         let seg = c.next_segment();
         let cut = c.home_fetched((seg, 0), &payload[..5], Some(4), 96);
-        let cold = c.home_fetched((seg, 5), &payload[5..], None, 96);
+        let cold = c.home_fetched((seg, 5), &payload[5..6], None, 96);
+        let high = c.home_fetched((seg, 6), &payload[6..8], Some(70), 96);
+        let low = c.home_fetched((seg, 8), &payload[8..], Some(4), 96);
         c.segments.push(payload);
         assert_eq!((cut, cold), (ListRef::Hot(0), ListRef::Fetched { seg, start: 5, len: 1 }));
+        assert_eq!((high, low), (ListRef::Hot(1), ListRef::Fetched { seg, start: 8, len: 2 }));
         let side = c.hot_list(0);
         assert_eq!(side.list, &[5, 9, 40, 41, 90]);
         let bits = side.bits.expect("a hot list carries its bitmap");
         assert!((5..96).all(|v| bits.contains(v) == side.list.contains(&v)));
-        assert_eq!(c.bitmaps.len(), 2);
+        let side = c.hot_list(1);
+        let bits = side.bits.expect("a hot window carries its bitmap");
+        assert!((71..96).all(|v| bits.contains(v) == side.list.contains(&v)));
+        // At or below the cut it holds nothing, and a debug build refuses
+        // the question.
+        #[cfg(debug_assertions)]
+        assert!(std::panic::catch_unwind(|| bits.contains(40)).is_err());
+        assert_eq!(c.bitmaps.len(), 3);
         c.clear();
         assert!(c.hot.is_empty() && c.bitmaps.is_empty(), "release drops the fill's bitmaps");
     }

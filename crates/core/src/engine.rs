@@ -1233,42 +1233,30 @@ mod tests {
         assert!(cut > 0, "no cache held a cut list");
     }
 
-    #[test]
-    fn hot_lists_probed_from_every_home_keep_counts_exact() {
-        // An R-MAT graph whose hubs are hot (degree × 32 ≥ 256: eight and
-        // up) and whose tail is cold, over 2 and 3 parts, with and without
-        // the share table, under no cache, a static cache that admits
-        // degree 16 and up (so hot lists of degree 8-15 are always
-        // fetched, cut above their bound) and a FIFO cache: the count is
-        // the oracle's, the visited multiset the interpreter's, and the
-        // walks were handed bitmaps of owned lists, of fetched lists and,
-        // wherever a cache admits, of cached ones.
-        let g = gen::rmat(8, 8, (0.57, 0.19, 0.19), 5);
-        let hot = |v| gpm_graph::set_ops::is_hot(g.degree(v) as usize, g.vertex_count());
-        let hubs = g.vertices().filter(|&v| hot(v)).count();
-        assert!(hubs > 10 && hubs < g.vertex_count() / 2, "{hubs} hot lists");
-        assert!(g.vertices().any(|v| hot(v) && g.degree(v) < 16));
+    /// Runs the triangle, 4-clique, 4-cycle and diamond over `g` on 2 and
+    /// 3 parts, with and without the share table, under each of `caches`:
+    /// the count must be the oracle's and the visited multiset the
+    /// interpreter's. Returns, per run, what it was and the bitmaps the
+    /// walks were handed with owned, cached and fetched lists.
+    fn bitmaps_by_home(g: &gpm_graph::Graph, caches: &[CacheConfig]) -> Vec<(String, [u64; 3])> {
         let patterns =
             [Pattern::triangle(), Pattern::clique(4), Pattern::cycle(4), Pattern::diamond()];
         let plans: Vec<_> = patterns
             .iter()
             .map(|p| {
                 let plan = plan(p);
-                let want = ranked_visits(&g, &plan);
-                assert_eq!(want.len() as u64, oracle::count_subgraphs(&g, p, false), "{p}");
+                let want = ranked_visits(g, &plan);
+                assert_eq!(want.len() as u64, oracle::count_subgraphs(g, p, false), "{p}");
                 (plan, want)
             })
             .collect();
+        let mut runs = Vec::new();
         for parts in [2, 3] {
             for horizontal_sharing in [true, false] {
-                for cache in [
-                    CacheConfig::disabled(),
-                    CacheConfig { degree_threshold: 16, ..CacheConfig::default() },
-                    CacheConfig { policy: CachePolicy::Fifo, ..CacheConfig::default() },
-                ] {
+                for &cache in caches {
                     let what = format!("{parts} parts, sharing {horizontal_sharing}, {cache:?}");
                     let engine = Engine::new(
-                        PartitionedGraph::new(&g, parts, 1),
+                        PartitionedGraph::new(g, parts, 1),
                         EngineConfig { horizontal_sharing, cache, ..EngineConfig::default() },
                     );
                     for (plan, want) in &plans {
@@ -1280,17 +1268,77 @@ mod tests {
                         seen.sort_unstable();
                         assert!(seen == *want, "visited multiset differs: {what}");
                     }
-                    let [owned, cached, fetched] =
-                        engine.run_pools.iter().fold([0; 3], |sum, pool| {
-                            let handed = pool.bitmaps_handed();
-                            [0, 1, 2].map(|home| sum[home] + handed[home])
-                        });
-                    let caches = cache.policy != CachePolicy::Disabled;
-                    assert!(owned > 0 && fetched > 0, "{owned} owned, {fetched} fetched: {what}");
-                    assert_eq!(cached > 0, caches, "{cached} cached: {what}");
+                    let handed = engine.run_pools.iter().fold([0; 3], |sum, pool| {
+                        let handed = pool.bitmaps_handed();
+                        [0, 1, 2].map(|home| sum[home] + handed[home])
+                    });
                     engine.shutdown();
+                    runs.push((what, handed));
                 }
             }
+        }
+        runs
+    }
+
+    #[test]
+    fn hot_lists_probed_from_every_home_keep_counts_exact() {
+        // An R-MAT graph whose hubs are hot (degree × 32 ≥ 256: eight and
+        // up) and whose tail is cold, under no cache, a static cache that
+        // admits degree 16 and up (so hot lists of degree 8-15 are always
+        // fetched, cut above their bound) and a FIFO cache small enough
+        // to evict while walks hold its lists: the walks were handed
+        // bitmaps of owned lists, of fetched lists and, wherever a cache
+        // admits, of cached ones.
+        let g = gen::rmat(8, 8, (0.57, 0.19, 0.19), 5);
+        let hot = |v| gpm_graph::set_ops::is_hot(g.degree(v) as usize, None, g.vertex_count());
+        let hubs = g.vertices().filter(|&v| hot(v)).count();
+        assert!(hubs > 10 && hubs < g.vertex_count() / 2, "{hubs} hot lists");
+        assert!(g.vertices().any(|v| hot(v) && g.degree(v) < 16));
+        let caches = [
+            CacheConfig::disabled(),
+            CacheConfig { degree_threshold: 16, ..CacheConfig::default() },
+            CacheConfig {
+                policy: CachePolicy::Fifo,
+                capacity_per_machine: 1024,
+                degree_threshold: 1,
+            },
+        ];
+        for (what, [owned, cached, fetched]) in bitmaps_by_home(&g, &caches) {
+            let caches = !what.contains("Disabled");
+            assert!(owned > 0 && fetched > 0, "{owned} owned, {fetched} fetched: {what}");
+            assert_eq!(cached > 0, caches, "{cached} cached: {what}");
+        }
+    }
+
+    #[test]
+    fn windows_above_a_high_bound_are_probed_where_no_whole_list_is_hot() {
+        // K20 on top of a sparse random graph of 1024 vertices: no list is
+        // hot whole (degree × 32 < 1024), but once ranked the clique holds
+        // the top ids, so a member's window cut above another member can
+        // hold at most 19 ids and is hot from one entry up. Those windows,
+        // fetched and cached, are probed through bitmaps of their own span;
+        // the FIFO cache is small enough to evict while walks hold them.
+        let mut b = gpm_graph::GraphBuilder::new(1024);
+        b.extend_edges(gen::erdos_renyi(1024, 1500, 9).edges());
+        for u in 0..20 {
+            b.extend_edges((u + 1..20).map(|v| (u, v)));
+        }
+        let g = b.build();
+        let n = g.vertex_count();
+        assert!(g.vertices().all(|v| !gpm_graph::set_ops::is_hot(g.degree(v) as usize, None, n)));
+        let caches = [
+            CacheConfig::disabled(),
+            CacheConfig { degree_threshold: 16, ..CacheConfig::default() },
+            CacheConfig {
+                policy: CachePolicy::Fifo,
+                capacity_per_machine: 256,
+                degree_threshold: 1,
+            },
+        ];
+        for (what, [owned, cached, fetched]) in bitmaps_by_home(&g, &caches) {
+            let caches = !what.contains("Disabled");
+            assert!(owned == 0 && fetched > 0, "{owned} owned, {fetched} fetched: {what}");
+            assert_eq!(cached > 0, caches, "{cached} cached: {what}");
         }
     }
 

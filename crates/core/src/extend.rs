@@ -18,7 +18,7 @@ use crate::runtime::{PartCtx, PartRun};
 use crate::scheduler::{Task, TaskPool, MINI_BATCH};
 use gpm_cluster::Counter;
 use gpm_graph::partition::vertex_hash;
-use gpm_graph::set_ops::Bits;
+use gpm_graph::set_ops::{self, Bits, Side};
 use gpm_graph::{Label, VertexId};
 use gpm_obs::{Metric, SpanKind};
 use gpm_pattern::interp::{self, DataSource, Walk};
@@ -259,13 +259,11 @@ impl Worker<'_, '_, '_> {
     ) -> Option<u32> {
         let (ctx, cur) = (self.ctx, self.cur);
         let plan = ctx.plan;
-        let vertices = ctx.part.vertex_count();
         let mut lists = Lists {
             ctx,
             read: self.read,
             chain: [0; MAX_PATTERN_VERTICES],
             depth: cur,
-            vertices,
             child: Cell::new(None),
         };
         let mut matched = [0 as VertexId; MAX_PATTERN_VERTICES];
@@ -417,7 +415,10 @@ pub(crate) struct Scratch {
 ///
 /// A hot list's bitmap comes from whichever of the three places a list
 /// lives holds it: the part, for its own lists; the cache entry the list
-/// was admitted as; or the chunk whose fill fetched it.
+/// was admitted as; or the chunk whose fill fetched it. The cache and the
+/// fill ask the hot rule of the window they hold, cut above its bound, so
+/// the walk reads their choice off a held list's home; only an owned list
+/// costs it a compare of the length.
 struct Lists<'a, 'e> {
     ctx: &'a PartCtx<'e>,
     read: &'a [Chunk],
@@ -425,37 +426,23 @@ struct Lists<'a, 'e> {
     chain: [u32; MAX_PATTERN_VERTICES],
     /// Position of the parked embedding's own vertex.
     depth: usize,
-    /// `|V|`, which the hot rule compares each list's length with.
-    vertices: usize,
     /// The embedding of chunk `depth` holding the list of the child
     /// walked in place; `None` while that list is this part's.
     child: Cell<Option<u32>>,
 }
 
 impl DataSource for Lists<'_, '_> {
-    #[inline]
-    fn list(&self, pos: usize, v: VertexId) -> &[VertexId] {
-        match self.held(pos) {
-            Some((chunk, e)) => resolve_ref(self.ctx, chunk, e),
-            None => self.ctx.part.edge_list(v).expect("a child walked in place is owned here"),
-        }
-    }
-
-    fn bits(&self, pos: usize, v: VertexId) -> Option<Bits<'_>> {
-        let bits = match self.held(pos) {
-            Some((chunk, e)) => resolve_bits(self.ctx, chunk, e),
-            None => self.ctx.part.bits(v),
+    #[inline(always)]
+    fn side(&self, pos: usize, v: VertexId) -> Side<'_> {
+        let side = match self.held(pos) {
+            Some((chunk, e)) => resolve_side(self.ctx, chunk, e),
+            None => owned_side(self.ctx, v),
         };
         #[cfg(test)]
-        if bits.is_some() {
+        if side.bits.is_some() {
             self.ctx.pool.tally_bitmap(self.home(pos));
         }
-        bits
-    }
-
-    #[inline]
-    fn vertices(&self) -> usize {
-        self.vertices
+        side
     }
 
     #[inline]
@@ -518,34 +505,41 @@ fn ancestor_chain(
     }
 }
 
-/// The edge list `e` (an embedding of `chunk`) was resolved to.
-fn resolve_ref<'a>(ctx: &'a PartCtx<'_>, chunk: &'a Chunk, e: &Emb) -> &'a [VertexId] {
+/// The edge list `e` (an embedding of `chunk`) was resolved to, with the
+/// bitmap the place it lives keeps: the part for an owned list, the cache
+/// entry, or the chunk whose fill fetched it (a peer reads its
+/// claimant's).
+#[inline]
+fn resolve_side<'a>(ctx: &'a PartCtx<'_>, chunk: &'a Chunk, e: &Emb) -> Side<'a> {
+    let e = match e.list {
+        ListRef::Peer(j) => &chunk.embs[j as usize],
+        _ => e,
+    };
     match e.list {
-        ListRef::Local => ctx.part.edge_list(e.vertex).expect("local vertex owned by this part"),
-        ListRef::Cached(pin) => chunk.pinned(pin).list,
-        ListRef::Fetched { seg, start, len } => chunk.fetched(seg, start, len),
-        ListRef::Hot(i) => chunk.hot_list(i).list,
-        ListRef::Peer(j) => {
-            let peer = &chunk.embs[j as usize];
-            debug_assert!(!matches!(peer.list, ListRef::Peer(_)), "peer chains are length 1");
-            resolve_ref(ctx, chunk, peer)
-        }
+        ListRef::Local => owned_side(ctx, e.vertex),
+        ListRef::Cached(pin) => chunk.pinned(pin),
+        ListRef::Fetched { seg, start, len } => Side::plain(chunk.fetched(seg, start, len)),
+        ListRef::Hot(i) => chunk.hot_list(i),
+        ListRef::Peer(_) => panic!("peer chains are length 1"),
         ListRef::Pending(_) => panic!("extension reached an unresolved edge list"),
         ListRef::None => panic!("extension requested an inactive vertex's list"),
     }
 }
 
-/// The bitmap of that list, where the place it lives keeps one: the part
-/// for an owned list, the cache entry, or the chunk whose fill fetched it
-/// (a peer reads its claimant's).
-fn resolve_bits<'a>(ctx: &'a PartCtx<'_>, chunk: &'a Chunk, e: &Emb) -> Option<Bits<'a>> {
-    match e.list {
-        ListRef::Local => ctx.part.bits(e.vertex),
-        ListRef::Cached(pin) => chunk.pinned(pin).bits,
-        ListRef::Hot(i) => chunk.hot_list(i).bits,
-        ListRef::Peer(j) => resolve_bits(ctx, chunk, &chunk.embs[j as usize]),
-        ListRef::Fetched { .. } | ListRef::Pending(_) | ListRef::None => None,
-    }
+/// This part's list of `v`, with its bitmap if it is hot: a whole list, so
+/// a cold one costs a compare of its length and no lookup.
+#[inline]
+fn owned_side<'a>(ctx: &'a PartCtx<'_>, v: VertexId) -> Side<'a> {
+    let list = ctx.part.edge_list(v).expect("an owned list is this part's");
+    let hot = set_ops::is_hot(list.len(), None, ctx.part.vertex_count());
+    Side { list, bits: if hot { owned_bits(ctx, v) } else { None } }
+}
+
+/// Out of line: asked for hot lists only, and a walk's per-list path must
+/// stay small enough to inline.
+#[inline(never)]
+fn owned_bits<'a>(ctx: &'a PartCtx<'_>, v: VertexId) -> Option<Bits<'a>> {
+    ctx.part.bits(v)
 }
 
 #[cfg(test)]

@@ -109,7 +109,7 @@ impl Graph {
     /// none builds nothing.
     #[inline]
     pub fn bits(&self, v: VertexId) -> Option<Bits<'_>> {
-        if set_ops::is_hot(self.degree(v) as usize, self.vertex_count()) {
+        if set_ops::is_hot(self.degree(v) as usize, None, self.vertex_count()) {
             self.hot_bits(v)
         } else {
             None

@@ -722,7 +722,7 @@ mod tests {
         let input = gen::barabasi_albert(320, 3, 11);
         let pg = PartitionedGraph::new(&input, 2, 1);
         let g = rank_by_degree(&input).0;
-        let hot = |v: VertexId| crate::set_ops::is_hot(g.degree(v) as usize, 320);
+        let hot = |v: VertexId| crate::set_ops::is_hot(g.degree(v) as usize, None, 320);
         assert!(g.vertices().any(hot) && !g.vertices().all(hot));
         for p in 0..2 {
             let part = pg.part(p);

@@ -35,65 +35,88 @@ pub fn clamp(list: &[VertexId], lo: Option<VertexId>, hi: Option<VertexId>) -> &
     }
 }
 
-/// A list is *hot* when a bitmap of it over the vertex-id space — a bit per
-/// vertex — is no larger than the list itself, 32 bits per entry.
+/// A list is *hot* when a bitmap over the ids it can hold — a bit per id —
+/// is no larger than the list itself, 32 bits per entry.
 pub const HOT_RATIO: usize = 32;
 
-/// The hot rule, `len × 32 ≥ |V|`: whether a holder keeps a bitmap beside a
-/// list of `len` entries of a graph of `vertices` vertices. Every holder —
-/// a graph, a part, the cache, a chunk's fetched lists — asks this one
-/// function, about the length of the list it has in hand.
+/// The first id a list cut above `above` can hold: 0 for a whole list.
 #[inline]
-pub fn is_hot(len: usize, vertices: usize) -> bool {
-    len * HOT_RATIO >= vertices
+fn first_id(above: Option<VertexId>) -> usize {
+    above.map_or(0, |above| above as usize + 1)
 }
 
-/// Words of a bitmap over `vertices` ids.
+/// The hot rule, `len × 32 ≥ span`: whether a holder keeps a bitmap beside
+/// a list of `len` entries that holds the ids of its vertex's whole list
+/// above `above` (`None`: all of them), in a graph of `vertices` vertices.
+/// The span is the ids such a list can hold, from the cut to `|V|`: `|V|`
+/// for a whole list, fewer for a window a fetch cut. The bitmap covers
+/// that span only, so it is never larger than the list (and a word), and
+/// a hub's short window above a high bound is as hot as its whole list.
+/// Every holder — a graph, a part, the cache, a chunk's fetched lists —
+/// asks this one function, of the list it has in hand.
 #[inline]
-fn bitmap_words(vertices: usize) -> usize {
-    vertices.div_ceil(64)
+pub fn is_hot(len: usize, above: Option<VertexId>, vertices: usize) -> bool {
+    len > 0 && len * HOT_RATIO >= vertices.saturating_sub(first_id(above))
 }
 
-/// Appends to `words` the bitmap of `list` over `vertices` ids:
-/// `bitmap_words` words, bit `v` set for every `v` in the list.
-pub fn push_bitmap(list: &[VertexId], vertices: usize, words: &mut Vec<u64>) {
-    let base = words.len();
-    words.resize(base + bitmap_words(vertices), 0);
+/// Words of a bitmap over the ids from `first_id(above)` to `vertices`,
+/// whole words from the one that holds the first.
+#[inline]
+fn bitmap_words(above: Option<VertexId>, vertices: usize) -> usize {
+    vertices.div_ceil(64).saturating_sub(first_id(above) >> 6)
+}
+
+/// Appends to `words` the bitmap of `list`, cut above `above`, over the
+/// ids it can hold: `bitmap_words` words, bit `v` set (counted from the
+/// word that holds the first id) for every `v` in the list.
+pub fn push_bitmap(
+    list: &[VertexId],
+    above: Option<VertexId>,
+    vertices: usize,
+    words: &mut Vec<u64>,
+) {
+    let (base, first) = (words.len(), first_id(above) >> 6);
+    words.resize(base + bitmap_words(above, vertices), 0);
     let map = &mut words[base..];
     for &v in list {
-        map[v as usize >> 6] |= 1 << (v & 63);
+        map[(v as usize >> 6) - first] |= 1 << (v & 63);
     }
 }
 
 /// A bitmap of one list, borrowed from its holder: bit `v` is set iff `v`
 /// is in the list. A list fetched cut above a bound builds a bitmap that
-/// answers only above it — which is all any reader asks, because every
-/// probed id is a member of a window whose lower bound is at least the
-/// fetch bound.
+/// covers only the ids above it — which is all any reader asks, because
+/// every probed id is a member of a window whose lower bound is at least
+/// the fetch bound.
 #[derive(Debug, Clone, Copy)]
 pub struct Bits<'a> {
     words: &'a [u64],
-    above: Option<VertexId>,
+    /// The first id the list can hold: its cut plus one, 0 when whole.
+    lo: VertexId,
+    /// The word of the id space that `words[0]` is.
+    first: u32,
 }
 
 impl<'a> Bits<'a> {
-    /// The bitmap in `words`, of a list that holds every id of the whole
-    /// list above `above` (`None`: the whole list).
+    /// The bitmap in `words` ([`push_bitmap`] of the same `above`), of a
+    /// list that holds every id of the whole list above `above` (`None`:
+    /// the whole list).
     #[inline]
     pub fn new(words: &'a [u64], above: Option<VertexId>) -> Self {
-        Bits { words, above }
+        let lo = first_id(above) as VertexId;
+        Bits { words, lo, first: lo >> 6 }
     }
 
     #[inline]
     fn bit(self, v: VertexId) -> usize {
-        (self.words[v as usize >> 6] >> (v & 63) & 1) as usize
+        (self.words[(v >> 6) as usize - self.first as usize] >> (v & 63) & 1) as usize
     }
 
     /// Whether `v` is in the list. `v` must be above the bound the list
     /// was cut at.
     #[inline]
     pub fn contains(self, v: VertexId) -> bool {
-        debug_assert!(self.covers(v), "{v} is not above the cut at {:?}", self.above);
+        debug_assert!(self.covers(v), "{v} is below {}, the first id the list holds", self.lo);
         self.bit(v) == 1
     }
 
@@ -101,13 +124,13 @@ impl<'a> Bits<'a> {
     /// list does: `v` is above the cut.
     #[inline]
     fn covers(self, v: VertexId) -> bool {
-        self.above.is_none_or(|above| v > above)
+        v >= self.lo
     }
 
     /// Whether it covers every id above `lo` (every id, for `None`).
     #[inline]
     fn covers_above(self, lo: Option<VertexId>) -> bool {
-        self.above.is_none_or(|above| lo.is_some_and(|lo| lo >= above))
+        self.lo == 0 || lo.is_some_and(|lo| lo >= self.lo - 1)
     }
 }
 
@@ -158,17 +181,17 @@ impl HotLists {
         lists: impl ExactSizeIterator<Item = &'a [VertexId]>,
     ) -> HotLists {
         let keys = lists.len();
-        let mut hot = HotLists { stride: bitmap_words(vertices), ..HotLists::default() };
+        let mut hot = HotLists { stride: bitmap_words(None, vertices), ..HotLists::default() };
         if vertices == 0 {
             return hot;
         }
         for (key, list) in lists.enumerate() {
-            if is_hot(list.len(), vertices) {
+            if is_hot(list.len(), None, vertices) {
                 if hot.slot.is_empty() {
                     hot.slot = vec![HotLists::COLD; keys];
                 }
                 hot.slot[key] = hot.len() as u32;
-                push_bitmap(list, vertices, &mut hot.words);
+                push_bitmap(list, None, vertices, &mut hot.words);
             }
         }
         hot
@@ -304,7 +327,7 @@ pub fn intersect_into(a: &[VertexId], b: &[VertexId], out: &mut Vec<VertexId>) {
 /// use gpm_graph::set_ops::{push_bitmap, intersect_sides_into, Bits, Side};
 /// let hot = [1, 2, 3, 5, 8];
 /// let mut words = Vec::new();
-/// push_bitmap(&hot, 10, &mut words);
+/// push_bitmap(&hot, None, 10, &mut words);
 /// let hot = Side { list: &hot, bits: Some(Bits::new(&words, None)) };
 /// let mut out = Vec::new();
 /// intersect_sides_into(hot, Side::plain(&[0, 2, 5, 8, 9]), Some(2), None, &mut out);
@@ -390,7 +413,7 @@ pub fn merge_intersect_count(a: &[VertexId], b: &[VertexId]) -> usize {
 /// ```
 /// use gpm_graph::set_ops::{probe_count, probe_into, push_bitmap, Bits};
 /// let mut words = Vec::new();
-/// push_bitmap(&[3, 64, 65, 99], 100, &mut words);
+/// push_bitmap(&[3, 64, 65, 99], None, 100, &mut words);
 /// let mut out = vec![7];
 /// probe_into(&[1, 3, 65, 98, 99], Bits::new(&words, None), &mut out);
 /// assert_eq!(out, vec![7, 3, 65, 99]);
@@ -995,8 +1018,8 @@ mod tests {
                 let (lo, hi) = (id(&mut draw).max(above), id(&mut draw));
                 let held = clamp(&hot, above, None);
                 let (mut hot_words, mut other_words) = (Vec::new(), Vec::new());
-                push_bitmap(held, vertices, &mut hot_words);
-                push_bitmap(&other, vertices, &mut other_words);
+                push_bitmap(held, above, vertices, &mut hot_words);
+                push_bitmap(&other, None, vertices, &mut other_words);
                 let bits = Bits::new(&hot_words, above);
                 let (a, b) = (clamp(&hot, lo, hi), clamp(&other, lo, hi));
                 let mut expect = Vec::new();
@@ -1032,7 +1055,7 @@ mod tests {
     fn a_side_with_a_bitmap_is_probed_and_its_list_never_scanned() {
         let hot: Vec<VertexId> = (0..200).collect();
         let mut words = Vec::new();
-        push_bitmap(&hot, 256, &mut words);
+        push_bitmap(&hot, None, 256, &mut words);
         let bits = Some(Bits::new(&words, None));
         let hot_side = Side { list: &hot, bits };
         let cold = Side::plain(&[3, 50, 70]);
@@ -1049,14 +1072,25 @@ mod tests {
 
     #[test]
     fn the_hot_rule_and_where_the_bitmaps_live() {
-        assert!(is_hot(32, 1024) && !is_hot(31, 1024) && is_hot(1, 32) && !is_hot(0, 1));
+        assert!(is_hot(32, None, 1024) && !is_hot(31, None, 1024) && is_hot(1, None, 32));
+        assert!(!is_hot(0, None, 1) && !is_hot(0, Some(0), 1));
+        // A window cut above 959 of |V| = 1024 spans 64 ids: two make it
+        // hot, and its bitmap is the one word that holds them.
+        assert!(is_hot(2, Some(959), 1024) && !is_hot(1, Some(959), 1024));
+        let mut words = vec![7];
+        push_bitmap(&[960, 1023], Some(959), 1024, &mut words);
+        assert_eq!(words, [7, 1 | 1 << 63]);
+        let bits = Bits::new(&words[1..], Some(959));
+        assert!(bits.contains(960) && bits.contains(1023) && !bits.contains(1000));
+        // Its word holds ids from 960; a cut above 900 starts at 896.
+        assert_eq!((bitmap_words(Some(959), 1024), bitmap_words(Some(900), 1024)), (1, 2));
         let lists: [&[VertexId]; 4] = [&[1, 2], &[0], &[], &[0, 1, 2, 3]];
         // |V| = 64: a list of two or more entries is hot.
         let hot = HotLists::build(64, lists.iter().copied());
         assert_eq!((hot.len(), hot.size_bytes()), (2, 4 * 4 + 2 * 8));
         for (key, list) in lists.iter().enumerate() {
             let bits = hot.get(key);
-            assert_eq!(bits.is_some(), is_hot(list.len(), 64), "{key}");
+            assert_eq!(bits.is_some(), is_hot(list.len(), None, 64), "{key}");
             if let Some(bits) = bits {
                 assert!((0..64).all(|v| bits.contains(v) == list.contains(&v)), "{key}");
             }

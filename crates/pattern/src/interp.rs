@@ -11,7 +11,7 @@
 
 use crate::plan::{LevelPlan, MatchingPlan, PairMode, Positions};
 use crate::MAX_PATTERN_VERTICES;
-use gpm_graph::set_ops::{self, Bits, Side};
+use gpm_graph::set_ops::Side;
 use gpm_graph::{Graph, Label, VertexId};
 
 /// Where a walk's data lives: the executor's half of the plan/executor
@@ -19,44 +19,22 @@ use gpm_graph::{Graph, Label, VertexId};
 /// source hands over the lists, the bitmaps of the hot ones it keeps, and
 /// labels.
 pub trait DataSource {
-    /// The edge list of `v`, the vertex matched at position `pos`.
-    fn list(&self, pos: usize, v: VertexId) -> &[VertexId];
-    /// The bitmap of that list, asked for only when it is hot
-    /// ([`set_ops::is_hot`]); `None` where the source keeps none.
-    fn bits(&self, pos: usize, v: VertexId) -> Option<Bits<'_>>;
-    /// `|V|`, the id space of the lists: what the hot rule compares with.
-    fn vertices(&self) -> usize;
+    /// The edge list of `v`, the vertex matched at position `pos`, with
+    /// its bitmap where the holder keeps one ([`gpm_graph::set_ops::is_hot`]
+    /// of the list in hand), as a plain level reads it: a cold list must
+    /// cost a compare and no lookup. Inline it always, so that the list
+    /// comes back in registers.
+    fn side(&self, pos: usize, v: VertexId) -> Side<'_>;
     /// `v`'s label, on a labeled graph.
     fn label(&self, v: VertexId) -> Option<Label>;
-
-    /// The list with its bitmap where it is hot, as a plain level reads
-    /// it: the length in hand decides, so a cold list costs a compare and
-    /// no lookup. Inlined always, so that the list comes back in
-    /// registers and the compare is the caller's.
-    #[inline(always)]
-    fn side(&self, pos: usize, v: VertexId) -> Side<'_> {
-        let list = self.list(pos, v);
-        let hot = set_ops::is_hot(list.len(), self.vertices());
-        Side { list, bits: if hot { self.bits(pos, v) } else { None } }
-    }
 }
 
 impl DataSource for Graph {
-    #[inline]
-    fn list(&self, _pos: usize, v: VertexId) -> &[VertexId] {
-        self.neighbors(v)
-    }
-
-    // Out of line: asked for hot lists only, and a walk's per-list path
-    // must stay small enough to inline.
-    #[inline(never)]
-    fn bits(&self, _pos: usize, v: VertexId) -> Option<Bits<'_>> {
-        Graph::bits(self, v)
-    }
-
-    #[inline]
-    fn vertices(&self) -> usize {
-        self.vertex_count()
+    /// A whole list, whose bitmap [`Graph::bits`] finds past a compare of
+    /// the degree.
+    #[inline(always)]
+    fn side(&self, _pos: usize, v: VertexId) -> Side<'_> {
+        Side { list: self.neighbors(v), bits: self.bits(v) }
     }
 
     fn label(&self, v: VertexId) -> Option<Label> {

@@ -13,6 +13,8 @@ pub enum PatternError {
     Empty,
     /// An edge endpoint is out of `0..n`.
     BadEdge(usize, usize),
+    /// An edge joins a vertex to itself.
+    SelfLoop(usize),
     /// The pattern is not connected (GPM patterns must be).
     Disconnected,
     /// Label array length does not match the vertex count.
@@ -32,6 +34,7 @@ impl fmt::Display for PatternError {
             }
             PatternError::Empty => write!(f, "pattern must have at least one vertex"),
             PatternError::BadEdge(u, v) => write!(f, "edge ({u}, {v}) is out of range"),
+            PatternError::SelfLoop(u) => write!(f, "edge ({u}, {u}) is a self-loop"),
             PatternError::Disconnected => write!(f, "pattern must be connected"),
             PatternError::BadLabels { expected, got } => {
                 write!(f, "expected {expected} labels, got {got}")
@@ -72,8 +75,7 @@ impl Pattern {
     /// # Errors
     ///
     /// Returns an error if the pattern is empty, too large, has an
-    /// out-of-range edge, or is disconnected. Self-loops are rejected as
-    /// [`PatternError::BadEdge`].
+    /// out-of-range edge or a self-loop, or is disconnected.
     pub fn from_edges(n: usize, edges: &[(usize, usize)]) -> Result<Pattern, PatternError> {
         if n == 0 {
             return Err(PatternError::Empty);
@@ -83,8 +85,11 @@ impl Pattern {
         }
         let mut adj = [0u8; MAX_PATTERN_VERTICES];
         for &(u, v) in edges {
-            if u >= n || v >= n || u == v {
+            if u >= n || v >= n {
                 return Err(PatternError::BadEdge(u, v));
+            }
+            if u == v {
+                return Err(PatternError::SelfLoop(u));
             }
             adj[u] |= 1 << v;
             adj[v] |= 1 << u;
@@ -344,7 +349,9 @@ mod tests {
         assert_eq!(Pattern::from_edges(0, &[]), Err(PatternError::Empty));
         assert_eq!(Pattern::from_edges(9, &[]), Err(PatternError::TooLarge(9)));
         assert_eq!(Pattern::from_edges(3, &[(0, 3)]), Err(PatternError::BadEdge(0, 3)));
-        assert_eq!(Pattern::from_edges(2, &[(1, 1)]), Err(PatternError::BadEdge(1, 1)));
+        assert_eq!(Pattern::from_edges(2, &[(1, 1)]), Err(PatternError::SelfLoop(1)));
+        assert_eq!(PatternError::BadEdge(0, 3).to_string(), "edge (0, 3) is out of range");
+        assert_eq!(PatternError::SelfLoop(1).to_string(), "edge (1, 1) is a self-loop");
         assert_eq!(Pattern::from_edges(3, &[(0, 1)]), Err(PatternError::Disconnected));
         assert!(Pattern::triangle().with_labels(vec![1]).is_err());
     }
