@@ -311,20 +311,13 @@ impl Cluster {
                 compute_threads: self.threads,
                 fabric,
                 obs,
-                steal: StealConfig {
-                    enabled: self.steal,
-                    batch: self.steal_batch,
-                    ..StealConfig::default()
-                },
+                steal: StealConfig { enabled: self.steal, batch: self.steal_batch },
                 control: ControlConfig { mode: self.control },
                 incident: IncidentConfig {
                     dir: self.incident_dir.clone().map(Into::into),
                     stall: self.stall_ms.map(Duration::from_millis),
                 },
-                rebalance: RebalanceConfig {
-                    enabled: self.rebalance,
-                    ..RebalanceConfig::default()
-                },
+                rebalance: RebalanceConfig { enabled: self.rebalance },
                 ..EngineConfig::default()
             },
         )

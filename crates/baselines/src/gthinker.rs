@@ -99,6 +99,7 @@ impl GThinker {
             None,
             FabricConfig::default(),
             Arc::clone(&self.recorder),
+            false,
         );
         let total = AtomicU64::new(0);
         let t0 = Instant::now();

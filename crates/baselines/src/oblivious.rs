@@ -5,12 +5,12 @@
 //! isomorphism check on each, while pattern-aware systems construct only
 //! matching embeddings. This module implements the oblivious approach —
 //! the ESU (Wernicke) algorithm enumerating every connected induced
-//! k-vertex subgraph exactly once, plus per-class isomorphism counting —
-//! so the repository can regenerate the motivation: pattern-aware
+//! k-vertex subgraph exactly once and sorting it into its isomorphism
+//! class — so the repository can regenerate the motivation: pattern-aware
 //! enumeration wins by orders of magnitude on anything non-trivial.
 
 use gpm_graph::{Graph, VertexId};
-use gpm_pattern::{iso, oracle, Pattern};
+use gpm_pattern::{iso, Pattern};
 use std::collections::HashMap;
 
 /// Census of connected induced `k`-subgraphs by isomorphism class.
@@ -105,61 +105,11 @@ fn induced_pattern(g: &Graph, vs: &[VertexId]) -> Pattern {
     Pattern::from_edges(vs.len(), &edges).expect("induced subgraph of ESU is connected")
 }
 
-/// Counts `p`'s embeddings the pattern-oblivious way: run the census of
-/// size-`|p|` induced subgraphs, then for each isomorphism class count
-/// how many copies of `p` it contains (induced classes are tiny, so the
-/// per-class factor is computed once with the brute-force oracle).
-///
-/// Returns the same number as the pattern-aware systems; the point is the
-/// cost, not the answer.
-pub fn count_subgraphs_oblivious(g: &Graph, p: &Pattern, induced: bool) -> u64 {
-    let k = p.size();
-    let census = induced_census(g, k);
-    let target_code = iso::canonical_code(p);
-    let mut total = 0u64;
-    for (code, count) in &census {
-        if induced {
-            if *code == target_code {
-                total += count;
-            }
-            continue;
-        }
-        // Non-induced: every induced class containing >= 1 copy of p
-        // contributes (copies of p in the class graph) per occurrence.
-        let class = pattern_from_code(code);
-        let copies = oracle::count_subgraphs(&graph_of(&class), p, false);
-        total += copies * count;
-    }
-    total
-}
-
-fn pattern_from_code(code: &[u8]) -> Pattern {
-    let n = code[0] as usize;
-    let mut edges = Vec::new();
-    for i in 0..n {
-        let bits = code[1 + i];
-        for j in 0..n {
-            if bits & (1 << j) != 0 && j < i {
-                edges.push((j, i));
-            }
-        }
-    }
-    Pattern::from_edges(n, &edges).expect("census codes encode connected patterns")
-}
-
-fn graph_of(p: &Pattern) -> Graph {
-    let mut b = gpm_graph::GraphBuilder::new(p.size());
-    for (u, v) in p.edges() {
-        b.add_edge(u as VertexId, v as VertexId);
-    }
-    b.build()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use gpm_graph::gen;
-    use gpm_pattern::genpat;
+    use gpm_pattern::{genpat, oracle};
 
     #[test]
     fn esu_counts_match_direct_triple_census() {
@@ -194,29 +144,6 @@ mod tests {
                 let aware = oracle::count_subgraphs(&g, &p, true);
                 assert_eq!(oblivious, aware, "class {p}");
             }
-        }
-    }
-
-    #[test]
-    fn non_induced_counting_agrees_with_oracle() {
-        let g = gen::erdos_renyi(25, 90, 2);
-        for p in [
-            Pattern::triangle(),
-            Pattern::path(3),
-            Pattern::path(4),
-            Pattern::cycle(4),
-            Pattern::star(4),
-        ] {
-            assert_eq!(
-                count_subgraphs_oblivious(&g, &p, false),
-                oracle::count_subgraphs(&g, &p, false),
-                "{p}"
-            );
-            assert_eq!(
-                count_subgraphs_oblivious(&g, &p, true),
-                oracle::count_subgraphs(&g, &p, true),
-                "{p} induced"
-            );
         }
     }
 

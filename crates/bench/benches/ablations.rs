@@ -140,7 +140,7 @@ fn steal(c: &mut Criterion) {
         for (sname, enabled) in [("steal_on", true), ("steal_off", false)] {
             let cfg = || EngineConfig {
                 compute_threads: 2,
-                steal: StealConfig { enabled, batch: 256, ..StealConfig::default() },
+                steal: StealConfig { enabled, batch: 256 },
                 ..EngineConfig::default()
             };
             // One observed run per variant for the balance numbers.

@@ -24,6 +24,10 @@
 //!   (see [`crate::transport`]).
 //! * **Typed failure** — every way a fetch can fail is a
 //!   [`FetchError`] variant propagated to the caller, never a panic.
+//! * **Failover and repair** — a fetch whose target is fail-stop dead
+//!   re-routes to a live replica holder. On a healing service the
+//!   failover that first detects a death restores every slice it left
+//!   short, inline and under one repair lock, before it re-routes.
 
 use crate::metrics::{ClusterMetrics, Counter, Counters, Scope, TrafficClass};
 use crate::transport::{
@@ -32,7 +36,7 @@ use crate::transport::{
 };
 use crate::{NetworkModel, PartId};
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use gpm_graph::partition::{GraphPart, PartitionedGraph};
+use gpm_graph::partition::PartitionedGraph;
 use gpm_graph::VertexId;
 use gpm_obs::{Metric, Recorder, SpanKind};
 use parking_lot::{Condvar, Mutex, MutexGuard};
@@ -58,38 +62,46 @@ struct Liveness {
     /// Mutable at runtime: re-replication appends restored holders and
     /// republishes by bumping [`Liveness::epoch`].
     holders: parking_lot::RwLock<Vec<Vec<PartId>>>,
-    /// Routing epoch, bumped on every holder-set change. Fetches blocked
-    /// in the armed grace wait (see [`Liveness::route`]) watch it to
-    /// re-check the failover table without polling the lock hot.
+    /// Routing epoch, bumped on every holder-set change.
     epoch: AtomicU64,
     /// Per-owner round-robin cursors: dead-owner fetches spread across
     /// all live holders instead of hammering the nearest hash-successor.
     rr: Vec<AtomicU64>,
-    /// Slices the rebalancer declared unrepairable (every copy dead
-    /// before a transfer could start); releases armed grace waiters
-    /// immediately instead of letting them run out the clock.
-    lost: Vec<AtomicBool>,
-    /// Whether a rebalancer is active. Armed, a fetch for a slice with
-    /// no live holder waits a bounded grace period for an in-flight
-    /// repair before failing `PartDead`; disarmed, it fails immediately
-    /// (the pre-rebalance envelope).
-    rebalance_armed: AtomicBool,
+    /// Re-replication, when the service heals; `None` otherwise, and a
+    /// slice whose every copy died fails at once.
+    heal: Option<Heal>,
 }
 
-/// How long an armed [`Liveness::route`] waits for an in-flight repair
-/// to publish a live holder before giving up with `PartDead`.
-const REROUTE_GRACE: Duration = Duration::from_secs(5);
+/// Re-replication state: the repair lock and its cumulative totals.
+#[derive(Debug)]
+struct Heal {
+    /// Held by the client that promotes a part dead, from the promotion
+    /// until every short slice is restored (or has no live copy left to
+    /// restore from). A route that finds no live holder takes it once, so
+    /// it sees whatever the repair in flight publishes.
+    repair: Mutex<()>,
+    /// The copy count a repair restores toward, capped by the live parts.
+    replication: usize,
+    /// Completed transfers, each one restored copy.
+    transfers: AtomicU64,
+    /// Wire bytes of the completed transfers.
+    bytes: AtomicU64,
+}
 
 impl Liveness {
-    fn new(pg: &PartitionedGraph) -> Liveness {
+    fn new(pg: &PartitionedGraph, heal: bool) -> Liveness {
         let parts = pg.part_count();
         Liveness {
             dead: (0..parts).map(|_| AtomicBool::new(false)).collect(),
             holders: parking_lot::RwLock::new((0..parts).map(|p| pg.replica_holders(p)).collect()),
             epoch: AtomicU64::new(0),
             rr: (0..parts).map(|_| AtomicU64::new(0)).collect(),
-            lost: (0..parts).map(|_| AtomicBool::new(false)).collect(),
-            rebalance_armed: AtomicBool::new(false),
+            heal: heal.then(|| Heal {
+                repair: Mutex::new(()),
+                replication: pg.replication(),
+                transfers: AtomicU64::new(0),
+                bytes: AtomicU64::new(0),
+            }),
         }
     }
 
@@ -100,6 +112,11 @@ impl Liveness {
     /// Marks `part` dead; returns `true` on the first (promoting) call.
     fn promote(&self, part: PartId) -> bool {
         !self.dead[part].swap(true, Ordering::SeqCst)
+    }
+
+    /// Every part promoted dead so far.
+    fn dead_parts(&self) -> Vec<PartId> {
+        (0..self.dead.len()).filter(|&p| self.is_dead(p)).collect()
     }
 
     /// Registers `host` as a live holder of `slice`'s data and
@@ -129,34 +146,32 @@ impl Liveness {
     /// The part that should serve `owner`'s slice right now: `owner`
     /// itself while alive, else one of its live replica holders,
     /// round-robin so failover load spreads instead of hammering the
-    /// nearest hash-successor. With re-replication armed, a slice
-    /// currently holderless waits out a bounded grace period for the
-    /// in-flight repair before failing `PartDead`.
+    /// nearest hash-successor. A healing service with no live holder for
+    /// the slice waits out the repair in flight, if any, and looks once
+    /// more before failing `PartDead`.
     fn route(&self, owner: PartId) -> Result<PartId, FetchError> {
         if !self.is_dead(owner) {
             return Ok(owner);
         }
-        let deadline = Instant::now() + REROUTE_GRACE;
-        loop {
-            {
-                let holders = self.holders.read();
-                // One snapshot of the live set: a holder may die between
-                // two passes over `holders`, so count and pick from the same one.
-                let live: Vec<PartId> =
-                    holders[owner].iter().copied().filter(|&h| !self.is_dead(h)).collect();
-                if !live.is_empty() {
-                    let pick = self.rr[owner].fetch_add(1, Ordering::Relaxed) as usize;
-                    return Ok(live[pick % live.len()]);
-                }
-            }
-            if !self.rebalance_armed.load(Ordering::SeqCst)
-                || self.lost[owner].load(Ordering::SeqCst)
-                || Instant::now() >= deadline
-            {
-                return Err(FetchError::PartDead { part: owner });
-            }
-            std::thread::sleep(Duration::from_millis(1));
+        let pick = || {
+            // One snapshot of the live set: a holder may die between two
+            // passes over `holders`, so count and pick from the same one.
+            let live = self.live_holders(owner);
+            let turn = || self.rr[owner].fetch_add(1, Ordering::Relaxed) as usize;
+            (!live.is_empty()).then(|| live[turn() % live.len()])
+        };
+        if let Some(holder) = pick() {
+            return Ok(holder);
         }
+        if let Some(heal) = &self.heal {
+            // A repair publishes every holder it restores before it
+            // releases the lock.
+            drop(heal.repair.lock());
+            if let Some(holder) = pick() {
+                return Ok(holder);
+            }
+        }
+        Err(FetchError::PartDead { part: owner })
     }
 }
 
@@ -188,13 +203,6 @@ pub enum FetchError {
         /// The edge-list entry count that overflowed.
         entries: usize,
     },
-    /// A responder refused a slice-transfer chunk that does not follow
-    /// the transfer's earlier chunks, or a transfer whose assembled slice
-    /// is incoherent; the sender restarts the transfer from scratch.
-    TransferRefused {
-        /// The part that refused the chunk.
-        target: PartId,
-    },
     /// The part is fail-stop dead and no live replica holder can serve
     /// its slice. With replication this only surfaces once every holder
     /// of the slice is dead too; without it, the first fetch after the
@@ -223,9 +231,6 @@ impl fmt::Display for FetchError {
                 f,
                 "reply from part {target} too large for the wire format ({entries} entries)"
             ),
-            FetchError::TransferRefused { target } => {
-                write!(f, "part {target} refused an incoherent replica transfer")
-            }
             FetchError::PartDead { part } => {
                 write!(f, "part {part} is dead and no live replica holds its slice")
             }
@@ -321,8 +326,12 @@ impl Drop for WindowPermit {
     }
 }
 
-/// The cluster-wide edge-list service: metrics, per-part windows, and
-/// the transport with its responder threads.
+/// The cluster-wide edge-list service: metrics, per-part windows, the
+/// transport with its responder threads, and the liveness table every
+/// client fails over through. A service started with `heal` (see
+/// [`EdgeListService::start_observed`]) also re-replicates: the client
+/// whose failover first sees a death repairs every short slice before it
+/// re-routes, so no thread of the service's own watches for deaths.
 ///
 /// # Example
 ///
@@ -366,18 +375,21 @@ impl EdgeListService {
         network: Option<NetworkModel>,
         fabric: FabricConfig,
     ) -> Self {
-        Self::start_observed(pg, network, fabric, Recorder::disabled())
+        Self::start_observed(pg, network, fabric, Recorder::disabled(), false)
     }
 
     /// Like [`EdgeListService::start_with`], additionally recording
     /// fabric spans (fetch submit→complete, responder service, retries,
     /// injected faults) and histograms (fetch latency, batch bytes,
-    /// window occupancy) into `obs`.
+    /// window occupancy) into `obs`. With `heal`, the failover that
+    /// detects a death first restores every slice it left short of
+    /// `pg`'s replication factor (see [`EdgeListService::await_repairs`]).
     pub fn start_observed(
         pg: &PartitionedGraph,
         network: Option<NetworkModel>,
         fabric: FabricConfig,
         obs: Arc<Recorder>,
+        heal: bool,
     ) -> Self {
         let parts = pg.part_count();
         let metrics = ClusterMetrics::new(parts, pg.sockets_per_machine());
@@ -390,7 +402,7 @@ impl EdgeListService {
             retry: fabric.retry,
             windows,
             seq: Arc::new(AtomicU64::new(0)),
-            liveness: Arc::new(Liveness::new(pg)),
+            liveness: Arc::new(Liveness::new(pg, heal)),
             obs,
         }
     }
@@ -449,24 +461,29 @@ impl EdgeListService {
 
     /// Every part currently detected as fail-stop dead.
     pub fn dead_parts(&self) -> Vec<PartId> {
-        (0..self.liveness.dead.len()).filter(|&p| self.liveness.is_dead(p)).collect()
+        self.liveness.dead_parts()
     }
 
-    /// Arms the re-replication grace wait: a fetch for a slice that
-    /// currently has no live holder waits a bounded period for an
-    /// in-flight repair instead of failing `PartDead` immediately.
-    /// Called by the engine when it starts a rebalancer over this
-    /// service; never called with rebalance off, so a dead slice with
-    /// no live holder then fails at once, as it did before rebalancing.
-    pub fn arm_rebalance(&self) {
-        self.liveness.rebalance_armed.store(true, Ordering::SeqCst);
+    /// Whether this service re-replicates after a death.
+    pub fn heals(&self) -> bool {
+        self.liveness.heal.is_some()
     }
 
-    /// Declares `slice` unrepairable (every copy died before a transfer
-    /// could complete): armed grace waiters for it fail `PartDead`
-    /// immediately instead of running out the clock.
-    pub fn mark_slice_lost(&self, slice: PartId) {
-        self.liveness.lost[slice].store(true, Ordering::SeqCst);
+    /// Blocks while a repair is in flight. Every death promoted before
+    /// the call has then been repaired: its short slices are back at the
+    /// reachable replication, or have no live copy left.
+    pub fn await_repairs(&self) {
+        if let Some(heal) = &self.liveness.heal {
+            drop(heal.repair.lock());
+        }
+    }
+
+    /// Completed re-replication transfers and their wire bytes, over the
+    /// service's life.
+    pub fn repair_totals(&self) -> (u64, u64) {
+        self.liveness.heal.as_ref().map_or((0, 0), |heal| {
+            (heal.transfers.load(Ordering::Relaxed), heal.bytes.load(Ordering::Relaxed))
+        })
     }
 
     /// Live copies of `slice`'s data (own part while alive + live
@@ -491,65 +508,6 @@ impl EdgeListService {
     /// first), including slices installed by re-replication.
     pub fn hosted_slices(&self, part: PartId) -> Vec<PartId> {
         self.transport.hosted_slices(part)
-    }
-
-    /// Streams `part`'s slice (a live copy of slice `part.part_id()`) to
-    /// `host`'s responder in chunks of at most `chunk_entries` adjacency
-    /// entries, waiting for each chunk's ack, then publishes `host` as a
-    /// live holder of the slice (routing-epoch bump). `progress` is
-    /// advanced by each acked chunk's wire bytes so a watchdog can
-    /// detect a stuck transfer; `chunk_delay` throttles between chunks
-    /// (a test knob — `Duration::ZERO` in production). Returns the total
-    /// bytes streamed.
-    ///
-    /// # Errors
-    ///
-    /// [`FetchError::PartDead`]/[`FetchError::Shutdown`] if `host` dies
-    /// or the service stops mid-transfer, [`FetchError::Timeout`] if an
-    /// ack never arrives, or the responder's typed abort. The transfer
-    /// is not installed partially: the receiver discards a transfer
-    /// whose chunks stop arriving coherently.
-    pub fn replicate_slice(
-        &self,
-        part: &Arc<GraphPart>,
-        host: PartId,
-        chunk_entries: usize,
-        progress: &AtomicU64,
-        chunk_delay: Duration,
-    ) -> Result<u64, FetchError> {
-        let owner = part.part_id();
-        let neighbors = part.neighbors();
-        let per = chunk_entries.max(1);
-        let total = neighbors.len().div_ceil(per).max(1) as u64;
-        let (ack_tx, ack_rx) = unbounded::<WireReply>();
-        let mut streamed = 0u64;
-        for i in 0..total {
-            let lo = (i as usize * per).min(neighbors.len());
-            let hi = ((i as usize + 1) * per).min(neighbors.len());
-            let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-            let push = ReplicaPush {
-                seq,
-                owner,
-                chunk: i,
-                total_chunks: total,
-                owned: if i == 0 { part.owned().to_vec() } else { Vec::new() },
-                offsets: if i == 0 { part.offsets().to_vec() } else { Vec::new() },
-                neighbors: neighbors[lo..hi].to_vec(),
-            };
-            let bytes = push.wire_bytes();
-            self.transport.push_replica(host, push, &ack_tx)?;
-            let deadline = Instant::now() + self.retry.timeout;
-            let ack = await_reply(&ack_rx, deadline, |ack: &WireReply| ack.seq == seq);
-            ack.ok_or(FetchError::Timeout { target: host, attempts: 1 })?.payload?;
-            streamed += bytes;
-            progress.fetch_add(bytes, Ordering::Relaxed);
-            if !chunk_delay.is_zero() {
-                std::thread::sleep(chunk_delay);
-            }
-        }
-        self.liveness.add_holder(owner, host);
-        self.obs.event(0, SpanKind::ReplicaPush, owner as u32, host as u64, 0);
-        Ok(streamed)
     }
 
     /// The shared metrics of this cluster.
@@ -625,12 +583,98 @@ impl EdgeListClient {
     /// Promotes `part` to the dead state, recording the failure (event +
     /// cluster counter) exactly once across all clients. The event is
     /// coarse, so a post-hoc incident bundle shows the death even with
-    /// span tracing off.
+    /// span tracing off. On a healing service the promoting call also
+    /// repairs every slice the death left short before it returns, and
+    /// promotes under the repair lock: a route that sees the death and
+    /// no live holder waits for that repair instead of failing mid-way.
     fn promote_dead(&self, part: PartId) {
-        if self.liveness.promote(part) {
+        let Some(heal) = &self.liveness.heal else {
+            self.record_death(part);
+            return;
+        };
+        let _repairing = heal.repair.lock();
+        let mut deaths = Vec::new();
+        if self.record_death(part) {
+            deaths.push(part);
+        }
+        while let Some(dead) = deaths.pop() {
+            let restored = self.repair(heal, &mut deaths);
+            self.obs.event(0, SpanKind::RebalanceDone, dead as u32, restored, 0);
+        }
+    }
+
+    /// Marks `part` dead and records the failure; `true` on the
+    /// promoting call, the only one that records.
+    fn record_death(&self, part: PartId) -> bool {
+        let fresh = self.liveness.promote(part);
+        if fresh {
             self.metrics.part(part).add(Counter::PartsFailed, 1);
             self.obs.event(self.query, SpanKind::PartFailed, part as u32, 0, 0);
         }
+        fresh
+    }
+
+    /// Restores every slice with fewer live copies than the reachable
+    /// target (the replication factor, capped by the live parts) by
+    /// pushing a live copy to the next live non-holder in hash-successor
+    /// order, the ring the static placement uses. A source or host found
+    /// dead on the way is promoted and queued on `deaths` for a pass of
+    /// its own.
+    /// Returns the copies restored. Scanning every slice, not just the
+    /// dead part's, costs one liveness read per slice at target.
+    fn repair(&self, heal: &Heal, deaths: &mut Vec<PartId>) -> u64 {
+        let (lv, n) = (&*self.liveness, self.part_count());
+        let mut restored = 0;
+        for slice in 0..n {
+            // Every turn restores a copy, promotes a death or ends the
+            // loop, so it ends.
+            loop {
+                let target = heal.replication.min(n - lv.dead_parts().len());
+                let mut copies = lv.live_holders(slice);
+                if !lv.is_dead(slice) {
+                    copies.insert(0, slice);
+                }
+                if copies.len() >= target {
+                    break;
+                }
+                // No live copy left: the slice is lost for good.
+                let Some(&source) = copies.first() else { break };
+                let mut ring = (1..n).map(|off| (slice + off) % n);
+                let Some(host) = ring.find(|&h| !lv.is_dead(h) && !copies.contains(&h)) else {
+                    break;
+                };
+                match self.replicate_slice(heal, slice, source, host) {
+                    Ok(()) => restored += 1,
+                    Err(FetchError::PartDead { part }) => {
+                        if self.record_death(part) {
+                            deaths.push(part);
+                        }
+                    }
+                    Err(_) => break,
+                }
+            }
+        }
+        restored
+    }
+
+    /// Pushes `source`'s copy of `slice` to `host`, one message acked
+    /// once, and publishes `host` as a live holder (routing-epoch bump).
+    fn replicate_slice(
+        &self,
+        heal: &Heal,
+        slice: PartId,
+        source: PartId,
+        host: PartId,
+    ) -> Result<(), FetchError> {
+        // A holder that was killed but not yet promoted has no copy to give.
+        let copy = self.transport.hosted_slice(source, slice);
+        let push = ReplicaPush { slice: copy.ok_or(FetchError::PartDead { part: source })? };
+        let bytes = self.transport.push_replica(host, push, self.retry.timeout)?;
+        self.liveness.add_holder(slice, host);
+        heal.transfers.fetch_add(1, Ordering::Relaxed);
+        heal.bytes.fetch_add(bytes, Ordering::Relaxed);
+        self.obs.event(0, SpanKind::ReplicaPush, slice as u32, host as u64, 0);
+        Ok(())
     }
 
     /// Fetches the edge lists of `vertices` from `target`, blocking until
@@ -1201,8 +1245,13 @@ mod tests {
         // serve, fetch) carries the issuing query's id.
         let (_, pg) = cluster(2, 1);
         let obs = Recorder::new(&gpm_obs::ObsConfig::enabled());
-        let service =
-            EdgeListService::start_observed(&pg, None, FabricConfig::default(), Arc::clone(&obs));
+        let service = EdgeListService::start_observed(
+            &pg,
+            None,
+            FabricConfig::default(),
+            Arc::clone(&obs),
+            false,
+        );
         let (q7, q9) = (Arc::new(Counters::default()), Arc::new(Counters::default()));
         let c7 = service.client_for_query(1, 7, &q7);
         let c9 = service.client_for_query(1, 9, &q9);
@@ -1405,8 +1454,13 @@ mod tests {
     fn observed_service_records_fabric_spans() {
         let (_, pg) = cluster(2, 1);
         let obs = Recorder::new(&gpm_obs::ObsConfig::enabled());
-        let service =
-            EdgeListService::start_observed(&pg, None, FabricConfig::default(), Arc::clone(&obs));
+        let service = EdgeListService::start_observed(
+            &pg,
+            None,
+            FabricConfig::default(),
+            Arc::clone(&obs),
+            false,
+        );
         let client = service.client(1);
         let owned: Vec<VertexId> = pg.part(0).owned().iter().copied().take(5).collect();
         client.fetch(0, &owned).unwrap();
@@ -1439,7 +1493,7 @@ mod tests {
             fault: Some(FaultPlan::drops(0.5)),
             ..FabricConfig::default()
         };
-        let service = EdgeListService::start_observed(&pg, None, fabric, Arc::clone(&obs));
+        let service = EdgeListService::start_observed(&pg, None, fabric, Arc::clone(&obs), false);
         let client = service.client(1);
         for &v in pg.part(0).owned().iter().take(20) {
             client.fetch(0, &[v]).unwrap();
@@ -1462,8 +1516,13 @@ mod tests {
         // distinct links.
         let (_, pg) = cluster(2, 1);
         let obs = Recorder::new(&gpm_obs::ObsConfig::enabled());
-        let service =
-            EdgeListService::start_observed(&pg, None, FabricConfig::default(), Arc::clone(&obs));
+        let service = EdgeListService::start_observed(
+            &pg,
+            None,
+            FabricConfig::default(),
+            Arc::clone(&obs),
+            false,
+        );
         let client = service.client(1);
         let owned: Vec<VertexId> = pg.part(0).owned().iter().copied().take(2).collect();
         client.fetch(0, &owned[..1]).unwrap();
@@ -1500,7 +1559,7 @@ mod tests {
             fault: Some(FaultPlan::drops(0.5)),
             ..FabricConfig::default()
         };
-        let service = EdgeListService::start_observed(&pg, None, fabric, Arc::clone(&obs));
+        let service = EdgeListService::start_observed(&pg, None, fabric, Arc::clone(&obs), false);
         let client = service.client(1);
         for &v in pg.part(0).owned().iter().take(20) {
             client.fetch(0, &[v]).unwrap();
@@ -1587,7 +1646,7 @@ mod tests {
         let obs = Recorder::new(&gpm_obs::ObsConfig::enabled());
         let fabric =
             FabricConfig { fault: Some(FaultPlan::crash_at(0, 1)), ..FabricConfig::default() };
-        let service = EdgeListService::start_observed(&pg, None, fabric, Arc::clone(&obs));
+        let service = EdgeListService::start_observed(&pg, None, fabric, Arc::clone(&obs), false);
         let client = service.client(2);
         for &v in pg.part(0).owned().iter().take(4) {
             client.fetch(0, &[v]).unwrap();
@@ -1641,9 +1700,10 @@ mod tests {
 
     #[test]
     fn replicate_slice_restores_failover_after_total_holder_loss() {
-        // r = 2 on three parts: slice 0's only holder is part 2. Crash
-        // part 0, then part 2 — slice 0 is unreachable (PartDead). A
-        // replica push installing the slice on part 1 restores service.
+        // r = 2 on three parts: slice 0's static copies are part 0 and its
+        // one holder, part 2. Crash part 0, then part 2: the failover that
+        // detects the first death copies slice 0 onto part 1 before it
+        // re-routes, so once both static copies are gone part 1 serves.
         let g = gen::erdos_renyi(200, 800, 7);
         let pg = PartitionedGraph::with_replication(&g, 3, 1, 2);
         let g = rank_by_degree(&g).0;
@@ -1657,107 +1717,63 @@ mod tests {
             }),
             ..FabricConfig::default()
         };
-        let service = EdgeListService::start_with(&pg, None, fabric);
+        let service =
+            EdgeListService::start_observed(&pg, None, fabric, Recorder::disabled(), true);
         let client = service.client(1);
-        let v = pg.part(0).owned()[0];
-        // First fetch kills part 0 and fails over to holder 2 (killing
-        // it too on arrival of the rerouted submission).
-        let _ = client.fetch(0, &[v]);
-        let err = client.fetch(0, &[v]).unwrap_err();
-        assert_eq!(err, FetchError::PartDead { part: 0 });
-        assert_eq!(service.live_copies(0), 0);
-        let epoch0 = service.routing_epoch();
-        // Re-replicate slice 0 onto the surviving part 1 and retry.
-        let progress = AtomicU64::new(0);
-        let streamed = service
-            .replicate_slice(&pg.part_arc(0), 1, 64, &progress, Duration::ZERO)
-            .expect("transfer");
-        assert!(streamed > 0);
-        assert_eq!(progress.load(Ordering::Relaxed), streamed);
-        assert!(service.routing_epoch() > epoch0, "routing epoch not republished");
-        assert_eq!(service.live_copies(0), 1);
+        // Failovers alternate between the two holders, so the second
+        // fetch at the latest reaches part 2 and kills it.
+        for &v in pg.part(0).owned().iter().take(4) {
+            let lists = client.fetch(0, &[v]).unwrap();
+            assert_eq!(lists.list(0), g.neighbors(v));
+        }
+        assert_eq!(service.dead_parts(), vec![0, 2]);
         assert_eq!(service.live_holders(0), vec![1]);
         assert!(service.hosted_slices(1).contains(&0), "slice 0 not installed on part 1");
-        let lists = client.fetch(0, &[v]).unwrap();
-        assert_eq!(lists.list(0), g.neighbors(v));
+        assert!(service.routing_epoch() > 0, "routing epoch not republished");
         assert!(service.metrics().part(1).get(Counter::ReroutedServedRequests) > 0);
+        // Part 0's death left slices 0 and 1 one copy short; part 2's
+        // left nothing short of the one copy two dead parts allow.
+        let (transfers, bytes) = service.repair_totals();
+        assert_eq!(transfers, 2);
+        assert!(bytes > 0);
         service.shutdown();
     }
 
     #[test]
-    fn armed_route_waits_out_an_inflight_repair() {
-        // With rebalance armed, a fetch that finds no live holder blocks
-        // in the grace window and completes once the repair publishes a
-        // restored holder — instead of surfacing PartDead mid-repair.
+    fn a_holderless_route_waits_for_the_repair_lock_and_finds_the_repaired_holder() {
+        // Slice 0's owner and only holder are dead while another thread
+        // holds the repair lock: the route waits, and is served by the
+        // holder the repair publishes before it lets go.
         let g = gen::erdos_renyi(200, 800, 7);
         let pg = PartitionedGraph::with_replication(&g, 3, 1, 2);
-        let g = rank_by_degree(&g).0;
-        let fabric = FabricConfig {
-            fault: Some(FaultPlan {
-                crashes: vec![
-                    CrashAt { part: 0, after_requests: 0 },
-                    CrashAt { part: 2, after_requests: 0 },
-                ],
-                ..FaultPlan::default()
-            }),
-            ..FabricConfig::default()
+        let lv = Arc::new(Liveness::new(&pg, true));
+        let repairing = lv.heal.as_ref().unwrap().repair.lock();
+        lv.promote(0);
+        lv.promote(2);
+        let router = {
+            let lv = Arc::clone(&lv);
+            std::thread::spawn(move || lv.route(0))
         };
-        let service = Arc::new(EdgeListService::start_with(&pg, None, fabric));
-        service.arm_rebalance();
-        let client = service.client(1);
-        let v = pg.part(0).owned()[0];
-        let repairer = {
-            let service = Arc::clone(&service);
-            let src = pg.part_arc(0);
-            std::thread::spawn(move || {
-                std::thread::sleep(Duration::from_millis(100));
-                let progress = AtomicU64::new(0);
-                service.replicate_slice(&src, 1, 64, &progress, Duration::ZERO).expect("transfer");
-            })
-        };
-        // This single fetch kills part 0, fails over to holder 2 (killing
-        // it too), finds the slice holderless, waits out the repair in
-        // the armed grace window, and completes served by part 1.
-        let lists = client.fetch(0, &[v]).unwrap();
-        assert_eq!(lists.list(0), g.neighbors(v));
-        assert_eq!(service.live_holders(0), vec![1]);
-        repairer.join().unwrap();
-        service.shutdown();
+        std::thread::sleep(Duration::from_millis(50));
+        assert!(!router.is_finished(), "the route must wait for the repair in flight");
+        lv.add_holder(0, 1);
+        drop(repairing);
+        assert_eq!(router.join().unwrap(), Ok(1));
     }
 
     #[test]
-    fn marking_a_slice_lost_releases_armed_waiters_immediately() {
+    fn a_holderless_slice_fails_part_dead_at_once_after_the_lock() {
         let g = gen::erdos_renyi(200, 800, 7);
         let pg = PartitionedGraph::with_replication(&g, 3, 1, 2);
-        let fabric = FabricConfig {
-            fault: Some(FaultPlan {
-                crashes: vec![
-                    CrashAt { part: 0, after_requests: 0 },
-                    CrashAt { part: 2, after_requests: 0 },
-                ],
-                ..FaultPlan::default()
-            }),
-            ..FabricConfig::default()
-        };
-        let service = Arc::new(EdgeListService::start_with(&pg, None, fabric));
-        service.arm_rebalance();
-        let client = service.client(1);
-        let v = pg.part(0).owned()[0];
-        let marker = {
-            let service = Arc::clone(&service);
-            std::thread::spawn(move || {
-                std::thread::sleep(Duration::from_millis(100));
-                service.mark_slice_lost(0);
-            })
-        };
-        // The fetch kills both copies and enters the armed grace wait;
-        // the rebalancer's lost verdict releases it typed well before
-        // the grace clock would have run out.
-        let t0 = Instant::now();
-        let err = client.fetch(0, &[v]).unwrap_err();
-        assert_eq!(err, FetchError::PartDead { part: 0 });
-        assert!(t0.elapsed() < Duration::from_secs(2), "lost slice ran out the grace clock");
-        marker.join().unwrap();
-        service.shutdown();
+        for heal in [true, false] {
+            let lv = Liveness::new(&pg, heal);
+            lv.promote(0);
+            lv.promote(2);
+            let t0 = Instant::now();
+            assert_eq!(lv.route(0), Err(FetchError::PartDead { part: 0 }), "heal={heal}");
+            assert!(t0.elapsed() < Duration::from_millis(500), "heal={heal}: a route waited");
+            // The other slices still route: slice 2 to its holder, part 1.
+            assert_eq!(lv.route(2), Ok(1), "heal={heal}");
+        }
     }
 }

@@ -11,8 +11,8 @@
 //! retries and metrics live one layer up, in [`crate::fabric`].
 //!
 //! What every request–reply exchange does, whichever plane it is on, is
-//! written here once and used by fetches, slice transfers and control
-//! calls alike:
+//! written here once and used by fetches and control calls alike (a
+//! slice transfer is one push and one ack, under a deadline only):
 //!
 //! * the fate of one message under an optional [`FaultPlan`] —
 //!   delivered, or dropped (served, its reply lost) — rolled per
@@ -160,48 +160,34 @@ pub struct WireReply {
     /// The served lists, or a typed failure.
     pub payload: Result<FetchedLists, FetchError>,
     /// When the responder began serving this attempt (when the reply was
-    /// made, for a refusal or an ack): how the waiting side tells time
+    /// made, for a refusal): how the waiting side tells time
     /// queued from time served. Not counted in any wire-byte total.
     pub served_at: Instant,
 }
 
-/// One chunk of a slice transfer on the wire — the re-replication
-/// analogue of [`WireRequest`]. After a part death the rebalancer
-/// streams the lost slice's three CSR columns to a new host as a
-/// sequence of these messages; the receiving responder stages them and,
-/// on the final chunk, installs the rebuilt [`GraphPart`] into its
-/// hosted-slice set so subsequent failover fetches for `owner` are
-/// answered locally.
+/// One slice copy on the wire — the re-replication analogue of
+/// [`WireRequest`]. After a part death the repair sends each short
+/// slice's copy to a new host as one of these; the receiving responder
+/// installs it into its hosted-slice set and acks once, so subsequent
+/// failover fetches for the slice's owner are answered from it.
 ///
-/// Chunking protocol: chunk 0 carries the full `owned` and `offsets`
-/// columns plus the first `neighbors` segment; chunks `1..total_chunks`
-/// carry further `neighbors` segments in order. Each chunk is
-/// acknowledged with an empty [`WireReply`] so the sender can track byte
-/// progress (and a stuck-transfer watchdog can notice its absence).
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// The slice travels as the `Arc` a live holder already serves from (the
+/// copies are bit-identical by construction), and is accounted as what a
+/// wire would carry: its three CSR columns plus one header.
+#[derive(Debug, Clone)]
 pub struct ReplicaPush {
-    /// Client-assigned sequence number, echoed in the ack.
-    pub seq: u64,
-    /// The part whose slice is being rebuilt on the receiver.
-    pub owner: PartId,
-    /// 0-based index of this chunk within the transfer.
-    pub chunk: u64,
-    /// Total chunks in the transfer.
-    pub total_chunks: u64,
-    /// Owned-vertex column (full, on chunk 0; empty otherwise).
-    pub owned: Vec<VertexId>,
-    /// CSR offset column (full, on chunk 0; empty otherwise).
-    pub offsets: Vec<u64>,
-    /// This chunk's segment of the CSR adjacency column.
-    pub neighbors: Vec<VertexId>,
+    /// The slice copy to install on the receiver.
+    pub slice: Arc<GraphPart>,
 }
 
 impl ReplicaPush {
-    /// Accounted wire size of this chunk in bytes.
+    /// Accounted wire size of the transfer in bytes: one header, four
+    /// bytes per owned vertex and adjacency entry, eight per offset.
     pub fn wire_bytes(&self) -> u64 {
+        let s = &self.slice;
         HEADER_BYTES
-            + 4 * (self.owned.len() as u64 + self.neighbors.len() as u64)
-            + 8 * self.offsets.len() as u64
+            + 4 * (s.owned().len() as u64 + s.neighbors().len() as u64)
+            + 8 * s.offsets().len() as u64
     }
 }
 
@@ -358,20 +344,10 @@ enum Msg {
     },
     Push {
         push: ReplicaPush,
-        reply_to: Sender<WireReply>,
+        ack: Sender<()>,
     },
     /// Stops the responder even while client clones are still alive.
     Shutdown,
-}
-
-/// In-progress slice transfer staged on a responder: columns accumulate
-/// across chunks until the final one installs the rebuilt part.
-struct ReplicaStage {
-    owned: Vec<VertexId>,
-    offsets: Vec<u64>,
-    neighbors: Vec<VertexId>,
-    next_chunk: u64,
-    total_chunks: u64,
 }
 
 /// The in-process cluster transport: one responder thread per part.
@@ -446,18 +422,12 @@ impl ChannelTransport {
             slices.extend(pg.hosted_replicas(part_id).iter().cloned());
             let registry = Arc::new(parking_lot::RwLock::new(slices));
             registries.push(Arc::clone(&registry));
-            let vertices = pg.vertex_count();
             let part_metrics = Arc::clone(metrics.part(part_id));
             let obs = Arc::clone(&obs);
             let dead = Arc::clone(&dead);
             let handle = std::thread::Builder::new()
                 .name(format!("edgelist-responder-{part_id}"))
                 .spawn(move || {
-                    // In-progress slice transfers, keyed by the slice's
-                    // owner. Chunks for one transfer arrive in order on
-                    // this queue (the rebalancer sends them serially).
-                    let mut staging: std::collections::HashMap<PartId, ReplicaStage> =
-                        std::collections::HashMap::new();
                     loop {
                         let msg = match rx.recv() {
                             Ok(m) => m,
@@ -492,12 +462,14 @@ impl ChannelTransport {
                                 let reply = WireReply { seq: req.seq, payload, served_at };
                                 let _ = reply_to.send(reply);
                             }
-                            Msg::Push { push, reply_to } => {
-                                let seq = push.seq;
-                                let payload =
-                                    stage_push(&mut staging, &registry, part_id, vertices, push);
-                                let served_at = Instant::now();
-                                let _ = reply_to.send(WireReply { seq, payload, served_at });
+                            Msg::Push { push, ack } => {
+                                let mut slices = registry.write();
+                                let owner = push.slice.part_id();
+                                if slices.iter().all(|s| s.part_id() != owner) {
+                                    slices.push(push.slice);
+                                }
+                                drop(slices);
+                                let _ = ack.send(());
                             }
                             Msg::Shutdown => break,
                         }
@@ -545,26 +517,36 @@ impl ChannelTransport {
         self.send(target, Msg::Fetch { req, reply_to })
     }
 
-    /// Queues a slice-transfer chunk for `target`'s responder, which
-    /// stages it and — on the final chunk — installs the rebuilt slice
-    /// into its hosted set. Each chunk is acked with an empty reply on
-    /// `reply_to`.
+    /// Sends `push` to `target`'s responder, which installs the slice
+    /// into its hosted set, and waits up to `timeout` for the one ack.
+    /// Returns the transfer's wire bytes.
     ///
     /// Pushes bypass the fault plan: they roll no fate and do not count
     /// toward the crash schedule, which meters *fetch* submissions so a
     /// schedule fires at the same fetch with rebalance on or off.
-    /// Transfer-level fault handling lives in the rebalancer's retry loop.
     ///
     /// # Errors
     ///
-    /// Same death/shutdown contract as [`ChannelTransport::submit`].
+    /// [`FetchError::PartDead`] if `target` was fail-stop killed, before
+    /// or after the push was queued; [`FetchError::Shutdown`] after an
+    /// orderly teardown; [`FetchError::Timeout`] if a live target never
+    /// acks.
     pub fn push_replica(
         &self,
         target: PartId,
         push: ReplicaPush,
-        reply_to: &Sender<WireReply>,
-    ) -> Result<(), FetchError> {
-        self.send(target, Msg::Push { push, reply_to: reply_to.clone() })
+        timeout: Duration,
+    ) -> Result<u64, FetchError> {
+        let bytes = push.wire_bytes();
+        let (ack, acked) = unbounded();
+        self.send(target, Msg::Push { push, ack })?;
+        match acked.recv_timeout(timeout) {
+            Ok(()) => Ok(bytes),
+            Err(_) if self.dead[target].load(Ordering::SeqCst) => {
+                Err(FetchError::PartDead { part: target })
+            }
+            Err(_) => Err(FetchError::Timeout { target, attempts: 1 }),
+        }
     }
 
     fn send(&self, target: PartId, msg: Msg) -> Result<(), FetchError> {
@@ -592,6 +574,15 @@ impl ChannelTransport {
     /// Panics if `part` is out of range.
     pub fn hosted_slices(&self, part: PartId) -> Vec<PartId> {
         self.slices[part].read().iter().map(|s| s.part_id()).collect()
+    }
+
+    /// `holder`'s copy of `slice`, if its responder hosts one and has
+    /// not been fail-stop killed.
+    pub fn hosted_slice(&self, holder: PartId, slice: PartId) -> Option<Arc<GraphPart>> {
+        if self.dead[holder].load(Ordering::SeqCst) {
+            return None;
+        }
+        self.slices[holder].read().iter().find(|s| s.part_id() == slice).cloned()
     }
 
     /// Fires the next scheduled crash if `target` is its victim and its
@@ -630,72 +621,6 @@ impl ChannelTransport {
             let _ = h.join();
         }
     }
-}
-
-/// Applies one slice-transfer chunk on a responder: stages the columns
-/// and, on the final chunk, validates the assembled CSR and installs it
-/// into the hosted-slice registry (replacing a stale copy of the same
-/// slice if present) as a part of a graph of `vertices` vertices.
-/// Out-of-order or mis-sized chunks abort the transfer with
-/// [`FetchError::TransferRefused`] so the sender can restart it from scratch.
-fn stage_push(
-    staging: &mut std::collections::HashMap<PartId, ReplicaStage>,
-    registry: &parking_lot::RwLock<Vec<Arc<GraphPart>>>,
-    part_id: PartId,
-    vertices: usize,
-    push: ReplicaPush,
-) -> Result<FetchedLists, FetchError> {
-    let owner = push.owner;
-    let abort = move |staging: &mut std::collections::HashMap<PartId, ReplicaStage>| {
-        staging.remove(&owner);
-        Err(FetchError::TransferRefused { target: part_id })
-    };
-    let stage = staging.entry(owner).or_insert_with(|| ReplicaStage {
-        owned: Vec::new(),
-        offsets: Vec::new(),
-        neighbors: Vec::new(),
-        next_chunk: 0,
-        total_chunks: push.total_chunks,
-    });
-    if push.chunk != stage.next_chunk || push.total_chunks != stage.total_chunks {
-        return abort(staging);
-    }
-    if push.chunk == 0 {
-        stage.owned = push.owned;
-        stage.offsets = push.offsets;
-    } else if !push.owned.is_empty() || !push.offsets.is_empty() {
-        return abort(staging);
-    }
-    stage.neighbors.extend_from_slice(&push.neighbors);
-    stage.next_chunk += 1;
-    if stage.next_chunk == stage.total_chunks {
-        let stage = staging.remove(&owner).expect("stage present");
-        // Validate the assembled columns before from_csr's asserts
-        // would panic the responder thread on a corrupt transfer.
-        let consistent = stage.offsets.len() == stage.owned.len() + 1
-            && stage.offsets.first() == Some(&0)
-            && stage.offsets.windows(2).all(|w| w[0] <= w[1])
-            && stage.offsets.last().map(|&n| n as usize) == Some(stage.neighbors.len())
-            && stage.owned.windows(2).all(|w| w[0] < w[1]);
-        if !consistent {
-            return Err(FetchError::TransferRefused { target: part_id });
-        }
-        let part = Arc::new(GraphPart::from_csr(
-            owner,
-            stage.owned,
-            stage.offsets,
-            stage.neighbors,
-            vertices,
-        ));
-        let mut slices = registry.write();
-        match slices.iter_mut().find(|s| s.part_id() == owner) {
-            Some(slot) => *slot = part,
-            None => slices.push(part),
-        }
-    }
-    // The ack: an empty batch, so the sender's byte accounting sees
-    // only the fixed header on the reply path.
-    Ok(FetchedLists::from_parts(vec![0], Vec::new()))
 }
 
 /// Serves `req` from whichever of `slices` holds its owner's slice
@@ -858,7 +783,7 @@ pub(crate) fn fate<R>(
 }
 
 /// Timeout and retry behaviour of a request–reply exchange: a fetch, a
-/// slice-transfer chunk (timeout only) or a control call.
+/// slice transfer (timeout only) or a control call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Total attempts (first try included) before the exchange fails
@@ -1075,51 +1000,23 @@ mod tests {
         t.shutdown();
     }
 
-    /// Streams part `owner`'s slice from `pg` to `target`'s responder in
-    /// `chunks` pieces, asserting each chunk is acked.
-    fn push_slice(
-        t: &ChannelTransport,
-        pg: &PartitionedGraph,
-        owner: PartId,
-        target: PartId,
-        chunks: usize,
-    ) {
+    /// Pushes part `owner`'s slice from `pg` to `target`'s responder,
+    /// asserting the ack and the accounted bytes.
+    fn push_slice(t: &ChannelTransport, pg: &PartitionedGraph, owner: PartId, target: PartId) {
+        let push = ReplicaPush { slice: pg.part_arc(owner) };
+        let bytes = push.wire_bytes();
         let src = pg.part(owner);
-        let neighbors = src.neighbors();
-        let per = neighbors.len().div_ceil(chunks).max(1);
-        let total = neighbors.chunks(per).count().max(1) as u64;
-        let (tx, rx) = unbounded::<WireReply>();
-        let mut sent = 0;
-        for (i, seg) in neighbors
-            .chunks(per)
-            .chain(std::iter::repeat_n(&[][..], 1))
-            .take(total as usize)
-            .enumerate()
-        {
-            let push = ReplicaPush {
-                seq: i as u64,
-                owner,
-                chunk: i as u64,
-                total_chunks: total,
-                owned: if i == 0 { src.owned().to_vec() } else { Vec::new() },
-                offsets: if i == 0 { src.offsets().to_vec() } else { Vec::new() },
-                neighbors: seg.to_vec(),
-            };
-            t.push_replica(target, push, &tx).unwrap();
-            let ack = rx.recv_timeout(Duration::from_secs(5)).unwrap();
-            assert_eq!(ack.seq, i as u64);
-            assert!(ack.payload.is_ok(), "chunk {i} not acked: {ack:?}");
-            sent += 1;
-        }
-        assert_eq!(sent, total);
+        let columns = 4 * (src.owned().len() + src.neighbors().len()) + 8 * src.offsets().len();
+        assert_eq!(bytes, HEADER_BYTES + columns as u64, "three columns plus one header");
+        assert_eq!(t.push_replica(target, push, Duration::from_secs(5)), Ok(bytes));
     }
 
     #[test]
     fn replica_push_installs_a_servable_slice() {
         // No replication: part 2's responder starts hosting only its own
-        // slice. After streaming part 0's slice to it in three chunks, a
-        // fetch for owner 0 submitted to part 2 is answered
-        // byte-identically to the primary's answer.
+        // slice. After pushing part 0's slice to it, a fetch for owner 0
+        // submitted to part 2 is answered byte-identically to the
+        // primary's answer.
         let g = gpm_graph::gen::complete(12);
         let pg = PartitionedGraph::new(&g, 3, 1);
         let t = start(&pg, None);
@@ -1130,7 +1027,7 @@ mod tests {
         let before = rx.recv_timeout(Duration::from_secs(5)).unwrap().payload;
         assert!(matches!(before, Err(FetchError::NotOwner { .. })), "{before:?}");
 
-        push_slice(&t, &pg, 0, 2, 3);
+        push_slice(&t, &pg, 0, 2);
         assert_eq!(t.hosted_slices(2), vec![2, 0]);
 
         t.submit(2, wire(1, 0, v0), &tx).unwrap();
@@ -1138,33 +1035,6 @@ mod tests {
         t.submit(0, wire(2, 0, v0), &tx).unwrap();
         let from_primary = rx.recv_timeout(Duration::from_secs(5)).unwrap().payload.unwrap();
         assert_eq!(from_new_replica, from_primary);
-        t.shutdown();
-    }
-
-    #[test]
-    fn out_of_order_push_aborts_the_transfer() {
-        let g = gpm_graph::gen::complete(12);
-        let pg = PartitionedGraph::new(&g, 2, 1);
-        let t = start(&pg, None);
-        let src = pg.part(0);
-        let (tx, rx) = unbounded::<WireReply>();
-        // Chunk 1 of 2 without chunk 0 first: rejected, nothing installed.
-        let push = ReplicaPush {
-            seq: 7,
-            owner: 0,
-            chunk: 1,
-            total_chunks: 2,
-            owned: Vec::new(),
-            offsets: Vec::new(),
-            neighbors: src.neighbors().to_vec(),
-        };
-        t.push_replica(1, push, &tx).unwrap();
-        let ack = rx.recv_timeout(Duration::from_secs(5)).unwrap();
-        assert_eq!(ack.payload, Err(FetchError::TransferRefused { target: 1 }));
-        assert_eq!(t.hosted_slices(1), vec![1]);
-        // A clean restart of the transfer still succeeds.
-        push_slice(&t, &pg, 0, 1, 1);
-        assert_eq!(t.hosted_slices(1), vec![1, 0]);
         t.shutdown();
     }
 
@@ -1180,8 +1050,9 @@ mod tests {
             ..FaultPlan::default()
         };
         let t = start(&pg, Some(plan));
-        push_slice(&t, &pg, 0, 1, 2);
-        assert_eq!(t.hosted_slices(1), vec![1, 0]);
+        push_slice(&t, &pg, 0, 1);
+        push_slice(&t, &pg, 0, 1);
+        assert_eq!(t.hosted_slices(1), vec![1, 0], "a second copy of a slice is not installed");
         // The crash budget (1 fetch) is untouched by the two pushes: the
         // first fetch submission is still accepted.
         let v1 = pg.part(1).owned()[0];

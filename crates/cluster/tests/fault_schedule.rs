@@ -39,7 +39,7 @@ fn fetch_fault_schedule_is_pinned() {
     let g = rank_by_degree(&g).0;
     let obs = Recorder::new(&ObsConfig::enabled());
     let fabric = FabricConfig { retry: retry(), fault: Some(plan()), ..FabricConfig::default() };
-    let service = EdgeListService::start_observed(&pg, None, fabric, Arc::clone(&obs));
+    let service = EdgeListService::start_observed(&pg, None, fabric, Arc::clone(&obs), false);
     let client = service.client(0);
     let remote: Vec<VertexId> = pg.part(1).owned().to_vec();
     for i in 0..CALLS {

@@ -6,7 +6,7 @@ use crate::incident::{
     config_fingerprint, counter_snapshot, CaptureSections, IncidentConfig, IncidentManager,
     StallWatchdog, Trigger,
 };
-use crate::rebalance::{RebalanceConfig, Rebalancer};
+use crate::rebalance::RebalanceConfig;
 use crate::runtime::{run_part, PartCtx, StatePool, Visitor};
 use crate::scheduler::{place_recovery_roots, LiveQueries, StealConfig, WorkerPool};
 use crate::stats::{PartStats, RunStats, TrafficSummary};
@@ -42,8 +42,8 @@ pub struct PartHealth {
     /// tracker).
     pub alive: bool,
     /// Slices this part currently hosts a copy of: its own, the
-    /// replicas it was configured with, and any the rebalancer
-    /// installed after a death.
+    /// replicas it was configured with, and any a repair installed
+    /// after a death.
     pub hosted_slices: Vec<usize>,
     /// Live copies of this part's own slice across the cluster right
     /// now — below the configured replication factor while a repair is
@@ -173,10 +173,11 @@ pub struct EngineConfig {
     /// directory, no captures), the stall-watchdog window, and bundle
     /// retention.
     pub incident: IncidentConfig,
-    /// Background re-replication after a fail-stop death: restore every
-    /// short slice to the configured replication factor so a later
-    /// crash of a different part stays survivable. On by default;
-    /// effective only with replication ≥ 2 and more than one part.
+    /// Re-replication after a fail-stop death: the failover that detects
+    /// it restores every short slice to the configured replication
+    /// factor, so a later crash of a different part stays survivable. On
+    /// by default; effective only with replication ≥ 2 and more than one
+    /// part.
     pub rebalance: RebalanceConfig,
 }
 
@@ -219,10 +220,6 @@ pub struct Engine {
     /// Incident bundle capture over the recorder's flight ring (see
     /// [`IncidentConfig`]).
     incidents: Arc<IncidentManager>,
-    /// Background re-replication service, running whenever rebalance is
-    /// enabled, replication ≥ 2, and the cluster has several parts.
-    /// `None` otherwise, and a slice whose every copy died fails at once.
-    rebalancer: Option<Rebalancer>,
     cfg: EngineConfig,
     /// The persistent compute pool: `parts × compute_threads` workers,
     /// spawned once on the first multi-threaded run and parked between
@@ -262,11 +259,15 @@ impl Engine {
         let recorder = Recorder::with_flight(&cfg.obs, flight);
         let fingerprint = config_fingerprint(&format!("{cfg:?}"));
         let incidents = IncidentManager::new(&cfg.incident, Arc::clone(&recorder), fingerprint);
+        // Self-healing: with replicas to restore toward, the fabric
+        // repairs each death in the failover that detects it.
+        let heal = cfg.rebalance.enabled && pg.replication() >= 2 && pg.part_count() > 1;
         let service = EdgeListService::start_observed(
             &pg,
             cfg.network,
             cfg.fabric.clone(),
             Arc::clone(&recorder),
+            heal,
         );
         // Ranked ids ascend with degree: the static cache admits `v` by
         // its full degree when `v` is at or above this one id.
@@ -277,20 +278,6 @@ impl Engine {
                 Arc::new(SharedCache::for_part(&cfg.cache, sockets, pg.vertex_count(), hot_from))
             })
             .collect();
-        // Self-healing: with replicas to restore toward, arm the grace
-        // wait (dead-owner fetches briefly wait out an in-flight repair
-        // instead of failing) and start the background rebalancer.
-        let rebalancer = (cfg.rebalance.enabled && pg.replication() >= 2 && pg.part_count() > 1)
-            .then(|| {
-                service.arm_rebalance();
-                Rebalancer::start(
-                    service.clone(),
-                    (0..pg.part_count()).map(|p| pg.part_arc(p)).collect(),
-                    pg.replication(),
-                    cfg.rebalance.clone(),
-                    Arc::clone(&incidents),
-                )
-            });
         let parts = pg.part_count();
         Engine {
             pg,
@@ -299,7 +286,6 @@ impl Engine {
             run_pools: (0..parts).map(|_| StatePool::default()).collect(),
             recorder,
             incidents,
-            rebalancer,
             cfg,
             pool: OnceLock::new(),
             next_query: AtomicU64::new(1),
@@ -383,7 +369,7 @@ impl Engine {
     /// One row per part of the replica-placement/health table served by
     /// `/status` and rendered by `gpm top`: liveness, the slices the
     /// part currently hosts copies of (its own plus replicas, including
-    /// any installed by the rebalancer), how many live copies its own
+    /// any installed by a repair), how many live copies its own
     /// slice has right now, and the rerouted fetch traffic it has
     /// served on behalf of dead owners.
     pub fn part_health(&self) -> Vec<PartHealth> {
@@ -403,7 +389,7 @@ impl Engine {
             .collect()
     }
 
-    /// The report's self-healing section: rebalancer transfer totals,
+    /// The report's self-healing section: re-replication transfer totals,
     /// current routing epoch, the minimum live copy count over all
     /// slices (the "are we back to `r`?" answer), and each holder's
     /// share of the rerouted fetch traffic the spread-failover policy
@@ -423,19 +409,21 @@ impl Engine {
                 })
             })
             .collect();
-        let stats = self.rebalancer.as_ref().map(|r| r.stats());
+        let heals = self.service.heals();
+        let (transfers, bytes) = self.service.repair_totals();
+        let copies: Vec<u64> = (0..n).map(|s| self.service.live_copies(s) as u64).collect();
         RebalanceSection {
-            enabled: self.rebalancer.is_some(),
-            transfers: stats.map_or(0, |s| s.transfers()),
-            bytes: stats.map_or(0, |s| s.bytes()),
-            slices_restored: stats.map_or(0, |s| s.restored()),
-            slices_lost: stats.map_or(0, |s| s.lost()),
+            enabled: heals,
+            transfers,
+            bytes,
+            // Every transfer restores one copy.
+            slices_restored: transfers,
+            // Under healing, a slice with no live copy had none left to
+            // restore from.
+            slices_lost: if heals { copies.iter().filter(|&&c| c == 0).count() as u64 } else { 0 },
             routing_epoch: self.service.routing_epoch(),
             configured_replication: self.pg.replication() as u64,
-            min_effective_replication: (0..n)
-                .map(|s| self.service.live_copies(s) as u64)
-                .min()
-                .unwrap_or(0),
+            min_effective_replication: copies.iter().copied().min().unwrap_or(0),
             per_holder_rerouted,
         }
     }
@@ -604,7 +592,8 @@ impl Engine {
         // its seed batches from (and steals through, when enabled).
         let stealing = self.cfg.steal.enabled && !self.cfg.sequential_parts && parts > 1;
         let owned = (0..parts).map(|p| self.pg.part(p).owned().to_vec()).collect();
-        let numa = self.cfg.steal.numa.then(|| self.pg.sockets_per_machine().max(1));
+        // Thieves prefer a victim on their own machine (paper §5.4).
+        let numa = Some(self.pg.sockets_per_machine().max(1));
         let ledger = self.make_ledger(owned, stealing, numa, qid, &query_row);
         // The persistent pool outlives the run; first multi-threaded run
         // pays the spawn cost, every later one reuses the parked workers.
@@ -675,20 +664,19 @@ impl Engine {
             }
             all_dead.extend(&new_dead);
             all_dead.sort_unstable();
-            // Survivability gate. With the rebalancer running, a death
-            // only loses data if a slice's every copy died before a
-            // repair landed: wait for the repairs this death triggered
-            // to settle, then ask liveness per dead-owned slice. With
+            // Survivability gate. Healing, a death only loses data if a
+            // slice's every copy died before a repair landed: once no
+            // repair is in flight, ask liveness per dead-owned slice. With
             // rebalance off, the static envelope holds verbatim — once
             // the dead reach the replication factor, some slice has no
             // copy left.
-            let lost_part = match &self.rebalancer {
-                Some(rb) => {
-                    rb.wait_for(&new_dead);
-                    all_dead.iter().copied().find(|&d| self.service.live_copies(d) == 0)
-                }
-                None if self.pg.replication() <= all_dead.len() => Some(new_dead[0]),
-                None => None,
+            let lost_part = if self.service.heals() {
+                self.service.await_repairs();
+                all_dead.iter().copied().find(|&d| self.service.live_copies(d) == 0)
+            } else if self.pg.replication() <= all_dead.len() {
+                Some(new_dead[0])
+            } else {
+                None
             };
             if let Some(part) = lost_part {
                 self.capture_incident(
@@ -1511,7 +1499,7 @@ mod tests {
                     // requests so the crash lands mid-run, with live
                     // fetches still headed for the dead part.
                     chunk_capacity: 64,
-                    steal: StealConfig { enabled: steal, batch: 8, ..StealConfig::default() },
+                    steal: StealConfig { enabled: steal, batch: 8 },
                     obs: ObsConfig::enabled(),
                     fabric: FabricConfig {
                         retry: crash_retry(),
@@ -1626,7 +1614,7 @@ mod tests {
                 PartitionedGraph::with_replication(&g, 4, 1, 3),
                 EngineConfig {
                     chunk_capacity: 64,
-                    steal: StealConfig { enabled: steal, batch: 8, ..StealConfig::default() },
+                    steal: StealConfig { enabled: steal, batch: 8 },
                     obs: ObsConfig::enabled(),
                     fabric: FabricConfig { retry: crash_retry(), fault, ..FabricConfig::default() },
                     ..EngineConfig::default()
@@ -1957,7 +1945,7 @@ mod tests {
             PartitionedGraph::with_replication(&g, 4, 1, 2),
             EngineConfig {
                 chunk_capacity: 64,
-                steal: StealConfig { enabled: true, batch: 8, ..StealConfig::default() },
+                steal: StealConfig { enabled: true, batch: 8 },
                 obs: ObsConfig::enabled(),
                 incident: IncidentConfig { dir: Some(dir.clone()), ..IncidentConfig::default() },
                 fabric: FabricConfig {

@@ -12,17 +12,18 @@
 //! starvation, poison), a config fingerprint, and the trigger record
 //! itself.
 //!
-//! Six triggers fire, one [`TriggerKind`] each — the same type names
+//! Five triggers fire, one [`TriggerKind`] each — the same type names
 //! the report's `incidents[]` entries: `part_failed`, `part_lost`,
-//! `slow_query`, `control_poison`, `stall`, and `rebalance_stuck`. (A
-//! seventh, `deadline_exceeded`, is only read: nothing fires it any
-//! more, and bundles written with it still validate.) The first four
-//! wire into existing engine/service/control choke points; `stall` comes from the
-//! `StallWatchdog` — a per-run thread that fires when the run is still
-//! in flight but its progress tracker has seen no root claim or
-//! retirement for a configurable window, dumping scheduler state instead
-//! of letting a wedged run hang silently — and `rebalance_stuck` from the
-//! same watchdog over a re-replication transfer.
+//! `slow_query`, `control_poison` and `stall`. (Two more,
+//! `deadline_exceeded` and `rebalance_stuck`, are only read: nothing
+//! fires them any more, and bundles written with them still validate.)
+//! The first four wire into existing engine/service/control choke
+//! points; `stall` comes from the `StallWatchdog` — a per-run thread
+//! that fires when the run is still in flight but its progress tracker
+//! has seen no root claim or retirement for a configurable window,
+//! dumping scheduler state instead of letting a wedged run hang
+//! silently. A re-replication transfer runs inside a part's failover, so
+//! the same watchdog sees a wedged one.
 //!
 //! A bundle is one typed document, [`Bundle`]: capture serializes it and
 //! [`validate_bundle`] reads it back, so the writer, the validator and
@@ -359,25 +360,25 @@ pub fn validate_bundle(json: &str) -> Result<Bundle, String> {
     Ok(bundle)
 }
 
-/// One stall detector: a thread that ticks at an eighth of its window
-/// and fires once when a progress counter has stayed flat
-/// for the whole window while an "armed" predicate held. Two watch a run
-/// today — its progress tracker's claims and retirements
-/// ([`StallWatchdog::start`]) and the rebalancer's transfer bytes — each
-/// with its own trigger. It is stopped and joined on drop, so no thread
-/// outlives the run (or the engine).
+/// The per-run watchdog against wedged runs: a thread that ticks at an
+/// eighth of its window and fires once when the run's progress tracker
+/// has seen no root claim or batch retirement for the whole window. It
+/// is stopped and joined on drop, so no thread outlives the run (or the
+/// engine).
 pub(crate) struct StallWatchdog {
     stop: Arc<AtomicBool>,
     handle: Option<std::thread::JoinHandle<()>>,
 }
 
 impl StallWatchdog {
-    /// The per-run watchdog against wedged runs, if a window is
-    /// configured and capture is enabled. The runtime feeds `progress` on
-    /// every root claim and batch retirement; no movement of claimed +
-    /// completed for the window means the scheduler is wedged (or the run
-    /// is pathologically starved — either way worth a bundle), and one
-    /// `stall` bundle dumps the live scheduler state and progress.
+    /// Starts the watchdog, if a window is configured and capture is
+    /// enabled. The runtime feeds `progress` on every root claim and
+    /// batch retirement; no movement of claimed + completed for the
+    /// window means the scheduler is wedged (or the run is
+    /// pathologically starved — either way worth a bundle), and one
+    /// `stall` bundle dumps the live scheduler state and progress. One
+    /// bundle per watchdog: a stall does not get less stuck, and
+    /// repeated captures would only spam near-identical bundles.
     pub(crate) fn start(
         manager: &Arc<IncidentManager>,
         progress: Arc<QueryProgress>,
@@ -387,61 +388,45 @@ impl StallWatchdog {
         if !manager.enabled() {
             return None;
         }
-        let (mgr, watched) = (Arc::clone(manager), Arc::clone(&progress));
-        let fire = move |stalled: Duration, moved: u64| {
-            let sections = CaptureSections {
-                progress: vec![progress.snapshot()],
-                counters: None,
-                ledger: Some(ledger.state_summary()),
-            };
-            let detail = format!(
-                "no root claim or batch retirement for {stalled:?} \
-                 (claimed + completed stuck at {moved})"
-            );
-            let (query_id, value) = (progress.query_id(), stalled.as_nanos() as u64);
-            mgr.capture(Trigger::new(TriggerKind::Stall, query_id, None, value, detail), sections);
-        };
-        let counter = move || watched.claimed() + watched.completed();
-        Some(StallWatchdog::watch("khuzdul-stall-watchdog", window, counter, || true, fire))
-    }
-
-    /// Starts a thread that calls `fire(stalled, counter)` once `counter`
-    /// has not moved for `window` while `armed` held throughout; a
-    /// disarmed tick restarts the clock. One bundle per watchdog: a stall
-    /// does not get less stuck, and repeated captures would only spam
-    /// near-identical bundles.
-    pub(crate) fn watch(
-        name: &str,
-        window: Duration,
-        counter: impl Fn() -> u64 + Send + 'static,
-        armed: impl Fn() -> bool + Send + 'static,
-        fire: impl FnOnce(Duration, u64) + Send + 'static,
-    ) -> StallWatchdog {
+        let mgr = Arc::clone(manager);
         let stop = Arc::new(AtomicBool::new(false));
         let flag = Arc::clone(&stop);
         let handle = std::thread::Builder::new()
-            .name(name.to_string())
+            .name("khuzdul-stall-watchdog".to_string())
             .spawn(move || {
                 let tick = (window / 8).max(Duration::from_millis(1));
-                let mut last = counter();
+                let moved = || progress.claimed() + progress.completed();
+                let mut last = moved();
                 let mut last_change = Instant::now();
                 while !flag.load(Ordering::Relaxed) {
                     std::thread::sleep(tick);
-                    let now = counter();
-                    if now != last || !armed() {
+                    let now = moved();
+                    if now != last {
                         last = now;
                         last_change = Instant::now();
                         continue;
                     }
                     let stalled = last_change.elapsed();
                     if stalled >= window && !flag.load(Ordering::Relaxed) {
-                        fire(stalled, now);
+                        let sections = CaptureSections {
+                            progress: vec![progress.snapshot()],
+                            counters: None,
+                            ledger: Some(ledger.state_summary()),
+                        };
+                        let detail = format!(
+                            "no root claim or batch retirement for {stalled:?} \
+                             (claimed + completed stuck at {now})"
+                        );
+                        let (query_id, value) = (progress.query_id(), stalled.as_nanos() as u64);
+                        let trigger =
+                            Trigger::new(TriggerKind::Stall, query_id, None, value, detail);
+                        mgr.capture(trigger, sections);
                         break;
                     }
                 }
             })
             .expect("spawn stall watchdog");
-        StallWatchdog { stop, handle: Some(handle) }
+        Some(StallWatchdog { stop, handle: Some(handle) })
     }
 }
 

@@ -64,7 +64,7 @@ pub use cache::{CacheConfig, CachePolicy};
 pub use control::{ControlConfig, ControlMode, ControlPlaneSummary};
 pub use engine::{Engine, EngineConfig, EngineError, PartHealth, QueryCtx, DEFAULT_ROOT_BUDGET};
 pub use incident::{list_bundles, validate_bundle, Bundle, IncidentConfig, IncidentManager};
-pub use rebalance::{RebalanceConfig, RebalanceStats};
+pub use rebalance::RebalanceConfig;
 pub use scheduler::StealConfig;
 pub use service::{Completion, MemoStats, MiningService, QueryHandle, QueryOutcome, ServiceConfig};
 pub use stats::{PartStats, RunStats, TrafficSummary};

@@ -716,7 +716,7 @@ mod tests {
         let plan = MatchingPlan::compile(&Pattern::triangle(), &PlanOptions::automine()).unwrap();
         let cfg = EngineConfig {
             compute_threads: 1,
-            steal: StealConfig { enabled: true, batch: 16, numa: false },
+            steal: StealConfig { enabled: true, batch: 16 },
             ..EngineConfig::default()
         };
         let ledger = Arc::new(ControlPlane::start(

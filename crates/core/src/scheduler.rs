@@ -46,17 +46,11 @@ pub struct StealConfig {
     /// finely the tail of a run is balanced; the bulk goes out in large
     /// grants whatever it is.
     pub batch: usize,
-    /// NUMA-aware victim ordering (paper §5.4): a thief prefers the
-    /// most-loaded part on its *own machine* before crossing the
-    /// simulated network, using the `machine * sockets_per_machine +
-    /// socket` part numbering. On by default; turning it off reverts to
-    /// flat most-loaded-anywhere selection.
-    pub numa: bool,
 }
 
 impl Default for StealConfig {
     fn default() -> Self {
-        StealConfig { enabled: false, batch: 256, numa: true }
+        StealConfig { enabled: false, batch: 256 }
     }
 }
 

@@ -183,13 +183,13 @@ fn render_metrics(svc: &MiningService) -> String {
         ),
         PromMetric::scalar(
             "gpm_rebalance_transfers_total",
-            "Slices re-replicated to a new holder by the background rebalancer",
+            "Slices re-replicated to a new holder after a death",
             PromKind::Counter,
             rebalance.transfers as f64,
         ),
         PromMetric::scalar(
             "gpm_rebalance_bytes_total",
-            "CSR bytes streamed by background re-replication",
+            "CSR bytes pushed by re-replication after a death",
             PromKind::Counter,
             rebalance.bytes as f64,
         ),
@@ -379,11 +379,11 @@ pub struct StatusDoc {
     pub counters: CounterSnapshot,
 }
 
-/// The replica section of `/status`: the rebalancer's cumulative totals
+/// The replica section of `/status`: re-replication's cumulative totals
 /// (as in the report's `rebalance` section) and one health row per part.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ReplicaTable {
-    /// Whether the background rebalancer runs.
+    /// Whether deaths are repaired (re-replication is on).
     pub enabled: bool,
     /// The replication factor the graph was partitioned with.
     pub configured_replication: u64,
@@ -582,7 +582,7 @@ mod tests {
         let engine = Arc::new(Engine::new(
             pg,
             EngineConfig {
-                steal: StealConfig { enabled: true, batch: 8, ..StealConfig::default() },
+                steal: StealConfig { enabled: true, batch: 8 },
                 control: ControlConfig { mode: ControlMode::Msg },
                 // The RTT histogram records through the obs recorder,
                 // which is off by default.

@@ -147,7 +147,7 @@ proptest! {
             // Small chunks split the fetch workload into many wire
             // requests so most sampled schedules actually fire mid-run.
             chunk_capacity: 32,
-            steal: StealConfig { enabled: steal, batch: 4, ..StealConfig::default() },
+            steal: StealConfig { enabled: steal, batch: 4 },
             control: ControlConfig { mode },
             fabric: FabricConfig {
                 retry: RetryPolicy {
@@ -209,7 +209,7 @@ proptest! {
         let pg = PartitionedGraph::with_partitioner(&g, 4, 1, Partitioner::Range);
         let engine = Engine::new(pg, EngineConfig {
             chunk_capacity: 32,
-            steal: StealConfig { enabled: true, batch: 4, ..StealConfig::default() },
+            steal: StealConfig { enabled: true, batch: 4 },
             control: ControlConfig { mode: ControlMode::Msg },
             // A drop costs one timeout on either plane: the CLI's tight
             // 25 ms keeps the 24 cases to a few seconds.
@@ -267,7 +267,7 @@ proptest! {
                             // Small chunks force multi-chunk levels, pauses,
                             // and leftover hand-backs under stealing.
                             chunk_capacity: 64,
-                            steal: StealConfig { enabled: steal, batch: 8, ..StealConfig::default() },
+                            steal: StealConfig { enabled: steal, batch: 8 },
                             control: ControlConfig { mode },
                             ..EngineConfig::default()
                         });

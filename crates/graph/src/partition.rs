@@ -418,18 +418,6 @@ impl PartitionedGraph {
         self.owner_map.owner(v)
     }
 
-    /// The machine a part belongs to.
-    #[inline]
-    pub fn machine_of_part(&self, part: usize) -> usize {
-        part / self.sockets_per_machine
-    }
-
-    /// The socket (within its machine) a part belongs to.
-    #[inline]
-    pub fn socket_of_part(&self, part: usize) -> usize {
-        part % self.sockets_per_machine
-    }
-
     /// Borrow a part.
     ///
     /// # Panics
@@ -483,13 +471,6 @@ impl PartitionedGraph {
     pub fn replica_holders(&self, source: usize) -> Vec<usize> {
         let n = self.parts.len();
         (1..self.replication).map(|k| (source + n - k) % n).collect()
-    }
-
-    /// Bytes of CSR data hosted as replicas across all parts — the
-    /// memory cost of the replication factor on top of
-    /// [`PartitionedGraph::total_size_bytes`].
-    pub fn replica_size_bytes(&self) -> usize {
-        self.replicas.iter().flatten().map(|p| p.size_bytes()).sum()
     }
 }
 
@@ -551,17 +532,6 @@ mod tests {
                 "part {p} owns {c}, expected around {expected}"
             );
         }
-    }
-
-    #[test]
-    fn machine_socket_mapping() {
-        let g = gen::complete(10);
-        let pg = PartitionedGraph::new(&g, 2, 2);
-        assert_eq!(pg.machine_of_part(0), 0);
-        assert_eq!(pg.machine_of_part(1), 0);
-        assert_eq!(pg.machine_of_part(2), 1);
-        assert_eq!(pg.socket_of_part(1), 1);
-        assert_eq!(pg.socket_of_part(2), 0);
     }
 
     #[test]
@@ -659,7 +629,6 @@ mod tests {
                 .expect("replica must hold the slice");
             assert_eq!(replica, g.neighbors(v));
         }
-        assert_eq!(pg.replica_size_bytes(), pg.total_size_bytes());
     }
 
     #[test]
@@ -669,7 +638,6 @@ mod tests {
         assert_eq!(pg.replication(), 1);
         assert!(pg.replica_holders(0).is_empty());
         assert!(pg.hosted_replicas(2).is_empty());
-        assert_eq!(pg.replica_size_bytes(), 0);
     }
 
     #[test]

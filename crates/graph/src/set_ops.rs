@@ -599,18 +599,6 @@ pub fn contains(s: &[VertexId], x: VertexId) -> bool {
     s.binary_search(&x).is_ok()
 }
 
-/// Number of elements of sorted `s` strictly below `x`.
-#[inline]
-pub fn count_below(s: &[VertexId], x: VertexId) -> usize {
-    s.partition_point(|&v| v < x)
-}
-
-/// Number of elements of sorted `s` strictly above `x`.
-#[inline]
-pub fn count_above(s: &[VertexId], x: VertexId) -> usize {
-    s.len() - s.partition_point(|&v| v <= x)
-}
-
 /// The vector half of the intersection kernels, and the only `unsafe` in
 /// this crate.
 ///
@@ -983,10 +971,6 @@ mod tests {
     #[test]
     fn bounds_counting() {
         let s = &[2, 4, 6, 8];
-        assert_eq!(count_below(s, 5), 2);
-        assert_eq!(count_below(s, 2), 0);
-        assert_eq!(count_above(s, 5), 2);
-        assert_eq!(count_above(s, 8), 0);
         assert!(contains(s, 6));
         assert!(!contains(s, 5));
     }

@@ -5,7 +5,7 @@ use crate::hist::{Histogram, HistogramSnapshot};
 use crate::span::{Span, SpanKind, NO_PART};
 use crate::ObsConfig;
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Number of span ring shards on the central recorder. Cross-thread
@@ -111,11 +111,11 @@ impl Ring {
 /// A record of a [`coarse`](SpanKind::coarse) kind lands in the flight
 /// ring whenever that ring is armed, and every record lands in the span
 /// ring while tracing is on — one call, one clock (the flight ring's).
-/// With both off a record is a relaxed load and a branch (two for a coarse
-/// kind): no allocation, no locks, no clock reads.
+/// With both off a record is a branch (two for a coarse kind): no
+/// allocation, no locks, no clock reads.
 #[derive(Debug)]
 pub struct Recorder {
-    enabled: AtomicBool,
+    enabled: bool,
     shards: Vec<Mutex<Ring>>,
     hists: [Histogram; 6],
     recorded: AtomicU64,
@@ -137,7 +137,7 @@ impl Recorder {
     pub fn with_flight(cfg: &ObsConfig, flight: Arc<FlightRecorder>) -> Arc<Recorder> {
         let shard_cap = (cfg.span_capacity / SHARDS).max(1);
         Arc::new(Recorder {
-            enabled: AtomicBool::new(cfg.enabled),
+            enabled: cfg.enabled,
             shards: (0..SHARDS).map(|_| Mutex::new(Ring::with_capacity(shard_cap))).collect(),
             hists: std::array::from_fn(|_| Histogram::new()),
             recorded: AtomicU64::new(0),
@@ -159,15 +159,10 @@ impl Recorder {
         &self.flight
     }
 
-    /// Whether recording is on (relaxed load — the hot-path branch).
+    /// Whether recording is on (the hot-path branch).
     #[inline]
     pub fn is_enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
-    }
-
-    /// Flips recording on or off at runtime.
-    pub fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, Ordering::Relaxed);
+        self.enabled
     }
 
     /// Nanoseconds on the recorder's clock, or 0 when tracing is disabled
@@ -563,7 +558,7 @@ mod tests {
         let got: Vec<_> = snap.iter().map(|e| (e.kind, e.query, e.part, e.a)).collect();
         assert_eq!(got, [(SpanKind::Steal, 7, 2, 3), (SpanKind::Donate, 7, 1, 5)]);
         // Tracing on: the same call writes both, on one clock.
-        rec.set_enabled(true);
+        let rec = Recorder::with_flight(&ObsConfig::enabled(), FlightRecorder::new(16));
         rec.event(7, SpanKind::QueryAdmit, NO_PART, 0, 0);
         let t0 = rec.now_ns();
         rec.span(7, SpanKind::Recovery, 1, t0, 4, 0);

@@ -240,13 +240,13 @@ pub struct HolderReroute {
 }
 
 /// Self-healing re-replication accounting (additive in v4). All-zero
-/// with `enabled: false` for runs without the background rebalancer;
+/// with `enabled: false` for runs without re-replication;
 /// `report-validate` warns when `min_effective_replication` ends below
 /// `configured_replication` — a slice is still short a copy, so the next
 /// crash may lose data.
 #[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct RebalanceSection {
-    /// Whether the background rebalancer was running.
+    /// Whether deaths were repaired (re-replication was on).
     pub enabled: bool,
     /// Completed slice transfers (one per slice re-replicated).
     pub transfers: u64,
@@ -342,7 +342,9 @@ pub enum TriggerKind {
     /// The stall watchdog saw no scheduler progress for its window.
     Stall,
     /// A re-replication transfer made no byte progress for the stall
-    /// window.
+    /// window. Nothing fires it any more: a repair runs inside a part's
+    /// failover, where the run's own `Stall` watchdog sees it wedge. It
+    /// stays so that bundles written with it still read.
     RebalanceStuck,
 }
 
@@ -465,7 +467,7 @@ pub struct RunReport {
     /// fault-free run).
     pub failures: FailureSection,
     /// Self-healing re-replication and spread-failover accounting
-    /// (additive in v4; `enabled: false` without the rebalancer).
+    /// (additive in v4; `enabled: false` without re-replication).
     #[serde(default)]
     pub rebalance: RebalanceSection,
     /// Control-plane message accounting (additive in v4; all-zero under

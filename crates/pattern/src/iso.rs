@@ -139,35 +139,6 @@ fn permute_all(perm: &mut Vec<usize>, i: usize, f: &mut impl FnMut(&[usize])) {
     }
 }
 
-/// The orbit partition of `p`'s vertices under its automorphism group.
-///
-/// Returns `orbit[v]` = smallest vertex in `v`'s orbit.
-pub fn orbits(p: &Pattern) -> Vec<usize> {
-    let n = p.size();
-    let mut orbit: Vec<usize> = (0..n).collect();
-    for a in automorphisms(p) {
-        // Index loop: both `v` and its image `a[v]` index the union-find.
-        #[allow(clippy::needless_range_loop)]
-        for v in 0..n {
-            let (mut x, mut y) = (root(&orbit, v), root(&orbit, a[v]));
-            if x != y {
-                if x > y {
-                    std::mem::swap(&mut x, &mut y);
-                }
-                orbit[y] = x;
-            }
-        }
-    }
-    (0..n).map(|v| root(&orbit, v)).collect()
-}
-
-fn root(orbit: &[usize], mut v: usize) -> usize {
-    while orbit[v] != v {
-        v = orbit[v];
-    }
-    v
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -222,17 +193,5 @@ mod tests {
         assert!(!are_isomorphic(&ab, &aa));
         assert!(!are_isomorphic(&ab, &unlabeled));
         assert_eq!(canonical_code(&ab), canonical_code(&ba));
-    }
-
-    #[test]
-    fn orbit_partition() {
-        // Tailed triangle 0-1-2-0, 2-3: orbits {0,1}, {2}, {3}.
-        let o = orbits(&Pattern::tailed_triangle());
-        assert_eq!(o[0], o[1]);
-        assert_ne!(o[0], o[2]);
-        assert_ne!(o[2], o[3]);
-        // Clique: single orbit.
-        let o = orbits(&Pattern::clique(4));
-        assert!(o.iter().all(|&r| r == 0));
     }
 }

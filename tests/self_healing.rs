@@ -32,7 +32,7 @@ fn crashy(mode: ControlMode, rebalance: bool, crashes: Vec<CrashAt>) -> EngineCo
         cache: CacheConfig { policy: CachePolicy::Disabled, ..CacheConfig::default() },
         obs: ObsConfig::enabled(),
         control: ControlConfig { mode },
-        rebalance: RebalanceConfig { enabled: rebalance, ..RebalanceConfig::default() },
+        rebalance: RebalanceConfig { enabled: rebalance },
         fabric: FabricConfig {
             retry: RetryPolicy {
                 max_attempts: 4,
@@ -258,7 +258,7 @@ proptest! {
                 pg.set_replication(replication);
                 let engine = Engine::new(pg, EngineConfig {
                     chunk_capacity: 32,
-                    steal: StealConfig { enabled: steal, batch: 4, ..StealConfig::default() },
+                    steal: StealConfig { enabled: steal, batch: 4 },
                     ..crashy(mode, heal, crashes.clone())
                 });
                 let res = engine.try_count(&pl);

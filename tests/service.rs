@@ -47,7 +47,7 @@ fn overlapping_queries_match_solo_counts_under_steal_on_and_off() {
             let engine = Arc::new(Engine::new(
                 PartitionedGraph::new(&g, 4, 1),
                 EngineConfig {
-                    steal: StealConfig { enabled: steal, batch: 8, ..StealConfig::default() },
+                    steal: StealConfig { enabled: steal, batch: 8 },
                     control: ControlConfig { mode },
                     ..EngineConfig::default()
                 },
@@ -307,7 +307,7 @@ fn concurrent_queries_sum_to_the_part_rows_counter_by_counter() {
     let engine = Arc::new(Engine::new(
         PartitionedGraph::new(&g, 3, 1),
         EngineConfig {
-            steal: StealConfig { enabled: true, batch: 8, ..StealConfig::default() },
+            steal: StealConfig { enabled: true, batch: 8 },
             control: ControlConfig { mode: ControlMode::Msg },
             ..EngineConfig::default()
         },
