@@ -549,6 +549,7 @@ mod tests {
     use gpm_graph::gen;
     use gpm_graph::partition::PartitionedGraph;
     use gpm_graph::VertexId;
+    use gpm_pattern::order::OrderChoice;
     use gpm_pattern::plan::{MatchingPlan, PlanOptions};
     use gpm_pattern::{interp, oracle, Pattern};
     use parking_lot::Mutex;
@@ -620,15 +621,17 @@ mod tests {
         // window, so it resumes at an index into a window cut again; the
         // children parked from it get the window as their intermediate,
         // and those walked in place read it where it lies.
+        // The 4-cycle runs in id order, whose v2 comes from v1's window.
         let g = gen::barabasi_albert(70, 4, 23);
         let cases = [
-            (Pattern::path(4), "C1:"),
-            (Pattern::star(4), "C2 clamped"),
-            (Pattern::cycle(4), "N(v1) clamped"),
-            (Pattern::house(), "N(v1):"),
+            (Pattern::path(4), OrderChoice::Automine, "C1:"),
+            (Pattern::star(4), OrderChoice::Automine, "C2 clamped"),
+            (Pattern::cycle(4), OrderChoice::Given(vec![0, 1, 2, 3]), "N(v1) clamped"),
+            (Pattern::house(), OrderChoice::Automine, "N(v1):"),
         ];
-        for (p, window_level) in cases {
-            let plan = plan(&p);
+        for (p, order, window_level) in cases {
+            let plan = MatchingPlan::compile(&p, &PlanOptions { order, ..PlanOptions::automine() })
+                .unwrap();
             assert!(plan.describe().contains(&format!("in {window_level}")), "{}", plan.describe());
             assert!(plan.levels().iter().all(|l| l.plain), "{p}");
             let expect = oracle::count_subgraphs(&g, &p, false);

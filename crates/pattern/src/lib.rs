@@ -10,7 +10,8 @@
 //! * [`genpat`] — generation of all connected size-k patterns (for k-motif
 //!   counting) and labeled pattern extension (for FSM);
 //! * [`order`] — matching-order heuristics: an Automine-style greedy
-//!   connectivity order and a GraphPi-style exhaustive cost-model search;
+//!   connectivity order (its ties priced by the cost model) and a
+//!   GraphPi-style exhaustive cost-model search;
 //! * [`restrictions`] — symmetry-breaking ordering constraints that make
 //!   each subgraph be enumerated exactly once (GraphZero/GraphPi style);
 //! * [`plan`] — the [`plan::MatchingPlan`] compiler: per-level intersect /

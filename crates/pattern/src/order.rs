@@ -7,7 +7,9 @@
 //! pattern matching algorithm"):
 //!
 //! * [`automine_order`] — greedy: start from a max-degree vertex, then
-//!   repeatedly append the vertex most connected to the prefix;
+//!   repeatedly append the vertex most connected to the prefix; where
+//!   that rule ties, [`estimate_cost`] picks among the orders it admits
+//!   (on ranked vertex ids this puts a cycle's wedges on its root);
 //! * [`graphpi_order`] — exhaustive search over all connected-prefix
 //!   permutations scored by a random-graph cost model that accounts for
 //!   restriction pruning.
@@ -49,8 +51,13 @@ pub fn has_connected_prefix(p: &Pattern, order: &[usize]) -> bool {
 }
 
 /// AutoMine-style greedy order: highest-degree start vertex, then at each
-/// step the unmatched vertex with the most neighbors in the prefix
-/// (ties: higher pattern degree, then lower id).
+/// step an unmatched vertex with the most neighbors in the prefix, and
+/// among those the higher pattern degree. The rule's remaining ties are
+/// broken by cost, not by id: every order it admits is enumerated
+/// (branching once per distinct set of prefix positions the tied
+/// vertices attach to) and the one [`estimate_cost`] rates cheapest wins,
+/// the lower-id greedy on equal cost. Where the rule admits one order —
+/// every clique and star — no cost is evaluated.
 ///
 /// # Example
 ///
@@ -60,30 +67,64 @@ pub fn has_connected_prefix(p: &Pattern, order: &[usize]) -> bool {
 /// let o = order::automine_order(&Pattern::tailed_triangle());
 /// assert!(order::has_connected_prefix(&Pattern::tailed_triangle(), &o));
 /// assert_eq!(o[0], 2); // the degree-3 hub goes first
+/// // A 4-cycle draws its third vertex from the start vertex's neighbors too.
+/// assert_eq!(order::automine_order(&Pattern::cycle(4)), vec![0, 1, 3, 2]);
 /// ```
 pub fn automine_order(p: &Pattern) -> Vec<usize> {
-    let n = p.size();
-    let start = (0..n).max_by_key(|&v| (p.degree(v), std::cmp::Reverse(v))).unwrap();
-    let mut order = vec![start];
-    let mut in_prefix = vec![false; n];
-    in_prefix[start] = true;
-    while order.len() < n {
-        let next = (0..n)
-            .filter(|&v| !in_prefix[v])
-            .max_by_key(|&v| {
-                let conn = order.iter().filter(|&&u| p.has_edge(u, v)).count();
-                (conn, p.degree(v), std::cmp::Reverse(v))
-            })
-            .unwrap();
-        // Connected patterns always offer a connected next vertex.
-        debug_assert!(order.iter().any(|&u| p.has_edge(u, next)) || n == 1);
-        order.push(next);
-        in_prefix[next] = true;
+    let start = (0..p.size()).max_by_key(|&v| (p.degree(v), std::cmp::Reverse(v))).unwrap();
+    let mut order = Vec::with_capacity(p.size());
+    order.push(start);
+    let mut orders = Vec::new();
+    greedy_orders(p, &mut order, &mut orders);
+    if orders.len() == 1 {
+        return orders.pop().unwrap();
     }
-    order
+    let model = CostModel::default();
+    // `min_by` keeps the first of equal minima: the lower-id greedy.
+    orders
+        .into_iter()
+        .map(|o| (estimate_cost(p, &o, &model), o))
+        .min_by(|a, b| a.0.total_cmp(&b.0))
+        .unwrap()
+        .1
 }
 
-/// Parameters of the random-graph cost model used by [`graphpi_order`].
+/// Appends to `out` every completion of `order` that [`automine_order`]'s
+/// rule admits, lower-id choices first. Tied vertices attaching to the
+/// same prefix positions are one branch (its lowest id).
+fn greedy_orders(p: &Pattern, order: &mut Vec<usize>, out: &mut Vec<Vec<usize>>) {
+    let n = p.size();
+    if order.len() == n {
+        out.push(order.clone());
+        return;
+    }
+    let key = |a: u8, v: usize| (a.count_ones(), p.degree(v));
+    let best = (0..n).filter(|v| !order.contains(v)).map(|v| key(attach(p, order, v), v)).max();
+    // Connected patterns always offer a connected next vertex.
+    debug_assert!(best.is_some_and(|b| b.0 > 0));
+    // A prefix has at most 7 positions, so an attach set is below 128.
+    let mut branched = 0u128;
+    for v in 0..n {
+        if order.contains(&v) {
+            continue;
+        }
+        let a = attach(p, order, v);
+        if Some(key(a, v)) == best && branched & 1 << a == 0 {
+            branched |= 1 << a;
+            order.push(v);
+            greedy_orders(p, order, out);
+            order.pop();
+        }
+    }
+}
+
+/// The prefix positions `v` is adjacent to, as a bit set.
+fn attach(p: &Pattern, order: &[usize], v: usize) -> u8 {
+    (0..order.len()).filter(|&i| p.has_edge(order[i], v)).fold(0, |m, i| m | 1 << i)
+}
+
+/// Parameters of the random-graph cost model used by [`graphpi_order`]
+/// and by [`automine_order`]'s tie-break.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostModel {
     /// Assumed vertex count of the data graph.
@@ -208,6 +249,7 @@ pub fn resolve(p: &Pattern, choice: &OrderChoice) -> Result<Vec<usize>, String> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::genpat;
 
     #[test]
     fn automine_order_valid_for_all_fixtures() {
@@ -265,6 +307,58 @@ mod tests {
         let good = estimate_cost(&p, &[2, 0, 1, 3], &model);
         let bad = estimate_cost(&p, &[3, 2, 0, 1], &model);
         assert!(good < bad);
+    }
+
+    /// The greedy with every tie broken by lower id: what
+    /// [`automine_order`] must never cost more than, and must return where
+    /// the rule admits one order.
+    fn id_greedy(p: &Pattern) -> Vec<usize> {
+        let mut order = Vec::new();
+        while order.len() < p.size() {
+            let next = (0..p.size())
+                .filter(|v| !order.contains(v))
+                .max_by_key(|&v| {
+                    let conn = order.iter().filter(|&&u| p.has_edge(u, v)).count();
+                    (conn, p.degree(v), std::cmp::Reverse(v))
+                })
+                .unwrap();
+            order.push(next);
+        }
+        order
+    }
+
+    #[test]
+    fn automine_puts_a_cycles_wedges_on_its_start_vertex() {
+        assert_eq!(automine_order(&Pattern::cycle(4)), vec![0, 1, 3, 2]);
+        assert_eq!(automine_order(&Pattern::cycle(5)), vec![0, 1, 4, 2, 3]);
+        // Where the id tie-break is already cheapest, it stays.
+        assert_eq!(automine_order(&Pattern::house()), vec![0, 1, 4, 2, 3]);
+        assert_eq!(automine_order(&Pattern::path(4)), vec![1, 2, 0, 3]);
+    }
+
+    #[test]
+    fn automine_obeys_the_greedy_rule_and_never_costs_more_than_the_id_tie_break() {
+        let model = CostModel::default();
+        for p in genpat::connected_patterns(4).into_iter().chain(genpat::connected_patterns(5)) {
+            let o = automine_order(&p);
+            assert!(has_connected_prefix(&p, &o), "{p}");
+            assert_eq!(p.degree(o[0]), (0..p.size()).map(|v| p.degree(v)).max().unwrap(), "{p}");
+            let key = |i: usize, v: usize| {
+                (o[..i].iter().filter(|&&u| p.has_edge(u, v)).count(), p.degree(v))
+            };
+            for i in 1..p.size() {
+                let best = o[i..].iter().map(|&v| key(i, v)).max().unwrap();
+                assert_eq!(key(i, o[i]), best, "{p}: {o:?} breaks the greedy at level {i}");
+            }
+            let old = id_greedy(&p);
+            assert!(estimate_cost(&p, &o, &model) <= estimate_cost(&p, &old, &model), "{p}");
+            // Where the rule admits one order, that order is the old one.
+            let mut admitted = Vec::new();
+            greedy_orders(&p, &mut vec![o[0]], &mut admitted);
+            if admitted.len() == 1 {
+                assert_eq!(o, old, "{p}");
+            }
+        }
     }
 
     #[test]

@@ -1226,7 +1226,9 @@ mod tests {
             // A fetched list is read above the largest matched vertex the
             // level reading it is bounded by.
             (Pattern::triangle(), [&[&[0]], &[&[0, 1]], none, none]),
-            (Pattern::cycle(4), [&[&[0]], &[&[0]], &[&[0, 1]], none]),
+            // The 4-cycle's v3 is bounded by v0 alone (`v1 < v2` is checked at
+            // v2), so N(v2) ships cut above v0.
+            (Pattern::cycle(4), [&[&[0]], &[&[0]], &[&[0]], none]),
             (Pattern::clique(4), [&[&[0]], &[&[0, 1]], &[&[0, 1, 2]], none]),
             // C1 = N(v0) is stored for v2, which carries no bound, and v3
             // reads N(v1) unbounded: the last fetched list ships whole.

@@ -374,12 +374,26 @@ type Routing = (u64, u64, u64, u64, u64, u64);
 ///   73 510 / 16 617); the house rows look up fewer lists, as they fetch
 ///   fewer hubs (rmat "off" 711 530 / 293 402 → 577 819 / 227 361).
 ///
+/// Re-recorded when k-Automine's greedy order started to break its ties by
+/// cost: the 4-cycle's order went `[0, 1, 2, 3]` → `[0, 1, 3, 2]`, so `v2`
+/// is drawn from the root's stored `N(v0)` and the last level intersects two
+/// lists of the root's own fill. Only the four 4-cycle rows moved:
+/// * `count`: identical.
+/// * `network_bytes`: er "on" 313 268 → 183 120, "off" 1 561 492 → 975 756;
+///   rmat "on" 74 400 → 51 504, "off" 687 532 → 373 240.
+/// * `requests`: er "on" 24 → 12, rmat "on" 24 → 12, rmat "off" 29 → 18
+///   (er "off" stays 24): no children are parked at a second fetched level.
+/// * `coalesced`: er 55 076 → 21 618, rmat 89 118 → 12 638.
+/// * Cache hits / misses: er "on" 0 / 8 605 → 0 / 4 503, "off" 1 140 /
+///   62 541 → 947 / 25 174; rmat "on" 0 / 1 009 → 0 / 370, "off" 73 510 /
+///   16 617 → 10 879 / 2 129.
+///
 /// Any other movement means a routing decision changed.
 const GOLDEN_ROUTING: [Routing; 24] = [
     (92, 112532, 12, 4480, 0, 4503),              // er triangle on
     (92, 201944, 12, 0, 0, 8983),                 // er triangle off
-    (493, 313268, 24, 55076, 0, 8605),            // er 4-cycle on
-    (493, 1561492, 24, 0, 1140, 62541),           // er 4-cycle off
+    (493, 183120, 12, 21618, 0, 4503),            // er 4-cycle on
+    (493, 975756, 24, 0, 947, 25174),             // er 4-cycle off
     (0, 112532, 12, 4549, 0, 4503),               // er 4-clique on
     (0, 203536, 24, 0, 8, 9044),                  // er 4-clique off
     (764221, 216116, 12, 3285, 0, 5698),          // er 4-path on
@@ -390,8 +404,8 @@ const GOLDEN_ROUTING: [Routing; 24] = [
     (42, 394200, 24, 0, 0, 10249),                // er house off
     (9519, 23624, 12, 1748, 0, 370),              // rmat triangle on
     (9519, 111852, 12, 0, 0, 2118),               // rmat triangle off
-    (271380, 74400, 24, 89118, 0, 1009),          // rmat 4-cycle on
-    (271380, 687532, 29, 0, 73510, 16617),        // rmat 4-cycle off
+    (271380, 51504, 12, 12638, 0, 370),           // rmat 4-cycle on
+    (271380, 373240, 18, 0, 10879, 2129),         // rmat 4-cycle off
     (22236, 23624, 12, 8770, 0, 370),             // rmat 4-clique on
     (22236, 111852, 12, 0, 7022, 2118),           // rmat 4-clique off
     (4719332, 61320, 12, 1289, 0, 829),           // rmat 4-path on

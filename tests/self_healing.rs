@@ -1,5 +1,5 @@
 //! Self-healing cluster integration: after a fail-stop crash the
-//! background rebalancer must restore the configured replication
+//! failover that detects it must restore the configured replication
 //! factor, so a *second* crash of a different part at `r = 2` still
 //! yields bit-identical counts instead of a typed loss; dead-owner
 //! fetches must spread across every live holder instead of hammering
@@ -61,7 +61,7 @@ fn probe_requests(g: &Graph, p: &Pattern, replication: usize) -> u64 {
 
 /// The headline: parts 2 and 1 are *adjacent* on the replica ring at
 /// `r = 2` (part 1 holds the only other copy of slice 2), so before
-/// self-healing this double crash was unsurvivable. With the rebalancer
+/// self-healing this double crash was unsurvivable. With rebalance
 /// on, the first death is repaired back to two copies before the second
 /// fuse burns down, and every query round — before, between, and after
 /// the crashes — reports the exact count under both control carriers.
@@ -152,13 +152,13 @@ fn double_crash_without_rebalance_is_a_typed_loss() {
         assert!(part == 1 || part == 2, "mode={mode:?}: lost part {part} not in the schedule");
         let reb = engine.rebalance_section();
         assert!(!reb.enabled, "mode={mode:?}");
-        assert_eq!(reb.transfers, 0, "mode={mode:?}: no rebalancer, no transfers");
+        assert_eq!(reb.transfers, 0, "mode={mode:?}: no repair, no transfers");
         engine.shutdown();
     }
 }
 
 /// Spread failover: at `r = 3`, a dead part's slice has two surviving
-/// holders (three once the rebalancer installs a fresh copy), and the
+/// holders (three once the failover's repair installs a fresh copy), and the
 /// rerouted fetch stream must rotate across them — at least two
 /// distinct holders serve rerouted bytes and none serves more than 70%
 /// of them — while the count stays exact.
@@ -217,7 +217,7 @@ proptest! {
     /// Random crash schedules (one or two crashes of distinct parts,
     /// staggered fuses) x replication {2, 3} x control {shared, msg} x
     /// rebalance {on, off}, on the skewed R-MAT fixture under range
-    /// partitioning. With the rebalancer on, every schedule recovers
+    /// partitioning. With rebalance on, every schedule recovers
     /// the exact count; with it off, a schedule either stays exact or
     /// fails with the typed loss naming a crashed part — never a wrong
     /// count, never a hang.
